@@ -21,7 +21,7 @@ func (v View) MarshalText() ([]byte, error) {
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (v *View) UnmarshalText(text []byte) error {
-	parsed, err := ParseView(string(text))
+	parsed, err := parseView(text)
 	if err != nil {
 		return err
 	}

@@ -30,6 +30,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"preserv/internal/ids"
@@ -64,8 +65,12 @@ func (v View) String() string {
 }
 
 // ParseView converts a wire name back to a View.
-func ParseView(s string) (View, error) {
-	switch s {
+func ParseView(s string) (View, error) { return parseView(s) }
+
+// parseView is ParseView, and UnmarshalText's parser too: it reads
+// either form of text without copying it.
+func parseView[T string | []byte](s T) (View, error) {
+	switch string(s) {
 	case "sender":
 		return SenderView, nil
 	case "receiver":
@@ -420,14 +425,27 @@ func (r *Record) DataIDs() []ids.ID {
 	if r.Kind != KindInteraction || r.Interaction == nil {
 		return nil
 	}
+	// A record has a handful of parts: a linear scan of the ids kept so
+	// far dedupes them without a map, and the one slice is sized for
+	// all of them on first use.
 	var out []ids.ID
-	seen := make(map[ids.ID]bool)
-	for _, msg := range []*Message{&r.Interaction.Request, &r.Interaction.Response} {
-		for _, p := range msg.Parts {
-			if p.DataID.Valid() && !seen[p.DataID] {
-				seen[p.DataID] = true
-				out = append(out, p.DataID)
+	p := r.Interaction
+	for _, msg := range [...]*Message{&p.Request, &p.Response} {
+	parts:
+		for i := range msg.Parts {
+			id := msg.Parts[i].DataID
+			if !id.Valid() {
+				continue
 			}
+			for _, seen := range out {
+				if seen == id {
+					continue parts
+				}
+			}
+			if out == nil {
+				out = make([]ids.ID, 0, len(p.Request.Parts)+len(p.Response.Parts))
+			}
+			out = append(out, id)
 		}
 	}
 	return out
@@ -463,17 +481,29 @@ func (r *Record) GroupID(groupType string) (ids.ID, bool) {
 // records can never share a key, and all records of one interaction
 // share a key prefix — which is what the store's lookups index on.
 func (r *Record) StorageKey() string {
-	var kindTag string
+	kindTag := byte('?')
 	switch r.Kind {
 	case KindInteraction:
-		kindTag = "i"
+		kindTag = 'i'
 	case KindActorState:
-		kindTag = "s"
-	default:
-		kindTag = "?"
+		kindTag = 's'
 	}
-	return fmt.Sprintf("%s/%s/%s/%s/%s",
-		kindTag, r.InteractionID(), r.View(), r.Asserter(), r.LocalID())
+	view, asserter, localID := r.View().String(), r.Asserter(), r.LocalID()
+	// Built in one exactly-sized buffer: the store and the index each
+	// ask for the key of every record they take.
+	var b strings.Builder
+	b.Grow(2 + ids.TextLen + 1 + len(view) + 1 + len(asserter) + 1 + len(localID))
+	b.WriteByte(kindTag)
+	b.WriteByte('/')
+	var id [ids.TextLen]byte
+	b.Write(r.InteractionID().AppendString(id[:0]))
+	b.WriteByte('/')
+	b.WriteString(view)
+	b.WriteByte('/')
+	b.WriteString(string(asserter))
+	b.WriteByte('/')
+	b.WriteString(localID)
+	return b.String()
 }
 
 // NewInteractionRecord wraps an interaction p-assertion as a Record.

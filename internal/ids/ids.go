@@ -16,8 +16,9 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
+
+	"preserv/internal/xmlwire"
 )
 
 // ID is a globally unique identifier. The zero value is invalid; use New
@@ -97,6 +98,17 @@ func (id ID) Valid() bool { return id != Nil }
 // String renders the identifier in its canonical textual form,
 // "urn:pasoa:<32 hex digits>".
 func (id ID) String() string {
+	var buf [TextLen]byte
+	return string(id.AppendString(buf[:0]))
+}
+
+// TextLen is the length of an identifier's canonical textual form.
+const TextLen = len("urn:pasoa:") + 32
+
+// AppendString appends the canonical textual form (what String returns)
+// to dst without allocating, for encoders that build keys and wire
+// messages in place.
+func (id ID) AppendString(dst []byte) []byte {
 	var b [16]byte
 	hi, lo := id.hi, id.lo
 	for i := 7; i >= 0; i-- {
@@ -105,7 +117,7 @@ func (id ID) String() string {
 		b[i+8] = byte(lo)
 		lo >>= 8
 	}
-	return "urn:pasoa:" + hex.EncodeToString(b[:])
+	return hex.AppendEncode(append(dst, "urn:pasoa:"...), b[:])
 }
 
 // Short returns an abbreviated 8-hex-digit form for logs and test output.
@@ -134,19 +146,23 @@ func (id ID) Compare(other ID) int {
 // Parse converts the canonical textual form produced by String back into
 // an ID. It accepts both the "urn:pasoa:" prefixed form and a bare
 // 32-hex-digit string.
-func Parse(s string) (ID, error) {
-	s = strings.TrimPrefix(s, "urn:pasoa:")
+func Parse(s string) (ID, error) { return parse(s) }
+
+// parse is Parse, and UnmarshalText's parser too: it reads either form
+// of text without copying or allocating.
+func parse[T string | []byte](s T) (ID, error) {
+	const prefix = "urn:pasoa:"
+	if len(s) >= len(prefix) && string(s[:len(prefix)]) == prefix {
+		s = s[len(prefix):]
+	}
 	if len(s) != 32 {
 		return Nil, fmt.Errorf("%w: %q has length %d, want 32 hex digits", ErrBadID, s, len(s))
 	}
-	raw, err := hex.DecodeString(s)
-	if err != nil {
+	var b [16]byte
+	if _, err := hex.Decode(b[:], []byte(s)); err != nil {
 		return Nil, fmt.Errorf("%w: %v", ErrBadID, err)
 	}
-	var b [16]byte
-	copy(b[:], raw)
-	id := fromBytes(b)
-	return id, nil
+	return fromBytes(b), nil
 }
 
 // MustParse is like Parse but panics on malformed input. It is intended
@@ -157,6 +173,17 @@ func MustParse(s string) ID {
 		panic(err)
 	}
 	return id
+}
+
+// AppendXML appends <tag>id</tag> as encoding/xml marshals an ID
+// field. The nil ID is an empty element — omitempty never drops it,
+// because an ID is a struct.
+func (id ID) AppendXML(dst []byte, tag string) []byte {
+	dst = xmlwire.AppendOpen(dst, tag)
+	if id.Valid() {
+		dst = id.AppendString(dst)
+	}
+	return xmlwire.AppendClose(dst, tag)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler (used by gob) as the
@@ -200,7 +227,7 @@ func (id *ID) UnmarshalText(text []byte) error {
 		*id = Nil
 		return nil
 	}
-	parsed, err := Parse(string(text))
+	parsed, err := parse(text)
 	if err != nil {
 		return err
 	}

@@ -210,3 +210,17 @@ func TestQuickCompareAntisymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The wire decoder parses an identifier per record, part and group;
+// neither entry point of the one parser may allocate.
+func TestParseDoesNotAllocate(t *testing.T) {
+	s := New().String()
+	text := []byte(s)
+	var id ID
+	if n := testing.AllocsPerRun(100, func() { id, _ = Parse(s) }); n != 0 || !id.Valid() {
+		t.Errorf("Parse costs %.0f allocs, parsed %v", n, id)
+	}
+	if n := testing.AllocsPerRun(100, func() { id.UnmarshalText(text) }); n != 0 {
+		t.Errorf("UnmarshalText costs %.0f allocs", n)
+	}
+}

@@ -1,0 +1,356 @@
+package prep
+
+import (
+	"bytes"
+	"encoding/xml"
+	"errors"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"preserv/internal/core"
+	"preserv/internal/ids"
+	"preserv/internal/xmlwire"
+)
+
+// The differential tests below keep encoding/xml as the oracle for the
+// hand-written codec: over generated messages, a reply's AppendXML must
+// produce xml.Marshal's bytes (and fail when it fails) and a request's
+// DecodeXML must produce xml.Unmarshal's value under reflect.DeepEqual.
+// That is the byte-identity contract that lets the hand-written side
+// talk to a peer on encoding/xml — the client library today.
+
+// gen draws message parts, biased towards the values where the two
+// codecs could part ways.
+type gen struct{ *rand.Rand }
+
+var hostileStrings = []string{
+	"", "", "plain", "svc:gzip-compression", `a<b>&"'c`, "tab\there", "cr\rlf\ncrlf\r\n",
+	"\x00\x01\x1f", "\xff\xfe invalid", "é世界🙂", "\uFFFD", "\uFFFE", "]]>", "  padded  ",
+	"&amp;", strings.Repeat("long<>", 50),
+}
+
+func (g gen) str() string {
+	s := hostileStrings[g.Intn(len(hostileStrings))]
+	if g.Intn(4) == 0 {
+		s += hostileStrings[g.Intn(len(hostileStrings))]
+	}
+	return s
+}
+
+func (g gen) id() ids.ID {
+	if g.Intn(3) == 0 {
+		return ids.Nil
+	}
+	return ids.New()
+}
+
+func (g gen) bytes() core.Bytes {
+	switch g.Intn(4) {
+	case 0:
+		return nil
+	case 1:
+		return core.Bytes{}
+	}
+	b := make(core.Bytes, g.Intn(100))
+	g.Read(b)
+	return b
+}
+
+func (g gen) time() time.Time {
+	switch g.Intn(8) {
+	case 0:
+		return time.Time{}
+	case 1:
+		return time.Unix(g.Int63n(1<<32), g.Int63n(1e9)).In(time.FixedZone("", (g.Intn(27)-12)*3600+g.Intn(2)*1800))
+	case 2:
+		return time.Unix(g.Int63n(1<<32), 0).Local()
+	case 3:
+		return time.Date(10000+g.Intn(2), 1, 1, 0, 0, 0, 0, time.UTC) // xml.Marshal refuses the year
+	}
+	return time.Unix(g.Int63n(1<<32), g.Int63n(1e9)).UTC()
+}
+
+func (g gen) view() core.View {
+	if g.Intn(20) == 0 {
+		return core.View(g.Intn(5)) // 0, 3 and 4 cannot be marshalled
+	}
+	return core.View(1 + g.Intn(2))
+}
+
+func (g gen) kind() core.Kind {
+	if g.Intn(20) == 0 {
+		return core.Kind(g.Intn(4)) // 0 and 3 cannot be marshalled
+	}
+	return core.Kind(1 + g.Intn(2))
+}
+
+func (g gen) int() int {
+	switch g.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		return -1 - g.Intn(5)
+	case 2:
+		return g.Int()
+	}
+	return g.Intn(1000)
+}
+
+// leaves are the types fill draws whole; every other type it reaches
+// is filled by kind, so the values follow the structs' declarations
+// and not a list kept here.
+var leaves = map[reflect.Type]func(gen) any{
+	reflect.TypeOf(ids.ID{}):     func(g gen) any { return g.id() },
+	reflect.TypeOf(time.Time{}):  func(g gen) any { return g.time() },
+	reflect.TypeOf(core.Bytes{}): func(g gen) any { return g.bytes() },
+	reflect.TypeOf(core.View(0)): func(g gen) any { return g.view() },
+	reflect.TypeOf(core.Kind(0)): func(g gen) any { return g.kind() },
+	reflect.TypeOf(xml.Name{}):   func(gen) any { return xml.Name{} }, // XMLName: set by decoding only
+}
+
+// fill draws a value for every field under v, whatever the fields
+// are: a field added to a message or to the record is filled, and so
+// marshalled by the oracle, before the codec knows it — which fails
+// the differential tests until it does.
+func (g gen) fill(t *testing.T, v reflect.Value) {
+	if leaf, ok := leaves[v.Type()]; ok {
+		v.Set(reflect.ValueOf(leaf(g)))
+		return
+	}
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(g.str())
+	case reflect.Int:
+		v.SetInt(int64(g.int()))
+	case reflect.Uint64:
+		v.SetUint(g.Uint64() >> uint(g.Intn(64)))
+	case reflect.Bool:
+		v.SetBool(g.Intn(2) == 0)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		g.fill(t, v.Elem())
+	case reflect.Slice:
+		n := g.Intn(4)
+		if n > 0 || g.Intn(4) == 0 { // else nil; sometimes empty instead
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
+		}
+		for i := 0; i < n; i++ {
+			g.fill(t, v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Type().Field(i).IsExported() {
+				t.Fatalf("%s.%s is unexported: encoding/xml ignores it, so must the codec — and fill", v.Type(), v.Type().Field(i).Name)
+			}
+			g.fill(t, v.Field(i))
+		}
+		if r, ok := v.Addr().Interface().(*core.Record); ok {
+			g.shape(r)
+		}
+	default:
+		t.Fatalf("fill cannot draw a %s (%s): teach it, and the codec", v.Type(), v.Kind())
+	}
+}
+
+// shape leaves a filled record mostly with the payload its kind calls
+// for; sometimes with none, the other, or both.
+func (g gen) shape(r *core.Record) {
+	switch shape := g.Intn(20); {
+	case shape == 0:
+	case shape == 1:
+		r.ActorState = nil
+	case shape == 2:
+		r.Interaction, r.ActorState = nil, nil
+	case r.Kind == core.KindActorState:
+		r.Interaction = nil
+	default:
+		r.ActorState = nil
+	}
+}
+
+func (g gen) record(t *testing.T) core.Record {
+	var r core.Record
+	g.fill(t, reflect.ValueOf(&r).Elem())
+	return r
+}
+
+// wireEncoder and wireDecoder are what internal/soap looks for.
+type wireEncoder interface {
+	AppendXML(dst []byte) ([]byte, error)
+}
+
+type wireDecoder interface {
+	DecodeXML(d *xmlwire.Decoder) error
+}
+
+// hotMessages is a zero value of each of the seven record-carrying
+// messages: the three requests, which the store decodes, and the four
+// replies, which it encodes.
+func hotMessages() []any {
+	return []any{
+		&RecordRequest{}, &Query{}, &PageQueryRequest{},
+		&RecordResponse{}, &QueryResponse{}, &PlannedQueryResponse{}, &PageQueryResponse{},
+	}
+}
+
+// Every record-carrying message has its store-side half, and only that:
+// the client's half goes through encoding/xml until it is written too.
+func TestHotMessagesHaveTheirStoreSideCodec(t *testing.T) {
+	for i, msg := range hotMessages() {
+		_, enc := msg.(wireEncoder)
+		_, dec := msg.(wireDecoder)
+		if request := i < 3; dec != request || enc == request {
+			t.Errorf("%T: encoder %v, decoder %v; a request has a decoder, a reply an encoder", msg, enc, dec)
+		}
+	}
+}
+
+// decodeXML runs a message's hand decoder over a whole document.
+func decodeXML(data []byte, into wireDecoder) error {
+	d := xmlwire.NewDecoder(data)
+	if err := d.Root(); err != nil {
+		return err
+	}
+	return into.DecodeXML(d)
+}
+
+func TestMessagesMatchEncodingXML(t *testing.T) {
+	g := gen{rand.New(rand.NewSource(12))}
+	refused := 0
+	for i := 0; i < 3000; i++ {
+		n := g.Intn(len(hotMessages()))
+		msg := hotMessages()[n]
+		g.fill(t, reflect.ValueOf(msg).Elem())
+		want, wantErr := xml.Marshal(msg)
+		if enc, ok := msg.(wireEncoder); ok {
+			got, gotErr := enc.AppendXML([]byte("x"))
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%T: xml.Marshal err = %v, AppendXML err = %v\n%+v", msg, wantErr, gotErr, msg)
+			}
+			if wantErr == nil && string(got) != "x"+string(want) {
+				t.Fatalf("%T: AppendXML differs from xml.Marshal\n got %s\nwant %s", msg, got[1:], want)
+			}
+		}
+		if wantErr != nil {
+			refused++
+			continue
+		}
+		if into, ok := hotMessages()[n].(wireDecoder); ok {
+			oracleInto := hotMessages()[n]
+			wantErr, gotErr := xml.Unmarshal(want, oracleInto), decodeXML(want, into)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%T: xml.Unmarshal err = %v, DecodeXML err = %v\n%s", msg, wantErr, gotErr, want)
+			}
+			if wantErr == nil && !reflect.DeepEqual(into, oracleInto) {
+				t.Fatalf("%T: DecodeXML differs from xml.Unmarshal on\n%s\n got %+v\nwant %+v", msg, want, into, oracleInto)
+			}
+		}
+	}
+	if refused == 0 || refused > 1500 {
+		t.Errorf("%d of 3000 messages were unmarshallable: the generator should produce some, not mostly", refused)
+	}
+}
+
+func TestRecordMatchesEncodingXML(t *testing.T) {
+	g := gen{rand.New(rand.NewSource(7))}
+	for i := 0; i < 2000; i++ {
+		rec := g.record(t)
+		want, wantErr := xml.Marshal(&rec)
+		got, gotErr := rec.AppendXML(nil, "Record")
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("xml.Marshal err = %v, AppendXML err = %v\n%+v", wantErr, gotErr, rec)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("AppendXML differs from xml.Marshal\n got %s\nwant %s", got, want)
+		}
+		var a, b core.Record
+		wantErr = xml.Unmarshal(want, &a)
+		d := xmlwire.NewDecoder(want)
+		gotErr = d.Root()
+		if gotErr == nil {
+			gotErr = b.DecodeXML(d)
+		}
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("xml.Unmarshal err = %v, DecodeXML err = %v\n%s", wantErr, gotErr, want)
+		}
+		if wantErr == nil && !reflect.DeepEqual(a, b) {
+			t.Fatalf("DecodeXML differs from xml.Unmarshal on\n%s\n got %+v\nwant %+v", want, b, a)
+		}
+	}
+}
+
+// Today's wire carries an empty <dataId> for a part without one:
+// omitempty never fires on a struct. Peers on encoding/xml send and
+// expect it.
+func TestStructFieldsAreNeverOmitted(t *testing.T) {
+	rec := core.Record{Kind: core.KindInteraction, Interaction: &core.InteractionPAssertion{
+		View: core.SenderView, Request: core.Message{Parts: []core.MessagePart{{Name: "p"}}},
+	}}
+	got, err := rec.AppendXML(nil, "record")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(got), "<part><name>p</name><dataId></dataId></part>") {
+		t.Errorf("part without data id: %s", got)
+	}
+}
+
+// Documents no encoder of ours writes but a peer may: children
+// reordered and repeated, unknown elements, self-closing empties,
+// attributes, namespaces, a prolog, comments. They must decode as
+// encoding/xml decodes them.
+func TestForeignDocumentsDecodeAsToday(t *testing.T) {
+	id := "urn:pasoa:000000000000000000000000000000aa"
+	rec := `<record v="2"><interactionPAssertion><view>sender</view><unknown><deep a="1">x</deep></unknown>` +
+		`<response><part><content>aGk=</content><name>out</name><dataId/></part><name>resp</name></response>` +
+		`<group><seq> 7 </seq><id>` + id + `</id><type>session</type></group>` +
+		`<interaction><operation>op</operation><id>` + id + `</id><sender>c</sender><receiver>s</receiver></interaction>` +
+		`<localId>first</localId><localId>last</localId><timestamp>2005-07-24T10:00:00+01:00</timestamp>` +
+		`<asserter>c</asserter><request/></interactionPAssertion><kind>interaction</kind></record>`
+	state := `<record><kind>actorState</kind><actorStatePAssertion><content/><stateKind>script</stateKind>` +
+		`<view>receiver</view></actorStatePAssertion><actorStatePAssertion><localId>merged</localId></actorStatePAssertion></record>`
+	docs := []struct {
+		in   string
+		into func() wireDecoder
+	}{
+		{`<?xml version="1.0" encoding="UTF-8"?>` + "\n<RecordRequest>\n  " + rec + "\n  <!-- between -->" + state +
+			"\n  <asserter>c</asserter>\n</RecordRequest>\n", func() wireDecoder { return &RecordRequest{} }},
+		{`<p:RecordRequest xmlns:p="urn:prep"><p:asserter>c</p:asserter><p:record/></p:RecordRequest>`,
+			func() wireDecoder { return &RecordRequest{} }},
+		{`<RecordRequest xmlns="urn:prep"/>`, func() wireDecoder { return &RecordRequest{} }},
+		{`<Query><limit>5</limit><since>2005-07-24T10:00:00Z</since><kind>interaction</kind><sessionId>` + id + `</sessionId><extra/></Query>`,
+			func() wireDecoder { return &Query{} }},
+		{`<PageQueryRequest><pageSize>10</pageSize><q:Query xmlns:q="urn:q"><kind>actorState</kind></q:Query><after>cur</after></PageQueryRequest>`,
+			func() wireDecoder { return &PageQueryRequest{} }},
+		// Both must refuse these.
+		{`<RecordRequests/>`, func() wireDecoder { return &RecordRequest{} }},
+		{`<RecordRequest><record><kind>neither</kind></record></RecordRequest>`, func() wireDecoder { return &RecordRequest{} }},
+		{`<RecordRequest><record><interactionPAssertion><view>up</view></interactionPAssertion></record></RecordRequest>`,
+			func() wireDecoder { return &RecordRequest{} }},
+		{`<Query><sessionId>not-an-id</sessionId></Query>`, func() wireDecoder { return &Query{} }},
+		{`<Query><since>yesterday</since></Query>`, func() wireDecoder { return &Query{} }},
+		{`<Query><limit>many</limit></Query>`, func() wireDecoder { return &Query{} }},
+		{`<PageQueryRequest><Query></PageQueryRequest>`, func() wireDecoder { return &PageQueryRequest{} }},
+	}
+	for _, doc := range docs {
+		want, got := doc.into(), doc.into()
+		wantErr := xml.Unmarshal([]byte(doc.in), want)
+		gotErr := decodeXML([]byte(doc.in), got)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Errorf("xml.Unmarshal err = %v, DecodeXML err = %v on\n%s", wantErr, gotErr, doc.in)
+			continue
+		}
+		if errors.Is(gotErr, xmlwire.ErrUnsupported) {
+			t.Errorf("refused as unsupported: %v\n%s", gotErr, doc.in)
+		}
+		if wantErr == nil && !reflect.DeepEqual(got, want) {
+			t.Errorf("DecodeXML differs from xml.Unmarshal on\n%s\n got %+v\nwant %+v", doc.in, got, want)
+		}
+	}
+}

@@ -8,7 +8,6 @@ package preserv
 
 import (
 	"context"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"math"
@@ -144,7 +143,7 @@ func (p *StorePlugIn) Handle(action string, body []byte) (interface{}, error) {
 	switch action {
 	case prep.ActionRecord:
 		var req prep.RecordRequest
-		if err := xml.Unmarshal(body, &req); err != nil {
+		if err := soap.DecodeBody(body, &req); err != nil {
 			p.requests.Add(1)
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad record request: " + err.Error()}
 		}
@@ -163,7 +162,7 @@ func (p *StorePlugIn) Handle(action string, body []byte) (interface{}, error) {
 		return &prep.RecordResponse{Accepted: accepted, Rejects: rejects}, nil
 	case prep.ActionDelete:
 		var req prep.DeleteRequest
-		if err := xml.Unmarshal(body, &req); err != nil {
+		if err := soap.DecodeBody(body, &req); err != nil {
 			p.deleteRequests.Add(1)
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad delete request: " + err.Error()}
 		}
@@ -206,7 +205,7 @@ func (p *StorePlugIn) Handle(action string, body []byte) (interface{}, error) {
 		return resp, nil
 	case prep.ActionCompact:
 		var req prep.CompactRequest
-		if err := xml.Unmarshal(body, &req); err != nil {
+		if err := soap.DecodeBody(body, &req); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad compact request: " + err.Error()}
 		}
 		before := p.prov.GarbageRatio()
@@ -282,7 +281,7 @@ func (p *QueryPlugIn) Handle(action string, body []byte) (interface{}, error) {
 	switch action {
 	case prep.ActionQuery:
 		var q prep.Query
-		if err := xml.Unmarshal(body, &q); err != nil {
+		if err := soap.DecodeBody(body, &q); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad query: " + err.Error()}
 		}
 		records, total, err := p.prov.Query(&q)
@@ -292,7 +291,7 @@ func (p *QueryPlugIn) Handle(action string, body []byte) (interface{}, error) {
 		return &prep.QueryResponse{Total: total, Records: records}, nil
 	case prep.ActionPlannedQuery:
 		var q prep.Query
-		if err := xml.Unmarshal(body, &q); err != nil {
+		if err := soap.DecodeBody(body, &q); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad query: " + err.Error()}
 		}
 		records, total, plan, err := p.prov.QueryPlanned(&q)
@@ -302,7 +301,7 @@ func (p *QueryPlugIn) Handle(action string, body []byte) (interface{}, error) {
 		return &prep.PlannedQueryResponse{Total: total, Plan: *plan, Records: records}, nil
 	case prep.ActionQueryPage:
 		var req prep.PageQueryRequest
-		if err := xml.Unmarshal(body, &req); err != nil {
+		if err := soap.DecodeBody(body, &req); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad page query: " + err.Error()}
 		}
 		records, next, done, plan, err := p.prov.QueryPage(&req.Query, req.After, req.PageSize)
@@ -354,7 +353,7 @@ func (p *StatsPlugIn) Actions() []string { return []string{prep.ActionStats} }
 // provlint:typed-faults
 func (p *StatsPlugIn) Handle(action string, body []byte) (interface{}, error) {
 	var req prep.StatsRequest
-	if err := xml.Unmarshal(body, &req); err != nil {
+	if err := soap.DecodeBody(body, &req); err != nil {
 		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad stats request: " + err.Error()}
 	}
 	return p.svc.StatsResponse()

@@ -1,0 +1,118 @@
+package preserv
+
+import (
+	"encoding/xml"
+	"io"
+	"net/http"
+	"strings"
+	"testing"
+
+	"preserv/internal/core"
+	"preserv/internal/ids"
+	"preserv/internal/prep"
+	"preserv/internal/soap"
+)
+
+// postRaw posts a hand-written envelope and returns the reply's body.
+func postRaw(t *testing.T, url, envelope string) []byte {
+	t.Helper()
+	resp, err := http.Post(url, soap.ContentType, strings.NewReader(envelope))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, err := soap.Unmarshal(reply)
+	if err != nil {
+		t.Fatalf("reply is not an envelope: %v\n%s", err, reply)
+	}
+	return body
+}
+
+func envelope(action, body string) string {
+	return `<Envelope><Header><action>` + action + `</action><messageId></messageId></Header><Body>` + body + `</Body></Envelope>`
+}
+
+// A peer's toolkit may send the same messages dressed differently — a
+// prolog, namespace prefixes, attributes, unknown elements, children in
+// another order, whitespace. The store takes them as it always has.
+func TestForeignEnvelopeIsRecordedAndQueried(t *testing.T) {
+	client, _ := startServer(t)
+	session := ids.New()
+	rec := mkRecord(session, "svc:gzip")
+	recXML, err := xml.Marshal(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := strings.TrimSuffix(strings.TrimPrefix(string(recXML), "<Record>"), "</Record>")
+	body := postRaw(t, client.URL(), `<?xml version="1.0" encoding="UTF-8"?>
+<soap:Envelope xmlns:soap="http://schemas.xmlsoap.org/soap/envelope/" xmlns:p="urn:prep">
+  <soap:Body>
+    <p:RecordRequest version="1">
+      <!-- the record comes before the asserter -->
+      <p:record seq="0"><extension><deep/></extension>`+inner+`</p:record>
+      <p:asserter>svc:enactor</p:asserter>
+    </p:RecordRequest>
+  </soap:Body>
+  <soap:Header><p:messageId/><p:action>`+prep.ActionRecord+`</p:action></soap:Header>
+</soap:Envelope>`)
+	var resp prep.RecordResponse
+	if err := soap.DecodeBody(body, &resp); err != nil || resp.Accepted != 1 {
+		t.Fatalf("record reply %s: accepted %d, err %v", body, resp.Accepted, err)
+	}
+	got, total, err := client.Query(&prep.Query{SessionID: session})
+	if err != nil || total != 1 || got[0].StorageKey() != rec.StorageKey() {
+		t.Fatalf("query after foreign record: total %d err %v", total, err)
+	}
+	body = postRaw(t, client.URL(), envelope(prep.ActionPlannedQuery,
+		"\n <Query>\n  <limit> 5 </limit>\n  <sessionId>"+session.String()+"</sessionId>\n  <hint/>\n </Query>\n"))
+	var planned prep.PlannedQueryResponse
+	if err := soap.DecodeBody(body, &planned); err != nil || planned.Total != 1 || len(planned.Records) != 1 {
+		t.Fatalf("planned reply %s: total %d, err %v", body, planned.Total, err)
+	}
+}
+
+// What the wire decoder refuses — malformed XML, and the well-formed
+// constructs it does not support — is client input: every action
+// answers it with a bad-request fault, and the store is untouched.
+func TestUndecodableRequestsFaultAsBadRequest(t *testing.T) {
+	client, svc := startServer(t)
+	requests := map[string]string{
+		"doctype":             `<!DOCTYPE Envelope>` + envelope(prep.ActionRecord, `<RecordRequest/>`),
+		"cdata body":          envelope(prep.ActionRecord, `<![CDATA[<RecordRequest/>]]>`),
+		"comment in scalar":   envelope(prep.ActionRecord, `<RecordRequest><asserter>svc:<!-- x -->enactor</asserter></RecordRequest>`),
+		"element in scalar":   envelope(prep.ActionQuery, `<Query><kind>inter<b/>action</kind></Query>`),
+		"cdata in scalar":     envelope(prep.ActionPlannedQuery, `<Query><kind><![CDATA[interaction]]></kind></Query>`),
+		"pi in page size":     envelope(prep.ActionQueryPage, `<PageQueryRequest><pageSize>1<?x?>0</pageSize></PageQueryRequest>`),
+		"wrong root":          envelope(prep.ActionRecord, `<Query/>`),
+		"bad view":            envelope(prep.ActionRecord, `<RecordRequest><record><kind>interaction</kind><interactionPAssertion><view>sideways</view></interactionPAssertion></record></RecordRequest>`),
+		"bad id":              envelope(prep.ActionQuery, `<Query><sessionId>nope</sessionId></Query>`),
+		"bad entity":          envelope(prep.ActionQuery, `<Query><kind>&nbsp;</kind></Query>`),
+		"control character":   envelope(prep.ActionQuery, "<Query><kind>\x01</kind></Query>"),
+		"unclosed":            envelope(prep.ActionQueryPage, `<PageQueryRequest><Query>`),
+		"empty body":          envelope(prep.ActionPlannedQuery, ``),
+		"fault as request":    envelope(prep.ActionRecord, `<Fault><code>c</code><message>m</message></Fault>`),
+		"bad delete":          envelope(prep.ActionDelete, `<DeleteRequest><sessionId>nope</sessionId></DeleteRequest>`),
+		"bad compact":         envelope(prep.ActionCompact, `<CompactRequest>`),
+		"bad stats":           envelope(prep.ActionStats, `<Stats/>`),
+		"not an envelope":     `<Query/>`,
+		"nesting too deep":    envelope(prep.ActionQuery, `<Query>`+strings.Repeat(`<a>`, 10001)+strings.Repeat(`</a>`, 10001)+`</Query>`),
+		"latin-1 declaration": `<?xml version="1.0" encoding="ISO-8859-1"?>` + envelope(prep.ActionQuery, `<Query/>`),
+	}
+	for name, req := range requests {
+		body := postRaw(t, client.URL(), req)
+		if fault, ok := soap.AsFault(body); !ok || fault.Code != soap.FaultBadRequest {
+			t.Errorf("%s: reply %s, want a bad-request fault", name, body)
+		}
+	}
+	if cnt, err := svc.Provenance().Count(); err != nil || cnt.Records != 0 {
+		t.Errorf("store holds %d records after only undecodable requests (err %v)", cnt.Records, err)
+	}
+	// The server is still answering.
+	if resp, err := client.Record("svc:enactor", []core.Record{mkRecord(ids.New(), "svc:gzip")}); err != nil || resp.Accepted != 1 {
+		t.Fatalf("record after the faults: %+v, err %v", resp, err)
+	}
+}

@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 
 	"preserv/internal/ids"
+	"preserv/internal/xmlwire"
 )
 
 // ContentType is the media type of envelope messages.
@@ -23,7 +25,11 @@ const ContentType = "text/xml; charset=utf-8"
 // store from unbounded payloads.
 const MaxMessageBytes = 32 << 20
 
-// Envelope is the wire wrapper for every message.
+// Envelope is the wire wrapper for every message, as encoding/xml
+// reads and writes it. Marshal and Unmarshal produce and accept exactly
+// this shape without reflecting over it; the type remains as the
+// wire's specification and for tests that build or inspect envelopes
+// field by field.
 type Envelope struct {
 	XMLName xml.Name `xml:"Envelope"`
 	Header  Header   `xml:"Header"`
@@ -65,42 +71,177 @@ const (
 // ErrNotEnvelope is returned when input does not parse as an Envelope.
 var ErrNotEnvelope = errors.New("soap: not an envelope")
 
-// Marshal wraps an XML-marshallable payload in an envelope.
-func Marshal(action string, payload interface{}) ([]byte, error) {
-	inner, err := xml.Marshal(payload)
+// ErrReplyTooLarge is returned by Post when the reply exceeds
+// MaxMessageBytes.
+var ErrReplyTooLarge = errors.New("soap: reply exceeds size limit")
+
+// The store's side of the record-carrying PReP messages — decoding their
+// requests, encoding their replies and Fault — is hand-written over
+// internal/xmlwire: the request types implement wireDecoder, the reply
+// types wireEncoder, byte-identical on the wire to what encoding/xml
+// produces from their struct tags. Everything else — the client's side
+// of the same messages, the cold administrative messages, test
+// payloads — goes through encoding/xml. A message type has exactly one
+// encoder and one decoder; nothing selects between them at run time.
+type wireEncoder interface {
+	// AppendXML appends the payload's XML element to dst.
+	AppendXML(dst []byte) ([]byte, error)
+}
+
+type wireDecoder interface {
+	// DecodeXML reads the payload from d, whose current element is the
+	// payload's root.
+	DecodeXML(d *xmlwire.Decoder) error
+}
+
+// AppendXML appends the fault element.
+func (f *Fault) AppendXML(dst []byte) ([]byte, error) {
+	dst = append(dst, "<Fault>"...)
+	dst = xmlwire.AppendString(dst, "code", f.Code)
+	dst = xmlwire.AppendString(dst, "message", f.Message)
+	return append(dst, "</Fault>"...), nil
+}
+
+// reflected adapts a payload without a codec of its own to wireEncoder
+// through encoding/xml.
+type reflected struct{ payload interface{} }
+
+func (r reflected) AppendXML(dst []byte) ([]byte, error) {
+	inner, err := xml.Marshal(r.payload)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, inner...), nil
+}
+
+// decodeDocument decodes the XML document data into v.
+func decodeDocument(data []byte, v wireDecoder) error {
+	d := xmlwire.NewDecoder(data)
+	if err := d.Root(); err != nil {
+		return err
+	}
+	return v.DecodeXML(d)
+}
+
+// buffers recycles the byte slices whole messages are read into and
+// encoded into. A message is tens of kilobytes (a 200-record page is
+// 160 KB), and a buffer of that size allocated per message is memory the
+// process has to take from the system afresh whenever the heap is short
+// of free spans — page faults whose cost lands on whichever request
+// happens to be running. With the buffers reused a message's cost is the
+// same whatever state the heap is in.
+var buffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooled bounds the buffers the pool keeps; a larger one is left to
+// the collector.
+const maxPooled = 1 << 20
+
+// getBuffer takes a buffer from the pool; the caller appends to (*p)[:0]
+// and hands the result back with putBuffer once nothing refers to it.
+func getBuffer() *[]byte { return buffers.Get().(*[]byte) }
+
+// putBuffer returns p to the pool, keeping data — what the caller's
+// appends grew (*p)[:0] into — as its buffer when that is the larger.
+func putBuffer(p *[]byte, data []byte) {
+	if cap(data) > cap(*p) && cap(data) <= maxPooled {
+		*p = data[:0]
+	}
+	buffers.Put(p)
+}
+
+// appendEnvelope appends the envelope of payload under action to dst:
+// header and payload written in one pass.
+func appendEnvelope(dst []byte, action string, payload interface{}) ([]byte, error) {
+	enc, ok := payload.(wireEncoder)
+	if !ok {
+		enc = reflected{payload}
+	}
+	dst = xmlwire.AppendEscaped(append(dst, "<Envelope><Header><action>"...), action)
+	dst = ids.New().AppendXML(append(dst, "</action>"...), "messageId")
+	dst, err := enc.AppendXML(append(dst, "</Header><Body>"...))
 	if err != nil {
 		return nil, fmt.Errorf("soap: marshalling %s payload: %w", action, err)
 	}
-	env := Envelope{
-		Header: Header{Action: action, MessageID: ids.New()},
-		Body:   Body{Inner: inner},
-	}
-	data, err := xml.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("soap: marshalling envelope: %w", err)
-	}
-	return data, nil
+	return append(dst, "</Body></Envelope>"...), nil
 }
 
-// Unmarshal parses an envelope, returning its action and raw body.
-func Unmarshal(data []byte) (action string, body []byte, err error) {
-	var env Envelope
-	if err := xml.Unmarshal(data, &env); err != nil {
-		return "", nil, fmt.Errorf("%w: %v", ErrNotEnvelope, err)
+// Marshal wraps an XML-marshallable payload in an envelope. The message
+// is built in a reused buffer and leaves as one exact copy.
+func Marshal(action string, payload interface{}) ([]byte, error) {
+	buf := getBuffer()
+	data, err := appendEnvelope((*buf)[:0], action, payload)
+	defer putBuffer(buf, data)
+	if err != nil {
+		return nil, err
 	}
-	if env.Header.Action == "" {
+	return bytes.Clone(data), nil
+}
+
+// Unmarshal parses an envelope, returning its action and raw body. The
+// whole envelope is checked for well-formedness; the body's bytes are
+// located, not decoded.
+//
+// provlint:typed-faults
+func Unmarshal(data []byte) (action string, body []byte, err error) {
+	env := envelope{}
+	if err := decodeDocument(data, &env); err != nil {
+		return "", nil, fmt.Errorf("%w: %w", ErrNotEnvelope, err)
+	}
+	if env.action == "" {
 		return "", nil, fmt.Errorf("%w: missing action header", ErrNotEnvelope)
 	}
-	return env.Header.Action, env.Body.Inner, nil
+	return env.action, env.body, nil
+}
+
+// envelope is what Unmarshal keeps of an Envelope: the action, and the
+// Body's inner bytes as they stand in the message. The message id is
+// checked and dropped — nothing reads it yet.
+type envelope struct {
+	action string
+	body   []byte
+}
+
+func (e *envelope) DecodeXML(d *xmlwire.Decoder) error {
+	if _, err := d.StartName("Envelope"); err != nil {
+		return err
+	}
+	return d.Children(func(name []byte) (err error) {
+		switch string(name) {
+		case "Header":
+			return d.Children(func(name []byte) error {
+				switch string(name) {
+				case "action":
+					return d.String(&e.action)
+				case "messageId":
+					return d.Unmarshal(new(ids.ID))
+				}
+				return d.Skip()
+			})
+		case "Body":
+			e.body, err = d.InnerXML()
+			return err
+		}
+		return d.Skip()
+	})
 }
 
 // DecodeBody parses an envelope body into v. If the body is a Fault it
-// is returned as the error instead.
+// is returned as the error instead. It is the one place a body is
+// decoded: by the hand-written decoder for the payloads that have one,
+// by encoding/xml for the rest.
+//
+// provlint:typed-faults
 func DecodeBody(body []byte, v interface{}) error {
 	if f, ok := AsFault(body); ok {
 		return f
 	}
-	if err := xml.Unmarshal(body, v); err != nil {
+	var err error
+	if dec, ok := v.(wireDecoder); ok {
+		err = decodeDocument(body, dec)
+	} else {
+		err = xml.Unmarshal(body, v)
+	}
+	if err != nil {
 		return fmt.Errorf("soap: decoding body: %w", err)
 	}
 	return nil
@@ -159,13 +300,17 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "envelope messages must be POSTed", http.StatusMethodNotAllowed)
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, MaxMessageBytes+1))
-	if err != nil {
-		h.writeFault(w, FaultBadRequest, "reading request: "+err.Error())
+	// The request's buffer is held until the reply is written: a handler
+	// may answer with bytes of the body it was given.
+	in := getBuffer()
+	data, err := readMessage(r.Body, r.ContentLength, (*in)[:0])
+	defer func() { putBuffer(in, data) }()
+	if err == errMessageTooLarge {
+		h.writeFault(w, FaultBadRequest, err.Error())
 		return
 	}
-	if len(data) > MaxMessageBytes {
-		h.writeFault(w, FaultBadRequest, "message exceeds size limit")
+	if err != nil {
+		h.writeFault(w, FaultBadRequest, "reading request: "+err.Error())
 		return
 	}
 	action, body, err := Unmarshal(data)
@@ -188,13 +333,60 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	respData, err := Marshal(action+"-response", reply)
+	out := getBuffer()
+	respData, err := appendEnvelope((*out)[:0], action+"-response", reply)
+	defer putBuffer(out, respData)
 	if err != nil {
 		h.writeFault(w, FaultInternal, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", ContentType)
 	w.Write(respData)
+}
+
+// errMessageTooLarge is readMessage's refusal; callers word it for
+// their side of the exchange.
+var errMessageTooLarge = errors.New("message exceeds size limit")
+
+// maxPresize caps the buffer readMessage allocates on the strength of a
+// declared length alone: enough for a batch message in one piece, too
+// little for a peer to pin memory with a header.
+const maxPresize = 1 << 20
+
+// readMessage reads a whole message into buf[:0], growing it as needed,
+// and returns what it read — on an error too, so the caller can recycle
+// the buffer. A message longer than MaxMessageBytes is refused with
+// errMessageTooLarge: from its declared contentLength (negative when
+// unknown) before reading anything, else as soon as that many bytes have
+// arrived.
+func readMessage(r io.Reader, contentLength int64, buf []byte) ([]byte, error) {
+	data := buf[:0]
+	if contentLength > MaxMessageBytes {
+		return data, errMessageTooLarge
+	}
+	// One byte over the declared length, so the read that finds EOF
+	// needs no regrowth.
+	if size := int(min(contentLength, maxPresize)) + 1; size > cap(data) {
+		data = make([]byte, 0, size)
+	} else if cap(data) == 0 {
+		data = make([]byte, 0, bytes.MinRead)
+	}
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if len(data) > MaxMessageBytes {
+			return data, errMessageTooLarge
+		}
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return data, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
 func (h *HTTPHandler) writeFault(w http.ResponseWriter, code, msg string) {
@@ -222,7 +414,14 @@ func Post(client *http.Client, url, action string, payload, reply interface{}) e
 		return fmt.Errorf("soap: posting %s: %w", action, err)
 	}
 	defer resp.Body.Close()
-	respData, err := io.ReadAll(io.LimitReader(resp.Body, MaxMessageBytes+1))
+	// Decoding copies what it keeps, so the reply's buffer goes back to the
+	// pool when Post returns.
+	buf := getBuffer()
+	respData, err := readMessage(resp.Body, resp.ContentLength, (*buf)[:0])
+	defer func() { putBuffer(buf, respData) }()
+	if err == errMessageTooLarge {
+		return fmt.Errorf("%w (%s)", ErrReplyTooLarge, action)
+	}
 	if err != nil {
 		return fmt.Errorf("soap: reading reply: %w", err)
 	}
@@ -233,10 +432,10 @@ func Post(client *http.Client, url, action string, payload, reply interface{}) e
 	if err != nil {
 		return err
 	}
-	if f, ok := AsFault(body); ok {
-		return f
-	}
 	if reply == nil {
+		if f, ok := AsFault(body); ok {
+			return f
+		}
 		return nil
 	}
 	return DecodeBody(body, reply)

@@ -1,0 +1,422 @@
+package soap
+
+import (
+	"bytes"
+	"encoding/xml"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"preserv/internal/core"
+	"preserv/internal/ids"
+	"preserv/internal/prep"
+	"preserv/internal/xmlwire"
+)
+
+// sampleRecords builds n records shaped like the compressibility
+// experiment's: a service invocation with two inputs, one output, a
+// session and a thread, and every fourth one an actor-state record.
+func sampleRecords(n int) []core.Record {
+	session, thread := ids.New(), ids.New()
+	ts := time.Date(2005, 7, 24, 10, 0, 0, 123456789, time.UTC)
+	out := make([]core.Record, n)
+	for i := range out {
+		in := core.Interaction{ID: ids.New(), Sender: "svc:enactor", Receiver: "svc:gzip-compression", Operation: "compress"}
+		groups := []core.GroupRef{{Type: core.GroupSession, ID: session, Seq: uint64(i)}, {Type: core.GroupThread, ID: thread, Seq: uint64(i)}}
+		if i%4 == 3 {
+			out[i] = *core.NewActorStateRecord(&core.ActorStatePAssertion{
+				LocalID: fmt.Sprintf("state-%d", i), Asserter: in.Receiver, Interaction: in, View: core.ReceiverView,
+				StateKind: core.StateScript, Content: core.Bytes("gzip -9 < \"$1\" > \"$2\""), Groups: groups, Timestamp: ts,
+			})
+			continue
+		}
+		out[i] = *core.NewInteractionRecord(&core.InteractionPAssertion{
+			LocalID: fmt.Sprintf("ipa-%d", i), Asserter: in.Sender, Interaction: in, View: core.SenderView,
+			Request: core.Message{Name: "compress", Parts: []core.MessagePart{
+				{Name: "sample", DataID: ids.New(), ContentType: "application/fasta", Style: core.StyleDigest, Content: bytes.Repeat([]byte{byte(i)}, 32)},
+				{Name: "level", ContentType: "text/plain", Style: core.StyleVerbatim, Content: core.Bytes("9")},
+			}},
+			Response: core.Message{Name: "compressResponse", Parts: []core.MessagePart{
+				{Name: "compressed", DataID: ids.New(), ContentType: "application/gzip", Style: core.StyleDigest, Content: bytes.Repeat([]byte{byte(i + 1)}, 32)},
+			}},
+			Groups: groups, Timestamp: ts,
+		})
+	}
+	return out
+}
+
+// hotPayloads returns one of each record-carrying message and Fault —
+// the store decodes the requests and encodes the replies by hand — and
+// a constructor for an empty one to decode into.
+func hotPayloads() []struct {
+	msg   interface{}
+	empty func() interface{}
+} {
+	recs := sampleRecords(5)
+	plan := prep.QueryPlan{Strategy: prep.PlanIndex, Dims: []string{"session", "service"}, DimCounts: []int{12, 40}, EstCandidates: 12, Postings: 30, Candidates: 5}
+	q := prep.Query{SessionID: ids.New(), Service: "svc:gzip-compression", Kind: "interaction", Limit: 10}
+	return []struct {
+		msg   interface{}
+		empty func() interface{}
+	}{
+		{&prep.RecordRequest{Asserter: "svc:enactor", Records: recs}, func() interface{} { return &prep.RecordRequest{} }},
+		{&prep.RecordResponse{Accepted: 4, Rejects: []prep.Reject{{Index: 2, Reason: "asserter <mismatch>"}}}, func() interface{} { return &prep.RecordResponse{} }},
+		{&q, func() interface{} { return &prep.Query{} }},
+		{&prep.PageQueryRequest{Query: q, After: "cursor", PageSize: 50}, func() interface{} { return &prep.PageQueryRequest{} }},
+		{&prep.QueryResponse{Total: 5, Records: recs}, func() interface{} { return &prep.QueryResponse{} }},
+		{&prep.PlannedQueryResponse{Total: 5, Plan: plan, Records: recs}, func() interface{} { return &prep.PlannedQueryResponse{} }},
+		{&prep.PageQueryResponse{Plan: plan, Next: "next", Records: recs}, func() interface{} { return &prep.PageQueryResponse{} }},
+		{&Fault{Code: FaultBadRequest, Message: "bad <query> & \"more\""}, func() interface{} { return &Fault{} }},
+	}
+}
+
+// oracleEnvelope is the envelope as encoding/xml writes it, carrying
+// the message id Marshal drew.
+func oracleEnvelope(t *testing.T, action string, payload interface{}, got []byte) []byte {
+	t.Helper()
+	var env Envelope
+	if err := xml.Unmarshal(got, &env); err != nil {
+		t.Fatalf("encoding/xml cannot read Marshal's envelope: %v\n%s", err, got)
+	}
+	inner, err := xml.Marshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := xml.Marshal(Envelope{Header: Header{Action: action, MessageID: env.Header.MessageID}, Body: Body{Inner: inner}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// Marshal's envelopes are byte for byte what encoding/xml wrote before
+// the hand-written codec — for the replies it encodes by hand, for the
+// requests and a cold message it leaves to encoding/xml, and for a
+// hand-coded one passed by value (which has no methods and takes the
+// encoding/xml path).
+func TestMarshalMatchesEncodingXML(t *testing.T) {
+	payloads := []interface{}{&prep.CountResponse{Records: 3, Interactions: 2, ActorStates: 1}, prep.RecordResponse{Accepted: 1}, &echoPayload{Text: "<&>"}}
+	for _, p := range hotPayloads() {
+		payloads = append(payloads, p.msg)
+	}
+	for _, action := range []string{prep.ActionRecord, `odd "action" <&> ` + "\t\r\n\x00\xff"} {
+		for _, payload := range payloads {
+			got, err := Marshal(action, payload)
+			if err != nil {
+				t.Fatalf("%T: %v", payload, err)
+			}
+			if want := oracleEnvelope(t, action, payload, got); !bytes.Equal(got, want) {
+				t.Errorf("%T: Marshal differs from encoding/xml\n got %s\nwant %s", payload, got, want)
+			}
+		}
+	}
+}
+
+// Fault's encoder against encoding/xml with every field set, found by
+// walking the struct: a field added to Fault fails here until AppendXML
+// carries it.
+func TestFaultMatchesEncodingXML(t *testing.T) {
+	var f Fault
+	v := reflect.ValueOf(&f).Elem()
+	for i := 1; i < v.NumField(); i++ { // 0 is XMLName
+		if v.Field(i).Kind() != reflect.String {
+			t.Fatalf("Fault.%s is a %s: teach this test, and the codec", v.Type().Field(i).Name, v.Field(i).Kind())
+		}
+		v.Field(i).SetString(fmt.Sprintf("field %d <&> \r\n\x00", i))
+	}
+	want, err := xml.Marshal(&f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := f.AppendXML(nil); !bytes.Equal(got, want) {
+		t.Errorf("AppendXML differs from xml.Marshal\n got %s\nwant %s", got, want)
+	}
+}
+
+func TestMarshalReportsPayloadErrors(t *testing.T) {
+	bad := sampleRecords(1)
+	bad[0].Interaction.View = 0
+	for _, payload := range []interface{}{&prep.RecordRequest{Records: bad}, &prep.QueryResponse{Records: bad}} {
+		_, err := Marshal(prep.ActionRecord, payload)
+		if err == nil || !strings.Contains(err.Error(), prep.ActionRecord) {
+			t.Errorf("%T with an unmarshallable view: err = %v", payload, err)
+		}
+	}
+}
+
+// oracleUnmarshal and oracleDecodeBody are Unmarshal and DecodeBody as
+// they were on encoding/xml, kept as the reference.
+func oracleUnmarshal(data []byte) (action string, body []byte, err error) {
+	var env Envelope
+	if err := xml.Unmarshal(data, &env); err != nil {
+		return "", nil, err
+	}
+	if env.Header.Action == "" {
+		return "", nil, errors.New("missing action header")
+	}
+	return env.Header.Action, env.Body.Inner, nil
+}
+
+func oracleDecodeBody(body []byte, v interface{}) error {
+	if trimmed := bytes.TrimSpace(body); bytes.HasPrefix(trimmed, []byte("<Fault")) {
+		var f Fault
+		if xml.Unmarshal(trimmed, &f) == nil {
+			return &f
+		}
+	}
+	return xml.Unmarshal(body, v)
+}
+
+func TestUnmarshalAndDecodeBodyMatchEncodingXML(t *testing.T) {
+	for _, p := range hotPayloads() {
+		data, err := Marshal("urn:test", p.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstOracle(t, data)
+		action, body, err := Unmarshal(data)
+		if err != nil || action != "urn:test" {
+			t.Fatalf("%T: Unmarshal = %q, %v", p.msg, action, err)
+		}
+		got := p.empty()
+		err = DecodeBody(body, got)
+		if f, isFault := p.msg.(*Fault); isFault {
+			var gotFault *Fault
+			if !errors.As(err, &gotFault) || gotFault.Code != f.Code || gotFault.Message != f.Message {
+				t.Errorf("fault body: err = %v", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%T: DecodeBody: %v", p.msg, err)
+		}
+	}
+}
+
+// hotTargets are fresh values of every record-carrying payload type.
+func hotTargets() []interface{} {
+	var out []interface{}
+	for _, p := range hotPayloads() {
+		if _, isFault := p.msg.(*Fault); !isFault { // a Fault body is an error, never a target
+			out = append(out, p.empty())
+		}
+	}
+	return out
+}
+
+// checkAgainstOracle holds Unmarshal and, over the body, DecodeBody into
+// every record-carrying type — by hand into the requests, where the two
+// could differ — to what encoding/xml does with the same bytes:
+//   - both accept: equal action, body and decoded value;
+//   - only encoding/xml accepts: the construct is on the decoder's
+//     documented unsupported list (ErrUnsupported), and a server
+//     answers it with a bad-request fault;
+//   - only the hand decoder accepts: a non-ASCII name, which it does
+//     not check against Unicode's letter classes.
+func checkAgainstOracle(t *testing.T, data []byte) {
+	t.Helper()
+	action, body, err := Unmarshal(data)
+	wantAction, wantBody, wantErr := oracleUnmarshal(data)
+	switch {
+	case err != nil && wantErr != nil:
+		return
+	case err != nil:
+		if !errors.Is(err, ErrNotEnvelope) || !errors.Is(err, xmlwire.ErrUnsupported) {
+			t.Fatalf("Unmarshal rejects what encoding/xml accepts, and not as unsupported: %v\n%q", err, data)
+		}
+		rec := httptest.NewRecorder()
+		NewHTTPHandler(echoHandler{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(data)))
+		_, reply, rerr := Unmarshal(rec.Body.Bytes())
+		if f, ok := AsFault(reply); rerr != nil || !ok || f.Code != FaultBadRequest {
+			t.Fatalf("server reply to an unsupported envelope: %s (%v), want a bad-request fault", rec.Body, rerr)
+		}
+		return
+	case wantErr != nil:
+		if isASCII(data) {
+			t.Fatalf("Unmarshal accepts what encoding/xml rejects (%v)\n%q", wantErr, data)
+		}
+		return
+	}
+	if action != wantAction || !bytes.Equal(body, wantBody) {
+		t.Fatalf("Unmarshal = %q, %q; encoding/xml = %q, %q\n%q", action, body, wantAction, wantBody, data)
+	}
+	for _, got := range hotTargets() {
+		want := reflect.New(reflect.TypeOf(got).Elem()).Interface()
+		err, wantErr := DecodeBody(body, got), oracleDecodeBody(body, want)
+		var fault, wantFault *Fault
+		switch {
+		case errors.As(wantErr, &wantFault):
+			if !errors.As(err, &fault) || !reflect.DeepEqual(fault, wantFault) {
+				t.Fatalf("encoding/xml reads the fault %+v, DecodeBody returns %v\n%q", wantFault, err, body)
+			}
+		case err != nil && wantErr != nil:
+		case err != nil:
+			if !errors.Is(err, xmlwire.ErrUnsupported) {
+				t.Fatalf("%T: DecodeBody rejects what encoding/xml accepts, and not as unsupported: %v\n%q", got, err, body)
+			}
+		case wantErr != nil:
+			if isASCII(body) {
+				t.Fatalf("%T: DecodeBody accepts what encoding/xml rejects (%v)\n%q", got, wantErr, body)
+			}
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("%T: DecodeBody differs from encoding/xml on %q\n got %+v\nwant %+v", got, body, got, want)
+		}
+	}
+}
+
+func isASCII(b []byte) bool {
+	for _, c := range b {
+		if c >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// envelopeSeeds are small documents from each class checkAgainstOracle
+// distinguishes. The checked-in corpus (testdata/fuzz/FuzzDecodeEnvelope)
+// adds the large ones: a Record envelope, a planned-query reply, a Fault
+// and a namespaced envelope with a prolog.
+var envelopeSeeds = []string{
+	`<Envelope><Body><Query><limit>1<!-- c --></limit></Query></Body><Header><action>a</action></Header></Envelope>`,
+	`<!DOCTYPE Envelope><Envelope><Header><action>a</action></Header><Body><Query/></Body></Envelope>`,
+	`<Envelope><Header><action>a</action><messageId/></Header><Body><![CDATA[<Query/>]]></Body></Envelope>`,
+	`<Envelope><Header><action>a&#x9;b</action></Header><Body><Fault><code>c</code><message>a<b/>c</message></Fault></Body></Envelope>`,
+	`<Envelope><Header><action>a</action></Header><Body> <Fault><code>client.bad-request</code></Fault> </Body><Body/></Envelope>`,
+	`<Envelope><Header><action>a</action><messageId>junk</messageId></Header><Body/></Envelope>`,
+	`<Envelope><Header><action></action></Header><Body/></Envelope>`,
+	`<Envelope><été/><Header><action>a</action></Header></Envelope>`,
+	`<?xml version="1.0"?><e:Envelope xmlns:e="urn:e"><e:Body><RecordResponse><accepted> 3 </accepted></RecordResponse></e:Body><e:Header><action>a</action></e:Header></e:Envelope>`,
+	`not xml`,
+}
+
+func TestEnvelopeSeedsMatchEncodingXML(t *testing.T) {
+	for _, seed := range envelopeSeeds {
+		checkAgainstOracle(t, []byte(seed))
+	}
+}
+
+// FuzzDecodeEnvelope: on arbitrary bytes the envelope and body decoders
+// never panic and stay within checkAgainstOracle's contract with
+// encoding/xml.
+func FuzzDecodeEnvelope(f *testing.F) {
+	for _, seed := range envelopeSeeds {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstOracle(t, data)
+	})
+}
+
+// The point of the hand-written decoder, pinned: a 100-record Record
+// envelope decodes in at most 30 allocations per record (encoding/xml
+// took about 400).
+func TestDecodeAllocsPerRecord(t *testing.T) {
+	const n = 100
+	data, err := Marshal(prep.ActionRecord, &prep.RecordRequest{Asserter: "svc:enactor", Records: sampleRecords(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		var req prep.RecordRequest
+		_, body, err := Unmarshal(data)
+		if err == nil {
+			err = DecodeBody(body, &req)
+		}
+		if err != nil || len(req.Records) != n {
+			t.Fatalf("decoded %d records: %v", len(req.Records), err)
+		}
+	})
+	if perRecord := allocs / n; perRecord > 30 {
+		t.Errorf("decoding costs %.1f allocs/record, want <= 30", perRecord)
+	} else {
+		t.Logf("decode: %.1f allocs/record", perRecord)
+	}
+}
+
+// Marshal builds the envelope in a reused buffer and hands out one
+// exact copy.
+func TestMarshalAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	reply := &prep.QueryResponse{Total: 100, Records: sampleRecords(100)}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Marshal(prep.ActionQuery+"-response", reply); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("marshalling a 100-record reply costs %.0f allocs, want 1 (the copy handed out; 2 allows a collection emptying the pool)", allocs)
+	}
+}
+
+// A reply larger than MaxMessageBytes is reported as such, not parsed
+// truncated into a misleading "not an envelope".
+func TestPostOversizedReply(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", ContentType)
+		w.Write([]byte("<Envelope><Header><action>a</action></Header><Body><Echo><text>"))
+		w.Write(bytes.Repeat([]byte("A"), MaxMessageBytes))
+		w.Write([]byte("</text></Echo></Body></Envelope>"))
+	}))
+	defer srv.Close()
+	var reply echoPayload
+	err := Post(srv.Client(), srv.URL, "urn:test:echo", &echoPayload{}, &reply)
+	if !errors.Is(err, ErrReplyTooLarge) {
+		t.Fatalf("err = %v, want ErrReplyTooLarge", err)
+	}
+	if errors.Is(err, ErrNotEnvelope) {
+		t.Errorf("oversized reply also reported as malformed: %v", err)
+	}
+}
+
+// readMessage must return the same bytes whatever the declared length:
+// exact, short, long, absent, beyond the presize cap.
+func TestReadMessageContentLength(t *testing.T) {
+	for _, n := range []int{0, 5000, maxPresize + 5000} {
+		payload := bytes.Repeat([]byte("0123456789"), n/10)
+		for _, declared := range []int64{-1, 0, 10, int64(n), int64(n) + 100, MaxMessageBytes} {
+			got, err := readMessage(bytes.NewReader(payload), declared, nil)
+			if err != nil || !bytes.Equal(got, payload) {
+				t.Errorf("%d bytes declared as %d: read %d bytes, %v", n, declared, len(got), err)
+			}
+		}
+	}
+}
+
+// An oversized message is refused on its declared length before
+// anything is read or allocated for it, and a declared length alone
+// buys at most maxPresize of buffer; an undeclared one is refused as
+// soon as it has outgrown the limit.
+func TestReadMessageOversized(t *testing.T) {
+	unread := bytes.NewReader([]byte("x"))
+	if _, err := readMessage(unread, MaxMessageBytes+1, nil); err != errMessageTooLarge {
+		t.Errorf("declared oversize: err = %v", err)
+	}
+	if unread.Len() != 1 {
+		t.Error("declared oversize was read before being refused")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	readMessage(bytes.NewReader(nil), MaxMessageBytes, nil)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*maxPresize {
+		t.Errorf("an empty body declared as %d bytes allocated %d", MaxMessageBytes, got)
+	}
+	endless := io.LimitReader(zeroes{}, MaxMessageBytes*2)
+	if _, err := readMessage(endless, -1, nil); err != errMessageTooLarge {
+		t.Errorf("undeclared oversize: err = %v", err)
+	}
+}
+
+type zeroes struct{}
+
+func (zeroes) Read(p []byte) (int, error) { clear(p); return len(p), nil }

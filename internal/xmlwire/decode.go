@@ -1,0 +1,783 @@
+package xmlwire
+
+import (
+	"bytes"
+	"encoding"
+	"errors"
+	"io"
+	"strconv"
+	"strings"
+	"unicode/utf8"
+)
+
+// SyntaxError reports input the decoder does not accept.
+type SyntaxError struct {
+	// Offset is the byte offset in the input near which decoding failed.
+	Offset int
+	Msg    string
+	// Unsupported marks well-formed XML the decoder rejects on purpose
+	// (see Decoder); every other SyntaxError is malformed input.
+	Unsupported bool
+}
+
+func (e *SyntaxError) Error() string {
+	return "xmlwire: " + e.Msg + " (offset " + strconv.Itoa(e.Offset) + ")"
+}
+
+// Is makes errors.Is(err, ErrUnsupported) true for the deliberate
+// rejections.
+func (e *SyntaxError) Is(target error) bool { return target == ErrUnsupported && e.Unsupported }
+
+// ErrUnsupported matches the SyntaxErrors raised for well-formed XML
+// that encoding/xml accepts and this decoder refuses.
+var ErrUnsupported = errors.New("xmlwire: unsupported XML construct")
+
+// MaxDepth bounds element nesting. encoding/xml applies the same limit
+// to the elements it unmarshals but none to the ones it skips; here it
+// also bounds the skip stack a hostile message can grow.
+const MaxDepth = 10000
+
+// Decoder is a single-pass pull decoder over one XML document held in
+// memory. A message's DecodeXML method drives it: Children (or Next)
+// steps through the children of the current element, and for each
+// child the caller reads its scalar text (Text, String, Int, …),
+// recurses into it, or Skips it. Every call that finishes an element
+// also checks its end tag.
+//
+// It accepts what encoding/xml's Unmarshal accepts and rejects what it
+// rejects — children in any order, unknown elements, self-closing
+// empties, attributes, namespace prefixes, comments and processing
+// instructions between elements, an <?xml?> prolog, text around the
+// root; entity and character references, CR normalisation, UTF-8 and
+// XML character-range checks on all character data and attribute
+// values — with these exceptions, all refused with an ErrUnsupported
+// SyntaxError: <!DOCTYPE and the other <! directives; CDATA sections;
+// a comment, processing instruction or child element inside the text
+// of a scalar element; nesting deeper than MaxDepth. Non-ASCII element
+// names are accepted without encoding/xml's letter-class check.
+type Decoder struct {
+	data []byte
+	pos  int
+	// open holds the raw qualified names of the open elements,
+	// innermost last; end tags are matched against it.
+	open []span
+	// selfClosed is set when the innermost open element was written
+	// <a/>: it has no content and its end is pending.
+	selfClosed bool
+	// ns holds the namespace declarations in scope, innermost last.
+	ns []binding
+	// scratch backs the text of the last element read, when unescaping
+	// had to rewrite it.
+	scratch []byte
+	openBuf [16]span
+}
+
+type span struct{ start, end int }
+
+// binding is one xmlns declaration; it is in scope while more than
+// depth-1 elements are open.
+type binding struct {
+	prefix, uri string
+	depth       int
+}
+
+// NewDecoder returns a decoder over data, which it reads but never
+// modifies. Values the decoder hands out as []byte alias data or an
+// internal buffer and are valid until the next call.
+func NewDecoder(data []byte) *Decoder {
+	d := &Decoder{data: data}
+	d.open = d.openBuf[:0]
+	return d
+}
+
+func (d *Decoder) errorf(unsupported bool, parts ...string) error {
+	return &SyntaxError{Offset: d.pos, Msg: strings.Join(parts, ""), Unsupported: unsupported}
+}
+
+func (d *Decoder) syntax(parts ...string) error { return d.errorf(false, parts...) }
+
+func (d *Decoder) eof() error { return d.syntax("unexpected EOF") }
+
+// Root advances to the document's root element, skipping the prolog
+// and any text, comments and processing instructions before it. It
+// returns io.EOF when the input holds no element.
+func (d *Decoder) Root() error {
+	for {
+		i := bytes.IndexByte(d.data[d.pos:], '<')
+		if i < 0 {
+			if _, err := d.text(d.data[d.pos:], false, false); err != nil {
+				return err
+			}
+			d.pos = len(d.data)
+			return io.EOF
+		}
+		if _, err := d.text(d.data[d.pos:d.pos+i], false, false); err != nil {
+			return err
+		}
+		d.pos += i
+		tok, err := d.markup()
+		if err != nil {
+			return err
+		}
+		if tok == tokStart {
+			return nil
+		}
+	}
+}
+
+// StartName checks that the current element — the one whose start tag
+// was read last — has the local name want, as encoding/xml checks an
+// XMLName field, and returns the element's namespace.
+func (d *Decoder) StartName(want string) (space string, err error) {
+	prefix, local := d.current()
+	if string(local) != want {
+		return "", d.syntax("expected element type <", want, "> but have <", string(local), ">")
+	}
+	return d.resolve(prefix, local), nil
+}
+
+// Next advances to the next child of the current element and returns
+// its local name; the child becomes the current element. It returns
+// ok=false once the current element's end tag has been read, making
+// its parent current again.
+func (d *Decoder) Next() (local []byte, ok bool, err error) {
+	if d.selfClosed {
+		d.selfClosed = false
+		d.pop()
+		return nil, false, nil
+	}
+	for {
+		if err := d.ignoredText(); err != nil {
+			return nil, false, err
+		}
+		tok, err := d.markup()
+		if err != nil {
+			return nil, false, err
+		}
+		switch tok {
+		case tokStart:
+			_, local := d.current()
+			return local, true, nil
+		case tokEnd:
+			return nil, false, nil
+		}
+	}
+}
+
+// Children calls field for each child of the current element in turn,
+// with that child current and its local name; field reads the child —
+// as a scalar, with a Children of its own, or with Skip. Children
+// returns once the current element's end tag has been read, or at the
+// first error.
+func (d *Decoder) Children(field func(name []byte) error) error {
+	for {
+		name, ok, err := d.Next()
+		if err != nil || !ok {
+			return err
+		}
+		if err := field(name); err != nil {
+			return err
+		}
+	}
+}
+
+// Skip reads past the rest of the current element, checking that what
+// it skips is well formed.
+func (d *Decoder) Skip() error {
+	_, err := d.InnerXML()
+	return err
+}
+
+// InnerXML reads past the rest of the current element like Skip and
+// returns the raw bytes between its start and end tags.
+func (d *Decoder) InnerXML() ([]byte, error) {
+	if d.selfClosed {
+		d.selfClosed = false
+		d.pop()
+		return nil, nil
+	}
+	start, end := d.pos, d.pos
+	for target := len(d.open) - 1; len(d.open) > target; {
+		if err := d.ignoredText(); err != nil {
+			return nil, err
+		}
+		end = d.pos
+		if _, err := d.markup(); err != nil {
+			return nil, err
+		}
+		if d.selfClosed {
+			d.selfClosed = false
+			d.pop()
+		}
+	}
+	return d.data[start:end], nil
+}
+
+// Text reads the current element as a scalar: its character data,
+// unescaped, through its end tag.
+func (d *Decoder) Text() ([]byte, error) {
+	if d.selfClosed {
+		d.selfClosed = false
+		d.pop()
+		return nil, nil
+	}
+	i := bytes.IndexByte(d.data[d.pos:], '<')
+	if i < 0 {
+		return nil, d.eof()
+	}
+	text, err := d.text(d.data[d.pos:d.pos+i], false, true)
+	if err != nil {
+		return nil, err
+	}
+	d.pos += i
+	if !bytes.HasPrefix(d.data[d.pos:], []byte("</")) {
+		_, local := d.current()
+		return nil, d.errorf(true, "markup inside the text of <", string(local), ">")
+	}
+	d.pos += 2
+	return text, d.endTag()
+}
+
+// String reads the current element's text into *p.
+func (d *Decoder) String(p *string) error {
+	text, err := d.Text()
+	if err == nil {
+		*p = string(text)
+	}
+	return err
+}
+
+// Int reads the current element's text into *p as encoding/xml reads
+// an int field: empty is zero, surrounding space is ignored.
+func (d *Decoder) Int(p *int) error {
+	text, err := d.Text()
+	if err != nil {
+		return err
+	}
+	var v int64
+	if len(text) > 0 {
+		if v, err = strconv.ParseInt(string(bytes.TrimSpace(text)), 10, strconv.IntSize); err != nil {
+			return err
+		}
+	}
+	*p = int(v)
+	return nil
+}
+
+// Uint64 is Int for a uint64 field.
+func (d *Decoder) Uint64(p *uint64) error {
+	text, err := d.Text()
+	if err != nil {
+		return err
+	}
+	var v uint64
+	if len(text) > 0 {
+		if v, err = strconv.ParseUint(string(bytes.TrimSpace(text)), 10, 64); err != nil {
+			return err
+		}
+	}
+	*p = v
+	return nil
+}
+
+// Bool is Int for a bool field.
+func (d *Decoder) Bool(p *bool) error {
+	text, err := d.Text()
+	if err != nil {
+		return err
+	}
+	v := false
+	if len(text) > 0 {
+		if v, err = strconv.ParseBool(string(bytes.TrimSpace(text))); err != nil {
+			return err
+		}
+	}
+	*p = v
+	return nil
+}
+
+// Unmarshal hands the current element's text to u.
+func (d *Decoder) Unmarshal(u encoding.TextUnmarshaler) error {
+	text, err := d.Text()
+	if err != nil {
+		return err
+	}
+	return u.UnmarshalText(text)
+}
+
+type token int
+
+const (
+	tokStart token = iota // a start tag: its element is now current
+	tokEnd                // the current element's end tag
+	tokMisc               // a comment or processing instruction
+)
+
+// markup reads the markup whose '<' is at d.pos.
+func (d *Decoder) markup() (token, error) {
+	d.pos++
+	if d.pos >= len(d.data) {
+		return 0, d.eof()
+	}
+	switch d.data[d.pos] {
+	case '/':
+		d.pos++
+		return tokEnd, d.endTag()
+	case '?':
+		d.pos++
+		return tokMisc, d.procInst()
+	case '!':
+		d.pos++
+		return tokMisc, d.comment()
+	}
+	return tokStart, d.startTag()
+}
+
+// ignoredText checks the character data up to the next '<', which the
+// caller has no use for.
+func (d *Decoder) ignoredText() error {
+	i := bytes.IndexByte(d.data[d.pos:], '<')
+	if i < 0 {
+		return d.eof()
+	}
+	if i > 0 {
+		if _, err := d.text(d.data[d.pos:d.pos+i], false, false); err != nil {
+			return err
+		}
+		d.pos += i
+	}
+	return nil
+}
+
+// nameBytes marks the bytes a name may hold — every byte of a
+// multi-byte character counts, checked as UTF-8 afterwards; nameStarts
+// marks the ASCII bytes it may begin with.
+var nameBytes, nameStarts = func() (b [256]bool, s [utf8.RuneSelf]bool) {
+	for c := 'a'; c <= 'z'; c++ {
+		b[c], s[c] = true, true
+		b[c-'a'+'A'], s[c-'a'+'A'] = true, true
+	}
+	for c := '0'; c <= '9'; c++ {
+		b[c] = true
+	}
+	b['_'], s['_'] = true, true
+	b[':'], s[':'] = true, true
+	b['.'], b['-'] = true, true
+	for c := utf8.RuneSelf; c < len(b); c++ {
+		b[c] = true
+	}
+	return b, s
+}()
+
+// readName reads a name at d.pos and returns its extent. missing is
+// the complaint when there is none; qualified names may hold at most
+// one colon.
+func (d *Decoder) readName(missing string, qualified bool) (span, error) {
+	i, colons, all := d.pos, 0, byte(0)
+	for ; i < len(d.data) && nameBytes[d.data[i]]; i++ {
+		c := d.data[i]
+		all |= c
+		if c == ':' {
+			colons++
+		}
+	}
+	if i == len(d.data) {
+		return span{}, d.eof()
+	}
+	name := d.data[d.pos:i]
+	if len(name) == 0 {
+		return span{}, d.syntax(missing)
+	}
+	if c := name[0]; c < utf8.RuneSelf && !nameStarts[c] || all >= utf8.RuneSelf && !utf8.Valid(name) {
+		return span{}, d.syntax("invalid XML name: ", string(name))
+	}
+	if qualified && colons > 1 {
+		return span{}, d.syntax(missing)
+	}
+	s := span{d.pos, i}
+	d.pos = i
+	return s, nil
+}
+
+func (d *Decoder) skipSpace() {
+	for d.pos < len(d.data) {
+		switch d.data[d.pos] {
+		case ' ', '\r', '\n', '\t':
+			d.pos++
+		default:
+			return
+		}
+	}
+}
+
+// splitName splits a qualified name as encoding/xml does: at its one
+// colon, unless that leaves either side empty.
+func splitName(name []byte) (prefix, local []byte) {
+	if i := bytes.IndexByte(name, ':'); i > 0 && i < len(name)-1 {
+		return name[:i], name[i+1:]
+	}
+	return nil, name
+}
+
+// current returns the name of the innermost open element.
+func (d *Decoder) current() (prefix, local []byte) {
+	s := d.open[len(d.open)-1]
+	return splitName(d.data[s.start:s.end])
+}
+
+// resolve maps an element's prefix to its namespace by encoding/xml's
+// rules: an undeclared prefix stands for itself.
+func (d *Decoder) resolve(prefix, local []byte) string {
+	switch {
+	case string(prefix) == "xmlns":
+		return "xmlns"
+	case string(prefix) == "xml":
+		return "http://www.w3.org/XML/1998/namespace"
+	case len(prefix) == 0 && string(local) == "xmlns":
+		return ""
+	}
+	for i := len(d.ns) - 1; i >= 0; i-- {
+		if d.ns[i].prefix == string(prefix) {
+			return d.ns[i].uri
+		}
+	}
+	return string(prefix)
+}
+
+func (d *Decoder) pop() {
+	d.open = d.open[:len(d.open)-1]
+	for n := len(d.ns); n > 0 && d.ns[n-1].depth > len(d.open); n-- {
+		d.ns = d.ns[:n-1]
+	}
+}
+
+// startTag reads a start tag from its name on and makes its element
+// current. Attributes are checked and, namespace declarations aside,
+// dropped: no hand-coded message has an attribute field.
+func (d *Decoder) startTag() error {
+	name, err := d.readName("expected element name after <", true)
+	if err != nil {
+		return err
+	}
+	if len(d.open) >= MaxDepth {
+		return d.errorf(true, "elements nested deeper than ", strconv.Itoa(MaxDepth))
+	}
+	d.open = append(d.open, name)
+	for {
+		d.skipSpace()
+		if d.pos >= len(d.data) {
+			return d.eof()
+		}
+		switch d.data[d.pos] {
+		case '/':
+			d.pos++
+			if d.pos >= len(d.data) {
+				return d.eof()
+			}
+			if d.data[d.pos] != '>' {
+				return d.syntax("expected /> in element")
+			}
+			d.pos++
+			d.selfClosed = true
+			return nil
+		case '>':
+			d.pos++
+			return nil
+		}
+		attr, err := d.readName("expected attribute name in element", true)
+		if err != nil {
+			return err
+		}
+		d.skipSpace()
+		if d.pos >= len(d.data) {
+			return d.eof()
+		}
+		if d.data[d.pos] != '=' {
+			return d.syntax("attribute name without = in element")
+		}
+		d.pos++
+		d.skipSpace()
+		if d.pos >= len(d.data) {
+			return d.eof()
+		}
+		quote := d.data[d.pos]
+		if quote != '"' && quote != '\'' {
+			return d.syntax("unquoted or missing attribute value in element")
+		}
+		d.pos++
+		n := bytes.IndexByte(d.data[d.pos:], quote)
+		if n < 0 {
+			return d.eof()
+		}
+		raw := d.data[d.pos : d.pos+n]
+		if bytes.IndexByte(raw, '<') >= 0 {
+			return d.syntax("unescaped < inside quoted string")
+		}
+		prefix, local := splitName(d.data[attr.start:attr.end])
+		declares := string(prefix) == "xmlns" || len(prefix) == 0 && string(local) == "xmlns"
+		value, err := d.text(raw, true, declares)
+		if err != nil {
+			return err
+		}
+		d.pos += n + 1
+		if declares {
+			b := binding{uri: string(value), depth: len(d.open)}
+			if len(prefix) > 0 {
+				b.prefix = string(local)
+			}
+			d.ns = append(d.ns, b)
+		}
+	}
+}
+
+// endTag reads an end tag from its name on and closes the current
+// element with it.
+func (d *Decoder) endTag() error {
+	// The usual end tag repeats the start tag's name, already checked,
+	// and closes at once.
+	if n := len(d.open); n > 0 {
+		opened := d.data[d.open[n-1].start:d.open[n-1].end]
+		if rest := d.data[d.pos:]; len(rest) > len(opened) && rest[len(opened)] == '>' && bytes.HasPrefix(rest, opened) {
+			d.pos += len(opened) + 1
+			d.pop()
+			return nil
+		}
+	}
+	name, err := d.readName("expected element name after </", true)
+	if err != nil {
+		return err
+	}
+	closing := d.data[name.start:name.end]
+	d.skipSpace()
+	if d.pos >= len(d.data) {
+		return d.eof()
+	}
+	if d.data[d.pos] != '>' {
+		return d.syntax("invalid characters between </", string(closing), " and >")
+	}
+	d.pos++
+	if len(d.open) == 0 {
+		return d.syntax("unexpected end element </", string(closing), ">")
+	}
+	top := d.open[len(d.open)-1]
+	if opened := d.data[top.start:top.end]; !bytes.Equal(opened, closing) {
+		return d.syntax("element <", string(opened), "> closed by </", string(closing), ">")
+	}
+	d.pop()
+	return nil
+}
+
+// procInst reads a processing instruction from its target on. An
+// <?xml?> declaration must say version 1.0 and, if it names an
+// encoding, UTF-8 — the one encoding/xml reads without a CharsetReader.
+func (d *Decoder) procInst() error {
+	name, err := d.readName("expected target name after <?", false)
+	if err != nil {
+		return err
+	}
+	d.skipSpace()
+	n := bytes.Index(d.data[d.pos:], []byte("?>"))
+	if n < 0 {
+		d.pos = len(d.data)
+		return d.eof()
+	}
+	if string(d.data[name.start:name.end]) == "xml" {
+		content := string(d.data[d.pos : d.pos+n])
+		if ver := declParam("version", content); ver != "" && ver != "1.0" {
+			return d.syntax("unsupported version ", strconv.Quote(ver), "; only version 1.0 is supported")
+		}
+		if enc := declParam("encoding", content); enc != "" && !strings.EqualFold(enc, "utf-8") {
+			return d.syntax("encoding ", strconv.Quote(enc), " declared; only UTF-8 is supported")
+		}
+	}
+	d.pos += n + 2
+	return nil
+}
+
+// declParam extracts param's quoted value from an XML declaration, by
+// encoding/xml's own (deliberately loose) rules so both agree on which
+// declarations pass.
+func declParam(param, s string) string {
+	param += "="
+	i := 0
+	var sep byte
+	for i < len(s) {
+		sub := s[i:]
+		k := strings.Index(sub, param)
+		if k < 0 || len(param)+k >= len(sub) {
+			return ""
+		}
+		i += len(param) + k + 1
+		if c := sub[len(param)+k]; c == '\'' || c == '"' {
+			sep = c
+			break
+		}
+	}
+	if sep == 0 {
+		return ""
+	}
+	j := strings.IndexByte(s[i:], sep)
+	if j < 0 {
+		return ""
+	}
+	return s[i : i+j]
+}
+
+// comment reads what follows "<!": a comment, or one of the constructs
+// the decoder refuses.
+func (d *Decoder) comment() error {
+	rest := d.data[d.pos:]
+	switch {
+	case bytes.HasPrefix(rest, []byte("--")):
+	case bytes.HasPrefix(rest, []byte("[CDATA[")):
+		return d.errorf(true, "CDATA section")
+	default:
+		return d.errorf(true, "<! directive")
+	}
+	body := rest[2:]
+	k := bytes.Index(body, []byte("--"))
+	if k < 0 || k+2 >= len(body) {
+		d.pos = len(d.data)
+		return d.eof()
+	}
+	if body[k+2] != '>' {
+		return d.syntax(`invalid sequence "--" not allowed in comments`)
+	}
+	d.pos += 2 + k + 3
+	return nil
+}
+
+// plainText marks the bytes character data may hold that need no
+// decoding, rewriting or further checking.
+var plainText = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = true
+	}
+	t['\t'], t['\n'] = true, true
+	t['&'], t['>'] = false, false
+	return t
+}()
+
+// text checks one run of character data — element text, or with quoted
+// set an attribute value — as encoding/xml does: references must be
+// the five predefined entities or character references, "]]>" may not
+// appear outside a quoted value, and every character, after
+// unescaping, must be valid UTF-8 inside XML's character range. With
+// keep set it returns the unescaped text, CR and CRLF rewritten to LF:
+// raw itself when nothing needed rewriting, d.scratch otherwise.
+func (d *Decoder) text(raw []byte, quoted, keep bool) ([]byte, error) {
+	i := 0
+	for i < len(raw) && plainText[raw[i]] {
+		i++
+	}
+	if i == len(raw) {
+		return raw, nil
+	}
+	var out []byte
+	if keep {
+		out = append(d.scratch[:0], raw[:i]...)
+	}
+	for i < len(raw) {
+		c := raw[i]
+		size := 1
+		switch {
+		case plainText[c]:
+		case c == '>':
+			if !quoted && i >= 2 && raw[i-1] == ']' && raw[i-2] == ']' {
+				return nil, d.syntax("unescaped ]]> not in CDATA section")
+			}
+		case c == '&':
+			r, n := reference(raw[i:])
+			if n == 0 {
+				return nil, d.syntax("invalid character entity ", string(raw[i:min(len(raw), i+12)]))
+			}
+			if !inCharRange(r) {
+				return nil, d.syntax("illegal character code U+", strconv.FormatInt(int64(r), 16))
+			}
+			if keep {
+				out = utf8.AppendRune(out, r)
+			}
+			i += n
+			continue
+		case c == '\r':
+			if keep {
+				out = append(out, '\n')
+			}
+			i++
+			if i < len(raw) && raw[i] == '\n' {
+				i++
+			}
+			continue
+		case c < 0x20:
+			return nil, d.syntax("illegal character code U+", strconv.FormatInt(int64(c), 16))
+		default:
+			var r rune
+			r, size = utf8.DecodeRune(raw[i:])
+			if r == utf8.RuneError && size == 1 {
+				return nil, d.syntax("invalid UTF-8")
+			}
+			if !inCharRange(r) {
+				return nil, d.syntax("illegal character code U+", strconv.FormatInt(int64(r), 16))
+			}
+		}
+		if keep {
+			out = append(out, raw[i:i+size]...)
+		}
+		i += size
+	}
+	if keep {
+		d.scratch = out
+	}
+	return out, nil
+}
+
+// reference decodes the entity or character reference at the start of
+// s (s[0] is '&') and returns its character and length; n is zero when
+// s does not start with a reference encoding/xml would take: one of the
+// five predefined entities, or a decimal or hex character reference to
+// a code point (a surrogate yields U+FFFD, as there).
+func reference(s []byte) (r rune, n int) {
+	if len(s) < 2 || s[1] != '#' {
+		end := bytes.IndexByte(s[:min(len(s), len("&quot;"))], ';')
+		switch string(s[1:max(end, 1)]) {
+		case "lt":
+			return '<', end + 1
+		case "gt":
+			return '>', end + 1
+		case "amp":
+			return '&', end + 1
+		case "apos":
+			return '\'', end + 1
+		case "quot":
+			return '"', end + 1
+		}
+		return 0, 0
+	}
+	base, i := rune(10), 2
+	if len(s) > 2 && s[2] == 'x' {
+		base, i = 16, 3
+	}
+	for start := i; i < len(s); i++ {
+		var v rune
+		switch c := s[i]; {
+		case '0' <= c && c <= '9':
+			v = rune(c - '0')
+		case base == 16 && 'a' <= c && c <= 'f':
+			v = rune(c-'a') + 10
+		case base == 16 && 'A' <= c && c <= 'F':
+			v = rune(c-'A') + 10
+		default:
+			if c != ';' || i == start || r > utf8.MaxRune {
+				return 0, 0
+			}
+			if !utf8.ValidRune(r) {
+				r = utf8.RuneError
+			}
+			return r, i + 1
+		}
+		if r <= utf8.MaxRune { // beyond it the reference is invalid whatever follows
+			r = r*base + v
+		}
+	}
+	return 0, 0
+}
