@@ -6,13 +6,10 @@
 //	benchfig -exp fig5           # Figure 5: use-case query sweeps
 //	benchfig -exp gran           # E7: granularity ablation
 //	benchfig -exp dist           # E8: distributed stores
-//	benchfig -exp ingest         # batched-vs-legacy write-path sweep
-//	benchfig -exp query          # streaming-vs-materializing read-path sweep
+//	benchfig -exp ingest         # write-path sweep (backends x writers)
 //	benchfig -exp shard          # sharded-store scaling sweep (1/2/4 shards)
 //	benchfig -exp obs            # instrumentation-overhead gate (on vs off)
-//	benchfig -exp readpath       # memory-speed read path floor gate
 //	benchfig -exp writeavail     # write availability under compaction floor gate
-//	benchfig -exp pagewalk       # drain-epoch paged fan-out floor gate
 //	benchfig -exp all            # everything
 //
 // By default the sweeps run at laptop scale (seconds); -paper selects
@@ -33,7 +30,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: e1, fig4, fig5, gran, dist, ingest, query, shard, obs, readpath, writeavail, pagewalk or all")
+	exp := flag.String("exp", "all", "experiment: e1, fig4, fig5, gran, dist, ingest, shard, obs, writeavail or all")
 	paper := flag.Bool("paper", false, "run at the paper's scale (slow)")
 	seed := flag.Int64("seed", 2005, "workload seed")
 	quiet := flag.Bool("q", false, "suppress progress lines")
@@ -129,26 +126,10 @@ func main() {
 			records = map[string]int{"memory": 50000, "kvdb": 50000, "file": 2000}
 		}
 		for _, backend := range []string{"memory", "file", "kvdb"} {
-			// The legacy file-backend emulation writes one file pair per
-			// posting (~40 files per record) — that cost is the point, but
-			// it bounds how many records the sweep can afford there.
 			if _, err := bench.RunIngestSweep(backend, []int{1, 4, 8}, 100, records[backend], out); err != nil {
 				log.Fatalf("benchfig: ingest: %v", err)
 			}
 		}
-		fmt.Fprintln(out)
-	}
-
-	runQuery := func() {
-		sessions, per, reps := 50, 24, 20
-		if *paper {
-			sessions, per, reps = 200, 48, 50
-		}
-		points, err := bench.RunQueryReadSweep(sessions, per, reps, *seed, progress)
-		if err != nil {
-			log.Fatalf("benchfig: query: %v", err)
-		}
-		bench.RenderQueryRead(out, points)
 		fmt.Fprintln(out)
 	}
 
@@ -184,26 +165,6 @@ func main() {
 		}
 	}
 
-	runReadpath := func() {
-		opts := bench.ReadPathOptions{Seed: *seed}
-		if *paper {
-			opts.Keys = 20000
-			opts.IngestBatches = 24
-			opts.Sessions = 10
-			opts.PerSession = 18
-			opts.Reps = 8
-		}
-		points, err := bench.RunReadPathSweep(opts, progress)
-		if err != nil {
-			log.Fatalf("benchfig: readpath: %v", err)
-		}
-		bench.RenderReadPath(out, points)
-		fmt.Fprintln(out)
-		if err := bench.CheckReadPathFloors(points); err != nil {
-			log.Fatalf("benchfig: readpath: %v", err)
-		}
-	}
-
 	runWriteavail := func() {
 		opts := bench.WriteAvailOptions{Seed: *seed}
 		if *paper {
@@ -223,24 +184,6 @@ func main() {
 		}
 	}
 
-	runPagewalk := func() {
-		opts := bench.PagedWalkOptions{Seed: *seed}
-		if *paper {
-			opts.Sessions = 64
-			opts.PerSession = 48
-			opts.Reps = 8
-		}
-		res, err := bench.RunPagedWalkGate(opts, progress)
-		if err != nil {
-			log.Fatalf("benchfig: pagewalk: %v", err)
-		}
-		bench.RenderPagedWalk(out, res)
-		fmt.Fprintln(out)
-		if err := bench.CheckPagedWalkFloor(res); err != nil {
-			log.Fatalf("benchfig: pagewalk: %v", err)
-		}
-	}
-
 	switch *exp {
 	case "e1":
 		runE1()
@@ -254,18 +197,12 @@ func main() {
 		runDist()
 	case "ingest":
 		runIngest()
-	case "query":
-		runQuery()
 	case "shard":
 		runShard()
 	case "obs":
 		runObs()
-	case "readpath":
-		runReadpath()
 	case "writeavail":
 		runWriteavail()
-	case "pagewalk":
-		runPagewalk()
 	case "all":
 		runE1()
 		runFig4()
@@ -273,12 +210,9 @@ func main() {
 		runGran()
 		runDist()
 		runIngest()
-		runQuery()
 		runShard()
 		runObs()
-		runReadpath()
 		runWriteavail()
-		runPagewalk()
 	default:
 		log.Fatalf("benchfig: unknown experiment %q", *exp)
 	}

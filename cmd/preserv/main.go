@@ -39,31 +39,6 @@ import (
 	"preserv/internal/store"
 )
 
-// onOff is a boolean flag that also accepts on/off, so the documented
-// `-mmap=off` escape hatch works alongside the stdlib true/false forms.
-type onOff bool
-
-func (o *onOff) String() string {
-	if o != nil && bool(*o) {
-		return "on"
-	}
-	return "off"
-}
-
-func (o *onOff) Set(s string) error {
-	switch s {
-	case "on", "true", "1", "t", "T", "TRUE", "True":
-		*o = true
-	case "off", "false", "0", "f", "F", "FALSE", "False":
-		*o = false
-	default:
-		return fmt.Errorf("invalid value %q (want on/off or true/false)", s)
-	}
-	return nil
-}
-
-func (o *onOff) IsBoolFlag() bool { return true }
-
 // openBackend opens one backend flavour rooted at dir.
 func openBackend(flavour, dir string) (store.Backend, error) {
 	switch flavour {
@@ -87,13 +62,10 @@ func main() {
 	compactRatio := flag.Float64("compact-ratio", 0, "garbage-ratio threshold for delete-triggered compaction (0 = default, negative disables)")
 	telemetry := flag.Bool("telemetry", true, "record latency histograms and operation spans (request counters are always on)")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the service listener")
-	mmap := onOff(true)
-	flag.Var(&mmap, "mmap", "serve file-backend segment reads from memory-mapped segments (off = plain file reads)")
 	blockCacheMB := flag.Int("block-cache-mb", int(store.DefaultBlockCacheBytes>>20), "record block cache budget per store, in MiB (0 disables)")
 	flag.Parse()
 
 	obs.SetEnabled(*telemetry)
-	store.SetMmapEnabled(bool(mmap))
 
 	var svc *preserv.Service
 	var closer interface{ Close() error }

@@ -61,31 +61,6 @@ import (
 	"preserv/internal/trace"
 )
 
-// onOff is a boolean flag that also accepts on/off, so the documented
-// `-mmap=off` escape hatch works alongside the stdlib true/false forms.
-type onOff bool
-
-func (o *onOff) String() string {
-	if o != nil && bool(*o) {
-		return "on"
-	}
-	return "off"
-}
-
-func (o *onOff) Set(s string) error {
-	switch s {
-	case "on", "true", "1", "t", "T", "TRUE", "True":
-		*o = true
-	case "off", "false", "0", "f", "F", "FALSE", "False":
-		*o = false
-	default:
-		return fmt.Errorf("invalid value %q (want on/off or true/false)", s)
-	}
-	return nil
-}
-
-func (o *onOff) IsBoolFlag() bool { return true }
-
 func main() {
 	storeURL := flag.String("store", "http://127.0.0.1:8734", "provenance store URL")
 	registryURL := flag.String("registry", "http://127.0.0.1:8735", "registry URL (validate)")
@@ -99,10 +74,7 @@ func main() {
 	key := flag.String("key", "", "record storage key (delete)")
 	shardsFlag := flag.String("shards", "", "comma-separated shard store URLs (query them as one store through an ephemeral router)")
 	watch := flag.Duration("watch", 0, "refresh interval for stats (0 = print once)")
-	mmapFlag := onOff(true)
-	flag.Var(&mmapFlag, "mmap", "memory-map file-backend segments for offline maintenance reads (off = plain file reads)")
 	flag.Parse()
-	store.SetMmapEnabled(bool(mmapFlag))
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: provq [flags] count|stats|sessions|categorize|compare|validate|lineage|consolidate|delete|compact")
@@ -410,10 +382,30 @@ func printSlow(out io.Writer, indent string, slow []prep.SlowSpan) {
 
 // runCompact performs offline store maintenance on a local directory:
 // merging the file backend's per-Record posting segments into one, or
-// rewriting kvdb's log without its dead bytes.
-func runCompact(backend, dir string, out *os.File) error {
+// rewriting kvdb's log without its dead bytes. The backend constructors
+// create whatever they do not find, so the directory is checked first:
+// a mistyped path must fail, not "compact" a store it has just made, and
+// the wrong -backend must not plant its files beside another's.
+func runCompact(backend, dir string, out io.Writer) error {
 	if dir == "" {
 		return fmt.Errorf("compact needs -dir PATH")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("compact: no store directory to open: %w", err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		foreign := false
+		switch backend {
+		case "file":
+			foreign = name == "data.log"
+		case "kvdb":
+			foreign = strings.HasSuffix(name, ".seg") || strings.HasSuffix(name, ".rec")
+		}
+		if foreign {
+			return fmt.Errorf("compact: %s holds %s, which no %s backend wrote (wrong -backend?)", dir, name, backend)
+		}
 	}
 	switch backend {
 	case "file":
@@ -423,6 +415,7 @@ func runCompact(backend, dir string, out *os.File) error {
 		}
 		before := fb.Segments()
 		if err := fb.Compact(); err != nil {
+			fb.Close()
 			return err
 		}
 		fmt.Fprintf(out, "compacted %s: %d posting segment(s) -> %d\n", dir, before, fb.Segments())

@@ -2,10 +2,7 @@ package bench
 
 // Ingest benchmarking for the concurrent batched write path: records/sec
 // through store.Store.Record across backends × writer counts × batch
-// sizes, with a faithful emulation of the pre-refactor write path (one
-// global mutex across each Record call, every posting its own backend
-// Put) as the baseline, so the refactor's speedup is a number rather
-// than a claim.
+// sizes.
 
 import (
 	"fmt"
@@ -16,7 +13,6 @@ import (
 
 	"preserv/internal/core"
 	"preserv/internal/ids"
-	"preserv/internal/index"
 	"preserv/internal/ontology"
 	"preserv/internal/store"
 )
@@ -31,11 +27,6 @@ type IngestOptions struct {
 	BatchSize int
 	// Records is the total workload size across all writers.
 	Records int
-	// Legacy routes the workload through a faithful emulation of the
-	// pre-refactor write path: one global mutex across each whole Record
-	// call, per-record gob encoding, and one backend Put per index
-	// posting (on the file backend, one file pair per posting).
-	Legacy bool
 }
 
 func (o IngestOptions) withDefaults() IngestOptions {
@@ -60,25 +51,8 @@ type IngestResult struct {
 	Writers       int
 	BatchSize     int
 	Records       int
-	Legacy        bool
 	Elapsed       time.Duration
 	RecordsPerSec float64
-}
-
-// unbatchedBackend degrades PutBatch to the pre-refactor cost model:
-// one backend Put per pair (one lock acquisition each; on the file
-// backend, one file pair per posting).
-type unbatchedBackend struct {
-	store.Backend
-}
-
-func (u unbatchedBackend) PutBatch(kvs []store.KV) error {
-	for _, p := range kvs {
-		if err := u.Backend.Put(p.Key, p.Value); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ingestBackend opens the requested backend flavour in dir (ignored for
@@ -123,53 +97,6 @@ func ingestWorkload(o IngestOptions) [][][]core.Record {
 	return work
 }
 
-// legacyIngester replays the pre-refactor store write path line for
-// line: the whole Record call under one global mutex, per-record gob
-// encoding, a Get-then-Put commit, and write-through indexing that puts
-// every posting individually (idx.Add over an unbatched backend).
-type legacyIngester struct {
-	mu  sync.Mutex
-	b   store.Backend
-	idx *index.Index
-}
-
-func newLegacyIngester(b store.Backend) (*legacyIngester, error) {
-	ub := unbatchedBackend{Backend: b}
-	idx, err := index.Open(ub)
-	if err != nil {
-		return nil, err
-	}
-	return &legacyIngester{b: ub, idx: idx}, nil
-}
-
-func (l *legacyIngester) record(records []core.Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := range records {
-		r := &records[i]
-		if err := r.Validate(); err != nil {
-			return err
-		}
-		encoded, err := core.EncodeRecordLegacy(r)
-		if err != nil {
-			return err
-		}
-		key := r.StorageKey()
-		if _, ok, err := l.b.Get(key); err != nil {
-			return err
-		} else if ok {
-			return fmt.Errorf("bench: legacy ingest collision at %s", key)
-		}
-		if err := l.b.Put(key, encoded); err != nil {
-			return err
-		}
-		if err := l.idx.Add(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunIngest measures one ingest configuration and reports records/sec.
 func RunIngest(opts IngestOptions) (*IngestResult, error) {
 	o := opts.withDefaults()
@@ -192,25 +119,16 @@ func RunIngest(opts IngestOptions) (*IngestResult, error) {
 		}
 	}
 
-	var record func(batch []core.Record) error
-	if o.Legacy {
-		legacy, err := newLegacyIngester(b)
+	s := store.New(b)
+	record := func(batch []core.Record) error {
+		acc, rejects, err := s.Record(batch[0].Asserter(), batch)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		record = legacy.record
-	} else {
-		s := store.New(b)
-		record = func(batch []core.Record) error {
-			acc, rejects, err := s.Record(batch[0].Asserter(), batch)
-			if err != nil {
-				return err
-			}
-			if len(rejects) > 0 || acc != len(batch) {
-				return fmt.Errorf("bench: ingest accepted %d/%d, %d rejects", acc, len(batch), len(rejects))
-			}
-			return nil
+		if len(rejects) > 0 || acc != len(batch) {
+			return fmt.Errorf("bench: ingest accepted %d/%d, %d rejects", acc, len(batch), len(rejects))
 		}
+		return nil
 	}
 
 	var wg sync.WaitGroup
@@ -240,40 +158,32 @@ func RunIngest(opts IngestOptions) (*IngestResult, error) {
 		Writers:       o.Writers,
 		BatchSize:     o.BatchSize,
 		Records:       total,
-		Legacy:        o.Legacy,
 		Elapsed:       elapsed,
 		RecordsPerSec: float64(total) / elapsed.Seconds(),
 	}, nil
 }
 
-// RunIngestSweep measures the batched path against the legacy emulation
-// across writer counts, writing one line per configuration.
+// RunIngestSweep measures the write path across writer counts, writing
+// one line per configuration.
 func RunIngestSweep(backend string, writerCounts []int, batchSize, records int, w io.Writer) ([]IngestResult, error) {
 	if len(writerCounts) == 0 {
 		writerCounts = []int{1, 2, 4, 8}
 	}
 	var out []IngestResult
 	for _, writers := range writerCounts {
-		for _, legacy := range []bool{true, false} {
-			r, err := RunIngest(IngestOptions{
-				Backend:   backend,
-				Writers:   writers,
-				BatchSize: batchSize,
-				Records:   records,
-				Legacy:    legacy,
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, *r)
-			if w != nil {
-				label := "batched"
-				if legacy {
-					label = "legacy "
-				}
-				fmt.Fprintf(w, "ingest %s %s writers=%d batch=%d: %.0f records/s (%.2fs for %d)\n",
-					r.Backend, label, r.Writers, r.BatchSize, r.RecordsPerSec, r.Elapsed.Seconds(), r.Records)
-			}
+		r, err := RunIngest(IngestOptions{
+			Backend:   backend,
+			Writers:   writers,
+			BatchSize: batchSize,
+			Records:   records,
+		})
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, *r)
+		if w != nil {
+			fmt.Fprintf(w, "ingest %s writers=%d batch=%d: %.0f records/s (%.2fs for %d)\n",
+				r.Backend, r.Writers, r.BatchSize, r.RecordsPerSec, r.Elapsed.Seconds(), r.Records)
 		}
 	}
 	return out, nil

@@ -25,6 +25,7 @@ import (
 	"preserv/internal/ids"
 	"preserv/internal/prep"
 	"preserv/internal/preserv"
+	"preserv/internal/stats"
 	"preserv/internal/store"
 )
 
@@ -34,9 +35,9 @@ const (
 	// WriteAvailIngestFloor bounds how much ingest throughput a
 	// concurrent compaction loop may take: writes racing the
 	// snapshot-rewrite-swap protocol must keep at least this fraction
-	// of the quiescent rate. The pre-refactor compactor held the write
-	// lock for its whole rewrite, so this ratio used to approach zero
-	// for compaction-dominated intervals.
+	// of the quiescent rate. A compactor that held the write lock for
+	// its whole rewrite would drive this ratio toward zero over
+	// compaction-dominated intervals.
 	WriteAvailIngestFloor = 0.8
 	// WriteAvailP99CeilingMillis caps the p99 Record latency while
 	// auto-flush rotation and shipping run in the background: sealing
@@ -303,8 +304,8 @@ func runCompactIngest(name string, o WriteAvailOptions, progress io.Writer,
 		}
 		got := WriteAvailResult{
 			Workload: name, Ops: ops,
-			QuiescentMicros: median(quis), ConcurrentMicros: median(cons),
-			Ratio: median(ratios), Floor: WriteAvailIngestFloor,
+			QuiescentMicros: stats.Median(quis), ConcurrentMicros: stats.Median(cons),
+			Ratio: stats.Median(ratios), Floor: WriteAvailIngestFloor,
 		}
 		if attempt == 0 || got.Ratio > res.Ratio {
 			res = got

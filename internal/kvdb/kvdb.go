@@ -62,14 +62,10 @@ type DB struct {
 	index  map[string]entryLoc
 	offset int64 // append position
 	closed bool
-	// compactMu serialises compactions (incremental or serial) against
-	// each other; db.mu alone still serialises them against writes.
+	// compactMu serialises compactions against each other; db.mu alone
+	// still serialises their swap section against writes.
 	// provlint:lock-order 10
 	compactMu sync.Mutex
-	// legacyCompact selects the original stop-the-world Compact, which
-	// holds db.mu for the whole rewrite. Kept for comparison benchmarks
-	// and so crash/conformance suites cover both paths.
-	legacyCompact bool
 	// garbage counts bytes occupied by superseded or deleted records,
 	// used to decide when compaction is worthwhile.
 	garbage int64
@@ -549,34 +545,10 @@ func (db *DB) Sync() error {
 	return db.f.Sync()
 }
 
-// SetIncrementalCompaction selects between the incremental compaction
-// path (the default: writers keep running during the rewrite) and the
-// legacy stop-the-world path that holds the lock for the whole rewrite.
-func (db *DB) SetIncrementalCompaction(on bool) {
-	db.mu.Lock()
-	db.legacyCompact = !on
-	db.mu.Unlock()
-}
-
 // Compact rewrites the log keeping only live records, reclaiming space
 // from superseded values and tombstones. The database remains usable
-// afterwards. By default the rewrite runs against a snapshot of the
-// index with writers still admitted; a short exclusive section at the
-// end folds in the redo window (records appended during the rewrite)
-// and swaps the logs.
-func (db *DB) Compact() error {
-	db.compactMu.Lock()
-	defer db.compactMu.Unlock()
-	db.mu.RLock()
-	legacy := db.legacyCompact
-	db.mu.RUnlock()
-	if legacy {
-		return db.compactSerial()
-	}
-	return db.compactIncremental()
-}
-
-// compactIncremental rewrites the log in three phases: (1) snapshot the
+// afterwards. The rewrite runs against a snapshot of the index with
+// writers still admitted, in three phases: (1) snapshot the
 // index and append position under a brief read lock; (2) with no lock
 // held, write every snapshot-live record into compact.tmp — the live
 // log is append-only, so snapshot offsets stay readable — and fold in
@@ -586,7 +558,10 @@ func (db *DB) Compact() error {
 // index), fsync, rename, and swap. A crash at any point leaves either
 // the old log or the fully renamed new log authoritative: Open discards
 // a leftover compact.tmp.
-func (db *DB) compactIncremental() error {
+func (db *DB) Compact() error {
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
+
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
@@ -716,71 +691,6 @@ func (db *DB) foldRedo(tmp *os.File, from, to int64, newOff *int64, newIndex map
 		off += recLen
 	}
 	*newOff = base + int64(len(buf))
-	return nil
-}
-
-// compactSerial is the legacy stop-the-world compaction: it holds the
-// exclusive lock for the entire rewrite. Retained for benchmarks and
-// crash/conformance coverage of both paths.
-func (db *DB) compactSerial() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	tmpPath := filepath.Join(db.dir, tmpFileName)
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("kvdb: compaction temp: %w", err)
-	}
-	keys := make([]string, 0, len(db.index))
-	for k := range db.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	newIndex := make(map[string]entryLoc, len(db.index))
-	var newOff int64
-	for _, k := range keys {
-		loc := db.index[k]
-		val := make([]byte, loc.valLen)
-		if _, err := db.f.ReadAt(val, loc.off); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("kvdb: compaction read: %w", err)
-		}
-		rec := make([]byte, headerSize+len(k)+len(val))
-		binary.BigEndian.PutUint32(rec[5:], uint32(len(k)))
-		binary.BigEndian.PutUint32(rec[9:], uint32(len(val)))
-		copy(rec[headerSize:], k)
-		copy(rec[headerSize+len(k):], val)
-		binary.BigEndian.PutUint32(rec[0:], crc32.ChecksumIEEE(rec[4:]))
-		if _, err := tmp.WriteAt(rec, newOff); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("kvdb: compaction write: %w", err)
-		}
-		newIndex[k] = entryLoc{off: newOff + headerSize + int64(len(k)), valLen: len(val)}
-		newOff += int64(len(rec))
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("kvdb: compaction sync: %w", err)
-	}
-	dataPath := filepath.Join(db.dir, dataFileName)
-	if err := os.Rename(tmpPath, dataPath); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("kvdb: compaction rename: %w", err)
-	}
-	old := db.f
-	db.f = tmp
-	db.index = newIndex
-	db.offset = newOff
-	db.garbage = 0
-	db.tombs = 0
-	old.Close()
 	return nil
 }
 

@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/bits"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 )
@@ -174,17 +173,11 @@ func decodeBloomSidecar(data []byte) (b *bloomFilter, nkeys int, ok bool) {
 	return &bloomFilter{k: uint32(k), words: words}, int(nk), true
 }
 
-// writeBloomSidecar persists a segment's filter, tmp + rename like the
+// writeBloomSidecar persists a segment's filter, published like the
 // segment itself. Best-effort: a missing sidecar only means a rebuild
 // at the next open.
 func (f *FileBackend) writeBloomSidecar(segName string, b *bloomFilter, nkeys int) {
-	path := filepath.Join(f.dir, segName+bloomExt)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, encodeBloomSidecar(b, nkeys), 0o644); err == nil {
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
-		}
-	}
+	_ = publishFile(filepath.Join(f.dir, segName+bloomExt), encodeBloomSidecar(b, nkeys))
 }
 
 // negFilter is the store-wide negative filter: the lock-free aggregate

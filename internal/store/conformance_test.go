@@ -9,70 +9,36 @@ package store
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// backendUnderTest names one flavour and how to (re)open it.
+// backendUnderTest names one flavour and how to open it fresh; openAt
+// (nil for memory) attaches to a directory, for cases that reopen.
 type backendUnderTest struct {
-	name string
-	open func(t *testing.T) Backend
+	name   string
+	open   func(t *testing.T) Backend
+	openAt func(t *testing.T, dir string) Backend
 }
 
 func allBackends() []backendUnderTest {
-	return []backendUnderTest{
-		{"memory", func(t *testing.T) Backend { return NewMemoryBackend() }},
-		{"file", func(t *testing.T) Backend {
-			b, err := NewFileBackend(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
-		// The file backend again with segment mmapping forced off: the
-		// portable ReadFile path must satisfy the identical contract (it
-		// is the -mmap=off escape hatch and the non-linux build).
-		{"file-nommap", func(t *testing.T) Backend {
-			prev := SetMmapEnabled(false)
-			t.Cleanup(func() { SetMmapEnabled(prev) })
-			b, err := NewFileBackend(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
-		// The file backend with the legacy serial compactor: both
-		// compaction paths (incremental snapshot-rewrite-swap and the
-		// stop-the-world rewrite) must leave identical stores behind.
-		{"file-serialcompact", func(t *testing.T) Backend {
-			b, err := NewFileBackend(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.SetIncrementalCompaction(false)
-			return b
-		}},
-		{"kvdb", func(t *testing.T) Backend {
-			b, err := NewKVBackend(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { b.Close() })
-			return b
-		}},
-		// kvdb with the legacy serial compactor, for the same reason as
-		// file-serialcompact.
-		{"kvdb-serialcompact", func(t *testing.T) Backend {
-			b, err := NewKVBackend(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.SetIncrementalCompaction(false)
-			t.Cleanup(func() { b.Close() })
-			return b
-		}},
+	all := []backendUnderTest{
+		{name: "memory", open: func(t *testing.T) Backend { return NewMemoryBackend() }},
 	}
+	for _, pb := range persistentBackends() {
+		all = append(all, backendUnderTest{
+			name: pb.name,
+			open: func(t *testing.T) Backend {
+				b := pb.open(t, t.TempDir())
+				t.Cleanup(func() { b.Close() })
+				return b
+			},
+			openAt: pb.open,
+		})
+	}
+	return all
 }
 
 func TestBackendConformance(t *testing.T) {
@@ -95,8 +61,118 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("GetBatchEmptyValues", func(t *testing.T) { conformGetBatchEmpty(t, but.open(t)) })
 			t.Run("ScanFromResumesMidList", func(t *testing.T) { conformScanFrom(t, but.open(t)) })
 			t.Run("ScanFromEqualsScan", func(t *testing.T) { conformScanFromUnbounded(t, but.open(t)) })
+			if _, ok := but.open(t).(Compacter); ok {
+				t.Run("CompactKeepsContents", func(t *testing.T) { conformCompact(t, but) })
+			}
 		})
 	}
+}
+
+// backendContents is everything a reader can ask a backend about a key
+// set: the full sorted Scan, Count per prefix, and a Get per probe key
+// (live, overwritten, deleted and never-written ones).
+type backendContents struct {
+	scan   []string
+	counts map[string]int
+	gets   map[string]string
+}
+
+func snapshotContents(t *testing.T, b Backend, prefixes, probes []string) backendContents {
+	t.Helper()
+	c := backendContents{counts: map[string]int{}, gets: map[string]string{}}
+	if err := b.Scan("", func(k string, v []byte) error {
+		c.scan = append(c.scan, k+"="+string(v))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range prefixes {
+		n, err := b.Count(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.counts[p] = n
+	}
+	for _, k := range probes {
+		v, ok, err := b.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.gets[k] = fmt.Sprintf("%v:%s", ok, v)
+	}
+	return c
+}
+
+func conformCompact(t *testing.T, but backendUnderTest) {
+	// Compact changes no logical content: after puts, overwrites and
+	// deletes, every read answers the same before and after — and after
+	// a reopen, when only the compacted layout is left to replay.
+	dir := t.TempDir()
+	open := func() Backend {
+		if but.openAt == nil {
+			return but.open(t)
+		}
+		return but.openAt(t, dir)
+	}
+	b := open()
+	for round := 0; round < 3; round++ {
+		var batch []KV
+		for i := 0; i < 8; i++ {
+			// Rounds overlap on half their keys: later rounds overwrite.
+			k := fmt.Sprintf("i/c/%02d", round*4+i)
+			batch = append(batch, KV{Key: k, Value: []byte(fmt.Sprintf("r%d-%s", round, k))})
+		}
+		batch = append(batch, KV{Key: fmt.Sprintf("x/c/%d", round), Value: nil})
+		if err := b.PutBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Put("s/c/single", []byte("per-put layout")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.DeleteBatch([]string{"i/c/00", "i/c/05", "i/c/15", "x/c/1", "i/absent"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PutBatch([]KV{{Key: "i/c/05", Value: []byte("re-put after delete")}}); err != nil {
+		t.Fatal(err)
+	}
+
+	prefixes := []string{"", "i/", "i/c/0", "x/", "s/", "zz"}
+	probes := []string{"i/c/00", "i/c/04", "i/c/05", "i/c/15", "i/c/12", "x/c/0", "x/c/1", "s/c/single", "i/absent"}
+	want := snapshotContents(t, b, prefixes, probes)
+	if len(want.scan) != 16+3+1-4+1 {
+		t.Fatalf("fixture holds %d keys: %v", len(want.scan), want.scan)
+	}
+
+	check := func(when string, b Backend) {
+		t.Helper()
+		if got := snapshotContents(t, b, prefixes, probes); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: contents changed:\n got %+v\nwant %+v", when, got, want)
+		}
+		if g, ok := b.(GarbageReporter); ok && g.GarbageRatio() != 0 {
+			t.Errorf("%s: GarbageRatio = %v, want 0", when, g.GarbageRatio())
+		}
+		if tr, ok := b.(TombstoneReporter); ok && tr.Tombstones() != 0 {
+			t.Errorf("%s: Tombstones = %d, want 0", when, tr.Tombstones())
+		}
+	}
+	if err := b.(Compacter).Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check("after Compact", b)
+	if err := b.(Compacter).Compact(); err != nil {
+		t.Fatalf("second Compact: %v", err)
+	}
+	check("after a second Compact", b)
+	if but.openAt == nil {
+		return
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b = open()
+	defer b.Close()
+	check("after reopen", b)
 }
 
 func conformGetBatch(t *testing.T, b Backend) {

@@ -325,22 +325,6 @@ func storeFlavours() []struct {
 			},
 			tail: func(t *testing.T, dir string) (string, int64) { return findOne(t, dir, ".seg", true) },
 		},
-		// The file backend with segment mmapping forced off: crash
-		// recovery must be byte-identical on the portable ReadFile path
-		// (the -mmap=off escape hatch and the non-linux build).
-		{
-			name: "file-nommap",
-			open: func(t *testing.T, dir string) store.Backend {
-				prev := store.SetMmapEnabled(false)
-				t.Cleanup(func() { store.SetMmapEnabled(prev) })
-				b, err := store.NewFileBackend(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b
-			},
-			tail: func(t *testing.T, dir string) (string, int64) { return findOne(t, dir, ".seg", true) },
-		},
 	}
 }
 

@@ -73,18 +73,10 @@ type FileBackend struct {
 	// swap section promotes to the new deadBytes.
 	compactBoundary uint64
 	deadSinceSnap   int64
-	// legacyCompact selects the original stop-the-world Compact (held
-	// f.mu for the whole merge). Kept for comparison benchmarks and so
-	// crash/conformance suites cover both paths.
-	legacyCompact bool
 
-	// useMmap selects the read path: cached mmap segment handles (the
-	// default, see mmap.go) or the legacy open-per-call path
-	// (-mmap=off). Latched at open.
-	useMmap bool
-	// segMu guards the segment handle cache. Ordered below f.mu: it is
-	// only ever acquired with f.mu held or with no lock held, never the
-	// other way around.
+	// segMu guards the segment handle cache (see mmap.go). Ordered below
+	// f.mu: it is only ever acquired with f.mu held or with no lock held,
+	// never the other way around.
 	// provlint:lock-order 30
 	segMu    sync.RWMutex
 	segs     map[string]*segMap
@@ -113,6 +105,9 @@ type fileLoc struct {
 const (
 	fileExt = ".rec"
 	segExt  = ".seg"
+	// tmpExt marks a segment or bloom sidecar still being written; see
+	// publishFile.
+	tmpExt = ".tmp"
 	// segMagic heads every packed segment file.
 	segMagic = "PSEG1\n"
 )
@@ -156,7 +151,6 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 		keys:       make(map[string]fileLoc),
 		tombstones: make(map[string]uint64),
 		blooms:     make(map[string]*bloomFilter),
-		useMmap:    MmapEnabled(),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -180,6 +174,13 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 			fb.keys[string(keyBytes)] = fileLoc{file: name, off: -1}
 		case strings.HasSuffix(name, segExt):
 			segs = append(segs, name)
+		case strings.HasSuffix(name, tmpExt):
+			// A write that crashed before its rename: never published, so
+			// nothing refers to it, and no later sweep would match it.
+			base := strings.TrimSuffix(strings.TrimSuffix(name, tmpExt), bloomExt)
+			if _, ok := segSeqOf(base); strings.HasSuffix(base, segExt) && ok {
+				_ = os.Remove(filepath.Join(dir, name))
+			}
 		}
 	}
 	sort.Strings(segs)
@@ -198,24 +199,16 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 // loadSegment indexes the entries of one packed segment. A corrupt entry
 // ends the replay of that segment (everything after a torn write is
 // unreliable) without failing the open — the same torn-write tolerance
-// the record-file layout has. On the mmap path the parse runs straight
-// off the cached mapping, which stays cached for the reads to come.
+// the record-file layout has. The parse runs straight off the segment's
+// handle, which stays cached for the reads to come.
 func (f *FileBackend) loadSegment(name string) error {
-	if f.useMmap {
-		_, err := f.withSegData(name, func(data []byte) error {
-			f.replaySegment(name, data)
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("store: reading segment %s: %w", name, err)
-		}
+	_, err := f.withSegData(name, func(data []byte) error {
+		f.replaySegment(name, data)
 		return nil
-	}
-	data, err := os.ReadFile(filepath.Join(f.dir, name))
+	})
 	if err != nil {
 		return fmt.Errorf("store: reading segment %s: %w", name, err)
 	}
-	f.replaySegment(name, data)
 	return nil
 }
 
@@ -431,6 +424,21 @@ func parseSegEntry(data []byte, off int) (key string, valOff, valLen, next int, 
 	return string(body[:kl]), hdr + int(kl), int(vl), hdr + int(kl) + int(vl) + 4, false, true
 }
 
+// publishFile writes data to path through a temp file and a rename, so
+// the file appears whole or not at all. A failed step removes the temp;
+// one stranded by a crash is swept by the next NewFileBackend.
+func publishFile(path string, data []byte) error {
+	tmp := path + tmpExt
+	err := os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
 func appendSegEntry(buf []byte, key string, value []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(key)))
 	buf = binary.AppendUvarint(buf, uint64(len(value)))
@@ -640,14 +648,8 @@ func (f *FileBackend) putBatchLocked(kvs []KV) error {
 		b.add(p.Key)
 	}
 
-	path := filepath.Join(f.dir, name)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("store: writing segment %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: publishing segment %s: %w", name, err)
+	if err := publishFile(filepath.Join(f.dir, name), buf); err != nil {
+		return fmt.Errorf("store: writing segment %s: %w", name, err)
 	}
 	// Per-key bookkeeping in ONE map probe per key (this loop is the
 	// ingest floor's hot path): it fuses what notePutLocked plus
@@ -727,14 +729,8 @@ func (f *FileBackend) DeleteBatch(keys []string) error {
 	if len(doomed) > 0 {
 		f.segSeq++
 		name := fmt.Sprintf("%016x%s", f.segSeq, segExt)
-		path := filepath.Join(f.dir, name)
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-			return fmt.Errorf("store: writing tombstone segment %s: %w", tmp, err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("store: publishing tombstone segment %s: %w", name, err)
+		if err := publishFile(filepath.Join(f.dir, name), buf); err != nil {
+			return fmt.Errorf("store: writing tombstone segment %s: %w", name, err)
 		}
 		for _, k := range doomed {
 			f.noteTombstoneLocked(k, f.segSeq)
@@ -759,9 +755,9 @@ func (f *FileBackend) DeleteBatch(keys []string) error {
 }
 
 // GetBatch implements Backend: lookups resolve under one lock
-// acquisition, then each touched segment file is opened once and its
-// ranges read in offset order — where per-key Gets would re-open the
-// same segment for every posting candidate it holds.
+// acquisition, then each touched segment's handle is acquired once for
+// all of its ranges — where per-key Gets would re-acquire the same
+// handle for every posting candidate it holds.
 func (f *FileBackend) GetBatch(keys []string) ([][]byte, []bool, error) {
 	values := make([][]byte, len(keys))
 	present := make([]bool, len(keys))
@@ -820,42 +816,22 @@ func (f *FileBackend) GetBatch(keys []string) ([][]byte, []bool, error) {
 			}
 			continue
 		}
-		if f.useMmap {
-			// One handle acquisition serves every range in this segment;
-			// values are copied straight out of the mapping.
-			if _, err := f.withSegData(file, func(seg []byte) error {
-				for _, ft := range fetches {
-					end := ft.loc.off + int64(ft.loc.vlen)
-					if end > int64(len(seg)) {
-						return fmt.Errorf("store: segment %s shorter than indexed range", file)
-					}
-					values[ft.i] = append([]byte(nil), seg[ft.loc.off:end]...)
-					present[ft.i] = true
+		// One handle acquisition serves every range in this segment;
+		// values are copied straight out of the mapping. A vanished
+		// segment leaves its keys absent.
+		if _, err := f.withSegData(file, func(seg []byte) error {
+			for _, ft := range fetches {
+				end := ft.loc.off + int64(ft.loc.vlen)
+				if end > int64(len(seg)) {
+					return fmt.Errorf("store: segment %s shorter than indexed range", file)
 				}
-				return nil
-			}); err != nil {
-				return nil, nil, err
+				values[ft.i] = append([]byte(nil), seg[ft.loc.off:end]...)
+				present[ft.i] = true
 			}
-			continue // a vanished segment leaves its keys absent
+			return nil
+		}); err != nil {
+			return nil, nil, err
 		}
-		fh, err := os.Open(filepath.Join(f.dir, file))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // segment vanished: all its keys read as absent
-			}
-			return nil, nil, fmt.Errorf("store: opening segment %s: %w", file, err)
-		}
-		sort.Slice(fetches, func(a, b int) bool { return fetches[a].loc.off < fetches[b].loc.off })
-		for _, ft := range fetches {
-			data := make([]byte, ft.loc.vlen)
-			if _, err := fh.ReadAt(data, ft.loc.off); err != nil {
-				fh.Close()
-				return nil, nil, fmt.Errorf("store: reading segment %s: %w", file, err)
-			}
-			values[ft.i] = data
-			present[ft.i] = true
-		}
-		fh.Close()
 	}
 	return values, present, nil
 }
@@ -887,9 +863,8 @@ func (f *FileBackend) Get(key string) ([]byte, bool, error) {
 // readLoc fetches the value at a location: a whole record file or a
 // byte range within a segment.
 func (f *FileBackend) readLoc(loc fileLoc) ([]byte, bool, error) {
-	path := filepath.Join(f.dir, loc.file)
 	if loc.off < 0 {
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(filepath.Join(f.dir, loc.file))
 		if err != nil {
 			if os.IsNotExist(err) {
 				return nil, false, nil
@@ -903,32 +878,17 @@ func (f *FileBackend) readLoc(loc fileLoc) ([]byte, bool, error) {
 		// the hot posting-resolution path must not pay an open per key.
 		return []byte{}, true, nil
 	}
-	if f.useMmap {
-		var data []byte
-		found, err := f.withSegData(loc.file, func(seg []byte) error {
-			end := loc.off + int64(loc.vlen)
-			if end > int64(len(seg)) {
-				return fmt.Errorf("store: segment %s shorter than indexed range", loc.file)
-			}
-			data = append([]byte(nil), seg[loc.off:end]...)
-			return nil
-		})
-		if err != nil || !found {
-			return nil, false, err
+	var data []byte
+	found, err := f.withSegData(loc.file, func(seg []byte) error {
+		end := loc.off + int64(loc.vlen)
+		if end > int64(len(seg)) {
+			return fmt.Errorf("store: segment %s shorter than indexed range", loc.file)
 		}
-		return data, true, nil
-	}
-	fh, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("store: opening segment %s: %w", loc.file, err)
-	}
-	defer fh.Close()
-	data := make([]byte, loc.vlen)
-	if _, err := fh.ReadAt(data, loc.off); err != nil {
-		return nil, false, fmt.Errorf("store: reading segment %s: %w", loc.file, err)
+		data = append([]byte(nil), seg[loc.off:end]...)
+		return nil
+	})
+	if err != nil || !found {
+		return nil, false, err
 	}
 	return data, true, nil
 }
@@ -1005,34 +965,10 @@ func (f *FileBackend) Segments() int {
 // are removed only after the rename. A crash in between leaves both —
 // the replay resolves every key to the same bytes either way.
 //
-// By default the merge runs incrementally: the expensive rewrite works
-// against a snapshot with no lock held while writers keep landing
-// segments, and a short exclusive section swaps the result in. The
-// legacy stop-the-world path is kept behind SetIncrementalCompaction
-// for comparison benchmarks and dual-path crash/conformance coverage.
-func (f *FileBackend) Compact() error {
-	f.compactMu.Lock()
-	defer f.compactMu.Unlock()
-	f.mu.RLock()
-	legacy := f.legacyCompact
-	f.mu.RUnlock()
-	if legacy {
-		return f.compactSerial()
-	}
-	return f.compactIncremental()
-}
-
-// SetIncrementalCompaction selects between the incremental compaction
-// path (the default: writers keep running during the merge) and the
-// legacy stop-the-world path that holds the lock for the whole merge.
-func (f *FileBackend) SetIncrementalCompaction(on bool) {
-	f.mu.Lock()
-	f.legacyCompact = !on
-	f.mu.Unlock()
-}
-
-// compactIncremental merges segments in three phases. Phase 1 (short
-// exclusive section): snapshot every segment-resident key's location
+// The merge runs incrementally — the expensive rewrite works against a
+// snapshot with no lock held while writers keep landing segments — in
+// three phases. Phase 1 (short exclusive section, like phase 3):
+// snapshot every segment-resident key's location
 // and the tombstone set, and claim the merged segment's sequence number
 // — the "boundary". Every segment a concurrent writer lands during the
 // rewrite gets a HIGHER sequence and therefore replays after the merged
@@ -1048,7 +984,10 @@ func (f *FileBackend) SetIncrementalCompaction(on bool) {
 // — then retire the victims (sequence below the boundary) and settle
 // the byte accounting from deadSinceSnap, which tracked garbage born in
 // surviving segments while the rewrite ran.
-func (f *FileBackend) compactIncremental() error {
+func (f *FileBackend) Compact() error {
+	f.compactMu.Lock()
+	defer f.compactMu.Unlock()
+
 	type snapEntry struct {
 		key string
 		loc fileLoc
@@ -1118,17 +1057,14 @@ func (f *FileBackend) compactIncremental() error {
 	}
 
 	name := fmt.Sprintf("%016x%s", boundary, segExt)
-	path := filepath.Join(f.dir, name)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := publishFile(filepath.Join(f.dir, name), buf); err != nil {
 		return abort(fmt.Errorf("store: writing compacted segment: %w", err))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return abort(fmt.Errorf("store: publishing compacted segment: %w", err))
 	}
 	var mb *bloomFilter
 	if len(locs) > 0 {
+		// The merged segment's filter is exact over its keys; its sidecar
+		// is the one that pays off at the next open (compaction output is
+		// where the per-segment key counts get large).
 		mb = newBloomFilter(len(locs))
 		for _, l := range locs {
 			mb.add(l.key)
@@ -1157,9 +1093,16 @@ func (f *FileBackend) compactIncremental() error {
 		f.blooms[name] = mb
 	}
 	// Retire the victims: every sequence-named segment BELOW the
-	// boundary. Segments above it were written during the rewrite and
-	// are live. Removal order and the stop-at-first-failure contract
-	// match compactSerial (see the comment there).
+	// boundary — live-backed, superseded-only, or tombstone-only, all are
+	// garbage now. Segments above it were written during the rewrite and
+	// are live; a foreign .seg file (unknown magic, skipped at open) is
+	// left alone. Removal goes in ASCENDING sequence order and stops at
+	// the first failure: a put segment that refuses to go while a LATER
+	// tombstone segment is removed would resurrect the deleted key on
+	// replay (the tombstone outranked the put only by sequence). Stopping
+	// keeps every remaining segment's replay consistent — older puts stay
+	// overridden by the segments after them — and the stragglers are
+	// retried by the next Compact.
 	entries, err := os.ReadDir(f.dir)
 	if err != nil {
 		f.compactBoundary = 0
@@ -1170,6 +1113,9 @@ func (f *FileBackend) compactIncremental() error {
 	for _, e := range entries { // ReadDir sorts: fixed-width hex names replay order
 		n := e.Name()
 		if strings.HasSuffix(n, segExt+bloomExt) {
+			// Bloom sidecars of retired segments go best-effort — a
+			// sidecar is never a source of truth, so failure here can't
+			// corrupt.
 			if seq, ok := segSeqOf(strings.TrimSuffix(n, bloomExt)); ok && seq < boundary {
 				_ = os.Remove(filepath.Join(f.dir, n))
 			}
@@ -1208,150 +1154,16 @@ func (f *FileBackend) compactIncremental() error {
 		}
 		f.deadBytes = f.deadSinceSnap + mergedDead
 	}
-	// On a removal failure the victims (tombstone segments included) are
-	// still on disk, so — exactly as in compactSerial — the tombstone
-	// set and the dead-byte count survive for the next Compact to retry.
+	// On a removal failure the merged segment is authoritative and the
+	// directory replays consistently — but the leftover victims (tombstone
+	// segments included) are still on disk, so the tombstone set and the
+	// dead-byte count MUST survive: forgetting a live tombstone would let
+	// a later Put route into a record file the tombstone erases on replay,
+	// and zeroing deadBytes would make the next Compact early-return
+	// instead of retrying the removal.
 	f.deadSinceSnap = 0
 	f.rebuildAggLocked()
 	return removeErr
-}
-
-// compactSerial is the legacy stop-the-world merge: it holds f.mu for
-// the entire rewrite.
-func (f *FileBackend) compactSerial() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-
-	liveSegs := make(map[string]bool)
-	var keys []string
-	for k, loc := range f.keys {
-		if loc.off >= 0 {
-			liveSegs[loc.file] = true
-			keys = append(keys, k)
-		}
-	}
-	if len(liveSegs) <= 1 && len(f.tombstones) == 0 && f.deadBytes == 0 {
-		return nil // nothing to merge, nothing to reclaim
-	}
-	sort.Strings(keys)
-
-	buf := []byte(segMagic)
-	type pending struct {
-		key  string
-		off  int64
-		vlen int
-	}
-	locs := make([]pending, 0, len(keys))
-	for _, k := range keys {
-		value, ok, err := f.readLoc(f.keys[k])
-		if err != nil {
-			return fmt.Errorf("store: compacting %s: %w", k, err)
-		}
-		if !ok {
-			continue // segment vanished underneath us; key is dead
-		}
-		buf = appendSegEntry(buf, k, value)
-		locs = append(locs, pending{key: k, off: int64(len(buf) - 4 - len(value)), vlen: len(value)})
-	}
-
-	f.segSeq++
-	name := fmt.Sprintf("%016x%s", f.segSeq, segExt)
-	path := filepath.Join(f.dir, name)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("store: writing compacted segment: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: publishing compacted segment: %w", err)
-	}
-	var newLive int64
-	for _, l := range locs {
-		f.keys[l.key] = fileLoc{file: name, off: l.off, vlen: l.vlen}
-		newLive += putEntrySize(l.key, l.vlen)
-	}
-	if len(locs) > 0 {
-		// The merged segment's filter is exact over its keys; its sidecar
-		// is the one that pays off at the next open (compaction output is
-		// where the per-segment key counts get large).
-		mb := newBloomFilter(len(locs))
-		for _, l := range locs {
-			mb.add(l.key)
-		}
-		f.blooms[name] = mb
-		if len(locs) >= bloomSidecarMinKeys {
-			f.writeBloomSidecar(name, mb, len(locs))
-		}
-	}
-	// Tombstoned keys: make sure no record-file copy survives before the
-	// tombstones are dropped with their segments (DeleteBatch already
-	// removed these; this is the crash-recovery sweep).
-	for k := range f.tombstones {
-		rec := filepath.Join(f.dir, fileNameFor(k))
-		if err := os.Remove(rec + ".key"); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: compacting tombstoned %s: %w", k, err)
-		}
-		_ = os.Remove(rec)
-	}
-	// Every pre-merge segment — live-backed, superseded-only, or
-	// tombstone-only — is garbage now. Removal goes in ASCENDING
-	// sequence order and stops at the first failure: a put segment that
-	// refuses to go while a LATER tombstone segment is removed would
-	// resurrect the deleted key on replay (the tombstone outranked the
-	// put only by sequence). Stopping keeps every remaining segment's
-	// replay consistent — older puts stay overridden by the segments
-	// after them — and the stragglers are retried by the next Compact.
-	entries, err := os.ReadDir(f.dir)
-	if err != nil {
-		return fmt.Errorf("store: listing %s after compaction: %w", f.dir, err)
-	}
-	var removeErr error
-	for _, e := range entries { // ReadDir sorts: fixed-width hex names replay order
-		n := e.Name()
-		if strings.HasSuffix(n, segExt+bloomExt) {
-			// Bloom sidecars of retired segments (and any orphans from a
-			// crashed earlier compaction) go best-effort — a sidecar is
-			// never a source of truth, so failure here can't corrupt.
-			if n != name+bloomExt {
-				if _, err := strconv.ParseUint(strings.TrimSuffix(n, segExt+bloomExt), 16, 64); err == nil {
-					_ = os.Remove(filepath.Join(f.dir, n))
-				}
-			}
-			continue
-		}
-		if !strings.HasSuffix(n, segExt) || n == name {
-			continue
-		}
-		// Only sequence-named segments are ours to reclaim; a foreign
-		// .seg file (unknown magic, skipped at open) is left alone.
-		if _, err := strconv.ParseUint(strings.TrimSuffix(n, segExt), 16, 64); err != nil {
-			continue
-		}
-		if err := os.Remove(filepath.Join(f.dir, n)); err != nil && !os.IsNotExist(err) {
-			removeErr = fmt.Errorf("store: removing compacted segment %s: %w", n, err)
-			break
-		}
-		delete(f.blooms, n)
-		f.dropSeg(n) // unmap under the handle lock; readers have copied out
-	}
-	f.liveBytes = newLive
-	// Rebuild the negative filter from what survived: on a clean sweep
-	// that is the merged segment alone, which washes out every deleted
-	// key the old aggregate still answered "maybe" for.
-	f.rebuildAggLocked()
-	if removeErr != nil {
-		// The merged segment is authoritative and the directory replays
-		// consistently — but the leftover segments (tombstones included)
-		// are still on disk, so the tombstone set and the dead-byte
-		// count MUST survive: forgetting a live tombstone would let a
-		// later Put route into a record file the tombstone erases on
-		// replay, and zeroing deadBytes would make the next Compact
-		// early-return instead of retrying the removal.
-		return removeErr
-	}
-	f.tombstones = make(map[string]uint64)
-	f.deadBytes = 0
-	return nil
 }
 
 // GarbageRatio reports the fraction of packed-segment bytes occupied by

@@ -100,9 +100,3 @@ func (k *KVBackend) Close() error { return k.db.Close() }
 
 // Compact reclaims space in the underlying database.
 func (k *KVBackend) Compact() error { return k.db.Compact() }
-
-// SetIncrementalCompaction selects between kvdb's incremental
-// compaction path (the default) and the legacy stop-the-world rewrite.
-func (k *KVBackend) SetIncrementalCompaction(on bool) {
-	k.db.SetIncrementalCompaction(on)
-}

@@ -1,11 +1,10 @@
 package store
 
-// Mmap-backed segment handles: the file backend used to pay an
-// os.Open + ReadAt (or a whole os.ReadFile) per value fetched from a
-// packed segment. Segments are immutable once renamed into place, which
-// makes them ideal mmap targets — open each touched segment once, keep
-// the mapping in a handle cache, and serve every later read as a memcpy
-// out of the kernel page cache with zero syscalls.
+// Mmap-backed segment handles, the file backend's one segment read
+// path. Segments are immutable once renamed into place, which makes
+// them ideal mmap targets — open each touched segment once, keep the
+// mapping in a handle cache, and serve every later read as a memcpy out
+// of the kernel page cache with zero syscalls.
 //
 // Lifecycle contract: readers only touch mapped memory inside
 // withSegData, under the handle lock held shared; Compact retires a
@@ -18,27 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 )
-
-// mmapOff disables mmap-backed segment handles for backends opened
-// after the call — the -mmap=off escape hatch. The legacy
-// open-per-call path it reverts to is also the baseline the readpath
-// bench measures against.
-var mmapOff atomic.Bool
-
-// SetMmapEnabled toggles whether newly opened file backends serve
-// segment reads through cached mmap handles (the default) or the
-// legacy open-per-call path. It returns the previous setting; backends
-// already open are unaffected.
-func SetMmapEnabled(on bool) bool {
-	prev := !mmapOff.Load()
-	mmapOff.Store(!on)
-	return prev
-}
-
-// MmapEnabled reports the current default for new file backends.
-func MmapEnabled() bool { return !mmapOff.Load() }
 
 // segMap is one open segment: an mmap of the whole file where the
 // platform supports it, a heap copy where it doesn't (or where mapping
@@ -82,8 +61,7 @@ func (m *segMap) close() error {
 // lock, opening (and caching) the handle on first touch. fn must copy
 // anything it keeps and must not acquire f.mu (f.mu is ordered above
 // segMu). Returns ok=false when the segment no longer exists — the
-// caller treats its keys as absent, exactly like the legacy path's
-// IsNotExist handling.
+// caller treats its keys as absent.
 func (f *FileBackend) withSegData(name string, fn func(data []byte) error) (ok bool, err error) {
 	f.segMu.RLock()
 	if m := f.segs[name]; m != nil {

@@ -4,7 +4,9 @@ package store
 // the Store-level batched record fetch.
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -209,4 +211,200 @@ func TestFileBackendCompactPreservesRecordFiles(t *testing.T) {
 	if recs != 1 {
 		t.Errorf("record files = %d, want 1", recs)
 	}
+}
+
+// TestFileLeftoverTempsRemovedAtOpen is the file-backend mirror of
+// kvdb's TestLeftoverCompactionTempIgnored: a crash between a temp write
+// and its rename strands a <seq>.seg.tmp or <seq>.seg.bloom.tmp that no
+// replay reads and no compaction sweep matches. Open discards them and
+// nothing else changes.
+func TestFileLeftoverTempsRemovedAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	fb, err := NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.PutBatch([]KV{{Key: "a", Value: []byte("1")}, {Key: "b", Value: []byte("2")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.PutBatch([]KV{{Key: "b", Value: []byte("3")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.Delete("a"); err != nil {
+		t.Fatal(err)
+	}
+	wantRatio := fb.GarbageRatio()
+	if err := fb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A crashed compaction's merged segment (well-formed, resurrecting
+	// "a" if anything replayed it), a crashed sidecar write, and a temp
+	// file that is not sequence-named and so not ours to touch.
+	ghost := appendSegEntry([]byte(segMagic), "a", []byte("ghost"))
+	orphans := []string{"00000000000000ff.seg.tmp", "00000000000000ff.seg.bloom.tmp"}
+	for _, name := range append(orphans, "notes.tmp") {
+		if err := os.WriteFile(filepath.Join(dir, name), ghost, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fb2, err := NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb2.Close()
+	for _, name := range orphans {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("orphan %s survived the reopen (stat err = %v)", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "notes.tmp")); err != nil {
+		t.Errorf("foreign temp file was touched: %v", err)
+	}
+	if _, ok, _ := fb2.Get("a"); ok {
+		t.Error("deleted key resurrected")
+	}
+	if v, ok, err := fb2.Get("b"); err != nil || !ok || string(v) != "3" {
+		t.Errorf("b = %q ok=%v err=%v, want \"3\"", v, ok, err)
+	}
+	if n, _ := fb2.Count(""); n != 1 {
+		t.Errorf("Count = %d, want 1", n)
+	}
+	if got := fb2.GarbageRatio(); got != wantRatio {
+		t.Errorf("GarbageRatio = %v after reopen, want %v", got, wantRatio)
+	}
+}
+
+// TestFileFailedSegmentWriteLeavesNoTemp: a write that fails before the
+// rename must not strand its temp file (only a crash may, and open
+// sweeps those). The failure is forced by occupying the next segment's
+// temp name with a directory.
+func TestFileFailedSegmentWriteLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	fb, err := NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	blocker := filepath.Join(dir, fmt.Sprintf("%016x.seg.tmp", 1))
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb.PutBatch([]KV{{Key: "k", Value: []byte("v")}}); err == nil {
+		t.Fatal("PutBatch over an unwritable temp name succeeded")
+	}
+	if _, err := os.Stat(blocker); !os.IsNotExist(err) {
+		t.Errorf("failed write left its temp behind (stat err = %v)", err)
+	}
+	if _, ok, _ := fb.Get("k"); ok {
+		t.Error("failed PutBatch made its key visible")
+	}
+	if err := fb.PutBatch([]KV{{Key: "k", Value: []byte("v")}}); err != nil {
+		t.Fatalf("PutBatch after the failed one: %v", err)
+	}
+}
+
+// TestFileBackendHeapSegmentHandles runs the read path, Compact's handle
+// retirement and Close over heap-backed handles — what openSegMap hands
+// out on every non-Linux build and wherever a filesystem refuses
+// MAP_SHARED, but on Linux otherwise only for empty segments.
+func TestFileBackendHeapSegmentHandles(t *testing.T) {
+	dir := t.TempDir()
+	fb, err := NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	var keys []string
+	for b := 0; b < 3; b++ {
+		var batch []KV
+		for i := 0; i < 5; i++ {
+			k := fmt.Sprintf("i/h/%d-%d", b, i)
+			want[k] = fmt.Sprintf("value %d/%d", b, i)
+			keys = append(keys, k)
+			batch = append(batch, KV{Key: k, Value: []byte(want[k])})
+		}
+		if err := fb.PutBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Freshly written segments have no handle yet (handles open on first
+	// read): install the heap form for each.
+	installHeap := func() (names []string, total int64) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb.segMu.Lock()
+		defer fb.segMu.Unlock()
+		if fb.segs == nil {
+			fb.segs = make(map[string]*segMap)
+		}
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), segExt) || fb.segs[e.Name()] != nil {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb.segs[e.Name()] = &segMap{data: data}
+			fb.segBytes.Add(int64(len(data)))
+			names = append(names, e.Name())
+			total += int64(len(data))
+		}
+		return names, total
+	}
+	checkReads := func(when string) {
+		t.Helper()
+		for k, w := range want {
+			if v, ok, err := fb.Get(k); err != nil || !ok || string(v) != w {
+				t.Errorf("%s: Get(%s) = %q ok=%v err=%v, want %q", when, k, v, ok, err, w)
+			}
+		}
+		values, present, err := fb.GetBatch(append([]string{"i/h/absent"}, keys...))
+		if err != nil {
+			t.Fatalf("%s: GetBatch: %v", when, err)
+		}
+		if present[0] {
+			t.Errorf("%s: GetBatch found an absent key", when)
+		}
+		for i, k := range keys {
+			if !present[i+1] || string(values[i+1]) != want[k] {
+				t.Errorf("%s: GetBatch[%s] = %q present=%v, want %q", when, k, values[i+1], present[i+1], want[k])
+			}
+		}
+	}
+
+	victims, total := installHeap()
+	if len(victims) != 3 || fb.MappedBytes() != total {
+		t.Fatalf("installed %d heap handles holding %d bytes; MappedBytes = %d", len(victims), total, fb.MappedBytes())
+	}
+	checkReads("heap handles")
+
+	if err := fb.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	fb.segMu.RLock()
+	for _, name := range victims {
+		if fb.segs[name] != nil {
+			t.Errorf("Compact left the handle of removed segment %s cached", name)
+		}
+	}
+	fb.segMu.RUnlock()
+	if n := segFiles(t, dir); n != 1 {
+		t.Fatalf("segments after Compact = %d, want 1", n)
+	}
+	if _, mergedBytes := installHeap(); fb.MappedBytes() != mergedBytes {
+		t.Errorf("MappedBytes = %d after Compact, want the merged segment's %d", fb.MappedBytes(), mergedBytes)
+	}
+	checkReads("after Compact")
+
+	if err := fb.Close(); err != nil {
+		t.Fatalf("Close over heap handles: %v", err)
+	}
+	if fb.MappedBytes() != 0 {
+		t.Errorf("MappedBytes = %d after Close", fb.MappedBytes())
+	}
+	checkReads("after Close") // handles re-open lazily
 }
