@@ -1,9 +1,12 @@
-// Package kv declares the key/value pair type shared by the storage
-// backends' batched write primitive. It lives in its own leaf package so
-// that both internal/store (which declares the Backend interface) and
+// Package kv holds what the storage backends share below the Backend
+// interface: the key/value pair type of the batched write primitive, and
+// Ordered, the sorted key snapshot every backend answers Count and
+// ScanFrom from (ordered.go). It is a leaf package so that both
+// internal/store (which declares the Backend interface) and
 // internal/index (which flushes posting batches through a structural
-// slice of that interface, and must not import store) can name the same
-// type in their method signatures.
+// slice of that interface, and must not import store) can name Pair in
+// their method signatures, and so that internal/kvdb and internal/store
+// can both hold an Ordered.
 package kv
 
 // Pair is one key/value entry of a batched write. A nil Value is a

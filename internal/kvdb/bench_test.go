@@ -3,6 +3,8 @@ package kvdb
 import (
 	"fmt"
 	"testing"
+
+	"preserv/internal/kv"
 )
 
 func benchDB(b *testing.B) *DB {
@@ -79,5 +81,41 @@ func BenchmarkOpenRecovery(b *testing.B) {
 			b.Fatalf("Len = %d", db.Len())
 		}
 		db.Close()
+	}
+}
+
+// BenchmarkCountAfterPutBatch is one read-after-write step on a large
+// store: 200k keys with the sorted snapshot built, a 100-key batch of
+// new keys spread across the key space, one CountPrefix. The count folds
+// the batch into the snapshot in O(batch + n); sorting every key again
+// would be O(n log n).
+func BenchmarkCountAfterPutBatch(b *testing.B) {
+	db := benchDB(b)
+	const base, batch = 200_000, 100
+	pairs := make([]kv.Pair, 0, 1000)
+	for i := 0; i < base; i++ {
+		pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("k/%06d", i)})
+		if len(pairs) == cap(pairs) {
+			if err := db.PutBatch(pairs); err != nil {
+				b.Fatal(err)
+			}
+			pairs = pairs[:0]
+		}
+	}
+	if n := db.CountPrefix("k/"); n != base {
+		b.Fatalf("base holds %d keys", n)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pairs = pairs[:0]
+		for j := 0; j < batch; j++ {
+			pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("k/%06d/%d", j*(base/batch), i)})
+		}
+		if err := db.PutBatch(pairs); err != nil {
+			b.Fatal(err)
+		}
+		if n := db.CountPrefix("k/"); n != base+(i+1)*batch {
+			b.Fatalf("iteration %d counted %d keys", i, n)
+		}
 	}
 }

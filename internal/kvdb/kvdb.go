@@ -23,7 +23,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"preserv/internal/kv"
@@ -69,11 +68,9 @@ type DB struct {
 	// garbage counts bytes occupied by superseded or deleted records,
 	// used to decide when compaction is worthwhile.
 	garbage int64
-	// sorted caches the index's keys in sorted order; nil when dirty
-	// (a key was added or deleted since the last build). It turns the
-	// prefix/range scans the read path leans on from O(n log n) per call
-	// into a binary search plus a walk.
-	sorted []string
+	// keys is the sorted view of index's key set that the prefix counts
+	// and range scans binary-search; guarded by mu like index itself.
+	keys kv.Ordered[entryLoc]
 	// tombs counts live tombstone entries in the log (deletions not yet
 	// reclaimed by compaction) — the deletion-lifecycle telemetry the
 	// store surfaces.
@@ -182,17 +179,24 @@ func (db *DB) Put(key string, val []byte) error {
 	if db.closed {
 		return ErrClosed
 	}
-	if prev, ok := db.index[key]; ok {
-		db.garbage += int64(headerSize + len(key) + prev.valLen)
-	} else {
-		db.sorted = nil
-	}
 	valOff := db.offset + headerSize + int64(len(key))
 	if err := db.appendRecord(0, key, val); err != nil {
 		return err
 	}
-	db.index[key] = entryLoc{off: valOff, valLen: len(val)}
+	db.setLocked(key, entryLoc{off: valOff, valLen: len(val)})
 	return nil
+}
+
+// setLocked points key at the value just appended at loc: a superseded
+// value becomes garbage, a new key enters the sorted view. Callers hold
+// db.mu.
+func (db *DB) setLocked(key string, loc entryLoc) {
+	if prev, ok := db.index[key]; ok {
+		db.garbage += int64(headerSize + len(key) + prev.valLen)
+	} else {
+		db.keys.Touch(key)
+	}
+	db.index[key] = loc
 }
 
 // encodeRecord serialises one log record into buf (appending) and
@@ -239,31 +243,16 @@ func (db *DB) PutBatch(pairs []kv.Pair) error {
 		size += headerSize + len(p.Key) + len(p.Value)
 	}
 	buf := make([]byte, 0, size)
-	type pending struct {
-		key string
-		loc entryLoc
-	}
-	locs := make([]pending, 0, len(pairs))
-	off := db.offset
 	for _, p := range pairs {
 		buf = encodeRecord(buf, 0, p.Key, p.Value)
-		locs = append(locs, pending{p.Key, entryLoc{
-			off:    off + headerSize + int64(len(p.Key)),
-			valLen: len(p.Value),
-		}})
-		off += int64(headerSize + len(p.Key) + len(p.Value))
 	}
 	if _, err := db.f.WriteAt(buf, db.offset); err != nil {
 		return fmt.Errorf("kvdb: batch append: %w", err)
 	}
-	db.offset = off
-	for _, l := range locs {
-		if prev, ok := db.index[l.key]; ok {
-			db.garbage += int64(headerSize + len(l.key) + prev.valLen)
-		} else {
-			db.sorted = nil
-		}
-		db.index[l.key] = l.loc
+	for _, p := range pairs {
+		valOff := db.offset + headerSize + int64(len(p.Key))
+		db.setLocked(p.Key, entryLoc{off: valOff, valLen: len(p.Value)})
+		db.offset = valOff + int64(len(p.Value))
 	}
 	return nil
 }
@@ -324,21 +313,12 @@ func (db *DB) Get(key string) ([]byte, error) {
 // Lookup returns the value under key with a presence flag instead of an
 // error. Point misses are the read path's common case (dangling
 // postings, cross-shard probes), and Get pays an ErrNotFound wrap
-// allocation for every one; Lookup answers them allocation-free. When
-// the sorted key cache is live, a binary search settles absence before
-// the log index map is consulted at all — the kvdb mirror of the file
-// backend's bloom skip.
+// allocation for every one; Lookup answers them allocation-free.
 func (db *DB) Lookup(key string) ([]byte, bool, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
 		return nil, false, ErrClosed
-	}
-	if s := db.sorted; s != nil {
-		i := sort.SearchStrings(s, key)
-		if i >= len(s) || s[i] != key {
-			return nil, false, nil
-		}
 	}
 	loc, ok := db.index[key]
 	if !ok {
@@ -410,8 +390,8 @@ func (db *DB) DeleteBatch(keys []string) error {
 	db.offset += int64(len(buf))
 	for _, k := range doomed {
 		delete(db.index, k)
+		db.keys.Touch(k)
 	}
-	db.sorted = nil
 	db.tombs += int64(len(doomed))
 	db.garbage += reclaimed
 	return nil
@@ -424,60 +404,34 @@ func (db *DB) Len() int {
 	return len(db.index)
 }
 
-// sortedKeysLocked returns the cached sorted key slice, rebuilding it if
-// a key was added or removed since the last build. Callers must hold the
-// write lock.
-func (db *DB) sortedKeysLocked() []string {
-	if db.sorted == nil {
-		keys := make([]string, 0, len(db.index))
-		for k := range db.index {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		db.sorted = keys
-	}
-	return db.sorted
-}
-
-// sortedSnapshot returns the sorted key cache, rebuilding only when
-// stale. Cache warm, the cost is one shared-lock acquisition: the slice
-// is immutable once built (writers replace, never mutate), so readers
-// iterate it concurrently; keys deleted after the build are absorbed by
-// the per-key Get re-check.
-func (db *DB) sortedSnapshot() []string {
+// sortedKeys returns the sorted key snapshot, folding writes in only
+// when there are any. Snapshot current, the cost is one shared-lock
+// acquisition; the slice is immutable, so readers iterate it unlocked
+// and absorb later deletions with a per-key Lookup.
+func (db *DB) sortedKeys() []string {
 	db.mu.RLock()
-	keys := db.sorted
+	keys, ok := db.keys.Clean()
 	db.mu.RUnlock()
-	if keys != nil {
+	if ok {
 		return keys
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.sortedKeysLocked()
+	return db.keys.Fold(db.index)
 }
 
 // Keys returns all live keys with the given prefix, sorted. An empty
 // prefix returns every key. The result is the caller's to keep.
 func (db *DB) Keys(prefix string) []string {
-	keys := db.sortedSnapshot()
-	i := sort.SearchStrings(keys, prefix)
-	j := i
-	for j < len(keys) && strings.HasPrefix(keys[j], prefix) {
-		j++
-	}
-	return append([]string(nil), keys[i:j]...)
+	return append([]string(nil), kv.PrefixRange(db.sortedKeys(), prefix, "")...)
 }
 
 // CountPrefix reports how many live keys carry the prefix without
-// copying them — two binary searches on the sorted key cache, which is
-// what makes the query planner's per-dimension cardinality probes cheap.
+// copying them — two binary searches on the sorted key snapshot, which
+// is what makes the query planner's per-dimension cardinality probes
+// cheap.
 func (db *DB) CountPrefix(prefix string) int {
-	keys := db.sortedSnapshot()
-	i := sort.SearchStrings(keys, prefix)
-	j := sort.Search(len(keys)-i, func(n int) bool {
-		return !strings.HasPrefix(keys[i+n], prefix)
-	}) // prefix-carrying keys are contiguous from i
-	return j
+	return len(kv.PrefixRange(db.sortedKeys(), prefix, ""))
 }
 
 // Scan calls fn for every live key with the given prefix, in sorted key
@@ -492,20 +446,15 @@ func (db *DB) Scan(prefix string, fn func(key string, val []byte) error) error {
 // snapshot lazily: an early stop from fn ends the sweep without the
 // remaining range being copied or visited.
 func (db *DB) ScanFrom(prefix, from string, fn func(key string, val []byte) error) error {
-	lo := prefix
-	if from > lo {
-		lo = from
-	}
-	keys := db.sortedSnapshot()
-	for i := sort.SearchStrings(keys, lo); i < len(keys) && strings.HasPrefix(keys[i], prefix); i++ {
-		v, err := db.Get(keys[i])
+	for _, k := range kv.PrefixRange(db.sortedKeys(), prefix, from) {
+		v, ok, err := db.Lookup(k)
 		if err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue // deleted between the key snapshot and Get
-			}
 			return err
 		}
-		if err := fn(keys[i], v); err != nil {
+		if !ok {
+			continue // deleted between the key snapshot and the read
+		}
+		if err := fn(k, v); err != nil {
 			return err
 		}
 	}

@@ -9,7 +9,7 @@ import (
 // TestLookupAgreesWithGet: Lookup is the allocation-light point read —
 // present keys return the value, absent keys return (nil, false, nil)
 // with no error, and both must agree with Get across puts, overwrites,
-// deletes and a reopen (where the sorted key cache starts cold).
+// deletes and a reopen (where no sorted key snapshot exists yet).
 func TestLookupAgreesWithGet(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir)
@@ -49,8 +49,8 @@ func TestLookupAgreesWithGet(t *testing.T) {
 	}
 	check(db, "live")
 
-	// Warm the sorted cache (Scan builds it), then probe again: the
-	// binary-search negative shortcut must agree with the map.
+	// Build the sorted key snapshot (Scan does), then probe again: point
+	// reads answer the same with and without one.
 	if err := db.Scan("k/", func(string, []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -61,6 +61,7 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("GetBatchEmptyValues", func(t *testing.T) { conformGetBatchEmpty(t, but.open(t)) })
 			t.Run("ScanFromResumesMidList", func(t *testing.T) { conformScanFrom(t, but.open(t)) })
 			t.Run("ScanFromEqualsScan", func(t *testing.T) { conformScanFromUnbounded(t, but.open(t)) })
+			t.Run("WriteAfterScanVisible", func(t *testing.T) { conformWriteAfterScan(t, but.open(t)) })
 			if _, ok := but.open(t).(Compacter); ok {
 				t.Run("CompactKeepsContents", func(t *testing.T) { conformCompact(t, but) })
 			}
@@ -173,6 +174,94 @@ func conformCompact(t *testing.T, but backendUnderTest) {
 	b = open()
 	defer b.Close()
 	check("after reopen", b)
+}
+
+func conformWriteAfterScan(t *testing.T, b Backend) {
+	// Backends answer ScanFrom and Count off a sorted key snapshot that a
+	// read builds and writes keep current. Every write made after it was
+	// built — batched or single, put or delete, new key or overwrite, a
+	// key deleted and re-put between two reads — must show in the next
+	// read exactly as in a plain map.
+	model := map[string]string{}
+	modelScan := func(prefix, from string) []string {
+		var want []string
+		for k, v := range model {
+			if strings.HasPrefix(k, prefix) && k >= from {
+				want = append(want, k+"="+v)
+			}
+		}
+		sort.Strings(want)
+		return want
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, prefix := range []string{"", "i/w/", "i/w/1", "x/w/", "zz"} {
+			want := len(modelScan(prefix, ""))
+			if n, err := b.Count(prefix); err != nil || n != want {
+				t.Errorf("%s: Count(%q) = %d, %v; want %d", when, prefix, n, err, want)
+			}
+			for _, from := range []string{"", "i/w/07", "x"} {
+				var got []string
+				if err := b.ScanFrom(prefix, from, func(k string, v []byte) error {
+					got = append(got, k+"="+string(v))
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if want := modelScan(prefix, from); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: ScanFrom(%q, %q) = %v, want %v", when, prefix, from, got, want)
+				}
+			}
+		}
+	}
+	check("empty") // the snapshot exists from here on
+	for round := 0; round < 6; round++ {
+		var batch []KV
+		for i := 0; i < 6; i++ {
+			// Rounds overlap on half their keys: later rounds overwrite.
+			k := fmt.Sprintf("i/w/%02d", round*3+i)
+			v := fmt.Sprintf("r%d", round)
+			batch = append(batch, KV{Key: k, Value: []byte(v)})
+			model[k] = v
+		}
+		k := fmt.Sprintf("x/w/%d", round)
+		batch = append(batch, KV{Key: k})
+		model[k] = ""
+		if err := b.PutBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 1 {
+			check(fmt.Sprintf("round %d after PutBatch", round))
+		}
+		// Delete this round's first key, last round's marker and an
+		// absent key; re-put the first key before the next read.
+		doomed := []string{batch[0].Key, fmt.Sprintf("x/w/%d", round-1), "i/w/absent"}
+		if err := b.DeleteBatch(doomed); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range doomed {
+			delete(model, k)
+		}
+		if round%3 == 0 {
+			if err := b.PutBatch(batch[:1]); err != nil {
+				t.Fatal(err)
+			}
+			model[batch[0].Key] = string(batch[0].Value)
+		}
+		single := fmt.Sprintf("s/w/%d", round)
+		if err := b.Put(single, []byte("single")); err != nil {
+			t.Fatal(err)
+		}
+		model[single] = "single"
+		if round > 0 {
+			gone := fmt.Sprintf("s/w/%d", round-1)
+			if err := b.Delete(gone); err != nil {
+				t.Fatal(err)
+			}
+			delete(model, gone)
+		}
+		check(fmt.Sprintf("round %d", round))
+	}
 }
 
 func conformGetBatch(t *testing.T, b Backend) {

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"preserv/internal/kv"
 )
 
 // FileBackend stores records in files under a directory, PReServ's
@@ -35,14 +37,9 @@ type FileBackend struct {
 	dir string
 	// keys maps storage key -> location; rebuilt on open.
 	keys map[string]fileLoc
-	// sorted caches the keys in sorted order; pending overlays it with
-	// keys whose presence changed since the last build (true = present,
-	// false = removed). Small writes queue an O(1) delta instead of
-	// discarding the snapshot; the next snapshot read folds the overlay
-	// in with one merge pass. nil sorted = fully dirty (initial state
-	// and wholesale rebuilds).
-	sorted  []string
-	pending map[string]bool
+	// ordered is the sorted view of keys' key set that Count and
+	// ScanFrom binary-search; guarded by mu like keys itself.
+	ordered kv.Ordered[fileLoc]
 	// segSeq numbers segment files; monotonically increasing so open
 	// replays segments in write order (last write wins).
 	segSeq uint64
@@ -373,7 +370,7 @@ func (f *FileBackend) noteTombstoneLocked(key string, seq uint64) {
 			f.noteDeadLocked(old.file, sz)
 		}
 		delete(f.keys, key)
-		f.markKeyLocked(key, false)
+		f.ordered.Touch(key)
 	}
 	ts := tombEntrySize(key)
 	f.deadBytes += ts
@@ -512,92 +509,28 @@ func (f *FileBackend) Put(key string, value []byte) error {
 	if err := os.WriteFile(path+".key", []byte(key), 0o644); err != nil {
 		return fmt.Errorf("store: writing key sidecar: %w", err)
 	}
-	f.setLocLocked(key, fileLoc{file: name, off: -1})
+	if _, exists := f.keys[key]; !exists {
+		f.ordered.Touch(key)
+	}
+	f.keys[key] = fileLoc{file: name, off: -1}
 	f.aggAddLocked(key)
 	return nil
 }
 
-// setLocLocked records a key's location, queueing a sorted-overlay
-// delta when the key is new. Callers hold f.mu.
-func (f *FileBackend) setLocLocked(key string, loc fileLoc) {
-	if _, exists := f.keys[key]; !exists {
-		f.markKeyLocked(key, true)
-	}
-	f.keys[key] = loc
-}
-
-// markKeyLocked records that key's presence changed. While a snapshot
-// exists the change lands in the pending overlay (an O(1) map write)
-// instead of discarding the snapshot — the churn fix for write phases
-// interleaved with scans, where every small PutBatch/DeleteBatch used
-// to force a full O(n log n) rebuild on the next read. Callers hold
-// f.mu.
-func (f *FileBackend) markKeyLocked(key string, present bool) {
-	if f.sorted == nil {
-		return // no snapshot to maintain; the next read rebuilds anyway
-	}
-	if f.pending == nil {
-		f.pending = make(map[string]bool)
-	}
-	f.pending[key] = present
-}
-
-// sortedKeysLocked returns the sorted key snapshot, folding any pending
-// overlay in — or rebuilding wholesale when there is no snapshot or the
-// overlay has grown to a significant fraction of it. Changed snapshots
-// are freshly allocated, never mutated in place, so readers holding an
-// old slice keep iterating it safely. Callers hold f.mu (write).
-func (f *FileBackend) sortedKeysLocked() []string {
-	if f.sorted != nil && len(f.pending) == 0 {
-		return f.sorted
-	}
-	if f.sorted == nil || len(f.pending) > len(f.sorted)/4+64 {
-		keys := make([]string, 0, len(f.keys))
-		for k := range f.keys {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		f.sorted, f.pending = keys, nil
-		return f.sorted
-	}
-	delta := make([]string, 0, len(f.pending))
-	for k := range f.pending {
-		delta = append(delta, k)
-	}
-	sort.Strings(delta)
-	merged := make([]string, 0, len(f.sorted)+len(delta))
-	i := 0
-	for _, k := range delta {
-		j := i + sort.SearchStrings(f.sorted[i:], k)
-		merged = append(merged, f.sorted[i:j]...)
-		if j < len(f.sorted) && f.sorted[j] == k {
-			j++ // key already present: replaced (kept) or removed below
-		}
-		if f.pending[k] {
-			merged = append(merged, k)
-		}
-		i = j
-	}
-	merged = append(merged, f.sorted[i:]...)
-	f.sorted, f.pending = merged, nil
-	return f.sorted
-}
-
-// sortedSnapshot returns the sorted key cache, folding deltas in only
-// when present. Cache clean, the cost is one shared-lock acquisition:
-// the slice is immutable once built (writers replace, never mutate), so
-// readers iterate it concurrently; staleness is absorbed by the per-key
-// Get.
-func (f *FileBackend) sortedSnapshot() []string {
+// sortedKeys returns the sorted key snapshot, folding writes in only
+// when there are any. Snapshot current, the cost is one shared-lock
+// acquisition: the slice is immutable, so readers iterate it
+// concurrently; staleness is absorbed by the per-key Get.
+func (f *FileBackend) sortedKeys() []string {
 	f.mu.RLock()
-	keys, clean := f.sorted, len(f.pending) == 0
+	keys, ok := f.ordered.Clean()
 	f.mu.RUnlock()
-	if keys != nil && clean {
+	if ok {
 		return keys
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.sortedKeysLocked()
+	return f.ordered.Fold(f.keys)
 }
 
 // PutBatch implements Backend: the whole batch lands in one packed
@@ -652,8 +585,8 @@ func (f *FileBackend) putBatchLocked(kvs []KV) error {
 		return fmt.Errorf("store: writing segment %s: %w", name, err)
 	}
 	// Per-key bookkeeping in ONE map probe per key (this loop is the
-	// ingest floor's hot path): it fuses what notePutLocked plus
-	// setLocLocked would do in three probes each batch key.
+	// ingest floor's hot path): it fuses what notePutLocked plus a
+	// separate existence probe would do in three probes each batch key.
 	haveTombs := len(f.tombstones) > 0
 	for i, p := range kvs {
 		old, ok := f.keys[p.Key]
@@ -666,7 +599,7 @@ func (f *FileBackend) putBatchLocked(kvs []KV) error {
 			delete(f.tombstones, p.Key)
 		}
 		if !ok {
-			f.markKeyLocked(p.Key, true)
+			f.ordered.Touch(p.Key)
 		}
 		f.liveBytes += putEntrySize(p.Key, len(p.Value))
 		f.keys[p.Key] = fileLoc{file: name, off: offs[i], vlen: len(p.Value)}
@@ -749,7 +682,7 @@ func (f *FileBackend) DeleteBatch(keys []string) error {
 		}
 		_ = os.Remove(path)
 		delete(f.keys, k)
-		f.markKeyLocked(k, false)
+		f.ordered.Touch(k)
 	}
 	return nil
 }
@@ -898,40 +831,31 @@ func (f *FileBackend) Scan(prefix string, fn func(string, []byte) error) error {
 	return f.ScanFrom(prefix, "", fn)
 }
 
-// ScanFrom implements Backend: a binary search on the sorted key cache
-// lands on the first key >= max(prefix, from), so a resumed scan never
-// re-walks (or re-sorts) the keys already consumed. Keys stream off the
-// snapshot lazily — an early stop from fn ends the sweep without the
-// remaining range ever being copied or visited.
+// ScanFrom implements Backend: a binary search on the sorted key
+// snapshot lands on the first key >= max(prefix, from), so a resumed
+// scan never re-walks (or re-sorts) the keys already consumed. Keys
+// stream off the snapshot lazily — an early stop from fn ends the sweep
+// without the remaining range ever being copied or visited.
 func (f *FileBackend) ScanFrom(prefix, from string, fn func(string, []byte) error) error {
-	lo := prefix
-	if from > lo {
-		lo = from
-	}
-	keys := f.sortedSnapshot()
-	for i := sort.SearchStrings(keys, lo); i < len(keys) && strings.HasPrefix(keys[i], prefix); i++ {
-		data, ok, err := f.Get(keys[i])
+	for _, k := range kv.PrefixRange(f.sortedKeys(), prefix, from) {
+		data, ok, err := f.Get(k)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue
 		}
-		if err := fn(keys[i], data); err != nil {
+		if err := fn(k, data); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Count implements Backend: two binary searches on the sorted key cache.
+// Count implements Backend: two binary searches on the sorted key
+// snapshot.
 func (f *FileBackend) Count(prefix string) (int, error) {
-	keys := f.sortedSnapshot()
-	i := sort.SearchStrings(keys, prefix)
-	j := sort.Search(len(keys)-i, func(n int) bool {
-		return !strings.HasPrefix(keys[i+n], prefix)
-	}) // prefix-carrying keys are contiguous from i
-	return j, nil
+	return len(kv.PrefixRange(f.sortedKeys(), prefix, "")), nil
 }
 
 // Segments reports how many packed segment files currently back live

@@ -39,8 +39,7 @@ func (k *KVBackend) PutBatch(kvs []KV) error {
 
 // Get implements Backend. Lookup (not kvdb.Get) keeps point misses —
 // the planner's dangling postings, existence probes — allocation-free:
-// absence binary-searches the sorted key cache before the log index and
-// never builds an ErrNotFound wrap.
+// absence never builds an ErrNotFound wrap.
 func (k *KVBackend) Get(key string) ([]byte, bool, error) {
 	return k.db.Lookup(key)
 }
@@ -88,8 +87,8 @@ func (k *KVBackend) ScanFrom(prefix, from string, fn func(string, []byte) error)
 	return k.db.ScanFrom(prefix, from, fn)
 }
 
-// Count implements Backend. The count comes off kvdb's sorted key cache
-// without copying keys — the planner probes it once per candidate
+// Count implements Backend. The count comes off kvdb's sorted key
+// snapshot without copying keys — the planner probes it once per candidate
 // dimension on every uncached query.
 func (k *KVBackend) Count(prefix string) (int, error) {
 	return k.db.CountPrefix(prefix), nil

@@ -2,16 +2,13 @@ package store
 
 // Tests for the memory-speed read path: bloom filter behaviour (no
 // false negatives, bounded false-positive rate, sidecar durability),
-// the generation-invalidated block cache, and the file backend's
-// incrementally maintained sorted-key snapshot.
+// and the generation-invalidated block cache.
 
 import (
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
 
 	"preserv/internal/core"
@@ -192,74 +189,5 @@ func TestBlockCacheDisabled(t *testing.T) {
 	}
 	if st := s.ReadCacheStats(); st.BlockCacheHits != 0 || st.BlockCacheBytes != 0 {
 		t.Fatalf("disabled cache retained state: %+v", st)
-	}
-}
-
-// TestFileBackendSortedOverlayProperty drives the file backend through
-// random batched puts and deletes, demanding after every step that the
-// incrementally maintained sorted snapshot equals the key set sorted
-// from scratch — the overlay merge must be indistinguishable from a
-// full rebuild.
-func TestFileBackendSortedOverlayProperty(t *testing.T) {
-	fb, err := NewFileBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	rng := rand.New(rand.NewSource(41))
-	live := make(map[string]bool)
-
-	check := func(step int) {
-		got := fb.sortedSnapshot()
-		want := make([]string, 0, len(live))
-		for k := range live {
-			want = append(want, k)
-		}
-		sort.Strings(want)
-		if len(got) != len(want) {
-			t.Fatalf("step %d: snapshot has %d keys, want %d", step, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("step %d: snapshot[%d] = %q, want %q", step, i, got[i], want[i])
-			}
-		}
-	}
-	// Materialise the sorted snapshot up front so mutations exercise the
-	// pending-overlay path rather than the nil fast path.
-	check(0)
-
-	for step := 1; step <= 120; step++ {
-		switch rng.Intn(3) {
-		case 0: // batch of puts: new keys and overwrites
-			n := 1 + rng.Intn(5)
-			kvs := make([]KV, 0, n)
-			for i := 0; i < n; i++ {
-				k := fmt.Sprintf("i/ov/%03d", rng.Intn(200))
-				kvs = append(kvs, KV{Key: k, Value: []byte("v")})
-				live[k] = true
-			}
-			if err := fb.PutBatch(kvs); err != nil {
-				t.Fatal(err)
-			}
-		case 1: // batch of deletes: live and absent keys mixed
-			n := 1 + rng.Intn(5)
-			keys := make([]string, 0, n)
-			for i := 0; i < n; i++ {
-				k := fmt.Sprintf("i/ov/%03d", rng.Intn(220))
-				keys = append(keys, k)
-				delete(live, k)
-			}
-			if err := fb.DeleteBatch(keys); err != nil {
-				t.Fatal(err)
-			}
-		case 2: // single record-file put
-			k := fmt.Sprintf("r/ov/%03d", rng.Intn(60))
-			if err := fb.Put(k, []byte(strings.Repeat("x", 1+rng.Intn(8)))); err != nil {
-				t.Fatal(err)
-			}
-			live[k] = true
-		}
-		check(step)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,11 +124,13 @@ type Store struct {
 	deleteSec   *obs.Histogram
 	deleteBatch *obs.Histogram
 	compactSec  *obs.Histogram
-	// writeStallSec is the per-record commit latency (stripe lock wait
-	// plus the backend get/put) — the distribution that shows whether
-	// background maintenance stalls writers. compacting counts backend
-	// compactions currently running (the store_compaction_in_progress
-	// gauge).
+	// writeStallSec holds every wait a Record call makes on the backend:
+	// one observation per record for its commit section (stripe lock wait
+	// plus the backend get/put) and one per index flush for the posting
+	// PutBatch — the distribution that shows whether background
+	// maintenance or readers holding the backend's lock stall writers.
+	// compacting counts backend compactions currently running (the
+	// store_compaction_in_progress gauge).
 	writeStallSec *obs.Histogram
 	compacting    atomic.Int64
 
@@ -207,8 +208,9 @@ func (s *Store) ReadCacheStats() ReadCacheStats {
 }
 
 // WritePathStats is a snapshot of write-path health: how many backend
-// compactions are running right now, and the per-record commit-stall
-// distribution summarised (count, total seconds, p99).
+// compactions are running right now, and the commit-stall distribution
+// (per-record commit sections and per-call index flushes) summarised as
+// count, total seconds and p99.
 type WritePathStats struct {
 	CompactionsInProgress int64
 	StallCount            int64
@@ -446,7 +448,10 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 		if len(toIndex) == 0 {
 			return nil
 		}
-		if err := idx.AddBatch(toIndex); err != nil {
+		stall := time.Now()
+		err := idx.AddBatch(toIndex)
+		s.writeStallSec.Observe(time.Since(stall).Seconds())
+		if err != nil {
 			s.dropIndex()
 			return fmt.Errorf("store: indexing batch: %w", err)
 		}
@@ -941,9 +946,9 @@ func (s *Store) Count() (prep.CountResponse, error) {
 // MemoryBackend keeps records in a map, like PReServ's in-memory store.
 // The zero value is not usable; call NewMemoryBackend.
 type MemoryBackend struct {
-	mu     sync.RWMutex
-	items  map[string][]byte
-	sorted []string // cached sorted keys; nil when dirty
+	mu    sync.RWMutex
+	items map[string][]byte
+	keys  kv.Ordered[[]byte] // sorted view of items' key set; guarded by mu
 }
 
 // NewMemoryBackend returns an empty in-memory backend.
@@ -956,16 +961,7 @@ func (m *MemoryBackend) Name() string { return "memory" }
 
 // Put implements Backend.
 func (m *MemoryBackend) Put(key string, value []byte) error {
-	if key == "" {
-		return fmt.Errorf("store: empty key")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, exists := m.items[key]; !exists {
-		m.sorted = nil
-	}
-	m.items[key] = append([]byte(nil), value...)
-	return nil
+	return m.PutBatch([]KV{{Key: key, Value: value}})
 }
 
 // PutBatch implements Backend: the whole batch goes in under one lock
@@ -981,7 +977,7 @@ func (m *MemoryBackend) PutBatch(kvs []KV) error {
 	defer m.mu.Unlock()
 	for _, p := range kvs {
 		if _, exists := m.items[p.Key]; !exists {
-			m.sorted = nil
+			m.keys.Touch(p.Key)
 		}
 		m.items[p.Key] = append([]byte(nil), p.Value...)
 	}
@@ -1006,7 +1002,7 @@ func (m *MemoryBackend) DeleteBatch(keys []string) error {
 	for _, k := range keys {
 		if _, exists := m.items[k]; exists {
 			delete(m.items, k)
-			m.sorted = nil
+			m.keys.Touch(k)
 		}
 	}
 	return nil
@@ -1040,80 +1036,53 @@ func (m *MemoryBackend) GetBatch(keys []string) ([][]byte, []bool, error) {
 	return values, present, nil
 }
 
+// sortedKeys returns the sorted key snapshot, folding writes in only
+// when there are any. Snapshot current, the cost is a shared lock: the
+// slice is immutable, so concurrent readers iterate it without excluding
+// each other and re-check each key at read time.
 func (m *MemoryBackend) sortedKeys() []string {
-	if m.sorted == nil {
-		keys := make([]string, 0, len(m.items))
-		for k := range m.items {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		m.sorted = keys
-	}
-	return m.sorted
-}
-
-// sortedSnapshot returns the sorted key cache, rebuilding it only when
-// stale. The fast path is a shared lock: the cached slice is immutable
-// once built (writers replace it, never mutate it in place), so
-// concurrent readers iterate the same snapshot without excluding each
-// other; keys deleted or added afterwards are handled by the per-key
-// re-check at read time.
-func (m *MemoryBackend) sortedSnapshot() []string {
 	m.mu.RLock()
-	keys := m.sorted
+	keys, ok := m.keys.Clean()
 	m.mu.RUnlock()
-	if keys != nil {
+	if ok {
 		return keys
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.sortedKeys()
+	return m.keys.Fold(m.items)
 }
 
-// Scan implements Backend. The sorted key cache is binary-searched so
-// prefix-scoped scans (the per-interaction queries of both use cases)
-// cost O(log n + matches) rather than a full sweep.
+// Scan implements Backend.
 func (m *MemoryBackend) Scan(prefix string, fn func(string, []byte) error) error {
 	return m.ScanFrom(prefix, "", fn)
 }
 
 // ScanFrom implements Backend: a binary search lands directly on the
-// first key >= max(prefix, from), so resuming a posting list mid-scan
-// costs O(log n) rather than re-walking the consumed head. Keys stream
-// off the snapshot lazily — an early stop from fn (a posting iterator
-// filling one chunk, a page completing) ends the sweep without the
-// remaining range ever being copied or visited.
+// first key >= max(prefix, from), so prefix-scoped scans and resumed
+// posting lists cost O(log n + matches). Keys stream off the snapshot
+// lazily — an early stop from fn (a posting iterator filling one chunk,
+// a page completing) ends the sweep without the remaining range ever
+// being copied or visited.
 func (m *MemoryBackend) ScanFrom(prefix, from string, fn func(string, []byte) error) error {
-	lo := prefix
-	if from > lo {
-		lo = from
-	}
-	keys := m.sortedSnapshot()
-	for i := sort.SearchStrings(keys, lo); i < len(keys) && strings.HasPrefix(keys[i], prefix); i++ {
+	for _, k := range kv.PrefixRange(m.sortedKeys(), prefix, from) {
 		m.mu.RLock()
-		v, ok := m.items[keys[i]]
+		v, ok := m.items[k]
 		m.mu.RUnlock()
 		if !ok {
 			continue
 		}
-		if err := fn(keys[i], v); err != nil {
+		if err := fn(k, v); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Count implements Backend. Like Scan it binary-searches the sorted key
-// cache, so prefix counts (the planner's selectivity probes) cost two
-// binary searches rather than a full sweep — and, cache warm, exclude
-// no other reader.
+// Count implements Backend: two binary searches on the snapshot (the
+// planner's selectivity probes), excluding no other reader when it is
+// current.
 func (m *MemoryBackend) Count(prefix string) (int, error) {
-	keys := m.sortedSnapshot()
-	i := sort.SearchStrings(keys, prefix)
-	j := sort.Search(len(keys)-i, func(n int) bool {
-		return !strings.HasPrefix(keys[i+n], prefix)
-	}) // prefix-carrying keys are contiguous from i
-	return j, nil
+	return len(kv.PrefixRange(m.sortedKeys(), prefix, "")), nil
 }
 
 // Close implements Backend.

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"preserv/internal/core"
 	"preserv/internal/prep"
@@ -378,5 +379,50 @@ func TestFileBackendCrossLayoutOverwrite(t *testing.T) {
 		if err != nil || !ok || string(v) != want {
 			t.Errorf("after reopen Get(%s) = %q ok=%v err=%v, want %q", key, v, ok, err, want)
 		}
+	}
+}
+
+// heldPutBatch is a memory backend whose PutBatch announces itself and
+// then waits to be released — a writer queued behind readers or a
+// compaction holding the backend's lock.
+type heldPutBatch struct {
+	*MemoryBackend
+	entered, release chan struct{}
+}
+
+func (h *heldPutBatch) PutBatch(kvs []KV) error {
+	h.entered <- struct{}{}
+	<-h.release
+	return h.MemoryBackend.PutBatch(kvs)
+}
+
+// TestWriteStallCoversIndexFlush pins what store_write_stall_seconds
+// times: a Record call's wait in the index flush's PutBatch — where the
+// wait on a busy backend actually is — lands in the histogram, not only
+// the per-record commit sections before it.
+func TestWriteStallCoversIndexFlush(t *testing.T) {
+	b := &heldPutBatch{MemoryBackend: NewMemoryBackend(), entered: make(chan struct{}), release: make(chan struct{})}
+	s := New(b)
+	if _, err := s.Index(); err != nil { // opened here so Record's only PutBatch is the flush
+		t.Fatal(err)
+	}
+	const held = 40 * time.Millisecond
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := s.Record("svc:enactor", []core.Record{mkInteraction(seq.NewID(), "svc:gzip", "op")})
+		done <- err
+	}()
+	<-b.entered
+	time.Sleep(held)
+	b.release <- struct{}{}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	wp := s.WritePathStats()
+	if wp.StallCount != 2 { // one record's commit section + one flush
+		t.Errorf("StallCount = %d, want 2", wp.StallCount)
+	}
+	if wp.StallSeconds < held.Seconds() || wp.StallP99 < held.Seconds()/2 {
+		t.Errorf("a %v PutBatch wait reads as total %.4fs, p99 %.4fs", held, wp.StallSeconds, wp.StallP99)
 	}
 }
