@@ -7,18 +7,20 @@ import (
 	"preserv/internal/xmlwire"
 )
 
-// Wire codec for the store's side of the record-carrying messages —
-// Record and the three query actions — which are every recording and
-// query request's largest cost when left to encoding/xml's reflection:
-// the requests have a DecodeXML, the replies an AppendXML, and
-// internal/soap finds either by interface. The struct tags stay the
-// specification — output is byte-identical to xml.Marshal's, decoded
-// values equal xml.Unmarshal's, and the differential tests hold both to
-// it — so a peer on encoding/xml interoperates, and the client's side of
-// the same messages (encoding a request, decoding a reply) is such a
-// peer: it has no methods here yet and goes through encoding/xml, like
-// the cold administrative messages (delete, compact, sessions, count,
-// stats). ROADMAP direction 1 says why it is staged.
+// Wire codec for the record-carrying messages — Record and the three
+// query actions — which are every recording and query request's largest
+// cost when left to encoding/xml's reflection. The three requests and
+// RecordResponse have both halves here, an AppendXML and a DecodeXML, so
+// neither the client nor the store reflects over a request, or over a
+// Record's reply; the three record-carrying replies have the store's
+// half, AppendXML, and a client still decodes them through encoding/xml
+// (ROADMAP direction 1(a) says why that half waits), like the cold
+// administrative messages (delete, compact, sessions, count, stats) in
+// both directions. internal/soap finds either half by interface. The
+// struct tags stay the specification — output is byte-identical to
+// xml.Marshal's, decoded values equal xml.Unmarshal's, and the
+// differential tests hold both to it — so a peer on encoding/xml, an
+// older build of this repository included, interoperates.
 //
 // A message is named by its XMLName: AppendXML writes the whole
 // element, and DecodeXML, called once the start tag has been read,
@@ -42,11 +44,31 @@ func decodeRecord(d *xmlwire.Decoder, records *[]core.Record) error {
 	return (*records)[len(*records)-1].DecodeXML(d)
 }
 
+// appendNonEmpty appends <tag>s</tag> as an omitempty string field is
+// written: not at all when s is empty.
+func appendNonEmpty(dst []byte, tag, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return xmlwire.AppendString(dst, tag, s)
+}
+
 // startName checks the element d is in against a message's XMLName tag
 // and returns the XMLName to store.
 func startName(d *xmlwire.Decoder, want string) (xml.Name, error) {
 	space, err := d.StartName(want)
 	return xml.Name{Space: space, Local: want}, err
+}
+
+// AppendXML appends the message.
+func (r *RecordRequest) AppendXML(dst []byte) ([]byte, error) {
+	dst = append(dst, "<RecordRequest>"...)
+	dst = xmlwire.AppendString(dst, "asserter", string(r.Asserter))
+	dst, err := appendRecords(dst, r.Records)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, "</RecordRequest>"...), nil
 }
 
 // DecodeXML reads the message from d.
@@ -79,6 +101,65 @@ func (r *RecordResponse) AppendXML(dst []byte) ([]byte, error) {
 		dst = append(dst, "</reject>"...)
 	}
 	return append(dst, "</RecordResponse>"...), nil
+}
+
+// DecodeXML reads the message from d.
+//
+// provlint:typed-faults
+func (r *RecordResponse) DecodeXML(d *xmlwire.Decoder) error {
+	var err error
+	if r.XMLName, err = startName(d, "RecordResponse"); err != nil {
+		return err
+	}
+	return d.Children(func(name []byte) error {
+		switch string(name) {
+		case "accepted":
+			return d.Int(&r.Accepted)
+		case "reject":
+			r.Rejects = append(r.Rejects, Reject{})
+			return r.Rejects[len(r.Rejects)-1].decodeXML(d)
+		}
+		return d.Skip()
+	})
+}
+
+// decodeXML reads the <reject> element d is in.
+func (r *Reject) decodeXML(d *xmlwire.Decoder) error {
+	return d.Children(func(name []byte) error {
+		switch string(name) {
+		case "index":
+			return d.Int(&r.Index)
+		case "reason":
+			return d.String(&r.Reason)
+		}
+		return d.Skip()
+	})
+}
+
+// AppendXML appends the query. omitempty drops an empty string and a
+// zero limit; it never fires on a struct, so a nil id is an empty
+// element and a zero time is written out.
+func (q *Query) AppendXML(dst []byte) ([]byte, error) {
+	dst = append(dst, "<Query>"...)
+	dst = q.InteractionID.AppendXML(dst, "interactionId")
+	dst = q.SessionID.AppendXML(dst, "sessionId")
+	dst = q.GroupID.AppendXML(dst, "groupId")
+	dst = appendNonEmpty(dst, "kind", q.Kind)
+	dst = appendNonEmpty(dst, "asserter", string(q.Asserter))
+	dst = appendNonEmpty(dst, "service", string(q.Service))
+	dst = appendNonEmpty(dst, "stateKind", q.StateKind)
+	dst = q.DataID.AppendXML(dst, "dataId")
+	dst, err := xmlwire.AppendTime(dst, "since", q.Since)
+	if err != nil {
+		return nil, err
+	}
+	if dst, err = xmlwire.AppendTime(dst, "until", q.Until); err != nil {
+		return nil, err
+	}
+	if q.Limit != 0 {
+		dst = xmlwire.AppendInt(dst, "limit", int64(q.Limit))
+	}
+	return append(dst, "</Query>"...), nil
 }
 
 // DecodeXML reads the query from d.
@@ -136,9 +217,7 @@ func (p *QueryPlan) appendXML(dst []byte) []byte {
 	// omitempty on a slice field applies to each element: an empty
 	// dimension name or a zero count is left out.
 	for _, dim := range p.Dims {
-		if dim != "" {
-			dst = xmlwire.AppendString(dst, "dim", dim)
-		}
+		dst = appendNonEmpty(dst, "dim", dim)
 	}
 	for _, n := range p.DimCounts {
 		if n != 0 {
@@ -161,6 +240,19 @@ func (r *PlannedQueryResponse) AppendXML(dst []byte) ([]byte, error) {
 		return nil, err
 	}
 	return append(dst, "</PlannedQueryResponse>"...), nil
+}
+
+// AppendXML appends the message.
+func (r *PageQueryRequest) AppendXML(dst []byte) ([]byte, error) {
+	dst, err := r.Query.AppendXML(append(dst, "<PageQueryRequest>"...))
+	if err != nil {
+		return nil, err
+	}
+	dst = appendNonEmpty(dst, "after", r.After)
+	if r.PageSize != 0 {
+		dst = xmlwire.AppendInt(dst, "pageSize", int64(r.PageSize))
+	}
+	return append(dst, "</PageQueryRequest>"...), nil
 }
 
 // DecodeXML reads the message from d.
@@ -187,9 +279,7 @@ func (r *PageQueryRequest) DecodeXML(d *xmlwire.Decoder) error {
 // AppendXML appends the message.
 func (r *PageQueryResponse) AppendXML(dst []byte) ([]byte, error) {
 	dst = r.Plan.appendXML(append(dst, "<PageQueryResponse>"...))
-	if r.Next != "" {
-		dst = xmlwire.AppendString(dst, "next", r.Next)
-	}
+	dst = appendNonEmpty(dst, "next", r.Next)
 	dst = xmlwire.AppendBool(dst, "done", r.Done)
 	dst, err := appendRecords(dst, r.Records)
 	if err != nil {

@@ -16,11 +16,12 @@ import (
 )
 
 // The differential tests below keep encoding/xml as the oracle for the
-// hand-written codec: over generated messages, a reply's AppendXML must
-// produce xml.Marshal's bytes (and fail when it fails) and a request's
+// hand-written codec: over generated messages, every AppendXML must
+// produce xml.Marshal's bytes (and fail when it fails) and every
 // DecodeXML must produce xml.Unmarshal's value under reflect.DeepEqual.
 // That is the byte-identity contract that lets the hand-written side
-// talk to a peer on encoding/xml — the client library today.
+// talk to a peer on encoding/xml — an older build of this repository,
+// or today's client decoding a query reply.
 
 // gen draws message parts, biased towards the values where the two
 // codecs could part ways.
@@ -187,8 +188,7 @@ type wireDecoder interface {
 }
 
 // hotMessages is a zero value of each of the seven record-carrying
-// messages: the three requests, which the store decodes, and the four
-// replies, which it encodes.
+// messages: the three requests and the four replies.
 func hotMessages() []any {
 	return []any{
 		&RecordRequest{}, &Query{}, &PageQueryRequest{},
@@ -196,14 +196,29 @@ func hotMessages() []any {
 	}
 }
 
-// Every record-carrying message has its store-side half, and only that:
-// the client's half goes through encoding/xml until it is written too.
-func TestHotMessagesHaveTheirStoreSideCodec(t *testing.T) {
-	for i, msg := range hotMessages() {
+// Which half of the codec each record-carrying message has. The three
+// requests and RecordResponse have both, so a Record round trip reflects
+// on neither side. The three replies that carry records have the
+// store's half only: their decoders are written and measured, and wait
+// for a PR of their own because the driver cannot yet resolve the
+// walk_rps step they cause (ROADMAP direction 1(a)) — adding one here
+// is that PR, and flips its row.
+func TestHotMessagesHaveTheirCodecHalves(t *testing.T) {
+	halves := map[reflect.Type]struct{ encoder, decoder bool }{
+		reflect.TypeOf(&RecordRequest{}):        {true, true},
+		reflect.TypeOf(&Query{}):                {true, true},
+		reflect.TypeOf(&PageQueryRequest{}):     {true, true},
+		reflect.TypeOf(&RecordResponse{}):       {true, true},
+		reflect.TypeOf(&QueryResponse{}):        {true, false},
+		reflect.TypeOf(&PlannedQueryResponse{}): {true, false},
+		reflect.TypeOf(&PageQueryResponse{}):    {true, false},
+	}
+	for _, msg := range hotMessages() {
+		want, listed := halves[reflect.TypeOf(msg)]
 		_, enc := msg.(wireEncoder)
 		_, dec := msg.(wireDecoder)
-		if request := i < 3; dec != request || enc == request {
-			t.Errorf("%T: encoder %v, decoder %v; a request has a decoder, a reply an encoder", msg, enc, dec)
+		if !listed || enc != want.encoder || dec != want.decoder {
+			t.Errorf("%T: encoder %v, decoder %v; want encoder %v, decoder %v", msg, enc, dec, want.encoder, want.decoder)
 		}
 	}
 }
@@ -328,7 +343,14 @@ func TestForeignDocumentsDecodeAsToday(t *testing.T) {
 			func() wireDecoder { return &Query{} }},
 		{`<PageQueryRequest><pageSize>10</pageSize><q:Query xmlns:q="urn:q"><kind>actorState</kind></q:Query><after>cur</after></PageQueryRequest>`,
 			func() wireDecoder { return &PageQueryRequest{} }},
+		{`<?xml version="1.0"?>` + "\n" + `<p:RecordResponse xmlns:p="urn:prep" v="1">` + "\n  " +
+			`<p:reject><p:reason>bad &amp; worse</p:reason><p:index> 2 </p:index><why/></p:reject><!-- between -->` +
+			`<p:accepted> 3 </p:accepted><p:reject/><extra><deep a="1"/></extra><accepted/>` + "\n</p:RecordResponse>",
+			func() wireDecoder { return &RecordResponse{} }},
 		// Both must refuse these.
+		{`<RecordResponses/>`, func() wireDecoder { return &RecordResponse{} }},
+		{`<RecordResponse><accepted>three</accepted></RecordResponse>`, func() wireDecoder { return &RecordResponse{} }},
+		{`<RecordResponse><reject><index>1.5</index></reject></RecordResponse>`, func() wireDecoder { return &RecordResponse{} }},
 		{`<RecordRequests/>`, func() wireDecoder { return &RecordRequest{} }},
 		{`<RecordRequest><record><kind>neither</kind></record></RecordRequest>`, func() wireDecoder { return &RecordRequest{} }},
 		{`<RecordRequest><record><interactionPAssertion><view>up</view></interactionPAssertion></record></RecordRequest>`,

@@ -75,14 +75,17 @@ var ErrNotEnvelope = errors.New("soap: not an envelope")
 // MaxMessageBytes.
 var ErrReplyTooLarge = errors.New("soap: reply exceeds size limit")
 
-// The store's side of the record-carrying PReP messages — decoding their
-// requests, encoding their replies and Fault — is hand-written over
-// internal/xmlwire: the request types implement wireDecoder, the reply
-// types wireEncoder, byte-identical on the wire to what encoding/xml
-// produces from their struct tags. Everything else — the client's side
-// of the same messages, the cold administrative messages, test
-// payloads — goes through encoding/xml. A message type has exactly one
-// encoder and one decoder; nothing selects between them at run time.
+// The messages on a Record or query request's path — the three PReP
+// requests, RecordResponse and Fault — are written and read by hand over
+// internal/xmlwire on both sides of the wire: their types implement
+// wireEncoder and wireDecoder, byte-identical on the wire to what
+// encoding/xml produces from their struct tags. The three replies that
+// carry records implement wireEncoder only, so the store writes them by
+// hand and a client reads them through encoding/xml (ROADMAP direction
+// 1(a)); the cold administrative messages and test payloads implement
+// neither and go through encoding/xml both ways. A message type has
+// exactly one encoder and one decoder; nothing selects between them at
+// run time.
 type wireEncoder interface {
 	// AppendXML appends the payload's XML element to dst.
 	AppendXML(dst []byte) ([]byte, error)
@@ -100,6 +103,26 @@ func (f *Fault) AppendXML(dst []byte) ([]byte, error) {
 	dst = xmlwire.AppendString(dst, "code", f.Code)
 	dst = xmlwire.AppendString(dst, "message", f.Message)
 	return append(dst, "</Fault>"...), nil
+}
+
+// DecodeXML reads the fault from d.
+//
+// provlint:typed-faults
+func (f *Fault) DecodeXML(d *xmlwire.Decoder) error {
+	space, err := d.StartName("Fault")
+	if err != nil {
+		return err
+	}
+	f.XMLName = xml.Name{Space: space, Local: "Fault"}
+	return d.Children(func(name []byte) error {
+		switch string(name) {
+		case "code":
+			return d.String(&f.Code)
+		case "message":
+			return d.String(&f.Message)
+		}
+		return d.Skip()
+	})
 }
 
 // reflected adapts a payload without a codec of its own to wireEncoder
@@ -232,8 +255,8 @@ func (e *envelope) DecodeXML(d *xmlwire.Decoder) error {
 //
 // provlint:typed-faults
 func DecodeBody(body []byte, v interface{}) error {
-	if f, ok := AsFault(body); ok {
-		return f
+	if err := bodyFault(body); err != nil {
+		return err
 	}
 	var err error
 	if dec, ok := v.(wireDecoder); ok {
@@ -247,17 +270,32 @@ func DecodeBody(body []byte, v interface{}) error {
 	return nil
 }
 
-// AsFault reports whether the body is a Fault, returning it if so.
-func AsFault(body []byte) (*Fault, bool) {
+// bodyFault returns the error a body that starts like a Fault stands
+// for: the *Fault it decodes to, or — for a Fault written with a
+// construct the decoder refuses (xmlwire.ErrUnsupported) — that refusal,
+// so that a peer's fault is never taken for a success or for another
+// message. Any other body is nil, a malformed one that starts <Fault
+// included: that is not a fault.
+func bodyFault(body []byte) error {
 	trimmed := bytes.TrimSpace(body)
 	if !bytes.HasPrefix(trimmed, []byte("<Fault")) {
-		return nil, false
+		return nil
 	}
-	var f Fault
-	if err := xml.Unmarshal(trimmed, &f); err != nil {
-		return nil, false
+	f := new(Fault)
+	switch err := decodeDocument(trimmed, f); {
+	case err == nil:
+		return f
+	case errors.Is(err, xmlwire.ErrUnsupported):
+		return fmt.Errorf("soap: decoding fault: %w", err)
 	}
-	return &f, true
+	return nil
+}
+
+// AsFault reports whether the body is a Fault, returning it if so. A
+// body that starts <Fault and does not decode is not one.
+func AsFault(body []byte) (*Fault, bool) {
+	f, ok := bodyFault(body).(*Fault)
+	return f, ok
 }
 
 // Handler processes one decoded message and returns the reply payload
@@ -433,10 +471,7 @@ func Post(client *http.Client, url, action string, payload, reply interface{}) e
 		return err
 	}
 	if reply == nil {
-		if f, ok := AsFault(body); ok {
-			return f
-		}
-		return nil
+		return bodyFault(body)
 	}
 	return DecodeBody(body, reply)
 }
