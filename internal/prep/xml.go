@@ -9,13 +9,11 @@ import (
 
 // Wire codec for the record-carrying messages — Record and the three
 // query actions — which are every recording and query request's largest
-// cost when left to encoding/xml's reflection. The three requests and
-// RecordResponse have both halves here, an AppendXML and a DecodeXML, so
-// neither the client nor the store reflects over a request, or over a
-// Record's reply; the three record-carrying replies have the store's
-// half, AppendXML, and a client still decodes them through encoding/xml
-// (ROADMAP direction 1(a) says why that half waits), like the cold
-// administrative messages (delete, compact, sessions, count, stats) in
+// cost when left to encoding/xml's reflection. All seven — the three
+// requests and the four replies — have both halves here, an AppendXML
+// and a DecodeXML, so neither the client nor the store reflects over a
+// request or over its reply; only the cold administrative messages
+// (delete, compact, sessions, count, stats) go through encoding/xml, in
 // both directions. internal/soap finds either half by interface. The
 // struct tags stay the specification — output is byte-identical to
 // xml.Marshal's, decoded values equal xml.Unmarshal's, and the
@@ -210,6 +208,25 @@ func (r *QueryResponse) AppendXML(dst []byte) ([]byte, error) {
 	return append(dst, "</QueryResponse>"...), nil
 }
 
+// DecodeXML reads the message from d.
+//
+// provlint:typed-faults
+func (r *QueryResponse) DecodeXML(d *xmlwire.Decoder) error {
+	var err error
+	if r.XMLName, err = startName(d, "QueryResponse"); err != nil {
+		return err
+	}
+	return d.Children(func(name []byte) error {
+		switch string(name) {
+		case "total":
+			return d.Int(&r.Total)
+		case "record":
+			return decodeRecord(d, &r.Records)
+		}
+		return d.Skip()
+	})
+}
+
 // appendXML appends the plan as a <plan> element.
 func (p *QueryPlan) appendXML(dst []byte) []byte {
 	dst = append(dst, "<plan>"...)
@@ -231,6 +248,35 @@ func (p *QueryPlan) appendXML(dst []byte) []byte {
 	return append(dst, "</plan>"...)
 }
 
+// decodeXML reads the <plan> element d is in. Every <dim> and <dimCount>
+// appends an element, an empty one included: omitempty is the encoder's
+// rule, not the decoder's.
+//
+// provlint:typed-faults
+func (p *QueryPlan) decodeXML(d *xmlwire.Decoder) error {
+	return d.Children(func(name []byte) error {
+		switch string(name) {
+		case "strategy":
+			return d.String(&p.Strategy)
+		case "dim":
+			p.Dims = append(p.Dims, "")
+			return d.String(&p.Dims[len(p.Dims)-1])
+		case "dimCount":
+			p.DimCounts = append(p.DimCounts, 0)
+			return d.Int(&p.DimCounts[len(p.DimCounts)-1])
+		case "estCandidates":
+			return d.Int(&p.EstCandidates)
+		case "postings":
+			return d.Int(&p.Postings)
+		case "candidates":
+			return d.Int(&p.Candidates)
+		case "cached":
+			return d.Bool(&p.Cached)
+		}
+		return d.Skip()
+	})
+}
+
 // AppendXML appends the message.
 func (r *PlannedQueryResponse) AppendXML(dst []byte) ([]byte, error) {
 	dst = append(dst, "<PlannedQueryResponse>"...)
@@ -240,6 +286,27 @@ func (r *PlannedQueryResponse) AppendXML(dst []byte) ([]byte, error) {
 		return nil, err
 	}
 	return append(dst, "</PlannedQueryResponse>"...), nil
+}
+
+// DecodeXML reads the message from d.
+//
+// provlint:typed-faults
+func (r *PlannedQueryResponse) DecodeXML(d *xmlwire.Decoder) error {
+	var err error
+	if r.XMLName, err = startName(d, "PlannedQueryResponse"); err != nil {
+		return err
+	}
+	return d.Children(func(name []byte) error {
+		switch string(name) {
+		case "total":
+			return d.Int(&r.Total)
+		case "plan":
+			return r.Plan.decodeXML(d)
+		case "record":
+			return decodeRecord(d, &r.Records)
+		}
+		return d.Skip()
+	})
 }
 
 // AppendXML appends the message.
@@ -286,4 +353,27 @@ func (r *PageQueryResponse) AppendXML(dst []byte) ([]byte, error) {
 		return nil, err
 	}
 	return append(dst, "</PageQueryResponse>"...), nil
+}
+
+// DecodeXML reads the message from d.
+//
+// provlint:typed-faults
+func (r *PageQueryResponse) DecodeXML(d *xmlwire.Decoder) error {
+	var err error
+	if r.XMLName, err = startName(d, "PageQueryResponse"); err != nil {
+		return err
+	}
+	return d.Children(func(name []byte) error {
+		switch string(name) {
+		case "plan":
+			return r.Plan.decodeXML(d)
+		case "next":
+			return d.String(&r.Next)
+		case "done":
+			return d.Bool(&r.Done)
+		case "record":
+			return decodeRecord(d, &r.Records)
+		}
+		return d.Skip()
+	})
 }

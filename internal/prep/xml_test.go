@@ -21,7 +21,7 @@ import (
 // DecodeXML must produce xml.Unmarshal's value under reflect.DeepEqual.
 // That is the byte-identity contract that lets the hand-written side
 // talk to a peer on encoding/xml — an older build of this repository,
-// or today's client decoding a query reply.
+// whose client read query replies that way.
 
 // gen draws message parts, biased towards the values where the two
 // codecs could part ways.
@@ -188,7 +188,8 @@ type wireDecoder interface {
 }
 
 // hotMessages is a zero value of each of the seven record-carrying
-// messages: the three requests and the four replies.
+// messages: the three requests and the four replies, all written and
+// read by hand.
 func hotMessages() []any {
 	return []any{
 		&RecordRequest{}, &Query{}, &PageQueryRequest{},
@@ -196,29 +197,16 @@ func hotMessages() []any {
 	}
 }
 
-// Which half of the codec each record-carrying message has. The three
-// requests and RecordResponse have both, so a Record round trip reflects
-// on neither side. The three replies that carry records have the
-// store's half only: their decoders are written and measured, and wait
-// for a PR of their own because the driver cannot yet resolve the
-// walk_rps step they cause (ROADMAP direction 1(a)) — adding one here
-// is that PR, and flips its row.
+// Every record-carrying message has both halves of the codec, so
+// neither side of the wire reflects over a hot request or its reply. A
+// message added to hotMessages fails here until it has an AppendXML and
+// a DecodeXML.
 func TestHotMessagesHaveTheirCodecHalves(t *testing.T) {
-	halves := map[reflect.Type]struct{ encoder, decoder bool }{
-		reflect.TypeOf(&RecordRequest{}):        {true, true},
-		reflect.TypeOf(&Query{}):                {true, true},
-		reflect.TypeOf(&PageQueryRequest{}):     {true, true},
-		reflect.TypeOf(&RecordResponse{}):       {true, true},
-		reflect.TypeOf(&QueryResponse{}):        {true, false},
-		reflect.TypeOf(&PlannedQueryResponse{}): {true, false},
-		reflect.TypeOf(&PageQueryResponse{}):    {true, false},
-	}
 	for _, msg := range hotMessages() {
-		want, listed := halves[reflect.TypeOf(msg)]
 		_, enc := msg.(wireEncoder)
 		_, dec := msg.(wireDecoder)
-		if !listed || enc != want.encoder || dec != want.decoder {
-			t.Errorf("%T: encoder %v, decoder %v; want encoder %v, decoder %v", msg, enc, dec, want.encoder, want.decoder)
+		if !enc || !dec {
+			t.Errorf("%T: encoder %v, decoder %v; want both", msg, enc, dec)
 		}
 	}
 }
@@ -347,7 +335,30 @@ func TestForeignDocumentsDecodeAsToday(t *testing.T) {
 			`<p:reject><p:reason>bad &amp; worse</p:reason><p:index> 2 </p:index><why/></p:reject><!-- between -->` +
 			`<p:accepted> 3 </p:accepted><p:reject/><extra><deep a="1"/></extra><accepted/>` + "\n</p:RecordResponse>",
 			func() wireDecoder { return &RecordResponse{} }},
+		// The three replies as a foreign store might dress them: records
+		// before the total, a plan in two pieces whose scalars merge and
+		// whose dims and counts append across both.
+		{`<?xml version="1.0"?>` + "\n" + `<p:QueryResponse xmlns:p="urn:prep" v="1">` + rec + `<!-- between -->` +
+			`<p:total> 2 </p:total><extra><deep a="1"/></extra>` + state + `<total/>` + "\n</p:QueryResponse>\n",
+			func() wireDecoder { return &QueryResponse{} }},
+		{`<PlannedQueryResponse xmlns="urn:prep">` + state + `<plan kind="first"><dim>session</dim><dimCount>12</dimCount><dim/>` +
+			`<strategy>index</strategy><cached> true </cached><why/></plan><total>7</total>` +
+			`<p:plan xmlns:p="urn:p"><dimCount/><dim>service &amp; more</dim><p:postings> 30 </p:postings><estCandidates>12</estCandidates>` +
+			`<dimCount> 40 </dimCount><candidates>5</candidates></p:plan>` + rec + `</PlannedQueryResponse>`,
+			func() wireDecoder { return &PlannedQueryResponse{} }},
+		{`<?xml version="1.0" encoding="UTF-8"?>` + "\n<PageQueryResponse>\n  " + rec + `<done> true </done><next>cur&lt;sor</next>` +
+			`<plan><strategy>scan</strategy><dimCount>3</dimCount><dim>kind</dim></plan><unknown><plan><strategy>no</strategy></plan></unknown>` +
+			state + `<plan><dim/><dimCount>4</dimCount><cached>1</cached></plan><next/>` + "\n</PageQueryResponse>",
+			func() wireDecoder { return &PageQueryResponse{} }},
+		{`<PageQueryResponse><done/><plan/><record/></PageQueryResponse>`, func() wireDecoder { return &PageQueryResponse{} }},
 		// Both must refuse these.
+		{`<QueryResponse><total>many</total></QueryResponse>`, func() wireDecoder { return &QueryResponse{} }},
+		{`<PlannedQueryResponse><total>many</total></PlannedQueryResponse>`, func() wireDecoder { return &PlannedQueryResponse{} }},
+		{`<PlannedQueryResponse><plan><dimCount>1.5</dimCount></plan></PlannedQueryResponse>`, func() wireDecoder { return &PlannedQueryResponse{} }},
+		{`<PageQueryResponse><done>maybe</done></PageQueryResponse>`, func() wireDecoder { return &PageQueryResponse{} }},
+		{`<PageQueryResponse><plan><cached>2</cached></plan></PageQueryResponse>`, func() wireDecoder { return &PageQueryResponse{} }},
+		{`<PageQueryResponses/>`, func() wireDecoder { return &PageQueryResponse{} }},
+		{`<QueryResponse><record><kind>neither</kind></record></QueryResponse>`, func() wireDecoder { return &QueryResponse{} }},
 		{`<RecordResponses/>`, func() wireDecoder { return &RecordResponse{} }},
 		{`<RecordResponse><accepted>three</accepted></RecordResponse>`, func() wireDecoder { return &RecordResponse{} }},
 		{`<RecordResponse><reject><index>1.5</index></reject></RecordResponse>`, func() wireDecoder { return &RecordResponse{} }},

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"unicode/utf8"
 
 	"preserv/internal/ids"
 	"preserv/internal/xmlwire"
@@ -76,16 +77,14 @@ var ErrNotEnvelope = errors.New("soap: not an envelope")
 var ErrReplyTooLarge = errors.New("soap: reply exceeds size limit")
 
 // The messages on a Record or query request's path — the three PReP
-// requests, RecordResponse and Fault — are written and read by hand over
-// internal/xmlwire on both sides of the wire: their types implement
+// requests, their four replies and Fault — are written and read by hand
+// over internal/xmlwire on both sides of the wire: their types implement
 // wireEncoder and wireDecoder, byte-identical on the wire to what
-// encoding/xml produces from their struct tags. The three replies that
-// carry records implement wireEncoder only, so the store writes them by
-// hand and a client reads them through encoding/xml (ROADMAP direction
-// 1(a)); the cold administrative messages and test payloads implement
-// neither and go through encoding/xml both ways. A message type has
-// exactly one encoder and one decoder; nothing selects between them at
-// run time.
+// encoding/xml produces from their struct tags. The cold administrative
+// messages and test payloads implement neither and go through
+// encoding/xml both ways — that fallback is their only path, not a
+// second one for the hot messages. A message type has exactly one
+// encoder and one decoder; nothing selects between them at run time.
 type wireEncoder interface {
 	// AppendXML appends the payload's XML element to dst.
 	AppendXML(dst []byte) ([]byte, error)
@@ -439,6 +438,26 @@ func (h *HTTPHandler) writeFault(w http.ResponseWriter, code, msg string) {
 	w.Write(data)
 }
 
+// maxEchoed bounds how much of a non-200 reply's body Post quotes in its
+// error: enough to recognise a proxy's error page, not the page itself
+// in every log line the error reaches.
+const maxEchoed = 512
+
+// excerpt returns body trimmed of surrounding space and, when longer
+// than maxEchoed bytes, cut there on a rune boundary and marked with an
+// ellipsis.
+func excerpt(body []byte) string {
+	body = bytes.TrimSpace(body)
+	if len(body) <= maxEchoed {
+		return string(body)
+	}
+	cut := maxEchoed
+	for cut > 0 && !utf8.RuneStart(body[cut]) {
+		cut--
+	}
+	return string(body[:cut]) + "…"
+}
+
 // Post sends a payload to url under the given action and decodes the
 // reply body into reply (which may be nil to discard it). Fault replies
 // are returned as *Fault errors.
@@ -464,7 +483,7 @@ func Post(client *http.Client, url, action string, payload, reply interface{}) e
 		return fmt.Errorf("soap: reading reply: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("soap: %s returned HTTP %d: %s", action, resp.StatusCode, bytes.TrimSpace(respData))
+		return fmt.Errorf("soap: %s returned HTTP %d: %s", action, resp.StatusCode, excerpt(respData))
 	}
 	_, body, err := Unmarshal(respData)
 	if err != nil {

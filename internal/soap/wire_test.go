@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"preserv/internal/core"
 	"preserv/internal/ids"
@@ -53,8 +54,8 @@ func sampleRecords(n int) []core.Record {
 }
 
 // hotPayloads returns one of each record-carrying message and Fault —
-// all encoded by hand, and all but the three record-carrying replies
-// decoded by hand — and a constructor for an empty one to decode into.
+// all encoded and decoded by hand — and a constructor for an empty one
+// to decode into.
 func hotPayloads() []struct {
 	msg   interface{}
 	empty func() interface{}
@@ -248,9 +249,8 @@ func hotTargets() []interface{} {
 }
 
 // checkAgainstOracle holds Unmarshal and, over the body, DecodeBody into
-// every record-carrying type — by hand into the requests and
-// RecordResponse, and as a Fault, where the two could differ — to what
-// encoding/xml does with the same bytes:
+// every record-carrying type — by hand into all seven, and as a Fault —
+// to what encoding/xml does with the same bytes:
 //   - both accept: equal action, body and decoded value or fault;
 //   - only encoding/xml accepts: the construct is on the decoder's
 //     documented unsupported list (ErrUnsupported) — in a fault too,
@@ -323,7 +323,9 @@ func isASCII(b []byte) bool {
 // adds the large ones: a Record envelope, a planned-query reply, a Fault,
 // a namespaced envelope with a prolog, and what a client decodes by hand
 // as a foreign peer might write it — a RecordResponse with two rejects,
-// prefixed and reordered, and a Fault with an element inside its message.
+// prefixed and reordered, a PageQueryResponse with two records around a
+// plan sent in two pieces, a QueryResponse with a comment inside its
+// total, and a Fault with an element inside its message.
 var envelopeSeeds = []string{
 	`<Envelope><Body><Query><limit>1<!-- c --></limit></Query></Body><Header><action>a</action></Header></Envelope>`,
 	`<!DOCTYPE Envelope><Envelope><Header><action>a</action></Header><Body><Query/></Body></Envelope>`,
@@ -366,16 +368,45 @@ func TestDecodeAllocsPerRecord(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		var req prep.RecordRequest
-		_, body, err := Unmarshal(data)
-		if err == nil {
-			err = DecodeBody(body, &req)
-		}
-		if err != nil || len(req.Records) != n {
+		if err := decodeEnvelope(data, &req); err != nil || len(req.Records) != n {
 			t.Fatalf("decoded %d records: %v", len(req.Records), err)
 		}
 	})
 	if perRecord := allocs / n; perRecord > 30 {
 		t.Errorf("decoding costs %.1f allocs/record, want <= 30", perRecord)
+	} else {
+		t.Logf("decode: %.1f allocs/record", perRecord)
+	}
+}
+
+// pageReply is a full page of a paged walk as the store answers it, and
+// readPageReply what Post does with its bytes.
+func pageReply(tb testing.TB, n int) []byte {
+	data, err := Marshal(prep.ActionQueryPage+"-response", &prep.PageQueryResponse{
+		Plan: prep.QueryPlan{Strategy: prep.PlanIndex, Dims: []string{"session"}, DimCounts: []int{n}, EstCandidates: n, Postings: n, Candidates: n},
+		Next: "cursor", Records: sampleRecords(n),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+func readPageReply(tb testing.TB, data []byte, n int) {
+	var resp prep.PageQueryResponse
+	if err := decodeEnvelope(data, &resp); err != nil || len(resp.Records) != n || resp.Next != "cursor" {
+		tb.Fatalf("decoded %d records, next %q: %v", len(resp.Records), resp.Next, err)
+	}
+}
+
+// The client's side of the same ceiling: a 200-record page decodes in at
+// most 30 allocations per record (23.4 measured; encoding/xml took 338).
+func TestDecodePageReplyAllocs(t *testing.T) {
+	const n = 200
+	data := pageReply(t, n)
+	allocs := testing.AllocsPerRun(10, func() { readPageReply(t, data, n) })
+	if perRecord := allocs / n; perRecord > 30 {
+		t.Errorf("decoding a page costs %.1f allocs/record, want <= 30", perRecord)
 	} else {
 		t.Logf("decode: %.1f allocs/record", perRecord)
 	}
@@ -419,13 +450,18 @@ func recordReply(tb testing.TB) []byte {
 
 func readRecordReply(tb testing.TB, data []byte) {
 	var resp prep.RecordResponse
-	_, body, err := Unmarshal(data)
-	if err == nil {
-		err = DecodeBody(body, &resp)
-	}
-	if err != nil || resp.Accepted != 100 {
+	if err := decodeEnvelope(data, &resp); err != nil || resp.Accepted != 100 {
 		tb.Fatalf("decoded %+v: %v", resp, err)
 	}
+}
+
+// decodeEnvelope decodes an envelope's body into v, as Post and ServeHTTP do.
+func decodeEnvelope(data []byte, v interface{}) error {
+	_, body, err := Unmarshal(data)
+	if err != nil {
+		return err
+	}
+	return DecodeBody(body, v)
 }
 
 // What a client pays to read that answer is a handful of allocations
@@ -461,6 +497,18 @@ func BenchmarkDecodeRecordResponse(b *testing.B) {
 	}
 }
 
+// What a client pays to read one page of a whole-session walk: 200
+// records, the benchmark's page size.
+func BenchmarkDecodePageQueryResponse(b *testing.B) {
+	const n = 200
+	data := pageReply(b, n)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		readPageReply(b, data, n)
+	}
+}
+
 // A reply larger than MaxMessageBytes is reported as such, not parsed
 // truncated into a misleading "not an envelope".
 func TestPostOversizedReply(t *testing.T) {
@@ -478,6 +526,39 @@ func TestPostOversizedReply(t *testing.T) {
 	}
 	if errors.Is(err, ErrNotEnvelope) {
 		t.Errorf("oversized reply also reported as malformed: %v", err)
+	}
+}
+
+// A non-200 reply — a proxy's error page, say — is quoted in the error
+// only up to maxEchoed bytes, cut on a rune boundary: the error ends up
+// in AsyncRecorder's and the router's logs.
+func TestPostNon200ReplyIsExcerpted(t *testing.T) {
+	page := []byte("  <html>Bad Gateway: ")
+	page = append(page, bytes.Repeat([]byte("é"), 512<<10)...) // 1 MiB
+	if utf8.RuneStart(bytes.TrimSpace(page)[maxEchoed]) {
+		t.Fatal("the cut should fall inside an é")
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadGateway)
+		w.Write(page)
+	}))
+	defer srv.Close()
+	err := Post(srv.Client(), srv.URL, "urn:test:echo", &echoPayload{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "HTTP 502: <html>Bad Gateway: é") {
+		t.Fatalf("err = %.100v, want the status and the start of the body", err)
+	}
+	msg := err.Error()
+	if len(msg) > maxEchoed+100 || !strings.HasSuffix(msg, "é…") || !utf8.ValidString(msg) {
+		t.Errorf("error is %d bytes ending %q, want at most %d of the body, whole runes and an ellipsis", len(msg), msg[len(msg)-8:], maxEchoed)
+	}
+	// A short body is quoted whole, trimmed, without the mark.
+	short := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "no such store", http.StatusNotFound)
+	}))
+	defer short.Close()
+	err = Post(short.Client(), short.URL, "urn:test:echo", &echoPayload{}, nil)
+	if err == nil || !strings.HasSuffix(err.Error(), "HTTP 404: no such store") {
+		t.Errorf("err = %v, want the short body whole", err)
 	}
 }
 
