@@ -318,8 +318,7 @@ func printStats(out io.Writer, st *prep.StatsResponse) {
 	}
 	rc := st.ReadCache
 	if rc != (prep.ReadCacheCounters{}) {
-		fmt.Fprintf(out, "read path: bloom skip=%d fp=%d hit=%d  block cache=%d/%d (%d entries, %d KiB)  result cache=%d/%d\n",
-			rc.BloomSkips, rc.BloomFalsePositives, rc.BloomHits,
+		fmt.Fprintf(out, "read path: block cache=%d/%d (%d entries, %d KiB)  result cache=%d/%d\n",
 			rc.BlockCacheHits, rc.BlockCacheHits+rc.BlockCacheMisses,
 			rc.BlockCacheEntries, rc.BlockCacheBytes>>10,
 			rc.ResultCacheHits, rc.ResultCacheHits+rc.ResultCacheMisses)

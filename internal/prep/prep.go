@@ -395,29 +395,21 @@ type EngineCounters struct {
 }
 
 // ReadCacheCounters is the wire form of the storage read path's cache
-// telemetry: bloom-filter outcomes (skips answered without touching
-// the backend, false positives, confirmed hits), the record block
-// cache's lookup outcomes and residency, and the router-level result
-// cache's lookup outcomes. For a sharded store the bloom and block
-// cache fields are sums over the shards; the result cache fields
-// belong to the router itself.
+// telemetry: the record block cache's lookup outcomes and residency,
+// and the router-level result cache's lookup outcomes. For a sharded
+// store the block cache fields are sums over the shards; the result
+// cache fields belong to the router itself.
 type ReadCacheCounters struct {
-	BloomSkips          int64 `xml:"bloomSkips"`
-	BloomFalsePositives int64 `xml:"bloomFalsePositives"`
-	BloomHits           int64 `xml:"bloomHits"`
-	BlockCacheHits      int64 `xml:"blockCacheHits"`
-	BlockCacheMisses    int64 `xml:"blockCacheMisses"`
-	BlockCacheBytes     int64 `xml:"blockCacheBytes"`
-	BlockCacheEntries   int64 `xml:"blockCacheEntries"`
-	ResultCacheHits     int64 `xml:"resultCacheHits"`
-	ResultCacheMisses   int64 `xml:"resultCacheMisses"`
+	BlockCacheHits    int64 `xml:"blockCacheHits"`
+	BlockCacheMisses  int64 `xml:"blockCacheMisses"`
+	BlockCacheBytes   int64 `xml:"blockCacheBytes"`
+	BlockCacheEntries int64 `xml:"blockCacheEntries"`
+	ResultCacheHits   int64 `xml:"resultCacheHits"`
+	ResultCacheMisses int64 `xml:"resultCacheMisses"`
 }
 
 // Add accumulates o into c (aggregating shard breakdowns).
 func (c *ReadCacheCounters) Add(o ReadCacheCounters) {
-	c.BloomSkips += o.BloomSkips
-	c.BloomFalsePositives += o.BloomFalsePositives
-	c.BloomHits += o.BloomHits
 	c.BlockCacheHits += o.BlockCacheHits
 	c.BlockCacheMisses += o.BlockCacheMisses
 	c.BlockCacheBytes += o.BlockCacheBytes

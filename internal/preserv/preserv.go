@@ -580,7 +580,7 @@ func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 		resp.Shards = []prep.ShardStats{st}
 	}
 	// The whole-store read-cache and write-path aggregates sum the shard
-	// breakdowns (each shard's bloom and block-cache outcomes; each
+	// breakdowns (each shard's block-cache outcomes; each
 	// shard's in-flight compactions and commit stalls); the router's own
 	// result cache — which belongs to no single shard — lands in the
 	// same aggregate next to them.

@@ -278,13 +278,10 @@ func (l *Local) ShardStats() (prep.ShardStats, error) {
 		Tombstones:   l.s.Tombstones(),
 		Engine:       l.EngineStats().Wire(),
 		ReadCache: prep.ReadCacheCounters{
-			BloomSkips:          rc.BloomSkips,
-			BloomFalsePositives: rc.BloomFalsePositives,
-			BloomHits:           rc.BloomHits,
-			BlockCacheHits:      rc.BlockCacheHits,
-			BlockCacheMisses:    rc.BlockCacheMisses,
-			BlockCacheBytes:     rc.BlockCacheBytes,
-			BlockCacheEntries:   rc.BlockCacheEntries,
+			BlockCacheHits:    rc.BlockCacheHits,
+			BlockCacheMisses:  rc.BlockCacheMisses,
+			BlockCacheBytes:   rc.BlockCacheBytes,
+			BlockCacheEntries: rc.BlockCacheEntries,
 		},
 		WritePath: prep.WritePathCounters{
 			CompactionsInProgress: wp.CompactionsInProgress,

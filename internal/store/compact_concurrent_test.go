@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -13,7 +14,10 @@ import (
 // deterministic model. Each writer owns a disjoint key range, so the
 // final state does not depend on interleaving; what the test pins is
 // that no concurrent write is lost to the swap and no compaction
-// resurrects a deleted key.
+// resurrects a deleted key. A reader probes absent keys — never written,
+// and each writer's already-deleted ones — through Get and GetBatch the
+// whole time: a lookup must answer "absent" without error while segments
+// land and are swapped away underneath it.
 func TestCompactDuringConcurrentWrites(t *testing.T) {
 	open := map[string]func(t *testing.T, dir string) Backend{
 		"file": func(t *testing.T, dir string) Backend {
@@ -51,7 +55,10 @@ func TestCompactDuringConcurrentWrites(t *testing.T) {
 				}
 			}
 
-			errCh := make(chan error, writers+1)
+			// deletedBelow[w] is writer w's delete frontier: its keys at
+			// multiples of three below that index are deleted for good.
+			var deletedBelow [writers]atomic.Int64
+			errCh := make(chan error, writers+2)
 			done := make(chan struct{})
 			var cwg sync.WaitGroup
 			cwg.Add(1)
@@ -61,6 +68,41 @@ func TestCompactDuringConcurrentWrites(t *testing.T) {
 					if err := b.(interface{ Compact() error }).Compact(); err != nil {
 						errCh <- fmt.Errorf("compact: %w", err)
 						return
+					}
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+			}()
+			cwg.Add(1)
+			go func() {
+				defer cwg.Done()
+				for round := 0; ; round++ {
+					absent := []string{fmt.Sprintf("never/%06d", round), fmt.Sprintf("w0/%04d.5", round%perWriter)}
+					for w := range deletedBelow {
+						if n := int(deletedBelow[w].Load()); n > 0 {
+							newest := (n - 1) / 3 * 3
+							absent = append(absent, fmt.Sprintf("w%d/%04d", w, newest), fmt.Sprintf("w%d/%04d", w, round*3%(newest+3)))
+						}
+					}
+					for _, k := range absent {
+						if _, ok, err := b.Get(k); err != nil || ok {
+							errCh <- fmt.Errorf("get absent %s: present=%v err=%v", k, ok, err)
+							return
+						}
+					}
+					_, present, err := b.GetBatch(absent)
+					if err != nil {
+						errCh <- fmt.Errorf("getbatch absent %v: %w", absent, err)
+						return
+					}
+					for i, ok := range present {
+						if ok {
+							errCh <- fmt.Errorf("getbatch reports absent %s present", absent[i])
+							return
+						}
 					}
 					select {
 					case <-done:
@@ -89,6 +131,7 @@ func TestCompactDuringConcurrentWrites(t *testing.T) {
 								errCh <- fmt.Errorf("delete %s: %w", dk, err)
 								return
 							}
+							deletedBelow[w].Store(int64(i - 2))
 						}
 					}
 				}(w)

@@ -78,17 +78,6 @@ type FileBackend struct {
 	segMu    sync.RWMutex
 	segs     map[string]*segMap
 	segBytes atomic.Int64
-
-	// blooms holds one filter per live segment (see bloom.go); agg is
-	// the lock-free store-wide negative filter folded from them plus the
-	// record-file keys, consulted by reads before f.mu.
-	blooms map[string]*bloomFilter
-	agg    atomic.Pointer[negFilter]
-	// bloom counters: lookups short-circuited / filter maybes that were
-	// absent after all / maybes that were present.
-	bloomSkips atomic.Int64
-	bloomFPs   atomic.Int64
-	bloomHits  atomic.Int64
 }
 
 // fileLoc locates one value: a whole record file (off < 0) or a byte
@@ -102,9 +91,12 @@ type fileLoc struct {
 const (
 	fileExt = ".rec"
 	segExt  = ".seg"
-	// tmpExt marks a segment or bloom sidecar still being written; see
-	// publishFile.
+	// tmpExt marks a segment still being written; see publishFile.
 	tmpExt = ".tmp"
+	// bloomExt ends the per-segment filter sidecars (<seq>.seg.bloom)
+	// that stores written by earlier versions carry. Nothing reads or
+	// writes them; open removes the ones it finds.
+	bloomExt = ".bloom"
 	// segMagic heads every packed segment file.
 	segMagic = "PSEG1\n"
 )
@@ -147,7 +139,6 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 		dir:        dir,
 		keys:       make(map[string]fileLoc),
 		tombstones: make(map[string]uint64),
-		blooms:     make(map[string]*bloomFilter),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -171,9 +162,10 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 			fb.keys[string(keyBytes)] = fileLoc{file: name, off: -1}
 		case strings.HasSuffix(name, segExt):
 			segs = append(segs, name)
-		case strings.HasSuffix(name, tmpExt):
-			// A write that crashed before its rename: never published, so
-			// nothing refers to it, and no later sweep would match it.
+		case strings.HasSuffix(name, tmpExt), strings.HasSuffix(name, bloomExt):
+			// A write that crashed before its rename was never published,
+			// and nothing reads a filter sidecar: no replay refers to
+			// either, and no later sweep would match them.
 			base := strings.TrimSuffix(strings.TrimSuffix(name, tmpExt), bloomExt)
 			if _, ok := segSeqOf(base); strings.HasSuffix(base, segExt) && ok {
 				_ = os.Remove(filepath.Join(dir, name))
@@ -189,7 +181,6 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 			return nil, err
 		}
 	}
-	fb.rebuildAggLocked()
 	return fb, nil
 }
 
@@ -209,15 +200,13 @@ func (f *FileBackend) loadSegment(name string) error {
 	return nil
 }
 
-// replaySegment applies one segment's entries to the in-memory state
-// and adopts the segment's bloom filter. Open-time only (single
-// goroutine, f.mu not yet shared).
+// replaySegment applies one segment's entries to the in-memory state.
+// Open-time only (single goroutine, f.mu not yet shared).
 func (f *FileBackend) replaySegment(name string, data []byte) {
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		return // not a segment we understand; leave it alone
 	}
 	seq, _ := segSeqOf(name)
-	var putKeys []string
 	off := len(segMagic)
 	for off < len(data) {
 		key, valOff, valLen, next, tomb, ok := parseSegEntry(data, off)
@@ -230,99 +219,9 @@ func (f *FileBackend) replaySegment(name string, data []byte) {
 			f.notePutLocked(key)
 			f.liveBytes += putEntrySize(key, valLen)
 			f.keys[key] = fileLoc{file: name, off: int64(valOff), vlen: valLen}
-			putKeys = append(putKeys, key)
 		}
 		off = next
 	}
-	f.adoptSegmentBloomLocked(name, putKeys)
-}
-
-// adoptSegmentBloomLocked installs the filter for a freshly replayed
-// segment: the persisted sidecar when it decodes cleanly (for a large
-// compacted segment that saves re-hashing every key), a rebuild from
-// the parsed keys otherwise. A truncated segment only ever replays a
-// prefix of the keys its sidecar was built over, so a structurally
-// valid sidecar is always a superset of the parsed keys and needs no
-// per-key validation. Callers hold f.mu (or own the backend).
-func (f *FileBackend) adoptSegmentBloomLocked(name string, keys []string) {
-	if len(keys) == 0 {
-		return // tombstone-only or empty: nothing for a filter to cover
-	}
-	if data, err := os.ReadFile(filepath.Join(f.dir, name+bloomExt)); err == nil {
-		if b, _, ok := decodeBloomSidecar(data); ok {
-			f.blooms[name] = b
-			return
-		}
-	}
-	b := newBloomFilter(len(keys))
-	for _, k := range keys {
-		b.add(k)
-	}
-	f.blooms[name] = b
-	if len(keys) >= bloomSidecarMinKeys {
-		f.writeBloomSidecar(name, b, len(keys))
-	}
-}
-
-// rebuildAggLocked rebuilds the store-wide negative filter from the
-// per-segment filters plus every record-file key. Folding filters in
-// word-wise instead of re-hashing their keys is what makes a compacted
-// segment's sidecar pay for itself at open. Runs at open, when growth
-// pushes the false-positive rate past its design point, and at the end
-// of Compact — the one moment deleted keys get washed out. Callers
-// hold f.mu.
-func (f *FileBackend) rebuildAggLocked() {
-	// Wide enough for every existing filter to fold in, with headroom
-	// for the live key count to double before the next rebuild.
-	need := bloomBitsFor(2 * len(f.keys))
-	for _, b := range f.blooms {
-		if w := uint64(len(b.words)) * 64; w > need {
-			need = w
-		}
-	}
-	nf := newNegFilter(int(need / bloomBitsPerKey))
-	for _, b := range f.blooms {
-		nf.orFilter(b, 0)
-	}
-	for k, loc := range f.keys {
-		if loc.off < 0 {
-			nf.add(k)
-		}
-	}
-	nf.n.Store(int64(len(f.keys)))
-	f.agg.Store(nf)
-}
-
-// aggAbsorbLocked folds a new segment's filter into the aggregate,
-// rebuilding when the shapes no longer fit or the aggregate has grown
-// past its design fill. Callers hold f.mu.
-func (f *FileBackend) aggAbsorbLocked(b *bloomFilter, nkeys int) {
-	nf := f.agg.Load()
-	if nf != nil && nf.orFilter(b, nkeys) && !nf.overfull() {
-		return
-	}
-	f.rebuildAggLocked()
-}
-
-// aggAddLocked folds a single record-file key in. Callers hold f.mu.
-func (f *FileBackend) aggAddLocked(key string) {
-	nf := f.agg.Load()
-	if nf == nil {
-		f.rebuildAggLocked()
-		return
-	}
-	nf.add(key)
-	if nf.overfull() {
-		f.rebuildAggLocked()
-	}
-}
-
-// BloomStats reports the negative-filter counters: lookups answered
-// "absent" without touching the lock (skips), filter maybes that were
-// absent after all (false positives), and maybes that were present
-// (hits).
-func (f *FileBackend) BloomStats() (skips, falsePositives, hits int64) {
-	return f.bloomSkips.Load(), f.bloomFPs.Load(), f.bloomHits.Load()
 }
 
 // segSeqOf parses the sequence number out of a %016x.seg name; false
@@ -513,7 +412,6 @@ func (f *FileBackend) Put(key string, value []byte) error {
 		f.ordered.Touch(key)
 	}
 	f.keys[key] = fileLoc{file: name, off: -1}
-	f.aggAddLocked(key)
 	return nil
 }
 
@@ -572,13 +470,11 @@ func (f *FileBackend) putBatchLocked(kvs []KV) error {
 	name := fmt.Sprintf("%016x%s", f.segSeq, segExt)
 
 	buf := []byte(segMagic)
-	b := newBloomFilter(len(kvs))
 	offs := make([]int64, len(kvs))
 	for i, p := range kvs {
 		buf = appendSegEntry(buf, p.Key, p.Value)
 		// The value sits immediately before the entry's trailing CRC.
 		offs[i] = int64(len(buf) - 4 - len(p.Value))
-		b.add(p.Key)
 	}
 
 	if err := publishFile(filepath.Join(f.dir, name), buf); err != nil {
@@ -604,11 +500,6 @@ func (f *FileBackend) putBatchLocked(kvs []KV) error {
 		f.liveBytes += putEntrySize(p.Key, len(p.Value))
 		f.keys[p.Key] = fileLoc{file: name, off: offs[i], vlen: len(p.Value)}
 	}
-	f.blooms[name] = b
-	if len(kvs) >= bloomSidecarMinKeys {
-		f.writeBloomSidecar(name, b, len(kvs))
-	}
-	f.aggAbsorbLocked(b, len(kvs))
 	return nil
 }
 
@@ -694,8 +585,6 @@ func (f *FileBackend) DeleteBatch(keys []string) error {
 func (f *FileBackend) GetBatch(keys []string) ([][]byte, []bool, error) {
 	values := make([][]byte, len(keys))
 	present := make([]bool, len(keys))
-	flt := f.agg.Load()
-	var skips, fps, hits int64
 	f.mu.RLock()
 	type fetch struct {
 		i   int
@@ -703,16 +592,10 @@ func (f *FileBackend) GetBatch(keys []string) ([][]byte, []bool, error) {
 	}
 	byFile := make(map[string][]fetch)
 	for i, k := range keys {
-		if flt != nil && !flt.mayContain(k) {
-			skips++
-			continue
-		}
 		loc, ok := f.keys[k]
 		if !ok {
-			fps++
 			continue
 		}
-		hits++
 		if loc.off >= 0 && loc.vlen == 0 {
 			// Empty segment value (an index posting): no file access.
 			values[i] = []byte{}
@@ -722,17 +605,6 @@ func (f *FileBackend) GetBatch(keys []string) ([][]byte, []bool, error) {
 		byFile[loc.file] = append(byFile[loc.file], fetch{i: i, loc: loc})
 	}
 	f.mu.RUnlock()
-	if flt != nil {
-		if skips > 0 {
-			f.bloomSkips.Add(skips)
-		}
-		if fps > 0 {
-			f.bloomFPs.Add(fps)
-		}
-		if hits > 0 {
-			f.bloomHits.Add(hits)
-		}
-	}
 	for file, fetches := range byFile {
 		if fetches[0].loc.off < 0 {
 			// Whole record files: one ReadFile each.
@@ -769,26 +641,13 @@ func (f *FileBackend) GetBatch(keys []string) ([][]byte, []bool, error) {
 	return values, present, nil
 }
 
-// Get implements Backend. The negative filter runs BEFORE f.mu: a key
-// that cannot exist is answered without queueing behind writers, which
-// hold the lock across segment file I/O.
+// Get implements Backend.
 func (f *FileBackend) Get(key string) ([]byte, bool, error) {
-	flt := f.agg.Load()
-	if flt != nil && !flt.mayContain(key) {
-		f.bloomSkips.Add(1)
-		return nil, false, nil
-	}
 	f.mu.RLock()
 	loc, ok := f.keys[key]
 	f.mu.RUnlock()
 	if !ok {
-		if flt != nil {
-			f.bloomFPs.Add(1)
-		}
 		return nil, false, nil
-	}
-	if flt != nil {
-		f.bloomHits.Add(1)
 	}
 	return f.readLoc(loc)
 }
@@ -900,8 +759,8 @@ func (f *FileBackend) Segments() int {
 // instant without any content redo. Phase 2 (no lock): read the
 // snapshot values (only Compact removes segments, and compactions are
 // serialised, so snapshot locations stay readable), write the merged
-// segment under the boundary sequence, sweep record files shadowed by
-// snapshot tombstones, and build the merged bloom filter. Phase 3
+// segment under the boundary sequence, and sweep record files shadowed
+// by snapshot tombstones. Phase 3
 // (short exclusive section): repoint every key that still resolves to
 // its snapshot location — keys overwritten or deleted during the
 // rewrite keep their newer location and their merged copy is born dead
@@ -984,19 +843,6 @@ func (f *FileBackend) Compact() error {
 	if err := publishFile(filepath.Join(f.dir, name), buf); err != nil {
 		return abort(fmt.Errorf("store: writing compacted segment: %w", err))
 	}
-	var mb *bloomFilter
-	if len(locs) > 0 {
-		// The merged segment's filter is exact over its keys; its sidecar
-		// is the one that pays off at the next open (compaction output is
-		// where the per-segment key counts get large).
-		mb = newBloomFilter(len(locs))
-		for _, l := range locs {
-			mb.add(l.key)
-		}
-		if len(locs) >= bloomSidecarMinKeys {
-			f.writeBloomSidecar(name, mb, len(locs))
-		}
-	}
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1012,9 +858,6 @@ func (f *FileBackend) Compact() error {
 		} else {
 			mergedDead += putEntrySize(l.key, l.vlen)
 		}
-	}
-	if mb != nil {
-		f.blooms[name] = mb
 	}
 	// Retire the victims: every sequence-named segment BELOW the
 	// boundary — live-backed, superseded-only, or tombstone-only, all are
@@ -1036,15 +879,6 @@ func (f *FileBackend) Compact() error {
 	var removeErr error
 	for _, e := range entries { // ReadDir sorts: fixed-width hex names replay order
 		n := e.Name()
-		if strings.HasSuffix(n, segExt+bloomExt) {
-			// Bloom sidecars of retired segments go best-effort — a
-			// sidecar is never a source of truth, so failure here can't
-			// corrupt.
-			if seq, ok := segSeqOf(strings.TrimSuffix(n, bloomExt)); ok && seq < boundary {
-				_ = os.Remove(filepath.Join(f.dir, n))
-			}
-			continue
-		}
 		if !strings.HasSuffix(n, segExt) {
 			continue
 		}
@@ -1056,7 +890,6 @@ func (f *FileBackend) Compact() error {
 			removeErr = fmt.Errorf("store: removing compacted segment %s: %w", n, err)
 			break
 		}
-		delete(f.blooms, n)
 		f.dropSeg(n) // unmap under the handle lock; readers have copied out
 	}
 	var newLive int64
@@ -1086,7 +919,6 @@ func (f *FileBackend) Compact() error {
 	// and zeroing deadBytes would make the next Compact early-return
 	// instead of retrying the removal.
 	f.deadSinceSnap = 0
-	f.rebuildAggLocked()
 	return removeErr
 }
 

@@ -215,9 +215,11 @@ func TestFileBackendCompactPreservesRecordFiles(t *testing.T) {
 
 // TestFileLeftoverTempsRemovedAtOpen is the file-backend mirror of
 // kvdb's TestLeftoverCompactionTempIgnored: a crash between a temp write
-// and its rename strands a <seq>.seg.tmp or <seq>.seg.bloom.tmp that no
-// replay reads and no compaction sweep matches. Open discards them and
-// nothing else changes.
+// and its rename strands a <seq>.seg.tmp that no replay reads and no
+// compaction sweep matches, and a store written by an earlier version
+// carries <seq>.seg.bloom filter sidecars (and their temps) that nothing
+// reads any more. Open discards them unparsed and nothing else changes;
+// no later write, compaction or reopen puts a sidecar back.
 func TestFileLeftoverTempsRemovedAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	fb, err := NewFileBackend(dir)
@@ -238,11 +240,13 @@ func TestFileLeftoverTempsRemovedAtOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A crashed compaction's merged segment (well-formed, resurrecting
-	// "a" if anything replayed it), a crashed sidecar write, and a temp
-	// file that is not sequence-named and so not ours to touch.
+	// "a" if anything replayed it), a crashed sidecar write, a published
+	// sidecar beside the live segment 2, and files that are not
+	// sequence-named and so not ours to touch.
 	ghost := appendSegEntry([]byte(segMagic), "a", []byte("ghost"))
-	orphans := []string{"00000000000000ff.seg.tmp", "00000000000000ff.seg.bloom.tmp"}
-	for _, name := range append(orphans, "notes.tmp") {
+	orphans := []string{"00000000000000ff.seg.tmp", "00000000000000ff.seg.bloom.tmp", "0000000000000002.seg.bloom"}
+	foreign := []string{"notes.tmp", "notes.bloom"}
+	for _, name := range append(orphans, foreign...) {
 		if err := os.WriteFile(filepath.Join(dir, name), ghost, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -258,8 +262,10 @@ func TestFileLeftoverTempsRemovedAtOpen(t *testing.T) {
 			t.Errorf("orphan %s survived the reopen (stat err = %v)", name, err)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "notes.tmp")); err != nil {
-		t.Errorf("foreign temp file was touched: %v", err)
+	for _, name := range foreign {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("foreign file %s was touched: %v", name, err)
+		}
 	}
 	if _, ok, _ := fb2.Get("a"); ok {
 		t.Error("deleted key resurrected")
@@ -272,6 +278,33 @@ func TestFileLeftoverTempsRemovedAtOpen(t *testing.T) {
 	}
 	if got := fb2.GarbageRatio(); got != wantRatio {
 		t.Errorf("GarbageRatio = %v after reopen, want %v", got, wantRatio)
+	}
+
+	// A segment of the size that used to earn a sidecar, a compaction
+	// and one more reopen: the foreign file is the only .bloom left.
+	big := make([]KV, 5000)
+	for i := range big {
+		big[i] = KV{Key: fmt.Sprintf("big/%04d", i), Value: []byte("v")}
+	}
+	if err := fb2.PutBatch(big); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fb2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fb3, err := NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb3.Close()
+	if n, _ := fb3.Count(""); n != 1+len(big) {
+		t.Errorf("Count = %d after ingest, compaction and reopen, want %d", n, 1+len(big))
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.bloom*")); len(left) != 1 || filepath.Base(left[0]) != "notes.bloom" {
+		t.Errorf(".bloom files on disk = %v, want only notes.bloom", left)
 	}
 }
 

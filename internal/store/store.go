@@ -164,11 +164,6 @@ func New(b Backend) *Store {
 		}
 		return float64(st.Hits) / float64(st.Hits+st.Misses)
 	})
-	if bs, ok := b.(BloomStatser); ok {
-		s.reg.GaugeFunc("store_bloom_skips", func() float64 { sk, _, _ := bs.BloomStats(); return float64(sk) })
-		s.reg.GaugeFunc("store_bloom_false_positives", func() float64 { _, fp, _ := bs.BloomStats(); return float64(fp) })
-		s.reg.GaugeFunc("store_bloom_hits", func() float64 { _, _, h := bs.BloomStats(); return float64(h) })
-	}
 	if mb, ok := b.(interface{ MappedBytes() int64 }); ok {
 		s.reg.GaugeFunc("store_mapped_bytes", func() float64 { return float64(mb.MappedBytes()) })
 	}
@@ -180,9 +175,9 @@ func New(b Backend) *Store {
 func (s *Store) SetBlockCacheBytes(n int64) { s.bc.setMax(n) }
 
 // ReadCacheStats is a snapshot of the read-path cache counters: the
-// backend's negative-filter traffic (zero on backends without one) and
-// the record block cache.
+// record block cache.
 type ReadCacheStats struct {
+	// Bloom*: never set, read only by the frozen benchmark/; the benchmark-only PR that drops store.bloom_skip_ratio deletes them.
 	BloomSkips          int64
 	BloomFalsePositives int64
 	BloomHits           int64
@@ -195,16 +190,12 @@ type ReadCacheStats struct {
 // ReadCacheStats reports the read-path cache counters.
 func (s *Store) ReadCacheStats() ReadCacheStats {
 	st := s.bc.stats()
-	out := ReadCacheStats{
+	return ReadCacheStats{
 		BlockCacheHits:    st.Hits,
 		BlockCacheMisses:  st.Misses,
 		BlockCacheBytes:   st.Bytes,
 		BlockCacheEntries: st.Entries,
 	}
-	if bs, ok := s.b.(BloomStatser); ok {
-		out.BloomSkips, out.BloomFalsePositives, out.BloomHits = bs.BloomStats()
-	}
-	return out
 }
 
 // WritePathStats is a snapshot of write-path health: how many backend
@@ -770,9 +761,7 @@ type TombstoneReporter interface {
 	Tombstones() int64
 }
 
-// BloomStatser is implemented by backends with a negative-lookup
-// filter (the file backend's aggregate bloom); the store surfaces its
-// counters through ReadCacheStats and the obs registry.
+// BloomStatser has no implementer and is named only by the frozen benchmark/; the benchmark-only PR that drops store.bloom_skip_ratio deletes it.
 type BloomStatser interface {
 	BloomStats() (skips, falsePositives, hits int64)
 }
