@@ -52,6 +52,26 @@ func openBackend(flavour, dir string) (store.Backend, error) {
 	return nil, fmt.Errorf("unknown backend %q", flavour)
 }
 
+// openLogged is openBackend plus a log line saying how long the open
+// took and, where the backend can tell, how much it replayed: a slow
+// start names the store (or shard) and its size.
+func openLogged(flavour, dir string) (store.Backend, error) {
+	start := time.Now()
+	b, err := openBackend(flavour, dir)
+	if err != nil {
+		return nil, err
+	}
+	size := ""
+	if s, ok := b.(interface {
+		Len() int
+		LogBytes() int64
+	}); ok {
+		size = fmt.Sprintf(": %d live keys, %d log bytes", s.Len(), s.LogBytes())
+	}
+	log.Printf("preserv: opened %s backend %s in %s%s", flavour, dir, time.Since(start).Round(100*time.Microsecond), size)
+	return b, nil
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8734", "listen address")
 	backendName := flag.String("backend", "kvdb", "storage backend: memory, file or kvdb")
@@ -81,7 +101,7 @@ func main() {
 	case *shards > 1:
 		var children []shard.Shard
 		for i := 0; i < *shards; i++ {
-			backend, err := openBackend(*backendName, filepath.Join(*dir, fmt.Sprintf("shard-%03d", i)))
+			backend, err := openLogged(*backendName, filepath.Join(*dir, fmt.Sprintf("shard-%03d", i)))
 			if err != nil {
 				log.Fatalf("preserv: opening shard %d backend: %v", i, err)
 			}
@@ -97,7 +117,7 @@ func main() {
 		closer = rt
 		log.Printf("preserv: sharded store over %d embedded %s shard(s)", *shards, *backendName)
 	default:
-		backend, err := openBackend(*backendName, *dir)
+		backend, err := openLogged(*backendName, *dir)
 		if err != nil {
 			log.Fatalf("preserv: opening backend: %v", err)
 		}

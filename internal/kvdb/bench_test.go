@@ -61,27 +61,80 @@ func BenchmarkScanPrefix(b *testing.B) {
 	}
 }
 
-func BenchmarkOpenRecovery(b *testing.B) {
-	dir := b.TempDir()
+// storeShaped fills a database in dir the way the provenance store does
+// and returns how many keys it wrote: per record one 243-byte value
+// under an ≈ 80-byte storage key and 8 or 9 (8.67 on average)
+// empty-valued ≈ 130-byte posting keys ending in that storage key, 100
+// records to a PutBatch.
+func storeShaped(b *testing.B, dir string, records int) (keys int) {
+	b.Helper()
 	db, err := Open(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 5000; i++ {
-		db.Put(fmt.Sprintf("key-%06d", i), []byte("some value content"))
+	val := make([]byte, 243)
+	var pairs []kv.Pair
+	for r := 0; r < records; r++ {
+		skey := fmt.Sprintf("i/urn:pasoa:%032x/sender/urn:actor:collate-sample/%08d", r/2, r)
+		pairs = append(pairs, kv.Pair{Key: skey, Value: val})
+		for d := 0; d < 8+(r%3+1)/2; d++ {
+			pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("x/dim%d/urn:pasoa:%032x/%s", d, r/(d+1), skey)})
+		}
+		if r%100 == 99 || r == records-1 {
+			if err := db.PutBatch(pairs); err != nil {
+				b.Fatal(err)
+			}
+			keys += len(pairs)
+			pairs = pairs[:0]
+		}
 	}
-	db.Close()
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return keys
+}
+
+// storeShapedRecords × 9.67 ≈ 200k keys, ≈ 28 MB of log: several replay
+// windows, and a key directory that rehashes often if it grows from empty.
+const storeShapedRecords = 20_700
+
+func BenchmarkOpenRecovery(b *testing.B) {
+	dir := b.TempDir()
+	keys := storeShaped(b, dir, storeShapedRecords)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db, err := Open(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if db.Len() != 5000 {
-			b.Fatalf("Len = %d", db.Len())
+		if db.Len() != keys {
+			b.Fatalf("Len = %d, want %d", db.Len(), keys)
 		}
 		db.Close()
 	}
+	b.ReportMetric(float64(keys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+}
+
+// BenchmarkCompact rewrites the same store: every key is live, so the
+// whole log goes through the rewrite loop (one read per key, one write
+// per MiB of output).
+func BenchmarkCompact(b *testing.B) {
+	dir := b.TempDir()
+	keys := storeShaped(b, dir, storeShapedRecords)
+	db, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.Compact(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(keys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
 }
 
 // BenchmarkCountAfterPutBatch is one read-after-write step on a large

@@ -20,9 +20,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"preserv/internal/kv"
@@ -53,28 +55,35 @@ type entryLoc struct {
 	valLen int
 }
 
-// DB is an open database.
-type DB struct {
-	mu     sync.RWMutex // provlint:lock-order 20
-	dir    string
-	f      *os.File
+// logState is what a log replays to: the key directory, the append
+// position and the dead-byte accounting. Open builds the DB's from the
+// log on disk; Compact builds the next one beside it and swaps it in.
+type logState struct {
 	index  map[string]entryLoc
 	offset int64 // append position
+	// garbage counts bytes occupied by superseded or deleted records,
+	// used to decide when compaction is worthwhile.
+	garbage int64
+	// tombs counts live tombstone entries in the log (deletions not yet
+	// reclaimed by compaction) — the deletion-lifecycle telemetry the
+	// store surfaces.
+	tombs int64
+}
+
+// DB is an open database.
+type DB struct {
+	mu  sync.RWMutex // provlint:lock-order 20
+	dir string
+	f   *os.File
+	logState
 	closed bool
 	// compactMu serialises compactions against each other; db.mu alone
 	// still serialises their swap section against writes.
 	// provlint:lock-order 10
 	compactMu sync.Mutex
-	// garbage counts bytes occupied by superseded or deleted records,
-	// used to decide when compaction is worthwhile.
-	garbage int64
 	// keys is the sorted view of index's key set that the prefix counts
 	// and range scans binary-search; guarded by mu like index itself.
 	keys kv.Ordered[entryLoc]
-	// tombs counts live tombstone entries in the log (deletions not yet
-	// reclaimed by compaction) — the deletion-lifecycle telemetry the
-	// store surfaces.
-	tombs int64
 }
 
 // Open opens (creating if necessary) the database in dir. A partially
@@ -92,7 +101,7 @@ func Open(dir string) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvdb: opening log: %w", err)
 	}
-	db := &DB{dir: dir, f: f, index: make(map[string]entryLoc)}
+	db := &DB{dir: dir, f: f, logState: logState{index: make(map[string]entryLoc)}}
 	if err := db.recover(); err != nil {
 		f.Close()
 		return nil, err
@@ -100,61 +109,115 @@ func Open(dir string) (*DB, error) {
 	return db, nil
 }
 
-// recover scans the log rebuilding the in-memory index, truncating any
-// torn tail.
+// replayWindow is how much of the log recover holds in memory at a
+// time. A variable only so that in-package tests can shrink it to put
+// window boundaries inside small logs; nothing else writes it.
+var replayWindow = 4 << 20
+
+// recover rebuilds the in-memory state from the log in one forward pass
+// through a reusable read window, truncating any torn tail: entries are
+// parsed and checked in place, and one that straddles the window's end
+// moves to its front before the window refills.
 func (db *DB) recover() error {
 	stat, err := db.f.Stat()
 	if err != nil {
 		return fmt.Errorf("kvdb: stat: %w", err)
 	}
 	size := stat.Size()
-	var off int64
-	hdr := make([]byte, headerSize)
-	for off < size {
-		if size-off < headerSize {
-			break // torn header
+	// win[:have] holds the log's bytes from db.offset on.
+	win := make([]byte, min(size, int64(replayWindow)))
+	have := 0
+	sized := false
+	for {
+		want := int(min(size-db.offset, int64(len(win))))
+		if _, err := db.f.ReadAt(win[have:want], db.offset+int64(have)); err != nil {
+			return fmt.Errorf("kvdb: recovery read at %d: %w", db.offset+int64(have), err)
 		}
-		if _, err := db.f.ReadAt(hdr, off); err != nil {
-			return fmt.Errorf("kvdb: recovery read at %d: %w", off, err)
+		n, need := db.replay(win[:want])
+		if need == 0 || db.offset+int64(need) > size {
+			break // damaged entry or torn tail: everything after is unreliable
 		}
-		crc := binary.BigEndian.Uint32(hdr[0:])
-		flags := hdr[4]
-		keyLen := int(binary.BigEndian.Uint32(hdr[5:]))
-		valLen := int(binary.BigEndian.Uint32(hdr[9:]))
-		if keyLen == 0 || keyLen > MaxKeyLen || valLen > MaxValueLen {
-			break // implausible header: treat as torn tail
+		if !sized && n > 0 {
+			// Size the directory once, for the first window's live-key
+			// density extrapolated to the whole log, instead of letting
+			// it rehash its way up from empty.
+			sized = true
+			whole := make(map[string]entryLoc, int64(len(db.index))*size/db.offset)
+			maps.Copy(whole, db.index)
+			db.index = whole
 		}
-		recLen := int64(headerSize + keyLen + valLen)
-		if off+recLen > size {
-			break // torn body
+		rest := win[n:want]
+		if need > len(win) {
+			win = make([]byte, need)
 		}
-		body := make([]byte, keyLen+valLen)
-		if _, err := db.f.ReadAt(body, off+headerSize); err != nil {
-			return fmt.Errorf("kvdb: recovery body at %d: %w", off, err)
-		}
-		if crc32.ChecksumIEEE(append(hdr[4:], body...)) != crc {
-			break // corrupt record: everything after is unreliable
-		}
-		key := string(body[:keyLen])
-		if prev, ok := db.index[key]; ok {
-			db.garbage += int64(headerSize + keyLen + prev.valLen)
-		}
-		if flags&flagTombstone != 0 {
-			delete(db.index, key)
-			db.garbage += recLen
-			db.tombs++
-		} else {
-			db.index[key] = entryLoc{off: off + headerSize + int64(keyLen), valLen: valLen}
-		}
-		off += recLen
+		have = copy(win, rest)
 	}
-	if off < size {
-		if err := db.f.Truncate(off); err != nil {
+	if db.offset < size {
+		if err := db.f.Truncate(db.offset); err != nil {
 			return fmt.Errorf("kvdb: truncating torn tail: %w", err)
 		}
 	}
-	db.offset = off
 	return nil
+}
+
+// replay applies the whole entries at the front of buf — the log's bytes
+// from s.offset on — to s, and returns how many bytes it consumed. It is
+// the package's one entry parser: recovery and compaction's redo fold
+// both go through it. need says why it stopped: 0 for a damaged entry (an
+// implausible header or a CRC mismatch), otherwise the length of the next
+// entry as far as buf shows it — a header's worth when buf ends before
+// the header does — which is always more than buf has left.
+func (s *logState) replay(buf []byte) (n, need int) {
+	// First-sighting keys are cut from shared chunks rather than allocated
+	// one by one: a million-key directory is a few thousand heap objects
+	// to the collector instead of a million. A chunk is freed when the
+	// last key cut from it is deleted; keys logged together tend to be.
+	// An overwrite allocates its own key, as it always has.
+	const keyChunk = 64 << 10
+	var chunk strings.Builder
+	for {
+		rec := buf[n:]
+		if len(rec) < headerSize {
+			return n, headerSize
+		}
+		keyLen := binary.BigEndian.Uint32(rec[5:])
+		valLen := binary.BigEndian.Uint32(rec[9:])
+		if keyLen == 0 || keyLen > MaxKeyLen || valLen > MaxValueLen {
+			return n, 0
+		}
+		valOff := headerSize + int(keyLen)
+		recLen := valOff + int(valLen)
+		if len(rec) < recLen {
+			return n, recLen
+		}
+		if crc32.ChecksumIEEE(rec[4:recLen]) != binary.BigEndian.Uint32(rec) {
+			return n, 0
+		}
+		key := rec[headerSize:valOff]
+		prev, ok := s.index[string(key)]
+		if ok {
+			s.garbage += int64(valOff + prev.valLen)
+		}
+		if rec[4]&flagTombstone != 0 {
+			delete(s.index, string(key))
+			s.garbage += int64(recLen)
+			s.tombs++
+		} else {
+			loc := entryLoc{off: s.offset + int64(valOff), valLen: int(valLen)}
+			if ok {
+				s.index[string(key)] = loc
+			} else {
+				if chunk.Cap()-chunk.Len() < len(key) {
+					chunk = strings.Builder{}
+					chunk.Grow(min(keyChunk, len(rec)))
+				}
+				chunk.Write(key)
+				s.index[chunk.String()[chunk.Len()-len(key):]] = loc
+			}
+		}
+		n += recLen
+		s.offset += int64(recLen)
+	}
 }
 
 func (db *DB) appendRecord(flags byte, key string, val []byte) error {
@@ -540,20 +603,35 @@ func (db *DB) Compact() error {
 	}
 	sort.Strings(keys)
 
-	newIndex := make(map[string]entryLoc, len(snap))
-	var newOff, newGarbage, newTombs int64
+	// Re-encoded records gather in out and reach the temp file one
+	// rewriteFlush-sized WriteAt at a time; out ends at next.offset.
+	const rewriteFlush = 1 << 20
+	next := logState{index: make(map[string]entryLoc, len(snap))}
+	var out, val []byte
+	flush := func() error {
+		if _, err := tmp.WriteAt(out, next.offset-int64(len(out))); err != nil {
+			return fmt.Errorf("kvdb: compaction write: %w", err)
+		}
+		out = out[:0]
+		return nil
+	}
 	for _, k := range keys {
 		loc := snap[k]
-		val := make([]byte, loc.valLen)
+		val = append(val[:0], make([]byte, loc.valLen)...)
 		if _, err := db.f.ReadAt(val, loc.off); err != nil {
 			return fail(fmt.Errorf("kvdb: compaction read: %w", err))
 		}
-		rec := encodeRecord(make([]byte, 0, headerSize+len(k)+len(val)), 0, k, val)
-		if _, err := tmp.WriteAt(rec, newOff); err != nil {
-			return fail(fmt.Errorf("kvdb: compaction write: %w", err))
+		out = encodeRecord(out, 0, k, val)
+		next.index[k] = entryLoc{off: next.offset + headerSize + int64(len(k)), valLen: len(val)}
+		next.offset += int64(headerSize + len(k) + len(val))
+		if len(out) >= rewriteFlush {
+			if err := flush(); err != nil {
+				return fail(err)
+			}
 		}
-		newIndex[k] = entryLoc{off: newOff + headerSize + int64(len(k)), valLen: len(val)}
-		newOff += int64(len(rec))
+	}
+	if err := flush(); err != nil {
+		return fail(err)
 	}
 
 	// Fold large redo windows without the exclusive lock so the final
@@ -569,7 +647,7 @@ func (db *DB) Compact() error {
 		if cur-snapOff <= redoFoldMax {
 			break
 		}
-		if err := db.foldRedo(tmp, snapOff, cur, &newOff, newIndex, &newGarbage, &newTombs); err != nil {
+		if err := db.foldRedo(tmp, snapOff, cur, &next); err != nil {
 			return fail(err)
 		}
 		snapOff = cur
@@ -581,7 +659,7 @@ func (db *DB) Compact() error {
 		return fail(ErrClosed)
 	}
 	if db.offset > snapOff {
-		if err := db.foldRedo(tmp, snapOff, db.offset, &newOff, newIndex, &newGarbage, &newTombs); err != nil {
+		if err := db.foldRedo(tmp, snapOff, db.offset, &next); err != nil {
 			return fail(err)
 		}
 	}
@@ -591,55 +669,28 @@ func (db *DB) Compact() error {
 	if err := os.Rename(tmpPath, filepath.Join(db.dir, dataFileName)); err != nil {
 		return fail(fmt.Errorf("kvdb: compaction rename: %w", err))
 	}
-	old := db.f
+	db.f.Close()
 	db.f = tmp
-	db.index = newIndex
-	db.offset = newOff
-	db.garbage = newGarbage
-	db.tombs = newTombs
-	old.Close()
+	db.logState = next
 	return nil
 }
 
 // foldRedo copies the live log's [from, to) byte range — whole records
 // by construction, since offset only advances past fully written
 // records — verbatim onto the end of the compaction temp file, and
-// replays it against newIndex with the same accounting recovery uses.
-func (db *DB) foldRedo(tmp *os.File, from, to int64, newOff *int64, newIndex map[string]entryLoc, garbage, tombs *int64) error {
+// replays it onto next as recovery would. Anything but whole, intact
+// entries fails the compaction.
+func (db *DB) foldRedo(tmp *os.File, from, to int64, next *logState) error {
 	buf := make([]byte, to-from)
 	if _, err := db.f.ReadAt(buf, from); err != nil {
 		return fmt.Errorf("kvdb: compaction redo read: %w", err)
 	}
-	if _, err := tmp.WriteAt(buf, *newOff); err != nil {
+	if _, err := tmp.WriteAt(buf, next.offset); err != nil {
 		return fmt.Errorf("kvdb: compaction redo write: %w", err)
 	}
-	base := *newOff
-	off := 0
-	for off < len(buf) {
-		if off+headerSize > len(buf) {
-			return fmt.Errorf("kvdb: torn redo window at %d", from+int64(off))
-		}
-		flags := buf[off+4]
-		keyLen := int(binary.BigEndian.Uint32(buf[off+5:]))
-		valLen := int(binary.BigEndian.Uint32(buf[off+9:]))
-		recLen := headerSize + keyLen + valLen
-		if off+recLen > len(buf) {
-			return fmt.Errorf("kvdb: torn redo window at %d", from+int64(off))
-		}
-		key := string(buf[off+headerSize : off+headerSize+keyLen])
-		if prev, ok := newIndex[key]; ok {
-			*garbage += int64(headerSize + keyLen + prev.valLen)
-		}
-		if flags&flagTombstone != 0 {
-			delete(newIndex, key)
-			*garbage += int64(recLen)
-			*tombs++
-		} else {
-			newIndex[key] = entryLoc{off: base + int64(off+headerSize+keyLen), valLen: valLen}
-		}
-		off += recLen
+	if n, _ := next.replay(buf); n < len(buf) {
+		return fmt.Errorf("kvdb: damaged redo window at %d", from+int64(n))
 	}
-	*newOff = base + int64(len(buf))
 	return nil
 }
 

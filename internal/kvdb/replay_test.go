@@ -1,0 +1,292 @@
+package kvdb
+
+// The replay window must be invisible: whatever its size, a log opens to
+// the state its writer left, and a damaged log to the state of its
+// longest valid prefix. These tests shrink the window until entries land
+// before, on and across its boundaries and outgrow it.
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+
+	"preserv/internal/kv"
+)
+
+// tinyWindow is smaller than most test entries and larger than a few.
+const tinyWindow = 64
+
+// setWindow runs the rest of the test under an n-byte replay window.
+func setWindow(t testing.TB, n int) {
+	t.Helper()
+	old := replayWindow
+	replayWindow = n
+	t.Cleanup(func() { replayWindow = old })
+}
+
+// logView is everything a reopen must reproduce.
+type logView struct {
+	Keys, Values             []string
+	Len                      int
+	LogBytes, Garbage, Tombs int64
+}
+
+func viewOf(t testing.TB, db *DB) logView {
+	t.Helper()
+	v := logView{Keys: db.Keys(""), Len: db.Len(),
+		LogBytes: db.LogBytes(), Garbage: db.GarbageBytes(), Tombs: db.Tombstones()}
+	for _, k := range v.Keys {
+		val, err := db.Get(k)
+		if err != nil {
+			t.Fatalf("key %q does not read back: %v", k, err)
+		}
+		v.Values = append(v.Values, string(val))
+	}
+	return v
+}
+
+// openView opens the log bytes in a fresh directory and returns the
+// recovered view and the length recovery left the file at.
+func openView(t testing.TB, log []byte) (logView, int64) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, dataFileName)
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.f.Close() // not db.Close: thousands of opens need no fsync each
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return viewOf(t, db), st.Size()
+}
+
+// sizedKey and sizedVal draw from a small key space, so sequences
+// overwrite and delete what they wrote, with lengths that put entries
+// between 15 and 110 bytes: several to a tiny window, or more than one.
+func sizedKey(rng *rand.Rand) string {
+	id := rng.Intn(12)
+	return fmt.Sprintf("k%0*d", 1+3*id, id)
+}
+
+func sizedVal(rng *rand.Rand) []byte {
+	return bytes.Repeat([]byte{byte('a' + rng.Intn(26))}, rng.Intn(60))
+}
+
+func TestReopenReproducesLiveStateAtAnyWindow(t *testing.T) {
+	windows := []int{replayWindow, tinyWindow, headerSize - 1}
+	for seed := int64(0); seed < 40; seed++ {
+		dir := t.TempDir()
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		steps := 20 + rng.Intn(60)
+		huge := rng.Intn(steps) // the step that writes a value several windows long
+		for i := 0; i < steps; i++ {
+			switch op := rng.Intn(20); {
+			case i == huge:
+				err = db.Put(sizedKey(rng), bytes.Repeat([]byte("H"), 5*tinyWindow+rng.Intn(tinyWindow)))
+			case op < 8:
+				err = db.Put(sizedKey(rng), sizedVal(rng))
+			case op < 13:
+				pairs := make([]kv.Pair, 1+rng.Intn(5))
+				for j := range pairs {
+					pairs[j] = kv.Pair{Key: sizedKey(rng), Value: sizedVal(rng)}
+				}
+				err = db.PutBatch(pairs)
+			case op < 17:
+				err = db.Delete(sizedKey(rng))
+			default:
+				keys := make([]string, 1+rng.Intn(4))
+				for j := range keys {
+					keys[j] = sizedKey(rng)
+				}
+				err = db.DeleteBatch(keys)
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, i, err)
+			}
+		}
+		live := viewOf(t, db)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		log, err := os.ReadFile(filepath.Join(dir, dataFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, win := range windows {
+			setWindow(t, win)
+			got, size := openView(t, log)
+			if !reflect.DeepEqual(got, live) {
+				t.Fatalf("seed %d, window %d: reopened\n%+v\nlive\n%+v", seed, win, got, live)
+			}
+			if size != int64(len(log)) {
+				t.Fatalf("seed %d, window %d: an intact log was cut from %d to %d bytes", seed, win, len(log), size)
+			}
+		}
+	}
+}
+
+// Every torn tail and sampled bit flips, under the tiny window: what
+// TestCrashRecoveryTruncatesTornTail and CorruptMiddleStops assert at the
+// default one. The log is built one entry per call, so the live DB's view
+// after each call is the expected recovery of every prefix ending there.
+func TestDamagedLogRecoversLongestValidPrefixAtTinyWindow(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(24))
+	ends := []int64{0}                // ends[i]: log length after i entries
+	views := []logView{viewOf(t, db)} // views[i]: state after i entries
+	for i := 0; i < 30; i++ {
+		before := db.LogBytes()
+		switch {
+		case i == 11:
+			err = db.Put(sizedKey(rng), bytes.Repeat([]byte("H"), 3*tinyWindow))
+		case rng.Intn(4) == 0:
+			err = db.Delete(sizedKey(rng))
+		default:
+			err = db.Put(sizedKey(rng), sizedVal(rng))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db.LogBytes() == before {
+			continue // deleted an absent key: nothing logged
+		}
+		ends = append(ends, db.LogBytes())
+		views = append(views, viewOf(t, db))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, dataFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	setWindow(t, tinyWindow)
+	// wholeBefore is how many entries end at or before byte position pos.
+	wholeBefore := func(pos int) int {
+		return sort.Search(len(ends), func(i int) bool { return ends[i] > int64(pos) }) - 1
+	}
+	check := func(what string, damaged []byte, valid int) {
+		t.Helper()
+		got, size := openView(t, damaged)
+		if !reflect.DeepEqual(got, views[valid]) {
+			t.Fatalf("%s: recovered\n%+v\nwant the state after %d entries\n%+v", what, got, valid, views[valid])
+		}
+		if size != ends[valid] {
+			t.Fatalf("%s: file left at %d bytes, want %d", what, size, ends[valid])
+		}
+	}
+	for cut := 0; cut <= len(log); cut++ {
+		check(fmt.Sprintf("cut at %d", cut), log[:cut], wholeBefore(cut))
+	}
+	for n := 0; n < 150; n++ {
+		pos := rng.Intn(len(log))
+		flipped := append([]byte(nil), log...)
+		flipped[pos] ^= 1 << rng.Intn(8)
+		// The entry holding pos fails its check; those wholly before it stand.
+		check(fmt.Sprintf("bit flipped at %d", pos), flipped, wholeBefore(pos))
+	}
+}
+
+// A compaction's redo window is the live log's own bytes: if they do not
+// parse as whole, intact entries the compaction must fail, remove its
+// temp file and leave the live log authoritative.
+func TestCompactRejectsDamagedRedoWindow(t *testing.T) {
+	for name, damage := range map[string]func(entry []byte) []byte{
+		"bad CRC":     func(e []byte) []byte { e[len(e)-1] ^= 0x40; return e },
+		"torn length": func(e []byte) []byte { return e[:len(e)-3] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for i := 0; i < 2000; i++ {
+				if err := db.Put(fmt.Sprintf("k%04d", i), []byte("value")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bad := damage(encodeRecord(nil, 0, "late", []byte("written while compacting")))
+			tmpPath := filepath.Join(dir, tmpFileName)
+
+			// Land the damaged append inside a running compaction's redo
+			// window: compact.tmp exists exactly from the snapshot to the
+			// swap, and the swap needs db.mu — so seeing the file while
+			// holding db.mu means the bytes appended now will be folded.
+			land := func() bool {
+				db.mu.Lock()
+				defer db.mu.Unlock()
+				if _, err := os.Stat(tmpPath); err != nil {
+					return false
+				}
+				if _, err := db.f.WriteAt(bad, db.offset); err != nil {
+					t.Fatal(err)
+				}
+				db.offset += int64(len(bad))
+				return true
+			}
+			// attempt runs one compaction and tries to get the append in.
+			attempt := func() (landed bool, err error) {
+				done := make(chan error, 1)
+				go func() { done <- db.Compact() }()
+				for {
+					if land() {
+						return true, <-done
+					}
+					select {
+					case err := <-done:
+						return false, err
+					default:
+					}
+				}
+			}
+			landed, compactErr := attempt()
+			for !landed { // it finished before the append got in: go again
+				if compactErr != nil {
+					t.Fatal(compactErr)
+				}
+				landed, compactErr = attempt()
+			}
+			if compactErr == nil {
+				t.Fatal("Compact folded a damaged redo window without complaint")
+			}
+			if _, err := os.Stat(tmpPath); !os.IsNotExist(err) {
+				t.Errorf("compact.tmp left behind: %v", err)
+			}
+			if v, err := db.Get("k1999"); err != nil || string(v) != "value" {
+				t.Errorf("live log unreadable after failed compaction: %q %v", v, err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db2, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db2.Close()
+			if db2.Len() != 2000 || db2.Has("late") {
+				t.Errorf("reopen after failed compaction: %d keys, late=%v; want the 2000 intact ones", db2.Len(), db2.Has("late"))
+			}
+		})
+	}
+}

@@ -74,6 +74,11 @@ func (k *KVBackend) GarbageRatio() float64 {
 	return float64(k.db.GarbageBytes()) / float64(total)
 }
 
+// Len reports the number of live keys and LogBytes the log's size: what
+// an open replayed, for the service's start-up log line.
+func (k *KVBackend) Len() int        { return k.db.Len() }
+func (k *KVBackend) LogBytes() int64 { return k.db.LogBytes() }
+
 // Tombstones reports how many tombstone entries the log holds.
 func (k *KVBackend) Tombstones() int64 { return k.db.Tombstones() }
 
