@@ -1,112 +1,32 @@
 package query
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"preserv/internal/core"
 	"preserv/internal/prep"
 )
 
-// cacheEntry is one cached query result, pinned to the store generation
-// it was computed at.
-type cacheEntry struct {
-	key     string
-	gen     uint64
+// MaxCachedRecords bounds what a result cache retains: a result with
+// more records is recomputed on every query rather than pinned. The
+// shard router's merged-answer cache uses the same bound.
+const MaxCachedRecords = 1024
+
+// cachedResult is one index-plan answer, held in the engine's kv.LRU
+// under its CacheKey and stamped with the store generation read before
+// the plan ran.
+type cachedResult struct {
 	records []core.Record
 	total   int
 	plan    prep.QueryPlan
 }
 
-// resultCache is a small mutex-guarded LRU. Entries are valid only while
-// the store generation is unchanged; stale hits are evicted on lookup,
-// so recording anything invalidates the whole cache implicitly.
-type resultCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List
-	m   map[string]*list.Element
-	// hits/misses count lookups for monitoring (preserv.Stats surfaces
-	// them). A stale entry evicted on lookup counts as a miss.
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-func newResultCache(capacity int) *resultCache {
-	if capacity <= 0 {
-		return &resultCache{}
-	}
-	return &resultCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-func (c *resultCache) get(key string, gen uint64) ([]core.Record, int, prep.QueryPlan, bool) {
-	if c.cap == 0 {
-		c.misses.Add(1)
-		return nil, 0, prep.QueryPlan{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, 0, prep.QueryPlan{}, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.gen != gen {
-		c.ll.Remove(el)
-		delete(c.m, key)
-		c.misses.Add(1)
-		return nil, 0, prep.QueryPlan{}, false
-	}
-	c.hits.Add(1)
-	c.ll.MoveToFront(el)
-	// Hand out a fresh slice header so a caller appending to the result
-	// cannot disturb the cached copy.
-	return append([]core.Record(nil), e.records...), e.total, e.plan, true
-}
-
-func (c *resultCache) put(key string, gen uint64, records []core.Record, total int, plan prep.QueryPlan) {
-	if c.cap == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.gen, e.records, e.total, e.plan = gen, records, total, plan
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, gen: gen, records: records, total: total, plan: plan})
-	for c.ll.Len() > c.cap {
-		el := c.ll.Back()
-		c.ll.Remove(el)
-		delete(c.m, el.Value.(*cacheEntry).key)
-	}
-}
-
-// len reports the number of live entries (for tests).
-func (c *resultCache) len() int {
-	if c.cap == 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// cacheKey renders the canonical form of a predicate. Every field that
-// can change the result participates. Free-form fields (asserter,
-// service, state kind) are %q-quoted so embedded separators cannot make
-// two different predicates collide on one key.
-// CacheKey exposes the canonical predicate form for other caching
-// layers (the shard router's generation-tuple result cache) so a
-// predicate's identity is computed in exactly one place.
-func CacheKey(q *prep.Query) string { return cacheKey(q) }
-
-func cacheKey(q *prep.Query) string {
+// CacheKey renders the canonical form of a predicate, the identity every
+// result cache (this package's and the shard router's) keys on. Every
+// field that can change the result participates. Free-form fields
+// (asserter, service, state kind) are %q-quoted so embedded separators
+// cannot make two different predicates collide on one key.
+func CacheKey(q *prep.Query) string {
 	since, until := "-", "-"
 	if !q.Since.IsZero() {
 		since = fmt.Sprintf("%d", q.Since.UnixNano())

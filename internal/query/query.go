@@ -27,6 +27,7 @@ import (
 	"preserv/internal/core"
 	"preserv/internal/ids"
 	"preserv/internal/index"
+	"preserv/internal/kv"
 	"preserv/internal/obs"
 	"preserv/internal/prep"
 	"preserv/internal/store"
@@ -45,8 +46,11 @@ const (
 
 // Engine executes planned queries over one store.
 type Engine struct {
-	s     *store.Store
-	cache *resultCache
+	s *store.Store
+	// cache holds selective index-plan answers under CacheKey, stamped
+	// with the store generation: any accepted record or delete orphans
+	// every entry at once.
+	cache *kv.LRU[uint64, cachedResult]
 	stats plannerCounters
 	// Latency and postings-volume distributions live in the store's
 	// registry, so one registry carries a shard's complete telemetry.
@@ -58,15 +62,15 @@ type Engine struct {
 }
 
 // New returns an engine over s with the default result cache.
-func New(s *store.Store) *Engine { return NewSized(s, DefaultCacheSize) }
+func New(s *store.Store) *Engine { return newSized(s, DefaultCacheSize) }
 
-// NewSized returns an engine with a result cache of the given capacity;
-// zero or negative disables caching.
-func NewSized(s *store.Store, cacheSize int) *Engine {
+// newSized returns an engine with a result cache of the given entry
+// capacity; zero disables caching.
+func newSized(s *store.Store, cacheSize int) *Engine {
 	reg := s.Obs()
 	return &Engine{
 		s:           s,
-		cache:       newResultCache(cacheSize),
+		cache:       kv.NewLRU[uint64, cachedResult](int64(cacheSize), nil),
 		plannedSec:  reg.Histogram("query_planned_seconds", nil),
 		pageSec:     reg.Histogram("query_page_seconds", nil),
 		postingsPer: reg.Histogram("query_postings_read", obs.SizeBuckets),
@@ -85,7 +89,8 @@ type CacheStats struct {
 
 // CacheStats returns a snapshot of the engine's result-cache counters.
 func (e *Engine) CacheStats() CacheStats {
-	return CacheStats{Hits: e.cache.hits.Load(), Misses: e.cache.misses.Load()}
+	st := e.cache.Stats()
+	return CacheStats{Hits: st.Hits, Misses: st.Misses}
 }
 
 // plannerCounters aggregates execution telemetry across queries.
@@ -223,10 +228,12 @@ func (e *Engine) query(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, erro
 		return nil, 0, nil, err
 	}
 	gen := e.s.Generation()
-	key := cacheKey(q)
-	if recs, total, plan, ok := e.cache.get(key, gen); ok {
-		plan.Cached = true
-		return recs, total, &plan, nil
+	key := CacheKey(q)
+	if c, ok := e.cache.Get(key, gen); ok {
+		c.plan.Cached = true
+		// Hand out a fresh slice header so a caller appending to the
+		// result cannot disturb the cached copy.
+		return append([]core.Record(nil), c.records...), c.total, &c.plan, nil
 	}
 	recs, total, plan, err := e.run(q)
 	if err != nil {
@@ -236,14 +243,10 @@ func (e *Engine) query(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, erro
 	// results can approach the whole store, and an entry-count-bounded
 	// LRU must not pin hundreds of near-store-sized slices in memory.
 	if plan.Strategy == prep.PlanIndex && len(recs) <= MaxCachedRecords {
-		e.cache.put(key, gen, recs, total, *plan)
+		e.cache.Put(key, gen, cachedResult{records: recs, total: total, plan: *plan})
 	}
 	return recs, total, plan, nil
 }
-
-// MaxCachedRecords bounds the per-entry size of the result cache; a
-// larger result is recomputed on every query rather than pinned.
-const MaxCachedRecords = 1024
 
 func (e *Engine) run(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, error) {
 	res, plan, err := e.execute(q, execOpts{max: q.Limit, countAll: true})

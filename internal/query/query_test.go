@@ -132,7 +132,7 @@ func TestSessionQueriesAvoidRecordScans(t *testing.T) {
 	cb := newCountingBackend(store.NewMemoryBackend())
 	s := store.New(cb)
 	sessions := populateSessions(t, s, 50, 6)
-	e := NewSized(s, 0) // cache off: every query must hit the planner
+	e := newSized(s, 0) // cache off: every query must hit the planner
 	if _, err := s.Index(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPlannerIntersectsPostingLists(t *testing.T) {
 	cb := newCountingBackend(store.NewMemoryBackend())
 	s := store.New(cb)
 	sessions := populateSessions(t, s, 10, 6)
-	e := NewSized(s, 0)
+	e := newSized(s, 0)
 
 	q := &prep.Query{
 		SessionID: sessions[3].id,
@@ -225,7 +225,7 @@ func TestPlannerMatchesScanAcrossBackends(t *testing.T) {
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			sessions := populateSessions(t, s, 6, 4)
-			e := NewSized(s, 0)
+			e := newSized(s, 0)
 			target := sessions[2]
 			queries := []*prep.Query{
 				{},
@@ -332,13 +332,13 @@ func TestResultCacheHitsAndInvalidation(t *testing.T) {
 func TestResultCacheEvicts(t *testing.T) {
 	s := store.New(store.NewMemoryBackend())
 	sessions := populateSessions(t, s, 5, 2)
-	e := NewSized(s, 2)
+	e := newSized(s, 2)
 	for _, sd := range sessions {
 		if _, _, _, err := e.Query(&prep.Query{SessionID: sd.id}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := e.cache.len(); n != 2 {
+	if n := e.cache.Stats().Entries; n != 2 {
 		t.Errorf("cache holds %d entries, want capacity 2", n)
 	}
 }
@@ -385,7 +385,7 @@ func TestZeroTimestampRecordsExcludedFromTimeQueries(t *testing.T) {
 	if _, rejects, err := s.Record("svc:enactor", []core.Record{rec}); err != nil || len(rejects) > 0 {
 		t.Fatalf("record: err=%v rejects=%v", err, rejects)
 	}
-	e := NewSized(s, 0)
+	e := newSized(s, 0)
 	for _, q := range []*prep.Query{
 		{Until: t0},
 		{Since: t0.Add(-time.Hour), Until: t0},
@@ -465,7 +465,7 @@ func TestIndexSelfHealsAfterFailedAdd(t *testing.T) {
 
 	// The record is committed (scan sees it); the planner must too,
 	// without any client retry.
-	e := NewSized(s, 0)
+	e := newSized(s, 0)
 	_, scanTotal, err := s.Query(&prep.Query{SessionID: target})
 	if err != nil {
 		t.Fatal(err)
@@ -522,7 +522,7 @@ func TestCostBasedPlannerPicksSmallerList(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		recordStateKind(t, s, target, "rare-config", fmt.Sprintf("cfg%d", i))
 	}
-	e := NewSized(s, 0)
+	e := newSized(s, 0)
 
 	q := &prep.Query{SessionID: target, StateKind: "rare-config"}
 	want, wantTotal, err := s.Query(q)
@@ -563,7 +563,7 @@ func TestCostCutoffExcludesUnselectiveList(t *testing.T) {
 	// driving list, so it must be filtered residually, not intersected.
 	s := store.New(store.NewMemoryBackend())
 	sessions := populateSessions(t, s, 20, 8)
-	e := NewSized(s, 0)
+	e := newSized(s, 0)
 
 	// Find one interaction id via a session query.
 	recs, _, err := s.Query(&prep.Query{SessionID: sessions[3].id, Kind: core.KindInteraction.String()})
@@ -591,7 +591,7 @@ func TestLimitTotalSemanticsAtPlannerBoundaries(t *testing.T) {
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			sessions := populateSessions(t, s, 5, 6)
-			e := NewSized(s, 0)
+			e := newSized(s, 0)
 			target := sessions[2]
 			cases := []*prep.Query{
 				// Limit below, at, and above the match count; with an
@@ -654,7 +654,7 @@ func TestDanglingPostingsSkippedOnIteratorPath(t *testing.T) {
 			if _, err := s.Index(); err != nil {
 				t.Fatal(err)
 			}
-			e := NewSized(s, 0)
+			e := newSized(s, 0)
 			target := sessions[1]
 
 			// Plant postings whose record never landed: in the session
@@ -700,7 +700,7 @@ func TestQueryPagePagination(t *testing.T) {
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			sessions := populateSessions(t, s, 4, 6)
-			e := NewSized(s, 0)
+			e := newSized(s, 0)
 			target := sessions[1]
 			queries := []*prep.Query{
 				{SessionID: target.id}, // indexed
@@ -751,7 +751,7 @@ func TestQueryPagePagination(t *testing.T) {
 func TestQueryPageBoundaries(t *testing.T) {
 	s := store.New(store.NewMemoryBackend())
 	sessions := populateSessions(t, s, 2, 3) // 6 records in the target session
-	e := NewSized(s, 0)
+	e := newSized(s, 0)
 	q := &prep.Query{SessionID: sessions[0].id}
 
 	// A page larger than the result set is complete and done.
@@ -801,7 +801,7 @@ func TestQueryPageBoundaries(t *testing.T) {
 func TestPlannerStatsAccumulate(t *testing.T) {
 	s := store.New(store.NewMemoryBackend())
 	sessions := populateSessions(t, s, 3, 4)
-	e := NewSized(s, 0)
+	e := newSized(s, 0)
 
 	if _, _, _, err := e.Query(&prep.Query{SessionID: sessions[0].id}); err != nil {
 		t.Fatal(err)

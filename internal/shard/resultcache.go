@@ -1,12 +1,9 @@
 package shard
 
 import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-
 	"preserv/internal/core"
 	"preserv/internal/prep"
+	"preserv/internal/query"
 )
 
 // GenerationProber is an optional Shard extension: a shard that can
@@ -27,61 +24,20 @@ type GenerationProber interface {
 // deliberately small; SetResultCacheSize tunes or disables it.
 const DefaultResultCacheSize = 128
 
-// resultCacheMaxRecords caps how large a merged result set the router
-// will cache. A fan-out returning more records than this is served but
-// not retained — one giant scan must not evict the whole working set
-// of small repeated queries.
-const resultCacheMaxRecords = 1024
-
-// routerCacheEntry is one cached fan-out answer, pinned to the
-// generation tuple it was computed under. The tuple is probed BEFORE
-// the fan-out runs (both under the same moveMu read fence), and store
+// routerAnswer is one cached fan-out answer. The router's kv.LRU
+// stamps it with the generation tuple (probeGenerations) read BEFORE
+// the fan-out ran, both under the same moveMu read fence, and store
 // generations bump only AFTER a mutation's data is committed — so a
 // write racing the fan-out makes the current tuple advance past the
-// stamped one, and the entry dies on its next lookup. Staleness is
-// impossible; the failure mode is over-invalidation.
-type routerCacheEntry struct {
-	key   string
-	gens  []uint64
+// stamped one, and the entry dies on its next lookup. There is no
+// explicit invalidation hook: staleness is impossible, the failure mode
+// is over-invalidation.
+type routerAnswer struct {
 	recs  []core.Record
 	total int
 	plan  *prep.QueryPlan
 	next  string
 	done  bool
-}
-
-// routerResultCache is a mutex-guarded LRU over merged fan-out results.
-// There is no explicit invalidation hook: the generation tuple in the
-// key comparison is the invalidation — any accepted record or deletion
-// on any shard changes that shard's generation and orphans every entry
-// stamped with the old tuple (stale entries evict on lookup; unlooked
-// ones age out of the LRU).
-type routerResultCache struct {
-	mu     sync.Mutex
-	cap    int
-	ll     *list.List
-	m      map[string]*list.Element
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-func newRouterResultCache(capacity int) *routerResultCache {
-	if capacity <= 0 {
-		return &routerResultCache{}
-	}
-	return &routerResultCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
-}
-
-func gensEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // clonePlan deep-copies a plan so a cached one cannot be disturbed by
@@ -96,78 +52,26 @@ func clonePlan(p *prep.QueryPlan) *prep.QueryPlan {
 	return &cp
 }
 
-// get returns the entry under key if it is stamped with exactly the
-// current generation tuple; a tuple mismatch evicts on sight and counts
-// as a miss. The returned records slice and plan are fresh copies.
-func (c *routerResultCache) get(key string, gens []uint64) (*routerCacheEntry, bool) {
-	if c.cap == 0 {
-		c.misses.Add(1)
-		return nil, false
+// cached returns the answer under key if it is stamped with exactly
+// stamp, with fresh copies of its records slice and plan.
+func (rt *Router) cached(key, stamp string) (routerAnswer, bool) {
+	a, ok := rt.rc.Get(key, stamp)
+	if ok {
+		a.recs = append([]core.Record(nil), a.recs...)
+		a.plan = clonePlan(a.plan)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	e := el.Value.(*routerCacheEntry)
-	if !gensEqual(e.gens, gens) {
-		c.ll.Remove(el)
-		delete(c.m, key)
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	c.ll.MoveToFront(el)
-	return &routerCacheEntry{
-		key:   e.key,
-		recs:  append([]core.Record(nil), e.recs...),
-		total: e.total,
-		plan:  clonePlan(e.plan),
-		next:  e.next,
-		done:  e.done,
-	}, true
+	return a, ok
 }
 
-// put retains a merged answer under its generation tuple. Oversized
-// result sets are dropped (see resultCacheMaxRecords). The entry keeps
-// its own copies of the records slice and plan so later mutation of
-// the returned values cannot corrupt the cache.
-func (c *routerResultCache) put(key string, gens []uint64, recs []core.Record, total int, plan *prep.QueryPlan, next string, done bool) {
-	if c.cap == 0 || len(recs) > resultCacheMaxRecords {
+// retain caches a merged answer under stamp, keeping its own copies of
+// the records slice and plan. An answer of more than
+// query.MaxCachedRecords records is served but not retained — one giant
+// scan must not evict the whole working set of small repeated queries.
+func (rt *Router) retain(key, stamp string, a routerAnswer) {
+	if len(a.recs) > query.MaxCachedRecords {
 		return
 	}
-	e := &routerCacheEntry{
-		key:   key,
-		gens:  append([]uint64(nil), gens...),
-		recs:  append([]core.Record(nil), recs...),
-		total: total,
-		plan:  clonePlan(plan),
-		next:  next,
-		done:  done,
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		el.Value = e
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.m[key] = c.ll.PushFront(e)
-	for c.ll.Len() > c.cap {
-		el := c.ll.Back()
-		c.ll.Remove(el)
-		delete(c.m, el.Value.(*routerCacheEntry).key)
-	}
-}
-
-// len reports the number of live entries (for tests).
-func (c *routerResultCache) len() int {
-	if c.cap == 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	a.recs = append([]core.Record(nil), a.recs...)
+	a.plan = clonePlan(a.plan)
+	rt.rc.Put(key, stamp, a)
 }

@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"io"
 	"reflect"
 	"sync"
 	"testing"
 
 	"preserv/internal/core"
+	"preserv/internal/obs"
 	"preserv/internal/prep"
 )
 
@@ -227,6 +229,52 @@ func TestRouterResultCacheLiveMutationRace(t *testing.T) {
 	}
 	if want := 4 + writes; total != want {
 		t.Fatalf("final total %d, want %d", total, want)
+	}
+}
+
+// TestRouterResultCacheResizeVsScrape: SetResultCacheSize resets the
+// cache while queries fill it and a Prometheus scrape reads its gauges
+// and ResultCacheStats — all race-free (run it with -race). Deliberately
+// not Short-gated, like the mutation race above.
+func TestRouterResultCacheResizeVsScrape(t *testing.T) {
+	rt := memRouter(t, 2)
+	recordSessions(t, rt, 2, 2)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, work := range []func() error{
+		func() error {
+			_, _, _, err := rt.QueryPlanned(&prep.Query{Kind: core.KindInteraction.String()})
+			return err
+		},
+		func() error {
+			rt.ResultCacheStats()
+			return obs.WritePrometheus(io.Discard, obs.Export{Reg: rt.Obs()})
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := work(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		rt.SetResultCacheSize(16)
+	}
+	close(stop)
+	wg.Wait()
+	rt.SetResultCacheSize(16)
+	if h, m := rt.ResultCacheStats(); h != 0 || m != 0 || rt.rc.Stats().Entries != 0 {
+		t.Fatalf("a quiescent reset left hits=%d misses=%d %+v", h, m, rt.rc.Stats())
 	}
 }
 

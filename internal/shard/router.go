@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -13,6 +14,7 @@ import (
 
 	"preserv/internal/core"
 	"preserv/internal/ids"
+	"preserv/internal/kv"
 	"preserv/internal/obs"
 	"preserv/internal/prep"
 	"preserv/internal/query"
@@ -97,13 +99,14 @@ type Router struct {
 	// on small data sets). Read on the drain path under drainMu.
 	drainPage int
 	// rc caches merged fan-out answers keyed on the query's canonical
-	// form plus the tuple of every shard's content generation. The
-	// tuple is probed under moveMu (shared) BEFORE the fan-out, so a
-	// cached answer is always one some fenced fan-out could have
-	// produced; any shard that cannot report a generation disables
+	// form and stamped with the tuple of every shard's content
+	// generation. The tuple is probed under moveMu (shared) BEFORE the
+	// fan-out, so a cached answer is always one some fenced fan-out could
+	// have produced; any shard that cannot report a generation disables
 	// caching for that call. See resultcache.go for the invalidation
-	// argument.
-	rc *routerResultCache
+	// argument. The field is never reassigned: SetResultCacheSize resets
+	// the cache in place.
+	rc *kv.LRU[string, routerAnswer]
 }
 
 // NewRouter builds a router over the given shards (at least one).
@@ -122,6 +125,7 @@ func NewRouter(shards ...Shard) (*Router, error) {
 		reg:       obs.NewRegistry(),
 		overlaps:  make(map[int]bool),
 		drainPage: drainPageSize,
+		rc:        kv.NewLRU[string, routerAnswer](DefaultResultCacheSize, nil),
 	}
 	rt.fanoutSec = make([]*obs.Histogram, len(shards))
 	for i := range shards {
@@ -130,55 +134,50 @@ func NewRouter(shards ...Shard) (*Router, error) {
 	rt.mergeWidth = rt.reg.Histogram("router_merge_width", obs.SizeBuckets)
 	rt.drainPages = rt.reg.Counter("router_drain_pages_total")
 	rt.drainMoved = rt.reg.Counter("router_drain_records_moved_total")
-	rt.rc = newRouterResultCache(DefaultResultCacheSize)
-	rt.reg.GaugeFunc("router_resultcache_hits", func() float64 { return float64(rt.rc.hits.Load()) })
-	rt.reg.GaugeFunc("router_resultcache_misses", func() float64 { return float64(rt.rc.misses.Load()) })
-	rt.reg.GaugeFunc("router_resultcache_entries", func() float64 { return float64(rt.rc.len()) })
+	rt.reg.GaugeFunc("router_resultcache_hits", func() float64 { return float64(rt.rc.Stats().Hits) })
+	rt.reg.GaugeFunc("router_resultcache_misses", func() float64 { return float64(rt.rc.Stats().Misses) })
+	rt.reg.GaugeFunc("router_resultcache_entries", func() float64 { return float64(rt.rc.Stats().Entries) })
 	return rt, nil
 }
 
-// SetResultCacheSize replaces the router's result cache with one of the
-// given entry capacity (0 or negative disables caching). Counters reset
-// with the cache. Safe to call while serving.
-func (rt *Router) SetResultCacheSize(capacity int) {
-	rt.moveMu.Lock()
-	defer rt.moveMu.Unlock()
-	rt.rc = newRouterResultCache(capacity)
-}
+// SetResultCacheSize empties the router's result cache, resets its
+// counters and sets its entry capacity (0 or negative disables
+// caching). Safe to call while serving.
+func (rt *Router) SetResultCacheSize(capacity int) { rt.rc.Reset(int64(capacity)) }
 
 // ResultCacheStats reports the result cache's cumulative lookup
 // outcomes (a tuple-mismatched entry evicted on lookup counts as a
 // miss, same convention as the per-store query cache).
 func (rt *Router) ResultCacheStats() (hits, misses int64) {
-	rt.moveMu.RLock()
-	rc := rt.rc
-	rt.moveMu.RUnlock()
-	return rc.hits.Load(), rc.misses.Load()
+	st := rt.rc.Stats()
+	return st.Hits, st.Misses
 }
 
-// probeGenerations collects every shard's content generation, in
-// topology order. ok is false — and the result nil — when any shard
-// cannot report one; the caller then bypasses the result cache for
-// this fan-out (no counters move: the cache was never consulted).
-// Callers hold moveMu (shared suffices): the probe and the fan-out it
-// guards must sit under the same fence acquisition, so a drain's page
-// move cannot slip between them.
+// probeGenerations collects every shard's content generation, folded
+// into the comparable stamp result-cache entries carry: 8 little-endian
+// bytes per shard, in topology order. ok is false when any shard cannot
+// report one; the caller then bypasses the result cache for this
+// fan-out (no counters move: the cache was never consulted). Callers
+// hold moveMu (shared suffices): the probe and the fan-out it guards
+// must sit under the same fence acquisition, so a drain's page move
+// cannot slip between them.
 //
 // provlint:requires moveMu
-func (rt *Router) probeGenerations() ([]uint64, bool) {
-	gens := make([]uint64, len(rt.shards))
-	for i, s := range rt.shards {
+func (rt *Router) probeGenerations() (string, bool) {
+	var buf [64]byte
+	b := buf[:0]
+	for _, s := range rt.shards {
 		p, ok := s.(GenerationProber)
 		if !ok {
-			return nil, false
+			return "", false
 		}
 		g, ok := p.Generation()
 		if !ok {
-			return nil, false
+			return "", false
 		}
-		gens[i] = g
+		b = binary.LittleEndian.AppendUint64(b, g)
 	}
-	return gens, true
+	return string(b), true
 }
 
 // Generation implements GenerationProber for the router itself (a
@@ -188,13 +187,13 @@ func (rt *Router) probeGenerations() ([]uint64, bool) {
 func (rt *Router) Generation() (uint64, bool) {
 	rt.moveMu.RLock()
 	defer rt.moveMu.RUnlock()
-	gens, ok := rt.probeGenerations()
+	stamp, ok := rt.probeGenerations()
 	if !ok {
 		return 0, false
 	}
 	var sum uint64
-	for _, g := range gens {
-		sum += g
+	for i := 0; i < len(stamp); i += 8 {
+		sum += binary.LittleEndian.Uint64([]byte(stamp[i : i+8]))
 	}
 	return sum, true
 }
@@ -494,12 +493,11 @@ func (rt *Router) Query(q *prep.Query) ([]core.Record, int, error) {
 	}
 	rt.moveMu.RLock()
 	defer rt.moveMu.RUnlock()
-	rc := rt.rc
 	key := "q|" + query.CacheKey(q)
-	gens, probed := rt.probeGenerations()
+	stamp, probed := rt.probeGenerations()
 	if probed {
-		if e, ok := rc.get(key, gens); ok {
-			return e.recs, e.total, nil
+		if a, ok := rt.cached(key, stamp); ok {
+			return a.recs, a.total, nil
 		}
 	}
 	fq := rt.fanOutQuery(q)
@@ -515,7 +513,7 @@ func (rt *Router) Query(q *prep.Query) ([]core.Record, int, error) {
 	}
 	recs, total, err := rt.mergeQueryResults(q, results)
 	if err == nil && probed {
-		rc.put(key, gens, recs, total, nil, "", false)
+		rt.retain(key, stamp, routerAnswer{recs: recs, total: total})
 	}
 	return recs, total, err
 }
@@ -529,17 +527,16 @@ func (rt *Router) QueryPlanned(q *prep.Query) ([]core.Record, int, *prep.QueryPl
 	}
 	rt.moveMu.RLock()
 	defer rt.moveMu.RUnlock()
-	rc := rt.rc
 	key := "p|" + query.CacheKey(q)
-	gens, probed := rt.probeGenerations()
+	stamp, probed := rt.probeGenerations()
 	if probed {
-		if e, ok := rc.get(key, gens); ok {
-			plan := e.plan
+		if a, ok := rt.cached(key, stamp); ok {
+			plan := a.plan
 			if plan == nil {
 				plan = &prep.QueryPlan{}
 			}
 			plan.Cached = true
-			return e.recs, e.total, plan, nil
+			return a.recs, a.total, plan, nil
 		}
 	}
 	fq := rt.fanOutQuery(q)
@@ -563,7 +560,7 @@ func (rt *Router) QueryPlanned(q *prep.Query) ([]core.Record, int, *prep.QueryPl
 	}
 	merged := mergePlans(plans)
 	if probed {
-		rc.put(key, gens, recs, total, merged, "", false)
+		rt.retain(key, stamp, routerAnswer{recs: recs, total: total, plan: merged})
 	}
 	return recs, total, merged, nil
 }
@@ -782,17 +779,16 @@ func (rt *Router) QueryPage(q *prep.Query, after string, pageSize int) ([]core.R
 			"%w: minted in drain epoch %d, now %d — a rebalance moved records; restart the walk",
 			ErrStaleCursor, cursorEpoch, epoch)
 	}
-	rc := rt.rc
 	key := "g|" + query.CacheKey(q) + "|a=" + url.QueryEscape(after) + "|n=" + strconv.Itoa(pageSize) + "|e=" + strconv.FormatUint(epoch, 10)
-	gens, probed := rt.probeGenerations()
+	stamp, probed := rt.probeGenerations()
 	if probed {
-		if e, ok := rc.get(key, gens); ok {
-			plan := e.plan
+		if a, ok := rt.cached(key, stamp); ok {
+			plan := a.plan
 			if plan == nil {
 				plan = &prep.QueryPlan{}
 			}
 			plan.Cached = true
-			return e.recs, e.next, e.done, plan, nil
+			return a.recs, a.next, a.done, plan, nil
 		}
 	}
 	results, err := rt.fanOut2(func(i int, s Shard) (*shardResult, error) {
@@ -855,7 +851,7 @@ func (rt *Router) QueryPage(q *prep.Query, after string, pageSize int) ([]core.R
 	}
 	mergedPlan := mergePlans(plans)
 	if probed {
-		rc.put(key, gens, merged, 0, mergedPlan, next, done)
+		rt.retain(key, stamp, routerAnswer{recs: merged, plan: mergedPlan, next: next, done: done})
 	}
 	return merged, next, done, mergedPlan, nil
 }

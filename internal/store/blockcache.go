@@ -1,7 +1,7 @@
 package store
 
-// BlockCache is the store-level record block cache: a byte-bounded LRU
-// of raw record values, shared by every consumer that reads through
+// The record block cache is a byte-bounded kv.LRU of raw record
+// encodings, shared by every consumer that reads through
 // Store.GetRecord/Store.GetBatch — one query warming a record serves
 // the next query's (or the planner's candidate-fetch) read of the same
 // record from memory.
@@ -14,158 +14,22 @@ package store
 // eagerly — a stale value can never be served. Compaction rewrites
 // bytes without changing contents and deliberately does not bump.
 
-import "sync"
-
 // DefaultBlockCacheBytes bounds the cache when SetBlockCacheBytes has
 // not been called: 32 MiB holds the hot working set of a multi-session
 // query mix without mattering next to the page cache.
 const DefaultBlockCacheBytes = 32 << 20
 
 // blockCacheMaxEntry keeps one oversized value from flushing the whole
-// cache: values larger than max/8 bypass it.
+// cache: values larger than budget/8 bypass it.
 const blockCacheMaxEntry = 8
 
-// blockEntryOverhead approximates per-entry bookkeeping bytes (map
-// slot, list node, header) for the byte budget.
-const blockEntryOverhead = 96
+// blockCost charges an entry its key and value bytes plus 96 for its
+// bookkeeping (map slot, list node, headers).
+func blockCost(key string, val []byte) int64 { return int64(len(key)+len(val)) + 96 }
 
-type blockEntry struct {
-	key  string
-	gen  uint64
-	val  []byte
-	prev *blockEntry
-	next *blockEntry
-}
-
-// BlockCache is safe for concurrent use. A max of <= 0 disables it:
-// gets miss, puts drop.
-type BlockCache struct {
-	mu      sync.Mutex
-	max     int64
-	bytes   int64
-	entries map[string]*blockEntry
-	head    *blockEntry // most recent
-	tail    *blockEntry // least recent
-	hits    int64
-	misses  int64
-}
-
-func newBlockCache(max int64) *BlockCache {
-	return &BlockCache{max: max, entries: make(map[string]*blockEntry)}
-}
-
-func (c *BlockCache) enabled() bool {
-	c.mu.Lock()
-	on := c.max > 0
-	c.mu.Unlock()
-	return on
-}
-
-// setMax resizes the budget, evicting down to it immediately.
-func (c *BlockCache) setMax(max int64) {
-	c.mu.Lock()
-	c.max = max
-	c.evictLocked()
-	c.mu.Unlock()
-}
-
-func (c *BlockCache) unlinkLocked(e *blockEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
+// cacheBlock offers a value read under gen to the block cache.
+func (s *Store) cacheBlock(key string, gen uint64, val []byte) {
+	if int64(len(val)) <= s.bcBudget.Load()/blockCacheMaxEntry {
+		s.bc.Put(key, gen, val)
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *BlockCache) pushFrontLocked(e *blockEntry) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func entrySize(e *blockEntry) int64 {
-	return int64(len(e.key)+len(e.val)) + blockEntryOverhead
-}
-
-func (c *BlockCache) evictLocked() {
-	for c.bytes > c.max && c.tail != nil {
-		e := c.tail
-		c.unlinkLocked(e)
-		delete(c.entries, e.key)
-		c.bytes -= entrySize(e)
-	}
-}
-
-// get returns the cached value for key if its generation stamp matches
-// gen — the generation the caller loaded before it would read the
-// backend. A stale entry is evicted on sight. The returned slice is
-// shared and must not be mutated (record decode copies what it keeps).
-func (c *BlockCache) get(key string, gen uint64) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	if e.gen != gen {
-		c.unlinkLocked(e)
-		delete(c.entries, key)
-		c.bytes -= entrySize(e)
-		c.misses++
-		return nil, false
-	}
-	if c.head != e {
-		c.unlinkLocked(e)
-		c.pushFrontLocked(e)
-	}
-	c.hits++
-	return e.val, true
-}
-
-// put stores a value under the caller's pre-read generation. Because
-// the generation was loaded BEFORE the backend read, a mutation that
-// raced the read has already bumped past gen and the entry dies on its
-// first lookup — under-stamping can only ever invalidate too eagerly.
-func (c *BlockCache) put(key string, gen uint64, val []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.max <= 0 || int64(len(val)) > c.max/blockCacheMaxEntry {
-		return
-	}
-	if old, ok := c.entries[key]; ok {
-		c.unlinkLocked(old)
-		delete(c.entries, key)
-		c.bytes -= entrySize(old)
-	}
-	e := &blockEntry{key: key, gen: gen, val: val}
-	c.entries[key] = e
-	c.pushFrontLocked(e)
-	c.bytes += entrySize(e)
-	c.evictLocked()
-}
-
-// BlockCacheStats is a point-in-time counter snapshot.
-type BlockCacheStats struct {
-	Hits    int64
-	Misses  int64
-	Bytes   int64
-	Entries int64
-}
-
-func (c *BlockCache) stats() BlockCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return BlockCacheStats{Hits: c.hits, Misses: c.misses, Bytes: c.bytes, Entries: int64(len(c.entries))}
 }

@@ -1,7 +1,7 @@
 package store
 
 // Tests for the store-level record block cache: entries die with the
-// store generation, and a zero budget bypasses the cache.
+// store generation, and a zero budget retains nothing.
 
 import (
 	"testing"
@@ -48,7 +48,8 @@ func TestBlockCacheGenerationBumpInvalidates(t *testing.T) {
 	}
 }
 
-// TestBlockCacheDisabled: a zero budget bypasses the cache entirely.
+// TestBlockCacheDisabled: a zero budget retains nothing, and every
+// lookup — point or batched — counts as a miss.
 func TestBlockCacheDisabled(t *testing.T) {
 	s := New(NewMemoryBackend())
 	s.SetBlockCacheBytes(0)
@@ -62,7 +63,16 @@ func TestBlockCacheDisabled(t *testing.T) {
 			t.Fatal(ok, err)
 		}
 	}
-	if st := s.ReadCacheStats(); st.BlockCacheHits != 0 || st.BlockCacheBytes != 0 {
-		t.Fatalf("disabled cache retained state: %+v", st)
+	st := s.ReadCacheStats()
+	if st.BlockCacheHits != 0 || st.BlockCacheBytes != 0 || st.BlockCacheMisses != 3 {
+		t.Fatalf("disabled cache after 3 point reads: %+v", st)
+	}
+	_, present, err := s.GetBatch([]string{rec.StorageKey(), rec.StorageKey(), "absent"})
+	if err != nil || !present[0] || !present[1] || present[2] {
+		t.Fatalf("GetBatch = %v, %v", present, err)
+	}
+	st = s.ReadCacheStats()
+	if st.BlockCacheHits != 0 || st.BlockCacheBytes != 0 || st.BlockCacheEntries != 0 || st.BlockCacheMisses != 6 {
+		t.Fatalf("disabled cache after a 3-key GetBatch: %+v", st)
 	}
 }

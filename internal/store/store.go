@@ -139,13 +139,16 @@ type Store struct {
 	// fetches, presence-only total counting — reads through it. Entries
 	// are stamped with the generation loaded before the backend read, so
 	// the existing invalidation contract (gen bumps on accepted records
-	// and attempted deletes) covers it with no new bookkeeping.
-	bc *BlockCache
+	// and attempted deletes) covers it with no new bookkeeping. bcBudget
+	// mirrors its byte budget for cacheBlock's size admission.
+	bc       *kv.LRU[uint64, []byte]
+	bcBudget atomic.Int64
 }
 
 // New wraps a backend in a Store.
 func New(b Backend) *Store {
-	s := &Store{b: b, seed: maphash.MakeSeed(), reg: obs.NewRegistry(), bc: newBlockCache(DefaultBlockCacheBytes)}
+	s := &Store{b: b, seed: maphash.MakeSeed(), reg: obs.NewRegistry(), bc: kv.NewLRU[uint64](DefaultBlockCacheBytes, blockCost)}
+	s.bcBudget.Store(DefaultBlockCacheBytes)
 	s.recordSec = s.reg.Histogram("store_record_seconds", nil)
 	s.recordBatch = s.reg.Histogram("store_record_batch_size", obs.SizeBuckets)
 	s.deleteSec = s.reg.Histogram("store_delete_seconds", nil)
@@ -155,10 +158,10 @@ func New(b Backend) *Store {
 	s.reg.GaugeFunc("store_compaction_in_progress", func() float64 { return float64(s.compacting.Load()) })
 	s.reg.GaugeFunc("store_garbage_ratio", s.GarbageRatio)
 	s.reg.GaugeFunc("store_tombstones", func() float64 { return float64(s.Tombstones()) })
-	s.reg.GaugeFunc("store_blockcache_resident_bytes", func() float64 { return float64(s.bc.stats().Bytes) })
-	s.reg.GaugeFunc("store_blockcache_entries", func() float64 { return float64(s.bc.stats().Entries) })
+	s.reg.GaugeFunc("store_blockcache_resident_bytes", func() float64 { return float64(s.bc.Stats().Used) })
+	s.reg.GaugeFunc("store_blockcache_entries", func() float64 { return float64(s.bc.Stats().Entries) })
 	s.reg.GaugeFunc("store_blockcache_hit_ratio", func() float64 {
-		st := s.bc.stats()
+		st := s.bc.Stats()
 		if st.Hits+st.Misses == 0 {
 			return 0
 		}
@@ -170,9 +173,12 @@ func New(b Backend) *Store {
 	return s
 }
 
-// SetBlockCacheBytes resizes the record block cache's byte budget,
-// evicting down to it immediately; n <= 0 disables the cache.
-func (s *Store) SetBlockCacheBytes(n int64) { s.bc.setMax(n) }
+// SetBlockCacheBytes empties the record block cache, resets its
+// counters and sets its byte budget; with n <= 0 every lookup misses.
+func (s *Store) SetBlockCacheBytes(n int64) {
+	s.bcBudget.Store(n)
+	s.bc.Reset(n)
+}
 
 // ReadCacheStats is a snapshot of the read-path cache counters: the
 // record block cache.
@@ -189,11 +195,11 @@ type ReadCacheStats struct {
 
 // ReadCacheStats reports the read-path cache counters.
 func (s *Store) ReadCacheStats() ReadCacheStats {
-	st := s.bc.stats()
+	st := s.bc.Stats()
 	return ReadCacheStats{
 		BlockCacheHits:    st.Hits,
 		BlockCacheMisses:  st.Misses,
-		BlockCacheBytes:   st.Bytes,
+		BlockCacheBytes:   st.Used,
 		BlockCacheEntries: st.Entries,
 	}
 }
@@ -294,7 +300,7 @@ func (s *Store) GetRecord(key string) (*core.Record, bool, error) {
 	// caches dies on its first lookup — stale values cannot be served,
 	// only invalidated too eagerly.
 	gen := s.gen.Load()
-	value, cached := s.bc.get(key, gen)
+	value, cached := s.bc.Get(key, gen)
 	if !cached {
 		s.mu.RLock()
 		var ok bool
@@ -304,7 +310,7 @@ func (s *Store) GetRecord(key string) (*core.Record, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		s.bc.put(key, gen, value)
+		s.cacheBlock(key, gen, value)
 	}
 	r, err := core.DecodeRecord(value)
 	if err != nil {
@@ -320,18 +326,13 @@ func (s *Store) GetRecord(key string) (*core.Record, bool, error) {
 // error). Values are returned undecoded so callers that only need
 // existence (total counting past a query's Limit) skip the decode.
 func (s *Store) GetBatch(keys []string) (values [][]byte, present []bool, err error) {
-	if !s.bc.enabled() {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.b.GetBatch(keys)
-	}
 	gen := s.gen.Load() // pre-read, same under-stamping rule as GetRecord
 	values = make([][]byte, len(keys))
 	present = make([]bool, len(keys))
 	var missKeys []string
 	var missIdx []int
 	for i, k := range keys {
-		if v, ok := s.bc.get(k, gen); ok {
+		if v, ok := s.bc.Get(k, gen); ok {
 			values[i] = v
 			present[i] = true
 		} else {
@@ -352,7 +353,7 @@ func (s *Store) GetBatch(keys []string) (values [][]byte, present []bool, err er
 		if mp[j] {
 			values[i] = mv[j]
 			present[i] = true
-			s.bc.put(missKeys[j], gen, mv[j])
+			s.cacheBlock(missKeys[j], gen, mv[j])
 		}
 	}
 	return values, present, nil
