@@ -262,7 +262,19 @@ var (
 	ErrInvalid = errors.New("core: invalid p-assertion")
 )
 
-func validateCommon(localID string, asserter ActorID, in Interaction, v View, groups []GroupRef) error {
+// MinYear and MaxYear bound an assertion timestamp's UTC year: the range
+// time.MarshalText carries on the wire, and the one over which the time
+// index's fixed-width terms sort chronologically (a year-10000 term
+// would sort before "2005…").
+const (
+	MinYear = 0
+	MaxYear = 9999
+)
+
+func validateCommon(localID string, asserter ActorID, in Interaction, v View, groups []GroupRef, ts time.Time) error {
+	if y := ts.UTC().Year(); y < MinYear || y > MaxYear {
+		return fmt.Errorf("%w: timestamp %s outside years %d-%d", ErrInvalid, ts.UTC().Format(time.RFC3339), MinYear, MaxYear)
+	}
 	if localID == "" {
 		return fmt.Errorf("%w: empty local id", ErrInvalid)
 	}
@@ -294,12 +306,12 @@ func validateCommon(localID string, asserter ActorID, in Interaction, v View, gr
 
 // Validate checks structural well-formedness.
 func (p *InteractionPAssertion) Validate() error {
-	return validateCommon(p.LocalID, p.Asserter, p.Interaction, p.View, p.Groups)
+	return validateCommon(p.LocalID, p.Asserter, p.Interaction, p.View, p.Groups, p.Timestamp)
 }
 
 // Validate checks structural well-formedness.
 func (p *ActorStatePAssertion) Validate() error {
-	if err := validateCommon(p.LocalID, p.Asserter, p.Interaction, p.View, p.Groups); err != nil {
+	if err := validateCommon(p.LocalID, p.Asserter, p.Interaction, p.View, p.Groups, p.Timestamp); err != nil {
 		return err
 	}
 	if p.StateKind == "" {

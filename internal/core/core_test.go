@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/xml"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -134,6 +135,43 @@ func TestRecordValidate(t *testing.T) {
 		if err := r.Validate(); err == nil {
 			t.Errorf("bad record %d accepted", i)
 		}
+	}
+}
+
+func TestTimestampRangeMatchesTheWire(t *testing.T) {
+	// Validate admits exactly the UTC years 0-9999: what the time index's
+	// fixed-width terms sort correctly over. For UTC timestamps that is
+	// also what the hand-written codec and encoding/xml can carry.
+	for _, c := range []struct {
+		ts time.Time
+		ok bool
+	}{
+		{time.Time{}, true},
+		{time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), true},
+		{time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC), true},
+		{time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), false},
+		{time.Date(-1, 12, 31, 23, 59, 59, 0, time.UTC), false},
+		{time.Date(123456, 6, 1, 0, 0, 0, 0, time.UTC), false},
+	} {
+		p := sampleInteractionPA()
+		p.Timestamp = c.ts
+		r := NewInteractionRecord(p)
+		err := r.Validate()
+		if (err == nil) != c.ok || (err != nil && !errors.Is(err, ErrInvalid)) {
+			t.Errorf("%v: Validate = %v, want ok=%v (ErrInvalid otherwise)", c.ts, err, c.ok)
+		}
+		_, handErr := r.AppendXML(nil, "record")
+		_, stdErr := xml.Marshal(r)
+		if (handErr == nil) != c.ok || (stdErr == nil) != c.ok {
+			t.Errorf("%v: hand codec err %v, encoding/xml err %v, want ok=%v from both", c.ts, handErr, stdErr, c.ok)
+		}
+	}
+	// The index sorts on the UTC form: a timestamp the wire could carry
+	// in its own zone but whose UTC year is 10000 is still refused.
+	p := sampleActorStatePA()
+	p.Timestamp = time.Date(9999, 12, 31, 23, 30, 0, 0, time.FixedZone("", -3600))
+	if err := NewActorStateRecord(p).Validate(); !errors.Is(err, ErrInvalid) {
+		t.Errorf("UTC year 10000 in a -01:00 zone: Validate = %v, want ErrInvalid", err)
 	}
 }
 

@@ -587,35 +587,40 @@ func (ix *Index) CountPostings(dim, term string) (int, error) {
 var errStop = fmt.Errorf("index: stop scan")
 
 // ScanTimeRange visits the storage keys of records asserted within the
-// inclusive [since, until] range. A zero bound is unconstrained. The scan
-// is pruned to the longest shared key prefix of the two bounds and stops
-// as soon as it passes the upper bound.
+// inclusive [since, until] range, in time order. A zero bound is
+// unconstrained. The scan seeks straight to the lower bound's term and
+// stops at the first term past the upper one, so it reads the window
+// plus one key. An error from fn ends the scan and is returned as is.
+//
+// Terms sort chronologically only over years 0–9999 (UTC), the range
+// Store.Record admits. A bound outside it is clamped: every indexed
+// timestamp lies on one side of it.
 func (ix *Index) ScanTimeRange(since, until time.Time, fn func(storageKey string) error) error {
 	dimPrefix := postingPrefix + DimTime + "/"
-	var lo, hi string
+	from, hi := "", ""
 	if !since.IsZero() {
-		lo = TimeTerm(since)
+		switch y := since.UTC().Year(); {
+		case y > core.MaxYear:
+			return nil
+		case y >= core.MinYear:
+			from = dimPrefix + TimeTerm(since)
+		}
 	}
 	if !until.IsZero() {
-		hi = TimeTerm(until)
+		switch y := until.UTC().Year(); {
+		case y < core.MinYear:
+			return nil
+		case y <= core.MaxYear:
+			hi = TimeTerm(until)
+		}
 	}
-	scanPrefix := dimPrefix + commonPrefix(lo, hi)
-	if hi == "" {
-		// Unbounded above: scanning from the lower bound's prefix would
-		// not help, the shared prefix of lo and "" is empty anyway.
-		scanPrefix = dimPrefix
-	}
-	err := ix.kv.Scan(scanPrefix, func(key string, _ []byte) error {
+	err := ix.kv.ScanFrom(dimPrefix, from, func(key string, _ []byte) error {
 		rest := key[len(dimPrefix):]
 		slash := strings.IndexByte(rest, '/')
 		if slash < 0 {
 			return nil
 		}
-		term := rest[:slash]
-		if lo != "" && term < lo {
-			return nil
-		}
-		if hi != "" && term > hi {
+		if hi != "" && rest[:slash] > hi {
 			return errStop
 		}
 		return fn(rest[slash+1:])
@@ -624,21 +629,6 @@ func (ix *Index) ScanTimeRange(since, until time.Time, fn func(storageKey string
 		return nil
 	}
 	return err
-}
-
-func commonPrefix(a, b string) string {
-	if a == "" || b == "" {
-		return ""
-	}
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return a[:i]
 }
 
 // Terms enumerates the distinct terms recorded under a dimension, in

@@ -222,6 +222,95 @@ func TestScanTimeRange(t *testing.T) {
 	}
 }
 
+// visitCounter counts the keys a backend's scans hand to their
+// callbacks: what a range scan actually reads.
+type visitCounter struct {
+	KV
+	visited int
+}
+
+func (c *visitCounter) Scan(prefix string, fn func(string, []byte) error) error {
+	return c.ScanFrom(prefix, "", fn)
+}
+
+func (c *visitCounter) ScanFrom(prefix, from string, fn func(string, []byte) error) error {
+	return c.KV.ScanFrom(prefix, from, func(k string, v []byte) error {
+		c.visited++
+		return fn(k, v)
+	})
+}
+
+func TestScanTimeRangeSeeksToLowerBound(t *testing.T) {
+	// One record a second for a minute. A window straddling the 10-second
+	// boundary at :10 shares only the minute with its upper bound's term,
+	// so a scan from the bounds' common prefix would walk from :00.
+	cv := &visitCounter{KV: store.NewMemoryBackend()}
+	ix, err := Open(cv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := seq.NewID()
+	for s := 0; s < 60; s++ {
+		inter, _, _ := makeActivity(session, "svc:a", "svc:gzip", uint64(s+1), t0.Add(time.Duration(s)*time.Second))
+		if err := ix.Add(&inter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range []struct {
+		lo, hi int // seconds, inclusive
+	}{{8, 12}, {9, 10}, {55, 59}, {0, 0}} {
+		cv.visited = 0
+		n := 0
+		err := ix.ScanTimeRange(t0.Add(time.Duration(w.lo)*time.Second), t0.Add(time.Duration(w.hi)*time.Second), func(string) error {
+			n++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := w.hi - w.lo + 1; n != want {
+			t.Errorf("[%d, %d]: %d keys, want %d", w.lo, w.hi, n, want)
+		}
+		if cv.visited > n+1 {
+			t.Errorf("[%d, %d]: visited %d keys for a %d-key window, want at most window+1", w.lo, w.hi, cv.visited, n)
+		}
+	}
+}
+
+func TestScanTimeRangeClampsUnindexableBounds(t *testing.T) {
+	// Terms sort chronologically over years 0-9999 only; a bound beyond
+	// them must clamp, not compare as a string ("10000…" < "2026…").
+	b := store.NewMemoryBackend()
+	ix, err := Open(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, _, _ := makeActivity(seq.NewID(), "svc:a", "svc:gzip", 1, t0)
+	if err := ix.Add(&inter); err != nil {
+		t.Fatal(err)
+	}
+	far := time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+	past := time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		since, until time.Time
+		want         int
+	}{
+		{time.Time{}, far, 1},
+		{past, time.Time{}, 1},
+		{past, far, 1},
+		{far, time.Time{}, 0},
+		{time.Time{}, past, 0},
+	} {
+		n := 0
+		if err := ix.ScanTimeRange(c.since, c.until, func(string) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if n != c.want {
+			t.Errorf("[%v, %v]: %d keys, want %d", c.since, c.until, n, c.want)
+		}
+	}
+}
+
 func TestSessionsEnumeratesDistinctTerms(t *testing.T) {
 	b := store.NewMemoryBackend()
 	ix, err := Open(b)

@@ -6,10 +6,13 @@ import "sync"
 // a charged budget, the one cache type behind the query engine's result
 // cache, the router's result cache and the store's block cache.
 //
-// Every entry carries a stamp S — a store generation, or a router's
-// tuple of shard generations — and a lookup hits only when the caller's
-// stamp equals the entry's; a mismatched entry is evicted on sight and
-// the lookup counts as a miss. Owners read their stamp BEFORE the read
+// Every entry carries a stamp S — a count of the mutations that can
+// change the cached value: a store generation (the query result cache),
+// a router's tuple of shard generations, or a store's count of
+// attempted deletes (the block cache, whose write-once keys only a
+// delete can change) — and a lookup hits only when the caller's stamp
+// equals the entry's; a mismatched entry is evicted on sight and the
+// lookup counts as a miss. Owners read their stamp BEFORE the read
 // whose result they Put, so a mutation racing that read has already
 // moved the stamp on and the entry dies on its first lookup: the failure
 // mode is over-invalidation, never a stale answer.

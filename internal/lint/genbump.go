@@ -16,8 +16,9 @@ import (
 // `.gen.Add(...)` anywhere in the function, deferred bumps included —
 // or carry an explicit provlint:no-genbump annotation whose comment
 // justifies where the bump lives instead. A missed bump lets the
-// query result cache, the block cache, and the router result cache
-// serve stale answers as fresh.
+// query result cache and the router result cache serve stale answers
+// as fresh. (The block cache is stamped by Store.deleteChunk's delete
+// count, not the generation.)
 var GenBump = &analysis.Analyzer{
 	Name: "genbump",
 	Doc: "check that store functions mutating the Backend also bump the store generation " +

@@ -3,8 +3,10 @@
 // conjunctive predicate; the planner probes the cardinality of every
 // indexed constraint, orders them by measured selectivity, intersects
 // their posting lists with seekable iterators (a leapfrog merge that
-// never materialises a list), point-fetches only the candidate records
-// in batched chunks, and applies the remaining constraints residually.
+// never materialises an equality list; a time window no longer than the
+// driving list is materialised and drives), point-fetches only the
+// candidate records in batched chunks, and applies the remaining
+// constraints residually.
 // Queries that constrain no indexed field fall back to the store's scan
 // path, so results are always identical to a full scan — only the
 // access pattern changes.
@@ -19,6 +21,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -424,40 +427,48 @@ func (e *Engine) execute(q *prep.Query, opts execOpts) (execResult, *prep.QueryP
 		kindPrefix = "s/"
 	}
 
-	var src candSource
-	var iters []*index.PostingIter
-	residualFree := false
+	var chosen []dimRef
 	if len(dims) > 0 {
-		chosen, err := e.planDims(ix, q)
+		if chosen, err = e.planDims(ix, q); err != nil {
+			return execResult{}, nil, err
+		}
+	}
+	var lists []postingList
+	windowed := false
+	if timed {
+		// The window is a posting list of its own when it is no longer
+		// than the driving list; it then drives, and every equality list
+		// only seeks. Past that budget it stays a residual.
+		budget := -1
+		if len(chosen) > 0 {
+			budget = chosen[0].count
+		}
+		w, read, err := timeWindow(ix, q, budget)
 		if err != nil {
 			return execResult{}, nil, err
 		}
-		for _, d := range chosen {
-			plan.Dims = append(plan.Dims, d.dim)
-			plan.DimCounts = append(plan.DimCounts, d.count)
-			iters = append(iters, ix.Iter(d.dim, d.term))
+		plan.Postings += read
+		if w != nil {
+			windowed = true
+			plan.Dims = append(plan.Dims, index.DimTime)
+			plan.DimCounts = append(plan.DimCounts, len(w.keys))
+			lists = append(lists, w)
 		}
-		plan.EstCandidates = chosen[0].count
-		src = &leapfrogSource{iters: iters, kindPrefix: kindPrefix, after: opts.after}
-		residualFree = !timed && coversAllConstraints(q, chosen)
-	} else {
-		// Time range is the only constraint: range-scan the time index.
-		plan.Dims = []string{index.DimTime}
-		var candidates []string
-		err := ix.ScanTimeRange(q.Since, q.Until, func(skey string) error {
-			plan.Postings++
-			candidates = append(candidates, skey)
-			return nil
-		})
-		if err != nil {
-			return execResult{}, nil, fmt.Errorf("query: scanning time range: %w", err)
-		}
-		// Time order is not storage-key order; restore scan-path order.
-		sort.Strings(candidates)
-		plan.EstCandidates = len(candidates)
-		src = &sliceSource{keys: candidates, kindPrefix: kindPrefix, after: opts.after}
 	}
+	var iters []*index.PostingIter
+	for _, d := range chosen {
+		it := ix.Iter(d.dim, d.term)
+		plan.Dims = append(plan.Dims, d.dim)
+		plan.DimCounts = append(plan.DimCounts, d.count)
+		iters = append(iters, it)
+		lists = append(lists, it)
+	}
+	plan.EstCandidates = plan.DimCounts[0]
+	// With the window in the plan, time is covered exactly too (terms
+	// carry the full timestamp), so only the equality dims decide.
+	residualFree := (windowed || !timed) && coversAllConstraints(q, chosen)
 
+	src := &leapfrogSource{lists: lists, kindPrefix: kindPrefix, after: opts.after}
 	res, err := e.collect(q, src, opts, residualFree, kindPrefix, plan)
 	if err != nil {
 		return execResult{}, nil, err
@@ -466,6 +477,33 @@ func (e *Engine) execute(q *prep.Query, opts execOpts) (execResult, *prep.QueryP
 		plan.Postings += it.Read()
 	}
 	return res, plan, nil
+}
+
+// errWideWindow abandons a time-window scan that outgrew its budget.
+var errWideWindow = errors.New("query: time window wider than the driving list")
+
+// timeWindow materialises the storage keys of q's time window, sorted
+// into storage-key order, and reports how many it read. With budget >= 0
+// it keeps at most budget keys and returns a nil list once the window
+// holds more; a negative budget is unbounded.
+func timeWindow(ix *index.Index, q *prep.Query, budget int) (*keyList, int, error) {
+	var keys []string
+	err := ix.ScanTimeRange(q.Since, q.Until, func(skey string) error {
+		if len(keys) == budget {
+			return errWideWindow
+		}
+		keys = append(keys, skey)
+		return nil
+	})
+	if err == errWideWindow {
+		return nil, len(keys), nil
+	}
+	if err != nil {
+		return nil, len(keys), fmt.Errorf("query: scanning time range: %w", err)
+	}
+	// Time order is not storage-key order; restore scan-path order.
+	sort.Strings(keys)
+	return &keyList{keys: keys}, len(keys), nil
 }
 
 // coversAllConstraints reports whether the chosen dimensions cover every
@@ -494,7 +532,7 @@ func coversAllConstraints(q *prep.Query, chosen []dimRef) bool {
 const fetchChunk = 128
 
 // collect drains the candidate stream through chunked GetBatch fetches.
-func (e *Engine) collect(q *prep.Query, src candSource, opts execOpts, residualFree bool, kindPrefix string, plan *prep.QueryPlan) (execResult, error) {
+func (e *Engine) collect(q *prep.Query, src *leapfrogSource, opts execOpts, residualFree bool, kindPrefix string, plan *prep.QueryPlan) (execResult, error) {
 	res := execResult{}
 	full := func() bool { return opts.max > 0 && len(res.records) >= opts.max }
 	// beyondCap notes that candidates past the record cap exist but were
@@ -579,71 +617,68 @@ func (e *Engine) collect(q *prep.Query, src candSource, opts execOpts, residualF
 	}
 }
 
-// candSource yields candidate storage keys in ascending order.
-type candSource interface {
-	next() (skey string, ok bool, err error)
+// postingList is a sorted, seekable list of candidate storage keys: an
+// index.PostingIter over one term's postings, or a materialised time
+// window. Both consume the key they return.
+type postingList interface {
+	Next() (skey string, ok bool, err error)
+	Seek(target string) (skey string, ok bool, err error)
 }
 
-// sliceSource streams a pre-materialised sorted candidate list (the
-// time-range path) with cursor and kind bounds applied.
-type sliceSource struct {
-	keys       []string
-	kindPrefix string
-	after      string
-	pos        int
-	started    bool
+// keyList is a materialised, sorted posting list (the time window).
+type keyList struct {
+	keys []string
+	pos  int // next unread key
 }
 
-func (s *sliceSource) next() (string, bool, error) {
-	if !s.started {
-		s.started = true
-		lo := s.kindPrefix
-		if s.after != "" && s.after >= lo {
-			lo = s.after + "\x00"
-		}
-		s.pos = sort.SearchStrings(s.keys, lo)
-	}
-	if s.pos >= len(s.keys) {
+// Next implements postingList.
+func (l *keyList) Next() (string, bool, error) {
+	if l.pos >= len(l.keys) {
 		return "", false, nil
 	}
-	k := s.keys[s.pos]
-	s.pos++
-	return k, true, nil
+	l.pos++
+	return l.keys[l.pos-1], true, nil
 }
 
-// leapfrogSource intersects the chosen dimensions' posting lists with
-// seekable iterators: the driving (smallest) list supplies a frontier
-// key, every other list seeks to it, and any overshoot becomes the new
-// frontier. Runs of keys present in one list but absent from another
-// are skipped with one seek — never read, never materialised.
+// Seek implements postingList: the first unread key >= target.
+func (l *keyList) Seek(target string) (string, bool, error) {
+	l.pos += sort.SearchStrings(l.keys[l.pos:], target)
+	return l.Next()
+}
+
+// leapfrogSource intersects the chosen posting lists: the driving
+// (smallest) list supplies a frontier key, every other list seeks to
+// it, and any overshoot becomes the new frontier. Runs of keys present
+// in one list but absent from another are skipped with one seek — never
+// read, never materialised. A single list is streamed as is.
 //
-// The underlying iterators consume the key they return, so the source
-// caches each iterator's head: an overshot frontier key must stay
+// The underlying lists consume the key they return, so the source
+// caches each list's head: an overshot frontier key must stay
 // comparable until every other list has caught up to it (or pushed the
 // frontier further), otherwise agreement on it would be impossible.
 type leapfrogSource struct {
-	iters      []*index.PostingIter
+	lists      []postingList
 	kindPrefix string
 	after      string
 	started    bool
-	heads      []string // cached current key per iterator
+	heads      []string // cached current key per list
 	valid      []bool   // heads[i] holds a live key
 }
 
-// headSeek positions iterator i at the first key >= target, serving
-// from the cached head when it already satisfies the bound.
+// headSeek positions list i at the first key >= target, serving from
+// the cached head when it already satisfies the bound.
 func (s *leapfrogSource) headSeek(i int, target string) (string, bool, error) {
 	if s.valid[i] && s.heads[i] >= target {
 		return s.heads[i], true, nil
 	}
-	x, ok, err := s.iters[i].Seek(target)
+	x, ok, err := s.lists[i].Seek(target)
 	s.heads[i], s.valid[i] = x, ok
 	return x, ok, err
 }
 
-// headNext advances iterator i past its cached head.
+// headNext advances list i past its cached head.
 func (s *leapfrogSource) headNext(i int) (string, bool, error) {
-	x, ok, err := s.iters[i].Next()
+	x, ok, err := s.lists[i].Next()
 	s.heads[i], s.valid[i] = x, ok
 	return x, ok, err
 }
@@ -654,8 +689,8 @@ func (s *leapfrogSource) next() (string, bool, error) {
 	var err error
 	if !s.started {
 		s.started = true
-		s.heads = make([]string, len(s.iters))
-		s.valid = make([]bool, len(s.iters))
+		s.heads = make([]string, len(s.lists))
+		s.valid = make([]bool, len(s.lists))
 		lo := s.kindPrefix
 		if s.after != "" && s.after >= lo {
 			lo = s.after + "\x00"
@@ -681,7 +716,7 @@ func (s *leapfrogSource) next() (string, bool, error) {
 			return "", false, nil
 		}
 		agreed := true
-		for i := 1; i < len(s.iters); i++ {
+		for i := 1; i < len(s.lists); i++ {
 			x, xok, xerr := s.headSeek(i, cur)
 			if xerr != nil {
 				return "", false, xerr

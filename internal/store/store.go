@@ -137,12 +137,13 @@ type Store struct {
 	// bc is the shared record block cache (see blockcache.go): every
 	// GetRecord/GetBatch consumer — queries, the planner's candidate
 	// fetches, presence-only total counting — reads through it. Entries
-	// are stamped with the generation loaded before the backend read, so
-	// the existing invalidation contract (gen bumps on accepted records
-	// and attempted deletes) covers it with no new bookkeeping. bcBudget
+	// are stamped with dels, the count of attempted delete batches,
+	// loaded before the backend read: only a delete can change what a
+	// key reads as, so accepted records leave the cache warm. bcBudget
 	// mirrors its byte budget for cacheBlock's size admission.
 	bc       *kv.LRU[uint64, []byte]
 	bcBudget atomic.Int64
+	dels     atomic.Uint64
 }
 
 // New wraps a backend in a Store.
@@ -295,12 +296,12 @@ func (s *Store) dropIndex() {
 // GetRecord fetches and decodes one record by its storage key — the
 // point lookup the query planner uses to resolve posting-list candidates.
 func (s *Store) GetRecord(key string) (*core.Record, bool, error) {
-	// The generation is loaded BEFORE the backend read: a mutation that
+	// The delete stamp is loaded BEFORE the backend read: a delete that
 	// races the read has already bumped past it, so the entry this read
 	// caches dies on its first lookup — stale values cannot be served,
 	// only invalidated too eagerly.
-	gen := s.gen.Load()
-	value, cached := s.bc.Get(key, gen)
+	stamp := s.dels.Load()
+	value, cached := s.bc.Get(key, stamp)
 	if !cached {
 		s.mu.RLock()
 		var ok bool
@@ -310,7 +311,7 @@ func (s *Store) GetRecord(key string) (*core.Record, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		s.cacheBlock(key, gen, value)
+		s.cacheBlock(key, stamp, value)
 	}
 	r, err := core.DecodeRecord(value)
 	if err != nil {
@@ -326,13 +327,13 @@ func (s *Store) GetRecord(key string) (*core.Record, bool, error) {
 // error). Values are returned undecoded so callers that only need
 // existence (total counting past a query's Limit) skip the decode.
 func (s *Store) GetBatch(keys []string) (values [][]byte, present []bool, err error) {
-	gen := s.gen.Load() // pre-read, same under-stamping rule as GetRecord
+	stamp := s.dels.Load() // pre-read, same under-stamping rule as GetRecord
 	values = make([][]byte, len(keys))
 	present = make([]bool, len(keys))
 	var missKeys []string
 	var missIdx []int
 	for i, k := range keys {
-		if v, ok := s.bc.Get(k, gen); ok {
+		if v, ok := s.bc.Get(k, stamp); ok {
 			values[i] = v
 			present[i] = true
 		} else {
@@ -353,7 +354,7 @@ func (s *Store) GetBatch(keys []string) (values [][]byte, present []bool, err er
 		if mp[j] {
 			values[i] = mv[j]
 			present[i] = true
-			s.cacheBlock(missKeys[j], gen, mv[j])
+			s.cacheBlock(missKeys[j], stamp, mv[j])
 		}
 	}
 	return values, present, nil
@@ -683,7 +684,8 @@ func (s *Store) deleteKeys(idx *index.Index, keys []string) (int, error) {
 // provlint:no-genbump the generation bump lives in every caller
 // (deleteRecord and deleteKeys both bump when any batch was
 // attempted), because a chunk that errors may still have removed
-// records and the bump must cover that case too.
+// records and the bump must cover that case too. The block cache's
+// delete stamp is bumped here, under the stripes.
 //
 // A record whose stored bytes no longer decode is deleted anyway —
 // retraction must work on a store with one torn value, the same policy
@@ -732,7 +734,12 @@ func (s *Store) deleteChunk(idx *index.Index, chunk []string) (deleted int, atte
 	if len(doomed) == 0 {
 		return 0, false, nil
 	}
-	if err := s.b.DeleteBatch(doomed); err != nil {
+	err = s.b.DeleteBatch(doomed)
+	// The block cache's stamp moves while the stripes are still held:
+	// a re-record of a doomed key (with different bytes) must wait for
+	// the stripe, so no read can find the old bytes under the new stamp.
+	s.dels.Add(1)
+	if err != nil {
 		return 0, true, fmt.Errorf("deleting chunk: %w", err)
 	}
 	if err := idx.RemoveBatch(records); err != nil {
