@@ -138,9 +138,9 @@ const DefaultFlushConcurrency = 4
 // record lock held, while new Record calls append to a fresh active
 // journal. Recording therefore never waits on network shipping, and a
 // failed ship re-ships one sealed file instead of the whole backlog.
-// Sealed files left behind by a crash (the recorder died mid-rotation
-// or mid-ship) are adopted on the next open and re-enter the pending
-// backlog.
+// Journal files left behind by a crash (the recorder died with records
+// in its active journal, mid-rotation or mid-ship) are adopted on the
+// next open and re-enter the pending backlog.
 //
 // Shipping is a streaming pipeline: the sealed journal is decoded
 // incrementally and batches ship through a bounded pool of concurrent
@@ -265,9 +265,11 @@ func countJournalRecords(path string) int64 {
 
 // NewAsyncRecorder creates an asynchronous recorder journaling to
 // journalPath and shipping to the given endpoints (at least one).
-// batchSize <= 0 selects DefaultBatchSize. Sealed journal files a
-// crashed predecessor left beside journalPath are adopted: their clean
-// prefixes re-enter the pending backlog and ship with the next flush.
+// batchSize <= 0 selects DefaultBatchSize. The journal files a crashed
+// predecessor left are adopted — its sealed files beside journalPath,
+// and its active journal, which is sealed first under the next sequence
+// number: their clean prefixes re-enter the pending backlog and ship
+// with the next flush.
 func NewAsyncRecorder(asserter core.ActorID, journalPath string, batchSize int, clients ...*preserv.Client) (*AsyncRecorder, error) {
 	if len(clients) == 0 {
 		return nil, errors.New("client: async recorder needs at least one store endpoint")
@@ -275,15 +277,20 @@ func NewAsyncRecorder(asserter core.ActorID, journalPath string, batchSize int, 
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	f, err := os.OpenFile(journalPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("client: opening journal: %w", err)
-	}
 	var (
 		sealed  []*sealedJournal
 		sealSeq uint64
 		pending int64
 	)
+	adopt := func(sp string) {
+		count := countJournalRecords(sp)
+		if count == 0 {
+			os.Remove(sp) // nothing recoverable in it
+			return
+		}
+		sealed = append(sealed, &sealedJournal{path: sp, count: count, recovered: true})
+		pending += count
+	}
 	dir, base := filepath.Split(journalPath)
 	if dir == "" {
 		dir = "."
@@ -301,16 +308,21 @@ func NewAsyncRecorder(asserter core.ActorID, journalPath string, batchSize int, 
 			if seq > sealSeq {
 				sealSeq = seq
 			}
-			sp := filepath.Join(dir, n)
-			count := countJournalRecords(sp)
-			if count == 0 {
-				os.Remove(sp) // nothing recoverable in it
-				continue
-			}
-			sealed = append(sealed, &sealedJournal{path: sp, count: count, recovered: true})
-			pending += count
+			adopt(filepath.Join(dir, n))
 		}
 		sort.Slice(sealed, func(i, j int) bool { return sealed[i].path < sealed[j].path })
+	}
+	if st, err := os.Stat(journalPath); err == nil && st.Size() > 0 {
+		sealSeq++
+		sp := fmt.Sprintf("%s.%06d%s", journalPath, sealSeq, sealedExt)
+		if err := os.Rename(journalPath, sp); err != nil {
+			return nil, fmt.Errorf("client: sealing a predecessor's journal: %w", err)
+		}
+		adopt(sp)
+	}
+	f, err := os.OpenFile(journalPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("client: opening journal: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 64<<10)
 	reg := obs.NewRegistry()

@@ -316,6 +316,61 @@ func TestAsyncRecorderFlushFailureKeepsJournal(t *testing.T) {
 	// the journal was not truncated.
 }
 
+// TestAsyncRecorderAdoptsCrashedActiveJournal abandons a recorder
+// without Close while its active journal holds records — most already
+// written to the file, a tail still in the write buffer. A new recorder
+// on the same path must adopt the file's clean prefix and ship exactly
+// that prefix, not truncate it away.
+func TestAsyncRecorderAdoptsCrashedActiveJournal(t *testing.T) {
+	s := store.New(store.NewMemoryBackend())
+	srv, err := preserv.Serve(preserv.NewService(s), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pc := preserv.NewClient(srv.URL, nil)
+	journal := filepath.Join(t.TempDir(), "j.gob")
+	crashed, err := NewAsyncRecorder("svc:enactor", journal, 0, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := seq.NewID()
+	const n = 2000
+	order := make(map[string]int, n)
+	for i := 0; i < n; i++ {
+		rec := mkRecord(session)
+		order[rec.StorageKey()] = i
+		if err := crashed.Record(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r, err := NewAsyncRecorder("svc:enactor", journal, 0, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	adopted := r.Pending()
+	if adopted == 0 {
+		t.Fatal("the crashed recorder's active journal was not adopted")
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	shipped, total, err := s.Query(&prep.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(total) != adopted || r.Stats().Shipped != adopted {
+		t.Fatalf("adopted %d records, store holds %d, recorder shipped %d", adopted, total, r.Stats().Shipped)
+	}
+	for _, rec := range shipped {
+		if i, ok := order[rec.StorageKey()]; !ok || int64(i) >= adopted {
+			t.Fatalf("shipped record %s is not in the first %d recorded", rec.StorageKey(), adopted)
+		}
+	}
+}
+
 func TestRecorderInterfaceCompliance(t *testing.T) {
 	pc, _ := startStore(t)
 	journal := filepath.Join(t.TempDir(), "j.gob")

@@ -410,27 +410,25 @@ func TestZeroTimestampRecordsExcludedFromTimeQueries(t *testing.T) {
 	}
 }
 
-// faultyBackend fails writes of posting keys while armed, on both the
-// single-put and the batched path (Store.Record flushes postings through
-// PutBatch).
+// faultyBackend fails backend batches while armed: with failPostings,
+// any batch carrying a posting key (Store.Record's index flush); with
+// failRecords, a batch carrying record keys ("i/", "s/"), after durably
+// writing its first pair — the prefix a failed write may leave.
 type faultyBackend struct {
 	store.Backend
-	failPostings bool
-}
-
-func (f *faultyBackend) Put(key string, value []byte) error {
-	if f.failPostings && strings.HasPrefix(key, "x/") {
-		return fmt.Errorf("injected posting failure")
-	}
-	return f.Backend.Put(key, value)
+	failPostings, failRecords bool
 }
 
 func (f *faultyBackend) PutBatch(kvs []store.KV) error {
-	if f.failPostings {
-		for _, p := range kvs {
-			if strings.HasPrefix(p.Key, "x/") {
-				return fmt.Errorf("injected posting failure")
+	for _, p := range kvs {
+		if f.failPostings && strings.HasPrefix(p.Key, "x/") {
+			return fmt.Errorf("injected posting failure")
+		}
+		if f.failRecords && (strings.HasPrefix(p.Key, "i/") || strings.HasPrefix(p.Key, "s/")) {
+			if err := f.Backend.PutBatch(kvs[:1]); err != nil {
+				return err
 			}
+			return fmt.Errorf("injected record failure")
 		}
 	}
 	return f.Backend.PutBatch(kvs)
@@ -478,6 +476,64 @@ func TestIndexSelfHealsAfterFailedAdd(t *testing.T) {
 		t.Fatalf("after failed Add: scan=%d planner=%d, want both 1 (index not healed)", scanTotal, total)
 	}
 	_ = sessions
+}
+
+// TestRecordBatchFailureThenRetry fails the backend batch that carries
+// a Record call's records, after its first record is durable, on every
+// backend: Record errors and the generation still advances (a cached
+// result must not outlive the prefix). Once the fault is disarmed, a
+// retry of the call succeeds and the planner finds every record.
+func TestRecordBatchFailureThenRetry(t *testing.T) {
+	opens := map[string]func(dir string) (store.Backend, error){
+		"memory": func(string) (store.Backend, error) { return store.NewMemoryBackend(), nil },
+		"file":   func(dir string) (store.Backend, error) { return store.NewFileBackend(dir) },
+		"kvdb":   func(dir string) (store.Backend, error) { return store.NewKVBackend(dir) },
+	}
+	for name, open := range opens {
+		t.Run(name, func(t *testing.T) {
+			b, err := open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb := &faultyBackend{Backend: b}
+			s := store.New(fb)
+			defer s.Close()
+			if _, err := s.Index(); err != nil {
+				t.Fatal(err)
+			}
+			session := seq.NewID()
+			var recs []core.Record
+			for i := 0; i < 3; i++ {
+				in := core.Interaction{ID: seq.NewID(), Sender: "svc:enactor", Receiver: "svc:gzip", Operation: "run"}
+				recs = append(recs, *core.NewInteractionRecord(&core.InteractionPAssertion{
+					LocalID:     "e0",
+					Asserter:    "svc:enactor",
+					Interaction: in,
+					View:        core.SenderView,
+					Request:     core.Message{Name: "invoke"},
+					Response:    core.Message{Name: "result"},
+					Groups:      []core.GroupRef{{Type: core.GroupSession, ID: session, Seq: 1}},
+					Timestamp:   t0,
+				}))
+			}
+			gen := s.Generation()
+			fb.failRecords = true
+			if _, _, err := s.Record("svc:enactor", recs); err == nil {
+				t.Fatal("Record succeeded despite an injected record-batch failure")
+			}
+			if s.Generation() == gen {
+				t.Error("generation did not advance after a failed record batch")
+			}
+			fb.failRecords = false
+			if acc, rej, err := s.Record("svc:enactor", recs); err != nil || acc != len(recs) || len(rej) != 0 {
+				t.Fatalf("retry: acc=%d rej=%v err=%v", acc, rej, err)
+			}
+			got, total, _, err := newSized(s, 0).Query(&prep.Query{SessionID: session})
+			if err != nil || total != len(recs) || len(got) != len(recs) {
+				t.Fatalf("planner after retry: %d/%d err=%v, want %d", len(got), total, err, len(recs))
+			}
+		})
+	}
 }
 
 func TestQueryValidateRejected(t *testing.T) {

@@ -152,15 +152,15 @@ func persistentBackends() []persistentBackend {
 }
 
 // TestDeletePersistsAcrossReopen is the tombstone contract: a deletion
-// must survive a restart even though older copies of the key (record
-// files, earlier segments, earlier log entries) are still on disk.
+// must survive a restart even though older copies of the key (earlier
+// segments, earlier log entries) are still on disk.
 func TestDeletePersistsAcrossReopen(t *testing.T) {
 	for _, pb := range persistentBackends() {
 		t.Run(pb.name, func(t *testing.T) {
 			dir := t.TempDir()
 			b := pb.open(t, dir)
-			// One key in each layout: batch (segment / log append) and
-			// single put (record file / log append).
+			// Keys from a batch and from a single put: each write is one
+			// segment (file) or one log append (kvdb).
 			if err := b.PutBatch([]KV{
 				{Key: "i/x/1", Value: []byte("batch")},
 				{Key: "i/x/2", Value: []byte("batch2")},
@@ -183,7 +183,7 @@ func TestDeletePersistsAcrossReopen(t *testing.T) {
 				t.Error("batch-stored key resurrected after reopen")
 			}
 			if _, ok, _ := b.Get("i/x/3"); ok {
-				t.Error("file-stored key resurrected after reopen")
+				t.Error("single-put key resurrected after reopen")
 			}
 			if v, ok, err := b.Get("i/x/2"); err != nil || !ok || string(v) != "batch2" {
 				t.Fatalf("survivor damaged: %q %v %v", v, ok, err)
@@ -193,14 +193,14 @@ func TestDeletePersistsAcrossReopen(t *testing.T) {
 }
 
 // TestDeleteSurvivesCompactionAndReopen pins the subtle file-backend
-// case: Compact drops tombstones, so it must also make sure nothing
-// older can resurrect the key on the next open.
+// case: Compact drops tombstones, so it must also have removed every
+// older segment that could resurrect the key on the next open.
 func TestDeleteSurvivesCompactionAndReopen(t *testing.T) {
 	for _, pb := range persistentBackends() {
 		t.Run(pb.name, func(t *testing.T) {
 			dir := t.TempDir()
 			b := pb.open(t, dir)
-			if err := b.Put("i/y/1", []byte("recordfile")); err != nil {
+			if err := b.Put("i/y/1", []byte("single")); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.PutBatch([]KV{{Key: "i/y/2", Value: []byte("segment")}}); err != nil {
@@ -228,11 +228,10 @@ func TestDeleteSurvivesCompactionAndReopen(t *testing.T) {
 	}
 }
 
-// TestFileDeleteOfCrossLayoutDuplicate pins the cross-layout corner: a
-// key put as a record file and identically re-put through a batch lives
-// in both layouts; deleting it must leave neither copy able to
-// resurrect it — before or after compaction.
-func TestFileDeleteOfCrossLayoutDuplicate(t *testing.T) {
+// TestFileDeleteOfRePutKey pins the two-copy corner: a key put and
+// identically re-put lives in two segments; deleting it must leave
+// neither copy able to resurrect it — before or after compaction.
+func TestFileDeleteOfRePutKey(t *testing.T) {
 	dir := t.TempDir()
 	fb, err := NewFileBackend(dir)
 	if err != nil {
@@ -247,6 +246,14 @@ func TestFileDeleteOfCrossLayoutDuplicate(t *testing.T) {
 	if err := fb.Delete("i/z/1"); err != nil {
 		t.Fatal(err)
 	}
+	reopened, err := NewFileBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := reopened.Get("i/z/1"); ok {
+		t.Error("an older copy resurrected the deleted key on reopen")
+	}
+	reopened.Close()
 	if err := fb.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +262,13 @@ func TestFileDeleteOfCrossLayoutDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok, _ := fb2.Get("i/z/1"); ok {
-		t.Error("cross-layout duplicate resurrected the deleted key")
+		t.Error("an older copy resurrected the deleted key after compaction")
 	}
 }
 
-// TestFileRePutAfterDeleteSurvivesReopen pins the replay-order trap: a
-// record file written after a tombstone would be erased by the
-// tombstone on replay (record files load before all segments), so the
-// re-put must be routed into a later segment.
+// TestFileRePutAfterDeleteSurvivesReopen pins replay order across a
+// tombstone: a re-put of a deleted key lands in a later segment than
+// the tombstone, so replay resolves the key to the re-put value.
 func TestFileRePutAfterDeleteSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	fb, err := NewFileBackend(dir)

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -18,17 +16,12 @@ import (
 )
 
 // FileBackend stores records in files under a directory, PReServ's
-// "file system" backend, in two layouts:
-//
-//   - A single Put writes one record file plus a key sidecar (file names
-//     derived from the storage key: sanitised, hash-suffixed forms that
-//     are filesystem-safe while still grouping an interaction's records
-//     by prefix).
-//   - A PutBatch packs the whole batch into ONE segment file — the
-//     layout that keeps a record's ~20 index postings from costing ~20
-//     file pairs each. Segments are written to a temp file and renamed
-//     into place, so a batch is visible atomically; per-entry CRCs guard
-//     recovery against torn segments all the same.
+// "file system" backend, in one layout: every write packs its pairs into
+// ONE segment file (a Put is a batch of one), so a Record call costs two
+// files — its records and its postings — however many records it
+// carries. Segments are written to a temp file and renamed into place,
+// so a batch is visible atomically; per-entry CRCs guard recovery
+// against torn segments all the same.
 //
 // A sidecar index file is unnecessary — the directory itself is the
 // index, rebuilt into memory on open.
@@ -45,11 +38,11 @@ type FileBackend struct {
 	segSeq uint64
 	// tombstones tracks keys whose newest segment entry is a tombstone:
 	// the key is dead, but its tombstone must survive until Compact has
-	// made sure no earlier layout copy (a record file, an older segment)
-	// could resurrect it on replay. The value is the sequence number of
-	// the segment holding the newest tombstone entry, so an incremental
-	// compaction can tell tombstones its snapshot covered (droppable at
-	// swap) from ones written during the rewrite (which must survive).
+	// removed every older segment that could resurrect it on replay. The
+	// value is the sequence number of the segment holding the newest
+	// tombstone entry, so an incremental compaction can tell tombstones
+	// its snapshot covered (droppable at swap) from ones written during
+	// the rewrite (which must survive).
 	tombstones map[string]uint64
 	// liveBytes / deadBytes approximate how segment bytes split between
 	// entries that still back a live key and entries that are garbage
@@ -80,8 +73,7 @@ type FileBackend struct {
 	segBytes atomic.Int64
 }
 
-// fileLoc locates one value: a whole record file (off < 0) or a byte
-// range within a packed segment.
+// fileLoc locates one value: a byte range within a packed segment.
 type fileLoc struct {
 	file string
 	off  int64
@@ -89,8 +81,7 @@ type fileLoc struct {
 }
 
 const (
-	fileExt = ".rec"
-	segExt  = ".seg"
+	segExt = ".seg"
 	// tmpExt marks a segment still being written; see publishFile.
 	tmpExt = ".tmp"
 	// bloomExt ends the per-segment filter sidecars (<seq>.seg.bloom)
@@ -99,6 +90,14 @@ const (
 	bloomExt = ".bloom"
 	// segMagic heads every packed segment file.
 	segMagic = "PSEG1\n"
+	// recExt and recKeyExt end the per-record file pairs (<hash>.rec
+	// body, <hash>.rec.key sidecar) that stores written by earlier
+	// versions carry. Nothing writes them any more; open folds them into
+	// segments (adoptRecordFiles).
+	recExt    = ".rec"
+	recKeyExt = ".rec.key"
+	// adoptSegBytes bounds the values one adopted segment carries.
+	adoptSegBytes = 4 << 20
 )
 
 // segTombstoneVal is the reserved valLen marking a segment entry as a
@@ -130,7 +129,8 @@ func tombEntrySize(key string) int64 {
 }
 
 // NewFileBackend opens (creating if necessary) a file backend rooted at
-// dir and indexes any records already present.
+// dir and indexes any records already present, adopting the record-file
+// pairs of earlier versions into segments.
 func NewFileBackend(dir string) (*FileBackend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
@@ -146,20 +146,13 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 	}
 	// Segments replay in sequence order so that a key rewritten in a
 	// later segment resolves to its newest location.
-	var segs []string
+	var segs, recs []string
 	for _, e := range entries {
 		name := e.Name()
 		switch {
 		case e.IsDir():
-		case strings.HasSuffix(name, fileExt):
-			keyPath := filepath.Join(dir, name+".key")
-			keyBytes, err := os.ReadFile(keyPath)
-			if err != nil {
-				// A record file without its key sidecar is a torn write;
-				// skip it rather than fail the whole store.
-				continue
-			}
-			fb.keys[string(keyBytes)] = fileLoc{file: name, off: -1}
+		case strings.HasSuffix(name, recExt), strings.HasSuffix(name, recKeyExt):
+			recs = append(recs, name)
 		case strings.HasSuffix(name, segExt):
 			segs = append(segs, name)
 		case strings.HasSuffix(name, tmpExt), strings.HasSuffix(name, bloomExt):
@@ -181,14 +174,79 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 			return nil, err
 		}
 	}
+	if err := fb.adoptRecordFiles(recs); err != nil {
+		return nil, err
+	}
 	return fb, nil
+}
+
+// adoptRecordFiles folds the record-file pairs an earlier version wrote
+// (one per single Put) into segments, then removes every pair. Open-time
+// only, after all segments have replayed (single goroutine, f.mu not yet
+// shared).
+//
+// It keeps the old replay order, in which record files loaded before
+// every segment: a key a segment holds or tombstones keeps its segment
+// state, and its pair is dropped. A body without its sidecar is a torn
+// write the old open ignored, and is dropped too. Adopted values go into
+// segments of at most about adoptSegBytes each, all published before
+// any pair is removed, so a crash in between reopens to the same
+// contents: the adopted copies replay as segment state, and the pairs
+// lose to them.
+func (f *FileBackend) adoptRecordFiles(names []string) error {
+	var batch []KV
+	size := 0
+	flush := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		err := f.putBatchLocked(batch)
+		batch, size = batch[:0], 0
+		return err
+	}
+	for _, name := range names {
+		if !strings.HasSuffix(name, recExt) {
+			continue
+		}
+		key, err := os.ReadFile(filepath.Join(f.dir, name+".key"))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("store: adopting %s: %w", name, err)
+		}
+		k := string(key)
+		_, held := f.keys[k]
+		_, dead := f.tombstones[k]
+		if held || dead || k == "" {
+			continue
+		}
+		value, err := os.ReadFile(filepath.Join(f.dir, name))
+		if err != nil {
+			return fmt.Errorf("store: adopting %s: %w", name, err)
+		}
+		batch = append(batch, KV{Key: k, Value: value})
+		if size += len(value); size >= adoptSegBytes {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+	}
+	if err := flush(); err != nil {
+		return err
+	}
+	for _, name := range names {
+		if err := os.Remove(filepath.Join(f.dir, name)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: removing adopted %s: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // loadSegment indexes the entries of one packed segment. A corrupt entry
 // ends the replay of that segment (everything after a torn write is
-// unreliable) without failing the open — the same torn-write tolerance
-// the record-file layout has. The parse runs straight off the segment's
-// handle, which stays cached for the reads to come.
+// unreliable) without failing the open. The parse runs straight off the
+// segment's handle, which stays cached for the reads to come.
 func (f *FileBackend) loadSegment(name string) error {
 	_, err := f.withSegData(name, func(data []byte) error {
 		f.replaySegment(name, data)
@@ -246,10 +304,10 @@ func (f *FileBackend) noteDeadLocked(file string, sz int64) {
 }
 
 // notePutLocked updates the byte accounting and tombstone set for a
-// segment put of key: a previous segment copy becomes dead, a previous
-// tombstone stops being the key's newest entry. Callers hold f.mu.
+// segment put of key: a previous copy becomes dead, a previous tombstone
+// stops being the key's newest entry. Callers hold f.mu.
 func (f *FileBackend) notePutLocked(key string) {
-	if old, ok := f.keys[key]; ok && old.off >= 0 {
+	if old, ok := f.keys[key]; ok {
 		sz := putEntrySize(key, old.vlen)
 		f.liveBytes -= sz
 		f.noteDeadLocked(old.file, sz)
@@ -258,16 +316,14 @@ func (f *FileBackend) notePutLocked(key string) {
 }
 
 // noteTombstoneLocked applies one tombstone entry written in segment
-// sequence seq: the key's live segment copy (if any) becomes dead, the
-// key leaves the directory, and the tombstone itself is garbage-to-be.
+// sequence seq: the key's live copy (if any) becomes dead, the key
+// leaves the directory, and the tombstone itself is garbage-to-be.
 // Callers hold f.mu.
 func (f *FileBackend) noteTombstoneLocked(key string, seq uint64) {
 	if old, ok := f.keys[key]; ok {
-		if old.off >= 0 {
-			sz := putEntrySize(key, old.vlen)
-			f.liveBytes -= sz
-			f.noteDeadLocked(old.file, sz)
-		}
+		sz := putEntrySize(key, old.vlen)
+		f.liveBytes -= sz
+		f.noteDeadLocked(old.file, sz)
 		delete(f.keys, key)
 		f.ordered.Touch(key)
 	}
@@ -358,61 +414,9 @@ func appendSegTombstone(buf []byte, key string) []byte {
 // Name implements Backend.
 func (f *FileBackend) Name() string { return "file" }
 
-func fileNameFor(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:16]) + fileExt
-}
-
-// Put implements Backend. The record body is written first, then the key
-// sidecar; a crash between the two leaves an orphan that open skips.
-//
-// Overwriting a key that lives in a packed segment is rejected unless
-// the content is identical: the two layouts have no durable ordering
-// between them, so reopen could not tell which write was last. Within
-// one layout, overwrites stay last-write-wins (same record file name;
-// higher segment sequence).
+// Put implements Backend: a batch of one.
 func (f *FileBackend) Put(key string, value []byte) error {
-	if key == "" {
-		return fmt.Errorf("store: empty key")
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if loc, ok := f.keys[key]; ok && loc.off >= 0 {
-		existing, found, err := f.readLoc(loc)
-		if err != nil {
-			// Writing the record file anyway would plant a copy a restart
-			// silently loses to the segment (record files replay first);
-			// surface the read failure instead.
-			return fmt.Errorf("store: checking segment-stored %s before overwrite: %w", key, err)
-		}
-		if found {
-			if string(existing) != string(value) {
-				return fmt.Errorf("store: %s is segment-stored; cross-layout overwrite with different content", key)
-			}
-			return nil // identical re-put; the segment copy already serves it
-		}
-		// Segment file vanished underneath us: write the record file.
-	}
-	if _, dead := f.tombstones[key]; dead {
-		// A live tombstone outranks every record file on replay (record
-		// files load before all segments), so a re-put of a deleted key
-		// must land in a segment with a later sequence number than the
-		// tombstone's — not in a record file the tombstone would erase.
-		return f.putBatchLocked([]KV{{Key: key, Value: value}})
-	}
-	name := fileNameFor(key)
-	path := filepath.Join(f.dir, name)
-	if err := os.WriteFile(path, value, 0o644); err != nil {
-		return fmt.Errorf("store: writing %s: %w", path, err)
-	}
-	if err := os.WriteFile(path+".key", []byte(key), 0o644); err != nil {
-		return fmt.Errorf("store: writing key sidecar: %w", err)
-	}
-	if _, exists := f.keys[key]; !exists {
-		f.ordered.Touch(key)
-	}
-	f.keys[key] = fileLoc{file: name, off: -1}
-	return nil
+	return f.PutBatch([]KV{{Key: key, Value: value}})
 }
 
 // sortedKeys returns the sorted key snapshot, folding writes in only
@@ -433,8 +437,9 @@ func (f *FileBackend) sortedKeys() []string {
 
 // PutBatch implements Backend: the whole batch lands in one packed
 // segment file — two syscall-visible writes (temp file + rename) no
-// matter how many pairs, where the per-Put layout would cost two files
-// per pair. The rename makes the batch visible atomically.
+// matter how many pairs. The rename makes the batch visible atomically,
+// and a key rewritten in a later segment resolves to the newer value on
+// replay (last write wins).
 func (f *FileBackend) PutBatch(kvs []KV) error {
 	if len(kvs) == 0 {
 		return nil
@@ -452,24 +457,14 @@ func (f *FileBackend) PutBatch(kvs []KV) error {
 // putBatchLocked writes one packed segment for kvs. Callers hold f.mu
 // and have validated the keys.
 func (f *FileBackend) putBatchLocked(kvs []KV) error {
-	// Mirror Put's cross-layout guard: a key stored as a record file may
-	// only be re-put through a batch with identical content, since
-	// reopen replays segments after record files and would otherwise
-	// resurrect whichever copy replays last.
-	for _, p := range kvs {
-		loc, ok := f.keys[p.Key]
-		if !ok || loc.off >= 0 {
-			continue
-		}
-		existing, found, err := f.readLoc(loc)
-		if err == nil && found && string(existing) != string(p.Value) {
-			return fmt.Errorf("store: %s is file-stored; cross-layout overwrite with different content", p.Key)
-		}
-	}
 	f.segSeq++
 	name := fmt.Sprintf("%016x%s", f.segSeq, segExt)
 
-	buf := []byte(segMagic)
+	size := int64(len(segMagic))
+	for _, p := range kvs {
+		size += putEntrySize(p.Key, len(p.Value))
+	}
+	buf := append(make([]byte, 0, size), segMagic...)
 	offs := make([]int64, len(kvs))
 	for i, p := range kvs {
 		buf = appendSegEntry(buf, p.Key, p.Value)
@@ -486,7 +481,7 @@ func (f *FileBackend) putBatchLocked(kvs []KV) error {
 	haveTombs := len(f.tombstones) > 0
 	for i, p := range kvs {
 		old, ok := f.keys[p.Key]
-		if ok && old.off >= 0 {
+		if ok {
 			sz := putEntrySize(p.Key, old.vlen)
 			f.liveBytes -= sz
 			f.noteDeadLocked(old.file, sz)
@@ -508,22 +503,13 @@ func (f *FileBackend) Delete(key string) error {
 	return f.DeleteBatch([]string{key})
 }
 
-// DeleteBatch implements Backend: every key that lives in a packed
-// segment gets a tombstone entry, and the whole batch of tombstones
-// lands in ONE new segment file (temp file + rename, so that part of
-// the batch is visible atomically — a crash keeps either all segment
-// deletions or none). Keys stored as individual record files are then
-// deleted per key, sidecar first (open skips record files without
-// one), body second. The tombstone segment is published BEFORE any
-// record file is touched, so an error or crash part-way never applies
-// a record-file deletion the durable log knows nothing about while
-// reporting total failure. Absent keys are no-ops.
-//
-// Tombstones must outlive the delete call: record files replay before
-// all segments, and an identical cross-layout copy of a deleted key may
-// still sit in a record file — so after publishing the tombstones, any
-// such record files are removed, and Compact repeats that removal
-// before it drops a tombstone for good.
+// DeleteBatch implements Backend: every present key gets a tombstone
+// entry, and the whole batch of tombstones lands in ONE new segment file
+// (temp file + rename, so the batch is visible atomically — a crash
+// keeps either all its deletions or none). Absent keys are no-ops.
+// Tombstones outlive the delete call: an older segment may still hold a
+// deleted key's value, so Compact drops a tombstone only once it has
+// removed every segment below it.
 func (f *FileBackend) DeleteBatch(keys []string) error {
 	for _, k := range keys {
 		if k == "" {
@@ -533,16 +519,10 @@ func (f *FileBackend) DeleteBatch(keys []string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var buf []byte
-	var doomed []string // segment-stored keys being tombstoned
-	var fileKeys []string
+	var doomed []string
 	for _, k := range keys {
-		loc, ok := f.keys[k]
-		if !ok {
+		if _, ok := f.keys[k]; !ok {
 			continue // absent: no-op
-		}
-		if loc.off < 0 {
-			fileKeys = append(fileKeys, k)
-			continue
 		}
 		if len(buf) == 0 {
 			buf = []byte(segMagic)
@@ -550,30 +530,16 @@ func (f *FileBackend) DeleteBatch(keys []string) error {
 		buf = appendSegTombstone(buf, k)
 		doomed = append(doomed, k)
 	}
-	if len(doomed) > 0 {
-		f.segSeq++
-		name := fmt.Sprintf("%016x%s", f.segSeq, segExt)
-		if err := publishFile(filepath.Join(f.dir, name), buf); err != nil {
-			return fmt.Errorf("store: writing tombstone segment %s: %w", name, err)
-		}
-		for _, k := range doomed {
-			f.noteTombstoneLocked(k, f.segSeq)
-			// A cross-layout identical copy may sit in a record file;
-			// remove it so the tombstone can eventually be compacted
-			// away.
-			rec := filepath.Join(f.dir, fileNameFor(k))
-			_ = os.Remove(rec + ".key")
-			_ = os.Remove(rec)
-		}
+	if len(doomed) == 0 {
+		return nil
 	}
-	for _, k := range fileKeys {
-		path := filepath.Join(f.dir, f.keys[k].file)
-		if err := os.Remove(path + ".key"); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: deleting key sidecar for %s: %w", k, err)
-		}
-		_ = os.Remove(path)
-		delete(f.keys, k)
-		f.ordered.Touch(k)
+	f.segSeq++
+	name := fmt.Sprintf("%016x%s", f.segSeq, segExt)
+	if err := publishFile(filepath.Join(f.dir, name), buf); err != nil {
+		return fmt.Errorf("store: writing tombstone segment %s: %w", name, err)
+	}
+	for _, k := range doomed {
+		f.noteTombstoneLocked(k, f.segSeq)
 	}
 	return nil
 }
@@ -596,8 +562,8 @@ func (f *FileBackend) GetBatch(keys []string) ([][]byte, []bool, error) {
 		if !ok {
 			continue
 		}
-		if loc.off >= 0 && loc.vlen == 0 {
-			// Empty segment value (an index posting): no file access.
+		if loc.vlen == 0 {
+			// Empty value (an index posting): no file access.
 			values[i] = []byte{}
 			present[i] = true
 			continue
@@ -606,21 +572,6 @@ func (f *FileBackend) GetBatch(keys []string) ([][]byte, []bool, error) {
 	}
 	f.mu.RUnlock()
 	for file, fetches := range byFile {
-		if fetches[0].loc.off < 0 {
-			// Whole record files: one ReadFile each.
-			for _, ft := range fetches {
-				data, err := os.ReadFile(filepath.Join(f.dir, file))
-				if err != nil {
-					if os.IsNotExist(err) {
-						continue
-					}
-					return nil, nil, fmt.Errorf("store: reading %s: %w", file, err)
-				}
-				values[ft.i] = data
-				present[ft.i] = true
-			}
-			continue
-		}
 		// One handle acquisition serves every range in this segment;
 		// values are copied straight out of the mapping. A vanished
 		// segment leaves its keys absent.
@@ -652,21 +603,10 @@ func (f *FileBackend) Get(key string) ([]byte, bool, error) {
 	return f.readLoc(loc)
 }
 
-// readLoc fetches the value at a location: a whole record file or a
-// byte range within a segment.
+// readLoc fetches the value at a location.
 func (f *FileBackend) readLoc(loc fileLoc) ([]byte, bool, error) {
-	if loc.off < 0 {
-		data, err := os.ReadFile(filepath.Join(f.dir, loc.file))
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil, false, nil
-			}
-			return nil, false, fmt.Errorf("store: reading %s: %w", loc.file, err)
-		}
-		return data, true, nil
-	}
 	if loc.vlen == 0 {
-		// Empty segment values (index postings) need no file access —
+		// Empty values (index postings) need no file access —
 		// the hot posting-resolution path must not pay an open per key.
 		return []byte{}, true, nil
 	}
@@ -724,23 +664,18 @@ func (f *FileBackend) Segments() int {
 	defer f.mu.RUnlock()
 	segs := make(map[string]bool)
 	for _, loc := range f.keys {
-		if loc.off >= 0 {
-			segs[loc.file] = true
-		}
+		segs[loc.file] = true
 	}
 	return len(segs)
 }
 
-// Compact merges every packed posting segment into one freshly written
-// segment (the kvdb Compact analogue for the file layout): each Record
-// call leaves its own small PSEG1 file, so a long-lived store
+// Compact merges every packed segment into one freshly written segment
+// (the kvdb Compact analogue for the file layout): each Record call
+// leaves its own two small PSEG1 files, so a long-lived store
 // accumulates thousands of tiny segments that slow reopen and waste
 // directory entries. Only live entries survive the merge; superseded
-// segment values and tombstones are dropped, so deleted keys' bytes are
-// reclaimed here. Record files (the per-Put layout) are untouched —
-// except those shadowed by a tombstone, which must go before the
-// tombstone can (record files replay first, and would resurrect the
-// key).
+// values and tombstones are dropped, so deleted keys' bytes are
+// reclaimed here.
 //
 // Crash safety: the merged segment is written to a temp file and
 // renamed in under its pre-allocated sequence number, so it replays
@@ -751,17 +686,15 @@ func (f *FileBackend) Segments() int {
 // The merge runs incrementally — the expensive rewrite works against a
 // snapshot with no lock held while writers keep landing segments — in
 // three phases. Phase 1 (short exclusive section, like phase 3):
-// snapshot every segment-resident key's location
-// and the tombstone set, and claim the merged segment's sequence number
-// — the "boundary". Every segment a concurrent writer lands during the
-// rewrite gets a HIGHER sequence and therefore replays after the merged
-// output, which is what makes the on-disk state consistent at every
-// instant without any content redo. Phase 2 (no lock): read the
-// snapshot values (only Compact removes segments, and compactions are
-// serialised, so snapshot locations stay readable), write the merged
-// segment under the boundary sequence, and sweep record files shadowed
-// by snapshot tombstones. Phase 3
-// (short exclusive section): repoint every key that still resolves to
+// snapshot every key's location and claim the merged segment's sequence
+// number — the "boundary". Every segment a concurrent writer lands
+// during the rewrite gets a HIGHER sequence and therefore replays after
+// the merged output, which is what makes the on-disk state consistent
+// at every instant without any content redo. Phase 2 (no lock): read
+// the snapshot values (only Compact removes segments, and compactions
+// are serialised, so snapshot locations stay readable) and write the
+// merged segment under the boundary sequence. Phase 3 (short exclusive
+// section): repoint every key that still resolves to
 // its snapshot location — keys overwritten or deleted during the
 // rewrite keep their newer location and their merged copy is born dead
 // — then retire the victims (sequence below the boundary) and settle
@@ -779,18 +712,12 @@ func (f *FileBackend) Compact() error {
 	liveSegs := make(map[string]bool)
 	snap := make([]snapEntry, 0, len(f.keys))
 	for k, loc := range f.keys {
-		if loc.off >= 0 {
-			liveSegs[loc.file] = true
-			snap = append(snap, snapEntry{key: k, loc: loc})
-		}
+		liveSegs[loc.file] = true
+		snap = append(snap, snapEntry{key: k, loc: loc})
 	}
 	if len(liveSegs) <= 1 && len(f.tombstones) == 0 && f.deadBytes == 0 {
 		f.mu.Unlock()
 		return nil // nothing to merge, nothing to reclaim
-	}
-	tombSnap := make([]string, 0, len(f.tombstones))
-	for k := range f.tombstones {
-		tombSnap = append(tombSnap, k)
 	}
 	f.segSeq++
 	boundary := f.segSeq
@@ -807,7 +734,11 @@ func (f *FileBackend) Compact() error {
 	}
 
 	sort.Slice(snap, func(i, j int) bool { return snap[i].key < snap[j].key })
-	buf := []byte(segMagic)
+	size := int64(len(segMagic))
+	for _, s := range snap {
+		size += putEntrySize(s.key, s.loc.vlen)
+	}
+	buf := append(make([]byte, 0, size), segMagic...)
 	type placed struct {
 		key     string
 		snapLoc fileLoc
@@ -825,18 +756,6 @@ func (f *FileBackend) Compact() error {
 		}
 		buf = appendSegEntry(buf, s.key, value)
 		locs = append(locs, placed{key: s.key, snapLoc: s.loc, off: int64(len(buf) - 4 - len(value)), vlen: len(value)})
-	}
-
-	// Record-file sweep for snapshot tombstones (the crash-recovery
-	// repeat of DeleteBatch's removal) — safe without the lock: while a
-	// key is tombstoned no new record file can appear for it, because
-	// re-puts of tombstoned keys route into segments.
-	for _, k := range tombSnap {
-		rec := filepath.Join(f.dir, fileNameFor(k))
-		if err := os.Remove(rec + ".key"); err != nil && !os.IsNotExist(err) {
-			return abort(fmt.Errorf("store: compacting tombstoned %s: %w", k, err))
-		}
-		_ = os.Remove(rec)
 	}
 
 	name := fmt.Sprintf("%016x%s", boundary, segExt)
@@ -894,16 +813,15 @@ func (f *FileBackend) Compact() error {
 	}
 	var newLive int64
 	for k, loc := range f.keys {
-		if loc.off >= 0 {
-			newLive += putEntrySize(k, loc.vlen)
-		}
+		newLive += putEntrySize(k, loc.vlen)
 	}
 	f.liveBytes = newLive
 	f.compactBoundary = 0
 	if removeErr == nil {
 		// Tombstones the snapshot covered are fully reclaimed: their
-		// segments are gone and the record-file sweep ran. Ones written
-		// during the rewrite live in surviving segments and must stay.
+		// segments are gone, and with them every older copy of their
+		// keys. Ones written during the rewrite live in surviving
+		// segments and must stay.
 		for k, seq := range f.tombstones {
 			if seq <= boundary {
 				delete(f.tombstones, k)
@@ -914,10 +832,8 @@ func (f *FileBackend) Compact() error {
 	// On a removal failure the merged segment is authoritative and the
 	// directory replays consistently — but the leftover victims (tombstone
 	// segments included) are still on disk, so the tombstone set and the
-	// dead-byte count MUST survive: forgetting a live tombstone would let
-	// a later Put route into a record file the tombstone erases on replay,
-	// and zeroing deadBytes would make the next Compact early-return
-	// instead of retrying the removal.
+	// dead-byte count MUST survive: forgetting them would make the next
+	// Compact early-return instead of retrying the removal.
 	f.deadSinceSnap = 0
 	return removeErr
 }

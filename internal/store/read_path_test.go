@@ -4,6 +4,8 @@ package store
 // the Store-level batched record fetch.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,8 +40,8 @@ func TestFileBackendCompactMergesSegments(t *testing.T) {
 	}
 	s := New(fb)
 
-	// Several Record calls leave several posting segments (plus the
-	// index's schema-marker writes).
+	// Several Record calls leave two segments each, records and
+	// postings (plus the index's schema-marker write).
 	for i := 0; i < 6; i++ {
 		session := seq.NewID()
 		var recs []core.Record
@@ -166,50 +168,129 @@ func TestFileBackendCompactDropsSupersededValues(t *testing.T) {
 	}
 }
 
-func TestFileBackendCompactPreservesRecordFiles(t *testing.T) {
-	// Keys stored as per-Put record files stay untouched by segment
-	// compaction.
+// recordFileName is the name earlier versions gave a key's record file:
+// the hex of the first 16 bytes of the key's SHA-256, then ".rec" (its
+// key sidecar adds ".key").
+func recordFileName(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return hex.EncodeToString(sum[:16]) + ".rec"
+}
+
+// TestFileAdoptsRecordFilesAtOpen opens directories holding the
+// per-record file pairs earlier versions wrote. Open folds them into
+// segments under the old replay order — a key a segment holds or
+// tombstones keeps its segment state, a body without its sidecar is a
+// torn write and is dropped — and leaves no .rec file behind. The
+// crash-between state (adopted segment published, pairs not yet
+// removed) reopens to the same contents, and a store with more pair
+// bytes than one adopted segment carries is adopted in several.
+func TestFileAdoptsRecordFilesAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	fb, err := NewFileBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.Put("rec/one", []byte("via-put")); err != nil {
+	if err := fb.PutBatch([]KV{
+		{Key: "held", Value: []byte("segment")},
+		{Key: "gone", Value: []byte("segment")},
+		{Key: "other", Value: []byte("segment-only")},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.PutBatch([]KV{{Key: "seg/one", Value: []byte("via-batch")}}); err != nil {
+	if err := fb.Delete("gone"); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.PutBatch([]KV{{Key: "seg/two", Value: []byte("via-batch-2")}}); err != nil {
+	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	for key, want := range map[string]string{
-		"rec/one": "via-put", "seg/one": "via-batch", "seg/two": "via-batch-2",
-	} {
-		v, ok, err := fb.Get(key)
-		if err != nil || !ok || string(v) != want {
-			t.Errorf("%s = %q ok=%v err=%v, want %q", key, v, ok, err, want)
+	writePairs := func(dir string) {
+		t.Helper()
+		for key, value := range map[string]string{"plain": "pair", "held": "stale pair", "gone": "stale pair"} {
+			name := filepath.Join(dir, recordFileName(key))
+			if err := os.WriteFile(name, []byte(value), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(name+".key", []byte(key), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, recordFileName("torn")), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Exactly one .rec file and one merged .seg remain.
-	if n := segFiles(t, dir); n != 1 {
-		t.Errorf("segments = %d, want 1", n)
+	want := map[string]string{"plain": "pair", "held": "segment", "other": "segment-only"}
+	open := func(label, dir string) {
+		t.Helper()
+		b, err := NewFileBackend(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		defer b.Close()
+		for k, w := range want {
+			if v, ok, err := b.Get(k); err != nil || !ok || string(v) != w {
+				t.Errorf("%s: Get(%s) = %q ok=%v err=%v, want %q", label, k, v, ok, err, w)
+			}
+		}
+		for _, k := range []string{"gone", "torn"} {
+			if _, ok, _ := b.Get(k); ok {
+				t.Errorf("%s: %s is present", label, k)
+			}
+		}
+		if n, _ := b.Count(""); n != len(want) {
+			t.Errorf("%s: Count = %d, want %d", label, n, len(want))
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*.rec*")); len(left) != 0 {
+			t.Errorf("%s: record files left: %v", label, left)
+		}
 	}
+	writePairs(dir)
+	open("adopted", dir)
+	open("reopened", dir)
+
+	// The crash between publishing the adopted segment and removing the
+	// pairs: the adopted state plus the same pairs once more.
+	crashed := t.TempDir()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := 0
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".rec") {
-			recs++
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if recs != 1 {
-		t.Errorf("record files = %d, want 1", recs)
+	writePairs(crashed)
+	open("crash between publish and removal", crashed)
+	open("crash state reopened", crashed)
+
+	// Three 2 MiB pairs are more than one adopted segment carries.
+	big := t.TempDir()
+	value := strings.Repeat("v", 2<<20)
+	for i := 0; i < 3; i++ {
+		name := filepath.Join(big, recordFileName(fmt.Sprint("big/", i)))
+		if err := os.WriteFile(name, []byte(value), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(name+".key", []byte(fmt.Sprint("big/", i)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fbBig, err := NewFileBackend(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fbBig.Close()
+	if n := segFiles(t, big); n != 2 {
+		t.Errorf("3 × 2 MiB of pairs adopted into %d segments, want 2", n)
+	}
+	for i := 0; i < 3; i++ {
+		if v, ok, err := fbBig.Get(fmt.Sprint("big/", i)); err != nil || !ok || string(v) != value {
+			t.Errorf("big/%d: %d bytes ok=%v err=%v", i, len(v), ok, err)
+		}
 	}
 }
 

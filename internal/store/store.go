@@ -60,8 +60,8 @@ type Backend interface {
 	// the same per-key semantics as Delete. A crash never applies a
 	// deletion the durable state cannot explain: kvdb logs the batch's
 	// tombstones in slice order (a torn tail keeps a strict prefix);
-	// the file backend publishes all its tombstones atomically first
-	// and only then removes record-file keys one at a time.
+	// the file backend publishes all its tombstones in one segment,
+	// atomically.
 	DeleteBatch(keys []string) error
 	// Scan visits every key with the given prefix in sorted key order.
 	Scan(prefix string, fn func(key string, value []byte) error) error
@@ -77,11 +77,10 @@ type Backend interface {
 	Name() string
 }
 
-// recordStripes is how many lock stripes guard record commits. Writers
-// to different keys almost never contend; writers to the same key (an
-// idempotent client retry, or two asserters racing on one interaction
-// key) serialise on the key's stripe so the Get-then-Put check stays
-// atomic per key.
+// recordStripes is how many lock stripes guard record commits and
+// deletes. Writers to the same key (an idempotent client retry, or two
+// asserters racing on one interaction key) serialise on the key's
+// stripe, so the Get-then-PutBatch check stays atomic per key.
 const recordStripes = 64
 
 // Store is the provenance store: validation, idempotent recording and
@@ -89,12 +88,13 @@ const recordStripes = 64
 // (internal/index) maintained write-through on Record.
 //
 // Concurrency: Record calls run in parallel. Validation and encoding
-// happen outside any lock; each record's commit (the per-key
-// exists/identical/conflict check plus the Put) holds only that key's
-// lock stripe; the call's posting entries are flushed in one backend
-// batch at the end. The mu mutex only guards the lazily opened index
-// handle — it is not held across backend operations, so readers never
-// wait behind an ingest batch.
+// happen outside any lock; a call's commit (the per-key
+// exists/identical/conflict checks plus ONE PutBatch of its new records)
+// holds the lock stripes of its keys, taken in ascending order; the
+// call's posting entries are flushed in one more backend batch at the
+// end. The mu mutex only guards the lazily opened index handle — it is
+// not held across backend operations, so readers never wait behind an
+// ingest batch.
 type Store struct {
 	mu sync.RWMutex // provlint:lock-order 20
 	b  Backend
@@ -107,7 +107,7 @@ type Store struct {
 	// on it so cached results are invalidated by new records.
 	gen atomic.Uint64
 	// stripes are the per-key commit locks; seed salts the stripe hash.
-	// Ordered below s.mu: deleteChunk holds a stripe across its commit
+	// Ordered below s.mu: deleteChunk holds its stripes across its commit
 	// and drops the index handle (s.mu) on de-index failure.
 	// provlint:lock-order 10
 	stripes [recordStripes]sync.Mutex
@@ -125,9 +125,9 @@ type Store struct {
 	deleteBatch *obs.Histogram
 	compactSec  *obs.Histogram
 	// writeStallSec holds every wait a Record call makes on the backend:
-	// one observation per record for its commit section (stripe lock wait
-	// plus the backend get/put) and one per index flush for the posting
-	// PutBatch — the distribution that shows whether background
+	// one observation for its commit section (stripe lock wait plus the
+	// backend gets and the record PutBatch) and one per index flush for
+	// the posting PutBatch — the distribution that shows whether background
 	// maintenance or readers holding the backend's lock stall writers.
 	// compacting counts backend compactions currently running (the
 	// store_compaction_in_progress gauge).
@@ -207,7 +207,7 @@ func (s *Store) ReadCacheStats() ReadCacheStats {
 
 // WritePathStats is a snapshot of write-path health: how many backend
 // compactions are running right now, and the commit-stall distribution
-// (per-record commit sections and per-call index flushes) summarised as
+// (per-call commit sections and index flushes) summarised as
 // count, total seconds and p99.
 type WritePathStats struct {
 	CompactionsInProgress int64
@@ -232,14 +232,33 @@ func (s *Store) WritePathStats() WritePathStats {
 // shard's complete read+write telemetry.
 func (s *Store) Obs() *obs.Registry { return s.reg }
 
-// stripeIndex maps a storage key to its commit lock stripe.
-func (s *Store) stripeIndex(key string) int {
-	return int(maphash.String(s.seed, key) % recordStripes)
+// stripeSet marks the commit lock stripes one multi-key commit holds.
+type stripeSet [recordStripes]bool
+
+// lockStripes takes the stripes of the n keys key(0)..key(n-1) in
+// ascending stripe order — the one acquisition order of every multi-key
+// commit (Record's batch, deleteChunk's chunk), so concurrent commits
+// over overlapping key sets cannot deadlock — and returns the set for
+// unlockStripes.
+func (s *Store) lockStripes(n int, key func(i int) string) (set stripeSet) {
+	for i := 0; i < n; i++ {
+		set[maphash.String(s.seed, key(i))%recordStripes] = true
+	}
+	for i, held := range set {
+		if held {
+			s.stripes[i].Lock()
+		}
+	}
+	return set
 }
 
-// stripeFor maps a storage key to its commit lock.
-func (s *Store) stripeFor(key string) *sync.Mutex {
-	return &s.stripes[s.stripeIndex(key)]
+// unlockStripes releases the stripes lockStripes took.
+func (s *Store) unlockStripes(set *stripeSet) {
+	for i, held := range set {
+		if held {
+			s.stripes[i].Unlock()
+		}
+	}
 }
 
 // BackendName reports which backend the store runs on.
@@ -366,8 +385,9 @@ func (s *Store) GetBatch(keys []string) (values [][]byte, present []bool, err er
 // record is counted as accepted.
 //
 // Concurrent Record calls proceed in parallel: validation and encoding
-// run lock-free, commits serialise only per storage key (stripe locks),
-// and the call's posting entries ship to the backend as one batch.
+// run lock-free, commits serialise only on shared key stripes, and the
+// call's new records and its posting entries ship to the backend as one
+// batch each.
 func (s *Store) Record(asserter core.ActorID, records []core.Record) (int, []prep.Reject, error) {
 	span := s.reg.Tracer().StartSpan("store.record").
 		SetAttr("batch", fmt.Sprint(len(records)))
@@ -415,103 +435,114 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 	if err != nil {
 		return 0, nil, fmt.Errorf("store: opening index: %w", err)
 	}
+	if len(batch) == 0 {
+		return 0, rejects, nil
+	}
 
-	accepted := 0
-	touched := 0
-	// The generation must advance whenever anything was committed or
-	// repaired, even if the batch errors out part-way — a missed bump
-	// would let the query engine's cache serve stale results as fresh.
-	// Idempotent re-records count too: their posting re-puts may have
-	// just repaired an index deficit that cached results were computed
-	// against.
+	// touched says whether anything was committed or repaired: the
+	// generation must then advance, even if the call errors out part-way
+	// — a missed bump would let the query engine's cache serve stale
+	// results as fresh. Idempotent re-records count too: their posting
+	// re-puts may have just repaired an index deficit that cached results
+	// were computed against.
+	touched := false
 	defer func() {
-		if touched > 0 {
+		if touched {
 			s.gen.Add(1)
 		}
 	}()
 
-	// toIndex accumulates this call's accepted records; their postings
-	// flush in one backend batch. A flush failure drops the cached index
-	// handle, so the next use re-runs index.Open's deficit check and
-	// rebuilds — the planner never keeps serving an index that is
-	// missing a committed record. (A crash is repaired the same way at
-	// the next Open, or by a client retry of the batch.)
-	toIndex := make([]*core.Record, 0, len(batch))
-	flushIndex := func() error {
-		if len(toIndex) == 0 {
-			return nil
-		}
-		stall := time.Now()
-		err := idx.AddBatch(toIndex)
-		s.writeStallSec.Observe(time.Since(stall).Seconds())
-		if err != nil {
-			s.dropIndex()
-			return fmt.Errorf("store: indexing batch: %w", err)
-		}
-		toIndex = toIndex[:0]
-		return nil
-	}
-
-	// Phase 2 — commit each record under its key's lock stripe, so the
-	// exists/identical/conflict decision is atomic per key while
-	// unrelated keys commit in parallel. Each record's commit section —
-	// stripe-lock wait plus the backend get/put — is observed into the
+	// Phase 2 — commit under the stripes of every key in the call, taken
+	// in ascending order, so the exists/identical/conflict decision is
+	// atomic per key while calls on disjoint stripes commit in parallel.
+	// Every new record goes to the backend in ONE PutBatch. The commit
+	// section — stripe wait, gets and put — is one observation of the
 	// write-stall histogram: its tail is where a writer-blocking
 	// compaction or a contended stripe shows up.
+	stall := time.Now()
+	stripes := s.lockStripes(len(batch), func(i int) string { return batch[i].key })
+	puts := make([]KV, 0, len(batch))
+	// toIndex holds the call's accepted records, new and re-recorded;
+	// their postings flush in one backend batch.
+	toIndex := make([]*core.Record, 0, len(batch))
+	accepted := 0
+	// pending maps each key this call is about to put to its entry in
+	// puts, so a key the call repeats is decided against the call's own
+	// batch: identical bytes are accepted again, different bytes
+	// rejected. Only calls of several records need it.
+	var pending map[string]int
+	if len(batch) > 1 {
+		pending = make(map[string]int, len(batch))
+	}
+	repeats := 0
 	for _, st := range batch {
-		stall := time.Now()
-		mu := s.stripeFor(st.key)
-		mu.Lock()
+		if j, ok := pending[st.key]; ok {
+			if string(puts[j].Value) == string(st.encoded) {
+				repeats++
+			} else {
+				rejects = append(rejects, prep.Reject{Index: st.i, Reason: fmt.Sprintf("%v: %s", ErrDuplicate, st.key)})
+			}
+			continue
+		}
 		existing, ok, err := s.b.Get(st.key)
 		if err != nil {
-			mu.Unlock()
+			s.unlockStripes(&stripes)
 			s.writeStallSec.Observe(time.Since(stall).Seconds())
-			// Best-effort flush so already-committed records get their
-			// commit-marker postings before the error surfaces.
-			_ = flushIndex()
 			sortRejects(rejects)
 			return accepted, rejects, fmt.Errorf("store: checking %s: %w", st.key, err)
 		}
-		if ok {
-			mu.Unlock()
-			s.writeStallSec.Observe(time.Since(stall).Seconds())
-			if sameRecordBytes(existing, st.encoded) {
-				// Idempotent re-record. Re-put the postings too: if a
-				// previous attempt committed the record but failed before
-				// (or during) indexing, the client's retry lands here and
-				// must repair the deficit, not skip past it.
-				toIndex = append(toIndex, st.r)
-				accepted++
-				touched++
-				continue
+		if !ok {
+			if pending != nil {
+				pending[st.key] = len(puts)
 			}
-			rejects = append(rejects, prep.Reject{
-				Index:  st.i,
-				Reason: fmt.Sprintf("%v: %s", ErrDuplicate, st.key),
-			})
+			puts = append(puts, KV{Key: st.key, Value: st.encoded})
+			toIndex = append(toIndex, st.r)
 			continue
 		}
-		err = s.b.Put(st.key, st.encoded)
-		mu.Unlock()
-		s.writeStallSec.Observe(time.Since(stall).Seconds())
-		if err != nil {
-			_ = flushIndex()
-			sortRejects(rejects)
-			return accepted, rejects, fmt.Errorf("store: putting %s: %w", st.key, err)
+		if sameRecordBytes(existing, st.encoded) {
+			// Idempotent re-record. Re-put the postings too: if a previous
+			// attempt committed the record but failed before (or during)
+			// indexing, the client's retry lands here and must repair the
+			// deficit, not skip past it.
+			toIndex = append(toIndex, st.r)
+			accepted++
+			continue
 		}
-		// The record is committed from here on: count it for the
-		// generation bump even if indexing then fails.
-		touched++
-		toIndex = append(toIndex, st.r)
-		accepted++
+		rejects = append(rejects, prep.Reject{Index: st.i, Reason: fmt.Sprintf("%v: %s", ErrDuplicate, st.key)})
 	}
-
-	// Phase 3 — one batched index flush for the whole call.
-	if err := flushIndex(); err != nil {
-		sortRejects(rejects)
-		return accepted, rejects, err
+	var putErr error
+	if len(puts) > 0 {
+		putErr = s.b.PutBatch(puts)
 	}
+	s.unlockStripes(&stripes)
+	s.writeStallSec.Observe(time.Since(stall).Seconds())
 	sortRejects(rejects)
+	if putErr != nil {
+		// A failed batch may have left a durable prefix, so the generation
+		// still advances. The index flush is skipped: the call committed
+		// nothing else, and the client's retry re-records the prefix and
+		// repairs its postings.
+		touched = true
+		return accepted, rejects, fmt.Errorf("store: putting %d records: %w", len(puts), putErr)
+	}
+	accepted += len(puts) + repeats
+	if len(toIndex) == 0 {
+		return accepted, rejects, nil
+	}
+	touched = true
+
+	// Phase 3 — one batched index flush for the whole call. A failure
+	// drops the cached index handle, so the next use re-runs index.Open's
+	// deficit check and rebuilds — the planner never keeps serving an
+	// index that is missing a committed record. (A crash is repaired the
+	// same way at the next Open, or by a client retry of the batch.)
+	stall = time.Now()
+	err = idx.AddBatch(toIndex)
+	s.writeStallSec.Observe(time.Since(stall).Seconds())
+	if err != nil {
+		s.dropIndex()
+		return accepted, rejects, fmt.Errorf("store: indexing batch: %w", err)
+	}
 	return accepted, rejects, nil
 }
 
@@ -638,10 +669,10 @@ func (s *Store) deleteRecords(keys []string) (int, error) {
 func (s *Store) deleteKeys(idx *index.Index, keys []string) (int, error) {
 	deleted := 0
 	// attempted tracks whether any backend delete batch was issued at
-	// all: an errored batch may still have durably removed records (the
-	// file backend deletes record-file keys per key), so the generation
-	// must advance — a cached result from before the call can never be
-	// served as current once anything might have changed.
+	// all: an errored batch may still have durably removed records (a
+	// failed kvdb append can leave a prefix of its tombstones), so the
+	// generation must advance — a cached result from before the call can
+	// never be served as current once anything might have changed.
 	attempted := false
 	defer func() {
 		if attempted {
@@ -668,10 +699,11 @@ func (s *Store) deleteKeys(idx *index.Index, keys []string) (int, error) {
 // deleteChunk is the delete commit protocol (DeleteRecord's single key
 // and DeleteSession's chunks both run through it): remove one chunk of
 // records in a single backend batch, then flush their posting
-// removals, all while holding every involved stripe lock (acquired in
-// ascending stripe order, so concurrent multi-key deleters cannot
-// deadlock; Record holds at most one stripe at a time — and unlike the
-// file backend's *Locked helpers, this function takes its own locks).
+// removals, all while holding every involved stripe lock (taken by
+// lockStripes in ascending stripe order, as Record's commit takes its
+// own, so concurrent multi-key writers and deleters cannot deadlock —
+// and unlike the file backend's *Locked helpers, this function takes
+// its own locks).
 // Keeping the posting removal inside the locks stops a concurrent
 // idempotent re-Record from interleaving its fresh postings between
 // the record deletes and the de-indexing. Crash ordering mirrors
@@ -695,22 +727,8 @@ func (s *Store) deleteKeys(idx *index.Index, keys []string) (int, error) {
 // keys were deleted and whether any backend mutation was attempted
 // (possibly partially applied, on error).
 func (s *Store) deleteChunk(idx *index.Index, chunk []string) (deleted int, attempted bool, err error) {
-	var stripes [recordStripes]bool
-	for _, k := range chunk {
-		stripes[s.stripeIndex(k)] = true
-	}
-	for i := range stripes {
-		if stripes[i] {
-			s.stripes[i].Lock()
-		}
-	}
-	defer func() {
-		for i := range stripes {
-			if stripes[i] {
-				s.stripes[i].Unlock()
-			}
-		}
-	}()
+	stripes := s.lockStripes(len(chunk), func(i int) string { return chunk[i] })
+	defer s.unlockStripes(&stripes)
 	values, present, err := s.b.GetBatch(chunk)
 	if err != nil {
 		return 0, false, fmt.Errorf("fetching delete chunk: %w", err)

@@ -17,10 +17,10 @@ import (
 	"preserv/internal/prep"
 )
 
-// TestFileBackendPackedPostings verifies the headline file-count fix:
-// recording a record must not cost one file pair per index posting
-// (~20 pairs before packing). Postings flush through PutBatch, which
-// packs the whole call into one segment file.
+// TestFileBackendPackedPostings verifies the file-count bound: a Record
+// call costs two segment files — one for its records, one for their
+// postings — however many records it carries, never a file (or pair)
+// per record or per posting.
 func TestFileBackendPackedPostings(t *testing.T) {
 	dir := t.TempDir()
 	fb, err := NewFileBackend(dir)
@@ -28,48 +28,37 @@ func TestFileBackendPackedPostings(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(fb)
-	session := seq.NewID()
-	const n = 10
-	recs := make([]core.Record, 0, n)
-	for i := 0; i < n; i++ {
-		recs = append(recs, mkInteraction(session, "svc:gzip", fmt.Sprintf("op%d", i)))
-	}
-	acc, rej, err := s.Record("svc:enactor", recs)
-	if err != nil || acc != n || len(rej) != 0 {
-		t.Fatalf("Record: acc=%d rej=%v err=%v", acc, rej, err)
-	}
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if _, err := s.Index(); err != nil { // the schema marker's own write
 		t.Fatal(err)
 	}
-	files := 0
-	segments := 0
-	for _, e := range entries {
-		files++
-		if strings.HasSuffix(e.Name(), segExt) {
-			segments++
+	files := func() int {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// No posting may own a record-file pair: every .key sidecar must
-		// belong to a record or an index marker, never an "x/" posting.
-		if strings.HasSuffix(e.Name(), ".key") {
-			key, err := os.ReadFile(filepath.Join(dir, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if strings.HasPrefix(string(key), "x/") {
-				t.Errorf("posting %q written as its own file pair", key)
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), segExt) {
+				t.Errorf("%s is not a segment file", e.Name())
 			}
 		}
+		return len(entries)
 	}
-	if segments == 0 {
-		t.Fatal("no packed segment file written for the posting batch")
-	}
-	// Pre-refactor cost was ~20 posting file pairs per record (~40 extra
-	// files each). Now: 2 files per record, plus a handful of index
-	// marker pairs and one segment per Record call.
-	if files >= 3*n {
-		t.Errorf("%d files for %d records — posting writes are not packed", files, n)
+	session := seq.NewID()
+	n := 0
+	for _, size := range []int{1, 10, 40} {
+		recs := make([]core.Record, 0, size)
+		for i := 0; i < size; i++ {
+			recs = append(recs, mkInteraction(session, "svc:gzip", fmt.Sprintf("op%d", n+i)))
+		}
+		before := files()
+		acc, rej, err := s.Record("svc:enactor", recs)
+		if err != nil || acc != size || len(rej) != 0 {
+			t.Fatalf("Record: acc=%d rej=%v err=%v", acc, rej, err)
+		}
+		n += size
+		if added := files() - before; added != 2 {
+			t.Errorf("a Record call of %d records added %d files, want 2", size, added)
+		}
 	}
 
 	// The packed layout must survive a reopen.
@@ -197,38 +186,135 @@ func TestConcurrentRecordManyWriters(t *testing.T) {
 }
 
 // TestConcurrentIdempotentSameRecord races identical re-records of one
-// record: the per-key stripe lock must make every call see either
-// "absent" or "identical", never a spurious duplicate conflict.
+// record set on every backend. Callers submit overlapping multi-record
+// batches, half of them in reverse order, so their commits need
+// overlapping stripe sets: the ascending stripe order must keep them
+// from deadlocking, and every call must see each key either absent or
+// identical — never a spurious duplicate conflict. Each record is
+// stored exactly once.
 func TestConcurrentIdempotentSameRecord(t *testing.T) {
-	s := New(NewMemoryBackend())
-	session := seq.NewID()
-	r := mkInteraction(session, "svc:gzip", "compress")
-	const callers = 16
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			acc, rej, err := s.Record("svc:enactor", []core.Record{r})
+	for name, b := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			s := New(b)
+			session := seq.NewID()
+			recs := make([]core.Record, 12)
+			for i := range recs {
+				recs[i] = mkInteraction(session, "svc:gzip", fmt.Sprintf("op%d", i))
+			}
+			windows := [][2]int{{0, 8}, {4, 12}, {0, 12}, {5, 6}}
+			const callers = 16
+			var wg sync.WaitGroup
+			errs := make([]error, callers)
+			for c := 0; c < callers; c++ {
+				w := windows[c%len(windows)]
+				batch := append([]core.Record(nil), recs[w[0]:w[1]]...)
+				if c%2 == 1 {
+					for i, j := 0, len(batch)-1; i < j; i, j = i+1, j-1 {
+						batch[i], batch[j] = batch[j], batch[i]
+					}
+				}
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					acc, rej, err := s.Record("svc:enactor", batch)
+					if err != nil {
+						errs[c] = err
+						return
+					}
+					if acc != len(batch) || len(rej) != 0 {
+						errs[c] = fmt.Errorf("caller %d: acc=%d of %d, rej=%v", c, acc, len(batch), rej)
+					}
+				}(c)
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("concurrent overlapping Record calls did not finish: deadlock")
+			}
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			cnt, err := s.Count()
+			if err != nil || cnt.Records != len(recs) {
+				t.Fatalf("Count = %d err=%v, want exactly %d", cnt.Records, err, len(recs))
+			}
+			ix, err := s.Index()
 			if err != nil {
-				errs[c] = err
-				return
+				t.Fatal(err)
 			}
-			if acc != 1 || len(rej) != 0 {
-				errs[c] = fmt.Errorf("caller %d: acc=%d rej=%v", c, acc, rej)
+			if postings, err := ix.Postings("sess", session.String()); err != nil || len(postings) != len(recs) {
+				t.Fatalf("session postings = %d err=%v, want %d", len(postings), err, len(recs))
 			}
-		}(c)
+		})
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	cnt, err := s.Count()
-	if err != nil || cnt.Records != 1 {
-		t.Fatalf("Count = %d err=%v, want exactly 1", cnt.Records, err)
+}
+
+// conflicting returns a record under r's storage key with different
+// content.
+func conflicting(r core.Record) core.Record {
+	clone := *r.Interaction
+	clone.Request = core.Message{Name: "invoke", Parts: []core.MessagePart{{Name: "other"}}}
+	r.Interaction = &clone
+	return r
+}
+
+// TestRecordRepeatedKeyWithinCall pins how one call that names a storage
+// key twice is decided against its own pending batch, on every backend:
+// the same record twice is accepted twice and stored once, with one
+// posting set; a different record under the same key is an ErrDuplicate
+// reject at its index, and rejects stay in submission order.
+func TestRecordRepeatedKeyWithinCall(t *testing.T) {
+	for name, b := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			s := New(b)
+			session := seq.NewID()
+			a := mkInteraction(session, "svc:gzip", "a")
+			acc, rej, err := s.Record("svc:enactor", []core.Record{a, a})
+			if err != nil || acc != 2 || len(rej) != 0 {
+				t.Fatalf("same record twice: acc=%d rej=%v err=%v, want 2 accepted", acc, rej, err)
+			}
+			ix, err := s.Index()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if postings, err := ix.Postings("sess", session.String()); err != nil || len(postings) != 1 {
+				t.Fatalf("session postings = %v err=%v, want one", postings, err)
+			}
+
+			// A conflict at index 1 is found at commit time, the invalid
+			// record at index 2 during validation: the rejects still come
+			// back as [1 2].
+			bRec := mkInteraction(session, "svc:gzip", "b")
+			var invalid core.Record
+			acc, rej, err = s.Record("svc:enactor", []core.Record{bRec, conflicting(bRec), invalid})
+			if err != nil || acc != 1 || len(rej) != 2 {
+				t.Fatalf("conflict within call: acc=%d rej=%v err=%v, want 1 accepted and 2 rejects", acc, rej, err)
+			}
+			if rej[0].Index != 1 || rej[1].Index != 2 {
+				t.Fatalf("reject order = [%d %d], want [1 2]", rej[0].Index, rej[1].Index)
+			}
+			if !strings.Contains(rej[0].Reason, ErrDuplicate.Error()) {
+				t.Errorf("reject 1 = %q, want %v", rej[0].Reason, ErrDuplicate)
+			}
+			want, err := core.EncodeRecord(&bRec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok, err := b.Get(bRec.StorageKey()); err != nil || !ok || string(got) != string(want) {
+				t.Fatalf("stored ok=%v err=%v, want the first submission's bytes", ok, err)
+			}
+			cnt, err := s.Count()
+			if err != nil || cnt.Records != 2 {
+				t.Fatalf("Count = %d err=%v, want 2", cnt.Records, err)
+			}
+			if postings, err := ix.Postings("sess", session.String()); err != nil || len(postings) != 2 {
+				t.Fatalf("session postings = %d err=%v, want 2", len(postings), err)
+			}
+		})
 	}
 }
 
@@ -244,12 +330,8 @@ func TestRejectOrderPreserved(t *testing.T) {
 	}
 	// Same key, different content → commit-time conflict at index 0;
 	// invalid record → validation reject at index 1.
-	conflict := dup
-	clone := *dup.Interaction
-	clone.Request = core.Message{Name: "invoke", Parts: []core.MessagePart{{Name: "other"}}}
-	conflict.Interaction = &clone
 	var invalid core.Record
-	acc, rej, err := s.Record("svc:enactor", []core.Record{conflict, invalid})
+	acc, rej, err := s.Record("svc:enactor", []core.Record{conflicting(dup), invalid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +370,7 @@ func TestIdempotentReRecordAcrossCodecChange(t *testing.T) {
 		t.Fatalf("Count = %d err=%v, want 1", cnt.Records, err)
 	}
 	// A genuinely different record under the same key still conflicts.
-	r2 := r
-	clone := *r.Interaction
-	clone.Request = core.Message{Name: "invoke", Parts: []core.MessagePart{{Name: "other"}}}
-	r2.Interaction = &clone
-	acc, rej, err = s.Record("svc:enactor", []core.Record{r2})
+	acc, rej, err = s.Record("svc:enactor", []core.Record{conflicting(r)})
 	if err != nil || acc != 0 || len(rej) != 1 {
 		t.Fatalf("conflicting record over legacy blob: acc=%d rej=%v err=%v", acc, rej, err)
 	}
@@ -338,61 +416,20 @@ func TestFileBackendCorruptSegmentLengths(t *testing.T) {
 	}
 }
 
-// TestFileBackendCrossLayoutOverwrite pins the mixed Put/PutBatch
-// story: identical re-puts across layouts are accepted and survive a
-// reopen with the same value, differing overwrites are rejected (the
-// two layouts have no durable ordering a reopen could arbitrate).
-func TestFileBackendCrossLayoutOverwrite(t *testing.T) {
-	dir := t.TempDir()
-	fb, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.PutBatch([]KV{{Key: "seg", Value: []byte("v1")}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.Put("rec", []byte("w1")); err != nil {
-		t.Fatal(err)
-	}
-	// Differing cross-layout overwrites: rejected, value unchanged.
-	if err := fb.Put("seg", []byte("CHANGED")); err == nil {
-		t.Fatal("differing Put over segment-stored key accepted")
-	}
-	if err := fb.PutBatch([]KV{{Key: "rec", Value: []byte("CHANGED")}}); err == nil {
-		t.Fatal("differing batch over file-stored key accepted")
-	}
-	// Identical cross-layout re-puts: accepted. (The batch re-put
-	// migrates "rec" into a segment; from there on, later segments give
-	// a durable last-write-wins order, so this stays consistent.)
-	if err := fb.Put("seg", []byte("v1")); err != nil {
-		t.Fatalf("identical Put over segment key rejected: %v", err)
-	}
-	if err := fb.PutBatch([]KV{{Key: "rec", Value: []byte("w1")}}); err != nil {
-		t.Fatalf("identical batch over record key rejected: %v", err)
-	}
-	fb2, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key, want := range map[string]string{"seg": "v1", "rec": "w1"} {
-		v, ok, err := fb2.Get(key)
-		if err != nil || !ok || string(v) != want {
-			t.Errorf("after reopen Get(%s) = %q ok=%v err=%v, want %q", key, v, ok, err, want)
-		}
-	}
-}
-
-// heldPutBatch is a memory backend whose PutBatch announces itself and
-// then waits to be released — a writer queued behind readers or a
-// compaction holding the backend's lock.
+// heldPutBatch is a memory backend whose posting PutBatch (the index
+// flush, all "x/" keys) announces itself and then waits to be released —
+// a writer queued behind readers or a compaction holding the backend's
+// lock. Record's batch of records passes straight through.
 type heldPutBatch struct {
 	*MemoryBackend
 	entered, release chan struct{}
 }
 
 func (h *heldPutBatch) PutBatch(kvs []KV) error {
-	h.entered <- struct{}{}
-	<-h.release
+	if len(kvs) > 0 && strings.HasPrefix(kvs[0].Key, "x/") {
+		h.entered <- struct{}{}
+		<-h.release
+	}
 	return h.MemoryBackend.PutBatch(kvs)
 }
 
@@ -403,7 +440,7 @@ func (h *heldPutBatch) PutBatch(kvs []KV) error {
 func TestWriteStallCoversIndexFlush(t *testing.T) {
 	b := &heldPutBatch{MemoryBackend: NewMemoryBackend(), entered: make(chan struct{}), release: make(chan struct{})}
 	s := New(b)
-	if _, err := s.Index(); err != nil { // opened here so Record's only PutBatch is the flush
+	if _, err := s.Index(); err != nil { // opened here so the only posting PutBatch is the flush
 		t.Fatal(err)
 	}
 	const held = 40 * time.Millisecond
@@ -419,7 +456,7 @@ func TestWriteStallCoversIndexFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	wp := s.WritePathStats()
-	if wp.StallCount != 2 { // one record's commit section + one flush
+	if wp.StallCount != 2 { // the call's commit section + one flush
 		t.Errorf("StallCount = %d, want 2", wp.StallCount)
 	}
 	if wp.StallSeconds < held.Seconds() || wp.StallP99 < held.Seconds()/2 {
