@@ -86,23 +86,11 @@ func main() {
 		}
 		return
 	}
-	target := *storeURL
-	if *shardsFlag != "" {
-		// Front the listed shard endpoints with a loopback router for
-		// the duration of this invocation: the commands below talk to
-		// it exactly as they would to one store.
-		rt, err := preserv.NewRemoteRouter(*shardsFlag)
-		if err != nil {
-			log.Fatalf("provq: %v", err)
-		}
-		srv, err := preserv.Serve(preserv.NewShardedService(rt), "127.0.0.1:0")
-		if err != nil {
-			log.Fatalf("provq: starting shard router: %v", err)
-		}
-		defer srv.Close()
-		target = srv.URL
+	client, dest, stop, err := connect(*storeURL, *shardsFlag)
+	if err != nil {
+		log.Fatalf("provq: %v", err)
 	}
-	client := preserv.NewClient(target, nil)
+	defer stop()
 
 	switch flag.Arg(0) {
 	case "count":
@@ -270,7 +258,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("provq: %v", err)
 		}
-		fmt.Printf("compacted %s: garbage ratio %.2f -> %.2f\n", *storeURL, resp.GarbageBefore, resp.GarbageAfter)
+		printCompacted(os.Stdout, dest, resp)
 
 	case "consolidate":
 		if *from == "" {
@@ -284,13 +272,43 @@ func main() {
 		if err != nil {
 			log.Fatalf("provq: %v", err)
 		}
-		fmt.Printf("consolidated %d records from %d store(s) into %s\n",
-			accepted, len(sources), *storeURL)
+		printConsolidated(os.Stdout, dest, accepted, len(sources))
 
 	default:
 		fmt.Fprintf(os.Stderr, "provq: unknown command %q\n", flag.Arg(0))
 		os.Exit(2)
 	}
+}
+
+// connect returns a client for the store the commands run against and
+// the label result lines name it by. Without shards that is storeURL
+// itself. With shards, the listed endpoints are fronted by a loopback
+// router for the duration of this invocation — the commands talk to it
+// exactly as they would to one store — and the label is the shard list,
+// never storeURL, which nothing contacted. stop shuts the router down.
+func connect(storeURL, shards string) (client *preserv.Client, dest string, stop func(), err error) {
+	if shards == "" {
+		return preserv.NewClient(storeURL, nil), storeURL, func() {}, nil
+	}
+	rt, err := preserv.NewRemoteRouter(shards)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	srv, err := preserv.Serve(preserv.NewShardedService(rt), "127.0.0.1:0")
+	if err != nil {
+		return nil, "", nil, fmt.Errorf("starting shard router: %w", err)
+	}
+	return preserv.NewClient(srv.URL, nil), "shards " + shards, func() { srv.Close() }, nil
+}
+
+// printCompacted reports an online compaction of dest.
+func printCompacted(out io.Writer, dest string, resp *prep.CompactResponse) {
+	fmt.Fprintf(out, "compacted %s: garbage ratio %.2f -> %.2f\n", dest, resp.GarbageBefore, resp.GarbageAfter)
+}
+
+// printConsolidated reports a consolidation into dest.
+func printConsolidated(out io.Writer, dest string, accepted, sources int) {
+	fmt.Fprintf(out, "consolidated %d records from %d store(s) into %s\n", accepted, sources, dest)
 }
 
 // printStats renders one urn:prep:stats snapshot: the service counters
@@ -308,13 +326,6 @@ func printStats(out io.Writer, st *prep.StatsResponse) {
 		st.Engine.CacheHits, st.Engine.CacheHits+st.Engine.CacheMisses)
 	if st.GenerationValid {
 		fmt.Fprintf(out, "generation: %d\n", st.Generation)
-	}
-	if st.NumShards > 1 {
-		fmt.Fprintf(out, "drain epoch: %d", st.DrainEpoch)
-		if st.OverlapSuspected {
-			fmt.Fprintf(out, "  OVERLAP SUSPECTED (a failed drain left twinned records; re-drain to absorb)")
-		}
-		fmt.Fprintln(out)
 	}
 	rc := st.ReadCache
 	if rc != (prep.ReadCacheCounters{}) {

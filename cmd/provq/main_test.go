@@ -7,8 +7,64 @@ import (
 	"strings"
 	"testing"
 
+	"preserv/internal/preserv"
 	"preserv/internal/store"
 )
+
+// serveMemoryStore serves an empty memory-backed store on a loopback
+// port and returns its URL.
+func serveMemoryStore(t *testing.T) string {
+	t.Helper()
+	srv, err := preserv.Serve(preserv.NewService(store.New(store.NewMemoryBackend())), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv.URL
+}
+
+// TestShardedResultLinesNameTheShards runs compact and consolidate
+// through the -shards loopback router: their result lines must name the
+// shard endpoints they reached, not the -store URL nothing contacted.
+func TestShardedResultLinesNameTheShards(t *testing.T) {
+	const unused = "http://127.0.0.1:8734"
+	shards := serveMemoryStore(t) + "," + serveMemoryStore(t)
+	source := preserv.NewClient(serveMemoryStore(t), nil)
+
+	client, dest, stop, err := connect(unused, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	var out bytes.Buffer
+	resp, err := client.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	printCompacted(&out, dest, resp)
+	accepted, err := preserv.Consolidate(client, source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	printConsolidated(&out, dest, accepted, 1)
+
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("output %q, want two result lines", out.String())
+	}
+	for _, line := range lines {
+		if !strings.Contains(line, shards) || strings.Contains(line, unused) {
+			t.Errorf("result line %q does not name the shards %s (or names the unused -store %s)", line, shards, unused)
+		}
+	}
+
+	// Without -shards the label stays the -store URL.
+	_, dest, stop, err = connect(unused, "")
+	if err != nil || dest != unused {
+		t.Fatalf("plain store label %q (err %v), want %q", dest, err, unused)
+	}
+	stop()
+}
 
 // populate writes three batches (so the file backend holds three
 // segments) plus a deletion through b, and closes it.

@@ -109,21 +109,9 @@ func EncodeRecord(r *Record) ([]byte, error) {
 	return buf, nil
 }
 
-// EncodeRecordLegacy serialises a record in the pre-batching storage
-// format: one self-describing gob stream per record. Kept for
-// compatibility tests (DecodeRecord must keep reading stores written
-// before the format change) and as the faithful baseline in the ingest
-// benchmarks. New code stores via EncodeRecord.
-func EncodeRecordLegacy(r *Record) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("core: encoding record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeRecord reverses EncodeRecord. Blobs in the pre-batching gob
-// format decode through a fallback path.
+// DecodeRecord reverses EncodeRecord. Blobs in the pre-batching storage
+// format — one self-describing gob stream per record — decode through a
+// fallback path, so stores written before the binary codec still read.
 func DecodeRecord(data []byte) (*Record, error) {
 	if len(data) < len(codecMagic)+1 || !bytes.Equal(data[:len(codecMagic)], codecMagic[:]) {
 		var r Record

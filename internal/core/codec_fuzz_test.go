@@ -10,6 +10,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 	"time"
 
@@ -51,16 +52,16 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2]) // torn tail
-		legacy, err := EncodeRecordLegacy(r)
-		if err != nil {
+		var legacy bytes.Buffer // the pre-binary-codec gob format
+		if err := gob.NewEncoder(&legacy).Encode(r); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(legacy)
+		f.Add(legacy.Bytes())
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0xA5, 'P', 'A', '1'})      // magic only
-	f.Add([]byte{0xA5, 'P', 'A', '1', 99})  // unknown kind
-	f.Add([]byte("not a record at all"))    // gob fallback path
+	f.Add([]byte{0xA5, 'P', 'A', '1'})     // magic only
+	f.Add([]byte{0xA5, 'P', 'A', '1', 99}) // unknown kind
+	f.Add([]byte("not a record at all"))   // gob fallback path
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRecord(data) // must not panic, whatever data is
 		if err != nil {

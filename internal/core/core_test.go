@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/xml"
 	"errors"
 	"strings"
@@ -436,10 +437,11 @@ func TestLegacyGobBlobsStillDecode(t *testing.T) {
 		NewInteractionRecord(sampleInteractionPA()),
 		NewActorStateRecord(sampleActorStatePA()),
 	} {
-		legacy, err := EncodeRecordLegacy(r)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(r); err != nil {
 			t.Fatal(err)
 		}
+		legacy := buf.Bytes()
 		back, err := DecodeRecord(legacy)
 		if err != nil {
 			t.Fatalf("legacy blob failed to decode: %v", err)

@@ -13,7 +13,7 @@ import (
 // TypedFault enforces the wire error contract on functions annotated
 // provlint:typed-faults — plug-in action handlers and shard.Router
 // public methods, whose errors must survive the soap round trip as
-// errors.Is-matchable values (shard.ErrStaleCursor → client.bad-request
+// errors.Is-matchable values (shard.ErrBadCursor → client.bad-request
 // is the canonical example). Inside an annotated function, a returned
 // error may be a registered sentinel, a typed fault value, or a
 // fmt.Errorf that wraps one with %w — never a bare errors.New and

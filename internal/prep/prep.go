@@ -289,9 +289,8 @@ type PageQueryResponse struct {
 
 // DeleteRequest retracts recorded p-assertions: exactly one of
 // StorageKey (one record), StorageKeys (a batch of records in one
-// round trip — what a router draining a remote shard sends per moved
-// page) or SessionID (every record grouped under the session) must be
-// set.
+// round trip — what a router fans out to a remote shard) or SessionID
+// (every record grouped under the session) must be set.
 type DeleteRequest struct {
 	XMLName     xml.Name `xml:"DeleteRequest"`
 	StorageKey  string   `xml:"storageKey,omitempty"`
@@ -510,16 +509,6 @@ type StatsResponse struct {
 	NumShards       int               `xml:"numShards"`
 	Generation      uint64            `xml:"generation"`
 	GenerationValid bool              `xml:"generationValid"`
-	// DrainEpoch is the router's drain epoch: it advances whenever a
-	// drain starts, moves a page, or finishes, and composite paging
-	// cursors minted under an older epoch are rejected as stale (the
-	// drain-safe paging contract). Zero for a service fronting a single
-	// store, which never rebalances. OverlapSuspected reports that a
-	// failed drain may have left records twinned across shards — the
-	// state in which Limit-ed Totals are computed by key union, and the
-	// operator's cue to re-drain.
-	DrainEpoch       uint64 `xml:"drainEpoch"`
-	OverlapSuspected bool   `xml:"overlapSuspected"`
 	GarbageRatio    float64           `xml:"garbageRatio"`
 	Tombstones      int64             `xml:"tombstones"`
 	Engine          EngineCounters    `xml:"engine"`

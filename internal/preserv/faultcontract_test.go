@@ -1,12 +1,12 @@
 package preserv
 
-// Regression pins for the wire error contract provlint's typedfault
-// analyzer enforces statically: the shard cursor sentinels must stay
+// Regression pin for the wire error contract provlint's typedfault
+// analyzer enforces statically: the shard cursor sentinel must stay
 // errors.Is-matchable through the full client → server → client round
-// trip. The server folds them into bad-request faults whose message
+// trip. The server folds it into a bad-request fault whose message
 // carries the sentinel text, and Client.QueryPage re-types the fault —
 // if either side drops its half of the contract, callers are back to
-// string matching and QueryStream's restart logic goes blind.
+// string matching.
 
 import (
 	"errors"
@@ -15,27 +15,6 @@ import (
 	"preserv/internal/prep"
 	"preserv/internal/shard"
 )
-
-func TestStaleCursorErrorsIsAcrossRoundTrip(t *testing.T) {
-	client, _, rt := startShardedServer(t, 3)
-	recordShardSessions(t, client, 6, 4)
-
-	q := &prep.Query{}
-	first, err := client.QueryPage(q, "", 5)
-	if err != nil || first.Done || first.Next == "" {
-		t.Fatalf("first page: %+v err=%v", first, err)
-	}
-	if _, err := rt.Drain(1); err != nil {
-		t.Fatal(err)
-	}
-	_, err = client.QueryPage(q, first.Next, 5)
-	if !errors.Is(err, shard.ErrStaleCursor) {
-		t.Fatalf("stale cursor over the wire: errors.Is(err, ErrStaleCursor)=false, err=%v", err)
-	}
-	if errors.Is(err, shard.ErrBadCursor) {
-		t.Fatalf("stale cursor mis-typed as ErrBadCursor too: %v", err)
-	}
-}
 
 func TestBadCursorErrorsIsAcrossRoundTrip(t *testing.T) {
 	client, _, _ := startShardedServer(t, 3)
@@ -46,8 +25,5 @@ func TestBadCursorErrorsIsAcrossRoundTrip(t *testing.T) {
 	_, err := client.QueryPage(&prep.Query{}, "sc1!garbage", 5)
 	if !errors.Is(err, shard.ErrBadCursor) {
 		t.Fatalf("malformed cursor over the wire: errors.Is(err, ErrBadCursor)=false, err=%v", err)
-	}
-	if errors.Is(err, shard.ErrStaleCursor) {
-		t.Fatalf("malformed cursor mis-typed as ErrStaleCursor too: %v", err)
 	}
 }

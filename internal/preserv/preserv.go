@@ -47,23 +47,12 @@ const DefaultCompactRatio = 0.5
 // the service layer is identical either way, which is what makes the
 // sharded service mode a wiring change rather than a reimplementation.
 type Provenance interface {
-	Record(asserter core.ActorID, records []core.Record) (int, []prep.Reject, error)
-	Query(q *prep.Query) ([]core.Record, int, error)
-	QueryPlanned(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, error)
-	QueryPage(q *prep.Query, after string, pageSize int) ([]core.Record, string, bool, *prep.QueryPlan, error)
-	Sessions() ([]ids.ID, error)
-	Count() (prep.CountResponse, error)
-	DeleteRecord(key string) (bool, error)
-	DeleteRecords(keys []string) (int, error)
-	DeleteSession(session ids.ID) (int, error)
-	Compact() error
+	shard.Shard
 	// CompactAbove compacts only the parts whose garbage ratio reached
 	// threshold: for one store that is the store or nothing; for a
 	// router, just the hot shards — scheduled reclamation must not
 	// rewrite every clean shard because one crossed the line.
 	CompactAbove(threshold float64) error
-	GarbageRatio() float64
-	Tombstones() int64
 	EngineStats() shard.EngineStats
 }
 
@@ -174,11 +163,7 @@ func (p *StorePlugIn) Handle(action string, body []byte) (interface{}, error) {
 		var derr error
 		switch {
 		case req.StorageKey != "":
-			var ok bool
-			ok, derr = p.prov.DeleteRecord(req.StorageKey)
-			if ok {
-				deleted = 1
-			}
+			deleted, derr = p.prov.DeleteRecords([]string{req.StorageKey})
 		case len(req.StorageKeys) > 0:
 			deleted, derr = p.prov.DeleteRecords(req.StorageKeys)
 		default:
@@ -307,13 +292,11 @@ func (p *QueryPlugIn) Handle(action string, body []byte) (interface{}, error) {
 		records, next, done, plan, err := p.prov.QueryPage(&req.Query, req.After, req.PageSize)
 		if err != nil {
 			// An undecodable composite cursor (corrupted, or minted
-			// against a resized topology) and a stale one (minted before
-			// a drain moved records) are both client input, not server
-			// failures — fault them like every other bad-input path. The
-			// stale fault keeps ErrStaleCursor's message, which is what
-			// lets Client.QueryPage re-type it so QueryStream restarts
-			// the walk instead of failing it.
-			if errors.Is(err, shard.ErrBadCursor) || errors.Is(err, shard.ErrStaleCursor) {
+			// against a resized topology) is client input, not a server
+			// failure — fault it like every other bad-input path. The
+			// fault keeps ErrBadCursor's message, which is what lets
+			// Client.QueryPage re-type it.
+			if errors.Is(err, shard.ErrBadCursor) {
 				return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad page query: " + err.Error()}
 			}
 			return nil, err
@@ -592,11 +575,9 @@ func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 		hits, misses := rt.ResultCacheStats()
 		resp.ReadCache.ResultCacheHits += hits
 		resp.ReadCache.ResultCacheMisses += misses
-		resp.DrainEpoch = rt.DrainEpoch()
-		resp.OverlapSuspected = rt.OverlapSuspected()
-		// The router's own instruments (fan-out latency, merge width,
-		// drain counters) belong to no single shard: report them at the
-		// top level next to the service's request histograms.
+		// The router's own instruments (fan-out latency, merge width)
+		// belong to no single shard: report them at the top level next
+		// to the service's request histograms.
 		resp.Histograms = append(resp.Histograms, shard.HistogramStats(rt.Obs())...)
 		resp.Slow = append(resp.Slow, shard.SlowSpans(rt.Obs().Tracer())...)
 	}
@@ -763,19 +744,14 @@ func (c *Client) QueryPage(q *prep.Query, after string, pageSize int) (*prep.Pag
 	req := &prep.PageQueryRequest{Query: *q, After: after, PageSize: pageSize}
 	var resp prep.PageQueryResponse
 	if err := soap.Post(c.hc, c.url, prep.ActionQueryPage, req, &resp); err != nil {
-		// A sharded server rejects a cursor minted before a drain epoch
-		// bump (shard.ErrStaleCursor) or one it cannot decode
+		// A sharded server rejects a cursor it cannot decode
 		// (shard.ErrBadCursor) with a bad-request fault carrying the
-		// sentinel's message. Re-type both so callers — QueryStream
-		// first among them — can tell "restart the walk" from "the
-		// request is broken" with errors.Is instead of string matching.
+		// sentinel's message. Re-type it so callers can match it with
+		// errors.Is instead of string matching.
 		var fault *soap.Fault
-		if errors.As(err, &fault) && fault.Code == soap.FaultBadRequest {
-			for _, sentinel := range []error{shard.ErrStaleCursor, shard.ErrBadCursor} {
-				if strings.Contains(fault.Message, sentinel.Error()) {
-					return nil, fmt.Errorf("preserv: page query: %w: %s", sentinel, fault.Message)
-				}
-			}
+		if errors.As(err, &fault) && fault.Code == soap.FaultBadRequest &&
+			strings.Contains(fault.Message, shard.ErrBadCursor.Error()) {
+			return nil, fmt.Errorf("preserv: page query: %w: %s", shard.ErrBadCursor, fault.Message)
 		}
 		return nil, fmt.Errorf("preserv: page query: %w", err)
 	}
@@ -789,30 +765,12 @@ func (c *Client) QueryPage(q *prep.Query, after string, pageSize int) (*prep.Pag
 // selects the server default. It returns the last page's plan (each
 // page is planned afresh; cardinalities can shift between pages as the
 // store grows).
-//
-// A sharded server retires every outstanding composite cursor when a
-// drain moves records (shard.ErrStaleCursor). The stream absorbs that
-// transparently: it resumes with a plain cursor at the last storage
-// key fn was given, which is exact — fn sees every committed record
-// exactly once — because storage keys are shard-independent, so plain
-// seek-after semantics hold across any rebalance. Each delivered
-// record re-arms the retry, so a walk racing repeated drains makes
-// progress; only a stale rejection with nothing new delivered since
-// the last one surfaces as an error (a router cannot loop on its own
-// cursors that way — it would take a malformed server).
 func (c *Client) QueryStream(q *prep.Query, pageSize int, fn func(r *core.Record) error) (*prep.QueryPlan, error) {
 	after := ""
-	lastKey := ""
-	retried := false
 	var plan prep.QueryPlan
 	for {
 		resp, err := c.QueryPage(q, after, pageSize)
 		if err != nil {
-			if errors.Is(err, shard.ErrStaleCursor) && !retried {
-				retried = true
-				after = lastKey
-				continue
-			}
 			return nil, err
 		}
 		plan = resp.Plan
@@ -820,8 +778,6 @@ func (c *Client) QueryStream(q *prep.Query, pageSize int, fn func(r *core.Record
 			if err := fn(&resp.Records[i]); err != nil {
 				return nil, err
 			}
-			lastKey = resp.Records[i].StorageKey()
-			retried = false
 		}
 		if resp.Done || resp.Next == "" {
 			return &plan, nil
@@ -838,8 +794,8 @@ func (c *Client) DeleteRecord(storageKey string) (*prep.DeleteResponse, error) {
 }
 
 // DeleteRecords retracts the records stored under the given keys in one
-// round trip — the batched form a drain uses to delete a moved page
-// from a remote shard.
+// round trip — the form a router uses to fan a key batch out to a
+// remote shard.
 func (c *Client) DeleteRecords(storageKeys []string) (*prep.DeleteResponse, error) {
 	return c.delete(&prep.DeleteRequest{StorageKeys: storageKeys})
 }

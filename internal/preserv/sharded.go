@@ -109,8 +109,7 @@ func (r *RemoteShard) Sessions() ([]ids.ID, error) { return r.c.Sessions() }
 func (r *RemoteShard) Count() (prep.CountResponse, error) { return r.c.Count() }
 
 // DeleteRecords implements shard.Shard: the whole batch retracts in one
-// round trip, so a drain's delete half costs one request per moved page
-// (and the router's delete fence is held for one RTT, not one per key).
+// round trip, not one per key.
 func (r *RemoteShard) DeleteRecords(keys []string) (int, error) {
 	if len(keys) == 0 {
 		return 0, nil

@@ -276,8 +276,7 @@ func TestSetCompactRatioRaceUnderConcurrentDeletes(t *testing.T) {
 // corrupted): it is client input, faulted as bad-request by the server
 // and re-typed by the client into shard.ErrBadCursor — so callers
 // distinguish it from an internal server error with errors.Is, never
-// by string matching (faultcontract_test.go pins the same for
-// ErrStaleCursor).
+// by string matching.
 func TestShardedPageBadCursorFaultsBadRequest(t *testing.T) {
 	client, _, _ := startShardedServer(t, 2)
 	_, err := client.QueryPage(&prep.Query{}, "sc1!3!a!b!c", 10)
@@ -290,8 +289,7 @@ func TestShardedPageBadCursorFaultsBadRequest(t *testing.T) {
 }
 
 // TestDeleteRecordsBatchedOverWire pins the batched retraction form: a
-// whole key batch deletes in one request (the round trip a drain pays
-// per moved page on a remote shard), spanning shards, idempotently.
+// whole key batch deletes in one request, spanning shards, idempotently.
 func TestDeleteRecordsBatchedOverWire(t *testing.T) {
 	client, _, _ := startShardedServer(t, 2)
 	recordShardSessions(t, client, 3, 4)

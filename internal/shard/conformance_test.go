@@ -3,9 +3,7 @@ package shard
 // Cross-backend conformance for the sharded topology: whatever backend
 // flavour the children run on, the Router's answers must be exactly a
 // single store's answers over the union of the shards — planner, scan
-// and paged paths alike — and a drain (including one resumed over a
-// simulated crash's copy/delete overlap) must preserve the record set
-// bit for bit.
+// and paged paths alike.
 
 import (
 	"fmt"
@@ -45,8 +43,7 @@ func shardFlavours() []shardFlavour {
 }
 
 // flavourRouter builds a router over n children of one backend flavour,
-// returning the router and the child stores (for rebuilding a router
-// over the same data — the crash-restart path).
+// returning the router and the child stores.
 func flavourRouter(t *testing.T, fl shardFlavour, n int) (*Router, []*store.Store) {
 	t.Helper()
 	children := make([]Shard, n)
@@ -106,23 +103,6 @@ func conformanceQueries(sessions []ids.ID) []*prep.Query {
 // paged answers to equal the union store's scan answers.
 func assertRouterEqualsUnion(t *testing.T, rt *Router, ref *store.Store, sessions []ids.ID, label string) {
 	t.Helper()
-	assertRouterEqualsUnionOpts(t, rt, ref, sessions, label, true)
-}
-
-// assertRouterEqualsUnionOpts is assertRouterEqualsUnion with control
-// over Total checking on limited queries. The router's exact Limit-ed
-// Totals rely on its overlap-suspicion flag, which only drains the
-// router itself ran can raise — the overlap phase here builds the
-// twinning EXTERNALLY (manual cross-shard copies the router never
-// observed, the fresh-router-over-crashed-state case DESIGN.md
-// documents as requiring an operator re-drain), so a Limit can hide
-// twins beyond its fetched window and the summed Total legitimately
-// over-counts; that phase checks limited queries record-for-record
-// only. Router-observed crashed drains yield exact Limit-ed Totals,
-// pinned by TestCrashedDrainOverlapExactLimitedTotal and the
-// crashtest drain/paging harness.
-func assertRouterEqualsUnionOpts(t *testing.T, rt *Router, ref *store.Store, sessions []ids.ID, label string, exactLimitedTotals bool) {
-	t.Helper()
 	for qi, q := range conformanceQueries(sessions) {
 		want, wantTotal, err := ref.Query(q)
 		if err != nil {
@@ -135,13 +115,6 @@ func assertRouterEqualsUnionOpts(t *testing.T, rt *Router, ref *store.Store, ses
 		pgot, ptotal, _, err := rt.QueryPlanned(q)
 		if err != nil {
 			t.Fatalf("%s: sharded planner %d: %v", label, qi, err)
-		}
-		if q.Limit > 0 && !exactLimitedTotals {
-			if gotTotal < wantTotal || ptotal < wantTotal {
-				t.Fatalf("%s: query %d: limited totals undercount: scan %d planner %d, want >= %d",
-					label, qi, gotTotal, ptotal, wantTotal)
-			}
-			gotTotal, ptotal = wantTotal, wantTotal
 		}
 		assertSameRecords(t, want, wantTotal, got, gotTotal, label, qi, "sharded-scan")
 		assertSameRecords(t, want, wantTotal, pgot, ptotal, label, qi, "sharded-planner")
@@ -226,8 +199,8 @@ func TestRouterPageCursorSurvivesDeletionAllBackends(t *testing.T) {
 			delivered := page1[2].StorageKey()
 			pending := want[len(want)-1].StorageKey()
 			for _, k := range []string{delivered, pending} {
-				if ok, err := rt.DeleteRecord(k); err != nil || !ok {
-					t.Fatalf("delete %s: ok=%v err=%v", k, ok, err)
+				if n, err := rt.DeleteRecords([]string{k}); err != nil || n != 1 {
+					t.Fatalf("delete %s: deleted=%d err=%v", k, n, err)
 				}
 			}
 
@@ -275,81 +248,6 @@ func TestRouterPageCursorSurvivesDeletionAllBackends(t *testing.T) {
 	}
 }
 
-func TestRouterDrainCrashRecoveryAllBackends(t *testing.T) {
-	for _, fl := range shardFlavours() {
-		t.Run(fl.name, func(t *testing.T) {
-			rt, stores := flavourRouter(t, fl, 3)
-			sessions := recordSessions(t, rt, 9, 5)
-			ref := unionReference(t, rt)
-
-			// Simulate a crash mid-drain: the first half of shard 0's
-			// records were already copied to their new homes among the
-			// survivors, but the source deletions never ran — the exact
-			// state Drain's copy-before-delete ordering leaves behind.
-			srcRecs, _, err := rt.Shard(0).Query(&prep.Query{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(srcRecs) == 0 {
-				t.Skip("affinity left shard 0 empty for this workload")
-			}
-			half := srcRecs[:(len(srcRecs)+1)/2]
-			survivors := []int{1, 2}
-			for _, r := range half {
-				target := survivors[AffinityIndex(AffinityTerm(&r), len(survivors))]
-				if acc, rejects, err := rt.Shard(target).Record(r.Asserter(), []core.Record{r}); err != nil || acc != 1 || len(rejects) != 0 {
-					t.Fatalf("crash-copy to shard %d: acc=%d rejects=%v err=%v", target, acc, rejects, err)
-				}
-			}
-
-			// Mid-overlap, answers must already be exact: the merge
-			// dedupes the twins. (Limit-ed queries are checked record-
-			// for-record; their Totals legitimately over-count twins
-			// hidden beyond the fetched window.)
-			assertRouterEqualsUnionOpts(t, rt, ref, sessions, fl.name+"/mid-overlap", false)
-
-			// "Restart": a fresh router over the same stores (all shards
-			// active again), then the operator re-runs the drain.
-			rt2, err := NewRouter(func() []Shard {
-				out := make([]Shard, len(stores))
-				for i := range stores {
-					out[i] = NewLocal(stores[i])
-				}
-				return out
-			}()...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := rt2.Drain(0); err != nil {
-				t.Fatal(err)
-			}
-
-			// No record lost, none duplicated: router answers match the
-			// union reference, the drained shard is empty, and per-shard
-			// counts sum to the reference count.
-			assertRouterEqualsUnion(t, rt2, ref, sessions, fl.name+"/after-redrain")
-			if cnt, _ := rt2.Shard(0).Count(); cnt.Records != 0 {
-				t.Fatalf("drained shard still holds %d records", cnt.Records)
-			}
-			refCnt, err := ref.Count()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := 0
-			for i := 0; i < rt2.NumShards(); i++ {
-				cnt, err := rt2.Shard(i).Count()
-				if err != nil {
-					t.Fatal(err)
-				}
-				sum += cnt.Records
-			}
-			if sum != refCnt.Records {
-				t.Fatalf("per-shard counts sum to %d, want %d (duplicate or lost record)", sum, refCnt.Records)
-			}
-		})
-	}
-}
-
 // TestRouterSingleShardDegenerate pins that a 1-shard router behaves
 // exactly like the store it wraps (the migration path: front a store
 // with a router first, add shards later).
@@ -358,13 +256,9 @@ func TestRouterSingleShardDegenerate(t *testing.T) {
 	sessions := recordSessions(t, rt, 4, 5)
 	ref := unionReference(t, rt)
 	assertRouterEqualsUnion(t, rt, ref, sessions, "single")
-	if _, err := rt.Drain(0); err == nil {
-		t.Fatal("draining the only shard succeeded")
-	}
 }
 
-// TestRouterRecordConcurrent exercises concurrent affine writes (the
-// topology read-lock path Drain synchronises with).
+// TestRouterRecordConcurrent exercises concurrent affine writes.
 func TestRouterRecordConcurrent(t *testing.T) {
 	rt := memRouter(t, 4)
 	const writers = 8

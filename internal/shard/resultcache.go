@@ -26,12 +26,13 @@ const DefaultResultCacheSize = 128
 
 // routerAnswer is one cached fan-out answer. The router's kv.LRU
 // stamps it with the generation tuple (probeGenerations) read BEFORE
-// the fan-out ran, both under the same moveMu read fence, and store
-// generations bump only AFTER a mutation's data is committed — so a
-// write racing the fan-out makes the current tuple advance past the
-// stamped one, and the entry dies on its next lookup. There is no
-// explicit invalidation hook: staleness is impossible, the failure mode
-// is over-invalidation.
+// the fan-out ran, and store generations bump only AFTER a mutation's
+// data is committed — so a write racing the fan-out makes the current
+// tuple advance past the stamped one, and the entry dies on its next
+// lookup. No router lock is needed for this: the ordering lives in the
+// probe-then-fan-out sequence and in the stores. There is no explicit
+// invalidation hook: staleness is impossible, the failure mode is
+// over-invalidation.
 type routerAnswer struct {
 	recs  []core.Record
 	total int

@@ -3,9 +3,8 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"strconv"
+	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -192,20 +191,13 @@ func TestCompositeCursorRoundTrip(t *testing.T) {
 	const fp = "00000000deadbeef"
 	cursors := []string{"i/x/1/sender/svc:enactor/e", "", "s/with!bang and spaces/\x00odd", "*starts/with/star"}
 	marks := []bool{false, true, false, true}
-	const mintEpoch = uint64(0x2f)
-	enc := encodeCursor(fp, mintEpoch, cursors, marks)
+	enc := encodeCursor(fp, cursors, marks)
 	if !strings.HasPrefix(enc, compositeCursorPrefix) {
 		t.Fatalf("encoded cursor %q lacks prefix", enc)
 	}
-	dec, done, epoch, composite, err := decodeCursor(enc, fp, 4)
+	dec, done, err := decodeCursor(enc, fp, 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !composite {
-		t.Fatal("composite cursor decoded as plain")
-	}
-	if epoch != mintEpoch {
-		t.Fatalf("epoch decoded %d, want %d", epoch, mintEpoch)
 	}
 	for i := range cursors {
 		if dec[i] != cursors[i] {
@@ -216,36 +208,47 @@ func TestCompositeCursorRoundTrip(t *testing.T) {
 		}
 	}
 	// Shard-count mismatch is rejected.
-	if _, _, _, _, err := decodeCursor(enc, fp, 2); err == nil {
-		t.Fatal("cursor for 4 shards accepted against 2")
+	if _, _, err := decodeCursor(enc, fp, 2); !errors.Is(err, ErrBadCursor) {
+		t.Fatalf("cursor for 4 shards against 2: err=%v, want ErrBadCursor", err)
 	}
 	// A cursor minted against a different topology (same count,
 	// reordered or replaced shards — a different fingerprint) is
 	// rejected instead of mis-applying per-shard positions.
-	if _, _, _, _, err := decodeCursor(enc, "1111111111111111", 4); err == nil {
-		t.Fatal("cursor accepted against a different topology fingerprint")
-	}
-	// A pre-epoch cursor (fingerprint field without the "." suffix —
-	// minted by an older build) still decodes, as epoch 0.
-	legacy := strings.Replace(enc, fp+"."+strconv.FormatUint(mintEpoch, 16), fp, 1)
-	if _, _, epoch, composite, err := decodeCursor(legacy, fp, 4); err != nil || !composite || epoch != 0 {
-		t.Fatalf("legacy cursor: epoch=%d composite=%v err=%v, want 0/true/nil", epoch, composite, err)
-	}
-	// A garbled epoch suffix is malformed, not stale.
-	garbled := strings.Replace(enc, fp+"."+strconv.FormatUint(mintEpoch, 16), fp+".zz", 1)
-	if _, _, _, _, err := decodeCursor(garbled, fp, 4); !errors.Is(err, ErrBadCursor) {
-		t.Fatalf("garbled epoch: err=%v, want ErrBadCursor", err)
+	if _, _, err := decodeCursor(enc, "1111111111111111", 4); !errors.Is(err, ErrBadCursor) {
+		t.Fatalf("foreign topology fingerprint: err=%v, want ErrBadCursor", err)
 	}
 	// A plain storage key fans out unchanged, with no shard exhausted.
-	plain, done, _, composite, err := decodeCursor("i/abc", fp, 2)
+	plain, done, err := decodeCursor("i/abc", fp, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if composite {
-		t.Fatal("plain cursor decoded as composite")
-	}
 	if plain[0] != "i/abc" || plain[1] != "i/abc" || done[0] || done[1] {
 		t.Fatalf("plain cursor mangled: %v %v", plain, done)
+	}
+
+	// A cursor in the previous build's form — "fp.0" in the fingerprint
+	// field — resumes to the same page as the current form.
+	rt := memRouter(t, 3)
+	recordSessions(t, rt, 6, 4)
+	_, next, _, _, err := rt.QueryPage(&prep.Query{}, "", 5)
+	if err != nil || next == "" {
+		t.Fatalf("first page: next=%q err=%v", next, err)
+	}
+	old := strings.Replace(next, "!"+rt.fp+"!", "!"+rt.fp+".0!", 1)
+	if old == next {
+		t.Fatalf("cursor %q does not carry the fingerprint field %q", next, rt.fp)
+	}
+	want, wantNext, wantDone, _, err := rt.QueryPage(&prep.Query{}, next, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotNext, gotDone, _, err := rt.QueryPage(&prep.Query{}, old, 5)
+	if err != nil {
+		t.Fatalf("previous-build cursor %q: %v", old, err)
+	}
+	assertExactKeys(t, got, want, "previous-build cursor page")
+	if gotNext != wantNext || gotDone != wantDone {
+		t.Fatalf("previous-build cursor: next=%q done=%v, want %q %v", gotNext, gotDone, wantNext, wantDone)
 	}
 }
 
@@ -359,16 +362,16 @@ func TestDeleteFansOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := rt.DeleteRecord(recs[0].StorageKey())
-	if err != nil || !ok {
-		t.Fatalf("DeleteRecord: ok=%v err=%v", ok, err)
+	n, err := rt.DeleteRecords([]string{recs[0].StorageKey()})
+	if err != nil || n != 1 {
+		t.Fatalf("DeleteRecords: deleted=%d err=%v", n, err)
 	}
-	if ok, _ := rt.DeleteRecord(recs[0].StorageKey()); ok {
+	if n, _ := rt.DeleteRecords([]string{recs[0].StorageKey()}); n != 0 {
 		t.Fatal("second delete of same key reported a deletion")
 	}
 
 	// Delete a whole session.
-	n, err := rt.DeleteSession(sids[1])
+	n, err = rt.DeleteSession(sids[1])
 	if err != nil || n != 4 {
 		t.Fatalf("DeleteSession deleted %d err=%v, want 4", n, err)
 	}
@@ -381,110 +384,70 @@ func TestDeleteFansOut(t *testing.T) {
 	}
 }
 
-func TestDrainMovesEverythingAndKeepsAnswers(t *testing.T) {
+// TestRouterMergeCollapsesTwins pins the merge's key dedup: a record
+// held by two shards — which a store reopened with a different shard
+// count produces once a client re-ships — is answered and counted once
+// by the scan, planner and paged paths.
+func TestRouterMergeCollapsesTwins(t *testing.T) {
 	rt := memRouter(t, 3)
-	recordSessions(t, rt, 12, 5)
-	before, total, err := rt.Query(&prep.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	moved, err := rt.Drain(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.ActiveShards() != 2 {
-		t.Fatalf("active shards %d after drain, want 2", rt.ActiveShards())
-	}
-	// The drained shard is empty.
-	cnt, err := rt.Shard(1).Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnt.Records != 0 {
-		t.Fatalf("drained shard still holds %d records (moved %d)", cnt.Records, moved)
-	}
-	// The record set is preserved exactly.
-	after, atotal, err := rt.Query(&prep.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if atotal != total || len(after) != len(before) {
-		t.Fatalf("after drain %d/%d records, want %d/%d", len(after), atotal, len(before), total)
-	}
-	for i := range before {
-		if before[i].StorageKey() != after[i].StorageKey() {
-			t.Fatalf("record %d changed across drain", i)
+	sid := seq.NewID()
+	twins := []core.Record{mkRec(sid, "svc:gzip", 0), mkRec(sid, "svc:ppmz", 1), mkRec(sid, "svc:bzip2", 2)}
+	for _, i := range []int{0, 2} {
+		if acc, rejects, err := rt.Shard(i).Record("svc:enactor", twins); err != nil || acc != 3 || len(rejects) != 0 {
+			t.Fatalf("shard %d: accepted %d, rejects %v, err %v", i, acc, rejects, err)
 		}
 	}
-	// Re-draining an empty shard is a no-op; new writes avoid it.
-	if n, err := rt.Drain(1); err != nil || n != 0 {
-		t.Fatalf("re-drain moved %d err=%v", n, err)
-	}
-	sid := seq.NewID()
-	if _, _, err := rt.Record("svc:enactor", []core.Record{mkRec(sid, "svc:gzip", 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if cnt, _ := rt.Shard(1).Count(); cnt.Records != 0 {
-		t.Fatal("drained shard received a new write")
-	}
+	want := append([]core.Record(nil), twins...)
+	sort.Slice(want, func(i, j int) bool { return want[i].StorageKey() < want[j].StorageKey() })
 
-	// Draining everything but the last shard works; the last refuses.
-	if _, err := rt.Drain(0); err != nil {
+	recs, total, err := rt.Query(&prep.Query{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.Drain(2); err == nil {
-		t.Fatal("draining the last active shard succeeded")
+	if total != 3 {
+		t.Fatalf("scan Total %d, want 3", total)
+	}
+	assertExactKeys(t, recs, want, "scan")
+	precs, ptotal, _, err := rt.QueryPlanned(&prep.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ptotal != 3 {
+		t.Fatalf("planned Total %d, want 3", ptotal)
+	}
+	assertExactKeys(t, precs, want, "planned")
+	assertExactKeys(t, collectWalk(t, rt, "", 2, nil), want, "paged walk")
+}
+
+// collectWalk pages the router to exhaustion from the given cursor,
+// appending onto got.
+func collectWalk(t *testing.T, rt *Router, after string, pageSize int, got []core.Record) []core.Record {
+	t.Helper()
+	for steps := 0; ; steps++ {
+		if steps > 100 {
+			t.Fatal("paging did not terminate")
+		}
+		recs, next, done, _, err := rt.QueryPage(&prep.Query{}, after, pageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, recs...)
+		if done || next == "" {
+			return got
+		}
+		after = next
 	}
 }
 
-func TestDrainUnderConcurrentQueriesPreservesRecordSet(t *testing.T) {
-	rt := memRouter(t, 3)
-	recordSessions(t, rt, 10, 6)
-	want, wantTotal, err := rt.Query(&prep.Query{})
-	if err != nil {
-		t.Fatal(err)
+func assertExactKeys(t *testing.T, got, want []core.Record, label string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: walked %d records, want %d", label, len(got), len(want))
 	}
-
-	stop := make(chan struct{})
-	var readerErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// Every mid-drain answer must be exactly the full record
-			// set: copy-before-delete plus merge dedup guarantee it.
-			got, total, err := rt.Query(&prep.Query{})
-			if err != nil {
-				readerErr = fmt.Errorf("mid-drain query: %w", err)
-				return
-			}
-			if total != wantTotal || len(got) != len(want) {
-				readerErr = fmt.Errorf("mid-drain query saw %d/%d records, want %d/%d", len(got), total, len(want), wantTotal)
-				return
-			}
-			for i := range want {
-				if got[i].StorageKey() != want[i].StorageKey() {
-					readerErr = fmt.Errorf("mid-drain record %d is %s, want %s", i, got[i].StorageKey(), want[i].StorageKey())
-					return
-				}
-			}
+	for i := range want {
+		if got[i].StorageKey() != want[i].StorageKey() {
+			t.Fatalf("%s: record %d is %s, want %s", label, i, got[i].StorageKey(), want[i].StorageKey())
 		}
-	}()
-
-	if _, err := rt.Drain(0); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	wg.Wait()
-	if readerErr != nil {
-		t.Fatal(readerErr)
 	}
 }
 
@@ -577,6 +540,90 @@ func TestMutatingFanOutAggregatesErrors(t *testing.T) {
 	}
 }
 
+// TestRouterStatsAggregateShards pins the router's telemetry surface:
+// per-shard stats in topology order (full stats from a local shard, the
+// base-surface fallback from shards without ShardStats), engine and
+// tombstone aggregates equal to the children's, and the router's own
+// histograms and slow log in wire form.
+func TestRouterStatsAggregateShards(t *testing.T) {
+	full := NewLocal(store.New(store.NewMemoryBackend()))
+	remote := urlShard{Shard: NewLocal(store.New(store.NewMemoryBackend())), url: "http://b"}
+	bare := &gaugeShard{Shard: NewLocal(store.New(store.NewMemoryBackend())), ratio: 0.25}
+	rt, err := NewRouter(full, remote, bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Obs().Tracer().SetSlowThreshold(time.Nanosecond) // every span is slow
+	sids := recordSessions(t, rt, 6, 4)
+	for _, sid := range sids {
+		if _, _, _, err := rt.QueryPlanned(&prep.Query{SessionID: sid}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rt.DeleteSession(sids[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	stats, err := rt.ShardStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stats) != 3 {
+		t.Fatalf("%d shard stats, want 3", len(stats))
+	}
+	records := 0
+	for i, st := range stats {
+		if st.Index != i {
+			t.Fatalf("stats[%d].Index = %d", i, st.Index)
+		}
+		records += st.Records
+	}
+	if cnt, err := rt.Count(); err != nil || records != cnt.Records || records != 5*4 {
+		t.Fatalf("per-shard records sum to %d, router counts %d (err %v), want 20", records, cnt.Records, err)
+	}
+	if stats[0].URL != "" || stats[1].URL != "http://b" || stats[2].GarbageRatio != 0.25 {
+		t.Fatalf("shard identities/fallback wrong: %+v", stats)
+	}
+	if stats[0].Engine != full.EngineStats().Wire() || len(stats[0].Histograms) == 0 {
+		t.Fatalf("local shard stats not in full: %+v", stats[0])
+	}
+
+	// Only the local shard reports engine counters, so it is the sum.
+	es := rt.EngineStats()
+	if es != full.EngineStats() || es.IndexPlans == 0 {
+		t.Fatalf("router engine stats %+v, want the local shard's %+v", es, full.EngineStats())
+	}
+	if back := EngineStatsFromWire(es.Wire()); back != es {
+		t.Fatalf("engine stats wire round trip: %+v -> %+v", es, back)
+	}
+	var tombs int64
+	for i := 0; i < rt.NumShards(); i++ {
+		tombs += rt.Shard(i).Tombstones()
+	}
+	if rt.Tombstones() != tombs {
+		t.Fatalf("router tombstones %d, want the shards' sum %d", rt.Tombstones(), tombs)
+	}
+
+	hists := HistogramStats(rt.Obs())
+	merged := false
+	for i, h := range hists {
+		if i > 0 && hists[i-1].Name >= h.Name {
+			t.Fatalf("histograms not sorted by name: %q before %q", hists[i-1].Name, h.Name)
+		}
+		merged = merged || (h.Name == "router_merge_width" && h.Count > 0)
+	}
+	if !merged {
+		t.Fatalf("router_merge_width missing or empty in %+v", hists)
+	}
+	slow := SlowSpans(rt.Obs().Tracer())
+	if len(slow) == 0 || slow[0].Op != "router.fanout" || len(slow[0].Attrs) == 0 || slow[0].Attrs[0].Key != "shard" {
+		t.Fatalf("slow log %+v, want router.fanout spans tagged with their shard", slow)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestQueryPageRejectsBadCompositeCursor pins the typed error for
 // undecodable composite cursors — stale across a topology resize,
 // truncated, or corrupted — so servers can fault them as client input
@@ -599,42 +646,6 @@ func TestQueryPageRejectsBadCompositeCursor(t *testing.T) {
 	// A plain storage-key cursor is not composite and must keep working.
 	if _, _, _, _, err := rt.QueryPage(&prep.Query{}, "i/0000", 10); err != nil {
 		t.Fatalf("plain cursor: %v", err)
-	}
-}
-
-// refillingShard simulates a writer shipping to a shard's endpoint
-// directly, outside the router: every drain page read finds one
-// freshly landed record, so a sweep never observes the shard empty.
-type refillingShard struct {
-	Shard
-	n int
-}
-
-func (r *refillingShard) QueryPage(q *prep.Query, after string, pageSize int) ([]core.Record, string, bool, *prep.QueryPlan, error) {
-	r.n++
-	rec := mkRec(seq.NewID(), "svc:external", r.n)
-	return []core.Record{rec}, "", true, &prep.QueryPlan{}, nil
-}
-
-// TestDrainCapsSweepsAgainstExternalWriter pins the sweep cap: a shard
-// kept non-empty by an external writer must fail the drain with a
-// diagnosis instead of spinning forever; the records each sweep did
-// move stay moved.
-func TestDrainCapsSweepsAgainstExternalWriter(t *testing.T) {
-	leaky := &refillingShard{Shard: NewLocal(store.New(store.NewMemoryBackend()))}
-	rt, err := NewRouter(leaky, NewLocal(store.New(store.NewMemoryBackend())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, err := rt.Drain(0)
-	if err == nil {
-		t.Fatal("draining a shard an external writer keeps refilling should error")
-	}
-	if !strings.Contains(err.Error(), "external writer") {
-		t.Fatalf("drain error %q does not diagnose the external writer", err)
-	}
-	if moved != maxDrainPasses {
-		t.Fatalf("moved %d records before giving up, want one per sweep = %d", moved, maxDrainPasses)
 	}
 }
 

@@ -11,11 +11,10 @@
 // shard's indexes. Reads fan out: planned queries execute on every
 // shard concurrently and k-way-merge in storage-key order, paged
 // queries resume each shard at its own cursor behind one composite
-// cursor, session listings union, statistics aggregate. Rebalancing
-// reuses the deletion lifecycle: Drain streams a shard's records out,
-// re-records them onto the survivors (copy first), and only then
-// deletes the source batch — a crash in between leaves an overlap that
-// idempotent re-recording absorbs and the merge's key-dedup hides.
+// cursor, session listings union, statistics aggregate, and deletions
+// fan out. The shard list is fixed for a router's lifetime; the merge
+// still collapses a record held by two shards, which a store reopened
+// with a different shard count can produce.
 package shard
 
 import (
@@ -37,8 +36,7 @@ import (
 // safe for concurrent use.
 type Shard interface {
 	// Record validates and stores a batch of p-assertions, idempotently
-	// for identical re-records (the property drains and client retries
-	// lean on).
+	// for identical re-records (the property client retries lean on).
 	Record(asserter core.ActorID, records []core.Record) (int, []prep.Reject, error)
 	// Query evaluates q via the scan path: matching records in
 	// storage-key order (up to q.Limit) plus the total match count.
@@ -227,11 +225,6 @@ func (l *Local) Sessions() ([]ids.ID, error) { return l.e.Sessions() }
 
 // Count implements Shard.
 func (l *Local) Count() (prep.CountResponse, error) { return l.s.Count() }
-
-// DeleteRecord removes the single record under key, reporting whether
-// one was there — the one-key convenience the service layer's delete
-// action uses.
-func (l *Local) DeleteRecord(key string) (bool, error) { return l.s.DeleteRecord(key) }
 
 // DeleteRecords implements Shard.
 func (l *Local) DeleteRecords(keys []string) (int, error) { return l.s.DeleteRecords(keys) }

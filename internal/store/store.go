@@ -618,12 +618,9 @@ func (s *Store) deleteSession(session ids.ID) (int, error) {
 }
 
 // DeleteRecords removes the records stored under the given storage keys
-// (absent keys are no-ops), together with their posting entries — the
-// bulk retraction a shard drain moves records out with: copy the batch
-// to its new shard first, then DeleteRecords it here, and a crash in
-// between leaves only an idempotently re-recordable overlap. It runs
-// the same chunked delete commit protocol as DeleteSession and returns
-// how many records were actually deleted.
+// (absent keys are no-ops), together with their posting entries. It
+// runs the same chunked delete commit protocol as DeleteSession and
+// returns how many records were actually deleted.
 func (s *Store) DeleteRecords(keys []string) (int, error) {
 	span := s.reg.Tracer().StartSpan("store.delete").
 		SetAttr("kind", "records").SetAttr("batch", fmt.Sprint(len(keys)))

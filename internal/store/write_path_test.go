@@ -5,6 +5,8 @@ package store
 // Record index maintenance.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -353,11 +355,11 @@ func TestIdempotentReRecordAcrossCodecChange(t *testing.T) {
 	b := NewMemoryBackend()
 	session := seq.NewID()
 	r := mkInteraction(session, "svc:gzip", "compress")
-	legacy, err := core.EncodeRecordLegacy(&r)
-	if err != nil {
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(&r); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Put(r.StorageKey(), legacy); err != nil {
+	if err := b.Put(r.StorageKey(), legacy.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	s := New(b)
