@@ -1,13 +1,13 @@
 // Package kv holds what the storage backends share below the Backend
 // interface: the key/value pair type of the batched write primitive,
-// Ordered, the sorted key snapshot every backend answers Count and
-// ScanFrom from (ordered.go), and LRU, the stamped cache behind the
-// block cache and both result caches (lru.go). It is a leaf package so
-// that both internal/store (which declares the Backend interface) and
-// internal/index (which flushes posting batches through a structural
-// slice of that interface, and must not import store) can name Pair in
-// their method signatures, and so that internal/kvdb and internal/store
-// can both hold an Ordered.
+// Ordered, which keeps the chunked sorted key snapshot (Keys) every
+// backend answers Count and ScanFrom from (ordered.go), and LRU, the
+// stamped cache behind the block cache and both result caches (lru.go).
+// It is a leaf package so that both internal/store (which declares the
+// Backend interface) and internal/index (which flushes posting batches
+// through a structural slice of that interface, and must not import
+// store) can name Pair in their method signatures, and so that
+// internal/kvdb and internal/store can both hold an Ordered.
 package kv
 
 // Pair is one key/value entry of a batched write. A nil Value is a

@@ -23,6 +23,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -469,32 +470,47 @@ func (db *DB) Len() int {
 
 // sortedKeys returns the sorted key snapshot, folding writes in only
 // when there are any. Snapshot current, the cost is one shared-lock
-// acquisition; the slice is immutable, so readers iterate it unlocked
+// acquisition; the snapshot is immutable, so readers iterate it unlocked
 // and absorb later deletions with a per-key Lookup.
-func (db *DB) sortedKeys() []string {
+func (db *DB) sortedKeys() (*kv.Keys, error) {
 	db.mu.RLock()
 	keys, ok := db.keys.Clean()
+	closed := db.closed
 	db.mu.RUnlock()
+	if closed {
+		return nil, ErrClosed
+	}
 	if ok {
-		return keys
+		return keys, nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.keys.Fold(db.index)
+	if db.closed {
+		return nil, ErrClosed
+	}
+	return db.keys.Fold(db.index), nil
 }
 
-// Keys returns all live keys with the given prefix, sorted. An empty
-// prefix returns every key. The result is the caller's to keep.
+// Keys returns all live keys with the given prefix, sorted; a closed DB
+// has none. An empty prefix returns every key. The result is the
+// caller's to keep.
 func (db *DB) Keys(prefix string) []string {
-	return append([]string(nil), kv.PrefixRange(db.sortedKeys(), prefix, "")...)
+	keys, err := db.sortedKeys()
+	if err != nil {
+		return nil
+	}
+	return slices.Collect(keys.Range(prefix, ""))
 }
 
 // CountPrefix reports how many live keys carry the prefix without
-// copying them — two binary searches on the sorted key snapshot, which
-// is what makes the query planner's per-dimension cardinality probes
-// cheap.
-func (db *DB) CountPrefix(prefix string) int {
-	return len(kv.PrefixRange(db.sortedKeys(), prefix, ""))
+// copying them — two seeks on the sorted key snapshot, which is what
+// makes the query planner's per-dimension cardinality probes cheap.
+func (db *DB) CountPrefix(prefix string) (int, error) {
+	keys, err := db.sortedKeys()
+	if err != nil {
+		return 0, err
+	}
+	return keys.Count(prefix, ""), nil
 }
 
 // Scan calls fn for every live key with the given prefix, in sorted key
@@ -509,7 +525,11 @@ func (db *DB) Scan(prefix string, fn func(key string, val []byte) error) error {
 // snapshot lazily: an early stop from fn ends the sweep without the
 // remaining range being copied or visited.
 func (db *DB) ScanFrom(prefix, from string, fn func(key string, val []byte) error) error {
-	for _, k := range kv.PrefixRange(db.sortedKeys(), prefix, from) {
+	keys, err := db.sortedKeys()
+	if err != nil {
+		return err
+	}
+	for k := range keys.Range(prefix, from) {
 		v, ok, err := db.Lookup(k)
 		if err != nil {
 			return err

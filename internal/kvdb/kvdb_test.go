@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -257,6 +258,44 @@ func TestKeysPrefixSorted(t *testing.T) {
 	}
 }
 
+// TestCountAfterPutBatchCopiesTouchedChunks holds a read after a write to
+// the part of the key snapshot the write reached: with 200k keys folded
+// in, a 100-key batch spread across the key space must not make the next
+// CountPrefix allocate an eighth of a whole-snapshot copy (200k × 16 B).
+func TestCountAfterPutBatchCopiesTouchedChunks(t *testing.T) {
+	db := openTemp(t)
+	const base, batch = 200_000, 100
+	pairs := make([]kv.Pair, 0, 1000)
+	for i := 0; i < base; i++ {
+		pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("k/%06d", i)})
+		if len(pairs) == cap(pairs) {
+			if err := db.PutBatch(pairs); err != nil {
+				t.Fatal(err)
+			}
+			pairs = pairs[:0]
+		}
+	}
+	if n, err := db.CountPrefix("k/"); err != nil || n != base {
+		t.Fatalf("base: CountPrefix = %d, %v", n, err)
+	}
+	for j := 0; j < batch; j++ {
+		pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("k/%06d/new", j*(base/batch))})
+	}
+	if err := db.PutBatch(pairs); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := db.CountPrefix("k/")
+	runtime.ReadMemStats(&after)
+	if err != nil || n != base+batch {
+		t.Fatalf("after the batch: CountPrefix = %d, %v", n, err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(base*16/8); got >= limit {
+		t.Fatalf("the count after a %d-key batch allocated %d bytes, want under %d", batch, got, limit)
+	}
+}
+
 func TestScan(t *testing.T) {
 	db := openTemp(t)
 	for i := 0; i < 10; i++ {
@@ -369,6 +408,15 @@ func TestClosedOperationsFail(t *testing.T) {
 	}
 	if err := db.Compact(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Compact after close: %v", err)
+	}
+	if n, err := db.CountPrefix(""); !errors.Is(err, ErrClosed) {
+		t.Errorf("CountPrefix after close: %d, %v", n, err)
+	}
+	if err := db.Scan("", func(string, []byte) error { return nil }); !errors.Is(err, ErrClosed) {
+		t.Errorf("Scan after close: %v", err)
+	}
+	if keys := db.Keys(""); keys != nil {
+		t.Errorf("Keys after close: %q", keys)
 	}
 	if err := db.Close(); err != nil {
 		t.Errorf("double Close: %v", err)

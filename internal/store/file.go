@@ -421,9 +421,9 @@ func (f *FileBackend) Put(key string, value []byte) error {
 
 // sortedKeys returns the sorted key snapshot, folding writes in only
 // when there are any. Snapshot current, the cost is one shared-lock
-// acquisition: the slice is immutable, so readers iterate it
+// acquisition: the snapshot is immutable, so readers iterate it
 // concurrently; staleness is absorbed by the per-key Get.
-func (f *FileBackend) sortedKeys() []string {
+func (f *FileBackend) sortedKeys() *kv.Keys {
 	f.mu.RLock()
 	keys, ok := f.ordered.Clean()
 	f.mu.RUnlock()
@@ -630,13 +630,13 @@ func (f *FileBackend) Scan(prefix string, fn func(string, []byte) error) error {
 	return f.ScanFrom(prefix, "", fn)
 }
 
-// ScanFrom implements Backend: a binary search on the sorted key
-// snapshot lands on the first key >= max(prefix, from), so a resumed
-// scan never re-walks (or re-sorts) the keys already consumed. Keys
-// stream off the snapshot lazily — an early stop from fn ends the sweep
-// without the remaining range ever being copied or visited.
+// ScanFrom implements Backend: a seek on the sorted key snapshot lands
+// on the first key >= max(prefix, from), so a resumed scan never
+// re-walks (or re-sorts) the keys already consumed. Keys stream off the
+// snapshot lazily — an early stop from fn ends the sweep without the
+// remaining range ever being copied or visited.
 func (f *FileBackend) ScanFrom(prefix, from string, fn func(string, []byte) error) error {
-	for _, k := range kv.PrefixRange(f.sortedKeys(), prefix, from) {
+	for k := range f.sortedKeys().Range(prefix, from) {
 		data, ok, err := f.Get(k)
 		if err != nil {
 			return err
@@ -651,10 +651,9 @@ func (f *FileBackend) ScanFrom(prefix, from string, fn func(string, []byte) erro
 	return nil
 }
 
-// Count implements Backend: two binary searches on the sorted key
-// snapshot.
+// Count implements Backend: two seeks on the sorted key snapshot.
 func (f *FileBackend) Count(prefix string) (int, error) {
-	return len(kv.PrefixRange(f.sortedKeys(), prefix, "")), nil
+	return f.sortedKeys().Count(prefix, ""), nil
 }
 
 // Segments reports how many packed segment files currently back live

@@ -96,7 +96,7 @@ func (k *KVBackend) ScanFrom(prefix, from string, fn func(string, []byte) error)
 // snapshot without copying keys — the planner probes it once per candidate
 // dimension on every uncached query.
 func (k *KVBackend) Count(prefix string) (int, error) {
-	return k.db.CountPrefix(prefix), nil
+	return k.db.CountPrefix(prefix)
 }
 
 // Close implements Backend.
