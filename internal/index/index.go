@@ -303,8 +303,9 @@ func (ix *Index) Remove(r *core.Record) error {
 }
 
 // RemoveBatch deletes the posting entries for a batch of records in ONE
-// backend batch delete — the store calls this once per DeleteRecord /
-// DeleteSession call, mirroring AddBatch on the write path.
+// backend batch delete — the store calls this once per delete chunk of
+// a DeleteRecords / DeleteSession call, mirroring AddBatch on the write
+// path.
 //
 // Ordering within the batch preserves the commit-marker property in the
 // removal direction: each record's kind posting is deleted LAST among

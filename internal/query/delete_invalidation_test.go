@@ -35,8 +35,8 @@ func TestCachedResultInvalidatedByDeleteRecord(t *testing.T) {
 	}
 
 	victim := recs[0].StorageKey()
-	if ok, err := s.DeleteRecord(victim); err != nil || !ok {
-		t.Fatalf("DeleteRecord = %v, %v", ok, err)
+	if n, err := s.DeleteRecords([]string{victim}); err != nil || n != 1 {
+		t.Fatalf("DeleteRecords = %d, %v, want 1", n, err)
 	}
 
 	recs, total, plan, err = e.Query(q)
@@ -117,8 +117,8 @@ func TestPageNeverResurrectsDeletedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := all[5].StorageKey()
-	if ok, err := s.DeleteRecord(victim); err != nil || !ok {
-		t.Fatalf("DeleteRecord = %v, %v", ok, err)
+	if n, err := s.DeleteRecords([]string{victim}); err != nil || n != 1 {
+		t.Fatalf("DeleteRecords = %d, %v, want 1", n, err)
 	}
 
 	var rest []string

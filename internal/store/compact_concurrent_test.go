@@ -14,10 +14,11 @@ import (
 // deterministic model. Each writer owns a disjoint key range, so the
 // final state does not depend on interleaving; what the test pins is
 // that no concurrent write is lost to the swap and no compaction
-// resurrects a deleted key. A reader probes absent keys — never written,
-// and each writer's already-deleted ones — through Get and GetBatch the
-// whole time: a lookup must answer "absent" without error while segments
-// land and are swapped away underneath it.
+// resurrects a deleted key. A reader probes the store the whole time:
+// absent keys — never written, and each writer's already-deleted ones —
+// must read absent, and the live seed keys no writer touches again must
+// read present with their exact values, through Get, GetBatch and
+// ScanFrom alike, while segments land and are swapped away underneath.
 func TestCompactDuringConcurrentWrites(t *testing.T) {
 	open := map[string]func(t *testing.T, dir string) Backend{
 		"file": func(t *testing.T, dir string) Backend {
@@ -80,29 +81,13 @@ func TestCompactDuringConcurrentWrites(t *testing.T) {
 			go func() {
 				defer cwg.Done()
 				for round := 0; ; round++ {
-					absent := []string{fmt.Sprintf("never/%06d", round), fmt.Sprintf("w0/%04d.5", round%perWriter)}
-					for w := range deletedBelow {
-						if n := int(deletedBelow[w].Load()); n > 0 {
-							newest := (n - 1) / 3 * 3
-							absent = append(absent, fmt.Sprintf("w%d/%04d", w, newest), fmt.Sprintf("w%d/%04d", w, round*3%(newest+3)))
-						}
-					}
-					for _, k := range absent {
-						if _, ok, err := b.Get(k); err != nil || ok {
-							errCh <- fmt.Errorf("get absent %s: present=%v err=%v", k, ok, err)
-							return
-						}
-					}
-					_, present, err := b.GetBatch(absent)
-					if err != nil {
-						errCh <- fmt.Errorf("getbatch absent %v: %w", absent, err)
+					if err := probeAbsent(b, round, perWriter, deletedBelow[:]); err != nil {
+						errCh <- err
 						return
 					}
-					for i, ok := range present {
-						if ok {
-							errCh <- fmt.Errorf("getbatch reports absent %s present", absent[i])
-							return
-						}
+					if err := probeLiveSeed(b); err != nil {
+						errCh <- err
+						return
 					}
 					select {
 					case <-done:
@@ -183,4 +168,72 @@ func TestCompactDuringConcurrentWrites(t *testing.T) {
 			check("reopened", b2)
 		})
 	}
+}
+
+// probeAbsent checks that never-written keys and each writer's deleted
+// ones (below its frontier in deletedBelow) read absent without error.
+func probeAbsent(b Backend, round, perWriter int, deletedBelow []atomic.Int64) error {
+	absent := []string{fmt.Sprintf("never/%06d", round), fmt.Sprintf("w0/%04d.5", round%perWriter)}
+	for w := range deletedBelow {
+		if n := int(deletedBelow[w].Load()); n > 0 {
+			newest := (n - 1) / 3 * 3
+			absent = append(absent, fmt.Sprintf("w%d/%04d", w, newest), fmt.Sprintf("w%d/%04d", w, round*3%(newest+3)))
+		}
+	}
+	for _, k := range absent {
+		if _, ok, err := b.Get(k); err != nil || ok {
+			return fmt.Errorf("get absent %s: present=%v err=%v", k, ok, err)
+		}
+	}
+	_, present, err := b.GetBatch(absent)
+	if err != nil {
+		return fmt.Errorf("getbatch absent %v: %w", absent, err)
+	}
+	for i, ok := range present {
+		if ok {
+			return fmt.Errorf("getbatch reports absent %s present", absent[i])
+		}
+	}
+	return nil
+}
+
+// probeLiveSeed checks that the surviving seed keys, seed/025–seed/049,
+// which no writer touches after the seeding, read present with their
+// exact values through Get, GetBatch and ScanFrom.
+func probeLiveSeed(b Backend) error {
+	var keys, want []string
+	for i := 25; i < 50; i++ {
+		keys = append(keys, fmt.Sprintf("seed/%03d", i))
+		want = append(want, fmt.Sprintf("s%d", i))
+	}
+	for i, k := range keys {
+		if v, ok, err := b.Get(k); err != nil || !ok || string(v) != want[i] {
+			return fmt.Errorf("get live %s = %q present=%v err=%v, want %q", k, v, ok, err, want[i])
+		}
+	}
+	values, present, err := b.GetBatch(keys)
+	if err != nil {
+		return fmt.Errorf("getbatch live: %w", err)
+	}
+	for i, k := range keys {
+		if !present[i] || string(values[i]) != want[i] {
+			return fmt.Errorf("getbatch live %s = %q present=%v, want %q", k, values[i], present[i], want[i])
+		}
+	}
+	var scanned []string
+	if err := b.ScanFrom("seed/", "", func(k string, v []byte) error {
+		scanned = append(scanned, k+"="+string(v))
+		return nil
+	}); err != nil {
+		return fmt.Errorf("scanfrom live: %w", err)
+	}
+	for i, k := range keys {
+		if i >= len(scanned) || scanned[i] != k+"="+want[i] {
+			return fmt.Errorf("scanfrom live = %v, want %d seed keys from %s", scanned, len(keys), keys[0])
+		}
+	}
+	if len(scanned) != len(keys) {
+		return fmt.Errorf("scanfrom live = %v, want %d seed keys", scanned, len(keys))
+	}
+	return nil
 }

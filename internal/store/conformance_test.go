@@ -8,11 +8,14 @@ package store
 // checks compare posting counts to record counts).
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"preserv/internal/kvdb"
 )
 
 // backendUnderTest names one flavour and how to open it fresh; openAt
@@ -65,8 +68,42 @@ func TestBackendConformance(t *testing.T) {
 			if _, ok := but.open(t).(Compacter); ok {
 				t.Run("CompactKeepsContents", func(t *testing.T) { conformCompact(t, but) })
 			}
+			if but.openAt != nil {
+				t.Run("ClosedRefuses", func(t *testing.T) { conformClosed(t, but.open(t)) })
+			}
 		})
 	}
+}
+
+func conformClosed(t *testing.T, b Backend) {
+	// A closed persistent backend refuses every operation with
+	// kvdb.ErrClosed, as kvdb itself does: no read answers from state the
+	// backend no longer owns, and no write lands after Close.
+	if err := b.PutBatch([]KV{{Key: "i/1", Value: []byte("one")}, {Key: "x/1"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Errorf("second Close = %v, want nil", err)
+	}
+	check := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, kvdb.ErrClosed) {
+			t.Errorf("%s after Close = %v, want kvdb.ErrClosed", op, err)
+		}
+	}
+	_, _, err := b.Get("i/1")
+	check("Get", err)
+	_, _, err = b.GetBatch([]string{"i/1", "x/1"})
+	check("GetBatch", err)
+	check("PutBatch", b.PutBatch([]KV{{Key: "i/2", Value: []byte("two")}}))
+	check("DeleteBatch", b.DeleteBatch([]string{"i/1"}))
+	check("Compact", b.(Compacter).Compact())
+	_, err = b.Count("")
+	check("Count", err)
+	check("ScanFrom", b.ScanFrom("", "", func(string, []byte) error { return nil }))
 }
 
 // backendContents is everything a reader can ask a backend about a key

@@ -1,7 +1,7 @@
 package crashtest
 
 // Randomized lifecycle property test: a random interleaving of
-// Record / DeleteRecord / DeleteSession / Query / Compact runs against
+// Record / DeleteRecords / DeleteSession / Query / Compact runs against
 // all three backends, concurrently, with a plain-map oracle tracking
 // the records that must exist. At every quiesce point the three views —
 // cost-based planner, scan path, oracle — must agree byte for byte.
@@ -216,12 +216,12 @@ func (w *worker) step(s *store.Store, o *oracle) error {
 		i := w.rng.Intn(len(w.keys))
 		key := w.keys[i]
 		w.keys = append(w.keys[:i], w.keys[i+1:]...)
-		ok, err := s.DeleteRecord(key)
+		n, err := s.DeleteRecords([]string{key})
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return fmt.Errorf("delete of recorded key %s found nothing", key)
+		if n != 1 {
+			return fmt.Errorf("delete of recorded key %s deleted %d records", key, n)
 		}
 		o.delete(key)
 	case p < 8: // retract one of our sessions wholesale

@@ -3,7 +3,7 @@ package store
 // Tests for the record-deletion and compaction lifecycle: backend
 // Delete/DeleteBatch conformance (including persistence across reopen,
 // which is where tombstones earn their keep), store-level
-// DeleteRecord/DeleteSession with index maintenance, and the acceptance
+// DeleteRecords/DeleteSession with index maintenance, and the acceptance
 // property that deletion + compaction shrinks the on-disk footprint
 // while keeping planner results byte-identical to a fresh scan.
 
@@ -324,7 +324,7 @@ func recordsByScan(t *testing.T, s *Store, q *prep.Query) ([]core.Record, int) {
 }
 
 // TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity is the PR's
-// acceptance property: after DeleteRecord/DeleteSession + Compact,
+// acceptance property: after DeleteRecords/DeleteSession + Compact,
 // query results are byte-identical to a fresh scan on every backend,
 // and the persistent backends' on-disk size shrinks.
 func TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity(t *testing.T) {
@@ -357,19 +357,19 @@ func TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity(t *testing.T) {
 
 			// Delete one record by key, then the rest of its session.
 			gen := s.Generation()
-			ok, err := s.DeleteRecord(doomedRecs[0].StorageKey())
-			if err != nil || !ok {
-				t.Fatalf("DeleteRecord = %v, %v", ok, err)
+			n, err := s.DeleteRecords([]string{doomedRecs[0].StorageKey()})
+			if err != nil || n != 1 {
+				t.Fatalf("DeleteRecords = %d, %v, want 1", n, err)
 			}
 			if s.Generation() == gen {
-				t.Fatal("DeleteRecord did not advance the generation")
+				t.Fatal("DeleteRecords did not advance the generation")
 			}
 			// Idempotent: deleting again is a no-op.
-			if ok, err := s.DeleteRecord(doomedRecs[0].StorageKey()); err != nil || ok {
-				t.Fatalf("re-delete = %v, %v", ok, err)
+			if n, err := s.DeleteRecords([]string{doomedRecs[0].StorageKey()}); err != nil || n != 0 {
+				t.Fatalf("re-delete = %d, %v, want 0", n, err)
 			}
 			gen = s.Generation()
-			n, err := s.DeleteSession(doomed)
+			n, err = s.DeleteSession(doomed)
 			if err != nil || n != 7 {
 				t.Fatalf("DeleteSession = %d, %v", n, err)
 			}
@@ -502,9 +502,8 @@ func TestDeleteRecordWithCorruptValue(t *testing.T) {
 			if err := b.Put(corruptKey, []byte("\x01garbage")); err != nil {
 				t.Fatal(err)
 			}
-			ok, err := s.DeleteRecord(corruptKey)
-			if err != nil || !ok {
-				t.Fatalf("deleting corrupt record = %v, %v", ok, err)
+			if n, err := s.DeleteRecords([]string{corruptKey}); err != nil || n != 1 {
+				t.Fatalf("deleting corrupt record = %d, %v, want 1", n, err)
 			}
 			if _, present, _ := b.Get(corruptKey); present {
 				t.Fatal("corrupt record survives deletion")

@@ -4,15 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"preserv/internal/kv"
+	"preserv/internal/kvdb"
 )
 
 // FileBackend stores records in files under a directory, PReServ's
@@ -64,13 +65,13 @@ type FileBackend struct {
 	compactBoundary uint64
 	deadSinceSnap   int64
 
-	// segMu guards the segment handle cache (see mmap.go). Ordered below
-	// f.mu: it is only ever acquired with f.mu held or with no lock held,
-	// never the other way around.
-	// provlint:lock-order 30
-	segMu    sync.RWMutex
+	// segs holds one handle per segment file, for exactly as long as the
+	// file exists (see mmap.go); segBytes sums their sizes. Both are
+	// guarded by mu. closed makes every operation after Close fail with
+	// kvdb.ErrClosed.
 	segs     map[string]*segMap
-	segBytes atomic.Int64
+	segBytes int64
+	closed   bool
 }
 
 // fileLoc locates one value: a byte range within a packed segment.
@@ -139,6 +140,7 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 		dir:        dir,
 		keys:       make(map[string]fileLoc),
 		tombstones: make(map[string]uint64),
+		segs:       make(map[string]*segMap),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -171,10 +173,12 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 			fb.segSeq = seq
 		}
 		if err := fb.loadSegment(name); err != nil {
+			fb.Close()
 			return nil, err
 		}
 	}
 	if err := fb.adoptRecordFiles(recs); err != nil {
+		fb.Close()
 		return nil, err
 	}
 	return fb, nil
@@ -243,18 +247,17 @@ func (f *FileBackend) adoptRecordFiles(names []string) error {
 	return nil
 }
 
-// loadSegment indexes the entries of one packed segment. A corrupt entry
-// ends the replay of that segment (everything after a torn write is
-// unreliable) without failing the open. The parse runs straight off the
-// segment's handle, which stays cached for the reads to come.
+// loadSegment maps one packed segment and indexes its entries. A corrupt
+// entry ends the replay of that segment (everything after a torn write
+// is unreliable) without failing the open. The parse runs straight off
+// the segment's handle, which stays installed for the reads to come.
 func (f *FileBackend) loadSegment(name string) error {
-	_, err := f.withSegData(name, func(data []byte) error {
-		f.replaySegment(name, data)
-		return nil
-	})
+	m, err := openSegMap(filepath.Join(f.dir, name))
 	if err != nil {
-		return fmt.Errorf("store: reading segment %s: %w", name, err)
+		return fmt.Errorf("store: mapping segment %s: %w", name, err)
 	}
+	f.addSegLocked(name, m)
+	f.replaySegment(name, m.data)
 	return nil
 }
 
@@ -377,18 +380,32 @@ func parseSegEntry(data []byte, off int) (key string, valOff, valLen, next int, 
 }
 
 // publishFile writes data to path through a temp file and a rename, so
-// the file appears whole or not at all. A failed step removes the temp;
-// one stranded by a crash is swept by the next NewFileBackend.
-func publishFile(path string, data []byte) error {
+// the file appears whole or not at all, and returns the new segment's
+// handle, mapped from the descriptor it was written through before the
+// rename: a segment that cannot be mapped is never published. A failed
+// step removes the temp; one stranded by a crash is swept by the next
+// NewFileBackend.
+func publishFile(path string, data []byte) (*segMap, error) {
 	tmp := path + tmpExt
-	err := os.WriteFile(tmp, data, 0o644)
+	var m *segMap
+	fh, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		if _, err = fh.Write(data); err == nil {
+			m, err = mapSeg(fh, int64(len(data)), data)
+		}
+		if cerr := fh.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
+		m.close()
 		os.Remove(tmp)
+		return nil, err
 	}
-	return err
+	return m, nil
 }
 
 func appendSegEntry(buf []byte, key string, value []byte) []byte {
@@ -423,16 +440,23 @@ func (f *FileBackend) Put(key string, value []byte) error {
 // when there are any. Snapshot current, the cost is one shared-lock
 // acquisition: the snapshot is immutable, so readers iterate it
 // concurrently; staleness is absorbed by the per-key Get.
-func (f *FileBackend) sortedKeys() *kv.Keys {
+func (f *FileBackend) sortedKeys() (*kv.Keys, error) {
 	f.mu.RLock()
 	keys, ok := f.ordered.Clean()
+	closed := f.closed
 	f.mu.RUnlock()
+	if closed {
+		return nil, kvdb.ErrClosed
+	}
 	if ok {
-		return keys
+		return keys, nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.ordered.Fold(f.keys)
+	if f.closed {
+		return nil, kvdb.ErrClosed
+	}
+	return f.ordered.Fold(f.keys), nil
 }
 
 // PutBatch implements Backend: the whole batch lands in one packed
@@ -451,6 +475,9 @@ func (f *FileBackend) PutBatch(kvs []KV) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.closed {
+		return kvdb.ErrClosed
+	}
 	return f.putBatchLocked(kvs)
 }
 
@@ -472,9 +499,11 @@ func (f *FileBackend) putBatchLocked(kvs []KV) error {
 		offs[i] = int64(len(buf) - 4 - len(p.Value))
 	}
 
-	if err := publishFile(filepath.Join(f.dir, name), buf); err != nil {
+	m, err := publishFile(filepath.Join(f.dir, name), buf)
+	if err != nil {
 		return fmt.Errorf("store: writing segment %s: %w", name, err)
 	}
+	f.addSegLocked(name, m)
 	// Per-key bookkeeping in ONE map probe per key (this loop is the
 	// ingest floor's hot path): it fuses what notePutLocked plus a
 	// separate existence probe would do in three probes each batch key.
@@ -518,6 +547,9 @@ func (f *FileBackend) DeleteBatch(keys []string) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.closed {
+		return kvdb.ErrClosed
+	}
 	var buf []byte
 	var doomed []string
 	for _, k := range keys {
@@ -535,94 +567,60 @@ func (f *FileBackend) DeleteBatch(keys []string) error {
 	}
 	f.segSeq++
 	name := fmt.Sprintf("%016x%s", f.segSeq, segExt)
-	if err := publishFile(filepath.Join(f.dir, name), buf); err != nil {
+	m, err := publishFile(filepath.Join(f.dir, name), buf)
+	if err != nil {
 		return fmt.Errorf("store: writing tombstone segment %s: %w", name, err)
 	}
+	f.addSegLocked(name, m)
 	for _, k := range doomed {
 		f.noteTombstoneLocked(k, f.segSeq)
 	}
 	return nil
 }
 
-// GetBatch implements Backend: lookups resolve under one lock
-// acquisition, then each touched segment's handle is acquired once for
-// all of its ranges — where per-key Gets would re-acquire the same
-// handle for every posting candidate it holds.
+// GetBatch implements Backend: every lookup and every copy out of a
+// segment runs under one shared lock acquisition.
 func (f *FileBackend) GetBatch(keys []string) ([][]byte, []bool, error) {
 	values := make([][]byte, len(keys))
 	present := make([]bool, len(keys))
 	f.mu.RLock()
-	type fetch struct {
-		i   int
-		loc fileLoc
+	defer f.mu.RUnlock()
+	if f.closed {
+		return nil, nil, kvdb.ErrClosed
 	}
-	byFile := make(map[string][]fetch)
 	for i, k := range keys {
 		loc, ok := f.keys[k]
 		if !ok {
 			continue
 		}
-		if loc.vlen == 0 {
-			// Empty value (an index posting): no file access.
-			values[i] = []byte{}
-			present[i] = true
-			continue
+		v, err := valueIn(f.segs[loc.file], loc)
+		if err != nil {
+			return nil, nil, fmt.Errorf("store: reading %s: %w", k, err)
 		}
-		byFile[loc.file] = append(byFile[loc.file], fetch{i: i, loc: loc})
-	}
-	f.mu.RUnlock()
-	for file, fetches := range byFile {
-		// One handle acquisition serves every range in this segment;
-		// values are copied straight out of the mapping. A vanished
-		// segment leaves its keys absent.
-		if _, err := f.withSegData(file, func(seg []byte) error {
-			for _, ft := range fetches {
-				end := ft.loc.off + int64(ft.loc.vlen)
-				if end > int64(len(seg)) {
-					return fmt.Errorf("store: segment %s shorter than indexed range", file)
-				}
-				values[ft.i] = append([]byte(nil), seg[ft.loc.off:end]...)
-				present[ft.i] = true
-			}
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
+		values[i] = append([]byte{}, v...)
+		present[i] = true
 	}
 	return values, present, nil
 }
 
-// Get implements Backend.
+// Get implements Backend: the key's location is resolved and its bytes
+// copied under one shared lock, so Compact cannot retire the segment in
+// between.
 func (f *FileBackend) Get(key string) ([]byte, bool, error) {
 	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if f.closed {
+		return nil, false, kvdb.ErrClosed
+	}
 	loc, ok := f.keys[key]
-	f.mu.RUnlock()
 	if !ok {
 		return nil, false, nil
 	}
-	return f.readLoc(loc)
-}
-
-// readLoc fetches the value at a location.
-func (f *FileBackend) readLoc(loc fileLoc) ([]byte, bool, error) {
-	if loc.vlen == 0 {
-		// Empty values (index postings) need no file access —
-		// the hot posting-resolution path must not pay an open per key.
-		return []byte{}, true, nil
+	v, err := valueIn(f.segs[loc.file], loc)
+	if err != nil {
+		return nil, false, fmt.Errorf("store: reading %s: %w", key, err)
 	}
-	var data []byte
-	found, err := f.withSegData(loc.file, func(seg []byte) error {
-		end := loc.off + int64(loc.vlen)
-		if end > int64(len(seg)) {
-			return fmt.Errorf("store: segment %s shorter than indexed range", loc.file)
-		}
-		data = append([]byte(nil), seg[loc.off:end]...)
-		return nil
-	})
-	if err != nil || !found {
-		return nil, false, err
-	}
-	return data, true, nil
+	return append([]byte{}, v...), true, nil
 }
 
 // Scan implements Backend.
@@ -636,7 +634,11 @@ func (f *FileBackend) Scan(prefix string, fn func(string, []byte) error) error {
 // snapshot lazily — an early stop from fn ends the sweep without the
 // remaining range ever being copied or visited.
 func (f *FileBackend) ScanFrom(prefix, from string, fn func(string, []byte) error) error {
-	for k := range f.sortedKeys().Range(prefix, from) {
+	keys, err := f.sortedKeys()
+	if err != nil {
+		return err
+	}
+	for k := range keys.Range(prefix, from) {
 		data, ok, err := f.Get(k)
 		if err != nil {
 			return err
@@ -653,7 +655,11 @@ func (f *FileBackend) ScanFrom(prefix, from string, fn func(string, []byte) erro
 
 // Count implements Backend: two seeks on the sorted key snapshot.
 func (f *FileBackend) Count(prefix string) (int, error) {
-	return f.sortedKeys().Count(prefix, ""), nil
+	keys, err := f.sortedKeys()
+	if err != nil {
+		return 0, err
+	}
+	return keys.Count(prefix, ""), nil
 }
 
 // Segments reports how many packed segment files currently back live
@@ -685,15 +691,16 @@ func (f *FileBackend) Segments() int {
 // The merge runs incrementally — the expensive rewrite works against a
 // snapshot with no lock held while writers keep landing segments — in
 // three phases. Phase 1 (short exclusive section, like phase 3):
-// snapshot every key's location and claim the merged segment's sequence
-// number — the "boundary". Every segment a concurrent writer lands
-// during the rewrite gets a HIGHER sequence and therefore replays after
-// the merged output, which is what makes the on-disk state consistent
-// at every instant without any content redo. Phase 2 (no lock): read
-// the snapshot values (only Compact removes segments, and compactions
-// are serialised, so snapshot locations stay readable) and write the
-// merged segment under the boundary sequence. Phase 3 (short exclusive
-// section): repoint every key that still resolves to
+// snapshot every key's location and the segment handles, and claim the
+// merged segment's sequence number — the "boundary". Every segment a
+// concurrent writer lands during the rewrite gets a HIGHER sequence and
+// therefore replays after the merged output, which is what makes the
+// on-disk state consistent at every instant without any content redo.
+// Phase 2 (no lock): copy the snapshot values out of the snapshot
+// handles (only Compact and Close unmap, and both hold compactMu, so
+// those handles stay mapped) and write the merged segment under the
+// boundary sequence. Phase 3 (short exclusive section): repoint every
+// key that still resolves to
 // its snapshot location — keys overwritten or deleted during the
 // rewrite keep their newer location and their merged copy is born dead
 // — then retire the victims (sequence below the boundary) and settle
@@ -708,12 +715,17 @@ func (f *FileBackend) Compact() error {
 		loc fileLoc
 	}
 	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		return kvdb.ErrClosed
+	}
 	liveSegs := make(map[string]bool)
 	snap := make([]snapEntry, 0, len(f.keys))
 	for k, loc := range f.keys {
 		liveSegs[loc.file] = true
 		snap = append(snap, snapEntry{key: k, loc: loc})
 	}
+	segs := maps.Clone(f.segs)
 	if len(liveSegs) <= 1 && len(f.tombstones) == 0 && f.deadBytes == 0 {
 		f.mu.Unlock()
 		return nil // nothing to merge, nothing to reclaim
@@ -746,24 +758,23 @@ func (f *FileBackend) Compact() error {
 	}
 	locs := make([]placed, 0, len(snap))
 	for _, s := range snap {
-		value, ok, err := f.readLoc(s.loc)
+		value, err := valueIn(segs[s.loc.file], s.loc)
 		if err != nil {
 			return abort(fmt.Errorf("store: compacting %s: %w", s.key, err))
-		}
-		if !ok {
-			continue // segment vanished underneath us; key is dead
 		}
 		buf = appendSegEntry(buf, s.key, value)
 		locs = append(locs, placed{key: s.key, snapLoc: s.loc, off: int64(len(buf) - 4 - len(value)), vlen: len(value)})
 	}
 
 	name := fmt.Sprintf("%016x%s", boundary, segExt)
-	if err := publishFile(filepath.Join(f.dir, name), buf); err != nil {
+	merged, err := publishFile(filepath.Join(f.dir, name), buf)
+	if err != nil {
 		return abort(fmt.Errorf("store: writing compacted segment: %w", err))
 	}
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.addSegLocked(name, merged)
 	// Repoint keys whose location is still exactly the snapshot one; a
 	// key overwritten or deleted during the rewrite keeps its newer
 	// location, and its merged copy counts straight into the new dead
@@ -808,7 +819,13 @@ func (f *FileBackend) Compact() error {
 			removeErr = fmt.Errorf("store: removing compacted segment %s: %w", n, err)
 			break
 		}
-		f.dropSeg(n) // unmap under the handle lock; readers have copied out
+		// The file is gone, so its handle goes too: no reader holds f.mu,
+		// and no key points into the segment any more.
+		if m := f.segs[n]; m != nil {
+			delete(f.segs, n)
+			f.segBytes -= int64(len(m.data))
+			_ = m.close()
+		}
 	}
 	var newLive int64
 	for k, loc := range f.keys {
@@ -858,19 +875,21 @@ func (f *FileBackend) Tombstones() int64 {
 	return int64(len(f.tombstones))
 }
 
-// Close implements Backend: release every cached segment handle
-// (unmapping where mapped). Reads after Close lazily re-open handles —
-// Close is a resource release, not a poisoning.
+// Close implements Backend: it waits for a running Compact, releases
+// every segment handle (unmapping where mapped), and leaves every later
+// operation failing with kvdb.ErrClosed, as kvdb's do. Close is
+// idempotent.
 func (f *FileBackend) Close() error {
-	f.segMu.Lock()
-	defer f.segMu.Unlock()
+	f.compactMu.Lock()
+	defer f.compactMu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	var first error
 	for name, m := range f.segs {
 		if err := m.close(); err != nil && first == nil {
 			first = fmt.Errorf("store: unmapping segment %s: %w", name, err)
 		}
-		delete(f.segs, name)
 	}
-	f.segBytes.Store(0)
+	f.segs, f.segBytes, f.closed = nil, 0, true
 	return first
 }

@@ -2,109 +2,101 @@ package store
 
 // Mmap-backed segment handles, the file backend's one segment read
 // path. Segments are immutable once renamed into place, which makes
-// them ideal mmap targets — open each touched segment once, keep the
-// mapping in a handle cache, and serve every later read as a memcpy out
-// of the kernel page cache with zero syscalls.
+// them ideal mmap targets: each segment is mapped once and every read
+// is a memcpy out of the kernel page cache with zero syscalls.
 //
-// Lifecycle contract: readers only touch mapped memory inside
-// withSegData, under the handle lock held shared; Compact retires a
-// mapping with dropSeg, which unmaps under the same lock held
-// exclusively — so an unmap can never yank pages out from under an
-// in-flight reader. Values handed out are always copies; no mapped byte
+// Lifetime contract: a segment's handle lives exactly as long as its
+// file. publishFile maps a new segment before renaming it into place,
+// open maps every segment it replays, and the handle sits in f.segs
+// until Compact unlinks the file or Close releases it — both under f.mu
+// held exclusively. Readers copy values out under f.mu held shared, so
+// an unmap can never yank pages out from under them; no mapped byte
 // escapes the lock.
 
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 )
 
-// segMap is one open segment: an mmap of the whole file where the
-// platform supports it, a heap copy where it doesn't (or where mapping
-// failed — some filesystems refuse MAP_SHARED).
+// segMap is one segment's bytes: an mmap of the whole file where the
+// platform supports it, a heap copy where it doesn't (and for an empty
+// file, which cannot be mapped).
 type segMap struct {
 	data  []byte
 	unmap func() error
 }
 
-func openSegMap(path string) (*segMap, error) {
-	if mmapSupported {
-		fh, err := os.Open(path)
+// mapSeg returns a handle over the first size bytes of the segment open
+// on fh. Without mmap the bytes go on the heap: written when the caller
+// has just written them, a read of the file otherwise.
+func mapSeg(fh *os.File, size int64, written []byte) (*segMap, error) {
+	if mmapSupported && size > 0 {
+		data, unmap, err := mmapFile(fh, size)
 		if err != nil {
 			return nil, err
 		}
-		if st, err := fh.Stat(); err == nil && st.Size() > 0 {
-			if data, unmap, merr := mmapFile(fh, st.Size()); merr == nil {
-				fh.Close()
-				return &segMap{data: data, unmap: unmap}, nil
-			}
-		}
-		fh.Close()
+		return &segMap{data: data, unmap: unmap}, nil
 	}
-	data, err := os.ReadFile(path)
+	if written == nil {
+		written = make([]byte, size)
+		if _, err := fh.ReadAt(written, 0); err != nil {
+			return nil, err
+		}
+	}
+	return &segMap{data: written}, nil
+}
+
+// openSegMap maps an existing segment file.
+func openSegMap(path string) (*segMap, error) {
+	fh, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return &segMap{data: data}, nil
+	defer fh.Close()
+	st, err := fh.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return mapSeg(fh, st.Size(), nil)
 }
 
 func (m *segMap) close() error {
-	if m.unmap != nil {
-		u := m.unmap
-		m.unmap = nil
-		return u()
+	if m == nil || m.unmap == nil {
+		return nil
 	}
-	return nil
+	u := m.unmap
+	m.unmap = nil
+	return u()
 }
 
-// withSegData runs fn over the segment's bytes while holding the handle
-// lock, opening (and caching) the handle on first touch. fn must copy
-// anything it keeps and must not acquire f.mu (f.mu is ordered above
-// segMu). Returns ok=false when the segment no longer exists — the
-// caller treats its keys as absent.
-func (f *FileBackend) withSegData(name string, fn func(data []byte) error) (ok bool, err error) {
-	f.segMu.RLock()
-	if m := f.segs[name]; m != nil {
-		err := fn(m.data)
-		f.segMu.RUnlock()
-		return true, err
+// valueIn returns the bytes at loc within m, the handle of loc's
+// segment: a view into it, which the caller copies out before releasing
+// the lock that keeps m mapped. An empty value (an index posting) needs
+// no handle. A missing handle or a range past the segment's end is
+// corruption, since every location the directory holds lies in a live
+// segment.
+func valueIn(m *segMap, loc fileLoc) ([]byte, error) {
+	if loc.vlen == 0 {
+		return nil, nil
 	}
-	f.segMu.RUnlock()
-
-	f.segMu.Lock()
-	defer f.segMu.Unlock()
-	m := f.segs[name]
-	if m == nil {
-		var oerr error
-		m, oerr = openSegMap(filepath.Join(f.dir, name))
-		if oerr != nil {
-			if os.IsNotExist(oerr) {
-				return false, nil
-			}
-			return false, fmt.Errorf("store: mapping segment %s: %w", name, oerr)
-		}
-		if f.segs == nil {
-			f.segs = make(map[string]*segMap)
-		}
-		f.segs[name] = m
-		f.segBytes.Add(int64(len(m.data)))
+	end := loc.off + int64(loc.vlen)
+	if m == nil || end > int64(len(m.data)) {
+		return nil, fmt.Errorf("%w: segment %s holds no bytes [%d, %d)", ErrCorrupt, loc.file, loc.off, end)
 	}
-	return true, fn(m.data)
+	return m.data[loc.off:end], nil
 }
 
-// dropSeg retires a segment handle after Compact removed its file. The
-// unmap happens under the exclusive handle lock, after every in-flight
-// reader has copied its bytes out.
-func (f *FileBackend) dropSeg(name string) {
-	f.segMu.Lock()
-	if m := f.segs[name]; m != nil {
-		delete(f.segs, name)
-		f.segBytes.Add(-int64(len(m.data)))
-		_ = m.close()
-	}
-	f.segMu.Unlock()
+// addSegLocked installs the handle of a segment just published or
+// replayed. Callers hold f.mu.
+func (f *FileBackend) addSegLocked(name string, m *segMap) {
+	f.segs[name] = m
+	f.segBytes += int64(len(m.data))
 }
 
-// MappedBytes reports how many segment bytes are currently held by
-// cached handles (mapped or heap-resident) — an obs gauge input.
-func (f *FileBackend) MappedBytes() int64 { return f.segBytes.Load() }
+// MappedBytes reports how many segment bytes the handles hold (mapped
+// or heap-resident) — an obs gauge input.
+func (f *FileBackend) MappedBytes() int64 {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.segBytes
+}

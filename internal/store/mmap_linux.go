@@ -8,8 +8,8 @@ import (
 )
 
 // mmapSupported reports whether this platform serves segment reads from
-// a real memory mapping; elsewhere openSegMap falls back to a heap copy
-// of the segment with the same cached-handle semantics.
+// a real memory mapping; elsewhere mapSeg keeps a heap copy of the
+// segment with the same handle lifetime.
 const mmapSupported = true
 
 // mmapFile maps size bytes of fh read-only and shared, so the kernel

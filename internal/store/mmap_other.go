@@ -4,9 +4,9 @@ package store
 
 import "os"
 
-// mmapSupported: no memory mapping on this platform; openSegMap reads
-// the whole segment onto the heap instead, keeping the cached-handle
-// read path (and every test that exercises it) portable.
+// mmapSupported: no memory mapping on this platform; mapSeg keeps the
+// whole segment on the heap instead, keeping the handle read path (and
+// every test that exercises it) portable.
 const mmapSupported = false
 
 // mmapFile is unreachable when mmapSupported is false.

@@ -6,6 +6,7 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -418,10 +419,72 @@ func TestFileFailedSegmentWriteLeavesNoTemp(t *testing.T) {
 	}
 }
 
+// TestFileBackendCorruptLocationIsAnError: a live key whose segment has
+// no handle, or whose location runs past its segment's end, is
+// corruption. Every read path and Compact must say so with ErrCorrupt —
+// never answer "absent", which would make a delete report nothing to
+// delete and a query silently drop the record.
+func TestFileBackendCorruptLocationIsAnError(t *testing.T) {
+	cases := map[string]func(fb *FileBackend, loc fileLoc){
+		"missing handle": func(fb *FileBackend, loc fileLoc) {
+			fb.segs[loc.file].close()
+			delete(fb.segs, loc.file)
+		},
+		"short segment": func(fb *FileBackend, loc fileLoc) {
+			m := fb.segs[loc.file]
+			short := append([]byte(nil), m.data[:loc.off+int64(loc.vlen)-1]...)
+			m.close()
+			fb.segs[loc.file] = &segMap{data: short}
+		},
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			fb, err := NewFileBackend(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(fb)
+			defer s.Close()
+			session := seq.NewID()
+			var recs []core.Record
+			for i := 0; i < 3; i++ {
+				recs = append(recs, mkInteraction(session, "svc:gzip", "compress"))
+			}
+			if _, _, err := s.Record("svc:enactor", recs); err != nil {
+				t.Fatal(err)
+			}
+			victim := recs[1].StorageKey()
+			fb.mu.Lock()
+			corrupt(fb, fb.keys[victim])
+			fb.mu.Unlock()
+
+			check := func(op string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s = %v, want ErrCorrupt", op, err)
+				}
+			}
+			_, ok, err := fb.Get(victim)
+			check("Get", err)
+			if ok {
+				t.Error("Get reported the corrupt key present")
+			}
+			_, _, err = fb.GetBatch([]string{recs[0].StorageKey(), victim})
+			check("GetBatch", err)
+			check("ScanFrom", fb.ScanFrom("i/", "", func(string, []byte) error { return nil }))
+			check("Compact", fb.Compact())
+			n, err := s.DeleteRecords([]string{victim})
+			check("Store.DeleteRecords", err)
+			if n != 0 {
+				t.Errorf("Store.DeleteRecords deleted %d records through a corrupt read", n)
+			}
+		})
+	}
+}
+
 // TestFileBackendHeapSegmentHandles runs the read path, Compact's handle
-// retirement and Close over heap-backed handles — what openSegMap hands
-// out on every non-Linux build and wherever a filesystem refuses
-// MAP_SHARED, but on Linux otherwise only for empty segments.
+// retirement and Close over heap-backed handles — what mapSeg hands out
+// on every non-Linux build, but on Linux only for empty segments.
 func TestFileBackendHeapSegmentHandles(t *testing.T) {
 	dir := t.TempDir()
 	fb, err := NewFileBackend(dir)
@@ -442,28 +505,28 @@ func TestFileBackendHeapSegmentHandles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Freshly written segments have no handle yet (handles open on first
-	// read): install the heap form for each.
-	installHeap := func() (names []string, total int64) {
+	// Every segment is mapped from the moment it is published: swap each
+	// mapping for a heap copy of the file.
+	swapHeap := func() (names []string, total int64) {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb.segMu.Lock()
-		defer fb.segMu.Unlock()
-		if fb.segs == nil {
-			fb.segs = make(map[string]*segMap)
-		}
+		fb.mu.Lock()
+		defer fb.mu.Unlock()
 		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), segExt) || fb.segs[e.Name()] != nil {
-				continue
+			m := fb.segs[e.Name()]
+			if m == nil {
+				t.Fatalf("segment %s has no handle", e.Name())
 			}
 			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
 			if err != nil {
 				t.Fatal(err)
 			}
+			if err := m.close(); err != nil {
+				t.Fatal(err)
+			}
 			fb.segs[e.Name()] = &segMap{data: data}
-			fb.segBytes.Add(int64(len(data)))
 			names = append(names, e.Name())
 			total += int64(len(data))
 		}
@@ -490,26 +553,26 @@ func TestFileBackendHeapSegmentHandles(t *testing.T) {
 		}
 	}
 
-	victims, total := installHeap()
+	victims, total := swapHeap()
 	if len(victims) != 3 || fb.MappedBytes() != total {
-		t.Fatalf("installed %d heap handles holding %d bytes; MappedBytes = %d", len(victims), total, fb.MappedBytes())
+		t.Fatalf("swapped in %d heap handles holding %d bytes; MappedBytes = %d", len(victims), total, fb.MappedBytes())
 	}
 	checkReads("heap handles")
 
 	if err := fb.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	fb.segMu.RLock()
+	fb.mu.RLock()
 	for _, name := range victims {
 		if fb.segs[name] != nil {
-			t.Errorf("Compact left the handle of removed segment %s cached", name)
+			t.Errorf("Compact kept the handle of removed segment %s", name)
 		}
 	}
-	fb.segMu.RUnlock()
+	fb.mu.RUnlock()
 	if n := segFiles(t, dir); n != 1 {
 		t.Fatalf("segments after Compact = %d, want 1", n)
 	}
-	if _, mergedBytes := installHeap(); fb.MappedBytes() != mergedBytes {
+	if _, mergedBytes := swapHeap(); fb.MappedBytes() != mergedBytes {
 		t.Errorf("MappedBytes = %d after Compact, want the merged segment's %d", fb.MappedBytes(), mergedBytes)
 	}
 	checkReads("after Compact")
@@ -520,5 +583,4 @@ func TestFileBackendHeapSegmentHandles(t *testing.T) {
 	if fb.MappedBytes() != 0 {
 		t.Errorf("MappedBytes = %d after Close", fb.MappedBytes())
 	}
-	checkReads("after Close") // handles re-open lazily
 }

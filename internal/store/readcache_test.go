@@ -34,8 +34,8 @@ func TestBlockCacheDeleteStampInvalidates(t *testing.T) {
 		t.Fatalf("repeat point read did not hit the block cache: %+v", st)
 	}
 
-	if ok, err := s.DeleteRecord(key); err != nil || !ok {
-		t.Fatalf("DeleteRecord = %v %v", ok, err)
+	if n, err := s.DeleteRecords([]string{key}); err != nil || n != 1 {
+		t.Fatalf("DeleteRecords = %d %v, want 1", n, err)
 	}
 	if _, ok, err := s.GetRecord(key); err != nil || ok {
 		t.Fatalf("deleted record still served (stale block cache): ok=%v err=%v", ok, err)
@@ -137,8 +137,8 @@ func TestBlockCacheDeleteThenDifferentBytes(t *testing.T) {
 			}
 			readsAs(t, s, key, "v1")
 
-			if ok, err := s.DeleteRecord(key); err != nil || !ok {
-				t.Fatalf("DeleteRecord = %v %v", ok, err)
+			if n, err := s.DeleteRecords([]string{key}); err != nil || n != 1 {
+				t.Fatalf("DeleteRecords = %d %v, want 1", n, err)
 			}
 			if _, rejects, err := s.Record("svc:enactor", []core.Record{v2}); err != nil || len(rejects) > 0 {
 				t.Fatalf("Record v2 after delete: %v %v", rejects, err)
@@ -183,7 +183,7 @@ func TestBlockCacheReaderRacesDeleteAndRerecord(t *testing.T) {
 		}()
 	}
 	for i := 1; i <= 300; i++ {
-		if _, err := s.DeleteRecord(key); err != nil {
+		if _, err := s.DeleteRecords([]string{key}); err != nil {
 			t.Fatal(err)
 		}
 		v := versions[i%2]

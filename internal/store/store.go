@@ -28,6 +28,11 @@ import (
 // accepted idempotently.
 var ErrDuplicate = errors.New("store: duplicate record key")
 
+// ErrCorrupt is returned when a backend's own bookkeeping points at
+// bytes it does not hold, such as a live key whose segment is gone. It
+// is never reported as an absent key.
+var ErrCorrupt = errors.New("store: corrupt backend state")
+
 // KV is one key/value pair of a batched write (an alias of kv.Pair so
 // that internal/index can name the same type without importing store).
 type KV = kv.Pair
@@ -546,39 +551,6 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 	return accepted, rejects, nil
 }
 
-// DeleteRecord removes the record stored under key, together with its
-// posting entries, and reports whether a record was there to delete.
-// The store's content generation advances, so every cached query result
-// computed before the deletion is invalidated — a cached page can never
-// resurrect a deleted record. It is the one-key form of the chunked
-// delete commit protocol (deleteChunk), so the crash ordering and
-// locking story live in exactly one place.
-func (s *Store) DeleteRecord(key string) (bool, error) {
-	span := s.reg.Tracer().StartSpan("store.delete").SetAttr("kind", "record")
-	ok, err := s.deleteRecord(key)
-	s.deleteBatch.Observe(1)
-	span.Observe(s.deleteSec, err)
-	return ok, err
-}
-
-func (s *Store) deleteRecord(key string) (bool, error) {
-	if key == "" {
-		return false, fmt.Errorf("store: empty key")
-	}
-	idx, err := s.Index()
-	if err != nil {
-		return false, fmt.Errorf("store: opening index: %w", err)
-	}
-	deleted, attempted, err := s.deleteChunk(idx, []string{key})
-	if attempted {
-		s.gen.Add(1)
-	}
-	if err != nil {
-		return deleted > 0, fmt.Errorf("store: deleting %s: %w", key, err)
-	}
-	return deleted > 0, nil
-}
-
 // deleteChunkSize bounds how many records one DeleteSession backend
 // batch covers: stripe locks are held across the chunk's Get+Delete, so
 // the bound caps both lock hold time and peak decoded-record memory.
@@ -620,7 +592,10 @@ func (s *Store) deleteSession(session ids.ID) (int, error) {
 // DeleteRecords removes the records stored under the given storage keys
 // (absent keys are no-ops), together with their posting entries. It
 // runs the same chunked delete commit protocol as DeleteSession and
-// returns how many records were actually deleted.
+// returns how many records were actually deleted. The store's content
+// generation advances, so every cached query result computed before the
+// deletion is invalidated — a cached page can never resurrect a deleted
+// record.
 func (s *Store) DeleteRecords(keys []string) (int, error) {
 	span := s.reg.Tracer().StartSpan("store.delete").
 		SetAttr("kind", "records").SetAttr("batch", fmt.Sprint(len(keys)))
@@ -693,8 +668,8 @@ func (s *Store) deleteKeys(idx *index.Index, keys []string) (int, error) {
 	return deleted, nil
 }
 
-// deleteChunk is the delete commit protocol (DeleteRecord's single key
-// and DeleteSession's chunks both run through it): remove one chunk of
+// deleteChunk is the delete commit protocol (DeleteRecords' and
+// DeleteSession's chunks both run through it): remove one chunk of
 // records in a single backend batch, then flush their posting
 // removals, all while holding every involved stripe lock (taken by
 // lockStripes in ascending stripe order, as Record's commit takes its
@@ -710,10 +685,10 @@ func (s *Store) deleteKeys(idx *index.Index, keys []string) (int, error) {
 // dangling-posting GC repairs; until then queries skip the dangling
 // postings at fetch time.
 //
-// provlint:no-genbump the generation bump lives in every caller
-// (deleteRecord and deleteKeys both bump when any batch was
-// attempted), because a chunk that errors may still have removed
-// records and the bump must cover that case too. The block cache's
+// provlint:no-genbump the generation bump lives in its caller
+// (deleteKeys bumps when any batch was attempted), because a chunk
+// that errors may still have removed records and the bump must cover
+// that case too. The block cache's
 // delete stamp is bumped here, under the stripes.
 //
 // A record whose stored bytes no longer decode is deleted anyway —
