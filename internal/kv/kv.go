@@ -1,8 +1,9 @@
 // Package kv holds what the storage backends share below the Backend
 // interface: the key/value pair type of the batched write primitive,
 // Ordered, which keeps the chunked sorted key snapshot (Keys) every
-// backend answers Count and ScanFrom from (ordered.go), and LRU, the
-// stamped cache behind the block cache and both result caches (lru.go).
+// backend answers Count and ScanFrom from (ordered.go), LRU, the stamped
+// cache behind the block cache and both result caches (lru.go), and the
+// key-batch codec both persistent formats frame (keybatch.go).
 // It is a leaf package so that both internal/store (which declares the
 // Backend interface) and internal/index (which flushes posting batches
 // through a structural slice of that interface, and must not import

@@ -64,8 +64,9 @@ func BenchmarkScanPrefix(b *testing.B) {
 // storeShaped fills a database in dir the way the provenance store does
 // and returns how many keys it wrote: per record one 243-byte value
 // under an ≈ 80-byte storage key and 8 or 9 (8.67 on average)
-// empty-valued ≈ 130-byte posting keys ending in that storage key, 100
-// records to a PutBatch.
+// empty-valued ≈ 130-byte posting keys ending in that storage key. As
+// Store.Record does, 100 records go in one PutBatch and then their
+// postings in another.
 func storeShaped(b *testing.B, dir string, records int) (keys int) {
 	b.Helper()
 	db, err := Open(dir)
@@ -73,19 +74,21 @@ func storeShaped(b *testing.B, dir string, records int) (keys int) {
 		b.Fatal(err)
 	}
 	val := make([]byte, 243)
-	var pairs []kv.Pair
+	var recs, postings []kv.Pair
 	for r := 0; r < records; r++ {
 		skey := fmt.Sprintf("i/urn:pasoa:%032x/sender/urn:actor:collate-sample/%08d", r/2, r)
-		pairs = append(pairs, kv.Pair{Key: skey, Value: val})
+		recs = append(recs, kv.Pair{Key: skey, Value: val})
 		for d := 0; d < 8+(r%3+1)/2; d++ {
-			pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("x/dim%d/urn:pasoa:%032x/%s", d, r/(d+1), skey)})
+			postings = append(postings, kv.Pair{Key: fmt.Sprintf("x/dim%d/urn:pasoa:%032x/%s", d, r/(d+1), skey)})
 		}
 		if r%100 == 99 || r == records-1 {
-			if err := db.PutBatch(pairs); err != nil {
-				b.Fatal(err)
+			for _, pairs := range [][]kv.Pair{recs, postings} {
+				if err := db.PutBatch(pairs); err != nil {
+					b.Fatal(err)
+				}
+				keys += len(pairs)
 			}
-			keys += len(pairs)
-			pairs = pairs[:0]
+			recs, postings = recs[:0], postings[:0]
 		}
 	}
 	if err := db.Close(); err != nil {
@@ -94,8 +97,9 @@ func storeShaped(b *testing.B, dir string, records int) (keys int) {
 	return keys
 }
 
-// storeShapedRecords × 9.67 ≈ 200k keys, ≈ 28 MB of log: several replay
-// windows, and a key directory that rehashes often if it grows from empty.
+// storeShapedRecords × 9.67 ≈ 200k keys, ≈ 15 MB of log with the
+// postings in key batches: several replay windows, and a key directory
+// that rehashes often if it grows from empty.
 const storeShapedRecords = 20_700
 
 func BenchmarkOpenRecovery(b *testing.B) {
@@ -135,6 +139,32 @@ func BenchmarkCompact(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(keys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+}
+
+// BenchmarkPutBatchPostings is the posting half of one 100-record Record
+// call: ≈ 867 empty-valued, index-shaped keys (8 or 9 postings for each
+// of 100 new storage keys, in the order the index emits them) in one
+// PutBatch, which sorts and front-codes them into one key-batch entry
+// before it takes the lock. ns/op and B/op are that cost per batch.
+func BenchmarkPutBatchPostings(b *testing.B) {
+	db := benchDB(b)
+	dims := []string{"interaction", "actor", "service", "session", "data", "data", "time", "operation", "kind"}
+	var pairs []kv.Pair
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		b.StopTimer()
+		pairs = pairs[:0]
+		for r := 0; r < 100; r++ {
+			skey := fmt.Sprintf("i/urn:pasoa:%032x/sender/urn:actor:collate-sample/%08d", i, r)
+			for d, dim := range dims[:8+(r%3+1)/2] {
+				pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("x/%s/urn:pasoa:%032x/%s", dim, (i*100+r)/(d+1), skey)})
+			}
+		}
+		b.StartTimer()
+		if err := db.PutBatch(pairs); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkCountAfterPutBatch is one read-after-write step on a large

@@ -1,6 +1,7 @@
 // Package kvdb is a small embedded key-value store in the bitcask style:
 // an append-only data log with an in-memory key directory, crash
-// recovery by log scan, and offline compaction. It plays the role that
+// recovery by log scan, and online compaction that writers keep running
+// through (Compact). It plays the role that
 // Berkeley DB Java Edition plays in the paper's PReServ — the persistent
 // "database" backend behind the Provenance Store Interface — without any
 // dependency beyond the standard library.
@@ -36,6 +37,11 @@ const (
 	tmpFileName  = "compact.tmp"
 
 	flagTombstone = 1
+	// flagKeyBatch marks a key-batch entry (kv.AppendKeyBatch): its
+	// keyLen is 0 and its valLen the length of the batch body that stands
+	// where a per-key entry has its key and value. The CRC covers it as it
+	// covers any entry, so a batch replays whole or not at all.
+	flagKeyBatch = 2
 
 	headerSize = 4 + 1 + 4 + 4 // crc, flags, keyLen, valLen
 
@@ -51,9 +57,25 @@ var ErrClosed = errors.New("kvdb: database is closed")
 // ErrNotFound is returned by Get when the key is absent.
 var ErrNotFound = errors.New("kvdb: key not found")
 
+// entryLoc places a live key's value in the log. A key that lives in a
+// key-batch entry has an empty value and a negative valLen: minus its
+// share of that entry's bytes (kv.KeyShare), and off is the entry's
+// offset.
 type entryLoc struct {
 	off    int64 // offset of the value bytes within the log
 	valLen int
+}
+
+// vlen is the length of the value.
+func (l entryLoc) vlen() int { return max(l.valLen, 0) }
+
+// size is what the key's entry costs in the log: header, key and value
+// of a per-key entry, or the key's share of a key-batch entry.
+func (l entryLoc) size(keyLen int) int64 {
+	if l.valLen < 0 {
+		return int64(-l.valLen)
+	}
+	return int64(headerSize + keyLen + l.valLen)
 }
 
 // logState is what a log replays to: the key directory, the append
@@ -65,9 +87,9 @@ type logState struct {
 	// garbage counts bytes occupied by superseded or deleted records,
 	// used to decide when compaction is worthwhile.
 	garbage int64
-	// tombs counts live tombstone entries in the log (deletions not yet
-	// reclaimed by compaction) — the deletion-lifecycle telemetry the
-	// store surfaces.
+	// tombs counts the deletions the log holds (one per key a tombstone
+	// entry names, not yet reclaimed by compaction) — the
+	// deletion-lifecycle telemetry the store surfaces.
 	tombs int64
 }
 
@@ -169,21 +191,17 @@ func (db *DB) recover() error {
 // entry as far as buf shows it — a header's worth when buf ends before
 // the header does — which is always more than buf has left.
 func (s *logState) replay(buf []byte) (n, need int) {
-	// First-sighting keys are cut from shared chunks rather than allocated
-	// one by one: a million-key directory is a few thousand heap objects
-	// to the collector instead of a million. A chunk is freed when the
-	// last key cut from it is deleted; keys logged together tend to be.
-	// An overwrite allocates its own key, as it always has.
-	const keyChunk = 64 << 10
 	var chunk strings.Builder
+	var batchKeys []string
 	for {
 		rec := buf[n:]
 		if len(rec) < headerSize {
 			return n, headerSize
 		}
+		batch := rec[4]&flagKeyBatch != 0
 		keyLen := binary.BigEndian.Uint32(rec[5:])
 		valLen := binary.BigEndian.Uint32(rec[9:])
-		if keyLen == 0 || keyLen > MaxKeyLen || valLen > MaxValueLen {
+		if (keyLen == 0) != batch || keyLen > MaxKeyLen || valLen > MaxValueLen {
 			return n, 0
 		}
 		valOff := headerSize + int(keyLen)
@@ -194,31 +212,75 @@ func (s *logState) replay(buf []byte) (n, need int) {
 		if crc32.ChecksumIEEE(rec[4:recLen]) != binary.BigEndian.Uint32(rec) {
 			return n, 0
 		}
-		key := rec[headerSize:valOff]
-		prev, ok := s.index[string(key)]
-		if ok {
-			s.garbage += int64(valOff + prev.valLen)
-		}
-		if rec[4]&flagTombstone != 0 {
-			delete(s.index, string(key))
+		switch {
+		case batch:
+			keys, err := kv.ParseKeyBatch(rec[headerSize:recLen])
+			if err != nil {
+				return n, 0
+			}
+			if keys.Delete() {
+				for _, key := range keys.All() {
+					s.drop(key)
+				}
+				s.garbage += int64(recLen)
+				break
+			}
+			// Cut every key into the chunk before filing any: hashing each
+			// key straight after copying it made a replay ≈ 15 % slower.
+			batchKeys = batchKeys[:0]
+			for _, key := range keys.All() {
+				batchKeys = append(batchKeys, cut(&chunk, key, len(rec)))
+			}
+			for i, key := range batchKeys {
+				loc := entryLoc{off: s.offset, valLen: -int(kv.KeyShare(int64(recLen), len(batchKeys), i))}
+				if prev, ok := s.index[key]; ok {
+					s.garbage += prev.size(len(key))
+				}
+				s.index[key] = loc
+			}
+		case rec[4]&flagTombstone != 0:
+			s.drop(rec[headerSize:valOff])
 			s.garbage += int64(recLen)
-			s.tombs++
-		} else {
+		default:
+			key := rec[headerSize:valOff]
 			loc := entryLoc{off: s.offset + int64(valOff), valLen: int(valLen)}
-			if ok {
+			if prev, ok := s.index[string(key)]; ok {
+				// An overwrite allocates its own key, as it always has.
+				s.garbage += prev.size(len(key))
 				s.index[string(key)] = loc
 			} else {
-				if chunk.Cap()-chunk.Len() < len(key) {
-					chunk = strings.Builder{}
-					chunk.Grow(min(keyChunk, len(rec)))
-				}
-				chunk.Write(key)
-				s.index[chunk.String()[chunk.Len()-len(key):]] = loc
+				s.index[cut(&chunk, key, len(rec))] = loc
 			}
 		}
 		n += recLen
 		s.offset += int64(recLen)
 	}
+}
+
+// cut copies key into chunk and returns the copy; room is how much of the
+// replay window is left from key's entry on.
+//
+// Keys are cut from shared chunks rather than allocated one by one: a
+// million-key directory is a few thousand heap objects to the collector
+// instead of a million. A chunk is freed when the last key cut from it is
+// deleted; keys logged together tend to be.
+func cut(chunk *strings.Builder, key []byte, room int) string {
+	const keyChunk = 64 << 10
+	if chunk.Cap()-chunk.Len() < len(key) {
+		*chunk = strings.Builder{}
+		chunk.Grow(min(keyChunk, room))
+	}
+	chunk.Write(key)
+	return chunk.String()[chunk.Len()-len(key):]
+}
+
+// drop replays a tombstone for key.
+func (s *logState) drop(key []byte) {
+	if prev, ok := s.index[string(key)]; ok {
+		s.garbage += prev.size(len(key))
+		delete(s.index, string(key))
+	}
+	s.tombs++
 }
 
 func (db *DB) appendRecord(flags byte, key string, val []byte) error {
@@ -256,7 +318,7 @@ func (db *DB) Put(key string, val []byte) error {
 // db.mu.
 func (db *DB) setLocked(key string, loc entryLoc) {
 	if prev, ok := db.index[key]; ok {
-		db.garbage += int64(headerSize + len(key) + prev.valLen)
+		db.garbage += prev.size(len(key))
 	} else {
 		db.keys.Touch(key)
 	}
@@ -278,13 +340,86 @@ func encodeRecord(buf []byte, flags byte, key string, val []byte) []byte {
 	return buf
 }
 
-// PutBatch stores several pairs with one log append: the whole batch is
-// serialised into a single contiguous buffer and written with one
-// WriteAt, so a batch costs one syscall instead of one per pair. Record
-// framing is identical to Put's, and pairs land in the log in slice
-// order — recovery after a torn tail therefore keeps a strict prefix of
-// the batch, which is what the index layer's commit-marker ordering
-// relies on. Duplicate keys within a batch resolve to the last value.
+// appendKeyBatch frames the key-batch body of keys, sorted and distinct,
+// as one log entry and appends it to buf.
+func appendKeyBatch(buf []byte, keys []string, del bool) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, headerSize)...)
+	buf = kv.AppendKeyBatch(buf, keys, del)
+	rec := buf[start:]
+	rec[4] = flagKeyBatch
+	binary.BigEndian.PutUint32(rec[9:], uint32(len(rec)-headerSize))
+	binary.BigEndian.PutUint32(rec[0:], crc32.ChecksumIEEE(rec[4:]))
+	return buf
+}
+
+// keyRun is one key-batch entry of an encoded batch.
+type keyRun struct {
+	pairs int      // how many of the batch's pairs it covers
+	keys  []string // their distinct keys, in the entry's order
+	size  int64    // the entry's bytes
+}
+
+// encodeBatch encodes pairs the way PutBatch logs them: a per-key entry
+// for each pair with a value, one key-batch entry for each run of
+// consecutive empty-valued pairs (split only past kv.KeyBatchMax). It
+// returns the entries' bytes and the key-batch runs among them, in order.
+func encodeBatch(pairs []kv.Pair) ([]byte, []keyRun) {
+	// The entries' size, bounded from above: a run's entry costs at most
+	// a header, its flags and count, and per key two lengths of at most
+	// three bytes each (keys are at most MaxKeyLen) besides the key. Only
+	// a run cut past kv.KeyBatchMax outgrows it.
+	size, empty := 0, 0
+	for i, p := range pairs {
+		switch {
+		case len(p.Value) > 0:
+			size += headerSize + len(p.Key) + len(p.Value)
+		case i == 0 || len(pairs[i-1].Value) > 0:
+			size += headerSize + 1 + binary.MaxVarintLen32
+			fallthrough
+		default:
+			size += 6 + len(p.Key)
+			empty++
+		}
+	}
+	buf := make([]byte, 0, size)
+	var keys []string
+	if empty > 0 {
+		keys = make([]string, 0, empty)
+	}
+	var runs []keyRun
+	for i := 0; i < len(pairs); {
+		if len(pairs[i].Value) > 0 {
+			buf = encodeRecord(buf, 0, pairs[i].Key, pairs[i].Value)
+			i++
+			continue
+		}
+		start := len(keys)
+		for ; i < len(pairs) && len(pairs[i].Value) == 0; i++ {
+			keys = append(keys, pairs[i].Key)
+		}
+		for run := keys[start:]; len(run) > 0; {
+			n := kv.FitKeyBatch(run)
+			distinct := kv.SortKeys(run[:n])
+			at := len(buf)
+			buf = appendKeyBatch(buf, distinct, false)
+			runs = append(runs, keyRun{pairs: n, keys: distinct, size: int64(len(buf) - at)})
+			run = run[n:]
+		}
+	}
+	return buf, runs
+}
+
+// PutBatch stores several pairs with one log append. The whole batch is
+// encoded before db.mu is taken, so the exclusive section is one WriteAt
+// and the directory updates. A pair with a value gets the per-key entry
+// Put writes; each run of consecutive empty-valued pairs (index
+// postings) becomes one key-batch entry, its keys sorted, de-duplicated
+// and front-coded. Entries land in slice order and each replays whole or
+// not at all, so recovery after a torn tail keeps a prefix of the batch
+// at entry granularity, which is what the index layer's commit-marker
+// ordering relies on. Duplicate keys within a batch resolve to the last
+// value.
 func (db *DB) PutBatch(pairs []kv.Pair) error {
 	if len(pairs) == 0 {
 		return nil
@@ -297,26 +432,30 @@ func (db *DB) PutBatch(pairs []kv.Pair) error {
 			return fmt.Errorf("kvdb: value too large: %d", len(p.Value))
 		}
 	}
+	buf, runs := encodeBatch(pairs)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
-	size := 0
-	for _, p := range pairs {
-		size += headerSize + len(p.Key) + len(p.Value)
-	}
-	buf := make([]byte, 0, size)
-	for _, p := range pairs {
-		buf = encodeRecord(buf, 0, p.Key, p.Value)
-	}
 	if _, err := db.f.WriteAt(buf, db.offset); err != nil {
 		return fmt.Errorf("kvdb: batch append: %w", err)
 	}
-	for _, p := range pairs {
-		valOff := db.offset + headerSize + int64(len(p.Key))
-		db.setLocked(p.Key, entryLoc{off: valOff, valLen: len(p.Value)})
-		db.offset = valOff + int64(len(p.Value))
+	for i := 0; i < len(pairs); {
+		if p := pairs[i]; len(p.Value) > 0 {
+			valOff := db.offset + headerSize + int64(len(p.Key))
+			db.setLocked(p.Key, entryLoc{off: valOff, valLen: len(p.Value)})
+			db.offset = valOff + int64(len(p.Value))
+			i++
+			continue
+		}
+		run := runs[0]
+		runs = runs[1:]
+		for j, k := range run.keys {
+			db.setLocked(k, entryLoc{off: db.offset, valLen: -int(kv.KeyShare(run.size, len(run.keys), j))})
+		}
+		db.offset += run.size
+		i += run.pairs
 	}
 	return nil
 }
@@ -346,7 +485,7 @@ func (db *DB) GetBatch(keys []string) (values [][]byte, present []bool, err erro
 	}
 	sort.Slice(fetches, func(a, b int) bool { return fetches[a].loc.off < fetches[b].loc.off })
 	for _, f := range fetches {
-		val := make([]byte, f.loc.valLen)
+		val := make([]byte, f.loc.vlen())
 		if _, err := db.f.ReadAt(val, f.loc.off); err != nil {
 			return nil, nil, fmt.Errorf("kvdb: batch reading %q: %w", keys[f.i], err)
 		}
@@ -367,7 +506,7 @@ func (db *DB) Get(key string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	val := make([]byte, loc.valLen)
+	val := make([]byte, loc.vlen())
 	if _, err := db.f.ReadAt(val, loc.off); err != nil {
 		return nil, fmt.Errorf("kvdb: reading %q: %w", key, err)
 	}
@@ -388,7 +527,7 @@ func (db *DB) Lookup(key string) ([]byte, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	val := make([]byte, loc.valLen)
+	val := make([]byte, loc.vlen())
 	if _, err := db.f.ReadAt(val, loc.off); err != nil {
 		return nil, false, fmt.Errorf("kvdb: reading %q: %w", key, err)
 	}
@@ -411,12 +550,12 @@ func (db *DB) Delete(key string) error {
 }
 
 // DeleteBatch removes several keys with ONE log append: the tombstones
-// are serialised into a single contiguous buffer and written with one
-// WriteAt, mirroring PutBatch. Tombstones land in slice order, so a
-// crash mid-write durably keeps a strict prefix of the batch's
-// deletions — recovery never sees a deletion without every earlier one
-// in the batch. Absent keys are skipped (no tombstone is logged for
-// them), matching Delete's no-op semantics.
+// of the keys present go into one key-batch entry (more only past
+// kv.KeyBatchMax, split in slice order), which replays whole or not at
+// all, so a crash mid-write keeps a prefix of the batch's deletions at
+// entry granularity. Absent keys get no tombstone, matching Delete's
+// no-op semantics. The keys are sorted before db.mu is taken; which of
+// them are present, and so what is encoded, is known only under it.
 func (db *DB) DeleteBatch(keys []string) error {
 	if len(keys) == 0 {
 		return nil
@@ -426,38 +565,56 @@ func (db *DB) DeleteBatch(keys []string) error {
 			return fmt.Errorf("kvdb: invalid key length %d", len(k))
 		}
 	}
+	// Sorting within the span FitKeyBatch cuts leaves the cut where it
+	// was, so the loop under the lock finds the same spans, sorted.
+	doomed := slices.Clone(keys)
+	for rest := doomed; len(rest) > 0; {
+		n := kv.FitKeyBatch(rest)
+		slices.Sort(rest[:n])
+		rest = rest[n:]
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
-	buf := make([]byte, 0, len(keys)*(headerSize+16))
-	var doomed []string
-	var reclaimed int64
-	seen := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		prev, ok := db.index[k]
-		if !ok || seen[k] {
-			continue // absent (or already tombstoned in this batch): no-op
+	var buf []byte
+	var runs []keyRun
+	for rest := doomed; len(rest) > 0; {
+		n := kv.FitKeyBatch(rest)
+		present := rest[:0]
+		for _, k := range rest[:n] {
+			if _, ok := db.index[k]; ok && (len(present) == 0 || present[len(present)-1] != k) {
+				present = append(present, k)
+			}
 		}
-		seen[k] = true
-		buf = encodeRecord(buf, flagTombstone, k, nil)
-		doomed = append(doomed, k)
-		reclaimed += int64(headerSize+len(k)+prev.valLen) + int64(headerSize+len(k))
+		if len(present) > 0 {
+			at := len(buf)
+			buf = appendKeyBatch(buf, present, true)
+			runs = append(runs, keyRun{keys: present, size: int64(len(buf) - at)})
+		}
+		rest = rest[n:]
 	}
-	if len(doomed) == 0 {
+	if len(runs) == 0 {
 		return nil
 	}
 	if _, err := db.f.WriteAt(buf, db.offset); err != nil {
 		return fmt.Errorf("kvdb: batch delete append: %w", err)
 	}
-	db.offset += int64(len(buf))
-	for _, k := range doomed {
-		delete(db.index, k)
-		db.keys.Touch(k)
+	// The accounting is replay's (logState.drop): a key that two entries
+	// tombstone is dropped by the first and counted by both.
+	for _, run := range runs {
+		for _, k := range run.keys {
+			if prev, ok := db.index[k]; ok {
+				db.garbage += prev.size(len(k))
+				delete(db.index, k)
+				db.keys.Touch(k)
+			}
+			db.tombs++
+		}
+		db.garbage += run.size
+		db.offset += run.size
 	}
-	db.tombs += int64(len(doomed))
-	db.garbage += reclaimed
 	return nil
 }
 
@@ -559,8 +716,8 @@ func (db *DB) LogBytes() int64 {
 	return db.offset
 }
 
-// Tombstones reports how many tombstone entries the log currently holds
-// (deletions not yet reclaimed by Compact).
+// Tombstones reports how many key deletions the log currently holds
+// (not yet reclaimed by Compact).
 func (db *DB) Tombstones() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -582,8 +739,9 @@ func (db *DB) Sync() error {
 // afterwards. The rewrite runs against a snapshot of the index with
 // writers still admitted, in three phases: (1) snapshot the
 // index and append position under a brief read lock; (2) with no lock
-// held, write every snapshot-live record into compact.tmp — the live
-// log is append-only, so snapshot offsets stay readable — and fold in
+// held, write every snapshot-live record into compact.tmp, the
+// empty-valued ones as key-batch entries — the live log is append-only,
+// so snapshot offsets stay readable — and fold in
 // large redo windows as they accumulate; (3) under a short exclusive
 // section, fold the final redo window (a verbatim byte copy of the
 // appended region, parsed with recovery's logic to update the new
@@ -628,29 +786,59 @@ func (db *DB) Compact() error {
 	const rewriteFlush = 1 << 20
 	next := logState{index: make(map[string]entryLoc, len(snap))}
 	var out, val []byte
-	flush := func() error {
+	// flush writes out once it holds at least least bytes.
+	flush := func(least int) error {
+		if len(out) < least {
+			return nil
+		}
 		if _, err := tmp.WriteAt(out, next.offset-int64(len(out))); err != nil {
 			return fmt.Errorf("kvdb: compaction write: %w", err)
 		}
 		out = out[:0]
 		return nil
 	}
-	for _, k := range keys {
+	// Keys with a value keep per-key entries. Each run of empty-valued
+	// keys, sorted and distinct already, goes into key-batch entries: an
+	// empty-valued key that an earlier version logged per key is rewritten
+	// into this form here.
+	for i := 0; i < len(keys); {
+		k := keys[i]
 		loc := snap[k]
-		val = append(val[:0], make([]byte, loc.valLen)...)
+		if loc.vlen() == 0 {
+			end := i + 1
+			for end < len(keys) && snap[keys[end]].vlen() == 0 {
+				end++
+			}
+			for run := keys[i:end]; len(run) > 0; {
+				n := kv.FitKeyBatch(run)
+				at := len(out)
+				out = appendKeyBatch(out, run[:n], false)
+				size := int64(len(out) - at)
+				for j, k := range run[:n] {
+					next.index[k] = entryLoc{off: next.offset, valLen: -int(kv.KeyShare(size, n, j))}
+				}
+				next.offset += size
+				run = run[n:]
+				if err := flush(rewriteFlush); err != nil {
+					return fail(err)
+				}
+			}
+			i = end
+			continue
+		}
+		val = append(val[:0], make([]byte, loc.vlen())...)
 		if _, err := db.f.ReadAt(val, loc.off); err != nil {
 			return fail(fmt.Errorf("kvdb: compaction read: %w", err))
 		}
 		out = encodeRecord(out, 0, k, val)
 		next.index[k] = entryLoc{off: next.offset + headerSize + int64(len(k)), valLen: len(val)}
 		next.offset += int64(headerSize + len(k) + len(val))
-		if len(out) >= rewriteFlush {
-			if err := flush(); err != nil {
-				return fail(err)
-			}
+		if err := flush(rewriteFlush); err != nil {
+			return fail(err)
 		}
+		i++
 	}
-	if err := flush(); err != nil {
+	if err := flush(0); err != nil {
 		return fail(err)
 	}
 

@@ -95,7 +95,7 @@ func TestReopenReproducesLiveStateAtAnyWindow(t *testing.T) {
 		steps := 20 + rng.Intn(60)
 		huge := rng.Intn(steps) // the step that writes a value several windows long
 		for i := 0; i < steps; i++ {
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(24); {
 			case i == huge:
 				err = db.Put(sizedKey(rng), bytes.Repeat([]byte("H"), 5*tinyWindow+rng.Intn(tinyWindow)))
 			case op < 8:
@@ -106,14 +106,27 @@ func TestReopenReproducesLiveStateAtAnyWindow(t *testing.T) {
 					pairs[j] = kv.Pair{Key: sizedKey(rng), Value: sizedVal(rng)}
 				}
 				err = db.PutBatch(pairs)
-			case op < 17:
+			case op < 16:
+				// Posting-shaped: runs of empty values, each one key-batch
+				// entry, between per-key entries.
+				pairs := make([]kv.Pair, 1+rng.Intn(8))
+				for j := range pairs {
+					pairs[j] = kv.Pair{Key: sizedKey(rng)}
+					if rng.Intn(4) == 0 {
+						pairs[j].Value = sizedVal(rng)
+					}
+				}
+				err = db.PutBatch(pairs)
+			case op < 19:
 				err = db.Delete(sizedKey(rng))
-			default:
+			case op < 23:
 				keys := make([]string, 1+rng.Intn(4))
 				for j := range keys {
 					keys[j] = sizedKey(rng)
 				}
 				err = db.DeleteBatch(keys)
+			default:
+				err = db.Compact()
 			}
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, i, err)

@@ -143,10 +143,81 @@ func TestKvdbTornDeleteBatchEveryByte(t *testing.T) {
 	}
 }
 
+// postingBatch is the shape of one Record call's postings: empty-valued
+// keys in the index's order (kind posting last for each record), which
+// PutBatch writes as one sorted, front-coded key-batch entry.
+func postingBatch(records int) []kv.Pair {
+	var pairs []kv.Pair
+	for r := 0; r < records; r++ {
+		for _, dim := range []string{"session", "actor", "kind"} {
+			pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("x/%s/urn:pasoa:%02d/i/rec/%d", dim, r%2, r)})
+		}
+	}
+	return pairs
+}
+
+// TestKvdbTornPostingBatchEveryByte interrupts a PutBatch of postings at
+// every byte of its log tail. The postings are one key-batch entry, so
+// recovery keeps the committed base intact and the batch's postings all
+// or none, never fewer as the cut grows.
+func TestKvdbTornPostingBatchEveryByte(t *testing.T) {
+	src := t.TempDir()
+	db, err := kvdb.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []kv.Pair{{Key: "i/rec/0", Value: []byte("r0")}, {Key: "x/kind/i/i/rec/0"}}
+	if err := db.PutBatch(base); err != nil {
+		t.Fatal(err)
+	}
+	baseSize := db.LogBytes()
+	batch := postingBatch(6)
+	if err := db.PutBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	fullSize := db.LogBytes()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	whole := false
+	for cut := baseSize; cut <= fullSize; cut++ {
+		dir := copyDir(t, src)
+		logPath, _ := findOne(t, dir, ".log", false)
+		truncateFile(t, logPath, cut)
+		re, err := kvdb.Open(dir)
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		for _, p := range base {
+			if !re.Has(p.Key) {
+				t.Fatalf("cut %d: committed base key %q lost", cut, p.Key)
+			}
+		}
+		got := 0
+		for _, p := range batch {
+			if re.Has(p.Key) {
+				got++
+			}
+		}
+		switch {
+		case got != 0 && got != len(batch):
+			t.Fatalf("cut %d: %d of the batch's %d postings recovered", cut, got, len(batch))
+		case whole && got == 0:
+			t.Fatalf("cut %d: the batch recovered at a shorter cut is lost", cut)
+		}
+		whole = got == len(batch)
+		re.Close()
+	}
+	if !whole {
+		t.Fatal("the full log did not recover the batch")
+	}
+}
+
 // TestKvdbCorruptedLogRecoversPrefix flips a byte at every offset of
 // the log: Open must never fail or panic, and must recover a prefix of
 // the put sequence (CRCs catch the flip; everything after it is
-// discarded).
+// discarded). A key-batch entry sits in the middle of the sequence.
 func TestKvdbCorruptedLogRecoversPrefix(t *testing.T) {
 	src := t.TempDir()
 	db, err := kvdb.Open(src)
@@ -155,6 +226,15 @@ func TestKvdbCorruptedLogRecoversPrefix(t *testing.T) {
 	}
 	var keys []string
 	for i := 0; i < 4; i++ {
+		if i == 2 {
+			batch := postingBatch(2)
+			if err := db.PutBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range batch {
+				keys = append(keys, p.Key)
+			}
+		}
 		k := fmt.Sprintf("i/corrupt/%d", i)
 		keys = append(keys, k)
 		if err := db.Put(k, []byte(fmt.Sprintf("value-%d", i))); err != nil {
@@ -236,6 +316,61 @@ func TestFileTornSegmentEveryByte(t *testing.T) {
 	}
 	if lastK != len(batchKeys) {
 		t.Fatalf("whole segment recovered only %d/%d keys", lastK, len(batchKeys))
+	}
+}
+
+// TestFileTornPostingSegmentEveryByte is the file backend's twin of
+// TestKvdbTornPostingBatchEveryByte: the postings segment, truncated at
+// every byte, recovers the batch's postings all or none, never fewer as
+// the cut grows, and leaves the base segment's keys alone.
+func TestFileTornPostingSegmentEveryByte(t *testing.T) {
+	src := t.TempDir()
+	fb, err := store.NewFileBackend(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []kv.Pair{{Key: "i/rec/0", Value: []byte("r0")}, {Key: "x/kind/i/i/rec/0"}}
+	if err := fb.PutBatch(base); err != nil {
+		t.Fatal(err)
+	}
+	batch := postingBatch(6)
+	if err := fb.PutBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	// The postings segment is the newest.
+	_, segSize := findOne(t, src, ".seg", true)
+
+	whole := false
+	for cut := int64(0); cut <= segSize; cut++ {
+		dir := copyDir(t, src)
+		segPath, _ := findOne(t, dir, ".seg", true)
+		truncateFile(t, segPath, cut)
+		re, err := store.NewFileBackend(dir)
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		got := backendKeys(t, re)
+		for _, p := range base {
+			if !got[p.Key] {
+				t.Fatalf("cut %d: committed base key %q lost", cut, p.Key)
+			}
+		}
+		n := 0
+		for _, p := range batch {
+			if got[p.Key] {
+				n++
+			}
+		}
+		switch {
+		case n != 0 && n != len(batch):
+			t.Fatalf("cut %d: %d of the batch's %d postings recovered", cut, n, len(batch))
+		case whole && n == 0:
+			t.Fatalf("cut %d: the batch recovered at a shorter cut is lost", cut)
+		}
+		whole = n == len(batch)
+	}
+	if !whole {
+		t.Fatal("the whole segment did not recover the batch")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,11 +75,23 @@ type FileBackend struct {
 	closed   bool
 }
 
-// fileLoc locates one value: a byte range within a packed segment.
+// fileLoc locates one value: a byte range within a packed segment. A
+// key that lives in a key-batch entry has an empty value and a negative
+// vlen: minus its share of that entry's bytes (kv.KeyShare), and off is
+// the entry's offset.
 type fileLoc struct {
 	file string
 	off  int64
 	vlen int
+}
+
+// size is what the key's entry costs in its segment: the whole per-key
+// entry, or the key's share of a key-batch entry.
+func (l fileLoc) size(key string) int64 {
+	if l.vlen < 0 {
+		return int64(-l.vlen)
+	}
+	return putEntrySize(key, l.vlen)
 }
 
 const (
@@ -108,6 +121,11 @@ const (
 // segments written before deletion existed parse unchanged.
 const segTombstoneVal = ^uint64(0)
 
+// segKeyBatchVal is the reserved valLen marking a key-batch entry: the
+// keyLen slot holds the length of the kv.AppendKeyBatch body that
+// follows, and the CRC covers the whole entry, lengths included.
+const segKeyBatchVal = segTombstoneVal - 1
+
 // uvarintLen is the encoded size of x — used to account segment entry
 // bytes without re-encoding them.
 func uvarintLen(x uint64) int {
@@ -119,14 +137,10 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// putEntrySize / tombEntrySize are the exact on-disk sizes of the two
-// segment entry forms, for the live/dead byte accounting.
+// putEntrySize is the exact on-disk size of a per-key put entry, for the
+// live/dead byte accounting.
 func putEntrySize(key string, vlen int) int64 {
 	return int64(uvarintLen(uint64(len(key))) + uvarintLen(uint64(vlen)) + len(key) + vlen + 4)
-}
-
-func tombEntrySize(key string) int64 {
-	return int64(uvarintLen(uint64(len(key))) + uvarintLen(segTombstoneVal) + len(key) + 4)
 }
 
 // NewFileBackend opens (creating if necessary) a file backend rooted at
@@ -270,18 +284,27 @@ func (f *FileBackend) replaySegment(name string, data []byte) {
 	seq, _ := segSeqOf(name)
 	off := len(segMagic)
 	for off < len(data) {
-		key, valOff, valLen, next, tomb, ok := parseSegEntry(data, off)
+		e, ok := parseSegEntry(data, off)
 		if !ok {
 			break
 		}
-		if tomb {
-			f.noteTombstoneLocked(key, seq)
-		} else {
-			f.notePutLocked(key)
-			f.liveBytes += putEntrySize(key, valLen)
-			f.keys[key] = fileLoc{file: name, off: int64(valOff), vlen: valLen}
+		size := int64(e.size)
+		switch {
+		case e.batch.Len() > 0:
+			for i, key := range e.batch.All() {
+				share := kv.KeyShare(size, e.batch.Len(), i)
+				if e.batch.Delete() {
+					f.noteTombstoneLocked(string(key), seq, share)
+				} else {
+					f.setLocked(string(key), fileLoc{file: name, off: int64(off), vlen: -int(share)})
+				}
+			}
+		case e.tomb:
+			f.noteTombstoneLocked(e.key, seq, size)
+		default:
+			f.setLocked(e.key, fileLoc{file: name, off: int64(e.valOff), vlen: e.valLen})
 		}
-		off = next
+		off += e.size
 	}
 }
 
@@ -306,31 +329,39 @@ func (f *FileBackend) noteDeadLocked(file string, sz int64) {
 	}
 }
 
-// notePutLocked updates the byte accounting and tombstone set for a
-// segment put of key: a previous copy becomes dead, a previous tombstone
-// stops being the key's newest entry. Callers hold f.mu.
-func (f *FileBackend) notePutLocked(key string) {
+// setLocked points key at loc, a put just written or replayed: a
+// previous copy becomes dead, a previous tombstone stops being the key's
+// newest entry, and a new key enters the sorted view — in one probe of
+// the directory per key, since writing postings is the ingest floor's
+// hot path. Callers hold f.mu.
+func (f *FileBackend) setLocked(key string, loc fileLoc) {
 	if old, ok := f.keys[key]; ok {
-		sz := putEntrySize(key, old.vlen)
+		sz := old.size(key)
 		f.liveBytes -= sz
 		f.noteDeadLocked(old.file, sz)
+	} else {
+		f.ordered.Touch(key)
 	}
-	delete(f.tombstones, key)
+	if len(f.tombstones) > 0 {
+		delete(f.tombstones, key)
+	}
+	f.liveBytes += loc.size(key)
+	f.keys[key] = loc
 }
 
-// noteTombstoneLocked applies one tombstone entry written in segment
-// sequence seq: the key's live copy (if any) becomes dead, the key
-// leaves the directory, and the tombstone itself is garbage-to-be.
+// noteTombstoneLocked applies one tombstone for key, written in segment
+// sequence seq and costing ts bytes (a per-key entry, or the key's share
+// of a key-batch entry): the key's live copy (if any) becomes dead, the
+// key leaves the directory, and the tombstone itself is garbage-to-be.
 // Callers hold f.mu.
-func (f *FileBackend) noteTombstoneLocked(key string, seq uint64) {
+func (f *FileBackend) noteTombstoneLocked(key string, seq uint64, ts int64) {
 	if old, ok := f.keys[key]; ok {
-		sz := putEntrySize(key, old.vlen)
+		sz := old.size(key)
 		f.liveBytes -= sz
 		f.noteDeadLocked(old.file, sz)
 		delete(f.keys, key)
 		f.ordered.Touch(key)
 	}
-	ts := tombEntrySize(key)
 	f.deadBytes += ts
 	if f.compactBoundary != 0 {
 		// Tombstone entries always land in a post-boundary segment while
@@ -341,42 +372,69 @@ func (f *FileBackend) noteTombstoneLocked(key string, seq uint64) {
 	f.tombstones[key] = seq
 }
 
+// segEntry is one parsed segment entry of size bytes: a put of key with
+// its value at data[valOff:valOff+valLen], a tombstone (tomb) for key,
+// or a key batch (batch.Len() > 0, key empty).
+type segEntry struct {
+	key            string
+	valOff, valLen int
+	tomb           bool
+	batch          kv.KeyBatch
+	size           int
+}
+
 // Segment entry layout: uvarint keyLen, uvarint valLen, key, value,
-// 4-byte big-endian CRC32 over key+value. A valLen of segTombstoneVal
-// marks a tombstone: no value follows, the CRC covers the key alone, and
-// replay deletes the key instead of locating a value. Lengths are
-// validated in uint64 before any int conversion so a corrupt varint
-// cannot overflow the bounds check into a panic — corruption must parse
-// as torn, not crash the open.
-func parseSegEntry(data []byte, off int) (key string, valOff, valLen, next int, tomb, ok bool) {
+// 4-byte big-endian CRC32 over key+value. Two reserved valLens mark the
+// key-only kinds. segTombstoneVal is a tombstone: no value follows, the
+// CRC covers the key alone, and replay deletes the key instead of
+// locating a value. segKeyBatchVal is a key batch: keyLen bytes of
+// kv key-batch body follow, and the CRC covers the entry from its first
+// byte. Lengths are validated in uint64 before any int conversion so a
+// corrupt varint cannot overflow the bounds check into a panic —
+// corruption must parse as torn, not crash the open.
+func parseSegEntry(data []byte, off int) (segEntry, bool) {
 	kl, n := binary.Uvarint(data[off:])
 	if n <= 0 {
-		return "", 0, 0, 0, false, false
+		return segEntry{}, false
 	}
 	vl, m := binary.Uvarint(data[off+n:])
 	if m <= 0 {
-		return "", 0, 0, 0, false, false
+		return segEntry{}, false
 	}
 	hdr := off + n + m
 	rest := uint64(len(data) - hdr)
-	if vl == segTombstoneVal {
+	switch vl {
+	case segKeyBatchVal:
+		if kl > rest || rest-kl < 4 {
+			return segEntry{}, false
+		}
+		end := hdr + int(kl)
+		if crc32.ChecksumIEEE(data[off:end]) != binary.BigEndian.Uint32(data[end:]) {
+			return segEntry{}, false
+		}
+		batch, err := kv.ParseKeyBatch(data[hdr:end])
+		if err != nil {
+			return segEntry{}, false
+		}
+		return segEntry{batch: batch, size: end + 4 - off}, true
+	case segTombstoneVal:
 		if kl == 0 || kl > rest || rest-kl < 4 {
-			return "", 0, 0, 0, false, false
+			return segEntry{}, false
 		}
 		body := data[hdr : hdr+int(kl)]
 		if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[hdr+int(kl):]) {
-			return "", 0, 0, 0, false, false
+			return segEntry{}, false
 		}
-		return string(body), 0, 0, hdr + int(kl) + 4, true, true
+		return segEntry{key: string(body), tomb: true, size: hdr + int(kl) + 4 - off}, true
 	}
 	if kl == 0 || kl > rest || vl > rest-kl || rest-kl-vl < 4 {
-		return "", 0, 0, 0, false, false
+		return segEntry{}, false
 	}
 	body := data[hdr : hdr+int(kl)+int(vl)]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(data[hdr+int(kl)+int(vl):]) {
-		return "", 0, 0, 0, false, false
+		return segEntry{}, false
 	}
-	return string(body[:kl]), hdr + int(kl), int(vl), hdr + int(kl) + int(vl) + 4, false, true
+	return segEntry{key: string(body[:kl]), valOff: hdr + int(kl), valLen: int(vl), size: hdr + int(kl) + int(vl) + 4 - off}, true
 }
 
 // publishFile writes data to path through a temp file and a rename, so
@@ -418,14 +476,16 @@ func appendSegEntry(buf []byte, key string, value []byte) []byte {
 	return append(buf, crc[:]...)
 }
 
-// appendSegTombstone encodes a deletion entry for key.
-func appendSegTombstone(buf []byte, key string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = binary.AppendUvarint(buf, segTombstoneVal)
-	buf = append(buf, key...)
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf[len(buf)-len(key):]))
-	return append(buf, crc[:]...)
+// appendSegKeyBatch frames the key-batch body of keys, sorted and
+// distinct, as one segment entry and appends it to buf.
+func appendSegKeyBatch(buf []byte, keys []string, del bool) []byte {
+	start := len(buf)
+	buf = kv.AppendKeyBatch(buf, keys, del)
+	var hdr [2 * binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(hdr[:0], uint64(len(buf)-start))
+	h = binary.AppendUvarint(h, segKeyBatchVal)
+	buf = slices.Insert(buf, start, h...)
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
 // Name implements Backend.
@@ -481,22 +541,56 @@ func (f *FileBackend) PutBatch(kvs []KV) error {
 	return f.putBatchLocked(kvs)
 }
 
-// putBatchLocked writes one packed segment for kvs. Callers hold f.mu
-// and have validated the keys.
+// putBatchLocked writes one packed segment for kvs: a per-key entry for
+// each pair with a value, one key-batch entry for each run of
+// consecutive empty-valued pairs (split only past kv.KeyBatchMax).
+// Callers hold f.mu and have validated the keys.
 func (f *FileBackend) putBatchLocked(kvs []KV) error {
 	f.segSeq++
 	name := fmt.Sprintf("%016x%s", f.segSeq, segExt)
 
-	size := int64(len(segMagic))
+	// A key-batch entry costs at most what its keys' per-key entries
+	// would, plus a header the 32 spare bytes cover once: only a batch of
+	// several runs can outgrow this.
+	size := int64(len(segMagic)) + 32
+	empty := 0
 	for _, p := range kvs {
 		size += putEntrySize(p.Key, len(p.Value))
+		if len(p.Value) == 0 {
+			empty++
+		}
 	}
 	buf := append(make([]byte, 0, size), segMagic...)
-	offs := make([]int64, len(kvs))
-	for i, p := range kvs {
-		buf = appendSegEntry(buf, p.Key, p.Value)
-		// The value sits immediately before the entry's trailing CRC.
-		offs[i] = int64(len(buf) - 4 - len(p.Value))
+	var offs []int64 // where the values of pairs with one sit
+	if empty < len(kvs) {
+		offs = make([]int64, len(kvs))
+	}
+	var keys []string
+	if empty > 0 {
+		keys = make([]string, 0, empty)
+	}
+	var runs []keyRun
+	for i := 0; i < len(kvs); {
+		if p := kvs[i]; len(p.Value) > 0 {
+			buf = appendSegEntry(buf, p.Key, p.Value)
+			// The value sits immediately before the entry's trailing CRC.
+			offs[i] = int64(len(buf) - 4 - len(p.Value))
+			i++
+			continue
+		}
+		start := len(keys)
+		for j := i; j < len(kvs) && len(kvs[j].Value) == 0; j++ {
+			keys = append(keys, kvs[j].Key)
+		}
+		for run := keys[start:]; len(run) > 0; {
+			n := kv.FitKeyBatch(run)
+			distinct := kv.SortKeys(run[:n])
+			at := len(buf)
+			buf = appendSegKeyBatch(buf, distinct, false)
+			runs = append(runs, keyRun{pairs: n, keys: distinct, at: at, size: len(buf) - at})
+			i += n
+			run = run[n:]
+		}
 	}
 
 	m, err := publishFile(filepath.Join(f.dir, name), buf)
@@ -504,27 +598,28 @@ func (f *FileBackend) putBatchLocked(kvs []KV) error {
 		return fmt.Errorf("store: writing segment %s: %w", name, err)
 	}
 	f.addSegLocked(name, m)
-	// Per-key bookkeeping in ONE map probe per key (this loop is the
-	// ingest floor's hot path): it fuses what notePutLocked plus a
-	// separate existence probe would do in three probes each batch key.
-	haveTombs := len(f.tombstones) > 0
-	for i, p := range kvs {
-		old, ok := f.keys[p.Key]
-		if ok {
-			sz := putEntrySize(p.Key, old.vlen)
-			f.liveBytes -= sz
-			f.noteDeadLocked(old.file, sz)
+	for i := 0; i < len(kvs); {
+		if p := kvs[i]; len(p.Value) > 0 {
+			f.setLocked(p.Key, fileLoc{file: name, off: offs[i], vlen: len(p.Value)})
+			i++
+			continue
 		}
-		if haveTombs {
-			delete(f.tombstones, p.Key)
+		run := runs[0]
+		runs = runs[1:]
+		for j, k := range run.keys {
+			share := kv.KeyShare(int64(run.size), len(run.keys), j)
+			f.setLocked(k, fileLoc{file: name, off: int64(run.at), vlen: -int(share)})
 		}
-		if !ok {
-			f.ordered.Touch(p.Key)
-		}
-		f.liveBytes += putEntrySize(p.Key, len(p.Value))
-		f.keys[p.Key] = fileLoc{file: name, off: offs[i], vlen: len(p.Value)}
+		i += run.pairs
 	}
 	return nil
+}
+
+// keyRun is one key-batch entry of a segment being written.
+type keyRun struct {
+	pairs    int      // how many of a put batch's pairs it covers
+	keys     []string // its distinct keys, in the entry's order
+	at, size int      // its place in the segment
 }
 
 // Delete implements Backend. See DeleteBatch for the durability story.
@@ -532,13 +627,13 @@ func (f *FileBackend) Delete(key string) error {
 	return f.DeleteBatch([]string{key})
 }
 
-// DeleteBatch implements Backend: every present key gets a tombstone
-// entry, and the whole batch of tombstones lands in ONE new segment file
-// (temp file + rename, so the batch is visible atomically — a crash
-// keeps either all its deletions or none). Absent keys are no-ops.
-// Tombstones outlive the delete call: an older segment may still hold a
-// deleted key's value, so Compact drops a tombstone only once it has
-// removed every segment below it.
+// DeleteBatch implements Backend: the present keys' tombstones go into
+// one key-batch entry (more only past kv.KeyBatchMax), and the whole
+// batch lands in ONE new segment file (temp file + rename, so the batch
+// is visible atomically — a crash keeps either all its deletions or
+// none). Absent keys are no-ops. Tombstones outlive the delete call: an
+// older segment may still hold a deleted key's value, so Compact drops a
+// tombstone only once it has removed every segment below it.
 func (f *FileBackend) DeleteBatch(keys []string) error {
 	for _, k := range keys {
 		if k == "" {
@@ -550,20 +645,24 @@ func (f *FileBackend) DeleteBatch(keys []string) error {
 	if f.closed {
 		return kvdb.ErrClosed
 	}
-	var buf []byte
 	var doomed []string
 	for _, k := range keys {
-		if _, ok := f.keys[k]; !ok {
-			continue // absent: no-op
+		if _, ok := f.keys[k]; ok {
+			doomed = append(doomed, k)
 		}
-		if len(buf) == 0 {
-			buf = []byte(segMagic)
-		}
-		buf = appendSegTombstone(buf, k)
-		doomed = append(doomed, k)
 	}
 	if len(doomed) == 0 {
 		return nil
+	}
+	buf := []byte(segMagic)
+	var runs []keyRun
+	for rest := doomed; len(rest) > 0; {
+		n := kv.FitKeyBatch(rest)
+		distinct := kv.SortKeys(rest[:n])
+		at := len(buf)
+		buf = appendSegKeyBatch(buf, distinct, true)
+		runs = append(runs, keyRun{keys: distinct, size: len(buf) - at})
+		rest = rest[n:]
 	}
 	f.segSeq++
 	name := fmt.Sprintf("%016x%s", f.segSeq, segExt)
@@ -572,8 +671,12 @@ func (f *FileBackend) DeleteBatch(keys []string) error {
 		return fmt.Errorf("store: writing tombstone segment %s: %w", name, err)
 	}
 	f.addSegLocked(name, m)
-	for _, k := range doomed {
-		f.noteTombstoneLocked(k, f.segSeq)
+	// As replay does it: a key that two entries tombstone is dropped by
+	// the first, and each entry's bytes are shared out to all its keys.
+	for _, run := range runs {
+		for j, k := range run.keys {
+			f.noteTombstoneLocked(k, f.segSeq, kv.KeyShare(int64(run.size), len(run.keys), j))
+		}
 	}
 	return nil
 }
@@ -721,12 +824,14 @@ func (f *FileBackend) Compact() error {
 	}
 	liveSegs := make(map[string]bool)
 	snap := make([]snapEntry, 0, len(f.keys))
+	perKeyEmpty := false // an earlier version's form, which the merge rewrites
 	for k, loc := range f.keys {
 		liveSegs[loc.file] = true
+		perKeyEmpty = perKeyEmpty || loc.vlen == 0
 		snap = append(snap, snapEntry{key: k, loc: loc})
 	}
 	segs := maps.Clone(f.segs)
-	if len(liveSegs) <= 1 && len(f.tombstones) == 0 && f.deadBytes == 0 {
+	if len(liveSegs) <= 1 && len(f.tombstones) == 0 && f.deadBytes == 0 && !perKeyEmpty {
 		f.mu.Unlock()
 		return nil // nothing to merge, nothing to reclaim
 	}
@@ -747,26 +852,47 @@ func (f *FileBackend) Compact() error {
 	sort.Slice(snap, func(i, j int) bool { return snap[i].key < snap[j].key })
 	size := int64(len(segMagic))
 	for _, s := range snap {
-		size += putEntrySize(s.key, s.loc.vlen)
+		size += s.loc.size(s.key)
 	}
+	name := fmt.Sprintf("%016x%s", boundary, segExt)
 	buf := append(make([]byte, 0, size), segMagic...)
 	type placed struct {
-		key     string
-		snapLoc fileLoc
-		off     int64
-		vlen    int
+		key          string
+		snapLoc, loc fileLoc
 	}
 	locs := make([]placed, 0, len(snap))
-	for _, s := range snap {
-		value, err := valueIn(segs[s.loc.file], s.loc)
-		if err != nil {
-			return abort(fmt.Errorf("store: compacting %s: %w", s.key, err))
+	// Keys with a value keep per-key entries; each run of empty-valued
+	// keys, sorted and distinct already, goes into key-batch entries.
+	var run []string
+	for i := 0; i < len(snap); {
+		if s := snap[i]; s.loc.vlen > 0 {
+			value, err := valueIn(segs[s.loc.file], s.loc)
+			if err != nil {
+				return abort(fmt.Errorf("store: compacting %s: %w", s.key, err))
+			}
+			buf = appendSegEntry(buf, s.key, value)
+			loc := fileLoc{file: name, off: int64(len(buf) - 4 - len(value)), vlen: len(value)}
+			locs = append(locs, placed{key: s.key, snapLoc: s.loc, loc: loc})
+			i++
+			continue
 		}
-		buf = appendSegEntry(buf, s.key, value)
-		locs = append(locs, placed{key: s.key, snapLoc: s.loc, off: int64(len(buf) - 4 - len(value)), vlen: len(value)})
+		start := i
+		run = run[:0]
+		for ; i < len(snap) && snap[i].loc.vlen <= 0; i++ {
+			run = append(run, snap[i].key)
+		}
+		for done := 0; done < len(run); {
+			n := kv.FitKeyBatch(run[done:])
+			at := len(buf)
+			buf = appendSegKeyBatch(buf, run[done:done+n], false)
+			for j, s := range snap[start+done : start+done+n] {
+				share := kv.KeyShare(int64(len(buf)-at), n, j)
+				locs = append(locs, placed{key: s.key, snapLoc: s.loc, loc: fileLoc{file: name, off: int64(at), vlen: -int(share)}})
+			}
+			done += n
+		}
 	}
 
-	name := fmt.Sprintf("%016x%s", boundary, segExt)
 	merged, err := publishFile(filepath.Join(f.dir, name), buf)
 	if err != nil {
 		return abort(fmt.Errorf("store: writing compacted segment: %w", err))
@@ -783,9 +909,9 @@ func (f *FileBackend) Compact() error {
 	var mergedDead int64
 	for _, l := range locs {
 		if cur, ok := f.keys[l.key]; ok && cur == l.snapLoc {
-			f.keys[l.key] = fileLoc{file: name, off: l.off, vlen: l.vlen}
+			f.keys[l.key] = l.loc
 		} else {
-			mergedDead += putEntrySize(l.key, l.vlen)
+			mergedDead += l.loc.size(l.key)
 		}
 	}
 	// Retire the victims: every sequence-named segment BELOW the
@@ -829,7 +955,7 @@ func (f *FileBackend) Compact() error {
 	}
 	var newLive int64
 	for k, loc := range f.keys {
-		newLive += putEntrySize(k, loc.vlen)
+		newLive += loc.size(k)
 	}
 	f.liveBytes = newLive
 	f.compactBoundary = 0

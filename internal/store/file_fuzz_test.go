@@ -6,8 +6,22 @@ package store
 // parses as a torn tail, exactly like loadSegment treats it.
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 )
+
+// appendSegTombstone encodes the per-key deletion entry that segments
+// written before key batches hold; DeleteBatch writes key-batch entries
+// now, and replay reads both.
+func appendSegTombstone(buf []byte, key string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = binary.AppendUvarint(buf, segTombstoneVal)
+	buf = append(buf, key...)
+	var crc [4]byte
+	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf[len(buf)-len(key):]))
+	return append(buf, crc[:]...)
+}
 
 // buildSegment assembles a valid segment buffer from (key, value,
 // tombstone) triples, for seeding.
@@ -51,22 +65,28 @@ func FuzzParseSegment(f *testing.F) {
 		// is the post-magic byte stream; magic validation is separate).
 		off := 0
 		for off < len(data) {
-			key, valOff, valLen, next, tomb, ok := parseSegEntry(data, off)
+			e, ok := parseSegEntry(data, off)
 			if !ok {
 				break // torn tail: the walk must simply stop
 			}
+			next := off + e.size
 			if next <= off {
 				t.Fatalf("no progress at offset %d (next %d)", off, next)
 			}
 			if next > len(data) {
 				t.Fatalf("entry at %d overruns the buffer: next %d > %d", off, next, len(data))
 			}
-			if key == "" {
+			for _, key := range e.batch.All() {
+				if len(key) == 0 {
+					t.Fatalf("key batch at %d parsed an empty key", off)
+				}
+			}
+			if e.key == "" && e.batch.Len() == 0 {
 				t.Fatalf("entry at %d parsed an empty key", off)
 			}
-			if !tomb {
-				if valOff < 0 || valOff+valLen > len(data) {
-					t.Fatalf("entry at %d: value [%d:%d) outside buffer", off, valOff, valOff+valLen)
+			if !e.tomb {
+				if e.valOff < 0 || e.valOff+e.valLen > len(data) {
+					t.Fatalf("entry at %d: value [%d:%d) outside buffer", off, e.valOff, e.valOff+e.valLen)
 				}
 			}
 			off = next

@@ -32,7 +32,10 @@ func (k *KVBackend) Put(key string, value []byte) error {
 
 // PutBatch implements Backend: the whole batch is serialised into one
 // contiguous log append inside kvdb, costing one lock acquisition and
-// one write syscall.
+// one write syscall. Each run of empty-valued pairs (the index's
+// postings) is one front-coded key-batch entry that replays whole or not
+// at all, so a torn tail keeps a prefix of the batch whose pieces are
+// those entries and the per-key entries between them.
 func (k *KVBackend) PutBatch(kvs []KV) error {
 	return k.db.PutBatch(kvs)
 }
@@ -57,9 +60,10 @@ func (k *KVBackend) Delete(key string) error {
 }
 
 // DeleteBatch implements Backend: the whole batch of tombstones goes to
-// the log in one contiguous append, so a torn tail keeps a strict
-// prefix of the batch's deletions — the same recovery shape PutBatch
-// has.
+// the log in one contiguous append of key-batch entries (one unless the
+// keys pass kv.KeyBatchMax bytes), each whole or lost, so a torn tail
+// keeps a prefix of the batch's deletions at entry granularity — the
+// same recovery shape PutBatch has.
 func (k *KVBackend) DeleteBatch(keys []string) error {
 	return k.db.DeleteBatch(keys)
 }

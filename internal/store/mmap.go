@@ -71,12 +71,12 @@ func (m *segMap) close() error {
 
 // valueIn returns the bytes at loc within m, the handle of loc's
 // segment: a view into it, which the caller copies out before releasing
-// the lock that keeps m mapped. An empty value (an index posting) needs
-// no handle. A missing handle or a range past the segment's end is
+// the lock that keeps m mapped. An empty value (an index posting, which
+// a key batch may hold) needs no handle. A missing handle or a range past the segment's end is
 // corruption, since every location the directory holds lies in a live
 // segment.
 func valueIn(m *segMap, loc fileLoc) ([]byte, error) {
-	if loc.vlen == 0 {
+	if loc.vlen <= 0 {
 		return nil, nil
 	}
 	end := loc.off + int64(loc.vlen)

@@ -64,9 +64,10 @@ type Backend interface {
 	// DeleteBatch removes several keys in one backend operation, with
 	// the same per-key semantics as Delete. A crash never applies a
 	// deletion the durable state cannot explain: kvdb logs the batch's
-	// tombstones in slice order (a torn tail keeps a strict prefix);
-	// the file backend publishes all its tombstones in one segment,
-	// atomically.
+	// tombstones as key-batch entries cut in slice order, each whole or
+	// lost (a torn tail keeps a prefix of the batch at entry
+	// granularity); the file backend publishes all its tombstones in one
+	// segment, atomically.
 	DeleteBatch(keys []string) error
 	// Scan visits every key with the given prefix in sorted key order.
 	Scan(prefix string, fn func(key string, value []byte) error) error
