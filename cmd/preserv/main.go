@@ -7,8 +7,8 @@
 //	preserv -addr 127.0.0.1:8734 -backend kvdb -dir ./provenance -shards 4
 //	preserv -addr 127.0.0.1:8734 -shard-endpoints http://s1:8734,http://s2:8734
 //
-// Backends: memory (volatile), file (one file per record), kvdb (the
-// embedded database, used for all paper evaluations).
+// Backends: memory (volatile), file (one packed segment file per write),
+// kvdb (the embedded database, used for all paper evaluations).
 //
 // With -shards N the service runs in sharded mode: N embedded child
 // stores (each with its own backend under DIR/shard-XXX) behind a

@@ -177,7 +177,7 @@ type backendCompacter interface {
 // backendContents snapshots a backend's live keys and values.
 func backendContents(b store.Backend) (map[string]string, error) {
 	out := make(map[string]string)
-	err := b.Scan("", func(k string, v []byte) error {
+	err := b.ScanFrom("", "", func(k string, v []byte) error {
 		out[k] = string(v)
 		return nil
 	})

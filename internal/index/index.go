@@ -88,16 +88,14 @@ type KV interface {
 	// slice order — the property AddBatch's commit-marker layout needs.
 	PutBatch(kvs []kv.Pair) error
 	Get(key string) (value []byte, ok bool, err error)
-	Scan(prefix string, fn func(key string, value []byte) error) error
-	// ScanFrom is Scan restricted to keys >= from — what lets a posting
-	// iterator resume a partially consumed list without re-reading its
-	// head.
+	// ScanFrom visits the keys with the prefix that are >= from (an empty
+	// from is unconstrained), in order — what lets a posting iterator
+	// resume a partially consumed list without re-reading its head.
 	ScanFrom(prefix, from string, fn func(key string, value []byte) error) error
 	Count(prefix string) (int, error)
-	// Delete removes one key (absent keys are no-ops); DeleteBatch
-	// removes several in one backend operation, preserving slice order —
-	// the property RemoveBatch's commit-marker layout needs.
-	Delete(key string) error
+	// DeleteBatch removes several keys in one backend operation (absent
+	// keys are no-ops), preserving slice order — the property
+	// RemoveBatch's commit-marker layout needs.
 	DeleteBatch(keys []string) error
 }
 
@@ -203,7 +201,7 @@ func (ix *Index) Rebuild() error {
 	}
 	for _, prefix := range []string{"i/", "s/"} {
 		kindTag := prefix[:1]
-		err := ix.kv.Scan(prefix, func(key string, value []byte) error {
+		err := ix.kv.ScanFrom(prefix, "", func(key string, value []byte) error {
 			live[key] = true
 			r, err := core.DecodeRecord(value)
 			if err != nil {
@@ -230,7 +228,7 @@ func (ix *Index) Rebuild() error {
 	// their counts corrupt the planner's cardinality estimates and the
 	// Open-time consistency check, so a rebuild sweeps them out.
 	var doomed []string
-	err := ix.kv.Scan(postingPrefix, func(key string, _ []byte) error {
+	err := ix.kv.ScanFrom(postingPrefix, "", func(key string, _ []byte) error {
 		skey, ok := postingStorageKey(key)
 		if ok && !live[skey] {
 			doomed = append(doomed, key)
@@ -447,7 +445,7 @@ func unescapeTerm(s string) string {
 // (dim, term), in sorted storage-key order.
 func (ix *Index) ScanPostings(dim, term string, fn func(storageKey string) error) error {
 	prefix := postingKeyPrefix(dim, term)
-	return ix.kv.Scan(prefix, func(key string, _ []byte) error {
+	return ix.kv.ScanFrom(prefix, "", func(key string, _ []byte) error {
 		return fn(key[len(prefix):])
 	})
 }
@@ -639,7 +637,7 @@ func (ix *Index) Terms(dim string) ([]string, error) {
 	prefix := postingPrefix + dim + "/"
 	var out []string
 	last := ""
-	err := ix.kv.Scan(prefix, func(key string, _ []byte) error {
+	err := ix.kv.ScanFrom(prefix, "", func(key string, _ []byte) error {
 		rest := key[len(prefix):]
 		slash := strings.IndexByte(rest, '/')
 		if slash < 0 {

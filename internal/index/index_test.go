@@ -229,10 +229,6 @@ type visitCounter struct {
 	visited int
 }
 
-func (c *visitCounter) Scan(prefix string, fn func(string, []byte) error) error {
-	return c.ScanFrom(prefix, "", fn)
-}
-
 func (c *visitCounter) ScanFrom(prefix, from string, fn func(string, []byte) error) error {
 	return c.KV.ScanFrom(prefix, from, func(k string, v []byte) error {
 		c.visited++
@@ -379,7 +375,7 @@ func TestIndexPersistsAcrossReopen(t *testing.T) {
 	// On a persistent backend the postings survive a restart: reopening
 	// must not rebuild (observed via the posting count staying exact).
 	dir := t.TempDir()
-	open := func() (*store.KVBackend, *Index) {
+	open := func() (store.Backend, *Index) {
 		b, err := store.NewKVBackend(dir)
 		if err != nil {
 			t.Fatal(err)

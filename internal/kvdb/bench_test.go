@@ -39,8 +39,8 @@ func BenchmarkGet(b *testing.B) {
 	b.SetBytes(int64(len(val)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Get(fmt.Sprintf("key-%09d", i%n)); err != nil {
-			b.Fatal(err)
+		if _, ok, err := db.Get(fmt.Sprintf("key-%09d", i%n)); err != nil || !ok {
+			b.Fatal(ok, err)
 		}
 	}
 }
@@ -54,7 +54,7 @@ func BenchmarkScanPrefix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		count := 0
-		db.Scan("i/", func(string, []byte) error { count++; return nil })
+		db.ScanFrom("i/", "", func(string, []byte) error { count++; return nil })
 		if count != 1000 {
 			b.Fatalf("scanned %d", count)
 		}
@@ -169,7 +169,7 @@ func BenchmarkPutBatchPostings(b *testing.B) {
 
 // BenchmarkCountAfterPutBatch is one read-after-write step on a large
 // store: 200k keys with the sorted snapshot built, a 100-key batch of
-// new keys spread across the key space, one CountPrefix. The count folds
+// new keys spread across the key space, one Count. The count folds
 // the batch into the snapshot by rebuilding the chunks it lands in and
 // re-listing the rest: O(batch log batch + touched chunks × chunkMax +
 // n/chunkMax). Sorting every key again would be O(n log n), and merging
@@ -187,7 +187,7 @@ func BenchmarkCountAfterPutBatch(b *testing.B) {
 			pairs = pairs[:0]
 		}
 	}
-	if n, err := db.CountPrefix("k/"); err != nil || n != base {
+	if n, err := db.Count("k/"); err != nil || n != base {
 		b.Fatalf("base holds %d keys (%v)", n, err)
 	}
 	b.ResetTimer()
@@ -199,7 +199,7 @@ func BenchmarkCountAfterPutBatch(b *testing.B) {
 		if err := db.PutBatch(pairs); err != nil {
 			b.Fatal(err)
 		}
-		if n, err := db.CountPrefix("k/"); err != nil || n != base+(i+1)*batch {
+		if n, err := db.Count("k/"); err != nil || n != base+(i+1)*batch {
 			b.Fatalf("iteration %d counted %d keys (%v)", i, n, err)
 		}
 	}

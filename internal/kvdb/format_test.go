@@ -87,8 +87,8 @@ func TestPerKeyLogAdoptedByCompact(t *testing.T) {
 	if !reflect.DeepEqual(before, want) {
 		t.Fatalf("per-key log opened to\n%+v\nwant\n%+v", before, want)
 	}
-	if n, err := db.CountPrefix("x/"); err != nil || n != 40*4-1 {
-		t.Fatalf("CountPrefix(x/) = %d, %v", n, err)
+	if n, err := db.Count("x/"); err != nil || n != 40*4-1 {
+		t.Fatalf("Count(x/) = %d, %v", n, err)
 	}
 
 	if err := db.Compact(); err != nil {

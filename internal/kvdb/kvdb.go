@@ -4,7 +4,10 @@
 // through (Compact). It plays the role that
 // Berkeley DB Java Edition plays in the paper's PReServ — the persistent
 // "database" backend behind the Provenance Store Interface — without any
-// dependency beyond the standard library.
+// dependency beyond the standard library. A *DB is the store's kvdb
+// backend as it stands: its methods are store.Backend's, and it reports
+// GarbageRatio and Tombstones and runs Compact for the store's optional
+// interfaces.
 //
 // Concurrency: a DB is safe for concurrent use; writes are serialised,
 // reads take a shared lock and read the log file at a stable offset via
@@ -20,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"maps"
 	"os"
 	"path/filepath"
@@ -53,9 +55,6 @@ const (
 
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("kvdb: database is closed")
-
-// ErrNotFound is returned by Get when the key is absent.
-var ErrNotFound = errors.New("kvdb: key not found")
 
 // entryLoc places a live key's value in the log. A key that lives in a
 // key-batch entry has an empty value and a negative valLen: minus its
@@ -283,34 +282,13 @@ func (s *logState) drop(key []byte) {
 	s.tombs++
 }
 
-func (db *DB) appendRecord(flags byte, key string, val []byte) error {
-	rec := encodeRecord(make([]byte, 0, headerSize+len(key)+len(val)), flags, key, val)
-	if _, err := db.f.WriteAt(rec, db.offset); err != nil {
-		return fmt.Errorf("kvdb: append: %w", err)
-	}
-	db.offset += int64(len(rec))
-	return nil
-}
+// Name reports the backend flavour, "kvdb".
+func (db *DB) Name() string { return "kvdb" }
 
-// Put stores val under key, replacing any existing value.
+// Put stores val under key, replacing any existing value. It is the
+// one-pair form of PutBatch.
 func (db *DB) Put(key string, val []byte) error {
-	if key == "" || len(key) > MaxKeyLen {
-		return fmt.Errorf("kvdb: invalid key length %d", len(key))
-	}
-	if len(val) > MaxValueLen {
-		return fmt.Errorf("kvdb: value too large: %d", len(val))
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	valOff := db.offset + headerSize + int64(len(key))
-	if err := db.appendRecord(0, key, val); err != nil {
-		return err
-	}
-	db.setLocked(key, entryLoc{off: valOff, valLen: len(val)})
-	return nil
+	return db.PutBatch([]kv.Pair{{Key: key, Value: val}})
 }
 
 // setLocked points key at the value just appended at loc: a superseded
@@ -412,8 +390,8 @@ func encodeBatch(pairs []kv.Pair) ([]byte, []keyRun) {
 
 // PutBatch stores several pairs with one log append. The whole batch is
 // encoded before db.mu is taken, so the exclusive section is one WriteAt
-// and the directory updates. A pair with a value gets the per-key entry
-// Put writes; each run of consecutive empty-valued pairs (index
+// and the directory updates. A pair with a value gets a per-key entry;
+// each run of consecutive empty-valued pairs (index
 // postings) becomes one key-batch entry, its keys sorted, de-duplicated
 // and front-coded. Entries land in slice order and each replays whole or
 // not at all, so recovery after a torn tail keeps a prefix of the batch
@@ -495,29 +473,10 @@ func (db *DB) GetBatch(keys []string) (values [][]byte, present []bool, err erro
 	return values, present, nil
 }
 
-// Get returns the value stored under key, or ErrNotFound.
-func (db *DB) Get(key string) ([]byte, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	loc, ok := db.index[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	val := make([]byte, loc.vlen())
-	if _, err := db.f.ReadAt(val, loc.off); err != nil {
-		return nil, fmt.Errorf("kvdb: reading %q: %w", key, err)
-	}
-	return val, nil
-}
-
-// Lookup returns the value under key with a presence flag instead of an
-// error. Point misses are the read path's common case (dangling
-// postings, cross-shard probes), and Get pays an ErrNotFound wrap
-// allocation for every one; Lookup answers them allocation-free.
-func (db *DB) Lookup(key string) ([]byte, bool, error) {
+// Get returns the value under key, or (nil, false, nil) if it is
+// absent: a point miss (a dangling posting, a cross-shard probe, an
+// existence check) costs no allocation.
+func (db *DB) Get(key string) ([]byte, bool, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
@@ -532,14 +491,6 @@ func (db *DB) Lookup(key string) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("kvdb: reading %q: %w", key, err)
 	}
 	return val, true, nil
-}
-
-// Has reports whether key is present.
-func (db *DB) Has(key string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	_, ok := db.index[key]
-	return ok && !db.closed
 }
 
 // Delete removes key. Deleting an absent key is a no-op. It is the
@@ -628,7 +579,7 @@ func (db *DB) Len() int {
 // sortedKeys returns the sorted key snapshot, folding writes in only
 // when there are any. Snapshot current, the cost is one shared-lock
 // acquisition; the snapshot is immutable, so readers iterate it unlocked
-// and absorb later deletions with a per-key Lookup.
+// and absorb later deletions with a per-key Get.
 func (db *DB) sortedKeys() (*kv.Keys, error) {
 	db.mu.RLock()
 	keys, ok := db.keys.Clean()
@@ -648,21 +599,10 @@ func (db *DB) sortedKeys() (*kv.Keys, error) {
 	return db.keys.Fold(db.index), nil
 }
 
-// Keys returns all live keys with the given prefix, sorted; a closed DB
-// has none. An empty prefix returns every key. The result is the
-// caller's to keep.
-func (db *DB) Keys(prefix string) []string {
-	keys, err := db.sortedKeys()
-	if err != nil {
-		return nil
-	}
-	return slices.Collect(keys.Range(prefix, ""))
-}
-
-// CountPrefix reports how many live keys carry the prefix without
-// copying them — two seeks on the sorted key snapshot, which is what
-// makes the query planner's per-dimension cardinality probes cheap.
-func (db *DB) CountPrefix(prefix string) (int, error) {
+// Count reports how many live keys carry the prefix without copying
+// them — two seeks on the sorted key snapshot, which is what makes the
+// query planner's per-dimension cardinality probes cheap.
+func (db *DB) Count(prefix string) (int, error) {
 	keys, err := db.sortedKeys()
 	if err != nil {
 		return 0, err
@@ -670,24 +610,20 @@ func (db *DB) CountPrefix(prefix string) (int, error) {
 	return keys.Count(prefix, ""), nil
 }
 
-// Scan calls fn for every live key with the given prefix, in sorted key
-// order, stopping early if fn returns an error (which Scan returns).
-func (db *DB) Scan(prefix string, fn func(key string, val []byte) error) error {
-	return db.ScanFrom(prefix, "", fn)
-}
-
-// ScanFrom is Scan restricted to keys >= from — the primitive behind
-// seekable posting iterators, which resume a prefix scan mid-list
-// without re-reading the keys already consumed. Keys stream off the
-// snapshot lazily: an early stop from fn ends the sweep without the
-// remaining range being copied or visited.
+// ScanFrom calls fn for every live key with the given prefix and >= from
+// (an empty from is unconstrained), in sorted key order, stopping early
+// if fn returns an error (which ScanFrom returns). It is the seek
+// primitive posting iterators resume a prefix scan with, without
+// re-reading the keys already consumed. Keys stream off the snapshot
+// lazily: an early stop from fn ends the sweep without the remaining
+// range being copied or visited.
 func (db *DB) ScanFrom(prefix, from string, fn func(key string, val []byte) error) error {
 	keys, err := db.sortedKeys()
 	if err != nil {
 		return err
 	}
 	for k := range keys.Range(prefix, from) {
-		v, ok, err := db.Lookup(k)
+		v, ok, err := db.Get(k)
 		if err != nil {
 			return err
 		}
@@ -701,19 +637,24 @@ func (db *DB) ScanFrom(prefix, from string, fn func(key string, val []byte) erro
 	return nil
 }
 
-// GarbageBytes reports the approximate number of dead bytes in the log.
-func (db *DB) GarbageBytes() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.garbage
-}
-
 // LogBytes reports the log's current append position — the on-disk size
 // the garbage ratio is computed against.
 func (db *DB) LogBytes() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.offset
+}
+
+// GarbageRatio is the fraction of the log's bytes held by dead entries
+// (superseded values, tombstones, tombstoned values), in [0, 1]: what
+// Compact would reclaim, and what online compaction schedules on.
+func (db *DB) GarbageRatio() float64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if db.offset <= 0 {
+		return 0
+	}
+	return float64(db.garbage) / float64(db.offset)
 }
 
 // Tombstones reports how many key deletions the log currently holds
@@ -916,15 +857,4 @@ func (db *DB) Close() error {
 		return fmt.Errorf("kvdb: close sync: %w", err)
 	}
 	return db.f.Close()
-}
-
-// Dir returns the directory the database lives in.
-func (db *DB) Dir() string { return db.dir }
-
-// DumpStats writes a short human-readable status line to w.
-func (db *DB) DumpStats(w io.Writer) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	fmt.Fprintf(w, "kvdb: dir=%s keys=%d logBytes=%d garbageBytes=%d\n",
-		db.dir, len(db.index), db.offset, db.garbage)
 }

@@ -26,14 +26,37 @@ func openTemp(t *testing.T) *DB {
 	return db
 }
 
+// has reports whether key reads as present.
+func has(t testing.TB, db *DB, key string) bool {
+	t.Helper()
+	_, ok, err := db.Get(key)
+	if err != nil {
+		t.Fatalf("Get(%q): %v", key, err)
+	}
+	return ok
+}
+
+// keysOf lists the live keys with the prefix, in scan order.
+func keysOf(t testing.TB, db *DB, prefix string) []string {
+	t.Helper()
+	var keys []string
+	if err := db.ScanFrom(prefix, "", func(k string, _ []byte) error {
+		keys = append(keys, k)
+		return nil
+	}); err != nil {
+		t.Fatalf("ScanFrom(%q): %v", prefix, err)
+	}
+	return keys
+}
+
 func TestPutGet(t *testing.T) {
 	db := openTemp(t)
 	if err := db.Put("alpha", []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := db.Get("alpha")
-	if err != nil {
-		t.Fatal(err)
+	v, ok, err := db.Get("alpha")
+	if err != nil || !ok {
+		t.Fatalf("Get = %v, %v", ok, err)
 	}
 	if string(v) != "one" {
 		t.Fatalf("Get = %q, want one", v)
@@ -42,8 +65,8 @@ func TestPutGet(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	db := openTemp(t)
-	if _, err := db.Get("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
+	if v, ok, err := db.Get("nope"); v != nil || ok || err != nil {
+		t.Fatalf("Get(absent) = %q, %v, %v; want nil, false, nil", v, ok, err)
 	}
 }
 
@@ -51,9 +74,9 @@ func TestOverwrite(t *testing.T) {
 	db := openTemp(t)
 	db.Put("k", []byte("v1"))
 	db.Put("k", []byte("v2"))
-	v, err := db.Get("k")
-	if err != nil {
-		t.Fatal(err)
+	v, ok, err := db.Get("k")
+	if err != nil || !ok {
+		t.Fatalf("Get = %v, %v", ok, err)
 	}
 	if string(v) != "v2" {
 		t.Fatalf("Get = %q, want v2", v)
@@ -61,7 +84,7 @@ func TestOverwrite(t *testing.T) {
 	if db.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", db.Len())
 	}
-	if db.GarbageBytes() == 0 {
+	if db.garbage == 0 {
 		t.Error("overwrite should create garbage")
 	}
 }
@@ -72,11 +95,8 @@ func TestDelete(t *testing.T) {
 	if err := db.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Fatal("key should be gone")
-	}
-	if db.Has("k") {
-		t.Error("Has after delete")
+	if v, ok, err := db.Get("k"); v != nil || ok || err != nil {
+		t.Fatalf("key should be gone: Get = %q, %v, %v", v, ok, err)
 	}
 	if err := db.Delete("absent"); err != nil {
 		t.Errorf("deleting absent key should be a no-op, got %v", err)
@@ -98,9 +118,9 @@ func TestEmptyValue(t *testing.T) {
 	if err := db.Put("k", nil); err != nil {
 		t.Fatal(err)
 	}
-	v, err := db.Get("k")
-	if err != nil {
-		t.Fatal(err)
+	v, ok, err := db.Get("k")
+	if err != nil || !ok {
+		t.Fatalf("Get = %v, %v", ok, err)
 	}
 	if len(v) != 0 {
 		t.Fatalf("empty value read back as %q", v)
@@ -130,12 +150,12 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if db2.Len() != 99 {
 		t.Fatalf("Len after reopen = %d, want 99", db2.Len())
 	}
-	if _, err := db2.Get("key050"); !errors.Is(err, ErrNotFound) {
+	if has(t, db2, "key050") {
 		t.Error("deleted key resurrected after reopen")
 	}
-	v, err := db2.Get("key051")
-	if err != nil {
-		t.Fatal(err)
+	v, ok, err := db2.Get("key051")
+	if err != nil || !ok {
+		t.Fatalf("Get(key051) = %v, %v", ok, err)
 	}
 	if string(v) != "updated" {
 		t.Fatalf("key051 = %q after reopen", v)
@@ -207,10 +227,10 @@ func TestCrashRecoveryCorruptMiddleStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !db2.Has("a") {
+	if !has(t, db2, "a") {
 		t.Error("record before corruption must survive")
 	}
-	if db2.Has("b") {
+	if has(t, db2, "b") {
 		t.Error("record with bad CRC must be dropped")
 	}
 }
@@ -230,7 +250,7 @@ func TestLeftoverCompactionTempIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !db2.Has("k") {
+	if !has(t, db2, "k") {
 		t.Error("main log must survive a leftover temp file")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "compact.tmp")); !os.IsNotExist(err) {
@@ -243,7 +263,7 @@ func TestKeysPrefixSorted(t *testing.T) {
 	for _, k := range []string{"b/2", "a/1", "b/1", "c", "b/10"} {
 		db.Put(k, []byte("x"))
 	}
-	keys := db.Keys("b/")
+	keys := keysOf(t, db, "b/")
 	want := []string{"b/1", "b/10", "b/2"}
 	if len(keys) != len(want) {
 		t.Fatalf("Keys = %v, want %v", keys, want)
@@ -253,7 +273,7 @@ func TestKeysPrefixSorted(t *testing.T) {
 			t.Fatalf("Keys = %v, want %v", keys, want)
 		}
 	}
-	if got := len(db.Keys("")); got != 5 {
+	if got := len(keysOf(t, db, "")); got != 5 {
 		t.Fatalf("all keys = %d, want 5", got)
 	}
 }
@@ -261,7 +281,7 @@ func TestKeysPrefixSorted(t *testing.T) {
 // TestCountAfterPutBatchCopiesTouchedChunks holds a read after a write to
 // the part of the key snapshot the write reached: with 200k keys folded
 // in, a 100-key batch spread across the key space must not make the next
-// CountPrefix allocate an eighth of a whole-snapshot copy (200k × 16 B).
+// Count allocate an eighth of a whole-snapshot copy (200k × 16 B).
 func TestCountAfterPutBatchCopiesTouchedChunks(t *testing.T) {
 	db := openTemp(t)
 	const base, batch = 200_000, 100
@@ -275,8 +295,8 @@ func TestCountAfterPutBatchCopiesTouchedChunks(t *testing.T) {
 			pairs = pairs[:0]
 		}
 	}
-	if n, err := db.CountPrefix("k/"); err != nil || n != base {
-		t.Fatalf("base: CountPrefix = %d, %v", n, err)
+	if n, err := db.Count("k/"); err != nil || n != base {
+		t.Fatalf("base: Count = %d, %v", n, err)
 	}
 	for j := 0; j < batch; j++ {
 		pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("k/%06d/new", j*(base/batch))})
@@ -286,10 +306,10 @@ func TestCountAfterPutBatchCopiesTouchedChunks(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	n, err := db.CountPrefix("k/")
+	n, err := db.Count("k/")
 	runtime.ReadMemStats(&after)
 	if err != nil || n != base+batch {
-		t.Fatalf("after the batch: CountPrefix = %d, %v", n, err)
+		t.Fatalf("after the batch: Count = %d, %v", n, err)
 	}
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(base*16/8); got >= limit {
 		t.Fatalf("the count after a %d-key batch allocated %d bytes, want under %d", batch, got, limit)
@@ -302,7 +322,7 @@ func TestScan(t *testing.T) {
 		db.Put(fmt.Sprintf("rec/%02d", i), []byte{byte(i)})
 	}
 	var seen []string
-	err := db.Scan("rec/", func(k string, v []byte) error {
+	err := db.ScanFrom("rec/", "", func(k string, v []byte) error {
 		seen = append(seen, k)
 		return nil
 	})
@@ -315,7 +335,7 @@ func TestScan(t *testing.T) {
 	// Early stop.
 	count := 0
 	stop := errors.New("stop")
-	err = db.Scan("rec/", func(k string, v []byte) error {
+	err = db.ScanFrom("rec/", "", func(k string, v []byte) error {
 		count++
 		if count == 3 {
 			return stop
@@ -347,18 +367,18 @@ func TestCompactReclaimsSpace(t *testing.T) {
 	if db.offset >= before {
 		t.Errorf("log did not shrink: %d -> %d", before, db.offset)
 	}
-	if db.GarbageBytes() != 0 {
-		t.Errorf("garbage after compaction = %d", db.GarbageBytes())
+	if db.garbage != 0 {
+		t.Errorf("garbage after compaction = %d", db.garbage)
 	}
-	v, err := db.Get("other")
-	if err != nil || string(v) != "keep" {
-		t.Fatalf("data lost in compaction: %q %v", v, err)
+	v, ok, err := db.Get("other")
+	if err != nil || !ok || string(v) != "keep" {
+		t.Fatalf("data lost in compaction: %q %v %v", v, ok, err)
 	}
 	// And the DB keeps working after compaction.
 	db.Put("post", []byte("compaction"))
-	v, err = db.Get("post")
-	if err != nil || string(v) != "compaction" {
-		t.Fatalf("write after compaction: %q %v", v, err)
+	v, ok, err = db.Get("post")
+	if err != nil || !ok || string(v) != "compaction" {
+		t.Fatalf("write after compaction: %q %v %v", v, ok, err)
 	}
 }
 
@@ -384,9 +404,9 @@ func TestCompactSurvivesReopen(t *testing.T) {
 		t.Fatalf("Len = %d, want 25", db2.Len())
 	}
 	for i := 25; i < 50; i++ {
-		v, err := db2.Get(fmt.Sprintf("k%d", i))
-		if err != nil || len(v) != i {
-			t.Fatalf("k%d: %v len=%d", i, err, len(v))
+		v, ok, err := db2.Get(fmt.Sprintf("k%d", i))
+		if err != nil || !ok || len(v) != i {
+			t.Fatalf("k%d: %v %v len=%d", i, ok, err, len(v))
 		}
 	}
 }
@@ -397,7 +417,7 @@ func TestClosedOperationsFail(t *testing.T) {
 	if err := db.Put("k", nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("Put after close: %v", err)
 	}
-	if _, err := db.Get("k"); !errors.Is(err, ErrClosed) {
+	if _, _, err := db.Get("k"); !errors.Is(err, ErrClosed) {
 		t.Errorf("Get after close: %v", err)
 	}
 	if err := db.Delete("k"); !errors.Is(err, ErrClosed) {
@@ -409,14 +429,11 @@ func TestClosedOperationsFail(t *testing.T) {
 	if err := db.Compact(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Compact after close: %v", err)
 	}
-	if n, err := db.CountPrefix(""); !errors.Is(err, ErrClosed) {
-		t.Errorf("CountPrefix after close: %d, %v", n, err)
+	if n, err := db.Count(""); !errors.Is(err, ErrClosed) {
+		t.Errorf("Count after close: %d, %v", n, err)
 	}
-	if err := db.Scan("", func(string, []byte) error { return nil }); !errors.Is(err, ErrClosed) {
-		t.Errorf("Scan after close: %v", err)
-	}
-	if keys := db.Keys(""); keys != nil {
-		t.Errorf("Keys after close: %q", keys)
+	if err := db.ScanFrom("", "", func(string, []byte) error { return nil }); !errors.Is(err, ErrClosed) {
+		t.Errorf("ScanFrom after close: %v", err)
 	}
 	if err := db.Close(); err != nil {
 		t.Errorf("double Close: %v", err)
@@ -436,9 +453,9 @@ func TestConcurrentReadersWriters(t *testing.T) {
 					t.Errorf("Put: %v", err)
 					return
 				}
-				v, err := db.Get(key)
-				if err != nil || string(v) != key {
-					t.Errorf("Get(%s) = %q, %v", key, v, err)
+				v, ok, err := db.Get(key)
+				if err != nil || !ok || string(v) != key {
+					t.Errorf("Get(%s) = %q, %v, %v", key, v, ok, err)
 					return
 				}
 			}
@@ -447,16 +464,6 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	wg.Wait()
 	if db.Len() != 800 {
 		t.Fatalf("Len = %d, want 800", db.Len())
-	}
-}
-
-func TestDumpStats(t *testing.T) {
-	db := openTemp(t)
-	db.Put("k", []byte("v"))
-	var sb strings.Builder
-	db.DumpStats(&sb)
-	if !strings.Contains(sb.String(), "keys=1") {
-		t.Errorf("DumpStats = %q", sb.String())
 	}
 }
 
@@ -498,8 +505,8 @@ func TestQuickMatchesReferenceMap(t *testing.T) {
 				return false
 			}
 			for k, want := range ref {
-				v, err := d.Get(k)
-				if err != nil || string(v) != want {
+				v, ok, err := d.Get(k)
+				if err != nil || !ok || string(v) != want {
 					return false
 				}
 			}
@@ -541,9 +548,9 @@ func TestPutBatchRoundTripAndReopen(t *testing.T) {
 	check := func(d *DB) {
 		t.Helper()
 		for _, p := range pairs {
-			v, err := d.Get(p.Key)
-			if err != nil || !bytes.Equal(v, p.Value) {
-				t.Fatalf("Get(%s) = %q err=%v, want %q", p.Key, v, err, p.Value)
+			v, ok, err := d.Get(p.Key)
+			if err != nil || !ok || !bytes.Equal(v, p.Value) {
+				t.Fatalf("Get(%s) = %q ok=%v err=%v, want %q", p.Key, v, ok, err, p.Value)
 			}
 		}
 		if d.Len() != len(pairs) {
@@ -595,13 +602,13 @@ func TestPutBatchTornTailKeepsPrefix(t *testing.T) {
 	}
 	defer db2.Close()
 	for _, want := range []struct{ k, v string }{{"k1", "v1"}, {"k2", "v2"}} {
-		v, err := db2.Get(want.k)
-		if err != nil || string(v) != want.v {
-			t.Fatalf("Get(%s) after torn batch tail = %q err=%v", want.k, v, err)
+		v, ok, err := db2.Get(want.k)
+		if err != nil || !ok || string(v) != want.v {
+			t.Fatalf("Get(%s) after torn batch tail = %q ok=%v err=%v", want.k, v, ok, err)
 		}
 	}
-	if _, err := db2.Get("k3"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("torn final batch record should be gone, got err=%v", err)
+	if _, ok, err := db2.Get("k3"); ok || err != nil {
+		t.Fatalf("torn final batch record should be gone, got ok=%v err=%v", ok, err)
 	}
 }
 
@@ -613,11 +620,11 @@ func TestPutBatchOverwriteAccountsGarbage(t *testing.T) {
 	if err := db.PutBatch([]kv.Pair{{Key: "k", Value: []byte("new")}}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := db.Get("k")
-	if err != nil || string(v) != "new" {
-		t.Fatalf("Get = %q err=%v, want new", v, err)
+	v, ok, err := db.Get("k")
+	if err != nil || !ok || string(v) != "new" {
+		t.Fatalf("Get = %q ok=%v err=%v, want new", v, ok, err)
 	}
-	if db.GarbageBytes() == 0 {
+	if db.garbage == 0 {
 		t.Error("superseded record not counted as garbage")
 	}
 	if db.Len() != 1 {

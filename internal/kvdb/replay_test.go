@@ -38,12 +38,12 @@ type logView struct {
 
 func viewOf(t testing.TB, db *DB) logView {
 	t.Helper()
-	v := logView{Keys: db.Keys(""), Len: db.Len(),
-		LogBytes: db.LogBytes(), Garbage: db.GarbageBytes(), Tombs: db.Tombstones()}
+	v := logView{Keys: keysOf(t, db, ""), Len: db.Len(),
+		LogBytes: db.LogBytes(), Garbage: db.garbage, Tombs: db.Tombstones()}
 	for _, k := range v.Keys {
-		val, err := db.Get(k)
-		if err != nil {
-			t.Fatalf("key %q does not read back: %v", k, err)
+		val, ok, err := db.Get(k)
+		if err != nil || !ok {
+			t.Fatalf("key %q does not read back: %v, %v", k, ok, err)
 		}
 		v.Values = append(v.Values, string(val))
 	}
@@ -286,7 +286,7 @@ func TestCompactRejectsDamagedRedoWindow(t *testing.T) {
 			if _, err := os.Stat(tmpPath); !os.IsNotExist(err) {
 				t.Errorf("compact.tmp left behind: %v", err)
 			}
-			if v, err := db.Get("k1999"); err != nil || string(v) != "value" {
+			if v, ok, err := db.Get("k1999"); err != nil || !ok || string(v) != "value" {
 				t.Errorf("live log unreadable after failed compaction: %q %v", v, err)
 			}
 			if err := db.Close(); err != nil {
@@ -297,8 +297,8 @@ func TestCompactRejectsDamagedRedoWindow(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db2.Close()
-			if db2.Len() != 2000 || db2.Has("late") {
-				t.Errorf("reopen after failed compaction: %d keys, late=%v; want the 2000 intact ones", db2.Len(), db2.Has("late"))
+			if late := has(t, db2, "late"); db2.Len() != 2000 || late {
+				t.Errorf("reopen after failed compaction: %d keys, late=%v; want the 2000 intact ones", db2.Len(), late)
 			}
 		})
 	}

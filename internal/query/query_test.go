@@ -86,16 +86,8 @@ func newCountingBackend(b store.Backend) *countingBackend {
 	return &countingBackend{Backend: b, scans: make(map[string]int)}
 }
 
-func (c *countingBackend) Scan(prefix string, fn func(string, []byte) error) error {
-	c.mu.Lock()
-	c.scans[prefix]++
-	c.mu.Unlock()
-	return c.Backend.Scan(prefix, fn)
-}
-
-// ScanFrom counts like Scan: the iterator read path resumes lists
-// through it, and a full-store sweep through ScanFrom must not hide
-// from the record-scan assertion.
+// ScanFrom counts every scan, keyed by prefix: it is the backend's one
+// scan, so a full-store sweep cannot hide from the record-scan assertion.
 func (c *countingBackend) ScanFrom(prefix, from string, fn func(string, []byte) error) error {
 	c.mu.Lock()
 	c.scans[prefix]++
@@ -103,7 +95,7 @@ func (c *countingBackend) ScanFrom(prefix, from string, fn func(string, []byte) 
 	return c.Backend.ScanFrom(prefix, from, fn)
 }
 
-// recordScans reports how many Scan calls hit the record keyspace
+// recordScans reports how many scans hit the record keyspace
 // ("i/", "s/" or any prefix thereof) — the full-store scans the planner
 // must avoid.
 func (c *countingBackend) recordScans() int {

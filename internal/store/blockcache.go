@@ -2,7 +2,7 @@ package store
 
 // The record block cache is a byte-bounded kv.LRU of raw record
 // encodings, shared by every consumer that reads through
-// Store.GetRecord/Store.GetBatch — one query warming a record serves
+// Store.GetBatch — one query warming a record serves
 // the next query's (or the planner's candidate-fetch) read of the same
 // record from memory.
 //

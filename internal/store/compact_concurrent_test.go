@@ -149,7 +149,7 @@ func TestCompactDuringConcurrentWrites(t *testing.T) {
 
 			check := func(stage string, b Backend) {
 				got := make(map[string]string)
-				if err := b.Scan("", func(k string, v []byte) error {
+				if err := b.ScanFrom("", "", func(k string, v []byte) error {
 					got[k] = string(v)
 					return nil
 				}); err != nil {

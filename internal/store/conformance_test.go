@@ -118,7 +118,7 @@ type backendContents struct {
 func snapshotContents(t *testing.T, b Backend, prefixes, probes []string) backendContents {
 	t.Helper()
 	c := backendContents{counts: map[string]int{}, gets: map[string]string{}}
-	if err := b.Scan("", func(k string, v []byte) error {
+	if err := b.ScanFrom("", "", func(k string, v []byte) error {
 		c.scan = append(c.scan, k+"="+string(v))
 		return nil
 	}); err != nil {
@@ -405,15 +405,15 @@ func conformScanFromUnbounded(t *testing.T, b Backend) {
 			t.Fatal(err)
 		}
 	}
-	var viaScan, viaFrom []string
-	if err := b.Scan("p/", func(k string, _ []byte) error { viaScan = append(viaScan, k); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ScanFrom("p/", "", func(k string, _ []byte) error { viaFrom = append(viaFrom, k); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(viaScan) != fmt.Sprint(viaFrom) {
-		t.Errorf("ScanFrom with empty from (%v) differs from Scan (%v)", viaFrom, viaScan)
+	// An empty from, or one at or below the prefix, scans the whole prefix.
+	for _, from := range []string{"", "a", "p/"} {
+		var got []string
+		if err := b.ScanFrom("p/", from, func(k string, _ []byte) error { got = append(got, k); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != "[p/1 p/2 p/3]" {
+			t.Errorf("ScanFrom(p/, %q) = %v, want the whole prefix", from, got)
+		}
 	}
 }
 
@@ -458,7 +458,7 @@ func conformPutBatchSortedScan(t *testing.T, b Backend) {
 		t.Fatal(err)
 	}
 	var visited []string
-	if err := b.Scan("x/", func(k string, v []byte) error {
+	if err := b.ScanFrom("x/", "", func(k string, v []byte) error {
 		if string(v) != k {
 			t.Errorf("value mismatch at %s: %q", k, v)
 		}
@@ -506,7 +506,7 @@ func conformPutBatchCount(t *testing.T, b Backend) {
 	}
 	for _, prefix := range []string{"p/", "q/", "r/", ""} {
 		scanned := 0
-		if err := b.Scan(prefix, func(string, []byte) error { scanned++; return nil }); err != nil {
+		if err := b.ScanFrom(prefix, "", func(string, []byte) error { scanned++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		counted, err := b.Count(prefix)
@@ -553,7 +553,7 @@ func conformScanSorted(t *testing.T, b Backend) {
 		}
 	}
 	var visited []string
-	if err := b.Scan("x/", func(k string, v []byte) error {
+	if err := b.ScanFrom("x/", "", func(k string, v []byte) error {
 		if string(v) != k {
 			t.Errorf("value mismatch at %s: %q", k, v)
 		}
@@ -577,7 +577,7 @@ func conformScanPrefix(t *testing.T, b Backend) {
 		}
 	}
 	var visited []string
-	if err := b.Scan("i/", func(k string, _ []byte) error {
+	if err := b.ScanFrom("i/", "", func(k string, _ []byte) error {
 		visited = append(visited, k)
 		return nil
 	}); err != nil {
@@ -642,7 +642,7 @@ func conformCount(t *testing.T, b Backend) {
 	}
 	for _, prefix := range []string{"p/", "q/", "r/", ""} {
 		scanned := 0
-		if err := b.Scan(prefix, func(string, []byte) error { scanned++; return nil }); err != nil {
+		if err := b.ScanFrom(prefix, "", func(string, []byte) error { scanned++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		counted, err := b.Count(prefix)
@@ -674,7 +674,7 @@ func conformScanError(t *testing.T, b Backend) {
 	}
 	sentinel := fmt.Errorf("stop here")
 	visited := 0
-	err := b.Scan("e/", func(string, []byte) error {
+	err := b.ScanFrom("e/", "", func(string, []byte) error {
 		visited++
 		return sentinel
 	})

@@ -29,7 +29,7 @@ type compacter interface{ Compact() error }
 func contentsOf(t *testing.T, b store.Backend) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	if err := b.Scan("", func(k string, v []byte) error {
+	if err := b.ScanFrom("", "", func(k string, v []byte) error {
 		out[k] = string(v)
 		return nil
 	}); err != nil {

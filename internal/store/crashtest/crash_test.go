@@ -19,6 +19,29 @@ import (
 	"preserv/internal/store"
 )
 
+// has reports whether key reads as present in a reopened log.
+func has(t *testing.T, db *kvdb.DB, key string) bool {
+	t.Helper()
+	_, ok, err := db.Get(key)
+	if err != nil {
+		t.Fatalf("Get(%q): %v", key, err)
+	}
+	return ok
+}
+
+// keysOf lists the live keys with the prefix in a reopened log.
+func keysOf(t *testing.T, db *kvdb.DB, prefix string) []string {
+	t.Helper()
+	var keys []string
+	if err := db.ScanFrom(prefix, "", func(k string, _ []byte) error {
+		keys = append(keys, k)
+		return nil
+	}); err != nil {
+		t.Fatalf("ScanFrom(%q): %v", prefix, err)
+	}
+	return keys
+}
+
 // TestKvdbTornPutBatchEveryByte interrupts a PutBatch at every byte of
 // its log tail: recovery keeps the committed base intact and a strict
 // prefix of the batch, monotonically growing with the cut point.
@@ -58,12 +81,12 @@ func TestKvdbTornPutBatchEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
 		for _, p := range base {
-			if !re.Has(p.Key) {
+			if !has(t, re, p.Key) {
 				t.Fatalf("cut %d: committed base key %q lost", cut, p.Key)
 			}
 		}
 		got := make(map[string]bool)
-		for _, k := range re.Keys("i/torn/") {
+		for _, k := range keysOf(t, re, "i/torn/") {
 			got[k] = true
 		}
 		k := prefixOf(t, got, batchKeys, fmt.Sprintf("cut %d", cut))
@@ -119,16 +142,16 @@ func TestKvdbTornDeleteBatchEveryByte(t *testing.T) {
 		// Deletions apply in slice order: the missing keys must be
 		// doomed[:j] for some j.
 		j := 0
-		for j < len(doomed) && !re.Has(doomed[j]) {
+		for j < len(doomed) && !has(t, re, doomed[j]) {
 			j++
 		}
 		for i := j; i < len(doomed); i++ {
-			if !re.Has(doomed[i]) {
+			if !has(t, re, doomed[i]) {
 				t.Fatalf("cut %d: deletion of %q applied without earlier %q", cut, doomed[i], doomed[j])
 			}
 		}
 		for _, k := range all[4:] {
-			if !re.Has(k) {
+			if !has(t, re, k) {
 				t.Fatalf("cut %d: undeleted key %q lost", cut, k)
 			}
 		}
@@ -190,13 +213,13 @@ func TestKvdbTornPostingBatchEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
 		for _, p := range base {
-			if !re.Has(p.Key) {
+			if !has(t, re, p.Key) {
 				t.Fatalf("cut %d: committed base key %q lost", cut, p.Key)
 			}
 		}
 		got := 0
 		for _, p := range batch {
-			if re.Has(p.Key) {
+			if has(t, re, p.Key) {
 				got++
 			}
 		}
@@ -262,7 +285,7 @@ func TestKvdbCorruptedLogRecoversPrefix(t *testing.T) {
 			t.Fatalf("offset %d: reopen after corruption: %v", off, err)
 		}
 		got := make(map[string]bool)
-		for _, k := range re.Keys("") {
+		for _, k := range keysOf(t, re, "") {
 			got[k] = true
 		}
 		// A flipped length field can alias a later record's framing, but

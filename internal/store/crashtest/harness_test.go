@@ -179,7 +179,7 @@ func compareRecords(t *testing.T, want []core.Record, wantTotal int, got []core.
 func backendKeys(t *testing.T, b store.Backend) map[string]bool {
 	t.Helper()
 	out := make(map[string]bool)
-	if err := b.Scan("", func(k string, _ []byte) error {
+	if err := b.ScanFrom("", "", func(k string, _ []byte) error {
 		out[k] = true
 		return nil
 	}); err != nil {

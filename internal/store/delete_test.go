@@ -47,7 +47,7 @@ func conformDelete(t *testing.T, b Backend) {
 	}
 	// Scan, ScanFrom and Count must all agree the key is gone.
 	var seen []string
-	if err := b.Scan("i/", func(k string, _ []byte) error {
+	if err := b.ScanFrom("i/", "", func(k string, _ []byte) error {
 		seen = append(seen, k)
 		return nil
 	}); err != nil {
@@ -93,7 +93,7 @@ func conformDeleteBatch(t *testing.T, b Backend) {
 		t.Fatal(err)
 	}
 	var seen []string
-	if err := b.Scan("", func(k string, _ []byte) error {
+	if err := b.ScanFrom("", "", func(k string, _ []byte) error {
 		seen = append(seen, k)
 		return nil
 	}); err != nil {

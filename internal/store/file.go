@@ -726,11 +726,6 @@ func (f *FileBackend) Get(key string) ([]byte, bool, error) {
 	return append([]byte{}, v...), true, nil
 }
 
-// Scan implements Backend.
-func (f *FileBackend) Scan(prefix string, fn func(string, []byte) error) error {
-	return f.ScanFrom(prefix, "", fn)
-}
-
 // ScanFrom implements Backend: a seek on the sorted key snapshot lands
 // on the first key >= max(prefix, from), so a resumed scan never
 // re-walks (or re-sorts) the keys already consumed. Keys stream off the

@@ -23,7 +23,7 @@ type fileView struct {
 func fileViewOf(t *testing.T, fb *FileBackend) fileView {
 	t.Helper()
 	var v fileView
-	if err := fb.Scan("", func(k string, val []byte) error {
+	if err := fb.ScanFrom("", "", func(k string, val []byte) error {
 		v.Keys = append(v.Keys, k)
 		v.Values = append(v.Values, string(val))
 		return nil

@@ -116,11 +116,6 @@ func (m *MemoryBackend) sortedKeys() *kv.Keys {
 	return m.keys.Fold(m.items)
 }
 
-// Scan implements Backend.
-func (m *MemoryBackend) Scan(prefix string, fn func(string, []byte) error) error {
-	return m.ScanFrom(prefix, "", fn)
-}
-
 // ScanFrom implements Backend: a seek lands directly on the first key
 // >= max(prefix, from), so prefix-scoped scans and resumed posting lists
 // cost O(log n + matches). Keys stream off the snapshot lazily — an

@@ -61,7 +61,7 @@ func TestFileBackendCompactMergesSegments(t *testing.T) {
 	// Snapshot every key/value before the merge.
 	type kvSnap struct{ key, val string }
 	var snap []kvSnap
-	if err := fb.Scan("", func(k string, v []byte) error {
+	if err := fb.ScanFrom("", "", func(k string, v []byte) error {
 		snap = append(snap, kvSnap{k, string(v)})
 		return nil
 	}); err != nil {
@@ -81,7 +81,7 @@ func TestFileBackendCompactMergesSegments(t *testing.T) {
 	// Byte-identical content, in place and across a reopen.
 	check := func(b Backend, label string) {
 		i := 0
-		if err := b.Scan("", func(k string, v []byte) error {
+		if err := b.ScanFrom("", "", func(k string, v []byte) error {
 			if i >= len(snap) || snap[i].key != k || snap[i].val != string(v) {
 				t.Fatalf("%s: divergence at entry %d (key %s)", label, i, k)
 			}

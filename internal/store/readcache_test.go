@@ -3,8 +3,10 @@ package store
 // Tests for the store-level record block cache: entries are stamped
 // with the count of attempted deletes, so records of other keys leave
 // them warm, a delete kills them, and a zero budget retains nothing.
+// Every read goes through Store.GetBatch, the path every query takes.
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,8 +27,8 @@ func TestBlockCacheDeleteStampInvalidates(t *testing.T) {
 	key := rec.StorageKey()
 
 	for i := 0; i < 2; i++ {
-		if _, ok, err := s.GetRecord(key); err != nil || !ok {
-			t.Fatalf("GetRecord #%d = %v %v", i, ok, err)
+		if !present(t, s, key) {
+			t.Fatalf("read #%d: recorded key absent", i)
 		}
 	}
 	st := s.ReadCacheStats()
@@ -37,16 +39,16 @@ func TestBlockCacheDeleteStampInvalidates(t *testing.T) {
 	if n, err := s.DeleteRecords([]string{key}); err != nil || n != 1 {
 		t.Fatalf("DeleteRecords = %d %v, want 1", n, err)
 	}
-	if _, ok, err := s.GetRecord(key); err != nil || ok {
-		t.Fatalf("deleted record still served (stale block cache): ok=%v err=%v", ok, err)
+	if present(t, s, key) {
+		t.Fatal("deleted record still served (stale block cache)")
 	}
 
 	// Re-record: the key reads as present again.
 	if _, _, err := s.Record("svc:enactor", []core.Record{rec}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := s.GetRecord(key); err != nil || !ok {
-		t.Fatalf("re-recorded record not served: ok=%v err=%v", ok, err)
+	if !present(t, s, key) {
+		t.Fatal("re-recorded record not served")
 	}
 }
 
@@ -60,8 +62,8 @@ func TestBlockCacheSurvivesOtherRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := rec.StorageKey()
-	if _, ok, err := s.GetRecord(key); err != nil || !ok {
-		t.Fatalf("GetRecord = %v %v", ok, err)
+	if !present(t, s, key) {
+		t.Fatal("recorded key absent")
 	}
 	gen := s.Generation()
 	for i := 0; i < 3; i++ {
@@ -74,11 +76,10 @@ func TestBlockCacheSurvivesOtherRecords(t *testing.T) {
 		t.Fatal("records did not advance the generation; the test proves nothing")
 	}
 	before := s.ReadCacheStats()
-	if _, ok, err := s.GetRecord(key); err != nil || !ok {
-		t.Fatalf("GetRecord = %v %v", ok, err)
-	}
-	if _, present, err := s.GetBatch([]string{key}); err != nil || !present[0] {
-		t.Fatalf("GetBatch = %v %v", present, err)
+	for i := 0; i < 2; i++ {
+		if !present(t, s, key) {
+			t.Fatalf("read #%d: recorded key absent", i)
+		}
 	}
 	after := s.ReadCacheStats()
 	if hits := after.BlockCacheHits - before.BlockCacheHits; hits != 2 {
@@ -94,21 +95,39 @@ func recordVersion(rec core.Record, name string) core.Record {
 	return *core.NewInteractionRecord(&p)
 }
 
-// readsAs fails t unless both read paths return the record under key
-// with the given request name.
+// present reports whether key reads as a stored record.
+func present(t *testing.T, s *Store, key string) bool {
+	t.Helper()
+	_, ok, err := s.GetBatch([]string{key})
+	if err != nil {
+		t.Fatalf("GetBatch(%s): %v", key, err)
+	}
+	return ok[0]
+}
+
+// requestName reads key and returns its record's request name, or "" if
+// the key is absent.
+func requestName(s *Store, key string) (string, error) {
+	values, ok, err := s.GetBatch([]string{key})
+	if err != nil || !ok[0] {
+		return "", err
+	}
+	r, err := core.DecodeRecord(values[0])
+	if err != nil {
+		return "", fmt.Errorf("decoding %s: %w", key, err)
+	}
+	return r.Interaction.Request.Name, nil
+}
+
+// readsAs fails t unless the record under key has the given request
+// name on both reads: the first may come from the backend, the second
+// from the block cache it filled.
 func readsAs(t *testing.T, s *Store, key, name string) {
 	t.Helper()
-	r, ok, err := s.GetRecord(key)
-	if err != nil || !ok || r.Interaction.Request.Name != name {
-		t.Fatalf("GetRecord(%s) = %v %v %v, want request %q", key, r, ok, err, name)
-	}
-	values, present, err := s.GetBatch([]string{key})
-	if err != nil || !present[0] {
-		t.Fatalf("GetBatch(%s) = %v %v", key, present, err)
-	}
-	r, err = core.DecodeRecord(values[0])
-	if err != nil || r.Interaction.Request.Name != name {
-		t.Fatalf("GetBatch(%s) decoded %v %v, want request %q", key, r, err, name)
+	for i := 0; i < 2; i++ {
+		if got, err := requestName(s, key); err != nil || got != name {
+			t.Fatalf("read #%d of %s = %q %v, want request %q", i, key, got, err, name)
+		}
 	}
 }
 
@@ -170,13 +189,13 @@ func TestBlockCacheReaderRacesDeleteAndRerecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				r, ok, err := s.GetRecord(key)
-				if err != nil || (ok && r.Interaction.Request.Name != "v0" && r.Interaction.Request.Name != "v1") {
-					errs <- "GetRecord read a version never recorded"
+				name, err := requestName(s, key)
+				if err != nil {
+					errs <- err.Error()
 					return
 				}
-				if _, _, err := s.GetBatch([]string{key}); err != nil {
-					errs <- err.Error()
+				if name != "" && name != "v0" && name != "v1" {
+					errs <- "GetBatch read a version never recorded"
 					return
 				}
 			}
@@ -211,8 +230,8 @@ func TestBlockCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, ok, err := s.GetRecord(rec.StorageKey()); err != nil || !ok {
-			t.Fatal(ok, err)
+		if !present(t, s, rec.StorageKey()) {
+			t.Fatalf("read #%d: recorded key absent", i)
 		}
 	}
 	st := s.ReadCacheStats()

@@ -19,6 +19,7 @@ import (
 	"preserv/internal/ids"
 	"preserv/internal/index"
 	"preserv/internal/kv"
+	"preserv/internal/kvdb"
 	"preserv/internal/obs"
 	"preserv/internal/prep"
 )
@@ -54,8 +55,8 @@ type Backend interface {
 	// GetBatch fetches several keys in one backend operation — the read
 	// twin of PutBatch. The returned slices align with keys; present[i]
 	// is false for absent keys (whose values[i] is nil). Implementations
-	// amortise the per-read cost: one lock acquisition, one pass over
-	// the log, one open per touched segment file.
+	// amortise the per-read cost: one lock acquisition for the batch, and
+	// on kvdb one offset-ordered pass over the log.
 	GetBatch(keys []string) (values [][]byte, present []bool, err error)
 	// Delete removes key. Deleting an absent key is a no-op. Persistent
 	// backends delete by tombstone (a kvdb log entry, a PSEG1 segment
@@ -69,11 +70,10 @@ type Backend interface {
 	// granularity); the file backend publishes all its tombstones in one
 	// segment, atomically.
 	DeleteBatch(keys []string) error
-	// Scan visits every key with the given prefix in sorted key order.
-	Scan(prefix string, fn func(key string, value []byte) error) error
-	// ScanFrom is Scan restricted to keys >= from (an empty from is
-	// unconstrained) — the seek primitive posting iterators resume
-	// partially consumed lists with.
+	// ScanFrom visits every key with the given prefix and >= from (an
+	// empty from is unconstrained) in sorted key order, stopping at the
+	// first error fn returns — the one scan, and the seek primitive
+	// posting iterators resume partially consumed lists with.
 	ScanFrom(prefix, from string, fn func(key string, value []byte) error) error
 	// Count returns the number of keys with the given prefix.
 	Count(prefix string) (int, error)
@@ -98,9 +98,10 @@ const recordStripes = 64
 // exists/identical/conflict checks plus ONE PutBatch of its new records)
 // holds the lock stripes of its keys, taken in ascending order; the
 // call's posting entries are flushed in one more backend batch at the
-// end. The mu mutex only guards the lazily opened index handle — it is
-// not held across backend operations, so readers never wait behind an
-// ingest batch.
+// end. The mu mutex only guards the lazily opened index handle. Reads
+// (GetBatch, Count, ScanQuery) never take it, so they wait neither behind
+// an ingest batch nor behind the first Index call, which may rebuild the
+// whole index while holding it.
 type Store struct {
 	mu sync.RWMutex // provlint:lock-order 20
 	b  Backend
@@ -141,8 +142,8 @@ type Store struct {
 	compacting    atomic.Int64
 
 	// bc is the shared record block cache (see blockcache.go): every
-	// GetRecord/GetBatch consumer — queries, the planner's candidate
-	// fetches, presence-only total counting — reads through it. Entries
+	// GetBatch consumer — queries, the planner's candidate fetches,
+	// presence-only total counting — reads through it. Entries
 	// are stamped with dels, the count of attempted delete batches,
 	// loaded before the backend read: only a delete can change what a
 	// key reads as, so accepted records leave the cache warm. bcBudget
@@ -318,33 +319,6 @@ func (s *Store) dropIndex() {
 	s.mu.Unlock()
 }
 
-// GetRecord fetches and decodes one record by its storage key — the
-// point lookup the query planner uses to resolve posting-list candidates.
-func (s *Store) GetRecord(key string) (*core.Record, bool, error) {
-	// The delete stamp is loaded BEFORE the backend read: a delete that
-	// races the read has already bumped past it, so the entry this read
-	// caches dies on its first lookup — stale values cannot be served,
-	// only invalidated too eagerly.
-	stamp := s.dels.Load()
-	value, cached := s.bc.Get(key, stamp)
-	if !cached {
-		s.mu.RLock()
-		var ok bool
-		var err error
-		value, ok, err = s.b.Get(key)
-		s.mu.RUnlock()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		s.cacheBlock(key, stamp, value)
-	}
-	r, err := core.DecodeRecord(value)
-	if err != nil {
-		return nil, false, fmt.Errorf("store: corrupt record at %s: %w", key, err)
-	}
-	return r, true, nil
-}
-
 // GetBatch fetches several records' raw encodings in one backend batch —
 // the bulk lookup the streaming read path resolves candidate chunks
 // with. The result aligns with keys; present[i] is false for keys with
@@ -352,7 +326,11 @@ func (s *Store) GetRecord(key string) (*core.Record, bool, error) {
 // error). Values are returned undecoded so callers that only need
 // existence (total counting past a query's Limit) skip the decode.
 func (s *Store) GetBatch(keys []string) (values [][]byte, present []bool, err error) {
-	stamp := s.dels.Load() // pre-read, same under-stamping rule as GetRecord
+	// The delete stamp is loaded BEFORE the backend read: a delete that
+	// races the read has already bumped past it, so the entries this read
+	// caches die on their first lookup — stale values cannot be served,
+	// only invalidated too eagerly.
+	stamp := s.dels.Load()
 	values = make([][]byte, len(keys))
 	present = make([]bool, len(keys))
 	var missKeys []string
@@ -369,9 +347,7 @@ func (s *Store) GetBatch(keys []string) (values [][]byte, present []bool, err er
 	if len(missKeys) == 0 {
 		return values, present, nil
 	}
-	s.mu.RLock()
 	mv, mp, err := s.b.GetBatch(missKeys)
-	s.mu.RUnlock()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -760,6 +736,34 @@ type TombstoneReporter interface {
 	Tombstones() int64
 }
 
+// compactingBackend is a Backend with every optional interface Store
+// probes for. The persistent backends are pinned to it: a rename that
+// dropped one would otherwise read as zero garbage and a compaction that
+// never runs, with nothing failing.
+type compactingBackend interface {
+	Backend
+	Compacter
+	GarbageReporter
+	TombstoneReporter
+}
+
+var (
+	_ compactingBackend = (*kvdb.DB)(nil)
+	_ compactingBackend = (*FileBackend)(nil)
+)
+
+// NewKVBackend opens (creating if necessary) a kvdb-backed store in dir:
+// the embedded database is the backend itself, the counterpart of
+// PReServ's Berkeley DB backend, which the paper uses for all of its
+// evaluations.
+func NewKVBackend(dir string) (*kvdb.DB, error) {
+	db, err := kvdb.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: opening kvdb backend: %w", err)
+	}
+	return db, nil
+}
+
 // BloomStatser has no implementer and is named only by the frozen benchmark/; the benchmark-only PR that drops store.bloom_skip_ratio deletes it.
 type BloomStatser interface {
 	BloomStats() (skips, falsePositives, hits int64)
@@ -862,9 +866,6 @@ func (s *Store) ScanQuery(q *prep.Query, after string, fn func(key string, r *co
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-
 	prefixes := []string{"i/", "s/"}
 	if q.Kind == core.KindInteraction.String() {
 		prefixes = []string{"i/"}
@@ -914,8 +915,6 @@ func (s *Store) ScanQuery(q *prep.Query, after string, fn func(key string, r *co
 
 // Count reports store statistics.
 func (s *Store) Count() (prep.CountResponse, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	ni, err := s.b.Count("i/")
 	if err != nil {
 		return prep.CountResponse{}, err

@@ -84,7 +84,7 @@ func TestBackendPutGetScanCount(t *testing.T) {
 				t.Error("absent key reported present")
 			}
 			var seen []string
-			if err := b.Scan("i/", func(k string, v []byte) error {
+			if err := b.ScanFrom("i/", "", func(k string, v []byte) error {
 				seen = append(seen, k)
 				return nil
 			}); err != nil {
@@ -313,6 +313,87 @@ func TestKVBackendPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestReadsDoNotWaitOnIndexOpen: a reopened store opens its index on
+// first use, under the store's mutex. A reader must not wait behind that
+// open — which on a stale index is a full rebuild — nor behind a scan
+// that the open is queued on.
+func TestReadsDoNotWaitOnIndexOpen(t *testing.T) {
+	dir := t.TempDir()
+	kb, err := NewKVBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(kb)
+	recs := []core.Record{mkInteraction(seq.NewID(), "svc:gzip", "a"), mkInteraction(seq.NewID(), "svc:gzip", "b")}
+	if _, _, err := s.Record("svc:enactor", recs); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	kb, err = NewKVBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = New(kb)
+	defer s.Close()
+	s.SetBlockCacheBytes(0) // every read goes to the backend
+
+	inScan, release := make(chan struct{}), make(chan struct{})
+	scanDone := make(chan error, 1)
+	go func() {
+		first := true
+		scanDone <- s.ScanQuery(&prep.Query{}, "", func(string, *core.Record) (bool, error) {
+			if first {
+				first = false
+				close(inScan)
+				<-release
+			}
+			return false, nil
+		})
+	}()
+	<-inScan
+	indexDone := make(chan error, 1)
+	go func() {
+		_, err := s.Index()
+		indexDone <- err
+	}()
+	// Read until the index is open. Every read must return promptly,
+	// including the ones issued while the open waits for the mutex.
+	key := recs[0].StorageKey()
+	done := false
+	for !done {
+		select {
+		case err := <-indexDone:
+			if err != nil {
+				t.Error(err)
+			}
+			done = true
+		default:
+		}
+		readDone := make(chan error, 1)
+		go func() {
+			_, present, err := s.GetBatch([]string{key})
+			if err == nil && !present[0] {
+				err = fmt.Errorf("recorded key %s absent", key)
+			}
+			readDone <- err
+		}()
+		select {
+		case err := <-readDone:
+			if err != nil {
+				t.Error(err)
+				done = true
+			}
+		case <-time.After(5 * time.Second):
+			t.Error("GetBatch waited behind an index open queued on a paused scan")
+			done = true
+		}
+	}
+	close(release)
+	if err := <-scanDone; err != nil {
+		t.Error(err)
+	}
+}
+
 func TestBackendNames(t *testing.T) {
 	for want, b := range backends(t) {
 		if b.Name() != want {
@@ -329,7 +410,7 @@ func TestScanEarlyStop(t *testing.T) {
 			}
 			count := 0
 			stop := fmt.Errorf("stop")
-			err := b.Scan("i/", func(string, []byte) error {
+			err := b.ScanFrom("i/", "", func(string, []byte) error {
 				count++
 				if count == 2 {
 					return stop
