@@ -61,14 +61,18 @@ func openLogged(flavour, dir string) (store.Backend, error) {
 	if err != nil {
 		return nil, err
 	}
+	took := time.Since(start)
 	size := ""
-	if s, ok := b.(interface {
-		Len() int
-		LogBytes() int64
-	}); ok {
-		size = fmt.Sprintf(": %d live keys, %d log bytes", s.Len(), s.LogBytes())
+	if s, ok := b.(interface{ Len() int }); ok {
+		size = fmt.Sprintf(": %d live keys", s.Len())
 	}
-	log.Printf("preserv: opened %s backend %s in %s%s", flavour, dir, time.Since(start).Round(100*time.Microsecond), size)
+	if s, ok := b.(interface{ LogBytes() int64 }); ok {
+		size += fmt.Sprintf(", %d log bytes", s.LogBytes())
+	}
+	if s, ok := b.(interface{ Segments() int }); ok {
+		size += fmt.Sprintf(", %d segments", s.Segments())
+	}
+	log.Printf("preserv: opened %s backend %s in %s%s", flavour, dir, took.Round(100*time.Microsecond), size)
 	return b, nil
 }
 

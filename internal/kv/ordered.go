@@ -101,7 +101,8 @@ func (s *Keys) Range(prefix, from string) iter.Seq[string] {
 // releasing the lock, and re-check each key against the owner's map.
 //
 // The zero value has no snapshot and tracks nothing: writes cost one nil
-// check until the first Fold builds one.
+// check until Build, or the first Fold, makes one. A persistent owner
+// calls Build as it opens, with the keys its replay met.
 type Ordered[V any] struct {
 	keys *Keys // nil = no snapshot
 	// delta lists keys that entered or left the map since keys was
@@ -143,19 +144,31 @@ func (o *Ordered[V]) Clean() (*Keys, bool) {
 	return o.keys, o.keys != nil && len(o.delta) == 0
 }
 
+// Build makes the snapshot from scratch and returns it: keys must be the
+// owner's live keys, in any order and possibly repeated. It sorts them in
+// place with SortKeys, which also drops the repeats, and the snapshot's
+// chunks share keys' array. Keys handed over in the order they were
+// allocated in sort faster than the same keys in hash-map order: most of
+// a large sort's time goes to reaching the keys' bytes, and the map
+// scatters them. The owner's write lock must be held.
+func (o *Ordered[V]) Build(keys []string) *Keys {
+	keys = SortKeys(keys)
+	o.keys = newKeys(split(make([][]string, 0, (len(keys)+chunkMax-1)/chunkMax), keys))
+	o.delta = nil
+	return o.keys
+}
+
 // Fold brings the snapshot up to date with live — the owner's map — and
-// returns it: a sort of all of live's keys, cut into chunks, when there is
-// no snapshot; otherwise a new snapshot that rebuilds only the chunks the
-// touched keys reach. The owner's write lock must be held.
+// returns it: Build over live's keys when there is no snapshot; otherwise
+// a new snapshot that rebuilds only the chunks the touched keys reach.
+// The owner's write lock must be held.
 func (o *Ordered[V]) Fold(live map[string]V) *Keys {
 	if o.keys == nil {
 		all := make([]string, 0, len(live))
 		for k := range live {
 			all = append(all, k)
 		}
-		sort.Strings(all)
-		o.keys = newKeys(split(make([][]string, 0, (len(all)+chunkMax-1)/chunkMax), all))
-		return o.keys
+		return o.Build(all)
 	}
 	if len(o.delta) == 0 {
 		return o.keys

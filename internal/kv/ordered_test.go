@@ -226,6 +226,33 @@ func TestOrderedFoldShares(t *testing.T) {
 	}
 }
 
+// TestOrderedBuild hands Build the live keys in an owner's replay order:
+// scrambled, some repeated. The snapshot it makes is current, holds each
+// key once in order, keeps the chunk layout, and folds later writes like
+// any other.
+func TestOrderedBuild(t *testing.T) {
+	w := newOwner()
+	rng := rand.New(rand.NewSource(34))
+	var replayed []string
+	for i := 0; i < 20*chunkMax; i++ {
+		k := fmt.Sprintf("x/dim%d/%06d", i%9, rng.Intn(10*chunkMax))
+		w.put(k)
+		replayed = append(replayed, k) // a key put again is listed again
+	}
+	w.keys.delta = []string{"stale"} // Build empties the delta
+	got := w.keys.Build(replayed)
+	if clean, ok := w.keys.Clean(); !ok || clean != got {
+		t.Fatalf("Clean() = %p, %v right after Build returned %p", clean, ok, got)
+	}
+	if want, keys := w.oracle(), slices.Collect(got.Range("", "")); !slices.Equal(keys, want) {
+		t.Fatalf("built %d keys, want the %d distinct ones sorted", len(keys), len(want))
+	}
+	checkShape(t, 0, got)
+	w.put("x/dim3/new")
+	w.del(w.oracle()[7])
+	w.check(t, 1)
+}
+
 // TestOrderedThresholdDropsSnapshot crosses the fold-vs-rebuild
 // threshold: the snapshot is dropped, later touches are not tracked at
 // all (the write-phase fast path), and the next Fold rebuilds wholesale.

@@ -2,6 +2,7 @@ package kvdb
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"preserv/internal/kv"
@@ -61,13 +62,24 @@ func BenchmarkScanPrefix(b *testing.B) {
 	}
 }
 
+// seqID renders identifier number n the way the repository benchmark
+// mints identifiers: in sequence.
+func seqID(n int) string { return fmt.Sprintf("urn:pasoa:%032x", n) }
+
+// randID renders identifier number n at random, the way ids.New mints
+// identifiers in production; the same n renders the same identifier.
+func randID(n int) string {
+	r := rand.New(rand.NewPCG(uint64(n), 0x9e3779b97f4a7c15))
+	return fmt.Sprintf("urn:pasoa:%016x%016x", r.Uint64(), r.Uint64())
+}
+
 // storeShaped fills a database in dir the way the provenance store does
 // and returns how many keys it wrote: per record one 243-byte value
 // under an ≈ 80-byte storage key and 8 or 9 (8.67 on average)
-// empty-valued ≈ 130-byte posting keys ending in that storage key. As
-// Store.Record does, 100 records go in one PutBatch and then their
-// postings in another.
-func storeShaped(b *testing.B, dir string, records int) (keys int) {
+// empty-valued ≈ 130-byte posting keys ending in that storage key, its
+// identifiers rendered by id. As Store.Record does, 100 records go in
+// one PutBatch and then their postings in another.
+func storeShaped(b *testing.B, dir string, records int, id func(int) string) (keys int) {
 	b.Helper()
 	db, err := Open(dir)
 	if err != nil {
@@ -76,10 +88,10 @@ func storeShaped(b *testing.B, dir string, records int) (keys int) {
 	val := make([]byte, 243)
 	var recs, postings []kv.Pair
 	for r := 0; r < records; r++ {
-		skey := fmt.Sprintf("i/urn:pasoa:%032x/sender/urn:actor:collate-sample/%08d", r/2, r)
+		skey := fmt.Sprintf("i/%s/sender/urn:actor:collate-sample/%08d", id(r/2), r)
 		recs = append(recs, kv.Pair{Key: skey, Value: val})
 		for d := 0; d < 8+(r%3+1)/2; d++ {
-			postings = append(postings, kv.Pair{Key: fmt.Sprintf("x/dim%d/urn:pasoa:%032x/%s", d, r/(d+1), skey)})
+			postings = append(postings, kv.Pair{Key: fmt.Sprintf("x/dim%d/%s/%s", d, id(r/(d+1)), skey)})
 		}
 		if r%100 == 99 || r == records-1 {
 			for _, pairs := range [][]kv.Pair{recs, postings} {
@@ -104,7 +116,7 @@ const storeShapedRecords = 20_700
 
 func BenchmarkOpenRecovery(b *testing.B) {
 	dir := b.TempDir()
-	keys := storeShaped(b, dir, storeShapedRecords)
+	keys := storeShaped(b, dir, storeShapedRecords, seqID)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -120,12 +132,48 @@ func BenchmarkOpenRecovery(b *testing.B) {
 	b.ReportMetric(float64(keys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
 }
 
+// restartRecords × 9.67 ≈ 1.06 M keys, as many as the repository
+// benchmark's sync-small store holds when it reopens: enough that the
+// keys' bytes are far from fitting in cache, which is what the order a
+// sort reaches them in decides.
+const restartRecords = 110_000
+
+// BenchmarkOpenFirstCount is a restart as a reader meets it: Open plus
+// the first Count over a storeShaped log, with identifiers minted in
+// sequence and at random. Open builds the sorted key view before it
+// returns, from the keys in the order replay met them, so the Count
+// itself is two binary searches.
+func BenchmarkOpenFirstCount(b *testing.B) {
+	for _, ids := range []struct {
+		name string
+		id   func(int) string
+	}{{"sequential", seqID}, {"random", randID}} {
+		b.Run(ids.name, func(b *testing.B) {
+			dir := b.TempDir()
+			keys := storeShaped(b, dir, restartRecords, ids.id)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db, err := Open(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n, err := db.Count(""); err != nil || n != keys {
+					b.Fatalf("first Count = %d, %v; want %d", n, err, keys)
+				}
+				db.Close()
+			}
+			b.ReportMetric(float64(keys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+		})
+	}
+}
+
 // BenchmarkCompact rewrites the same store: every key is live, so the
 // whole log goes through the rewrite loop (one read per key, one write
 // per MiB of output).
 func BenchmarkCompact(b *testing.B) {
 	dir := b.TempDir()
-	keys := storeShaped(b, dir, storeShapedRecords)
+	keys := storeShaped(b, dir, storeShapedRecords, seqID)
 	db, err := Open(dir)
 	if err != nil {
 		b.Fatal(err)

@@ -90,6 +90,19 @@ type logState struct {
 	// entry names, not yet reclaimed by compaction) — the
 	// deletion-lifecycle telemetry the store surfaces.
 	tombs int64
+	// entered is set only while recover replays; compaction's redo fold
+	// leaves it nil.
+	entered *enteredKeys
+}
+
+// enteredKeys is what recover's replay keeps for Open's sorted key view:
+// each key as it entered the directory, in log order, and whether any key
+// left the directory after entering it. Log order is the order replay cut
+// the keys' bytes in, so the list runs through memory in order too, and
+// within an index dimension it is close to key order.
+type enteredKeys struct {
+	keys []string
+	left bool
 }
 
 // DB is an open database.
@@ -123,11 +136,23 @@ func Open(dir string) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvdb: opening log: %w", err)
 	}
-	db := &DB{dir: dir, f: f, logState: logState{index: make(map[string]entryLoc)}}
+	db := &DB{dir: dir, f: f, logState: logState{index: make(map[string]entryLoc), entered: new(enteredKeys)}}
 	if err := db.recover(); err != nil {
 		f.Close()
 		return nil, err
 	}
+	// Build the sorted key view now, from the keys in the order replay met
+	// them, so that the first read finds it current instead of sorting
+	// every key in hash-map order under the write lock.
+	keys := db.entered.keys
+	if db.entered.left {
+		keys = slices.DeleteFunc(keys, func(k string) bool {
+			_, live := db.index[k]
+			return !live
+		})
+	}
+	db.entered = nil
+	db.keys.Build(keys)
 	return db, nil
 }
 
@@ -139,7 +164,8 @@ var replayWindow = 4 << 20
 // recover rebuilds the in-memory state from the log in one forward pass
 // through a reusable read window, truncating any torn tail: entries are
 // parsed and checked in place, and one that straddles the window's end
-// moves to its front before the window refills.
+// moves to its front before the window refills. db.entered collects the
+// keys as they enter the directory.
 func (db *DB) recover() error {
 	stat, err := db.f.Stat()
 	if err != nil {
@@ -160,13 +186,15 @@ func (db *DB) recover() error {
 			break // damaged entry or torn tail: everything after is unreliable
 		}
 		if !sized && n > 0 {
-			// Size the directory once, for the first window's live-key
-			// density extrapolated to the whole log, instead of letting
-			// it rehash its way up from empty.
+			// Size the directory and the entered-key list once, for the
+			// first window's live-key density extrapolated to the whole
+			// log, instead of letting them grow their way up from empty.
 			sized = true
-			whole := make(map[string]entryLoc, int64(len(db.index))*size/db.offset)
+			hint := int64(len(db.index)) * size / db.offset
+			whole := make(map[string]entryLoc, hint)
 			maps.Copy(whole, db.index)
 			db.index = whole
+			db.entered.keys = append(make([]string, 0, hint), db.entered.keys...)
 		}
 		rest := win[n:want]
 		if need > len(win) {
@@ -234,6 +262,8 @@ func (s *logState) replay(buf []byte) (n, need int) {
 				loc := entryLoc{off: s.offset, valLen: -int(kv.KeyShare(int64(recLen), len(batchKeys), i))}
 				if prev, ok := s.index[key]; ok {
 					s.garbage += prev.size(len(key))
+				} else {
+					s.enter(key)
 				}
 				s.index[key] = loc
 			}
@@ -248,7 +278,9 @@ func (s *logState) replay(buf []byte) (n, need int) {
 				s.garbage += prev.size(len(key))
 				s.index[string(key)] = loc
 			} else {
-				s.index[cut(&chunk, key, len(rec))] = loc
+				k := cut(&chunk, key, len(rec))
+				s.index[k] = loc
+				s.enter(k)
 			}
 		}
 		n += recLen
@@ -273,11 +305,21 @@ func cut(chunk *strings.Builder, key []byte, room int) string {
 	return chunk.String()[chunk.Len()-len(key):]
 }
 
+// enter notes that key, just cut, entered the directory.
+func (s *logState) enter(key string) {
+	if s.entered != nil {
+		s.entered.keys = append(s.entered.keys, key)
+	}
+}
+
 // drop replays a tombstone for key.
 func (s *logState) drop(key []byte) {
 	if prev, ok := s.index[string(key)]; ok {
 		s.garbage += prev.size(len(key))
 		delete(s.index, string(key))
+		if s.entered != nil {
+			s.entered.left = true
+		}
 	}
 	s.tombs++
 }

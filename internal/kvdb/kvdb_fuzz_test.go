@@ -67,6 +67,7 @@ func FuzzRecover(f *testing.F) {
 		if err != nil {
 			return // an unreadable log may be rejected, never crashed on
 		}
+		checkBuiltAtOpen(t, db)    // so does openView, under the tiny window
 		recovered := viewOf(t, db) // every recovered key reads back
 		if err := db.Close(); err != nil {
 			t.Fatal(err)

@@ -8,10 +8,12 @@ package kvdb
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -50,6 +52,26 @@ func viewOf(t testing.TB, db *DB) logView {
 	return v
 }
 
+// checkBuiltAtOpen checks the sorted key view of a DB that Open just
+// returned, before any other call: it is current, so no read has to fold
+// it, and it holds exactly the directory's keys. ScanFrom alone would not
+// tell: it skips keys that no longer read back, so a view that kept a
+// deleted key would scan the same.
+func checkBuiltAtOpen(t testing.TB, db *DB) {
+	t.Helper()
+	keys, ok := db.keys.Clean()
+	if !ok {
+		t.Fatal("Open returned with the sorted key view not current")
+	}
+	want := slices.Sorted(maps.Keys(db.index))
+	if got := slices.Collect(keys.Range("", "")); !slices.Equal(got, want) {
+		t.Fatalf("the view built at open holds\n%q\nthe directory\n%q", got, want)
+	}
+	if n, err := db.Count(""); err != nil || n != len(want) || n != db.Len() {
+		t.Fatalf("Count(\"\") = %d, %v; the directory holds %d, Len %d", n, err, len(want), db.Len())
+	}
+}
+
 // openView opens the log bytes in a fresh directory and returns the
 // recovered view and the length recovery left the file at.
 func openView(t testing.TB, log []byte) (logView, int64) {
@@ -64,6 +86,7 @@ func openView(t testing.TB, log []byte) (logView, int64) {
 		t.Fatal(err)
 	}
 	defer db.f.Close() // not db.Close: thousands of opens need no fsync each
+	checkBuiltAtOpen(t, db)
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -301,5 +324,36 @@ func TestCompactRejectsDamagedRedoWindow(t *testing.T) {
 				t.Errorf("reopen after failed compaction: %d keys, late=%v; want the 2000 intact ones", db2.Len(), late)
 			}
 		})
+	}
+}
+
+// Open builds the sorted key view from the keys in the order replay met
+// them, leaving out those that left the directory again: each log below
+// opens to a view holding exactly its live keys, through either window.
+func TestOpenBuildsKeyViewFromReplay(t *testing.T) {
+	put := func(log []byte, key, val string) []byte { return encodeRecord(log, 0, key, []byte(val)) }
+	batch := func(log []byte, del bool, keys ...string) []byte { return appendKeyBatch(log, keys, del) }
+	reput := batch(batch(put(put(nil, "a", "1"), "x/1", "posted"), false, "x/2", "x/3"), true, "x/1", "x/2")
+	reput = batch(put(reput, "a", "2"), false, "x/1", "x/4")
+	cases := []struct {
+		name string
+		log  []byte
+		want []string
+	}{
+		{"overwrite", batch(put(put(put(nil, "b", "1"), "a", "1"), "b", "2"), false, "a", "x/1"), []string{"a", "b", "x/1"}},
+		{"per-key tombstone", encodeRecord(put(put(nil, "b", "1"), "a", "1"), flagTombstone, "b", nil), []string{"a"}},
+		{"key-batch delete", batch(batch(put(nil, "a", "1"), false, "x/1", "x/2", "x/3"), true, "a", "x/2", "x/9"), []string{"x/1", "x/3"}},
+		{"delete then re-put", reput, []string{"a", "x/1", "x/3", "x/4"}},
+		{"torn tail", put(reput, "z", "torn")[:len(reput)+headerSize+2], []string{"a", "x/1", "x/3", "x/4"}},
+		{"empty", nil, []string{}},
+	}
+	for _, win := range []int{replayWindow, tinyWindow} {
+		setWindow(t, win)
+		for _, c := range cases {
+			got, _ := openView(t, c.log) // checkBuiltAtOpen compares the view with the directory
+			if !slices.Equal(got.Keys, c.want) {
+				t.Errorf("%s, window %d: opened to %q, want %q", c.name, win, got.Keys, c.want)
+			}
+		}
 	}
 }

@@ -80,6 +80,7 @@ func TestKvdbTornPutBatchEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
+		checkFirstCount(t, re, append(keysOfPairs(base), batchKeys...), fmt.Sprintf("cut %d", cut))
 		for _, p := range base {
 			if !has(t, re, p.Key) {
 				t.Fatalf("cut %d: committed base key %q lost", cut, p.Key)
@@ -139,6 +140,7 @@ func TestKvdbTornDeleteBatchEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
+		checkFirstCount(t, re, all, fmt.Sprintf("cut %d", cut))
 		// Deletions apply in slice order: the missing keys must be
 		// doomed[:j] for some j.
 		j := 0
@@ -164,6 +166,15 @@ func TestKvdbTornDeleteBatchEveryByte(t *testing.T) {
 	if lastJ != len(doomed) {
 		t.Fatalf("full log applied only %d/%d deletions", lastJ, len(doomed))
 	}
+}
+
+// keysOfPairs lists the keys of pairs, in order.
+func keysOfPairs(pairs []kv.Pair) []string {
+	keys := make([]string, len(pairs))
+	for i, p := range pairs {
+		keys[i] = p.Key
+	}
+	return keys
 }
 
 // postingBatch is the shape of one Record call's postings: empty-valued
@@ -212,6 +223,7 @@ func TestKvdbTornPostingBatchEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
+		checkFirstCount(t, re, append(keysOfPairs(base), keysOfPairs(batch)...), fmt.Sprintf("cut %d", cut))
 		for _, p := range base {
 			if !has(t, re, p.Key) {
 				t.Fatalf("cut %d: committed base key %q lost", cut, p.Key)
@@ -284,6 +296,7 @@ func TestKvdbCorruptedLogRecoversPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: reopen after corruption: %v", off, err)
 		}
+		checkFirstCount(t, re, keys, fmt.Sprintf("offset %d", off))
 		got := make(map[string]bool)
 		for _, k := range keysOf(t, re, "") {
 			got[k] = true
@@ -327,6 +340,7 @@ func TestFileTornSegmentEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
+		checkFirstCount(t, re, batchKeys, fmt.Sprintf("cut %d", cut))
 		got := backendKeys(t, re)
 		k := prefixOf(t, got, batchKeys, fmt.Sprintf("cut %d", cut))
 		if len(got) != k {
@@ -372,6 +386,7 @@ func TestFileTornPostingSegmentEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
+		checkFirstCount(t, re, append(keysOfPairs(base), keysOfPairs(batch)...), fmt.Sprintf("cut %d", cut))
 		got := backendKeys(t, re)
 		for _, p := range base {
 			if !got[p.Key] {
@@ -431,6 +446,7 @@ func TestFileTornTombstoneSegmentEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
+		checkFirstCount(t, re, all, fmt.Sprintf("cut %d", cut))
 		got := backendKeys(t, re)
 		j := 0
 		for j < len(doomed) && !got[doomed[j]] {

@@ -187,3 +187,29 @@ func backendKeys(t *testing.T, b store.Backend) map[string]bool {
 	}
 	return out
 }
+
+// checkFirstCount asserts that a backend just reopened, asked before any
+// other call, counts as many keys as point reads find among keys — every
+// distinct key the test wrote. Count answers from the sorted key view the
+// open built, which must hold exactly the live keys; a scan would not
+// tell, since it skips keys that no longer read back.
+func checkFirstCount(t *testing.T, b store.Backend, keys []string, label string) {
+	t.Helper()
+	n, err := b.Count("")
+	if err != nil {
+		t.Fatalf("%s: first Count after reopen: %v", label, err)
+	}
+	_, present, err := b.GetBatch(keys)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want := 0
+	for _, p := range present {
+		if p {
+			want++
+		}
+	}
+	if n != want {
+		t.Fatalf("%s: the first Count after reopen is %d, but %d of the written keys read back", label, n, want)
+	}
+}

@@ -73,6 +73,18 @@ type FileBackend struct {
 	segs     map[string]*segMap
 	segBytes int64
 	closed   bool
+
+	// entered is set only while NewFileBackend replays: each key as it
+	// entered keys, in replay order, and whether any key left keys after
+	// entering it — what open builds the sorted view from.
+	entered *enteredKeys
+}
+
+// enteredKeys is the open-time key list FileBackend.entered describes,
+// kept as kvdb's Open keeps its own.
+type enteredKeys struct {
+	keys []string
+	left bool
 }
 
 // fileLoc locates one value: a byte range within a packed segment. A
@@ -155,6 +167,7 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 		keys:       make(map[string]fileLoc),
 		tombstones: make(map[string]uint64),
 		segs:       make(map[string]*segMap),
+		entered:    new(enteredKeys),
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -195,6 +208,18 @@ func NewFileBackend(dir string) (*FileBackend, error) {
 		fb.Close()
 		return nil, err
 	}
+	// Build the sorted key view now, from the keys in the order replay met
+	// them, so that the first read finds it current instead of sorting
+	// every key in hash-map order under the write lock.
+	keys := fb.entered.keys
+	if fb.entered.left {
+		keys = slices.DeleteFunc(keys, func(k string) bool {
+			_, live := fb.keys[k]
+			return !live
+		})
+	}
+	fb.entered = nil
+	fb.ordered.Build(keys)
 	return fb, nil
 }
 
@@ -331,14 +356,17 @@ func (f *FileBackend) noteDeadLocked(file string, sz int64) {
 
 // setLocked points key at loc, a put just written or replayed: a
 // previous copy becomes dead, a previous tombstone stops being the key's
-// newest entry, and a new key enters the sorted view — in one probe of
-// the directory per key, since writing postings is the ingest floor's
-// hot path. Callers hold f.mu.
+// newest entry, and a new key enters the sorted view (or, during open,
+// the entered list) — with one lookup and one assignment in the
+// directory per key, since writing postings is the ingest floor's hot
+// path. Callers hold f.mu.
 func (f *FileBackend) setLocked(key string, loc fileLoc) {
 	if old, ok := f.keys[key]; ok {
 		sz := old.size(key)
 		f.liveBytes -= sz
 		f.noteDeadLocked(old.file, sz)
+	} else if f.entered != nil {
+		f.entered.keys = append(f.entered.keys, key)
 	} else {
 		f.ordered.Touch(key)
 	}
@@ -360,7 +388,11 @@ func (f *FileBackend) noteTombstoneLocked(key string, seq uint64, ts int64) {
 		f.liveBytes -= sz
 		f.noteDeadLocked(old.file, sz)
 		delete(f.keys, key)
-		f.ordered.Touch(key)
+		if f.entered != nil {
+			f.entered.left = true
+		} else {
+			f.ordered.Touch(key)
+		}
 	}
 	f.deadBytes += ts
 	if f.compactBoundary != 0 {
@@ -758,6 +790,13 @@ func (f *FileBackend) Count(prefix string) (int, error) {
 		return 0, err
 	}
 	return keys.Count(prefix, ""), nil
+}
+
+// Len returns the number of live keys.
+func (f *FileBackend) Len() int {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return len(f.keys)
 }
 
 // Segments reports how many packed segment files currently back live

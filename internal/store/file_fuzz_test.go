@@ -3,11 +3,16 @@ package store
 // Native fuzz target for the PSEG1 segment parser: whatever bytes end
 // up in a .seg file (torn renames, disk corruption), walking its
 // entries must terminate, make progress, and never panic — corruption
-// parses as a torn tail, exactly like loadSegment treats it.
+// parses as a torn tail, exactly like loadSegment treats it. A store
+// whose one segment holds the bytes must open to a sorted key view that
+// matches its directory, with every key reading back.
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -90,6 +95,22 @@ func FuzzParseSegment(f *testing.F) {
 				}
 			}
 			off = next
+		}
+
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%016x%s", 1, segExt)), append([]byte(segMagic), data...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fb, err := NewFileBackend(dir)
+		if err != nil {
+			t.Fatalf("open over the segment: %v", err)
+		}
+		defer fb.Close()
+		checkBuiltAtOpen(t, fb)
+		for k := range fb.keys {
+			if _, ok, err := fb.Get(k); !ok || err != nil {
+				t.Fatalf("key %q does not read back: %v, %v", k, ok, err)
+			}
 		}
 	})
 }

@@ -52,6 +52,88 @@ func fileViewOf(t *testing.T, fb *FileBackend) fileView {
 	return v
 }
 
+// checkBuiltAtOpen checks the sorted key view of a file backend that
+// NewFileBackend just returned, before any other call: it is current, so
+// no read has to fold it, and it holds exactly the directory's keys.
+// ScanFrom alone would not tell: it skips keys that no longer read back,
+// so a view that kept a deleted key would scan the same.
+func checkBuiltAtOpen(t testing.TB, fb *FileBackend) {
+	t.Helper()
+	keys, ok := fb.ordered.Clean()
+	if !ok {
+		t.Fatal("NewFileBackend returned with the sorted key view not current")
+	}
+	want := slices.Sorted(maps.Keys(fb.keys))
+	if got := slices.Collect(keys.Range("", "")); !slices.Equal(got, want) {
+		t.Fatalf("the view built at open holds\n%q\nthe directory\n%q", got, want)
+	}
+	if n, err := fb.Count(""); err != nil || n != len(want) || n != fb.Len() {
+		t.Fatalf("Count(\"\") = %d, %v; the directory holds %d, Len %d", n, err, len(want), fb.Len())
+	}
+}
+
+// NewFileBackend builds the sorted key view from the keys in the order
+// replay and adoption met them, leaving out those that left the
+// directory again: each store below opens to a view holding exactly its
+// live keys.
+func TestFileOpenBuildsKeyViewFromReplay(t *testing.T) {
+	seg := func() []byte { return []byte(segMagic) }
+	put := func(buf []byte, key, val string) []byte { return appendSegEntry(buf, key, []byte(val)) }
+	batch := func(buf []byte, del bool, keys ...string) []byte { return appendSegKeyBatch(buf, keys, del) }
+	reput := [][]byte{
+		batch(put(put(seg(), "a", "1"), "x/1", "posted"), false, "x/2", "x/3"),
+		batch(seg(), true, "x/1", "x/2"),
+		batch(put(seg(), "a", "2"), false, "x/1", "x/4"),
+	}
+	torn := put(seg(), "z", "torn")
+	cases := []struct {
+		name  string
+		segs  [][]byte
+		pairs map[string]string // record-file pairs an earlier version left
+		want  []string
+	}{
+		{name: "overwrite", segs: [][]byte{put(put(seg(), "b", "1"), "a", "1"), batch(put(seg(), "b", "2"), false, "a", "x/1")},
+			want: []string{"a", "b", "x/1"}},
+		{name: "per-key tombstone", segs: [][]byte{put(put(seg(), "b", "1"), "a", "1"), appendSegTombstone(seg(), "b")},
+			want: []string{"a"}},
+		{name: "key-batch delete", segs: [][]byte{batch(put(seg(), "a", "1"), false, "x/1", "x/2", "x/3"), batch(seg(), true, "a", "x/2", "x/9")},
+			want: []string{"x/1", "x/3"}},
+		{name: "delete then re-put", segs: reput, want: []string{"a", "x/1", "x/3", "x/4"}},
+		{name: "torn tail", segs: append(slices.Clone(reput), torn[:len(torn)-3]), want: []string{"a", "x/1", "x/3", "x/4"}},
+		{name: "adopted record files", segs: reput, pairs: map[string]string{"plain": "pair", "x/1": "stale", "x/2": "deleted"},
+			want: []string{"a", "plain", "x/1", "x/3", "x/4"}},
+		{name: "empty"},
+	}
+	for _, c := range cases {
+		dir := t.TempDir()
+		for i, data := range c.segs {
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%016x%s", i+1, segExt)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for key, value := range c.pairs {
+			name := filepath.Join(dir, recordFileName(key))
+			if err := os.WriteFile(name, []byte(value), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(name+".key", []byte(key), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fb, err := NewFileBackend(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkBuiltAtOpen(t, fb)
+		if got := fileViewOf(t, fb).Keys; !slices.Equal(got, c.want) {
+			t.Errorf("%s: opened to %q, want %q", c.name, got, c.want)
+		}
+		if err := fb.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // Segments written before key batches existed hold one entry per key,
 // postings and tombstones included. They open to what they always
 // opened to, and Compact rewrites them into the current form: the same
@@ -111,6 +193,7 @@ func TestPerKeySegmentAdoptedByCompact(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fb.Close()
+			checkBuiltAtOpen(t, fb)
 			want := fileView{Keys: slices.Sorted(maps.Keys(live)), Count: len(live), Live: liveBytes, Dead: dead,
 				Tombstones: tombs, Segments: len(segs), Bytes: onDisk}
 			for _, k := range want.Keys {
@@ -164,6 +247,7 @@ func TestPerKeySegmentAdoptedByCompact(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
+			checkBuiltAtOpen(t, re)
 			if got := fileViewOf(t, re); !reflect.DeepEqual(got, after) {
 				t.Fatalf("the merged segment reopens to\n%+v\nlive\n%+v", got, after)
 			}

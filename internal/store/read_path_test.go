@@ -227,6 +227,7 @@ func TestFileAdoptsRecordFilesAtOpen(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		defer b.Close()
+		checkBuiltAtOpen(t, b)
 		for k, w := range want {
 			if v, ok, err := b.Get(k); err != nil || !ok || string(v) != w {
 				t.Errorf("%s: Get(%s) = %q ok=%v err=%v, want %q", label, k, v, ok, err, w)
