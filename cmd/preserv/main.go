@@ -147,14 +147,18 @@ func main() {
 	if *statsEvery > 0 {
 		go func() {
 			for range time.Tick(*statsEvery) {
-				s := svc.Stats()
+				s, err := svc.StatsResponse()
+				if err != nil {
+					log.Printf("preserv: stats: %v", err)
+					continue
+				}
 				cnt, err := svc.Provenance().Count()
 				if err != nil {
 					log.Printf("preserv: count: %v", err)
 					continue
 				}
 				log.Printf("preserv: records=%d interactions=%d recordReqs=%d queryReqs=%d shards=%d",
-					cnt.Records, cnt.Interactions, s.RecordRequests, s.QueryRequests, s.Shards)
+					cnt.Records, cnt.Interactions, s.RecordRequests, s.QueryRequests, s.NumShards)
 			}
 		}()
 	}

@@ -31,6 +31,17 @@ func startStore(t *testing.T) (*preserv.Client, *preserv.Service) {
 	return preserv.NewClient(srv.URL, nil), svc
 }
 
+// storeStats is the service's telemetry snapshot, failing the test if
+// it cannot be assembled.
+func storeStats(t *testing.T, svc *preserv.Service) *prep.StatsResponse {
+	t.Helper()
+	st, err := svc.StatsResponse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func mkRecord(session ids.ID) core.Record {
 	in := core.Interaction{ID: seq.NewID(), Sender: "svc:enactor", Receiver: "svc:gzip", Operation: "run"}
 	return *core.NewInteractionRecord(&core.InteractionPAssertion{
@@ -77,8 +88,8 @@ func TestSyncRecorderShipsImmediately(t *testing.T) {
 	if st.Recorded != 2 || st.Shipped != 2 {
 		t.Errorf("stats = %+v", st)
 	}
-	if svc.Stats().RecordRequests != 1 {
-		t.Errorf("sync recorder should have made 1 request, got %d", svc.Stats().RecordRequests)
+	if storeStats(t, svc).RecordRequests != 1 {
+		t.Errorf("sync recorder should have made 1 request, got %d", storeStats(t, svc).RecordRequests)
 	}
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
@@ -105,7 +116,7 @@ func TestSyncRecorderEmptyCall(t *testing.T) {
 	if err := r.Record(); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Stats().RecordRequests != 0 {
+	if storeStats(t, svc).RecordRequests != 0 {
 		t.Error("empty Record must not invoke the store")
 	}
 }
@@ -436,7 +447,7 @@ func TestManyBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ceil(100/7) = 15 store invocations.
-	if got := svc.Stats().RecordRequests; got != 15 {
+	if got := storeStats(t, svc).RecordRequests; got != 15 {
 		t.Errorf("store requests = %d, want 15", got)
 	}
 	fmt.Fprintln(testingDiscard{}, "ok")
@@ -475,7 +486,7 @@ func TestAsyncRecorderPipelinedFlush(t *testing.T) {
 			if r.Pending() != 0 {
 				t.Fatalf("Pending = %d after flush", r.Pending())
 			}
-			st := svc.Stats()
+			st := storeStats(t, svc)
 			if st.RecordsAccepted != n {
 				t.Fatalf("store accepted %d, want %d", st.RecordsAccepted, n)
 			}
@@ -584,7 +595,7 @@ func TestAsyncRecorderRecordAfterFailedFlush(t *testing.T) {
 	if r.Pending() != 0 {
 		t.Fatalf("Pending after retry = %d", r.Pending())
 	}
-	st := svc.Stats()
+	st := storeStats(t, svc)
 	if st.RecordsAccepted != first+extra {
 		t.Fatalf("store accepted %d, want %d", st.RecordsAccepted, first+extra)
 	}
@@ -626,7 +637,7 @@ func TestAsyncRecorderAutoFlushOnBacklog(t *testing.T) {
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.Stats().RecordsAccepted; got != 25 {
+	if got := storeStats(t, svc).RecordsAccepted; got != 25 {
 		t.Fatalf("store accepted %d records, want 25", got)
 	}
 	if r.Pending() != 0 {
@@ -648,7 +659,7 @@ func TestAsyncRecorderAutoFlushDisabledByDefault(t *testing.T) {
 		}
 	}
 	time.Sleep(50 * time.Millisecond)
-	if got := svc.Stats().RecordsAccepted; got != 0 {
+	if got := storeStats(t, svc).RecordsAccepted; got != 0 {
 		t.Errorf("recorder shipped %d records without a threshold or Flush", got)
 	}
 	if r.Pending() != 30 {

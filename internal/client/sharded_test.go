@@ -73,7 +73,7 @@ func TestAsyncRecorderShippedNeverExceedsRecordedAcrossRetries(t *testing.T) {
 		t.Fatalf("after retry: Stats %+v, want Shipped = Recorded = %d", st, n)
 	}
 	// The store holds each record exactly once, the journal is spent.
-	if stats := svc.Stats(); stats.RecordsAccepted < n {
+	if stats := storeStats(t, svc); stats.RecordsAccepted < n {
 		t.Fatalf("store accepted %d, want >= %d", stats.RecordsAccepted, n)
 	}
 	cnt, err := preserv.NewClient(ts.URL, nil).Count()

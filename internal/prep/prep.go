@@ -379,9 +379,15 @@ type StatsRequest struct {
 	XMLName xml.Name `xml:"StatsRequest"`
 }
 
-// EngineCounters is the wire form of a query engine's cumulative
-// planner and cache telemetry (shard.EngineStats). For a sharded
-// store these are sums over the shards.
+// EngineCounters is a query engine's cumulative planner and cache
+// telemetry — the one declaration of that counter set, filled by the
+// engine and carried unchanged to the wire. CacheHits/CacheMisses are
+// the result cache's lookup outcomes (a stale entry counts as a miss);
+// IndexPlans/ScanPlans count executed queries by strategy, cache hits
+// excluded; PagedQueries counts QueryPage executions (also in the
+// strategy counts); CostProbes counts cardinality probes; PostingsRead
+// and CandidatesFetched are the posting entries and records the read
+// path pulled. For a sharded store these are sums over the shards.
 type EngineCounters struct {
 	CacheHits         int64 `xml:"cacheHits"`
 	CacheMisses       int64 `xml:"cacheMisses"`
@@ -391,6 +397,18 @@ type EngineCounters struct {
 	CostProbes        int64 `xml:"costProbes"`
 	PostingsRead      int64 `xml:"postingsRead"`
 	CandidatesFetched int64 `xml:"candidatesFetched"`
+}
+
+// Add accumulates o into c (aggregating shard breakdowns).
+func (c *EngineCounters) Add(o EngineCounters) {
+	c.CacheHits += o.CacheHits
+	c.CacheMisses += o.CacheMisses
+	c.IndexPlans += o.IndexPlans
+	c.ScanPlans += o.ScanPlans
+	c.PagedQueries += o.PagedQueries
+	c.CostProbes += o.CostProbes
+	c.PostingsRead += o.PostingsRead
+	c.CandidatesFetched += o.CandidatesFetched
 }
 
 // ReadCacheCounters is the wire form of the storage read path's cache
@@ -417,9 +435,11 @@ func (c *ReadCacheCounters) Add(o ReadCacheCounters) {
 	c.ResultCacheMisses += o.ResultCacheMisses
 }
 
-// WritePathCounters is the wire form of the storage write path's health
-// telemetry: how many backend compactions are running right now, and
-// the per-record commit-stall distribution summarised. For a sharded
+// WritePathCounters is the storage write path's health telemetry — the
+// one declaration of that counter set, filled by the store and carried
+// unchanged to the wire: how many backend compactions are running right
+// now, and the commit-stall distribution (per-call commit sections and
+// index flushes) summarised as count, total seconds and p99. For a sharded
 // store the counts and seconds are sums over the shards and StallP99 is
 // the worst shard's p99.
 type WritePathCounters struct {

@@ -2,6 +2,7 @@ package prep
 
 import (
 	"encoding/xml"
+	"reflect"
 	"testing"
 	"time"
 
@@ -264,5 +265,59 @@ func TestResponsesXMLRoundTrip(t *testing.T) {
 	if backCR.Records != cr.Records || backCR.Interactions != cr.Interactions ||
 		backCR.ActorStates != cr.ActorStates {
 		t.Errorf("CountResponse round trip: %+v", backCR)
+	}
+}
+
+// countersFilled returns a counter struct with every numeric field set
+// to a distinct non-zero value, so an Add that skips a field shows.
+func countersFilled[T any](t *testing.T) T {
+	t.Helper()
+	var c T
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		default:
+			t.Fatalf("%T.%s: unexpected kind %s", c, v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return c
+}
+
+// TestCountersAddEveryField checks that each counter set's Add carries
+// every field: adding a filled value into a zero one reproduces it, and
+// adding it again doubles every sum (StallP99, a worst-shard maximum,
+// stays put).
+func TestCountersAddEveryField(t *testing.T) {
+	e := countersFilled[EngineCounters](t)
+	var es EngineCounters
+	es.Add(e)
+	if es != e {
+		t.Errorf("EngineCounters.Add into zero = %+v, want %+v", es, e)
+	}
+	es.Add(e)
+	if want := (EngineCounters{2, 4, 6, 8, 10, 12, 14, 16}); es != want {
+		t.Errorf("EngineCounters.Add twice = %+v, want %+v", es, want)
+	}
+
+	r := countersFilled[ReadCacheCounters](t)
+	var rs ReadCacheCounters
+	rs.Add(r)
+	if rs != r {
+		t.Errorf("ReadCacheCounters.Add into zero = %+v, want %+v", rs, r)
+	}
+
+	w := countersFilled[WritePathCounters](t)
+	var ws WritePathCounters
+	ws.Add(w)
+	if ws != w {
+		t.Errorf("WritePathCounters.Add into zero = %+v, want %+v", ws, w)
+	}
+	ws.Add(w)
+	if want := (WritePathCounters{2, 4, 5, 3.5}); ws != want {
+		t.Errorf("WritePathCounters.Add twice = %+v, want %+v", ws, want)
 	}
 }

@@ -60,7 +60,7 @@ func TestDeleteRecordOverHTTP(t *testing.T) {
 	if err != nil || ptotal != 1 || len(precs) != 1 || precs[0].StorageKey() != r2.StorageKey() {
 		t.Fatalf("planned query after delete: %d/%d, %v", len(precs), ptotal, err)
 	}
-	stats := svc.Stats()
+	stats := mustStats(t, svc)
 	if stats.DeleteRequests != 2 || stats.RecordsDeleted != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
@@ -122,7 +122,7 @@ func TestCompactActionReclaimsGarbage(t *testing.T) {
 	if _, err := client.DeleteSession(session); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Stats().GarbageRatio <= 0 {
+	if mustStats(t, svc).GarbageRatio <= 0 {
 		t.Fatal("deletes left no measurable garbage")
 	}
 	resp, err := client.Compact()
@@ -132,7 +132,7 @@ func TestCompactActionReclaimsGarbage(t *testing.T) {
 	if resp.GarbageBefore <= 0 || resp.GarbageAfter != 0 {
 		t.Fatalf("compact response: %+v", resp)
 	}
-	stats := svc.Stats()
+	stats := mustStats(t, svc)
 	if stats.Compactions != 1 || stats.GarbageRatio != 0 || stats.Tombstones != 0 {
 		t.Errorf("stats after compact: %+v", stats)
 	}
@@ -161,7 +161,7 @@ func TestScheduledCompactionTriggersOnGarbageRatio(t *testing.T) {
 	if resp.GarbageRatio != 0 {
 		t.Fatalf("garbage ratio after scheduled compaction = %v", resp.GarbageRatio)
 	}
-	if svc.Stats().Compactions != 1 {
-		t.Errorf("compactions = %d", svc.Stats().Compactions)
+	if mustStats(t, svc).Compactions != 1 {
+		t.Errorf("compactions = %d", mustStats(t, svc).Compactions)
 	}
 }

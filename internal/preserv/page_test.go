@@ -123,14 +123,14 @@ func TestStatsSurfacePlannerCounters(t *testing.T) {
 	if _, err := client.QueryPage(&prep.Query{SessionID: session}, "", 2); err != nil {
 		t.Fatal(err)
 	}
-	st := svc.Stats()
-	if st.QueryIndexPlans < 2 {
-		t.Errorf("QueryIndexPlans = %d, want >= 2 (planned + page)", st.QueryIndexPlans)
+	st := mustStats(t, svc)
+	if st.Engine.IndexPlans < 2 {
+		t.Errorf("Engine.IndexPlans = %d, want >= 2 (planned + page)", st.Engine.IndexPlans)
 	}
-	if st.QueryPages != 1 {
-		t.Errorf("QueryPages = %d, want 1", st.QueryPages)
+	if st.Engine.PagedQueries != 1 {
+		t.Errorf("Engine.PagedQueries = %d, want 1", st.Engine.PagedQueries)
 	}
-	if st.QueryCostProbes == 0 || st.QueryPostingsRead == 0 || st.QueryCandidatesFetched == 0 {
+	if st.Engine.CostProbes == 0 || st.Engine.PostingsRead == 0 || st.Engine.CandidatesFetched == 0 {
 		t.Errorf("planner counters not surfaced: %+v", st)
 	}
 }

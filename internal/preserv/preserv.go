@@ -376,45 +376,6 @@ func (th *timedHandler) Handle(action string, body []byte) (interface{}, error) 
 	return reply, err
 }
 
-// Stats summarises service activity.
-type Stats struct {
-	RecordRequests  int64
-	RecordsAccepted int64
-	QueryRequests   int64
-	// QueryCacheHits / QueryCacheMisses are the planned-query result
-	// cache's cumulative lookup outcomes (a stale entry counts as a
-	// miss).
-	QueryCacheHits   int64
-	QueryCacheMisses int64
-	// QueryIndexPlans / QueryScanPlans count executed planner queries by
-	// strategy; QueryPages counts cursor-paged executions.
-	QueryIndexPlans int64
-	QueryScanPlans  int64
-	QueryPages      int64
-	// QueryCostProbes counts the planner's CountPostings cardinality
-	// probes; QueryPostingsRead and QueryCandidatesFetched are the read
-	// path's cumulative index-entry and record-fetch costs.
-	QueryCostProbes        int64
-	QueryPostingsRead      int64
-	QueryCandidatesFetched int64
-	// DeleteRequests / RecordsDeleted / Compactions count the deletion
-	// lifecycle: retraction requests served, records removed, and
-	// compactions run (explicit or garbage-ratio-scheduled).
-	DeleteRequests int64
-	RecordsDeleted int64
-	Compactions    int64
-	// Tombstones is the backend's current count of unreclaimed deletion
-	// markers; GarbageRatio its current dead-byte fraction — the signal
-	// the next scheduled compaction fires on. In sharded mode
-	// Tombstones sums across shards and GarbageRatio reports the worst
-	// shard's.
-	Tombstones   int64
-	GarbageRatio float64
-	// Shards is the number of store partitions behind the service: 0
-	// for the classic single-store service, N for the sharded mode.
-	Shards int
-}
-
 // Service is a PReServ instance: a provenance surface (one store, or a
 // shard router fronting several) plus the translator wiring.
 type Service struct {
@@ -489,39 +450,13 @@ func (svc *Service) Handler() http.Handler { return svc.handler }
 // the threshold is stored atomically and picked up by the next delete.
 func (svc *Service) SetCompactRatio(r float64) { svc.storeP.SetCompactRatio(r) }
 
-// Stats returns a snapshot of service counters. The request counters
-// come from one registry snapshot, so the returned struct is
-// internally consistent — a record request and the records it accepted
-// appear together or not at all, where the old field-by-field atomic
-// loads could tear between them.
-func (svc *Service) Stats() Stats {
-	counters := svc.reg.CounterSnapshot()
-	es := svc.prov.EngineStats()
-	return Stats{
-		RecordRequests:         counters["preserv_record_requests_total"],
-		RecordsAccepted:        counters["preserv_records_accepted_total"],
-		QueryRequests:          counters["preserv_query_requests_total"],
-		QueryCacheHits:         es.CacheHits,
-		QueryCacheMisses:       es.CacheMisses,
-		QueryIndexPlans:        es.IndexPlans,
-		QueryScanPlans:         es.ScanPlans,
-		QueryPages:             es.PagedQueries,
-		QueryCostProbes:        es.CostProbes,
-		QueryPostingsRead:      es.PostingsRead,
-		QueryCandidatesFetched: es.CandidatesFetched,
-		DeleteRequests:         counters["preserv_delete_requests_total"],
-		RecordsDeleted:         counters["preserv_records_deleted_total"],
-		Compactions:            counters["preserv_compactions_total"],
-		Tombstones:             svc.prov.Tombstones(),
-		GarbageRatio:           svc.prov.GarbageRatio(),
-		Shards:                 svc.shards,
-	}
-}
-
-// StatsResponse assembles the urn:prep:stats reply: one consistent
-// counter snapshot, whole-store aggregates, the per-shard breakdown
-// (local shards report in full; remote shards are polled over the
-// wire), and the service's own request histograms and slow log.
+// StatsResponse assembles the urn:prep:stats reply — the service's one
+// telemetry snapshot: the request counters, whole-store aggregates, the
+// per-shard breakdown (local shards report in full; remote shards are
+// polled over the wire), and the service's own request histograms and
+// slow log. The request counters come from one registry snapshot, so
+// they are consistent with each other: a record request and the records
+// it accepted appear together or not at all.
 func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 	counters := svc.reg.CounterSnapshot()
 	count, err := svc.prov.Count()
@@ -539,7 +474,7 @@ func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 		NumShards:       svc.shards,
 		GarbageRatio:    svc.prov.GarbageRatio(),
 		Tombstones:      svc.prov.Tombstones(),
-		Engine:          svc.prov.EngineStats().Wire(),
+		Engine:          svc.prov.EngineStats(),
 		Histograms:      shard.HistogramStats(svc.reg),
 		Slow:            shard.SlowSpans(svc.reg.Tracer()),
 	}

@@ -29,6 +29,17 @@ func startServer(t *testing.T) (*Client, *Service) {
 	return NewClient(srv.URL, nil), svc
 }
 
+// mustStats is the service's telemetry snapshot, failing the test if
+// it cannot be assembled.
+func mustStats(t *testing.T, svc *Service) *prep.StatsResponse {
+	t.Helper()
+	st, err := svc.StatsResponse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func mkRecord(session ids.ID, receiver core.ActorID) core.Record {
 	in := core.Interaction{ID: seq.NewID(), Sender: "svc:enactor", Receiver: receiver, Operation: "run"}
 	return *core.NewInteractionRecord(&core.InteractionPAssertion{
@@ -128,7 +139,7 @@ func TestServiceStats(t *testing.T) {
 	client.Record("svc:enactor", []core.Record{mkRecord(session, "svc:gzip")})
 	client.Query(&prep.Query{SessionID: session})
 	client.Count()
-	st := svc.Stats()
+	st := mustStats(t, svc)
 	if st.RecordRequests != 1 || st.RecordsAccepted != 1 || st.QueryRequests != 2 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -272,16 +283,16 @@ func TestStatsSurfaceQueryCacheCounters(t *testing.T) {
 	if _, _, _, err := client.QueryPlanned(q); err != nil {
 		t.Fatal(err)
 	}
-	st := svc.Stats()
-	if st.QueryCacheMisses == 0 || st.QueryCacheHits != 0 {
-		t.Fatalf("after cold query: hits=%d misses=%d, want a miss and no hit", st.QueryCacheHits, st.QueryCacheMisses)
+	st := mustStats(t, svc)
+	if st.Engine.CacheMisses == 0 || st.Engine.CacheHits != 0 {
+		t.Fatalf("after cold query: hits=%d misses=%d, want a miss and no hit", st.Engine.CacheHits, st.Engine.CacheMisses)
 	}
 	if _, _, plan, err := client.QueryPlanned(q); err != nil || !plan.Cached {
 		t.Fatalf("second query: cached=%v err=%v", plan != nil && plan.Cached, err)
 	}
-	st = svc.Stats()
-	if st.QueryCacheHits != 1 {
-		t.Fatalf("after warm query: hits=%d misses=%d, want exactly 1 hit", st.QueryCacheHits, st.QueryCacheMisses)
+	st = mustStats(t, svc)
+	if st.Engine.CacheHits != 1 {
+		t.Fatalf("after warm query: hits=%d misses=%d, want exactly 1 hit", st.Engine.CacheHits, st.Engine.CacheMisses)
 	}
 }
 

@@ -189,7 +189,7 @@ func (r *RemoteShard) EngineStats() shard.EngineStats {
 	if err != nil {
 		return shard.EngineStats{}
 	}
-	return shard.EngineStatsFromWire(st.Engine)
+	return st.Engine
 }
 
 // ShardStats implements shard.ShardStatser: the endpoint's own stats
@@ -209,6 +209,7 @@ func (r *RemoteShard) ShardStats() (prep.ShardStats, error) {
 		Tombstones:   st.Tombstones,
 		Engine:       st.Engine,
 		ReadCache:    st.ReadCache,
+		WritePath:    st.WritePath,
 		Histograms:   st.Histograms,
 		Slow:         st.Slow,
 	}, nil

@@ -149,14 +149,14 @@ func TestShardedServiceEndToEnd(t *testing.T) {
 	if _, err := client.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	stats := svc.Stats()
-	if stats.Shards != 3 {
-		t.Fatalf("stats.Shards = %d, want 3", stats.Shards)
+	stats := mustStats(t, svc)
+	if stats.NumShards != 3 {
+		t.Fatalf("stats.NumShards = %d, want 3", stats.NumShards)
 	}
 	if stats.RecordsAccepted != 40 || stats.RecordsDeleted != 5 {
 		t.Fatalf("stats %+v", stats)
 	}
-	if stats.QueryIndexPlans == 0 {
+	if stats.Engine.IndexPlans == 0 {
 		t.Fatal("aggregated engine stats report no index plans")
 	}
 }
@@ -266,7 +266,7 @@ func TestSetCompactRatioRaceUnderConcurrentDeletes(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := svc.Stats().RecordsDeleted; got != n {
+	if got := mustStats(t, svc).RecordsDeleted; got != n {
 		t.Fatalf("deleted %d, want %d", got, n)
 	}
 }

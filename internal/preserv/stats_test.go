@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"preserv/internal/core"
 	"preserv/internal/obs"
@@ -184,7 +186,7 @@ func TestShardedStatsOverRemoteShards(t *testing.T) {
 		t.Error("aggregate Tombstones = 0 after deletes on both shards")
 	}
 	var sumRecords int
-	var sumTombstones int64
+	var sumTombstones, sumStalls int64
 	for i, sh := range st.Shards {
 		if sh.Index != i || sh.URL != urls[i] {
 			t.Errorf("shard %d identity = {Index:%d URL:%q}, want {%d %q}", i, sh.Index, sh.URL, i, urls[i])
@@ -201,14 +203,79 @@ func TestShardedStatsOverRemoteShards(t *testing.T) {
 		if latency == 0 {
 			t.Errorf("shard %d reports no request-latency observations", i)
 		}
+		// Every Record the child served stalled on its commit section,
+		// so a zero count means the child's write path was dropped.
+		if sh.WritePath.StallCount == 0 {
+			t.Errorf("shard %d write path = %+v, want the child's commit stalls", i, sh.WritePath)
+		}
 		sumRecords += sh.Records
 		sumTombstones += sh.Tombstones
+		sumStalls += sh.WritePath.StallCount
 	}
 	if sumRecords != st.Records {
 		t.Errorf("per-shard records sum to %d, aggregate says %d", sumRecords, st.Records)
 	}
 	if sumTombstones != st.Tombstones {
 		t.Errorf("per-shard tombstones sum to %d, aggregate says %d", sumTombstones, st.Tombstones)
+	}
+	if st.WritePath.StallCount == 0 || sumStalls != st.WritePath.StallCount {
+		t.Errorf("per-shard stalls sum to %d, aggregate says %d; want equal and > 0", sumStalls, st.WritePath.StallCount)
+	}
+}
+
+// TestRemoteShardStatsCarryEveryField guards RemoteShard.ShardStats
+// against dropping a field of the child's reply: every prep.ShardStats
+// field but the shard's identity (Index, URL) has a same-named
+// prep.StatsResponse field, and a RemoteShard over a live child reports
+// each one equal to the reply it polled. The fixture leaves none of them
+// zero, so a field added to both types later and not copied fails here.
+func TestRemoteShardStatsCarryEveryField(t *testing.T) {
+	withTelemetry(t)
+	client, svc := startKVServer(t)
+	svc.SetCompactRatio(-1)
+	svc.Obs().Tracer().SetSlowThreshold(time.Nanosecond)
+
+	session := seq.NewID()
+	recs := []core.Record{mkRecord(session, "svc:gzip"), mkRecord(session, "svc:ppmz"), mkRecord(session, "svc:bzip2")}
+	if _, err := client.Record("svc:enactor", recs); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := client.QueryPlanned(&prep.Query{SessionID: session}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.DeleteRecord(recs[0].StorageKey()); err != nil {
+		t.Fatal(err)
+	}
+
+	remote := NewRemoteShard(NewClient(client.URL(), nil))
+	got, err := remote.ShardStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.URL != client.URL() {
+		t.Errorf("URL = %q, want %q", got.URL, client.URL())
+	}
+	remote.statsMu.Lock()
+	reply := remote.stats // the reply ShardStats was built from
+	remote.statsMu.Unlock()
+
+	gv, rv := reflect.ValueOf(got), reflect.ValueOf(*reply)
+	for i := 0; i < gv.NumField(); i++ {
+		name := gv.Type().Field(i).Name
+		if name == "Index" || name == "URL" {
+			continue
+		}
+		want := rv.FieldByName(name)
+		if !want.IsValid() {
+			t.Errorf("prep.ShardStats.%s has no prep.StatsResponse field of that name", name)
+			continue
+		}
+		if want.IsZero() {
+			t.Errorf("the child's %s is zero: the fixture must exercise every field", name)
+		}
+		if !reflect.DeepEqual(gv.Field(i).Interface(), want.Interface()) {
+			t.Errorf("RemoteShard.ShardStats().%s = %+v, the child replied %+v", name, gv.Field(i).Interface(), want.Interface())
+		}
 	}
 }
 
@@ -321,7 +388,7 @@ func TestSlowLogCapturesScanPlan(t *testing.T) {
 }
 
 // TestStatsTornReadFixed drives concurrent record traffic while
-// snapshotting Stats, asserting the invariant the old field-by-field
+// snapshotting StatsResponse, asserting the invariant the old field-by-field
 // atomic loads could violate: every snapshot's accepted-records count
 // is consistent with its request count (each request accepts exactly 2
 // records, and a request is only counted once its records are).
@@ -346,7 +413,7 @@ func TestStatsTornReadFixed(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		s := svc.Stats()
+		s := mustStats(t, svc)
 		if s.RecordsAccepted != 2*s.RecordRequests {
 			t.Fatalf("torn stats snapshot: %d requests but %d accepted", s.RecordRequests, s.RecordsAccepted)
 		}

@@ -57,8 +57,8 @@ type Engine struct {
 	stats plannerCounters
 	// Latency and postings-volume distributions live in the store's
 	// registry, so one registry carries a shard's complete telemetry.
-	// The cumulative plannerCounters above remain the EngineStats
-	// contract; the histograms add the distribution view.
+	// The cumulative plannerCounters above are what Stats reports; the
+	// histograms add the distribution view.
 	plannedSec  *obs.Histogram
 	pageSec     *obs.Histogram
 	postingsPer *obs.Histogram
@@ -83,19 +83,6 @@ func newSized(s *store.Store, cacheSize int) *Engine {
 // Store returns the engine's underlying store.
 func (e *Engine) Store() *store.Store { return e.s }
 
-// CacheStats reports the result cache's cumulative lookup outcomes. A
-// lookup that finds a stale (wrong-generation) entry counts as a miss.
-type CacheStats struct {
-	Hits   int64
-	Misses int64
-}
-
-// CacheStats returns a snapshot of the engine's result-cache counters.
-func (e *Engine) CacheStats() CacheStats {
-	st := e.cache.Stats()
-	return CacheStats{Hits: st.Hits, Misses: st.Misses}
-}
-
 // plannerCounters aggregates execution telemetry across queries.
 type plannerCounters struct {
 	indexPlans        atomic.Int64
@@ -106,26 +93,13 @@ type plannerCounters struct {
 	candidatesFetched atomic.Int64
 }
 
-// PlannerStats is a snapshot of the engine's cumulative planner
-// telemetry (cache hits excluded — those never reach the planner).
-type PlannerStats struct {
-	// IndexPlans and ScanPlans count executed queries by strategy.
-	IndexPlans int64
-	ScanPlans  int64
-	// PagedQueries counts QueryPage executions (also included in the
-	// strategy counts).
-	PagedQueries int64
-	// CostProbes counts CountPostings cardinality probes issued.
-	CostProbes int64
-	// PostingsRead counts posting entries pulled by iterators and range
-	// scans; CandidatesFetched counts records fetched from the store.
-	PostingsRead      int64
-	CandidatesFetched int64
-}
-
-// PlannerStats returns a snapshot of the engine's planner counters.
-func (e *Engine) PlannerStats() PlannerStats {
-	return PlannerStats{
+// Stats returns a snapshot of the engine's result-cache and planner
+// counters (see prep.EngineCounters for what each one counts).
+func (e *Engine) Stats() prep.EngineCounters {
+	c := e.cache.Stats()
+	return prep.EngineCounters{
+		CacheHits:         c.Hits,
+		CacheMisses:       c.Misses,
 		IndexPlans:        e.stats.indexPlans.Load(),
 		ScanPlans:         e.stats.scanPlans.Load(),
 		PagedQueries:      e.stats.pagedQueries.Load(),

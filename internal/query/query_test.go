@@ -860,7 +860,7 @@ func TestPlannerStatsAccumulate(t *testing.T) {
 	if _, _, _, _, err := e.QueryPage(&prep.Query{SessionID: sessions[1].id}, "", 3); err != nil {
 		t.Fatal(err)
 	}
-	st := e.PlannerStats()
+	st := e.Stats()
 	if st.IndexPlans != 2 || st.ScanPlans != 1 || st.PagedQueries != 1 {
 		t.Errorf("plans = %+v, want 2 index / 1 scan / 1 paged", st)
 	}

@@ -225,10 +225,73 @@ type shardResult struct {
 	done    bool
 }
 
-// fanOut runs fn against every shard concurrently and collects the
-// results in shard order. The first error wins.
-func (rt *Router) fanOut(fn func(s Shard) (*shardResult, error)) ([]*shardResult, error) {
-	return rt.fanOut2(func(_ int, s Shard) (*shardResult, error) { return fn(s) })
+// each runs fn against every shard concurrently and returns every
+// shard's error in shard order (nil where the leg succeeded). It is the
+// router's one fan-out: each leg is timed into its shard's fan-out
+// histogram, so a slow or skewed shard is visible per shard rather than
+// folded into the merged latency. Reads surface the first error
+// (firstErr); mutations join them all, each named by its shard
+// (joinErrs).
+func (rt *Router) each(fn func(i int, s Shard) error) []error {
+	errs := make([]error, len(rt.shards))
+	var wg sync.WaitGroup
+	for i, s := range rt.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			span := rt.reg.Tracer().StartSpan("router.fanout")
+			errs[i] = fn(i, s)
+			span.SetAttr("shard", strconv.Itoa(i)).Observe(rt.fanoutSec[i], errs[i])
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// firstErr returns the first shard's error, in shard order.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// joinErrs aggregates every shard's error rather than surfacing only the
+// first. Mutating fan-outs (compaction, deletion) want this shape: one
+// failed shard must not mask what happened on the others, and the
+// caller needs to know exactly which shards still hold work to redo.
+func joinErrs(errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// throughCache answers key from the result cache when every shard
+// reports a generation and the cached answer is stamped with exactly
+// the current tuple; a hit's plan (if any) is marked Cached. Otherwise
+// it runs fill — the fan-out and merge — and retains its answer under
+// the tuple probed BEFORE the fan-out (see resultcache.go). A shard
+// that cannot report a generation bypasses the cache for this call.
+func (rt *Router) throughCache(key string, fill func() (routerAnswer, error)) (routerAnswer, error) {
+	stamp, probed := rt.probeGenerations()
+	if probed {
+		if a, ok := rt.cached(key, stamp); ok {
+			if a.plan != nil {
+				a.plan.Cached = true
+			}
+			return a, nil
+		}
+	}
+	a, err := fill()
+	if err == nil && probed {
+		rt.retain(key, stamp, a)
+	}
+	return a, err
 }
 
 // mergeRecords k-way-merges per-shard result slices (each already in
@@ -298,10 +361,11 @@ func mergeRecords(parts [][]core.Record, limit int, countAll bool) (out []core.R
 // shard answered from its indexes, Cached only when every shard served
 // from cache, and Dims reports the first indexed shard's choice (shard
 // planners run independently; their orders can differ).
-func mergePlans(plans []*prep.QueryPlan) *prep.QueryPlan {
+func mergePlans(results []shardResult) *prep.QueryPlan {
 	merged := &prep.QueryPlan{Strategy: prep.PlanIndex, Cached: true}
 	seen := false
-	for _, p := range plans {
+	for _, r := range results {
+		p := r.plan
 		if p == nil {
 			continue
 		}
@@ -336,30 +400,7 @@ func mergePlans(plans []*prep.QueryPlan) *prep.QueryPlan {
 // Limit-free answers deduct every twin.
 // provlint:typed-faults
 func (rt *Router) Query(q *prep.Query) ([]core.Record, int, error) {
-	if err := q.Validate(); err != nil {
-		return nil, 0, err
-	}
-	key := "q|" + query.CacheKey(q)
-	stamp, probed := rt.probeGenerations()
-	if probed {
-		if a, ok := rt.cached(key, stamp); ok {
-			return a.recs, a.total, nil
-		}
-	}
-	results, err := rt.fanOut(func(s Shard) (*shardResult, error) {
-		recs, total, err := s.Query(q)
-		if err != nil {
-			return nil, err
-		}
-		return &shardResult{records: recs, total: total}, nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	recs, total, err := rt.mergeQueryResults(q, results)
-	if err == nil && probed {
-		rt.retain(key, stamp, routerAnswer{recs: recs, total: total})
-	}
+	recs, total, _, err := rt.queryShards(q, false)
 	return recs, total, err
 }
 
@@ -367,44 +408,43 @@ func (rt *Router) Query(q *prep.Query) ([]core.Record, int, error) {
 // and merges records, totals and plans.
 // provlint:typed-faults
 func (rt *Router) QueryPlanned(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, error) {
+	return rt.queryShards(q, true)
+}
+
+// queryShards is the one body of Query (planned false: each shard's
+// scan path, no plan) and QueryPlanned (each shard's planner, plans
+// merged).
+// provlint:typed-faults
+func (rt *Router) queryShards(q *prep.Query, planned bool) ([]core.Record, int, *prep.QueryPlan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, 0, nil, err
 	}
-	key := "p|" + query.CacheKey(q)
-	stamp, probed := rt.probeGenerations()
-	if probed {
-		if a, ok := rt.cached(key, stamp); ok {
-			plan := a.plan
-			if plan == nil {
-				plan = &prep.QueryPlan{}
+	kind := "q|"
+	if planned {
+		kind = "p|"
+	}
+	a, err := rt.throughCache(kind+query.CacheKey(q), func() (routerAnswer, error) {
+		results := make([]shardResult, len(rt.shards))
+		err := firstErr(rt.each(func(i int, s Shard) (err error) {
+			r := &results[i]
+			if planned {
+				r.records, r.total, r.plan, err = s.QueryPlanned(q)
+			} else {
+				r.records, r.total, err = s.Query(q)
 			}
-			plan.Cached = true
-			return a.recs, a.total, plan, nil
-		}
-	}
-	results, err := rt.fanOut(func(s Shard) (*shardResult, error) {
-		recs, total, plan, err := s.QueryPlanned(q)
+			return err
+		}))
 		if err != nil {
-			return nil, err
+			return routerAnswer{}, err
 		}
-		return &shardResult{records: recs, total: total, plan: plan}, nil
+		a := routerAnswer{}
+		a.recs, a.total = rt.mergeQueryResults(q, results)
+		if planned {
+			a.plan = mergePlans(results)
+		}
+		return a, nil
 	})
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	recs, total, err := rt.mergeQueryResults(q, results)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	plans := make([]*prep.QueryPlan, len(results))
-	for i, r := range results {
-		plans[i] = r.plan
-	}
-	merged := mergePlans(plans)
-	if probed {
-		rt.retain(key, stamp, routerAnswer{recs: recs, total: total, plan: merged})
-	}
-	return recs, total, merged, nil
+	return a.recs, a.total, a.plan, err
 }
 
 // observeMergeWidth records how many shards contributed records to a
@@ -424,7 +464,7 @@ func (rt *Router) observeMergeWidth(parts [][]core.Record) {
 // Limit is 0), so the union's first Limit records are guaranteed to be
 // among the fetched ones; twins sort adjacent and collapse, each one
 // also deducted from the summed total.
-func (rt *Router) mergeQueryResults(q *prep.Query, results []*shardResult) ([]core.Record, int, error) {
+func (rt *Router) mergeQueryResults(q *prep.Query, results []shardResult) ([]core.Record, int) {
 	parts := make([][]core.Record, len(results))
 	total := 0
 	for i, r := range results {
@@ -437,7 +477,7 @@ func (rt *Router) mergeQueryResults(q *prep.Query, results []*shardResult) ([]co
 	if total < len(merged) {
 		total = len(merged)
 	}
-	return merged, total, nil
+	return merged, total
 }
 
 // compositeCursorPrefix tags a Router page cursor. A cursor without the
@@ -559,33 +599,33 @@ func (rt *Router) QueryPage(q *prep.Query, after string, pageSize int) ([]core.R
 	}
 
 	key := "g|" + query.CacheKey(q) + "|a=" + url.QueryEscape(after) + "|n=" + strconv.Itoa(pageSize)
-	stamp, probed := rt.probeGenerations()
-	if probed {
-		if a, ok := rt.cached(key, stamp); ok {
-			plan := a.plan
-			if plan == nil {
-				plan = &prep.QueryPlan{}
+	a, err := rt.throughCache(key, func() (routerAnswer, error) {
+		results := make([]shardResult, len(rt.shards))
+		err := firstErr(rt.each(func(i int, s Shard) (err error) {
+			// A shard that proved exhaustion on an earlier page answers
+			// empty without being asked again.
+			if exhausted[i] {
+				results[i].done = true
+				return nil
 			}
-			plan.Cached = true
-			return a.recs, a.next, a.done, plan, nil
-		}
-	}
-	results, err := rt.fanOut2(func(i int, s Shard) (*shardResult, error) {
-		// A shard that proved exhaustion on an earlier page answers
-		// empty without being asked again.
-		if exhausted[i] {
-			return &shardResult{done: true}, nil
-		}
-		recs, next, done, plan, err := s.QueryPage(q, cursors[i], pageSize)
+			r := &results[i]
+			r.records, r.next, r.done, r.plan, err = s.QueryPage(q, cursors[i], pageSize)
+			return err
+		}))
 		if err != nil {
-			return nil, err
+			return routerAnswer{}, err
 		}
-		return &shardResult{records: recs, plan: plan, next: next, done: done}, nil
+		return rt.mergePage(results, cursors, exhausted, pageSize), nil
 	})
-	if err != nil {
-		return nil, "", false, nil, err
-	}
+	return a.recs, a.next, a.done, a.plan, err
+}
 
+// mergePage merges one page's per-shard answers: the first pageSize
+// records in storage-key order form the page, and each shard's cursor
+// advances past its consumed records (a shard none of whose fetched
+// records made the cut keeps its old cursor). exhausted is updated in
+// place for the next cursor.
+func (rt *Router) mergePage(results []shardResult, cursors []string, exhausted []bool, pageSize int) routerAnswer {
 	parts := make([][]core.Record, len(results))
 	for i, r := range results {
 		parts[i] = r.records
@@ -593,13 +633,11 @@ func (rt *Router) QueryPage(q *prep.Query, after string, pageSize int) ([]core.R
 	rt.observeMergeWidth(parts)
 	merged, _ := mergeRecords(parts, pageSize, false)
 
-	// Advance each shard's cursor past its consumed records; a shard
-	// none of whose fetched records made the cut keeps its old cursor.
 	consumed := make(map[string]bool, len(merged))
 	for i := range merged {
 		consumed[merged[i].StorageKey()] = true
 	}
-	nextCursors := make([]string, len(rt.shards))
+	nextCursors := make([]string, len(results))
 	done := true
 	for i, r := range results {
 		nextCursors[i] = cursors[i]
@@ -619,91 +657,28 @@ func (rt *Router) QueryPage(q *prep.Query, after string, pageSize int) ([]core.R
 			done = false
 		}
 	}
-
-	plans := make([]*prep.QueryPlan, len(results))
-	for i, r := range results {
-		plans[i] = r.plan
-	}
 	next := ""
 	if !done && len(merged) > 0 {
 		next = encodeCursor(rt.fp, nextCursors, exhausted)
 	}
-	mergedPlan := mergePlans(plans)
-	if probed {
-		rt.retain(key, stamp, routerAnswer{recs: merged, plan: mergedPlan, next: next, done: done})
-	}
-	return merged, next, done, mergedPlan, nil
-}
-
-// fanOut2 is fanOut with the shard index in hand. Each shard's leg is
-// timed into its fan-out histogram, so a slow or skewed shard is
-// visible per shard rather than folded into the merged latency.
-func (rt *Router) fanOut2(fn func(i int, s Shard) (*shardResult, error)) ([]*shardResult, error) {
-	results := make([]*shardResult, len(rt.shards))
-	errs := make([]error, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, s := range rt.shards {
-		wg.Add(1)
-		go func(i int, s Shard) {
-			defer wg.Done()
-			span := rt.reg.Tracer().StartSpan("router.fanout")
-			results[i], errs[i] = fn(i, s)
-			span.SetAttr("shard", strconv.Itoa(i)).Observe(rt.fanoutSec[i], errs[i])
-		}(i, s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-// fanOutJoin runs fn against every shard concurrently and aggregates
-// every shard's error rather than surfacing only the first. Mutating
-// fan-outs (compaction, deletion) want this shape: one failed shard
-// must not mask what happened on the others, and the caller needs to
-// know exactly which shards still hold work to redo. Each leg is timed
-// into its fan-out histogram like fanOut2.
-func (rt *Router) fanOutJoin(fn func(i int, s Shard) error) error {
-	errs := make([]error, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, s := range rt.shards {
-		wg.Add(1)
-		go func(i int, s Shard) {
-			defer wg.Done()
-			span := rt.reg.Tracer().StartSpan("router.fanout")
-			err := fn(i, s)
-			span.SetAttr("shard", strconv.Itoa(i)).Observe(rt.fanoutSec[i], err)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-			}
-		}(i, s)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return routerAnswer{recs: merged, plan: mergePlans(results), next: next, done: done}
 }
 
 // Sessions unions the shards' session listings, sorted and distinct.
 // provlint:typed-faults
 func (rt *Router) Sessions() ([]ids.ID, error) {
+	per := make([][]ids.ID, len(rt.shards))
+	if err := firstErr(rt.each(func(i int, s Shard) (err error) {
+		per[i], err = s.Sessions()
+		return err
+	})); err != nil {
+		return nil, err
+	}
 	seen := make(map[string]ids.ID)
-	var mu sync.Mutex
-	_, err := rt.fanOut(func(s Shard) (*shardResult, error) {
-		sess, err := s.Sessions()
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
+	for _, sess := range per {
 		for _, id := range sess {
 			seen[id.String()] = id
 		}
-		mu.Unlock()
-		return &shardResult{}, nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	keys := make([]string, 0, len(seen))
 	for k := range seen {
@@ -721,21 +696,33 @@ func (rt *Router) Sessions() ([]ids.ID, error) {
 // while a twin (see mergeRecords) counts once per shard holding it.
 // provlint:typed-faults
 func (rt *Router) Count() (prep.CountResponse, error) {
-	var mu sync.Mutex
+	per := make([]prep.CountResponse, len(rt.shards))
+	err := firstErr(rt.each(func(i int, s Shard) (err error) {
+		per[i], err = s.Count()
+		return err
+	}))
 	var sum prep.CountResponse
-	_, err := rt.fanOut(func(s Shard) (*shardResult, error) {
-		c, err := s.Count()
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
+	for _, c := range per {
 		sum.Records += c.Records
 		sum.Interactions += c.Interactions
 		sum.ActorStates += c.ActorStates
-		mu.Unlock()
-		return &shardResult{}, nil
-	})
+	}
 	return sum, err
+}
+
+// deleteEach fans a deletion out to every shard, sums the per-shard
+// deletions and joins the per-shard errors.
+func (rt *Router) deleteEach(del func(s Shard) (int, error)) (int, error) {
+	per := make([]int, len(rt.shards))
+	err := joinErrs(rt.each(func(i int, s Shard) (err error) {
+		per[i], err = del(s)
+		return err
+	}))
+	deleted := 0
+	for _, n := range per {
+		deleted += n
+	}
+	return deleted, err
 }
 
 // DeleteRecords fans a batched deletion out to every shard and sums the
@@ -745,16 +732,7 @@ func (rt *Router) Count() (prep.CountResponse, error) {
 // no-ops.
 // provlint:typed-faults
 func (rt *Router) DeleteRecords(keys []string) (int, error) {
-	var mu sync.Mutex
-	deleted := 0
-	err := rt.fanOutJoin(func(_ int, s Shard) error {
-		n, err := s.DeleteRecords(keys)
-		mu.Lock()
-		deleted += n
-		mu.Unlock()
-		return err
-	})
-	return deleted, err
+	return rt.deleteEach(func(s Shard) (int, error) { return s.DeleteRecords(keys) })
 }
 
 // DeleteSession fans the session retraction out to every shard (a twin
@@ -765,25 +743,16 @@ func (rt *Router) DeleteSession(session ids.ID) (int, error) {
 	if !session.Valid() {
 		return 0, ErrInvalidSession
 	}
-	var mu sync.Mutex
-	deleted := 0
-	err := rt.fanOutJoin(func(_ int, s Shard) error {
-		n, err := s.DeleteSession(session)
-		mu.Lock()
-		deleted += n
-		mu.Unlock()
-		return err
-	})
-	return deleted, err
+	return rt.deleteEach(func(s Shard) (int, error) { return s.DeleteSession(session) })
 }
 
 // Compact fans compaction out to every shard. Shards compact
 // independently, so one failure does not stop the others; the joined
 // error names every shard that still holds garbage.
 func (rt *Router) Compact() error {
-	return rt.fanOutJoin(func(_ int, s Shard) error {
+	return joinErrs(rt.each(func(_ int, s Shard) error {
 		return s.Compact()
-	})
+	}))
 }
 
 // CompactAbove compacts only the shards whose own garbage ratio has
@@ -796,12 +765,12 @@ func (rt *Router) CompactAbove(threshold float64) error {
 	if threshold < 0 {
 		return nil
 	}
-	return rt.fanOutJoin(func(_ int, s Shard) error {
+	return joinErrs(rt.each(func(_ int, s Shard) error {
 		if s.GarbageRatio() >= threshold {
 			return s.Compact()
 		}
 		return nil
-	})
+	}))
 }
 
 // GarbageRatio reports the worst shard's dead-byte fraction — the shard
@@ -833,42 +802,36 @@ func (rt *Router) Tombstones() int64 {
 // — a remote shard's stats cost a wire round trip.
 func (rt *Router) ShardStats() ([]prep.ShardStats, error) {
 	out := make([]prep.ShardStats, len(rt.shards))
-	errs := make([]error, len(rt.shards))
-	var wg sync.WaitGroup
-	for i, s := range rt.shards {
-		wg.Add(1)
-		go func(i int, s Shard) {
-			defer wg.Done()
-			var st prep.ShardStats
-			var err error
-			if ss, ok := s.(ShardStatser); ok {
-				st, err = ss.ShardStats()
-			} else {
-				var count prep.CountResponse
-				count, err = s.Count()
-				st = prep.ShardStats{
-					Records:      count.Records,
-					GarbageRatio: s.GarbageRatio(),
-					Tombstones:   s.Tombstones(),
-				}
-				if es, ok := s.(EngineStatser); ok {
-					st.Engine = es.EngineStats().Wire()
-				}
-			}
-			st.Index = i
-			if u, ok := s.(interface{ URL() string }); ok {
-				st.URL = u.URL()
-			}
-			out[i], errs[i] = st, err
-		}(i, s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	if err := firstErr(rt.each(func(i int, s Shard) error {
+		st, err := baseShardStats(s)
+		st.Index = i
+		if u, ok := s.(interface{ URL() string }); ok {
+			st.URL = u.URL()
 		}
+		out[i] = st
+		return err
+	})); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// baseShardStats is one shard's ShardStats, or — for a shard without
+// them — what the base Shard surface can report.
+func baseShardStats(s Shard) (prep.ShardStats, error) {
+	if ss, ok := s.(ShardStatser); ok {
+		return ss.ShardStats()
+	}
+	count, err := s.Count()
+	st := prep.ShardStats{
+		Records:      count.Records,
+		GarbageRatio: s.GarbageRatio(),
+		Tombstones:   s.Tombstones(),
+	}
+	if es, ok := s.(EngineStatser); ok {
+		st.Engine = es.EngineStats()
+	}
+	return st, err
 }
 
 // EngineStats implements EngineStatser by aggregating over the shards
@@ -878,7 +841,7 @@ func (rt *Router) EngineStats() EngineStats {
 	var sum EngineStats
 	for _, s := range rt.shards {
 		if es, ok := s.(EngineStatser); ok {
-			sum.add(es.EngineStats())
+			sum.Add(es.EngineStats())
 		}
 	}
 	return sum

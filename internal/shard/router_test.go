@@ -584,7 +584,7 @@ func TestRouterStatsAggregateShards(t *testing.T) {
 	if stats[0].URL != "" || stats[1].URL != "http://b" || stats[2].GarbageRatio != 0.25 {
 		t.Fatalf("shard identities/fallback wrong: %+v", stats)
 	}
-	if stats[0].Engine != full.EngineStats().Wire() || len(stats[0].Histograms) == 0 {
+	if stats[0].Engine != full.EngineStats() || len(stats[0].Histograms) == 0 {
 		t.Fatalf("local shard stats not in full: %+v", stats[0])
 	}
 
@@ -592,9 +592,6 @@ func TestRouterStatsAggregateShards(t *testing.T) {
 	es := rt.EngineStats()
 	if es != full.EngineStats() || es.IndexPlans == 0 {
 		t.Fatalf("router engine stats %+v, want the local shard's %+v", es, full.EngineStats())
-	}
-	if back := EngineStatsFromWire(es.Wire()); back != es {
-		t.Fatalf("engine stats wire round trip: %+v -> %+v", es, back)
 	}
 	var tombs int64
 	for i := 0; i < rt.NumShards(); i++ {

@@ -66,64 +66,16 @@ type Shard interface {
 	Close() error
 }
 
-// EngineStats aggregates a shard's query-engine telemetry (zero for
-// shards that cannot report it, e.g. remote endpoints).
-type EngineStats struct {
-	CacheHits         int64
-	CacheMisses       int64
-	IndexPlans        int64
-	ScanPlans         int64
-	PagedQueries      int64
-	CostProbes        int64
-	PostingsRead      int64
-	CandidatesFetched int64
-}
-
-// add accumulates o into s.
-func (s *EngineStats) add(o EngineStats) {
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.IndexPlans += o.IndexPlans
-	s.ScanPlans += o.ScanPlans
-	s.PagedQueries += o.PagedQueries
-	s.CostProbes += o.CostProbes
-	s.PostingsRead += o.PostingsRead
-	s.CandidatesFetched += o.CandidatesFetched
-}
+// EngineStats is a shard's query-engine telemetry. The counter set is
+// declared once, as its wire form prep.EngineCounters; the alias keeps
+// the shard-side name that benchmark/ uses.
+type EngineStats = prep.EngineCounters
 
 // EngineStatser is implemented by shards that can report query-engine
 // telemetry (local shards, and remote shards via the stats wire
 // action; the Router aggregates over them).
 type EngineStatser interface {
 	EngineStats() EngineStats
-}
-
-// Wire converts the stats to their urn:prep:stats wire form.
-func (s EngineStats) Wire() prep.EngineCounters {
-	return prep.EngineCounters{
-		CacheHits:         s.CacheHits,
-		CacheMisses:       s.CacheMisses,
-		IndexPlans:        s.IndexPlans,
-		ScanPlans:         s.ScanPlans,
-		PagedQueries:      s.PagedQueries,
-		CostProbes:        s.CostProbes,
-		PostingsRead:      s.PostingsRead,
-		CandidatesFetched: s.CandidatesFetched,
-	}
-}
-
-// EngineStatsFromWire converts wire counters back to EngineStats.
-func EngineStatsFromWire(c prep.EngineCounters) EngineStats {
-	return EngineStats{
-		CacheHits:         c.CacheHits,
-		CacheMisses:       c.CacheMisses,
-		IndexPlans:        c.IndexPlans,
-		ScanPlans:         c.ScanPlans,
-		PagedQueries:      c.PagedQueries,
-		CostProbes:        c.CostProbes,
-		PostingsRead:      c.PostingsRead,
-		CandidatesFetched: c.CandidatesFetched,
-	}
 }
 
 // ShardStatser is implemented by shards that can report full telemetry
@@ -264,44 +216,25 @@ func (l *Local) ShardStats() (prep.ShardStats, error) {
 		return prep.ShardStats{}, err
 	}
 	rc := l.s.ReadCacheStats()
-	wp := l.s.WritePathStats()
 	return prep.ShardStats{
 		Records:      count.Records,
 		GarbageRatio: l.s.GarbageRatio(),
 		Tombstones:   l.s.Tombstones(),
-		Engine:       l.EngineStats().Wire(),
+		Engine:       l.e.Stats(),
 		ReadCache: prep.ReadCacheCounters{
 			BlockCacheHits:    rc.BlockCacheHits,
 			BlockCacheMisses:  rc.BlockCacheMisses,
 			BlockCacheBytes:   rc.BlockCacheBytes,
 			BlockCacheEntries: rc.BlockCacheEntries,
 		},
-		WritePath: prep.WritePathCounters{
-			CompactionsInProgress: wp.CompactionsInProgress,
-			StallCount:            wp.StallCount,
-			StallSeconds:          wp.StallSeconds,
-			StallP99:              wp.StallP99,
-		},
+		WritePath:  l.s.WritePathStats(),
 		Histograms: HistogramStats(l.s.Obs()),
 		Slow:       SlowSpans(l.s.Obs().Tracer()),
 	}, nil
 }
 
 // EngineStats implements EngineStatser.
-func (l *Local) EngineStats() EngineStats {
-	c := l.e.CacheStats()
-	p := l.e.PlannerStats()
-	return EngineStats{
-		CacheHits:         c.Hits,
-		CacheMisses:       c.Misses,
-		IndexPlans:        p.IndexPlans,
-		ScanPlans:         p.ScanPlans,
-		PagedQueries:      p.PagedQueries,
-		CostProbes:        p.CostProbes,
-		PostingsRead:      p.PostingsRead,
-		CandidatesFetched: p.CandidatesFetched,
-	}
-}
+func (l *Local) EngineStats() EngineStats { return l.e.Stats() }
 
 // AffinityTerm is the string a record's home shard is hashed from: the
 // record's session group when it has one (a session's whole lineage

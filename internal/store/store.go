@@ -212,21 +212,10 @@ func (s *Store) ReadCacheStats() ReadCacheStats {
 	}
 }
 
-// WritePathStats is a snapshot of write-path health: how many backend
-// compactions are running right now, and the commit-stall distribution
-// (per-call commit sections and index flushes) summarised as
-// count, total seconds and p99.
-type WritePathStats struct {
-	CompactionsInProgress int64
-	StallCount            int64
-	StallSeconds          float64
-	StallP99              float64
-}
-
 // WritePathStats reports the write-path health counters.
-func (s *Store) WritePathStats() WritePathStats {
+func (s *Store) WritePathStats() prep.WritePathCounters {
 	snap := s.writeStallSec.Snapshot()
-	return WritePathStats{
+	return prep.WritePathCounters{
 		CompactionsInProgress: s.compacting.Load(),
 		StallCount:            snap.Count,
 		StallSeconds:          snap.Sum,
