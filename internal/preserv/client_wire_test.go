@@ -291,11 +291,11 @@ func TestDecodedMessagesOwnTheirBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decode := func(data []byte) interface{} {
+		decode := func(data []byte) interface{} { // as Post and ServeHTTP do
 			into := fresh()
-			_, body, err := soap.Unmarshal(data)
+			msg, err := soap.ReadEnvelope(data)
 			if err == nil {
-				err = soap.DecodeBody(body, into)
+				err = msg.Decode(into)
 			}
 			if err != nil {
 				t.Fatalf("%T: %v", msg, err)

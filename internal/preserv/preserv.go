@@ -128,11 +128,11 @@ func (p *StorePlugIn) Actions() []string {
 // must stay errors.Is-matchable across the wire.
 //
 // provlint:typed-faults
-func (p *StorePlugIn) Handle(action string, body []byte) (interface{}, error) {
+func (p *StorePlugIn) Handle(action string, body *soap.Message) (interface{}, error) {
 	switch action {
 	case prep.ActionRecord:
 		var req prep.RecordRequest
-		if err := soap.DecodeBody(body, &req); err != nil {
+		if err := body.Decode(&req); err != nil {
 			p.requests.Add(1)
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad record request: " + err.Error()}
 		}
@@ -151,7 +151,7 @@ func (p *StorePlugIn) Handle(action string, body []byte) (interface{}, error) {
 		return &prep.RecordResponse{Accepted: accepted, Rejects: rejects}, nil
 	case prep.ActionDelete:
 		var req prep.DeleteRequest
-		if err := soap.DecodeBody(body, &req); err != nil {
+		if err := body.Decode(&req); err != nil {
 			p.deleteRequests.Add(1)
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad delete request: " + err.Error()}
 		}
@@ -190,7 +190,7 @@ func (p *StorePlugIn) Handle(action string, body []byte) (interface{}, error) {
 		return resp, nil
 	case prep.ActionCompact:
 		var req prep.CompactRequest
-		if err := soap.DecodeBody(body, &req); err != nil {
+		if err := body.Decode(&req); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad compact request: " + err.Error()}
 		}
 		before := p.prov.GarbageRatio()
@@ -261,12 +261,12 @@ func (p *QueryPlugIn) Actions() []string {
 // must stay errors.Is-matchable across the wire.
 //
 // provlint:typed-faults
-func (p *QueryPlugIn) Handle(action string, body []byte) (interface{}, error) {
+func (p *QueryPlugIn) Handle(action string, body *soap.Message) (interface{}, error) {
 	p.requests.Add(1)
 	switch action {
 	case prep.ActionQuery:
 		var q prep.Query
-		if err := soap.DecodeBody(body, &q); err != nil {
+		if err := body.Decode(&q); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad query: " + err.Error()}
 		}
 		records, total, err := p.prov.Query(&q)
@@ -276,7 +276,7 @@ func (p *QueryPlugIn) Handle(action string, body []byte) (interface{}, error) {
 		return &prep.QueryResponse{Total: total, Records: records}, nil
 	case prep.ActionPlannedQuery:
 		var q prep.Query
-		if err := soap.DecodeBody(body, &q); err != nil {
+		if err := body.Decode(&q); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad query: " + err.Error()}
 		}
 		records, total, plan, err := p.prov.QueryPlanned(&q)
@@ -286,7 +286,7 @@ func (p *QueryPlugIn) Handle(action string, body []byte) (interface{}, error) {
 		return &prep.PlannedQueryResponse{Total: total, Plan: *plan, Records: records}, nil
 	case prep.ActionQueryPage:
 		var req prep.PageQueryRequest
-		if err := soap.DecodeBody(body, &req); err != nil {
+		if err := body.Decode(&req); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad page query: " + err.Error()}
 		}
 		records, next, done, plan, err := p.prov.QueryPage(&req.Query, req.After, req.PageSize)
@@ -334,9 +334,9 @@ func (p *StatsPlugIn) Actions() []string { return []string{prep.ActionStats} }
 // must stay errors.Is-matchable across the wire.
 //
 // provlint:typed-faults
-func (p *StatsPlugIn) Handle(action string, body []byte) (interface{}, error) {
+func (p *StatsPlugIn) Handle(action string, body *soap.Message) (interface{}, error) {
 	var req prep.StatsRequest
-	if err := soap.DecodeBody(body, &req); err != nil {
+	if err := body.Decode(&req); err != nil {
 		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad stats request: " + err.Error()}
 	}
 	return p.svc.StatsResponse()
@@ -369,7 +369,7 @@ func (th *timedHandler) Actions() []string { return th.inner.Actions() }
 // must stay errors.Is-matchable across the wire.
 //
 // provlint:typed-faults
-func (th *timedHandler) Handle(action string, body []byte) (interface{}, error) {
+func (th *timedHandler) Handle(action string, body *soap.Message) (interface{}, error) {
 	span := th.reg.Tracer().StartSpan("preserv." + actionShort(action))
 	reply, err := th.inner.Handle(action, body)
 	span.Observe(th.hists[action], err)

@@ -77,10 +77,24 @@ func TestForeignEnvelopeIsRecordedAndQueried(t *testing.T) {
 
 // What the wire decoder refuses — malformed XML, and the well-formed
 // constructs it does not support — is client input: every action
-// answers it with a bad-request fault, and the store is untouched.
+// answers it with a bad-request fault, and the store is untouched. The
+// body is decoded where the envelope scan reaches it, so this also pins
+// that no plug-in acts on a request before the envelope's end is read:
+// a well-formed Record whose envelope goes wrong after its Body leaves
+// no record behind.
 func TestUndecodableRequestsFaultAsBadRequest(t *testing.T) {
 	client, svc := startServer(t)
+	data, err := soap.Marshal(prep.ActionRecord, &prep.RecordRequest{Asserter: "svc:enactor", Records: []core.Record{mkRecord(ids.New(), "svc:gzip")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := strings.TrimSuffix(string(data), "</Envelope>")
+	recordBody := record[strings.Index(record, "<Body>"):]
 	requests := map[string]string{
+		"tail after record":   record + `<x><y></x></Envelope>`,
+		"second body":         record + recordBody + `</Envelope>`,
+		"header after body":   record + `<Header><action>` + prep.ActionCount + `</action></Header></Envelope>`,
+		"sessions, bad tail":  strings.TrimSuffix(envelope(prep.ActionSessions, ``), "</Envelope>") + `<x>`,
 		"doctype":             `<!DOCTYPE Envelope>` + envelope(prep.ActionRecord, `<RecordRequest/>`),
 		"cdata body":          envelope(prep.ActionRecord, `<![CDATA[<RecordRequest/>]]>`),
 		"comment in scalar":   envelope(prep.ActionRecord, `<RecordRequest><asserter>svc:<!-- x -->enactor</asserter></RecordRequest>`),

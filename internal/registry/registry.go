@@ -302,11 +302,11 @@ func (h handler) Actions() []string {
 }
 
 // Handle implements soap.Handler.
-func (h handler) Handle(action string, body []byte) (interface{}, error) {
+func (h handler) Handle(action string, body *soap.Message) (interface{}, error) {
 	switch action {
 	case ActionPublish:
 		var d ServiceDescription
-		if err := soap.DecodeBody(body, &d); err != nil {
+		if err := body.Decode(&d); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
 		}
 		if err := h.reg.Publish(&d); err != nil {
@@ -315,7 +315,7 @@ func (h handler) Handle(action string, body []byte) (interface{}, error) {
 		return &PublishResponse{Service: d.Service}, nil
 	case ActionLookup:
 		var req LookupRequest
-		if err := soap.DecodeBody(body, &req); err != nil {
+		if err := body.Decode(&req); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
 		}
 		d, ok := h.reg.Lookup(req.Service)
@@ -325,7 +325,7 @@ func (h handler) Handle(action string, body []byte) (interface{}, error) {
 		return d, nil
 	case ActionOperations:
 		var req OperationsRequest
-		if err := soap.DecodeBody(body, &req); err != nil {
+		if err := body.Decode(&req); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
 		}
 		d, ok := h.reg.Lookup(req.Service)
@@ -339,7 +339,7 @@ func (h handler) Handle(action string, body []byte) (interface{}, error) {
 		return &OperationsResponse{Operations: ops}, nil
 	case ActionPartType:
 		var req PartTypeRequest
-		if err := soap.DecodeBody(body, &req); err != nil {
+		if err := body.Decode(&req); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
 		}
 		typ, err := h.reg.PartType(req.Service, req.Operation, req.Direction, req.Part)
@@ -349,7 +349,7 @@ func (h handler) Handle(action string, body []byte) (interface{}, error) {
 		return &PartTypeResponse{SemanticType: typ}, nil
 	case ActionAttach:
 		var req AttachRequest
-		if err := soap.DecodeBody(body, &req); err != nil {
+		if err := body.Decode(&req); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
 		}
 		if err := h.reg.AttachMetadata(req.Service, req.Key, req.Value); err != nil {
@@ -358,7 +358,7 @@ func (h handler) Handle(action string, body []byte) (interface{}, error) {
 		return &AttachResponse{}, nil
 	case ActionFind:
 		var req FindRequest
-		if err := soap.DecodeBody(body, &req); err != nil {
+		if err := body.Decode(&req); err != nil {
 			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
 		}
 		return &FindResponse{Services: h.reg.FindByMetadata(req.Key, req.Value)}, nil
@@ -366,10 +366,7 @@ func (h handler) Handle(action string, body []byte) (interface{}, error) {
 	return nil, &soap.Fault{Code: soap.FaultBadAction, Message: action}
 }
 
-// Handler returns the registry's HTTP handler.
-func (r *Registry) Handler() interface {
-	Actions() []string
-	Handle(string, []byte) (interface{}, error)
-} {
+// Handler returns the registry's soap plug-in.
+func (r *Registry) Handler() soap.Handler {
 	return handler{reg: r}
 }

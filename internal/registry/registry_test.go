@@ -6,6 +6,7 @@ import (
 
 	"preserv/internal/core"
 	"preserv/internal/ontology"
+	"preserv/internal/soap"
 )
 
 func gzipDescription() *ServiceDescription {
@@ -344,20 +345,14 @@ func TestRegistryHandlerInterface(t *testing.T) {
 	if _, err := h.Handle("urn:other", nil); err == nil {
 		t.Error("unknown action should fail")
 	}
-	if _, err := h.Handle(ActionPublish, []byte("not-xml")); err == nil {
-		t.Error("garbage publish body should fail")
-	}
-	if _, err := h.Handle(ActionLookup, []byte("junk")); err == nil {
-		t.Error("garbage lookup body should fail")
-	}
-	if _, err := h.Handle(ActionPartType, []byte("junk")); err == nil {
-		t.Error("garbage part-type body should fail")
-	}
-	if _, err := h.Handle(ActionAttach, []byte("junk")); err == nil {
-		t.Error("garbage attach body should fail")
-	}
-	if _, err := h.Handle(ActionFind, []byte("junk")); err == nil {
-		t.Error("garbage find body should fail")
+	for _, action := range []string{ActionPublish, ActionLookup, ActionPartType, ActionAttach, ActionFind} {
+		msg, err := soap.ReadEnvelope([]byte(`<Envelope><Header><action>` + action + `</action></Header><Body>junk</Body></Envelope>`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Handle(action, msg); err == nil {
+			t.Errorf("garbage %s body should fail", action)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func Serve(r *Registry, addr string) (*Server, error) {
 	srv := &Server{
 		URL:     "http://" + ln.Addr().String(),
 		ln:      ln,
-		httpSrv: &http.Server{Handler: soap.NewHTTPHandler(handler{reg: r}), ReadHeaderTimeout: 10 * time.Second},
+		httpSrv: &http.Server{Handler: soap.NewHTTPHandler(r.Handler()), ReadHeaderTimeout: 10 * time.Second},
 		done:    make(chan struct{}),
 	}
 	go func() {

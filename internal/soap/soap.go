@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"unicode"
 	"unicode/utf8"
 
 	"preserv/internal/ids"
@@ -199,58 +200,234 @@ func Marshal(action string, payload interface{}) ([]byte, error) {
 	return bytes.Clone(data), nil
 }
 
-// Unmarshal parses an envelope, returning its action and raw body. The
-// whole envelope is checked for well-formedness; the body's bytes are
-// located, not decoded.
+// Unmarshal parses an envelope, returning its action and raw body. It
+// is ReadEnvelope's walk with every Body captured rather than decoded:
+// the whole envelope is checked for well-formedness, and the body's
+// bytes — the last Body's, when there are several — are located, not
+// decoded. Post and ServeHTTP read with ReadEnvelope; this stays for
+// callers that want the body's bytes.
 //
 // provlint:typed-faults
 func Unmarshal(data []byte) (action string, body []byte, err error) {
-	env := envelope{}
-	if err := decodeDocument(data, &env); err != nil {
-		return "", nil, fmt.Errorf("%w: %w", ErrNotEnvelope, err)
+	m := &Message{data: data, capture: true}
+	if err := m.open(); err != nil {
+		return "", nil, err
 	}
-	if env.action == "" {
-		return "", nil, fmt.Errorf("%w: missing action header", ErrNotEnvelope)
-	}
-	return env.action, env.body, nil
+	return m.action, m.body, nil
 }
 
-// envelope is what Unmarshal keeps of an Envelope: the action, and the
-// Body's inner bytes as they stand in the message. The message id is
-// checked and dropped — nothing reads it yet.
-type envelope struct {
-	action string
-	body   []byte
+// Message is an envelope read in one pass. ReadEnvelope reads it up to
+// its payload — the header first, as every encoder writes it and SOAP
+// 1.1 §4.2 requires — and Decode reads the payload where it stands,
+// then the rest of the envelope, so no byte is tokenised twice. A Body
+// that comes before the action header is captured as it is passed and
+// decoded from its bytes, as DecodeBody does; after a Body decoded in
+// place, a second Body or a Header that changes the action is refused
+// as xmlwire.ErrUnsupported. The message id is checked and dropped —
+// nothing reads it yet.
+type Message struct {
+	data    []byte
+	d       *xmlwire.Decoder
+	action  string
+	capture bool // capture every Body: Unmarshal's walk
+	// body holds the captured Body's bytes.
+	body []byte
+	// stopped is set once the walk has stopped at a Body it leaves to
+	// Decode, and pending while that Body is unread.
+	stopped, pending bool
+	// err is the first error reading the message met: it sticks.
+	err error
 }
 
-func (e *envelope) DecodeXML(d *xmlwire.Decoder) error {
-	if _, err := d.StartName("Envelope"); err != nil {
-		return err
+// ReadEnvelope reads the envelope in data up to its payload and returns
+// the message, whose action is known. The message reads data, which
+// must stay unchanged until it has been decoded.
+//
+// provlint:typed-faults
+func ReadEnvelope(data []byte) (*Message, error) {
+	m := &Message{data: data}
+	if err := m.open(); err != nil {
+		return nil, err
 	}
-	return d.Children(func(name []byte) (err error) {
-		switch string(name) {
-		case "Header":
-			return d.Children(func(name []byte) error {
-				switch string(name) {
-				case "action":
-					return d.String(&e.action)
-				case "messageId":
-					return d.Unmarshal(new(ids.ID))
-				}
-				return d.Skip()
-			})
-		case "Body":
-			e.body, err = d.InnerXML()
+	return m, nil
+}
+
+func (m *Message) open() error {
+	m.d = xmlwire.NewDecoder(m.data)
+	err := m.d.Root()
+	if err == nil {
+		_, err = m.d.StartName("Envelope")
+	}
+	if err == nil {
+		err = m.walk()
+	}
+	if err == nil && m.action == "" {
+		err = errors.New("missing action header")
+	}
+	if err != nil {
+		m.err = fmt.Errorf("%w: %w", ErrNotEnvelope, err)
+	}
+	return m.err
+}
+
+// unsupported is the refusal of a well-formed envelope the one-pass
+// reader cannot follow.
+func unsupported(what string) error {
+	return fmt.Errorf("%w: %s after the Body read in place", xmlwire.ErrUnsupported, what)
+}
+
+// walk reads the Envelope's children on from the decoder's position. It
+// returns at the Envelope's end tag or, unless capturing, at the first
+// Body the action header precedes, which it leaves to Decode.
+func (m *Message) walk() error {
+	d := m.d
+	for {
+		name, ok, err := d.Next()
+		if err != nil || !ok {
 			return err
 		}
-		return d.Skip()
-	})
+		switch string(name) {
+		case "Header":
+			action := m.action
+			if err := d.Children(m.headerField); err != nil {
+				return err
+			}
+			if m.stopped && m.action != action {
+				return unsupported("a Header changing the action")
+			}
+		case "Body":
+			switch {
+			case m.stopped:
+				return unsupported("a second Body")
+			case m.capture || m.action == "":
+				if m.body, err = d.InnerXML(); err != nil {
+					return err
+				}
+			default:
+				m.stopped, m.pending = true, true
+				return nil
+			}
+		default:
+			if err := d.Skip(); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+func (m *Message) headerField(name []byte) error {
+	switch string(name) {
+	case "action":
+		return m.d.String(&m.action)
+	case "messageId":
+		return m.d.Unmarshal(new(ids.ID))
+	}
+	return m.d.Skip()
+}
+
+// Decode reads the message's payload into v — by its own decoder where
+// it has one, by encoding/xml otherwise — and then the rest of the
+// envelope: a nil error means the whole message is well formed. A Fault
+// payload is returned as the error instead, as DecodeBody returns it;
+// with v nil, Decode only looks for one. A payload decoded in place is
+// decoded once.
+//
+// provlint:typed-faults
+func (m *Message) Decode(v interface{}) error {
+	if m.err == nil {
+		m.err = m.decode(v)
+	}
+	return m.err
+}
+
+func (m *Message) decode(v interface{}) error {
+	if !m.stopped { // the Body was captured, or there is none
+		if v == nil {
+			return bodyFault(m.body)
+		}
+		return DecodeBody(m.body, v)
+	}
+	if !m.pending {
+		return errors.New("soap: message body already read")
+	}
+	m.pending = false
+	d := m.d
+	dec, byHand := v.(wireDecoder)
+	if v != nil && !byHand {
+		body, err := d.InnerXML()
+		if err == nil {
+			err = m.rest(false)
+		}
+		if err != nil {
+			return err
+		}
+		return DecodeBody(body, v)
+	}
+	// The payload is read as DecodeBody reads it from its own bytes:
+	// names resolve without the envelope's namespace declarations, and a
+	// body that starts <Fault is tried as a fault first.
+	d.Fragment()
+	start := d.Offset()
+	name, ok, err := d.Next()
+	switch {
+	case err != nil:
+	case !ok: // an empty Body
+		if v != nil {
+			err = io.EOF
+		}
+	case string(name) == "Fault" && faultFirst(m.data[start:]):
+		f := new(Fault)
+		if err := f.DecodeXML(d); err != nil {
+			return fmt.Errorf("soap: decoding fault: %w", err)
+		}
+		if err := m.rest(true); err != nil {
+			return err
+		}
+		return f
+	case v == nil:
+		err = d.Skip()
+	default:
+		err = dec.DecodeXML(d)
+	}
+	if err != nil {
+		return fmt.Errorf("soap: decoding body: %w", err)
+	}
+	return m.rest(ok)
+}
+
+// rest reads the envelope on from the payload read in place: the rest
+// of the Body, when inBody, and what follows it.
+func (m *Message) rest(inBody bool) error {
+	var err error
+	if inBody {
+		err = m.d.Skip()
+	}
+	if err == nil {
+		err = m.walk()
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrNotEnvelope, err)
+	}
+	return nil
+}
+
+// finish reads what Decode has left of the envelope — all of it after
+// the header when nothing decoded the payload — and returns the error
+// reading the message met, Decode's included.
+func (m *Message) finish() error {
+	if m.err == nil && m.pending {
+		m.pending = false
+		m.err = m.rest(true)
+	}
+	return m.err
 }
 
 // DecodeBody parses an envelope body into v. If the body is a Fault it
-// is returned as the error instead. It is the one place a body is
-// decoded: by the hand-written decoder for the payloads that have one,
-// by encoding/xml for the rest.
+// is returned as the error instead. A body is decoded by the
+// hand-written decoder for the payloads that have one, by encoding/xml
+// for the rest. It decodes a body Unmarshal located, and is what
+// Message.Decode does with a Body it captured — one ahead of the
+// header, or the payload of a message without a decoder of its own.
 //
 // provlint:typed-faults
 func DecodeBody(body []byte, v interface{}) error {
@@ -276,18 +453,23 @@ func DecodeBody(body []byte, v interface{}) error {
 // message. Any other body is nil, a malformed one that starts <Fault
 // included: that is not a fault.
 func bodyFault(body []byte) error {
-	trimmed := bytes.TrimSpace(body)
-	if !bytes.HasPrefix(trimmed, []byte("<Fault")) {
+	if !faultFirst(body) {
 		return nil
 	}
 	f := new(Fault)
-	switch err := decodeDocument(trimmed, f); {
+	switch err := decodeDocument(bytes.TrimSpace(body), f); {
 	case err == nil:
 		return f
 	case errors.Is(err, xmlwire.ErrUnsupported):
 		return fmt.Errorf("soap: decoding fault: %w", err)
 	}
 	return nil
+}
+
+// faultFirst reports whether the body's first bytes after white space
+// are "<Fault": the bodies tried as a Fault.
+func faultFirst(body []byte) bool {
+	return bytes.HasPrefix(bytes.TrimLeftFunc(body, unicode.IsSpace), []byte("<Fault"))
 }
 
 // AsFault reports whether the body is a Fault, returning it if so. A
@@ -297,14 +479,21 @@ func AsFault(body []byte) (*Fault, bool) {
 	return f, ok
 }
 
-// Handler processes one decoded message and returns the reply payload
-// (to be XML-marshalled) or an error. Returning a *Fault preserves its
-// code; other errors become FaultInternal.
+// Handler processes one message and returns the reply payload (to be
+// XML-marshalled) or an error. Returning a *Fault preserves its code;
+// other errors become FaultInternal.
 type Handler interface {
 	// Actions lists the action URIs this handler accepts.
 	Actions() []string
-	// Handle processes the raw body of a message with a matching action.
-	Handle(action string, body []byte) (reply interface{}, err error)
+	// Handle processes a message with a matching action. The envelope
+	// has been read up to its payload; body.Decode reads the payload and
+	// then checks the rest of the envelope, so a handler that acts on a
+	// request decodes it first and acts only on a nil error. A handler
+	// that needs no payload may leave it: ServeHTTP reads the rest after
+	// Handle returns, and answers a malformed envelope with a
+	// bad-request fault whatever Handle returned. body is valid until
+	// Handle returns.
+	Handle(action string, body *Message) (reply interface{}, err error)
 }
 
 // HTTPHandler adapts a set of Handlers to net/http — this is the
@@ -350,17 +539,30 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.writeFault(w, FaultBadRequest, "reading request: "+err.Error())
 		return
 	}
-	action, body, err := Unmarshal(data)
+	msg, err := ReadEnvelope(data)
 	if err != nil {
 		h.writeFault(w, FaultBadRequest, err.Error())
 		return
 	}
+	action := msg.action
 	handler, ok := h.byAction[action]
 	if !ok {
+		if err := msg.finish(); err != nil {
+			h.writeFault(w, FaultBadRequest, err.Error())
+			return
+		}
 		h.writeFault(w, FaultBadAction, "no handler for action "+action)
 		return
 	}
-	reply, err := handler.Handle(action, body)
+	reply, err := handler.Handle(action, msg)
+	// A handler that did not decode (sessions, count) left the envelope
+	// unread. One that did was told by Decode of anything wrong with it,
+	// and its answer stands unless it went on as if nothing were.
+	undecoded := msg.pending
+	if ferr := msg.finish(); ferr != nil && (undecoded || err == nil) {
+		h.writeFault(w, FaultBadRequest, ferr.Error())
+		return
+	}
 	if err != nil {
 		var f *Fault
 		if errors.As(err, &f) {
@@ -485,12 +687,9 @@ func Post(client *http.Client, url, action string, payload, reply interface{}) e
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("soap: %s returned HTTP %d: %s", action, resp.StatusCode, excerpt(respData))
 	}
-	_, body, err := Unmarshal(respData)
+	msg, err := ReadEnvelope(respData)
 	if err != nil {
 		return err
 	}
-	if reply == nil {
-		return bodyFault(body)
-	}
-	return DecodeBody(body, reply)
+	return msg.Decode(reply)
 }

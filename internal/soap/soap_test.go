@@ -81,7 +81,7 @@ func (echoHandler) Actions() []string {
 	return []string{"urn:test:echo", "urn:test:boom", "urn:test:fault"}
 }
 
-func (echoHandler) Handle(action string, body []byte) (interface{}, error) {
+func (echoHandler) Handle(action string, body *Message) (interface{}, error) {
 	switch action {
 	case "urn:test:boom":
 		return nil, errors.New("kaput")
@@ -89,8 +89,8 @@ func (echoHandler) Handle(action string, body []byte) (interface{}, error) {
 		return nil, &Fault{Code: FaultBadRequest, Message: "custom"}
 	}
 	var p echoPayload
-	if err := xml.Unmarshal(body, &p); err != nil {
-		return nil, err
+	if err := body.Decode(&p); err != nil {
+		return nil, &Fault{Code: FaultBadRequest, Message: err.Error()}
 	}
 	p.N++
 	return &p, nil

@@ -258,8 +258,12 @@ func hotTargets() []interface{} {
 //     success — and a server answers it with a bad-request fault;
 //   - only the hand decoder accepts: a non-ASCII name, which it does
 //     not check against Unicode's letter classes.
+//
+// It then holds the one-pass reader Post and ServeHTTP run to Unmarshal
+// and DecodeBody (checkOnePass).
 func checkAgainstOracle(t *testing.T, data []byte) {
 	t.Helper()
+	checkOnePass(t, data)
 	action, body, err := Unmarshal(data)
 	wantAction, wantBody, wantErr := oracleUnmarshal(data)
 	switch {
@@ -309,6 +313,55 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 	}
 }
 
+// checkOnePass holds ReadEnvelope and Decode — the one pass Post and
+// ServeHTTP make over a message — to Unmarshal and DecodeBody on the
+// same bytes, decoding into every record-carrying type, into a payload
+// left to encoding/xml, and into nothing (Post discarding a reply): the
+// same action and the same value or *Fault, or a refusal as
+// ErrUnsupported; an error wherever the two passes return one.
+func checkOnePass(t *testing.T, data []byte) {
+	t.Helper()
+	action, body, envErr := Unmarshal(data)
+	for _, target := range append(hotTargets(), &echoPayload{}, nil) {
+		var got, want interface{}
+		if target != nil {
+			typ := reflect.TypeOf(target).Elem()
+			got, want = reflect.New(typ).Interface(), reflect.New(typ).Interface()
+		}
+		wantErr := envErr
+		if envErr == nil {
+			if want == nil {
+				wantErr = bodyFault(body)
+			} else {
+				wantErr = DecodeBody(body, want)
+			}
+		}
+		msg, err := ReadEnvelope(data)
+		if err == nil {
+			err = msg.Decode(got)
+		}
+		var fault, wantFault *Fault
+		switch {
+		case err != nil && errors.Is(err, xmlwire.ErrUnsupported):
+		case errors.As(wantErr, &wantFault):
+			if !errors.As(err, &fault) || !reflect.DeepEqual(fault, wantFault) {
+				t.Fatalf("%T: two passes read the fault %+v, one pass returns %v\n%q", target, wantFault, err, data)
+			}
+		case wantErr != nil:
+			if err == nil || errors.As(err, &fault) {
+				t.Fatalf("%T: two passes fail (%v), one pass returns %v\n%q", target, wantErr, err, data)
+			}
+		case err != nil:
+			t.Fatalf("%T: one pass rejects what two passes accept, and not as unsupported: %v\n%q", target, err, data)
+		case !reflect.DeepEqual(got, want):
+			t.Fatalf("%T: one pass reads %+v, two passes %+v\n%q", target, got, want, data)
+		}
+		if (err == nil || fault != nil) && msg.action != action {
+			t.Fatalf("%T: one pass reads action %q, two passes %q\n%q", target, msg.action, action, data)
+		}
+	}
+}
+
 func isASCII(b []byte) bool {
 	for _, c := range b {
 		if c >= 0x80 {
@@ -337,6 +390,16 @@ var envelopeSeeds = []string{
 	`<Envelope><été/><Header><action>a</action></Header></Envelope>`,
 	`<?xml version="1.0"?><e:Envelope xmlns:e="urn:e"><e:Body><RecordResponse><accepted> 3 </accepted></RecordResponse></e:Body><e:Header><action>a</action></e:Header></e:Envelope>`,
 	`not xml`,
+	// The one pass's own cases: namespaces declared outside the Body,
+	// which a payload read from its own bytes does not see; Headers and
+	// Bodies on either side of the one read in place; a root that starts
+	// like a Fault and is not one.
+	`<Envelope xmlns="urn:e"><Header><action>a</action></Header><Body xmlns:q="urn:q"> <Fault><code>c</code></Fault></Body></Envelope>`,
+	`<Envelope xmlns:q="urn:q"><Header><action>a</action></Header><Body><q:RecordResponse><accepted>1</accepted></q:RecordResponse></Body></Envelope>`,
+	`<Envelope><Header><action>a</action></Header><Body><RecordResponse/></Body><Header><action>b</action></Header></Envelope>`,
+	`<Envelope><Header><action>a</action></Header><Body><RecordResponse/></Body><Header><action>a</action><messageId>bad</messageId></Header></Envelope>`,
+	`<Envelope><Body><Query/></Body><Header><action>a</action></Header><Body><RecordResponse><accepted>2</accepted></RecordResponse></Body></Envelope>`,
+	`<Envelope><Header><action>a</action></Header><Body> <Faulty/> </Body><x></Envelope>`,
 }
 
 func TestEnvelopeSeedsMatchEncodingXML(t *testing.T) {
@@ -457,16 +520,16 @@ func readRecordReply(tb testing.TB, data []byte) {
 
 // decodeEnvelope decodes an envelope's body into v, as Post and ServeHTTP do.
 func decodeEnvelope(data []byte, v interface{}) error {
-	_, body, err := Unmarshal(data)
+	msg, err := ReadEnvelope(data)
 	if err != nil {
 		return err
 	}
-	return DecodeBody(body, v)
+	return msg.Decode(v)
 }
 
 // What a client pays to read that answer is a handful of allocations
-// (two decoders, the action string, the callbacks: 6 measured), where
-// encoding/xml took 29.
+// (the decoder, the message, the action string, the callbacks: 5
+// measured), where encoding/xml took 29.
 func TestDecodeRecordResponseAllocs(t *testing.T) {
 	data := recordReply(t)
 	allocs := testing.AllocsPerRun(10, func() { readRecordReply(t, data) })

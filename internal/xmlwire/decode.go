@@ -66,6 +66,9 @@ type Decoder struct {
 	selfClosed bool
 	// ns holds the namespace declarations in scope, innermost last.
 	ns []binding
+	// nsFloor hides ns[:nsFloor] while more than fragment elements are
+	// open (see Fragment); fragment is zero when nothing is hidden.
+	nsFloor, fragment int
 	// scratch backs the text of the last element read, when unescaping
 	// had to rewrite it.
 	scratch []byte
@@ -124,6 +127,16 @@ func (d *Decoder) Root() error {
 		}
 	}
 }
+
+// Offset returns the byte offset in the input up to which the decoder
+// has read.
+func (d *Decoder) Offset() int { return d.pos }
+
+// Fragment makes the current element's content read as a document of
+// its own, as encoding/xml reads it when handed those bytes alone: the
+// namespace declarations of the current element and its ancestors are
+// out of scope inside it, until its end tag.
+func (d *Decoder) Fragment() { d.nsFloor, d.fragment = len(d.ns), len(d.open) }
 
 // StartName checks that the current element — the one whose start tag
 // was read last — has the local name want, as encoding/xml checks an
@@ -436,7 +449,7 @@ func (d *Decoder) resolve(prefix, local []byte) string {
 	case len(prefix) == 0 && string(local) == "xmlns":
 		return ""
 	}
-	for i := len(d.ns) - 1; i >= 0; i-- {
+	for i := len(d.ns) - 1; i >= d.nsFloor; i-- {
 		if d.ns[i].prefix == string(prefix) {
 			return d.ns[i].uri
 		}
@@ -446,6 +459,9 @@ func (d *Decoder) resolve(prefix, local []byte) string {
 
 func (d *Decoder) pop() {
 	d.open = d.open[:len(d.open)-1]
+	if len(d.open) < d.fragment {
+		d.nsFloor, d.fragment = 0, 0
+	}
 	for n := len(d.ns); n > 0 && d.ns[n-1].depth > len(d.open); n-- {
 		d.ns = d.ns[:n-1]
 	}

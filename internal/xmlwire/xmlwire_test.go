@@ -287,3 +287,61 @@ func TestTextScratchReuse(t *testing.T) {
 		t.Errorf("decoded %+v", v)
 	}
 }
+
+// Inside the element Fragment is called on, names resolve as they do in
+// a document of that element's content alone, which is how encoding/xml
+// reads those bytes; after its end tag the outer declarations are in
+// scope again. Offset is where the decoder stands.
+func TestFragment(t *testing.T) {
+	const open = `<env xmlns="urn:env" xmlns:p="urn:p"><body xmlns:q="urn:q">`
+	const content = `<p:a/><q:b xmlns:q="urn:inner"/><c/><q:d/>`
+	d := NewDecoder([]byte(open + content + `</body><p:after/></env>`))
+	if err := d.Root(); err != nil {
+		t.Fatal(err)
+	}
+	if name, ok, err := d.Next(); err != nil || !ok || string(name) != "body" {
+		t.Fatalf("Next = %q %v %v", name, ok, err)
+	}
+	if d.Offset() != len(open) {
+		t.Fatalf("Offset = %d, want %d", d.Offset(), len(open))
+	}
+	d.Fragment()
+	var got []string
+	for {
+		name, ok, err := d.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		space, err := d.StartName(string(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, space)
+		if err := d.Skip(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type fragment struct {
+		Names []xml.Name `xml:",any"`
+	}
+	var oracle fragment
+	if err := xml.Unmarshal([]byte(`<f>`+content+`</f>`), &oracle); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, n := range oracle.Names {
+		want = append(want, n.Space)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("namespaces inside the fragment = %q, encoding/xml reads %q", got, want)
+	}
+	if name, ok, err := d.Next(); err != nil || !ok || string(name) != "after" {
+		t.Fatalf("Next = %q %v %v", name, ok, err)
+	}
+	if space, _ := d.StartName("after"); space != "urn:p" {
+		t.Errorf("after the fragment, <p:after> is in %q, want urn:p", space)
+	}
+}
