@@ -121,12 +121,13 @@ func main() {
 	}
 
 	runIngest := func() {
-		records := map[string]int{"memory": 5000, "kvdb": 5000, "file": 500}
+		// The file flavour opens the kvdb log, so it has no row of its own.
+		records := 5000
 		if *paper {
-			records = map[string]int{"memory": 50000, "kvdb": 50000, "file": 2000}
+			records = 50000
 		}
-		for _, backend := range []string{"memory", "file", "kvdb"} {
-			if _, err := bench.RunIngestSweep(backend, []int{1, 4, 8}, 100, records[backend], out); err != nil {
+		for _, backend := range []string{"memory", "kvdb"} {
+			if _, err := bench.RunIngestSweep(backend, []int{1, 4, 8}, 100, records, out); err != nil {
 				log.Fatalf("benchfig: ingest: %v", err)
 			}
 		}

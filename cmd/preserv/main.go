@@ -7,8 +7,9 @@
 //	preserv -addr 127.0.0.1:8734 -backend kvdb -dir ./provenance -shards 4
 //	preserv -addr 127.0.0.1:8734 -shard-endpoints http://s1:8734,http://s2:8734
 //
-// Backends: memory (volatile), file (one packed segment file per write),
-// kvdb (the embedded database, used for all paper evaluations).
+// Backends: memory (volatile), and file and kvdb, which both open the
+// embedded database used for all paper evaluations (a file store an
+// earlier version wrote is adopted into it at open).
 //
 // With -shards N the service runs in sharded mode: N embedded child
 // stores (each with its own backend under DIR/shard-XXX) behind a
@@ -44,9 +45,7 @@ func openBackend(flavour, dir string) (store.Backend, error) {
 	switch flavour {
 	case "memory":
 		return store.NewMemoryBackend(), nil
-	case "file":
-		return store.NewFileBackend(dir)
-	case "kvdb":
+	case "file", "kvdb":
 		return store.NewKVBackend(dir)
 	}
 	return nil, fmt.Errorf("unknown backend %q", flavour)
@@ -68,9 +67,6 @@ func openLogged(flavour, dir string) (store.Backend, error) {
 	}
 	if s, ok := b.(interface{ LogBytes() int64 }); ok {
 		size += fmt.Sprintf(", %d log bytes", s.LogBytes())
-	}
-	if s, ok := b.(interface{ Segments() int }); ok {
-		size += fmt.Sprintf(", %d segments", s.Segments())
 	}
 	log.Printf("preserv: opened %s backend %s in %s%s", flavour, dir, took.Round(100*time.Microsecond), size)
 	return b, nil

@@ -24,10 +24,9 @@
 // compaction.
 //
 // compact with -dir is an offline maintenance command: it opens the
-// store directory directly (no server may have it open) and merges the
-// file backend's accumulated posting segments — or the kvdb backend's
-// dead log space — away. Without -dir it asks the live server at -store
-// to compact itself online (urn:prep:compact).
+// store directory directly (no server may have it open) and rewrites
+// the kvdb log without its dead space. Without -dir it asks the live
+// server at -store to compact itself online (urn:prep:compact).
 //
 // -shards URL1,URL2,... targets a sharded deployment: provq starts an
 // ephemeral loopback router over the listed store endpoints and runs
@@ -391,56 +390,28 @@ func printSlow(out io.Writer, indent string, slow []prep.SlowSpan) {
 }
 
 // runCompact performs offline store maintenance on a local directory:
-// merging the file backend's per-Record posting segments into one, or
-// rewriting kvdb's log without its dead bytes. The backend constructors
-// create whatever they do not find, so the directory is checked first:
-// a mistyped path must fail, not "compact" a store it has just made, and
-// the wrong -backend must not plant its files beside another's.
+// rewriting the kvdb log without its dead bytes (the file flavour opens
+// the same log). The backend constructor creates whatever it does not
+// find, so the directory is checked first: a mistyped path must fail,
+// not "compact" a store it has just made.
 func runCompact(backend, dir string, out io.Writer) error {
 	if dir == "" {
 		return fmt.Errorf("compact needs -dir PATH")
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if backend != "file" && backend != "kvdb" {
+		return fmt.Errorf("unknown backend %q (want file or kvdb)", backend)
+	}
+	if _, err := os.ReadDir(dir); err != nil {
 		return fmt.Errorf("compact: no store directory to open: %w", err)
 	}
-	for _, e := range entries {
-		name := e.Name()
-		foreign := false
-		switch backend {
-		case "file":
-			foreign = name == "data.log"
-		case "kvdb":
-			foreign = strings.HasSuffix(name, ".seg") || strings.HasSuffix(name, ".rec")
-		}
-		if foreign {
-			return fmt.Errorf("compact: %s holds %s, which no %s backend wrote (wrong -backend?)", dir, name, backend)
-		}
+	kb, err := store.NewKVBackend(dir)
+	if err != nil {
+		return err
 	}
-	switch backend {
-	case "file":
-		fb, err := store.NewFileBackend(dir)
-		if err != nil {
-			return err
-		}
-		before := fb.Segments()
-		if err := fb.Compact(); err != nil {
-			fb.Close()
-			return err
-		}
-		fmt.Fprintf(out, "compacted %s: %d posting segment(s) -> %d\n", dir, before, fb.Segments())
-		return fb.Close()
-	case "kvdb":
-		kb, err := store.NewKVBackend(dir)
-		if err != nil {
-			return err
-		}
-		if err := kb.Compact(); err != nil {
-			kb.Close()
-			return err
-		}
-		fmt.Fprintf(out, "compacted kvdb log in %s\n", dir)
-		return kb.Close()
+	if err := kb.Compact(); err != nil {
+		kb.Close()
+		return err
 	}
-	return fmt.Errorf("unknown backend %q (want file or kvdb)", backend)
+	fmt.Fprintf(out, "compacted kvdb log in %s\n", dir)
+	return kb.Close()
 }

@@ -83,19 +83,6 @@ func populate(t *testing.T, b store.Backend) {
 	}
 }
 
-func dirNames(t *testing.T, dir string) []string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	return names
-}
-
 func TestRunCompactRefusesMissingDirectory(t *testing.T) {
 	for _, backend := range []string{"file", "kvdb"} {
 		dir := filepath.Join(t.TempDir(), "no-such-store")
@@ -105,31 +92,6 @@ func TestRunCompactRefusesMissingDirectory(t *testing.T) {
 		}
 		if _, err := os.Stat(dir); !os.IsNotExist(err) {
 			t.Errorf("%s: the mistyped path was created (stat err = %v)", backend, err)
-		}
-	}
-}
-
-func TestRunCompactRefusesTheOtherBackendsDirectory(t *testing.T) {
-	fileDir, kvDir := t.TempDir(), t.TempDir()
-	fb, err := store.NewFileBackend(fileDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate(t, fb)
-	kb, err := store.NewKVBackend(kvDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	populate(t, kb)
-
-	for _, tc := range []struct{ backend, dir string }{{"kvdb", fileDir}, {"file", kvDir}} {
-		before := dirNames(t, tc.dir)
-		var out bytes.Buffer
-		if err := runCompact(tc.backend, tc.dir, &out); err == nil {
-			t.Errorf("-backend %s over the other backend's store succeeded: %q", tc.backend, out.String())
-		}
-		if after := dirNames(t, tc.dir); strings.Join(after, " ") != strings.Join(before, " ") {
-			t.Errorf("-backend %s changed the other backend's directory: %v -> %v", tc.backend, before, after)
 		}
 	}
 }

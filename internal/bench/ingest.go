@@ -61,9 +61,7 @@ func ingestBackend(flavour, dir string) (store.Backend, error) {
 	switch flavour {
 	case "memory":
 		return store.NewMemoryBackend(), nil
-	case "file":
-		return store.NewFileBackend(dir)
-	case "kvdb":
+	case "file", "kvdb":
 		return store.NewKVBackend(dir)
 	}
 	return nil, fmt.Errorf("bench: unknown backend %q", flavour)

@@ -3,8 +3,8 @@ package bench
 // Shard-scaling sweep: ingest throughput and first-page query latency
 // through a shard.Router as the shard count grows. The child stores sit
 // on memory backends wrapped in a modelled serialized write latency —
-// the cost shape of a real persistent store, whose log append (kvdb) or
-// segment publish (file) admits one writer at a time — so "N shards
+// the cost shape of a real persistent store, whose log append admits
+// one writer at a time — so "N shards
 // carry N log locks" is measured rather than asserted, deterministically
 // and in seconds. Results are checked identical across the sharded
 // planner, the sharded scan path and a single consolidated store before

@@ -122,7 +122,7 @@ func CheckWriteAvailFloors(points []WriteAvailResult) error {
 	return nil
 }
 
-// RunWriteAvailSweep runs the three workloads and returns their results.
+// RunWriteAvailSweep runs the two workloads and returns their results.
 func RunWriteAvailSweep(o WriteAvailOptions, progress io.Writer) ([]WriteAvailResult, error) {
 	o.defaults()
 	var results []WriteAvailResult
@@ -130,7 +130,6 @@ func RunWriteAvailSweep(o WriteAvailOptions, progress io.Writer) ([]WriteAvailRe
 		name string
 		run  func(WriteAvailOptions, io.Writer) (WriteAvailResult, error)
 	}{
-		{"compact-ingest-file", runCompactIngestFile},
 		{"compact-ingest-kvdb", runCompactIngestKvdb},
 		{"journal-record-p99", runJournalRecordP99},
 	} {
@@ -316,11 +315,6 @@ func runCompactIngest(name string, o WriteAvailOptions, progress io.Writer,
 		fmt.Fprintf(progress, "writeavail: %s below floor (%.2fx), retrying\n", name, got.Ratio)
 	}
 	return res, nil
-}
-
-func runCompactIngestFile(o WriteAvailOptions, progress io.Writer) (WriteAvailResult, error) {
-	return runCompactIngest("compact-ingest-file", o, progress,
-		func(dir string) (backendCompacter, error) { return store.NewFileBackend(dir) })
 }
 
 func runCompactIngestKvdb(o WriteAvailOptions, progress io.Writer) (WriteAvailResult, error) {

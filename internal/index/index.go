@@ -174,8 +174,8 @@ func (ix *Index) deficit(kindTag string) (int, error) {
 // garbage-collected — without the GC sweep a kind-posting surplus would
 // re-trigger a rebuild at every Open forever. A record that no longer
 // decodes is skipped rather than failing the rebuild — recording must
-// stay available over a store with one torn value (the same policy the
-// file backend applies to torn writes); the skip count is persisted so
+// stay available over a store with one torn value (the same policy
+// kvdb's recovery applies to a torn tail); the skip count is persisted so
 // the Open-time consistency check does not re-trigger a rebuild forever.
 func (ix *Index) Rebuild() error {
 	skipped := map[string]int{"i": 0, "s": 0}
@@ -185,8 +185,7 @@ func (ix *Index) Rebuild() error {
 	live := make(map[string]bool)
 	// Postings are flushed in bounded chunks: one backend batch per
 	// rebuildChunk records keeps rebuild memory flat while still
-	// amortising the per-write cost (and, on the file backend, packing
-	// postings into a handful of segment files rather than thousands).
+	// amortising the per-write cost.
 	const rebuildChunk = 4096
 	var pending []kv.Pair
 	flush := func() error {

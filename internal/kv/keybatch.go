@@ -10,8 +10,9 @@ import (
 	"sync"
 )
 
-// A key batch is the key-only entry kind of both persistent formats (the
-// kvdb log and PSEG1 segments): a set of keys that are all put with an
+// A key batch is the key-only entry kind of the kvdb log, and of the
+// PSEG1 segments earlier versions wrote, which the store still reads: a
+// set of keys that are all put with an
 // empty value, or all deleted, in one entry. The body is
 //
 //	flags byte (keyBatchDelete, or 0 for a put)
@@ -204,9 +205,9 @@ func AppendKeyBatch(dst []byte, keys []string, del bool) []byte {
 
 // KeyShare is how many of a key-batch entry's size bytes its i-th of n
 // keys is charged: the size split evenly, the remainder going to the
-// first keys, so the shares of all n keys sum to size exactly. Both
-// backends charge a batch-resident key this share in their garbage
-// accounting, so deleting every key of an entry makes all of it garbage.
+// first keys, so the shares of all n keys sum to size exactly. kvdb
+// charges a batch-resident key this share in its garbage accounting, so
+// deleting every key of an entry makes all of it garbage.
 func KeyShare(size int64, n, i int) int64 {
 	s := size / int64(n)
 	if int64(i) < size%int64(n) {

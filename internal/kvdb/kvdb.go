@@ -324,9 +324,6 @@ func (s *logState) drop(key []byte) {
 	s.tombs++
 }
 
-// Name reports the backend flavour, "kvdb".
-func (db *DB) Name() string { return "kvdb" }
-
 // Put stores val under key, replacing any existing value. It is the
 // one-pair form of PutBatch.
 func (db *DB) Put(key string, val []byte) error {

@@ -38,26 +38,9 @@ func contentsOf(t *testing.T, b store.Backend) map[string]string {
 	return out
 }
 
-// filesWithSuffix lists the names in dir carrying suffix.
-func filesWithSuffix(t *testing.T, dir, suffix string) map[string]bool {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make(map[string]bool)
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == suffix {
-			out[e.Name()] = true
-		}
-	}
-	return out
-}
-
-// populateAndClose records three sessions (one batch each, so the file
-// backend lays down several segments), deletes the first session to
-// create garbage and tombstones, and closes the store. Returns the
-// sessions for the query sweep.
+// populateAndClose records three sessions (one batch each), deletes the
+// first session to create garbage and tombstones, and closes the store.
+// Returns the sessions for the query sweep.
 func populateAndClose(t *testing.T, b store.Backend) []ids.ID {
 	t.Helper()
 	s := store.New(b)
@@ -83,15 +66,10 @@ func populateAndClose(t *testing.T, b store.Backend) []ids.ID {
 }
 
 // TestCompactCrashMidSwap reconstructs the incremental compactor's
-// publication window. For the file backend the window is real on disk:
-// the merged segment has been renamed into place but the victim
-// segments have not yet been unlinked — and the merged segment itself
-// may be torn to any byte if the rename raced a dirty page loss. Every
-// such state must read back EXACTLY the compacted contents (the victims
-// still hold whatever the torn merge lost). For kvdb the window is a
-// leftover compact.tmp next to the intact old log (crash before the
-// atomic rename), torn at any byte; Open must discard it and keep the
-// full pre-compaction state, and the post-rename state must equal it.
+// publication window: a leftover compact.tmp next to the intact old log
+// (crash before the atomic rename), torn at any byte. Open must discard
+// it and keep the full pre-compaction state, and the post-rename state
+// must equal it.
 func TestCompactCrashMidSwap(t *testing.T) {
 	for _, fl := range storeFlavours() {
 		t.Run(fl.name, func(t *testing.T) {
@@ -111,27 +89,8 @@ func TestCompactCrashMidSwap(t *testing.T) {
 				t.Fatal("compacted store is empty — population failed")
 			}
 
-			// The crash artifact: the file the swap published. For the
-			// file backends it is the merged segment (present after
-			// compaction, absent before); for kvdb the rewritten log.
-			var artifactName string
-			switch fl.name {
-			case "kvdb":
-				artifactName = "data.log"
-			default:
-				preSegs := filesWithSuffix(t, pre, ".seg")
-				var added []string
-				for name := range filesWithSuffix(t, src, ".seg") {
-					if !preSegs[name] {
-						added = append(added, name)
-					}
-				}
-				if len(added) != 1 {
-					t.Fatalf("compaction added %d segments %v, want exactly the merged one", len(added), added)
-				}
-				artifactName = added[0]
-			}
-			artifact, err := os.ReadFile(filepath.Join(src, artifactName))
+			// The crash artifact: the rewritten log.
+			artifact, err := os.ReadFile(filepath.Join(src, "data.log"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,14 +119,10 @@ func TestCompactCrashMidSwap(t *testing.T) {
 				if cut > hi {
 					cut = hi
 				}
+				// Crash BEFORE the rename: the torn rewrite is still under
+				// its temporary name, the old log untouched.
 				dir := copyDir(t, pre)
-				name := artifactName
-				if fl.name == "kvdb" {
-					// Crash BEFORE the rename: the torn rewrite is still
-					// under its temporary name, the old log untouched.
-					name = "compact.tmp"
-				}
-				if err := os.WriteFile(filepath.Join(dir, name), artifact[:cut], 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, "compact.tmp"), artifact[:cut], 0o644); err != nil {
 					t.Fatal(err)
 				}
 				check(dir, fmt.Sprintf("cut %d/%d", cut, hi))
@@ -175,15 +130,13 @@ func TestCompactCrashMidSwap(t *testing.T) {
 					break
 				}
 			}
-			if fl.name == "kvdb" {
-				// Crash AFTER the rename: the synced rewrite replaced the
-				// log whole; nothing of the old state remains to reconcile.
-				dir := copyDir(t, pre)
-				if err := os.WriteFile(filepath.Join(dir, "data.log"), artifact, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				check(dir, "post-rename")
+			// Crash AFTER the rename: the synced rewrite replaced the log
+			// whole; nothing of the old state remains to reconcile.
+			dir := copyDir(t, pre)
+			if err := os.WriteFile(filepath.Join(dir, "data.log"), artifact, 0o644); err != nil {
+				t.Fatal(err)
 			}
+			check(dir, "post-rename")
 		})
 	}
 }

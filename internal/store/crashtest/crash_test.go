@@ -1,15 +1,16 @@
 package crashtest
 
-// Crash-recovery tests: the kvdb log and the file backend's PSEG1
-// segments are truncated (and corrupted) at EVERY byte boundary inside
-// an interrupted PutBatch / DeleteBatch tail, then reopened. Recovery
-// must always produce a clean prefix of the batch — and at the store
-// level, an index whose planner answers match a full scan byte for
-// byte.
+// Crash-recovery tests: the kvdb log is truncated (and corrupted) at
+// EVERY byte boundary inside an interrupted PutBatch / DeleteBatch
+// tail, and so are the PSEG1 segments an earlier file backend left,
+// then reopened. Recovery must always produce a clean prefix of the
+// batch — and at the store level, an index whose planner answers match
+// a full scan byte for byte.
 
 import (
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"preserv/internal/core"
@@ -311,28 +312,21 @@ func TestKvdbCorruptedLogRecoversPrefix(t *testing.T) {
 }
 
 // TestFileTornSegmentEveryByte truncates a packed PSEG1 segment at
-// every byte: open recovers a clean prefix of the batch and never
+// every byte: the open adopts a clean prefix of the batch and never
 // fails.
 func TestFileTornSegmentEveryByte(t *testing.T) {
 	src := t.TempDir()
-	fb, err := store.NewFileBackend(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batch []kv.Pair
+	seg := []byte(segMagic)
 	var batchKeys []string
 	for i := 0; i < 5; i++ {
 		k := fmt.Sprintf("i/seg/%d", i)
-		batch = append(batch, kv.Pair{Key: k, Value: []byte(fmt.Sprintf("value-%d", i))})
+		seg = segPut(seg, k, []byte(fmt.Sprintf("value-%d", i)))
 		batchKeys = append(batchKeys, k)
 	}
-	if err := fb.PutBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	_, segSize := findOne(t, src, ".seg", true)
+	writeSegment(t, src, 1, seg)
 
 	lastK := 0
-	for cut := int64(0); cut <= segSize; cut++ {
+	for cut := int64(0); cut <= int64(len(seg)); cut++ {
 		dir := copyDir(t, src)
 		segPath, _ := findOne(t, dir, ".seg", true)
 		truncateFile(t, segPath, cut)
@@ -350,35 +344,29 @@ func TestFileTornSegmentEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: prefix shrank from %d to %d", cut, lastK, k)
 		}
 		lastK = k
+		re.Close()
 	}
 	if lastK != len(batchKeys) {
 		t.Fatalf("whole segment recovered only %d/%d keys", lastK, len(batchKeys))
 	}
 }
 
-// TestFileTornPostingSegmentEveryByte is the file backend's twin of
+// TestFileTornPostingSegmentEveryByte is the file layout's twin of
 // TestKvdbTornPostingBatchEveryByte: the postings segment, truncated at
-// every byte, recovers the batch's postings all or none, never fewer as
+// every byte, adopts the batch's postings all or none, never fewer as
 // the cut grows, and leaves the base segment's keys alone.
 func TestFileTornPostingSegmentEveryByte(t *testing.T) {
 	src := t.TempDir()
-	fb, err := store.NewFileBackend(src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := []kv.Pair{{Key: "i/rec/0", Value: []byte("r0")}, {Key: "x/kind/i/i/rec/0"}}
-	if err := fb.PutBatch(base); err != nil {
-		t.Fatal(err)
-	}
+	writeSegment(t, src, 1, segKeyBatch(segPut([]byte(segMagic), base[0].Key, base[0].Value), []string{base[1].Key}, false))
 	batch := postingBatch(6)
-	if err := fb.PutBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	// The postings segment is the newest.
-	_, segSize := findOne(t, src, ".seg", true)
+	keys := keysOfPairs(batch)
+	slices.Sort(keys)
+	seg := segKeyBatch([]byte(segMagic), keys, false)
+	writeSegment(t, src, 2, seg)
 
 	whole := false
-	for cut := int64(0); cut <= segSize; cut++ {
+	for cut := int64(0); cut <= int64(len(seg)); cut++ {
 		dir := copyDir(t, src)
 		segPath, _ := findOne(t, dir, ".seg", true)
 		truncateFile(t, segPath, cut)
@@ -386,7 +374,7 @@ func TestFileTornPostingSegmentEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
-		checkFirstCount(t, re, append(keysOfPairs(base), keysOfPairs(batch)...), fmt.Sprintf("cut %d", cut))
+		checkFirstCount(t, re, append(keysOfPairs(base), keys...), fmt.Sprintf("cut %d", cut))
 		got := backendKeys(t, re)
 		for _, p := range base {
 			if !got[p.Key] {
@@ -406,6 +394,7 @@ func TestFileTornPostingSegmentEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: the batch recovered at a shorter cut is lost", cut)
 		}
 		whole = n == len(batch)
+		re.Close()
 	}
 	if !whole {
 		t.Fatal("the whole segment did not recover the batch")
@@ -413,32 +402,23 @@ func TestFileTornPostingSegmentEveryByte(t *testing.T) {
 }
 
 // TestFileTornTombstoneSegmentEveryByte truncates the tombstone segment
-// a DeleteBatch writes: the applied deletions form a prefix of the
+// a DeleteBatch wrote: the applied deletions form a prefix of the
 // batch, and the committed base keys are never harmed.
 func TestFileTornTombstoneSegmentEveryByte(t *testing.T) {
 	src := t.TempDir()
-	fb, err := store.NewFileBackend(src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var all []string
-	var batch []kv.Pair
+	seg := []byte(segMagic)
 	for i := 0; i < 6; i++ {
 		k := fmt.Sprintf("i/ts/%d", i)
 		all = append(all, k)
-		batch = append(batch, kv.Pair{Key: k, Value: []byte("v")})
+		seg = segPut(seg, k, []byte("v"))
 	}
-	if err := fb.PutBatch(batch); err != nil {
-		t.Fatal(err)
-	}
+	writeSegment(t, src, 1, seg)
 	doomed := all[:4]
-	if err := fb.DeleteBatch(doomed); err != nil {
-		t.Fatal(err)
-	}
-	// The tombstone segment is the newest.
-	_, tombSize := findOne(t, src, ".seg", true)
+	tomb := segKeyBatch([]byte(segMagic), doomed, true)
+	writeSegment(t, src, 2, tomb)
 
-	for cut := int64(0); cut <= tombSize; cut++ {
+	for cut := int64(0); cut <= int64(len(tomb)); cut++ {
 		dir := copyDir(t, src)
 		segPath, _ := findOne(t, dir, ".seg", true)
 		truncateFile(t, segPath, cut)
@@ -462,6 +442,7 @@ func TestFileTornTombstoneSegmentEveryByte(t *testing.T) {
 				t.Fatalf("cut %d: undeleted key %q lost", cut, k)
 			}
 		}
+		re.Close()
 	}
 }
 
@@ -487,17 +468,6 @@ func storeFlavours() []struct {
 				return b
 			},
 			tail: func(t *testing.T, dir string) (string, int64) { return findOne(t, dir, ".log", false) },
-		},
-		{
-			name: "file",
-			open: func(t *testing.T, dir string) store.Backend {
-				b, err := store.NewFileBackend(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b
-			},
-			tail: func(t *testing.T, dir string) (string, int64) { return findOne(t, dir, ".seg", true) },
 		},
 	}
 }
@@ -547,15 +517,10 @@ func TestStoreCrashRecoveryPlannerEqualsScan(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// For kvdb the tail region is [tailStart, end) of the one log
-			// file; for the file backend truncate the NEWEST segment over
-			// its whole length (older files are already-committed state).
+			// The tail region is [tailStart, end) of the one log file.
 			cuts := func(dir string) (string, int64, int64) {
 				path, size := fl.tail(t, dir)
-				if fl.name == "kvdb" {
-					return path, tailStart, size
-				}
-				return path, 0, size
+				return path, tailStart, size
 			}
 			_, lo, hi := cuts(src)
 			step := int64(1)

@@ -1,8 +1,9 @@
 // Package crashtest is the cross-backend crash/fuzz/property harness
 // for the provenance store's write, delete and compaction paths. Its
 // tests simulate crashes by truncating or corrupting the kvdb log tail
-// and the file backend's packed PSEG1 segments at every byte boundary
-// mid-PutBatch / mid-DeleteBatch, reopen the store, and assert that
+// mid-PutBatch / mid-DeleteBatch, and the PSEG1 segments an earlier file
+// backend left for the open to adopt, at every byte boundary, reopen
+// the store, and assert that
 //
 //   - the backend recovers to a clean prefix of the interrupted batch
 //     (never a hole, never a half-applied record), and
@@ -10,7 +11,7 @@
 //     bring planner query results back byte-identical to a full scan.
 //
 // It also drives a randomized lifecycle property test: a random
-// interleaving of Record / Delete / Query / Compact against all three
+// interleaving of Record / Delete / Query / Compact against both
 // backends, concurrently, checked against a plain-map oracle at every
 // quiesce point (run under -race in CI).
 //

@@ -2,7 +2,7 @@ package crashtest
 
 // Randomized lifecycle property test: a random interleaving of
 // Record / DeleteRecords / DeleteSession / Query / Compact runs against
-// all three backends, concurrently, with a plain-map oracle tracking
+// both backends (the file flavour opens the kvdb log), concurrently, with a plain-map oracle tracking
 // the records that must exist. At every quiesce point the three views —
 // cost-based planner, scan path, oracle — must agree byte for byte.
 // CI runs this under -race; the concurrent phase is where the striped
@@ -105,13 +105,6 @@ func TestRandomizedLifecycleAllBackends(t *testing.T) {
 		open func(t *testing.T) store.Backend
 	}{
 		{"memory", func(t *testing.T) store.Backend { return store.NewMemoryBackend() }},
-		{"file", func(t *testing.T) store.Backend {
-			b, err := store.NewFileBackend(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
 		{"kvdb", func(t *testing.T) store.Backend {
 			b, err := store.NewKVBackend(t.TempDir())
 			if err != nil {

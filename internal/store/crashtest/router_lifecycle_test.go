@@ -114,13 +114,6 @@ func TestRouterRandomizedLifecycleAllBackends(t *testing.T) {
 		open func(t *testing.T) store.Backend
 	}{
 		{"memory", func(t *testing.T) store.Backend { return store.NewMemoryBackend() }},
-		{"file", func(t *testing.T) store.Backend {
-			b, err := store.NewFileBackend(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
 		{"kvdb", func(t *testing.T) store.Backend {
 			b, err := store.NewKVBackend(t.TempDir())
 			if err != nil {

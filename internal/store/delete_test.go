@@ -120,7 +120,7 @@ func conformDeleteRePut(t *testing.T, b Backend) {
 }
 
 func conformDeleteEmptyKey(t *testing.T, b Backend) {
-	if err := b.DeleteBatch([]string{""}); err == nil && b.Name() != "kvdb" {
+	if err := b.DeleteBatch([]string{""}); err == nil {
 		t.Error("empty key should be rejected")
 	}
 }
@@ -153,14 +153,14 @@ func persistentBackends() []persistentBackend {
 
 // TestDeletePersistsAcrossReopen is the tombstone contract: a deletion
 // must survive a restart even though older copies of the key (earlier
-// segments, earlier log entries) are still on disk.
+// log entries) are still on disk.
 func TestDeletePersistsAcrossReopen(t *testing.T) {
 	for _, pb := range persistentBackends() {
 		t.Run(pb.name, func(t *testing.T) {
 			dir := t.TempDir()
 			b := pb.open(t, dir)
 			// Keys from a batch and from a single put: each write is one
-			// segment (file) or one log append (kvdb).
+			// log append.
 			if err := b.PutBatch([]KV{
 				{Key: "i/x/1", Value: []byte("batch")},
 				{Key: "i/x/2", Value: []byte("batch2")},
@@ -192,9 +192,9 @@ func TestDeletePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestDeleteSurvivesCompactionAndReopen pins the subtle file-backend
-// case: Compact drops tombstones, so it must also have removed every
-// older segment that could resurrect the key on the next open.
+// TestDeleteSurvivesCompactionAndReopen pins the subtle case: Compact
+// drops tombstones, so it must also have dropped every older copy that
+// could resurrect the key on the next open.
 func TestDeleteSurvivesCompactionAndReopen(t *testing.T) {
 	for _, pb := range persistentBackends() {
 		t.Run(pb.name, func(t *testing.T) {
@@ -229,7 +229,7 @@ func TestDeleteSurvivesCompactionAndReopen(t *testing.T) {
 }
 
 // TestFileDeleteOfRePutKey pins the two-copy corner: a key put and
-// identically re-put lives in two segments; deleting it must leave
+// identically re-put lives in two log entries; deleting it must leave
 // neither copy able to resurrect it — before or after compaction.
 func TestFileDeleteOfRePutKey(t *testing.T) {
 	dir := t.TempDir()
@@ -267,8 +267,8 @@ func TestFileDeleteOfRePutKey(t *testing.T) {
 }
 
 // TestFileRePutAfterDeleteSurvivesReopen pins replay order across a
-// tombstone: a re-put of a deleted key lands in a later segment than
-// the tombstone, so replay resolves the key to the re-put value.
+// tombstone: a re-put of a deleted key lands later in the log than the
+// tombstone, so replay resolves the key to the re-put value.
 func TestFileRePutAfterDeleteSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	fb, err := NewFileBackend(dir)

@@ -3,30 +3,20 @@ package store
 // Native fuzz target for the PSEG1 segment parser: whatever bytes end
 // up in a .seg file (torn renames, disk corruption), walking its
 // entries must terminate, make progress, and never panic — corruption
-// parses as a torn tail, exactly like loadSegment treats it. A store
-// whose one segment holds the bytes must open to a sorted key view that
-// matches its directory, with every key reading back.
+// parses as a torn tail, exactly like adoption treats it. A store whose
+// one segment holds the bytes must open through NewFileBackend, adopt
+// it, and count exactly the keys a scan visits — or, only when an entry
+// holds a key the log cannot, fail naming the segment.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-)
 
-// appendSegTombstone encodes the per-key deletion entry that segments
-// written before key batches hold; DeleteBatch writes key-batch entries
-// now, and replay reads both.
-func appendSegTombstone(buf []byte, key string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = binary.AppendUvarint(buf, segTombstoneVal)
-	buf = append(buf, key...)
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(buf[len(buf)-len(key):]))
-	return append(buf, crc[:]...)
-}
+	"preserv/internal/kvdb"
+)
 
 // buildSegment assembles a valid segment buffer from (key, value,
 // tombstone) triples, for seeding.
@@ -101,16 +91,16 @@ func FuzzParseSegment(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%016x%s", 1, segExt)), append([]byte(segMagic), data...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fb, err := NewFileBackend(dir)
+		db, err := NewFileBackend(dir)
 		if err != nil {
-			t.Fatalf("open over the segment: %v", err)
-		}
-		defer fb.Close()
-		checkBuiltAtOpen(t, fb)
-		for k := range fb.keys {
-			if _, ok, err := fb.Get(k); !ok || err != nil {
-				t.Fatalf("key %q does not read back: %v, %v", k, ok, err)
+			// Only an entry with a key over kvdb.MaxKeyLen may fail the
+			// open, and the error must name the segment.
+			if len(data) <= kvdb.MaxKeyLen || !strings.Contains(err.Error(), segExt) {
+				t.Fatalf("open over the segment: %v", err)
 			}
+			return
 		}
+		defer db.Close()
+		checkAdopted(t, db, dir)
 	})
 }

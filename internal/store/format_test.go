@@ -3,79 +3,17 @@ package store
 import (
 	"fmt"
 	"maps"
-	"os"
-	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"preserv/internal/kvdb"
 )
 
-// fileView is everything an open file backend must reproduce.
-type fileView struct {
-	Keys, Values    []string
-	Count           int
-	Live, Dead      int64
-	Tombstones      int64
-	Segments, Bytes int
-}
-
-func fileViewOf(t *testing.T, fb *FileBackend) fileView {
-	t.Helper()
-	var v fileView
-	if err := fb.ScanFrom("", "", func(k string, val []byte) error {
-		v.Keys = append(v.Keys, k)
-		v.Values = append(v.Values, string(val))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := fb.Count("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb.mu.RLock()
-	v.Count, v.Live, v.Dead, v.Tombstones = n, fb.liveBytes, fb.deadBytes, int64(len(fb.tombstones))
-	fb.mu.RUnlock()
-	entries, err := os.ReadDir(fb.dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		info, err := e.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		v.Segments++
-		v.Bytes += int(info.Size())
-	}
-	return v
-}
-
-// checkBuiltAtOpen checks the sorted key view of a file backend that
-// NewFileBackend just returned, before any other call: it is current, so
-// no read has to fold it, and it holds exactly the directory's keys.
-// ScanFrom alone would not tell: it skips keys that no longer read back,
-// so a view that kept a deleted key would scan the same.
-func checkBuiltAtOpen(t testing.TB, fb *FileBackend) {
-	t.Helper()
-	keys, ok := fb.ordered.Clean()
-	if !ok {
-		t.Fatal("NewFileBackend returned with the sorted key view not current")
-	}
-	want := slices.Sorted(maps.Keys(fb.keys))
-	if got := slices.Collect(keys.Range("", "")); !slices.Equal(got, want) {
-		t.Fatalf("the view built at open holds\n%q\nthe directory\n%q", got, want)
-	}
-	if n, err := fb.Count(""); err != nil || n != len(want) || n != fb.Len() {
-		t.Fatalf("Count(\"\") = %d, %v; the directory holds %d, Len %d", n, err, len(want), fb.Len())
-	}
-}
-
-// NewFileBackend builds the sorted key view from the keys in the order
-// replay and adoption met them, leaving out those that left the
-// directory again: each store below opens to a view holding exactly its
-// live keys.
+// The file flavour opens an earlier version's segments in that
+// version's replay order, the record pairs before every segment: each
+// store below opens to exactly its live keys, with a sorted key view
+// that counts what a scan visits.
 func TestFileOpenBuildsKeyViewFromReplay(t *testing.T) {
 	seg := func() []byte { return []byte(segMagic) }
 	put := func(buf []byte, key, val string) []byte { return appendSegEntry(buf, key, []byte(val)) }
@@ -106,26 +44,16 @@ func TestFileOpenBuildsKeyViewFromReplay(t *testing.T) {
 	}
 	for _, c := range cases {
 		dir := t.TempDir()
-		for i, data := range c.segs {
-			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%016x%s", i+1, segExt)), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		writeSegments(t, dir, c.segs...)
 		for key, value := range c.pairs {
-			name := filepath.Join(dir, recordFileName(key))
-			if err := os.WriteFile(name, []byte(value), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(name+".key", []byte(key), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			writePair(t, dir, key, value)
 		}
-		fb, err := NewFileBackend(dir)
-		if err != nil {
+		fb := openFile(t, dir)
+		var got []string
+		if err := fb.ScanFrom("", "", func(k string, _ []byte) error { got = append(got, k); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		checkBuiltAtOpen(t, fb)
-		if got := fileViewOf(t, fb).Keys; !slices.Equal(got, c.want) {
+		if !slices.Equal(got, c.want) {
 			t.Errorf("%s: opened to %q, want %q", c.name, got, c.want)
 		}
 		if err := fb.Close(); err != nil {
@@ -136,23 +64,20 @@ func TestFileOpenBuildsKeyViewFromReplay(t *testing.T) {
 
 // Segments written before key batches existed hold one entry per key,
 // postings and tombstones included. They open to what they always
-// opened to, and Compact rewrites them into the current form: the same
-// contents, with the postings in key-batch entries, in fewer bytes. A
-// store an earlier version already compacted holds one segment and no
-// garbage, and Compact still rewrites it.
+// opened to, and the log holds them in the current form: after Compact,
+// the same contents, with the postings in key-batch entries, in fewer
+// bytes than the live per-key entries took. A store an earlier version
+// already compacted holds one segment and no garbage.
 func TestPerKeySegmentAdoptedByCompact(t *testing.T) {
 	for _, withGarbage := range []bool{true, false} {
 		t.Run(fmt.Sprint("garbage=", withGarbage), func(t *testing.T) {
-			// Write the segments with the per-key encoders, keeping the
-			// accounting the per-key format always had.
 			live := map[string]string{}
-			sizes := map[string]int64{}
-			var dead, tombs int64
+			sizes := map[string]int{}
 			seg := []byte(segMagic)
 			put := func(key, val string) {
+				before := len(seg)
 				seg = appendSegEntry(seg, key, []byte(val))
-				dead += sizes[key]
-				live[key], sizes[key] = val, putEntrySize(key, len(val))
+				live[key], sizes[key] = val, len(seg)-before
 			}
 			for r := 0; r < 40; r++ {
 				skey := fmt.Sprintf("i/urn:pasoa:%032x/sender/%04d", r/4, r)
@@ -169,87 +94,48 @@ func TestPerKeySegmentAdoptedByCompact(t *testing.T) {
 				tomb := []byte(segMagic)
 				for _, key := range []string{"x/actor/term-1/i/urn:pasoa:00000000000000000000000000000000/sender/0001", "i/urn:pasoa:00000000000000000000000000000009/sender/0039"} {
 					tomb = appendSegTombstone(tomb, key)
-					dead += sizes[key] + int64(uvarintLen(uint64(len(key)))+uvarintLen(segTombstoneVal)+len(key)+4)
-					tombs++
 					delete(live, key)
 					delete(sizes, key)
 				}
 				segs = append(segs, tomb)
 			}
-			var liveBytes int64
+			liveBytes := 0
 			for _, sz := range sizes {
 				liveBytes += sz
 			}
-			onDisk := 0
-			for i, data := range segs {
-				onDisk += len(data)
-				if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%016x%s", i+1, segExt)), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
+			writeSegments(t, dir, segs...)
+			var want strings.Builder
+			for _, k := range slices.Sorted(maps.Keys(live)) {
+				fmt.Fprintf(&want, "%q %q\n", k, live[k])
 			}
 
-			fb, err := NewFileBackend(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fb := openFile(t, dir)
 			defer fb.Close()
-			checkBuiltAtOpen(t, fb)
-			want := fileView{Keys: slices.Sorted(maps.Keys(live)), Count: len(live), Live: liveBytes, Dead: dead,
-				Tombstones: tombs, Segments: len(segs), Bytes: onDisk}
-			for _, k := range want.Keys {
-				want.Values = append(want.Values, live[k])
+			if got := contentsOf(t, fb); got != want.String() {
+				t.Fatalf("per-key segments opened to\n%s\nwant\n%s", got, want.String())
 			}
-			if got := fileViewOf(t, fb); !reflect.DeepEqual(got, want) {
-				t.Fatalf("per-key segments opened to\n%+v\nwant\n%+v", got, want)
+			if g := fb.GarbageRatio(); (g > 0) != withGarbage {
+				t.Errorf("garbage ratio %v after adopting, with garbage %v", g, withGarbage)
 			}
-
 			if err := fb.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			after := fileViewOf(t, fb)
-			if !reflect.DeepEqual(after.Keys, want.Keys) || !reflect.DeepEqual(after.Values, want.Values) ||
-				after.Count != want.Count || after.Dead != 0 || after.Tombstones != 0 || after.Segments != 1 {
-				t.Fatalf("compaction changed the contents:\n%+v\nwas\n%+v", after, want)
+			if got := contentsOf(t, fb); got != want.String() {
+				t.Fatalf("compaction changed the contents:\n%s\nwas\n%s", got, want.String())
 			}
-			if int64(after.Bytes) >= int64(len(segMagic))+liveBytes {
-				t.Fatalf("the merged segment holds %d bytes, the live per-key entries %d", after.Bytes, liveBytes)
+			if g, n := fb.GarbageRatio(), fb.Tombstones(); g != 0 || n != 0 {
+				t.Fatalf("garbage ratio %v, %d tombstones after compaction", g, n)
 			}
-			names, err := filepath.Glob(filepath.Join(dir, "*"+segExt))
-			if err != nil || len(names) != 1 {
-				t.Fatalf("segments after compaction: %q, %v", names, err)
-			}
-			data, err := os.ReadFile(names[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			batches := 0
-			for off := len(segMagic); off < len(data); {
-				e, ok := parseSegEntry(data, off)
-				if !ok {
-					t.Fatalf("the merged segment does not parse at %d", off)
-				}
-				switch {
-				case e.batch.Len() > 0:
-					batches++
-				case e.tomb || e.valLen == 0:
-					t.Fatalf("the merged segment kept a per-key %+v", e)
-				}
-				off += e.size
-			}
-			if batches != 1 {
-				t.Fatalf("the postings went into %d key-batch entries, want 1", batches)
+			if fb.LogBytes() >= int64(liveBytes) {
+				t.Fatalf("the compacted log holds %d bytes, the live per-key entries %d", fb.LogBytes(), liveBytes)
 			}
 			if err := fb.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re, err := NewFileBackend(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			re := openFile(t, dir)
 			defer re.Close()
-			checkBuiltAtOpen(t, re)
-			if got := fileViewOf(t, re); !reflect.DeepEqual(got, after) {
-				t.Fatalf("the merged segment reopens to\n%+v\nlive\n%+v", got, after)
+			if got := contentsOf(t, re); got != want.String() {
+				t.Fatalf("the compacted log reopens to\n%s\nwant\n%s", got, want.String())
 			}
 		})
 	}
@@ -294,17 +180,11 @@ func TestDeletingEveryKeyLeavesOnlyGarbage(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Every entry byte is dead: on the file backend, whatever the
-			// segments hold past their magic.
+			// Every entry byte is dead.
 			check := func(b Backend, when string) {
 				t.Helper()
 				if g := b.(GarbageReporter).GarbageRatio(); g != 1 {
 					t.Errorf("GarbageRatio = %v %s, want 1", g, when)
-				}
-				if fb, ok := b.(*FileBackend); ok {
-					if v := fileViewOf(t, fb); v.Live != 0 || v.Dead != int64(v.Bytes-v.Segments*len(segMagic)) {
-						t.Errorf("%s: %d live and %d dead bytes in %d segments of %d bytes", when, v.Live, v.Dead, v.Segments, v.Bytes)
-					}
 				}
 			}
 			check(b, "with every key deleted")
@@ -319,14 +199,11 @@ func TestDeletingEveryKeyLeavesOnlyGarbage(t *testing.T) {
 }
 
 // A run of keys longer than kv.KeyBatchMax goes into several key-batch
-// entries of one segment, and a key that two of them name is accounted
-// as replay accounts it: live state and reopened state agree.
+// entries, and a key that two of them name is accounted as replay
+// accounts it: live state and reopened state agree.
 func TestFileKeyBatchesSplitPastMax(t *testing.T) {
 	dir := t.TempDir()
-	fb, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fb := openFile(t, dir)
 	var pairs []KV
 	var keys []string
 	for i := 0; i < 20; i++ {
@@ -344,16 +221,27 @@ func TestFileKeyBatchesSplitPastMax(t *testing.T) {
 	if err := fb.DeleteBatch(append(keys[1:], keys[1])); err != nil {
 		t.Fatal(err)
 	}
-	live := fileViewOf(t, fb)
+	type view struct {
+		Contents string
+		Count    int
+		Garbage  float64
+		Tombs    int64
+	}
+	viewOf := func(db *kvdb.DB) view {
+		n, err := db.Count("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return view{contentsOf(t, db), n, db.GarbageRatio(), db.Tombstones()}
+	}
+	live := viewOf(fb)
 	if err := fb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re := openFile(t, dir)
 	defer re.Close()
-	if got := fileViewOf(t, re); !reflect.DeepEqual(got, live) || live.Count != 2 || live.Tombstones != 19 {
-		t.Fatalf("reopened\n%+v\nlive\n%+v", got, live)
+	if got := viewOf(re); got != live || live.Count != 2 {
+		t.Fatalf("reopened: %d keys, garbage %v, %d tombstones, same contents %v; live: %d keys, garbage %v, %d tombstones",
+			got.Count, got.Garbage, got.Tombs, got.Contents == live.Contents, live.Count, live.Garbage, live.Tombs)
 	}
 }

@@ -20,9 +20,6 @@ func NewMemoryBackend() *MemoryBackend {
 	return &MemoryBackend{items: make(map[string][]byte)}
 }
 
-// Name implements Backend.
-func (m *MemoryBackend) Name() string { return "memory" }
-
 // Put implements Backend.
 func (m *MemoryBackend) Put(key string, value []byte) error {
 	return m.PutBatch([]KV{{Key: key, Value: value}})

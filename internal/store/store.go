@@ -1,9 +1,9 @@
 // Package store implements the Provenance Store Interface of PReServ's
 // layered design (paper Figure 3): a uniform API that plug-ins call,
-// with interchangeable backends — in-memory, file system, and an
-// embedded database (internal/kvdb, the Berkeley DB stand-in). "This
-// abstraction makes it easy to integrate new backend stores without
-// having to change already developed PlugIns."
+// with interchangeable backends — in-memory and an embedded database
+// (internal/kvdb, the Berkeley DB stand-in), which the file-system
+// flavour opens too. "This abstraction makes it easy to integrate new
+// backend stores without having to change already developed PlugIns."
 package store
 
 import (
@@ -29,11 +29,6 @@ import (
 // accepted idempotently.
 var ErrDuplicate = errors.New("store: duplicate record key")
 
-// ErrCorrupt is returned when a backend's own bookkeeping points at
-// bytes it does not hold, such as a live key whose segment is gone. It
-// is never reported as an absent key.
-var ErrCorrupt = errors.New("store: corrupt backend state")
-
 // KV is one key/value pair of a batched write (an alias of kv.Pair so
 // that internal/index can name the same type without importing store).
 type KV = kv.Pair
@@ -46,9 +41,9 @@ type Backend interface {
 	Put(key string, value []byte) error
 	// PutBatch stores several pairs in one backend operation, with the
 	// same per-key semantics as Put. Implementations amortise the
-	// per-write cost (one lock acquisition, one log append, one packed
-	// segment file) and preserve slice order, so a crash durably keeps
-	// at most a prefix of the batch.
+	// per-write cost (one lock acquisition, one log append) and preserve
+	// slice order, so a crash durably keeps at most a prefix of the
+	// batch.
 	PutBatch(kvs []KV) error
 	// Get returns the value under key, or (nil, false, nil) if absent.
 	Get(key string) (value []byte, ok bool, err error)
@@ -58,17 +53,16 @@ type Backend interface {
 	// amortise the per-read cost: one lock acquisition for the batch, and
 	// on kvdb one offset-ordered pass over the log.
 	GetBatch(keys []string) (values [][]byte, present []bool, err error)
-	// Delete removes key. Deleting an absent key is a no-op. Persistent
-	// backends delete by tombstone (a kvdb log entry, a PSEG1 segment
-	// entry); the bytes are reclaimed by Compact.
+	// Delete removes key. Deleting an absent key is a no-op. The
+	// persistent backend deletes by tombstone, a kvdb log entry; the
+	// bytes are reclaimed by Compact.
 	Delete(key string) error
 	// DeleteBatch removes several keys in one backend operation, with
 	// the same per-key semantics as Delete. A crash never applies a
 	// deletion the durable state cannot explain: kvdb logs the batch's
 	// tombstones as key-batch entries cut in slice order, each whole or
 	// lost (a torn tail keeps a prefix of the batch at entry
-	// granularity); the file backend publishes all its tombstones in one
-	// segment, atomically.
+	// granularity).
 	DeleteBatch(keys []string) error
 	// ScanFrom visits every key with the given prefix and >= from (an
 	// empty from is unconstrained) in sorted key order, stopping at the
@@ -79,8 +73,6 @@ type Backend interface {
 	Count(prefix string) (int, error)
 	// Close releases resources.
 	Close() error
-	// Name identifies the backend flavour ("memory", "file", "kvdb").
-	Name() string
 }
 
 // recordStripes is how many lock stripes guard record commits and
@@ -175,9 +167,6 @@ func New(b Backend) *Store {
 		}
 		return float64(st.Hits) / float64(st.Hits+st.Misses)
 	})
-	if mb, ok := b.(interface{ MappedBytes() int64 }); ok {
-		s.reg.GaugeFunc("store_mapped_bytes", func() float64 { return float64(mb.MappedBytes()) })
-	}
 	return s
 }
 
@@ -256,9 +245,6 @@ func (s *Store) unlockStripes(set *stripeSet) {
 		}
 	}
 }
-
-// BackendName reports which backend the store runs on.
-func (s *Store) BackendName() string { return s.b.Name() }
 
 // Close closes the underlying backend.
 func (s *Store) Close() error { return s.b.Close() }
@@ -525,8 +511,8 @@ const deleteChunkSize = 256
 // DeleteSession removes every record grouped under the given session —
 // the retraction primitive that keeps a long-lived store from growing
 // without bound. It returns how many records were deleted. Each chunk
-// of records is deleted in one backend batch (one tombstone segment /
-// one contiguous log append), and all the call's posting removals flush
+// of records is deleted in one backend batch (one contiguous log
+// append), and all the call's posting removals flush
 // through one RemoveBatch per chunk.
 func (s *Store) DeleteSession(session ids.ID) (int, error) {
 	span := s.reg.Tracer().StartSpan("store.delete").SetAttr("kind", "session")
@@ -639,9 +625,8 @@ func (s *Store) deleteKeys(idx *index.Index, keys []string) (int, error) {
 // records in a single backend batch, then flush their posting
 // removals, all while holding every involved stripe lock (taken by
 // lockStripes in ascending stripe order, as Record's commit takes its
-// own, so concurrent multi-key writers and deleters cannot deadlock —
-// and unlike the file backend's *Locked helpers, this function takes
-// its own locks).
+// own, so concurrent multi-key writers and deleters cannot deadlock;
+// this function takes its own locks).
 // Keeping the posting removal inside the locks stops a concurrent
 // idempotent re-Record from interleaving its fresh postings between
 // the record deletes and the de-indexing. Crash ordering mirrors
@@ -706,8 +691,8 @@ func (s *Store) deleteChunk(idx *index.Index, chunk []string) (deleted int, atte
 }
 
 // Compacter is implemented by backends that can reclaim dead bytes
-// (superseded values, tombstones) — the file and kvdb backends; the
-// memory backend has no garbage to reclaim.
+// (superseded values, tombstones) — kvdb; the memory backend has no
+// garbage to reclaim.
 type Compacter interface {
 	Compact() error
 }
@@ -726,7 +711,7 @@ type TombstoneReporter interface {
 }
 
 // compactingBackend is a Backend with every optional interface Store
-// probes for. The persistent backends are pinned to it: a rename that
+// probes for. The persistent backend is pinned to it: a rename that
 // dropped one would otherwise read as zero garbage and a compaction that
 // never runs, with nothing failing.
 type compactingBackend interface {
@@ -736,22 +721,36 @@ type compactingBackend interface {
 	TombstoneReporter
 }
 
-var (
-	_ compactingBackend = (*kvdb.DB)(nil)
-	_ compactingBackend = (*FileBackend)(nil)
-)
+var _ compactingBackend = (*kvdb.DB)(nil)
 
-// NewKVBackend opens (creating if necessary) a kvdb-backed store in dir:
-// the embedded database is the backend itself, the counterpart of
-// PReServ's Berkeley DB backend, which the paper uses for all of its
-// evaluations.
+// NewKVBackend opens (creating if necessary) the one persistent backend
+// in dir: the embedded database is the backend itself, the counterpart
+// of PReServ's Berkeley DB backend, which the paper uses for all of its
+// evaluations. Whatever an earlier version's file layout left in dir is
+// adopted into the log before it returns (adoptFileLayout).
 func NewKVBackend(dir string) (*kvdb.DB, error) {
 	db, err := kvdb.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening kvdb backend: %w", err)
 	}
+	if err := adoptFileLayout(db, dir); err != nil {
+		db.Close()
+		return nil, err
+	}
 	return db, nil
 }
+
+// NewFileBackend is NewKVBackend, kept for the frozen benchmark/, which
+// opens its file-flavour stores through it.
+func NewFileBackend(dir string) (*kvdb.DB, error) { return NewKVBackend(dir) }
+
+// FileBackend has no constructor and is named only by the frozen
+// benchmark/, which type-asserts it; the benchmark-only PR that stops
+// reporting file.segments_per_krec deletes it.
+type FileBackend struct{ *kvdb.DB }
+
+// Segments reports zero: no segment file backs a key any more.
+func (*FileBackend) Segments() int { return 0 }
 
 // BloomStatser has no implementer and is named only by the frozen benchmark/; the benchmark-only PR that drops store.bloom_skip_ratio deletes it.
 type BloomStatser interface {

@@ -394,11 +394,32 @@ func TestReadsDoNotWaitOnIndexOpen(t *testing.T) {
 	}
 }
 
-func TestBackendNames(t *testing.T) {
-	for want, b := range backends(t) {
-		if b.Name() != want {
-			t.Errorf("backend Name() = %q, want %q", b.Name(), want)
-		}
+// The store reports its backend's garbage and tombstones: zero on
+// memory, which has none, and the log's own counts on the persistent
+// backends until Compact reclaims them.
+func TestStoreReportsBackendGarbage(t *testing.T) {
+	for name, b := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			s := New(b)
+			session := seq.NewID()
+			recs := []core.Record{mkInteraction(session, "svc:gzip", "compress"), mkInteraction(session, "svc:gzip", "compress")}
+			if _, _, err := s.Record("svc:enactor", recs); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := s.DeleteRecords([]string{recs[0].StorageKey()}); err != nil || n != 1 {
+				t.Fatalf("DeleteRecords = %d, %v", n, err)
+			}
+			persistent := name != "memory"
+			if g, n := s.GarbageRatio(), s.Tombstones(); (g > 0) != persistent || (n > 0) != persistent {
+				t.Fatalf("garbage ratio %v, %d tombstones after a delete", g, n)
+			}
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if g, n := s.GarbageRatio(), s.Tombstones(); g != 0 || n != 0 {
+				t.Fatalf("garbage ratio %v, %d tombstones after Compact", g, n)
+			}
+		})
 	}
 }
 

@@ -1,15 +1,14 @@
 package store
 
-// Tests for the concurrent batched write path: packed posting segments
-// on the file backend, striped commit locking, and the one-flush-per-
-// Record index maintenance.
+// Tests for the concurrent batched write path: one log file per store,
+// striped commit locking, and the one-flush-per-Record index
+// maintenance; and for the adoption of torn and corrupt segments.
 
 import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -19,10 +18,9 @@ import (
 	"preserv/internal/prep"
 )
 
-// TestFileBackendPackedPostings verifies the file-count bound: a Record
-// call costs two segment files — one for its records, one for their
-// postings — however many records it carries, never a file (or pair)
-// per record or per posting.
+// TestFileBackendPackedPostings verifies the file-count bound: a store
+// is one log file however many Record calls, records and postings it
+// takes — never a file (or pair) per call, per record or per posting.
 func TestFileBackendPackedPostings(t *testing.T) {
 	dir := t.TempDir()
 	fb, err := NewFileBackend(dir)
@@ -33,18 +31,6 @@ func TestFileBackendPackedPostings(t *testing.T) {
 	if _, err := s.Index(); err != nil { // the schema marker's own write
 		t.Fatal(err)
 	}
-	files := func() int {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), segExt) {
-				t.Errorf("%s is not a segment file", e.Name())
-			}
-		}
-		return len(entries)
-	}
 	session := seq.NewID()
 	n := 0
 	for _, size := range []int{1, 10, 40} {
@@ -52,14 +38,17 @@ func TestFileBackendPackedPostings(t *testing.T) {
 		for i := 0; i < size; i++ {
 			recs = append(recs, mkInteraction(session, "svc:gzip", fmt.Sprintf("op%d", n+i)))
 		}
-		before := files()
 		acc, rej, err := s.Record("svc:enactor", recs)
 		if err != nil || acc != size || len(rej) != 0 {
 			t.Fatalf("Record: acc=%d rej=%v err=%v", acc, rej, err)
 		}
 		n += size
-		if added := files() - before; added != 2 {
-			t.Errorf("a Record call of %d records added %d files, want 2", size, added)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "data.log" {
+			t.Errorf("after a Record call of %d records the store is %d files, want data.log alone", size, len(entries))
 		}
 	}
 
@@ -83,43 +72,19 @@ func TestFileBackendPackedPostings(t *testing.T) {
 	}
 }
 
-// TestFileBackendTornSegmentTail verifies recovery: a torn batch write
-// keeps the segment's intact prefix and drops only the damaged tail.
+// TestFileBackendTornSegmentTail verifies the adoption of a torn batch
+// write: the segment's intact prefix is adopted, only the damaged tail
+// is dropped.
 func TestFileBackendTornSegmentTail(t *testing.T) {
 	dir := t.TempDir()
-	fb, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.PutBatch([]KV{
-		{Key: "a", Value: []byte("alpha")},
-		{Key: "b", Value: []byte("beta")},
-		{Key: "c", Value: []byte("gamma")},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	entries, _ := os.ReadDir(dir)
-	var segPath string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), segExt) {
-			segPath = filepath.Join(dir, e.Name())
-		}
-	}
-	if segPath == "" {
-		t.Fatal("no segment written")
-	}
-	data, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
+	seg := []byte(segMagic)
+	for _, p := range []KV{{Key: "a", Value: []byte("alpha")}, {Key: "b", Value: []byte("beta")}, {Key: "c", Value: []byte("gamma")}} {
+		seg = appendSegEntry(seg, p.Key, p.Value)
 	}
 	// Chop into the last entry's CRC: "c" must be dropped, "a"/"b" kept.
-	if err := os.WriteFile(segPath, data[:len(data)-2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fb2, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeSegments(t, dir, seg[:len(seg)-2])
+	fb2 := openFile(t, dir)
+	defer fb2.Close()
 	for key, want := range map[string]string{"a": "alpha", "b": "beta"} {
 		v, ok, err := fb2.Get(key)
 		if err != nil || !ok || string(v) != want {
@@ -383,36 +348,18 @@ func TestIdempotentReRecordAcrossCodecChange(t *testing.T) {
 // entry parse as torn, never panic the open.
 func TestFileBackendCorruptSegmentLengths(t *testing.T) {
 	dir := t.TempDir()
-	fb, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fb.PutBatch([]KV{{Key: "good", Value: []byte("v")}}); err != nil {
-		t.Fatal(err)
-	}
-	entries, _ := os.ReadDir(dir)
-	var segPath string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), segExt) {
-			segPath = filepath.Join(dir, e.Name())
-		}
-	}
-	data, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Append a forged entry whose keyLen varint decodes to ~2^63.
-	forged := append(append([]byte(nil), data...),
+	// A good entry, then a forged one whose keyLen varint decodes to
+	// ~2^63.
+	forged := append(appendSegEntry([]byte(segMagic), "good", []byte("v")),
 		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, // keyLen
 		0x01,     // valLen
 		'k', 'v') // far too short for the declared lengths
-	if err := os.WriteFile(segPath, forged, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeSegments(t, dir, forged)
 	fb2, err := NewFileBackend(dir)
 	if err != nil {
 		t.Fatalf("open paniced or failed on corrupt lengths: %v", err)
 	}
+	defer fb2.Close()
 	if v, ok, err := fb2.Get("good"); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("intact prefix entry lost: %q ok=%v err=%v", v, ok, err)
 	}
