@@ -280,10 +280,11 @@ func BenchmarkCodecBZip2(b *testing.B) { benchCodec(b, "bzip2") }
 // --- Shape tests (E3 and E6 claims) ---
 
 // TestFigure4Shape asserts Figure 4's qualitative claims on a
-// scaled-down sweep. Timing on a shared single-core host is noisy, so
-// the assertions compare whole-sweep totals with tolerance: recording
-// must cost more than not recording, asynchronous recording must stay
-// the cheapest recording configuration, and every fit must rise.
+// scaled-down sweep. Each point is a median of process CPU times
+// (bench.RunFigure4), and the assertions compare whole-sweep totals with
+// tolerance: recording must cost more than not recording, asynchronous
+// recording must stay the cheapest recording configuration, and every
+// fit must rise.
 func TestFigure4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is seconds-long")
@@ -293,7 +294,6 @@ func TestFigure4Shape(t *testing.T) {
 		PermSteps:   []int{4, 8, 12, 16},
 		BatchSize:   4,
 		Seed:        2005,
-		Repeats:     3,
 	}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -363,13 +363,17 @@ func TestE6RecordsPerPermutation(t *testing.T) {
 
 // TestFigure5SlopeRatio asserts E5's headline: the semantic-validity
 // slope is a large multiple of the script-comparison slope (paper ≈11×,
-// driven by ~10 registry calls per interaction vs 1 store call).
+// driven by ~10 registry calls per interaction vs 1 store call). The
+// steps span 30×, as the paper's sweep starts near an empty store: a
+// point's CPU time varies by a factor, not by a fixed amount, when other
+// packages' tests share the CPUs, and over a 6× span (60-360) that
+// factor could pull the script-comparison fit below r = 0.9.
 func TestFigure5SlopeRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is seconds-long")
 	}
 	points, err := bench.RunFigure5(bench.Fig5Options{
-		RecordSteps: []int{60, 120, 240, 360},
+		RecordSteps: []int{12, 60, 360},
 		Seed:        2005,
 	}, io.Discard)
 	if err != nil {

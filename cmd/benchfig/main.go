@@ -152,7 +152,6 @@ func main() {
 		opts := bench.ObsGateOptions{}
 		if *paper {
 			opts.Records = 20000
-			opts.Trials = 5
 		}
 		res, err := bench.RunObsGate(opts, progress)
 		if err != nil {
@@ -172,7 +171,6 @@ func main() {
 			opts.Batches = 16
 			opts.BatchSize = 512
 			opts.Records = 2000
-			opts.Reps = 8
 		}
 		points, err := bench.RunWriteAvailSweep(opts, progress)
 		if err != nil {

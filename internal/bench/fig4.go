@@ -8,10 +8,9 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
+	"slices"
 
 	"preserv/internal/experiment"
-	"preserv/internal/grid"
 	"preserv/internal/preserv"
 	"preserv/internal/stats"
 	"preserv/internal/store"
@@ -38,12 +37,6 @@ type Fig4Options struct {
 	BatchSize int
 	// Seed fixes the workload.
 	Seed int64
-	// Slots is the simulated cluster width; 0 disables the grid sim.
-	Slots int
-	// SchedulingDelay is the per-job grid latency when Slots > 0.
-	SchedulingDelay time.Duration
-	// Repeats averages each point over this many runs (default 1).
-	Repeats int
 }
 
 func (o *Fig4Options) withDefaults() Fig4Options {
@@ -57,9 +50,6 @@ func (o *Fig4Options) withDefaults() Fig4Options {
 	if out.BatchSize <= 0 {
 		out.BatchSize = 10
 	}
-	if out.Repeats <= 0 {
-		out.Repeats = 1
-	}
 	return out
 }
 
@@ -67,66 +57,63 @@ func (o *Fig4Options) withDefaults() Fig4Options {
 type Fig4Point struct {
 	Permutations int
 	Mode         experiment.RecordingMode
-	Seconds      float64
-	Records      int64
+	// Seconds is the process CPU time of the run, client and store
+	// together: the work the configuration costs.
+	Seconds float64
+	Records int64
 }
 
-// RunFigure4 executes the sweep. Every recording configuration gets a
-// fresh in-memory provenance store so store growth does not contaminate
-// later points. Progress lines go to progress when non-nil.
+// RunFigure4 executes the sweep, every (permutations, mode) point once
+// per interleaved round, and reports each point's median CPU time.
+// Every run gets a fresh in-memory provenance store so store growth
+// does not contaminate later points. Progress lines go to progress
+// when non-nil.
+//
+// Points run permutation count by permutation count, the four modes of
+// each side by side: a change in the host's speed part-way through a
+// round then falls on every mode alike, and cannot decide the ordering
+// between modes the figure asserts by landing on one mode's block.
 func RunFigure4(opts Fig4Options, progress io.Writer) ([]Fig4Point, error) {
 	o := opts.withDefaults()
-	var points []Fig4Point
-	for _, mode := range Fig4Modes {
-		for _, perms := range o.PermSteps {
-			seconds := 0.0
-			var records int64
-			for rep := 0; rep < o.Repeats; rep++ {
-				svc := preserv.NewService(store.New(store.NewMemoryBackend()))
-				srv, err := preserv.Serve(svc, "127.0.0.1:0")
-				if err != nil {
-					return nil, err
-				}
-				var cluster *grid.Cluster
-				if o.Slots > 0 {
-					cluster, err = grid.NewCluster(o.Slots, o.SchedulingDelay, 0)
-					if err != nil {
-						srv.Close()
-						return nil, err
-					}
-				}
-				cfg := experiment.Config{
-					Mode:      mode,
-					StoreURLs: []string{srv.URL},
-					Cluster:   cluster,
-				}
-				if mode == experiment.RecordOff {
-					cfg.StoreURLs = nil
-				}
-				res, err := experiment.Run(experiment.Params{
-					SampleBytes:  o.SampleBytes,
-					Permutations: perms,
-					BatchSize:    o.BatchSize,
-					Seed:         o.Seed,
-				}, cfg)
-				srv.Close()
-				if err != nil {
-					return nil, fmt.Errorf("bench: fig4 %s/%d: %w", mode, perms, err)
-				}
-				seconds += res.Elapsed.Seconds()
-				records = res.RecordsCreated
-			}
-			p := Fig4Point{
-				Permutations: perms,
-				Mode:         mode,
-				Seconds:      seconds / float64(o.Repeats),
-				Records:      records,
-			}
-			points = append(points, p)
-			if progress != nil {
-				fmt.Fprintf(progress, "fig4 %-12s N=%-4d %8.3fs %6d records\n",
-					mode, perms, p.Seconds, p.Records)
-			}
+	points := make([]Fig4Point, 0, len(Fig4Modes)*len(o.PermSteps))
+	for _, perms := range o.PermSteps {
+		for _, mode := range Fig4Modes {
+			points = append(points, Fig4Point{Permutations: perms, Mode: mode})
+		}
+	}
+	medians, err := interleave(rounds, len(points), func(i int) ([]float64, error) {
+		p := &points[i]
+		srv, err := preserv.Serve(preserv.NewService(store.New(store.NewMemoryBackend())), "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		defer srv.Close()
+		cfg := experiment.Config{Mode: p.Mode}
+		if p.Mode != experiment.RecordOff {
+			cfg.StoreURLs = []string{srv.URL}
+		}
+		start := cpuTime()
+		res, err := experiment.Run(experiment.Params{
+			SampleBytes:  o.SampleBytes,
+			Permutations: p.Permutations,
+			BatchSize:    o.BatchSize,
+			Seed:         o.Seed,
+		}, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("bench: fig4 %s/%d: %w", p.Mode, p.Permutations, err)
+		}
+		p.Records = res.RecordsCreated
+		return []float64{(cpuTime() - start).Seconds()}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range points {
+		p := &points[i]
+		p.Seconds = medians[i][0]
+		if progress != nil {
+			fmt.Fprintf(progress, "fig4 %-12s N=%-4d %8.3fs %6d records\n",
+				p.Mode, p.Permutations, p.Seconds, p.Records)
 		}
 	}
 	return points, nil
@@ -195,9 +182,9 @@ func RenderFig4(w io.Writer, points []Fig4Point, summary *Fig4Summary) {
 	for p := range perms {
 		steps = append(steps, p)
 	}
-	sortInts(steps)
+	slices.Sort(steps)
 
-	fmt.Fprintf(w, "Figure 4: overall execution time (seconds) vs number of permutations\n")
+	fmt.Fprintf(w, "Figure 4: overall execution time (process CPU seconds, median of %d rounds) vs number of permutations\n", rounds)
 	fmt.Fprintf(w, "%-8s", "perms")
 	for _, mode := range Fig4Modes {
 		fmt.Fprintf(w, " %14s", mode)
@@ -223,13 +210,5 @@ func RenderFig4(w io.Writer, points []Fig4Point, summary *Fig4Summary) {
 		fmt.Fprintf(w, "async overhead vs no-recording: mean %.1f%% (paper: < 10%%)\n",
 			100*summary.MeanAsyncOverhead)
 		fmt.Fprintf(w, "slope ordering none<=async<=sync<=sync+extra: %v\n", summary.SlopeOrderOK)
-	}
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
 	}
 }

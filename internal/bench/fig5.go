@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"preserv/internal/compare"
 	"preserv/internal/core"
@@ -40,9 +39,11 @@ func (o *Fig5Options) withDefaults() Fig5Options {
 type Fig5Point struct {
 	// Interactions is the number of interaction records in the store.
 	Interactions int
-	// CompareMillis is the script-comparison (use case 1) time.
+	// CompareMillis is the script-comparison (use case 1) process CPU
+	// time.
 	CompareMillis float64
-	// SemvalMillis is the semantic-validation (use case 2) time.
+	// SemvalMillis is the semantic-validation (use case 2) process CPU
+	// time.
 	SemvalMillis float64
 	// RegistryCallsPerInteraction reports semval's registry fan-out
 	// (the paper observes ≈10, giving the ≈11× slope ratio).
@@ -147,8 +148,9 @@ func Populate(client *preserv.Client, interactions int, seed int64) (ids.ID, err
 	return p.session, nil
 }
 
-// RunFigure5 executes the sweep: for each step a fresh store is
-// populated to the target size, then both use cases are timed.
+// RunFigure5 executes the sweep: each step, once per interleaved round,
+// populates a fresh store to the target size and then times both use
+// cases on the process CPU clock; a point holds each time's median.
 func RunFigure5(opts Fig5Options, progress io.Writer) ([]Fig5Point, error) {
 	o := opts.withDefaults()
 
@@ -163,22 +165,20 @@ func RunFigure5(opts Fig5Options, progress io.Writer) ([]Fig5Point, error) {
 		return nil, err
 	}
 
-	var points []Fig5Point
-	for _, step := range o.RecordSteps {
-		svc := preserv.NewService(store.New(store.NewMemoryBackend()))
-		srv, err := preserv.Serve(svc, "127.0.0.1:0")
+	points := make([]Fig5Point, len(o.RecordSteps))
+	medians, err := interleave(rounds, len(points), func(i int) ([]float64, error) {
+		srv, err := preserv.Serve(preserv.NewService(store.New(store.NewMemoryBackend())), "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
+		defer srv.Close()
 		client := preserv.NewClient(srv.URL, nil)
-		session, err := Populate(client, step, o.Seed)
+		session, err := Populate(client, o.RecordSteps[i], o.Seed)
 		if err != nil {
-			srv.Close()
 			return nil, err
 		}
 		cnt, err := client.Count()
 		if err != nil {
-			srv.Close()
 			return nil, err
 		}
 
@@ -186,13 +186,12 @@ func RunFigure5(opts Fig5Options, progress io.Writer) ([]Fig5Point, error) {
 		// per-interaction access pattern — Figure 5 characterises the
 		// scan path, not the indexed planner (internal/bench's indexed
 		// benchmarks measure that comparison).
-		compStart := time.Now()
+		compStart := cpuTime()
 		cat, err := (&compare.Categorizer{Store: client, Legacy: true}).Categorize()
 		if err != nil {
-			srv.Close()
 			return nil, err
 		}
-		compareMs := float64(time.Since(compStart).Microseconds()) / 1000
+		compareCPU := cpuTime() - compStart
 
 		// Use case 2: semantic validity.
 		validator := &semval.Validator{
@@ -201,14 +200,12 @@ func RunFigure5(opts Fig5Options, progress io.Writer) ([]Fig5Point, error) {
 			Ontology: ontology.Bioinformatics(),
 			Legacy:   true, // paper access pattern, as for compare above
 		}
-		semStart := time.Now()
+		semStart := cpuTime()
 		rep, err := validator.ValidateSession(session)
 		if err != nil {
-			srv.Close()
 			return nil, err
 		}
-		semvalMs := float64(time.Since(semStart).Microseconds()) / 1000
-		srv.Close()
+		semvalCPU := cpuTime() - semStart
 
 		if !rep.Valid() {
 			return nil, fmt.Errorf("bench: synthetic population failed validation: %v", rep.Violations[0])
@@ -216,17 +213,18 @@ func RunFigure5(opts Fig5Options, progress io.Writer) ([]Fig5Point, error) {
 		if cat.InteractionsScanned != cnt.Interactions {
 			return nil, fmt.Errorf("bench: categorised %d of %d interactions", cat.InteractionsScanned, cnt.Interactions)
 		}
-		perInteraction := 0.0
+		points[i].Interactions = cnt.Interactions
 		if rep.Interactions > 0 {
-			perInteraction = float64(rep.RegistryCalls) / float64(rep.Interactions)
+			points[i].RegistryCallsPerInteraction = float64(rep.RegistryCalls) / float64(rep.Interactions)
 		}
-		p := Fig5Point{
-			Interactions:                cnt.Interactions,
-			CompareMillis:               compareMs,
-			SemvalMillis:                semvalMs,
-			RegistryCallsPerInteraction: perInteraction,
-		}
-		points = append(points, p)
+		return []float64{compareCPU.Seconds() * 1000, semvalCPU.Seconds() * 1000}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range points {
+		p := &points[i]
+		p.CompareMillis, p.SemvalMillis = medians[i][0], medians[i][1]
 		if progress != nil {
 			fmt.Fprintf(progress, "fig5 n=%-5d compare=%9.2fms semval=%9.2fms regCalls/i=%.1f\n",
 				p.Interactions, p.CompareMillis, p.SemvalMillis, p.RegistryCallsPerInteraction)
@@ -269,7 +267,7 @@ func SummarizeFig5(points []Fig5Point) (*Fig5Summary, error) {
 
 // RenderFig5 writes the series and summary.
 func RenderFig5(w io.Writer, points []Fig5Point, summary *Fig5Summary) {
-	fmt.Fprintf(w, "Figure 5: use-case execution time (ms) vs interaction records in store\n")
+	fmt.Fprintf(w, "Figure 5: use-case execution time (process CPU ms, median of %d rounds) vs interaction records in store\n", rounds)
 	fmt.Fprintf(w, "%-10s %16s %16s %12s\n", "records", "scriptCompare", "semanticCheck", "regCalls/i")
 	for _, p := range points {
 		fmt.Fprintf(w, "%-10d %16.2f %16.2f %12.1f\n",

@@ -53,6 +53,8 @@ type IngestResult struct {
 	Records       int
 	Elapsed       time.Duration
 	RecordsPerSec float64
+	// CPU is the process CPU time over the same interval as Elapsed.
+	CPU time.Duration
 }
 
 // ingestBackend opens the requested backend flavour in dir (ignored for
@@ -131,7 +133,7 @@ func RunIngest(opts IngestOptions) (*IngestResult, error) {
 
 	var wg sync.WaitGroup
 	errs := make([]error, o.Writers)
-	start := time.Now()
+	start, cpuStart := time.Now(), cpuTime()
 	for w := range work {
 		wg.Add(1)
 		go func(w int) {
@@ -145,7 +147,7 @@ func RunIngest(opts IngestOptions) (*IngestResult, error) {
 		}(w)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
+	elapsed, cpu := time.Since(start), cpuTime()-cpuStart
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -158,6 +160,7 @@ func RunIngest(opts IngestOptions) (*IngestResult, error) {
 		Records:       total,
 		Elapsed:       elapsed,
 		RecordsPerSec: float64(total) / elapsed.Seconds(),
+		CPU:           cpu,
 	}, nil
 }
 

@@ -132,41 +132,44 @@ func (o *GranOptions) withDefaults() GranOptions {
 	return out
 }
 
-// RunGranularity executes the E7 sweep with asynchronous recording.
+// RunGranularity executes the E7 sweep with asynchronous recording,
+// every batch size once per interleaved round. Its claim is about
+// waiting on the simulated grid, so a point holds the median wall time
+// and the median grid-overhead fraction.
 func RunGranularity(opts GranOptions, progress io.Writer) ([]GranPoint, error) {
 	o := opts.withDefaults()
-	var points []GranPoint
-	for _, batch := range o.BatchSizes {
-		svc := preserv.NewService(store.New(store.NewMemoryBackend()))
-		srv, err := preserv.Serve(svc, "127.0.0.1:0")
+	medians, err := interleave(rounds, len(o.BatchSizes), func(i int) ([]float64, error) {
+		srv, err := preserv.Serve(preserv.NewService(store.New(store.NewMemoryBackend())), "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
+		defer srv.Close()
 		cluster, err := grid.NewCluster(o.Slots, o.SchedulingDelay, 0)
 		if err != nil {
-			srv.Close()
 			return nil, err
 		}
 		res, err := experiment.Run(experiment.Params{
 			SampleBytes:  o.SampleBytes,
 			Permutations: o.Permutations,
-			BatchSize:    batch,
+			BatchSize:    o.BatchSizes[i],
 			Seed:         o.Seed,
 		}, experiment.Config{
 			Mode:      experiment.RecordAsync,
 			StoreURLs: []string{srv.URL},
 			Cluster:   cluster,
 		})
-		srv.Close()
 		if err != nil {
-			return nil, fmt.Errorf("bench: granularity batch=%d: %w", batch, err)
+			return nil, fmt.Errorf("bench: granularity batch=%d: %w", o.BatchSizes[i], err)
 		}
-		p := GranPoint{
-			BatchSize:        batch,
-			Seconds:          res.Elapsed.Seconds(),
-			GridOverheadFrac: cluster.Stats().OverheadFraction(),
-		}
-		points = append(points, p)
+		return []float64{res.Elapsed.Seconds(), cluster.Stats().OverheadFraction()}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	points := make([]GranPoint, len(o.BatchSizes))
+	for i, batch := range o.BatchSizes {
+		p := GranPoint{BatchSize: batch, Seconds: medians[i][0], GridOverheadFrac: medians[i][1]}
+		points[i] = p
 		if progress != nil {
 			fmt.Fprintf(progress, "gran batch=%-4d %8.3fs gridOverhead=%.1f%%\n",
 				p.BatchSize, p.Seconds, 100*p.GridOverheadFrac)
@@ -177,7 +180,7 @@ func RunGranularity(opts GranOptions, progress io.Writer) ([]GranPoint, error) {
 
 // RenderGranularity writes the E7 table.
 func RenderGranularity(w io.Writer, points []GranPoint) {
-	fmt.Fprintf(w, "E7: activity granularity ablation (async recording)\n")
+	fmt.Fprintf(w, "E7: activity granularity ablation (async recording, wall clock, median of %d rounds)\n", rounds)
 	fmt.Fprintf(w, "%-12s %12s %18s\n", "batchSize", "seconds", "gridOverheadFrac")
 	for _, p := range points {
 		fmt.Fprintf(w, "%-12d %12.3f %18.3f\n", p.BatchSize, p.Seconds, p.GridOverheadFrac)

@@ -3,10 +3,9 @@ package bench
 // Instrumentation-overhead gate: the telemetry layer (spans + latency
 // histograms on the store's write path) must cost within a few percent
 // of running uninstrumented, or it cannot default to on. The gate runs
-// the same ingest workload with obs disabled and enabled, interleaving
-// trials and keeping each mode's best run — best-of-N is the standard
-// answer to scheduler noise; a systematic slowdown survives it, a noisy
-// outlier does not.
+// the same ingest workload with obs disabled and enabled, in
+// interleaved rounds, and compares the median process CPU time each
+// mode spends on it: the claim is about the work telemetry adds.
 
 import (
 	"fmt"
@@ -25,12 +24,10 @@ type ObsGateOptions struct {
 	// backend is the one where fixed instrumentation cost is the largest
 	// fraction, so it is the hardest case).
 	Backend string
-	// Records is the per-trial workload size.
+	// Records is the per-run workload size.
 	Records int
 	// Writers is the ingest concurrency.
 	Writers int
-	// Trials is how many interleaved disabled/enabled pairs to run.
-	Trials int
 }
 
 func (o ObsGateOptions) withDefaults() ObsGateOptions {
@@ -43,17 +40,15 @@ func (o ObsGateOptions) withDefaults() ObsGateOptions {
 	if o.Writers <= 0 {
 		o.Writers = 4
 	}
-	if o.Trials <= 0 {
-		o.Trials = 3
-	}
 	return o
 }
 
-// ObsGateResult reports both modes' best throughput and the verdict.
+// ObsGateResult reports both modes' median throughput and the verdict.
 type ObsGateResult struct {
-	Backend        string
-	Records        int
-	Trials         int
+	Backend string
+	Records int
+	// DisabledRecSec and EnabledRecSec are records per second of
+	// process CPU time.
 	DisabledRecSec float64
 	EnabledRecSec  float64
 	// Ratio is enabled/disabled throughput; 1.0 means free telemetry.
@@ -69,42 +64,38 @@ func RunObsGate(opts ObsGateOptions, progress io.Writer) (*ObsGateResult, error)
 	defer obs.SetEnabled(prev)
 
 	ingest := IngestOptions{Backend: o.Backend, Writers: o.Writers, Records: o.Records}
-	best := map[bool]float64{}
-	for trial := 0; trial < o.Trials; trial++ {
-		for _, enabled := range []bool{false, true} {
-			obs.SetEnabled(enabled)
-			res, err := RunIngest(ingest)
-			if err != nil {
-				return nil, fmt.Errorf("bench: obs gate (enabled=%v): %w", enabled, err)
-			}
-			if res.RecordsPerSec > best[enabled] {
-				best[enabled] = res.RecordsPerSec
-			}
-			fmt.Fprintf(progress, "obsgate: trial %d enabled=%-5v %.0f rec/s\n",
-				trial+1, enabled, res.RecordsPerSec)
+	medians, err := interleave(rounds, 2, func(i int) ([]float64, error) {
+		enabled := i == 1
+		obs.SetEnabled(enabled)
+		res, err := RunIngest(ingest)
+		if err != nil {
+			return nil, fmt.Errorf("bench: obs gate (enabled=%v): %w", enabled, err)
 		}
+		recSec := float64(res.Records) / res.CPU.Seconds()
+		fmt.Fprintf(progress, "obsgate: enabled=%-5v %.0f rec/cpu-s\n", enabled, recSec)
+		return []float64{recSec}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	r := &ObsGateResult{
 		Backend:        o.Backend,
 		Records:        o.Records,
-		Trials:         o.Trials,
-		DisabledRecSec: best[false],
-		EnabledRecSec:  best[true],
+		DisabledRecSec: medians[0][0],
+		EnabledRecSec:  medians[1][0],
 	}
-	if r.DisabledRecSec > 0 {
-		r.Ratio = r.EnabledRecSec / r.DisabledRecSec
-	}
+	r.Ratio = r.EnabledRecSec / r.DisabledRecSec
 	r.Pass = r.Ratio >= ObsGateThreshold
 	return r, nil
 }
 
 // RenderObsGate prints the gate verdict.
 func RenderObsGate(w io.Writer, r *ObsGateResult) {
-	fmt.Fprintf(w, "## instrumentation overhead gate (%s backend, %d records, best of %d)\n\n",
-		r.Backend, r.Records, r.Trials)
-	fmt.Fprintf(w, "  telemetry off: %9.0f rec/s\n", r.DisabledRecSec)
-	fmt.Fprintf(w, "  telemetry on:  %9.0f rec/s\n", r.EnabledRecSec)
+	fmt.Fprintf(w, "## instrumentation overhead gate (%s backend, %d records, process CPU, median of %d rounds)\n\n",
+		r.Backend, r.Records, rounds)
+	fmt.Fprintf(w, "  telemetry off: %9.0f rec/cpu-s\n", r.DisabledRecSec)
+	fmt.Fprintf(w, "  telemetry on:  %9.0f rec/cpu-s\n", r.EnabledRecSec)
 	verdict := "PASS"
 	if !r.Pass {
 		verdict = "FAIL"

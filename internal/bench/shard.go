@@ -174,8 +174,11 @@ func buildShardRouter(n int, delay time.Duration) (*shard.Router, error) {
 }
 
 // RunShardSweep measures ingest throughput and first-page latency
-// across shard counts and verifies sharded answers against a single
-// consolidated store before timing anything.
+// across shard counts, every shard count once per interleaved round,
+// and verifies sharded answers against a single consolidated store
+// before timing reads. The claim is about waiting on the modelled store
+// writes, so a point holds the median wall-clock ingest time and
+// first-page latency.
 func RunShardSweep(opts ShardSweepOptions, progress io.Writer) ([]ShardPoint, error) {
 	o := opts.withDefaults()
 	w := generateShardWorkload(o)
@@ -189,13 +192,13 @@ func RunShardSweep(opts ShardSweepOptions, progress io.Writer) ([]ShardPoint, er
 		}
 	}
 
-	var points []ShardPoint
-	var baseline float64
-	for pi, n := range o.ShardCounts {
+	medians, err := interleave(rounds, len(o.ShardCounts), func(i int) ([]float64, error) {
+		n := o.ShardCounts[i]
 		rt, err := buildShardRouter(n, o.WriteLatency)
 		if err != nil {
 			return nil, err
 		}
+		defer rt.Close()
 
 		// Ingest: writers drain a shared batch queue through the router.
 		queue := make(chan []core.Record, len(w.batches))
@@ -227,7 +230,6 @@ func RunShardSweep(opts ShardSweepOptions, progress io.Writer) ([]ShardPoint, er
 		ingest := time.Since(start)
 		for _, err := range errs {
 			if err != nil {
-				rt.Close()
 				return nil, fmt.Errorf("bench: shard sweep n=%d ingest: %w", n, err)
 			}
 		}
@@ -235,7 +237,6 @@ func RunShardSweep(opts ShardSweepOptions, progress io.Writer) ([]ShardPoint, er
 		// Correctness gate: the sharded planner, the sharded scan path
 		// and the consolidated store must agree before timing reads.
 		if err := checkShardEquivalence(rt, ref, w.sessions); err != nil {
-			rt.Close()
 			return nil, fmt.Errorf("bench: shard sweep n=%d: %w", n, err)
 		}
 
@@ -245,27 +246,28 @@ func RunShardSweep(opts ShardSweepOptions, progress io.Writer) ([]ShardPoint, er
 			sid := w.sessions[rep%len(w.sessions)]
 			t0 := time.Now()
 			if _, _, _, _, err := rt.QueryPage(&prep.Query{SessionID: sid}, "", 16); err != nil {
-				rt.Close()
 				return nil, fmt.Errorf("bench: shard sweep n=%d first page: %w", n, err)
 			}
 			pageTotal += time.Since(t0)
 		}
-		rt.Close()
+		return []float64{ingest.Seconds(), pageTotal.Seconds() * 1000 / float64(o.PageReps)}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
 
+	points := make([]ShardPoint, len(o.ShardCounts))
+	for i, n := range o.ShardCounts {
+		ingest := medians[i][0]
 		p := ShardPoint{
 			Shards:          n,
 			Records:         w.records,
-			IngestSeconds:   ingest.Seconds(),
-			RecordsPerSec:   float64(w.records) / ingest.Seconds(),
-			FirstPageMillis: float64(pageTotal.Microseconds()) / float64(o.PageReps) / 1000,
+			IngestSeconds:   ingest,
+			RecordsPerSec:   float64(w.records) / ingest,
+			Speedup:         medians[0][0] / ingest,
+			FirstPageMillis: medians[i][1],
 		}
-		if pi == 0 {
-			baseline = p.RecordsPerSec
-		}
-		if baseline > 0 {
-			p.Speedup = p.RecordsPerSec / baseline
-		}
-		points = append(points, p)
+		points[i] = p
 		if progress != nil {
 			fmt.Fprintf(progress, "shard n=%-3d ingest=%7.0f records/s (%.2fs) speedup=%.2fx firstPage=%.2fms\n",
 				p.Shards, p.RecordsPerSec, p.IngestSeconds, p.Speedup, p.FirstPageMillis)

@@ -16,7 +16,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,7 +25,6 @@ import (
 	"preserv/internal/ids"
 	"preserv/internal/prep"
 	"preserv/internal/preserv"
-	"preserv/internal/stats"
 	"preserv/internal/store"
 )
 
@@ -61,9 +60,7 @@ type WriteAvailOptions struct {
 	// FlushEvery is the auto-flush threshold driving background
 	// rotation during the tail-latency workload (default 64).
 	FlushEvery int64
-	// Reps scales the trial counts (default 4).
-	Reps int
-	Seed int64
+	Seed       int64
 }
 
 func (o *WriteAvailOptions) defaults() {
@@ -81,9 +78,6 @@ func (o *WriteAvailOptions) defaults() {
 	}
 	if o.FlushEvery <= 0 {
 		o.FlushEvery = 64
-	}
-	if o.Reps <= 0 {
-		o.Reps = 4
 	}
 }
 
@@ -128,13 +122,13 @@ func RunWriteAvailSweep(o WriteAvailOptions, progress io.Writer) ([]WriteAvailRe
 	var results []WriteAvailResult
 	for _, w := range []struct {
 		name string
-		run  func(WriteAvailOptions, io.Writer) (WriteAvailResult, error)
+		run  func(WriteAvailOptions) (WriteAvailResult, error)
 	}{
-		{"compact-ingest-kvdb", runCompactIngestKvdb},
+		{"compact-ingest-kvdb", runCompactIngest},
 		{"journal-record-p99", runJournalRecordP99},
 	} {
 		fmt.Fprintf(progress, "writeavail: %s\n", w.name)
-		p, err := w.run(o, progress)
+		p, err := w.run(o)
 		if err != nil {
 			return nil, fmt.Errorf("bench: writeavail %s: %w", w.name, err)
 		}
@@ -168,11 +162,6 @@ func writeAvailCorpus(o WriteAvailOptions) (seed []store.KV, doomed []string, ba
 	return seed, doomed, batches
 }
 
-type backendCompacter interface {
-	store.Backend
-	Compact() error
-}
-
 // backendContents snapshots a backend's live keys and values.
 func backendContents(b store.Backend) (map[string]string, error) {
 	out := make(map[string]string)
@@ -183,15 +172,14 @@ func backendContents(b store.Backend) (map[string]string, error) {
 	return out, err
 }
 
-// runCompactIngest is the shared shape of the two ingest-availability
-// workloads: write the corpus into a quiescent backend, then into an
-// identical one with a compaction loop hammering it the whole time, and
-// compare per-batch write latency. The trial only counts if both
-// backends end holding identical contents (reflect.DeepEqual over every
-// key and value) — availability bought with lost or corrupted writes is
-// no availability at all.
-func runCompactIngest(name string, o WriteAvailOptions, progress io.Writer,
-	open func(dir string) (backendCompacter, error)) (WriteAvailResult, error) {
+// runCompactIngest writes the corpus into a quiescent kvdb backend and
+// into an identical one with a compaction loop hammering it the whole
+// time, in interleaved rounds, and compares the median wall-clock write
+// latency: the claim is about writes waiting on the compactor. A run
+// only counts if its backend ends holding the same contents as every
+// other run (reflect.DeepEqual over every key and value) — availability
+// bought with lost or corrupted writes is no availability at all.
+func runCompactIngest(o WriteAvailOptions) (WriteAvailResult, error) {
 	seed, doomed, batches := writeAvailCorpus(o)
 	ops := o.Batches * o.BatchSize
 
@@ -203,25 +191,27 @@ func runCompactIngest(name string, o WriteAvailOptions, progress io.Writer,
 		tmpRoot = "/dev/shm"
 	}
 
-	// One side of a trial: seed garbage, optionally start the
-	// compaction loop, time the batch writes, stop the loop, run one
-	// final compaction, snapshot the contents.
-	side := func(concurrent bool) (sec float64, contents map[string]string, err error) {
+	// One run: seed garbage, optionally start the compaction loop, time
+	// the batch writes, stop the loop, run one final compaction, and
+	// check the contents against the first run's.
+	var want map[string]string
+	medians, err := interleave(rounds, 2, func(i int) ([]float64, error) {
+		concurrent := i == 1
 		dir, err := os.MkdirTemp(tmpRoot, "writeavail-*")
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		b, err := open(dir)
+		b, err := store.NewKVBackend(dir)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		defer b.Close()
 		if err := b.PutBatch(seed); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		if err := b.DeleteBatch(doomed); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -248,78 +238,39 @@ func runCompactIngest(name string, o WriteAvailOptions, progress io.Writer,
 			if err := b.PutBatch(batch); err != nil {
 				close(stop)
 				wg.Wait()
-				return 0, nil, err
+				return nil, err
 			}
 		}
 		elapsed := time.Since(start)
 		close(stop)
 		wg.Wait()
 		if compactErr != nil {
-			return 0, nil, fmt.Errorf("concurrent compaction: %w", compactErr)
+			return nil, fmt.Errorf("concurrent compaction: %w", compactErr)
 		}
 		if err := b.Compact(); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
-		contents, err = backendContents(b)
-		return elapsed.Seconds(), contents, err
-	}
-
-	trial := func() (quiSec, conSec float64, err error) {
-		quiSec, quiContents, err := side(false)
+		got, err := backendContents(b)
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
-		conSec, conContents, err := side(true)
-		if err != nil {
-			return 0, 0, err
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(want, got) {
+			return nil, fmt.Errorf("contents diverged: a run holds %d keys, another %d — a write was lost to the swap",
+				len(want), len(got))
 		}
-		if !reflect.DeepEqual(quiContents, conContents) {
-			return 0, 0, fmt.Errorf("contents diverged: quiescent holds %d keys, concurrent %d — a write was lost to the swap",
-				len(quiContents), len(conContents))
-		}
-		return quiSec, conSec, nil
+		return []float64{elapsed.Seconds() * 1e6 / float64(ops)}, nil
+	})
+	if err != nil {
+		return WriteAvailResult{}, err
 	}
-
-	// A floor gate must not flake: median of many trials, and a
-	// below-floor result earns fresh attempts before it is believed — a
-	// genuine regression fails every attempt.
-	trials := 4 * o.Reps
-	if trials < 17 {
-		trials = 17
-	}
-	var res WriteAvailResult
-	for attempt := 0; attempt < 3; attempt++ {
-		quis := make([]float64, 0, trials)
-		cons := make([]float64, 0, trials)
-		ratios := make([]float64, 0, trials)
-		for r := 0; r < trials; r++ {
-			q, c, err := trial()
-			if err != nil {
-				return WriteAvailResult{}, err
-			}
-			quis = append(quis, q*1e6/float64(ops))
-			cons = append(cons, c*1e6/float64(ops))
-			ratios = append(ratios, q/c)
-		}
-		got := WriteAvailResult{
-			Workload: name, Ops: ops,
-			QuiescentMicros: stats.Median(quis), ConcurrentMicros: stats.Median(cons),
-			Ratio: stats.Median(ratios), Floor: WriteAvailIngestFloor,
-		}
-		if attempt == 0 || got.Ratio > res.Ratio {
-			res = got
-		}
-		if res.Ratio >= WriteAvailIngestFloor {
-			break
-		}
-		fmt.Fprintf(progress, "writeavail: %s below floor (%.2fx), retrying\n", name, got.Ratio)
-	}
-	return res, nil
-}
-
-func runCompactIngestKvdb(o WriteAvailOptions, progress io.Writer) (WriteAvailResult, error) {
-	return runCompactIngest("compact-ingest-kvdb", o, progress,
-		func(dir string) (backendCompacter, error) { return store.NewKVBackend(dir) })
+	qui, con := medians[0][0], medians[1][0]
+	return WriteAvailResult{
+		Workload: "compact-ingest-kvdb", Ops: ops,
+		QuiescentMicros: qui, ConcurrentMicros: con,
+		Ratio: qui / con, Floor: WriteAvailIngestFloor,
+	}, nil
 }
 
 // writeAvailRecord builds one interaction record for the tail-latency
@@ -338,31 +289,35 @@ func writeAvailRecord(src *ids.SeqSource, session ids.ID, n int) core.Record {
 	})
 }
 
-// runJournalRecordP99 measures the Record call's tail latency through
-// the rotating async journal: once with auto-flush disabled (the
-// journal only ever grows — the quiescent baseline) and once with
-// auto-flush sealing and shipping every FlushEvery records while the
-// caller keeps recording. The gate is the ceiling on the concurrent
-// p99: sealing is an O(1) rename, so no Record may wait out a network
-// shipment. Equivalence gate: the store must end holding exactly the
-// recorded set.
-func runJournalRecordP99(o WriteAvailOptions, progress io.Writer) (WriteAvailResult, error) {
-	run := func(flushEvery int64) (meanUs, p99Ms float64, err error) {
+// runJournalRecordP99 measures the Record call's wall-clock latency
+// through the rotating async journal, in interleaved rounds: with
+// auto-flush disabled (the journal only ever grows — the quiescent
+// baseline) and with auto-flush sealing and shipping every FlushEvery
+// records while the caller keeps recording. The gate is the ceiling on
+// the concurrent median p99: sealing is an O(1) rename, so no Record may
+// wait out a network shipment. Equivalence gate: the store must end
+// holding exactly the recorded set.
+func runJournalRecordP99(o WriteAvailOptions) (WriteAvailResult, error) {
+	medians, err := interleave(rounds, 2, func(i int) ([]float64, error) {
+		var flushEvery int64
+		if i == 1 {
+			flushEvery = o.FlushEvery
+		}
 		ids1 := &ids.SeqSource{Prefix: 0xA7}
 		s := store.New(store.NewMemoryBackend())
 		srv, err := preserv.Serve(preserv.NewService(s), "127.0.0.1:0")
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
 		defer srv.Close()
 		dir, err := os.MkdirTemp("", "writeavail-journal-*")
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
 		defer os.RemoveAll(dir)
 		r, err := client.NewAsyncRecorder("svc:enactor", dir+"/journal.gob", 50, preserv.NewClient(srv.URL, nil))
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
 		if flushEvery > 0 {
 			r.SetAutoFlushThreshold(flushEvery)
@@ -376,67 +331,48 @@ func runJournalRecordP99(o WriteAvailOptions, progress io.Writer) (WriteAvailRes
 			start := time.Now()
 			if err := r.Record(rec); err != nil {
 				r.Close()
-				return 0, 0, err
+				return nil, err
 			}
 			lats = append(lats, time.Since(start))
 		}
 		if err := r.Close(); err != nil { // ships whatever auto-flush has not
-			return 0, 0, err
+			return nil, err
 		}
 		if aerr := r.AutoFlushErr(); aerr != nil {
-			return 0, 0, fmt.Errorf("auto-flush failed during run: %w", aerr)
+			return nil, fmt.Errorf("auto-flush failed during run: %w", aerr)
 		}
 		// Equivalence gate: every recorded interaction — and nothing
 		// else — made it to the store.
 		shipped, _, err := s.Query(&prep.Query{})
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
 		gotKeys := make(map[string]bool, len(shipped))
 		for i := range shipped {
 			gotKeys[shipped[i].StorageKey()] = true
 		}
 		if !reflect.DeepEqual(gotKeys, wantKeys) {
-			return 0, 0, fmt.Errorf("store holds %d records, recorded %d — journal rotation lost or duplicated work",
+			return nil, fmt.Errorf("store holds %d records, recorded %d — journal rotation lost or duplicated work",
 				len(gotKeys), len(wantKeys))
 		}
 		var total time.Duration
 		for _, l := range lats {
 			total += l
 		}
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		slices.Sort(lats)
 		p99 := lats[(len(lats)*99+99)/100-1]
-		return float64(total.Microseconds()) / float64(len(lats)), float64(p99.Microseconds()) / 1e3, nil
+		return []float64{float64(total.Microseconds()) / float64(len(lats)), float64(p99.Microseconds()) / 1e3}, nil
+	})
+	if err != nil {
+		return WriteAvailResult{}, err
 	}
-
-	// A ceiling gate gets the same flake protection as the floors:
-	// three attempts, best p99 wins — a real rotation stall exceeds the
-	// ceiling every time.
-	var res WriteAvailResult
-	for attempt := 0; attempt < 3; attempt++ {
-		quiUs, _, err := run(0)
-		if err != nil {
-			return WriteAvailResult{}, err
-		}
-		conUs, p99Ms, err := run(o.FlushEvery)
-		if err != nil {
-			return WriteAvailResult{}, err
-		}
-		got := WriteAvailResult{
-			Workload: "journal-record-p99", Ops: o.Records,
-			QuiescentMicros: quiUs, ConcurrentMicros: conUs,
-			Ratio: quiUs / conUs, P99Millis: p99Ms,
-			CeilingMillis: WriteAvailP99CeilingMillis,
-		}
-		if attempt == 0 || got.P99Millis < res.P99Millis {
-			res = got
-		}
-		if res.P99Millis <= WriteAvailP99CeilingMillis {
-			break
-		}
-		fmt.Fprintf(progress, "writeavail: journal-record-p99 over ceiling (%.2fms), retrying\n", got.P99Millis)
-	}
-	return res, nil
+	qui, con := medians[0][0], medians[1][0]
+	return WriteAvailResult{
+		Workload: "journal-record-p99", Ops: o.Records,
+		QuiescentMicros: qui, ConcurrentMicros: con,
+		Ratio: qui / con, P99Millis: medians[1][1],
+		CeilingMillis: WriteAvailP99CeilingMillis,
+	}, nil
 }
 
 // RenderWriteAvail prints the sweep as a table.

@@ -561,6 +561,16 @@ type Server struct {
 	ln           net.Listener
 	httpSrv      *http.Server
 	done         chan struct{}
+
+	// mu guards fresh and closing. fresh holds the connections that
+	// have not yet delivered a whole request header (http.StateNew):
+	// nothing they sent has reached the service, so Close cuts them
+	// instead of letting http.Server.Shutdown wait out its 5 s grace
+	// for them. A client's connection pool leaves such connections
+	// behind whenever it dials one it then does not use.
+	mu      sync.Mutex
+	fresh   map[net.Conn]struct{}
+	closing bool
 }
 
 // Serve starts serving svc on addr (use "127.0.0.1:0" to pick a free
@@ -583,30 +593,58 @@ func Serve(svc *Service, addr string) (*Server, error) {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
+	return serve(ln, mux), nil
+}
+
+// serve starts serving h on ln.
+func serve(ln net.Listener, h http.Handler) *Server {
 	srv := &Server{
-		URL:     "http://" + ln.Addr().String(),
-		ln:      ln,
-		httpSrv: &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second},
-		done:    make(chan struct{}),
+		URL:   "http://" + ln.Addr().String(),
+		ln:    ln,
+		done:  make(chan struct{}),
+		fresh: make(map[net.Conn]struct{}),
 	}
+	srv.httpSrv = &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, ConnState: srv.trackFresh}
 	go func() {
 		defer close(srv.done)
 		// ErrServerClosed is the normal shutdown signal.
 		_ = srv.httpSrv.Serve(ln)
 	}()
-	return srv, nil
+	return srv
+}
+
+// trackFresh keeps fresh current as connections change state, and
+// cuts a connection accepted once Close has begun.
+func (s *Server) trackFresh(c net.Conn, state http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case state == http.StateNew && s.closing:
+		c.Close()
+	case state == http.StateNew:
+		s.fresh[c] = struct{}{}
+	default:
+		delete(s.fresh, c)
+	}
 }
 
 // Close stops the server gracefully: the listener closes immediately
-// (no new connections), in-flight record and query requests get up to
-// DrainTimeout to complete their responses, and only then are the
-// remaining connections forcibly closed. It waits for the serve loop to
-// exit before returning.
+// (no new connections), connections that have not yet sent a request
+// are cut, in-flight record and query requests get up to DrainTimeout
+// to complete their responses, and only then are the remaining
+// connections forcibly closed. It waits for the serve loop to exit
+// before returning.
 func (s *Server) Close() error {
 	timeout := s.DrainTimeout
 	if timeout <= 0 {
 		timeout = DefaultDrainTimeout
 	}
+	s.mu.Lock()
+	s.closing = true
+	for c := range s.fresh {
+		c.Close()
+	}
+	s.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	err := s.httpSrv.Shutdown(ctx)

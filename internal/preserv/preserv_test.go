@@ -313,17 +313,7 @@ func slowServer(t *testing.T, started chan<- struct{}, release <-chan struct{}) 
 		case <-time.After(5 * time.Second):
 		}
 	})
-	srv := &Server{
-		URL:     "http://" + ln.Addr().String(),
-		ln:      ln,
-		httpSrv: &http.Server{Handler: h},
-		done:    make(chan struct{}),
-	}
-	go func() {
-		defer close(srv.done)
-		_ = srv.httpSrv.Serve(ln)
-	}()
-	return srv
+	return serve(ln, h)
 }
 
 func TestCloseDrainsInFlightRequests(t *testing.T) {
@@ -364,6 +354,35 @@ func TestCloseDrainsInFlightRequests(t *testing.T) {
 	r := <-got
 	if r.err != nil || r.body != "drained" {
 		t.Fatalf("in-flight request: body=%q err=%v, want drained response", r.body, r.err)
+	}
+}
+
+// TestCloseCutsUnusedConnection: a connection that was dialled but
+// never sent a request must not hold Close for http.Server.Shutdown's
+// 5 s grace.
+func TestCloseCutsUnusedConnection(t *testing.T) {
+	svc := NewService(store.New(store.NewMemoryBackend()))
+	srv, err := Serve(svc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", strings.TrimPrefix(srv.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// The accept loop takes connections in arrival order, so once a
+	// request on a later connection is answered the raw one has been
+	// accepted and sits in the server unused.
+	if _, err := NewClient(srv.URL, nil).Count(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("Close took %v with one unused connection, want < 1s", d)
 	}
 }
 
