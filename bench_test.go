@@ -363,17 +363,13 @@ func TestE6RecordsPerPermutation(t *testing.T) {
 
 // TestFigure5SlopeRatio asserts E5's headline: the semantic-validity
 // slope is a large multiple of the script-comparison slope (paper ≈11×,
-// driven by ~10 registry calls per interaction vs 1 store call). The
-// steps span 30×, as the paper's sweep starts near an empty store: a
-// point's CPU time varies by a factor, not by a fixed amount, when other
-// packages' tests share the CPUs, and over a 6× span (60-360) that
-// factor could pull the script-comparison fit below r = 0.9.
+// driven by ~10 registry calls per interaction vs 1 store call).
 func TestFigure5SlopeRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is seconds-long")
 	}
 	points, err := bench.RunFigure5(bench.Fig5Options{
-		RecordSteps: []int{12, 60, 360},
+		RecordSteps: []int{60, 120, 240, 360},
 		Seed:        2005,
 	}, io.Discard)
 	if err != nil {

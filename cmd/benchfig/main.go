@@ -52,7 +52,6 @@ func main() {
 			log.Fatalf("benchfig: e1: %v", err)
 		}
 		bench.RenderE1(out, res, "memory")
-		fmt.Fprintln(out)
 	}
 
 	runFig4 := func() {
@@ -71,7 +70,6 @@ func main() {
 			log.Fatalf("benchfig: fig4 summary: %v", err)
 		}
 		bench.RenderFig4(out, points, sum)
-		fmt.Fprintln(out)
 	}
 
 	runFig5 := func() {
@@ -88,7 +86,6 @@ func main() {
 			log.Fatalf("benchfig: fig5 summary: %v", err)
 		}
 		bench.RenderFig5(out, points, sum)
-		fmt.Fprintln(out)
 	}
 
 	runGran := func() {
@@ -104,7 +101,6 @@ func main() {
 			log.Fatalf("benchfig: gran: %v", err)
 		}
 		bench.RenderGranularity(out, points)
-		fmt.Fprintln(out)
 	}
 
 	runDist := func() {
@@ -117,7 +113,6 @@ func main() {
 			log.Fatalf("benchfig: dist: %v", err)
 		}
 		bench.RenderDistributed(out, points)
-		fmt.Fprintln(out)
 	}
 
 	runIngest := func() {
@@ -131,7 +126,6 @@ func main() {
 				log.Fatalf("benchfig: ingest: %v", err)
 			}
 		}
-		fmt.Fprintln(out)
 	}
 
 	runShard := func() {
@@ -145,7 +139,6 @@ func main() {
 			log.Fatalf("benchfig: shard: %v", err)
 		}
 		bench.RenderShardSweep(out, points)
-		fmt.Fprintln(out)
 	}
 
 	runObs := func() {
@@ -158,7 +151,6 @@ func main() {
 			log.Fatalf("benchfig: obs: %v", err)
 		}
 		bench.RenderObsGate(out, res)
-		fmt.Fprintln(out)
 		if !res.Pass {
 			log.Fatalf("benchfig: obs: instrumentation overhead gate failed: ratio %.3f < %.2f",
 				res.Ratio, bench.ObsGateThreshold)
@@ -177,42 +169,26 @@ func main() {
 			log.Fatalf("benchfig: writeavail: %v", err)
 		}
 		bench.RenderWriteAvail(out, points)
-		fmt.Fprintln(out)
 		if err := bench.CheckWriteAvailFloors(points); err != nil {
 			log.Fatalf("benchfig: writeavail: %v", err)
 		}
 	}
 
-	switch *exp {
-	case "e1":
-		runE1()
-	case "fig4":
-		runFig4()
-	case "fig5":
-		runFig5()
-	case "gran":
-		runGran()
-	case "dist":
-		runDist()
-	case "ingest":
-		runIngest()
-	case "shard":
-		runShard()
-	case "obs":
-		runObs()
-	case "writeavail":
-		runWriteavail()
-	case "all":
-		runE1()
-		runFig4()
-		runFig5()
-		runGran()
-		runDist()
-		runIngest()
-		runShard()
-		runObs()
-		runWriteavail()
-	default:
+	ran := false
+	for _, e := range []struct {
+		name string
+		run  func()
+	}{
+		{"e1", runE1}, {"fig4", runFig4}, {"fig5", runFig5}, {"gran", runGran}, {"dist", runDist},
+		{"ingest", runIngest}, {"shard", runShard}, {"obs", runObs}, {"writeavail", runWriteavail},
+	} {
+		if *exp == e.name || *exp == "all" {
+			e.run()
+			fmt.Fprintln(out)
+			ran = true
+		}
+	}
+	if !ran {
 		log.Fatalf("benchfig: unknown experiment %q", *exp)
 	}
 }

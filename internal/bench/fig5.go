@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"preserv/internal/compare"
 	"preserv/internal/core"
@@ -113,13 +114,8 @@ func (p *populator) permutationUnit(encoded workflow.Value) {
 
 // flush ships accumulated records in batches of 200.
 func (p *populator) flush() error {
-	const batchSize = 200
-	for off := 0; off < len(p.batch); off += batchSize {
-		end := off + batchSize
-		if end > len(p.batch) {
-			end = len(p.batch)
-		}
-		resp, err := p.client.Record(experiment.SvcEnactor, p.batch[off:end])
+	for batch := range slices.Chunk(p.batch, 200) {
+		resp, err := p.client.Record(experiment.SvcEnactor, batch)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,8 +54,6 @@ type IngestResult struct {
 	Records       int
 	Elapsed       time.Duration
 	RecordsPerSec float64
-	// CPU is the process CPU time over the same interval as Elapsed.
-	CPU time.Duration
 }
 
 // ingestBackend opens the requested backend flavour in dir (ignored for
@@ -82,64 +81,42 @@ func ingestWorkload(o IngestOptions) [][][]core.Record {
 		for len(gen.batch) < perWriter {
 			gen.permutationUnit(encoded)
 		}
-		records := gen.batch[:perWriter]
-		var batches [][]core.Record
-		for len(records) > 0 {
-			n := o.BatchSize
-			if n > len(records) {
-				n = len(records)
-			}
-			batches = append(batches, records[:n])
-			records = records[n:]
-		}
-		work[w] = batches
+		work[w] = slices.Collect(slices.Chunk(gen.batch[:perWriter], o.BatchSize))
 	}
 	return work
 }
 
-// RunIngest measures one ingest configuration and reports records/sec.
-func RunIngest(opts IngestOptions) (*IngestResult, error) {
-	o := opts.withDefaults()
+// withIngestStore opens a store on a fresh backend of the given flavour
+// for fn, and closes and removes it afterwards.
+func withIngestStore(backend string, fn func(s *store.Store) error) error {
 	dir, err := os.MkdirTemp("", "preserv-ingest")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer os.RemoveAll(dir)
-	b, err := ingestBackend(o.Backend, dir)
+	b, err := ingestBackend(backend, dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer b.Close()
+	return fn(store.New(b))
+}
 
-	work := ingestWorkload(o)
-	total := 0
-	for _, batches := range work {
-		for _, batch := range batches {
-			total += len(batch)
-		}
-	}
-
-	s := store.New(b)
-	record := func(batch []core.Record) error {
-		acc, rejects, err := s.Record(batch[0].Asserter(), batch)
-		if err != nil {
-			return err
-		}
-		if len(rejects) > 0 || acc != len(batch) {
-			return fmt.Errorf("bench: ingest accepted %d/%d, %d rejects", acc, len(batch), len(rejects))
-		}
-		return nil
-	}
-
+// recordAll records every writer's batches into s, one goroutine per
+// writer, and returns how many records it landed.
+func recordAll(s *store.Store, work [][][]core.Record) (int, error) {
 	var wg sync.WaitGroup
-	errs := make([]error, o.Writers)
-	start, cpuStart := time.Now(), cpuTime()
+	errs := make([]error, len(work))
 	for w := range work {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for _, batch := range work[w] {
-				if err := record(batch); err != nil {
+				acc, rejects, err := s.Record(batch[0].Asserter(), batch)
+				if err == nil && (len(rejects) > 0 || acc != len(batch)) {
+					err = fmt.Errorf("bench: ingest accepted %d/%d, %d rejects", acc, len(batch), len(rejects))
+				}
+				if err != nil {
 					errs[w] = err
 					return
 				}
@@ -147,21 +124,41 @@ func RunIngest(opts IngestOptions) (*IngestResult, error) {
 		}(w)
 	}
 	wg.Wait()
-	elapsed, cpu := time.Since(start), cpuTime()-cpuStart
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	total := 0
+	for w, batches := range work {
+		if errs[w] != nil {
+			return 0, errs[w]
+		}
+		for _, batch := range batches {
+			total += len(batch)
 		}
 	}
-	return &IngestResult{
-		Backend:       o.Backend,
-		Writers:       o.Writers,
-		BatchSize:     o.BatchSize,
-		Records:       total,
-		Elapsed:       elapsed,
-		RecordsPerSec: float64(total) / elapsed.Seconds(),
-		CPU:           cpu,
-	}, nil
+	return total, nil
+}
+
+// RunIngest measures one ingest configuration and reports records/sec.
+func RunIngest(opts IngestOptions) (*IngestResult, error) {
+	o := opts.withDefaults()
+	work := ingestWorkload(o)
+	var res *IngestResult
+	err := withIngestStore(o.Backend, func(s *store.Store) error {
+		start := time.Now()
+		total, err := recordAll(s, work)
+		if err != nil {
+			return err
+		}
+		elapsed := time.Since(start)
+		res = &IngestResult{
+			Backend:       o.Backend,
+			Writers:       o.Writers,
+			BatchSize:     o.BatchSize,
+			Records:       total,
+			Elapsed:       elapsed,
+			RecordsPerSec: float64(total) / elapsed.Seconds(),
+		}
+		return nil
+	})
+	return res, err
 }
 
 // RunIngestSweep measures the write path across writer counts, writing

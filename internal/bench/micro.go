@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -75,8 +75,7 @@ func RunE1(iterations int, backend store.Backend) (*E1Result, error) {
 		}
 		millis = append(millis, float64(time.Since(start).Microseconds())/1000)
 	}
-	sorted := append([]float64(nil), millis...)
-	sort.Float64s(sorted)
+	sorted := slices.Sorted(slices.Values(millis))
 	return &E1Result{
 		Iterations: iterations,
 		MeanMillis: stats.Mean(millis),
@@ -320,17 +319,11 @@ func RunDistributed(opts DistOptions, progress io.Writer) ([]DistPoint, error) {
 		}
 
 		// Stripe batches over the stores, one goroutine per store.
-		var batches [][]core.Record
-		for off := 0; off < len(records); off += o.Batch {
-			end := off + o.Batch
-			if end > len(records) {
-				end = len(records)
-			}
-			batches = append(batches, records[off:end])
-		}
 		perStore := make([][][]core.Record, n)
-		for i, b := range batches {
-			perStore[i%n] = append(perStore[i%n], b)
+		next := 0
+		for b := range slices.Chunk(records, o.Batch) {
+			perStore[next%n] = append(perStore[next%n], b)
+			next++
 		}
 
 		start := time.Now()

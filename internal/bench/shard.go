@@ -13,6 +13,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -149,13 +150,7 @@ func generateShardWorkload(o ShardSweepOptions) *shardWorkload {
 		recs := p.batch[:o.RecordsPerSession]
 		w.sessions = append(w.sessions, p.session)
 		w.records += len(recs)
-		for off := 0; off < len(recs); off += o.BatchSize {
-			end := off + o.BatchSize
-			if end > len(recs) {
-				end = len(recs)
-			}
-			w.batches = append(w.batches, recs[off:end])
-		}
+		w.batches = slices.AppendSeq(w.batches, slices.Chunk(recs, o.BatchSize))
 	}
 	return w
 }

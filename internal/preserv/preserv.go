@@ -562,16 +562,21 @@ type Server struct {
 	httpSrv      *http.Server
 	done         chan struct{}
 
-	// mu guards fresh and closing. fresh holds the connections that
-	// have not yet delivered a whole request header (http.StateNew):
-	// nothing they sent has reached the service, so Close cuts them
-	// instead of letting http.Server.Shutdown wait out its 5 s grace
-	// for them. A client's connection pool leaves such connections
-	// behind whenever it dials one it then does not use.
-	mu      sync.Mutex
-	fresh   map[net.Conn]struct{}
-	closing bool
+	// mu guards fresh and cut. fresh holds the connections that have
+	// not yet delivered a whole request header (http.StateNew).
+	// http.Server.Shutdown waits up to 5 s for such a connection, and a
+	// client's connection pool leaves them behind whenever it dials one
+	// it then does not use. Close gives them freshGrace to deliver a
+	// request already sent, then cuts them (and sets cut).
+	mu    sync.Mutex
+	fresh map[net.Conn]struct{}
+	cut   bool
 }
+
+// freshGrace is how long Close lets a connection that has not yet
+// delivered a request keep it open: ample to read a request already in
+// the socket, and well short of http.Server.Shutdown's 5 s.
+const freshGrace = 100 * time.Millisecond
 
 // Serve starts serving svc on addr (use "127.0.0.1:0" to pick a free
 // port). It returns once the listener is active. Besides the PReP
@@ -614,12 +619,12 @@ func serve(ln net.Listener, h http.Handler) *Server {
 }
 
 // trackFresh keeps fresh current as connections change state, and
-// cuts a connection accepted once Close has begun.
+// cuts a connection accepted after Close has cut the fresh ones.
 func (s *Server) trackFresh(c net.Conn, state http.ConnState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
-	case state == http.StateNew && s.closing:
+	case state == http.StateNew && s.cut:
 		c.Close()
 	case state == http.StateNew:
 		s.fresh[c] = struct{}{}
@@ -628,23 +633,29 @@ func (s *Server) trackFresh(c net.Conn, state http.ConnState) {
 	}
 }
 
+// cutFresh closes every connection that has not delivered a request.
+func (s *Server) cutFresh() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cut = true
+	for c := range s.fresh {
+		c.Close()
+	}
+}
+
 // Close stops the server gracefully: the listener closes immediately
-// (no new connections), connections that have not yet sent a request
-// are cut, in-flight record and query requests get up to DrainTimeout
-// to complete their responses, and only then are the remaining
-// connections forcibly closed. It waits for the serve loop to exit
-// before returning.
+// (no new connections), connections that have not delivered a request
+// within freshGrace are cut, in-flight record and query requests get up
+// to DrainTimeout to complete their responses, and only then are the
+// remaining connections forcibly closed. It waits for the serve loop to
+// exit before returning.
 func (s *Server) Close() error {
 	timeout := s.DrainTimeout
 	if timeout <= 0 {
 		timeout = DefaultDrainTimeout
 	}
-	s.mu.Lock()
-	s.closing = true
-	for c := range s.fresh {
-		c.Close()
-	}
-	s.mu.Unlock()
+	cut := time.AfterFunc(freshGrace, s.cutFresh)
+	defer cut.Stop()
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	err := s.httpSrv.Shutdown(ctx)

@@ -1,6 +1,8 @@
 package preserv
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +15,7 @@ import (
 	"preserv/internal/core"
 	"preserv/internal/ids"
 	"preserv/internal/prep"
+	"preserv/internal/soap"
 	"preserv/internal/store"
 )
 
@@ -383,6 +386,57 @@ func TestCloseCutsUnusedConnection(t *testing.T) {
 	}
 	if d := time.Since(start); d >= time.Second {
 		t.Fatalf("Close took %v with one unused connection, want < 1s", d)
+	}
+}
+
+// TestCloseServesRequestAlreadySent: a request whose bytes reached the
+// server before Close, but which the server has not yet read, must
+// still be served. The client's transport would not retry a POST on a
+// connection it never reused, so cutting it would lose the record.
+func TestCloseServesRequestAlreadySent(t *testing.T) {
+	svc := NewService(store.New(store.NewMemoryBackend()))
+	srv, err := Serve(svc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", strings.TrimPrefix(srv.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	// As in TestCloseCutsUnusedConnection, the raw connection has been
+	// accepted once a later one is answered.
+	if _, err := NewClient(srv.URL, nil).Count(); err != nil {
+		t.Fatal(err)
+	}
+	body, err := soap.Marshal(prep.ActionRecord, &prep.RecordRequest{
+		Asserter: "svc:enactor",
+		Records:  []core.Record{mkRecord(seq.NewID(), "svc:gzip")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, srv.URL, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", soap.ContentType)
+	if err := req.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(raw), req)
+	if err != nil {
+		t.Fatalf("request sent before Close got no response: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request sent before Close: HTTP %d", resp.StatusCode)
+	}
+	if cnt, err := svc.Provenance().Count(); err != nil || cnt.Records != 1 {
+		t.Fatalf("store holds %d records after Close (err %v), want the 1 sent before it", cnt.Records, err)
 	}
 }
 
