@@ -82,7 +82,6 @@ func main() {
 	compactRatio := flag.Float64("compact-ratio", 0, "garbage-ratio threshold for delete-triggered compaction (0 = default, negative disables)")
 	telemetry := flag.Bool("telemetry", true, "record latency histograms and operation spans (request counters are always on)")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the service listener")
-	blockCacheMB := flag.Int("block-cache-mb", int(store.DefaultBlockCacheBytes>>20), "record block cache budget per store, in MiB (0 disables)")
 	flag.Parse()
 
 	obs.SetEnabled(*telemetry)
@@ -105,9 +104,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("preserv: opening shard %d backend: %v", i, err)
 			}
-			cs := store.New(backend)
-			cs.SetBlockCacheBytes(int64(*blockCacheMB) << 20)
-			children = append(children, shard.NewLocal(cs))
+			children = append(children, shard.NewLocal(store.New(backend)))
 		}
 		rt, err := shard.NewRouter(children...)
 		if err != nil {
@@ -122,7 +119,6 @@ func main() {
 			log.Fatalf("preserv: opening backend: %v", err)
 		}
 		st := store.New(backend)
-		st.SetBlockCacheBytes(int64(*blockCacheMB) << 20)
 		svc = preserv.NewService(st)
 		closer = st
 		log.Printf("preserv: single %s-backed store", *backendName)

@@ -328,9 +328,7 @@ func printStats(out io.Writer, st *prep.StatsResponse) {
 	}
 	rc := st.ReadCache
 	if rc != (prep.ReadCacheCounters{}) {
-		fmt.Fprintf(out, "read path: block cache=%d/%d (%d entries, %d KiB)  result cache=%d/%d\n",
-			rc.BlockCacheHits, rc.BlockCacheHits+rc.BlockCacheMisses,
-			rc.BlockCacheEntries, rc.BlockCacheBytes>>10,
+		fmt.Fprintf(out, "read path: result cache=%d/%d\n",
 			rc.ResultCacheHits, rc.ResultCacheHits+rc.ResultCacheMisses)
 	}
 	wp := st.WritePath

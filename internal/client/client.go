@@ -735,9 +735,10 @@ func (r *AsyncRecorder) Pending() int64 {
 	return r.pending
 }
 
-// Close flushes, then closes and removes the journal files — including
-// sealed files whose final ship failed (matching the previous
-// semantics: Close never leaves journals behind).
+// Close flushes, then closes the journal. Shipped files are removed, and
+// so is the active journal when it is empty; every file that did not
+// ship stays on disk, so the next NewAsyncRecorder on the same path
+// adopts it and ships it then. The error says why Close could not ship.
 func (r *AsyncRecorder) Close() error {
 	r.mu.Lock()
 	if r.closed {
@@ -756,11 +757,9 @@ func (r *AsyncRecorder) Close() error {
 	r.shipMu.Lock()
 	r.mu.Lock()
 	closeErr := r.journal.Close()
-	os.Remove(r.path)
-	for _, sj := range r.sealed {
-		os.Remove(sj.path)
+	if r.activeCount == 0 {
+		os.Remove(r.path)
 	}
-	r.sealed = nil
 	r.mu.Unlock()
 	r.shipMu.Unlock()
 

@@ -718,3 +718,54 @@ func TestAsyncRecorderAutoFlushFailureKeepsJournal(t *testing.T) {
 		t.Error("Close shipped to a dead endpoint without error")
 	}
 }
+
+// TestAsyncRecorderCloseKeepsUnshipped: a Close that cannot ship
+// returns the error and leaves the journal on disk, so a successor
+// recorder on the same path adopts every record and ships it to a live
+// endpoint.
+func TestAsyncRecorderCloseKeepsUnshipped(t *testing.T) {
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "down", http.StatusInternalServerError)
+	}))
+	defer dead.Close()
+	path := filepath.Join(t.TempDir(), "journal")
+	r, err := NewAsyncRecorder("svc:enactor", path, 2, preserv.NewClient(dead.URL, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := seq.NewID()
+	if err := r.Record(mkRecord(session), mkRecord(session)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Rotate(); err != nil { // one sealed file, one active journal
+		t.Fatal(err)
+	}
+	if err := r.Record(mkRecord(session)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err == nil {
+		t.Fatal("Close shipped to a dead endpoint without error")
+	}
+
+	pc, _ := startStore(t)
+	next, err := NewAsyncRecorder("svc:enactor", path, 2, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := next.Pending(); n != 3 {
+		t.Fatalf("successor adopted %d records, want 3", n)
+	}
+	if err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cnt, err := pc.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cnt.Interactions != 3 {
+		t.Fatalf("store has %d interactions after the successor's Close, want 3", cnt.Interactions)
+	}
+	if left, _ := filepath.Glob(path + "*"); len(left) != 0 {
+		t.Errorf("journal files left after a Close that shipped everything: %q", left)
+	}
+}

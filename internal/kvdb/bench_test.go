@@ -252,3 +252,49 @@ func BenchmarkCountAfterPutBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGetBatch reads 100 record-sized values in one GetBatch from
+// a log of 100 batches, each 100 values of 243 bytes followed by their
+// postings' key-batch entry, the shape Store.Record writes. "batch"
+// asks for one batch's values, which lie side by side and coalesce into
+// one read; "scattered" asks for one value from each batch, each a read
+// of its own.
+func BenchmarkGetBatch(b *testing.B) {
+	db := benchDB(b)
+	const batches, per = 100, 100
+	val := make([]byte, 243)
+	pairs := make([]kv.Pair, 0, per*9)
+	for i := 0; i < batches; i++ {
+		pairs = pairs[:0]
+		for r := 0; r < per; r++ {
+			pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("r/%03d/%03d", i, r), Value: val})
+		}
+		for r := 0; r < per*8; r++ {
+			pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("x/%d/r/%03d/%03d", r%8, i, r/8)})
+		}
+		if err := db.PutBatch(pairs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		key  func(j int) string
+	}{
+		{"batch", func(j int) string { return fmt.Sprintf("r/%03d/%03d", batches/2, j) }},
+		{"scattered", func(j int) string { return fmt.Sprintf("r/%03d/%03d", j, j) }},
+	} {
+		keys := make([]string, per)
+		for j := range keys {
+			keys[j] = bc.key(j)
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				_, present, err := db.GetBatch(keys)
+				if err != nil || !present[0] || !present[per-1] {
+					b.Fatal(present[0], present[per-1], err)
+				}
+			}
+		})
+	}
+}

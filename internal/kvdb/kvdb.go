@@ -19,6 +19,7 @@
 package kvdb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,6 +52,12 @@ const (
 	// reject obviously corrupt headers during recovery.
 	MaxKeyLen   = 1 << 16
 	MaxValueLen = 1 << 28
+
+	// A GetBatch value joins the read run before it when at most
+	// coalesceGap bytes separate them and the run stays within
+	// coalesceSpan; a longer value is a run of its own.
+	coalesceGap  = 4 << 10
+	coalesceSpan = 1 << 20
 )
 
 // ErrClosed is returned by operations on a closed DB.
@@ -479,9 +486,10 @@ func (db *DB) PutBatch(pairs []kv.Pair) error {
 
 // GetBatch fetches several keys in one lock acquisition and one pass
 // over the log. The returned slices align with keys; present[i] is
-// false for absent keys. Reads are issued in log-offset order, so a
-// batch of point lookups degrades into one forward sweep of the file
-// rather than random seeking in request order.
+// false for absent keys. Reads go in log-offset order, one ReadAt per
+// run of nearby values, so the records one PutBatch wrote cost one read.
+// A run's values share one allocation, each capped at its own end, so
+// an append to one reallocates instead of overwriting the next.
 func (db *DB) GetBatch(keys []string) (values [][]byte, present []bool, err error) {
 	values = make([][]byte, len(keys))
 	present = make([]bool, len(keys))
@@ -490,26 +498,75 @@ func (db *DB) GetBatch(keys []string) (values [][]byte, present []bool, err erro
 	if db.closed {
 		return nil, nil, ErrClosed
 	}
-	type fetch struct {
-		i   int
-		loc entryLoc
-	}
 	fetches := make([]fetch, 0, len(keys))
 	for i, k := range keys {
 		if loc, ok := db.index[k]; ok {
 			fetches = append(fetches, fetch{i: i, loc: loc})
+			present[i] = true
 		}
 	}
-	sort.Slice(fetches, func(a, b int) bool { return fetches[a].loc.off < fetches[b].loc.off })
-	for _, f := range fetches {
-		val := make([]byte, f.loc.vlen())
-		if _, err := db.f.ReadAt(val, f.loc.off); err != nil {
-			return nil, nil, fmt.Errorf("kvdb: batch reading %q: %w", keys[f.i], err)
+	slices.SortFunc(fetches, func(a, b fetch) int { return cmp.Compare(a.loc.off, b.loc.off) })
+	for len(fetches) > 0 {
+		start := fetches[0].loc.off
+		end := start + int64(fetches[0].loc.vlen())
+		n := 1
+		for ; n < len(fetches); n++ {
+			l := fetches[n].loc
+			e := max(end, l.off+int64(l.vlen()))
+			if l.off-end > coalesceGap || e-start > coalesceSpan {
+				break
+			}
+			end = e
 		}
-		values[f.i] = val
-		present[f.i] = true
+		if err := db.readRun(fetches[:n], start, end, values); err != nil {
+			return nil, nil, fmt.Errorf("kvdb: batch reading %q: %w", keys[fetches[0].i], err)
+		}
+		fetches = fetches[n:]
 	}
 	return values, present, nil
+}
+
+// fetch is one value GetBatch reads: values[i] gets the bytes at loc.
+type fetch struct {
+	i   int
+	loc entryLoc
+}
+
+// runBufs holds readRun's scratch buffers, each at most coalesceSpan long.
+var runBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readRun reads the log bytes [start, end) with one ReadAt and sets
+// values[f.i] for each fetch f in run. A run of several values is read
+// into a scratch buffer and only the values are copied out, into one
+// allocation, so the bytes between them are never allocated.
+func (db *DB) readRun(run []fetch, start, end int64, values [][]byte) error {
+	need := 0
+	for _, f := range run {
+		need += f.loc.vlen()
+	}
+	slab := make([]byte, need)
+	if len(run) == 1 {
+		_, err := db.f.ReadAt(slab, start)
+		values[run[0].i] = slab
+		return err
+	}
+	scratch := runBufs.Get().(*[]byte)
+	defer runBufs.Put(scratch)
+	if int64(cap(*scratch)) < end-start {
+		*scratch = make([]byte, end-start)
+	}
+	buf := (*scratch)[:end-start]
+	if _, err := db.f.ReadAt(buf, start); err != nil {
+		return err
+	}
+	for _, f := range run {
+		o := f.loc.off - start
+		v := slab[:f.loc.vlen():f.loc.vlen()]
+		copy(v, buf[o:])
+		values[f.i] = v
+		slab = slab[len(v):]
+	}
+	return nil
 }
 
 // Get returns the value under key, or (nil, false, nil) if it is

@@ -17,8 +17,7 @@ import (
 // or carry an explicit provlint:no-genbump annotation whose comment
 // justifies where the bump lives instead. A missed bump lets the
 // query result cache and the router result cache serve stale answers
-// as fresh. (The block cache is stamped by Store.deleteChunk's delete
-// count, not the generation.)
+// as fresh.
 var GenBump = &analysis.Analyzer{
 	Name: "genbump",
 	Doc: "check that store functions mutating the Backend also bump the store generation " +

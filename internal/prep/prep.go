@@ -412,27 +412,11 @@ func (c *EngineCounters) Add(o EngineCounters) {
 }
 
 // ReadCacheCounters is the wire form of the storage read path's cache
-// telemetry: the record block cache's lookup outcomes and residency,
-// and the router-level result cache's lookup outcomes. For a sharded
-// store the block cache fields are sums over the shards; the result
-// cache fields belong to the router itself.
+// telemetry: the router-level result cache's lookup outcomes. It
+// belongs to the router itself, so no shard reports one.
 type ReadCacheCounters struct {
-	BlockCacheHits    int64 `xml:"blockCacheHits"`
-	BlockCacheMisses  int64 `xml:"blockCacheMisses"`
-	BlockCacheBytes   int64 `xml:"blockCacheBytes"`
-	BlockCacheEntries int64 `xml:"blockCacheEntries"`
 	ResultCacheHits   int64 `xml:"resultCacheHits"`
 	ResultCacheMisses int64 `xml:"resultCacheMisses"`
-}
-
-// Add accumulates o into c (aggregating shard breakdowns).
-func (c *ReadCacheCounters) Add(o ReadCacheCounters) {
-	c.BlockCacheHits += o.BlockCacheHits
-	c.BlockCacheMisses += o.BlockCacheMisses
-	c.BlockCacheBytes += o.BlockCacheBytes
-	c.BlockCacheEntries += o.BlockCacheEntries
-	c.ResultCacheHits += o.ResultCacheHits
-	c.ResultCacheMisses += o.ResultCacheMisses
 }
 
 // WritePathCounters is the storage write path's health telemetry — the
@@ -498,7 +482,6 @@ type ShardStats struct {
 	GarbageRatio float64           `xml:"garbageRatio"`
 	Tombstones   int64             `xml:"tombstones"`
 	Engine       EngineCounters    `xml:"engine"`
-	ReadCache    ReadCacheCounters `xml:"readCache"`
 	WritePath    WritePathCounters `xml:"writePath"`
 	Histograms   []HistogramStat   `xml:"histogram,omitempty"`
 	Slow         []SlowSpan        `xml:"slow,omitempty"`

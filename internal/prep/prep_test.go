@@ -303,13 +303,6 @@ func TestCountersAddEveryField(t *testing.T) {
 		t.Errorf("EngineCounters.Add twice = %+v, want %+v", es, want)
 	}
 
-	r := countersFilled[ReadCacheCounters](t)
-	var rs ReadCacheCounters
-	rs.Add(r)
-	if rs != r {
-		t.Errorf("ReadCacheCounters.Add into zero = %+v, want %+v", rs, r)
-	}
-
 	w := countersFilled[WritePathCounters](t)
 	var ws WritePathCounters
 	ws.Add(w)

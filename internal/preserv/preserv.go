@@ -497,19 +497,15 @@ func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 		}
 		resp.Shards = []prep.ShardStats{st}
 	}
-	// The whole-store read-cache and write-path aggregates sum the shard
-	// breakdowns (each shard's block-cache outcomes; each
-	// shard's in-flight compactions and commit stalls); the router's own
-	// result cache — which belongs to no single shard — lands in the
-	// same aggregate next to them.
+	// The whole-store write-path aggregate sums the shard breakdowns
+	// (each shard's in-flight compactions and commit stalls); the
+	// read-cache aggregate is the router's own result cache, which
+	// belongs to no single shard.
 	for i := range resp.Shards {
-		resp.ReadCache.Add(resp.Shards[i].ReadCache)
 		resp.WritePath.Add(resp.Shards[i].WritePath)
 	}
 	if rt, ok := svc.prov.(*shard.Router); ok {
-		hits, misses := rt.ResultCacheStats()
-		resp.ReadCache.ResultCacheHits += hits
-		resp.ReadCache.ResultCacheMisses += misses
+		resp.ReadCache.ResultCacheHits, resp.ReadCache.ResultCacheMisses = rt.ResultCacheStats()
 		// The router's own instruments (fan-out latency, merge width)
 		// belong to no single shard: report them at the top level next
 		// to the service's request histograms.

@@ -208,7 +208,6 @@ func (r *RemoteShard) ShardStats() (prep.ShardStats, error) {
 		GarbageRatio: st.GarbageRatio,
 		Tombstones:   st.Tombstones,
 		Engine:       st.Engine,
-		ReadCache:    st.ReadCache,
 		WritePath:    st.WritePath,
 		Histograms:   st.Histograms,
 		Slow:         st.Slow,

@@ -73,7 +73,7 @@ func newSized(s *store.Store, cacheSize int) *Engine {
 	reg := s.Obs()
 	return &Engine{
 		s:           s,
-		cache:       kv.NewLRU[uint64, cachedResult](int64(cacheSize), nil),
+		cache:       kv.NewLRU[uint64, cachedResult](cacheSize),
 		plannedSec:  reg.Histogram("query_planned_seconds", nil),
 		pageSec:     reg.Histogram("query_page_seconds", nil),
 		postingsPer: reg.Histogram("query_postings_read", obs.SizeBuckets),

@@ -56,7 +56,7 @@ func NewRouter(shards ...Shard) (*Router, error) {
 		shards: shards,
 		fp:     fingerprint(shards),
 		reg:    obs.NewRegistry(),
-		rc:     kv.NewLRU[string, routerAnswer](DefaultResultCacheSize, nil),
+		rc:     kv.NewLRU[string, routerAnswer](DefaultResultCacheSize),
 	}
 	rt.fanoutSec = make([]*obs.Histogram, len(shards))
 	for i := range shards {
@@ -72,7 +72,7 @@ func NewRouter(shards ...Shard) (*Router, error) {
 // SetResultCacheSize empties the router's result cache, resets its
 // counters and sets its entry capacity (0 or negative disables
 // caching). Safe to call while serving.
-func (rt *Router) SetResultCacheSize(capacity int) { rt.rc.Reset(int64(capacity)) }
+func (rt *Router) SetResultCacheSize(capacity int) { rt.rc.Reset(capacity) }
 
 // ResultCacheStats reports the result cache's cumulative lookup
 // outcomes (a tuple-mismatched entry evicted on lookup counts as a

@@ -215,21 +215,14 @@ func (l *Local) ShardStats() (prep.ShardStats, error) {
 	if err != nil {
 		return prep.ShardStats{}, err
 	}
-	rc := l.s.ReadCacheStats()
 	return prep.ShardStats{
 		Records:      count.Records,
 		GarbageRatio: l.s.GarbageRatio(),
 		Tombstones:   l.s.Tombstones(),
 		Engine:       l.e.Stats(),
-		ReadCache: prep.ReadCacheCounters{
-			BlockCacheHits:    rc.BlockCacheHits,
-			BlockCacheMisses:  rc.BlockCacheMisses,
-			BlockCacheBytes:   rc.BlockCacheBytes,
-			BlockCacheEntries: rc.BlockCacheEntries,
-		},
-		WritePath:  l.s.WritePathStats(),
-		Histograms: HistogramStats(l.s.Obs()),
-		Slow:       SlowSpans(l.s.Obs().Tracer()),
+		WritePath:    l.s.WritePathStats(),
+		Histograms:   HistogramStats(l.s.Obs()),
+		Slow:         SlowSpans(l.s.Obs().Tracer()),
 	}, nil
 }
 

@@ -1,9 +1,9 @@
 package store
 
-// Tests for the store-level record block cache: entries are stamped
-// with the count of attempted deletes, so records of other keys leave
-// them warm, a delete kills them, and a zero budget retains nothing.
-// Every read goes through Store.GetBatch, the path every query takes.
+// Tests that a key reads as what was last committed under it: a delete
+// makes it absent, and a re-record after the delete, with the same or
+// different bytes, is what every later read returns. Every read goes
+// through Store.GetBatch, the path every query takes.
 
 import (
 	"fmt"
@@ -14,10 +14,9 @@ import (
 	"preserv/internal/core"
 )
 
-// TestBlockCacheDeleteStampInvalidates is the block cache's staleness
-// regression: a cached record value must die with a delete of its key,
-// so the cache can never mask one.
-func TestBlockCacheDeleteStampInvalidates(t *testing.T) {
+// TestDeleteStampInvalidates: a deleted key reads absent, and reads
+// present again once re-recorded.
+func TestDeleteStampInvalidates(t *testing.T) {
 	s := New(NewMemoryBackend())
 	sid := seq.NewID()
 	rec := mkInteraction(sid, "svc:bc", "run")
@@ -31,16 +30,12 @@ func TestBlockCacheDeleteStampInvalidates(t *testing.T) {
 			t.Fatalf("read #%d: recorded key absent", i)
 		}
 	}
-	st := s.ReadCacheStats()
-	if st.BlockCacheHits == 0 {
-		t.Fatalf("repeat point read did not hit the block cache: %+v", st)
-	}
 
 	if n, err := s.DeleteRecords([]string{key}); err != nil || n != 1 {
 		t.Fatalf("DeleteRecords = %d %v, want 1", n, err)
 	}
 	if present(t, s, key) {
-		t.Fatal("deleted record still served (stale block cache)")
+		t.Fatal("deleted record still served")
 	}
 
 	// Re-record: the key reads as present again.
@@ -49,41 +44,6 @@ func TestBlockCacheDeleteStampInvalidates(t *testing.T) {
 	}
 	if !present(t, s, key) {
 		t.Fatal("re-recorded record not served")
-	}
-}
-
-// TestBlockCacheSurvivesOtherRecords: accepting records of other keys
-// changes nothing a cached key reads as, so its entry stays a hit.
-func TestBlockCacheSurvivesOtherRecords(t *testing.T) {
-	s := New(NewMemoryBackend())
-	sid := seq.NewID()
-	rec := mkInteraction(sid, "svc:bc", "run")
-	if _, _, err := s.Record("svc:enactor", []core.Record{rec}); err != nil {
-		t.Fatal(err)
-	}
-	key := rec.StorageKey()
-	if !present(t, s, key) {
-		t.Fatal("recorded key absent")
-	}
-	gen := s.Generation()
-	for i := 0; i < 3; i++ {
-		other := mkInteraction(sid, "svc:other", "run")
-		if _, rejects, err := s.Record("svc:enactor", []core.Record{other}); err != nil || len(rejects) > 0 {
-			t.Fatalf("Record: %v %v", rejects, err)
-		}
-	}
-	if s.Generation() == gen {
-		t.Fatal("records did not advance the generation; the test proves nothing")
-	}
-	before := s.ReadCacheStats()
-	for i := 0; i < 2; i++ {
-		if !present(t, s, key) {
-			t.Fatalf("read #%d: recorded key absent", i)
-		}
-	}
-	after := s.ReadCacheStats()
-	if hits := after.BlockCacheHits - before.BlockCacheHits; hits != 2 {
-		t.Fatalf("reads after other keys' records: %d hits, want 2 (%+v)", hits, after)
 	}
 }
 
@@ -120,8 +80,7 @@ func requestName(s *Store, key string) (string, error) {
 }
 
 // readsAs fails t unless the record under key has the given request
-// name on both reads: the first may come from the backend, the second
-// from the block cache it filled.
+// name on two reads in a row.
 func readsAs(t *testing.T, s *Store, key, name string) {
 	t.Helper()
 	for i := 0; i < 2; i++ {
@@ -131,11 +90,9 @@ func readsAs(t *testing.T, s *Store, key, name string) {
 	}
 }
 
-// TestBlockCacheDeleteThenDifferentBytes: a delete frees the key, and a
-// re-record under it with different bytes must be what both read paths
-// return — a cache that only died on accepted records would serve the
-// old bytes here, since the stamp before and after is a delete's.
-func TestBlockCacheDeleteThenDifferentBytes(t *testing.T) {
+// TestDeleteThenDifferentBytes: a delete frees the key, and a re-record
+// under it with different bytes must be what every later read returns.
+func TestDeleteThenDifferentBytes(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			s := New(b)
@@ -148,7 +105,7 @@ func TestBlockCacheDeleteThenDifferentBytes(t *testing.T) {
 			if _, rejects, err := s.Record("svc:enactor", []core.Record{v1}); err != nil || len(rejects) > 0 {
 				t.Fatalf("Record v1: %v %v", rejects, err)
 			}
-			readsAs(t, s, key, "v1") // warms the cache
+			readsAs(t, s, key, "v1")
 
 			// Different bytes under a live key stay refused.
 			if _, rejects, err := s.Record("svc:enactor", []core.Record{v2}); err != nil || len(rejects) != 1 {
@@ -167,12 +124,11 @@ func TestBlockCacheDeleteThenDifferentBytes(t *testing.T) {
 	}
 }
 
-// TestBlockCacheReaderRacesDeleteAndRerecord: readers filling the cache
-// while a writer deletes and re-records the key with alternating bytes.
-// Every read sees some committed version (or absence), and once the
-// writer's re-record returns, its own reads see exactly that version —
-// whatever the racing readers cached meanwhile. Run under -race.
-func TestBlockCacheReaderRacesDeleteAndRerecord(t *testing.T) {
+// TestReaderRacesDeleteAndRerecord: readers race a writer that deletes
+// and re-records the key with alternating bytes. Every read sees some
+// committed version (or absence), and once the writer's re-record
+// returns, its own reads see exactly that version. Run under -race.
+func TestReaderRacesDeleteAndRerecord(t *testing.T) {
 	s := New(NewMemoryBackend())
 	base := mkInteraction(seq.NewID(), "svc:bc", "run")
 	versions := []core.Record{recordVersion(base, "v0"), recordVersion(base, "v1")}
@@ -216,34 +172,5 @@ func TestBlockCacheReaderRacesDeleteAndRerecord(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
-	}
-}
-
-// TestBlockCacheDisabled: a zero budget retains nothing, and every
-// lookup — point or batched — counts as a miss.
-func TestBlockCacheDisabled(t *testing.T) {
-	s := New(NewMemoryBackend())
-	s.SetBlockCacheBytes(0)
-	sid := seq.NewID()
-	rec := mkInteraction(sid, "svc:nobc", "run")
-	if _, _, err := s.Record("svc:enactor", []core.Record{rec}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if !present(t, s, rec.StorageKey()) {
-			t.Fatalf("read #%d: recorded key absent", i)
-		}
-	}
-	st := s.ReadCacheStats()
-	if st.BlockCacheHits != 0 || st.BlockCacheBytes != 0 || st.BlockCacheMisses != 3 {
-		t.Fatalf("disabled cache after 3 point reads: %+v", st)
-	}
-	_, present, err := s.GetBatch([]string{rec.StorageKey(), rec.StorageKey(), "absent"})
-	if err != nil || !present[0] || !present[1] || present[2] {
-		t.Fatalf("GetBatch = %v, %v", present, err)
-	}
-	st = s.ReadCacheStats()
-	if st.BlockCacheHits != 0 || st.BlockCacheBytes != 0 || st.BlockCacheEntries != 0 || st.BlockCacheMisses != 6 {
-		t.Fatalf("disabled cache after a 3-key GetBatch: %+v", st)
 	}
 }

@@ -51,7 +51,9 @@ type Backend interface {
 	// twin of PutBatch. The returned slices align with keys; present[i]
 	// is false for absent keys (whose values[i] is nil). Implementations
 	// amortise the per-read cost: one lock acquisition for the batch, and
-	// on kvdb one offset-ordered pass over the log.
+	// on kvdb one ReadAt per run of nearby values. Values may share a
+	// backing array: callers treat them as read-only and copy what they
+	// keep, as core.DecodeRecord does.
 	GetBatch(keys []string) (values [][]byte, present []bool, err error)
 	// Delete removes key. Deleting an absent key is a no-op. The
 	// persistent backend deletes by tombstone, a kvdb log entry; the
@@ -132,23 +134,11 @@ type Store struct {
 	// store_compaction_in_progress gauge).
 	writeStallSec *obs.Histogram
 	compacting    atomic.Int64
-
-	// bc is the shared record block cache (see blockcache.go): every
-	// GetBatch consumer — queries, the planner's candidate fetches,
-	// presence-only total counting — reads through it. Entries
-	// are stamped with dels, the count of attempted delete batches,
-	// loaded before the backend read: only a delete can change what a
-	// key reads as, so accepted records leave the cache warm. bcBudget
-	// mirrors its byte budget for cacheBlock's size admission.
-	bc       *kv.LRU[uint64, []byte]
-	bcBudget atomic.Int64
-	dels     atomic.Uint64
 }
 
 // New wraps a backend in a Store.
 func New(b Backend) *Store {
-	s := &Store{b: b, seed: maphash.MakeSeed(), reg: obs.NewRegistry(), bc: kv.NewLRU[uint64](DefaultBlockCacheBytes, blockCost)}
-	s.bcBudget.Store(DefaultBlockCacheBytes)
+	s := &Store{b: b, seed: maphash.MakeSeed(), reg: obs.NewRegistry()}
 	s.recordSec = s.reg.Histogram("store_record_seconds", nil)
 	s.recordBatch = s.reg.Histogram("store_record_batch_size", obs.SizeBuckets)
 	s.deleteSec = s.reg.Histogram("store_delete_seconds", nil)
@@ -158,48 +148,20 @@ func New(b Backend) *Store {
 	s.reg.GaugeFunc("store_compaction_in_progress", func() float64 { return float64(s.compacting.Load()) })
 	s.reg.GaugeFunc("store_garbage_ratio", s.GarbageRatio)
 	s.reg.GaugeFunc("store_tombstones", func() float64 { return float64(s.Tombstones()) })
-	s.reg.GaugeFunc("store_blockcache_resident_bytes", func() float64 { return float64(s.bc.Stats().Used) })
-	s.reg.GaugeFunc("store_blockcache_entries", func() float64 { return float64(s.bc.Stats().Entries) })
-	s.reg.GaugeFunc("store_blockcache_hit_ratio", func() float64 {
-		st := s.bc.Stats()
-		if st.Hits+st.Misses == 0 {
-			return 0
-		}
-		return float64(st.Hits) / float64(st.Hits+st.Misses)
-	})
 	return s
 }
 
-// SetBlockCacheBytes empties the record block cache, resets its
-// counters and sets its byte budget; with n <= 0 every lookup misses.
-func (s *Store) SetBlockCacheBytes(n int64) {
-	s.bcBudget.Store(n)
-	s.bc.Reset(n)
-}
-
-// ReadCacheStats is a snapshot of the read-path cache counters: the
-// record block cache.
+// ReadCacheStats has no source since the store lost its record block cache and keeps only the fields the frozen benchmark/ reads; the benchmark-only PR that drops store.blockcache_hit_ratio (ROADMAP direction 2) deletes it.
 type ReadCacheStats struct {
-	// Bloom*: never set, read only by the frozen benchmark/; the benchmark-only PR that drops store.bloom_skip_ratio deletes them.
 	BloomSkips          int64
 	BloomFalsePositives int64
 	BloomHits           int64
 	BlockCacheHits      int64
 	BlockCacheMisses    int64
-	BlockCacheBytes     int64
-	BlockCacheEntries   int64
 }
 
-// ReadCacheStats reports the read-path cache counters.
-func (s *Store) ReadCacheStats() ReadCacheStats {
-	st := s.bc.Stats()
-	return ReadCacheStats{
-		BlockCacheHits:    st.Hits,
-		BlockCacheMisses:  st.Misses,
-		BlockCacheBytes:   st.Used,
-		BlockCacheEntries: st.Entries,
-	}
-}
+// ReadCacheStats returns zero; it stays for the frozen benchmark/ until the benchmark-only PR that drops store.blockcache_hit_ratio (ROADMAP direction 2).
+func (s *Store) ReadCacheStats() ReadCacheStats { return ReadCacheStats{} }
 
 // WritePathStats reports the write-path health counters.
 func (s *Store) WritePathStats() prep.WritePathCounters {
@@ -299,41 +261,10 @@ func (s *Store) dropIndex() {
 // with. The result aligns with keys; present[i] is false for keys with
 // no stored record (a dangling posting reads as absent, not as an
 // error). Values are returned undecoded so callers that only need
-// existence (total counting past a query's Limit) skip the decode.
+// existence (total counting past a query's Limit) skip the decode, and
+// are read-only, as Backend.GetBatch's are.
 func (s *Store) GetBatch(keys []string) (values [][]byte, present []bool, err error) {
-	// The delete stamp is loaded BEFORE the backend read: a delete that
-	// races the read has already bumped past it, so the entries this read
-	// caches die on their first lookup — stale values cannot be served,
-	// only invalidated too eagerly.
-	stamp := s.dels.Load()
-	values = make([][]byte, len(keys))
-	present = make([]bool, len(keys))
-	var missKeys []string
-	var missIdx []int
-	for i, k := range keys {
-		if v, ok := s.bc.Get(k, stamp); ok {
-			values[i] = v
-			present[i] = true
-		} else {
-			missKeys = append(missKeys, k)
-			missIdx = append(missIdx, i)
-		}
-	}
-	if len(missKeys) == 0 {
-		return values, present, nil
-	}
-	mv, mp, err := s.b.GetBatch(missKeys)
-	if err != nil {
-		return nil, nil, err
-	}
-	for j, i := range missIdx {
-		if mp[j] {
-			values[i] = mv[j]
-			present[i] = true
-			s.cacheBlock(missKeys[j], stamp, mv[j])
-		}
-	}
-	return values, present, nil
+	return s.b.GetBatch(keys)
 }
 
 // Record validates and stores a batch of p-assertions asserted by
@@ -639,8 +570,7 @@ func (s *Store) deleteKeys(idx *index.Index, keys []string) (int, error) {
 // provlint:no-genbump the generation bump lives in its caller
 // (deleteKeys bumps when any batch was attempted), because a chunk
 // that errors may still have removed records and the bump must cover
-// that case too. The block cache's
-// delete stamp is bumped here, under the stripes.
+// that case too.
 //
 // A record whose stored bytes no longer decode is deleted anyway —
 // retraction must work on a store with one torn value, the same policy
@@ -675,12 +605,7 @@ func (s *Store) deleteChunk(idx *index.Index, chunk []string) (deleted int, atte
 	if len(doomed) == 0 {
 		return 0, false, nil
 	}
-	err = s.b.DeleteBatch(doomed)
-	// The block cache's stamp moves while the stripes are still held:
-	// a re-record of a doomed key (with different bytes) must wait for
-	// the stripe, so no read can find the old bytes under the new stamp.
-	s.dels.Add(1)
-	if err != nil {
+	if err := s.b.DeleteBatch(doomed); err != nil {
 		return 0, true, fmt.Errorf("deleting chunk: %w", err)
 	}
 	if err := idx.RemoveBatch(records); err != nil {

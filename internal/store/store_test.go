@@ -335,7 +335,6 @@ func TestReadsDoNotWaitOnIndexOpen(t *testing.T) {
 	}
 	s = New(kb)
 	defer s.Close()
-	s.SetBlockCacheBytes(0) // every read goes to the backend
 
 	inScan, release := make(chan struct{}), make(chan struct{})
 	scanDone := make(chan error, 1)
