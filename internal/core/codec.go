@@ -58,8 +58,9 @@ func (k *Kind) UnmarshalText(text []byte) error {
 // the kind byte, then the p-assertion's fields as fixed-width IDs and
 // uvarint-length-prefixed strings/bytes. The previous format (one gob
 // stream per record) spent roughly half of every encode re-sending gob
-// type descriptors — at ~20 index postings per record the encoder was
-// the single hottest function on the ingest path. DecodeRecord still
+// type descriptors — even beside the 8.67 index postings each record
+// writes (index.postings_per_rec), the encoder was the single hottest
+// function on the ingest path. DecodeRecord still
 // accepts gob blobs, so stores written before the format change keep
 // working; idempotent re-records of such blobs are handled by the store
 // comparing canonical re-encodings (see store.Record).

@@ -30,7 +30,6 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"preserv/internal/ids"
@@ -433,14 +432,18 @@ func (r *Record) Timestamp() time.Time {
 // DataIDs returns the distinct data identifiers carried by the record's
 // message parts, in order of first appearance (request before response).
 // Actor-state records carry no message parts and return nil.
-func (r *Record) DataIDs() []ids.ID {
+func (r *Record) DataIDs() []ids.ID { return r.AppendDataIDs(nil) }
+
+// AppendDataIDs appends to dst what DataIDs returns, for a caller that
+// reuses one slice across records.
+func (r *Record) AppendDataIDs(dst []ids.ID) []ids.ID {
 	if r.Kind != KindInteraction || r.Interaction == nil {
-		return nil
+		return dst
 	}
 	// A record has a handful of parts: a linear scan of the ids kept so
-	// far dedupes them without a map, and the one slice is sized for
-	// all of them on first use.
-	var out []ids.ID
+	// far dedupes them without a map, and a nil dst is sized for all of
+	// them on first use.
+	start := len(dst)
 	p := r.Interaction
 	for _, msg := range [...]*Message{&p.Request, &p.Response} {
 	parts:
@@ -449,18 +452,18 @@ func (r *Record) DataIDs() []ids.ID {
 			if !id.Valid() {
 				continue
 			}
-			for _, seen := range out {
+			for _, seen := range dst[start:] {
 				if seen == id {
 					continue parts
 				}
 			}
-			if out == nil {
-				out = make([]ids.ID, 0, len(p.Request.Parts)+len(p.Response.Parts))
+			if dst == nil {
+				dst = make([]ids.ID, 0, len(p.Request.Parts)+len(p.Response.Parts))
 			}
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
 // Groups returns the record's group references.
@@ -493,6 +496,14 @@ func (r *Record) GroupID(groupType string) (ids.ID, bool) {
 // records can never share a key, and all records of one interaction
 // share a key prefix — which is what the store's lookups index on.
 func (r *Record) StorageKey() string {
+	// Built on the stack, which a key of usual length fits: the store and
+	// the index each ask for the key of every record they take.
+	var buf [128]byte
+	return string(r.AppendStorageKey(buf[:0]))
+}
+
+// AppendStorageKey appends the record's storage key to dst.
+func (r *Record) AppendStorageKey(dst []byte) []byte {
 	kindTag := byte('?')
 	switch r.Kind {
 	case KindInteraction:
@@ -500,22 +511,10 @@ func (r *Record) StorageKey() string {
 	case KindActorState:
 		kindTag = 's'
 	}
-	view, asserter, localID := r.View().String(), r.Asserter(), r.LocalID()
-	// Built in one exactly-sized buffer: the store and the index each
-	// ask for the key of every record they take.
-	var b strings.Builder
-	b.Grow(2 + ids.TextLen + 1 + len(view) + 1 + len(asserter) + 1 + len(localID))
-	b.WriteByte(kindTag)
-	b.WriteByte('/')
-	var id [ids.TextLen]byte
-	b.Write(r.InteractionID().AppendString(id[:0]))
-	b.WriteByte('/')
-	b.WriteString(view)
-	b.WriteByte('/')
-	b.WriteString(string(asserter))
-	b.WriteByte('/')
-	b.WriteString(localID)
-	return b.String()
+	dst = r.InteractionID().AppendString(append(dst, kindTag, '/'))
+	dst = append(append(dst, '/'), r.View().String()...)
+	dst = append(append(dst, '/'), r.Asserter()...)
+	return append(append(dst, '/'), r.LocalID()...)
 }
 
 // NewInteractionRecord wraps an interaction p-assertion as a Record.

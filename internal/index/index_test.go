@@ -515,3 +515,45 @@ func TestPostingIterSeek(t *testing.T) {
 		t.Errorf("empty-term Next: ok=%v err=%v", ok, err)
 	}
 }
+
+// The posting keys of a batch are built one buffer per record: a
+// record's keys share one allocation, however many terms it has, and the
+// storage key, identifiers and time term are appended in place. 100
+// activities are 200 records with 8.5 postings each; building their keys
+// once cost 23.5 allocations per record when each key was a string of
+// its own.
+func TestPostingKeysAllocations(t *testing.T) {
+	var records []*core.Record
+	session := seq.NewID()
+	for n := uint64(0); n < 100; n++ {
+		inter, state, _ := makeActivity(session, "svc:a", "svc:gzip", n, t0.Add(time.Duration(n)*time.Millisecond))
+		records = append(records, &inter, &state)
+	}
+	keys := BatchPostingKeys(records)
+	if len(keys) != 1700 {
+		t.Fatalf("%d posting keys for 100 activities, want 1700", len(keys))
+	}
+	perRecord := testing.AllocsPerRun(20, func() { BatchPostingKeys(records) }) / float64(len(records))
+	if perRecord > 2 {
+		t.Fatalf("%.2f allocations per record building posting keys, want at most 2", perRecord)
+	}
+
+	// The keys are x/<dim>/<escaped term>/<storage key>, kind last.
+	r := records[0]
+	r.Interaction.Asserter = "svc/a%b"
+	skey := r.StorageKey()
+	want := []string{
+		"x/int/" + r.InteractionID().String() + "/" + skey,
+		"x/actor/svc%2Fa%25b/" + skey,
+		"x/svc/svc:gzip/" + skey,
+		"x/grp/" + session.String() + "/" + skey,
+		"x/sess/" + session.String() + "/" + skey,
+	}
+	for _, d := range r.DataIDs() {
+		want = append(want, "x/data/"+d.String()+"/"+skey)
+	}
+	want = append(want, "x/time/"+TimeTerm(r.Timestamp())+"/"+skey, "x/kind/i/"+skey)
+	if got := BatchPostingKeys(records[:1]); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("posting keys\n%q\nwant\n%q", got, want)
+	}
+}

@@ -2,37 +2,45 @@ package kv
 
 import (
 	"iter"
-	"slices"
 	"sort"
 	"strings"
 )
 
 // chunkMax caps the length of a Keys chunk. A fold copies every chunk its
-// delta reaches and re-lists the others, so it costs about touched chunks
+// writes reach and re-lists the others, so it costs about touched chunks
 // × chunkMax + n/chunkMax. At 128, a 100-key batch spread over 200k keys
 // folds in under an eighth of a whole-snapshot copy; at 512 it would not.
 const chunkMax = 128
 
-// Keys is an immutable sorted key set: sorted chunks of at most chunkMax
-// keys, none empty, and the cumulative count after each. A fold rebuilds
-// only the chunks it touches and shares every other one with the snapshot
-// before it, so readers iterate a Keys with no lock held.
-type Keys struct {
-	chunks [][]string
+// entry is one key of a Keys snapshot and the value its owner keeps
+// with it.
+type entry[V any] struct {
+	key string
+	val V
+}
+
+// Keys is an immutable sorted key set, each key with a value of type V:
+// sorted chunks of at most chunkMax keys, none empty, and the cumulative
+// count after each. A fold rebuilds only the chunks it touches and shares
+// every other one with the snapshot before it, so readers iterate a Keys
+// with no lock held.
+type Keys[V any] struct {
+	chunks [][]entry[V]
 	ends   []int // ends[c] = keys in chunks[:c+1]
 }
 
-func newKeys(chunks [][]string) *Keys {
+func newKeys[V any](chunks [][]entry[V]) *Keys[V] {
 	ends := make([]int, len(chunks))
 	n := 0
 	for c, chunk := range chunks {
 		n += len(chunk)
 		ends[c] = n
 	}
-	return &Keys{chunks: chunks, ends: ends}
+	return &Keys[V]{chunks: chunks, ends: ends}
 }
 
-func (s *Keys) size() int {
+// Len is how many keys the set holds.
+func (s *Keys[V]) Len() int {
 	if len(s.ends) == 0 {
 		return 0
 	}
@@ -43,29 +51,39 @@ func (s *Keys) size() int {
 // (len(chunks), 0) when it accepts none: a binary search over the chunks'
 // last keys, then one within a chunk. ok must be false up to some key and
 // true from there on.
-func (s *Keys) seek(ok func(string) bool) (c, i int) {
+func (s *Keys[V]) seek(ok func(string) bool) (c, i int) {
 	c = sort.Search(len(s.chunks), func(c int) bool {
 		chunk := s.chunks[c]
-		return ok(chunk[len(chunk)-1])
+		return ok(chunk[len(chunk)-1].key)
 	})
 	if c < len(s.chunks) {
 		chunk := s.chunks[c]
-		i = sort.Search(len(chunk), func(i int) bool { return ok(chunk[i]) })
+		i = sort.Search(len(chunk), func(i int) bool { return ok(chunk[i].key) })
 	}
 	return c, i
 }
 
 // rank is the position in the whole set of chunk c's key i.
-func (s *Keys) rank(c, i int) int {
+func (s *Keys[V]) rank(c, i int) int {
 	if c == 0 {
 		return i
 	}
 	return s.ends[c-1] + i
 }
 
+// Get returns the value kept with key, and whether the set holds key.
+func (s *Keys[V]) Get(key string) (V, bool) {
+	c, i := s.seek(func(k string) bool { return k >= key })
+	if c < len(s.chunks) && s.chunks[c][i].key == key {
+		return s.chunks[c][i].val, true
+	}
+	var zero V
+	return zero, false
+}
+
 // Count returns how many keys carry prefix and are >= from: two seeks,
 // no copy.
-func (s *Keys) Count(prefix, from string) int {
+func (s *Keys[V]) Count(prefix, from string) int {
 	lo := max(prefix, from)
 	// Keys carrying the prefix are contiguous from lo on: any key at or
 	// past a from that lacks the prefix lacks it too.
@@ -73,16 +91,16 @@ func (s *Keys) Count(prefix, from string) int {
 	return end - s.rank(s.seek(func(k string) bool { return k >= lo }))
 }
 
-// Range yields in order the keys that carry prefix and are >= from: one
-// seek, then a walk along the chunks that ends at the first key without
-// the prefix, or as soon as the caller stops.
-func (s *Keys) Range(prefix, from string) iter.Seq[string] {
-	return func(yield func(string) bool) {
+// Range yields in order the keys that carry prefix and are >= from, each
+// with its value: one seek, then a walk along the chunks that ends at the
+// first key without the prefix, or as soon as the caller stops.
+func (s *Keys[V]) Range(prefix, from string) iter.Seq2[string, V] {
+	return func(yield func(string, V) bool) {
 		lo := max(prefix, from)
 		c, i := s.seek(func(k string) bool { return k >= lo })
 		for ; c < len(s.chunks); c, i = c+1, 0 {
-			for _, k := range s.chunks[c][i:] {
-				if !strings.HasPrefix(k, prefix) || !yield(k) {
+			for _, e := range s.chunks[c][i:] {
+				if !strings.HasPrefix(e.key, prefix) || !yield(e.key, e.val) {
 					return
 				}
 			}
@@ -90,130 +108,207 @@ func (s *Keys) Range(prefix, from string) iter.Seq[string] {
 	}
 }
 
-// Ordered keeps a sorted snapshot of the key set of a map its owner
-// holds, so prefix counts and seeks are binary searches instead of a
-// sort per call. It takes no lock of its own: the owner's RWMutex guards
-// it, and every method names the side of that lock it needs. V is the
-// owner's map value type; Ordered never looks at the values.
+// Ordered is an owner's sorted key set: a published snapshot, so prefix
+// counts and seeks are binary searches instead of a sort per call, and
+// the writes made since, in write order, which the next Fold applies. It
+// takes no lock of its own: the owner's RWMutex guards it, and every
+// method names the side of that lock it needs. Each key carries a value
+// of type V, which the owner chooses and Ordered only stores.
 //
 // A published snapshot is immutable — Fold replaces it, never edits it —
 // so readers keep iterating a Keys they got from Clean or Fold after
-// releasing the lock, and re-check each key against the owner's map.
+// releasing the lock.
 //
-// The zero value has no snapshot and tracks nothing: writes cost one nil
-// check until Build, or the first Fold, makes one. A persistent owner
-// calls Build as it opens, with the keys its replay met.
+// The zero value is an empty set with no snapshot; the first Fold builds
+// one from the writes, which is how a persistent owner builds its set as
+// it opens: it replays its log into Put and Delete calls and folds.
 type Ordered[V any] struct {
-	keys *Keys // nil = no snapshot
-	// delta lists keys that entered or left the map since keys was
-	// built, in touch order and possibly repeated; which way a key went
-	// is not recorded — Fold asks the map.
-	delta []string
+	keys *Keys[V] // nil until the first Fold
+	// pending lists the writes since keys was built, in write order and
+	// possibly several to a key; the last write to a key decides.
+	pending []op[V]
+	// spare is the other buffer sortOps merges through, kept between
+	// folds like pending's.
+	spare []op[V]
 }
 
-// deltaFirstCap is delta's first capacity. It grows by doubling from
+// op is one pending write: a put of key with val, or its deletion.
+type op[V any] struct {
+	entry[V]
+	del bool
+}
+
+// pendingFirstCap is pending's first capacity. It grows by doubling from
 // here: append's ≈1.25× growth on large slices allocates ≈5× the final
 // size in total, doubling 2×.
-const deltaFirstCap = 64
+const pendingFirstCap = 64
 
-// Touch records that key was added to or removed from the owner's map.
-// Once more than a quarter of the snapshot (plus 64) has changed, a
-// rebuild is cheaper than a fold: the snapshot is dropped and tracking
-// stops, so a pure write phase pays nothing further. The owner's write
-// lock must be held.
-func (o *Ordered[V]) Touch(key string) {
-	if o.keys == nil {
-		return
+// Put records that key is in the set with val, whether or not it was
+// before. A write costs one append. The owner's write lock must be held.
+func (o *Ordered[V]) Put(key string, val V) {
+	o.push(op[V]{entry: entry[V]{key: key, val: val}})
+}
+
+// Delete records that key is not in the set, whether or not it was
+// before. The owner's write lock must be held.
+func (o *Ordered[V]) Delete(key string) {
+	o.push(op[V]{entry: entry[V]{key: key}, del: true})
+}
+
+func (o *Ordered[V]) push(w op[V]) {
+	if len(o.pending) == cap(o.pending) {
+		grown := make([]op[V], len(o.pending), max(2*cap(o.pending), pendingFirstCap))
+		copy(grown, o.pending)
+		o.pending = grown
 	}
-	if len(o.delta) > o.keys.size()/4+64 {
-		o.keys, o.delta = nil, nil
-		return
-	}
-	if len(o.delta) == cap(o.delta) {
-		grown := make([]string, len(o.delta), max(2*cap(o.delta), deltaFirstCap))
-		copy(grown, o.delta)
-		o.delta = grown
-	}
-	o.delta = append(o.delta, key)
+	o.pending = append(o.pending, w)
 }
 
 // Clean returns the snapshot and whether it is current. The owner's read
 // lock must be held; when it reports false the caller takes the write
 // lock and calls Fold.
-func (o *Ordered[V]) Clean() (*Keys, bool) {
-	return o.keys, o.keys != nil && len(o.delta) == 0
+func (o *Ordered[V]) Clean() (*Keys[V], bool) {
+	return o.keys, o.keys != nil && len(o.pending) == 0
 }
 
-// Build makes the snapshot from scratch and returns it: keys must be the
-// owner's live keys, in any order and possibly repeated. It sorts them in
-// place with SortKeys, which also drops the repeats, and the snapshot's
-// chunks share keys' array. Keys handed over in the order they were
-// allocated in sort faster than the same keys in hash-map order: most of
-// a large sort's time goes to reaching the keys' bytes, and the map
-// scatters them. The owner's write lock must be held.
-func (o *Ordered[V]) Build(keys []string) *Keys {
-	keys = SortKeys(keys)
-	o.keys = newKeys(split(make([][]string, 0, (len(keys)+chunkMax-1)/chunkMax), keys))
-	o.delta = nil
-	return o.keys
-}
-
-// Fold brings the snapshot up to date with live — the owner's map — and
-// returns it: Build over live's keys when there is no snapshot; otherwise
-// a new snapshot that rebuilds only the chunks the touched keys reach.
-// The owner's write lock must be held.
-func (o *Ordered[V]) Fold(live map[string]V) *Keys {
-	if o.keys == nil {
-		all := make([]string, 0, len(live))
-		for k := range live {
-			all = append(all, k)
-		}
-		return o.Build(all)
-	}
-	if len(o.delta) == 0 {
+// Fold applies the pending writes and returns the current snapshot. It
+// sorts them by key, keeping write order among a key's writes, so the
+// last write to each key decides whether it is in and with what value.
+// Each value a write takes out of the set — a pending put that a later
+// write to its key supersedes, or a snapshot key that a pending write
+// reaches — goes to replaced, if it is not nil: the owner's accounting of
+// what a value cost. With no snapshot the writes build one; otherwise the
+// new snapshot rebuilds only the chunks they reach. The owner's write
+// lock must be held.
+func (o *Ordered[V]) Fold(replaced func(V)) *Keys[V] {
+	if o.keys != nil && len(o.pending) == 0 {
 		return o.keys
 	}
-	sort.Strings(o.delta)
-	o.keys = fold(o.keys, slices.Compact(o.delta), live)
-	clear(o.delta) // release the key strings, keep the buffer
-	o.delta = o.delta[:0]
+	ops, spare := sortOps(o.pending, o.spare)
+	base := o.keys
+	if base == nil {
+		base = &Keys[V]{}
+	}
+	o.keys = fold(base, settle(ops, replaced), replaced)
+	// Keep both buffers for the next window unless they outgrew what a
+	// fold's worth of writes needs: a build from a long write phase would
+	// otherwise pin its pending list for good.
+	if max(cap(ops), cap(spare)) > o.keys.Len()/4+pendingFirstCap {
+		o.pending, o.spare = nil, nil
+	} else {
+		clear(ops) // release the key strings, keep the buffers
+		clear(spare)
+		o.pending, o.spare = ops[:0], spare[:0]
+	}
 	return o.keys
 }
 
-// fold returns s with the sorted, distinct touched keys delta applied.
-// Each delta key goes to the first chunk whose last key is >= it, and the
-// last chunk takes the rest. A chunk that received keys is rebuilt, live
-// deciding whether each of its keys is in; one that ends up under
-// chunkMax/4 joins its neighbour, and anything over chunkMax is split.
-// Every other chunk is shared with s.
-func fold[V any](s *Keys, delta []string, live map[string]V) *Keys {
+// sortOps sorts ops by key, keeping write order among equal keys, using
+// spare (grown to len(ops) if need be) as the buffer it merges through.
+// It returns the sorted ops and the other buffer, which may be either of
+// the two it was given. Pending writes arrive as sorted runs (a batch of
+// an owner's keys comes sorted), so it merges adjacent natural runs
+// pairwise: O(n log runs), and one pass to find out that a sorted list
+// is sorted.
+func sortOps[V any](ops, spare []op[V]) (sorted, other []op[V]) {
+	var ends []int // ends[r] = where run r ends
+	for i := 1; i <= len(ops); i++ {
+		if i == len(ops) || ops[i].key < ops[i-1].key {
+			ends = append(ends, i)
+		}
+	}
+	if len(ends) <= 1 {
+		return ops, spare
+	}
+	if cap(spare) < len(ops) {
+		spare = make([]op[V], len(ops))
+	}
+	src, dst := ops, spare[:len(ops)]
+	for len(ends) > 1 {
+		start, n := 0, 0
+		for r := 0; r < len(ends); r += 2 {
+			end := ends[r]
+			if r+1 < len(ends) {
+				end = ends[r+1]
+				mergeRuns(dst[start:end], src[start:ends[r]], src[ends[r]:end])
+			} else {
+				copy(dst[start:end], src[start:end])
+			}
+			ends[n], n, start = end, n+1, end
+		}
+		ends = ends[:n]
+		src, dst = dst, src
+	}
+	return src, dst
+}
+
+// mergeRuns merges the sorted runs a and b into dst, which holds exactly
+// both, taking a's op first among equal keys.
+func mergeRuns[V any](dst, a, b []op[V]) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || i < len(a) && a[i].key <= b[j].key {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
+}
+
+// settle keeps the last of each key's sorted ops, and hands replaced the
+// value of every put it drops.
+func settle[V any](ops []op[V], replaced func(V)) []op[V] {
+	out := ops[:0]
+	for i, w := range ops {
+		if i+1 < len(ops) && ops[i+1].key == w.key {
+			if !w.del && replaced != nil {
+				replaced(w.val)
+			}
+			continue
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
+// fold returns s with ops — sorted, one to a key — applied. Each op goes
+// to the first chunk whose last key is >= its key, and the last chunk
+// takes the rest. A chunk that received ops is rebuilt; one that ends up
+// under chunkMax/4 joins its neighbour, and anything over chunkMax is
+// split. Every other chunk is shared with s.
+func fold[V any](s *Keys[V], ops []op[V], replaced func(V)) *Keys[V] {
+	if len(ops) == 0 {
+		return s
+	}
 	old := s.chunks
 	if len(old) == 0 {
-		old = [][]string{nil}
+		old = [][]entry[V]{nil}
 	}
 	last := len(old) - 1
-	out := make([][]string, 0, len(old)+min(len(delta), len(old)))
-	var carry []string // a rebuilt first chunk too small to stand alone
+	out := make([][]entry[V], 0, len(old)+min(len(ops), len(old)))
+	var carry []entry[V] // a rebuilt first chunk too small to stand alone
 	for c := 0; c <= last; c++ {
 		if len(carry) == 0 {
-			if len(delta) == 0 {
+			if len(ops) == 0 {
 				out = append(out, old[c:]...)
 				break
 			}
-			// Share every chunk before the one delta's first key goes to.
+			// Share every chunk before the one the first op goes to.
 			to := c + sort.Search(last-c, func(i int) bool {
 				chunk := old[c+i]
-				return chunk[len(chunk)-1] >= delta[0]
+				return chunk[len(chunk)-1].key >= ops[0].key
 			})
 			out = append(out, old[c:to]...)
 			c = to
 		}
-		chunk, n := old[c], len(delta)
+		chunk, n := old[c], len(ops)
 		if c < last {
-			n = sort.Search(n, func(j int) bool { return delta[j] > chunk[len(chunk)-1] })
+			n = sort.Search(n, func(j int) bool { return ops[j].key > chunk[len(chunk)-1].key })
 		}
-		keys := merge(append(make([]string, 0, len(carry)+len(chunk)+n), carry...), chunk, delta[:n], live)
-		delta, carry = delta[n:], nil
+		keys := merge(append(make([]entry[V], 0, len(carry)+len(chunk)+n), carry...), chunk, ops[:n], replaced)
+		ops, carry = ops[n:], nil
 		if len(keys) > 0 && len(keys) < chunkMax/4 {
 			if len(out) == 0 && c < last {
 				carry = keys // no chunk before it: it joins the next one
@@ -222,7 +317,7 @@ func fold[V any](s *Keys, delta []string, live map[string]V) *Keys {
 			if len(out) > 0 {
 				prev := out[len(out)-1]
 				out = out[:len(out)-1]
-				keys = append(append(make([]string, 0, len(prev)+len(keys)), prev...), keys...)
+				keys = append(append(make([]entry[V], 0, len(prev)+len(keys)), prev...), keys...)
 			}
 		}
 		out = split(out, keys)
@@ -230,19 +325,22 @@ func fold[V any](s *Keys, delta []string, live map[string]V) *Keys {
 	return newKeys(out)
 }
 
-// merge appends to dst the ordered merge of chunk with its sorted,
-// distinct touched keys: a touched key is in if live holds it, whether
-// or not chunk had it.
-func merge[V any](dst, chunk, touched []string, live map[string]V) []string {
+// merge appends to dst the ordered merge of chunk with its sorted ops,
+// one to a key: a put is in with its value, a delete is out, and a chunk
+// key an op reaches goes to replaced.
+func merge[V any](dst, chunk []entry[V], ops []op[V], replaced func(V)) []entry[V] {
 	i := 0
-	for _, k := range touched {
-		j := i + sort.SearchStrings(chunk[i:], k)
+	for _, w := range ops {
+		j := i + sort.Search(len(chunk)-i, func(j int) bool { return chunk[i+j].key >= w.key })
 		dst = append(dst, chunk[i:j]...)
-		if j < len(chunk) && chunk[j] == k {
-			j++ // in the old chunk: kept or dropped by the probe below
+		if j < len(chunk) && chunk[j].key == w.key {
+			if replaced != nil {
+				replaced(chunk[j].val)
+			}
+			j++
 		}
-		if _, ok := live[k]; ok {
-			dst = append(dst, k)
+		if !w.del {
+			dst = append(dst, w.entry)
 		}
 		i = j
 	}
@@ -252,7 +350,7 @@ func merge[V any](dst, chunk, touched []string, live map[string]V) []string {
 // split appends keys to out as the fewest even chunks of at most
 // chunkMax, none if keys is empty. The chunks share keys' array, each
 // capped at its own end.
-func split(out [][]string, keys []string) [][]string {
+func split[V any](out [][]entry[V], keys []entry[V]) [][]entry[V] {
 	for p := (len(keys) + chunkMax - 1) / chunkMax; p > 0; p-- {
 		n := len(keys) / p
 		out = append(out, keys[:n:n])

@@ -2,7 +2,9 @@ package kv
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -10,52 +12,85 @@ import (
 	"testing"
 )
 
-// owner is the smallest thing that can own an Ordered: a map, a lock,
-// and the two mutations that change the key set.
+// owner is the smallest thing that can own an Ordered: a model map, a
+// lock, and the two writes that change the key set. Each put gives its
+// key a new value, so the model can name every value a write takes out
+// of the set, which Fold must hand to its callback once each.
 type owner struct {
-	mu   sync.RWMutex
-	live map[string]int
-	keys Ordered[int]
+	mu      sync.RWMutex
+	live    map[string]int
+	keys    Ordered[int]
+	seq     int
+	removed []int // values the writes since the last fold took out
 }
 
 func newOwner() *owner { return &owner{live: make(map[string]int)} }
 
 func (w *owner) put(k string) {
-	if _, ok := w.live[k]; !ok {
-		w.keys.Touch(k)
+	if old, ok := w.live[k]; ok {
+		w.removed = append(w.removed, old)
 	}
-	w.live[k]++
+	w.seq++
+	w.live[k] = w.seq
+	w.keys.Put(k, w.seq)
 }
 
+// del deletes k, which need not be in the set: replay names keys a
+// writer's tombstone held, whatever the view holds.
 func (w *owner) del(k string) {
-	if _, ok := w.live[k]; ok {
+	if old, ok := w.live[k]; ok {
+		w.removed = append(w.removed, old)
 		delete(w.live, k)
-		w.keys.Touch(k)
 	}
+	w.keys.Delete(k)
 }
 
 // oracle is the key set sorted from scratch.
 func (w *owner) oracle() []string {
-	want := make([]string, 0, len(w.live))
-	for k := range w.live {
-		want = append(want, k)
-	}
-	sort.Strings(want)
-	return want
+	return slices.Sorted(maps.Keys(w.live))
 }
 
-// check folds and requires the snapshot to equal the oracle, its chunks
-// to hold their bounds and its counts to add up. A fold over an existing
-// snapshot must also have shared every chunk that neither its delta nor
-// a neighbour's coalescing reached.
-func (w *owner) check(t *testing.T, step int) *Keys {
+// entries lists what a snapshot holds, in order.
+func entries[V any](s *Keys[V]) (keys []string, vals []V) {
+	for k, v := range s.Range("", "") {
+		keys = append(keys, k)
+		vals = append(vals, v)
+	}
+	return keys, vals
+}
+
+// check folds and requires the snapshot to equal the oracle, values
+// included, its chunks to hold their bounds and its counts to add up,
+// and the values the fold reported replaced to be exactly those the
+// writes took out. A fold over an existing snapshot must also have shared
+// every chunk that neither its writes nor a neighbour's coalescing
+// reached.
+func (w *owner) check(t *testing.T, step int) *Keys[int] {
 	t.Helper()
 	before := w.keys.keys
-	touched := slices.Compact(slices.Sorted(slices.Values(w.keys.delta)))
-	got := w.keys.Fold(w.live)
-	if want, keys := w.oracle(), slices.Collect(got.Range("", "")); !slices.Equal(keys, want) {
+	var touched []string
+	for _, o := range w.keys.pending {
+		touched = append(touched, o.key)
+	}
+	touched = slices.Compact(slices.Sorted(slices.Values(touched)))
+	var replaced []int
+	got := w.keys.Fold(func(v int) { replaced = append(replaced, v) })
+	want := w.oracle()
+	keys, vals := entries(got)
+	if !slices.Equal(keys, want) {
 		t.Fatalf("step %d: snapshot (%d keys) differs from the sorted key set (%d keys)\n got %q\nwant %q", step, len(keys), len(want), keys, want)
 	}
+	for i, k := range keys {
+		if vals[i] != w.live[k] {
+			t.Fatalf("step %d: %q holds %d, its last put %d", step, k, vals[i], w.live[k])
+		}
+	}
+	slices.Sort(replaced)
+	slices.Sort(w.removed)
+	if !slices.Equal(replaced, w.removed) {
+		t.Fatalf("step %d: the fold reported %v replaced, the writes took out %v", step, replaced, w.removed)
+	}
+	w.removed = w.removed[:0]
 	checkShape(t, step, got)
 	if clean, ok := w.keys.Clean(); !ok || clean != got {
 		t.Fatalf("step %d: Clean() = %p, %v right after Fold returned %p", step, clean, ok, got)
@@ -69,7 +104,7 @@ func (w *owner) check(t *testing.T, step int) *Keys {
 // checkShape holds a snapshot to its layout: no chunk empty or over
 // chunkMax, none under chunkMax/4 unless it is the only one, and ends
 // the running total of the chunk lengths.
-func checkShape(t *testing.T, step int, s *Keys) {
+func checkShape[V any](t *testing.T, step int, s *Keys[V]) {
 	t.Helper()
 	if len(s.ends) != len(s.chunks) {
 		t.Fatalf("step %d: %d counts for %d chunks", step, len(s.ends), len(s.chunks))
@@ -88,8 +123,8 @@ func checkShape(t *testing.T, step int, s *Keys) {
 			t.Fatalf("step %d: ends[%d] = %d, want %d", step, c, s.ends[c], n)
 		}
 	}
-	if s.Count("", "") != n || s.size() != n {
-		t.Fatalf("step %d: Count = %d, size = %d over %d keys", step, s.Count("", ""), s.size(), n)
+	if s.Count("", "") != n || s.Len() != n {
+		t.Fatalf("step %d: Count = %d, Len = %d over %d keys", step, s.Count("", ""), s.Len(), n)
 	}
 }
 
@@ -97,17 +132,17 @@ func checkShape(t *testing.T, step int, s *Keys) {
 // to the first chunk whose last key is >= it, the last chunk taking the
 // rest — and requires every chunk that neither it nor a neighbour
 // received keys to appear in next with its backing array unchanged.
-func checkShared(t *testing.T, step int, prev, next *Keys, touched []string) {
+func checkShared[V any](t *testing.T, step int, prev, next *Keys[V], touched []string) {
 	t.Helper()
 	hit := make([]bool, len(prev.chunks))
 	for _, k := range touched {
 		c := sort.Search(len(prev.chunks), func(c int) bool {
 			chunk := prev.chunks[c]
-			return chunk[len(chunk)-1] >= k
+			return chunk[len(chunk)-1].key >= k
 		})
 		hit[min(c, len(prev.chunks)-1)] = true
 	}
-	kept := make(map[*string]int, len(next.chunks))
+	kept := make(map[*entry[V]]int, len(next.chunks))
 	for _, chunk := range next.chunks {
 		kept[&chunk[0]] = len(chunk)
 	}
@@ -121,24 +156,39 @@ func checkShared(t *testing.T, step int, prev, next *Keys, touched []string) {
 	}
 }
 
+// snapshotOf lists a snapshot's keys and values, to tell later whether
+// it was edited.
+type snapshotOf struct {
+	keys []string
+	vals []int
+}
+
+func copyOf(s *Keys[int]) snapshotOf {
+	keys, vals := entries(s)
+	return snapshotOf{keys, vals}
+}
+
 // TestOrderedProperty is the one property test of the type every backend
 // keeps its keys in: after any interleaving of puts, deletes, runs of
-// either and repeated touches, folded at random intervals, the snapshot
-// equals the key set sorted from scratch, keeps its chunk layout, shares
-// what the delta did not reach, and snapshots published earlier never
-// change. The key space spans dozens of chunks, so folds split chunks,
-// coalesce small ones (the first chunk included) and route keys past the
-// end to the last chunk.
+// either and repeated writes to one key, folded at random intervals, the
+// snapshot equals the key set sorted from scratch with each key's last
+// value, the fold reports every value a write took out exactly once, the
+// snapshot keeps its chunk layout and shares what the writes did not
+// reach, and snapshots published earlier never change. The key space
+// spans dozens of chunks, so folds split chunks, coalesce small ones (the
+// first chunk included) and route keys past the end to the last chunk.
+// Single puts and deletes arrive out of order, so a fold's sort merges
+// many runs; the runs of case 5 arrive sorted.
 func TestOrderedProperty(t *testing.T) {
 	const space = 4000
 	rng := rand.New(rand.NewSource(41))
 	w := newOwner()
 	name := func(i int) string { return fmt.Sprintf("i/ov/%04d", i) }
 	key := func() string { return name(rng.Intn(space)) }
-	// Build the snapshot first, so the steps below run the fold path
-	// rather than the no-snapshot one.
+	// Fold the empty set first, so the steps below run the fold path
+	// over a snapshot rather than the build.
 	prev := w.check(t, 0)
-	prevCopy := slices.Collect(prev.Range("", ""))
+	prevCopy := copyOf(prev)
 
 	for step := 1; step <= 1500; step++ {
 		switch rng.Intn(8) {
@@ -157,10 +207,11 @@ func TestOrderedProperty(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				w.del(k)
 			}
-		case 4: // touches that changed nothing must be harmless
+		case 4: // one key put again and again: the last value stands
 			k := key()
-			w.keys.Touch(k)
-			w.keys.Touch(k)
+			for n := 2 + rng.Intn(3); n > 0; n-- {
+				w.put(k)
+			}
 		case 5: // a run of puts: one chunk overflows into several
 			from := rng.Intn(space)
 			for i, to := from, min(space, from+1+rng.Intn(300)); i < to; i++ {
@@ -176,22 +227,22 @@ func TestOrderedProperty(t *testing.T) {
 				w.del(k)
 			}
 		}
-		if _, ok := w.keys.Clean(); ok && len(w.keys.delta) != 0 {
-			t.Fatalf("step %d: Clean reports current with %d touches waiting", step, len(w.keys.delta))
+		if _, ok := w.keys.Clean(); ok && len(w.keys.pending) != 0 {
+			t.Fatalf("step %d: Clean reports current with %d writes waiting", step, len(w.keys.pending))
 		}
 		if rng.Intn(3) != 0 {
 			continue // let the window grow over several steps
 		}
 		next := w.check(t, step)
-		if !slices.Equal(slices.Collect(prev.Range("", "")), prevCopy) {
+		if !reflect.DeepEqual(copyOf(prev), prevCopy) {
 			t.Fatalf("step %d: a published snapshot was edited in place", step)
 		}
-		prev, prevCopy = next, slices.Collect(next.Range("", ""))
+		prev, prevCopy = next, copyOf(next)
 	}
 }
 
 // TestOrderedFoldShares pins the fold's cost on a snapshot built in one
-// sort: keys landing in a few chunks rebuild those chunks, and every
+// pass: keys landing in a few chunks rebuild those chunks, and every
 // other chunk of the old snapshot is the same slice in the new one.
 func TestOrderedFoldShares(t *testing.T) {
 	w := newOwner()
@@ -226,77 +277,59 @@ func TestOrderedFoldShares(t *testing.T) {
 	}
 }
 
-// TestOrderedBuild hands Build the live keys in an owner's replay order:
-// scrambled, some repeated. The snapshot it makes is current, holds each
-// key once in order, keeps the chunk layout, and folds later writes like
-// any other.
+// TestOrderedBuild writes to an Ordered with no snapshot the way an
+// owner's replay does: keys scrambled, some put again, some deleted and
+// put back. The first Fold builds a snapshot from the writes that is
+// current, holds each live key once in order with its last value, keeps
+// the chunk layout, and folds later writes like any other.
 func TestOrderedBuild(t *testing.T) {
 	w := newOwner()
 	rng := rand.New(rand.NewSource(34))
-	var replayed []string
 	for i := 0; i < 20*chunkMax; i++ {
 		k := fmt.Sprintf("x/dim%d/%06d", i%9, rng.Intn(10*chunkMax))
 		w.put(k)
-		replayed = append(replayed, k) // a key put again is listed again
+		if rng.Intn(8) == 0 {
+			w.del(k)
+			if rng.Intn(2) == 0 {
+				w.put(k)
+			}
+		}
 	}
-	w.keys.delta = []string{"stale"} // Build empties the delta
-	got := w.keys.Build(replayed)
-	if clean, ok := w.keys.Clean(); !ok || clean != got {
-		t.Fatalf("Clean() = %p, %v right after Build returned %p", clean, ok, got)
+	if keys, ok := w.keys.Clean(); keys != nil || ok {
+		t.Fatalf("Clean() = %p, %v before any Fold; want no snapshot", keys, ok)
 	}
-	if want, keys := w.oracle(), slices.Collect(got.Range("", "")); !slices.Equal(keys, want) {
-		t.Fatalf("built %d keys, want the %d distinct ones sorted", len(keys), len(want))
-	}
-	checkShape(t, 0, got)
+	w.check(t, 0)
 	w.put("x/dim3/new")
 	w.del(w.oracle()[7])
 	w.check(t, 1)
 }
 
-// TestOrderedThresholdDropsSnapshot crosses the fold-vs-rebuild
-// threshold: the snapshot is dropped, later touches are not tracked at
-// all (the write-phase fast path), and the next Fold rebuilds wholesale.
-func TestOrderedThresholdDropsSnapshot(t *testing.T) {
+// TestOrderedPendingBuffers holds the pending list to its growth and
+// retention: it doubles from pendingFirstCap, a fold keeps it (and the
+// merge buffer) for the next window, and a fold that built from a write
+// phase longer than a quarter of the set lets both go.
+func TestOrderedPendingBuffers(t *testing.T) {
 	w := newOwner()
-	if w.keys.Touch("early"); w.keys.delta != nil {
-		t.Fatal("a zero Ordered tracked a touch with no snapshot to maintain")
+	for i := 0; i < 300; i++ {
+		w.put(fmt.Sprintf("base/%04d", 299-i)) // descending: 300 runs of one
 	}
-	for i := 0; i < 1000; i++ {
-		w.put(fmt.Sprintf("base/%04d", i))
-	}
-	if _, ok := w.keys.Clean(); ok {
-		t.Fatal("Clean reports current before any Fold")
+	if c := cap(w.keys.pending); c != 512 {
+		t.Fatalf("pending capacity %d after 300 writes, want 512", c)
 	}
 	w.check(t, 0)
-
-	threshold := 1000/4 + 64
-	for i := 0; i <= threshold; i++ {
-		w.put(fmt.Sprintf("new/%04d", i))
+	if w.keys.pending != nil || w.keys.spare != nil {
+		t.Fatalf("a build from 300 writes kept buffers of %d and %d", cap(w.keys.pending), cap(w.keys.spare))
 	}
-	if keys, ok := w.keys.Clean(); keys == nil || ok {
-		t.Fatalf("at the threshold: Clean() = %p, %v; want the stale snapshot, false", keys, ok)
+	for i := 0; i < 40; i++ {
+		w.put(fmt.Sprintf("base/%04d", 39-i))
 	}
-	// Doubling from deltaFirstCap: the buffer is a power-of-two multiple
-	// of it, under twice what was needed.
-	if c := cap(w.keys.delta); c != 512 {
-		t.Fatalf("delta capacity %d after %d touches, want 512", c, threshold+1)
+	w.check(t, 1)
+	if cap(w.keys.pending) != pendingFirstCap || len(w.keys.pending) != 0 || cap(w.keys.spare) < 40 {
+		t.Fatalf("after a small fold: pending %d/%d, spare %d; want both kept for the next window",
+			len(w.keys.pending), cap(w.keys.pending), cap(w.keys.spare))
 	}
-	w.check(t, 1) // still a fold
-
-	threshold = (1000+threshold+1)/4 + 64 // of the folded snapshot
-	for i := 0; i <= threshold+1; i++ {
-		w.del(fmt.Sprintf("base/%04d", i))
-	}
-	if keys, ok := w.keys.Clean(); keys != nil || ok {
-		t.Fatalf("past the threshold: Clean() = %p, %v; want no snapshot", keys, ok)
-	}
-	w.put("after/drop")
-	if w.keys.delta != nil {
-		t.Fatal("touches are still tracked after the snapshot was dropped")
-	}
-	w.check(t, 2) // wholesale rebuild
-	w.del("after/drop")
-	w.check(t, 3) // and tracking is back
+	w.put("base/9999")
+	w.check(t, 2)
 }
 
 // TestOrderedReaderIteratesWhileWriterFolds runs the owner contract
@@ -308,7 +341,7 @@ func TestOrderedReaderIteratesWhileWriterFolds(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		w.put(fmt.Sprintf("k/%04d", i))
 	}
-	snapshot := func() *Keys {
+	snapshot := func() *Keys[int] {
 		w.mu.RLock()
 		keys, ok := w.keys.Clean()
 		w.mu.RUnlock()
@@ -317,7 +350,7 @@ func TestOrderedReaderIteratesWhileWriterFolds(t *testing.T) {
 		}
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		return w.keys.Fold(w.live)
+		return w.keys.Fold(nil)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -332,7 +365,10 @@ func TestOrderedReaderIteratesWhileWriterFolds(t *testing.T) {
 				default:
 				}
 				keys := snapshot()
-				all := slices.Collect(keys.Range("k/", ""))
+				var all []string
+				for k := range keys.Range("k/", "") {
+					all = append(all, k)
+				}
 				if !sort.StringsAreSorted(all) {
 					t.Error("reader saw an unsorted snapshot")
 					return
@@ -354,12 +390,15 @@ func TestOrderedReaderIteratesWhileWriterFolds(t *testing.T) {
 			w.del(k)
 		}
 		if step%7 == 0 {
-			w.keys.Fold(w.live)
+			w.keys.Fold(nil)
+			w.removed = w.removed[:0]
 		}
 		w.mu.Unlock()
 	}
 	close(stop)
 	wg.Wait()
+	w.removed = nil
+	w.keys.Fold(nil)
 	w.check(t, 0)
 }
 
@@ -370,15 +409,24 @@ func TestOrderedReaderIteratesWhileWriterFolds(t *testing.T) {
 func TestPrefixRange(t *testing.T) {
 	keys := []string{"a/1", "a/2", "b", "b/1", "b/2", "b/3", "c/1"}
 	for cuts := 0; cuts < 1<<(len(keys)-1); cuts++ {
-		var chunks [][]string
+		var chunks [][]entry[int]
 		start := 0
 		for i := 1; i <= len(keys); i++ {
 			if i == len(keys) || cuts&(1<<(i-1)) != 0 {
-				chunks = append(chunks, keys[start:i])
+				var chunk []entry[int]
+				for j, k := range keys[start:i] {
+					chunk = append(chunk, entry[int]{k, start + j})
+				}
+				chunks = append(chunks, chunk)
 				start = i
 			}
 		}
 		s := newKeys(chunks)
+		for i, k := range append(keys, "", "a", "b/0", "b/4", "z") {
+			if v, ok := s.Get(k); ok != (i < len(keys)) || ok && v != i {
+				t.Errorf("chunks %q: Get(%q) = %d, %v", chunks, k, v, ok)
+			}
+		}
 		for _, prefix := range []string{"", "a", "a/", "b", "b/", "b/2", "c/", "d", "0"} {
 			for _, from := range []string{"", "a/2", "b", "b/2", "b/25", "b0", "c", "z"} {
 				var want []string
@@ -387,7 +435,14 @@ func TestPrefixRange(t *testing.T) {
 						want = append(want, k)
 					}
 				}
-				if got := slices.Collect(s.Range(prefix, from)); !slices.Equal(got, want) {
+				var got []string
+				for k, v := range s.Range(prefix, from) {
+					got = append(got, k)
+					if keys[v] != k {
+						t.Errorf("chunks %q: Range yields %q with the value of %q", chunks, k, keys[v])
+					}
+				}
+				if !slices.Equal(got, want) {
 					t.Errorf("chunks %q: Range(%q, from %q) = %q, want %q", chunks, prefix, from, got, want)
 				}
 				if got := s.Count(prefix, from); got != len(want) {
@@ -402,8 +457,11 @@ func TestPrefixRange(t *testing.T) {
 			}
 		}
 	}
-	empty := newKeys(nil)
-	if got := slices.Collect(empty.Range("a", "")); len(got) != 0 || empty.Count("a", "") != 0 {
-		t.Errorf("empty Keys: Range = %q, Count = %d", got, empty.Count("a", ""))
+	empty := newKeys[int](nil)
+	if got, _ := entries(empty); len(got) != 0 || empty.Count("a", "") != 0 || empty.Len() != 0 {
+		t.Errorf("empty Keys: Range = %q, Count = %d, Len = %d", got, empty.Count("a", ""), empty.Len())
+	}
+	if _, ok := empty.Get("a"); ok {
+		t.Error("empty Keys: Get found a key")
 	}
 }

@@ -3,7 +3,10 @@ package kvdb
 import (
 	"fmt"
 	"math/rand/v2"
+	"os"
+	"runtime"
 	"testing"
+	"time"
 
 	"preserv/internal/kv"
 )
@@ -74,18 +77,35 @@ func randID(n int) string {
 }
 
 // storeShaped fills a database in dir the way the provenance store does
-// and returns how many keys it wrote: per record one 243-byte value
-// under an ≈ 80-byte storage key and 8 or 9 (8.67 on average)
-// empty-valued ≈ 130-byte posting keys ending in that storage key, its
-// identifiers rendered by id. As Store.Record does, 100 records go in
-// one PutBatch and then their postings in another.
+// and returns how many keys it wrote: storeShapedBatches' batches of 100
+// records.
 func storeShaped(b *testing.B, dir string, records int, id func(int) string) (keys int) {
 	b.Helper()
 	db, err := Open(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
+	for _, pairs := range storeShapedBatches(records, 100, id) {
+		if err := db.PutBatch(pairs); err != nil {
+			b.Fatal(err)
+		}
+		keys += len(pairs)
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return keys
+}
+
+// storeShapedBatches lists the PutBatch calls that record records the
+// way the provenance store does: per record one 243-byte value under an
+// ≈ 80-byte storage key and 8 or 9 (8.67 on average) empty-valued ≈
+// 130-byte posting keys ending in that storage key, its identifiers
+// rendered by id. As Store.Record does, each batch of per records goes
+// in one PutBatch and then their postings in another.
+func storeShapedBatches(records, per int, id func(int) string) [][]kv.Pair {
 	val := make([]byte, 243)
+	var batches [][]kv.Pair
 	var recs, postings []kv.Pair
 	for r := 0; r < records; r++ {
 		skey := fmt.Sprintf("i/%s/sender/urn:actor:collate-sample/%08d", id(r/2), r)
@@ -93,20 +113,12 @@ func storeShaped(b *testing.B, dir string, records int, id func(int) string) (ke
 		for d := 0; d < 8+(r%3+1)/2; d++ {
 			postings = append(postings, kv.Pair{Key: fmt.Sprintf("x/dim%d/%s/%s", d, id(r/(d+1)), skey)})
 		}
-		if r%100 == 99 || r == records-1 {
-			for _, pairs := range [][]kv.Pair{recs, postings} {
-				if err := db.PutBatch(pairs); err != nil {
-					b.Fatal(err)
-				}
-				keys += len(pairs)
-			}
-			recs, postings = recs[:0], postings[:0]
+		if r%per == per-1 || r == records-1 {
+			batches = append(batches, recs, postings)
+			recs, postings = nil, nil
 		}
 	}
-	if err := db.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return keys
+	return batches
 }
 
 // storeShapedRecords × 9.67 ≈ 200k keys, ≈ 15 MB of log with the
@@ -193,14 +205,38 @@ func BenchmarkCompact(b *testing.B) {
 // call: ≈ 867 empty-valued, index-shaped keys (8 or 9 postings for each
 // of 100 new storage keys, in the order the index emits them) in one
 // PutBatch, which sorts and front-codes them into one key-batch entry
-// before it takes the lock. ns/op and B/op are that cost per batch.
+// before it takes the lock. ns/op and B/op are that cost per batch. The
+// store starts afresh every postingsPerDB calls, off the clock, so each
+// call meets a store of at most ≈ 87k keys and the benchmark's memory
+// does not grow with -benchtime.
 func BenchmarkPutBatchPostings(b *testing.B) {
-	db := benchDB(b)
+	const postingsPerDB = 100
 	dims := []string{"interaction", "actor", "service", "session", "data", "data", "time", "operation", "kind"}
+	var db *DB
+	var dir string
+	b.Cleanup(func() {
+		if db != nil {
+			db.Close()
+			os.RemoveAll(dir)
+		}
+	})
 	var pairs []kv.Pair
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
 		b.StopTimer()
+		if i%postingsPerDB == 0 {
+			if db != nil {
+				db.Close()
+				os.RemoveAll(dir)
+			}
+			var err error
+			if dir, err = os.MkdirTemp(b.TempDir(), "db"); err != nil {
+				b.Fatal(err)
+			}
+			if db, err = Open(dir); err != nil {
+				b.Fatal(err)
+			}
+		}
 		pairs = pairs[:0]
 		for r := 0; r < 100; r++ {
 			skey := fmt.Sprintf("i/urn:pasoa:%032x/sender/urn:actor:collate-sample/%08d", i, r)
@@ -213,6 +249,82 @@ func BenchmarkPutBatchPostings(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBulkLoad is a store's set-up as the key directory meets it:
+// restartRecords store-shaped records written in batches of 1,000 —
+// records, then their postings, as Store.Record writes them — into an
+// empty database, and then the first Count, which must bring the sorted
+// view up to date with every key. ns/op covers both, so work a write
+// phase leaves to the first read is counted.
+func BenchmarkBulkLoad(b *testing.B) {
+	batches := storeShapedBatches(restartRecords, 1000, seqID)
+	keys := 0
+	for _, pairs := range batches {
+		keys += len(pairs)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		b.StopTimer()
+		dir, err := os.MkdirTemp(b.TempDir(), "db")
+		if err != nil {
+			b.Fatal(err)
+		}
+		db, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, pairs := range batches {
+			if err := db.PutBatch(pairs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n, err := db.Count(""); err != nil || n != keys {
+			b.Fatalf("first Count = %d, %v; want %d", n, err, keys)
+		}
+		b.StopTimer()
+		db.Close()
+		os.RemoveAll(dir)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(keys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
+}
+
+// BenchmarkOpenHeap opens the restartRecords store-shaped log and
+// reports what the open DB keeps on the heap — live bytes per key and
+// per record, measured after a forced collection — and how long one
+// more forced collection takes with it open: the collector marks the
+// key directory on every cycle. ns/op is the Open.
+func BenchmarkOpenHeap(b *testing.B) {
+	dir := b.TempDir()
+	keys := storeShaped(b, dir, restartRecords, seqID)
+	var before, after runtime.MemStats
+	var heap uint64
+	var gc time.Duration
+	for b.Loop() {
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		db, err := Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		heap += after.HeapAlloc - before.HeapAlloc
+		start := time.Now()
+		runtime.GC()
+		gc += time.Since(start)
+		db.Close()
+		b.StartTimer()
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(heap)/n/float64(keys), "heapB/key")
+	b.ReportMetric(float64(heap)/n/restartRecords, "heapB/rec")
+	b.ReportMetric(float64(gc.Microseconds())/1000/n, "gc-ms")
 }
 
 // BenchmarkCountAfterPutBatch is one read-after-write step on a large

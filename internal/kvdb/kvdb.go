@@ -28,9 +28,9 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"preserv/internal/kv"
 )
@@ -53,6 +53,10 @@ const (
 	MaxKeyLen   = 1 << 16
 	MaxValueLen = 1 << 28
 
+	// redoFoldMax is the most appended log a compaction replays under
+	// its exclusive lock; it folds larger redo windows before taking it.
+	redoFoldMax = 1 << 20
+
 	// A GetBatch value joins the read run before it when at most
 	// coalesceGap bytes separate them and the run stays within
 	// coalesceSpan; a longer value is a run of its own.
@@ -63,53 +67,142 @@ const (
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("kvdb: database is closed")
 
-// entryLoc places a live key's value in the log. A key that lives in a
-// key-batch entry has an empty value and a negative valLen: minus its
-// share of that entry's bytes (kv.KeyShare), and off is the entry's
-// offset.
+// entryLoc places the value of a key logged in a per-key entry.
 type entryLoc struct {
 	off    int64 // offset of the value bytes within the log
 	valLen int
 }
 
-// vlen is the length of the value.
-func (l entryLoc) vlen() int { return max(l.valLen, 0) }
-
-// size is what the key's entry costs in the log: header, key and value
-// of a per-key entry, or the key's share of a key-batch entry.
+// size is what the key's entry costs in the log: header, key and value.
 func (l entryLoc) size(keyLen int) int64 {
-	if l.valLen < 0 {
-		return int64(-l.valLen)
-	}
 	return int64(headerSize + keyLen + l.valLen)
 }
+
+// batchLoc is what the sorted key view keeps with a key that lives in a
+// key-batch entry: the entry's offset and the key's share of its bytes
+// (kv.KeyShare), which garbage accounting charges when the key goes. It
+// is one word because a fold copies it. The zero batchLoc marks a key
+// logged in a per-key entry, which the directory map places: a share is
+// never zero, as every key takes at least its two lengths.
+type batchLoc uint64
+
+// shareBits holds any share: a key-batch entry of one key is at most
+// MaxKeyLen plus a few bytes of framing, and a key in a larger entry is
+// charged less. The remaining 44 bits address a 16 TiB log.
+const shareBits = 20
+
+func newBatchLoc(off, share int64) batchLoc { return batchLoc(off)<<shareBits | batchLoc(share) }
+
+// batched reports whether the key lives in a key-batch entry.
+func (l batchLoc) batched() bool { return l != 0 }
+
+func (l batchLoc) off() int64   { return int64(l >> shareBits) }
+func (l batchLoc) share() int64 { return int64(l & (1<<shareBits - 1)) }
+
+// pairSet holds a bit for each leading byte pair (a shorter key counts
+// as itself padded with zeros) that one side of the key directory has ever
+// held. A clear bit rules the side out for every key with that pair in
+// O(1): the store's record keys (i/, s/) and index markers (xm/) never
+// share a pair with its postings (x/).
+type pairSet [1 << 16 / 64]uint64
+
+func pairOf(key string) int {
+	p := 0
+	if len(key) > 0 {
+		p = int(key[0]) << 8
+	}
+	if len(key) > 1 {
+		p |= int(key[1])
+	}
+	return p
+}
+
+func (s *pairSet) add(key string)      { p := pairOf(key); s[p/64] |= 1 << (p % 64) }
+func (s *pairSet) has(key string) bool { p := pairOf(key); return s[p/64]&(1<<(p%64)) != 0 }
 
 // logState is what a log replays to: the key directory, the append
 // position and the dead-byte accounting. Open builds the DB's from the
 // log on disk; Compact builds the next one beside it and swaps it in.
+//
+// The directory splits along the line the log draws. A key logged in a
+// per-key entry (a record, an index marker) is in index, for O(1) point
+// reads. A key logged in a key-batch entry (an index posting, whose value
+// is empty) is only in keys, the sorted view that holds every live key:
+// writing one is an append to the view's pending list, with no hashing
+// and no lookup. Each side's pairSet rules it out of a lookup that
+// cannot concern it, so a point miss on a record key never searches the
+// view.
 type logState struct {
-	index  map[string]entryLoc
-	offset int64 // append position
+	index map[string]entryLoc
+	keys  kv.Ordered[batchLoc]
+	// valued and batched are the leading byte pairs index and the
+	// key-batch side have ever held.
+	valued, batched pairSet
+	offset          int64 // append position
+	// viewOff is the append position keys' published snapshot is current
+	// at: the writes past it are the ones its pending list holds.
+	viewOff int64
 	// garbage counts bytes occupied by superseded or deleted records,
-	// used to decide when compaction is worthwhile.
+	// used to decide when compaction is worthwhile. A key-batch key that
+	// a later write supersedes is charged when the view folds that write.
 	garbage int64
 	// tombs counts the deletions the log holds (one per key a tombstone
 	// entry names, not yet reclaimed by compaction) — the
 	// deletion-lifecycle telemetry the store surfaces.
 	tombs int64
-	// entered is set only while recover replays; compaction's redo fold
-	// leaves it nil.
-	entered *enteredKeys
 }
 
-// enteredKeys is what recover's replay keeps for Open's sorted key view:
-// each key as it entered the directory, in log order, and whether any key
-// left the directory after entering it. Log order is the order replay cut
-// the keys' bytes in, so the list runs through memory in order too, and
-// within an index dimension it is close to key order.
-type enteredKeys struct {
-	keys []string
-	left bool
+// setValued points key, just logged in a per-key entry, at loc: a
+// superseded value becomes garbage, a new key enters the view.
+func (s *logState) setValued(key string, loc entryLoc) {
+	if prev, ok := s.index[key]; ok {
+		s.garbage += prev.size(len(key))
+	} else {
+		s.enterValued(key)
+	}
+	s.index[key] = loc
+}
+
+// enterValued notes that key, new to index, entered it.
+func (s *logState) enterValued(key string) {
+	s.valued.add(key)
+	s.keys.Put(key, 0)
+}
+
+// setBatched notes that key was just logged in the key-batch entry at
+// loc. A per-key entry it supersedes leaves index as garbage; a
+// key-batch one is charged by the fold.
+func (s *logState) setBatched(key string, loc batchLoc) {
+	if s.valued.has(key) {
+		if prev, ok := s.index[key]; ok {
+			s.garbage += prev.size(len(key))
+			delete(s.index, key)
+		}
+	}
+	s.batched.add(key)
+	s.keys.Put(key, loc)
+}
+
+// drop applies a tombstone for key. The accounting is replay's for the
+// live DB too: a key that two entries tombstone is dropped by the first
+// and counted by both.
+func (s *logState) drop(key string) {
+	if prev, ok := s.index[key]; ok {
+		s.garbage += prev.size(len(key))
+		delete(s.index, key)
+	}
+	s.keys.Delete(key)
+	s.tombs++
+}
+
+// charge is the view's Fold callback: a key-batch key that a write took
+// out of the view leaves its share of the entry as garbage.
+func (s *logState) charge(l batchLoc) { s.garbage += l.share() }
+
+// fold applies the view's pending writes and returns it current.
+func (s *logState) fold() *kv.Keys[batchLoc] {
+	s.viewOff = s.offset
+	return s.keys.Fold(s.charge)
 }
 
 // DB is an open database.
@@ -123,9 +216,11 @@ type DB struct {
 	// still serialises their swap section against writes.
 	// provlint:lock-order 10
 	compactMu sync.Mutex
-	// keys is the sorted view of index's key set that the prefix counts
-	// and range scans binary-search; guarded by mu like index itself.
-	keys kv.Ordered[entryLoc]
+	// unbatched counts the writes that may have taken a key out of the
+	// key-batch side: deletes, and per-key puts of a key that side may
+	// hold. A scan that sees it move re-checks its postings against the
+	// current view.
+	unbatched atomic.Uint64
 }
 
 // Open opens (creating if necessary) the database in dir. A partially
@@ -143,23 +238,14 @@ func Open(dir string) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvdb: opening log: %w", err)
 	}
-	db := &DB{dir: dir, f: f, logState: logState{index: make(map[string]entryLoc), entered: new(enteredKeys)}}
+	db := &DB{dir: dir, f: f, logState: logState{index: make(map[string]entryLoc)}}
 	if err := db.recover(); err != nil {
 		f.Close()
 		return nil, err
 	}
-	// Build the sorted key view now, from the keys in the order replay met
-	// them, so that the first read finds it current instead of sorting
-	// every key in hash-map order under the write lock.
-	keys := db.entered.keys
-	if db.entered.left {
-		keys = slices.DeleteFunc(keys, func(k string) bool {
-			_, live := db.index[k]
-			return !live
-		})
-	}
-	db.entered = nil
-	db.keys.Build(keys)
+	// Build the sorted key view now, from the writes in the order replay
+	// met them, so that the first read finds it current.
+	db.fold()
 	return db, nil
 }
 
@@ -171,8 +257,8 @@ var replayWindow = 4 << 20
 // recover rebuilds the in-memory state from the log in one forward pass
 // through a reusable read window, truncating any torn tail: entries are
 // parsed and checked in place, and one that straddles the window's end
-// moves to its front before the window refills. db.entered collects the
-// keys as they enter the directory.
+// moves to its front before the window refills. The keys reach the
+// view's pending list in log order, for Open's fold to build from.
 func (db *DB) recover() error {
 	stat, err := db.f.Stat()
 	if err != nil {
@@ -193,15 +279,13 @@ func (db *DB) recover() error {
 			break // damaged entry or torn tail: everything after is unreliable
 		}
 		if !sized && n > 0 {
-			// Size the directory and the entered-key list once, for the
-			// first window's live-key density extrapolated to the whole
-			// log, instead of letting them grow their way up from empty.
+			// Size the directory once, for the first window's live-key
+			// density extrapolated to the whole log, instead of letting it
+			// grow its way up from empty.
 			sized = true
-			hint := int64(len(db.index)) * size / db.offset
-			whole := make(map[string]entryLoc, hint)
+			whole := make(map[string]entryLoc, int64(len(db.index))*size/db.offset)
 			maps.Copy(whole, db.index)
 			db.index = whole
-			db.entered.keys = append(make([]string, 0, hint), db.entered.keys...)
 		}
 		rest := win[n:want]
 		if need > len(win) {
@@ -226,7 +310,6 @@ func (db *DB) recover() error {
 // the header does — which is always more than buf has left.
 func (s *logState) replay(buf []byte) (n, need int) {
 	var chunk strings.Builder
-	var batchKeys []string
 	for {
 		rec := buf[n:]
 		if len(rec) < headerSize {
@@ -254,28 +337,16 @@ func (s *logState) replay(buf []byte) (n, need int) {
 			}
 			if keys.Delete() {
 				for _, key := range keys.All() {
-					s.drop(key)
+					s.drop(cut(&chunk, key, len(rec)))
 				}
 				s.garbage += int64(recLen)
 				break
 			}
-			// Cut every key into the chunk before filing any: hashing each
-			// key straight after copying it made a replay ≈ 15 % slower.
-			batchKeys = batchKeys[:0]
-			for _, key := range keys.All() {
-				batchKeys = append(batchKeys, cut(&chunk, key, len(rec)))
-			}
-			for i, key := range batchKeys {
-				loc := entryLoc{off: s.offset, valLen: -int(kv.KeyShare(int64(recLen), len(batchKeys), i))}
-				if prev, ok := s.index[key]; ok {
-					s.garbage += prev.size(len(key))
-				} else {
-					s.enter(key)
-				}
-				s.index[key] = loc
+			for i, key := range keys.All() {
+				s.setBatched(cut(&chunk, key, len(rec)), newBatchLoc(s.offset, kv.KeyShare(int64(recLen), keys.Len(), i)))
 			}
 		case rec[4]&flagTombstone != 0:
-			s.drop(rec[headerSize:valOff])
+			s.drop(cut(&chunk, rec[headerSize:valOff], len(rec)))
 			s.garbage += int64(recLen)
 		default:
 			key := rec[headerSize:valOff]
@@ -287,7 +358,7 @@ func (s *logState) replay(buf []byte) (n, need int) {
 			} else {
 				k := cut(&chunk, key, len(rec))
 				s.index[k] = loc
-				s.enter(k)
+				s.enterValued(k)
 			}
 		}
 		n += recLen
@@ -312,41 +383,10 @@ func cut(chunk *strings.Builder, key []byte, room int) string {
 	return chunk.String()[chunk.Len()-len(key):]
 }
 
-// enter notes that key, just cut, entered the directory.
-func (s *logState) enter(key string) {
-	if s.entered != nil {
-		s.entered.keys = append(s.entered.keys, key)
-	}
-}
-
-// drop replays a tombstone for key.
-func (s *logState) drop(key []byte) {
-	if prev, ok := s.index[string(key)]; ok {
-		s.garbage += prev.size(len(key))
-		delete(s.index, string(key))
-		if s.entered != nil {
-			s.entered.left = true
-		}
-	}
-	s.tombs++
-}
-
 // Put stores val under key, replacing any existing value. It is the
 // one-pair form of PutBatch.
 func (db *DB) Put(key string, val []byte) error {
 	return db.PutBatch([]kv.Pair{{Key: key, Value: val}})
-}
-
-// setLocked points key at the value just appended at loc: a superseded
-// value becomes garbage, a new key enters the sorted view. Callers hold
-// db.mu.
-func (db *DB) setLocked(key string, loc entryLoc) {
-	if prev, ok := db.index[key]; ok {
-		db.garbage += prev.size(len(key))
-	} else {
-		db.keys.Touch(key)
-	}
-	db.index[key] = loc
 }
 
 // encodeRecord serialises one log record into buf (appending) and
@@ -439,7 +479,8 @@ func encodeBatch(pairs []kv.Pair) ([]byte, []keyRun) {
 // and the directory updates. A pair with a value gets a per-key entry;
 // each run of consecutive empty-valued pairs (index
 // postings) becomes one key-batch entry, its keys sorted, de-duplicated
-// and front-coded. Entries land in slice order and each replays whole or
+// and front-coded, and reaches the sorted view as an append. Entries land
+// in slice order and each replays whole or
 // not at all, so recovery after a torn tail keeps a prefix of the batch
 // at entry granularity, which is what the index layer's commit-marker
 // ordering relies on. Duplicate keys within a batch resolve to the last
@@ -467,8 +508,11 @@ func (db *DB) PutBatch(pairs []kv.Pair) error {
 	}
 	for i := 0; i < len(pairs); {
 		if p := pairs[i]; len(p.Value) > 0 {
+			if db.batched.has(p.Key) {
+				db.unbatched.Add(1) // it may replace a posting
+			}
 			valOff := db.offset + headerSize + int64(len(p.Key))
-			db.setLocked(p.Key, entryLoc{off: valOff, valLen: len(p.Value)})
+			db.setValued(p.Key, entryLoc{off: valOff, valLen: len(p.Value)})
 			db.offset = valOff + int64(len(p.Value))
 			i++
 			continue
@@ -476,7 +520,7 @@ func (db *DB) PutBatch(pairs []kv.Pair) error {
 		run := runs[0]
 		runs = runs[1:]
 		for j, k := range run.keys {
-			db.setLocked(k, entryLoc{off: db.offset, valLen: -int(kv.KeyShare(run.size, len(run.keys), j))})
+			db.setBatched(k, newBatchLoc(db.offset, kv.KeyShare(run.size, len(run.keys), j)))
 		}
 		db.offset += run.size
 		i += run.pairs
@@ -489,41 +533,60 @@ func (db *DB) PutBatch(pairs []kv.Pair) error {
 // false for absent keys. Reads go in log-offset order, one ReadAt per
 // run of nearby values, so the records one PutBatch wrote cost one read.
 // A run's values share one allocation, each capped at its own end, so
-// an append to one reallocates instead of overwriting the next.
+// an append to one reallocates instead of overwriting the next. A key the
+// map lacks but the key-batch side may hold is looked up in the view
+// afterwards, as Get does.
 func (db *DB) GetBatch(keys []string) (values [][]byte, present []bool, err error) {
 	values = make([][]byte, len(keys))
 	present = make([]bool, len(keys))
+	unsure, err := db.getValued(keys, values, present)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, i := range unsure {
+		if values[i], present[i], err = db.Get(keys[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return values, present, nil
+}
+
+// getValued reads into values the keys index holds, and returns the
+// positions of those it lacks but the key-batch side may hold.
+func (db *DB) getValued(keys []string, values [][]byte, present []bool) (unsure []int, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if db.closed {
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	fetches := make([]fetch, 0, len(keys))
 	for i, k := range keys {
 		if loc, ok := db.index[k]; ok {
 			fetches = append(fetches, fetch{i: i, loc: loc})
 			present[i] = true
+		} else if db.batched.has(k) {
+			unsure = append(unsure, i)
 		}
 	}
 	slices.SortFunc(fetches, func(a, b fetch) int { return cmp.Compare(a.loc.off, b.loc.off) })
 	for len(fetches) > 0 {
 		start := fetches[0].loc.off
-		end := start + int64(fetches[0].loc.vlen())
+		end := start + int64(fetches[0].loc.valLen)
 		n := 1
 		for ; n < len(fetches); n++ {
 			l := fetches[n].loc
-			e := max(end, l.off+int64(l.vlen()))
+			e := max(end, l.off+int64(l.valLen))
 			if l.off-end > coalesceGap || e-start > coalesceSpan {
 				break
 			}
 			end = e
 		}
 		if err := db.readRun(fetches[:n], start, end, values); err != nil {
-			return nil, nil, fmt.Errorf("kvdb: batch reading %q: %w", keys[fetches[0].i], err)
+			return nil, fmt.Errorf("kvdb: batch reading %q: %w", keys[fetches[0].i], err)
 		}
 		fetches = fetches[n:]
 	}
-	return values, present, nil
+	return unsure, nil
 }
 
 // fetch is one value GetBatch reads: values[i] gets the bytes at loc.
@@ -542,7 +605,7 @@ var runBufs = sync.Pool{New: func() any { return new([]byte) }}
 func (db *DB) readRun(run []fetch, start, end int64, values [][]byte) error {
 	need := 0
 	for _, f := range run {
-		need += f.loc.vlen()
+		need += f.loc.valLen
 	}
 	slab := make([]byte, need)
 	if len(run) == 1 {
@@ -561,7 +624,7 @@ func (db *DB) readRun(run []fetch, start, end int64, values [][]byte) error {
 	}
 	for _, f := range run {
 		o := f.loc.off - start
-		v := slab[:f.loc.vlen():f.loc.vlen()]
+		v := slab[:f.loc.valLen:f.loc.valLen]
 		copy(v, buf[o:])
 		values[f.i] = v
 		slab = slab[len(v):]
@@ -571,22 +634,48 @@ func (db *DB) readRun(run []fetch, start, end int64, values [][]byte) error {
 
 // Get returns the value under key, or (nil, false, nil) if it is
 // absent: a point miss (a dangling posting, a cross-shard probe, an
-// existence check) costs no allocation.
+// existence check) costs no allocation, and one on a key whose leading
+// byte pair no key-batch key has had costs one map probe. A key the view
+// alone holds reads as an empty value.
 func (db *DB) Get(key string) ([]byte, bool, error) {
 	db.mu.RLock()
-	defer db.mu.RUnlock()
 	if db.closed {
+		db.mu.RUnlock()
 		return nil, false, ErrClosed
 	}
 	loc, ok := db.index[key]
 	if !ok {
-		return nil, false, nil
+		maybe := db.batched.has(key)
+		db.mu.RUnlock()
+		if !maybe {
+			return nil, false, nil
+		}
+		return db.getBatched(key)
 	}
-	val := make([]byte, loc.vlen())
+	defer db.mu.RUnlock()
+	val := make([]byte, loc.valLen)
 	if _, err := db.f.ReadAt(val, loc.off); err != nil {
 		return nil, false, fmt.Errorf("kvdb: reading %q: %w", key, err)
 	}
 	return val, true, nil
+}
+
+// getBatched answers Get for a key that index lacked but the key-batch
+// side may hold, from the current view.
+func (db *DB) getBatched(key string) ([]byte, bool, error) {
+	keys, err := db.sortedKeys()
+	if err != nil {
+		return nil, false, err
+	}
+	loc, ok := keys.Get(key)
+	switch {
+	case !ok:
+		return nil, false, nil
+	case !loc.batched():
+		// It has had a per-key entry since index was probed: read that.
+		return db.Get(key)
+	}
+	return []byte{}, true, nil
 }
 
 // Delete removes key. Deleting an absent key is a no-op. It is the
@@ -602,7 +691,8 @@ func (db *DB) Delete(key string) error {
 // all, so a crash mid-write keeps a prefix of the batch's deletions at
 // entry granularity. Absent keys get no tombstone, matching Delete's
 // no-op semantics. The keys are sorted before db.mu is taken; which of
-// them are present, and so what is encoded, is known only under it.
+// them are present, and so what is encoded, is known only under it, from
+// the view it folds there.
 func (db *DB) DeleteBatch(keys []string) error {
 	if len(keys) == 0 {
 		return nil
@@ -625,13 +715,14 @@ func (db *DB) DeleteBatch(keys []string) error {
 	if db.closed {
 		return ErrClosed
 	}
+	view := db.fold()
 	var buf []byte
 	var runs []keyRun
 	for rest := doomed; len(rest) > 0; {
 		n := kv.FitKeyBatch(rest)
 		present := rest[:0]
 		for _, k := range rest[:n] {
-			if _, ok := db.index[k]; ok && (len(present) == 0 || present[len(present)-1] != k) {
+			if _, ok := view.Get(k); ok && (len(present) == 0 || present[len(present)-1] != k) {
 				present = append(present, k)
 			}
 		}
@@ -648,51 +739,57 @@ func (db *DB) DeleteBatch(keys []string) error {
 	if _, err := db.f.WriteAt(buf, db.offset); err != nil {
 		return fmt.Errorf("kvdb: batch delete append: %w", err)
 	}
-	// The accounting is replay's (logState.drop): a key that two entries
-	// tombstone is dropped by the first and counted by both.
 	for _, run := range runs {
 		for _, k := range run.keys {
-			if prev, ok := db.index[k]; ok {
-				db.garbage += prev.size(len(k))
-				delete(db.index, k)
-				db.keys.Touch(k)
-			}
-			db.tombs++
+			db.drop(k)
 		}
 		db.garbage += run.size
 		db.offset += run.size
 	}
+	db.unbatched.Add(1)
+	// Fold the deletions in now, which charges the key-batch keys they
+	// took: GarbageRatio, which schedules compaction after deletes, sees
+	// all of it.
+	db.fold()
 	return nil
 }
 
 // Len returns the number of live keys.
 func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.index)
+	keys, err := db.sortedKeys()
+	if err != nil {
+		return 0
+	}
+	return keys.Len()
 }
 
-// sortedKeys returns the sorted key snapshot, folding writes in only
-// when there are any. Snapshot current, the cost is one shared-lock
-// acquisition; the snapshot is immutable, so readers iterate it unlocked
-// and absorb later deletions with a per-key Get.
-func (db *DB) sortedKeys() (*kv.Keys, error) {
+// sortedKeys returns the sorted key view, current: see view.
+func (db *DB) sortedKeys() (*kv.Keys[batchLoc], error) {
+	keys, _, err := db.view()
+	return keys, err
+}
+
+// view returns the sorted key view and the append position it is
+// current at, folding writes in only when there are any. Snapshot
+// current, the cost is one shared-lock acquisition; the snapshot is
+// immutable, so readers iterate it unlocked.
+func (db *DB) view() (*kv.Keys[batchLoc], int64, error) {
 	db.mu.RLock()
 	keys, ok := db.keys.Clean()
-	closed := db.closed
+	off, closed := db.viewOff, db.closed
 	db.mu.RUnlock()
 	if closed {
-		return nil, ErrClosed
+		return nil, 0, ErrClosed
 	}
 	if ok {
-		return keys, nil
+		return keys, off, nil
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return nil, ErrClosed
+		return nil, 0, ErrClosed
 	}
-	return db.keys.Fold(db.index), nil
+	return db.fold(), db.viewOff, nil
 }
 
 // Count reports how many live keys carry the prefix without copying
@@ -713,12 +810,37 @@ func (db *DB) Count(prefix string) (int, error) {
 // re-reading the keys already consumed. Keys stream off the snapshot
 // lazily: an early stop from fn ends the sweep without the remaining
 // range being copied or visited.
+//
+// A key-batch key comes straight off the snapshot with an empty value. A
+// per-key one is re-read, which absorbs its deletion after the snapshot
+// was taken. A key-batch key deleted since is caught by the unbatched
+// counter: once it moves, each key-batch key is checked against the
+// current view instead.
 func (db *DB) ScanFrom(prefix, from string, fn func(key string, val []byte) error) error {
+	seen := db.unbatched.Load()
 	keys, err := db.sortedKeys()
 	if err != nil {
 		return err
 	}
-	for k := range keys.Range(prefix, from) {
+	cur := keys
+	for k, loc := range keys.Range(prefix, from) {
+		if loc.batched() {
+			if n := db.unbatched.Load(); n != seen {
+				if cur, err = db.sortedKeys(); err != nil {
+					return err
+				}
+				seen = n
+			}
+			if cur != keys {
+				loc, _ = cur.Get(k) // gone or per-key now: Get below decides
+			}
+		}
+		if loc.batched() {
+			if err := fn(k, nil); err != nil {
+				return err
+			}
+			continue
+		}
 		v, ok, err := db.Get(k)
 		if err != nil {
 			return err
@@ -743,7 +865,9 @@ func (db *DB) LogBytes() int64 {
 
 // GarbageRatio is the fraction of the log's bytes held by dead entries
 // (superseded values, tombstones, tombstoned values), in [0, 1]: what
-// Compact would reclaim, and what online compaction schedules on.
+// Compact would reclaim, and what online compaction schedules on. A
+// key-batch key that a later put supersedes counts once a read has
+// folded that put into the sorted view; a deleted one counts at once.
 func (db *DB) GarbageRatio() float64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -773,33 +897,42 @@ func (db *DB) Sync() error {
 
 // Compact rewrites the log keeping only live records, reclaiming space
 // from superseded values and tombstones. The database remains usable
-// afterwards. The rewrite runs against a snapshot of the index with
-// writers still admitted, in three phases: (1) snapshot the
-// index and append position under a brief read lock; (2) with no lock
-// held, write every snapshot-live record into compact.tmp, the
-// empty-valued ones as key-batch entries — the live log is append-only,
-// so snapshot offsets stay readable — and fold in
+// afterwards. The rewrite runs against a snapshot with writers still
+// admitted, in three phases: (1) take the published sorted key view and
+// the append position it is current at under one brief read lock; (2) with
+// no lock held, walk the view in key order and write every live record
+// into compact.tmp — key-batch keys as key-batch entries, per-key ones
+// read at the locations a brief read lock finds for each group of them,
+// skipping one written or deleted since the snapshot — the live log is
+// append-only, so snapshot offsets stay readable — and fold in
 // large redo windows as they accumulate; (3) under a short exclusive
 // section, fold the final redo window (a verbatim byte copy of the
-// appended region, parsed with recovery's logic to update the new
-// index), fsync, rename, and swap. A crash at any point leaves either
+// appended region, parsed with recovery's logic to update the next
+// state), fsync, rename, and swap in the next map and view together. A
+// crash at any point leaves either
 // the old log or the fully renamed new log authoritative: Open discards
 // a leftover compact.tmp.
 func (db *DB) Compact() error {
 	db.compactMu.Lock()
 	defer db.compactMu.Unlock()
 
+	// The published snapshot serves as it is, current or not: the writes
+	// since it was folded lie past snapOff, where the redo fold picks
+	// them up. Only when more of them wait than a redo window should
+	// carry are they folded first, as a read would fold them.
 	db.mu.RLock()
-	if db.closed {
-		db.mu.RUnlock()
+	snap, _ := db.keys.Clean()
+	snapOff, unfolded, closed := db.viewOff, db.offset-db.viewOff, db.closed
+	db.mu.RUnlock()
+	if closed {
 		return ErrClosed
 	}
-	snap := make(map[string]entryLoc, len(db.index))
-	for k, loc := range db.index {
-		snap[k] = loc
+	if unfolded > redoFoldMax {
+		var err error
+		if snap, snapOff, err = db.view(); err != nil {
+			return err
+		}
 	}
-	snapOff := db.offset
-	db.mu.RUnlock()
 
 	tmpPath := filepath.Join(db.dir, tmpFileName)
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -812,16 +945,10 @@ func (db *DB) Compact() error {
 		return e
 	}
 
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
 	// Re-encoded records gather in out and reach the temp file one
 	// rewriteFlush-sized WriteAt at a time; out ends at next.offset.
 	const rewriteFlush = 1 << 20
-	next := logState{index: make(map[string]entryLoc, len(snap))}
+	next := logState{index: make(map[string]entryLoc)}
 	var out, val []byte
 	// flush writes out once it holds at least least bytes.
 	flush := func(least int) error {
@@ -834,54 +961,97 @@ func (db *DB) Compact() error {
 		out = out[:0]
 		return nil
 	}
-	// Keys with a value keep per-key entries. Each run of empty-valued
-	// keys, sorted and distinct already, goes into key-batch entries: an
-	// empty-valued key that an earlier version logged per key is rewritten
-	// into this form here.
-	for i := 0; i < len(keys); {
-		k := keys[i]
-		loc := snap[k]
-		if loc.vlen() == 0 {
-			end := i + 1
-			for end < len(keys) && snap[keys[end]].vlen() == 0 {
-				end++
+	// Each run of empty-valued keys, met in key order, goes into key-batch
+	// entries of at most kv.KeyBatchMax key bytes, as kv.FitKeyBatch cuts
+	// them: an empty-valued key that an earlier version logged per key is
+	// rewritten into this form here.
+	var run []string
+	runBytes := 0
+	writeRun := func() error {
+		if len(run) == 0 {
+			return nil
+		}
+		at := len(out)
+		out = appendKeyBatch(out, run, false)
+		size := int64(len(out) - at)
+		for j, k := range run {
+			next.setBatched(k, newBatchLoc(next.offset, kv.KeyShare(size, len(run), j)))
+		}
+		next.offset += size
+		run, runBytes = run[:0], 0
+		return flush(rewriteFlush)
+	}
+	// rewrite writes one group of the view's keys, looking up the per-key
+	// ones under one read lock. One written since the snapshot has its
+	// value past snapOff, and one deleted since is gone: the redo fold
+	// carries both.
+	type item struct {
+		key  string
+		loc  batchLoc
+		at   entryLoc
+		live bool
+	}
+	rewrite := func(group []item) error {
+		db.mu.RLock()
+		for i, it := range group {
+			if !it.loc.batched() {
+				at, ok := db.index[it.key]
+				group[i].at, group[i].live = at, ok && at.off <= snapOff
 			}
-			for run := keys[i:end]; len(run) > 0; {
-				n := kv.FitKeyBatch(run)
-				at := len(out)
-				out = appendKeyBatch(out, run[:n], false)
-				size := int64(len(out) - at)
-				for j, k := range run[:n] {
-					next.index[k] = entryLoc{off: next.offset, valLen: -int(kv.KeyShare(size, n, j))}
+		}
+		db.mu.RUnlock()
+		for _, it := range group {
+			switch {
+			case it.loc.batched() || it.live && it.at.valLen == 0:
+				if len(run) > 0 && runBytes+len(it.key) > kv.KeyBatchMax {
+					if err := writeRun(); err != nil {
+						return err
+					}
 				}
-				next.offset += size
-				run = run[n:]
+				run = append(run, it.key)
+				runBytes += len(it.key)
+			case it.live:
+				if err := writeRun(); err != nil {
+					return err
+				}
+				val = append(val[:0], make([]byte, it.at.valLen)...)
+				if _, err := db.f.ReadAt(val, it.at.off); err != nil {
+					return fmt.Errorf("kvdb: compaction read: %w", err)
+				}
+				out = encodeRecord(out, 0, it.key, val)
+				next.setValued(it.key, entryLoc{off: next.offset + headerSize + int64(len(it.key)), valLen: len(val)})
+				next.offset += int64(headerSize + len(it.key) + len(val))
 				if err := flush(rewriteFlush); err != nil {
-					return fail(err)
+					return err
 				}
 			}
-			i = end
-			continue
 		}
-		val = append(val[:0], make([]byte, loc.vlen())...)
-		if _, err := db.f.ReadAt(val, loc.off); err != nil {
-			return fail(fmt.Errorf("kvdb: compaction read: %w", err))
+		return nil
+	}
+	const groupMax = 256
+	group := make([]item, 0, groupMax)
+	for k, loc := range snap.Range("", "") {
+		if group = append(group, item{key: k, loc: loc}); len(group) == groupMax {
+			if err := rewrite(group); err != nil {
+				return fail(err)
+			}
+			group = group[:0]
 		}
-		out = encodeRecord(out, 0, k, val)
-		next.index[k] = entryLoc{off: next.offset + headerSize + int64(len(k)), valLen: len(val)}
-		next.offset += int64(headerSize + len(k) + len(val))
-		if err := flush(rewriteFlush); err != nil {
-			return fail(err)
-		}
-		i++
+	}
+	if err := rewrite(group); err != nil {
+		return fail(err)
+	}
+	if err := writeRun(); err != nil {
+		return fail(err)
 	}
 	if err := flush(0); err != nil {
 		return fail(err)
 	}
+	// The walk met the keys in order, so this build is one pass.
+	next.fold()
 
 	// Fold large redo windows without the exclusive lock so the final
 	// swap section only replays the last sliver of concurrent appends.
-	const redoFoldMax = 1 << 20
 	for spins := 0; spins < 8; spins++ {
 		db.mu.RLock()
 		cur, closed := db.offset, db.closed

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -347,6 +349,37 @@ func TestScan(t *testing.T) {
 	}
 }
 
+// A scan yields postings off its snapshot, yet what fn changes while it
+// runs must show: a posting deleted mid-scan is not yielded, and one put
+// again with a value is yielded with that value.
+func TestScanSeesWritesMadeMidScan(t *testing.T) {
+	db := openTemp(t)
+	var pairs []kv.Pair
+	for i := 0; i < 6; i++ {
+		pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("x/%d", i)})
+	}
+	if err := db.PutBatch(pairs); err != nil {
+		t.Fatal(err)
+	}
+	var seen []string
+	err := db.ScanFrom("x/", "", func(k string, v []byte) error {
+		seen = append(seen, k+"="+string(v))
+		if k == "x/1" {
+			if err := db.Delete("x/3"); err != nil {
+				return err
+			}
+			return db.Put("x/4", []byte("valued"))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"x/0=", "x/1=", "x/2=", "x/4=valued", "x/5="}; !slices.Equal(seen, want) {
+		t.Fatalf("scanned %q, want %q", seen, want)
+	}
+}
+
 func TestCompactReclaimsSpace(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir)
@@ -391,6 +424,12 @@ func TestCompactSurvivesReopen(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		db.Delete(fmt.Sprintf("k%d", i))
 	}
+	// More than redoFoldMax written with no read since: Compact folds it
+	// into the view before it walks, rather than replay it as redo.
+	big := func(i int) int { return redoFoldMax/4 + i }
+	for i := 0; i < 5; i++ {
+		db.Put(fmt.Sprintf("big%d", i), []byte(strings.Repeat("b", big(i))))
+	}
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -400,13 +439,19 @@ func TestCompactSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.Len() != 25 {
-		t.Fatalf("Len = %d, want 25", db2.Len())
+	if db2.Len() != 30 {
+		t.Fatalf("Len = %d, want 30", db2.Len())
 	}
 	for i := 25; i < 50; i++ {
 		v, ok, err := db2.Get(fmt.Sprintf("k%d", i))
 		if err != nil || !ok || len(v) != i {
 			t.Fatalf("k%d: %v %v len=%d", i, ok, err, len(v))
+		}
+	}
+	for i := 0; i < 5; i++ {
+		v, ok, err := db2.Get(fmt.Sprintf("big%d", i))
+		if err != nil || !ok || len(v) != big(i) {
+			t.Fatalf("big%d: %v %v len=%d", i, ok, err, len(v))
 		}
 	}
 }
@@ -440,6 +485,10 @@ func TestClosedOperationsFail(t *testing.T) {
 	}
 }
 
+// Writers put records and postings, read them back and delete half the
+// postings, while a reader scans the postings and compacts: every read
+// sees its own writes, scans come out sorted, and the end state holds
+// exactly what survived.
 func TestConcurrentReadersWriters(t *testing.T) {
 	db := openTemp(t)
 	var wg sync.WaitGroup
@@ -458,77 +507,203 @@ func TestConcurrentReadersWriters(t *testing.T) {
 					t.Errorf("Get(%s) = %q, %v, %v", key, v, ok, err)
 					return
 				}
+				posting := fmt.Sprintf("x/g%d/%03d", g, i)
+				if err := db.PutBatch([]kv.Pair{{Key: posting}}); err != nil {
+					t.Errorf("PutBatch: %v", err)
+					return
+				}
+				if _, ok, err := db.Get(posting); err != nil || !ok {
+					t.Errorf("Get(%s) = %v, %v", posting, ok, err)
+					return
+				}
+				if i%2 == 1 {
+					if err := db.Delete(posting); err != nil {
+						t.Errorf("Delete: %v", err)
+						return
+					}
+				}
 			}
 		}(g)
 	}
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			var keys []string
+			if err := db.ScanFrom("x/", "", func(k string, _ []byte) error {
+				keys = append(keys, k)
+				return nil
+			}); err != nil {
+				t.Errorf("ScanFrom: %v", err)
+				return
+			}
+			if !slices.IsSorted(keys) {
+				t.Error("a scan came out unsorted")
+				return
+			}
+			if err := db.Compact(); err != nil {
+				t.Errorf("Compact: %v", err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
-	if db.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", db.Len())
+	close(done)
+	reader.Wait()
+	if db.Len() != 1200 {
+		t.Fatalf("Len = %d, want 800 records and 400 postings", db.Len())
+	}
+	if n, err := db.Count("x/"); err != nil || n != 400 {
+		t.Fatalf("Count(x/) = %d, %v; want 400", n, err)
 	}
 }
 
 // Property: a random sequence of puts and deletes leaves the DB with
 // exactly the contents of a reference map, both live and after reopen.
+// TestQuickMatchesReferenceMap drives a DB and a map through the same
+// random puts and deletes and holds every read to the map, before and
+// after a reopen, a Compact, and a reopen of the compacted log. Each mix
+// is a further set of inputs: with emptyValues, some puts write an empty
+// value, which kvdb logs in key-batch entries and keeps in its sorted
+// view only, so a key switches between that side and the directory map
+// both ways; with batches, some puts and deletes go through PutBatch and
+// DeleteBatch, duplicate and absent keys included.
 func TestQuickMatchesReferenceMap(t *testing.T) {
-	f := func(seed int64, n8 uint8) bool {
-		dir, err := os.MkdirTemp("", "kvdbq")
-		if err != nil {
-			return false
+	for _, mix := range []struct{ emptyValues, batches bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		f := func(seed int64, n8 uint8) bool {
+			return matchesReferenceMap(t, seed, int(n8)+20, mix.emptyValues, mix.batches)
 		}
-		defer os.RemoveAll(dir)
-		db, err := Open(dir)
-		if err != nil {
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatalf("empty values %v, batches %v: %v", mix.emptyValues, mix.batches, err)
 		}
-		rng := rand.New(rand.NewSource(seed))
-		ref := make(map[string]string)
-		n := int(n8) + 20
-		for i := 0; i < n; i++ {
-			key := fmt.Sprintf("k%d", rng.Intn(20))
-			if rng.Intn(4) == 0 {
-				if db.Delete(key) != nil {
+	}
+}
+
+func matchesReferenceMap(t *testing.T, seed int64, n int, emptyValues, batches bool) bool {
+	dir, err := os.MkdirTemp("", "kvdbq")
+	if err != nil {
+		return false
+	}
+	defer os.RemoveAll(dir)
+	db, err := Open(dir)
+	if err != nil {
+		return false
+	}
+	rng := rand.New(rand.NewSource(seed))
+	ref := make(map[string]string)
+	const space = 20
+	key := func() string { return fmt.Sprintf("k%d", rng.Intn(space)) }
+	val := func() string {
+		if emptyValues && rng.Intn(3) == 0 {
+			return ""
+		}
+		return fmt.Sprintf("v%d", rng.Int63())
+	}
+	for i := 0; i < n; i++ {
+		switch {
+		case batches && rng.Intn(3) == 0:
+			if rng.Intn(3) == 0 {
+				keys := make([]string, 1+rng.Intn(5))
+				for j := range keys {
+					keys[j] = key()
+				}
+				if db.DeleteBatch(keys) != nil {
 					db.Close()
 					return false
 				}
-				delete(ref, key)
-			} else {
-				val := fmt.Sprintf("v%d", rng.Int63())
-				if db.Put(key, []byte(val)) != nil {
-					db.Close()
-					return false
+				for _, k := range keys {
+					delete(ref, k)
 				}
-				ref[key] = val
+				continue
 			}
-		}
-		check := func(d *DB) bool {
-			if d.Len() != len(ref) {
+			pairs := make([]kv.Pair, 1+rng.Intn(6))
+			for j := range pairs {
+				pairs[j] = kv.Pair{Key: key(), Value: []byte(val())}
+			}
+			if db.PutBatch(pairs) != nil {
+				db.Close()
 				return false
 			}
-			for k, want := range ref {
-				v, ok, err := d.Get(k)
-				if err != nil || !ok || string(v) != want {
-					return false
-				}
+			for _, p := range pairs {
+				ref[p.Key] = string(p.Value)
 			}
-			return true
+		case rng.Intn(4) == 0:
+			key := key()
+			if db.Delete(key) != nil {
+				db.Close()
+				return false
+			}
+			delete(ref, key)
+		default:
+			key, val := key(), val()
+			if db.Put(key, []byte(val)) != nil {
+				db.Close()
+				return false
+			}
+			ref[key] = val
 		}
-		if !check(db) {
-			db.Close()
+	}
+	check := func(d *DB) bool {
+		if d.Len() != len(ref) {
 			return false
 		}
+		for k, want := range ref {
+			v, ok, err := d.Get(k)
+			if err != nil || !ok || string(v) != want {
+				return false
+			}
+		}
+		for i := 0; i < space; i++ {
+			k := fmt.Sprintf("k%d", i)
+			if _, in := ref[k]; !in && has(t, d, k) {
+				return false
+			}
+		}
+		for _, prefix := range []string{"", "k", "k1", "k2", "k9", "x"} {
+			want := 0
+			for k := range ref {
+				if strings.HasPrefix(k, prefix) {
+					want++
+				}
+			}
+			if n, err := d.Count(prefix); err != nil || n != want {
+				return false
+			}
+		}
+		for _, from := range []string{"", "k1", "k15", "k3"} {
+			var want []string
+			for _, k := range slices.Sorted(maps.Keys(ref)) {
+				if k >= from {
+					want = append(want, k+"="+ref[k])
+				}
+			}
+			var got []string
+			if err := d.ScanFrom("k", from, func(k string, v []byte) error {
+				got = append(got, k+"="+string(v))
+				return nil
+			}); err != nil || !slices.Equal(got, want) {
+				return false
+			}
+		}
+		return true
+	}
+	reopen := func() bool {
 		if db.Close() != nil {
 			return false
 		}
-		db2, err := Open(dir)
-		if err != nil {
-			return false
-		}
-		defer db2.Close()
-		return check(db2)
+		db, err = Open(dir)
+		return err == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
+	defer func() { db.Close() }()
+	return check(db) && reopen() && check(db) &&
+		db.Compact() == nil && check(db) && reopen() && check(db)
 }
 
 func TestPutBatchRoundTripAndReopen(t *testing.T) {
@@ -629,6 +804,57 @@ func TestPutBatchOverwriteAccountsGarbage(t *testing.T) {
 	}
 	if db.Len() != 1 {
 		t.Errorf("Len = %d, want 1", db.Len())
+	}
+}
+
+// A key-batch key's share of its entry is garbage once a later write
+// takes the key: put again in a key batch, put with a value, or
+// deleted. The bytes are worked out from the log's growth alone.
+func TestKeyBatchKeysAccountGarbage(t *testing.T) {
+	db := openTemp(t)
+	keys := []string{"x/a", "x/b", "x/c", "x/d", "x/e"}
+	putEmpty := func(keys ...string) int64 {
+		t.Helper()
+		before := db.LogBytes()
+		pairs := make([]kv.Pair, len(keys))
+		for i, k := range keys {
+			pairs[i].Key = k
+		}
+		if err := db.PutBatch(pairs); err != nil {
+			t.Fatal(err)
+		}
+		return db.LogBytes() - before
+	}
+	garbage := func() int64 {
+		t.Helper()
+		if _, err := db.Count(""); err != nil { // folds pending writes in
+			t.Fatal(err)
+		}
+		return db.garbage
+	}
+	first := putEmpty(keys...)
+	second := putEmpty(keys...)
+	if g := garbage(); g != first {
+		t.Fatalf("garbage %d after every key was put again, want the first entry's %d bytes", g, first)
+	}
+	before := db.LogBytes()
+	if err := db.Put("x/c", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	valued := db.LogBytes() - before
+	want := first + kv.KeyShare(second, len(keys), 2)
+	if g := garbage(); g != want {
+		t.Fatalf("garbage %d after x/c took a value, want %d", g, want)
+	}
+	putEmpty("x/c")
+	if g := garbage(); g != want+valued {
+		t.Fatalf("garbage %d after x/c went back to a key batch, want %d", g, want+valued)
+	}
+	if err := db.DeleteBatch(keys); err != nil {
+		t.Fatal(err)
+	}
+	if g := db.GarbageRatio(); g != 1 {
+		t.Fatalf("GarbageRatio = %v with every key deleted, want 1", g)
 	}
 }
 

@@ -7,6 +7,7 @@ package kvdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -40,7 +41,10 @@ type logView struct {
 
 func viewOf(t testing.TB, db *DB) logView {
 	t.Helper()
-	v := logView{Keys: keysOf(t, db, ""), Len: db.Len(),
+	// The scan folds the view, which charges the key-batch keys that
+	// pending writes superseded: only then is garbage the writer's.
+	keys := keysOf(t, db, "")
+	v := logView{Keys: keys, Len: db.Len(),
 		LogBytes: db.LogBytes(), Garbage: db.garbage, Tombs: db.Tombstones()}
 	for _, k := range v.Keys {
 		val, ok, err := db.Get(k)
@@ -54,21 +58,55 @@ func viewOf(t testing.TB, db *DB) logView {
 
 // checkBuiltAtOpen checks the sorted key view of a DB that Open just
 // returned, before any other call: it is current, so no read has to fold
-// it, and it holds exactly the directory's keys. ScanFrom alone would not
-// tell: it skips keys that no longer read back, so a view that kept a
-// deleted key would scan the same.
+// it; its per-key keys are exactly the directory map's; and each of its
+// key-batch keys lies in the key-batch entry its location names, charged
+// the share kv.KeyShare gives it there. ScanFrom alone would not tell: it
+// yields the view's keys as they are.
 func checkBuiltAtOpen(t testing.TB, db *DB) {
 	t.Helper()
 	keys, ok := db.keys.Clean()
 	if !ok {
 		t.Fatal("Open returned with the sorted key view not current")
 	}
-	want := slices.Sorted(maps.Keys(db.index))
-	if got := slices.Collect(keys.Range("", "")); !slices.Equal(got, want) {
-		t.Fatalf("the view built at open holds\n%q\nthe directory\n%q", got, want)
+	var valued []string
+	for k, loc := range keys.Range("", "") {
+		if !loc.batched() {
+			valued = append(valued, k)
+			continue
+		}
+		if _, ok := db.index[k]; ok {
+			t.Fatalf("%q is in both the directory map and, at %d, a key batch", k, loc.off())
+		}
+		head := make([]byte, headerSize)
+		if _, err := db.f.ReadAt(head, loc.off()); err != nil || head[4] != flagKeyBatch {
+			t.Fatalf("%q placed at %d, which holds no key-batch entry (%v)", k, loc.off(), err)
+		}
+		rec := make([]byte, headerSize+int(binary.BigEndian.Uint32(head[9:])))
+		if _, err := db.f.ReadAt(rec, loc.off()); err != nil {
+			t.Fatal(err)
+		}
+		batch, err := kv.ParseKeyBatch(rec[headerSize:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for i, key := range batch.All() {
+			if string(key) == k {
+				found = true
+				if share := kv.KeyShare(int64(len(rec)), batch.Len(), i); share != loc.share() {
+					t.Fatalf("%q charged %d bytes of its entry, want %d", k, loc.share(), share)
+				}
+			}
+		}
+		if !found || batch.Delete() {
+			t.Fatalf("the key-batch entry at %d does not put %q", loc.off(), k)
+		}
 	}
-	if n, err := db.Count(""); err != nil || n != len(want) || n != db.Len() {
-		t.Fatalf("Count(\"\") = %d, %v; the directory holds %d, Len %d", n, err, len(want), db.Len())
+	if want := slices.Sorted(maps.Keys(db.index)); !slices.Equal(valued, want) {
+		t.Fatalf("the view built at open holds the per-key keys\n%q\nthe directory\n%q", valued, want)
+	}
+	if n, err := db.Count(""); err != nil || n != keys.Len() || n != db.Len() {
+		t.Fatalf("Count(\"\") = %d, %v; the view holds %d, Len %d", n, err, keys.Len(), db.Len())
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 type MemoryBackend struct {
 	mu    sync.RWMutex
 	items map[string][]byte
-	keys  kv.Ordered[[]byte] // sorted view of items' key set; guarded by mu
+	keys  kv.Ordered[struct{}] // sorted view of items' key set; guarded by mu
 }
 
 // NewMemoryBackend returns an empty in-memory backend.
@@ -38,7 +38,7 @@ func (m *MemoryBackend) PutBatch(kvs []KV) error {
 	defer m.mu.Unlock()
 	for _, p := range kvs {
 		if _, exists := m.items[p.Key]; !exists {
-			m.keys.Touch(p.Key)
+			m.keys.Put(p.Key, struct{}{})
 		}
 		m.items[p.Key] = append([]byte(nil), p.Value...)
 	}
@@ -63,7 +63,7 @@ func (m *MemoryBackend) DeleteBatch(keys []string) error {
 	for _, k := range keys {
 		if _, exists := m.items[k]; exists {
 			delete(m.items, k)
-			m.keys.Touch(k)
+			m.keys.Delete(k)
 		}
 	}
 	return nil
@@ -101,7 +101,7 @@ func (m *MemoryBackend) GetBatch(keys []string) ([][]byte, []bool, error) {
 // when there are any. Snapshot current, the cost is a shared lock: the
 // snapshot is immutable, so concurrent readers iterate it without
 // excluding each other and re-check each key at read time.
-func (m *MemoryBackend) sortedKeys() *kv.Keys {
+func (m *MemoryBackend) sortedKeys() *kv.Keys[struct{}] {
 	m.mu.RLock()
 	keys, ok := m.keys.Clean()
 	m.mu.RUnlock()
@@ -110,7 +110,7 @@ func (m *MemoryBackend) sortedKeys() *kv.Keys {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.keys.Fold(m.items)
+	return m.keys.Fold(nil)
 }
 
 // ScanFrom implements Backend: a seek lands directly on the first key
