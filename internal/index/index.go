@@ -15,23 +15,22 @@
 // x/<dim>/<term>/ therefore yields the matching records' storage keys in
 // sorted order, which is exactly a sorted posting list — intersections
 // are sorted merges, and record fetches are point Gets. Because entries
-// are write-once and content-free, index maintenance needs no
-// read-modify-write and re-adding a record's postings (during rebuild,
-// or after a crash between the record put and the index put) is
-// idempotent under the Backend contract.
+// are content-free, index maintenance needs no read-modify-write: the
+// store puts a record's postings (KeyBuilder) in the same backend batch
+// as the record, and deletes them in the same batch as the record, so a
+// crash keeps both or neither and the index needs no repair.
 //
-// Stores recorded before indexing existed are detected at Open time by a
-// missing schema marker or by posting counts disagreeing with record
-// counts, and are rebuilt with one full scan. See DESIGN.md for the full
-// layout.
+// A store whose schema marker is absent or older than schemaVersion —
+// one recorded before indexing existed, or before records and postings
+// shared a batch — is rebuilt once, at Open, with one full scan. See
+// DESIGN.md for the full layout.
 package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"preserv/internal/core"
@@ -68,12 +67,11 @@ const (
 	postingPrefix = "x/"
 	metaPrefix    = "xm/"
 	schemaKey     = metaPrefix + "schema"
-	// deficitKeyPrefix + kind tag stores how many records of that kind
-	// the last rebuild could not decode (and therefore not index), so
-	// the Open-time consistency check can tell "corrupt, known and
-	// skipped" apart from "postings missing, rebuild needed".
-	deficitKeyPrefix = metaPrefix + "deficit/"
-	schemaVersion    = "1"
+	// schemaVersion "2" marks an index whose postings were always written
+	// in their record's batch. Under "1" a crash could leave a record
+	// without postings or postings without a record, and deficit markers
+	// under xm/ counted the records a rebuild skipped.
+	schemaVersion = "2"
 
 	// timeLayout is fixed-width and zero-padded so lexicographic key
 	// order equals chronological order.
@@ -84,9 +82,7 @@ const (
 // satisfied by store.Backend (declared here to avoid an import cycle:
 // the store maintains the index write-through on Record).
 type KV interface {
-	Put(key string, value []byte) error
-	// PutBatch stores several pairs in one backend operation, preserving
-	// slice order — the property AddBatch's commit-marker layout needs.
+	// PutBatch stores several pairs in one backend operation.
 	PutBatch(kvs []kv.Pair) error
 	Get(key string) (value []byte, ok bool, err error)
 	// ScanFrom visits the keys with the prefix that are >= from (an empty
@@ -95,8 +91,7 @@ type KV interface {
 	ScanFrom(prefix, from string, fn func(key string, value []byte) error) error
 	Count(prefix string) (int, error)
 	// DeleteBatch removes several keys in one backend operation (absent
-	// keys are no-ops), preserving slice order — the property
-	// RemoveBatch's commit-marker layout needs.
+	// keys are no-ops).
 	DeleteBatch(keys []string) error
 }
 
@@ -105,91 +100,53 @@ type Index struct {
 	kv KV
 }
 
-// Open attaches to (creating or rebuilding as needed) the index stored
-// in kv. A store recorded before indexing existed — no schema marker, or
-// posting counts that disagree with record counts (the signature of a
-// crash between a record put and its index puts) — is rebuilt by one
-// full scan; rebuilding is idempotent.
+// Open attaches to the index stored in kv. The schema marker alone
+// decides: a store whose marker is absent or not schemaVersion is rebuilt
+// by one full scan first.
 func Open(kv KV) (*Index, error) {
 	ix := &Index{kv: kv}
-	_, haveSchema, err := kv.Get(schemaKey)
+	v, ok, err := kv.Get(schemaKey)
 	if err != nil {
 		return nil, fmt.Errorf("index: reading schema marker: %w", err)
 	}
-	ni, err := kv.Count("i/")
-	if err != nil {
-		return nil, fmt.Errorf("index: counting interaction records: %w", err)
-	}
-	ns, err := kv.Count("s/")
-	if err != nil {
-		return nil, fmt.Errorf("index: counting actor-state records: %w", err)
-	}
-	pi, err := kv.Count(postingKeyPrefix(DimKind, "i"))
-	if err != nil {
-		return nil, fmt.Errorf("index: counting postings: %w", err)
-	}
-	ps, err := kv.Count(postingKeyPrefix(DimKind, "s"))
-	if err != nil {
-		return nil, fmt.Errorf("index: counting postings: %w", err)
-	}
-	di, err := ix.deficit("i")
-	if err != nil {
-		return nil, err
-	}
-	ds, err := ix.deficit("s")
-	if err != nil {
-		return nil, err
-	}
-	if haveSchema && pi+di == ni && ps+ds == ns {
+	if ok && string(v) == schemaVersion {
 		return ix, nil
 	}
 	if err := ix.Rebuild(); err != nil {
 		return nil, err
 	}
-	if err := kv.Put(schemaKey, []byte(schemaVersion)); err != nil {
-		return nil, fmt.Errorf("index: writing schema marker: %w", err)
-	}
 	return ix, nil
 }
 
-func (ix *Index) deficit(kindTag string) (int, error) {
-	v, ok, err := ix.kv.Get(deficitKeyPrefix + kindTag)
-	if err != nil {
-		return 0, fmt.Errorf("index: reading deficit marker: %w", err)
-	}
-	if !ok {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(string(v))
-	if err != nil || n < 0 {
-		// A mangled marker just forces a rebuild.
-		return -1, nil
-	}
-	return n, nil
-}
-
-// Rebuild derives every posting entry from the records themselves. It is
-// safe to run over a partially indexed store: existing postings are
-// re-put with identical (empty) content, and postings whose record no
-// longer exists (deleted, then a crash before RemoveBatch finished) are
-// garbage-collected — without the GC sweep a kind-posting surplus would
-// re-trigger a rebuild at every Open forever. A record that no longer
-// decodes is skipped rather than failing the rebuild — recording must
-// stay available over a store with one torn value (the same policy
-// kvdb's recovery applies to a torn tail); the skip count is persisted so
-// the Open-time consistency check does not re-trigger a rebuild forever.
+// Rebuild derives the index from the records. It deletes every key under
+// x/ and xm/ (postings an older schema may have left dangling or missing,
+// its deficit markers, the schema marker itself), derives every record's
+// postings again, and writes the schema marker last. A crash part way
+// leaves no current marker, so the next Open rebuilds again. A record
+// that no longer decodes is skipped rather than failing the rebuild:
+// recording must stay available over a store with one torn value (the
+// same policy kvdb's recovery applies to a torn tail).
 func (ix *Index) Rebuild() error {
-	skipped := map[string]int{"i": 0, "s": 0}
-	// live collects every record storage key seen during the scan, so
-	// the GC pass below can tell a re-puttable posting from a dangling
-	// one.
-	live := make(map[string]bool)
-	// Postings are flushed in bounded chunks: one backend batch per
-	// rebuildChunk records keeps rebuild memory flat while still
-	// amortising the per-write cost.
+	// Keys go to the backend in bounded batches, which keeps rebuild
+	// memory flat while still amortising the per-write cost.
 	const rebuildChunk = 4096
+	for _, prefix := range []string{postingPrefix, metaPrefix} {
+		var doomed []string
+		err := ix.kv.ScanFrom(prefix, "", func(key string, _ []byte) error {
+			doomed = append(doomed, key)
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("index: listing %s keys: %w", prefix, err)
+		}
+		for chunk := range slices.Chunk(doomed, rebuildChunk) {
+			if err := ix.kv.DeleteBatch(chunk); err != nil {
+				return fmt.Errorf("index: deleting %s keys: %w", prefix, err)
+			}
+		}
+	}
 	var pending []kv.Pair
-	var b keyBuilder
+	var b KeyBuilder
 	var keys []string
 	flush := func() error {
 		if len(pending) == 0 {
@@ -202,15 +159,12 @@ func (ix *Index) Rebuild() error {
 		return nil
 	}
 	for _, prefix := range []string{"i/", "s/"} {
-		kindTag := prefix[:1]
 		err := ix.kv.ScanFrom(prefix, "", func(key string, value []byte) error {
-			live[key] = true
 			r, err := core.DecodeRecord(value)
 			if err != nil {
-				skipped[kindTag]++
 				return nil
 			}
-			keys = b.postingKeys(keys[:0], r)
+			keys = b.PostingKeys(keys[:0], r)
 			for _, pk := range keys {
 				pending = append(pending, kv.Pair{Key: pk})
 			}
@@ -226,145 +180,47 @@ func (ix *Index) Rebuild() error {
 	if err := flush(); err != nil {
 		return err
 	}
-	// GC pass: delete postings that reference a record the scan did not
-	// see. Queries already skip dangling postings at fetch time, but
-	// their counts corrupt the planner's cardinality estimates and the
-	// Open-time consistency check, so a rebuild sweeps them out.
-	var doomed []string
-	err := ix.kv.ScanFrom(postingPrefix, "", func(key string, _ []byte) error {
-		skey, ok := postingStorageKey(key)
-		if ok && !live[skey] {
-			doomed = append(doomed, key)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("index: sweeping dangling postings: %w", err)
-	}
-	for len(doomed) > 0 {
-		n := len(doomed)
-		if n > rebuildChunk {
-			n = rebuildChunk
-		}
-		if err := ix.kv.DeleteBatch(doomed[:n]); err != nil {
-			return fmt.Errorf("index: collecting dangling postings: %w", err)
-		}
-		doomed = doomed[n:]
-	}
-	for kindTag, n := range skipped {
-		key := deficitKeyPrefix + kindTag
-		want := strconv.Itoa(n)
-		// Only write on change: a strictly write-once backend may reject
-		// overwrites, and identical re-puts are always accepted.
-		if cur, ok, err := ix.kv.Get(key); err == nil && ok && string(cur) == want {
-			continue
-		}
-		if err := ix.kv.Put(key, []byte(want)); err != nil {
-			return fmt.Errorf("index: writing deficit marker: %w", err)
-		}
+	if err := ix.kv.PutBatch([]kv.Pair{{Key: schemaKey, Value: []byte(schemaVersion)}}); err != nil {
+		return fmt.Errorf("index: writing schema marker: %w", err)
 	}
 	return nil
 }
 
-// Add writes the posting entries for one record.
-func (ix *Index) Add(r *core.Record) error {
-	return ix.AddBatch([]*core.Record{r})
-}
-
-// AddBatch writes the posting entries for a batch of records in ONE
-// backend batch put — the store calls this once per accepted Record
-// call, so a multi-record ingest batch costs one backend write for all
-// its postings (8.67 per record on the repository benchmark,
-// index.postings_per_rec) instead of one write each.
-//
-// Ordering within the batch preserves the commit-marker property: each
-// record's kind posting is last among its postings, and PutBatch
-// implementations keep slice order, so a crash that durably keeps only a
-// prefix of the batch leaves a kind-posting deficit for every
-// incompletely indexed record — exactly what the Open-time consistency
-// check counts.
+// AddBatch puts the postings of records in one backend batch; only the frozen benchmark's index probe calls it, until the benchmark-only PR (ROADMAP direction 2).
 func (ix *Index) AddBatch(records []*core.Record) error {
-	if len(records) == 0 {
-		return nil
-	}
-	return withPostingKeys(records, func(keys []string) error {
-		pairs := make([]kv.Pair, len(keys))
-		for i, k := range keys {
-			pairs[i].Key = k
-		}
-		if err := ix.kv.PutBatch(pairs); err != nil {
-			return fmt.Errorf("index: putting %d postings for %d records: %w", len(pairs), len(records), err)
-		}
-		return nil
-	})
-}
-
-// Remove deletes the posting entries of one record.
-func (ix *Index) Remove(r *core.Record) error {
-	return ix.RemoveBatch([]*core.Record{r})
-}
-
-// RemoveBatch deletes the posting entries for a batch of records in ONE
-// backend batch delete — the store calls this once per delete chunk of
-// a DeleteRecords / DeleteSession call, mirroring AddBatch on the write
-// path.
-//
-// Ordering within the batch preserves the commit-marker property in the
-// removal direction: each record's kind posting is deleted LAST among
-// its postings (postingKeys already emits it last, and DeleteBatch
-// keeps slice order), so a crash that durably keeps only a prefix of
-// the batch leaves a kind-posting SURPLUS for every incompletely
-// de-indexed record — record counts have already shrunk, posting counts
-// have not — which is exactly what the Open-time consistency check
-// detects, and Rebuild's dangling-posting sweep repairs.
-func (ix *Index) RemoveBatch(records []*core.Record) error {
-	if len(records) == 0 {
-		return nil
-	}
-	return withPostingKeys(records, func(keys []string) error {
-		if err := ix.kv.DeleteBatch(keys); err != nil {
-			return fmt.Errorf("index: deleting %d postings for %d records: %w", len(keys), len(records), err)
-		}
-		return nil
-	})
-}
-
-// withPostingKeys calls fn with the posting keys of records, record by
-// record, in a slice that is reused once fn returns.
-func withPostingKeys(records []*core.Record, fn func(keys []string) error) error {
-	b := builders.Get().(*keyBuilder)
-	keys := b.keys[:0]
+	var b KeyBuilder
+	var keys []string
 	for _, r := range records {
-		keys = b.postingKeys(keys, r)
+		keys = b.PostingKeys(keys, r)
 	}
-	err := fn(keys)
-	clear(keys) // release the key strings, keep the slice
-	b.keys = keys[:0]
-	builders.Put(b)
-	return err
+	if len(keys) == 0 {
+		return nil
+	}
+	pairs := make([]kv.Pair, len(keys))
+	for i, k := range keys {
+		pairs[i].Key = k
+	}
+	if err := ix.kv.PutBatch(pairs); err != nil {
+		return fmt.Errorf("index: putting %d postings for %d records: %w", len(pairs), len(records), err)
+	}
+	return nil
 }
 
-// builders holds keyBuilders between calls, so that a Record call of one
-// record builds its postings with no allocation but their one string.
-var builders = sync.Pool{New: func() any { return new(keyBuilder) }}
-
-// keyBuilder builds records' posting keys, each record's in one buffer
+// KeyBuilder builds records' posting keys, each record's in one buffer
 // that it reuses from one record to the next: the keys of one record are
-// cut from one string, so they cost one allocation between them.
-type keyBuilder struct {
+// cut from one string, so they cost one allocation between them. The
+// zero value is ready to use; a KeyBuilder serves one goroutine at a
+// time.
+type KeyBuilder struct {
 	buf  []byte
 	ends []int // where each key ends in buf
 	skey []byte
 	data []ids.ID
-	keys []string // withPostingKeys' list
 }
 
-// postingKeys appends the full posting key set of a record to keys. The
-// kind posting comes LAST: it is the entry the Open-time consistency
-// check counts, so writing it after every other posting makes it a
-// commit marker — a crash anywhere mid-Add leaves a kind-posting deficit
-// that triggers a rebuild.
-func (b *keyBuilder) postingKeys(keys []string, r *core.Record) []string {
+// PostingKeys appends the full posting key set of a record to keys: the
+// keys the store writes and deletes together with the record.
+func (b *KeyBuilder) PostingKeys(keys []string, r *core.Record) []string {
 	b.buf, b.ends = b.buf[:0], b.ends[:0]
 	b.skey = r.AppendStorageKey(b.skey[:0])
 	b.addID(DimInteraction, r.InteractionID())
@@ -405,18 +261,18 @@ func (b *keyBuilder) postingKeys(keys []string, r *core.Record) []string {
 }
 
 // begin starts a posting key: x/<dim>/.
-func (b *keyBuilder) begin(dim string) {
+func (b *KeyBuilder) begin(dim string) {
 	b.buf = append(append(append(b.buf, postingPrefix...), dim...), '/')
 }
 
 // end finishes the posting key begin started: /<storage key>.
-func (b *keyBuilder) end() {
+func (b *KeyBuilder) end() {
 	b.buf = append(append(b.buf, '/'), b.skey...)
 	b.ends = append(b.ends, len(b.buf))
 }
 
 // addID adds the posting of an identifier term, which needs no escaping.
-func (b *keyBuilder) addID(dim string, id ids.ID) {
+func (b *KeyBuilder) addID(dim string, id ids.ID) {
 	b.begin(dim)
 	b.buf = id.AppendString(b.buf)
 	b.end()
@@ -424,7 +280,7 @@ func (b *keyBuilder) addID(dim string, id ids.ID) {
 
 // addTerm adds the posting of a free-form term, escaped only if it needs
 // it.
-func (b *keyBuilder) addTerm(dim, term string) {
+func (b *KeyBuilder) addTerm(dim, term string) {
 	b.begin(dim)
 	if strings.ContainsAny(term, "/%") {
 		term = escapeTerm(term)
@@ -440,23 +296,6 @@ func TimeTerm(t time.Time) string { return t.UTC().Format(timeLayout) }
 // postingKeyPrefix is the scan prefix covering one term's posting list.
 func postingKeyPrefix(dim, term string) string {
 	return postingPrefix + dim + "/" + escapeTerm(term) + "/"
-}
-
-// postingStorageKey extracts the record storage key a posting entry
-// points at: the tail after "x/<dim>/<escaped term>/". Terms are escaped
-// so neither component can contain '/'; storage keys themselves do.
-func postingStorageKey(key string) (string, bool) {
-	rest := key[len(postingPrefix):]
-	slash := strings.IndexByte(rest, '/')
-	if slash < 0 {
-		return "", false
-	}
-	rest = rest[slash+1:]
-	slash = strings.IndexByte(rest, '/')
-	if slash < 0 || slash+1 >= len(rest) {
-		return "", false
-	}
-	return rest[slash+1:], true
 }
 
 // escapeTerm makes a term safe to embed between '/' separators: '/' and
@@ -541,10 +380,10 @@ const iterChunk = 64
 // materialises the full list. The zero value is not usable; call Iter.
 //
 // Iterators read the live index: postings added after a refill appear
-// when the next chunk is pulled. That is the same read-uncommitted view
-// a materialised Postings call has — one Record batch may be seen
-// partially — and queries tolerate it the same way (a posting without a
-// stored record is skipped at fetch time).
+// when the next chunk is pulled, so an iterator may meet a Record call's
+// postings in part. Queries tolerate that as they tolerate a posting
+// whose record a delete has taken since it was read: a posting without a
+// stored record is skipped at fetch time.
 type PostingIter struct {
 	kv     KV
 	prefix string // full posting key prefix of (dim, term)

@@ -3,11 +3,13 @@ package index_test
 import (
 	"fmt"
 	. "preserv/internal/index"
+	"slices"
 	"testing"
 	"time"
 
 	"preserv/internal/core"
 	"preserv/internal/ids"
+	"preserv/internal/kv"
 	"preserv/internal/store"
 )
 
@@ -44,17 +46,52 @@ func makeActivity(session ids.ID, asserter, service core.ActorID, n uint64, ts t
 	return inter, state, dataOut
 }
 
-// put encodes and stores a record directly in a backend, bypassing the
-// Store layer (and therefore the write-through index).
-func put(t *testing.T, kv KV, r *core.Record) {
+// put encodes and stores a record directly in a backend, without its
+// postings.
+func put(t *testing.T, b KV, r *core.Record) {
 	t.Helper()
 	encoded, err := core.EncodeRecord(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := kv.Put(r.StorageKey(), encoded); err != nil {
+	if err := b.PutBatch([]kv.Pair{{Key: r.StorageKey(), Value: encoded}}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// record stores a record and its postings in one batch, as Store.Record
+// writes them.
+func record(t *testing.T, b KV, r *core.Record) {
+	t.Helper()
+	encoded, err := core.EncodeRecord(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := []kv.Pair{{Key: r.StorageKey(), Value: encoded}}
+	var kb KeyBuilder
+	for _, k := range kb.PostingKeys(nil, r) {
+		pairs = append(pairs, kv.Pair{Key: k})
+	}
+	if err := b.PutBatch(pairs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeCounter counts the batches a backend is asked to write: an Open
+// that rebuilds writes, one that does not writes nothing.
+type writeCounter struct {
+	KV
+	writes int
+}
+
+func (c *writeCounter) PutBatch(kvs []kv.Pair) error {
+	c.writes++
+	return c.KV.PutBatch(kvs)
+}
+
+func (c *writeCounter) DeleteBatch(keys []string) error {
+	c.writes++
+	return c.KV.DeleteBatch(keys)
 }
 
 func TestOpenRebuildsUnindexedStore(t *testing.T) {
@@ -82,28 +119,55 @@ func TestOpenRebuildsUnindexedStore(t *testing.T) {
 	}
 }
 
-func TestOpenRepairsPostingDeficit(t *testing.T) {
-	// A record written after the schema marker but without its postings
-	// (crash between the record put and the index put) must trigger a
-	// rebuild on the next Open.
+// A store from schema "1" may hold a record without its postings,
+// postings whose record is gone, and deficit markers. Open rebuilds it
+// once: the missing postings appear, the dangling ones and the markers
+// go, the schema marker reads "2", and the next Open writes nothing.
+func TestOpenRebuildsOlderSchemaOnce(t *testing.T) {
 	b := store.NewMemoryBackend()
-	if _, err := Open(b); err != nil { // writes the schema marker
-		t.Fatal(err)
-	}
 	session := seq.NewID()
-	inter, _, _ := makeActivity(session, "svc:a", "svc:gzip", 1, t0)
-	put(t, b, &inter)
+	kept, _, _ := makeActivity(session, "svc:a", "svc:gzip", 1, t0)
+	unindexed, _, _ := makeActivity(session, "svc:a", "svc:gzip", 2, t0)
+	gone, _, _ := makeActivity(session, "svc:a", "svc:gzip", 3, t0)
+	record(t, b, &kept)
+	put(t, b, &unindexed)
+	record(t, b, &gone)
+	if err := b.Delete(gone.StorageKey()); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range map[string]string{"xm/schema": "1", "xm/deficit/i": "1", "xm/deficit/s": "0"} {
+		if err := b.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	ix, err := Open(b)
+	wc := &writeCounter{KV: b}
+	ix, err := Open(wc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err := ix.Postings(DimInteraction, inter.InteractionID().String())
+	if wc.writes == 0 {
+		t.Fatal("a schema-1 store opened without a rebuild")
+	}
+	list, err := ix.Postings(DimSession, session.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 1 {
-		t.Fatalf("interaction postings = %v, want the repaired record", list)
+	if want := slices.Sorted(slices.Values([]string{kept.StorageKey(), unindexed.StorageKey()})); !slices.Equal(list, want) {
+		t.Fatalf("session postings after the rebuild = %q, want %q", list, want)
+	}
+	if n, err := ix.CountPostings(DimInteraction, gone.InteractionID().String()); err != nil || n != 0 {
+		t.Fatalf("the deleted record keeps %d interaction postings (%v)", n, err)
+	}
+	if n, err := b.Count("xm/deficit/"); err != nil || n != 0 {
+		t.Fatalf("%d deficit markers survive the rebuild (%v)", n, err)
+	}
+	if v, _, err := b.Get("xm/schema"); err != nil || string(v) != "2" {
+		t.Fatalf("schema marker %q after the rebuild (%v), want \"2\"", v, err)
+	}
+	wc.writes = 0
+	if _, err := Open(wc); err != nil || wc.writes != 0 {
+		t.Fatalf("the second Open wrote %d batches (%v), want none", wc.writes, err)
 	}
 }
 
@@ -116,10 +180,7 @@ func TestPostingsPerDimension(t *testing.T) {
 	session := seq.NewID()
 	inter, state, dataOut := makeActivity(session, "svc:a", "svc:gzip", 1, t0)
 	for _, r := range []*core.Record{&inter, &state} {
-		put(t, b, r)
-		if err := ix.Add(r); err != nil {
-			t.Fatal(err)
-		}
+		record(t, b, r)
 	}
 
 	checks := []struct {
@@ -159,10 +220,7 @@ func TestTermEscapingRoundTrips(t *testing.T) {
 	}
 	session := seq.NewID()
 	inter, _, _ := makeActivity(session, "org/unit%5/svc", "svc:gzip", 1, t0)
-	put(t, b, &inter)
-	if err := ix.Add(&inter); err != nil {
-		t.Fatal(err)
-	}
+	record(t, b, &inter)
 	n, err := ix.CountPostings(DimActor, "org/unit%5/svc")
 	if err != nil {
 		t.Fatal(err)
@@ -189,10 +247,7 @@ func TestScanTimeRange(t *testing.T) {
 	var keysByHour []string
 	for h := 0; h < 5; h++ {
 		inter, _, _ := makeActivity(session, "svc:a", "svc:gzip", uint64(h+1), t0.Add(time.Duration(h)*time.Hour))
-		put(t, b, &inter)
-		if err := ix.Add(&inter); err != nil {
-			t.Fatal(err)
-		}
+		record(t, b, &inter)
 		keysByHour = append(keysByHour, inter.StorageKey())
 	}
 
@@ -248,9 +303,7 @@ func TestScanTimeRangeSeeksToLowerBound(t *testing.T) {
 	session := seq.NewID()
 	for s := 0; s < 60; s++ {
 		inter, _, _ := makeActivity(session, "svc:a", "svc:gzip", uint64(s+1), t0.Add(time.Duration(s)*time.Second))
-		if err := ix.Add(&inter); err != nil {
-			t.Fatal(err)
-		}
+		record(t, cv, &inter)
 	}
 	for _, w := range []struct {
 		lo, hi int // seconds, inclusive
@@ -282,9 +335,7 @@ func TestScanTimeRangeClampsUnindexableBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	inter, _, _ := makeActivity(seq.NewID(), "svc:a", "svc:gzip", 1, t0)
-	if err := ix.Add(&inter); err != nil {
-		t.Fatal(err)
-	}
+	record(t, b, &inter)
 	far := time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
 	past := time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC)
 	for _, c := range []struct {
@@ -317,10 +368,7 @@ func TestSessionsEnumeratesDistinctTerms(t *testing.T) {
 	for i, session := range []ids.ID{s1, s2, s1} {
 		inter, state, _ := makeActivity(session, "svc:a", "svc:gzip", uint64(i+1), t0)
 		for _, r := range []*core.Record{&inter, &state} {
-			put(t, b, r)
-			if err := ix.Add(r); err != nil {
-				t.Fatal(err)
-			}
+			record(t, b, r)
 		}
 	}
 	sessions, err := ix.Sessions()
@@ -339,8 +387,8 @@ func TestSessionsEnumeratesDistinctTerms(t *testing.T) {
 
 func TestRebuildSkipsCorruptRecords(t *testing.T) {
 	// A record value that no longer decodes must not fail the rebuild
-	// (recording stays available); the skip is remembered so the next
-	// Open does not rebuild forever.
+	// (recording stays available), and the next Open does not rebuild
+	// again.
 	b := store.NewMemoryBackend()
 	session := seq.NewID()
 	inter, _, _ := makeActivity(session, "svc:a", "svc:gzip", 1, t0)
@@ -361,13 +409,11 @@ func TestRebuildSkipsCorruptRecords(t *testing.T) {
 		t.Fatalf("healthy record not indexed: postings = %d", n)
 	}
 
-	// Reopen: the deficit marker must satisfy the consistency check, so
-	// the healthy record's postings are still exactly one (a repeated
-	// rebuild would not change counts, but a fresh marker write would
-	// not be needed either — assert Open succeeds and sees a clean
-	// index).
-	if _, err := Open(b); err != nil {
-		t.Fatalf("reopen after tolerated corruption failed: %v", err)
+	// Reopen: the schema marker alone decides, so the skipped record
+	// triggers no second rebuild.
+	wc := &writeCounter{KV: b}
+	if _, err := Open(wc); err != nil || wc.writes != 0 {
+		t.Fatalf("reopen after tolerated corruption wrote %d batches (%v), want none", wc.writes, err)
 	}
 }
 
@@ -390,10 +436,7 @@ func TestIndexPersistsAcrossReopen(t *testing.T) {
 	session := seq.NewID()
 	inter, state, _ := makeActivity(session, "svc:a", "svc:gzip", 1, t0)
 	for _, r := range []*core.Record{&inter, &state} {
-		put(t, b, r)
-		if err := ix.Add(r); err != nil {
-			t.Fatal(err)
-		}
+		record(t, b, r)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
@@ -422,9 +465,7 @@ func TestPostingIterSequential(t *testing.T) {
 	const n = 150 // > 2 × iterChunk
 	for i := 0; i < n; i++ {
 		inter, _, _ := makeActivity(session, "svc:enactor", "svc:gzip", uint64(i+1), t0)
-		if err := ix.Add(&inter); err != nil {
-			t.Fatal(err)
-		}
+		record(t, backend, &inter)
 	}
 	want, err := ix.Postings(DimSession, session.String())
 	if err != nil {
@@ -467,9 +508,7 @@ func TestPostingIterSeek(t *testing.T) {
 	const n = 150
 	for i := 0; i < n; i++ {
 		inter, _, _ := makeActivity(session, "svc:enactor", "svc:gzip", uint64(i+1), t0)
-		if err := ix.Add(&inter); err != nil {
-			t.Fatal(err)
-		}
+		record(t, backend, &inter)
 	}
 	want, err := ix.Postings(DimSession, session.String())
 	if err != nil {
@@ -529,11 +568,20 @@ func TestPostingKeysAllocations(t *testing.T) {
 		inter, state, _ := makeActivity(session, "svc:a", "svc:gzip", n, t0.Add(time.Duration(n)*time.Millisecond))
 		records = append(records, &inter, &state)
 	}
-	keys := BatchPostingKeys(records)
-	if len(keys) != 1700 {
-		t.Fatalf("%d posting keys for 100 activities, want 1700", len(keys))
+	// build reuses one builder and one key list, as Store.Record does.
+	var kb KeyBuilder
+	var keys []string
+	build := func(records []*core.Record) []string {
+		keys = keys[:0]
+		for _, r := range records {
+			keys = kb.PostingKeys(keys, r)
+		}
+		return keys
 	}
-	perRecord := testing.AllocsPerRun(20, func() { BatchPostingKeys(records) }) / float64(len(records))
+	if n := len(build(records)); n != 1700 {
+		t.Fatalf("%d posting keys for 100 activities, want 1700", n)
+	}
+	perRecord := testing.AllocsPerRun(20, func() { build(records) }) / float64(len(records))
 	if perRecord > 2 {
 		t.Fatalf("%.2f allocations per record building posting keys, want at most 2", perRecord)
 	}
@@ -553,7 +601,7 @@ func TestPostingKeysAllocations(t *testing.T) {
 		want = append(want, "x/data/"+d.String()+"/"+skey)
 	}
 	want = append(want, "x/time/"+TimeTerm(r.Timestamp())+"/"+skey, "x/kind/i/"+skey)
-	if got := BatchPostingKeys(records[:1]); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got := build(records[:1]); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("posting keys\n%q\nwant\n%q", got, want)
 	}
 }

@@ -162,7 +162,7 @@ func TestKeyBatchesSplitPastMax(t *testing.T) {
 	}
 	batches := 0
 	for _, e := range walkLog(t, log) {
-		if e.flags == flagKeyBatch {
+		if e.flags&flagKeyBatch != 0 {
 			batches++
 		}
 	}

@@ -13,9 +13,13 @@
 // reads take a shared lock and read the log file at a stable offset via
 // ReadAt.
 //
-// Durability: records are buffered through the OS page cache; call Sync
-// for a hard barrier. A torn final record (e.g. from a crash) is
-// detected by CRC and truncated away on the next Open.
+// Durability: a batch (PutBatch, DeleteBatch) is one commit. Every entry
+// of a batch but its last carries flagMore, and replay applies a batch's
+// entries only once it has checked the entry that closes it, so a crash
+// keeps a batch whole or not at all. Entries are buffered through the OS
+// page cache; call Sync for a hard barrier. A torn or damaged final batch
+// (e.g. from a crash) is detected by CRC and truncated away on the next
+// Open, from its first byte.
 package kvdb
 
 import (
@@ -45,6 +49,11 @@ const (
 	// where a per-key entry has its key and value. The CRC covers it as it
 	// covers any entry, so a batch replays whole or not at all.
 	flagKeyBatch = 2
+	// flagMore marks an entry that a later entry of the same batch
+	// follows. Replay applies a run of such entries only together with
+	// the entry that closes it, so a batch of several entries is one
+	// commit; a batch of one entry carries no flagMore.
+	flagMore = 4
 
 	headerSize = 4 + 1 + 4 + 4 // crc, flags, keyLen, valLen
 
@@ -256,9 +265,10 @@ var replayWindow = 4 << 20
 
 // recover rebuilds the in-memory state from the log in one forward pass
 // through a reusable read window, truncating any torn tail: entries are
-// parsed and checked in place, and one that straddles the window's end
-// moves to its front before the window refills. The keys reach the
-// view's pending list in log order, for Open's fold to build from.
+// parsed and checked in place, and a batch that straddles the window's
+// end moves to its front before the window refills (growing it, when the
+// batch is larger). The keys reach the view's pending list in log order,
+// for Open's fold to build from.
 func (db *DB) recover() error {
 	stat, err := db.f.Stat()
 	if err != nil {
@@ -301,69 +311,105 @@ func (db *DB) recover() error {
 	return nil
 }
 
-// replay applies the whole entries at the front of buf — the log's bytes
+// replay applies the whole batches at the front of buf — the log's bytes
 // from s.offset on — to s, and returns how many bytes it consumed. It is
 // the package's one entry parser: recovery and compaction's redo fold
-// both go through it. need says why it stopped: 0 for a damaged entry (an
-// implausible header or a CRC mismatch), otherwise the length of the next
-// entry as far as buf shows it — a header's worth when buf ends before
-// the header does — which is always more than buf has left.
+// both go through it. A batch is a run of flagMore entries and the entry
+// that closes it; each is checked, every entry of it, before any is
+// applied. need says why replay stopped: 0 for a damaged entry (an
+// implausible header, a CRC mismatch or a malformed key-batch body),
+// otherwise the length from the stopping batch's first byte through the
+// entry buf ends in, as far as buf shows it — a header's worth when buf
+// ends before the header does — which is always more than buf has left.
 func (s *logState) replay(buf []byte) (n, need int) {
 	var chunk strings.Builder
+	var bodies []kv.KeyBatch // the checked entries of the batch at n
 	for {
-		rec := buf[n:]
-		if len(rec) < headerSize {
-			return n, headerSize
-		}
-		batch := rec[4]&flagKeyBatch != 0
-		keyLen := binary.BigEndian.Uint32(rec[5:])
-		valLen := binary.BigEndian.Uint32(rec[9:])
-		if (keyLen == 0) != batch || keyLen > MaxKeyLen || valLen > MaxValueLen {
-			return n, 0
-		}
-		valOff := headerSize + int(keyLen)
-		recLen := valOff + int(valLen)
-		if len(rec) < recLen {
-			return n, recLen
-		}
-		if crc32.ChecksumIEEE(rec[4:recLen]) != binary.BigEndian.Uint32(rec) {
-			return n, 0
-		}
-		switch {
-		case batch:
-			keys, err := kv.ParseKeyBatch(rec[headerSize:recLen])
-			if err != nil {
-				return n, 0
-			}
-			if keys.Delete() {
-				for _, key := range keys.All() {
-					s.drop(cut(&chunk, key, len(rec)))
+		end := n
+		bodies = bodies[:0]
+		for more := true; more; {
+			size, body, want := check(buf[end:])
+			if size == 0 {
+				if want == 0 {
+					return n, 0
 				}
-				s.garbage += int64(recLen)
-				break
+				return n, end - n + want
 			}
-			for i, key := range keys.All() {
-				s.setBatched(cut(&chunk, key, len(rec)), newBatchLoc(s.offset, kv.KeyShare(int64(recLen), keys.Len(), i)))
-			}
-		case rec[4]&flagTombstone != 0:
-			s.drop(cut(&chunk, rec[headerSize:valOff], len(rec)))
-			s.garbage += int64(recLen)
-		default:
-			key := rec[headerSize:valOff]
-			loc := entryLoc{off: s.offset + int64(valOff), valLen: int(valLen)}
-			if prev, ok := s.index[string(key)]; ok {
-				// An overwrite allocates its own key, as it always has.
-				s.garbage += prev.size(len(key))
-				s.index[string(key)] = loc
-			} else {
-				k := cut(&chunk, key, len(rec))
-				s.index[k] = loc
-				s.enterValued(k)
-			}
+			bodies = append(bodies, body)
+			more = buf[end+4]&flagMore != 0
+			end += size
 		}
-		n += recLen
-		s.offset += int64(recLen)
+		for _, body := range bodies {
+			n += s.apply(buf[n:], body, &chunk)
+		}
 	}
+}
+
+// check checks the entry at the front of rec — its header's plausibility,
+// its CRC and, for a key batch, its body — and returns its size and its
+// key-batch body. A size of 0 means the entry is not whole: need is then
+// 0 for a damaged entry, or the entry's length as far as rec shows it.
+func check(rec []byte) (size int, body kv.KeyBatch, need int) {
+	if len(rec) < headerSize {
+		return 0, body, headerSize
+	}
+	batch := rec[4]&flagKeyBatch != 0
+	keyLen := binary.BigEndian.Uint32(rec[5:])
+	valLen := binary.BigEndian.Uint32(rec[9:])
+	if (keyLen == 0) != batch || keyLen > MaxKeyLen || valLen > MaxValueLen {
+		return 0, body, 0
+	}
+	size = headerSize + int(keyLen) + int(valLen)
+	if len(rec) < size {
+		return 0, body, size
+	}
+	if crc32.ChecksumIEEE(rec[4:size]) != binary.BigEndian.Uint32(rec) {
+		return 0, body, 0
+	}
+	if batch {
+		var err error
+		if body, err = kv.ParseKeyBatch(rec[headerSize:size]); err != nil {
+			return 0, body, 0
+		}
+	}
+	return size, body, 0
+}
+
+// apply applies the entry at the front of rec, which check passed with
+// the key-batch body body, to s and returns its size.
+func (s *logState) apply(rec []byte, body kv.KeyBatch, chunk *strings.Builder) int {
+	valOff := headerSize + int(binary.BigEndian.Uint32(rec[5:]))
+	recLen := valOff + int(binary.BigEndian.Uint32(rec[9:]))
+	switch {
+	case rec[4]&flagKeyBatch != 0:
+		if body.Delete() {
+			for _, key := range body.All() {
+				s.drop(cut(chunk, key, len(rec)))
+			}
+			s.garbage += int64(recLen)
+			break
+		}
+		for i, key := range body.All() {
+			s.setBatched(cut(chunk, key, len(rec)), newBatchLoc(s.offset, kv.KeyShare(int64(recLen), body.Len(), i)))
+		}
+	case rec[4]&flagTombstone != 0:
+		s.drop(cut(chunk, rec[headerSize:valOff], len(rec)))
+		s.garbage += int64(recLen)
+	default:
+		key := rec[headerSize:valOff]
+		loc := entryLoc{off: s.offset + int64(valOff), valLen: recLen - valOff}
+		if prev, ok := s.index[string(key)]; ok {
+			// An overwrite allocates its own key, as it always has.
+			s.garbage += prev.size(len(key))
+			s.index[string(key)] = loc
+		} else {
+			k := cut(chunk, key, len(rec))
+			s.index[k] = loc
+			s.enterValued(k)
+		}
+	}
+	s.offset += int64(recLen)
+	return recLen
 }
 
 // cut copies key into chunk and returns the copy; room is how much of the
@@ -405,13 +451,14 @@ func encodeRecord(buf []byte, flags byte, key string, val []byte) []byte {
 }
 
 // appendKeyBatch frames the key-batch body of keys, sorted and distinct,
-// as one log entry and appends it to buf.
-func appendKeyBatch(buf []byte, keys []string, del bool) []byte {
+// as one log entry with flags (besides flagKeyBatch) and appends it to
+// buf.
+func appendKeyBatch(buf []byte, flags byte, keys []string, del bool) []byte {
 	start := len(buf)
 	buf = append(buf, make([]byte, headerSize)...)
 	buf = kv.AppendKeyBatch(buf, keys, del)
 	rec := buf[start:]
-	rec[4] = flagKeyBatch
+	rec[4] = flagKeyBatch | flags
 	binary.BigEndian.PutUint32(rec[9:], uint32(len(rec)-headerSize))
 	binary.BigEndian.PutUint32(rec[0:], crc32.ChecksumIEEE(rec[4:]))
 	return buf
@@ -424,10 +471,20 @@ type keyRun struct {
 	size  int64    // the entry's bytes
 }
 
+// moreUnless is the flags that frame an entry of a batch: flagMore,
+// unless the entry is the batch's last.
+func moreUnless(last bool) byte {
+	if last {
+		return 0
+	}
+	return flagMore
+}
+
 // encodeBatch encodes pairs the way PutBatch logs them: a per-key entry
 // for each pair with a value, one key-batch entry for each run of
-// consecutive empty-valued pairs (split only past kv.KeyBatchMax). It
-// returns the entries' bytes and the key-batch runs among them, in order.
+// consecutive empty-valued pairs (split only past kv.KeyBatchMax), every
+// entry but the last marked flagMore. It returns the entries' bytes and
+// the key-batch runs among them, in order.
 func encodeBatch(pairs []kv.Pair) ([]byte, []keyRun) {
 	// The entries' size, bounded from above: a run's entry costs at most
 	// a header, its flags and count, and per key two lengths of at most
@@ -454,7 +511,7 @@ func encodeBatch(pairs []kv.Pair) ([]byte, []keyRun) {
 	var runs []keyRun
 	for i := 0; i < len(pairs); {
 		if len(pairs[i].Value) > 0 {
-			buf = encodeRecord(buf, 0, pairs[i].Key, pairs[i].Value)
+			buf = encodeRecord(buf, moreUnless(i == len(pairs)-1), pairs[i].Key, pairs[i].Value)
 			i++
 			continue
 		}
@@ -465,10 +522,10 @@ func encodeBatch(pairs []kv.Pair) ([]byte, []keyRun) {
 		for run := keys[start:]; len(run) > 0; {
 			n := kv.FitKeyBatch(run)
 			distinct := kv.SortKeys(run[:n])
-			at := len(buf)
-			buf = appendKeyBatch(buf, distinct, false)
-			runs = append(runs, keyRun{pairs: n, keys: distinct, size: int64(len(buf) - at)})
 			run = run[n:]
+			at := len(buf)
+			buf = appendKeyBatch(buf, moreUnless(len(run) == 0 && i == len(pairs)), distinct, false)
+			runs = append(runs, keyRun{pairs: n, keys: distinct, size: int64(len(buf) - at)})
 		}
 	}
 	return buf, runs
@@ -480,11 +537,9 @@ func encodeBatch(pairs []kv.Pair) ([]byte, []keyRun) {
 // each run of consecutive empty-valued pairs (index
 // postings) becomes one key-batch entry, its keys sorted, de-duplicated
 // and front-coded, and reaches the sorted view as an append. Entries land
-// in slice order and each replays whole or
-// not at all, so recovery after a torn tail keeps a prefix of the batch
-// at entry granularity, which is what the index layer's commit-marker
-// ordering relies on. Duplicate keys within a batch resolve to the last
-// value.
+// in slice order, and the batch is one commit: recovery after a torn or
+// damaged tail keeps all of it or none of it. Duplicate keys within a
+// batch resolve to the last value.
 func (db *DB) PutBatch(pairs []kv.Pair) error {
 	if len(pairs) == 0 {
 		return nil
@@ -687,10 +742,9 @@ func (db *DB) Delete(key string) error {
 
 // DeleteBatch removes several keys with ONE log append: the tombstones
 // of the keys present go into one key-batch entry (more only past
-// kv.KeyBatchMax, split in slice order), which replays whole or not at
-// all, so a crash mid-write keeps a prefix of the batch's deletions at
-// entry granularity. Absent keys get no tombstone, matching Delete's
-// no-op semantics. The keys are sorted before db.mu is taken; which of
+// kv.KeyBatchMax, split in slice order), and the batch is one commit, so
+// a crash mid-write keeps all of its deletions or none. Absent keys get
+// no tombstone, matching Delete's no-op semantics. The keys are sorted before db.mu is taken; which of
 // them are present, and so what is encoded, is known only under it, from
 // the view it folds there.
 func (db *DB) DeleteBatch(keys []string) error {
@@ -716,7 +770,6 @@ func (db *DB) DeleteBatch(keys []string) error {
 		return ErrClosed
 	}
 	view := db.fold()
-	var buf []byte
 	var runs []keyRun
 	for rest := doomed; len(rest) > 0; {
 		n := kv.FitKeyBatch(rest)
@@ -727,14 +780,18 @@ func (db *DB) DeleteBatch(keys []string) error {
 			}
 		}
 		if len(present) > 0 {
-			at := len(buf)
-			buf = appendKeyBatch(buf, present, true)
-			runs = append(runs, keyRun{keys: present, size: int64(len(buf) - at)})
+			runs = append(runs, keyRun{keys: present})
 		}
 		rest = rest[n:]
 	}
 	if len(runs) == 0 {
 		return nil
+	}
+	var buf []byte
+	for i := range runs {
+		at := len(buf)
+		buf = appendKeyBatch(buf, moreUnless(i == len(runs)-1), runs[i].keys, true)
+		runs[i].size = int64(len(buf) - at)
 	}
 	if _, err := db.f.WriteAt(buf, db.offset); err != nil {
 		return fmt.Errorf("kvdb: batch delete append: %w", err)
@@ -946,7 +1003,9 @@ func (db *DB) Compact() error {
 	}
 
 	// Re-encoded records gather in out and reach the temp file one
-	// rewriteFlush-sized WriteAt at a time; out ends at next.offset.
+	// rewriteFlush-sized WriteAt at a time; out ends at next.offset. Each
+	// is a batch of its own, with no flagMore: the temp file replaces the
+	// log only whole, by rename.
 	const rewriteFlush = 1 << 20
 	next := logState{index: make(map[string]entryLoc)}
 	var out, val []byte
@@ -972,7 +1031,7 @@ func (db *DB) Compact() error {
 			return nil
 		}
 		at := len(out)
-		out = appendKeyBatch(out, run, false)
+		out = appendKeyBatch(out, 0, run, false)
 		size := int64(len(out) - at)
 		for j, k := range run {
 			next.setBatched(k, newBatchLoc(next.offset, kv.KeyShare(size, len(run), j)))

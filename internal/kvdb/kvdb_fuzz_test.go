@@ -6,6 +6,7 @@ package kvdb
 // a second open reproduces exactly (recovery is idempotent).
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -58,6 +59,16 @@ func FuzzRecover(f *testing.F) {
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)/2] ^= 0xFF
 	f.Add(corrupt)
+	// One batch of three entries (a record, a posting run, a record):
+	// whole, torn inside its middle entry, and with its first entry
+	// damaged.
+	batch, _ := encodeBatch([]kv.Pair{{Key: "i/b/1", Value: []byte("one")}, {Key: "x/b/2"}, {Key: "x/b/1"}, {Key: "s/b/3", Value: []byte("three")}})
+	f.Add(batch)
+	second := headerSize + len("i/b/1") + len("one")
+	f.Add(batch[:second+headerSize+3])
+	inner := bytes.Clone(batch)
+	inner[headerSize+2] ^= 0xFF
+	f.Add(inner)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, dataFileName), data, 0o644); err != nil {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -744,46 +745,88 @@ func TestPutBatchRoundTripAndReopen(t *testing.T) {
 	check(db2)
 }
 
-func TestPutBatchTornTailKeepsPrefix(t *testing.T) {
-	// A batch is one contiguous append of individually CRC-framed
-	// records, so a torn tail must recover a strict prefix of the batch
-	// — the property the index layer's commit-marker ordering needs.
-	dir := t.TempDir()
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+// A batch is one commit. Cut at any byte of its tail, or with any byte of
+// it damaged, the log reopens to the base before it and is truncated at
+// the batch's first byte; whole, it reopens to all of it. The cases cover
+// records around a run of postings, that run split past kv.KeyBatchMax,
+// and a replay window smaller than the batch.
+func TestPutBatchTornTailKeepsAllOrNone(t *testing.T) {
+	base := []kv.Pair{{Key: "i/base", Value: []byte("b")}}
+	small := []kv.Pair{{Key: "i/k1", Value: []byte("v1")}, {Key: "x/p/2"}, {Key: "x/p/1"}, {Key: "s/k2", Value: []byte("v2")}}
+	split := []kv.Pair{{Key: "i/r1", Value: []byte("r1")}, {Key: "s/r2", Value: []byte("r2")}}
+	for i := 0; i < 20; i++ {
+		split = append(split, kv.Pair{Key: fmt.Sprintf("x/%02d/%s", 19-i, strings.Repeat("k", 60<<10))})
 	}
-	if err := db.PutBatch([]kv.Pair{
-		{Key: "k1", Value: []byte("v1")},
-		{Key: "k2", Value: []byte("v2")},
-		{Key: "k3", Value: []byte("v3")},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, dataFileName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	for _, want := range []struct{ k, v string }{{"k1", "v1"}, {"k2", "v2"}} {
-		v, ok, err := db2.Get(want.k)
-		if err != nil || !ok || string(v) != want.v {
-			t.Fatalf("Get(%s) after torn batch tail = %q ok=%v err=%v", want.k, v, ok, err)
-		}
-	}
-	if _, ok, err := db2.Get("k3"); ok || err != nil {
-		t.Fatalf("torn final batch record should be gone, got ok=%v err=%v", ok, err)
+	for _, c := range []struct {
+		name    string
+		batch   []kv.Pair
+		entries int
+		window  int
+	}{
+		{"records around postings", small, 3, replayWindow},
+		{"window smaller than the batch", small, 3, tinyWindow},
+		{"postings split past KeyBatchMax", split, 4, replayWindow},
+		{"split postings, window smaller than the batch", split, 4, tinyWindow},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := openTemp(t)
+			if err := db.PutBatch(base); err != nil {
+				t.Fatal(err)
+			}
+			baseSize := db.LogBytes()
+			before := viewOf(t, db)
+			if err := db.PutBatch(c.batch); err != nil {
+				t.Fatal(err)
+			}
+			after := viewOf(t, db)
+			log, err := os.ReadFile(filepath.Join(db.dir, dataFileName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One entry is a batch with no flagMore; in a longer one every
+			// entry but the last carries it.
+			if e := walkLog(t, log[:baseSize]); len(e) != 1 || e[0].flags&flagMore != 0 {
+				t.Fatalf("a one-entry batch logs as %+v", e)
+			}
+			entries := walkLog(t, log[baseSize:])
+			if len(entries) != c.entries {
+				t.Fatalf("the batch logs %d entries, want %d", len(entries), c.entries)
+			}
+			cuts := []int64{int64(len(log))}
+			for i, e := range entries {
+				if (e.flags&flagMore != 0) != (i < len(entries)-1) {
+					t.Fatalf("entry %d of %d has flags %#x", i, len(entries), e.flags)
+				}
+			}
+			step := max(1, (int64(len(log))-baseSize)/200)
+			for cut := baseSize; cut < int64(len(log)); cut += step {
+				cuts = append(cuts, cut)
+			}
+			for off, i := baseSize, 0; i < len(entries)-1; i++ {
+				off += int64(headerSize + entries[i].keyLen + entries[i].valLen)
+				cuts = append(cuts, off-1, off, off+1)
+			}
+			setWindow(t, c.window)
+			for _, cut := range cuts {
+				want := before
+				if cut == int64(len(log)) {
+					want = after
+				}
+				if got, size := openView(t, log[:cut]); !reflect.DeepEqual(got, want) || size != want.LogBytes {
+					t.Fatalf("cut at %d of %d: reopened to %d keys, file %d bytes; want %d keys, %d bytes", cut, len(log), got.Len, size, want.Len, want.LogBytes)
+				}
+			}
+			if len(c.batch) > 4 {
+				return // the small batch stands for the damage sweep
+			}
+			for off := baseSize; off < int64(len(log)); off++ {
+				damaged := slices.Clone(log)
+				damaged[off] ^= 0xFF
+				if got, size := openView(t, damaged); !reflect.DeepEqual(got, before) || size != baseSize {
+					t.Fatalf("byte %d damaged: reopened to %d keys, file %d bytes; want the base's %d keys, %d bytes", off, got.Len, size, before.Len, baseSize)
+				}
+			}
+		})
 	}
 }
 

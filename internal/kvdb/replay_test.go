@@ -78,7 +78,7 @@ func checkBuiltAtOpen(t testing.TB, db *DB) {
 			t.Fatalf("%q is in both the directory map and, at %d, a key batch", k, loc.off())
 		}
 		head := make([]byte, headerSize)
-		if _, err := db.f.ReadAt(head, loc.off()); err != nil || head[4] != flagKeyBatch {
+		if _, err := db.f.ReadAt(head, loc.off()); err != nil || head[4]&flagKeyBatch == 0 {
 			t.Fatalf("%q placed at %d, which holds no key-batch entry (%v)", k, loc.off(), err)
 		}
 		rec := make([]byte, headerSize+int(binary.BigEndian.Uint32(head[9:])))
@@ -370,7 +370,7 @@ func TestCompactRejectsDamagedRedoWindow(t *testing.T) {
 // opens to a view holding exactly its live keys, through either window.
 func TestOpenBuildsKeyViewFromReplay(t *testing.T) {
 	put := func(log []byte, key, val string) []byte { return encodeRecord(log, 0, key, []byte(val)) }
-	batch := func(log []byte, del bool, keys ...string) []byte { return appendKeyBatch(log, keys, del) }
+	batch := func(log []byte, del bool, keys ...string) []byte { return appendKeyBatch(log, 0, keys, del) }
 	reput := batch(batch(put(put(nil, "a", "1"), "x/1", "posted"), false, "x/2", "x/3"), true, "x/1", "x/2")
 	reput = batch(put(reput, "a", "2"), false, "x/1", "x/4")
 	cases := []struct {

@@ -10,6 +10,7 @@ import (
 
 	"preserv/internal/core"
 	"preserv/internal/ids"
+	"preserv/internal/index"
 	"preserv/internal/prep"
 	"preserv/internal/store"
 )
@@ -262,7 +263,12 @@ func TestPlannerMatchesScanAcrossBackends(t *testing.T) {
 }
 
 func TestResultCacheHitsAndInvalidation(t *testing.T) {
-	s := store.New(store.NewMemoryBackend())
+	b, err := store.NewKVBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := store.New(b)
+	defer s.Close()
 	sessions := populateSessions(t, s, 3, 4)
 	e := New(s)
 
@@ -305,19 +311,25 @@ func TestResultCacheHitsAndInvalidation(t *testing.T) {
 		t.Error("cache served a stale generation")
 	}
 
-	// An idempotent re-record also bumps the generation: its posting
-	// re-puts may have repaired an index deficit the cached results
-	// were computed against.
-	gen := s.Generation()
+	// An idempotent re-record (an AsyncRecorder retry of a batch already
+	// stored) writes nothing: the generation and the log stay as they
+	// were, and the cached result stays served.
+	gen, logBytes := s.Generation(), b.LogBytes()
 	recs, _, err := s.Query(&prep.Query{SessionID: sessions[0].id})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, rejects, err := s.Record("svc:enactor", recs); err != nil || len(rejects) > 0 {
-		t.Fatalf("re-record: err=%v rejects=%v", err, rejects)
+	if acc, rejects, err := s.Record("svc:enactor", recs); err != nil || len(rejects) > 0 || acc != len(recs) {
+		t.Fatalf("re-record: accepted %d of %d, err=%v rejects=%v", acc, len(recs), err, rejects)
 	}
-	if s.Generation() == gen {
-		t.Error("idempotent re-record did not advance the generation")
+	if s.Generation() != gen {
+		t.Error("an idempotent re-record advanced the generation")
+	}
+	if n := b.LogBytes(); n != logBytes {
+		t.Errorf("an idempotent re-record grew the log from %d to %d bytes", logBytes, n)
+	}
+	if _, _, plan4, err := e.Query(q); err != nil || !plan4.Cached {
+		t.Errorf("the query after an idempotent re-record: cached=%v err=%v, want a hit", plan4.Cached, err)
 	}
 }
 
@@ -402,40 +414,28 @@ func TestZeroTimestampRecordsExcludedFromTimeQueries(t *testing.T) {
 	}
 }
 
-// faultyBackend fails backend batches while armed: with failPostings,
-// any batch carrying a posting key (Store.Record's index flush); with
-// failRecords, a batch carrying record keys ("i/", "s/"), after durably
-// writing its first pair — the prefix a failed write may leave.
+// faultyBackend fails every backend put batch whole while armed, as the
+// Backend contract has a failed batch: nothing of it is applied.
 type faultyBackend struct {
 	store.Backend
-	failPostings, failRecords bool
+	fail bool
 }
 
 func (f *faultyBackend) PutBatch(kvs []store.KV) error {
-	for _, p := range kvs {
-		if f.failPostings && strings.HasPrefix(p.Key, "x/") {
-			return fmt.Errorf("injected posting failure")
-		}
-		if f.failRecords && (strings.HasPrefix(p.Key, "i/") || strings.HasPrefix(p.Key, "s/")) {
-			if err := f.Backend.PutBatch(kvs[:1]); err != nil {
-				return err
-			}
-			return fmt.Errorf("injected record failure")
-		}
+	if f.fail {
+		return fmt.Errorf("injected batch failure")
 	}
 	return f.Backend.PutBatch(kvs)
 }
 
+// TestIndexSelfHealsAfterFailedAdd: a Record whose batch fails leaves
+// neither the record nor its postings behind — a scan and the planner
+// agree it is absent — and a retry lands both.
 func TestIndexSelfHealsAfterFailedAdd(t *testing.T) {
-	// A record committed whose posting writes then fail must not stay
-	// invisible to the planner for the process lifetime: the store
-	// drops its index handle, and the next use re-runs the Open-time
-	// deficit check, which rebuilds.
 	fb := &faultyBackend{Backend: store.NewMemoryBackend()}
 	s := store.New(fb)
-	sessions := populateSessions(t, s, 1, 2)
+	populateSessions(t, s, 1, 2)
 
-	fb.failPostings = true
 	target := seq.NewID()
 	in := core.Interaction{ID: seq.NewID(), Sender: "svc:enactor", Receiver: "svc:gzip", Operation: "run"}
 	rec := *core.NewInteractionRecord(&core.InteractionPAssertion{
@@ -448,32 +448,45 @@ func TestIndexSelfHealsAfterFailedAdd(t *testing.T) {
 		Groups:      []core.GroupRef{{Type: core.GroupSession, ID: target, Seq: 1}},
 		Timestamp:   t0,
 	})
-	if _, _, err := s.Record("svc:enactor", []core.Record{rec}); err == nil {
-		t.Fatal("Record succeeded despite injected posting failure")
+	ix, err := s.Index()
+	if err != nil {
+		t.Fatal(err)
 	}
-	fb.failPostings = false
-
-	// The record is committed (scan sees it); the planner must too,
-	// without any client retry.
 	e := newSized(s, 0)
-	_, scanTotal, err := s.Query(&prep.Query{SessionID: target})
-	if err != nil {
-		t.Fatal(err)
+	check := func(want int, label string) {
+		t.Helper()
+		_, scanTotal, err := s.Query(&prep.Query{SessionID: target})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, total, _, err := e.Query(&prep.Query{SessionID: target})
+		if err != nil {
+			t.Fatal(err)
+		}
+		postings, err := ix.CountPostings(index.DimInteraction, in.ID.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scanTotal != want || total != want || len(got) != want || postings != want {
+			t.Fatalf("%s: scan=%d planner=%d postings=%d, want %d each", label, scanTotal, total, postings, want)
+		}
 	}
-	got, total, _, err := e.Query(&prep.Query{SessionID: target})
-	if err != nil {
-		t.Fatal(err)
+	fb.fail = true
+	if _, _, err := s.Record("svc:enactor", []core.Record{rec}); err == nil {
+		t.Fatal("Record succeeded despite an injected batch failure")
 	}
-	if scanTotal != 1 || total != 1 || len(got) != 1 {
-		t.Fatalf("after failed Add: scan=%d planner=%d, want both 1 (index not healed)", scanTotal, total)
+	fb.fail = false
+	check(0, "after the failed Record")
+	if acc, rej, err := s.Record("svc:enactor", []core.Record{rec}); err != nil || acc != 1 || len(rej) != 0 {
+		t.Fatalf("retry: acc=%d rej=%v err=%v", acc, rej, err)
 	}
-	_ = sessions
+	check(1, "after the retry")
 }
 
 // TestRecordBatchFailureThenRetry fails the backend batch that carries
-// a Record call's records, after its first record is durable, on every
-// backend: Record errors and the generation still advances (a cached
-// result must not outlive the prefix). Once the fault is disarmed, a
+// a Record call's records and postings, on every backend: Record errors
+// and the generation still advances (a cached result must not outlive a
+// write the backend may have applied). Once the fault is disarmed, a
 // retry of the call succeeds and the planner finds every record.
 func TestRecordBatchFailureThenRetry(t *testing.T) {
 	opens := map[string]func(dir string) (store.Backend, error){
@@ -509,14 +522,14 @@ func TestRecordBatchFailureThenRetry(t *testing.T) {
 				}))
 			}
 			gen := s.Generation()
-			fb.failRecords = true
+			fb.fail = true
 			if _, _, err := s.Record("svc:enactor", recs); err == nil {
 				t.Fatal("Record succeeded despite an injected record-batch failure")
 			}
 			if s.Generation() == gen {
 				t.Error("generation did not advance after a failed record batch")
 			}
-			fb.failRecords = false
+			fb.fail = false
 			if acc, rej, err := s.Record("svc:enactor", recs); err != nil || acc != len(recs) || len(rej) != 0 {
 				t.Fatalf("retry: acc=%d rej=%v err=%v", acc, rej, err)
 			}
@@ -707,8 +720,7 @@ func TestDanglingPostingsSkippedOnIteratorPath(t *testing.T) {
 
 			// Plant postings whose record never landed: in the session
 			// list (single-dim path) and the same ghost key in the actor
-			// list too (intersection path). Only non-kind dims, so the
-			// Open-time consistency check stays satisfied.
+			// list too (intersection path).
 			ghost := "i/" + seq.NewID().String() + "/sender/svc:enactor/ghost"
 			for _, dead := range []string{
 				"x/sess/" + target.id.String() + "/" + ghost,

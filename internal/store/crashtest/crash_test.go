@@ -3,14 +3,18 @@ package crashtest
 // Crash-recovery tests: the kvdb log is truncated (and corrupted) at
 // EVERY byte boundary inside an interrupted PutBatch / DeleteBatch
 // tail, and so are the PSEG1 segments an earlier file backend left,
-// then reopened. Recovery must always produce a clean prefix of the
-// batch — and at the store level, an index whose planner answers match
-// a full scan byte for byte.
+// then reopened. Recovery must keep a kvdb batch whole or drop it
+// whole, and a segment's clean prefix — and at the store level, open
+// an index with no rebuild whose planner answers match a full scan byte
+// for byte.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"preserv/internal/core"
@@ -43,37 +47,52 @@ func keysOf(t *testing.T, db *kvdb.DB, prefix string) []string {
 	return keys
 }
 
-// TestKvdbTornPutBatchEveryByte interrupts a PutBatch at every byte of
-// its log tail: recovery keeps the committed base intact and a strict
-// prefix of the batch, monotonically growing with the cut point.
-func TestKvdbTornPutBatchEveryByte(t *testing.T) {
-	src := t.TempDir()
-	db, err := kvdb.Open(src)
+// tornBatch writes base and then batch with write into a fresh log and
+// returns its directory and the log's size after each.
+func tornBatch(t *testing.T, base []kv.Pair, write func(db *kvdb.DB) error) (dir string, baseSize, fullSize int64) {
+	t.Helper()
+	dir = t.TempDir()
+	db, err := kvdb.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := []kv.Pair{{Key: "i/base/1", Value: []byte("b1")}, {Key: "i/base/2", Value: []byte("b2")}}
 	if err := db.PutBatch(base); err != nil {
 		t.Fatal(err)
 	}
-	baseSize := db.LogBytes()
-	var batch []kv.Pair
-	var batchKeys []string
-	for i := 0; i < 5; i++ {
-		k := fmt.Sprintf("i/torn/%d", i)
-		batch = append(batch, kv.Pair{Key: k, Value: []byte(fmt.Sprintf("value-%d", i))})
-		batchKeys = append(batchKeys, k)
-	}
-	if err := db.PutBatch(batch); err != nil {
+	baseSize = db.LogBytes()
+	if err := write(db); err != nil {
 		t.Fatal(err)
 	}
-	fullSize := db.LogBytes()
+	fullSize = db.LogBytes()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dir, baseSize, fullSize
+}
 
-	lastK := 0
-	for cut := baseSize; cut <= fullSize; cut++ {
+// cutsOf lists the cuts a torn-batch sweep makes in [lo, hi]: every byte
+// of a tail of up to samples bytes, samples evenly spaced cuts in a
+// longer one, and hi itself.
+func cutsOf(lo, hi, samples int64) []int64 {
+	step := max(1, (hi-lo)/samples)
+	var cuts []int64
+	for cut := lo; cut < hi; cut += step {
+		cuts = append(cuts, cut)
+	}
+	return append(cuts, hi)
+}
+
+// TestKvdbTornPutBatchEveryByte interrupts a PutBatch at every byte of
+// its log tail: recovery keeps the committed base intact and all of the
+// batch or none of it — all only once the whole batch is on disk.
+func TestKvdbTornPutBatchEveryByte(t *testing.T) {
+	base := []kv.Pair{{Key: "i/base/1", Value: []byte("b1")}, {Key: "i/base/2", Value: []byte("b2")}}
+	var batch []kv.Pair
+	for i := 0; i < 5; i++ {
+		batch = append(batch, kv.Pair{Key: fmt.Sprintf("i/torn/%d", i), Value: []byte(fmt.Sprintf("value-%d", i))})
+	}
+	src, baseSize, fullSize := tornBatch(t, base, func(db *kvdb.DB) error { return db.PutBatch(batch) })
+	for _, cut := range cutsOf(baseSize, fullSize, 512) {
 		dir := copyDir(t, src)
 		logPath, _ := findOne(t, dir, ".log", false)
 		truncateFile(t, logPath, cut)
@@ -81,91 +100,91 @@ func TestKvdbTornPutBatchEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
-		checkFirstCount(t, re, append(keysOfPairs(base), batchKeys...), fmt.Sprintf("cut %d", cut))
+		checkFirstCount(t, re, append(keysOfPairs(base), keysOfPairs(batch)...), fmt.Sprintf("cut %d", cut))
 		for _, p := range base {
 			if !has(t, re, p.Key) {
 				t.Fatalf("cut %d: committed base key %q lost", cut, p.Key)
 			}
 		}
-		got := make(map[string]bool)
-		for _, k := range keysOf(t, re, "i/torn/") {
-			got[k] = true
+		if got, want := len(keysOf(t, re, "i/torn/")), wholeAt(cut, fullSize, len(batch)); got != want {
+			t.Fatalf("cut %d of %d: recovered %d of the batch's %d keys, want %d", cut, fullSize, got, len(batch), want)
 		}
-		k := prefixOf(t, got, batchKeys, fmt.Sprintf("cut %d", cut))
-		if len(got) != k {
-			t.Fatalf("cut %d: recovered %d torn keys but prefix is %d", cut, len(got), k)
-		}
-		if k < lastK {
-			t.Fatalf("cut %d: prefix shrank from %d to %d as the cut grew", cut, lastK, k)
-		}
-		lastK = k
 		re.Close()
-	}
-	if lastK != len(batchKeys) {
-		t.Fatalf("full log recovered only %d/%d batch keys", lastK, len(batchKeys))
 	}
 }
 
-// TestKvdbTornDeleteBatchEveryByte interrupts a DeleteBatch the same
-// way: the applied deletions always form a strict prefix of the batch.
-func TestKvdbTornDeleteBatchEveryByte(t *testing.T) {
-	src := t.TempDir()
-	db, err := kvdb.Open(src)
-	if err != nil {
-		t.Fatal(err)
+// wholeAt is how many of a batch's n keys a log cut at cut recovers: all
+// of them once the cut reaches full, none before.
+func wholeAt(cut, full int64, n int) int {
+	if cut < full {
+		return 0
 	}
-	var all []string
-	for i := 0; i < 6; i++ {
-		k := fmt.Sprintf("i/del/%d", i)
-		all = append(all, k)
-		if err := db.Put(k, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	baseSize := db.LogBytes()
-	doomed := all[:4]
-	if err := db.DeleteBatch(doomed); err != nil {
-		t.Fatal(err)
-	}
-	fullSize := db.LogBytes()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return n
+}
 
-	lastJ := 0
-	for cut := baseSize; cut <= fullSize; cut++ {
-		dir := copyDir(t, src)
-		logPath, _ := findOne(t, dir, ".log", false)
-		truncateFile(t, logPath, cut)
-		re, err := kvdb.Open(dir)
-		if err != nil {
-			t.Fatalf("cut %d: reopen: %v", cut, err)
-		}
-		checkFirstCount(t, re, all, fmt.Sprintf("cut %d", cut))
-		// Deletions apply in slice order: the missing keys must be
-		// doomed[:j] for some j.
-		j := 0
-		for j < len(doomed) && !has(t, re, doomed[j]) {
-			j++
-		}
-		for i := j; i < len(doomed); i++ {
-			if !has(t, re, doomed[i]) {
-				t.Fatalf("cut %d: deletion of %q applied without earlier %q", cut, doomed[i], doomed[j])
+// TestKvdbTornDeleteBatchEveryByte interrupts a DeleteBatch the same
+// way, once with its tombstones in one entry and once with so many long
+// keys that kv.KeyBatchMax cuts them into two: the batch's deletions
+// apply all together or not at all, and the undeleted keys are never
+// harmed.
+func TestKvdbTornDeleteBatchEveryByte(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		key  func(i int) string
+		n    int
+	}{
+		{"one entry", func(i int) string { return fmt.Sprintf("i/del/%d", i) }, 6},
+		{"split past KeyBatchMax", func(i int) string { return fmt.Sprintf("i/del/%02d/%s", i, strings.Repeat("k", 60<<10)) }, 22},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var base []kv.Pair
+			var all []string
+			for i := 0; i < c.n; i++ {
+				all = append(all, c.key(i))
+				base = append(base, kv.Pair{Key: all[i], Value: []byte("v")})
 			}
-		}
-		for _, k := range all[4:] {
-			if !has(t, re, k) {
-				t.Fatalf("cut %d: undeleted key %q lost", cut, k)
+			doomed, kept := all[:c.n-2], all[c.n-2:]
+			src, baseSize, fullSize := tornBatch(t, base, func(db *kvdb.DB) error { return db.DeleteBatch(doomed) })
+			// A long tail is sampled, and cut on both sides of the end of
+			// its first entry.
+			cuts := cutsOf(baseSize, fullSize, 512)
+			if fullSize-baseSize > 512 {
+				logPath, _ := findOne(t, src, ".log", false)
+				log, err := os.ReadFile(logPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A kvdb entry is a 13-byte header (crc, flags, key and
+				// value lengths) and a body of the value length here.
+				first := baseSize + 13 + int64(binary.BigEndian.Uint32(log[baseSize+9:]))
+				cuts = append(cutsOf(baseSize, fullSize, 100), first-1, first, first+1)
 			}
-		}
-		if j < lastJ {
-			t.Fatalf("cut %d: deletion prefix shrank from %d to %d", cut, lastJ, j)
-		}
-		lastJ = j
-		re.Close()
-	}
-	if lastJ != len(doomed) {
-		t.Fatalf("full log applied only %d/%d deletions", lastJ, len(doomed))
+			for _, cut := range cuts {
+				dir := copyDir(t, src)
+				logPath, _ := findOne(t, dir, ".log", false)
+				truncateFile(t, logPath, cut)
+				re, err := kvdb.Open(dir)
+				if err != nil {
+					t.Fatalf("cut %d: reopen: %v", cut, err)
+				}
+				checkFirstCount(t, re, all, fmt.Sprintf("cut %d", cut))
+				gone := 0
+				for _, k := range doomed {
+					if !has(t, re, k) {
+						gone++
+					}
+				}
+				if want := wholeAt(cut, fullSize, len(doomed)); gone != want {
+					t.Fatalf("cut %d of %d: %d of the batch's %d deletions applied, want %d", cut, fullSize, gone, len(doomed), want)
+				}
+				for _, k := range kept {
+					if !has(t, re, k) {
+						t.Fatalf("cut %d: undeleted key %q lost", cut, k[:min(len(k), 12)])
+					}
+				}
+				re.Close()
+			}
+		})
 	}
 }
 
@@ -179,8 +198,8 @@ func keysOfPairs(pairs []kv.Pair) []string {
 }
 
 // postingBatch is the shape of one Record call's postings: empty-valued
-// keys in the index's order (kind posting last for each record), which
-// PutBatch writes as one sorted, front-coded key-batch entry.
+// keys in the index's order, which PutBatch writes as one sorted,
+// front-coded key-batch entry.
 func postingBatch(records int) []kv.Pair {
 	var pairs []kv.Pair
 	for r := 0; r < records; r++ {
@@ -191,32 +210,19 @@ func postingBatch(records int) []kv.Pair {
 	return pairs
 }
 
-// TestKvdbTornPostingBatchEveryByte interrupts a PutBatch of postings at
-// every byte of its log tail. The postings are one key-batch entry, so
-// recovery keeps the committed base intact and the batch's postings all
-// or none, never fewer as the cut grows.
+// TestKvdbTornPostingBatchEveryByte interrupts the batch of one Record
+// call — its records, then their postings — at every byte of its log
+// tail: recovery keeps the committed base intact and every record and
+// posting of the batch, or none of them.
 func TestKvdbTornPostingBatchEveryByte(t *testing.T) {
-	src := t.TempDir()
-	db, err := kvdb.Open(src)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := []kv.Pair{{Key: "i/rec/0", Value: []byte("r0")}, {Key: "x/kind/i/i/rec/0"}}
-	if err := db.PutBatch(base); err != nil {
-		t.Fatal(err)
+	var batch []kv.Pair
+	for r := 0; r < 6; r++ {
+		batch = append(batch, kv.Pair{Key: fmt.Sprintf("i/rec/%d", r+1), Value: []byte(fmt.Sprintf("record-%d", r+1))})
 	}
-	baseSize := db.LogBytes()
-	batch := postingBatch(6)
-	if err := db.PutBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	fullSize := db.LogBytes()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	whole := false
-	for cut := baseSize; cut <= fullSize; cut++ {
+	batch = append(batch, postingBatch(6)...)
+	src, baseSize, fullSize := tornBatch(t, base, func(db *kvdb.DB) error { return db.PutBatch(batch) })
+	for _, cut := range cutsOf(baseSize, fullSize, 512) {
 		dir := copyDir(t, src)
 		logPath, _ := findOne(t, dir, ".log", false)
 		truncateFile(t, logPath, cut)
@@ -236,17 +242,10 @@ func TestKvdbTornPostingBatchEveryByte(t *testing.T) {
 				got++
 			}
 		}
-		switch {
-		case got != 0 && got != len(batch):
-			t.Fatalf("cut %d: %d of the batch's %d postings recovered", cut, got, len(batch))
-		case whole && got == 0:
-			t.Fatalf("cut %d: the batch recovered at a shorter cut is lost", cut)
+		if want := wholeAt(cut, fullSize, len(batch)); got != want {
+			t.Fatalf("cut %d of %d: %d of the batch's %d records and postings recovered, want %d", cut, fullSize, got, len(batch), want)
 		}
-		whole = got == len(batch)
 		re.Close()
-	}
-	if !whole {
-		t.Fatal("the full log did not recover the batch")
 	}
 }
 
@@ -473,11 +472,12 @@ func storeFlavours() []struct {
 }
 
 // TestStoreCrashRecoveryPlannerEqualsScan is the end-to-end property:
-// populate a store, keep writing and deleting, crash by truncating the
-// backend's newest crash-prone file at every byte boundary of the tail
-// region, reopen, force the index through its consistency check, and
-// require planner results byte-identical to a scan — whatever prefix of
-// the interrupted work survived.
+// populate a store and compact it, then delete a session and record one
+// more batch, crash by truncating the log at every byte boundary of that
+// tail, reopen, and require that the index opens without a rebuild — no
+// byte written past what the kvdb open left — and that planner results
+// are byte-identical to a scan, whatever of the interrupted work
+// survived.
 func TestStoreCrashRecoveryPlannerEqualsScan(t *testing.T) {
 	for _, fl := range storeFlavours() {
 		t.Run(fl.name, func(t *testing.T) {
@@ -496,11 +496,13 @@ func TestStoreCrashRecoveryPlannerEqualsScan(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
 			// The interrupted work: delete a whole session (records +
 			// postings), then record one more batch — both land in the
-			// backend's tail.
-			tailPath, tailStart := fl.tail(t, src)
-			_ = tailPath
+			// log's tail.
+			_, tailStart := fl.tail(t, src)
 			if _, err := s.DeleteSession(sessions[0]); err != nil {
 				t.Fatal(err)
 			}
@@ -517,30 +519,119 @@ func TestStoreCrashRecoveryPlannerEqualsScan(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The tail region is [tailStart, end) of the one log file.
-			cuts := func(dir string) (string, int64, int64) {
-				path, size := fl.tail(t, dir)
-				return path, tailStart, size
-			}
-			_, lo, hi := cuts(src)
-			step := int64(1)
-			if hi-lo > 512 {
-				// Every byte boundary of a long tail would run minutes;
-				// sample densely instead, always including both ends.
-				step = (hi - lo) / 512
-			}
-			for cut := lo; cut <= hi; cut += step {
+			_, hi := fl.tail(t, src)
+			for _, cut := range cutsOf(tailStart, hi, 512) {
 				dir := copyDir(t, src)
-				path, _, _ := cuts(dir)
+				path, _ := fl.tail(t, dir)
 				truncateFile(t, path, cut)
 				rb := fl.open(t, dir)
+				_, opened := fl.tail(t, dir)
 				rs := store.New(rb)
 				if _, err := rs.Index(); err != nil {
 					t.Fatalf("cut %d: index open: %v", cut, err)
 				}
+				if _, size := fl.tail(t, dir); size != opened {
+					t.Fatalf("cut %d: opening the index grew the log from %d to %d bytes: it rebuilt", cut, opened, size)
+				}
 				assertPlannerEqualsScan(t, rs, sessions, fmt.Sprintf("cut %d", cut))
 				if err := rs.Close(); err != nil {
 					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestSchemaOneStoreMigratesOnce plants, in a store, the states that
+// schema "1" could leave — a record without postings, postings whose
+// record is gone, a deficit marker — under a schema "1" marker. The
+// first open rebuilds the index; truncating the log anywhere in that
+// rebuild leaves a store whose next open rebuilds again; and once a
+// rebuild has finished, an open rebuilds nothing. Planned queries equal a
+// scan throughout.
+func TestSchemaOneStoreMigratesOnce(t *testing.T) {
+	for _, fl := range storeFlavours() {
+		t.Run(fl.name, func(t *testing.T) {
+			src := t.TempDir()
+			b := fl.open(t, src)
+			s := store.New(b)
+			var sessions []ids.ID
+			var recs []core.Record
+			for i := 0; i < 3; i++ {
+				sid := seq.NewID()
+				sessions = append(sessions, sid)
+				recs = append(recs, mkInteraction(sid, "svc:stage", i), mkInteraction(sid, "svc:stage", i+3))
+			}
+			if _, _, err := s.Record("svc:enactor", recs[:4]); err != nil {
+				t.Fatal(err)
+			}
+			unindexed, err := core.EncodeRecord(&recs[4])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []kv.Pair{
+				{Key: recs[4].StorageKey(), Value: unindexed},
+				{Key: "xm/schema", Value: []byte("1")},
+				{Key: "xm/deficit/i", Value: []byte("1")},
+			} {
+				if err := b.Put(p.Key, p.Value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.Delete(recs[0].StorageKey()); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, planted := fl.tail(t, src)
+
+			// open reopens dir, opens its index and reports whether that
+			// rebuilt it, after checking the planner against a scan and
+			// that no dangling posting or deficit marker is left.
+			open := func(dir, label string) (rebuilt bool) {
+				t.Helper()
+				rb := fl.open(t, dir)
+				defer rb.Close()
+				_, opened := fl.tail(t, dir)
+				rs := store.New(rb)
+				idx, err := rs.Index()
+				if err != nil {
+					t.Fatalf("%s: index open: %v", label, err)
+				}
+				assertPlannerEqualsScan(t, rs, sessions, label)
+				if n, err := idx.CountPostings("int", recs[0].InteractionID().String()); err != nil || n != 0 {
+					t.Fatalf("%s: the deleted record keeps %d interaction postings (%v)", label, n, err)
+				}
+				if n, err := rb.Count("xm/deficit/"); err != nil || n != 0 {
+					t.Fatalf("%s: %d deficit markers left (%v)", label, n, err)
+				}
+				_, size := fl.tail(t, dir)
+				return size != opened
+			}
+			migrated := copyDir(t, src)
+			if !open(migrated, "first open") {
+				t.Fatal("a schema-1 store opened without a rebuild")
+			}
+			if open(migrated, "second open") {
+				t.Fatal("the migrated store rebuilt again")
+			}
+			path, full := fl.tail(t, migrated)
+			log, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cut := range cutsOf(planted, full, 512) {
+				dir := copyDir(t, migrated)
+				if err := os.WriteFile(filepath.Join(dir, filepath.Base(path)), log[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("rebuild cut at %d of %d", cut, full)
+				if rebuilt := open(dir, label); rebuilt != (cut < full) {
+					t.Fatalf("%s: rebuilt=%v", label, rebuilt)
+				}
+				if open(dir, label+", reopened") {
+					t.Fatalf("%s: the store rebuilt again after a rebuild finished", label)
 				}
 			}
 		})

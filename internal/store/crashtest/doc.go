@@ -5,10 +5,11 @@
 // backend left for the open to adopt, at every byte boundary, reopen
 // the store, and assert that
 //
-//   - the backend recovers to a clean prefix of the interrupted batch
-//     (never a hole, never a half-applied record), and
-//   - the secondary index's Open-time consistency check plus rebuild
-//     bring planner query results back byte-identical to a full scan.
+//   - the kvdb log recovers the interrupted batch whole or not at all,
+//     and a segment a clean prefix of itself (never a hole, never a
+//     half-applied record), and
+//   - the secondary index opens without a rebuild, its planner query
+//     results byte-identical to a full scan.
 //
 // It also drives a randomized lifecycle property test: a random
 // interleaving of Record / Delete / Query / Compact against both

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"preserv/internal/core"
+	"preserv/internal/kvdb"
 	"preserv/internal/prep"
 )
 
@@ -411,8 +412,7 @@ func TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity(t *testing.T) {
 			}
 
 			// Reopen (persistent backends): deletions and index must
-			// survive; the Open-time consistency check must be satisfied
-			// without a rebuild looping forever.
+			// survive.
 			if fl.dir != "" {
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
@@ -431,15 +431,15 @@ func TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity(t *testing.T) {
 	}
 }
 
-// TestDeleteRecordCrashBeforeDeindexRecovers simulates the crash window
-// between the record delete and its posting removal: the reopened
-// index must detect the posting surplus, rebuild, GC the dangling
-// postings, and satisfy its own consistency check on the next open.
+// TestDeleteRecordCrashBeforeDeindexRecovers cuts the log at every byte
+// of a delete's one batch — between its record tombstones and its
+// posting tombstones too: the reopened store holds the record and its
+// postings, or neither, and opens its index without a rebuild.
 func TestDeleteRecordCrashBeforeDeindexRecovers(t *testing.T) {
 	for _, pb := range persistentBackends() {
 		t.Run(pb.name, func(t *testing.T) {
 			dir := t.TempDir()
-			b := pb.open(t, dir)
+			b := pb.open(t, dir).(*kvdb.DB)
 			s := New(b)
 			session := seq.NewID()
 			var recs []core.Record
@@ -449,34 +449,53 @@ func TestDeleteRecordCrashBeforeDeindexRecovers(t *testing.T) {
 			if _, _, err := s.Record("svc:enactor", recs); err != nil {
 				t.Fatal(err)
 			}
-			// Crash simulation: the record is deleted straight at the
-			// backend, bypassing the store's posting removal.
-			if err := b.Delete(recs[0].StorageKey()); err != nil {
-				t.Fatal(err)
+			before := b.LogBytes()
+			if n, err := s.DeleteRecords([]string{recs[0].StorageKey()}); err != nil || n != 1 {
+				t.Fatalf("DeleteRecords = %d, %v", n, err)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-
-			b = pb.open(t, dir)
-			s = New(b)
-			defer s.Close()
-			idx, err := s.Index() // triggers the consistency check + rebuild
+			log, err := os.ReadFile(filepath.Join(dir, "data.log"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The dangling postings must be gone: the deleted record's
-			// interaction posting list is empty.
-			keys, err := idx.Postings("int", recs[0].InteractionID().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(keys) != 0 {
-				t.Errorf("dangling postings survive rebuild: %v", keys)
-			}
-			recsOut, total := recordsByScan(t, s, &prep.Query{SessionID: session})
-			if len(recsOut) != 3 || total != 3 {
-				t.Fatalf("after recovery: %d records (total %d)", len(recsOut), total)
+			for cut := before; cut <= int64(len(log)); cut++ {
+				d := t.TempDir()
+				if err := os.WriteFile(filepath.Join(d, "data.log"), log[:cut], 0o644); err != nil {
+					t.Fatal(err)
+				}
+				rb := pb.open(t, d).(*kvdb.DB)
+				opened := rb.LogBytes()
+				rs := New(rb)
+				idx, err := rs.Index()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := rb.LogBytes(); n != opened {
+					t.Fatalf("cut %d: opening the index wrote %d bytes: it rebuilt", cut, n-opened)
+				}
+				want := 1
+				if cut == int64(len(log)) {
+					want = 0
+				}
+				_, present, err := rb.Get(recs[0].StorageKey())
+				if err != nil {
+					t.Fatal(err)
+				}
+				postings, err := idx.CountPostings("int", recs[0].InteractionID().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if present != (want == 1) || postings != want {
+					t.Fatalf("cut %d: record present=%v with %d interaction postings, want %d of each", cut, present, postings, want)
+				}
+				if recsOut, total := recordsByScan(t, rs, &prep.Query{SessionID: session}); len(recsOut) != 3+want || total != 3+want {
+					t.Fatalf("cut %d: %d records (total %d), want %d", cut, len(recsOut), total, 3+want)
+				}
+				if err := rs.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
@@ -484,9 +503,9 @@ func TestDeleteRecordCrashBeforeDeindexRecovers(t *testing.T) {
 
 // TestDeleteRecordWithCorruptValue pins the retraction policy for torn
 // values: a record whose stored bytes no longer decode must still be
-// deletable (its stale postings go dangling and are collected by the
-// next rebuild) — otherwise one corrupt value would make itself and
-// its session permanently unretractable.
+// deletable (any postings it had are skipped at fetch time) — otherwise
+// one corrupt value would make itself and its session permanently
+// unretractable.
 func TestDeleteRecordWithCorruptValue(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {

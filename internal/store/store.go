@@ -33,17 +33,19 @@ var ErrDuplicate = errors.New("store: duplicate record key")
 // that internal/index can name the same type without importing store).
 type KV = kv.Pair
 
-// Backend persists encoded records under their storage keys.
-// Implementations must be safe for concurrent use.
+// Backend persists encoded records, and the index postings that make
+// them findable, under their storage keys. Implementations must be safe
+// for concurrent use. A batch (PutBatch, DeleteBatch) is one commit: it
+// is applied whole or not at all, to readers and across a crash, which
+// is what lets a Store call write a record and its postings together.
 type Backend interface {
-	// Put stores a record under key. Keys are write-once: backends may
-	// reject overwrites (the Store layer handles idempotency first).
+	// Put stores value under key, replacing any value there. It is the
+	// one-pair form of PutBatch.
 	Put(key string, value []byte) error
 	// PutBatch stores several pairs in one backend operation, with the
-	// same per-key semantics as Put. Implementations amortise the
-	// per-write cost (one lock acquisition, one log append) and preserve
-	// slice order, so a crash durably keeps at most a prefix of the
-	// batch.
+	// same per-key semantics as Put, applied whole or not at all.
+	// Implementations amortise the per-write cost (one lock acquisition,
+	// one log append); a duplicate key resolves to its last value.
 	PutBatch(kvs []KV) error
 	// Get returns the value under key, or (nil, false, nil) if absent.
 	Get(key string) (value []byte, ok bool, err error)
@@ -60,11 +62,9 @@ type Backend interface {
 	// bytes are reclaimed by Compact.
 	Delete(key string) error
 	// DeleteBatch removes several keys in one backend operation, with
-	// the same per-key semantics as Delete. A crash never applies a
-	// deletion the durable state cannot explain: kvdb logs the batch's
-	// tombstones as key-batch entries cut in slice order, each whole or
-	// lost (a torn tail keeps a prefix of the batch at entry
-	// granularity).
+	// the same per-key semantics as Delete, applied whole or not at all:
+	// kvdb logs the batch's tombstones in entries that a crash keeps
+	// together or loses together.
 	DeleteBatch(keys []string) error
 	// ScanFrom visits every key with the given prefix and >= from (an
 	// empty from is unconstrained) in sorted key order, stopping at the
@@ -87,29 +87,31 @@ const recordStripes = 64
 // query evaluation over a Backend, with secondary indexes
 // (internal/index) maintained write-through on Record.
 //
-// Concurrency: Record calls run in parallel. Validation and encoding
-// happen outside any lock; a call's commit (the per-key
-// exists/identical/conflict checks plus ONE PutBatch of its new records)
-// holds the lock stripes of its keys, taken in ascending order; the
-// call's posting entries are flushed in one more backend batch at the
-// end. The mu mutex only guards the lazily opened index handle. Reads
-// (GetBatch, Count, ScanQuery) never take it, so they wait neither behind
-// an ingest batch nor behind the first Index call, which may rebuild the
-// whole index while holding it.
+// Every write a Store call makes is one backend batch: Record's new
+// records with their postings, a delete chunk's records with theirs. A
+// crash keeps the batch whole or loses it whole, so the index never needs
+// repair.
+//
+// Concurrency: Record calls run in parallel. Validation, encoding and
+// posting keys happen outside any lock; a call's commit (the per-key
+// exists/identical/conflict checks plus ONE PutBatch of its new records
+// and their postings) holds the lock stripes of its keys, taken in
+// ascending order. The mu mutex only guards the lazily opened index
+// handle. Reads (GetBatch, Count, ScanQuery) never take it, so they wait
+// neither behind an ingest batch nor behind the first Index call, which
+// may rebuild the whole index while holding it.
 type Store struct {
 	mu sync.RWMutex // provlint:lock-order 20
 	b  Backend
 	// idx is the secondary index, opened lazily on first use so that New
-	// keeps its error-free signature; a store recorded before indexing
-	// existed is rebuilt at that point. Open failures are not latched:
+	// keeps its error-free signature; a store from before the index's
+	// current schema is rebuilt at that point. Open failures are not latched:
 	// a transient backend error must not disable the store for good.
 	idx *index.Index
 	// gen counts content changes; the query engine keys its result cache
 	// on it so cached results are invalidated by new records.
 	gen atomic.Uint64
 	// stripes are the per-key commit locks; seed salts the stripe hash.
-	// Ordered below s.mu: deleteChunk holds its stripes across its commit
-	// and drops the index handle (s.mu) on de-index failure.
 	// provlint:lock-order 10
 	stripes [recordStripes]sync.Mutex
 	seed    maphash.Seed
@@ -125,11 +127,10 @@ type Store struct {
 	deleteSec   *obs.Histogram
 	deleteBatch *obs.Histogram
 	compactSec  *obs.Histogram
-	// writeStallSec holds every wait a Record call makes on the backend:
-	// one observation for its commit section (stripe lock wait plus the
-	// backend gets and the record PutBatch) and one per index flush for
-	// the posting PutBatch — the distribution that shows whether background
-	// maintenance or readers holding the backend's lock stall writers.
+	// writeStallSec holds one observation per Record call: its commit
+	// section (stripe lock wait, the backend gets and the one PutBatch) —
+	// the distribution that shows whether background maintenance or
+	// readers holding the backend's lock stall writers.
 	// compacting counts backend compactions currently running (the
 	// store_compaction_in_progress gauge).
 	writeStallSec *obs.Histogram
@@ -233,7 +234,7 @@ func (s *Store) ensureIndexLocked() (*index.Index, error) {
 }
 
 // Index returns the store's secondary index, opening it (and rebuilding
-// it from a scan, for stores recorded before indexing existed) on first
+// it from a scan, for stores from before its current schema) on first
 // call.
 func (s *Store) Index() (*index.Index, error) {
 	s.mu.RLock()
@@ -245,15 +246,6 @@ func (s *Store) Index() (*index.Index, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ensureIndexLocked()
-}
-
-// dropIndex discards the cached index handle after a failed posting
-// write, forcing the next use through index.Open's deficit check (which
-// detects the missing postings and rebuilds).
-func (s *Store) dropIndex() {
-	s.mu.Lock()
-	s.idx = nil
-	s.mu.Unlock()
 }
 
 // GetBatch fetches several records' raw encodings in one backend batch —
@@ -270,12 +262,12 @@ func (s *Store) GetBatch(keys []string) (values [][]byte, present []bool, err er
 // Record validates and stores a batch of p-assertions asserted by
 // asserter. It returns the number accepted and a reject entry for each
 // refused record. Storage is idempotent: re-recording an identical
-// record is counted as accepted.
+// record is counted as accepted, and writes nothing.
 //
-// Concurrent Record calls proceed in parallel: validation and encoding
-// run lock-free, commits serialise only on shared key stripes, and the
-// call's new records and its posting entries ship to the backend as one
-// batch each.
+// Concurrent Record calls proceed in parallel: validation, encoding and
+// posting keys are built lock-free, commits serialise only on shared key
+// stripes, and the call's new records and their postings ship to the
+// backend as one batch.
 func (s *Store) Record(asserter core.ActorID, records []core.Record) (int, []prep.Reject, error) {
 	span := s.reg.Tracer().StartSpan("store.record").
 		SetAttr("batch", fmt.Sprint(len(records)))
@@ -285,17 +277,34 @@ func (s *Store) Record(asserter core.ActorID, records []core.Record) (int, []pre
 	return accepted, rejects, err
 }
 
+// postingScratch is what a Record call builds its posting keys in, kept
+// between calls in postingScratches.
+type postingScratch struct {
+	b    index.KeyBuilder
+	keys []string
+}
+
+var postingScratches = sync.Pool{New: func() any { return new(postingScratch) }}
+
 func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []prep.Reject, error) {
 	if asserter == "" {
 		return 0, nil, fmt.Errorf("store: empty asserter")
 	}
-	// Phase 1 — validate and encode outside any lock.
+	// Phase 1 — validate, encode and build posting keys outside any lock.
+	// A staged record's postings are ps.keys[lo:hi].
 	type staged struct {
 		i       int
-		r       *core.Record
 		key     string
 		encoded []byte
+		lo, hi  int
+		fresh   bool // not stored yet: the commit puts it
 	}
+	ps := postingScratches.Get().(*postingScratch)
+	defer func() {
+		clear(ps.keys) // release the key strings, keep the slice
+		ps.keys = ps.keys[:0]
+		postingScratches.Put(ps)
+	}()
 	var rejects []prep.Reject
 	batch := make([]staged, 0, len(records))
 	for i := range records {
@@ -316,56 +325,42 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 			rejects = append(rejects, prep.Reject{Index: i, Reason: err.Error()})
 			continue
 		}
-		batch = append(batch, staged{i: i, r: r, key: r.StorageKey(), encoded: encoded})
+		lo := len(ps.keys)
+		ps.keys = ps.b.PostingKeys(ps.keys, r)
+		batch = append(batch, staged{i: i, key: r.StorageKey(), encoded: encoded, lo: lo, hi: len(ps.keys)})
 	}
 
-	idx, err := s.Index()
-	if err != nil {
+	// The index is opened (a store from before the current schema
+	// rebuilt) before anything is written beside it.
+	if _, err := s.Index(); err != nil {
 		return 0, nil, fmt.Errorf("store: opening index: %w", err)
 	}
 	if len(batch) == 0 {
 		return 0, rejects, nil
 	}
 
-	// touched says whether anything was committed or repaired: the
-	// generation must then advance, even if the call errors out part-way
-	// — a missed bump would let the query engine's cache serve stale
-	// results as fresh. Idempotent re-records count too: their posting
-	// re-puts may have just repaired an index deficit that cached results
-	// were computed against.
-	touched := false
-	defer func() {
-		if touched {
-			s.gen.Add(1)
-		}
-	}()
-
 	// Phase 2 — commit under the stripes of every key in the call, taken
 	// in ascending order, so the exists/identical/conflict decision is
 	// atomic per key while calls on disjoint stripes commit in parallel.
-	// Every new record goes to the backend in ONE PutBatch. The commit
-	// section — stripe wait, gets and put — is one observation of the
-	// write-stall histogram: its tail is where a writer-blocking
-	// compaction or a contended stripe shows up.
+	// Every new record and its postings go to the backend in ONE
+	// PutBatch. The commit section — stripe wait, gets and put — is the
+	// call's one observation of the write-stall histogram: its tail is
+	// where a writer-blocking compaction or a contended stripe shows up.
 	stall := time.Now()
 	stripes := s.lockStripes(len(batch), func(i int) string { return batch[i].key })
-	puts := make([]KV, 0, len(batch))
-	// toIndex holds the call's accepted records, new and re-recorded;
-	// their postings flush in one backend batch.
-	toIndex := make([]*core.Record, 0, len(batch))
-	accepted := 0
-	// pending maps each key this call is about to put to its entry in
-	// puts, so a key the call repeats is decided against the call's own
-	// batch: identical bytes are accepted again, different bytes
+	accepted, fresh, repeats, size := 0, 0, 0, 0
+	// pending maps each key this call is about to put to its staged
+	// record, so a key the call repeats is decided against the call's
+	// own batch: identical bytes are accepted again, different bytes
 	// rejected. Only calls of several records need it.
 	var pending map[string]int
 	if len(batch) > 1 {
 		pending = make(map[string]int, len(batch))
 	}
-	repeats := 0
-	for _, st := range batch {
-		if j, ok := pending[st.key]; ok {
-			if string(puts[j].Value) == string(st.encoded) {
+	for j := range batch {
+		st := &batch[j]
+		if first, ok := pending[st.key]; ok {
+			if string(batch[first].encoded) == string(st.encoded) {
 				repeats++
 			} else {
 				rejects = append(rejects, prep.Reject{Index: st.i, Reason: fmt.Sprintf("%v: %s", ErrDuplicate, st.key)})
@@ -379,59 +374,48 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 			sortRejects(rejects)
 			return accepted, rejects, fmt.Errorf("store: checking %s: %w", st.key, err)
 		}
-		if !ok {
+		switch {
+		case !ok:
 			if pending != nil {
-				pending[st.key] = len(puts)
+				pending[st.key] = j
 			}
-			puts = append(puts, KV{Key: st.key, Value: st.encoded})
-			toIndex = append(toIndex, st.r)
-			continue
+			st.fresh = true
+			fresh++
+			size += 1 + st.hi - st.lo
+		case sameRecordBytes(existing, st.encoded):
+			accepted++ // idempotent re-record: its postings are there already
+		default:
+			rejects = append(rejects, prep.Reject{Index: st.i, Reason: fmt.Sprintf("%v: %s", ErrDuplicate, st.key)})
 		}
-		if sameRecordBytes(existing, st.encoded) {
-			// Idempotent re-record. Re-put the postings too: if a previous
-			// attempt committed the record but failed before (or during)
-			// indexing, the client's retry lands here and must repair the
-			// deficit, not skip past it.
-			toIndex = append(toIndex, st.r)
-			accepted++
-			continue
-		}
-		rejects = append(rejects, prep.Reject{Index: st.i, Reason: fmt.Sprintf("%v: %s", ErrDuplicate, st.key)})
 	}
 	var putErr error
-	if len(puts) > 0 {
+	if fresh > 0 {
+		puts := make([]KV, 0, size)
+		for _, st := range batch {
+			if st.fresh {
+				puts = append(puts, KV{Key: st.key, Value: st.encoded})
+			}
+		}
+		for _, st := range batch {
+			if st.fresh {
+				for _, k := range ps.keys[st.lo:st.hi] {
+					puts = append(puts, KV{Key: k})
+				}
+			}
+		}
 		putErr = s.b.PutBatch(puts)
+		// The generation advances once the batch is attempted, failed or
+		// not: a cached result must never outlive a write the backend may
+		// have applied.
+		s.gen.Add(1)
 	}
 	s.unlockStripes(&stripes)
 	s.writeStallSec.Observe(time.Since(stall).Seconds())
 	sortRejects(rejects)
 	if putErr != nil {
-		// A failed batch may have left a durable prefix, so the generation
-		// still advances. The index flush is skipped: the call committed
-		// nothing else, and the client's retry re-records the prefix and
-		// repairs its postings.
-		touched = true
-		return accepted, rejects, fmt.Errorf("store: putting %d records: %w", len(puts), putErr)
+		return accepted, rejects, fmt.Errorf("store: putting %d records: %w", fresh, putErr)
 	}
-	accepted += len(puts) + repeats
-	if len(toIndex) == 0 {
-		return accepted, rejects, nil
-	}
-	touched = true
-
-	// Phase 3 — one batched index flush for the whole call. A failure
-	// drops the cached index handle, so the next use re-runs index.Open's
-	// deficit check and rebuilds — the planner never keeps serving an
-	// index that is missing a committed record. (A crash is repaired the
-	// same way at the next Open, or by a client retry of the batch.)
-	stall = time.Now()
-	err = idx.AddBatch(toIndex)
-	s.writeStallSec.Observe(time.Since(stall).Seconds())
-	if err != nil {
-		s.dropIndex()
-		return accepted, rejects, fmt.Errorf("store: indexing batch: %w", err)
-	}
-	return accepted, rejects, nil
+	return accepted + fresh + repeats, rejects, nil
 }
 
 // deleteChunkSize bounds how many records one DeleteSession backend
@@ -442,9 +426,8 @@ const deleteChunkSize = 256
 // DeleteSession removes every record grouped under the given session —
 // the retraction primitive that keeps a long-lived store from growing
 // without bound. It returns how many records were deleted. Each chunk
-// of records is deleted in one backend batch (one contiguous log
-// append), and all the call's posting removals flush
-// through one RemoveBatch per chunk.
+// of records is deleted in one backend batch, together with the
+// records' postings.
 func (s *Store) DeleteSession(session ids.ID) (int, error) {
 	span := s.reg.Tracer().StartSpan("store.delete").SetAttr("kind", "session")
 	deleted, err := s.deleteSession(session)
@@ -465,7 +448,7 @@ func (s *Store) deleteSession(session ids.ID) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: listing session %s: %w", session, err)
 	}
-	deleted, err := s.deleteKeys(idx, keys)
+	deleted, err := s.deleteKeys(keys)
 	if err != nil {
 		return deleted, fmt.Errorf("store: deleting session %s: %w", session, err)
 	}
@@ -507,11 +490,10 @@ func (s *Store) deleteRecords(keys []string) (int, error) {
 		}
 	}
 	keys = uniq
-	idx, err := s.Index()
-	if err != nil {
+	if _, err := s.Index(); err != nil {
 		return 0, fmt.Errorf("store: opening index: %w", err)
 	}
-	deleted, err := s.deleteKeys(idx, keys)
+	deleted, err := s.deleteKeys(keys)
 	if err != nil {
 		return deleted, fmt.Errorf("store: deleting %d records: %w", len(keys), err)
 	}
@@ -521,13 +503,12 @@ func (s *Store) deleteRecords(keys []string) (int, error) {
 // deleteKeys runs the chunked delete commit protocol over an arbitrary
 // key list (DeleteSession's posting listing and DeleteRecords' explicit
 // batch both land here).
-func (s *Store) deleteKeys(idx *index.Index, keys []string) (int, error) {
+func (s *Store) deleteKeys(keys []string) (int, error) {
 	deleted := 0
 	// attempted tracks whether any backend delete batch was issued at
-	// all: an errored batch may still have durably removed records (a
-	// failed kvdb append can leave a prefix of its tombstones), so the
-	// generation must advance — a cached result from before the call can
-	// never be served as current once anything might have changed.
+	// all: the generation must then advance, even for a batch that
+	// errored — a cached result from before the call can never be served
+	// as current once anything might have changed.
 	attempted := false
 	defer func() {
 		if attempted {
@@ -541,7 +522,7 @@ func (s *Store) deleteKeys(idx *index.Index, keys []string) (int, error) {
 		}
 		chunk := keys[:n]
 		keys = keys[n:]
-		doomed, tried, err := s.deleteChunk(idx, chunk)
+		doomed, tried, err := s.deleteChunk(chunk)
 		attempted = attempted || tried
 		deleted += doomed
 		if err != nil {
@@ -553,66 +534,47 @@ func (s *Store) deleteKeys(idx *index.Index, keys []string) (int, error) {
 
 // deleteChunk is the delete commit protocol (DeleteRecords' and
 // DeleteSession's chunks both run through it): remove one chunk of
-// records in a single backend batch, then flush their posting
-// removals, all while holding every involved stripe lock (taken by
-// lockStripes in ascending stripe order, as Record's commit takes its
-// own, so concurrent multi-key writers and deleters cannot deadlock;
-// this function takes its own locks).
-// Keeping the posting removal inside the locks stops a concurrent
-// idempotent re-Record from interleaving its fresh postings between
-// the record deletes and the de-indexing. Crash ordering mirrors
-// Record in reverse — records first, postings second, each kind
-// posting last — so a crash in between leaves a kind-posting surplus
-// the index's Open-time consistency check detects and Rebuild's
-// dangling-posting GC repairs; until then queries skip the dangling
-// postings at fetch time.
+// records and their postings in a single backend batch, while holding
+// every involved stripe lock (taken by lockStripes in ascending stripe
+// order, as Record's commit takes its own, so concurrent multi-key
+// writers and deleters cannot deadlock). Holding them stops a concurrent
+// Record of the same key from interleaving with the delete.
 //
 // provlint:no-genbump the generation bump lives in its caller
 // (deleteKeys bumps when any batch was attempted), because a chunk
-// that errors may still have removed records and the bump must cover
-// that case too.
+// that errors must still invalidate cached results.
 //
 // A record whose stored bytes no longer decode is deleted anyway —
 // retraction must work on a store with one torn value, the same policy
-// Rebuild applies by skipping it — with no posting removal (the
-// posting set is not computable); whatever stale postings it had go
-// dangling and are collected by the next rebuild. It returns how many
-// keys were deleted and whether any backend mutation was attempted
-// (possibly partially applied, on error).
-func (s *Store) deleteChunk(idx *index.Index, chunk []string) (deleted int, attempted bool, err error) {
+// Rebuild applies by skipping it — without postings, since they are not
+// computable: any it has are skipped at fetch time. It returns how many
+// records were deleted and whether any backend mutation was attempted.
+func (s *Store) deleteChunk(chunk []string) (deleted int, attempted bool, err error) {
 	stripes := s.lockStripes(len(chunk), func(i int) string { return chunk[i] })
 	defer s.unlockStripes(&stripes)
 	values, present, err := s.b.GetBatch(chunk)
 	if err != nil {
 		return 0, false, fmt.Errorf("fetching delete chunk: %w", err)
 	}
-	records := make([]*core.Record, 0, len(chunk))
-	doomed := make([]string, 0, len(chunk))
+	var b index.KeyBuilder
+	var doomed []string
 	for i, k := range chunk {
 		if !present[i] {
 			continue // dangling posting: nothing to delete
 		}
-		r, err := core.DecodeRecord(values[i])
-		if err != nil {
-			// Corrupt value: delete the key, strand its postings for
-			// the rebuild GC (see the function comment).
-			doomed = append(doomed, k)
-			continue
-		}
-		records = append(records, r)
 		doomed = append(doomed, k)
+		deleted++
+		if r, err := core.DecodeRecord(values[i]); err == nil {
+			doomed = b.PostingKeys(doomed, r)
+		}
 	}
-	if len(doomed) == 0 {
+	if deleted == 0 {
 		return 0, false, nil
 	}
 	if err := s.b.DeleteBatch(doomed); err != nil {
 		return 0, true, fmt.Errorf("deleting chunk: %w", err)
 	}
-	if err := idx.RemoveBatch(records); err != nil {
-		s.dropIndex()
-		return len(doomed), true, fmt.Errorf("de-indexing chunk: %w", err)
-	}
-	return len(doomed), true, nil
+	return deleted, true, nil
 }
 
 // Compacter is implemented by backends that can reclaim dead bytes
