@@ -118,67 +118,75 @@ func Open(kv KV) (*Index, error) {
 	return ix, nil
 }
 
-// Rebuild derives the index from the records. It deletes every key under
-// x/ and xm/ (postings an older schema may have left dangling or missing,
-// its deficit markers, the schema marker itself), derives every record's
-// postings again, and writes the schema marker last. A crash part way
-// leaves no current marker, so the next Open rebuilds again. A record
+// Rebuild derives the index from the records and makes the stored index
+// equal to it, writing only the difference: it derives every record's
+// postings, compares them in one sorted pass with the keys under x/,
+// deletes the postings no record calls for and every xm/ key but the
+// schema marker (an older schema's deficit markers), puts the postings
+// that are missing, and writes the schema marker last. Migrating a store
+// whose postings are right therefore rewrites none of them. A crash part
+// way leaves no current marker, so the next Open rebuilds again. A record
 // that no longer decodes is skipped rather than failing the rebuild:
 // recording must stay available over a store with one torn value (the
 // same policy kvdb's recovery applies to a torn tail).
 func (ix *Index) Rebuild() error {
-	// Keys go to the backend in bounded batches, which keeps rebuild
-	// memory flat while still amortising the per-write cost.
-	const rebuildChunk = 4096
-	for _, prefix := range []string{postingPrefix, metaPrefix} {
-		var doomed []string
-		err := ix.kv.ScanFrom(prefix, "", func(key string, _ []byte) error {
-			doomed = append(doomed, key)
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("index: listing %s keys: %w", prefix, err)
-		}
-		for chunk := range slices.Chunk(doomed, rebuildChunk) {
-			if err := ix.kv.DeleteBatch(chunk); err != nil {
-				return fmt.Errorf("index: deleting %s keys: %w", prefix, err)
-			}
-		}
-	}
-	var pending []kv.Pair
+	var want []string
 	var b KeyBuilder
-	var keys []string
-	flush := func() error {
-		if len(pending) == 0 {
-			return nil
-		}
-		if err := ix.kv.PutBatch(pending); err != nil {
-			return fmt.Errorf("index: rebuilding postings: %w", err)
-		}
-		pending = pending[:0]
-		return nil
-	}
 	for _, prefix := range []string{"i/", "s/"} {
 		err := ix.kv.ScanFrom(prefix, "", func(key string, value []byte) error {
-			r, err := core.DecodeRecord(value)
-			if err != nil {
-				return nil
-			}
-			keys = b.PostingKeys(keys[:0], r)
-			for _, pk := range keys {
-				pending = append(pending, kv.Pair{Key: pk})
-			}
-			if len(pending) >= rebuildChunk {
-				return flush()
+			if r, err := core.DecodeRecord(value); err == nil {
+				want = b.PostingKeys(want, r)
 			}
 			return nil
 		})
 		if err != nil {
-			return err
+			return fmt.Errorf("index: reading records: %w", err)
 		}
 	}
-	if err := flush(); err != nil {
-		return err
+	want = kv.SortKeys(want)
+	var doomed, missing []string
+	err := ix.kv.ScanFrom(postingPrefix, "", func(key string, _ []byte) error {
+		for len(want) > 0 && want[0] < key {
+			missing = append(missing, want[0])
+			want = want[1:]
+		}
+		if len(want) > 0 && want[0] == key {
+			want = want[1:]
+		} else {
+			doomed = append(doomed, key)
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("index: listing postings: %w", err)
+	}
+	missing = append(missing, want...)
+	err = ix.kv.ScanFrom(metaPrefix, "", func(key string, _ []byte) error {
+		if key != schemaKey {
+			doomed = append(doomed, key)
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("index: listing markers: %w", err)
+	}
+	// Keys go to the backend in bounded batches, which keeps each write
+	// small while still amortising the per-write cost.
+	const rebuildChunk = 4096
+	for chunk := range slices.Chunk(doomed, rebuildChunk) {
+		if err := ix.kv.DeleteBatch(chunk); err != nil {
+			return fmt.Errorf("index: deleting stale keys: %w", err)
+		}
+	}
+	pairs := make([]kv.Pair, 0, min(len(missing), rebuildChunk))
+	for chunk := range slices.Chunk(missing, rebuildChunk) {
+		pairs = pairs[:0]
+		for _, k := range chunk {
+			pairs = append(pairs, kv.Pair{Key: k})
+		}
+		if err := ix.kv.PutBatch(pairs); err != nil {
+			return fmt.Errorf("index: rebuilding postings: %w", err)
+		}
 	}
 	if err := ix.kv.PutBatch([]kv.Pair{{Key: schemaKey, Value: []byte(schemaVersion)}}); err != nil {
 		return fmt.Errorf("index: writing schema marker: %w", err)

@@ -53,55 +53,16 @@ func SortKeys(keys []string) []string {
 	return slices.Compact(keys)
 }
 
-// maxGroups bounds the groups sortByGroup deals keys into.
+// maxGroups bounds the groups a dealer deals keys into.
 const maxGroups = 32
 
 // sortByGroup sorts keys by dealing them into groups by the word after
 // their common prefix, or reports false, leaving keys as they were, if
 // there are more than maxGroups such words.
 func sortByGroup(keys []string) bool {
-	l := len(keys[0])
-	for _, k := range keys[1:] {
-		l = commonPrefix(keys[0][:l], k)
-	}
-	type group struct {
-		w        uint64
-		n        int
-		at, size int
-	}
-	var groups [maxGroups]group
-	ng := 0
-	find := func(k string) int {
-		w, n := wordAt(k, l)
-		g := 0
-		for g < ng && (groups[g].w != w || groups[g].n != n) {
-			g++
-		}
-		return g
-	}
-	for _, k := range keys {
-		g := find(k)
-		if g == ng {
-			if ng == maxGroups {
-				return false
-			}
-			groups[g].w, groups[g].n = wordAt(k, l)
-			ng++
-		}
-		groups[g].size++
-	}
-	// Keys that share l bytes order by the zero-padded word after them,
-	// then, on a tie, the shorter first.
-	slices.SortFunc(groups[:ng], func(a, b group) int {
-		if a.w != b.w {
-			return cmp.Compare(a.w, b.w)
-		}
-		return a.n - b.n
-	})
-	at := 0
-	for g := range groups[:ng] {
-		groups[g].at = at
-		at += groups[g].size
+	var d dealer
+	if !d.plan(len(keys), func(i int) string { return keys[i] }) {
+		return false
 	}
 	// Deal into a copy in one pass over the keys as they came, which
 	// reads their bytes in the order they were allocated in and keeps
@@ -112,12 +73,13 @@ func sortByGroup(keys []string) bool {
 	}
 	out := (*buf)[:len(keys)]
 	for _, k := range keys {
-		g := find(k)
-		out[groups[g].at] = k
-		groups[g].at++
+		at, _ := d.deal(k)
+		out[at] = k
 	}
-	for _, g := range groups[:ng] {
-		slices.Sort(out[g.at-g.size : g.at])
+	start := 0
+	for _, g := range d.groups[:d.n] {
+		slices.Sort(out[start:g.at])
+		start = g.at
 	}
 	copy(keys, out)
 	clear(out)
@@ -128,6 +90,100 @@ func sortByGroup(keys []string) bool {
 // dealBufs holds the copies sortByGroup deals keys into, so that sorting
 // a run allocates nothing once a buffer of its size has been made.
 var dealBufs = sync.Pool{New: func() any { return new([]string) }}
+
+// A dealer splits a list of keys, in one stable pass, into at most
+// maxGroups groups by the up to eight bytes that follow the prefix all
+// of them share, the word: for index postings, one group per dimension.
+// The groups go in key order — every key of a group sorts before every
+// key of the next — so sorting each group on its own sorts the list,
+// with comparisons that stay among keys alike enough to be sorted
+// together.
+type dealer struct {
+	// shares asks plan for each group's shared prefix as well, which
+	// costs a comparison per key.
+	shares bool
+	n      int // groups in use
+	prefix int // the bytes every key shares
+	groups [maxGroups]dealGroup
+}
+
+// dealGroup is one of a dealer's groups.
+type dealGroup struct {
+	w      uint64 // the word, as wordAt reads it
+	wn     int    // how many bytes of it the keys have
+	first  string // the group's first key
+	shared int    // with shares, the bytes every key of the group shares
+	// size is how many keys the group holds; at is where deal puts its
+	// next key, and so, once every key is dealt, where the group ends.
+	size, at int
+}
+
+// plan reads the n keys key returns, finds their groups and lays them
+// out in key order. It reports false if there are more than maxGroups.
+func (d *dealer) plan(n int, key func(i int) string) bool {
+	d.prefix = sharedPrefix(n, key)
+	for i := range n {
+		k := key(i)
+		g := d.find(k)
+		if g == d.n {
+			if d.n == maxGroups {
+				return false
+			}
+			d.n++
+			d.groups[g].w, d.groups[g].wn = wordAt(k, d.prefix)
+			d.groups[g].first, d.groups[g].shared = k, len(k)
+		}
+		gr := &d.groups[g]
+		if d.shares {
+			gr.shared = commonPrefix(gr.first[:gr.shared], k)
+		}
+		gr.size++
+	}
+	// Keys that share the prefix order by the zero-padded word after it,
+	// then, on a tie, the shorter first.
+	groups := d.groups[:d.n]
+	slices.SortFunc(groups, func(a, b dealGroup) int {
+		if a.w != b.w {
+			return cmp.Compare(a.w, b.w)
+		}
+		return a.wn - b.wn
+	})
+	at := 0
+	for g := range groups {
+		groups[g].at = at
+		at += groups[g].size
+	}
+	return true
+}
+
+// sharedPrefix returns how many leading bytes the n keys key returns
+// all share.
+func sharedPrefix(n int, key func(i int) string) int {
+	first := key(0)
+	l := len(first)
+	for i := 1; i < n && l > 0; i++ {
+		l = commonPrefix(first[:l], key(i))
+	}
+	return l
+}
+
+// find returns k's group, or d.n if it has none yet.
+func (d *dealer) find(k string) int {
+	w, wn := wordAt(k, d.prefix)
+	g := 0
+	for g < d.n && (d.groups[g].w != w || d.groups[g].wn != wn) {
+		g++
+	}
+	return g
+}
+
+// deal returns where k, the next of the keys plan read, goes in the
+// dealt list, and how many leading bytes every key of its group shares.
+func (d *dealer) deal(k string) (at, shared int) {
+	g := &d.groups[d.find(k)]
+	g.at++
+	return g.at - 1, g.shared
+}
 
 // wordAt returns the up to eight bytes of s from d on, big-endian and
 // zero-padded, and how many of them s has.

@@ -135,7 +135,28 @@ type Ordered[V any] struct {
 // op is one pending write: a put of key with val, or its deletion.
 type op[V any] struct {
 	entry[V]
-	del bool
+	// tag's lowest bit is opDelete. Its seven bytes above hold, while
+	// sortOps sorts the op, the first seven bytes of the key's word: the
+	// bytes after the prefix every key it is sorted with shares, as
+	// wordAt reads them. They decide most comparisons without reading
+	// the key.
+	tag uint64
+}
+
+// opDelete marks an op that deletes its key.
+const opDelete = 1
+
+func (w *op[V]) del() bool { return w.tag&opDelete != 0 }
+
+// setWord puts the seven leading bytes of word in w's tag.
+func (w *op[V]) setWord(word uint64) { w.tag = word&^0xff | w.tag&opDelete }
+
+// less orders ops by key. Both must hold their words from one sort.
+func (w *op[V]) less(x *op[V]) bool {
+	if a, b := w.tag>>8, x.tag>>8; a != b {
+		return a < b
+	}
+	return w.key < x.key
 }
 
 // pendingFirstCap is pending's first capacity. It grows by doubling from
@@ -152,17 +173,31 @@ func (o *Ordered[V]) Put(key string, val V) {
 // Delete records that key is not in the set, whether or not it was
 // before. The owner's write lock must be held.
 func (o *Ordered[V]) Delete(key string) {
-	o.push(op[V]{entry: entry[V]{key: key}, del: true})
+	o.push(op[V]{entry: entry[V]{key: key}, tag: opDelete})
 }
 
 func (o *Ordered[V]) push(w op[V]) {
 	if len(o.pending) == cap(o.pending) {
-		grown := make([]op[V], len(o.pending), max(2*cap(o.pending), pendingFirstCap))
-		copy(grown, o.pending)
-		o.pending = grown
+		o.Reserve(max(2*cap(o.pending), pendingFirstCap))
 	}
 	o.pending = append(o.pending, w)
 }
+
+// Reserve makes room for n pending writes in all, so that an owner that
+// can tell about how many writes are coming — a replay, from the part of
+// the log it has read — appends them without regrowing the list. The
+// owner's write lock must be held.
+func (o *Ordered[V]) Reserve(n int) {
+	if n > cap(o.pending) {
+		grown := make([]op[V], len(o.pending), n)
+		copy(grown, o.pending)
+		o.pending = grown
+	}
+}
+
+// Pending is how many writes the next Fold applies. The owner's read
+// lock must be held.
+func (o *Ordered[V]) Pending() int { return len(o.pending) }
 
 // Clean returns the snapshot and whether it is current. The owner's read
 // lock must be held; when it reports false the caller takes the write
@@ -204,57 +239,152 @@ func (o *Ordered[V]) Fold(replaced func(V)) *Keys[V] {
 }
 
 // sortOps sorts ops by key, keeping write order among equal keys, using
-// spare (grown to len(ops) if need be) as the buffer it merges through.
-// It returns the sorted ops and the other buffer, which may be either of
-// the two it was given. Pending writes arrive as sorted runs (a batch of
-// an owner's keys comes sorted), so it merges adjacent natural runs
-// pairwise: O(n log runs), and one pass to find out that a sorted list
-// is sorted.
+// spare (grown to len(ops) if need be) as its other buffer. It returns
+// the sorted ops and the other buffer, which may be either of the two it
+// was given.
+//
+// Pending writes arrive as sorted runs (a batch of an owner's keys comes
+// sorted), interleaved: a replay meets each record's key, then its
+// postings, one run per record. So past smallList ops sortOps first deals
+// the ops, in one stable pass, into groups by the word after their common
+// prefix, as SortKeys does — for a store's keys, one group per index
+// dimension and one per record kind — which turns each dimension's
+// postings into a few long runs. Then it merges each group's natural runs
+// in Powersort's order, so the work tracks how unequal the runs' lengths
+// are rather than how many runs there are. A sorted list costs one pass
+// to find out that it is sorted; a list whose keys have more than
+// maxGroups words is merged as one group.
 func sortOps[V any](ops, spare []op[V]) (sorted, other []op[V]) {
-	var ends []int // ends[r] = where run r ends
-	for i := 1; i <= len(ops); i++ {
-		if i == len(ops) || ops[i].key < ops[i-1].key {
-			ends = append(ends, i)
-		}
+	i := 1
+	for i < len(ops) && ops[i].key >= ops[i-1].key {
+		i++
 	}
-	if len(ends) <= 1 {
+	if i >= len(ops) {
 		return ops, spare
 	}
 	if cap(spare) < len(ops) {
 		spare = make([]op[V], len(ops))
 	}
-	src, dst := ops, spare[:len(ops)]
-	for len(ends) > 1 {
-		start, n := 0, 0
-		for r := 0; r < len(ends); r += 2 {
-			end := ends[r]
-			if r+1 < len(ends) {
-				end = ends[r+1]
-				mergeRuns(dst[start:end], src[start:ends[r]], src[ends[r]:end])
-			} else {
-				copy(dst[start:end], src[start:end])
-			}
-			ends[n], n, start = end, n+1, end
+	spare = spare[:len(ops)]
+	d := dealer{shares: true}
+	if len(ops) >= smallList && d.plan(len(ops), func(i int) string { return ops[i].key }) {
+		for _, w := range ops {
+			at, shared := d.deal(w.key)
+			word, _ := wordAt(w.key, shared)
+			w.setWord(word)
+			spare[at] = w
 		}
-		ends = ends[:n]
-		src, dst = dst, src
+		start := 0
+		for _, g := range d.groups[:d.n] {
+			powersort(spare[start:g.at], ops[start:g.at])
+			start = g.at
+		}
+		return spare, ops
 	}
-	return src, dst
+	setWords(ops)
+	powersort(ops, spare)
+	return ops, spare
 }
 
-// mergeRuns merges the sorted runs a and b into dst, which holds exactly
-// both, taking a's op first among equal keys.
-func mergeRuns[V any](dst, a, b []op[V]) {
-	i, j := 0, 0
-	for k := range dst {
-		if j == len(b) || i < len(a) && a[i].key <= b[j].key {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
+// setWords sets each op's word, from the first byte at which the keys
+// of ops differ.
+func setWords[V any](ops []op[V]) {
+	l := sharedPrefix(len(ops), func(i int) string { return ops[i].key })
+	for i := range ops {
+		word, _ := wordAt(ops[i].key, l)
+		ops[i].setWord(word)
 	}
+}
+
+// smallList is the shortest list sortOps deals into groups: the read
+// path's folds are mostly a batch or two, which the run merge alone
+// sorts faster.
+const smallList = 64
+
+// powersort sorts ops stably by key, merging adjacent natural runs as
+// Munro and Wild's Powersort does (ESA 2018): each boundary between two
+// runs gets a power, the depth at which a perfectly balanced merge tree
+// over the whole list would first separate the runs' midpoints, and a
+// run on the stack is merged with the one after it as soon as a later
+// boundary has a lower power. The stack's powers only rise, so it holds
+// at most one run per power. tmp, as long as ops, is the buffer a merge
+// copies its first run into.
+func powersort[V any](ops, tmp []op[V]) {
+	n := len(ops)
+	var stack [64]stackRun
+	top := 0
+	a, b := 0, nextRun(ops, 0)
+	for b < n {
+		c := nextRun(ops, b)
+		p := nodePower(a, b, c, n)
+		for top > 0 && stack[top-1].power > p {
+			top--
+			mergeRuns(ops, tmp, stack[top].start, a, b)
+			a = stack[top].start
+		}
+		stack[top] = stackRun{a, p}
+		top++
+		a, b = b, c
+	}
+	for top > 0 {
+		top--
+		mergeRuns(ops, tmp, stack[top].start, a, n)
+		a = stack[top].start
+	}
+}
+
+// stackRun is a run on powersort's stack: where it starts, and the power
+// of the boundary after it.
+type stackRun struct{ start, power int }
+
+// nextRun returns where the natural run of ops that starts at start
+// ends.
+func nextRun[V any](ops []op[V], start int) int {
+	end := start + 1
+	for end < len(ops) && !ops[end].less(&ops[end-1]) {
+		end++
+	}
+	return end
+}
+
+// nodePower is the power of the boundary between the adjacent runs
+// [a, b) and [b, c) of a list of n: the first bit at which the runs'
+// midpoints, as fractions of n, differ.
+func nodePower(a, b, c, n int) int {
+	// Twice each midpoint, so that they stay integers; each step
+	// compares the next bit of both fractions.
+	x, y := a+b, b+c
+	p := 0
+	for {
+		p++
+		switch {
+		case x >= n:
+			x, y = x-n, y-n
+		case y >= n:
+			return p
+		}
+		x, y = 2*x, 2*y
+	}
+}
+
+// mergeRuns merges the adjacent sorted runs ops[a:b] and ops[b:c] in
+// place, taking the first run's op first among equal keys: it copies the
+// first run into tmp, at the same positions, and merges from there.
+func mergeRuns[V any](ops, tmp []op[V], a, b, c int) {
+	lo := tmp[a:b]
+	copy(lo, ops[a:b])
+	i, j, k := 0, b, a
+	for i < len(lo) && j < c {
+		if ops[j].less(&lo[i]) {
+			ops[k] = ops[j]
+			j++
+		} else {
+			ops[k] = lo[i]
+			i++
+		}
+		k++
+	}
+	copy(ops[k:], lo[i:])
 }
 
 // settle keeps the last of each key's sorted ops, and hands replaced the
@@ -263,7 +393,7 @@ func settle[V any](ops []op[V], replaced func(V)) []op[V] {
 	out := ops[:0]
 	for i, w := range ops {
 		if i+1 < len(ops) && ops[i+1].key == w.key {
-			if !w.del && replaced != nil {
+			if !w.del() && replaced != nil {
 				replaced(w.val)
 			}
 			continue
@@ -339,7 +469,7 @@ func merge[V any](dst, chunk []entry[V], ops []op[V], replaced func(V)) []entry[
 			}
 			j++
 		}
-		if !w.del {
+		if !w.del() {
 			dst = append(dst, w.entry)
 		}
 		i = j

@@ -241,6 +241,106 @@ func TestOrderedProperty(t *testing.T) {
 	}
 }
 
+// TestOrderedSortProperty holds Fold's sort to a stable sort by key, and
+// Fold to the model, on pending lists made to reach every path of it:
+// lists under and over smallList; keys in few groups and in more than
+// maxGroups, which are merged as one; keys that prefix other keys, end
+// inside the word they are dealt by, or differ from another key only by
+// zero bytes that the word's padding must not confuse with its end; one
+// key put, put again and deleted inside one window; and runs that come
+// sorted, reversed or scrambled, short and long.
+func TestOrderedSortProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	dims := []string{"actor", "data", "grp", "int", "kind", "sess", "svc", "time", "state"}
+	universe := func(shape int) []string {
+		var keys []string
+		switch shape {
+		case 0: // postings: a few groups, long shared prefixes
+			for range 200 {
+				keys = append(keys, fmt.Sprintf("x/%s/urn:pasoa:%06x/i/%04d", dims[rng.Intn(len(dims))], rng.Intn(40), rng.Intn(30)))
+			}
+		case 1: // keys that end inside the word, prefix one another, pad alike
+			prefix := strings.Repeat("p", rng.Intn(12))
+			heads := []string{"", "\x00", "a", "a\x00", "a\x00\x00\x00\x00\x00\x00\x00", "ab", "abcdefgh", "abcdefghi", "b"}
+			for range 120 {
+				tail := make([]byte, rng.Intn(4))
+				for j := range tail {
+					tail[j] = "\x00\x01a"[rng.Intn(3)]
+				}
+				keys = append(keys, prefix+heads[rng.Intn(len(heads))]+string(tail))
+			}
+		case 2: // about maxGroups words: either side of the fallback
+			words := make([]string, maxGroups-2+rng.Intn(5))
+			for i := range words {
+				words[i] = fmt.Sprintf("%c%07d", 'a'+i, rng.Intn(1e7))
+			}
+			for range 300 {
+				keys = append(keys, fmt.Sprintf("k/%s/%d", words[rng.Intn(len(words))], rng.Intn(20)))
+			}
+		default: // far more words than groups
+			for range 300 {
+				keys = append(keys, fmt.Sprintf("k/%08x", rng.Intn(1<<20)))
+			}
+		}
+		return keys
+	}
+	var dealt, merged int // lists sorted by groups, and as one
+	for trial := range 400 {
+		keys := universe(trial % 4)
+		w := newOwner()
+		for window := range 2 {
+			// Runs of writes, each run's keys sorted, reversed or as drawn.
+			for size := []int{1 + rng.Intn(smallList), smallList + rng.Intn(900)}[rng.Intn(2)]; len(w.keys.pending) < size; {
+				run := make([]string, 1+rng.Intn([]int{3, 40, 300}[rng.Intn(3)]))
+				for i := range run {
+					run[i] = keys[rng.Intn(len(keys))]
+				}
+				switch rng.Intn(3) {
+				case 0:
+					slices.Sort(run)
+				case 1:
+					slices.Sort(run)
+					slices.Reverse(run)
+				}
+				for _, k := range run {
+					switch rng.Intn(10) {
+					case 0:
+						w.del(k)
+					case 1: // a key rewritten inside the window
+						w.put(k)
+						w.del(k)
+						if rng.Intn(2) == 0 {
+							w.put(k)
+						}
+					default:
+						w.put(k)
+					}
+				}
+			}
+			pending := w.keys.pending
+			var d dealer
+			if len(pending) >= smallList && d.plan(len(pending), func(i int) string { return pending[i].key }) {
+				dealt++
+			} else {
+				merged++
+			}
+			want := slices.Clone(pending)
+			slices.SortStableFunc(want, func(a, b op[int]) int { return strings.Compare(a.key, b.key) })
+			got, _ := sortOps(slices.Clone(pending), nil)
+			for i := range want {
+				if got[i].entry != want[i].entry || got[i].del() != want[i].del() {
+					t.Fatalf("trial %d, window %d: sorted op %d of %d is %q (value %d), a stable sort has %q (value %d)",
+						trial, window, i, len(want), got[i].key, got[i].val, want[i].key, want[i].val)
+				}
+			}
+			w.check(t, trial)
+		}
+	}
+	if dealt == 0 || merged == 0 {
+		t.Fatalf("%d lists sorted by groups and %d as one: the trials miss a path", dealt, merged)
+	}
+}
+
 // TestOrderedFoldShares pins the fold's cost on a snapshot built in one
 // pass: keys landing in a few chunks rebuild those chunks, and every
 // other chunk of the old snapshot is the same slice in the new one.

@@ -289,13 +289,16 @@ func (db *DB) recover() error {
 			break // damaged entry or torn tail: everything after is unreliable
 		}
 		if !sized && n > 0 {
-			// Size the directory once, for the first window's live-key
-			// density extrapolated to the whole log, instead of letting it
-			// grow its way up from empty.
+			// Size the directory and the view's pending list once, for
+			// the first window's key density extrapolated to the whole
+			// log, instead of letting them grow their way up from empty.
 			sized = true
 			whole := make(map[string]entryLoc, int64(len(db.index))*size/db.offset)
 			maps.Copy(whole, db.index)
 			db.index = whole
+			// The list takes an eighth more than its extrapolation:
+			// falling short by one write would double it.
+			db.keys.Reserve(int(int64(db.keys.Pending()) * size / db.offset * 9 / 8))
 		}
 		rest := win[n:want]
 		if need > len(win) {

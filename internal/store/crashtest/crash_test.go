@@ -637,3 +637,55 @@ func TestSchemaOneStoreMigratesOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestSchemaOneMigrationKeepsPostings migrates a clean schema "1" store —
+// 98 records whose postings are all right, under an old marker — and
+// requires the rebuild to grow the log by under 5 %: it writes the
+// difference between the postings the records call for and those
+// stored, which here is nothing but the marker. Tombstoning every
+// posting and putting it back, as the rebuild once did, doubled the log.
+func TestSchemaOneMigrationKeepsPostings(t *testing.T) {
+	for _, fl := range storeFlavours() {
+		t.Run(fl.name, func(t *testing.T) {
+			dir := t.TempDir()
+			b := fl.open(t, dir)
+			s := store.New(b)
+			var sessions []ids.ID
+			for i := 0; i < 7; i++ {
+				sid := seq.NewID()
+				sessions = append(sessions, sid)
+				var recs []core.Record
+				for a := 0; a < 14; a++ {
+					recs = append(recs, mkInteraction(sid, core.ActorID(fmt.Sprintf("svc:stage-%d", a%3)), a))
+				}
+				if _, _, err := s.Record("svc:enactor", recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.Put("xm/schema", []byte("1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, before := fl.tail(t, dir)
+
+			rb := fl.open(t, dir)
+			rs := store.New(rb)
+			if _, err := rs.Index(); err != nil {
+				t.Fatal(err)
+			}
+			assertPlannerEqualsScan(t, rs, sessions, "migrated")
+			if err := rs.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, after := fl.tail(t, dir)
+			if after == before {
+				t.Fatal("a schema-1 store opened without a rebuild")
+			}
+			if grown := float64(after-before) / float64(before); grown >= 0.05 {
+				t.Fatalf("migrating a clean schema-1 store grew the log from %d to %d bytes (+%.1f%%), want under 5%%", before, after, 100*grown)
+			}
+		})
+	}
+}
