@@ -11,12 +11,14 @@
 // embedded database used for all paper evaluations (a file store an
 // earlier version wrote is adopted into it at open).
 //
-// With -shards N the service runs in sharded mode: N embedded child
-// stores (each with its own backend under DIR/shard-XXX) behind a
-// router that places writes session-affine and answers every query
-// across all shards — one endpoint, N stores. With -shard-endpoints
-// the children are remote PReServ instances instead, which is the
-// paper's distributed PReServ with query routing in front.
+// The service always runs on a shard router. With -shards N (N > 1) it
+// runs in sharded mode: N embedded child stores (each with its own
+// backend under DIR/shard-XXX) behind a router that places writes
+// session-affine and answers every query across all shards — one
+// endpoint, N stores. Without it the router has one shard, the store
+// in DIR itself. With -shard-endpoints the children are remote PReServ
+// instances instead, which is the paper's distributed PReServ with
+// query routing in front.
 //
 // Telemetry: the service answers urn:prep:stats on the wire and serves
 // Prometheus-format metrics at /metrics. -telemetry=false turns off the
@@ -86,43 +88,36 @@ func main() {
 
 	obs.SetEnabled(*telemetry)
 
-	var svc *preserv.Service
-	var closer interface{ Close() error }
-	switch {
-	case *shardEndpoints != "":
-		rt, err := preserv.NewRemoteRouter(*shardEndpoints)
+	var rt *shard.Router
+	var err error
+	if *shardEndpoints != "" {
+		rt, err = preserv.NewRemoteRouter(*shardEndpoints)
 		if err != nil {
 			log.Fatalf("preserv: %v", err)
 		}
-		svc = preserv.NewShardedService(rt)
-		closer = rt
 		log.Printf("preserv: sharded front-end over %d remote endpoint(s)", rt.NumShards())
-	case *shards > 1:
-		var children []shard.Shard
-		for i := 0; i < *shards; i++ {
-			backend, err := openLogged(*backendName, filepath.Join(*dir, fmt.Sprintf("shard-%03d", i)))
-			if err != nil {
-				log.Fatalf("preserv: opening shard %d backend: %v", i, err)
+	} else {
+		// One shard is the store in -dir itself, so a single store
+		// written before -shards existed reopens unchanged.
+		n := max(*shards, 1)
+		children := make([]shard.Shard, n)
+		for i := range children {
+			d := *dir
+			if n > 1 {
+				d = filepath.Join(*dir, fmt.Sprintf("shard-%03d", i))
 			}
-			children = append(children, shard.NewLocal(store.New(backend)))
+			backend, err := openLogged(*backendName, d)
+			if err != nil {
+				log.Fatalf("preserv: opening backend %s: %v", d, err)
+			}
+			children[i] = shard.NewLocal(store.New(backend))
 		}
-		rt, err := shard.NewRouter(children...)
-		if err != nil {
+		if rt, err = shard.NewRouter(children...); err != nil {
 			log.Fatalf("preserv: %v", err)
 		}
-		svc = preserv.NewShardedService(rt)
-		closer = rt
-		log.Printf("preserv: sharded store over %d embedded %s shard(s)", *shards, *backendName)
-	default:
-		backend, err := openLogged(*backendName, *dir)
-		if err != nil {
-			log.Fatalf("preserv: opening backend: %v", err)
-		}
-		st := store.New(backend)
-		svc = preserv.NewService(st)
-		closer = st
-		log.Printf("preserv: single %s-backed store", *backendName)
+		log.Printf("preserv: %d embedded %s-backed store(s)", n, *backendName)
 	}
+	svc := preserv.NewShardedService(rt)
 
 	if *compactRatio != 0 {
 		svc.SetCompactRatio(*compactRatio)
@@ -162,7 +157,7 @@ func main() {
 	if err := srv.Close(); err != nil {
 		log.Printf("preserv: close: %v", err)
 	}
-	if err := closer.Close(); err != nil {
+	if err := rt.Close(); err != nil {
 		log.Printf("preserv: backend close: %v", err)
 	}
 }

@@ -326,11 +326,6 @@ func printStats(out io.Writer, st *prep.StatsResponse) {
 	if st.GenerationValid {
 		fmt.Fprintf(out, "generation: %d\n", st.Generation)
 	}
-	rc := st.ReadCache
-	if rc != (prep.ReadCacheCounters{}) {
-		fmt.Fprintf(out, "read path: result cache=%d/%d\n",
-			rc.ResultCacheHits, rc.ResultCacheHits+rc.ResultCacheMisses)
-	}
 	wp := st.WritePath
 	if wp != (prep.WritePathCounters{}) {
 		fmt.Fprintf(out, "write path: compacting=%d  stalls=%d (p99=%.2fms, total=%.1fs)\n",

@@ -670,11 +670,19 @@ func TestAsyncRecorderAutoFlushDisabledByDefault(t *testing.T) {
 func TestAsyncRecorderAutoFlushFailureKeepsJournal(t *testing.T) {
 	// A dead endpoint fails the background flush; the journal must stay
 	// whole, the error must surface through AutoFlushErr, and a later
-	// flush against a live endpoint re-ships everything.
+	// flush against a live endpoint re-ships everything. The endpoint
+	// answers only once all six Records are in: a flush failing earlier,
+	// at pending 4, would back off to pending 7 and entitle the seventh
+	// Record below to re-fire it.
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		<-release
 		http.Error(w, "down", http.StatusInternalServerError)
 	}))
 	defer dead.Close()
+	defer unblock() // before dead.Close, which waits for the handlers
 	r, err := NewAsyncRecorder("svc:enactor", filepath.Join(t.TempDir(), "journal"), 4, preserv.NewClient(dead.URL, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -686,6 +694,7 @@ func TestAsyncRecorderAutoFlushFailureKeepsJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	unblock()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		r.mu.Lock()

@@ -2,7 +2,7 @@
 // interface: the key/value pair type of the batched write primitive,
 // Ordered, which keeps the chunked sorted key snapshot (Keys) every
 // backend answers Count and ScanFrom from (ordered.go), LRU, the stamped
-// cache behind both result caches (lru.go), and the
+// cache behind the router's result cache (lru.go), and the
 // key-batch codec the kvdb log and the PSEG1 segments frame
 // (keybatch.go).
 // It is a leaf package so that both internal/store (which declares the

@@ -3,12 +3,12 @@ package kv
 import "sync"
 
 // LRU is a mutex-guarded least-recently-used cache with string keys and
-// an entry budget, the one cache type behind the query engine's result
-// cache and the router's result cache.
+// an entry budget, the cache type behind the shard router's result
+// cache.
 //
 // Every entry carries a stamp S — a count of the mutations that can
-// change the cached value: a store generation (the query result cache)
-// or a router's tuple of shard generations — and a lookup hits only
+// change the cached value, such as a router's tuple of shard
+// generations — and a lookup hits only
 // when the caller's stamp equals the entry's; a mismatched entry is
 // evicted on sight and the lookup counts as a miss. Owners read their
 // stamp BEFORE the read whose result they Put, so a mutation racing

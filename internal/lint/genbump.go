@@ -16,8 +16,7 @@ import (
 // `.gen.Add(...)` anywhere in the function, deferred bumps included —
 // or carry an explicit provlint:no-genbump annotation whose comment
 // justifies where the bump lives instead. A missed bump lets the
-// query result cache and the router result cache serve stale answers
-// as fresh.
+// router result cache serve stale answers as fresh.
 var GenBump = &analysis.Analyzer{
 	Name: "genbump",
 	Doc: "check that store functions mutating the Backend also bump the store generation " +

@@ -246,7 +246,7 @@ type QueryPlan struct {
 	// Candidates is the number of records fetched; for an index
 	// strategy this is the planner's whole record-level cost.
 	Candidates int `xml:"candidates"`
-	// Cached reports that the result came from the engine's result
+	// Cached reports that the result came from the router's result
 	// cache without touching the store (Postings and Candidates then
 	// describe the original computation).
 	Cached bool `xml:"cached"`
@@ -381,8 +381,9 @@ type StatsRequest struct {
 
 // EngineCounters is a query engine's cumulative planner and cache
 // telemetry — the one declaration of that counter set, filled by the
-// engine and carried unchanged to the wire. CacheHits/CacheMisses are
-// the result cache's lookup outcomes (a stale entry counts as a miss);
+// engine and the shard router and carried unchanged to the wire.
+// CacheHits/CacheMisses are the router result cache's lookup outcomes
+// (a stale entry counts as a miss; an engine alone reports zero);
 // IndexPlans/ScanPlans count executed queries by strategy, cache hits
 // excluded; PagedQueries counts QueryPage executions (also in the
 // strategy counts); CostProbes counts cardinality probes; PostingsRead
@@ -409,14 +410,6 @@ func (c *EngineCounters) Add(o EngineCounters) {
 	c.CostProbes += o.CostProbes
 	c.PostingsRead += o.PostingsRead
 	c.CandidatesFetched += o.CandidatesFetched
-}
-
-// ReadCacheCounters is the wire form of the storage read path's cache
-// telemetry: the router-level result cache's lookup outcomes. It
-// belongs to the router itself, so no shard reports one.
-type ReadCacheCounters struct {
-	ResultCacheHits   int64 `xml:"resultCacheHits"`
-	ResultCacheMisses int64 `xml:"resultCacheMisses"`
 }
 
 // WritePathCounters is the storage write path's health telemetry — the
@@ -515,7 +508,6 @@ type StatsResponse struct {
 	GarbageRatio    float64           `xml:"garbageRatio"`
 	Tombstones      int64             `xml:"tombstones"`
 	Engine          EngineCounters    `xml:"engine"`
-	ReadCache       ReadCacheCounters `xml:"readCache"`
 	WritePath       WritePathCounters `xml:"writePath"`
 
 	// Per-shard breakdown plus the service's own request histograms.

@@ -28,12 +28,8 @@ import (
 	"preserv/internal/store"
 )
 
-// compile-time checks: both provenance implementations satisfy the
-// plug-ins' surface.
-var (
-	_ Provenance = (*shard.Local)(nil)
-	_ Provenance = (*shard.Router)(nil)
-)
+// compile-time check: the router satisfies the plug-ins' surface.
+var _ Provenance = (*shard.Router)(nil)
 
 // DefaultCompactRatio is the garbage-ratio threshold above which a
 // deletion triggers an online compaction of the backend: once half the
@@ -41,11 +37,11 @@ var (
 // carrying the garbage.
 const DefaultCompactRatio = 0.5
 
-// Provenance is the store-shaped surface the plug-ins serve. One
-// embedded store (wrapped as shard.Local, which pairs it with a query
-// engine) satisfies it, and so does a shard.Router fronting several —
-// the service layer is identical either way, which is what makes the
-// sharded service mode a wiring change rather than a reimplementation.
+// Provenance is the store-shaped surface the plug-ins serve: a
+// shard.Router, over the one embedded store of a single-store service
+// or over several shards. The service layer is identical either way,
+// which is what makes the sharded service mode a wiring change rather
+// than a reimplementation.
 type Provenance interface {
 	shard.Shard
 	// CompactAbove compacts only the parts whose garbage ratio reached
@@ -242,9 +238,9 @@ type QueryPlugIn struct {
 
 // NewQueryPlugIn returns a query plug-in over p, accounting into reg
 // (nil creates a private registry). Planned-query actions run through
-// p's query planner (secondary indexes plus a result cache, fanned out
-// and merged when p is a shard router); the plain query action keeps
-// the scan path the paper measures.
+// the shards' query planners (secondary indexes, fanned out and merged
+// behind the router's result cache); the plain query action keeps the
+// scan path the paper measures.
 func NewQueryPlugIn(p Provenance, reg *obs.Registry) *QueryPlugIn {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -376,14 +372,14 @@ func (th *timedHandler) Handle(action string, body *soap.Message) (interface{}, 
 	return reply, err
 }
 
-// Service is a PReServ instance: a provenance surface (one store, or a
-// shard router fronting several) plus the translator wiring.
+// Service is a PReServ instance: a shard router (over one store, or
+// fronting several) plus the translator wiring.
 type Service struct {
 	// Store is the embedded store of a single-store service; nil when
-	// the service fronts a shard router (use Provenance then).
+	// the service was built over a router (use Provenance then).
 	Store   *store.Store
+	rt      *shard.Router
 	prov    Provenance
-	shards  int
 	reg     *obs.Registry
 	storeP  *StorePlugIn
 	queryP  *QueryPlugIn
@@ -393,12 +389,20 @@ type Service struct {
 	pprofOn atomic.Bool
 }
 
-// NewService assembles a PReServ service over the given store.
+// NewService assembles a PReServ service over the given store: a
+// router over one shard, so the router's result cache is the store's.
 func NewService(s *store.Store) *Service {
-	svc := newService(shard.NewLocal(s), 0)
+	rt, _ := shard.NewRouter(shard.NewLocal(s)) // one shard: cannot fail
+	svc := newService(rt, oneStore{rt})
 	svc.Store = s
 	return svc
 }
+
+// oneStore is a single-store service's Provenance: its one-shard router
+// under a type of its own, so that asserting *shard.Router on
+// Service.Provenance still tells a sharded front from a single store
+// (benchmark/topology.go does).
+type oneStore struct{ *shard.Router }
 
 // NewShardedService assembles a PReServ service over a shard router —
 // the sharded service mode: the same actions, handlers and telemetry as
@@ -406,16 +410,16 @@ func NewService(s *store.Store) *Service {
 // by the router. The front-end is indistinguishable from one big store
 // to clients.
 func NewShardedService(rt *shard.Router) *Service {
-	return newService(rt, rt.NumShards())
+	return newService(rt, rt)
 }
 
-func newService(p Provenance, shards int) *Service {
+func newService(rt *shard.Router, p Provenance) *Service {
 	reg := obs.NewRegistry()
 	sp := NewStorePlugIn(p, reg)
 	qp := NewQueryPlugIn(p, reg)
 	svc := &Service{
+		rt:     rt,
 		prov:   p,
-		shards: shards,
 		reg:    reg,
 		storeP: sp,
 		queryP: qp,
@@ -438,8 +442,8 @@ func (svc *Service) Obs() *obs.Registry { return svc.reg }
 // internals and belong behind an explicit operator decision.
 func (svc *Service) EnablePprof() { svc.pprofOn.Store(true) }
 
-// Provenance returns the store surface the service serves (the store's
-// shard.Local wrapper, or the shard router).
+// Provenance returns the store surface the service serves: the shard
+// router (on a single store, under the oneStore type).
 func (svc *Service) Provenance() Provenance { return svc.prov }
 
 // Handler returns the HTTP handler (the message-translator layer).
@@ -453,13 +457,18 @@ func (svc *Service) SetCompactRatio(r float64) { svc.storeP.SetCompactRatio(r) }
 // StatsResponse assembles the urn:prep:stats reply — the service's one
 // telemetry snapshot: the request counters, whole-store aggregates, the
 // per-shard breakdown (local shards report in full; remote shards are
-// polled over the wire), and the service's own request histograms and
-// slow log. The request counters come from one registry snapshot, so
+// polled over the wire), and the service's and the router's histograms
+// and slow logs. The request counters come from one registry snapshot, so
 // they are consistent with each other: a record request and the records
 // it accepted appear together or not at all.
 func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 	counters := svc.reg.CounterSnapshot()
-	count, err := svc.prov.Count()
+	rt := svc.rt
+	count, err := rt.Count()
+	if err != nil {
+		return nil, err
+	}
+	shards, err := rt.ShardStats()
 	if err != nil {
 		return nil, err
 	}
@@ -471,71 +480,42 @@ func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 		RecordsDeleted:  counters["preserv_records_deleted_total"],
 		Compactions:     counters["preserv_compactions_total"],
 		Records:         count.Records,
-		NumShards:       svc.shards,
-		GarbageRatio:    svc.prov.GarbageRatio(),
-		Tombstones:      svc.prov.Tombstones(),
-		Engine:          svc.prov.EngineStats(),
-		Histograms:      shard.HistogramStats(svc.reg),
-		Slow:            shard.SlowSpans(svc.reg.Tracer()),
-	}
-	if gp, ok := svc.prov.(shard.GenerationProber); ok {
-		resp.Generation, resp.GenerationValid = gp.Generation()
-	}
-	switch p := svc.prov.(type) {
-	case interface {
-		ShardStats() ([]prep.ShardStats, error)
-	}:
-		shards, err := p.ShardStats()
-		if err != nil {
-			return nil, err
-		}
-		resp.Shards = shards
-	case shard.ShardStatser:
-		st, err := p.ShardStats()
-		if err != nil {
-			return nil, err
-		}
-		resp.Shards = []prep.ShardStats{st}
-	}
-	// The whole-store write-path aggregate sums the shard breakdowns
-	// (each shard's in-flight compactions and commit stalls); the
-	// read-cache aggregate is the router's own result cache, which
-	// belongs to no single shard.
-	for i := range resp.Shards {
-		resp.WritePath.Add(resp.Shards[i].WritePath)
-	}
-	if rt, ok := svc.prov.(*shard.Router); ok {
-		resp.ReadCache.ResultCacheHits, resp.ReadCache.ResultCacheMisses = rt.ResultCacheStats()
+		NumShards:       rt.NumShards(),
+		GarbageRatio:    rt.GarbageRatio(),
+		Tombstones:      rt.Tombstones(),
+		Engine:          rt.EngineStats(),
+		Shards:          shards,
 		// The router's own instruments (fan-out latency, merge width)
 		// belong to no single shard: report them at the top level next
 		// to the service's request histograms.
-		resp.Histograms = append(resp.Histograms, shard.HistogramStats(rt.Obs())...)
-		resp.Slow = append(resp.Slow, shard.SlowSpans(rt.Obs().Tracer())...)
+		Histograms: append(shard.HistogramStats(svc.reg), shard.HistogramStats(rt.Obs())...),
+		Slow:       append(shard.SlowSpans(svc.reg.Tracer()), shard.SlowSpans(rt.Obs().Tracer())...),
+	}
+	resp.Generation, resp.GenerationValid = rt.Generation()
+	// The whole-store write-path aggregate sums the shard breakdowns
+	// (each shard's in-flight compactions and commit stalls).
+	for i := range resp.Shards {
+		resp.WritePath.Add(resp.Shards[i].WritePath)
 	}
 	return resp, nil
 }
 
 // MetricsHandler serves the service's telemetry in the Prometheus text
 // exposition format: the service registry (request counters and
-// per-action latency), plus the store registry of a single-store
-// service — or, fronting a router, the router registry and every
-// embedded shard's store registry labelled shard="i". Remote shards
-// export their own /metrics.
+// per-action latency), the router registry, and every embedded shard's
+// store registry — unlabelled on a single store, labelled shard="i"
+// where there are several. Remote shards export their own /metrics.
 func (svc *Service) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		exports := []obs.Export{{Reg: svc.reg}}
-		switch p := svc.prov.(type) {
-		case *shard.Local:
-			exports = append(exports, obs.Export{Reg: p.Store().Obs()})
-		case *shard.Router:
-			exports = append(exports, obs.Export{Reg: p.Obs()})
-			for i := 0; i < p.NumShards(); i++ {
-				if l, ok := p.Shard(i).(*shard.Local); ok {
-					exports = append(exports, obs.Export{
-						Labels: fmt.Sprintf(`shard="%d"`, i),
-						Reg:    l.Store().Obs(),
-					})
+		exports := []obs.Export{{Reg: svc.reg}, {Reg: svc.rt.Obs()}}
+		n := svc.rt.NumShards()
+		for i := 0; i < n; i++ {
+			if l, ok := svc.rt.Shard(i).(*shard.Local); ok {
+				e := obs.Export{Reg: l.Store().Obs()}
+				if n > 1 {
+					e.Labels = fmt.Sprintf(`shard="%d"`, i)
 				}
+				exports = append(exports, e)
 			}
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

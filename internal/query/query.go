@@ -11,13 +11,9 @@
 // path, so results are always identical to a full scan — only the
 // access pattern changes.
 //
-// The engine also keeps a small LRU result cache keyed by the canonical
-// predicate and the store's content generation, so repeated reads of an
-// unchanged store (a dashboard polling a session, a comparison re-run)
-// are answered without touching the backend at all. For large result
-// sets QueryPage serves cursor-delimited pages with early termination,
-// so a consumer streaming a big session never makes the store buffer
-// the whole answer.
+// For large result sets QueryPage serves cursor-delimited pages with
+// early termination, so a consumer streaming a big session never makes
+// the store buffer the whole answer.
 package query
 
 import (
@@ -30,14 +26,10 @@ import (
 	"preserv/internal/core"
 	"preserv/internal/ids"
 	"preserv/internal/index"
-	"preserv/internal/kv"
 	"preserv/internal/obs"
 	"preserv/internal/prep"
 	"preserv/internal/store"
 )
-
-// DefaultCacheSize is the result cache capacity of New.
-const DefaultCacheSize = 256
 
 // DefaultPageSize is the page size QueryPage uses when the caller asks
 // for zero; MaxPageSize caps what a caller may ask for, bounding the
@@ -49,11 +41,7 @@ const (
 
 // Engine executes planned queries over one store.
 type Engine struct {
-	s *store.Store
-	// cache holds selective index-plan answers under CacheKey, stamped
-	// with the store generation: any accepted record or delete orphans
-	// every entry at once.
-	cache *kv.LRU[uint64, cachedResult]
+	s     *store.Store
 	stats plannerCounters
 	// Latency and postings-volume distributions live in the store's
 	// registry, so one registry carries a shard's complete telemetry.
@@ -64,16 +52,11 @@ type Engine struct {
 	postingsPer *obs.Histogram
 }
 
-// New returns an engine over s with the default result cache.
-func New(s *store.Store) *Engine { return newSized(s, DefaultCacheSize) }
-
-// newSized returns an engine with a result cache of the given entry
-// capacity; zero disables caching.
-func newSized(s *store.Store, cacheSize int) *Engine {
+// New returns an engine over s.
+func New(s *store.Store) *Engine {
 	reg := s.Obs()
 	return &Engine{
 		s:           s,
-		cache:       kv.NewLRU[uint64, cachedResult](cacheSize),
 		plannedSec:  reg.Histogram("query_planned_seconds", nil),
 		pageSec:     reg.Histogram("query_page_seconds", nil),
 		postingsPer: reg.Histogram("query_postings_read", obs.SizeBuckets),
@@ -93,13 +76,11 @@ type plannerCounters struct {
 	candidatesFetched atomic.Int64
 }
 
-// Stats returns a snapshot of the engine's result-cache and planner
-// counters (see prep.EngineCounters for what each one counts).
+// Stats returns a snapshot of the engine's planner counters (see
+// prep.EngineCounters for what each one counts; the cache counters stay
+// zero here, since the one result cache is the shard router's).
 func (e *Engine) Stats() prep.EngineCounters {
-	c := e.cache.Stats()
 	return prep.EngineCounters{
-		CacheHits:         c.Hits,
-		CacheMisses:       c.Misses,
 		IndexPlans:        e.stats.indexPlans.Load(),
 		ScanPlans:         e.stats.scanPlans.Load(),
 		PagedQueries:      e.stats.pagedQueries.Load(),
@@ -200,32 +181,28 @@ func (e *Engine) Query(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, erro
 	return recs, total, plan, err
 }
 
+// CacheKey renders the canonical form of a predicate, the identity the
+// shard router's result cache keys on. Every field that can change the
+// result participates. Free-form fields (asserter, service, state kind)
+// are %q-quoted so embedded separators cannot make two different
+// predicates collide on one key.
+func CacheKey(q *prep.Query) string {
+	since, until := "-", "-"
+	if !q.Since.IsZero() {
+		since = fmt.Sprintf("%d", q.Since.UnixNano())
+	}
+	if !q.Until.IsZero() {
+		until = fmt.Sprintf("%d", q.Until.UnixNano())
+	}
+	return fmt.Sprintf("i=%s|s=%s|g=%s|d=%s|k=%q|a=%q|v=%q|t=%q|since=%s|until=%s|l=%d",
+		q.InteractionID, q.SessionID, q.GroupID, q.DataID,
+		q.Kind, q.Asserter, q.Service, q.StateKind, since, until, q.Limit)
+}
+
 func (e *Engine) query(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, 0, nil, err
 	}
-	gen := e.s.Generation()
-	key := CacheKey(q)
-	if c, ok := e.cache.Get(key, gen); ok {
-		c.plan.Cached = true
-		// Hand out a fresh slice header so a caller appending to the
-		// result cannot disturb the cached copy.
-		return append([]core.Record(nil), c.records...), c.total, &c.plan, nil
-	}
-	recs, total, plan, err := e.run(q)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	// Cache only selective results: scan fallbacks and oversized index
-	// results can approach the whole store, and an entry-count-bounded
-	// LRU must not pin hundreds of near-store-sized slices in memory.
-	if plan.Strategy == prep.PlanIndex && len(recs) <= MaxCachedRecords {
-		e.cache.Put(key, gen, cachedResult{records: recs, total: total, plan: *plan})
-	}
-	return recs, total, plan, nil
-}
-
-func (e *Engine) run(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, error) {
 	res, plan, err := e.execute(q, execOpts{max: q.Limit, countAll: true})
 	if err != nil {
 		return nil, 0, nil, err
@@ -250,7 +227,7 @@ func (e *Engine) run(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, error)
 // and done=true once the result set is provably exhausted. Unlike
 // Query, execution terminates as soon as the page fills — candidates
 // beyond it are never visited — so no total is reported and q.Limit is
-// ignored. Pages are not cached: each one is cheap by construction.
+// ignored.
 func (e *Engine) QueryPage(q *prep.Query, after string, pageSize int) ([]core.Record, string, bool, *prep.QueryPlan, error) {
 	span := e.s.Obs().Tracer().StartSpan("query.page")
 	recs, next, done, plan, err := e.queryPage(q, after, pageSize)
@@ -328,14 +305,11 @@ func annotatePlan(span *obs.Span, plan *prep.QueryPlan) {
 	span.SetAttr("est_candidates", fmt.Sprint(plan.EstCandidates))
 	span.SetAttr("candidates", fmt.Sprint(plan.Candidates))
 	span.SetAttr("postings", fmt.Sprint(plan.Postings))
-	if plan.Cached {
-		span.SetAttr("cached", "true")
-	}
 }
 
 // observePlan records the per-query postings volume distribution.
 func (e *Engine) observePlan(plan *prep.QueryPlan) {
-	if plan == nil || plan.Cached {
+	if plan == nil {
 		return
 	}
 	e.postingsPer.Observe(float64(plan.Postings))

@@ -125,7 +125,7 @@ func TestSessionQueriesAvoidRecordScans(t *testing.T) {
 	cb := newCountingBackend(store.NewMemoryBackend())
 	s := store.New(cb)
 	sessions := populateSessions(t, s, 50, 6)
-	e := newSized(s, 0) // cache off: every query must hit the planner
+	e := New(s)
 	if _, err := s.Index(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestPlannerIntersectsPostingLists(t *testing.T) {
 	cb := newCountingBackend(store.NewMemoryBackend())
 	s := store.New(cb)
 	sessions := populateSessions(t, s, 10, 6)
-	e := newSized(s, 0)
+	e := New(s)
 
 	q := &prep.Query{
 		SessionID: sessions[3].id,
@@ -218,7 +218,7 @@ func TestPlannerMatchesScanAcrossBackends(t *testing.T) {
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			sessions := populateSessions(t, s, 6, 4)
-			e := newSized(s, 0)
+			e := New(s)
 			target := sessions[2]
 			queries := []*prep.Query{
 				{},
@@ -259,91 +259,6 @@ func TestPlannerMatchesScanAcrossBackends(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestResultCacheHitsAndInvalidation(t *testing.T) {
-	b, err := store.NewKVBackend(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := store.New(b)
-	defer s.Close()
-	sessions := populateSessions(t, s, 3, 4)
-	e := New(s)
-
-	q := &prep.Query{SessionID: sessions[0].id}
-	first, total1, plan1, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan1.Cached {
-		t.Error("first query reported a cache hit")
-	}
-	second, total2, plan2, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan2.Cached {
-		t.Error("repeat query missed the cache")
-	}
-	if total1 != total2 || !reflect.DeepEqual(first, second) {
-		t.Error("cached result differs from computed result")
-	}
-
-	// Appending to a returned slice must not corrupt the cache.
-	_ = append(second, second[0])
-	third, _, _, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, third) {
-		t.Error("caller mutation leaked into the cache")
-	}
-
-	// Recording anything bumps the generation and invalidates the entry.
-	populateSessions(t, s, 1, 1)
-	_, _, plan3, err := e.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan3.Cached {
-		t.Error("cache served a stale generation")
-	}
-
-	// An idempotent re-record (an AsyncRecorder retry of a batch already
-	// stored) writes nothing: the generation and the log stay as they
-	// were, and the cached result stays served.
-	gen, logBytes := s.Generation(), b.LogBytes()
-	recs, _, err := s.Query(&prep.Query{SessionID: sessions[0].id})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc, rejects, err := s.Record("svc:enactor", recs); err != nil || len(rejects) > 0 || acc != len(recs) {
-		t.Fatalf("re-record: accepted %d of %d, err=%v rejects=%v", acc, len(recs), err, rejects)
-	}
-	if s.Generation() != gen {
-		t.Error("an idempotent re-record advanced the generation")
-	}
-	if n := b.LogBytes(); n != logBytes {
-		t.Errorf("an idempotent re-record grew the log from %d to %d bytes", logBytes, n)
-	}
-	if _, _, plan4, err := e.Query(q); err != nil || !plan4.Cached {
-		t.Errorf("the query after an idempotent re-record: cached=%v err=%v, want a hit", plan4.Cached, err)
-	}
-}
-
-func TestResultCacheEvicts(t *testing.T) {
-	s := store.New(store.NewMemoryBackend())
-	sessions := populateSessions(t, s, 5, 2)
-	e := newSized(s, 2)
-	for _, sd := range sessions {
-		if _, _, _, err := e.Query(&prep.Query{SessionID: sd.id}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := e.cache.Stats().Entries; n != 2 {
-		t.Errorf("cache holds %d entries, want capacity 2", n)
 	}
 }
 
@@ -389,7 +304,7 @@ func TestZeroTimestampRecordsExcludedFromTimeQueries(t *testing.T) {
 	if _, rejects, err := s.Record("svc:enactor", []core.Record{rec}); err != nil || len(rejects) > 0 {
 		t.Fatalf("record: err=%v rejects=%v", err, rejects)
 	}
-	e := newSized(s, 0)
+	e := New(s)
 	for _, q := range []*prep.Query{
 		{Until: t0},
 		{Since: t0.Add(-time.Hour), Until: t0},
@@ -452,7 +367,7 @@ func TestIndexSelfHealsAfterFailedAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newSized(s, 0)
+	e := New(s)
 	check := func(want int, label string) {
 		t.Helper()
 		_, scanTotal, err := s.Query(&prep.Query{SessionID: target})
@@ -533,7 +448,7 @@ func TestRecordBatchFailureThenRetry(t *testing.T) {
 			if acc, rej, err := s.Record("svc:enactor", recs); err != nil || acc != len(recs) || len(rej) != 0 {
 				t.Fatalf("retry: acc=%d rej=%v err=%v", acc, rej, err)
 			}
-			got, total, _, err := newSized(s, 0).Query(&prep.Query{SessionID: session})
+			got, total, _, err := New(s).Query(&prep.Query{SessionID: session})
 			if err != nil || total != len(recs) || len(got) != len(recs) {
 				t.Fatalf("planner after retry: %d/%d err=%v, want %d", len(got), total, err, len(recs))
 			}
@@ -583,7 +498,7 @@ func TestCostBasedPlannerPicksSmallerList(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		recordStateKind(t, s, target, "rare-config", fmt.Sprintf("cfg%d", i))
 	}
-	e := newSized(s, 0)
+	e := New(s)
 
 	q := &prep.Query{SessionID: target, StateKind: "rare-config"}
 	want, wantTotal, err := s.Query(q)
@@ -624,7 +539,7 @@ func TestCostCutoffExcludesUnselectiveList(t *testing.T) {
 	// driving list, so it must be filtered residually, not intersected.
 	s := store.New(store.NewMemoryBackend())
 	sessions := populateSessions(t, s, 20, 8)
-	e := newSized(s, 0)
+	e := New(s)
 
 	// Find one interaction id via a session query.
 	recs, _, err := s.Query(&prep.Query{SessionID: sessions[3].id, Kind: core.KindInteraction.String()})
@@ -652,7 +567,7 @@ func TestLimitTotalSemanticsAtPlannerBoundaries(t *testing.T) {
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			sessions := populateSessions(t, s, 5, 6)
-			e := newSized(s, 0)
+			e := New(s)
 			target := sessions[2]
 			cases := []*prep.Query{
 				// Limit below, at, and above the match count; with an
@@ -715,7 +630,7 @@ func TestDanglingPostingsSkippedOnIteratorPath(t *testing.T) {
 			if _, err := s.Index(); err != nil {
 				t.Fatal(err)
 			}
-			e := newSized(s, 0)
+			e := New(s)
 			target := sessions[1]
 
 			// Plant postings whose record never landed: in the session
@@ -760,7 +675,7 @@ func TestQueryPagePagination(t *testing.T) {
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			sessions := populateSessions(t, s, 4, 6)
-			e := newSized(s, 0)
+			e := New(s)
 			target := sessions[1]
 			queries := []*prep.Query{
 				{SessionID: target.id}, // indexed
@@ -811,7 +726,7 @@ func TestQueryPagePagination(t *testing.T) {
 func TestQueryPageBoundaries(t *testing.T) {
 	s := store.New(store.NewMemoryBackend())
 	sessions := populateSessions(t, s, 2, 3) // 6 records in the target session
-	e := newSized(s, 0)
+	e := New(s)
 	q := &prep.Query{SessionID: sessions[0].id}
 
 	// A page larger than the result set is complete and done.
@@ -861,7 +776,7 @@ func TestQueryPageBoundaries(t *testing.T) {
 func TestPlannerStatsAccumulate(t *testing.T) {
 	s := store.New(store.NewMemoryBackend())
 	sessions := populateSessions(t, s, 3, 4)
-	e := newSized(s, 0)
+	e := New(s)
 
 	if _, _, _, err := e.Query(&prep.Query{SessionID: sessions[0].id}); err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func TestTimedPlansMatchScanAcrossBackends(t *testing.T) {
 			for m := 100; m < 106; m++ {
 				recordAt(t, s, "svc:ref", minutes(m), ref, seq.NewID())
 			}
-			e := newSized(s, 0)
+			e := New(s)
 
 			stage0, stage1 := core.ActorID("svc:stage-0"), core.ActorID("svc:stage-1")
 			inter, state := core.KindInteraction.String(), core.KindActorState.String()
@@ -127,7 +127,7 @@ func TestTimedQueryPageMatchesQuery(t *testing.T) {
 	for name, s := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			sessions := populateSessions(t, s, 6, 10)
-			e := newSized(s, 0)
+			e := New(s)
 			for _, q := range []*prep.Query{
 				{Service: "svc:stage-0", Since: minutes(10), Until: minutes(25)},
 				{Service: "svc:stage-2", Kind: core.KindActorState.String(), Since: minutes(3)},
@@ -171,7 +171,7 @@ func TestServiceWindowCountsByPresence(t *testing.T) {
 	// counted by presence: every candidate is a match.
 	s := store.New(store.NewMemoryBackend())
 	populateSessions(t, s, 40, 10) // stage-0: 320 records over 400 minutes
-	e := newSized(s, 0)
+	e := New(s)
 	q := &prep.Query{Service: "svc:stage-0", Since: minutes(100), Until: minutes(249), Limit: 50}
 	want, wantTotal, err := s.Query(q)
 	if err != nil {
@@ -214,7 +214,7 @@ func TestYear10000TimestampRejected(t *testing.T) {
 			if err != nil || accepted != 0 || len(rejects) != 1 || !strings.Contains(rejects[0].Reason, core.ErrInvalid.Error()) {
 				t.Fatalf("year-10000 record: accepted=%d rejects=%v err=%v, want one ErrInvalid reject", accepted, rejects, err)
 			}
-			e := newSized(s, 0)
+			e := New(s)
 			for _, q := range []*prep.Query{
 				{Since: time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)},
 				{Service: "svc:gzip", Since: time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)},
@@ -239,8 +239,8 @@ func TestYear10000TimestampRejected(t *testing.T) {
 }
 
 // BenchmarkServiceWindow times the batch benchmarks' tail query —
-// Service + a window + Limit 50 — over a ≈20k-record kvdb store, with
-// the result cache off so every iteration plans and executes.
+// Service + a window + Limit 50 — over a ≈20k-record kvdb store. The
+// engine keeps no result cache, so every iteration plans and executes.
 func BenchmarkServiceWindow(b *testing.B) {
 	kb, err := store.NewKVBackend(b.TempDir())
 	if err != nil {
@@ -249,7 +249,7 @@ func BenchmarkServiceWindow(b *testing.B) {
 	defer kb.Close()
 	s := store.New(kb)
 	populateSessions(b, s, 1000, 10) // 20k records over 10k minutes
-	e := newSized(s, 0)
+	e := New(s)
 	qs := make([]*prep.Query, 16)
 	for i := range qs {
 		from := 500 * i

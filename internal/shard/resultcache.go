@@ -3,7 +3,6 @@ package shard
 import (
 	"preserv/internal/core"
 	"preserv/internal/prep"
-	"preserv/internal/query"
 )
 
 // GenerationProber is an optional Shard extension: a shard that can
@@ -23,6 +22,10 @@ type GenerationProber interface {
 // capacity. Entries are whole merged result sets, so the budget is
 // deliberately small; SetResultCacheSize tunes or disables it.
 const DefaultResultCacheSize = 128
+
+// MaxCachedRecords bounds what the result cache retains: an answer with
+// more records is recomputed on every query rather than pinned.
+const MaxCachedRecords = 1024
 
 // routerAnswer is one cached fan-out answer. The router's kv.LRU
 // stamps it with the generation tuple (probeGenerations) read BEFORE
@@ -65,11 +68,11 @@ func (rt *Router) cached(key, stamp string) (routerAnswer, bool) {
 }
 
 // retain caches a merged answer under stamp, keeping its own copies of
-// the records slice and plan. An answer of more than
-// query.MaxCachedRecords records is served but not retained — one giant
-// scan must not evict the whole working set of small repeated queries.
+// the records slice and plan. An answer of more than MaxCachedRecords
+// records is served but not retained — one giant scan must not evict
+// the whole working set of small repeated queries.
 func (rt *Router) retain(key, stamp string, a routerAnswer) {
-	if len(a.recs) > query.MaxCachedRecords {
+	if len(a.recs) > MaxCachedRecords {
 		return
 	}
 	a.recs = append([]core.Record(nil), a.recs...)

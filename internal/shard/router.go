@@ -21,6 +21,10 @@ import (
 
 // Router presents the full store API over N shards: writes route
 // session-affine to one shard, reads fan out to all of them and merge.
+// A single store is a router over one shard: its result cache is the
+// store's only one, and the one-shard paths below (a leg on the
+// caller's goroutine, a part returned unmerged, the shard's own page
+// cursor) keep what the router adds to a single store's reads small.
 // A Router is safe for concurrent use. The shard list is fixed at
 // construction and the router holds no lock of its own: every field is
 // set once by NewRouter, and the result cache synchronises itself.
@@ -231,17 +235,25 @@ type shardResult struct {
 // histogram, so a slow or skewed shard is visible per shard rather than
 // folded into the merged latency. Reads surface the first error
 // (firstErr); mutations join them all, each named by its shard
-// (joinErrs).
+// (joinErrs). A lone leg runs on the caller's goroutine: there is
+// nothing for it to overlap with.
 func (rt *Router) each(fn func(i int, s Shard) error) []error {
 	errs := make([]error, len(rt.shards))
+	leg := func(i int) {
+		span := rt.reg.Tracer().StartSpan("router.fanout")
+		errs[i] = fn(i, rt.shards[i])
+		span.SetAttr("shard", strconv.Itoa(i)).Observe(rt.fanoutSec[i], errs[i])
+	}
+	if len(rt.shards) == 1 {
+		leg(0)
+		return errs
+	}
 	var wg sync.WaitGroup
-	for i, s := range rt.shards {
+	for i := range rt.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			span := rt.reg.Tracer().StartSpan("router.fanout")
-			errs[i] = fn(i, s)
-			span.SetAttr("shard", strconv.Itoa(i)).Observe(rt.fanoutSec[i], errs[i])
+			leg(i)
 		}()
 	}
 	wg.Wait()
@@ -307,7 +319,8 @@ func (rt *Router) throughCache(key string, fill func() (routerAnswer, error)) (r
 // the limit cut, so the summed Total deducts every twin the shards
 // returned. Without countAll the merge returns as soon as the limit is
 // filled — the paged fan-out path discards the dupe count and must not
-// pay for scanning past the page cut.
+// pay for scanning past the page cut. A lone non-empty part is returned
+// as it is, cut to the limit: it is in order and holds no twins.
 func mergeRecords(parts [][]core.Record, limit int, countAll bool) (out []core.Record, dupes int) {
 	type head struct {
 		part, pos int
@@ -316,8 +329,18 @@ func mergeRecords(parts [][]core.Record, limit int, countAll bool) (out []core.R
 	heads := make([]head, 0, len(parts))
 	for p := range parts {
 		if len(parts[p]) > 0 {
-			heads = append(heads, head{part: p, key: parts[p][0].StorageKey()})
+			heads = append(heads, head{part: p})
 		}
+	}
+	if len(heads) == 1 {
+		out = parts[heads[0].part]
+		if limit > 0 && len(out) > limit {
+			out = out[:limit]
+		}
+		return out, 0
+	}
+	for i := range heads {
+		heads[i].key = parts[heads[i].part][0].StorageKey()
 	}
 	prevKey := ""
 	for len(heads) > 0 {
@@ -576,6 +599,11 @@ func decodeCursor(after, fp string, n int) (perShard []string, exhausted []bool,
 // it is ordinary storage-key seek-after semantics per shard, which the
 // single-store page path already honours.
 //
+// With one shard the shard's page is the answer as it is, and its
+// cursor is returned unwrapped: a single store's cursors stay plain
+// storage keys. A routed child's composite cursor is still wrapped, so
+// it cannot be taken for one minted against another topology.
+//
 // One documented weakness: the cursor's exhaustion markers make a shard
 // that proved done stay silent for the rest of the walk, so a record
 // written to it mid-walk stays invisible to that walk even if its key
@@ -614,6 +642,9 @@ func (rt *Router) QueryPage(q *prep.Query, after string, pageSize int) ([]core.R
 		}))
 		if err != nil {
 			return routerAnswer{}, err
+		}
+		if r := results[0]; len(results) == 1 && !strings.HasPrefix(r.next, compositeCursorPrefix) {
+			return routerAnswer{recs: r.records, plan: mergePlans(results), next: r.next, done: r.done}, nil
 		}
 		return rt.mergePage(results, cursors, exhausted, pageSize), nil
 	})
@@ -834,9 +865,11 @@ func baseShardStats(s Shard) (prep.ShardStats, error) {
 	return st, err
 }
 
-// EngineStats implements EngineStatser by aggregating over the shards
-// that can report (local shards, and remote shards via the stats wire
-// action; shards that cannot report contribute zero).
+// EngineStats implements EngineStatser: the planner counters aggregate
+// over the shards that can report (local shards, and remote shards via
+// the stats wire action; shards that cannot report contribute zero),
+// and the cache counters are this router's result cache. A remote
+// child's own cache stays in that child's per-shard breakdown.
 func (rt *Router) EngineStats() EngineStats {
 	var sum EngineStats
 	for _, s := range rt.shards {
@@ -844,6 +877,7 @@ func (rt *Router) EngineStats() EngineStats {
 			sum.Add(es.EngineStats())
 		}
 	}
+	sum.CacheHits, sum.CacheMisses = rt.ResultCacheStats()
 	return sum
 }
 

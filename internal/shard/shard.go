@@ -131,9 +131,7 @@ func SlowSpans(tr *obs.Tracer) []prep.SlowSpan {
 }
 
 // Local is a Shard embedded in this process: a store.Store plus its
-// query engine. It is also the single-store implementation of the
-// preserv service's provenance surface — the unsharded service runs on
-// exactly one of these.
+// query engine. A single-store service is a router over one of these.
 type Local struct {
 	s *store.Store
 	e *query.Engine
@@ -186,17 +184,6 @@ func (l *Local) DeleteSession(session ids.ID) (int, error) { return l.s.DeleteSe
 
 // Compact implements Shard.
 func (l *Local) Compact() error { return l.s.Compact() }
-
-// CompactAbove compacts the store only when its garbage ratio has
-// reached threshold — the selective form delete-triggered scheduling
-// uses, so a single-store service behaves exactly as before while a
-// router can skip its clean shards.
-func (l *Local) CompactAbove(threshold float64) error {
-	if threshold < 0 || l.s.GarbageRatio() < threshold {
-		return nil
-	}
-	return l.s.Compact()
-}
 
 // GarbageRatio implements Shard.
 func (l *Local) GarbageRatio() float64 { return l.s.GarbageRatio() }

@@ -108,8 +108,8 @@ type Store struct {
 	// current schema is rebuilt at that point. Open failures are not latched:
 	// a transient backend error must not disable the store for good.
 	idx *index.Index
-	// gen counts content changes; the query engine keys its result cache
-	// on it so cached results are invalidated by new records.
+	// gen counts content changes; the shard router stamps its result
+	// cache with it so cached results are invalidated by new records.
 	gen atomic.Uint64
 	// stripes are the per-key commit locks; seed salts the stripe hash.
 	// provlint:lock-order 10
