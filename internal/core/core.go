@@ -121,7 +121,11 @@ func (b Bytes) MarshalText() ([]byte, error) {
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (b *Bytes) UnmarshalText(text []byte) error {
-	out := make([]byte, base64.StdEncoding.DecodedLen(len(text)))
+	return b.decode(make([]byte, base64.StdEncoding.DecodedLen(len(text))), text)
+}
+
+// decode sets *b to base64 text decoded into out, which has room for it.
+func (b *Bytes) decode(out, text []byte) error {
 	n, err := base64.StdEncoding.Decode(out, text)
 	if err != nil {
 		return fmt.Errorf("core: decoding content: %w", err)

@@ -1,21 +1,22 @@
 package core
 
 import (
+	"encoding/base64"
 	"time"
 
 	"preserv/internal/xmlwire"
 )
 
 // Wire codec. Records cross the wire as XML inside PReP messages; the
-// AppendXML/DecodeXML methods below write and read that XML directly,
-// without encoding/xml's reflection. The struct tags above remain the
-// specification: AppendXML's output is byte-identical to xml.Marshal's
-// and DecodeXML yields what xml.Unmarshal yields (the differential
-// tests hold both to it), so either side of a connection may be a
-// build that still uses encoding/xml.
+// AppendXML methods and RecordDecoder below write and read that XML
+// directly, without encoding/xml's reflection. The struct tags above
+// remain the specification: AppendXML's output is byte-identical to
+// xml.Marshal's and the decoder yields what xml.Unmarshal yields (the
+// differential tests hold both to it), so either side of a connection
+// may be a build that still uses encoding/xml.
 //
 // Like a tagged field, a value without an XMLName is named by its
-// parent: AppendXML takes the element name, and DecodeXML is called
+// parent: AppendXML takes the element name, and a decoder is called
 // once the parent has read the start tag, reads through the end tag
 // and sets only the fields whose elements appear.
 
@@ -41,24 +42,129 @@ func (r *Record) AppendXML(dst []byte, tag string) ([]byte, error) {
 	return xmlwire.AppendClose(dst, tag), nil
 }
 
-// DecodeXML reads the record from d.
+// RecordDecoder reads the records of one message into memory the
+// message shares: p-assertions, parts and groups from slabs, strings
+// and contents from the decoder's arena, where a short string that
+// recurs (an actor, an operation, a part name) is copied once. A
+// message's DecodeXML declares one as a local.
+type RecordDecoder struct {
+	interactions slab[InteractionPAssertion]
+	actorStates  slab[ActorStatePAssertion]
+	parts        slab[MessagePart]
+	groups       slab[GroupRef]
+	// seen holds short strings read so far, direct-mapped by hash.
+	seen [64]string
+}
+
+// slab hands out T's, single or as lists whose elements sit side by
+// side, from chunks that grow 1, 2, 4, … but no larger than the rest of
+// the message is expected to need.
+type slab[T any] struct {
+	free   []T // the current chunk's unused tail
+	size   int // the current chunk's size
+	handed int // the T's handed out so far
+}
+
+// grow replaces the current chunk with one of at least n T's.
+func (s *slab[T]) grow(d *xmlwire.Decoder, n int) {
+	s.size = max(n, min(2*s.size, d.Expect(s.handed)))
+	s.free = make([]T, s.size)
+}
+
+// one returns a new zero T.
+func (s *slab[T]) one(d *xmlwire.Decoder) *T {
+	var l []T
+	p := s.add(d, &l)
+	s.close(&l)
+	return p
+}
+
+// holds reports whether l is a list the slab opened and has not closed.
+func (s *slab[T]) holds(l []T) bool {
+	return len(l) > 0 && len(s.free) > 0 && &l[0] == &s.free[0]
+}
+
+// add appends a zero T to *list and returns it. A nil list opens on the
+// free tail, until close, and moves to a new chunk if it outgrows it;
+// any other list grows as append grows it. One list is open at a time.
+func (s *slab[T]) add(d *xmlwire.Decoder, list *[]T) *T {
+	l := *list
+	switch {
+	case l == nil:
+		if len(s.free) == 0 {
+			s.grow(d, 1)
+		}
+		l = s.free[:0]
+	case len(l) == cap(l) && s.holds(l):
+		s.grow(d, len(l)+1)
+		l = append(s.free[:0], l...)
+	}
+	var zero T
+	l = append(l, zero)
+	*list = l
+	s.handed++
+	return &l[len(l)-1]
+}
+
+// close ends the list the slab opened, if it did: its elements leave
+// the free tail, and its capacity is clipped so an append reallocates.
+func (s *slab[T]) close(list *[]T) {
+	if l := *list; s.holds(l) {
+		*list = l[:len(l):len(l)]
+		s.free = s.free[len(l):]
+	}
+}
+
+// short reads the current element's text into *p as String does,
+// sharing the copy of an equal short string read earlier.
+func (rd *RecordDecoder) short(d *xmlwire.Decoder, p *string) error {
+	text, err := d.Text()
+	if err != nil {
+		return err
+	}
+	if len(text) > 64 {
+		*p = d.CopyString(text)
+		return nil
+	}
+	h := uint32(2166136261) // FNV-1a
+	for _, c := range text {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	slot := &rd.seen[h%uint32(len(rd.seen))]
+	if *slot != string(text) {
+		*slot = d.CopyString(text)
+	}
+	*p = *slot
+	return nil
+}
+
+// content reads base64 text into *b, in the arena.
+func content(d *xmlwire.Decoder, b *Bytes) error {
+	text, err := d.Text()
+	if err != nil {
+		return err
+	}
+	return b.decode(d.Alloc(base64.StdEncoding.DecodedLen(len(text))), text)
+}
+
+// Decode reads the record d is in into r.
 //
 // provlint:typed-faults
-func (r *Record) DecodeXML(d *xmlwire.Decoder) error {
+func (rd *RecordDecoder) Decode(d *xmlwire.Decoder, r *Record) error {
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "kind":
 			return d.Unmarshal(&r.Kind)
 		case "interactionPAssertion":
 			if r.Interaction == nil {
-				r.Interaction = new(InteractionPAssertion)
+				r.Interaction = rd.interactions.one(d)
 			}
-			return r.Interaction.DecodeXML(d)
+			return rd.interaction(d, r.Interaction)
 		case "actorStatePAssertion":
 			if r.ActorState == nil {
-				r.ActorState = new(ActorStatePAssertion)
+				r.ActorState = rd.actorStates.one(d)
 			}
-			return r.ActorState.DecodeXML(d)
+			return rd.actorState(d, r.ActorState)
 		}
 		return d.Skip()
 	})
@@ -100,30 +206,31 @@ func (p *InteractionPAssertion) AppendXML(dst []byte, tag string) ([]byte, error
 	return xmlwire.AppendClose(dst, tag), nil
 }
 
-// DecodeXML reads the p-assertion from d.
-func (p *InteractionPAssertion) DecodeXML(d *xmlwire.Decoder) error {
-	return d.Children(func(name []byte) error {
+// interaction reads the p-assertion d is in into p.
+func (rd *RecordDecoder) interaction(d *xmlwire.Decoder, p *InteractionPAssertion) error {
+	err := d.Children(func(name []byte) error {
 		switch string(name) {
 		case "localId":
 			return d.String(&p.LocalID)
 		case "asserter":
-			return d.String((*string)(&p.Asserter))
+			return rd.short(d, (*string)(&p.Asserter))
 		case "interaction":
-			return p.Interaction.DecodeXML(d)
+			return rd.exchange(d, &p.Interaction)
 		case "view":
 			return d.Unmarshal(&p.View)
 		case "request":
-			return p.Request.DecodeXML(d)
+			return rd.message(d, &p.Request)
 		case "response":
-			return p.Response.DecodeXML(d)
+			return rd.message(d, &p.Response)
 		case "group":
-			p.Groups = append(p.Groups, GroupRef{})
-			return p.Groups[len(p.Groups)-1].DecodeXML(d)
+			return rd.group(d, rd.groups.add(d, &p.Groups))
 		case "timestamp":
 			return d.Unmarshal(&p.Timestamp)
 		}
 		return d.Skip()
 	})
+	rd.groups.close(&p.Groups)
+	return err
 }
 
 // AppendXML appends the p-assertion as the element <tag>.
@@ -140,30 +247,31 @@ func (p *ActorStatePAssertion) AppendXML(dst []byte, tag string) ([]byte, error)
 	return xmlwire.AppendClose(dst, tag), nil
 }
 
-// DecodeXML reads the p-assertion from d.
-func (p *ActorStatePAssertion) DecodeXML(d *xmlwire.Decoder) error {
-	return d.Children(func(name []byte) error {
+// actorState reads the p-assertion d is in into p.
+func (rd *RecordDecoder) actorState(d *xmlwire.Decoder, p *ActorStatePAssertion) error {
+	err := d.Children(func(name []byte) error {
 		switch string(name) {
 		case "localId":
 			return d.String(&p.LocalID)
 		case "asserter":
-			return d.String((*string)(&p.Asserter))
+			return rd.short(d, (*string)(&p.Asserter))
 		case "interaction":
-			return p.Interaction.DecodeXML(d)
+			return rd.exchange(d, &p.Interaction)
 		case "view":
 			return d.Unmarshal(&p.View)
 		case "stateKind":
-			return d.String(&p.StateKind)
+			return rd.short(d, &p.StateKind)
 		case "content":
-			return d.Unmarshal(&p.Content)
+			return content(d, &p.Content)
 		case "group":
-			p.Groups = append(p.Groups, GroupRef{})
-			return p.Groups[len(p.Groups)-1].DecodeXML(d)
+			return rd.group(d, rd.groups.add(d, &p.Groups))
 		case "timestamp":
 			return d.Unmarshal(&p.Timestamp)
 		}
 		return d.Skip()
 	})
+	rd.groups.close(&p.Groups)
+	return err
 }
 
 // AppendXML appends the interaction as the element <tag>.
@@ -176,18 +284,18 @@ func (in *Interaction) AppendXML(dst []byte, tag string) []byte {
 	return xmlwire.AppendClose(dst, tag)
 }
 
-// DecodeXML reads the interaction from d.
-func (in *Interaction) DecodeXML(d *xmlwire.Decoder) error {
+// exchange reads the interaction d is in into in.
+func (rd *RecordDecoder) exchange(d *xmlwire.Decoder, in *Interaction) error {
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "id":
 			return d.Unmarshal(&in.ID)
 		case "sender":
-			return d.String((*string)(&in.Sender))
+			return rd.short(d, (*string)(&in.Sender))
 		case "receiver":
-			return d.String((*string)(&in.Receiver))
+			return rd.short(d, (*string)(&in.Receiver))
 		case "operation":
-			return d.String(&in.Operation)
+			return rd.short(d, &in.Operation)
 		}
 		return d.Skip()
 	})
@@ -202,12 +310,12 @@ func (g *GroupRef) AppendXML(dst []byte, tag string) []byte {
 	return xmlwire.AppendClose(dst, tag)
 }
 
-// DecodeXML reads the group reference from d.
-func (g *GroupRef) DecodeXML(d *xmlwire.Decoder) error {
+// group reads the group reference d is in into g.
+func (rd *RecordDecoder) group(d *xmlwire.Decoder, g *GroupRef) error {
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "type":
-			return d.String(&g.Type)
+			return rd.short(d, &g.Type)
 		case "id":
 			return d.Unmarshal(&g.ID)
 		case "seq":
@@ -227,18 +335,19 @@ func (m *Message) AppendXML(dst []byte, tag string) []byte {
 	return xmlwire.AppendClose(dst, tag)
 }
 
-// DecodeXML reads the message from d.
-func (m *Message) DecodeXML(d *xmlwire.Decoder) error {
-	return d.Children(func(name []byte) error {
+// message reads the message d is in into m.
+func (rd *RecordDecoder) message(d *xmlwire.Decoder, m *Message) error {
+	err := d.Children(func(name []byte) error {
 		switch string(name) {
 		case "name":
-			return d.String(&m.Name)
+			return rd.short(d, &m.Name)
 		case "part":
-			m.Parts = append(m.Parts, MessagePart{})
-			return m.Parts[len(m.Parts)-1].DecodeXML(d)
+			return rd.part(d, rd.parts.add(d, &m.Parts))
 		}
 		return d.Skip()
 	})
+	rd.parts.close(&m.Parts)
+	return err
 }
 
 // AppendXML appends the part as the element <tag>.
@@ -258,20 +367,20 @@ func (p *MessagePart) AppendXML(dst []byte, tag string) []byte {
 	return xmlwire.AppendClose(dst, tag)
 }
 
-// DecodeXML reads the part from d.
-func (p *MessagePart) DecodeXML(d *xmlwire.Decoder) error {
+// part reads the part d is in into p.
+func (rd *RecordDecoder) part(d *xmlwire.Decoder, p *MessagePart) error {
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "name":
-			return d.String(&p.Name)
+			return rd.short(d, &p.Name)
 		case "dataId":
 			return d.Unmarshal(&p.DataID)
 		case "contentType":
-			return d.String(&p.ContentType)
+			return rd.short(d, &p.ContentType)
 		case "style":
-			return d.String((*string)(&p.Style))
+			return rd.short(d, (*string)(&p.Style))
 		case "content":
-			return d.Unmarshal(&p.Content)
+			return content(d, &p.Content)
 		}
 		return d.Skip()
 	})

@@ -37,9 +37,9 @@ func appendRecords(dst []byte, records []core.Record) ([]byte, error) {
 }
 
 // decodeRecord appends the <record> element d is in to records.
-func decodeRecord(d *xmlwire.Decoder, records *[]core.Record) error {
+func decodeRecord(d *xmlwire.Decoder, rd *core.RecordDecoder, records *[]core.Record) error {
 	*records = append(*records, core.Record{})
-	return (*records)[len(*records)-1].DecodeXML(d)
+	return rd.Decode(d, &(*records)[len(*records)-1])
 }
 
 // appendNonEmpty appends <tag>s</tag> as an omitempty string field is
@@ -77,12 +77,13 @@ func (r *RecordRequest) DecodeXML(d *xmlwire.Decoder) error {
 	if r.XMLName, err = startName(d, "RecordRequest"); err != nil {
 		return err
 	}
+	var rd core.RecordDecoder
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "asserter":
 			return d.String((*string)(&r.Asserter))
 		case "record":
-			return decodeRecord(d, &r.Records)
+			return decodeRecord(d, &rd, &r.Records)
 		}
 		return d.Skip()
 	})
@@ -216,12 +217,13 @@ func (r *QueryResponse) DecodeXML(d *xmlwire.Decoder) error {
 	if r.XMLName, err = startName(d, "QueryResponse"); err != nil {
 		return err
 	}
+	var rd core.RecordDecoder
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "total":
 			return d.Int(&r.Total)
 		case "record":
-			return decodeRecord(d, &r.Records)
+			return decodeRecord(d, &rd, &r.Records)
 		}
 		return d.Skip()
 	})
@@ -296,6 +298,7 @@ func (r *PlannedQueryResponse) DecodeXML(d *xmlwire.Decoder) error {
 	if r.XMLName, err = startName(d, "PlannedQueryResponse"); err != nil {
 		return err
 	}
+	var rd core.RecordDecoder
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "total":
@@ -303,7 +306,7 @@ func (r *PlannedQueryResponse) DecodeXML(d *xmlwire.Decoder) error {
 		case "plan":
 			return r.Plan.decodeXML(d)
 		case "record":
-			return decodeRecord(d, &r.Records)
+			return decodeRecord(d, &rd, &r.Records)
 		}
 		return d.Skip()
 	})
@@ -363,6 +366,7 @@ func (r *PageQueryResponse) DecodeXML(d *xmlwire.Decoder) error {
 	if r.XMLName, err = startName(d, "PageQueryResponse"); err != nil {
 		return err
 	}
+	var rd core.RecordDecoder
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "plan":
@@ -372,7 +376,7 @@ func (r *PageQueryResponse) DecodeXML(d *xmlwire.Decoder) error {
 		case "done":
 			return d.Bool(&r.Done)
 		case "record":
-			return decodeRecord(d, &r.Records)
+			return decodeRecord(d, &rd, &r.Records)
 		}
 		return d.Skip()
 	})

@@ -277,7 +277,8 @@ func TestRecordMatchesEncodingXML(t *testing.T) {
 		d := xmlwire.NewDecoder(want)
 		gotErr = d.Root()
 		if gotErr == nil {
-			gotErr = b.DecodeXML(d)
+			var rd core.RecordDecoder
+			gotErr = rd.Decode(d, &b)
 		}
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("xml.Unmarshal err = %v, DecodeXML err = %v\n%s", wantErr, gotErr, want)
@@ -384,6 +385,64 @@ func TestForeignDocumentsDecodeAsToday(t *testing.T) {
 		}
 		if wantErr == nil && !reflect.DeepEqual(got, want) {
 			t.Errorf("DecodeXML differs from xml.Unmarshal on\n%s\n got %+v\nwant %+v", doc.in, got, want)
+		}
+	}
+}
+
+// Documents that exercise how one message's records share memory: the
+// parts, groups and p-assertions of all its records come from shared
+// slabs, and their strings and contents from one arena. Lists that
+// append across a sibling, a repeated p-assertion merging into the
+// first, and empty contents must still decode as encoding/xml decodes
+// them, and bad base64 must fail with the same error. Records before
+// each grow the slabs, so that its lists open with room to spare, and a
+// record after it shows a list left open onto a neighbour.
+func TestSharedMemoryEdgeCasesMatchEncodingXML(t *testing.T) {
+	id := "urn:pasoa:000000000000000000000000000000aa"
+	group := func(typ string) string {
+		return `<group><type>` + typ + `</type><id>` + id + `</id><seq>1</seq></group>`
+	}
+	part := func(name, content string) string { return `<part><name>` + name + `</name>` + content + `</part>` }
+	next := `<record><kind>interaction</kind><interactionPAssertion><localId>next</localId>` +
+		`<request>` + part("n1", `<content>bmV4dA==</content>`) + part("n2", "") + part("n3", "") + `</request>` +
+		group("session") + group("thread") + `</interactionPAssertion></record>`
+	for _, body := range []string{
+		// two <request>s: the second's parts append to the first's
+		`<interactionPAssertion><request><name>a</name>` + part("p1", "") + `</request>` +
+			`<response>` + part("r1", "") + `</response><request>` + part("p2", "") + part("p3", "") + `</request></interactionPAssertion>`,
+		// <group>s split by a <timestamp> and by a <request>
+		`<interactionPAssertion>` + group("session") + `<timestamp>2005-07-24T10:00:00Z</timestamp>` + group("thread") +
+			`<request>` + part("p1", "") + `</request>` + group("other") + `</interactionPAssertion>`,
+		`<actorStatePAssertion>` + group("session") + `<timestamp>2005-07-24T10:00:00Z</timestamp>` + group("thread") + `</actorStatePAssertion>`,
+		// two p-assertions of one kind in one <record> merge
+		`<interactionPAssertion><localId>first</localId>` + group("session") + `<request>` + part("p1", "") + `</request></interactionPAssertion>` +
+			`<interactionPAssertion><asserter>svc:a</asserter>` + group("thread") + `<request>` + part("p2", "") + `</request></interactionPAssertion>`,
+		`<actorStatePAssertion><content>Zmlyc3Q=</content>` + group("session") + `</actorStatePAssertion>` +
+			`<actorStatePAssertion><stateKind>script</stateKind>` + group("thread") + `</actorStatePAssertion>`,
+		// empty contents are empty, not absent: DeepEqual tells a nil
+		// slice from the empty one Bytes.UnmarshalText makes
+		`<interactionPAssertion><request>` + part("self-closed", `<content/>`) + part("open-close", `<content></content>`) + `</request></interactionPAssertion>`,
+		`<actorStatePAssertion><content/></actorStatePAssertion>`,
+		`<actorStatePAssertion><content></content></actorStatePAssertion>`,
+		// bad base64
+		`<interactionPAssertion><request>` + part("bad", `<content>!!!!</content>`) + `</request></interactionPAssertion>`,
+		`<actorStatePAssertion><content>aGk</content></actorStatePAssertion>`,
+	} {
+		doc := `<RecordRequest>` + next + next + `<record><kind>interaction</kind>` + body + `</record>` + next + `</RecordRequest>`
+		var got, want RecordRequest
+		wantErr, gotErr := xml.Unmarshal([]byte(doc), &want), decodeXML([]byte(doc), &got)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Errorf("xml.Unmarshal err = %v, DecodeXML err = %v on\n%s", wantErr, gotErr, doc)
+			continue
+		}
+		if wantErr != nil {
+			if gotErr.Error() != wantErr.Error() || !strings.HasPrefix(gotErr.Error(), "core: decoding content: ") {
+				t.Errorf("DecodeXML err = %q, xml.Unmarshal err = %q on\n%s", gotErr, wantErr, doc)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("DecodeXML differs from xml.Unmarshal on\n%s\n got %+v\nwant %+v", doc, got, want)
 		}
 	}
 }

@@ -320,7 +320,12 @@ func (m *Message) headerField(name []byte) error {
 	case "action":
 		return m.d.String(&m.action)
 	case "messageId":
-		return m.d.Unmarshal(new(ids.ID))
+		text, err := m.d.Text()
+		if err != nil {
+			return err
+		}
+		var id ids.ID
+		return id.UnmarshalText(text)
 	}
 	return m.d.Skip()
 }
@@ -673,8 +678,9 @@ func Post(client *http.Client, url, action string, payload, reply interface{}) e
 		return fmt.Errorf("soap: posting %s: %w", action, err)
 	}
 	defer resp.Body.Close()
-	// Decoding copies what it keeps, so the reply's buffer goes back to the
-	// pool when Post returns.
+	// Decoded values live in the decoder's arena, never in the read
+	// buffer, so the reply's buffer goes back to the pool when Post
+	// returns.
 	buf := getBuffer()
 	respData, err := readMessage(resp.Body, resp.ContentLength, (*buf)[:0])
 	defer func() { putBuffer(buf, respData) }()

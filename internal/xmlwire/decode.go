@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // SyntaxError reports input the decoder does not accept.
@@ -72,7 +73,12 @@ type Decoder struct {
 	// scratch backs the text of the last element read, when unescaping
 	// had to rewrite it.
 	scratch []byte
-	openBuf [16]span
+	// arena is the chunk String and Alloc take from, up to its length;
+	// kept counts the bytes all chunks have given.
+	arena []byte
+	kept  int
+	// openBuf backs open: the messages written here nest 8 deep.
+	openBuf [12]span
 }
 
 type span struct{ start, end int }
@@ -85,8 +91,10 @@ type binding struct {
 }
 
 // NewDecoder returns a decoder over data, which it reads but never
-// modifies. Values the decoder hands out as []byte alias data or an
-// internal buffer and are valid until the next call.
+// modifies. Text and InnerXML hand out []byte that alias data or an
+// internal buffer, valid until the next call; String and Alloc hand out
+// memory of the decoder's own, which never aliases data and stays valid
+// for as long as it is referenced.
 func NewDecoder(data []byte) *Decoder {
 	d := &Decoder{data: data}
 	d.open = d.openBuf[:0]
@@ -251,13 +259,51 @@ func (d *Decoder) Text() ([]byte, error) {
 	return text, d.endTag()
 }
 
-// String reads the current element's text into *p.
+// String reads the current element's text into *p, in the arena.
 func (d *Decoder) String(p *string) error {
 	text, err := d.Text()
 	if err == nil {
-		*p = string(text)
+		*p = d.CopyString(text)
 	}
 	return err
+}
+
+// CopyString returns b as a string in the arena.
+func (d *Decoder) CopyString(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	s := d.Alloc(len(b))
+	copy(s, b)
+	return unsafe.String(&s[0], len(s))
+}
+
+// Alloc returns n zeroed bytes of the arena, never nil, with its
+// capacity clipped to n. The arena is chunks each sized for the rest of
+// the message at the rate values have taken the input so far (Expect):
+// a message takes a chunk or two, and a value kept pins its chunk alone.
+func (d *Decoder) Alloc(n int) []byte {
+	if n == 0 {
+		return []byte{}
+	}
+	if n > cap(d.arena)-len(d.arena) {
+		size := (len(d.data) - d.pos) / 8 // no value read yet: a guess
+		if d.kept > 0 {
+			size = d.Expect(d.kept)
+		}
+		d.arena = make([]byte, 0, max(n, size))
+	}
+	o := len(d.arena)
+	d.arena = d.arena[:o+n]
+	d.kept += n
+	return d.arena[o : o+n : o+n]
+}
+
+// Expect returns how many more of something the unread input holds if
+// it holds them at the rate the n so far came in the input read.
+func (d *Decoder) Expect(n int) int {
+	read := int64(max(d.pos, 1))
+	return int((int64(n)*int64(len(d.data)-d.pos) + read - 1) / read)
 }
 
 // Int reads the current element's text into *p as encoding/xml reads
