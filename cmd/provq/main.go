@@ -324,7 +324,7 @@ func printStats(out io.Writer, st *prep.StatsResponse) {
 		st.Engine.CostProbes, st.Engine.PostingsRead, st.Engine.CandidatesFetched,
 		st.Engine.CacheHits, st.Engine.CacheHits+st.Engine.CacheMisses)
 	if st.GenerationValid {
-		fmt.Fprintf(out, "generation: %d\n", st.Generation)
+		fmt.Fprintf(out, "generation: %016x\n", st.Generation) // opaque: equal or not
 	}
 	wp := st.WritePath
 	if wp != (prep.WritePathCounters{}) {

@@ -9,18 +9,21 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// GenBump pins the cache-coherence ordering the PR 7 read path depends
-// on: in package store, any function that mutates the backend through
-// the Backend interface (Put/PutBatch/Delete/DeleteBatch) must bump
-// the store generation in the same commit section — a call to
-// `.gen.Add(...)` anywhere in the function, deferred bumps included —
-// or carry an explicit provlint:no-genbump annotation whose comment
-// justifies where the bump lives instead. A missed bump lets the
-// router result cache serve stale answers as fresh.
+// GenBump pins the cache-coherence ordering the router's result cache
+// depends on: in package store, any function that mutates the backend
+// through the Backend interface (Put/PutBatch/Delete/DeleteBatch) must
+// advance the store's stamps in the same commit section — a call to
+// Store's one stamp-advance method, advance, anywhere in the function,
+// deferred calls included — or carry an explicit provlint:no-genbump
+// annotation whose comment justifies where the advance lives instead.
+// A bare `.gen.Add(...)` does not count: it moves the global counter
+// but not the per-session stamps, which session-scoped answers are
+// keyed on. A missed advance lets the router result cache serve stale
+// answers as fresh.
 var GenBump = &analysis.Analyzer{
 	Name: "genbump",
-	Doc: "check that store functions mutating the Backend also bump the store generation " +
-		"(or carry provlint:no-genbump)",
+	Doc: "check that store functions mutating the Backend also advance the store's stamps " +
+		"through Store.advance (or carry provlint:no-genbump)",
 	Run: runGenBump,
 }
 
@@ -43,6 +46,12 @@ func runGenBump(pass *analysis.Pass) (interface{}, error) {
 	backendType := backendObj.Type()
 	if _, ok := backendType.Underlying().(*types.Interface); !ok {
 		return nil, nil
+	}
+	// advance is the one call that counts as advancing the stamps: the
+	// method of that name on the package's Store type.
+	var advance types.Object
+	if st := pass.Pkg.Scope().Lookup("Store"); st != nil {
+		advance, _, _ = types.LookupFieldOrMethod(types.NewPointer(st.Type()), true, pass.Pkg, "advance")
 	}
 	d := collectDirectives(pass)
 
@@ -70,11 +79,9 @@ func runGenBump(pass *analysis.Pass) (interface{}, error) {
 				if !ok {
 					return true
 				}
-				// A generation bump: any `<...>.gen.Add(...)` call.
-				if sel.Sel.Name == "Add" {
-					if inner, ok := sel.X.(*ast.SelectorExpr); ok && inner.Sel.Name == "gen" {
-						bumped = true
-					}
+				// A stamp advance: a call of Store.advance.
+				if advance != nil && pass.TypesInfo.Uses[sel.Sel] == advance {
+					bumped = true
 				}
 				// A backend mutation: Put/PutBatch/Delete/DeleteBatch
 				// dispatched through the Backend interface.
@@ -93,8 +100,8 @@ func runGenBump(pass *analysis.Pass) (interface{}, error) {
 				d.report(pass, analysis.Diagnostic{
 					Pos: mutation.Pos(),
 					Message: fmt.Sprintf(
-						"%s calls Backend.%s without bumping the store generation: cached query results would "+
-							"survive the mutation — add a gen.Add in the same commit section, or annotate the "+
+						"%s calls Backend.%s without advancing the store's stamps: cached query results would "+
+							"survive the mutation — call s.advance in the same commit section, or annotate the "+
 							"function provlint:no-genbump with a justification",
 						fd.Name.Name, mutationName),
 				})

@@ -38,8 +38,9 @@
 //
 //	// provlint:no-genbump <reason>
 //	    On a function in internal/store: genbump permits backend
-//	    mutations without a generation bump in the same function
-//	    (used when the bump provably lives in every caller).
+//	    mutations without a stamp advance (a call of Store.advance)
+//	    in the same function (used when the advance provably lives
+//	    in every caller).
 //
 //	// provlint:ignore <analyzer> <reason>
 //	    On (or directly above) an offending line: suppresses that

@@ -1,8 +1,10 @@
-// Package store (directory storefix) seeds the genbump violation: a
-// function that mutates through the Backend interface without bumping
-// the store generation. The analyzer keys on the package being named
-// "store" and the interface being named "Backend", so this fixture
-// deliberately reuses both names.
+// Package store (directory storefix) seeds the genbump violations: a
+// function that mutates through the Backend interface without advancing
+// the store's stamps, and one that bumps the global counter directly
+// instead of through Store.advance. The analyzer keys on the package
+// being named "store", the interface being named "Backend" and the
+// method being Store.advance, so this fixture deliberately reuses all
+// three names.
 package store
 
 // Backend is the fixture's mutable storage interface; the method set
@@ -23,18 +25,29 @@ type Store struct {
 	gen counter
 }
 
-func (s *Store) putBumped(key string, val []byte) error {
+// advance is the one method that moves the stamps.
+func (s *Store) advance() { s.gen.Add(1) }
+
+func (s *Store) putAdvanced(key string, val []byte) error {
 	err := s.b.Put(key, val)
-	s.gen.Add(1)
+	s.advance()
 	return err
 }
 
 func (s *Store) putUnbumped(key string, val []byte) error {
-	return s.b.Put(key, val) // want `putUnbumped calls Backend.Put without bumping the store generation`
+	return s.b.Put(key, val) // want `putUnbumped calls Backend.Put without advancing the store's stamps`
 }
 
-func (s *Store) deleteDeferredBump(keys []string) error {
-	defer s.gen.Add(1)
+// putGenBumped moves only the global counter: session-scoped answers
+// would survive the put.
+func (s *Store) putGenBumped(key string, val []byte) error {
+	err := s.b.Put(key, val) // want `putGenBumped calls Backend.Put without advancing the store's stamps`
+	s.gen.Add(1)
+	return err
+}
+
+func (s *Store) deleteDeferredAdvance(keys []string) error {
+	defer s.advance()
 	return s.b.DeleteBatch(keys)
 }
 

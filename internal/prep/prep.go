@@ -497,9 +497,11 @@ type StatsResponse struct {
 
 	// Whole-store aggregates. Generation is the store's content
 	// generation — it changes whenever any shard accepts or deletes a
-	// record, so equal generations imply equal query answers; a parent
-	// router probes it (cheaply, via its TTL-cached stats snapshot) to
-	// key its generation-tuple result cache. GenerationValid is false
+	// record, and whenever a shard's store is reopened, so equal
+	// generations imply equal query answers; a parent router probes it
+	// (cheaply, via its TTL-cached stats snapshot) to key its result
+	// cache. The value is opaque, a hash of each store's (epoch,
+	// counter): compare it for equality only. GenerationValid is false
 	// when some shard behind this service cannot report one.
 	Records         int               `xml:"records"`
 	NumShards       int               `xml:"numShards"`

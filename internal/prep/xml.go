@@ -36,8 +36,15 @@ func appendRecords(dst []byte, records []core.Record) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRecord appends the <record> element d is in to records.
+// decodeRecord appends the <record> element d is in to records. A full
+// list is grown by as many records as the rest of the message is
+// expected to hold, as RecordDecoder's slabs are sized, not by append's
+// doubling.
 func decodeRecord(d *xmlwire.Decoder, rd *core.RecordDecoder, records *[]core.Record) error {
+	if l := *records; len(l) == cap(l) {
+		grown := make([]core.Record, len(l), len(l)+max(1, d.Expect(len(l))))
+		*records = grown[:copy(grown, l)]
+	}
 	*records = append(*records, core.Record{})
 	return rd.Decode(d, &(*records)[len(*records)-1])
 }

@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"preserv/internal/core"
 	"preserv/internal/ids"
@@ -350,5 +352,82 @@ func TestDeleteRecordsBatchedOverWire(t *testing.T) {
 	fault, ok := soap.AsFault(body)
 	if !ok || fault.Code != soap.FaultBadRequest {
 		t.Fatalf("empty key in batch: reply %s, want bad-request fault", body)
+	}
+}
+
+// TestFrontSeesWriteAfterChildRestart: a front's result cache over a
+// remote child is stamped with the child's generation. A child that
+// restarts draws a new epoch, so a write after the restart yields a
+// generation the front never stamped — even though the child's change
+// counter climbed back to the stamped count — and the front answers
+// afresh instead of serving its cached answer as current.
+func TestFrontSeesWriteAfterChildRestart(t *testing.T) {
+	dir := t.TempDir()
+	openChild := func(addr string) (*store.Store, *Server) {
+		t.Helper()
+		b, err := store.NewKVBackend(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := store.New(b)
+		srv, err := Serve(NewService(s), addr)
+		if err != nil {
+			s.Close()
+			t.Fatal(err)
+		}
+		return s, srv
+	}
+	s, child := openChild("127.0.0.1:0")
+	rt, err := NewRemoteRouter(child.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := Serve(NewShardedService(rt), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { front.Close() })
+	fc := NewClient(front.URL, nil)
+
+	sid := seq.NewID()
+	if _, err := fc.Record("svc:enactor", []core.Record{mkRecord(sid, "svc:a")}); err != nil {
+		t.Fatal(err)
+	}
+	q := &prep.Query{SessionID: sid}
+	for i := 0; i < 2; i++ {
+		recs, _, plan, err := fc.QueryPlanned(q)
+		if err != nil || len(recs) != 1 {
+			t.Fatalf("query %d before the restart: %d records, err=%v", i, len(recs), err)
+		}
+		if i == 1 && !plan.Cached {
+			t.Fatal("the repeat query missed the front's cache; test precondition broken")
+		}
+	}
+
+	// Restart the child on the same address, then write once straight to
+	// its store: its change counter is back at the count the front's
+	// entry was stamped with.
+	if err := child.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, child = openChild(strings.TrimPrefix(child.URL, "http://"))
+	t.Cleanup(func() {
+		child.Close()
+		s.Close()
+	})
+	if _, rejects, err := s.Record("svc:enactor", []core.Record{mkRecord(sid, "svc:b")}); err != nil || len(rejects) > 0 {
+		t.Fatalf("direct write: err=%v rejects=%v", err, rejects)
+	}
+	time.Sleep(remoteStatsTTL + 100*time.Millisecond)
+
+	recs, _, plan, err := fc.QueryPlanned(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || plan.Cached {
+		t.Fatalf("after the restart and a write: %d records, cached=%v; want 2, not cached", len(recs), plan.Cached)
 	}
 }

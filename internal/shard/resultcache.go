@@ -9,13 +9,23 @@ import (
 // report its content generation cheaply (without a wire round trip on
 // the hot path) lets the router cache merged query results keyed on the
 // tuple of all shards' generations. A Local shard answers from its
-// store's atomic counter; a RemoteShard answers from its TTL-cached
-// stats snapshot. The bool is false when the generation cannot be
-// determined (an endpoint running an older server, an unreachable
-// endpoint) — the router then bypasses its result cache entirely
-// rather than risk a stale answer.
+// store's stamps; a RemoteShard answers from its TTL-cached stats
+// snapshot. A generation is opaque: a hash of the store's epoch, drawn
+// at every open, and its change counter, so it is compared for equality
+// only, and a restarted store never repeats one. The bool is false when
+// the generation cannot be determined (an endpoint running an older
+// server, an unreachable endpoint) — the router then bypasses its
+// result cache entirely rather than risk a stale answer.
 type GenerationProber interface {
 	Generation() (uint64, bool)
+}
+
+// QueryProber is the finer probe: the stamp of one query's answer,
+// which a shard may keep per session, so that a write to one session
+// leaves cached answers about the others valid. The router probes a
+// shard this way when it can, and by Generation otherwise.
+type QueryProber interface {
+	QueryGeneration(q *prep.Query) (uint64, bool)
 }
 
 // DefaultResultCacheSize is the router result cache's default entry
@@ -28,14 +38,16 @@ const DefaultResultCacheSize = 128
 const MaxCachedRecords = 1024
 
 // routerAnswer is one cached fan-out answer. The router's kv.LRU
-// stamps it with the generation tuple (probeGenerations) read BEFORE
-// the fan-out ran, and store generations bump only AFTER a mutation's
-// data is committed — so a write racing the fan-out makes the current
-// tuple advance past the stamped one, and the entry dies on its next
-// lookup. No router lock is needed for this: the ordering lives in the
-// probe-then-fan-out sequence and in the stores. There is no explicit
-// invalidation hook: staleness is impossible, the failure mode is
-// over-invalidation.
+// stamps it with the tuple of every shard's stamp for the query
+// (probeGenerations) read BEFORE the fan-out ran, and a store advances
+// a stamp only AFTER the write that can change the answer was attempted
+// — so a write racing the fan-out moves the current tuple off the
+// stamped one, and the entry dies on its next lookup. No router lock is
+// needed for this: the ordering lives in the probe-then-fan-out
+// sequence and in the stores. There is no explicit invalidation hook:
+// staleness is impossible, the failure mode is over-invalidation (a
+// write to another session that shares the query's stamp slot, or any
+// write for a query not scoped to one session).
 type routerAnswer struct {
 	recs  []core.Record
 	total int

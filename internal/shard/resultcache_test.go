@@ -232,6 +232,69 @@ func TestRouterResultCacheLiveMutationRace(t *testing.T) {
 	}
 }
 
+// TestRouterResultCacheSessionReaders is the per-session stamps under
+// concurrency (run it with -race): one writer records new sessions and,
+// every fourth call, one more record into a session the readers watch,
+// while each reader queries its own session through the cache. A
+// reader's count must never decrease, and once the writer is done every
+// watched session must answer its exact count: a stamp advanced before
+// its write applied would leave a stale answer cached under the new
+// stamp. Not Short-gated, like the race above.
+func TestRouterResultCacheSessionReaders(t *testing.T) {
+	rt := memRouter(t, 2)
+	watched := recordSessions(t, rt, 3, 2)
+
+	const writes = 60
+	var added [3]int
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < writes; i++ {
+			sid := seq.NewID()
+			if i%4 == 0 {
+				sid = watched[i/4%3]
+				added[i/4%3]++
+			}
+			if _, _, err := rt.Record("svc:enactor", []core.Record{mkRec(sid, "svc:w", i)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := range watched {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := &prep.Query{SessionID: watched[r]}
+			last := 0
+			for i := 0; i < 2*writes; i++ {
+				_, total, _, err := rt.QueryPlanned(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if total < last {
+					t.Errorf("reader %d: total decreased %d -> %d (stale cache hit)", r, last, total)
+					return
+				}
+				last = total
+			}
+		}()
+	}
+	wg.Wait()
+
+	for r, sid := range watched {
+		_, total, _, err := rt.QueryPlanned(&prep.Query{SessionID: sid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 2 + added[r]; total != want {
+			t.Errorf("session %d: total %d once the writer was done, want %d", r, total, want)
+		}
+	}
+}
+
 // TestRouterResultCacheResizeVsScrape: SetResultCacheSize resets the
 // cache while queries fill it and a Prometheus scrape reads its gauges
 // and ResultCacheStats — all race-free (run it with -race). Deliberately
@@ -278,17 +341,46 @@ func TestRouterResultCacheResizeVsScrape(t *testing.T) {
 	}
 }
 
-// TestRouterGenerationSumAdvances: the router's own Generation (the
-// probe a parent router would use) moves with any child's.
-func TestRouterGenerationSumAdvances(t *testing.T) {
+// TestRouterGenerationAdvances: the router's own Generation (the probe
+// a parent router uses) moves with any child's, and its QueryGeneration
+// for a session moves with that session's writes only. Both are opaque
+// hashes, compared for equality.
+func TestRouterGenerationAdvances(t *testing.T) {
 	rt := memRouter(t, 3)
 	g0, ok := rt.Generation()
 	if !ok {
 		t.Fatal("all-local router must report a generation")
 	}
-	recordSessions(t, rt, 1, 1)
+	sessions := recordSessions(t, rt, 1, 1)
 	g1, ok := rt.Generation()
-	if !ok || g1 <= g0 {
-		t.Fatalf("generation %d -> %d (ok=%v), want strictly increasing", g0, g1, ok)
+	if !ok || g1 == g0 {
+		t.Fatalf("generation %d -> %d (ok=%v), want a change", g0, g1, ok)
+	}
+	q := &prep.Query{SessionID: sessions[0]}
+	s0, ok := rt.QueryGeneration(q)
+	if !ok {
+		t.Fatal("all-local router must report a query stamp")
+	}
+	// Two sessions share a stamp slot once in 4,096, and a write to one
+	// then moves the other's stamp too: of three other sessions, one
+	// must leave it as it was.
+	moved := 0
+	for i := 0; i < 3; i++ {
+		if _, _, err := rt.Record("svc:enactor", []core.Record{mkRec(seq.NewID(), "svc:w", 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if s1, _ := rt.QueryGeneration(q); s1 != s0 {
+			moved++
+			s0 = s1
+		}
+	}
+	if moved == 3 {
+		t.Fatal("every write to another session moved the stamp")
+	}
+	if _, _, err := rt.Record("svc:enactor", []core.Record{mkRec(sessions[0], "svc:w", 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if s2, _ := rt.QueryGeneration(q); s2 == s0 {
+		t.Fatal("a write to the queried session left its stamp as it was")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"hash/maphash"
 	"net/url"
 	"sort"
 	"strconv"
@@ -43,12 +44,17 @@ type Router struct {
 	fanoutSec  []*obs.Histogram
 	mergeWidth *obs.Histogram
 	// rc caches merged fan-out answers keyed on the query's canonical
-	// form and stamped with the tuple of every shard's content
-	// generation, probed BEFORE the fan-out; any shard that cannot report
-	// a generation disables caching for that call. See resultcache.go
-	// for the invalidation argument. The field is never reassigned:
+	// form and stamped with the tuple of every shard's stamp for the
+	// query, probed BEFORE the fan-out; any shard that cannot report one
+	// disables caching for that call. See resultcache.go for the
+	// invalidation argument. The field is never reassigned:
 	// SetResultCacheSize resets the cache in place.
 	rc *kv.LRU[string, routerAnswer]
+	// probes holds how each shard is probed for a query's stamp, worked
+	// out once by NewRouter (by QueryGeneration, or by Generation), so a
+	// query pays no interface assertion. It is nil when some shard
+	// offers neither: nothing is cached then.
+	probes []func(q *prep.Query) (uint64, bool)
 }
 
 // NewRouter builds a router over the given shards (at least one).
@@ -61,6 +67,13 @@ func NewRouter(shards ...Shard) (*Router, error) {
 		fp:     fingerprint(shards),
 		reg:    obs.NewRegistry(),
 		rc:     kv.NewLRU[string, routerAnswer](DefaultResultCacheSize),
+	}
+	rt.probes = make([]func(*prep.Query) (uint64, bool), len(shards))
+	for i, s := range shards {
+		if rt.probes[i] = prober(s); rt.probes[i] == nil {
+			rt.probes = nil
+			break
+		}
 	}
 	rt.fanoutSec = make([]*obs.Histogram, len(shards))
 	for i := range shards {
@@ -86,21 +99,32 @@ func (rt *Router) ResultCacheStats() (hits, misses int64) {
 	return st.Hits, st.Misses
 }
 
-// probeGenerations collects every shard's content generation, folded
-// into the comparable stamp result-cache entries carry: 8 little-endian
-// bytes per shard, in topology order. ok is false when any shard cannot
+// prober is how a router probes s for a query's stamp: by
+// QueryGeneration, else by Generation, else (nil) not at all.
+func prober(s Shard) func(q *prep.Query) (uint64, bool) {
+	switch p := s.(type) {
+	case QueryProber:
+		return p.QueryGeneration
+	case GenerationProber:
+		return func(*prep.Query) (uint64, bool) { return p.Generation() }
+	}
+	return nil
+}
+
+// probeGenerations collects every shard's stamp for q into the
+// comparable stamp result-cache entries carry: 8 little-endian bytes
+// per shard, in topology order. ok is false when any shard cannot
 // report one; the caller then bypasses the result cache for this
 // fan-out (no counters move: the cache was never consulted). Callers
 // probe before they fan out (see resultcache.go).
-func (rt *Router) probeGenerations() (string, bool) {
+func (rt *Router) probeGenerations(q *prep.Query) (string, bool) {
+	if rt.probes == nil {
+		return "", false
+	}
 	var buf [64]byte
 	b := buf[:0]
-	for _, s := range rt.shards {
-		p, ok := s.(GenerationProber)
-		if !ok {
-			return "", false
-		}
-		g, ok := p.Generation()
+	for _, probe := range rt.probes {
+		g, ok := probe(q)
 		if !ok {
 			return "", false
 		}
@@ -109,20 +133,23 @@ func (rt *Router) probeGenerations() (string, bool) {
 	return string(b), true
 }
 
+// foldSeed keys the hash a router folds its shards' stamps with.
+var foldSeed = maphash.MakeSeed()
+
 // Generation implements GenerationProber for the router itself (a
-// router can be a shard of a parent router): the tuple folds to a sum,
-// which changes whenever any child's generation does — sufficient for
-// the parent's equality test, since generations only grow.
-func (rt *Router) Generation() (uint64, bool) {
-	stamp, ok := rt.probeGenerations()
+// router can be a shard of a parent router): its stamp for a query not
+// scoped to one session, which moves with any shard's generation.
+func (rt *Router) Generation() (uint64, bool) { return rt.QueryGeneration(&prep.Query{}) }
+
+// QueryGeneration implements QueryProber for the router itself: a hash
+// of every shard's stamp for q, compared for equality only (two
+// different tuples hash alike with probability 2^-64).
+func (rt *Router) QueryGeneration(q *prep.Query) (uint64, bool) {
+	tuple, ok := rt.probeGenerations(q)
 	if !ok {
 		return 0, false
 	}
-	var sum uint64
-	for i := 0; i < len(stamp); i += 8 {
-		sum += binary.LittleEndian.Uint64([]byte(stamp[i : i+8]))
-	}
-	return sum, true
+	return maphash.String(foldSeed, tuple), true
 }
 
 // Obs returns the router's telemetry registry.
@@ -283,14 +310,15 @@ func joinErrs(errs []error) error {
 	return errors.Join(errs...)
 }
 
-// throughCache answers key from the result cache when every shard
-// reports a generation and the cached answer is stamped with exactly
-// the current tuple; a hit's plan (if any) is marked Cached. Otherwise
-// it runs fill — the fan-out and merge — and retains its answer under
-// the tuple probed BEFORE the fan-out (see resultcache.go). A shard
-// that cannot report a generation bypasses the cache for this call.
-func (rt *Router) throughCache(key string, fill func() (routerAnswer, error)) (routerAnswer, error) {
-	stamp, probed := rt.probeGenerations()
+// throughCache answers key, a form of q, from the result cache when
+// every shard reports a stamp for q and the cached answer is stamped
+// with exactly the current tuple; a hit's plan (if any) is marked
+// Cached. Otherwise it runs fill — the fan-out and merge — and retains
+// its answer under the tuple probed BEFORE the fan-out (see
+// resultcache.go). A shard that cannot report a stamp bypasses the
+// cache for this call.
+func (rt *Router) throughCache(q *prep.Query, key string, fill func() (routerAnswer, error)) (routerAnswer, error) {
+	stamp, probed := rt.probeGenerations(q)
 	if probed {
 		if a, ok := rt.cached(key, stamp); ok {
 			if a.plan != nil {
@@ -446,7 +474,7 @@ func (rt *Router) queryShards(q *prep.Query, planned bool) ([]core.Record, int, 
 	if planned {
 		kind = "p|"
 	}
-	a, err := rt.throughCache(kind+query.CacheKey(q), func() (routerAnswer, error) {
+	a, err := rt.throughCache(q, kind+query.CacheKey(q), func() (routerAnswer, error) {
 		results := make([]shardResult, len(rt.shards))
 		err := firstErr(rt.each(func(i int, s Shard) (err error) {
 			r := &results[i]
@@ -627,7 +655,7 @@ func (rt *Router) QueryPage(q *prep.Query, after string, pageSize int) ([]core.R
 	}
 
 	key := "g|" + query.CacheKey(q) + "|a=" + url.QueryEscape(after) + "|n=" + strconv.Itoa(pageSize)
-	a, err := rt.throughCache(key, func() (routerAnswer, error) {
+	a, err := rt.throughCache(q, key, func() (routerAnswer, error) {
 		results := make([]shardResult, len(rt.shards))
 		err := firstErr(rt.each(func(i int, s Shard) (err error) {
 			// A shard that proved exhaustion on an earlier page answers

@@ -150,6 +150,10 @@ func (l *Local) Store() *store.Store { return l.s }
 // fanned-out read.
 func (l *Local) Generation() (uint64, bool) { return l.s.Generation(), true }
 
+// QueryGeneration implements QueryProber with the store's stamp for q:
+// a query about one session is stamped by that session's writes only.
+func (l *Local) QueryGeneration(q *prep.Query) (uint64, bool) { return l.s.QueryGeneration(q), true }
+
 // Record implements Shard.
 func (l *Local) Record(asserter core.ActorID, records []core.Record) (int, []prep.Reject, error) {
 	return l.s.Record(asserter, records)

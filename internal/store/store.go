@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,6 +84,12 @@ type Backend interface {
 // stripe, so the Get-then-PutBatch check stays atomic per key.
 const recordStripes = 64
 
+// sessionSlots is how many per-session stamp counters a store keeps. A
+// session's slot is a hash of its id, so two sessions can share one: a
+// write to either then also invalidates cached answers about the other
+// (over-invalidation, never staleness).
+const sessionSlots = 4096
+
 // Store is the provenance store: validation, idempotent recording and
 // query evaluation over a Backend, with secondary indexes
 // (internal/index) maintained write-through on Record.
@@ -108,9 +115,18 @@ type Store struct {
 	// current schema is rebuilt at that point. Open failures are not latched:
 	// a transient backend error must not disable the store for good.
 	idx *index.Index
-	// gen counts content changes; the shard router stamps its result
-	// cache with it so cached results are invalidated by new records.
-	gen atomic.Uint64
+	// The stamps the shard router's result cache keys its answers on
+	// (QueryGeneration). epoch is drawn at random at every open, so no
+	// stamp repeats one handed out before a restart. gen counts every
+	// content change; slots[i] counts the changes to the sessions whose
+	// ids hash to slot i; wide counts the changes whose sessions are
+	// unknown (a deleted record that no longer decodes) and is folded
+	// into every session's stamp. All of them advance in advance, and
+	// only there.
+	epoch uint64
+	gen   atomic.Uint64
+	wide  atomic.Uint64
+	slots [sessionSlots]atomic.Uint64
 	// stripes are the per-key commit locks; seed salts the stripe hash.
 	// provlint:lock-order 10
 	stripes [recordStripes]sync.Mutex
@@ -139,7 +155,7 @@ type Store struct {
 
 // New wraps a backend in a Store.
 func New(b Backend) *Store {
-	s := &Store{b: b, seed: maphash.MakeSeed(), reg: obs.NewRegistry()}
+	s := &Store{b: b, seed: maphash.MakeSeed(), epoch: rand.Uint64(), reg: obs.NewRegistry()}
 	s.recordSec = s.reg.Histogram("store_record_seconds", nil)
 	s.recordBatch = s.reg.Histogram("store_record_batch_size", obs.SizeBuckets)
 	s.deleteSec = s.reg.Histogram("store_delete_seconds", nil)
@@ -212,9 +228,75 @@ func (s *Store) unlockStripes(set *stripeSet) {
 // Close closes the underlying backend.
 func (s *Store) Close() error { return s.b.Close() }
 
-// Generation returns the store's content generation: it changes whenever
-// a record is accepted, so equal generations imply equal query results.
-func (s *Store) Generation() uint64 { return s.gen.Load() }
+// Generation returns the store's content generation, the stamp of a
+// query not scoped to one session: it changes whenever a record is
+// accepted or deleted, and at every open, so equal generations imply
+// equal query results. The value is an opaque hash of (epoch, counter),
+// to be compared for equality only.
+func (s *Store) Generation() uint64 { return stamp(s.epoch, s.gen.Load()) }
+
+// QueryGeneration returns the stamp of q's answer: equal stamps imply
+// equal answers. A query scoped to one session is stamped with that
+// session's slot (plus wide), so writes to other sessions leave it as it
+// is; any other query is stamped with the Generation.
+func (s *Store) QueryGeneration(q *prep.Query) uint64 {
+	if !q.SessionID.Valid() {
+		return s.Generation()
+	}
+	return stamp(s.epoch, s.slots[s.slot(q.SessionID)].Load()+s.wide.Load())
+}
+
+// slot is the session's stamp slot.
+func (s *Store) slot(session ids.ID) int {
+	return int(maphash.Comparable(s.seed, session) % sessionSlots)
+}
+
+// advance moves the stamps of one write, once its backend batch was
+// attempted, failed or not: a cached answer must never outlive a write
+// the backend may have applied. It advances the slot of every session
+// group of the n records rec(0)..rec(n-1) (a nil record is skipped),
+// wide when the write touched a record whose sessions are unknown, and
+// the global counter. Every mutation advances its stamps here, and
+// provlint's genbump check holds each one to it.
+func (s *Store) advance(n int, rec func(i int) *core.Record, unknown bool) {
+	last := -1
+	for i := 0; i < n; i++ {
+		r := rec(i)
+		if r == nil {
+			continue
+		}
+		for _, g := range r.Groups() {
+			if g.Type != core.GroupSession {
+				continue
+			}
+			// A batch is usually one session's records in a row: its
+			// slot advances once.
+			if sl := s.slot(g.ID); sl != last {
+				s.slots[sl].Add(1)
+				last = sl
+			}
+		}
+	}
+	if unknown {
+		s.wide.Add(1)
+	}
+	s.gen.Add(1)
+}
+
+// stamp folds an epoch and a counter into one opaque value. Within one
+// epoch it is a bijection of the counter, so two distinct counts never
+// share a stamp; across epochs, two stamps coincide with probability
+// 2^-64.
+func stamp(epoch, n uint64) uint64 { return mix(epoch ^ mix(n)) }
+
+// mix is SplitMix64's finaliser, a bijection on uint64.
+func mix(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
 
 // ensureIndexLocked opens (rebuilding if necessary) the secondary index.
 // Callers must hold s.mu. Only success is cached — a failed Open is
@@ -404,10 +486,12 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 			}
 		}
 		putErr = s.b.PutBatch(puts)
-		// The generation advances once the batch is attempted, failed or
-		// not: a cached result must never outlive a write the backend may
-		// have applied.
-		s.gen.Add(1)
+		s.advance(len(batch), func(j int) *core.Record {
+			if !batch[j].fresh {
+				return nil
+			}
+			return &records[batch[j].i]
+		}, false)
 	}
 	s.unlockStripes(&stripes)
 	s.writeStallSec.Observe(time.Since(stall).Seconds())
@@ -458,10 +542,10 @@ func (s *Store) deleteSession(session ids.ID) (int, error) {
 // DeleteRecords removes the records stored under the given storage keys
 // (absent keys are no-ops), together with their posting entries. It
 // runs the same chunked delete commit protocol as DeleteSession and
-// returns how many records were actually deleted. The store's content
-// generation advances, so every cached query result computed before the
-// deletion is invalidated — a cached page can never resurrect a deleted
-// record.
+// returns how many records were actually deleted. Each chunk advances
+// the stamps of what it deleted, so every cached query result computed
+// before the deletion that could include a deleted record is
+// invalidated — a cached page can never resurrect a deleted record.
 func (s *Store) DeleteRecords(keys []string) (int, error) {
 	span := s.reg.Tracer().StartSpan("store.delete").
 		SetAttr("kind", "records").SetAttr("batch", fmt.Sprint(len(keys)))
@@ -505,16 +589,6 @@ func (s *Store) deleteRecords(keys []string) (int, error) {
 // batch both land here).
 func (s *Store) deleteKeys(keys []string) (int, error) {
 	deleted := 0
-	// attempted tracks whether any backend delete batch was issued at
-	// all: the generation must then advance, even for a batch that
-	// errored — a cached result from before the call can never be served
-	// as current once anything might have changed.
-	attempted := false
-	defer func() {
-		if attempted {
-			s.gen.Add(1)
-		}
-	}()
 	for len(keys) > 0 {
 		n := len(keys)
 		if n > deleteChunkSize {
@@ -522,8 +596,7 @@ func (s *Store) deleteKeys(keys []string) (int, error) {
 		}
 		chunk := keys[:n]
 		keys = keys[n:]
-		doomed, tried, err := s.deleteChunk(chunk)
-		attempted = attempted || tried
+		doomed, err := s.deleteChunk(chunk)
 		deleted += doomed
 		if err != nil {
 			return deleted, err
@@ -538,43 +611,50 @@ func (s *Store) deleteKeys(keys []string) (int, error) {
 // every involved stripe lock (taken by lockStripes in ascending stripe
 // order, as Record's commit takes its own, so concurrent multi-key
 // writers and deleters cannot deadlock). Holding them stops a concurrent
-// Record of the same key from interleaving with the delete.
-//
-// provlint:no-genbump the generation bump lives in its caller
-// (deleteKeys bumps when any batch was attempted), because a chunk
-// that errors must still invalidate cached results.
+// Record of the same key from interleaving with the delete. Once the
+// batch is attempted, failed or not, the chunk advances the stamps of
+// the records it deleted.
 //
 // A record whose stored bytes no longer decode is deleted anyway —
 // retraction must work on a store with one torn value, the same policy
 // Rebuild applies by skipping it — without postings, since they are not
-// computable: any it has are skipped at fetch time. It returns how many
-// records were deleted and whether any backend mutation was attempted.
-func (s *Store) deleteChunk(chunk []string) (deleted int, attempted bool, err error) {
+// computable: any it has are skipped at fetch time. Its sessions are
+// unknown, so it advances every session's stamp. It returns how many
+// records were deleted.
+func (s *Store) deleteChunk(chunk []string) (deleted int, err error) {
 	stripes := s.lockStripes(len(chunk), func(i int) string { return chunk[i] })
 	defer s.unlockStripes(&stripes)
 	values, present, err := s.b.GetBatch(chunk)
 	if err != nil {
-		return 0, false, fmt.Errorf("fetching delete chunk: %w", err)
+		return 0, fmt.Errorf("fetching delete chunk: %w", err)
 	}
 	var b index.KeyBuilder
 	var doomed []string
+	var decoded []*core.Record
+	undecodable := false
 	for i, k := range chunk {
 		if !present[i] {
 			continue // dangling posting: nothing to delete
 		}
 		doomed = append(doomed, k)
 		deleted++
-		if r, err := core.DecodeRecord(values[i]); err == nil {
-			doomed = b.PostingKeys(doomed, r)
+		r, err := core.DecodeRecord(values[i])
+		if err != nil {
+			undecodable = true
+			continue
 		}
+		doomed = b.PostingKeys(doomed, r)
+		decoded = append(decoded, r)
 	}
 	if deleted == 0 {
-		return 0, false, nil
+		return 0, nil
 	}
-	if err := s.b.DeleteBatch(doomed); err != nil {
-		return 0, true, fmt.Errorf("deleting chunk: %w", err)
+	err = s.b.DeleteBatch(doomed)
+	s.advance(len(decoded), func(i int) *core.Record { return decoded[i] }, undecodable)
+	if err != nil {
+		return 0, fmt.Errorf("deleting chunk: %w", err)
 	}
-	return deleted, true, nil
+	return deleted, nil
 }
 
 // Compacter is implemented by backends that can reclaim dead bytes
