@@ -646,27 +646,30 @@ func (s *Server) Close() error {
 
 // Client talks PReP to a provenance store endpoint.
 type Client struct {
-	url string
-	hc  *http.Client
+	ep *soap.Endpoint
 }
 
-// NewClient returns a client for the store at url. A nil httpClient uses
-// a dedicated client with sane timeouts.
+// NewClient returns a client for the store at url. Of httpClient (nil:
+// one with a 60 s timeout) the client uses its Timeout, which bounds
+// each call. Messages go through httpClient itself only where its
+// transport would do more than speak plain HTTP/1.1 to url's host: url
+// is not http://, the Transport is not an *http.Transport, or its Proxy
+// picks a proxy for url (soap.Endpoint).
 func NewClient(url string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 60 * time.Second}
 	}
-	return &Client{url: url, hc: httpClient}
+	return &Client{ep: soap.NewEndpoint(url, httpClient)}
 }
 
 // URL returns the endpoint this client records to.
-func (c *Client) URL() string { return c.url }
+func (c *Client) URL() string { return c.ep.URL() }
 
 // Record submits a batch of p-assertions asserted by asserter.
 func (c *Client) Record(asserter core.ActorID, records []core.Record) (*prep.RecordResponse, error) {
 	req := &prep.RecordRequest{Asserter: asserter, Records: records}
 	var resp prep.RecordResponse
-	if err := soap.Post(c.hc, c.url, prep.ActionRecord, req, &resp); err != nil {
+	if err := c.ep.Post(prep.ActionRecord, req, &resp); err != nil {
 		return nil, fmt.Errorf("preserv: record: %w", err)
 	}
 	return &resp, nil
@@ -675,7 +678,7 @@ func (c *Client) Record(asserter core.ActorID, records []core.Record) (*prep.Rec
 // Query retrieves records matching q via the store's scan path.
 func (c *Client) Query(q *prep.Query) ([]core.Record, int, error) {
 	var resp prep.QueryResponse
-	if err := soap.Post(c.hc, c.url, prep.ActionQuery, q, &resp); err != nil {
+	if err := c.ep.Post(prep.ActionQuery, q, &resp); err != nil {
 		return nil, 0, fmt.Errorf("preserv: query: %w", err)
 	}
 	return resp.Records, resp.Total, nil
@@ -686,7 +689,7 @@ func (c *Client) Query(q *prep.Query) ([]core.Record, int, error) {
 // server chose alongside the results. Results are identical to Query.
 func (c *Client) QueryPlanned(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, error) {
 	var resp prep.PlannedQueryResponse
-	if err := soap.Post(c.hc, c.url, prep.ActionPlannedQuery, q, &resp); err != nil {
+	if err := c.ep.Post(prep.ActionPlannedQuery, q, &resp); err != nil {
 		return nil, 0, nil, fmt.Errorf("preserv: planned query: %w", err)
 	}
 	plan := resp.Plan
@@ -703,7 +706,7 @@ func (c *Client) QueryPlanned(q *prep.Query) ([]core.Record, int, *prep.QueryPla
 func (c *Client) QueryPage(q *prep.Query, after string, pageSize int) (*prep.PageQueryResponse, error) {
 	req := &prep.PageQueryRequest{Query: *q, After: after, PageSize: pageSize}
 	var resp prep.PageQueryResponse
-	if err := soap.Post(c.hc, c.url, prep.ActionQueryPage, req, &resp); err != nil {
+	if err := c.ep.Post(prep.ActionQueryPage, req, &resp); err != nil {
 		// A sharded server rejects a cursor it cannot decode
 		// (shard.ErrBadCursor) with a bad-request fault carrying the
 		// sentinel's message. Re-type it so callers can match it with
@@ -767,7 +770,7 @@ func (c *Client) DeleteSession(session ids.ID) (*prep.DeleteResponse, error) {
 
 func (c *Client) delete(req *prep.DeleteRequest) (*prep.DeleteResponse, error) {
 	var resp prep.DeleteResponse
-	if err := soap.Post(c.hc, c.url, prep.ActionDelete, req, &resp); err != nil {
+	if err := c.ep.Post(prep.ActionDelete, req, &resp); err != nil {
 		return nil, fmt.Errorf("preserv: delete: %w", err)
 	}
 	return &resp, nil
@@ -778,7 +781,7 @@ func (c *Client) delete(req *prep.DeleteRequest) (*prep.DeleteResponse, error) {
 // reports the garbage ratio before and after.
 func (c *Client) Compact() (*prep.CompactResponse, error) {
 	var resp prep.CompactResponse
-	if err := soap.Post(c.hc, c.url, prep.ActionCompact, &prep.CompactRequest{}, &resp); err != nil {
+	if err := c.ep.Post(prep.ActionCompact, &prep.CompactRequest{}, &resp); err != nil {
 		return nil, fmt.Errorf("preserv: compact: %w", err)
 	}
 	return &resp, nil
@@ -788,7 +791,7 @@ func (c *Client) Compact() (*prep.CompactResponse, error) {
 // store, sorted, answered from the store's session index.
 func (c *Client) Sessions() ([]ids.ID, error) {
 	var resp prep.SessionsResponse
-	if err := soap.Post(c.hc, c.url, prep.ActionSessions, &prep.SessionsRequest{}, &resp); err != nil {
+	if err := c.ep.Post(prep.ActionSessions, &prep.SessionsRequest{}, &resp); err != nil {
 		return nil, fmt.Errorf("preserv: sessions: %w", err)
 	}
 	return resp.Sessions, nil
@@ -797,7 +800,7 @@ func (c *Client) Sessions() ([]ids.ID, error) {
 // Count retrieves store statistics.
 func (c *Client) Count() (prep.CountResponse, error) {
 	var resp prep.CountResponse
-	if err := soap.Post(c.hc, c.url, prep.ActionCount, &prep.CountRequest{}, &resp); err != nil {
+	if err := c.ep.Post(prep.ActionCount, &prep.CountRequest{}, &resp); err != nil {
 		return prep.CountResponse{}, fmt.Errorf("preserv: count: %w", err)
 	}
 	return resp, nil
@@ -808,7 +811,7 @@ func (c *Client) Count() (prep.CountResponse, error) {
 // per-shard breakdown, histogram summaries and the slow-operation log.
 func (c *Client) StoreStats() (*prep.StatsResponse, error) {
 	var resp prep.StatsResponse
-	if err := soap.Post(c.hc, c.url, prep.ActionStats, &prep.StatsRequest{}, &resp); err != nil {
+	if err := c.ep.Post(prep.ActionStats, &prep.StatsRequest{}, &resp); err != nil {
 		return nil, fmt.Errorf("preserv: stats: %w", err)
 	}
 	return &resp, nil

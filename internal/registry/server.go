@@ -48,8 +48,7 @@ func (s *Server) Close() error {
 
 // Client talks to a registry endpoint over HTTP.
 type Client struct {
-	url string
-	hc  *http.Client
+	ep *soap.Endpoint
 	// Calls counts registry invocations made through this client; the
 	// paper's Figure 5 analysis hinges on calls-per-interaction.
 	calls int64
@@ -61,7 +60,7 @@ func NewClient(url string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &Client{url: url, hc: httpClient}
+	return &Client{ep: soap.NewEndpoint(url, httpClient)}
 }
 
 // Calls reports how many registry invocations this client has made.
@@ -70,14 +69,14 @@ func (c *Client) Calls() int64 { return c.calls }
 // Publish registers a service description.
 func (c *Client) Publish(d *ServiceDescription) error {
 	c.calls++
-	return soap.Post(c.hc, c.url, ActionPublish, d, nil)
+	return c.ep.Post(ActionPublish, d, nil)
 }
 
 // Lookup fetches a service description.
 func (c *Client) Lookup(service core.ActorID) (*ServiceDescription, error) {
 	c.calls++
 	var d ServiceDescription
-	if err := soap.Post(c.hc, c.url, ActionLookup, &LookupRequest{Service: service}, &d); err != nil {
+	if err := c.ep.Post(ActionLookup, &LookupRequest{Service: service}, &d); err != nil {
 		return nil, err
 	}
 	return &d, nil
@@ -87,7 +86,7 @@ func (c *Client) Lookup(service core.ActorID) (*ServiceDescription, error) {
 func (c *Client) Operations(service core.ActorID) ([]string, error) {
 	c.calls++
 	var resp OperationsResponse
-	if err := soap.Post(c.hc, c.url, ActionOperations, &OperationsRequest{Service: service}, &resp); err != nil {
+	if err := c.ep.Post(ActionOperations, &OperationsRequest{Service: service}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Operations, nil
@@ -98,7 +97,7 @@ func (c *Client) PartType(service core.ActorID, operation string, dir Direction,
 	c.calls++
 	var resp PartTypeResponse
 	req := &PartTypeRequest{Service: service, Operation: operation, Direction: dir, Part: part}
-	if err := soap.Post(c.hc, c.url, ActionPartType, req, &resp); err != nil {
+	if err := c.ep.Post(ActionPartType, req, &resp); err != nil {
 		return "", err
 	}
 	return resp.SemanticType, nil
@@ -108,14 +107,14 @@ func (c *Client) PartType(service core.ActorID, operation string, dir Direction,
 func (c *Client) AttachMetadata(service core.ActorID, key, value string) error {
 	c.calls++
 	req := &AttachRequest{Service: service, Key: key, Value: value}
-	return soap.Post(c.hc, c.url, ActionAttach, req, &AttachResponse{})
+	return c.ep.Post(ActionAttach, req, &AttachResponse{})
 }
 
 // FindByMetadata performs metadata-based service discovery.
 func (c *Client) FindByMetadata(key, value string) ([]core.ActorID, error) {
 	c.calls++
 	var resp FindResponse
-	if err := soap.Post(c.hc, c.url, ActionFind, &FindRequest{Key: key, Value: value}, &resp); err != nil {
+	if err := c.ep.Post(ActionFind, &FindRequest{Key: key, Value: value}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Services, nil

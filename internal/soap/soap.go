@@ -23,6 +23,11 @@ import (
 // ContentType is the media type of envelope messages.
 const ContentType = "text/xml; charset=utf-8"
 
+// contentType is the header value every reply shares, set without the
+// slice Header().Set allocates. Its capacity is its length, so an
+// append to it copies rather than writes into it.
+var contentType = []string{ContentType}
+
 // MaxMessageBytes bounds accepted message sizes (32 MiB), protecting the
 // store from unbounded payloads.
 const MaxMessageBytes = 32 << 20
@@ -73,7 +78,7 @@ const (
 // ErrNotEnvelope is returned when input does not parse as an Envelope.
 var ErrNotEnvelope = errors.New("soap: not an envelope")
 
-// ErrReplyTooLarge is returned by Post when the reply exceeds
+// ErrReplyTooLarge is returned by Endpoint.Post when the reply exceeds
 // MaxMessageBytes.
 var ErrReplyTooLarge = errors.New("soap: reply exceeds size limit")
 
@@ -204,8 +209,8 @@ func Marshal(action string, payload interface{}) ([]byte, error) {
 // is ReadEnvelope's walk with every Body captured rather than decoded:
 // the whole envelope is checked for well-formedness, and the body's
 // bytes — the last Body's, when there are several — are located, not
-// decoded. Post and ServeHTTP read with ReadEnvelope; this stays for
-// callers that want the body's bytes.
+// decoded. Endpoint.Post and ServeHTTP read with ReadEnvelope; this
+// stays for callers that want the body's bytes.
 //
 // provlint:typed-faults
 func Unmarshal(data []byte) (action string, body []byte, err error) {
@@ -584,7 +589,7 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.writeFault(w, FaultInternal, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", ContentType)
+	w.Header()["Content-Type"] = contentType
 	w.Write(respData)
 }
 
@@ -639,15 +644,15 @@ func (h *HTTPHandler) writeFault(w http.ResponseWriter, code, msg string) {
 		http.Error(w, msg, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", ContentType)
+	w.Header()["Content-Type"] = contentType
 	// Faults still travel as 200-level envelope replies, as in SOAP 1.1
 	// over HTTP POST bindings; transport-level errors use HTTP codes.
 	w.Write(data)
 }
 
-// maxEchoed bounds how much of a non-200 reply's body Post quotes in its
-// error: enough to recognise a proxy's error page, not the page itself
-// in every log line the error reaches.
+// maxEchoed bounds how much of a non-200 reply's body Endpoint.Post
+// quotes in its error: enough to recognise a proxy's error page, not
+// the page itself in every log line the error reaches.
 const maxEchoed = 512
 
 // excerpt returns body trimmed of surrounding space and, when longer
@@ -663,39 +668,4 @@ func excerpt(body []byte) string {
 		cut--
 	}
 	return string(body[:cut]) + "…"
-}
-
-// Post sends a payload to url under the given action and decodes the
-// reply body into reply (which may be nil to discard it). Fault replies
-// are returned as *Fault errors.
-func Post(client *http.Client, url, action string, payload, reply interface{}) error {
-	data, err := Marshal(action, payload)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Post(url, ContentType, bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("soap: posting %s: %w", action, err)
-	}
-	defer resp.Body.Close()
-	// Decoded values live in the decoder's arena, never in the read
-	// buffer, so the reply's buffer goes back to the pool when Post
-	// returns.
-	buf := getBuffer()
-	respData, err := readMessage(resp.Body, resp.ContentLength, (*buf)[:0])
-	defer func() { putBuffer(buf, respData) }()
-	if err == errMessageTooLarge {
-		return fmt.Errorf("%w (%s)", ErrReplyTooLarge, action)
-	}
-	if err != nil {
-		return fmt.Errorf("soap: reading reply: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("soap: %s returned HTTP %d: %s", action, resp.StatusCode, excerpt(respData))
-	}
-	msg, err := ReadEnvelope(respData)
-	if err != nil {
-		return err
-	}
-	return msg.Decode(reply)
 }

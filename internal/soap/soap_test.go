@@ -106,7 +106,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 func TestPostRoundTrip(t *testing.T) {
 	srv := newTestServer(t)
 	var reply echoPayload
-	err := Post(srv.Client(), srv.URL, "urn:test:echo", &echoPayload{Text: "x", N: 1}, &reply)
+	err := NewEndpoint(srv.URL, srv.Client()).Post("urn:test:echo", &echoPayload{Text: "x", N: 1}, &reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +117,14 @@ func TestPostRoundTrip(t *testing.T) {
 
 func TestPostNilReply(t *testing.T) {
 	srv := newTestServer(t)
-	if err := Post(srv.Client(), srv.URL, "urn:test:echo", &echoPayload{N: 1}, nil); err != nil {
+	if err := NewEndpoint(srv.URL, srv.Client()).Post("urn:test:echo", &echoPayload{N: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPostServerError(t *testing.T) {
 	srv := newTestServer(t)
-	err := Post(srv.Client(), srv.URL, "urn:test:boom", &echoPayload{}, nil)
+	err := NewEndpoint(srv.URL, srv.Client()).Post("urn:test:boom", &echoPayload{}, nil)
 	var f *Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want fault", err)
@@ -136,7 +136,7 @@ func TestPostServerError(t *testing.T) {
 
 func TestPostCustomFaultCodePreserved(t *testing.T) {
 	srv := newTestServer(t)
-	err := Post(srv.Client(), srv.URL, "urn:test:fault", &echoPayload{}, nil)
+	err := NewEndpoint(srv.URL, srv.Client()).Post("urn:test:fault", &echoPayload{}, nil)
 	var f *Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want fault", err)
@@ -148,7 +148,7 @@ func TestPostCustomFaultCodePreserved(t *testing.T) {
 
 func TestPostUnknownAction(t *testing.T) {
 	srv := newTestServer(t)
-	err := Post(srv.Client(), srv.URL, "urn:test:nope", &echoPayload{}, nil)
+	err := NewEndpoint(srv.URL, srv.Client()).Post("urn:test:nope", &echoPayload{}, nil)
 	var f *Fault
 	if !errors.As(err, &f) || f.Code != FaultBadAction {
 		t.Fatalf("err = %v, want unknown-action fault", err)
@@ -222,7 +222,7 @@ func TestFaultError(t *testing.T) {
 }
 
 func TestPostConnectionRefused(t *testing.T) {
-	err := Post(http.DefaultClient, "http://127.0.0.1:1/nope", "urn:test:echo", &echoPayload{}, nil)
+	err := NewEndpoint("http://127.0.0.1:1/nope", nil).Post("urn:test:echo", &echoPayload{}, nil)
 	if err == nil {
 		t.Fatal("post to dead address should fail")
 	}
@@ -288,11 +288,11 @@ func TestEnvelopeHasMessageID(t *testing.T) {
 	}
 }
 
-func ExamplePost() {
+func ExampleEndpoint_Post() {
 	srv := httptest.NewServer(NewHTTPHandler(echoHandler{}))
 	defer srv.Close()
 	var reply echoPayload
-	if err := Post(srv.Client(), srv.URL, "urn:test:echo", &echoPayload{Text: "ping", N: 41}, &reply); err != nil {
+	if err := NewEndpoint(srv.URL, srv.Client()).Post("urn:test:echo", &echoPayload{Text: "ping", N: 41}, &reply); err != nil {
 		fmt.Println("error:", err)
 		return
 	}

@@ -166,7 +166,7 @@ func TestRefusedFaultIsAnError(t *testing.T) {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "<Envelope><Header><action>fault</action></Header><Body>%s</Body></Envelope>", body)
 		}))
-		if err := Post(srv.Client(), srv.URL, "urn:test:echo", &echoPayload{}, nil); !errors.Is(err, xmlwire.ErrUnsupported) {
+		if err := NewEndpoint(srv.URL, srv.Client()).Post("urn:test:echo", &echoPayload{}, nil); !errors.Is(err, xmlwire.ErrUnsupported) {
 			t.Errorf("Post discarding the reply %s: err = %v, want ErrUnsupported", body, err)
 		}
 		srv.Close()
@@ -670,7 +670,7 @@ func TestPostOversizedReply(t *testing.T) {
 	}))
 	defer srv.Close()
 	var reply echoPayload
-	err := Post(srv.Client(), srv.URL, "urn:test:echo", &echoPayload{}, &reply)
+	err := NewEndpoint(srv.URL, srv.Client()).Post("urn:test:echo", &echoPayload{}, &reply)
 	if !errors.Is(err, ErrReplyTooLarge) {
 		t.Fatalf("err = %v, want ErrReplyTooLarge", err)
 	}
@@ -693,7 +693,7 @@ func TestPostNon200ReplyIsExcerpted(t *testing.T) {
 		w.Write(page)
 	}))
 	defer srv.Close()
-	err := Post(srv.Client(), srv.URL, "urn:test:echo", &echoPayload{}, nil)
+	err := NewEndpoint(srv.URL, srv.Client()).Post("urn:test:echo", &echoPayload{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "HTTP 502: <html>Bad Gateway: é") {
 		t.Fatalf("err = %.100v, want the status and the start of the body", err)
 	}
@@ -706,7 +706,7 @@ func TestPostNon200ReplyIsExcerpted(t *testing.T) {
 		http.Error(w, "no such store", http.StatusNotFound)
 	}))
 	defer short.Close()
-	err = Post(short.Client(), short.URL, "urn:test:echo", &echoPayload{}, nil)
+	err = NewEndpoint(short.URL, short.Client()).Post("urn:test:echo", &echoPayload{}, nil)
 	if err == nil || !strings.HasSuffix(err.Error(), "HTTP 404: no such store") {
 		t.Errorf("err = %v, want the short body whole", err)
 	}
