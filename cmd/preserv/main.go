@@ -8,8 +8,8 @@
 //	preserv -addr 127.0.0.1:8734 -shard-endpoints http://s1:8734,http://s2:8734
 //
 // Backends: memory (volatile), and file and kvdb, which both open the
-// embedded database used for all paper evaluations (a file store an
-// earlier version wrote is adopted into it at open).
+// embedded database used for all paper evaluations. A directory in an
+// earlier version's on-disk format is refused at start-up, by name.
 //
 // The service always runs on a shard router. With -shards N (N > 1) it
 // runs in sharded mode: N embedded child stores (each with its own
@@ -110,7 +110,11 @@ func main() {
 			if err != nil {
 				log.Fatalf("preserv: opening backend %s: %v", d, err)
 			}
-			children[i] = shard.NewLocal(store.New(backend))
+			s := store.New(backend)
+			if _, err := s.Index(); err != nil { // an old format stops start-up
+				log.Fatalf("preserv: opening the index of %s: %v", d, err)
+			}
+			children[i] = shard.NewLocal(s)
 		}
 		if rt, err = shard.NewRouter(children...); err != nil {
 			log.Fatalf("preserv: %v", err)

@@ -315,7 +315,7 @@ func runJournalRecordP99(o WriteAvailOptions) (WriteAvailResult, error) {
 			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		r, err := client.NewAsyncRecorder("svc:enactor", dir+"/journal.gob", 50, preserv.NewClient(srv.URL, nil))
+		r, err := client.NewAsyncRecorder("svc:enactor", dir+"/journal", 50, preserv.NewClient(srv.URL, nil))
 		if err != nil {
 			return nil, err
 		}

@@ -17,13 +17,11 @@ package client
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -140,7 +138,8 @@ const DefaultFlushConcurrency = 4
 // failed ship re-ships one sealed file instead of the whole backlog.
 // Journal files left behind by a crash (the recorder died with records
 // in its active journal, mid-rotation or mid-ship) are adopted on the
-// next open and re-enter the pending backlog.
+// next open and re-enter the pending backlog. journal.go holds the
+// journal's format.
 //
 // Shipping is a streaming pipeline: the sealed journal is decoded
 // incrementally and batches ship through a bounded pool of concurrent
@@ -155,7 +154,7 @@ type AsyncRecorder struct {
 	clients     []*preserv.Client
 	journal     *os.File
 	bw          *bufio.Writer
-	enc         *gob.Encoder
+	frames      []byte // Record's scratch: the call's frames
 	path        string
 	batchSize   int
 	concurrency int
@@ -244,25 +243,6 @@ type sealedJournal struct {
 // one sealed journal before leaving it for an explicit Flush/Close.
 const maxAutoShipAttempts = 5
 
-// countJournalRecords reports how many records decode cleanly from a
-// journal file — the length of its clean prefix.
-func countJournalRecords(path string) int64 {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	dec := gob.NewDecoder(bufio.NewReaderSize(f, 64<<10))
-	var n int64
-	for {
-		var rec core.Record
-		if err := dec.Decode(&rec); err != nil {
-			return n
-		}
-		n++
-	}
-}
-
 // NewAsyncRecorder creates an asynchronous recorder journaling to
 // journalPath and shipping to the given endpoints (at least one).
 // batchSize <= 0 selects DefaultBatchSize. The journal files a crashed
@@ -277,26 +257,18 @@ func NewAsyncRecorder(asserter core.ActorID, journalPath string, batchSize int, 
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	var (
-		sealed  []*sealedJournal
-		sealSeq uint64
-		pending int64
-	)
-	adopt := func(sp string) {
-		count := countJournalRecords(sp)
-		if count == 0 {
-			os.Remove(sp) // nothing recoverable in it
-			return
-		}
-		sealed = append(sealed, &sealedJournal{path: sp, count: count, recovered: true})
-		pending += count
-	}
+	// Every journal is read before any is renamed or removed, so that a
+	// gob journal refuses the open with the directory as it was.
 	dir, base := filepath.Split(journalPath)
 	if dir == "" {
 		dir = "."
 	}
+	var (
+		found   []*sealedJournal
+		sealSeq uint64
+	)
 	if entries, err := os.ReadDir(dir); err == nil {
-		for _, e := range entries {
+		for _, e := range entries { // ReadDir sorts: oldest first
 			n := e.Name()
 			if !strings.HasPrefix(n, base+".") || !strings.HasSuffix(n, sealedExt) {
 				continue
@@ -305,20 +277,34 @@ func NewAsyncRecorder(asserter core.ActorID, journalPath string, batchSize int, 
 			if err != nil {
 				continue
 			}
-			if seq > sealSeq {
-				sealSeq = seq
-			}
-			adopt(filepath.Join(dir, n))
+			sealSeq = max(sealSeq, seq)
+			found = append(found, &sealedJournal{path: filepath.Join(dir, n), recovered: true})
 		}
-		sort.Slice(sealed, func(i, j int) bool { return sealed[i].path < sealed[j].path })
 	}
 	if st, err := os.Stat(journalPath); err == nil && st.Size() > 0 {
-		sealSeq++
-		sp := fmt.Sprintf("%s.%06d%s", journalPath, sealSeq, sealedExt)
-		if err := os.Rename(journalPath, sp); err != nil {
-			return nil, fmt.Errorf("client: sealing a predecessor's journal: %w", err)
+		found = append(found, &sealedJournal{path: journalPath, recovered: true})
+	}
+	for _, sj := range found {
+		var err error
+		if sj.count, err = countJournalRecords(sj.path); err != nil {
+			return nil, err
 		}
-		adopt(sp)
+	}
+	sealed, pending := found[:0], int64(0)
+	for _, sj := range found {
+		if sj.count == 0 {
+			os.Remove(sj.path) // nothing recoverable in it
+			continue
+		}
+		if sj.path == journalPath { // a predecessor's active journal
+			sealSeq++
+			sj.path = fmt.Sprintf("%s.%06d%s", journalPath, sealSeq, sealedExt)
+			if err := os.Rename(journalPath, sj.path); err != nil {
+				return nil, fmt.Errorf("client: sealing a predecessor's journal: %w", err)
+			}
+		}
+		sealed = append(sealed, sj)
+		pending += sj.count
 	}
 	f, err := os.OpenFile(journalPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -331,7 +317,6 @@ func NewAsyncRecorder(asserter core.ActorID, journalPath string, batchSize int, 
 		clients:        clients,
 		journal:        f,
 		bw:             bw,
-		enc:            gob.NewEncoder(bw),
 		path:           journalPath,
 		batchSize:      batchSize,
 		sealSeq:        sealSeq,
@@ -342,6 +327,7 @@ func NewAsyncRecorder(asserter core.ActorID, journalPath string, batchSize int, 
 		journalPending: reg.Gauge("client_journal_pending"),
 	}
 	r.journalPending.Set(pending)
+	bw.WriteString(journalMagic) // a bufio.Writer's error waits for its Flush
 	return r, nil
 }
 
@@ -444,10 +430,16 @@ func (r *AsyncRecorder) Record(records ...core.Record) error {
 	if r.closed {
 		return errors.New("client: recorder closed")
 	}
+	frames := r.frames[:0]
 	for i := range records {
-		if err := r.enc.Encode(&records[i]); err != nil {
+		var err error
+		if frames, err = appendFrame(frames, &records[i]); err != nil {
 			return fmt.Errorf("client: journaling record: %w", err)
 		}
+	}
+	r.frames = frames
+	if _, err := r.bw.Write(frames); err != nil {
+		return fmt.Errorf("client: journaling records: %w", err)
 	}
 	r.activeCount += int64(len(records))
 	r.pending += int64(len(records))
@@ -471,8 +463,7 @@ func (r *AsyncRecorder) Rotate() error {
 }
 
 // sealActiveLocked rotates the active journal out: flush the buffer,
-// rename the file to <journal>.<seq>.sealed, and start a fresh journal
-// (with a fresh gob stream — each sealed file must decode standalone).
+// rename the file to <journal>.<seq>.sealed, and start a fresh journal.
 // No-op when the active journal is empty. Callers hold r.mu.
 //
 // provlint:requires mu
@@ -489,9 +480,8 @@ func (r *AsyncRecorder) sealActiveLocked() error {
 	r.sealSeq++
 	sp := fmt.Sprintf("%s.%06d%s", r.path, r.sealSeq, sealedExt)
 	if err := os.Rename(r.path, sp); err != nil {
-		// The records still sit at r.path; reopen it and continue the
-		// same gob stream (the encoder survives a bw retarget) so the
-		// recorder stays usable.
+		// The records still sit at r.path; reopen it and append to it,
+		// so the recorder stays usable.
 		r.sealSeq--
 		f, oerr := os.OpenFile(r.path, os.O_RDWR|os.O_CREATE, 0o644)
 		if oerr == nil {
@@ -508,7 +498,7 @@ func (r *AsyncRecorder) sealActiveLocked() error {
 	}
 	r.journal = f
 	r.bw.Reset(f)
-	r.enc = gob.NewEncoder(r.bw)
+	r.bw.WriteString(journalMagic)
 	r.sealed = append(r.sealed, &sealedJournal{path: sp, count: r.activeCount})
 	r.activeCount = 0
 	return nil
@@ -594,7 +584,10 @@ func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int, sharded bool
 		return fmt.Errorf("client: opening sealed journal: %w", err)
 	}
 	defer f.Close()
-	dec := gob.NewDecoder(bufio.NewReaderSize(f, 64<<10))
+	jr, err := newJournalReader(f, sj.path)
+	if err != nil {
+		return fmt.Errorf("client: reading journal: %w", err)
+	}
 
 	if workers <= 0 {
 		workers = DefaultFlushConcurrency
@@ -671,27 +664,27 @@ func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int, sharded bool
 		batches <- shipment{endpoint: ci, records: recs}
 	}
 	for !failed.Load() {
-		var rec core.Record
-		if err := dec.Decode(&rec); err != nil {
+		rec, err := jr.next()
+		if err != nil {
 			if err != io.EOF && !sj.recovered {
 				// A recovered file may end in a torn tail (the writer
-				// crashed mid-encode): its clean prefix ships, the tail
+				// crashed mid-write): its clean prefix ships, the tail
 				// is gone either way. A file this process sealed was
-				// fully flushed before the rename, so any decode error
+				// fully flushed before the rename, so any bad frame
 				// there is real corruption.
 				decodeErr = fmt.Errorf("client: reading journal: %w", err)
 			}
 			break
 		}
 		if sharded {
-			ci := shard.Affinity(&rec, len(r.clients))
-			perEndpoint[ci] = append(perEndpoint[ci], rec)
+			ci := shard.Affinity(rec, len(r.clients))
+			perEndpoint[ci] = append(perEndpoint[ci], *rec)
 			if len(perEndpoint[ci]) >= r.batchSize {
 				emit(ci, perEndpoint[ci])
 				perEndpoint[ci] = nil
 			}
 		} else {
-			rolling = append(rolling, rec)
+			rolling = append(rolling, *rec)
 			if len(rolling) >= r.batchSize {
 				emit(-1, rolling)
 				rolling = nil

@@ -123,7 +123,7 @@ func TestSyncRecorderEmptyCall(t *testing.T) {
 
 func TestAsyncRecorderDefersShipping(t *testing.T) {
 	pc, _ := startStore(t)
-	journal := filepath.Join(t.TempDir(), "journal.gob")
+	journal := filepath.Join(t.TempDir(), "journal")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 10, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestAsyncRecorderDefersShipping(t *testing.T) {
 
 func TestAsyncRecorderFlushTwice(t *testing.T) {
 	pc, _ := startStore(t)
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 0, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestAsyncRecorderFlushTwice(t *testing.T) {
 
 func TestAsyncRecorderCloseFlushes(t *testing.T) {
 	pc, _ := startStore(t)
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 0, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestAsyncRecorderCloseFlushes(t *testing.T) {
 
 func TestAsyncRecorderConcurrentRecord(t *testing.T) {
 	pc, _ := startStore(t)
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 50, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestAsyncRecorderDistributedStores(t *testing.T) {
 		clients = append(clients, pc)
 		services = append(services, svc)
 	}
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 5, clients...)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestAsyncRecorderBadJournalPath(t *testing.T) {
 func TestAsyncRecorderFlushFailureKeepsJournal(t *testing.T) {
 	// Records must survive a failed flush so they can be re-shipped.
 	dead := preserv.NewClient("http://127.0.0.1:1", nil)
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 0, dead)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +340,7 @@ func TestAsyncRecorderAdoptsCrashedActiveJournal(t *testing.T) {
 	}
 	defer srv.Close()
 	pc := preserv.NewClient(srv.URL, nil)
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	crashed, err := NewAsyncRecorder("svc:enactor", journal, 0, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestAsyncRecorderAdoptsCrashedActiveJournal(t *testing.T) {
 
 func TestRecorderInterfaceCompliance(t *testing.T) {
 	pc, _ := startStore(t)
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	async, err := NewAsyncRecorder("a", journal, 0, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -401,7 +401,7 @@ func TestRecorderInterfaceCompliance(t *testing.T) {
 
 func TestQueryThroughStoreAfterAsyncFlush(t *testing.T) {
 	pc, _ := startStore(t)
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 0, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +433,7 @@ func TestQueryThroughStoreAfterAsyncFlush(t *testing.T) {
 
 func TestManyBatches(t *testing.T) {
 	pc, svc := startStore(t)
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 7, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +463,7 @@ func TestAsyncRecorderPipelinedFlush(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			pc, svc := startStore(t)
-			journal := filepath.Join(t.TempDir(), "j.gob")
+			journal := filepath.Join(t.TempDir(), "j")
 			r, err := NewAsyncRecorder("svc:enactor", journal, 7, pc)
 			if err != nil {
 				t.Fatal(err)
@@ -515,7 +515,7 @@ func TestAsyncRecorderFlushConcurrencyBounded(t *testing.T) {
 	ts := httptest.NewServer(wrapped)
 	defer ts.Close()
 
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 2, preserv.NewClient(ts.URL, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -562,7 +562,7 @@ func TestAsyncRecorderRecordAfterFailedFlush(t *testing.T) {
 	ts := httptest.NewServer(wrapped)
 	defer ts.Close()
 
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 25, preserv.NewClient(ts.URL, nil))
 	if err != nil {
 		t.Fatal(err)

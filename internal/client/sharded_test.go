@@ -41,7 +41,7 @@ func TestAsyncRecorderShippedNeverExceedsRecordedAcrossRetries(t *testing.T) {
 	ts := httptest.NewServer(wrapped)
 	defer ts.Close()
 
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 2, preserv.NewClient(ts.URL, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestAsyncRecorderRoundRobinBalancedAcrossFlushes(t *testing.T) {
 	const flushes = 12
 	clients, _, counts := countingEndpoints(t, endpoints)
 
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, DefaultBatchSize, clients...)
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestAsyncRecorderShardedTopologyRoutesSessionAffine(t *testing.T) {
 	const endpoints = 3
 	clients, services, _ := countingEndpoints(t, endpoints)
 
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 4, clients...)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestAsyncRecorderShardedRetryIdempotent(t *testing.T) {
 		clients[i] = preserv.NewClient(ts.URL, nil)
 	}
 
-	journal := filepath.Join(t.TempDir(), "j.gob")
+	journal := filepath.Join(t.TempDir(), "j")
 	r, err := NewAsyncRecorder("svc:enactor", journal, 3, clients...)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -56,25 +55,19 @@ func (k *Kind) UnmarshalText(text []byte) error {
 //
 // Records encode in a compact hand-rolled binary form: a magic prefix,
 // the kind byte, then the p-assertion's fields as fixed-width IDs and
-// uvarint-length-prefixed strings/bytes. The previous format (one gob
-// stream per record) spent roughly half of every encode re-sending gob
-// type descriptors — even beside the 8.67 index postings each record
-// writes (index.postings_per_rec), the encoder was the single hottest
-// function on the ingest path. DecodeRecord still
-// accepts gob blobs, so stores written before the format change keep
-// working; idempotent re-records of such blobs are handled by the store
-// comparing canonical re-encodings (see store.Record).
-//
-// The first magic byte is 0xA5: a gob stream's first byte is a uvarint
-// length whose leading byte is always in [0x00, 0x7F] or [0xF8, 0xFF],
-// so the two formats cannot be confused.
+// uvarint-length-prefixed strings/bytes. A blob without the magic is
+// not a record: DecodeRecord fails on it as on any corrupt value.
 var codecMagic = [4]byte{0xA5, 'P', 'A', '1'}
 
 // EncodeRecord serialises a record for storage in a backend. Encoding is
 // deterministic: equal records produce equal bytes, which the store's
 // idempotency check relies on.
 func EncodeRecord(r *Record) ([]byte, error) {
-	buf := make([]byte, 0, 256)
+	return AppendRecord(make([]byte, 0, 256), r)
+}
+
+// AppendRecord appends EncodeRecord's bytes for r to buf.
+func AppendRecord(buf []byte, r *Record) ([]byte, error) {
 	buf = append(buf, codecMagic[:]...)
 	buf = append(buf, byte(r.Kind))
 	switch r.Kind {
@@ -110,26 +103,10 @@ func EncodeRecord(r *Record) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeRecord reverses EncodeRecord. Blobs in the pre-batching storage
-// format — one self-describing gob stream per record — decode through a
-// fallback path, so stores written before the binary codec still read.
+// DecodeRecord reverses EncodeRecord.
 func DecodeRecord(data []byte) (*Record, error) {
 	if len(data) < len(codecMagic)+1 || !bytes.Equal(data[:len(codecMagic)], codecMagic[:]) {
-		var r Record
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&r); err != nil {
-			return nil, fmt.Errorf("core: decoding record: %w", err)
-		}
-		// gob happily decodes short junk into a zero Record; only a
-		// structurally complete record (a known kind with its payload
-		// present) is a legitimate legacy blob — anything else must
-		// surface as corruption, not crash a later re-encode.
-		switch {
-		case r.Kind == KindInteraction && r.Interaction != nil:
-		case r.Kind == KindActorState && r.ActorState != nil:
-		default:
-			return nil, fmt.Errorf("core: decoding record: gob blob is not a complete record (kind %d)", r.Kind)
-		}
-		return &r, nil
+		return nil, fmt.Errorf("core: decoding record: no codec magic")
 	}
 	d := &decoder{data: data, off: len(codecMagic)}
 	kind := Kind(d.byte())
@@ -267,8 +244,8 @@ func (d *decoder) take(n uint64) []byte {
 
 func (d *decoder) str() string { return string(d.take(d.uvarint())) }
 
-// bytes returns a copy (nil when empty, matching gob's behaviour) so the
-// record does not alias the backend's buffer.
+// bytes returns a copy (nil when empty) so the record does not alias
+// the backend's buffer.
 func (d *decoder) bytes() []byte {
 	b := d.take(d.uvarint())
 	if len(b) == 0 {

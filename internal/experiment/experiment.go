@@ -300,7 +300,7 @@ func Run(params Params, cfg Config) (*Result, error) {
 		for i, u := range cfg.StoreURLs {
 			clients[i] = preserv.NewClient(u, nil)
 		}
-		journal := filepath.Join(dir, fmt.Sprintf("pcomp-journal-%s.gob", session.Short()))
+		journal := filepath.Join(dir, fmt.Sprintf("pcomp-journal-%s", session.Short()))
 		async, err := client.NewAsyncRecorder(SvcEnactor, journal, cfg.AsyncBatch, clients...)
 		if err != nil {
 			return nil, err

@@ -186,8 +186,8 @@ func (id ID) AppendXML(dst []byte, tag string) []byte {
 	return xmlwire.AppendClose(dst, tag)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler (used by gob) as the
-// 16-byte big-endian representation.
+// MarshalBinary implements encoding.BinaryMarshaler as the 16-byte
+// big-endian representation.
 func (id ID) MarshalBinary() ([]byte, error) {
 	var b [16]byte
 	hi, lo := id.hi, id.lo

@@ -20,15 +20,14 @@
 // as the record, and deletes them in the same batch as the record, so a
 // crash keeps both or neither and the index needs no repair.
 //
-// A store whose schema marker is absent or older than schemaVersion —
-// one recorded before indexing existed, or before records and postings
-// shared a batch — is rebuilt once, at Open, with one full scan. See
+// The schema marker xm/schema reads schemaVersion. Open writes it into a
+// fresh store and refuses any other — a store an earlier version indexed,
+// or one that holds records with no marker — with core.ErrOldFormat. See
 // DESIGN.md for the full layout.
 package index
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -69,8 +68,7 @@ const (
 	schemaKey     = metaPrefix + "schema"
 	// schemaVersion "2" marks an index whose postings were always written
 	// in their record's batch. Under "1" a crash could leave a record
-	// without postings or postings without a record, and deficit markers
-	// under xm/ counted the records a rebuild skipped.
+	// without postings or postings without a record.
 	schemaVersion = "2"
 
 	// timeLayout is fixed-width and zero-padded so lexicographic key
@@ -90,9 +88,6 @@ type KV interface {
 	// resume a partially consumed list without re-reading its head.
 	ScanFrom(prefix, from string, fn func(key string, value []byte) error) error
 	Count(prefix string) (int, error)
-	// DeleteBatch removes several keys in one backend operation (absent
-	// keys are no-ops).
-	DeleteBatch(keys []string) error
 }
 
 // Index is an open secondary index over a backend.
@@ -100,98 +95,38 @@ type Index struct {
 	kv KV
 }
 
-// Open attaches to the index stored in kv. The schema marker alone
-// decides: a store whose marker is absent or not schemaVersion is rebuilt
-// by one full scan first.
-func Open(kv KV) (*Index, error) {
-	ix := &Index{kv: kv}
-	v, ok, err := kv.Get(schemaKey)
+// Open attaches to the index stored in b. The schema marker alone
+// decides: schemaVersion opens the index; no marker on a store with no
+// record and no posting is a fresh store, which gets the marker; any
+// other store is refused with core.ErrOldFormat, and nothing is written.
+func Open(b KV) (*Index, error) {
+	v, ok, err := b.Get(schemaKey)
 	if err != nil {
 		return nil, fmt.Errorf("index: reading schema marker: %w", err)
 	}
 	if ok && string(v) == schemaVersion {
-		return ix, nil
+		return &Index{kv: b}, nil
 	}
-	if err := ix.Rebuild(); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// Rebuild derives the index from the records and makes the stored index
-// equal to it, writing only the difference: it derives every record's
-// postings, compares them in one sorted pass with the keys under x/,
-// deletes the postings no record calls for and every xm/ key but the
-// schema marker (an older schema's deficit markers), puts the postings
-// that are missing, and writes the schema marker last. Migrating a store
-// whose postings are right therefore rewrites none of them. A crash part
-// way leaves no current marker, so the next Open rebuilds again. A record
-// that no longer decodes is skipped rather than failing the rebuild:
-// recording must stay available over a store with one torn value (the
-// same policy kvdb's recovery applies to a torn tail).
-func (ix *Index) Rebuild() error {
-	var want []string
-	var b KeyBuilder
-	for _, prefix := range []string{"i/", "s/"} {
-		err := ix.kv.ScanFrom(prefix, "", func(key string, value []byte) error {
-			if r, err := core.DecodeRecord(value); err == nil {
-				want = b.PostingKeys(want, r)
+	layout := "index schema " + string(v)
+	if !ok {
+		layout = "unindexed store"
+		keys := 0
+		for _, prefix := range []string{"i/", "s/", postingPrefix} {
+			n, err := b.Count(prefix)
+			if err != nil {
+				return nil, fmt.Errorf("index: counting %s keys: %w", prefix, err)
 			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("index: reading records: %w", err)
+			keys += n
+		}
+		if keys == 0 {
+			if err := b.PutBatch([]kv.Pair{{Key: schemaKey, Value: []byte(schemaVersion)}}); err != nil {
+				return nil, fmt.Errorf("index: writing schema marker: %w", err)
+			}
+			return &Index{kv: b}, nil
 		}
 	}
-	want = kv.SortKeys(want)
-	var doomed, missing []string
-	err := ix.kv.ScanFrom(postingPrefix, "", func(key string, _ []byte) error {
-		for len(want) > 0 && want[0] < key {
-			missing = append(missing, want[0])
-			want = want[1:]
-		}
-		if len(want) > 0 && want[0] == key {
-			want = want[1:]
-		} else {
-			doomed = append(doomed, key)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("index: listing postings: %w", err)
-	}
-	missing = append(missing, want...)
-	err = ix.kv.ScanFrom(metaPrefix, "", func(key string, _ []byte) error {
-		if key != schemaKey {
-			doomed = append(doomed, key)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("index: listing markers: %w", err)
-	}
-	// Keys go to the backend in bounded batches, which keeps each write
-	// small while still amortising the per-write cost.
-	const rebuildChunk = 4096
-	for chunk := range slices.Chunk(doomed, rebuildChunk) {
-		if err := ix.kv.DeleteBatch(chunk); err != nil {
-			return fmt.Errorf("index: deleting stale keys: %w", err)
-		}
-	}
-	pairs := make([]kv.Pair, 0, min(len(missing), rebuildChunk))
-	for chunk := range slices.Chunk(missing, rebuildChunk) {
-		pairs = pairs[:0]
-		for _, k := range chunk {
-			pairs = append(pairs, kv.Pair{Key: k})
-		}
-		if err := ix.kv.PutBatch(pairs); err != nil {
-			return fmt.Errorf("index: rebuilding postings: %w", err)
-		}
-	}
-	if err := ix.kv.PutBatch([]kv.Pair{{Key: schemaKey, Value: []byte(schemaVersion)}}); err != nil {
-		return fmt.Errorf("index: writing schema marker: %w", err)
-	}
-	return nil
+	return nil, fmt.Errorf("%w: %s; the binary of commit %s rebuilds its index to schema %s",
+		core.ErrOldFormat, layout, core.LastAdoptingCommit, schemaVersion)
 }
 
 // AddBatch puts the postings of records in one backend batch; only the frozen benchmark's index probe calls it, until the benchmark-only PR (ROADMAP direction 2).

@@ -1,9 +1,10 @@
 package index_test
 
 import (
+	"errors"
 	"fmt"
 	. "preserv/internal/index"
-	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,8 +78,8 @@ func record(t *testing.T, b KV, r *core.Record) {
 	}
 }
 
-// writeCounter counts the batches a backend is asked to write: an Open
-// that rebuilds writes, one that does not writes nothing.
+// writeCounter counts the batches a backend is asked to write: only an
+// Open of a fresh store writes, its schema marker.
 type writeCounter struct {
 	KV
 	writes int
@@ -89,41 +90,55 @@ func (c *writeCounter) PutBatch(kvs []kv.Pair) error {
 	return c.KV.PutBatch(kvs)
 }
 
-func (c *writeCounter) DeleteBatch(keys []string) error {
-	c.writes++
-	return c.KV.DeleteBatch(keys)
+// requireRefused opens b and requires core.ErrOldFormat naming layout
+// and the commit that adopts it, with nothing written.
+func requireRefused(t *testing.T, b KV, layout string) {
+	t.Helper()
+	wc := &writeCounter{KV: b}
+	_, err := Open(wc)
+	if !errors.Is(err, core.ErrOldFormat) || !strings.Contains(err.Error(), layout) || !strings.Contains(err.Error(), core.LastAdoptingCommit) {
+		t.Fatalf("Open: %v, want core.ErrOldFormat naming %q and commit %s", err, layout, core.LastAdoptingCommit)
+	}
+	if wc.writes != 0 {
+		t.Fatalf("the refused Open wrote %d batches", wc.writes)
+	}
 }
 
-func TestOpenRebuildsUnindexedStore(t *testing.T) {
-	// Records written before indexing existed: Open must detect the
-	// missing schema marker and rebuild postings from a scan.
+// A fresh store gets the schema marker at its first Open, and a later
+// Open writes nothing. Records, or postings, with no marker are a store
+// recorded before indexing existed: Open refuses it and writes nothing.
+func TestOpenRefusesUnindexedStore(t *testing.T) {
 	b := store.NewMemoryBackend()
+	wc := &writeCounter{KV: b}
+	if _, err := Open(wc); err != nil || wc.writes != 1 {
+		t.Fatalf("first Open of a fresh store: %d writes (%v), want the marker's one", wc.writes, err)
+	}
+	wc.writes = 0
+	if _, err := Open(wc); err != nil || wc.writes != 0 {
+		t.Fatalf("second Open wrote %d batches (%v), want none", wc.writes, err)
+	}
+
 	session := seq.NewID()
 	inter, state, _ := makeActivity(session, "svc:a", "svc:gzip", 1, t0)
-	put(t, b, &inter)
-	put(t, b, &state)
-
-	ix, err := Open(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	list, err := ix.Postings(DimSession, session.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 2 {
-		t.Fatalf("session postings after rebuild = %v, want both records", list)
-	}
-	if list[0] != inter.StorageKey() || list[1] != state.StorageKey() {
-		t.Errorf("posting order = %v, want sorted storage keys", list)
+	for _, planted := range []func(b KV){
+		func(b KV) { put(t, b, &inter); put(t, b, &state) },
+		func(b KV) { record(t, b, &inter); put(t, b, &state) },
+		func(b KV) {
+			if err := b.PutBatch([]kv.Pair{{Key: "x/kind/i/" + inter.StorageKey()}}); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		b := store.NewMemoryBackend()
+		planted(b)
+		requireRefused(t, b, "unindexed store")
 	}
 }
 
 // A store from schema "1" may hold a record without its postings,
-// postings whose record is gone, and deficit markers. Open rebuilds it
-// once: the missing postings appear, the dangling ones and the markers
-// go, the schema marker reads "2", and the next Open writes nothing.
-func TestOpenRebuildsOlderSchemaOnce(t *testing.T) {
+// postings whose record is gone, and deficit markers. Open refuses it,
+// naming the schema, and writes nothing; so it does any marker but "2".
+func TestOpenRefusesOlderSchema(t *testing.T) {
 	b := store.NewMemoryBackend()
 	session := seq.NewID()
 	kept, _, _ := makeActivity(session, "svc:a", "svc:gzip", 1, t0)
@@ -140,35 +155,16 @@ func TestOpenRebuildsOlderSchemaOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	wc := &writeCounter{KV: b}
-	ix, err := Open(wc)
-	if err != nil {
+	requireRefused(t, b, "index schema 1")
+	if err := b.Put("xm/schema", []byte("3")); err != nil {
 		t.Fatal(err)
 	}
-	if wc.writes == 0 {
-		t.Fatal("a schema-1 store opened without a rebuild")
-	}
-	list, err := ix.Postings(DimSession, session.String())
-	if err != nil {
+	requireRefused(t, b, "index schema 3")
+	empty := store.NewMemoryBackend()
+	if err := empty.Put("xm/schema", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if want := slices.Sorted(slices.Values([]string{kept.StorageKey(), unindexed.StorageKey()})); !slices.Equal(list, want) {
-		t.Fatalf("session postings after the rebuild = %q, want %q", list, want)
-	}
-	if n, err := ix.CountPostings(DimInteraction, gone.InteractionID().String()); err != nil || n != 0 {
-		t.Fatalf("the deleted record keeps %d interaction postings (%v)", n, err)
-	}
-	if n, err := b.Count("xm/deficit/"); err != nil || n != 0 {
-		t.Fatalf("%d deficit markers survive the rebuild (%v)", n, err)
-	}
-	if v, _, err := b.Get("xm/schema"); err != nil || string(v) != "2" {
-		t.Fatalf("schema marker %q after the rebuild (%v), want \"2\"", v, err)
-	}
-	wc.writes = 0
-	if _, err := Open(wc); err != nil || wc.writes != 0 {
-		t.Fatalf("the second Open wrote %d batches (%v), want none", wc.writes, err)
-	}
+	requireRefused(t, empty, "index schema 1")
 }
 
 func TestPostingsPerDimension(t *testing.T) {
@@ -382,38 +378,6 @@ func TestSessionsEnumeratesDistinctTerms(t *testing.T) {
 		if sessions[i-1].Compare(sessions[i]) >= 0 {
 			t.Errorf("sessions not sorted: %v", sessions)
 		}
-	}
-}
-
-func TestRebuildSkipsCorruptRecords(t *testing.T) {
-	// A record value that no longer decodes must not fail the rebuild
-	// (recording stays available), and the next Open does not rebuild
-	// again.
-	b := store.NewMemoryBackend()
-	session := seq.NewID()
-	inter, _, _ := makeActivity(session, "svc:a", "svc:gzip", 1, t0)
-	put(t, b, &inter)
-	if err := b.Put("i/urn:pasoa:ffffffffffffffffffffffffffffffff/sender/svc:a/torn", []byte("not a gob record")); err != nil {
-		t.Fatal(err)
-	}
-
-	ix, err := Open(b)
-	if err != nil {
-		t.Fatalf("rebuild over corrupt record failed: %v", err)
-	}
-	n, err := ix.CountPostings(DimSession, session.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("healthy record not indexed: postings = %d", n)
-	}
-
-	// Reopen: the schema marker alone decides, so the skipped record
-	// triggers no second rebuild.
-	wc := &writeCounter{KV: b}
-	if _, err := Open(wc); err != nil || wc.writes != 0 {
-		t.Fatalf("reopen after tolerated corruption wrote %d batches (%v), want none", wc.writes, err)
 	}
 }
 

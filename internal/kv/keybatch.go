@@ -10,10 +10,9 @@ import (
 	"sync"
 )
 
-// A key batch is the key-only entry kind of the kvdb log, and of the
-// PSEG1 segments earlier versions wrote, which the store still reads: a
-// set of keys that are all put with an
-// empty value, or all deleted, in one entry. The body is
+// A key batch is the key-only entry kind of the kvdb log: a set of keys
+// that are all put with an empty value, or all deleted, in one entry.
+// The body is
 //
 //	flags byte (keyBatchDelete, or 0 for a put)
 //	uvarint count
@@ -21,8 +20,8 @@ import (
 //
 // with the keys sorted and distinct, each written as the first shared
 // bytes of the key before it followed by rest. Index postings sorted
-// this way share most of their bytes with their neighbours. The backend
-// that embeds a body frames it: its length and one CRC over the entry.
+// this way share most of their bytes with their neighbours. The log
+// frames a body: its length and one CRC over the entry.
 
 const keyBatchDelete = 1
 

@@ -3,8 +3,7 @@
 // Ordered, which keeps the chunked sorted key snapshot (Keys) every
 // backend answers Count and ScanFrom from (ordered.go), LRU, the stamped
 // cache behind the router's result cache (lru.go), and the
-// key-batch codec the kvdb log and the PSEG1 segments frame
-// (keybatch.go).
+// key-batch codec the kvdb log frames (keybatch.go).
 // It is a leaf package so that both internal/store (which declares the
 // Backend interface) and internal/index (which flushes posting batches
 // through a structural slice of that interface, and must not import

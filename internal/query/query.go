@@ -506,8 +506,9 @@ func (e *Engine) collect(q *prep.Query, src *leapfrogSource, opts execOpts, resi
 				break
 			}
 			if !present[i] {
-				// Dangling posting (record put failed after its posting
-				// was written, or rebuild raced a writer): skip it.
+				// Dangling posting (its record was deleted after the
+				// postings were read, or was deleted undecodable, which
+				// leaves its postings): skip it.
 				continue
 			}
 			if full() && residualFree {

@@ -158,7 +158,7 @@ func TestJournalRotationCrashEveryByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seedSrv.Close()
-	r, err := client.NewAsyncRecorder("svc:enactor", filepath.Join(src, "journal.gob"), 0, preserv.NewClient(seedSrv.URL, nil))
+	r, err := client.NewAsyncRecorder("svc:enactor", filepath.Join(src, "journal"), 0, preserv.NewClient(seedSrv.URL, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestJournalRotationCrashEveryByte(t *testing.T) {
 	if err := r.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	sealedName := "journal.gob.000001.sealed"
+	sealedName := "journal.000001.sealed"
 	sealed, err := os.ReadFile(filepath.Join(src, sealedName))
 	if err != nil {
 		t.Fatalf("sealed journal missing after Rotate: %v", err)
@@ -202,7 +202,7 @@ func TestJournalRotationCrashEveryByte(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		re, err := client.NewAsyncRecorder("svc:enactor", filepath.Join(dir, "journal.gob"), 0, preserv.NewClient(srv.URL, nil))
+		re, err := client.NewAsyncRecorder("svc:enactor", filepath.Join(dir, "journal"), 0, preserv.NewClient(srv.URL, nil))
 		if err != nil {
 			t.Fatalf("%s: adopting recorder: %v", label, err)
 		}

@@ -2,18 +2,17 @@ package crashtest
 
 // Crash-recovery tests: the kvdb log is truncated (and corrupted) at
 // EVERY byte boundary inside an interrupted PutBatch / DeleteBatch
-// tail, and so are the PSEG1 segments an earlier file backend left,
-// then reopened. Recovery must keep a kvdb batch whole or drop it
-// whole, and a segment's clean prefix — and at the store level, open
-// an index with no rebuild whose planner answers match a full scan byte
-// for byte.
+// tail, then reopened. Recovery must keep a kvdb batch whole or drop it
+// whole — and at the store level, open an index that writes nothing
+// and whose planner answers match a full scan byte for byte. A store in
+// an earlier format is refused, and nothing is written.
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -21,6 +20,8 @@ import (
 	"preserv/internal/ids"
 	"preserv/internal/kv"
 	"preserv/internal/kvdb"
+	"preserv/internal/prep"
+	"preserv/internal/query"
 	"preserv/internal/store"
 )
 
@@ -310,141 +311,6 @@ func TestKvdbCorruptedLogRecoversPrefix(t *testing.T) {
 	}
 }
 
-// TestFileTornSegmentEveryByte truncates a packed PSEG1 segment at
-// every byte: the open adopts a clean prefix of the batch and never
-// fails.
-func TestFileTornSegmentEveryByte(t *testing.T) {
-	src := t.TempDir()
-	seg := []byte(segMagic)
-	var batchKeys []string
-	for i := 0; i < 5; i++ {
-		k := fmt.Sprintf("i/seg/%d", i)
-		seg = segPut(seg, k, []byte(fmt.Sprintf("value-%d", i)))
-		batchKeys = append(batchKeys, k)
-	}
-	writeSegment(t, src, 1, seg)
-
-	lastK := 0
-	for cut := int64(0); cut <= int64(len(seg)); cut++ {
-		dir := copyDir(t, src)
-		segPath, _ := findOne(t, dir, ".seg", true)
-		truncateFile(t, segPath, cut)
-		re, err := store.NewFileBackend(dir)
-		if err != nil {
-			t.Fatalf("cut %d: reopen: %v", cut, err)
-		}
-		checkFirstCount(t, re, batchKeys, fmt.Sprintf("cut %d", cut))
-		got := backendKeys(t, re)
-		k := prefixOf(t, got, batchKeys, fmt.Sprintf("cut %d", cut))
-		if len(got) != k {
-			t.Fatalf("cut %d: recovered %d keys but prefix is %d", cut, len(got), k)
-		}
-		if k < lastK {
-			t.Fatalf("cut %d: prefix shrank from %d to %d", cut, lastK, k)
-		}
-		lastK = k
-		re.Close()
-	}
-	if lastK != len(batchKeys) {
-		t.Fatalf("whole segment recovered only %d/%d keys", lastK, len(batchKeys))
-	}
-}
-
-// TestFileTornPostingSegmentEveryByte is the file layout's twin of
-// TestKvdbTornPostingBatchEveryByte: the postings segment, truncated at
-// every byte, adopts the batch's postings all or none, never fewer as
-// the cut grows, and leaves the base segment's keys alone.
-func TestFileTornPostingSegmentEveryByte(t *testing.T) {
-	src := t.TempDir()
-	base := []kv.Pair{{Key: "i/rec/0", Value: []byte("r0")}, {Key: "x/kind/i/i/rec/0"}}
-	writeSegment(t, src, 1, segKeyBatch(segPut([]byte(segMagic), base[0].Key, base[0].Value), []string{base[1].Key}, false))
-	batch := postingBatch(6)
-	keys := keysOfPairs(batch)
-	slices.Sort(keys)
-	seg := segKeyBatch([]byte(segMagic), keys, false)
-	writeSegment(t, src, 2, seg)
-
-	whole := false
-	for cut := int64(0); cut <= int64(len(seg)); cut++ {
-		dir := copyDir(t, src)
-		segPath, _ := findOne(t, dir, ".seg", true)
-		truncateFile(t, segPath, cut)
-		re, err := store.NewFileBackend(dir)
-		if err != nil {
-			t.Fatalf("cut %d: reopen: %v", cut, err)
-		}
-		checkFirstCount(t, re, append(keysOfPairs(base), keys...), fmt.Sprintf("cut %d", cut))
-		got := backendKeys(t, re)
-		for _, p := range base {
-			if !got[p.Key] {
-				t.Fatalf("cut %d: committed base key %q lost", cut, p.Key)
-			}
-		}
-		n := 0
-		for _, p := range batch {
-			if got[p.Key] {
-				n++
-			}
-		}
-		switch {
-		case n != 0 && n != len(batch):
-			t.Fatalf("cut %d: %d of the batch's %d postings recovered", cut, n, len(batch))
-		case whole && n == 0:
-			t.Fatalf("cut %d: the batch recovered at a shorter cut is lost", cut)
-		}
-		whole = n == len(batch)
-		re.Close()
-	}
-	if !whole {
-		t.Fatal("the whole segment did not recover the batch")
-	}
-}
-
-// TestFileTornTombstoneSegmentEveryByte truncates the tombstone segment
-// a DeleteBatch wrote: the applied deletions form a prefix of the
-// batch, and the committed base keys are never harmed.
-func TestFileTornTombstoneSegmentEveryByte(t *testing.T) {
-	src := t.TempDir()
-	var all []string
-	seg := []byte(segMagic)
-	for i := 0; i < 6; i++ {
-		k := fmt.Sprintf("i/ts/%d", i)
-		all = append(all, k)
-		seg = segPut(seg, k, []byte("v"))
-	}
-	writeSegment(t, src, 1, seg)
-	doomed := all[:4]
-	tomb := segKeyBatch([]byte(segMagic), doomed, true)
-	writeSegment(t, src, 2, tomb)
-
-	for cut := int64(0); cut <= int64(len(tomb)); cut++ {
-		dir := copyDir(t, src)
-		segPath, _ := findOne(t, dir, ".seg", true)
-		truncateFile(t, segPath, cut)
-		re, err := store.NewFileBackend(dir)
-		if err != nil {
-			t.Fatalf("cut %d: reopen: %v", cut, err)
-		}
-		checkFirstCount(t, re, all, fmt.Sprintf("cut %d", cut))
-		got := backendKeys(t, re)
-		j := 0
-		for j < len(doomed) && !got[doomed[j]] {
-			j++
-		}
-		for i := j; i < len(doomed); i++ {
-			if !got[doomed[i]] {
-				t.Fatalf("cut %d: deletion of %q applied without earlier %q", cut, doomed[i], doomed[j])
-			}
-		}
-		for _, k := range all[4:] {
-			if !got[k] {
-				t.Fatalf("cut %d: undeleted key %q lost", cut, k)
-			}
-		}
-		re.Close()
-	}
-}
-
 // storeFlavours are the persistent store configurations the end-to-end
 // crash tests run over.
 func storeFlavours() []struct {
@@ -542,18 +408,49 @@ func TestStoreCrashRecoveryPlannerEqualsScan(t *testing.T) {
 	}
 }
 
-// TestSchemaOneStoreMigratesOnce plants, in a store, the states that
-// schema "1" could leave — a record without postings, postings whose
-// record is gone, a deficit marker — under a schema "1" marker. The
-// first open rebuilds the index; truncating the log anywhere in that
-// rebuild leaves a store whose next open rebuilds again; and once a
-// rebuild has finished, an open rebuilds nothing. Planned queries equal a
-// scan throughout.
-func TestSchemaOneStoreMigratesOnce(t *testing.T) {
+// requireRefusedUnchanged requires Store.Record and a planned query on
+// the store in dir to fail with core.ErrOldFormat naming layout and the
+// commit that adopts it, writing nothing: the log keeps its bytes.
+func requireRefusedUnchanged(t *testing.T, open func(t *testing.T, dir string) store.Backend, dir, layout string, sessions []ids.ID) {
+	t.Helper()
+	logPath, _ := findOne(t, dir, ".log", false)
+	before, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := open(t, dir)
+	s := store.New(b)
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, core.ErrOldFormat) || !strings.Contains(err.Error(), layout) || !strings.Contains(err.Error(), core.LastAdoptingCommit) {
+			t.Fatalf("%s: error %v, want core.ErrOldFormat naming %q and commit %s", what, err, layout, core.LastAdoptingCommit)
+		}
+	}
+	_, _, err = s.Record("svc:enactor", []core.Record{mkInteraction(sessions[0], "svc:late", 9)})
+	check("Record", err)
+	_, _, _, err = query.New(s).Query(&prep.Query{SessionID: sessions[0]})
+	check("planned query", err)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("the refused store's log changed from %d to %d bytes", len(before), len(after))
+	}
+}
+
+// TestSchemaOneStoreRefused plants, in a store, the states that schema
+// "1" could leave — a record without postings, postings whose record is
+// gone, a deficit marker — under a schema "1" marker. Recording and
+// querying are refused, by name, and write nothing.
+func TestSchemaOneStoreRefused(t *testing.T) {
 	for _, fl := range storeFlavours() {
 		t.Run(fl.name, func(t *testing.T) {
-			src := t.TempDir()
-			b := fl.open(t, src)
+			dir := t.TempDir()
+			b := fl.open(t, dir)
 			s := store.New(b)
 			var sessions []ids.ID
 			var recs []core.Record
@@ -584,67 +481,16 @@ func TestSchemaOneStoreMigratesOnce(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			_, planted := fl.tail(t, src)
-
-			// open reopens dir, opens its index and reports whether that
-			// rebuilt it, after checking the planner against a scan and
-			// that no dangling posting or deficit marker is left.
-			open := func(dir, label string) (rebuilt bool) {
-				t.Helper()
-				rb := fl.open(t, dir)
-				defer rb.Close()
-				_, opened := fl.tail(t, dir)
-				rs := store.New(rb)
-				idx, err := rs.Index()
-				if err != nil {
-					t.Fatalf("%s: index open: %v", label, err)
-				}
-				assertPlannerEqualsScan(t, rs, sessions, label)
-				if n, err := idx.CountPostings("int", recs[0].InteractionID().String()); err != nil || n != 0 {
-					t.Fatalf("%s: the deleted record keeps %d interaction postings (%v)", label, n, err)
-				}
-				if n, err := rb.Count("xm/deficit/"); err != nil || n != 0 {
-					t.Fatalf("%s: %d deficit markers left (%v)", label, n, err)
-				}
-				_, size := fl.tail(t, dir)
-				return size != opened
-			}
-			migrated := copyDir(t, src)
-			if !open(migrated, "first open") {
-				t.Fatal("a schema-1 store opened without a rebuild")
-			}
-			if open(migrated, "second open") {
-				t.Fatal("the migrated store rebuilt again")
-			}
-			path, full := fl.tail(t, migrated)
-			log, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, cut := range cutsOf(planted, full, 512) {
-				dir := copyDir(t, migrated)
-				if err := os.WriteFile(filepath.Join(dir, filepath.Base(path)), log[:cut], 0o644); err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("rebuild cut at %d of %d", cut, full)
-				if rebuilt := open(dir, label); rebuilt != (cut < full) {
-					t.Fatalf("%s: rebuilt=%v", label, rebuilt)
-				}
-				if open(dir, label+", reopened") {
-					t.Fatalf("%s: the store rebuilt again after a rebuild finished", label)
-				}
-			}
+			requireRefusedUnchanged(t, fl.open, dir, "index schema 1", sessions)
 		})
 	}
 }
 
-// TestSchemaOneMigrationKeepsPostings migrates a clean schema "1" store —
-// 98 records whose postings are all right, under an old marker — and
-// requires the rebuild to grow the log by under 5 %: it writes the
-// difference between the postings the records call for and those
-// stored, which here is nothing but the marker. Tombstoning every
-// posting and putting it back, as the rebuild once did, doubled the log.
-func TestSchemaOneMigrationKeepsPostings(t *testing.T) {
+// TestUnindexedStoreRefused removes the schema marker from a store of
+// 98 records whose postings are all right, and then every posting too,
+// as a store recorded before indexing existed holds them. Either way
+// recording and querying are refused, by name, and write nothing.
+func TestUnindexedStoreRefused(t *testing.T) {
 	for _, fl := range storeFlavours() {
 		t.Run(fl.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -662,30 +508,22 @@ func TestSchemaOneMigrationKeepsPostings(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := b.Put("xm/schema", []byte("1")); err != nil {
+			if err := b.Delete("xm/schema"); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			_, before := fl.tail(t, dir)
+			requireRefusedUnchanged(t, fl.open, dir, "unindexed store", sessions)
 
-			rb := fl.open(t, dir)
-			rs := store.New(rb)
-			if _, err := rs.Index(); err != nil {
+			b = fl.open(t, dir)
+			if err := b.DeleteBatch(keysOf(t, b.(*kvdb.DB), "x/")); err != nil {
 				t.Fatal(err)
 			}
-			assertPlannerEqualsScan(t, rs, sessions, "migrated")
-			if err := rs.Close(); err != nil {
+			if err := b.Close(); err != nil {
 				t.Fatal(err)
 			}
-			_, after := fl.tail(t, dir)
-			if after == before {
-				t.Fatal("a schema-1 store opened without a rebuild")
-			}
-			if grown := float64(after-before) / float64(before); grown >= 0.05 {
-				t.Fatalf("migrating a clean schema-1 store grew the log from %d to %d bytes (+%.1f%%), want under 5%%", before, after, 100*grown)
-			}
+			requireRefusedUnchanged(t, fl.open, dir, "unindexed store", sessions)
 		})
 	}
 }

@@ -6,9 +6,6 @@ package crashtest
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,7 +15,6 @@ import (
 
 	"preserv/internal/core"
 	"preserv/internal/ids"
-	"preserv/internal/kv"
 	"preserv/internal/prep"
 	"preserv/internal/query"
 	"preserv/internal/store"
@@ -95,43 +91,6 @@ func findOne(t *testing.T, dir, suffix string, latest bool) (string, int64) {
 		t.Fatal(err)
 	}
 	return path, info.Size()
-}
-
-// segMagic heads the PSEG1 segments that earlier versions of the file
-// backend wrote and the open now adopts into the kvdb log. Each entry
-// is uvarint keyLen, uvarint valLen, the body and a CRC32; a key batch
-// has the reserved valLen segKeyBatchVal, its body is a kv key-batch
-// body, and its CRC covers the whole entry.
-const (
-	segMagic       = "PSEG1\n"
-	segKeyBatchVal = ^uint64(0) - 1
-)
-
-// segPut appends a per-key put entry to a segment.
-func segPut(buf []byte, key string, val []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = binary.AppendUvarint(buf, uint64(len(val)))
-	buf = append(append(buf, key...), val...)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(buf)-len(key)-len(val):]))
-}
-
-// segKeyBatch appends a key-batch entry of keys, sorted and distinct,
-// that puts them empty-valued or, with del, deletes them.
-func segKeyBatch(buf []byte, keys []string, del bool) []byte {
-	body := kv.AppendKeyBatch(nil, keys, del)
-	start := len(buf)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	buf = binary.AppendUvarint(buf, segKeyBatchVal)
-	buf = append(buf, body...)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
-}
-
-// writeSegment writes data as segment seq of dir.
-func writeSegment(t *testing.T, dir string, seq int, data []byte) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%016x.seg", seq)), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func truncateFile(t *testing.T, path string, n int64) {
@@ -214,19 +173,6 @@ func compareRecords(t *testing.T, want []core.Record, wantTotal int, got []core.
 				label, qi, i, got[i].StorageKey(), want[i].StorageKey())
 		}
 	}
-}
-
-// backendKeys snapshots every live key of a backend into a set.
-func backendKeys(t *testing.T, b store.Backend) map[string]bool {
-	t.Helper()
-	out := make(map[string]bool)
-	if err := b.ScanFrom("", "", func(k string, _ []byte) error {
-		out[k] = true
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // checkFirstCount asserts that a backend just reopened, asked before any

@@ -11,7 +11,10 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/rand/v2"
+	"os"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,15 +108,14 @@ const sessionSlots = 4096
 // and their postings) holds the lock stripes of its keys, taken in
 // ascending order. The mu mutex only guards the lazily opened index
 // handle. Reads (GetBatch, Count, ScanQuery) never take it, so they wait
-// neither behind an ingest batch nor behind the first Index call, which
-// may rebuild the whole index while holding it.
+// neither behind an ingest batch nor behind the first Index call.
 type Store struct {
 	mu sync.RWMutex // provlint:lock-order 20
 	b  Backend
 	// idx is the secondary index, opened lazily on first use so that New
-	// keeps its error-free signature; a store from before the index's
-	// current schema is rebuilt at that point. Open failures are not latched:
-	// a transient backend error must not disable the store for good.
+	// keeps its error-free signature; a store in an earlier format is
+	// refused at that point. Open failures are not latched: a transient
+	// backend error must not disable the store for good.
 	idx *index.Index
 	// The stamps the shard router's result cache keys its answers on
 	// (QueryGeneration). epoch is drawn at random at every open, so no
@@ -298,26 +300,10 @@ func mix(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// ensureIndexLocked opens (rebuilding if necessary) the secondary index.
-// Callers must hold s.mu. Only success is cached — a failed Open is
-// retried on the next call.
-//
-// provlint:requires mu
-func (s *Store) ensureIndexLocked() (*index.Index, error) {
-	if s.idx != nil {
-		return s.idx, nil
-	}
-	idx, err := index.Open(s.b)
-	if err != nil {
-		return nil, err
-	}
-	s.idx = idx
-	return idx, nil
-}
-
-// Index returns the store's secondary index, opening it (and rebuilding
-// it from a scan, for stores from before its current schema) on first
-// call.
+// Index returns the store's secondary index, opening it on first call.
+// Only success is cached: a store index.Open refuses — its index in an
+// earlier schema, or missing beside records — is refused with
+// core.ErrOldFormat at every call, and nothing is written beside it.
 func (s *Store) Index() (*index.Index, error) {
 	s.mu.RLock()
 	idx := s.idx
@@ -327,7 +313,14 @@ func (s *Store) Index() (*index.Index, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ensureIndexLocked()
+	if s.idx == nil {
+		idx, err := index.Open(s.b)
+		if err != nil {
+			return nil, err
+		}
+		s.idx = idx
+	}
+	return s.idx, nil
 }
 
 // GetBatch fetches several records' raw encodings in one backend batch —
@@ -412,8 +405,8 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 		batch = append(batch, staged{i: i, key: r.StorageKey(), encoded: encoded, lo: lo, hi: len(ps.keys)})
 	}
 
-	// The index is opened (a store from before the current schema
-	// rebuilt) before anything is written beside it.
+	// The index is opened (a store in an earlier format refused) before
+	// anything is written beside it.
 	if _, err := s.Index(); err != nil {
 		return 0, nil, fmt.Errorf("store: opening index: %w", err)
 	}
@@ -464,7 +457,7 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 			st.fresh = true
 			fresh++
 			size += 1 + st.hi - st.lo
-		case sameRecordBytes(existing, st.encoded):
+		case string(existing) == string(st.encoded): // the encoding is canonical
 			accepted++ // idempotent re-record: its postings are there already
 		default:
 			rejects = append(rejects, prep.Reject{Index: st.i, Reason: fmt.Sprintf("%v: %s", ErrDuplicate, st.key)})
@@ -616,8 +609,8 @@ func (s *Store) deleteKeys(keys []string) (int, error) {
 // the records it deleted.
 //
 // A record whose stored bytes no longer decode is deleted anyway —
-// retraction must work on a store with one torn value, the same policy
-// Rebuild applies by skipping it — without postings, since they are not
+// retraction must work on a store with one torn value — without
+// postings, since they are not
 // computable: any it has are skipped at fetch time. Its sessions are
 // unknown, so it advances every session's stamp. It returns how many
 // records were deleted.
@@ -693,18 +686,40 @@ var _ compactingBackend = (*kvdb.DB)(nil)
 // NewKVBackend opens (creating if necessary) the one persistent backend
 // in dir: the embedded database is the backend itself, the counterpart
 // of PReServ's Berkeley DB backend, which the paper uses for all of its
-// evaluations. Whatever an earlier version's file layout left in dir is
-// adopted into the log before it returns (adoptFileLayout).
+// evaluations. A directory that holds a file of the PSEG1 layout is
+// refused with core.ErrOldFormat before anything in it is opened.
 func NewKVBackend(dir string) (*kvdb.DB, error) {
+	if err := refusePSEG1(dir); err != nil {
+		return nil, err
+	}
 	db, err := kvdb.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening kvdb backend: %w", err)
 	}
-	if err := adoptFileLayout(db, dir); err != nil {
-		db.Close()
-		return nil, err
-	}
 	return db, nil
+}
+
+// refusePSEG1 reports core.ErrOldFormat if dir holds a file of PSEG1,
+// the layout earlier versions of the file backend wrote: <seq>.seg
+// segments, <hash>.rec and <hash>.rec.key record pairs, and
+// <seq>.seg.tmp and <seq>.seg.bloom leftovers (kvdb's compact.tmp is
+// not one).
+func refusePSEG1(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: listing %s: %w", dir, err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		seg := strings.TrimSuffix(strings.TrimSuffix(name, ".tmp"), ".bloom")
+		_, seqErr := strconv.ParseUint(strings.TrimSuffix(seg, ".seg"), 16, 64)
+		if !e.IsDir() && (strings.HasSuffix(name, ".rec") || strings.HasSuffix(name, ".rec.key") ||
+			strings.HasSuffix(seg, ".seg") && (seg == name || seqErr == nil)) {
+			return fmt.Errorf("%w: %s holds %s, a file of the PSEG1 layout; the binary of commit %s adopts it into the kvdb log",
+				core.ErrOldFormat, dir, name, core.LastAdoptingCommit)
+		}
+	}
+	return nil
 }
 
 // NewFileBackend is NewKVBackend, kept for the frozen benchmark/, which
@@ -764,26 +779,6 @@ func (s *Store) Tombstones() int64 {
 // early record would trail a validation failure on a later one.
 func sortRejects(rejects []prep.Reject) {
 	sort.Slice(rejects, func(i, j int) bool { return rejects[i].Index < rejects[j].Index })
-}
-
-// sameRecordBytes reports whether an existing stored blob holds the same
-// record as a freshly encoded one. Byte equality is the fast path; on
-// mismatch the existing blob is decoded and canonically re-encoded, so a
-// record stored in the legacy gob format is still recognised as an
-// idempotent re-record rather than flagged as a duplicate conflict.
-func sameRecordBytes(existing, encoded []byte) bool {
-	if string(existing) == string(encoded) {
-		return true
-	}
-	r, err := core.DecodeRecord(existing)
-	if err != nil {
-		return false
-	}
-	re, err := core.EncodeRecord(r)
-	if err != nil {
-		return false
-	}
-	return string(re) == string(encoded)
 }
 
 // Query evaluates q and returns matching records (up to q.Limit) plus

@@ -2,11 +2,9 @@ package store
 
 // Tests for the concurrent batched write path: one log file per store,
 // striped commit locking, and the one-flush-per-Record index
-// maintenance; and for the adoption of torn and corrupt segments.
+// maintenance.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"slices"
@@ -70,30 +68,6 @@ func TestFileBackendPackedPostings(t *testing.T) {
 	postings, err := ix.Postings("sess", session.String())
 	if err != nil || len(postings) != n {
 		t.Fatalf("session postings after reopen = %d err=%v, want %d", len(postings), err, n)
-	}
-}
-
-// TestFileBackendTornSegmentTail verifies the adoption of a torn batch
-// write: the segment's intact prefix is adopted, only the damaged tail
-// is dropped.
-func TestFileBackendTornSegmentTail(t *testing.T) {
-	dir := t.TempDir()
-	seg := []byte(segMagic)
-	for _, p := range []KV{{Key: "a", Value: []byte("alpha")}, {Key: "b", Value: []byte("beta")}, {Key: "c", Value: []byte("gamma")}} {
-		seg = appendSegEntry(seg, p.Key, p.Value)
-	}
-	// Chop into the last entry's CRC: "c" must be dropped, "a"/"b" kept.
-	writeSegments(t, dir, seg[:len(seg)-2])
-	fb2 := openFile(t, dir)
-	defer fb2.Close()
-	for key, want := range map[string]string{"a": "alpha", "b": "beta"} {
-		v, ok, err := fb2.Get(key)
-		if err != nil || !ok || string(v) != want {
-			t.Errorf("Get(%s) after torn tail = %q ok=%v err=%v", key, v, ok, err)
-		}
-	}
-	if _, ok, _ := fb2.Get("c"); ok {
-		t.Error("torn entry survived recovery")
 	}
 }
 
@@ -312,58 +286,6 @@ func TestRejectOrderPreserved(t *testing.T) {
 	}
 	if !strings.Contains(rej[0].Reason, "duplicate") {
 		t.Errorf("reject 0 = %q, want duplicate conflict", rej[0].Reason)
-	}
-}
-
-// TestIdempotentReRecordAcrossCodecChange pre-seeds a backend with a
-// record in the legacy gob storage format: re-recording the same record
-// must land on the idempotent path, not a duplicate conflict.
-func TestIdempotentReRecordAcrossCodecChange(t *testing.T) {
-	b := NewMemoryBackend()
-	session := seq.NewID()
-	r := mkInteraction(session, "svc:gzip", "compress")
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(&r); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put(r.StorageKey(), legacy.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	s := New(b)
-	acc, rej, err := s.Record("svc:enactor", []core.Record{r})
-	if err != nil || acc != 1 || len(rej) != 0 {
-		t.Fatalf("re-record over legacy blob: acc=%d rej=%v err=%v", acc, rej, err)
-	}
-	cnt, err := s.Count()
-	if err != nil || cnt.Records != 1 {
-		t.Fatalf("Count = %d err=%v, want 1", cnt.Records, err)
-	}
-	// A genuinely different record under the same key still conflicts.
-	acc, rej, err = s.Record("svc:enactor", []core.Record{conflicting(r)})
-	if err != nil || acc != 0 || len(rej) != 1 {
-		t.Fatalf("conflicting record over legacy blob: acc=%d rej=%v err=%v", acc, rej, err)
-	}
-}
-
-// TestFileBackendCorruptSegmentLengths guards the torn-write parser: a
-// corrupted length varint (huge values, overflow bait) must make the
-// entry parse as torn, never panic the open.
-func TestFileBackendCorruptSegmentLengths(t *testing.T) {
-	dir := t.TempDir()
-	// A good entry, then a forged one whose keyLen varint decodes to
-	// ~2^63.
-	forged := append(appendSegEntry([]byte(segMagic), "good", []byte("v")),
-		0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, // keyLen
-		0x01,     // valLen
-		'k', 'v') // far too short for the declared lengths
-	writeSegments(t, dir, forged)
-	fb2, err := NewFileBackend(dir)
-	if err != nil {
-		t.Fatalf("open paniced or failed on corrupt lengths: %v", err)
-	}
-	defer fb2.Close()
-	if v, ok, err := fb2.Get("good"); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("intact prefix entry lost: %q ok=%v err=%v", v, ok, err)
 	}
 }
 
