@@ -77,12 +77,10 @@ func TestPSEG1FixturesRefused(t *testing.T) {
 	}
 }
 
-// Each kind of file PSEG1 left refuses a kvdb store it sits beside, as a
-// crash part way through an earlier version's adoption leaves it: the
-// record pairs, segments with or without the magic, and the
-// sequence-named temps and filter sidecars. Files that are not
-// sequence-named, kvdb's compact.tmp among them, are not the layout's.
-func TestPSEG1FilesRefused(t *testing.T) {
+// kvdbStore writes a kvdb store of two keys and returns its directory
+// and its contents.
+func kvdbStore(t *testing.T) (string, string) {
+	t.Helper()
 	src := t.TempDir()
 	db, err := NewKVBackend(src)
 	if err != nil {
@@ -95,21 +93,46 @@ func TestPSEG1FilesRefused(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{
-		"0123456789abcdef0123456789abcdef.rec",
-		"0123456789abcdef0123456789abcdef.rec.key",
-		"0000000000000001.seg",
-		"notes.seg",
-		"00000000000000ff.seg.tmp",
-		"00000000000000ff.seg.bloom.tmp",
-		"0000000000000002.seg.bloom",
-	} {
+	return src, want
+}
+
+// requireEachRefused plants each named file, alone, beside a copy of the
+// kvdb store in src and requires the open refused.
+func requireEachRefused(t *testing.T, src string, names []string) {
+	t.Helper()
+	for _, name := range names {
 		dir := copyTree(t, src)
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("PSEG1\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) { requireRefused(t, dir) })
 	}
+}
+
+// The record files PSEG1 left refuse a kvdb store they sit beside, as a
+// crash part way through an earlier version's adoption leaves them: the
+// record pairs and segments with or without the magic.
+func TestPSEG1RecordFilesRefused(t *testing.T) {
+	src, _ := kvdbStore(t)
+	requireEachRefused(t, src, []string{
+		"0123456789abcdef0123456789abcdef.rec",
+		"0123456789abcdef0123456789abcdef.rec.key",
+		"0000000000000001.seg",
+		"notes.seg",
+	})
+}
+
+// The sequence-named temps and filter sidecars PSEG1 left refuse a kvdb
+// store they sit beside. Files that are not sequence-named, kvdb's
+// compact.tmp among them, are not the layout's: they neither refuse the
+// open nor are touched by it.
+func TestPSEG1TempsRefused(t *testing.T) {
+	src, want := kvdbStore(t)
+	requireEachRefused(t, src, []string{
+		"00000000000000ff.seg.tmp",
+		"00000000000000ff.seg.bloom.tmp",
+		"0000000000000002.seg.bloom",
+	})
 	dir := copyTree(t, src)
 	foreign := []string{"notes.tmp", "notes.bloom", "0000000000000001.tmp", "compact.tmp"}
 	for _, name := range foreign {
@@ -117,7 +140,7 @@ func TestPSEG1FilesRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db, err = NewKVBackend(dir)
+	db, err := NewKVBackend(dir)
 	if err != nil {
 		t.Fatalf("files of no layout refused the open: %v", err)
 	}
