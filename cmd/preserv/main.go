@@ -7,9 +7,10 @@
 //	preserv -addr 127.0.0.1:8734 -backend kvdb -dir ./provenance -shards 4
 //	preserv -addr 127.0.0.1:8734 -shard-endpoints http://s1:8734,http://s2:8734
 //
-// Backends: memory (volatile), and file and kvdb, which both open the
-// embedded database used for all paper evaluations. A directory in an
-// earlier version's on-disk format is refused at start-up, by name.
+// Backends: all three run the embedded database used for all paper
+// evaluations. memory keeps its log in memory (volatile); file and kvdb
+// both open it in DIR. A directory in an earlier version's on-disk
+// format is refused at start-up, by name.
 //
 // The service always runs on a shard router. With -shards N (N > 1) it
 // runs in sharded mode: N embedded child stores (each with its own
@@ -36,41 +37,24 @@ import (
 	"syscall"
 	"time"
 
+	"preserv/internal/kvdb"
 	"preserv/internal/obs"
 	"preserv/internal/preserv"
 	"preserv/internal/shard"
 	"preserv/internal/store"
 )
 
-// openBackend opens one backend flavour rooted at dir.
-func openBackend(flavour, dir string) (store.Backend, error) {
-	switch flavour {
-	case "memory":
-		return store.NewMemoryBackend(), nil
-	case "file", "kvdb":
-		return store.NewKVBackend(dir)
-	}
-	return nil, fmt.Errorf("unknown backend %q", flavour)
-}
-
-// openLogged is openBackend plus a log line saying how long the open
-// took and, where the backend can tell, how much it replayed: a slow
-// start names the store (or shard) and its size.
-func openLogged(flavour, dir string) (store.Backend, error) {
+// openLogged is store.OpenBackend plus a log line saying how long the open
+// took and how much it replayed: a slow start names the store (or shard)
+// and its size.
+func openLogged(flavour, dir string) (*kvdb.DB, error) {
 	start := time.Now()
-	b, err := openBackend(flavour, dir)
+	b, err := store.OpenBackend(flavour, dir)
 	if err != nil {
 		return nil, err
 	}
-	took := time.Since(start)
-	size := ""
-	if s, ok := b.(interface{ Len() int }); ok {
-		size = fmt.Sprintf(": %d live keys", s.Len())
-	}
-	if s, ok := b.(interface{ LogBytes() int64 }); ok {
-		size += fmt.Sprintf(", %d log bytes", s.LogBytes())
-	}
-	log.Printf("preserv: opened %s backend %s in %s%s", flavour, dir, took.Round(100*time.Microsecond), size)
+	log.Printf("preserv: opened %s backend %s in %s: %d live keys, %d log bytes",
+		flavour, dir, time.Since(start).Round(100*time.Microsecond), b.Len(), b.LogBytes())
 	return b, nil
 }
 

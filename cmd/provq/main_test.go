@@ -127,7 +127,7 @@ func TestRunCompactCompactsAnExistingStore(t *testing.T) {
 		if _, ok, _ := b.Get("i/b"); ok {
 			t.Errorf("%s: deleted key back after compaction", backend)
 		}
-		if g := b.(store.GarbageReporter).GarbageRatio(); g != 0 {
+		if g := b.GarbageRatio(); g != 0 {
 			t.Errorf("%s: garbage ratio %v after offline compaction", backend, g)
 		}
 	}

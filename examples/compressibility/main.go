@@ -17,7 +17,8 @@ import (
 )
 
 func main() {
-	// A persistent-backend store, as in all the paper's evaluations.
+	// The embedded database of all the paper's evaluations, its log in
+	// memory.
 	backend := store.NewMemoryBackend()
 	svc := preserv.NewService(store.New(backend))
 	srv, err := preserv.Serve(svc, "127.0.0.1:0")

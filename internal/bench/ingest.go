@@ -56,18 +56,6 @@ type IngestResult struct {
 	RecordsPerSec float64
 }
 
-// ingestBackend opens the requested backend flavour in dir (ignored for
-// memory).
-func ingestBackend(flavour, dir string) (store.Backend, error) {
-	switch flavour {
-	case "memory":
-		return store.NewMemoryBackend(), nil
-	case "file", "kvdb":
-		return store.NewKVBackend(dir)
-	}
-	return nil, fmt.Errorf("bench: unknown backend %q", flavour)
-}
-
 // ingestWorkload pre-generates per-writer record batches (measure-
 // workflow shaped, distinct sessions per writer so writers do not
 // contend on storage keys, which is the realistic multi-client shape).
@@ -94,7 +82,7 @@ func withIngestStore(backend string, fn func(s *store.Store) error) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	b, err := ingestBackend(backend, dir)
+	b, err := store.OpenBackend(backend, dir)
 	if err != nil {
 		return err
 	}

@@ -27,9 +27,9 @@ const ObsGateThreshold = 0.95
 
 // ObsGateOptions configures the overhead measurement.
 type ObsGateOptions struct {
-	// Backend selects the store backend ("memory" default — the fastest
-	// backend is the one where fixed instrumentation cost is the largest
-	// fraction, so it is the hardest case).
+	// Backend selects the store backend ("memory" default — the kvdb log
+	// in memory pays no file-system cost, so fixed instrumentation cost
+	// is the largest fraction of its ingest, the hardest case).
 	Backend string
 	// Records is the size of one ingest; a round runs two. Each
 	// writer's share is cut into batches of 100.

@@ -30,7 +30,6 @@ import (
 	"preserv/internal/core"
 	"preserv/internal/obs"
 	"preserv/internal/preserv"
-	"preserv/internal/shard"
 )
 
 // Recorder accepts p-assertions from an actor. Implementations must be
@@ -189,14 +188,8 @@ type AsyncRecorder struct {
 	// endpoint ring instead of each restarting at endpoint 0, which
 	// under small frequent auto-flushes starved every endpoint but the
 	// first.
-	rr atomic.Uint64
-	// sharded switches endpoint routing from round-robin striping to
-	// session-affine placement: each record ships to the endpoint its
-	// affinity hash names (shard.Affinity over the endpoint list), the
-	// same mapping a shard.Router with that topology uses — so a
-	// sharded front-end finds every session's records already home.
-	sharded bool
-	closed  bool
+	rr     atomic.Uint64
+	closed bool
 	// autoFlushAt triggers a background flush once pending reaches it
 	// (0 disables); flushing marks one in flight so Record never stacks
 	// a second goroutine behind it. retryAt is the failure backoff:
@@ -342,19 +335,6 @@ func (r *AsyncRecorder) SetFlushConcurrency(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.concurrency = n
-}
-
-// SetShardedTopology declares whether the configured endpoints are
-// shards of one partitioned store (true) or interchangeable replicas /
-// independent stores (false, the default round-robin E8 striping).
-// With a sharded topology, batches route session-affine: every record
-// ships to shard.Affinity(record, len(endpoints)) — the endpoint a
-// shard router over the same list calls the record's home — so
-// session-scoped queries on the sharded front-end stay single-shard.
-func (r *AsyncRecorder) SetShardedTopology(sharded bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sharded = sharded
 }
 
 // SetAutoFlushThreshold arranges for a background flush whenever the
@@ -549,7 +529,7 @@ func (r *AsyncRecorder) shipSealed(all bool) error {
 				break
 			}
 		}
-		workers, sharded := r.concurrency, r.sharded
+		workers := r.concurrency
 		r.mu.Unlock()
 		if sj == nil {
 			return nil
@@ -557,7 +537,7 @@ func (r *AsyncRecorder) shipSealed(all bool) error {
 		if sj.attempts > 0 {
 			r.flushRetries.Add(1)
 		}
-		if err := r.shipJournal(sj, workers, sharded); err != nil {
+		if err := r.shipJournal(sj, workers); err != nil {
 			sj.attempts++
 			return err
 		}
@@ -578,7 +558,7 @@ func (r *AsyncRecorder) shipSealed(all bool) error {
 // shipJournal decodes one sealed journal and ships its batches through
 // the bounded worker pipeline. On failure the file is left whole and
 // the shipped counter rolls back to this ship's starting point.
-func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int, sharded bool) (err error) {
+func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int) (err error) {
 	f, err := os.Open(sj.path)
 	if err != nil {
 		return fmt.Errorf("client: opening sealed journal: %w", err)
@@ -603,15 +583,8 @@ func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int, sharded bool
 
 	// Decode → ship pipeline. The channel's bound is the backpressure:
 	// once every worker is mid-POST and the queue is full, the decoder
-	// blocks instead of materialising the rest of the backlog. Each
-	// shipment names its endpoint: -1 means "next around the ring"
-	// (round-robin striping, resolved by the worker off the recorder's
-	// persistent cursor), >= 0 pins a sharded batch to its home shard.
-	type shipment struct {
-		endpoint int
-		records  []core.Record
-	}
-	batches := make(chan shipment, workers)
+	// blocks instead of materialising the rest of the backlog.
+	batches := make(chan []core.Record, workers)
 	var (
 		wg       sync.WaitGroup
 		failed   atomic.Bool
@@ -630,17 +603,14 @@ func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int, sharded bool
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for b := range batches {
+			for records := range batches {
 				if failed.Load() {
 					continue // drain the channel without shipping
 				}
-				ci := b.endpoint
-				if ci < 0 {
-					// Round-robin striping (E8's distributed submission),
-					// continuing where the previous flush left the ring.
-					ci = int(r.rr.Add(1)-1) % len(r.clients)
-				}
-				resp, err := r.clients[ci].Record(r.asserter, b.records)
+				// Round-robin striping (E8's distributed submission),
+				// continuing where the previous flush left the ring.
+				ci := int(r.rr.Add(1)-1) % len(r.clients)
+				resp, err := r.clients[ci].Record(r.asserter, records)
 				if err != nil {
 					fail(err)
 					continue
@@ -655,14 +625,7 @@ func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int, sharded bool
 	}
 
 	var decodeErr error
-	// Round-robin mode fills one rolling batch; sharded mode fills one
-	// per endpoint (a record's home shard is fixed by its affinity
-	// hash), each shipping independently as it reaches batchSize.
-	perEndpoint := make([][]core.Record, len(r.clients))
 	var rolling []core.Record
-	emit := func(ci int, recs []core.Record) {
-		batches <- shipment{endpoint: ci, records: recs}
-	}
 	for !failed.Load() {
 		rec, err := jr.next()
 		if err != nil {
@@ -676,30 +639,14 @@ func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int, sharded bool
 			}
 			break
 		}
-		if sharded {
-			ci := shard.Affinity(rec, len(r.clients))
-			perEndpoint[ci] = append(perEndpoint[ci], *rec)
-			if len(perEndpoint[ci]) >= r.batchSize {
-				emit(ci, perEndpoint[ci])
-				perEndpoint[ci] = nil
-			}
-		} else {
-			rolling = append(rolling, *rec)
-			if len(rolling) >= r.batchSize {
-				emit(-1, rolling)
-				rolling = nil
-			}
+		rolling = append(rolling, *rec)
+		if len(rolling) >= r.batchSize {
+			batches <- rolling
+			rolling = nil
 		}
 	}
-	if decodeErr == nil && !failed.Load() {
-		if len(rolling) > 0 {
-			emit(-1, rolling)
-		}
-		for ci, recs := range perEndpoint {
-			if len(recs) > 0 {
-				emit(ci, recs)
-			}
-		}
+	if decodeErr == nil && !failed.Load() && len(rolling) > 0 {
+		batches <- rolling
 	}
 	close(batches)
 	wg.Wait()

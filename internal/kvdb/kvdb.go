@@ -4,10 +4,10 @@
 // through (Compact). It plays the role that
 // Berkeley DB Java Edition plays in the paper's PReServ — the persistent
 // "database" backend behind the Provenance Store Interface — without any
-// dependency beyond the standard library. A *DB is the store's kvdb
-// backend as it stands: its methods are store.Backend's, and it reports
-// GarbageRatio and Tombstones and runs Compact for the store's optional
-// interfaces.
+// dependency beyond the standard library. A *DB is the store's backend
+// under every flag — Open keeps its log in a directory, NewMemory in
+// memory (fs.go) — and its methods are store.Backend's, GarbageRatio,
+// Tombstones and Compact included.
 //
 // Concurrency: a DB is safe for concurrent use; writes are serialised,
 // reads take a shared lock and read the log file at a stable offset via
@@ -217,8 +217,9 @@ func (s *logState) fold() *kv.Keys[batchLoc] {
 // DB is an open database.
 type DB struct {
 	mu  sync.RWMutex // provlint:lock-order 20
+	fs  fsys
 	dir string
-	f   *os.File
+	f   file
 	logState
 	closed bool
 	// compactMu serialises compactions against each other; db.mu alone
@@ -234,20 +235,33 @@ type DB struct {
 
 // Open opens (creating if necessary) the database in dir. A partially
 // written final record — the signature of a crash — is truncated away.
-func Open(dir string) (*DB, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func Open(dir string) (*DB, error) { return open(osFS{}, dir) }
+
+// NewMemory returns a database over a fresh in-memory log: the engine
+// Open returns, with its files in memory, where they go with it.
+func NewMemory() *DB {
+	db, err := open(newMemFS(), "")
+	if err != nil {
+		panic(err) // an empty in-memory log has nothing to fail on
+	}
+	return db
+}
+
+// open opens the database in dir on fs.
+func open(fs fsys, dir string) (*DB, error) {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("kvdb: creating %s: %w", dir, err)
 	}
 	// A leftover compaction temp file means a crash mid-compaction; the
 	// main log is still authoritative, so discard the temp file.
-	_ = os.Remove(filepath.Join(dir, tmpFileName))
+	_ = fs.Remove(filepath.Join(dir, tmpFileName))
 
 	path := filepath.Join(dir, dataFileName)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("kvdb: opening log: %w", err)
 	}
-	db := &DB{dir: dir, f: f, logState: logState{index: make(map[string]entryLoc)}}
+	db := &DB{fs: fs, dir: dir, f: f, logState: logState{index: make(map[string]entryLoc)}}
 	if err := db.recover(); err != nil {
 		f.Close()
 		return nil, err
@@ -995,13 +1009,13 @@ func (db *DB) Compact() error {
 	}
 
 	tmpPath := filepath.Join(db.dir, tmpFileName)
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmp, err := db.fs.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("kvdb: compaction temp: %w", err)
 	}
 	fail := func(e error) error {
 		tmp.Close()
-		os.Remove(tmpPath)
+		db.fs.Remove(tmpPath)
 		return e
 	}
 
@@ -1143,7 +1157,7 @@ func (db *DB) Compact() error {
 	if err := tmp.Sync(); err != nil {
 		return fail(fmt.Errorf("kvdb: compaction sync: %w", err))
 	}
-	if err := os.Rename(tmpPath, filepath.Join(db.dir, dataFileName)); err != nil {
+	if err := db.fs.Rename(tmpPath, filepath.Join(db.dir, dataFileName)); err != nil {
 		return fail(fmt.Errorf("kvdb: compaction rename: %w", err))
 	}
 	db.f.Close()
@@ -1157,7 +1171,7 @@ func (db *DB) Compact() error {
 // records — verbatim onto the end of the compaction temp file, and
 // replays it onto next as recovery would. Anything but whole, intact
 // entries fails the compaction.
-func (db *DB) foldRedo(tmp *os.File, from, to int64, next *logState) error {
+func (db *DB) foldRedo(tmp file, from, to int64, next *logState) error {
 	buf := make([]byte, to-from)
 	if _, err := db.f.ReadAt(buf, from); err != nil {
 		return fmt.Errorf("kvdb: compaction redo read: %w", err)

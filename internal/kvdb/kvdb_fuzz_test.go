@@ -7,7 +7,6 @@ package kvdb
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -16,14 +15,10 @@ import (
 )
 
 // seedLog builds a valid log (puts, an overwrite, a tombstone) by
-// running the real writer in a scratch directory.
+// running the real writer over memory.
 func seedLog(f *testing.F) []byte {
-	dir, err := os.MkdirTemp("", "kvdbfuzzseed")
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	db, err := Open(dir)
+	fs := newMemFS()
+	db, err := open(fs, "")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -43,11 +38,7 @@ func seedLog(f *testing.F) []byte {
 	if err := db.Close(); err != nil {
 		f.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, dataFileName))
-	if err != nil {
-		f.Fatal(err)
-	}
-	return data
+	return readFile(f, fs, dataFileName)
 }
 
 func FuzzRecover(f *testing.F) {
@@ -70,34 +61,41 @@ func FuzzRecover(f *testing.F) {
 	inner[headerSize+2] ^= 0xFF
 	f.Add(inner)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, dataFileName), data, 0o644); err != nil {
-			t.Fatal(err)
+		recovered := make([]logView, len(fileSystems))
+		for i, fsys := range fileSystems {
+			fs := fsys.new()
+			dir := t.TempDir()
+			writeFile(t, fs, filepath.Join(dir, dataFileName), data)
+			db, err := open(fs, dir) // must not panic, whatever data is
+			if err != nil {
+				return // an unreadable log may be rejected, never crashed on
+			}
+			checkBuiltAtOpen(t, db)      // so does openView, under the tiny window
+			recovered[i] = viewOf(t, db) // every recovered key reads back
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Idempotence: recovery truncated the torn tail, so a second
+			// open sees a fully valid log and the same state.
+			db2, err := open(fs, dir)
+			if err != nil {
+				t.Fatalf("second open after recovery failed: %v", err)
+			}
+			if again := viewOf(t, db2); !reflect.DeepEqual(recovered[i], again) {
+				t.Fatalf("recovery not idempotent: %+v vs %+v", recovered[i], again)
+			}
+			db2.Close()
 		}
-		db, err := Open(dir) // must not panic, whatever data is
-		if err != nil {
-			return // an unreadable log may be rejected, never crashed on
+		if !reflect.DeepEqual(recovered[0], recovered[1]) {
+			t.Fatalf("the log recovered to %+v on the OS, %+v in memory", recovered[0], recovered[1])
 		}
-		checkBuiltAtOpen(t, db)    // so does openView, under the tiny window
-		recovered := viewOf(t, db) // every recovered key reads back
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Idempotence: recovery truncated the torn tail, so a second
-		// open sees a fully valid log and the same state.
-		db2, err := Open(dir)
-		if err != nil {
-			t.Fatalf("second open after recovery failed: %v", err)
-		}
-		if again := viewOf(t, db2); !reflect.DeepEqual(recovered, again) {
-			t.Fatalf("recovery not idempotent: %+v vs %+v", recovered, again)
-		}
-		db2.Close()
 		// The replay window is invisible: the same bytes recover to the
 		// same state and length through a window most entries straddle.
 		setWindow(t, tinyWindow)
-		if tiny, size := openView(t, data); !reflect.DeepEqual(recovered, tiny) || size != recovered.LogBytes {
-			t.Fatalf("a %d-byte window recovered %+v (file left at %d), the default one %+v", tinyWindow, tiny, size, recovered)
+		for _, fsys := range fileSystems {
+			if tiny, size := openView(t, fsys.new(), data); !reflect.DeepEqual(recovered[0], tiny) || size != recovered[0].LogBytes {
+				t.Fatalf("%s: a %d-byte window recovered %+v (file left at %d), the default one %+v", fsys.name, tinyWindow, tiny, size, recovered[0])
+			}
 		}
 	})
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -110,22 +109,19 @@ func checkBuiltAtOpen(t testing.TB, db *DB) {
 	}
 }
 
-// openView opens the log bytes in a fresh directory and returns the
-// recovered view and the length recovery left the file at.
-func openView(t testing.TB, log []byte) (logView, int64) {
+// openView opens the log bytes in a fresh directory on fs and returns
+// the recovered view and the length recovery left the file at.
+func openView(t testing.TB, fs fsys, log []byte) (logView, int64) {
 	t.Helper()
 	dir := t.TempDir()
-	path := filepath.Join(dir, dataFileName)
-	if err := os.WriteFile(path, log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	db, err := Open(dir)
+	writeFile(t, fs, filepath.Join(dir, dataFileName), log)
+	db, err := open(fs, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.f.Close() // not db.Close: thousands of opens need no fsync each
 	checkBuiltAtOpen(t, db)
-	st, err := os.Stat(path)
+	st, err := db.f.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,73 +141,72 @@ func sizedVal(rng *rand.Rand) []byte {
 }
 
 func TestReopenReproducesLiveStateAtAnyWindow(t *testing.T) {
-	windows := []int{replayWindow, tinyWindow, headerSize - 1}
-	for seed := int64(0); seed < 40; seed++ {
-		dir := t.TempDir()
-		db, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		steps := 20 + rng.Intn(60)
-		huge := rng.Intn(steps) // the step that writes a value several windows long
-		for i := 0; i < steps; i++ {
-			switch op := rng.Intn(24); {
-			case i == huge:
-				err = db.Put(sizedKey(rng), bytes.Repeat([]byte("H"), 5*tinyWindow+rng.Intn(tinyWindow)))
-			case op < 8:
-				err = db.Put(sizedKey(rng), sizedVal(rng))
-			case op < 13:
-				pairs := make([]kv.Pair, 1+rng.Intn(5))
-				for j := range pairs {
-					pairs[j] = kv.Pair{Key: sizedKey(rng), Value: sizedVal(rng)}
-				}
-				err = db.PutBatch(pairs)
-			case op < 16:
-				// Posting-shaped: runs of empty values, each one key-batch
-				// entry, between per-key entries.
-				pairs := make([]kv.Pair, 1+rng.Intn(8))
-				for j := range pairs {
-					pairs[j] = kv.Pair{Key: sizedKey(rng)}
-					if rng.Intn(4) == 0 {
-						pairs[j].Value = sizedVal(rng)
-					}
-				}
-				err = db.PutBatch(pairs)
-			case op < 19:
-				err = db.Delete(sizedKey(rng))
-			case op < 23:
-				keys := make([]string, 1+rng.Intn(4))
-				for j := range keys {
-					keys[j] = sizedKey(rng)
-				}
-				err = db.DeleteBatch(keys)
-			default:
-				err = db.Compact()
-			}
+	onEachFS(t, func(t *testing.T, fs fsys, _ string) {
+		windows := []int{replayWindow, tinyWindow, headerSize - 1}
+		for seed := int64(0); seed < 40; seed++ {
+			dir := t.TempDir()
+			db, err := open(fs, dir)
 			if err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, i, err)
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			steps := 20 + rng.Intn(60)
+			huge := rng.Intn(steps) // the step that writes a value several windows long
+			for i := 0; i < steps; i++ {
+				switch op := rng.Intn(24); {
+				case i == huge:
+					err = db.Put(sizedKey(rng), bytes.Repeat([]byte("H"), 5*tinyWindow+rng.Intn(tinyWindow)))
+				case op < 8:
+					err = db.Put(sizedKey(rng), sizedVal(rng))
+				case op < 13:
+					pairs := make([]kv.Pair, 1+rng.Intn(5))
+					for j := range pairs {
+						pairs[j] = kv.Pair{Key: sizedKey(rng), Value: sizedVal(rng)}
+					}
+					err = db.PutBatch(pairs)
+				case op < 16:
+					// Posting-shaped: runs of empty values, each one key-batch
+					// entry, between per-key entries.
+					pairs := make([]kv.Pair, 1+rng.Intn(8))
+					for j := range pairs {
+						pairs[j] = kv.Pair{Key: sizedKey(rng)}
+						if rng.Intn(4) == 0 {
+							pairs[j].Value = sizedVal(rng)
+						}
+					}
+					err = db.PutBatch(pairs)
+				case op < 19:
+					err = db.Delete(sizedKey(rng))
+				case op < 23:
+					keys := make([]string, 1+rng.Intn(4))
+					for j := range keys {
+						keys[j] = sizedKey(rng)
+					}
+					err = db.DeleteBatch(keys)
+				default:
+					err = db.Compact()
+				}
+				if err != nil {
+					t.Fatalf("seed %d step %d: %v", seed, i, err)
+				}
+			}
+			live := viewOf(t, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			log := readFile(t, fs, filepath.Join(dir, dataFileName))
+			for _, win := range windows {
+				setWindow(t, win)
+				got, size := openView(t, fs, log)
+				if !reflect.DeepEqual(got, live) {
+					t.Fatalf("seed %d, window %d: reopened\n%+v\nlive\n%+v", seed, win, got, live)
+				}
+				if size != int64(len(log)) {
+					t.Fatalf("seed %d, window %d: an intact log was cut from %d to %d bytes", seed, win, len(log), size)
+				}
 			}
 		}
-		live := viewOf(t, db)
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		log, err := os.ReadFile(filepath.Join(dir, dataFileName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, win := range windows {
-			setWindow(t, win)
-			got, size := openView(t, log)
-			if !reflect.DeepEqual(got, live) {
-				t.Fatalf("seed %d, window %d: reopened\n%+v\nlive\n%+v", seed, win, got, live)
-			}
-			if size != int64(len(log)) {
-				t.Fatalf("seed %d, window %d: an intact log was cut from %d to %d bytes", seed, win, len(log), size)
-			}
-		}
-	}
+	})
 }
 
 // Every torn tail and sampled bit flips, under the tiny window: what
@@ -219,65 +214,63 @@ func TestReopenReproducesLiveStateAtAnyWindow(t *testing.T) {
 // default one. The log is built one entry per call, so the live DB's view
 // after each call is the expected recovery of every prefix ending there.
 func TestDamagedLogRecoversLongestValidPrefixAtTinyWindow(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(24))
-	ends := []int64{0}                // ends[i]: log length after i entries
-	views := []logView{viewOf(t, db)} // views[i]: state after i entries
-	for i := 0; i < 30; i++ {
-		before := db.LogBytes()
-		switch {
-		case i == 11:
-			err = db.Put(sizedKey(rng), bytes.Repeat([]byte("H"), 3*tinyWindow))
-		case rng.Intn(4) == 0:
-			err = db.Delete(sizedKey(rng))
-		default:
-			err = db.Put(sizedKey(rng), sizedVal(rng))
-		}
+	onEachFS(t, func(t *testing.T, fs fsys, dir string) {
+		db, err := open(fs, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if db.LogBytes() == before {
-			continue // deleted an absent key: nothing logged
+		rng := rand.New(rand.NewSource(24))
+		ends := []int64{0}                // ends[i]: log length after i entries
+		views := []logView{viewOf(t, db)} // views[i]: state after i entries
+		for i := 0; i < 30; i++ {
+			before := db.LogBytes()
+			switch {
+			case i == 11:
+				err = db.Put(sizedKey(rng), bytes.Repeat([]byte("H"), 3*tinyWindow))
+			case rng.Intn(4) == 0:
+				err = db.Delete(sizedKey(rng))
+			default:
+				err = db.Put(sizedKey(rng), sizedVal(rng))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db.LogBytes() == before {
+				continue // deleted an absent key: nothing logged
+			}
+			ends = append(ends, db.LogBytes())
+			views = append(views, viewOf(t, db))
 		}
-		ends = append(ends, db.LogBytes())
-		views = append(views, viewOf(t, db))
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	log, err := os.ReadFile(filepath.Join(dir, dataFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	setWindow(t, tinyWindow)
-	// wholeBefore is how many entries end at or before byte position pos.
-	wholeBefore := func(pos int) int {
-		return sort.Search(len(ends), func(i int) bool { return ends[i] > int64(pos) }) - 1
-	}
-	check := func(what string, damaged []byte, valid int) {
-		t.Helper()
-		got, size := openView(t, damaged)
-		if !reflect.DeepEqual(got, views[valid]) {
-			t.Fatalf("%s: recovered\n%+v\nwant the state after %d entries\n%+v", what, got, valid, views[valid])
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
 		}
-		if size != ends[valid] {
-			t.Fatalf("%s: file left at %d bytes, want %d", what, size, ends[valid])
+		log := readFile(t, fs, filepath.Join(dir, dataFileName))
+		setWindow(t, tinyWindow)
+		// wholeBefore is how many entries end at or before byte position pos.
+		wholeBefore := func(pos int) int {
+			return sort.Search(len(ends), func(i int) bool { return ends[i] > int64(pos) }) - 1
 		}
-	}
-	for cut := 0; cut <= len(log); cut++ {
-		check(fmt.Sprintf("cut at %d", cut), log[:cut], wholeBefore(cut))
-	}
-	for n := 0; n < 150; n++ {
-		pos := rng.Intn(len(log))
-		flipped := append([]byte(nil), log...)
-		flipped[pos] ^= 1 << rng.Intn(8)
-		// The entry holding pos fails its check; those wholly before it stand.
-		check(fmt.Sprintf("bit flipped at %d", pos), flipped, wholeBefore(pos))
-	}
+		check := func(what string, damaged []byte, valid int) {
+			t.Helper()
+			got, size := openView(t, fs, damaged)
+			if !reflect.DeepEqual(got, views[valid]) {
+				t.Fatalf("%s: recovered\n%+v\nwant the state after %d entries\n%+v", what, got, valid, views[valid])
+			}
+			if size != ends[valid] {
+				t.Fatalf("%s: file left at %d bytes, want %d", what, size, ends[valid])
+			}
+		}
+		for cut := 0; cut <= len(log); cut++ {
+			check(fmt.Sprintf("cut at %d", cut), log[:cut], wholeBefore(cut))
+		}
+		for n := 0; n < 150; n++ {
+			pos := rng.Intn(len(log))
+			flipped := append([]byte(nil), log...)
+			flipped[pos] ^= 1 << rng.Intn(8)
+			// The entry holding pos fails its check; those wholly before it stand.
+			check(fmt.Sprintf("bit flipped at %d", pos), flipped, wholeBefore(pos))
+		}
+	})
 }
 
 // A compaction's redo window is the live log's own bytes: if they do not
@@ -289,78 +282,79 @@ func TestCompactRejectsDamagedRedoWindow(t *testing.T) {
 		"torn length": func(e []byte) []byte { return e[:len(e)-3] },
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			db, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			for i := 0; i < 2000; i++ {
-				if err := db.Put(fmt.Sprintf("k%04d", i), []byte("value")); err != nil {
+			onEachFS(t, func(t *testing.T, fs fsys, dir string) {
+				db, err := open(fs, dir)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			bad := damage(encodeRecord(nil, 0, "late", []byte("written while compacting")))
-			tmpPath := filepath.Join(dir, tmpFileName)
+				defer db.Close()
+				for i := 0; i < 2000; i++ {
+					if err := db.Put(fmt.Sprintf("k%04d", i), []byte("value")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				bad := damage(encodeRecord(nil, 0, "late", []byte("written while compacting")))
+				tmpPath := filepath.Join(dir, tmpFileName)
 
-			// Land the damaged append inside a running compaction's redo
-			// window: compact.tmp exists exactly from the snapshot to the
-			// swap, and the swap needs db.mu — so seeing the file while
-			// holding db.mu means the bytes appended now will be folded.
-			land := func() bool {
-				db.mu.Lock()
-				defer db.mu.Unlock()
-				if _, err := os.Stat(tmpPath); err != nil {
-					return false
+				// Land the damaged append inside a running compaction's redo
+				// window: compact.tmp exists exactly from the snapshot to the
+				// swap, and the swap needs db.mu — so seeing the file while
+				// holding db.mu means the bytes appended now will be folded.
+				land := func() bool {
+					db.mu.Lock()
+					defer db.mu.Unlock()
+					if !exists(fs, tmpPath) {
+						return false
+					}
+					if _, err := db.f.WriteAt(bad, db.offset); err != nil {
+						t.Fatal(err)
+					}
+					db.offset += int64(len(bad))
+					return true
 				}
-				if _, err := db.f.WriteAt(bad, db.offset); err != nil {
+				// attempt runs one compaction and tries to get the append in.
+				attempt := func() (landed bool, err error) {
+					done := make(chan error, 1)
+					go func() { done <- db.Compact() }()
+					for {
+						if land() {
+							return true, <-done
+						}
+						select {
+						case err := <-done:
+							return false, err
+						default:
+						}
+					}
+				}
+				landed, compactErr := attempt()
+				for !landed { // it finished before the append got in: go again
+					if compactErr != nil {
+						t.Fatal(compactErr)
+					}
+					landed, compactErr = attempt()
+				}
+				if compactErr == nil {
+					t.Fatal("Compact folded a damaged redo window without complaint")
+				}
+				if exists(fs, tmpPath) {
+					t.Error("compact.tmp left behind")
+				}
+				if v, ok, err := db.Get("k1999"); err != nil || !ok || string(v) != "value" {
+					t.Errorf("live log unreadable after failed compaction: %q %v", v, err)
+				}
+				if err := db.Close(); err != nil {
 					t.Fatal(err)
 				}
-				db.offset += int64(len(bad))
-				return true
-			}
-			// attempt runs one compaction and tries to get the append in.
-			attempt := func() (landed bool, err error) {
-				done := make(chan error, 1)
-				go func() { done <- db.Compact() }()
-				for {
-					if land() {
-						return true, <-done
-					}
-					select {
-					case err := <-done:
-						return false, err
-					default:
-					}
+				db2, err := open(fs, dir)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			landed, compactErr := attempt()
-			for !landed { // it finished before the append got in: go again
-				if compactErr != nil {
-					t.Fatal(compactErr)
+				defer db2.Close()
+				if late := has(t, db2, "late"); db2.Len() != 2000 || late {
+					t.Errorf("reopen after failed compaction: %d keys, late=%v; want the 2000 intact ones", db2.Len(), late)
 				}
-				landed, compactErr = attempt()
-			}
-			if compactErr == nil {
-				t.Fatal("Compact folded a damaged redo window without complaint")
-			}
-			if _, err := os.Stat(tmpPath); !os.IsNotExist(err) {
-				t.Errorf("compact.tmp left behind: %v", err)
-			}
-			if v, ok, err := db.Get("k1999"); err != nil || !ok || string(v) != "value" {
-				t.Errorf("live log unreadable after failed compaction: %q %v", v, err)
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-			db2, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db2.Close()
-			if late := has(t, db2, "late"); db2.Len() != 2000 || late {
-				t.Errorf("reopen after failed compaction: %d keys, late=%v; want the 2000 intact ones", db2.Len(), late)
-			}
+			})
 		})
 	}
 }
@@ -369,29 +363,31 @@ func TestCompactRejectsDamagedRedoWindow(t *testing.T) {
 // them, leaving out those that left the directory again: each log below
 // opens to a view holding exactly its live keys, through either window.
 func TestOpenBuildsKeyViewFromReplay(t *testing.T) {
-	put := func(log []byte, key, val string) []byte { return encodeRecord(log, 0, key, []byte(val)) }
-	batch := func(log []byte, del bool, keys ...string) []byte { return appendKeyBatch(log, 0, keys, del) }
-	reput := batch(batch(put(put(nil, "a", "1"), "x/1", "posted"), false, "x/2", "x/3"), true, "x/1", "x/2")
-	reput = batch(put(reput, "a", "2"), false, "x/1", "x/4")
-	cases := []struct {
-		name string
-		log  []byte
-		want []string
-	}{
-		{"overwrite", batch(put(put(put(nil, "b", "1"), "a", "1"), "b", "2"), false, "a", "x/1"), []string{"a", "b", "x/1"}},
-		{"per-key tombstone", encodeRecord(put(put(nil, "b", "1"), "a", "1"), flagTombstone, "b", nil), []string{"a"}},
-		{"key-batch delete", batch(batch(put(nil, "a", "1"), false, "x/1", "x/2", "x/3"), true, "a", "x/2", "x/9"), []string{"x/1", "x/3"}},
-		{"delete then re-put", reput, []string{"a", "x/1", "x/3", "x/4"}},
-		{"torn tail", put(reput, "z", "torn")[:len(reput)+headerSize+2], []string{"a", "x/1", "x/3", "x/4"}},
-		{"empty", nil, []string{}},
-	}
-	for _, win := range []int{replayWindow, tinyWindow} {
-		setWindow(t, win)
-		for _, c := range cases {
-			got, _ := openView(t, c.log) // checkBuiltAtOpen compares the view with the directory
-			if !slices.Equal(got.Keys, c.want) {
-				t.Errorf("%s, window %d: opened to %q, want %q", c.name, win, got.Keys, c.want)
+	onEachFS(t, func(t *testing.T, fs fsys, _ string) {
+		put := func(log []byte, key, val string) []byte { return encodeRecord(log, 0, key, []byte(val)) }
+		batch := func(log []byte, del bool, keys ...string) []byte { return appendKeyBatch(log, 0, keys, del) }
+		reput := batch(batch(put(put(nil, "a", "1"), "x/1", "posted"), false, "x/2", "x/3"), true, "x/1", "x/2")
+		reput = batch(put(reput, "a", "2"), false, "x/1", "x/4")
+		cases := []struct {
+			name string
+			log  []byte
+			want []string
+		}{
+			{"overwrite", batch(put(put(put(nil, "b", "1"), "a", "1"), "b", "2"), false, "a", "x/1"), []string{"a", "b", "x/1"}},
+			{"per-key tombstone", encodeRecord(put(put(nil, "b", "1"), "a", "1"), flagTombstone, "b", nil), []string{"a"}},
+			{"key-batch delete", batch(batch(put(nil, "a", "1"), false, "x/1", "x/2", "x/3"), true, "a", "x/2", "x/9"), []string{"x/1", "x/3"}},
+			{"delete then re-put", reput, []string{"a", "x/1", "x/3", "x/4"}},
+			{"torn tail", put(reput, "z", "torn")[:len(reput)+headerSize+2], []string{"a", "x/1", "x/3", "x/4"}},
+			{"empty", nil, []string{}},
+		}
+		for _, win := range []int{replayWindow, tinyWindow} {
+			setWindow(t, win)
+			for _, c := range cases {
+				got, _ := openView(t, fs, c.log) // checkBuiltAtOpen compares the view with the directory
+				if !slices.Equal(got.Keys, c.want) {
+					t.Errorf("%s, window %d: opened to %q, want %q", c.name, win, got.Keys, c.want)
+				}
 			}
 		}
-	}
+	})
 }

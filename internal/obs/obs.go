@@ -1,7 +1,7 @@
 // Package obs is the store's dependency-free instrumentation core: a
 // metrics registry of atomic counters, gauges and fixed-bucket latency
 // histograms with quantile extraction, plus lightweight per-operation
-// spans (span.go) kept in a bounded ring with a slow-operation log. The
+// spans (span.go), the slow ones kept in a bounded slow-operation log. The
 // paper's thesis is that a system becomes trustworthy when what it did
 // is inspectable after the fact; obs applies that to the provenance
 // store itself — every layer (store, planner, router, service, client)

@@ -117,23 +117,25 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestSpanRingBounded(t *testing.T) {
 	tr := NewTracer(8)
-	tr.SetSlowThreshold(0) // disable slow capture for this test
+	tr.SetSlowThreshold(time.Nanosecond) // every span is slow
 	for i := 0; i < 50; i++ {
 		s := tr.StartSpan(fmt.Sprintf("op-%d", i))
 		s.End(nil)
 	}
-	recent := tr.Recent()
-	if len(recent) != 8 {
-		t.Fatalf("ring holds %d spans, want 8", len(recent))
+	slow := tr.Slow()
+	if len(slow) != 8 {
+		t.Fatalf("slow log holds %d spans, want 8", len(slow))
 	}
 	// Oldest-first order: the survivors are ops 42..49.
-	for i, s := range recent {
+	for i, s := range slow {
 		if want := fmt.Sprintf("op-%d", 42+i); s.Op() != want {
-			t.Fatalf("recent[%d] = %s, want %s", i, s.Op(), want)
+			t.Fatalf("slow[%d] = %s, want %s", i, s.Op(), want)
 		}
 	}
-	if len(tr.Slow()) != 0 {
-		t.Fatalf("slow log not empty with capture disabled")
+	tr.SetSlowThreshold(0)
+	tr.StartSpan("uncaptured").End(nil)
+	if got := tr.Slow(); got[len(got)-1].Op() != "op-49" {
+		t.Fatalf("a span ended with capture disabled reached the slow log")
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// DefaultSpanRing is the default capacity of a tracer's recent-span
-// ring and of its slow-operation log.
+// DefaultSpanRing is the default capacity of a tracer's slow-operation
+// log.
 const DefaultSpanRing = 128
 
 // DefaultSlowThreshold is the duration above which a finished span is
@@ -15,7 +15,7 @@ const DefaultSpanRing = 128
 const DefaultSlowThreshold = 100 * time.Millisecond
 
 // Attr is one span attribute. Values are pre-rendered strings so the
-// ring holds no live references into the operation that produced it.
+// slow log holds no live references into the operation that produced it.
 type Attr struct {
 	Key   string
 	Value string
@@ -108,7 +108,7 @@ func (s *Span) SetAttr(key, value string) *Span {
 }
 
 // End finishes the span, tagging it with err (may be nil), and
-// publishes it to the tracer's ring and, if slow enough, the slow log.
+// publishes it to the tracer's slow log if it is slow enough.
 func (s *Span) End(err error) {
 	if s == nil || s.done {
 		return
@@ -135,30 +135,26 @@ func (s *Span) Observe(h *Histogram, err error) {
 	// Span disabled: nothing was timed, so there is nothing to observe.
 }
 
-// Tracer keeps a bounded ring of recently finished spans and a
-// separate ring of slow ones. Finished spans are copied in under a
-// mutex — End is off the ultra-hot path (it already paid a time.Now),
-// and a mutex keeps snapshotting trivial.
+// Tracer keeps a bounded ring of slow finished spans, the slow log.
+// A slow span is copied in under a mutex, which keeps snapshotting
+// trivial; a span under the threshold takes no lock.
 type Tracer struct {
 	nextID atomic.Uint64
 	slowNS atomic.Int64 // threshold in nanoseconds; <=0 disables the slow log
 
 	mu      sync.Mutex
-	ring    []*Span
-	ringPos int
-	ringLen int
 	slow    []*Span
 	slowPos int
 	slowLen int
 }
 
-// NewTracer returns a tracer whose recent and slow rings hold up to
-// cap spans each (cap <= 0 selects DefaultSpanRing).
+// NewTracer returns a tracer whose slow log holds up to cap spans
+// (cap <= 0 selects DefaultSpanRing).
 func NewTracer(cap int) *Tracer {
 	if cap <= 0 {
 		cap = DefaultSpanRing
 	}
-	t := &Tracer{ring: make([]*Span, cap), slow: make([]*Span, cap)}
+	t := &Tracer{slow: make([]*Span, cap)}
 	t.slowNS.Store(int64(DefaultSlowThreshold))
 	return t
 }
@@ -190,47 +186,30 @@ func (t *Tracer) StartChild(op string, parent *Span) *Span {
 }
 
 func (t *Tracer) record(s *Span) {
-	slowNS := t.slowNS.Load()
-	isSlow := slowNS > 0 && int64(s.duration) >= slowNS
-	t.mu.Lock()
-	t.ring[t.ringPos] = s
-	t.ringPos = (t.ringPos + 1) % len(t.ring)
-	if t.ringLen < len(t.ring) {
-		t.ringLen++
+	if slowNS := t.slowNS.Load(); slowNS <= 0 || int64(s.duration) < slowNS {
+		return
 	}
-	if isSlow {
-		t.slow[t.slowPos] = s
-		t.slowPos = (t.slowPos + 1) % len(t.slow)
-		if t.slowLen < len(t.slow) {
-			t.slowLen++
-		}
+	t.mu.Lock()
+	t.slow[t.slowPos] = s
+	t.slowPos = (t.slowPos + 1) % len(t.slow)
+	if t.slowLen < len(t.slow) {
+		t.slowLen++
 	}
 	t.mu.Unlock()
 }
 
-// Recent returns the finished spans currently in the ring, oldest
-// first. The returned slice is freshly allocated.
-func (t *Tracer) Recent() []*Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return copyRing(t.ring, t.ringPos, t.ringLen)
-}
-
-// Slow returns the spans currently in the slow log, oldest first.
+// Slow returns the spans currently in the slow log, oldest first. The
+// returned slice is freshly allocated.
 func (t *Tracer) Slow() []*Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return copyRing(t.slow, t.slowPos, t.slowLen)
-}
-
-func copyRing(ring []*Span, pos, n int) []*Span {
-	out := make([]*Span, 0, n)
-	start := pos - n
+	out := make([]*Span, 0, t.slowLen)
+	start := t.slowPos - t.slowLen
 	if start < 0 {
-		start += len(ring)
+		start += len(t.slow)
 	}
-	for i := 0; i < n; i++ {
-		out = append(out, ring[(start+i)%len(ring)])
+	for i := 0; i < t.slowLen; i++ {
+		out = append(out, t.slow[(start+i)%len(t.slow)])
 	}
 	return out
 }

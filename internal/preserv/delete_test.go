@@ -165,3 +165,40 @@ func TestScheduledCompactionTriggersOnGarbageRatio(t *testing.T) {
 		t.Errorf("compactions = %d", mustStats(t, svc).Compactions)
 	}
 }
+
+// The memory flavour runs the kvdb engine as the persistent ones do: a
+// deleted session leaves garbage, and a delete that takes the ratio past
+// the threshold compacts it away.
+func TestMemoryFlavourCompactsDeletedSessions(t *testing.T) {
+	client, svc := startServer(t)
+	first, second := seq.NewID(), seq.NewID()
+	var recs []core.Record
+	for i := 0; i < 6; i++ {
+		recs = append(recs, mkRecord(first, "svc:gzip"), mkRecord(second, "svc:ppmz"))
+	}
+	if _, err := client.Record("svc:enactor", recs); err != nil {
+		t.Fatal(err)
+	}
+	svc.SetCompactRatio(-1)
+	if _, err := client.DeleteSession(first); err != nil {
+		t.Fatal(err)
+	}
+	stats := mustStats(t, svc)
+	if stats.GarbageRatio <= 0 || stats.Compactions != 0 {
+		t.Fatalf("after a delete with compaction off: garbage ratio %v, %d compactions; want above 0 and 0",
+			stats.GarbageRatio, stats.Compactions)
+	}
+	svc.SetCompactRatio(0.01)
+	resp, err := client.DeleteSession(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Compacted {
+		t.Fatal("delete did not trigger scheduled compaction")
+	}
+	stats = mustStats(t, svc)
+	if stats.Compactions != 1 || stats.GarbageRatio != 0 {
+		t.Fatalf("after the scheduled compaction: %d compactions, garbage ratio %v; want 1 and 0",
+			stats.Compactions, stats.GarbageRatio)
+	}
+}

@@ -65,18 +65,14 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("ScanFromResumesMidList", func(t *testing.T) { conformScanFrom(t, but.open(t)) })
 			t.Run("ScanFromEqualsScan", func(t *testing.T) { conformScanFromUnbounded(t, but.open(t)) })
 			t.Run("WriteAfterScanVisible", func(t *testing.T) { conformWriteAfterScan(t, but.open(t)) })
-			if _, ok := but.open(t).(Compacter); ok {
-				t.Run("CompactKeepsContents", func(t *testing.T) { conformCompact(t, but) })
-			}
-			if but.openAt != nil {
-				t.Run("ClosedRefuses", func(t *testing.T) { conformClosed(t, but.open(t)) })
-			}
+			t.Run("CompactKeepsContents", func(t *testing.T) { conformCompact(t, but) })
+			t.Run("ClosedRefuses", func(t *testing.T) { conformClosed(t, but.open(t)) })
 		})
 	}
 }
 
 func conformClosed(t *testing.T, b Backend) {
-	// A closed persistent backend refuses every operation with
+	// A closed backend refuses every operation with
 	// kvdb.ErrClosed, as kvdb itself does: no read answers from state the
 	// backend no longer owns, and no write lands after Close.
 	if err := b.PutBatch([]KV{{Key: "i/1", Value: []byte("one")}, {Key: "x/1"}}); err != nil {
@@ -100,7 +96,7 @@ func conformClosed(t *testing.T, b Backend) {
 	check("GetBatch", err)
 	check("PutBatch", b.PutBatch([]KV{{Key: "i/2", Value: []byte("two")}}))
 	check("DeleteBatch", b.DeleteBatch([]string{"i/1"}))
-	check("Compact", b.(Compacter).Compact())
+	check("Compact", b.Compact())
 	_, err = b.Count("")
 	check("Count", err)
 	check("ScanFrom", b.ScanFrom("", "", func(string, []byte) error { return nil }))
@@ -187,18 +183,18 @@ func conformCompact(t *testing.T, but backendUnderTest) {
 		if got := snapshotContents(t, b, prefixes, probes); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: contents changed:\n got %+v\nwant %+v", when, got, want)
 		}
-		if g, ok := b.(GarbageReporter); ok && g.GarbageRatio() != 0 {
-			t.Errorf("%s: GarbageRatio = %v, want 0", when, g.GarbageRatio())
+		if g := b.GarbageRatio(); g != 0 {
+			t.Errorf("%s: GarbageRatio = %v, want 0", when, g)
 		}
-		if tr, ok := b.(TombstoneReporter); ok && tr.Tombstones() != 0 {
-			t.Errorf("%s: Tombstones = %d, want 0", when, tr.Tombstones())
+		if n := b.Tombstones(); n != 0 {
+			t.Errorf("%s: Tombstones = %d, want 0", when, n)
 		}
 	}
-	if err := b.(Compacter).Compact(); err != nil {
+	if err := b.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	check("after Compact", b)
-	if err := b.(Compacter).Compact(); err != nil {
+	if err := b.Compact(); err != nil {
 		t.Fatalf("second Compact: %v", err)
 	}
 	check("after a second Compact", b)

@@ -210,10 +210,8 @@ func TestDeleteSurvivesCompactionAndReopen(t *testing.T) {
 			if err := b.DeleteBatch([]string{"i/y/1", "i/y/2"}); err != nil {
 				t.Fatal(err)
 			}
-			if c, ok := b.(Compacter); ok {
-				if err := c.Compact(); err != nil {
-					t.Fatal(err)
-				}
+			if err := b.Compact(); err != nil {
+				t.Fatal(err)
 			}
 			if err := b.Close(); err != nil {
 				t.Fatal(err)
@@ -381,6 +379,9 @@ func TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity(t *testing.T) {
 			var before int64
 			if fl.dir != "" {
 				before = dirSize(t, fl.dir)
+			}
+			if g := s.GarbageRatio(); g <= 0 {
+				t.Errorf("GarbageRatio = %v after the deletes, want above 0", g)
 			}
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)

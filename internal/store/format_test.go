@@ -83,7 +83,7 @@ func TestDeletingEveryKeyLeavesOnlyGarbage(t *testing.T) {
 			// Every entry byte is dead.
 			check := func(b Backend, when string) {
 				t.Helper()
-				if g := b.(GarbageReporter).GarbageRatio(); g != 1 {
+				if g := b.GarbageRatio(); g != 1 {
 					t.Errorf("GarbageRatio = %v %s, want 1", g, when)
 				}
 			}

@@ -1,9 +1,10 @@
 // Package store implements the Provenance Store Interface of PReServ's
-// layered design (paper Figure 3): a uniform API that plug-ins call,
-// with interchangeable backends — in-memory and an embedded database
-// (internal/kvdb, the Berkeley DB stand-in), which the file-system
-// flavour opens too. "This abstraction makes it easy to integrate new
-// backend stores without having to change already developed PlugIns."
+// layered design (paper Figure 3): a uniform API that plug-ins call over
+// a Backend. PReServ's memory, file-system and database plug-ins are
+// one engine here, the embedded database internal/kvdb (the Berkeley DB
+// stand-in), with its log in a directory or in memory. "This
+// abstraction makes it easy to integrate new backend stores without
+// having to change already developed PlugIns."
 package store
 
 import (
@@ -79,6 +80,11 @@ type Backend interface {
 	Count(prefix string) (int, error)
 	// Close releases resources.
 	Close() error
+	// The log's upkeep: the garbage that deletes and overwrites leave,
+	// the tombstones among it, and the compaction that reclaims both.
+	Compacter
+	GarbageReporter
+	TombstoneReporter
 }
 
 // recordStripes is how many lock stripes guard record commits and
@@ -650,38 +656,43 @@ func (s *Store) deleteChunk(chunk []string) (deleted int, err error) {
 	return deleted, nil
 }
 
-// Compacter is implemented by backends that can reclaim dead bytes
-// (superseded values, tombstones) — kvdb; the memory backend has no
-// garbage to reclaim.
+// Compacter is the part of Backend that reclaims dead bytes (superseded
+// values, tombstones) by rewriting the log.
 type Compacter interface {
 	Compact() error
 }
 
-// GarbageReporter is implemented by backends that can estimate how much
-// of their on-disk footprint is dead.
+// GarbageReporter is the part of Backend that reports how much of the
+// log is dead.
 type GarbageReporter interface {
 	// GarbageRatio is dead bytes over total bytes, in [0, 1].
 	GarbageRatio() float64
 }
 
-// TombstoneReporter is implemented by backends that count unreclaimed
+// TombstoneReporter is the part of Backend that counts unreclaimed
 // deletion markers.
 type TombstoneReporter interface {
 	Tombstones() int64
 }
 
-// compactingBackend is a Backend with every optional interface Store
-// probes for. The persistent backend is pinned to it: a rename that
-// dropped one would otherwise read as zero garbage and a compaction that
-// never runs, with nothing failing.
-type compactingBackend interface {
-	Backend
-	Compacter
-	GarbageReporter
-	TombstoneReporter
-}
+// *kvdb.DB is the Backend under every flag.
+var _ Backend = (*kvdb.DB)(nil)
 
-var _ compactingBackend = (*kvdb.DB)(nil)
+// NewMemoryBackend returns the kvdb engine over a fresh in-memory log,
+// the counterpart of PReServ's in-memory store: nothing outlives it.
+func NewMemoryBackend() *kvdb.DB { return kvdb.NewMemory() }
+
+// OpenBackend opens the backend a -backend flag names: memory, a fresh
+// in-memory log, or file or kvdb, which both open the log in dir.
+func OpenBackend(flavour, dir string) (*kvdb.DB, error) {
+	switch flavour {
+	case "memory":
+		return NewMemoryBackend(), nil
+	case "file", "kvdb":
+		return NewKVBackend(dir)
+	}
+	return nil, fmt.Errorf("store: unknown backend %q", flavour)
+}
 
 // NewKVBackend opens (creating if necessary) the one persistent backend
 // in dir: the embedded database is the backend itself, the counterpart
@@ -739,40 +750,25 @@ type BloomStatser interface {
 	BloomStats() (skips, falsePositives, hits int64)
 }
 
-// Compact reclaims dead bytes in the underlying backend, if it supports
-// compaction; otherwise it is a no-op. Compaction changes no logical
-// content — the generation does not advance, and cached query results
-// stay valid.
+// Compact reclaims dead bytes in the underlying backend. Compaction
+// changes no logical content — the generation does not advance, and
+// cached query results stay valid.
 func (s *Store) Compact() error {
-	c, ok := s.b.(Compacter)
-	if !ok {
-		return nil
-	}
 	span := s.reg.Tracer().StartSpan("store.compact")
 	s.compacting.Add(1)
-	err := c.Compact()
+	err := s.b.Compact()
 	s.compacting.Add(-1)
 	span.Observe(s.compactSec, err)
 	return err
 }
 
-// GarbageRatio reports the backend's dead-byte fraction (zero for
-// backends without garbage) — the signal online compaction schedules on.
-func (s *Store) GarbageRatio() float64 {
-	if g, ok := s.b.(GarbageReporter); ok {
-		return g.GarbageRatio()
-	}
-	return 0
-}
+// GarbageRatio reports the backend's dead-byte fraction — the signal
+// online compaction schedules on.
+func (s *Store) GarbageRatio() float64 { return s.b.GarbageRatio() }
 
 // Tombstones reports the backend's count of unreclaimed deletion
-// markers (zero for backends without tombstones).
-func (s *Store) Tombstones() int64 {
-	if t, ok := s.b.(TombstoneReporter); ok {
-		return t.Tombstones()
-	}
-	return 0
-}
+// markers.
+func (s *Store) Tombstones() int64 { return s.b.Tombstones() }
 
 // sortRejects restores submission order: validation rejects are staged
 // before commit-time conflicts, so without the sort a conflict on an

@@ -289,12 +289,12 @@ func TestRejectOrderPreserved(t *testing.T) {
 	}
 }
 
-// heldPutBatch is a memory backend whose PutBatch of a Record call (its
+// heldPutBatch is a backend whose PutBatch of a Record call (its
 // records and their postings, "x/" keys among them) announces itself and
 // then waits to be released — a writer queued behind readers or a
 // compaction holding the backend's lock.
 type heldPutBatch struct {
-	*MemoryBackend
+	Backend
 	entered, release chan struct{}
 }
 
@@ -303,7 +303,7 @@ func (h *heldPutBatch) PutBatch(kvs []KV) error {
 		h.entered <- struct{}{}
 		<-h.release
 	}
-	return h.MemoryBackend.PutBatch(kvs)
+	return h.Backend.PutBatch(kvs)
 }
 
 // TestWriteStallCoversIndexFlush pins what store_write_stall_seconds
@@ -311,7 +311,7 @@ func (h *heldPutBatch) PutBatch(kvs []KV) error {
 // that carries its records and their postings — where the wait on a busy
 // backend actually is.
 func TestWriteStallCoversIndexFlush(t *testing.T) {
-	b := &heldPutBatch{MemoryBackend: NewMemoryBackend(), entered: make(chan struct{}), release: make(chan struct{})}
+	b := &heldPutBatch{Backend: NewMemoryBackend(), entered: make(chan struct{}), release: make(chan struct{})}
 	s := New(b)
 	if _, err := s.Index(); err != nil { // opened here so that the only held PutBatch is the Record's
 		t.Fatal(err)
