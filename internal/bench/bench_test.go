@@ -2,6 +2,7 @@ package bench
 
 import (
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -242,7 +243,10 @@ func TestRunDistributed(t *testing.T) {
 	}
 }
 
+// The kvdb sweep closes every store it opens and removes its directory.
 func TestRunDistributedKVDB(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	points, err := RunDistributed(DistOptions{
 		Records:     60,
 		Batch:       10,
@@ -254,6 +258,9 @@ func TestRunDistributedKVDB(t *testing.T) {
 	}
 	if len(points) != 1 || points[0].ShipSeconds <= 0 {
 		t.Fatalf("points = %+v", points)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "preserv-e8*")); len(left) > 0 {
+		t.Errorf("the sweep left %v behind", left)
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -262,24 +263,25 @@ func (d delayBackend) PutBatch(kvs []store.KV) error {
 	return d.Backend.PutBatch(kvs)
 }
 
-func (o *DistOptions) newBackend() (store.Backend, error) {
-	var inner store.Backend
+// newBackend opens one store's backend. A kvdb backend lives in a
+// directory of its own, dir, which the caller removes once the backend
+// is closed.
+func (o *DistOptions) newBackend() (b store.Backend, dir string, err error) {
 	if o.Backend == "kvdb" {
-		dir, err := os.MkdirTemp("", "preserv-e8")
-		if err != nil {
-			return nil, err
+		if dir, err = os.MkdirTemp("", "preserv-e8"); err != nil {
+			return nil, "", err
 		}
-		inner, err = store.NewKVBackend(dir)
-		if err != nil {
-			return nil, err
+		if b, err = store.NewKVBackend(dir); err != nil {
+			os.RemoveAll(dir)
+			return nil, "", err
 		}
 	} else {
-		inner = store.NewMemoryBackend()
+		b = store.NewMemoryBackend()
 	}
-	if o.PutLatency < 0 {
-		return inner, nil
+	if o.PutLatency >= 0 {
+		b = delayBackend{Backend: b, delay: o.PutLatency}
 	}
-	return delayBackend{Backend: inner, delay: o.PutLatency}, nil
+	return b, dir, nil
 }
 
 // RunDistributed executes the E8 sweep: a pre-generated record set is
@@ -302,54 +304,9 @@ func RunDistributed(opts DistOptions, progress io.Writer) ([]DistPoint, error) {
 	var points []DistPoint
 	var baseline float64
 	for _, n := range o.StoreCounts {
-		var clients []*preserv.Client
-		var servers []*preserv.Server
-		for i := 0; i < n; i++ {
-			backend, err := o.newBackend()
-			if err != nil {
-				return nil, err
-			}
-			svc := preserv.NewService(store.New(backend))
-			srv, err := preserv.Serve(svc, "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			servers = append(servers, srv)
-			clients = append(clients, preserv.NewClient(srv.URL, nil))
-		}
-
-		// Stripe batches over the stores, one goroutine per store.
-		perStore := make([][][]core.Record, n)
-		next := 0
-		for b := range slices.Chunk(records, o.Batch) {
-			perStore[next%n] = append(perStore[next%n], b)
-			next++
-		}
-
-		start := time.Now()
-		var wg sync.WaitGroup
-		errs := make([]error, n)
-		for ci := range clients {
-			wg.Add(1)
-			go func(ci int) {
-				defer wg.Done()
-				for _, b := range perStore[ci] {
-					if _, err := clients[ci].Record(experiment.SvcEnactor, b); err != nil {
-						errs[ci] = err
-						return
-					}
-				}
-			}(ci)
-		}
-		wg.Wait()
-		elapsed := time.Since(start).Seconds()
-		for _, srv := range servers {
-			srv.Close()
-		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("bench: distributed n=%d: %w", n, err)
-			}
+		elapsed, err := o.ship(records, n)
+		if err != nil {
+			return nil, fmt.Errorf("bench: distributed n=%d: %w", n, err)
 		}
 		if n == o.StoreCounts[0] {
 			baseline = elapsed
@@ -365,6 +322,62 @@ func RunDistributed(opts DistOptions, progress io.Writer) ([]DistPoint, error) {
 		}
 	}
 	return points, nil
+}
+
+// ship is one point of the sweep: records striped over n fresh stores,
+// and the seconds their shipping took. Every server and store it starts
+// is closed, and every directory removed, before it returns.
+func (o *DistOptions) ship(records []core.Record, n int) (float64, error) {
+	var clients []*preserv.Client
+	var cleanup []func() error
+	defer func() {
+		for _, f := range slices.Backward(cleanup) {
+			f()
+		}
+	}()
+	for i := 0; i < n; i++ {
+		backend, dir, err := o.newBackend()
+		if err != nil {
+			return 0, err
+		}
+		if dir != "" {
+			cleanup = append(cleanup, func() error { return os.RemoveAll(dir) })
+		}
+		st := store.New(backend)
+		cleanup = append(cleanup, st.Close)
+		srv, err := preserv.Serve(preserv.NewService(st), "127.0.0.1:0")
+		if err != nil {
+			return 0, err
+		}
+		cleanup = append(cleanup, srv.Close)
+		clients = append(clients, preserv.NewClient(srv.URL, nil))
+	}
+
+	// Stripe batches over the stores, one goroutine per store.
+	perStore := make([][][]core.Record, n)
+	next := 0
+	for b := range slices.Chunk(records, o.Batch) {
+		perStore[next%n] = append(perStore[next%n], b)
+		next++
+	}
+
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for ci := range clients {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			for _, b := range perStore[ci] {
+				if _, err := clients[ci].Record(experiment.SvcEnactor, b); err != nil {
+					errs[ci] = err
+					return
+				}
+			}
+		}(ci)
+	}
+	wg.Wait()
+	return time.Since(start).Seconds(), errors.Join(errs...)
 }
 
 // RenderDistributed writes the E8 table.

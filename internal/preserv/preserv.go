@@ -7,7 +7,6 @@
 package preserv
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -525,34 +524,15 @@ func (svc *Service) MetricsHandler() http.Handler {
 
 // DefaultDrainTimeout is how long Server.Close waits for in-flight
 // requests to finish before forcibly closing their connections.
-const DefaultDrainTimeout = 5 * time.Second
+const DefaultDrainTimeout = soap.DefaultDrainTimeout
 
-// Server is a listening PReServ endpoint.
-type Server struct {
-	// URL is the service endpoint, e.g. "http://127.0.0.1:8734".
-	URL string
-	// DrainTimeout bounds how long Close waits for in-flight requests;
-	// zero means DefaultDrainTimeout.
-	DrainTimeout time.Duration
-	ln           net.Listener
-	httpSrv      *http.Server
-	done         chan struct{}
-
-	// mu guards fresh and cut. fresh holds the connections that have
-	// not yet delivered a whole request header (http.StateNew).
-	// http.Server.Shutdown waits up to 5 s for such a connection, and a
-	// client's connection pool leaves them behind whenever it dials one
-	// it then does not use. Close gives them freshGrace to deliver a
-	// request already sent, then cuts them (and sets cut).
-	mu    sync.Mutex
-	fresh map[net.Conn]struct{}
-	cut   bool
-}
-
-// freshGrace is how long Close lets a connection that has not yet
-// delivered a request keep it open: ample to read a request already in
-// the socket, and well short of http.Server.Shutdown's 5 s.
-const freshGrace = 100 * time.Millisecond
+// Server is a listening PReServ endpoint. Its Close stops it
+// gracefully: the listener and the connections idle between requests
+// close at once, connections that have not delivered a request within
+// 100 ms are cut, and in-flight record and query requests get up to
+// DrainTimeout to complete their responses before the remaining
+// connections are forcibly closed.
+type Server = soap.Server
 
 // Serve starts serving svc on addr (use "127.0.0.1:0" to pick a free
 // port). It returns once the listener is active. Besides the PReP
@@ -578,71 +558,7 @@ func Serve(svc *Service, addr string) (*Server, error) {
 }
 
 // serve starts serving h on ln.
-func serve(ln net.Listener, h http.Handler) *Server {
-	srv := &Server{
-		URL:   "http://" + ln.Addr().String(),
-		ln:    ln,
-		done:  make(chan struct{}),
-		fresh: make(map[net.Conn]struct{}),
-	}
-	srv.httpSrv = &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, ConnState: srv.trackFresh}
-	go func() {
-		defer close(srv.done)
-		// ErrServerClosed is the normal shutdown signal.
-		_ = srv.httpSrv.Serve(ln)
-	}()
-	return srv
-}
-
-// trackFresh keeps fresh current as connections change state, and
-// cuts a connection accepted after Close has cut the fresh ones.
-func (s *Server) trackFresh(c net.Conn, state http.ConnState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case state == http.StateNew && s.cut:
-		c.Close()
-	case state == http.StateNew:
-		s.fresh[c] = struct{}{}
-	default:
-		delete(s.fresh, c)
-	}
-}
-
-// cutFresh closes every connection that has not delivered a request.
-func (s *Server) cutFresh() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cut = true
-	for c := range s.fresh {
-		c.Close()
-	}
-}
-
-// Close stops the server gracefully: the listener closes immediately
-// (no new connections), connections that have not delivered a request
-// within freshGrace are cut, in-flight record and query requests get up
-// to DrainTimeout to complete their responses, and only then are the
-// remaining connections forcibly closed. It waits for the serve loop to
-// exit before returning.
-func (s *Server) Close() error {
-	timeout := s.DrainTimeout
-	if timeout <= 0 {
-		timeout = DefaultDrainTimeout
-	}
-	cut := time.AfterFunc(freshGrace, s.cutFresh)
-	defer cut.Stop()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	err := s.httpSrv.Shutdown(ctx)
-	if err != nil {
-		// Drain deadline passed (or shutdown failed) with requests still
-		// running: cut the stragglers off rather than hang.
-		_ = s.httpSrv.Close()
-	}
-	<-s.done
-	return err
-}
+func serve(ln net.Listener, h http.Handler) *Server { return soap.Serve(ln, h) }
 
 // Client talks PReP to a provenance store endpoint.
 type Client struct {

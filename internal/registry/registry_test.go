@@ -3,6 +3,7 @@ package registry
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"preserv/internal/core"
 	"preserv/internal/ontology"
@@ -248,6 +249,32 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if !strings.Contains(faultMsg, "svc:ghost") {
 		t.Errorf("fault should carry the service name: %q", faultMsg)
+	}
+}
+
+// Close returns promptly while a client's connection lies idle, and
+// the client's next call fails cleanly.
+func TestCloseWithIdleClient(t *testing.T) {
+	srv, err := Serve(NewRegistry(), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(srv.URL, nil)
+	if err := c.Publish(gzipDescription()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Lookup("svc:gzip"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Fatalf("Close took %v with an idle client connection, want < 1s", d)
+	}
+	if _, err := c.Lookup("svc:gzip"); err == nil {
+		t.Error("a lookup after Close succeeded")
 	}
 }
 

@@ -10,14 +10,10 @@ import (
 	"preserv/internal/soap"
 )
 
-// Server is a listening registry endpoint.
-type Server struct {
-	// URL is the registry endpoint.
-	URL     string
-	ln      net.Listener
-	httpSrv *http.Server
-	done    chan struct{}
-}
+// Server is a listening registry endpoint. Its Close returns once idle
+// connections are closed and requests in flight answered, or cut after
+// soap.DefaultDrainTimeout.
+type Server = soap.Server
 
 // Serve starts serving the registry on addr ("127.0.0.1:0" picks a free
 // port).
@@ -26,24 +22,7 @@ func Serve(r *Registry, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: listening on %s: %w", addr, err)
 	}
-	srv := &Server{
-		URL:     "http://" + ln.Addr().String(),
-		ln:      ln,
-		httpSrv: &http.Server{Handler: soap.NewHTTPHandler(r.Handler()), ReadHeaderTimeout: 10 * time.Second},
-		done:    make(chan struct{}),
-	}
-	go func() {
-		defer close(srv.done)
-		_ = srv.httpSrv.Serve(ln)
-	}()
-	return srv, nil
-}
-
-// Close stops the server.
-func (s *Server) Close() error {
-	err := s.httpSrv.Close()
-	<-s.done
-	return err
+	return soap.Serve(ln, soap.NewHTTPHandler(r.Handler())), nil
 }
 
 // Client talks to a registry endpoint over HTTP.

@@ -203,7 +203,7 @@ func (e *Endpoint) exchange(req, buf []byte) ([]byte, int, error) {
 // readReply reads the reply, 1xx replies skipped, and its body into
 // buf[:0]. keep reports whether the connection may carry another call.
 func (c *conn) readReply(buf []byte) (data []byte, status int, keep bool, err error) {
-	length, chunked, closing := int64(-1), false, false
+	var f framing
 	for status < 200 {
 		line, err := c.br.ReadSlice('\n')
 		if err != nil {
@@ -216,54 +216,86 @@ func (c *conn) readReply(buf []byte) (data []byte, status int, keep bool, err er
 		if err != nil || code < 100 {
 			return buf, 0, false, fmt.Errorf("%w: status line %q", ErrBadReply, line)
 		}
-		status, length, chunked, closing = int(code), -1, false, line[7] == '0' // HTTP/1.0
-		err = c.headers(func(name, value []byte) error {
-			switch {
-			case bytes.EqualFold(name, []byte("Content-Length")):
-				n, err := strconv.ParseUint(string(value), 10, 63)
-				if err != nil || (length >= 0 && int64(n) != length) {
-					return fmt.Errorf("%w: Content-Length %q", ErrBadReply, value)
-				}
-				length = int64(n)
-			case bytes.EqualFold(name, []byte("Transfer-Encoding")):
-				if chunked || !bytes.EqualFold(value, []byte("chunked")) {
-					return fmt.Errorf("%w: Transfer-Encoding %q", ErrBadReply, value)
-				}
-				chunked = true
-			case bytes.EqualFold(name, []byte("Connection")):
-				// A close missed in a list costs the next call a retry.
-				closing = closing || bytes.EqualFold(value, []byte("close"))
-			}
-			return nil
-		})
-		if err != nil {
+		status, f = int(code), framing{bad: ErrBadReply, length: -1, closing: line[7] == '0'} // HTTP/1.0
+		if err := headers(c.br, f.header); err != nil {
 			return buf, status, false, err
 		}
 	}
 	switch {
 	case status == http.StatusNoContent || status == http.StatusNotModified:
 		data = buf[:0]
-	case chunked:
-		if data, err = readMessage(httputil.NewChunkedReader(c.br), -1, buf); err == nil {
-			err = c.headers(func(_, _ []byte) error { return nil }) // the trailer
-		}
-	case length >= 0:
-		c.body = io.LimitedReader{R: c.br, N: length}
-		if data, err = readMessage(&c.body, length, buf); err == nil && c.body.N > 0 {
-			err = io.ErrUnexpectedEOF
-		}
+	case f.chunked || f.length >= 0:
+		data, err = c.readBody(&f, buf)
 	default: // the connection's end ends the body
 		data, err = readMessage(c.br, -1, buf)
-		closing = true
+		f.closing = true
 	}
-	return data, status, err == nil && !closing && c.br.Buffered() == 0, err
+	return data, status, err == nil && !f.closing && c.br.Buffered() == 0, err
+}
+
+// framing is what a message's headers say of its body and its
+// connection. A header it cannot frame the message by is an error
+// wrapping bad: ErrBadReply or errBadRequest.
+type framing struct {
+	bad              error
+	length           int64 // -1 when not declared
+	chunked, closing bool
+	expect           bool // Expect: 100-continue
+}
+
+// header takes in one header line's name and value.
+func (f *framing) header(name, value []byte) error {
+	switch {
+	case bytes.EqualFold(name, []byte("Content-Length")):
+		n, err := strconv.ParseUint(string(value), 10, 63)
+		if err != nil || (f.length >= 0 && int64(n) != f.length) {
+			return fmt.Errorf("%w: Content-Length %q", f.bad, value)
+		}
+		f.length = int64(n)
+	case bytes.EqualFold(name, []byte("Transfer-Encoding")):
+		if f.chunked || !bytes.EqualFold(value, []byte("chunked")) {
+			return fmt.Errorf("%w: Transfer-Encoding %q", f.bad, value)
+		}
+		f.chunked = true
+	case bytes.EqualFold(name, []byte("Connection")):
+		// A close missed in a list leaves the connection for the peer
+		// to end.
+		f.closing = f.closing || bytes.EqualFold(value, []byte("close"))
+	case bytes.EqualFold(name, []byte("Expect")):
+		f.expect = bytes.EqualFold(value, []byte("100-continue"))
+	}
+	return nil
+}
+
+// readBody reads the body f frames — chunked, else f.length bytes —
+// into buf[:0]. A chunked body that cannot be read as one is an error
+// wrapping f.bad.
+func (c *conn) readBody(f *framing, buf []byte) ([]byte, error) {
+	if !f.chunked {
+		c.body = io.LimitedReader{R: c.br, N: f.length}
+		data, err := readMessage(&c.body, f.length, buf)
+		if err == nil && c.body.N > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return data, err
+	}
+	data, err := readMessage(httputil.NewChunkedReader(c.br), -1, buf)
+	if err == nil {
+		err = headers(c.br, func(_, _ []byte) error { return nil }) // the trailer
+	}
+	var ne net.Error
+	if err != nil && err != errMessageTooLarge && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.As(err, &ne) {
+		err = fmt.Errorf("%w: chunked body: %v", f.bad, err)
+	}
+	return data, err
 }
 
 // headers reads header lines up to the blank line that ends them,
-// handing each line's name and trimmed value to fn.
-func (c *conn) headers(fn func(name, value []byte) error) error {
+// handing each line's name and trimmed value to fn. A line longer than
+// br's buffer is bufio.ErrBufferFull.
+func headers(br *bufio.Reader, fn func(name, value []byte) error) error {
 	for {
-		line, err := c.br.ReadSlice('\n')
+		line, err := br.ReadSlice('\n')
 		if err != nil {
 			return err
 		}

@@ -209,7 +209,7 @@ func Marshal(action string, payload interface{}) ([]byte, error) {
 // is ReadEnvelope's walk with every Body captured rather than decoded:
 // the whole envelope is checked for well-formedness, and the body's
 // bytes — the last Body's, when there are several — are located, not
-// decoded. Endpoint.Post and ServeHTTP read with ReadEnvelope; this
+// decoded. Endpoint.Post and the server read with ReadEnvelope; this
 // stays for callers that want the body's bytes.
 //
 // provlint:typed-faults
@@ -499,17 +499,18 @@ type Handler interface {
 	// has been read up to its payload; body.Decode reads the payload and
 	// then checks the rest of the envelope, so a handler that acts on a
 	// request decodes it first and acts only on a nil error. A handler
-	// that needs no payload may leave it: ServeHTTP reads the rest after
-	// Handle returns, and answers a malformed envelope with a
+	// that needs no payload may leave it: the translator reads the rest
+	// after Handle returns, and answers a malformed envelope with a
 	// bad-request fault whatever Handle returned. body is valid until
 	// Handle returns.
 	Handle(action string, body *Message) (reply interface{}, err error)
 }
 
-// HTTPHandler adapts a set of Handlers to net/http — this is the
+// HTTPHandler adapts a set of Handlers to HTTP — this is the
 // message-translator layer of the PReServ design (Figure 3): it strips
 // the HTTP and envelope headers and passes the body to the plug-in
-// registered for the action.
+// registered for the action. Server runs it on each connection's own
+// loop; ServeHTTP runs it under net/http.
 type HTTPHandler struct {
 	byAction map[string]Handler
 }
@@ -530,39 +531,49 @@ func NewHTTPHandler(handlers ...Handler) *HTTPHandler {
 	return h
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler: the translator under net/http.
 func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "envelope messages must be POSTed", http.StatusMethodNotAllowed)
 		return
 	}
-	// The request's buffer is held until the reply is written: a handler
-	// may answer with bytes of the body it was given.
-	in := getBuffer()
+	in, out := getBuffer(), getBuffer()
 	data, err := readMessage(r.Body, r.ContentLength, (*in)[:0])
-	defer func() { putBuffer(in, data) }()
-	if err == errMessageTooLarge {
-		h.writeFault(w, FaultBadRequest, err.Error())
-		return
+	reply := h.answer(data, err, (*out)[:0])
+	w.Header()["Content-Type"] = contentType
+	w.Write(reply)
+	putBuffer(in, data)
+	putBuffer(out, reply)
+}
+
+// answer appends to out the reply to the request message data, or to
+// readErr, the error reading it, and returns it: the handler's reply
+// envelope, or a fault's. Faults travel as 200-level envelope replies,
+// as in SOAP 1.1 over HTTP POST bindings; transport-level errors use
+// HTTP codes. The reply may hold bytes of data, which the caller keeps
+// until the reply is written.
+func (h *HTTPHandler) answer(data []byte, readErr error, out []byte) []byte {
+	fault := func(code, msg string) []byte {
+		reply, _ := appendEnvelope(out, "fault", &Fault{Code: code, Message: msg}) // a Fault always encodes
+		return reply
 	}
-	if err != nil {
-		h.writeFault(w, FaultBadRequest, "reading request: "+err.Error())
-		return
+	if readErr == errMessageTooLarge {
+		return fault(FaultBadRequest, readErr.Error())
+	}
+	if readErr != nil {
+		return fault(FaultBadRequest, "reading request: "+readErr.Error())
 	}
 	msg, err := ReadEnvelope(data)
 	if err != nil {
-		h.writeFault(w, FaultBadRequest, err.Error())
-		return
+		return fault(FaultBadRequest, err.Error())
 	}
 	action := msg.action
 	handler, ok := h.byAction[action]
 	if !ok {
 		if err := msg.finish(); err != nil {
-			h.writeFault(w, FaultBadRequest, err.Error())
-			return
+			return fault(FaultBadRequest, err.Error())
 		}
-		h.writeFault(w, FaultBadAction, "no handler for action "+action)
-		return
+		return fault(FaultBadAction, "no handler for action "+action)
 	}
 	reply, err := handler.Handle(action, msg)
 	// A handler that did not decode (sessions, count) left the envelope
@@ -570,27 +581,20 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// and its answer stands unless it went on as if nothing were.
 	undecoded := msg.pending
 	if ferr := msg.finish(); ferr != nil && (undecoded || err == nil) {
-		h.writeFault(w, FaultBadRequest, ferr.Error())
-		return
+		return fault(FaultBadRequest, ferr.Error())
 	}
 	if err != nil {
 		var f *Fault
 		if errors.As(err, &f) {
-			h.writeFault(w, f.Code, f.Message)
-		} else {
-			h.writeFault(w, FaultInternal, err.Error())
+			return fault(f.Code, f.Message)
 		}
-		return
+		return fault(FaultInternal, err.Error())
 	}
-	out := getBuffer()
-	respData, err := appendEnvelope((*out)[:0], action+"-response", reply)
-	defer putBuffer(out, respData)
+	env, err := appendEnvelope(out, action+"-response", reply)
 	if err != nil {
-		h.writeFault(w, FaultInternal, err.Error())
-		return
+		return fault(FaultInternal, err.Error())
 	}
-	w.Header()["Content-Type"] = contentType
-	w.Write(respData)
+	return env
 }
 
 // errMessageTooLarge is readMessage's refusal; callers word it for
@@ -636,18 +640,6 @@ func readMessage(r io.Reader, contentLength int64, buf []byte) ([]byte, error) {
 			data = append(data, 0)[:len(data)]
 		}
 	}
-}
-
-func (h *HTTPHandler) writeFault(w http.ResponseWriter, code, msg string) {
-	data, err := Marshal("fault", &Fault{Code: code, Message: msg})
-	if err != nil {
-		http.Error(w, msg, http.StatusInternalServerError)
-		return
-	}
-	w.Header()["Content-Type"] = contentType
-	// Faults still travel as 200-level envelope replies, as in SOAP 1.1
-	// over HTTP POST bindings; transport-level errors use HTTP codes.
-	w.Write(data)
 }
 
 // maxEchoed bounds how much of a non-200 reply's body Endpoint.Post
