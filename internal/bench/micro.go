@@ -213,9 +213,9 @@ type DistOptions struct {
 	// PutLatency models the store's per-record write cost (the paper's
 	// Berkeley DB backend on 2005 hardware paid milliseconds per record;
 	// this latency is what makes a single store the submission
-	// bottleneck that distributed PReServ addresses). Zero keeps the raw
-	// backend, in which case the sweep only shows speedup on multi-core
-	// hosts.
+	// bottleneck that distributed PReServ addresses). Zero means 200 µs;
+	// a negative value keeps the raw backend, in which case the sweep
+	// only shows speedup on multi-core hosts.
 	PutLatency time.Duration
 }
 

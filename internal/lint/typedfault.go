@@ -11,14 +11,14 @@ import (
 )
 
 // TypedFault enforces the wire error contract on functions annotated
-// provlint:typed-faults — plug-in action handlers and shard.Router
-// public methods, whose errors must survive the soap round trip as
-// errors.Is-matchable values (shard.ErrBadCursor → client.bad-request
-// is the canonical example). Inside an annotated function, a returned
-// error may be a registered sentinel, a typed fault value, or a
-// fmt.Errorf that wraps one with %w — never a bare errors.New and
-// never a fmt.Errorf without %w, both of which strand the caller with
-// string matching.
+// provlint:typed-faults — the PReP and registry action methods and
+// shard.Router public methods, whose errors must survive the soap round
+// trip as errors.Is-matchable values (shard.ErrBadCursor →
+// client.bad-request is the canonical example). Inside an annotated
+// function, a returned error may be a registered sentinel, a typed
+// fault value, or a fmt.Errorf that wraps one with %w — never a bare
+// errors.New and never a fmt.Errorf without %w, both of which strand
+// the caller with string matching.
 var TypedFault = &analysis.Analyzer{
 	Name: "typedfault",
 	Doc: "check that provlint:typed-faults functions only return registered typed faults " +

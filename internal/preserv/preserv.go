@@ -1,9 +1,11 @@
 // Package preserv implements PReServ — Provenance Recording for
 // Services — as an HTTP web service, following the layered design of the
 // paper's Figure 3: a message translator (internal/soap) strips the
-// transport headers and hands the body to the plug-in registered for the
-// message's action; plug-ins (Store, Query) call the Provenance Store
-// Interface (internal/store), which runs over interchangeable backends.
+// transport headers and hands the body to the action registered for the
+// message's action URI. The figure's Store and Query plug-ins are the
+// Service's action methods, listed once in one table (newService); they
+// call the Provenance Store Interface (internal/store), which runs over
+// interchangeable backends.
 package preserv
 
 import (
@@ -27,7 +29,7 @@ import (
 	"preserv/internal/store"
 )
 
-// compile-time check: the router satisfies the plug-ins' surface.
+// compile-time check: the router satisfies the actions' surface.
 var _ Provenance = (*shard.Router)(nil)
 
 // DefaultCompactRatio is the garbage-ratio threshold above which a
@@ -36,7 +38,7 @@ var _ Provenance = (*shard.Router)(nil)
 // carrying the garbage.
 const DefaultCompactRatio = 0.5
 
-// Provenance is the store-shaped surface the plug-ins serve: a
+// Provenance is the store-shaped surface the actions serve: a
 // shard.Router, over the one embedded store of a single-store service
 // or over several shards. The service layer is identical either way,
 // which is what makes the sharded service mode a wiring change rather
@@ -51,11 +53,16 @@ type Provenance interface {
 	EngineStats() shard.EngineStats
 }
 
-// StorePlugIn handles the mutating actions: record submissions
-// (prep.ActionRecord), retractions (prep.ActionDelete) and online
-// compaction (prep.ActionCompact).
-type StorePlugIn struct {
-	prov Provenance
+// Service is a PReServ instance: a shard router (over one store, or
+// fronting several), the PReP actions over it, and the translator that
+// dispatches to them.
+type Service struct {
+	// Store is the embedded store of a single-store service; nil when
+	// the service was built over a router (use Provenance then).
+	Store   *store.Store
+	rt      *shard.Router
+	prov    Provenance
+	handler *soap.HTTPHandler
 	// compactRatio holds the garbage-ratio threshold for delete-
 	// triggered compaction as float64 bits, so SetCompactRatio may be
 	// called while delete traffic is in flight: maybeCompact reads it
@@ -68,321 +75,18 @@ type StorePlugIn struct {
 	// CounterSnapshot sees every counter at a single point in time, and
 	// related counters (a request plus the records it accepted) update
 	// atomically with respect to that snapshot via reg.Batch — the
-	// field-by-field reads the old per-plugin atomics allowed could
-	// tear (requests incremented at entry, accepted at completion).
+	// field-by-field reads of separate atomics could tear (requests
+	// incremented at entry, accepted at completion).
 	reg             *obs.Registry
-	requests        *obs.Counter
+	recordRequests  *obs.Counter
 	recordsAccepted *obs.Counter
 	deleteRequests  *obs.Counter
 	recordsDeleted  *obs.Counter
 	compactions     *obs.Counter
+	queryRequests   *obs.Counter
 	// compactMu serialises compactions: concurrent deletes must not pile
 	// up rewrites of the same log.
 	compactMu sync.Mutex
-}
-
-// NewStorePlugIn returns a store plug-in over p, accounting into reg
-// (nil creates a private registry).
-func NewStorePlugIn(p Provenance, reg *obs.Registry) *StorePlugIn {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return &StorePlugIn{
-		prov:            p,
-		reg:             reg,
-		requests:        reg.Counter("preserv_record_requests_total"),
-		recordsAccepted: reg.Counter("preserv_records_accepted_total"),
-		deleteRequests:  reg.Counter("preserv_delete_requests_total"),
-		recordsDeleted:  reg.Counter("preserv_records_deleted_total"),
-		compactions:     reg.Counter("preserv_compactions_total"),
-	}
-}
-
-// SetCompactRatio atomically replaces the garbage-ratio threshold for
-// delete-triggered compaction (zero restores DefaultCompactRatio,
-// negative disables). Safe to call with delete requests in flight.
-func (p *StorePlugIn) SetCompactRatio(r float64) {
-	p.compactRatio.Store(math.Float64bits(r))
-}
-
-// compactThreshold reads the effective threshold atomically.
-func (p *StorePlugIn) compactThreshold() float64 {
-	threshold := math.Float64frombits(p.compactRatio.Load())
-	if threshold == 0 {
-		threshold = DefaultCompactRatio
-	}
-	return threshold
-}
-
-// Actions implements soap.Handler.
-func (p *StorePlugIn) Actions() []string {
-	return []string{prep.ActionRecord, prep.ActionDelete, prep.ActionCompact}
-}
-
-// Handle implements soap.Handler. Errors returned to the soap layer
-// must stay errors.Is-matchable across the wire.
-//
-// provlint:typed-faults
-func (p *StorePlugIn) Handle(action string, body *soap.Message) (interface{}, error) {
-	switch action {
-	case prep.ActionRecord:
-		var req prep.RecordRequest
-		if err := body.Decode(&req); err != nil {
-			p.requests.Add(1)
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad record request: " + err.Error()}
-		}
-		accepted, rejects, err := p.prov.Record(req.Asserter, req.Records)
-		if err != nil {
-			p.requests.Add(1)
-			return nil, err
-		}
-		// The request and its accepted count land together: a stats
-		// snapshot sees both or neither, never a request whose records
-		// are still unaccounted.
-		p.reg.Batch(func() {
-			p.requests.Add(1)
-			p.recordsAccepted.Add(int64(accepted))
-		})
-		return &prep.RecordResponse{Accepted: accepted, Rejects: rejects}, nil
-	case prep.ActionDelete:
-		var req prep.DeleteRequest
-		if err := body.Decode(&req); err != nil {
-			p.deleteRequests.Add(1)
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad delete request: " + err.Error()}
-		}
-		if err := req.Validate(); err != nil {
-			p.deleteRequests.Add(1)
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
-		}
-		deleted := 0
-		var derr error
-		switch {
-		case req.StorageKey != "":
-			deleted, derr = p.prov.DeleteRecords([]string{req.StorageKey})
-		case len(req.StorageKeys) > 0:
-			deleted, derr = p.prov.DeleteRecords(req.StorageKeys)
-		default:
-			deleted, derr = p.prov.DeleteSession(req.SessionID)
-		}
-		p.reg.Batch(func() {
-			p.deleteRequests.Add(1)
-			p.recordsDeleted.Add(int64(deleted))
-		})
-		if derr != nil {
-			return nil, derr
-		}
-		resp := &prep.DeleteResponse{Deleted: deleted}
-		if deleted > 0 {
-			// A failed scheduled compaction must not mask the delete,
-			// which already succeeded: report it in the response instead
-			// of turning the whole request into a fault.
-			var err error
-			if resp.Compacted, err = p.maybeCompact(); err != nil {
-				resp.CompactError = err.Error()
-			}
-		}
-		resp.GarbageRatio = p.prov.GarbageRatio()
-		return resp, nil
-	case prep.ActionCompact:
-		var req prep.CompactRequest
-		if err := body.Decode(&req); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad compact request: " + err.Error()}
-		}
-		before := p.prov.GarbageRatio()
-		p.compactMu.Lock()
-		err := p.prov.Compact()
-		p.compactMu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-		p.compactions.Add(1)
-		return &prep.CompactResponse{GarbageBefore: before, GarbageAfter: p.prov.GarbageRatio()}, nil
-	}
-	return nil, &soap.Fault{Code: soap.FaultBadAction, Message: action}
-}
-
-// maybeCompact runs an online compaction when the backend's garbage
-// ratio has crossed the plug-in's threshold — the scheduled reclamation
-// that keeps deletions from growing the store without bound. It runs
-// inline with the triggering delete request: deletions are rare
-// administrative operations, and an inline compaction keeps the
-// observable state deterministic (the response reports whether it ran).
-func (p *StorePlugIn) maybeCompact() (bool, error) {
-	threshold := p.compactThreshold()
-	if threshold < 0 || p.prov.GarbageRatio() < threshold {
-		return false, nil
-	}
-	p.compactMu.Lock()
-	defer p.compactMu.Unlock()
-	// Re-check under the compaction lock: a concurrent delete may have
-	// just compacted the garbage away.
-	if p.prov.GarbageRatio() < threshold {
-		return false, nil
-	}
-	// Selective: only the store/shards at or over the threshold are
-	// rewritten (explicit ActionCompact still compacts everything).
-	if err := p.prov.CompactAbove(threshold); err != nil {
-		return false, fmt.Errorf("preserv: scheduled compaction: %w", err)
-	}
-	p.compactions.Add(1)
-	return true, nil
-}
-
-// QueryPlugIn handles queries (scanned and planned), session listings
-// and counts.
-type QueryPlugIn struct {
-	prov     Provenance
-	requests *obs.Counter
-}
-
-// NewQueryPlugIn returns a query plug-in over p, accounting into reg
-// (nil creates a private registry). Planned-query actions run through
-// the shards' query planners (secondary indexes, fanned out and merged
-// behind the router's result cache); the plain query action keeps the
-// scan path the paper measures.
-func NewQueryPlugIn(p Provenance, reg *obs.Registry) *QueryPlugIn {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return &QueryPlugIn{prov: p, requests: reg.Counter("preserv_query_requests_total")}
-}
-
-// Actions implements soap.Handler.
-func (p *QueryPlugIn) Actions() []string {
-	return []string{prep.ActionQuery, prep.ActionPlannedQuery, prep.ActionQueryPage, prep.ActionSessions, prep.ActionCount}
-}
-
-// Handle implements soap.Handler. Errors returned to the soap layer
-// must stay errors.Is-matchable across the wire.
-//
-// provlint:typed-faults
-func (p *QueryPlugIn) Handle(action string, body *soap.Message) (interface{}, error) {
-	p.requests.Add(1)
-	switch action {
-	case prep.ActionQuery:
-		var q prep.Query
-		if err := body.Decode(&q); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad query: " + err.Error()}
-		}
-		records, total, err := p.prov.Query(&q)
-		if err != nil {
-			return nil, err
-		}
-		return &prep.QueryResponse{Total: total, Records: records}, nil
-	case prep.ActionPlannedQuery:
-		var q prep.Query
-		if err := body.Decode(&q); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad query: " + err.Error()}
-		}
-		records, total, plan, err := p.prov.QueryPlanned(&q)
-		if err != nil {
-			return nil, err
-		}
-		return &prep.PlannedQueryResponse{Total: total, Plan: *plan, Records: records}, nil
-	case prep.ActionQueryPage:
-		var req prep.PageQueryRequest
-		if err := body.Decode(&req); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad page query: " + err.Error()}
-		}
-		records, next, done, plan, err := p.prov.QueryPage(&req.Query, req.After, req.PageSize)
-		if err != nil {
-			// An undecodable composite cursor (corrupted, or minted
-			// against a resized topology) is client input, not a server
-			// failure — fault it like every other bad-input path. The
-			// fault keeps ErrBadCursor's message, which is what lets
-			// Client.QueryPage re-type it.
-			if errors.Is(err, shard.ErrBadCursor) {
-				return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad page query: " + err.Error()}
-			}
-			return nil, err
-		}
-		return &prep.PageQueryResponse{Plan: *plan, Next: next, Done: done, Records: records}, nil
-	case prep.ActionSessions:
-		sessions, err := p.prov.Sessions()
-		if err != nil {
-			return nil, err
-		}
-		return &prep.SessionsResponse{Sessions: sessions}, nil
-	case prep.ActionCount:
-		cnt, err := p.prov.Count()
-		if err != nil {
-			return nil, err
-		}
-		return &cnt, nil
-	}
-	return nil, &soap.Fault{Code: soap.FaultBadAction, Message: action}
-}
-
-// StatsPlugIn handles prep.ActionStats: the wire window onto the
-// service's telemetry. It is what closes the remote-shard gap — a
-// router fronting this endpoint as a RemoteShard polls it for the
-// garbage ratio, tombstones and engine counters the base wire protocol
-// never carried.
-type StatsPlugIn struct {
-	svc *Service
-}
-
-// Actions implements soap.Handler.
-func (p *StatsPlugIn) Actions() []string { return []string{prep.ActionStats} }
-
-// Handle implements soap.Handler. Errors returned to the soap layer
-// must stay errors.Is-matchable across the wire.
-//
-// provlint:typed-faults
-func (p *StatsPlugIn) Handle(action string, body *soap.Message) (interface{}, error) {
-	var req prep.StatsRequest
-	if err := body.Decode(&req); err != nil {
-		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad stats request: " + err.Error()}
-	}
-	return p.svc.StatsResponse()
-}
-
-// timedHandler wraps a plug-in, timing every request into a per-action
-// latency histogram and span. The histograms are resolved per action
-// at construction, so serving a request costs no registry lookup.
-type timedHandler struct {
-	inner soap.Handler
-	reg   *obs.Registry
-	hists map[string]*obs.Histogram
-}
-
-func newTimedHandler(inner soap.Handler, reg *obs.Registry) *timedHandler {
-	th := &timedHandler{inner: inner, reg: reg, hists: make(map[string]*obs.Histogram)}
-	for _, a := range inner.Actions() {
-		th.hists[a] = reg.Histogram(fmt.Sprintf(`preserv_request_seconds{action=%q}`, actionShort(a)), nil)
-	}
-	return th
-}
-
-// actionShort strips the URI prefix: "urn:prep:record" -> "record".
-func actionShort(action string) string { return strings.TrimPrefix(action, "urn:prep:") }
-
-// Actions implements soap.Handler.
-func (th *timedHandler) Actions() []string { return th.inner.Actions() }
-
-// Handle implements soap.Handler. Errors returned to the soap layer
-// must stay errors.Is-matchable across the wire.
-//
-// provlint:typed-faults
-func (th *timedHandler) Handle(action string, body *soap.Message) (interface{}, error) {
-	span := th.reg.Tracer().StartSpan("preserv." + actionShort(action))
-	reply, err := th.inner.Handle(action, body)
-	span.Observe(th.hists[action], err)
-	return reply, err
-}
-
-// Service is a PReServ instance: a shard router (over one store, or
-// fronting several) plus the translator wiring.
-type Service struct {
-	// Store is the embedded store of a single-store service; nil when
-	// the service was built over a router (use Provenance then).
-	Store   *store.Store
-	rt      *shard.Router
-	prov    Provenance
-	reg     *obs.Registry
-	storeP  *StorePlugIn
-	queryP  *QueryPlugIn
-	handler http.Handler
 	// pprofOn gates the /debug/pprof handlers Serve wires up; set it
 	// via EnablePprof before Serve.
 	pprofOn atomic.Bool
@@ -414,21 +118,271 @@ func NewShardedService(rt *shard.Router) *Service {
 
 func newService(rt *shard.Router, p Provenance) *Service {
 	reg := obs.NewRegistry()
-	sp := NewStorePlugIn(p, reg)
-	qp := NewQueryPlugIn(p, reg)
 	svc := &Service{
-		rt:     rt,
-		prov:   p,
-		reg:    reg,
-		storeP: sp,
-		queryP: qp,
+		rt:              rt,
+		prov:            p,
+		reg:             reg,
+		recordRequests:  reg.Counter("preserv_record_requests_total"),
+		recordsAccepted: reg.Counter("preserv_records_accepted_total"),
+		deleteRequests:  reg.Counter("preserv_delete_requests_total"),
+		recordsDeleted:  reg.Counter("preserv_records_deleted_total"),
+		compactions:     reg.Counter("preserv_compactions_total"),
+		queryRequests:   reg.Counter("preserv_query_requests_total"),
 	}
-	svc.handler = soap.NewHTTPHandler(
-		newTimedHandler(sp, reg),
-		newTimedHandler(qp, reg),
-		newTimedHandler(&StatsPlugIn{svc: svc}, reg),
-	)
+	actions := map[string]soap.Action{
+		prep.ActionRecord:       svc.record,
+		prep.ActionDelete:       svc.delete,
+		prep.ActionCompact:      svc.compact,
+		prep.ActionQuery:        svc.query,
+		prep.ActionPlannedQuery: svc.plannedQuery,
+		prep.ActionQueryPage:    svc.queryPage,
+		prep.ActionSessions:     svc.sessions,
+		prep.ActionCount:        svc.count,
+		prep.ActionStats:        svc.stats,
+	}
+	// Each action is timed into its own latency histogram and span,
+	// both named here, so serving a request costs no registry lookup
+	// and builds no name.
+	tr := reg.Tracer()
+	for action, do := range actions {
+		short := strings.TrimPrefix(action, "urn:prep:")
+		name, hist := "preserv."+short, reg.Histogram(fmt.Sprintf(`preserv_request_seconds{action=%q}`, short), nil)
+		actions[action] = func(body *soap.Message) (any, error) {
+			span := tr.StartSpan(name)
+			reply, err := do(body)
+			span.Observe(hist, err)
+			return reply, err
+		}
+	}
+	svc.handler = soap.NewHTTPHandler(actions)
 	return svc
+}
+
+// record handles prep.ActionRecord: a batch of p-assertions to store.
+// Errors returned to the soap layer must stay errors.Is-matchable
+// across the wire; so must every action's below.
+//
+// provlint:typed-faults
+func (svc *Service) record(body *soap.Message) (any, error) {
+	var req prep.RecordRequest
+	if err := body.Decode(&req); err != nil {
+		svc.recordRequests.Add(1)
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad record request: " + err.Error()}
+	}
+	accepted, rejects, err := svc.prov.Record(req.Asserter, req.Records)
+	if err != nil {
+		svc.recordRequests.Add(1)
+		return nil, err
+	}
+	// The request and its accepted count land together: a stats
+	// snapshot sees both or neither, never a request whose records
+	// are still unaccounted.
+	svc.reg.Batch(func() {
+		svc.recordRequests.Add(1)
+		svc.recordsAccepted.Add(int64(accepted))
+	})
+	return &prep.RecordResponse{Accepted: accepted, Rejects: rejects}, nil
+}
+
+// delete handles prep.ActionDelete: the retraction of one record, a key
+// batch or a whole session, then a scheduled compaction if the garbage
+// crossed the threshold.
+//
+// provlint:typed-faults
+func (svc *Service) delete(body *soap.Message) (any, error) {
+	var req prep.DeleteRequest
+	if err := body.Decode(&req); err != nil {
+		svc.deleteRequests.Add(1)
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad delete request: " + err.Error()}
+	}
+	if err := req.Validate(); err != nil {
+		svc.deleteRequests.Add(1)
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
+	}
+	deleted := 0
+	var derr error
+	switch {
+	case req.StorageKey != "":
+		deleted, derr = svc.prov.DeleteRecords([]string{req.StorageKey})
+	case len(req.StorageKeys) > 0:
+		deleted, derr = svc.prov.DeleteRecords(req.StorageKeys)
+	default:
+		deleted, derr = svc.prov.DeleteSession(req.SessionID)
+	}
+	svc.reg.Batch(func() {
+		svc.deleteRequests.Add(1)
+		svc.recordsDeleted.Add(int64(deleted))
+	})
+	if derr != nil {
+		return nil, derr
+	}
+	resp := &prep.DeleteResponse{Deleted: deleted}
+	if deleted > 0 {
+		// A failed scheduled compaction must not mask the delete,
+		// which already succeeded: report it in the response instead
+		// of turning the whole request into a fault.
+		var err error
+		if resp.Compacted, err = svc.maybeCompact(); err != nil {
+			resp.CompactError = err.Error()
+		}
+	}
+	resp.GarbageRatio = svc.prov.GarbageRatio()
+	return resp, nil
+}
+
+// compact handles prep.ActionCompact: an online compaction of every
+// part of the store.
+//
+// provlint:typed-faults
+func (svc *Service) compact(body *soap.Message) (any, error) {
+	var req prep.CompactRequest
+	if err := body.Decode(&req); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad compact request: " + err.Error()}
+	}
+	before := svc.prov.GarbageRatio()
+	svc.compactMu.Lock()
+	err := svc.prov.Compact()
+	svc.compactMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	svc.compactions.Add(1)
+	return &prep.CompactResponse{GarbageBefore: before, GarbageAfter: svc.prov.GarbageRatio()}, nil
+}
+
+// maybeCompact runs an online compaction when the backend's garbage
+// ratio has crossed the service's threshold — the scheduled reclamation
+// that keeps deletions from growing the store without bound. It runs
+// inline with the triggering delete request: deletions are rare
+// administrative operations, and an inline compaction keeps the
+// observable state deterministic (the response reports whether it ran).
+func (svc *Service) maybeCompact() (bool, error) {
+	threshold := svc.compactThreshold()
+	if threshold < 0 || svc.prov.GarbageRatio() < threshold {
+		return false, nil
+	}
+	svc.compactMu.Lock()
+	defer svc.compactMu.Unlock()
+	// Re-check under the compaction lock: a concurrent delete may have
+	// just compacted the garbage away.
+	if svc.prov.GarbageRatio() < threshold {
+		return false, nil
+	}
+	// Selective: only the store/shards at or over the threshold are
+	// rewritten (explicit ActionCompact still compacts everything).
+	if err := svc.prov.CompactAbove(threshold); err != nil {
+		return false, fmt.Errorf("preserv: scheduled compaction: %w", err)
+	}
+	svc.compactions.Add(1)
+	return true, nil
+}
+
+// compactThreshold reads the effective threshold atomically.
+func (svc *Service) compactThreshold() float64 {
+	threshold := math.Float64frombits(svc.compactRatio.Load())
+	if threshold == 0 {
+		threshold = DefaultCompactRatio
+	}
+	return threshold
+}
+
+// query handles prep.ActionQuery through the store's scan path, the
+// one the paper measures.
+//
+// provlint:typed-faults
+func (svc *Service) query(body *soap.Message) (any, error) {
+	svc.queryRequests.Add(1)
+	var q prep.Query
+	if err := body.Decode(&q); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad query: " + err.Error()}
+	}
+	records, total, err := svc.prov.Query(&q)
+	if err != nil {
+		return nil, err
+	}
+	return &prep.QueryResponse{Total: total, Records: records}, nil
+}
+
+// plannedQuery handles prep.ActionPlannedQuery through the shards'
+// query planners (secondary indexes, fanned out and merged behind the
+// router's result cache).
+//
+// provlint:typed-faults
+func (svc *Service) plannedQuery(body *soap.Message) (any, error) {
+	svc.queryRequests.Add(1)
+	var q prep.Query
+	if err := body.Decode(&q); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad query: " + err.Error()}
+	}
+	records, total, plan, err := svc.prov.QueryPlanned(&q)
+	if err != nil {
+		return nil, err
+	}
+	return &prep.PlannedQueryResponse{Total: total, Plan: *plan, Records: records}, nil
+}
+
+// queryPage handles prep.ActionQueryPage: one cursor-delimited page of
+// a planned query.
+//
+// provlint:typed-faults
+func (svc *Service) queryPage(body *soap.Message) (any, error) {
+	svc.queryRequests.Add(1)
+	var req prep.PageQueryRequest
+	if err := body.Decode(&req); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad page query: " + err.Error()}
+	}
+	records, next, done, plan, err := svc.prov.QueryPage(&req.Query, req.After, req.PageSize)
+	if err != nil {
+		// An undecodable composite cursor (corrupted, or minted
+		// against a resized topology) is client input, not a server
+		// failure — fault it like every other bad-input path. The
+		// fault keeps ErrBadCursor's message, which is what lets
+		// Client.QueryPage re-type it.
+		if errors.Is(err, shard.ErrBadCursor) {
+			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad page query: " + err.Error()}
+		}
+		return nil, err
+	}
+	return &prep.PageQueryResponse{Plan: *plan, Next: next, Done: done, Records: records}, nil
+}
+
+// sessions handles prep.ActionSessions from the session index. It reads
+// no payload.
+//
+// provlint:typed-faults
+func (svc *Service) sessions(*soap.Message) (any, error) {
+	svc.queryRequests.Add(1)
+	sessions, err := svc.prov.Sessions()
+	if err != nil {
+		return nil, err
+	}
+	return &prep.SessionsResponse{Sessions: sessions}, nil
+}
+
+// count handles prep.ActionCount. It reads no payload.
+//
+// provlint:typed-faults
+func (svc *Service) count(*soap.Message) (any, error) {
+	svc.queryRequests.Add(1)
+	cnt, err := svc.prov.Count()
+	if err != nil {
+		return nil, err
+	}
+	return &cnt, nil
+}
+
+// stats handles prep.ActionStats: the wire window onto the service's
+// telemetry. It is what closes the remote-shard gap — a router fronting
+// this endpoint as a RemoteShard polls it for the garbage ratio,
+// tombstones and engine counters the base wire protocol never carried.
+//
+// provlint:typed-faults
+func (svc *Service) stats(body *soap.Message) (any, error) {
+	var req prep.StatsRequest
+	if err := body.Decode(&req); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad stats request: " + err.Error()}
+	}
+	return svc.StatsResponse()
 }
 
 // Obs returns the service's telemetry registry (request counters and
@@ -445,13 +399,16 @@ func (svc *Service) EnablePprof() { svc.pprofOn.Store(true) }
 // router (on a single store, under the oneStore type).
 func (svc *Service) Provenance() Provenance { return svc.prov }
 
-// Handler returns the HTTP handler (the message-translator layer).
+// Handler returns the HTTP handler (the message-translator layer), an
+// *soap.HTTPHandler: soap.Server's loop serves POSTs to that type
+// itself.
 func (svc *Service) Handler() http.Handler { return svc.handler }
 
 // SetCompactRatio sets the garbage-ratio threshold for delete-triggered
-// online compaction (negative disables it). Safe to call while serving:
-// the threshold is stored atomically and picked up by the next delete.
-func (svc *Service) SetCompactRatio(r float64) { svc.storeP.SetCompactRatio(r) }
+// online compaction (zero restores DefaultCompactRatio, negative
+// disables it). Safe to call while serving: the threshold is stored
+// atomically and picked up by the next delete.
+func (svc *Service) SetCompactRatio(r float64) { svc.compactRatio.Store(math.Float64bits(r)) }
 
 // StatsResponse assembles the urn:prep:stats reply — the service's one
 // telemetry snapshot: the request counters, whole-store aggregates, the

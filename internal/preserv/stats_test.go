@@ -7,6 +7,7 @@ package preserv
 // forced scan-plan query.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,6 +21,7 @@ import (
 	"preserv/internal/obs"
 	"preserv/internal/prep"
 	"preserv/internal/shard"
+	"preserv/internal/soap"
 	"preserv/internal/store"
 )
 
@@ -336,6 +338,76 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := samples["preserv_record_requests_total"]; got != "1" {
 		t.Errorf("preserv_record_requests_total = %s, want 1", got)
+	}
+}
+
+// TestEveryActionTimedAndCounted posts each PReP action to a live
+// server: each moves its own preserv_request_seconds count by one, its
+// own request counter and nothing else; an unregistered action gets
+// client.unknown-action and moves nothing.
+func TestEveryActionTimedAndCounted(t *testing.T) {
+	withTelemetry(t)
+	client, svc := startServer(t)
+	svc.SetCompactRatio(-1) // a delete must not compact on its own
+	session := seq.NewID()
+	q := &prep.Query{SessionID: session}
+	steps := []struct {
+		action string
+		call   func() error
+		moves  map[string]int64
+	}{
+		{prep.ActionRecord, func() error {
+			_, err := client.Record("svc:enactor", []core.Record{mkRecord(session, "svc:gzip")})
+			return err
+		}, map[string]int64{"preserv_record_requests_total": 1, "preserv_records_accepted_total": 1}},
+		{prep.ActionQuery, func() error { _, _, err := client.Query(q); return err },
+			map[string]int64{"preserv_query_requests_total": 1}},
+		{prep.ActionPlannedQuery, func() error { _, _, _, err := client.QueryPlanned(q); return err },
+			map[string]int64{"preserv_query_requests_total": 1}},
+		{prep.ActionQueryPage, func() error { _, err := client.QueryPage(q, "", 10); return err },
+			map[string]int64{"preserv_query_requests_total": 1}},
+		{prep.ActionSessions, func() error { _, err := client.Sessions(); return err },
+			map[string]int64{"preserv_query_requests_total": 1}},
+		{prep.ActionCount, func() error { _, err := client.Count(); return err },
+			map[string]int64{"preserv_query_requests_total": 1}},
+		{prep.ActionStats, func() error { _, err := client.StoreStats(); return err }, nil},
+		{prep.ActionDelete, func() error { _, err := client.DeleteSession(session); return err },
+			map[string]int64{"preserv_delete_requests_total": 1, "preserv_records_deleted_total": 1}},
+		{prep.ActionCompact, func() error { _, err := client.Compact(); return err },
+			map[string]int64{"preserv_compactions_total": 1}},
+		{"urn:prep:nonesuch", func() error {
+			err := client.ep.Post("urn:prep:nonesuch", &prep.CountRequest{}, nil)
+			var f *soap.Fault
+			if !errors.As(err, &f) || f.Code != soap.FaultBadAction {
+				return fmt.Errorf("unregistered action: err = %v, want a %s fault", err, soap.FaultBadAction)
+			}
+			return nil
+		}, nil},
+	}
+	for _, step := range steps {
+		counters, hists := svc.Obs().CounterSnapshot(), svc.Obs().HistogramSnapshots()
+		if err := step.call(); err != nil {
+			t.Fatalf("%s: %v", step.action, err)
+		}
+		for name, v := range svc.Obs().CounterSnapshot() {
+			if moved := v - counters[name]; moved != step.moves[name] {
+				t.Errorf("%s moved %s by %d, want %d", step.action, name, moved, step.moves[name])
+			}
+		}
+		own := fmt.Sprintf(`preserv_request_seconds{action=%q}`, strings.TrimPrefix(step.action, "urn:prep:"))
+		after := svc.Obs().HistogramSnapshots()
+		if _, ok := after[own]; !ok && step.action != "urn:prep:nonesuch" {
+			t.Errorf("%s has no histogram %s", step.action, own)
+		}
+		for name, h := range after {
+			want := int64(0)
+			if name == own {
+				want = 1
+			}
+			if moved := h.Count - hists[name].Count; moved != want {
+				t.Errorf("%s moved %s by %d, want %d", step.action, name, moved, want)
+			}
+		}
 	}
 }
 

@@ -79,7 +79,7 @@ func TestForeignEnvelopeIsRecordedAndQueried(t *testing.T) {
 // constructs it does not support — is client input: every action
 // answers it with a bad-request fault, and the store is untouched. The
 // body is decoded where the envelope scan reaches it, so this also pins
-// that no plug-in acts on a request before the envelope's end is read:
+// that no action acts on a request before the envelope's end is read:
 // a well-formed Record whose envelope goes wrong after its Body leaves
 // no record behind.
 func TestUndecodableRequestsFaultAsBadRequest(t *testing.T) {

@@ -293,80 +293,90 @@ type (
 	}
 )
 
-// handler adapts Registry to the soap dispatch layer.
-type handler struct{ reg *Registry }
-
-// Actions implements soap.Handler.
-func (h handler) Actions() []string {
-	return []string{ActionPublish, ActionLookup, ActionOperations, ActionPartType, ActionAttach, ActionFind}
-}
-
-// Handle implements soap.Handler.
-func (h handler) Handle(action string, body *soap.Message) (interface{}, error) {
-	switch action {
-	case ActionPublish:
-		var d ServiceDescription
-		if err := body.Decode(&d); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
-		}
-		if err := h.reg.Publish(&d); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
-		}
-		return &PublishResponse{Service: d.Service}, nil
-	case ActionLookup:
-		var req LookupRequest
-		if err := body.Decode(&req); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
-		}
-		d, ok := h.reg.Lookup(req.Service)
-		if !ok {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "unknown service " + string(req.Service)}
-		}
-		return d, nil
-	case ActionOperations:
-		var req OperationsRequest
-		if err := body.Decode(&req); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
-		}
-		d, ok := h.reg.Lookup(req.Service)
-		if !ok {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "unknown service " + string(req.Service)}
-		}
-		ops := make([]string, len(d.Operations))
-		for i := range d.Operations {
-			ops[i] = d.Operations[i].Name
-		}
-		return &OperationsResponse{Operations: ops}, nil
-	case ActionPartType:
-		var req PartTypeRequest
-		if err := body.Decode(&req); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
-		}
-		typ, err := h.reg.PartType(req.Service, req.Operation, req.Direction, req.Part)
-		if err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
-		}
-		return &PartTypeResponse{SemanticType: typ}, nil
-	case ActionAttach:
-		var req AttachRequest
-		if err := body.Decode(&req); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
-		}
-		if err := h.reg.AttachMetadata(req.Service, req.Key, req.Value); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
-		}
-		return &AttachResponse{}, nil
-	case ActionFind:
-		var req FindRequest
-		if err := body.Decode(&req); err != nil {
-			return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
-		}
-		return &FindResponse{Services: h.reg.FindByMetadata(req.Key, req.Value)}, nil
+// Handler returns the registry's action table, for soap.NewHTTPHandler.
+func (r *Registry) Handler() map[string]soap.Action {
+	return map[string]soap.Action{
+		ActionPublish:    r.servePublish,
+		ActionLookup:     r.serveLookup,
+		ActionOperations: r.serveOperations,
+		ActionPartType:   r.servePartType,
+		ActionAttach:     r.serveAttach,
+		ActionFind:       r.serveFind,
 	}
-	return nil, &soap.Fault{Code: soap.FaultBadAction, Message: action}
 }
 
-// Handler returns the registry's soap plug-in.
-func (r *Registry) Handler() soap.Handler {
-	return handler{reg: r}
+// provlint:typed-faults
+func (r *Registry) servePublish(body *soap.Message) (any, error) {
+	var d ServiceDescription
+	if err := body.Decode(&d); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
+	}
+	if err := r.Publish(&d); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
+	}
+	return &PublishResponse{Service: d.Service}, nil
+}
+
+// provlint:typed-faults
+func (r *Registry) serveLookup(body *soap.Message) (any, error) {
+	var req LookupRequest
+	if err := body.Decode(&req); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
+	}
+	d, ok := r.Lookup(req.Service)
+	if !ok {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "unknown service " + string(req.Service)}
+	}
+	return d, nil
+}
+
+// provlint:typed-faults
+func (r *Registry) serveOperations(body *soap.Message) (any, error) {
+	var req OperationsRequest
+	if err := body.Decode(&req); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
+	}
+	d, ok := r.Lookup(req.Service)
+	if !ok {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "unknown service " + string(req.Service)}
+	}
+	ops := make([]string, len(d.Operations))
+	for i := range d.Operations {
+		ops[i] = d.Operations[i].Name
+	}
+	return &OperationsResponse{Operations: ops}, nil
+}
+
+// provlint:typed-faults
+func (r *Registry) servePartType(body *soap.Message) (any, error) {
+	var req PartTypeRequest
+	if err := body.Decode(&req); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
+	}
+	typ, err := r.PartType(req.Service, req.Operation, req.Direction, req.Part)
+	if err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
+	}
+	return &PartTypeResponse{SemanticType: typ}, nil
+}
+
+// provlint:typed-faults
+func (r *Registry) serveAttach(body *soap.Message) (any, error) {
+	var req AttachRequest
+	if err := body.Decode(&req); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
+	}
+	if err := r.AttachMetadata(req.Service, req.Key, req.Value); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
+	}
+	return &AttachResponse{}, nil
+}
+
+// provlint:typed-faults
+func (r *Registry) serveFind(body *soap.Message) (any, error) {
+	var req FindRequest
+	if err := body.Decode(&req); err != nil {
+		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: err.Error()}
+	}
+	return &FindResponse{Services: r.FindByMetadata(req.Key, req.Value)}, nil
 }

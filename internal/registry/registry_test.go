@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -365,19 +367,26 @@ func TestOperationPartTypeHelpers(t *testing.T) {
 
 func TestRegistryHandlerInterface(t *testing.T) {
 	r := NewRegistry()
-	h := r.Handler()
-	if len(h.Actions()) != 6 {
-		t.Errorf("actions = %v", h.Actions())
+	if actions := r.Handler(); len(actions) != 6 {
+		t.Errorf("actions = %v", actions)
 	}
-	if _, err := h.Handle("urn:other", nil); err == nil {
-		t.Error("unknown action should fail")
-	}
-	for _, action := range []string{ActionPublish, ActionLookup, ActionPartType, ActionAttach, ActionFind} {
-		msg, err := soap.ReadEnvelope([]byte(`<Envelope><Header><action>` + action + `</action></Header><Body>junk</Body></Envelope>`))
+	h := soap.NewHTTPHandler(r.Handler())
+	faults := func(action string) bool {
+		rec := httptest.NewRecorder()
+		env := `<Envelope><Header><action>` + action + `</action></Header><Body>junk</Body></Envelope>`
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", strings.NewReader(env)))
+		_, body, err := soap.Unmarshal(rec.Body.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Handle(action, msg); err == nil {
+		_, ok := soap.AsFault(body)
+		return ok
+	}
+	if !faults("urn:other") {
+		t.Error("unknown action should fail")
+	}
+	for _, action := range []string{ActionPublish, ActionLookup, ActionPartType, ActionAttach, ActionFind} {
+		if !faults(action) {
 			t.Errorf("garbage %s body should fail", action)
 		}
 	}

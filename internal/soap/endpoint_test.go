@@ -134,7 +134,7 @@ func echoText(t *testing.T, e *Endpoint, text string) {
 // net/http's server chunks any reply over 2 KB: the body is read whole,
 // and its trailer too, so the connection carries the next call.
 func TestEndpointChunkedReply(t *testing.T) {
-	srv := httptest.NewUnstartedServer(NewHTTPHandler(echoHandler{}))
+	srv := httptest.NewUnstartedServer(NewHTTPHandler(echoActions()))
 	conns := countConns(srv)
 	srv.Start()
 	defer srv.Close()
@@ -152,7 +152,7 @@ func TestEndpointChunkedReply(t *testing.T) {
 
 // A reply with Connection: close is read, and its connection not kept.
 func TestEndpointConnectionClose(t *testing.T) {
-	handler := NewHTTPHandler(echoHandler{})
+	handler := NewHTTPHandler(echoActions())
 	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Connection", "close")
 		handler.ServeHTTP(w, r)
@@ -191,7 +191,7 @@ func TestEndpointHTTP10Reply(t *testing.T) {
 
 // An informational reply ahead of the real one is skipped.
 func TestEndpointInformationalReply(t *testing.T) {
-	handler := NewHTTPHandler(echoHandler{})
+	handler := NewHTTPHandler(echoActions())
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Link", "</style.css>; rel=preload")
 		w.WriteHeader(http.StatusEarlyHints)
@@ -317,7 +317,7 @@ func TestEndpointNoRetryOnFreshConnection(t *testing.T) {
 func TestEndpointDeadline(t *testing.T) {
 	release := make(chan struct{})
 	var calls atomic.Int32
-	handler := NewHTTPHandler(echoHandler{})
+	handler := NewHTTPHandler(echoActions())
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) > 1 {
 			<-release
@@ -374,7 +374,7 @@ func TestEndpointConcurrentCallers(t *testing.T) {
 
 // An idle connection past maxIdleAge is closed, not reused.
 func TestEndpointIdleAge(t *testing.T) {
-	srv := httptest.NewUnstartedServer(NewHTTPHandler(echoHandler{}))
+	srv := httptest.NewUnstartedServer(NewHTTPHandler(echoActions()))
 	conns := countConns(srv)
 	srv.Start()
 	defer srv.Close()
@@ -414,7 +414,7 @@ func TestEndpointFallback(t *testing.T) {
 	viaProxy := &http.Client{Transport: &http.Transport{Proxy: http.ProxyURL(proxyURL)}}
 	echoText(t, NewEndpoint("http://store.invalid/", viaProxy), "proxied")
 
-	tls := httptest.NewTLSServer(NewHTTPHandler(echoHandler{}))
+	tls := httptest.NewTLSServer(NewHTTPHandler(echoActions()))
 	defer tls.Close()
 	echoText(t, NewEndpoint(tls.URL, tls.Client()), "tls")
 }
@@ -436,7 +436,7 @@ func TestIdleDescriptorsBounded(t *testing.T) {
 	}
 	before := fds()
 	for i := 0; i < 200; i++ {
-		srv := httptest.NewServer(NewHTTPHandler(echoHandler{}))
+		srv := httptest.NewServer(NewHTTPHandler(echoActions()))
 		echoText(t, NewEndpoint(srv.URL, nil), "x")
 		srv.Close()
 	}

@@ -18,24 +18,11 @@ import (
 	"time"
 )
 
-// blockHandler holds urn:test:block until release is closed, telling
-// started once the first call arrives: the request in flight a drain
-// waits for.
-type blockHandler struct {
-	once             *sync.Once
-	started, release chan struct{}
-}
-
-func (blockHandler) Actions() []string { return []string{"urn:test:block"} }
-
-func (b blockHandler) Handle(string, *Message) (interface{}, error) {
-	b.once.Do(func() { close(b.started) })
-	<-b.release
-	return &echoPayload{Text: "drained"}, nil
-}
-
-// loopServer serves echoHandler and a blockHandler at "/" and a stand-in
-// for /metrics on one mux, on the loop, with the given header timeout.
+// loopServer serves echoActions and urn:test:block at "/" and a
+// stand-in for /metrics on one mux, on the loop, with the given header
+// timeout. urn:test:block holds its request until release is closed,
+// telling started once the first one arrives: the request in flight a
+// drain waits for.
 type loopServer struct {
 	*Server
 	addr             string
@@ -51,7 +38,14 @@ func newLoopServer(t *testing.T, timeout time.Duration) *loopServer {
 	}
 	ls := &loopServer{addr: ln.Addr().String(), started: make(chan struct{}), release: make(chan struct{})}
 	mux := http.NewServeMux()
-	mux.Handle("/", NewHTTPHandler(echoHandler{}, blockHandler{once: new(sync.Once), started: ls.started, release: ls.release}))
+	actions := echoActions()
+	var once sync.Once
+	actions["urn:test:block"] = func(*Message) (any, error) {
+		once.Do(func() { close(ls.started) })
+		<-ls.release
+		return &echoPayload{Text: "drained"}, nil
+	}
+	mux.Handle("/", NewHTTPHandler(actions))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "metrics "+r.Method)
 	})
@@ -468,7 +462,7 @@ func FuzzReadRequest(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		s := &Server{h: NewHTTPHandler()}
+		s := &Server{h: NewHTTPHandler(nil)}
 		c := &serverConn{conn: conn{br: bufio.NewReaderSize(bytes.NewReader(in), 64)}}
 		for {
 			h, fr, err := s.readHead(c)

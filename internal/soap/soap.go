@@ -489,46 +489,30 @@ func AsFault(body []byte) (*Fault, bool) {
 	return f, ok
 }
 
-// Handler processes one message and returns the reply payload (to be
+// Action answers one message and returns the reply payload (to be
 // XML-marshalled) or an error. Returning a *Fault preserves its code;
-// other errors become FaultInternal.
-type Handler interface {
-	// Actions lists the action URIs this handler accepts.
-	Actions() []string
-	// Handle processes a message with a matching action. The envelope
-	// has been read up to its payload; body.Decode reads the payload and
-	// then checks the rest of the envelope, so a handler that acts on a
-	// request decodes it first and acts only on a nil error. A handler
-	// that needs no payload may leave it: the translator reads the rest
-	// after Handle returns, and answers a malformed envelope with a
-	// bad-request fault whatever Handle returned. body is valid until
-	// Handle returns.
-	Handle(action string, body *Message) (reply interface{}, err error)
-}
+// other errors become FaultInternal. The envelope has been read up to
+// its payload; body.Decode reads the payload and then checks the rest
+// of the envelope, so an action that acts on a request decodes it first
+// and acts only on a nil error. An action that needs no payload may
+// leave it: the translator reads the rest after the action returns, and
+// answers a malformed envelope with a bad-request fault whatever the
+// action returned. body is valid until the action returns.
+type Action func(body *Message) (reply any, err error)
 
-// HTTPHandler adapts a set of Handlers to HTTP — this is the
+// HTTPHandler adapts an action table to HTTP — this is the
 // message-translator layer of the PReServ design (Figure 3): it strips
-// the HTTP and envelope headers and passes the body to the plug-in
-// registered for the action. Server runs it on each connection's own
-// loop; ServeHTTP runs it under net/http.
+// the HTTP and envelope headers and passes the body to the action
+// registered under the message's action URI. Server runs it on each
+// connection's own loop; ServeHTTP runs it under net/http.
 type HTTPHandler struct {
-	byAction map[string]Handler
+	actions map[string]Action
 }
 
-// NewHTTPHandler builds the translator from the given plug-ins.
-// Registering two handlers for one action panics: that is a static
-// wiring error.
-func NewHTTPHandler(handlers ...Handler) *HTTPHandler {
-	h := &HTTPHandler{byAction: make(map[string]Handler)}
-	for _, handler := range handlers {
-		for _, action := range handler.Actions() {
-			if _, dup := h.byAction[action]; dup {
-				panic("soap: duplicate handler for action " + action)
-			}
-			h.byAction[action] = handler
-		}
-	}
-	return h
+// NewHTTPHandler builds the translator over actions, keyed by action
+// URI. The caller does not change the table once serving starts.
+func NewHTTPHandler(actions map[string]Action) *HTTPHandler {
+	return &HTTPHandler{actions: actions}
 }
 
 // ServeHTTP implements http.Handler: the translator under net/http.
@@ -547,7 +531,7 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // answer appends to out the reply to the request message data, or to
-// readErr, the error reading it, and returns it: the handler's reply
+// readErr, the error reading it, and returns it: the action's reply
 // envelope, or a fault's. Faults travel as 200-level envelope replies,
 // as in SOAP 1.1 over HTTP POST bindings; transport-level errors use
 // HTTP codes. The reply may hold bytes of data, which the caller keeps
@@ -568,15 +552,15 @@ func (h *HTTPHandler) answer(data []byte, readErr error, out []byte) []byte {
 		return fault(FaultBadRequest, err.Error())
 	}
 	action := msg.action
-	handler, ok := h.byAction[action]
+	do, ok := h.actions[action]
 	if !ok {
 		if err := msg.finish(); err != nil {
 			return fault(FaultBadRequest, err.Error())
 		}
 		return fault(FaultBadAction, "no handler for action "+action)
 	}
-	reply, err := handler.Handle(action, msg)
-	// A handler that did not decode (sessions, count) left the envelope
+	reply, err := do(msg)
+	// An action that did not decode (sessions, count) left the envelope
 	// unread. One that did was told by Decode of anything wrong with it,
 	// and its answer stands unless it went on as if nothing were.
 	undecoded := msg.pending

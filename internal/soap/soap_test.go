@@ -74,20 +74,17 @@ func TestFaultDetection(t *testing.T) {
 	}
 }
 
-// echoHandler replies with the same payload; action "boom" fails.
-type echoHandler struct{}
-
-func (echoHandler) Actions() []string {
-	return []string{"urn:test:echo", "urn:test:boom", "urn:test:fault"}
+// echoActions answers urn:test:echo with its payload, N incremented;
+// urn:test:boom fails and urn:test:fault faults.
+func echoActions() map[string]Action {
+	return map[string]Action{
+		"urn:test:echo":  echo,
+		"urn:test:boom":  func(*Message) (any, error) { return nil, errors.New("kaput") },
+		"urn:test:fault": func(*Message) (any, error) { return nil, &Fault{Code: FaultBadRequest, Message: "custom"} },
+	}
 }
 
-func (echoHandler) Handle(action string, body *Message) (interface{}, error) {
-	switch action {
-	case "urn:test:boom":
-		return nil, errors.New("kaput")
-	case "urn:test:fault":
-		return nil, &Fault{Code: FaultBadRequest, Message: "custom"}
-	}
+func echo(body *Message) (any, error) {
 	var p echoPayload
 	if err := body.Decode(&p); err != nil {
 		return nil, &Fault{Code: FaultBadRequest, Message: err.Error()}
@@ -98,7 +95,7 @@ func (echoHandler) Handle(action string, body *Message) (interface{}, error) {
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewHTTPHandler(echoHandler{}))
+	srv := httptest.NewServer(NewHTTPHandler(echoActions()))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -205,15 +202,6 @@ func TestHTTPOversizedMessage(t *testing.T) {
 	}
 }
 
-func TestDuplicateHandlerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate action registration must panic")
-		}
-	}()
-	NewHTTPHandler(echoHandler{}, echoHandler{})
-}
-
 func TestFaultError(t *testing.T) {
 	f := &Fault{Code: "c", Message: "m"}
 	if !strings.Contains(f.Error(), "c") || !strings.Contains(f.Error(), "m") {
@@ -289,7 +277,7 @@ func TestEnvelopeHasMessageID(t *testing.T) {
 }
 
 func ExampleEndpoint_Post() {
-	srv := httptest.NewServer(NewHTTPHandler(echoHandler{}))
+	srv := httptest.NewServer(NewHTTPHandler(echoActions()))
 	defer srv.Close()
 	var reply echoPayload
 	if err := NewEndpoint(srv.URL, srv.Client()).Post("urn:test:echo", &echoPayload{Text: "ping", N: 41}, &reply); err != nil {

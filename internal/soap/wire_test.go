@@ -274,7 +274,7 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 			t.Fatalf("Unmarshal rejects what encoding/xml accepts, and not as unsupported: %v\n%q", err, data)
 		}
 		rec := httptest.NewRecorder()
-		NewHTTPHandler(echoHandler{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(data)))
+		NewHTTPHandler(echoActions()).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(data)))
 		_, reply, rerr := Unmarshal(rec.Body.Bytes())
 		if f, ok := AsFault(reply); rerr != nil || !ok || f.Code != FaultBadRequest {
 			t.Fatalf("server reply to an unsupported envelope: %s (%v), want a bad-request fault", rec.Body, rerr)
