@@ -9,7 +9,7 @@ package main
 
 import (
 	"flag"
-	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -29,22 +29,24 @@ func main() {
 	if !*empty {
 		for _, d := range experiment.Descriptions(strings.Split(*codecs, ",")) {
 			if err := reg.Publish(d); err != nil {
-				log.Fatalf("grimoires: publishing %s: %v", d.Service, err)
+				slog.Error("grimoires: publishing", "service", d.Service, "err", err)
+				os.Exit(1)
 			}
 		}
 	}
 
 	srv, err := registry.Serve(reg, *addr)
 	if err != nil {
-		log.Fatalf("grimoires: %v", err)
+		slog.Error("grimoires: serving", "addr", *addr, "err", err)
+		os.Exit(1)
 	}
-	log.Printf("grimoires: registry listening on %s (%d services)", srv.URL, len(reg.Services()))
+	slog.Info("grimoires: registry listening", "addr", srv.URL, "services", len(reg.Services()))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	log.Println("grimoires: shutting down")
+	slog.Info("grimoires: shutting down")
 	if err := srv.Close(); err != nil {
-		log.Printf("grimoires: close: %v", err)
+		slog.Error("grimoires: closing the listener", "err", err)
 	}
 }

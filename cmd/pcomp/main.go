@@ -14,7 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -23,6 +23,12 @@ import (
 	"preserv/internal/experiment"
 	"preserv/internal/grid"
 )
+
+// fatal logs msg and its fields as one error line and exits 1.
+func fatal(msg string, args ...any) {
+	slog.Error(msg, args...)
+	os.Exit(1)
+}
 
 func main() {
 	sample := flag.Int("sample", 100<<10, "collated sample size in bytes")
@@ -50,12 +56,12 @@ func main() {
 	case "sync+extra", "extra":
 		recMode = experiment.RecordSyncExtra
 	default:
-		log.Fatalf("pcomp: unknown mode %q", *mode)
+		fatal("pcomp: unknown mode", "mode", *mode)
 	}
 
 	grouping, ok := bio.Groupings()[*groupingName]
 	if !ok {
-		log.Fatalf("pcomp: unknown grouping %q (have: hydropathy4, sampath8, identity20)", *groupingName)
+		fatal("pcomp: unknown grouping (have: hydropathy4, sampath8, identity20)", "grouping", *groupingName)
 	}
 
 	var storeURLs []string
@@ -68,7 +74,7 @@ func main() {
 		var err error
 		cluster, err = grid.NewCluster(*slots, *schedDelay, 0)
 		if err != nil {
-			log.Fatalf("pcomp: %v", err)
+			fatal("pcomp: starting the grid", "slots", *slots, "err", err)
 		}
 	}
 
@@ -76,14 +82,14 @@ func main() {
 	if *fasta != "" {
 		f, err := os.Open(*fasta)
 		if err != nil {
-			log.Fatalf("pcomp: %v", err)
+			fatal("pcomp: opening sequences", "fasta", *fasta, "err", err)
 		}
 		sequences, err = bio.ParseFASTA(f)
 		f.Close()
 		if err != nil {
-			log.Fatalf("pcomp: parsing %s: %v", *fasta, err)
+			fatal("pcomp: parsing sequences", "fasta", *fasta, "err", err)
 		}
-		log.Printf("pcomp: loaded %d sequences from %s", len(sequences), *fasta)
+		slog.Info("pcomp: loaded sequences", "fasta", *fasta, "sequences", len(sequences))
 	}
 
 	params := experiment.Params{
@@ -102,11 +108,11 @@ func main() {
 		Cluster:   cluster,
 	}
 
-	log.Printf("pcomp: sample=%dB perms=%d batch=%d grouping=%s codecs=%s mode=%s",
-		*sample, *perms, *batch, grouping.Name(), *codecs, recMode)
+	slog.Info("pcomp: running", "sample_bytes", *sample, "perms", *perms, "batch", *batch,
+		"grouping", grouping.Name(), "codecs", *codecs, "mode", recMode, "target", *stores)
 	res, err := experiment.Run(params, cfg)
 	if err != nil {
-		log.Fatalf("pcomp: %v", err)
+		fatal("pcomp: running the experiment", "target", *stores, "err", err)
 	}
 
 	fmt.Println()

@@ -21,42 +21,30 @@
 // instances instead, which is the paper's distributed PReServ with
 // query routing in front.
 //
-// Telemetry: the service answers urn:prep:stats on the wire and serves
+// Telemetry: the service answers urn:prep:stats on the wire (`provq
+// -watch D stats` follows it), whose history holds each store's open
+// and compactions, failed requests and slow operations, and serves
 // Prometheus-format metrics at /metrics. -telemetry=false turns off the
-// latency histograms and operation spans (request counters stay on);
-// -pprof additionally exposes net/http/pprof under /debug/pprof.
+// latency histograms and request spans (request counters and events
+// stay on); -pprof additionally exposes net/http/pprof under
+// /debug/pprof. Start-up lines are log/slog's key=value lines; a store
+// that cannot be opened is one error line naming its dir, then exit 1.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"syscall"
-	"time"
 
-	"preserv/internal/kvdb"
 	"preserv/internal/obs"
 	"preserv/internal/preserv"
 	"preserv/internal/shard"
 	"preserv/internal/store"
 )
-
-// openLogged is store.OpenBackend plus a log line saying how long the open
-// took and how much it replayed: a slow start names the store (or shard)
-// and its size.
-func openLogged(flavour, dir string) (*kvdb.DB, error) {
-	start := time.Now()
-	b, err := store.OpenBackend(flavour, dir)
-	if err != nil {
-		return nil, err
-	}
-	log.Printf("preserv: opened %s backend %s in %s: %d live keys, %d log bytes",
-		flavour, dir, time.Since(start).Round(100*time.Microsecond), b.Len(), b.LogBytes())
-	return b, nil
-}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8734", "listen address")
@@ -64,9 +52,8 @@ func main() {
 	dir := flag.String("dir", "./provenance-store", "data directory for persistent backends")
 	shards := flag.Int("shards", 0, "shard the store across N embedded child stores (0 or 1 = single store)")
 	shardEndpoints := flag.String("shard-endpoints", "", "comma-separated remote store URLs to front as shards (overrides -shards)")
-	statsEvery := flag.Duration("stats", 0, "periodically log service statistics (0 disables)")
 	compactRatio := flag.Float64("compact-ratio", 0, "garbage-ratio threshold for delete-triggered compaction (0 = default, negative disables)")
-	telemetry := flag.Bool("telemetry", true, "record latency histograms and operation spans (request counters are always on)")
+	telemetry := flag.Bool("telemetry", true, "record latency histograms and operation spans (request counters and events are always on)")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the service listener")
 	flag.Parse()
 
@@ -77,9 +64,10 @@ func main() {
 	if *shardEndpoints != "" {
 		rt, err = preserv.NewRemoteRouter(*shardEndpoints)
 		if err != nil {
-			log.Fatalf("preserv: %v", err)
+			slog.Error("preserv: fronting remote shards", "err", err)
+			os.Exit(1)
 		}
-		log.Printf("preserv: sharded front-end over %d remote endpoint(s)", rt.NumShards())
+		slog.Info("preserv: sharded front-end", "remote_shards", rt.NumShards())
 	} else {
 		// One shard is the store in -dir itself, so a single store
 		// written before -shards existed reopens unchanged.
@@ -90,20 +78,23 @@ func main() {
 			if n > 1 {
 				d = filepath.Join(*dir, fmt.Sprintf("shard-%03d", i))
 			}
-			backend, err := openLogged(*backendName, d)
+			s, err := store.Open(*backendName, d) // an old format stops start-up
 			if err != nil {
-				log.Fatalf("preserv: opening backend %s: %v", d, err)
+				slog.Error("preserv: opening store", "dir", d, "backend", *backendName, "shard", i, "err", err)
+				os.Exit(1)
 			}
-			s := store.New(backend)
-			if _, err := s.Index(); err != nil { // an old format stops start-up
-				log.Fatalf("preserv: opening the index of %s: %v", d, err)
+			ev := s.Obs().Tracer().Slow()[0] // the store.open event
+			fields := []any{"dir", d, "backend", *backendName, "shard", i}
+			for _, a := range ev.Attrs() {
+				fields = append(fields, a.Key, a.Value)
 			}
+			slog.Info("preserv: opened store", fields...)
 			children[i] = shard.NewLocal(s)
 		}
 		if rt, err = shard.NewRouter(children...); err != nil {
-			log.Fatalf("preserv: %v", err)
+			slog.Error("preserv: routing", "err", err)
+			os.Exit(1)
 		}
-		log.Printf("preserv: %d embedded %s-backed store(s)", n, *backendName)
 	}
 	svc := preserv.NewShardedService(rt)
 
@@ -115,37 +106,19 @@ func main() {
 	}
 	srv, err := preserv.Serve(svc, *addr)
 	if err != nil {
-		log.Fatalf("preserv: %v", err)
+		slog.Error("preserv: serving", "addr", *addr, "err", err)
+		os.Exit(1)
 	}
-	log.Printf("preserv: provenance store listening on %s (metrics at %s/metrics)", srv.URL, srv.URL)
-
-	if *statsEvery > 0 {
-		go func() {
-			for range time.Tick(*statsEvery) {
-				s, err := svc.StatsResponse()
-				if err != nil {
-					log.Printf("preserv: stats: %v", err)
-					continue
-				}
-				cnt, err := svc.Provenance().Count()
-				if err != nil {
-					log.Printf("preserv: count: %v", err)
-					continue
-				}
-				log.Printf("preserv: records=%d interactions=%d recordReqs=%d queryReqs=%d shards=%d",
-					cnt.Records, cnt.Interactions, s.RecordRequests, s.QueryRequests, s.NumShards)
-			}
-		}()
-	}
+	slog.Info("preserv: provenance store listening", "addr", srv.URL, "metrics", srv.URL+"/metrics")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	fmt.Fprintln(os.Stderr, "preserv: shutting down")
+	slog.Info("preserv: shutting down")
 	if err := srv.Close(); err != nil {
-		log.Printf("preserv: close: %v", err)
+		slog.Error("preserv: closing the listener", "err", err)
 	}
 	if err := rt.Close(); err != nil {
-		log.Printf("preserv: backend close: %v", err)
+		slog.Error("preserv: closing the stores", "err", err)
 	}
 }

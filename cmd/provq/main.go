@@ -16,7 +16,7 @@
 //	provq -store URL delete -session SESSION
 //	provq -store URL delete -key STORAGEKEY
 //	provq -store URL compact
-//	provq -backend file|kvdb -dir PATH compact
+//	provq -dir PATH compact
 //
 // delete retracts provenance from a live store: one record by storage
 // key, or a whole session's records. The store removes the records and
@@ -36,8 +36,9 @@
 //
 // stats prints the store's telemetry snapshot (urn:prep:stats): request
 // counters, garbage state, query-engine counters, per-shard breakdown,
-// latency-histogram quantiles and the slow-operation log. With -watch D
-// it refreshes every D until interrupted.
+// latency-histogram quantiles and the history (each store's open and
+// compactions, failed requests, slow operations). With -watch D it
+// refreshes every D until interrupted.
 package main
 
 import (
@@ -68,7 +69,6 @@ func main() {
 	session := flag.String("session", "", "session id (validate, lineage, delete)")
 	dataID := flag.String("data", "", "data id (lineage)")
 	from := flag.String("from", "", "comma-separated source store URLs (consolidate)")
-	backend := flag.String("backend", "file", "backend flavour: file or kvdb (offline compact)")
 	dir := flag.String("dir", "", "store directory (offline compact; omit to compact via the server)")
 	key := flag.String("key", "", "record storage key (delete)")
 	shardsFlag := flag.String("shards", "", "comma-separated shard store URLs (query them as one store through an ephemeral router)")
@@ -80,7 +80,7 @@ func main() {
 		os.Exit(2)
 	}
 	if flag.Arg(0) == "compact" && *dir != "" {
-		if err := runCompact(*backend, *dir, os.Stdout); err != nil {
+		if err := runCompact(*dir, os.Stdout); err != nil {
 			log.Fatalf("provq: %v", err)
 		}
 		return
@@ -368,7 +368,8 @@ func printHistograms(out io.Writer, indent string, hists []prep.HistogramStat) {
 	}
 }
 
-// printSlow lists the slow-operation log, oldest first.
+// printSlow lists a history (the span ring: events, failed and slow
+// spans), oldest first.
 func printSlow(out io.Writer, indent string, slow []prep.SlowSpan) {
 	for _, s := range slow {
 		attrs := ""
@@ -383,16 +384,14 @@ func printSlow(out io.Writer, indent string, slow []prep.SlowSpan) {
 }
 
 // runCompact performs offline store maintenance on a local directory:
-// rewriting the kvdb log without its dead bytes (the file flavour opens
-// the same log). The backend constructor creates whatever it does not
-// find, so the directory is checked first: a mistyped path must fail,
-// not "compact" a store it has just made.
-func runCompact(backend, dir string, out io.Writer) error {
+// rewriting the kvdb log without its dead bytes (both persistent
+// -backend flavours of preserv open that one log). The backend
+// constructor creates whatever it does not find, so the directory is
+// checked first: a mistyped path must fail, not "compact" a store it
+// has just made.
+func runCompact(dir string, out io.Writer) error {
 	if dir == "" {
 		return fmt.Errorf("compact needs -dir PATH")
-	}
-	if backend != "file" && backend != "kvdb" {
-		return fmt.Errorf("unknown backend %q (want file or kvdb)", backend)
 	}
 	if _, err := os.ReadDir(dir); err != nil {
 		return fmt.Errorf("compact: no store directory to open: %w", err)

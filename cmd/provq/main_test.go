@@ -66,8 +66,8 @@ func TestShardedResultLinesNameTheShards(t *testing.T) {
 	stop()
 }
 
-// populate writes three batches (so the file backend holds three
-// segments) plus a deletion through b, and closes it.
+// populate writes three batches plus a deletion through b, and closes
+// it.
 func populate(t *testing.T, b store.Backend) {
 	t.Helper()
 	for _, k := range []string{"i/a", "i/b", "i/c"} {
@@ -84,51 +84,43 @@ func populate(t *testing.T, b store.Backend) {
 }
 
 func TestRunCompactRefusesMissingDirectory(t *testing.T) {
-	for _, backend := range []string{"file", "kvdb"} {
-		dir := filepath.Join(t.TempDir(), "no-such-store")
-		var out bytes.Buffer
-		if err := runCompact(backend, dir, &out); err == nil {
-			t.Errorf("%s: compacting a missing directory succeeded: %q", backend, out.String())
-		}
-		if _, err := os.Stat(dir); !os.IsNotExist(err) {
-			t.Errorf("%s: the mistyped path was created (stat err = %v)", backend, err)
-		}
+	dir := filepath.Join(t.TempDir(), "no-such-store")
+	var out bytes.Buffer
+	if err := runCompact(dir, &out); err == nil {
+		t.Errorf("compacting a missing directory succeeded: %q", out.String())
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("the mistyped path was created (stat err = %v)", err)
 	}
 }
 
 func TestRunCompactCompactsAnExistingStore(t *testing.T) {
-	open := map[string]func(string) (store.Backend, error){
-		"file": func(dir string) (store.Backend, error) { return store.NewFileBackend(dir) },
-		"kvdb": func(dir string) (store.Backend, error) { return store.NewKVBackend(dir) },
+	dir := t.TempDir()
+	b, err := store.NewKVBackend(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for backend, openAt := range open {
-		dir := t.TempDir()
-		b, err := openAt(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		populate(t, b)
+	populate(t, b)
 
-		var out bytes.Buffer
-		if err := runCompact(backend, dir, &out); err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		if !strings.HasPrefix(out.String(), "compacted ") {
-			t.Errorf("%s: output %q", backend, out.String())
-		}
-		b, err = openAt(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer b.Close()
-		if n, _ := b.Count(""); n != 2 {
-			t.Errorf("%s: %d keys after compaction, want 2", backend, n)
-		}
-		if _, ok, _ := b.Get("i/b"); ok {
-			t.Errorf("%s: deleted key back after compaction", backend)
-		}
-		if g := b.GarbageRatio(); g != 0 {
-			t.Errorf("%s: garbage ratio %v after offline compaction", backend, g)
-		}
+	var out bytes.Buffer
+	if err := runCompact(dir, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "compacted ") {
+		t.Errorf("output %q", out.String())
+	}
+	b, err = store.NewKVBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if n, _ := b.Count(""); n != 2 {
+		t.Errorf("%d keys after compaction, want 2", n)
+	}
+	if _, ok, _ := b.Get("i/b"); ok {
+		t.Errorf("deleted key back after compaction")
+	}
+	if g := b.GarbageRatio(); g != 0 {
+		t.Errorf("garbage ratio %v after offline compaction", g)
 	}
 }

@@ -61,11 +61,10 @@ func main() {
 	// Consolidate into one persistent store.
 	dir := filepath.Join(os.TempDir(), "preserv-consolidated")
 	os.RemoveAll(dir)
-	kb, err := store.NewKVBackend(dir)
+	consolidated, err := store.Open("kvdb", dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	consolidated := store.New(kb)
 	defer consolidated.Close()
 	csrv, err := preserv.Serve(preserv.NewService(consolidated), "127.0.0.1:0")
 	if err != nil {

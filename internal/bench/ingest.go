@@ -82,12 +82,12 @@ func withIngestStore(backend string, fn func(s *store.Store) error) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	b, err := store.OpenBackend(backend, dir)
+	s, err := store.Open(backend, dir)
 	if err != nil {
 		return err
 	}
-	defer b.Close()
-	return fn(store.New(b))
+	defer s.Close()
+	return fn(s)
 }
 
 // recordAll records every writer's batches into s, one goroutine per

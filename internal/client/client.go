@@ -250,6 +250,8 @@ func NewAsyncRecorder(asserter core.ActorID, journalPath string, batchSize int, 
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
+	reg := obs.NewRegistry()
+	adopt := reg.Tracer().StartEvent("client.adopt") // ended only if there is something to adopt
 	// Every journal is read before any is renamed or removed, so that a
 	// gob journal refuses the open with the directory as it was.
 	dir, base := filepath.Split(journalPath)
@@ -303,8 +305,11 @@ func NewAsyncRecorder(asserter core.ActorID, journalPath string, batchSize int, 
 	if err != nil {
 		return nil, fmt.Errorf("client: opening journal: %w", err)
 	}
+	if len(sealed) > 0 {
+		adopt.SetAttr("journals", strconv.Itoa(len(sealed))).
+			SetAttr("records", strconv.FormatInt(pending, 10)).End(nil)
+	}
 	bw := bufio.NewWriterSize(f, 64<<10)
-	reg := obs.NewRegistry()
 	r := &AsyncRecorder{
 		asserter:       asserter,
 		clients:        clients,
@@ -325,8 +330,10 @@ func NewAsyncRecorder(asserter core.ActorID, journalPath string, batchSize int, 
 }
 
 // Obs returns the recorder's telemetry registry: client_flush_seconds
-// (latency of each flush, batching and shipping included) and
-// client_journal_pending (the journal backlog, live).
+// (latency of each flush, batching and shipping included),
+// client_journal_pending (the journal backlog, live) and the tracer's
+// ring, the recorder's history: the adoption of a predecessor's
+// journals (client.adopt) and every background flush that failed.
 func (r *AsyncRecorder) Obs() *obs.Registry { return r.reg }
 
 // SetFlushConcurrency bounds how many batches Flush keeps in flight at
@@ -382,9 +389,12 @@ func (r *AsyncRecorder) maybeAutoFlushLocked() {
 	}
 	r.flushing = true
 	go func() {
-		span := r.reg.Tracer().StartSpan("client.flush")
+		ev := r.reg.Tracer().StartEvent("client.flush")
 		err := r.shipSealed(false)
-		span.Observe(r.flushSec, err)
+		if err != nil {
+			ev.End(err) // only a failed background flush enters the history
+		}
+		r.flushSec.Observe(ev.Duration().Seconds())
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		r.flushing = false

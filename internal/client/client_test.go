@@ -365,6 +365,13 @@ func TestAsyncRecorderAdoptsCrashedActiveJournal(t *testing.T) {
 	if adopted == 0 {
 		t.Fatal("the crashed recorder's active journal was not adopted")
 	}
+	if ring := crashed.Obs().Tracer().Slow(); len(ring) != 0 {
+		t.Errorf("a recorder that adopted nothing has history %v", ring)
+	}
+	if ring := r.Obs().Tracer().Slow(); len(ring) != 1 || ring[0].Op() != "client.adopt" ||
+		fmt.Sprint(ring[0].Attrs()) != fmt.Sprintf("[{journals 1} {records %d}]", adopted) {
+		t.Errorf("history after adopting %d records: %v", adopted, ring)
+	}
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -707,6 +714,9 @@ func TestAsyncRecorderAutoFlushFailureKeepsJournal(t *testing.T) {
 	}
 	if err := r.AutoFlushErr(); err == nil {
 		t.Fatal("background flush against a dead endpoint reported no error")
+	}
+	if ring := r.Obs().Tracer().Slow(); len(ring) != 1 || ring[0].Op() != "client.flush" || ring[0].Err() == "" {
+		t.Errorf("history after a failed background flush: %v, want one failed client.flush", ring)
 	}
 	if r.Pending() != 6 {
 		t.Errorf("pending = %d after failed background flush, want 6 (journal kept whole)", r.Pending())

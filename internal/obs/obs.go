@@ -1,7 +1,8 @@
 // Package obs is the store's dependency-free instrumentation core: a
 // metrics registry of atomic counters, gauges and fixed-bucket latency
 // histograms with quantile extraction, plus lightweight per-operation
-// spans (span.go), the slow ones kept in a bounded slow-operation log. The
+// spans (span.go), the slow and failed ones kept in a bounded ring beside
+// background events (compactions, opens), the component's history. The
 // paper's thesis is that a system becomes trustworthy when what it did
 // is inspectable after the fact; obs applies that to the provenance
 // store itself — every layer (store, planner, router, service, client)
@@ -14,8 +15,8 @@
 // atomics, histogram observation is two atomic adds plus a branch-free
 // bucket search, and SetEnabled(false) turns the timing instruments
 // (histogram observation and span creation, the parts that call
-// time.Now or allocate) into no-ops while counters keep working, since
-// service accounting depends on them.
+// time.Now or allocate) into no-ops while counters and events keep
+// working, since service accounting and the history depend on them.
 package obs
 
 import (
@@ -26,8 +27,9 @@ import (
 )
 
 // enabled is the package-wide switch for the *timing* instruments:
-// histogram observation and span creation. Counters and gauges are
-// always live — service statistics are built on them. It defaults on.
+// histogram observation and span creation. Counters, gauges and events
+// (Tracer.StartEvent) are always live — service statistics and the
+// history are built on them. It defaults on.
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -160,6 +161,26 @@ func TestSlowLogCapture(t *testing.T) {
 	}
 	if s.Duration() < 5*time.Millisecond {
 		t.Fatalf("slow span duration %v below threshold", s.Duration())
+	}
+}
+
+// TestRingKeepsEventsAndFailures: below the slow threshold the ring
+// keeps a span that failed and every event, and an event is made and
+// kept while timing instrumentation is off.
+func TestRingKeepsEventsAndFailures(t *testing.T) {
+	tr := NewTracer(8)
+	tr.StartSpan("ok").End(nil)
+	tr.StartSpan("failed").End(errors.New("boom"))
+	tr.StartEvent("event").End(nil)
+	SetEnabled(false)
+	defer SetEnabled(true)
+	tr.StartEvent("event-off").End(errors.New("off"))
+	var got []string
+	for _, s := range tr.Slow() {
+		got = append(got, s.Op()+":"+s.Err())
+	}
+	if want := []string{"failed:boom", "event:", "event-off:off"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ring = %v, want %v", got, want)
 	}
 }
 

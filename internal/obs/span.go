@@ -6,16 +6,16 @@ import (
 	"time"
 )
 
-// DefaultSpanRing is the default capacity of a tracer's slow-operation
-// log.
+// DefaultSpanRing is the default capacity of a tracer's ring, its
+// component's history.
 const DefaultSpanRing = 128
 
 // DefaultSlowThreshold is the duration above which a finished span is
-// copied into the slow log.
+// kept in the ring.
 const DefaultSlowThreshold = 100 * time.Millisecond
 
 // Attr is one span attribute. Values are pre-rendered strings so the
-// slow log holds no live references into the operation that produced it.
+// ring holds no live references into the operation that produced it.
 type Attr struct {
 	Key   string
 	Value string
@@ -35,6 +35,7 @@ type Span struct {
 	errMsg   string
 	attrs    []Attr
 	done     bool
+	event    bool // made by StartEvent: the ring keeps it whatever its duration
 }
 
 // Op returns the operation name ("" on a nil span).
@@ -108,7 +109,8 @@ func (s *Span) SetAttr(key, value string) *Span {
 }
 
 // End finishes the span, tagging it with err (may be nil), and
-// publishes it to the tracer's slow log if it is slow enough.
+// publishes it to the tracer's ring if it is an event, failed or is slow
+// enough.
 func (s *Span) End(err error) {
 	if s == nil || s.done {
 		return
@@ -135,12 +137,13 @@ func (s *Span) Observe(h *Histogram, err error) {
 	// Span disabled: nothing was timed, so there is nothing to observe.
 }
 
-// Tracer keeps a bounded ring of slow finished spans, the slow log.
-// A slow span is copied in under a mutex, which keeps snapshotting
-// trivial; a span under the threshold takes no lock.
+// Tracer keeps a bounded ring of finished spans, the component's
+// history: every event, every span that failed and every slow span.
+// Such a span is copied in under a mutex, which keeps snapshotting
+// trivial; any other span takes no lock.
 type Tracer struct {
 	nextID atomic.Uint64
-	slowNS atomic.Int64 // threshold in nanoseconds; <=0 disables the slow log
+	slowNS atomic.Int64 // threshold in nanoseconds; <=0 disables slow capture
 
 	mu      sync.Mutex
 	slow    []*Span
@@ -148,7 +151,7 @@ type Tracer struct {
 	slowLen int
 }
 
-// NewTracer returns a tracer whose slow log holds up to cap spans
+// NewTracer returns a tracer whose ring holds up to cap spans
 // (cap <= 0 selects DefaultSpanRing).
 func NewTracer(cap int) *Tracer {
 	if cap <= 0 {
@@ -160,11 +163,8 @@ func NewTracer(cap int) *Tracer {
 }
 
 // SetSlowThreshold sets the duration at or above which finished spans
-// are kept in the slow log; zero or negative disables slow capture.
+// are kept in the ring; zero or negative disables slow capture.
 func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slowNS.Store(int64(d)) }
-
-// SlowThreshold returns the current slow-capture threshold.
-func (t *Tracer) SlowThreshold() time.Duration { return time.Duration(t.slowNS.Load()) }
 
 // StartSpan begins a span named op. It returns nil while
 // instrumentation is disabled; all Span methods tolerate nil.
@@ -185,8 +185,16 @@ func (t *Tracer) StartChild(op string, parent *Span) *Span {
 	return s
 }
 
+// StartEvent begins a span for background work (a compaction, a
+// store's open, a journal adoption). Unlike StartSpan it is made while
+// timing instrumentation is off too, and End keeps it in the ring
+// whatever its duration: the history does not depend on the switch.
+func (t *Tracer) StartEvent(op string) *Span {
+	return &Span{tracer: t, id: t.nextID.Add(1), op: op, start: time.Now(), event: true}
+}
+
 func (t *Tracer) record(s *Span) {
-	if slowNS := t.slowNS.Load(); slowNS <= 0 || int64(s.duration) < slowNS {
+	if slowNS := t.slowNS.Load(); !s.event && s.errMsg == "" && (slowNS <= 0 || int64(s.duration) < slowNS) {
 		return
 	}
 	t.mu.Lock()
@@ -198,7 +206,7 @@ func (t *Tracer) record(s *Span) {
 	t.mu.Unlock()
 }
 
-// Slow returns the spans currently in the slow log, oldest first. The
+// Slow returns the spans currently in the ring, oldest first. The
 // returned slice is freshly allocated.
 func (t *Tracer) Slow() []*Span {
 	t.mu.Lock()

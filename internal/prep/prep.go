@@ -454,7 +454,8 @@ type SpanAttr struct {
 	Value string `xml:"value"`
 }
 
-// SlowSpan is one slow operation from the tracer's slow log — for a
+// SlowSpan is one entry of a tracer's ring, the history: a slow or
+// failed operation, or an event (a store's open or compaction) — for a
 // slow query the attributes carry the executed plan (strategy, dim
 // cardinalities, estimated versus actual candidates).
 type SlowSpan struct {
@@ -466,7 +467,7 @@ type SlowSpan struct {
 }
 
 // ShardStats is one shard's telemetry: record count, garbage state,
-// engine counters, histogram summaries and recent slow operations.
+// engine counters, histogram summaries and the shard's history.
 // URL is set for remote shards, empty for local ones.
 type ShardStats struct {
 	Index        int               `xml:"index"`

@@ -414,7 +414,7 @@ func (svc *Service) SetCompactRatio(r float64) { svc.compactRatio.Store(math.Flo
 // telemetry snapshot: the request counters, whole-store aggregates, the
 // per-shard breakdown (local shards report in full; remote shards are
 // polled over the wire), and the service's and the router's histograms
-// and slow logs. The request counters come from one registry snapshot, so
+// and histories. The request counters come from one registry snapshot, so
 // they are consistent with each other: a record request and the records
 // it accepted appear together or not at all.
 func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
@@ -681,7 +681,7 @@ func (c *Client) Count() (prep.CountResponse, error) {
 
 // StoreStats retrieves the endpoint's full telemetry snapshot via
 // urn:prep:stats: request counters, garbage state, engine counters,
-// per-shard breakdown, histogram summaries and the slow-operation log.
+// per-shard breakdown, histogram summaries and the history.
 func (c *Client) StoreStats() (*prep.StatsResponse, error) {
 	var resp prep.StatsResponse
 	if err := c.ep.Post(prep.ActionStats, &prep.StatsRequest{}, &resp); err != nil {

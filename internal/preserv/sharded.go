@@ -2,6 +2,7 @@ package preserv
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -193,14 +194,20 @@ func (r *RemoteShard) EngineStats() shard.EngineStats {
 }
 
 // ShardStats implements shard.ShardStatser: the endpoint's own stats
-// reply collapses to one shard's view. This read is a live poll, not
-// the TTL cache — an operator asking for the per-shard breakdown wants
-// current numbers — and it refreshes the cache as a side effect.
+// reply collapses to one shard's view, whose ring is the endpoint's own
+// entries followed by each of its shards' (their store events and
+// spans). This read is a live poll, not the TTL cache — an operator
+// asking for the per-shard breakdown wants current numbers — and it
+// refreshes the cache as a side effect.
 func (r *RemoteShard) ShardStats() (prep.ShardStats, error) {
 	r.invalidateStats()
 	st, err := r.cachedStats()
 	if err != nil {
 		return prep.ShardStats{}, err
+	}
+	slow := slices.Clone(st.Slow) // st is the cached reply: append to a copy
+	for _, sh := range st.Shards {
+		slow = append(slow, sh.Slow...)
 	}
 	return prep.ShardStats{
 		URL:          r.c.URL(),
@@ -210,7 +217,7 @@ func (r *RemoteShard) ShardStats() (prep.ShardStats, error) {
 		Engine:       st.Engine,
 		WritePath:    st.WritePath,
 		Histograms:   st.Histograms,
-		Slow:         st.Slow,
+		Slow:         slow,
 	}, nil
 }
 

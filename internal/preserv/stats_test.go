@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"preserv/internal/core"
-	"preserv/internal/obs"
 	"preserv/internal/prep"
 	"preserv/internal/shard"
 	"preserv/internal/soap"
@@ -29,9 +28,7 @@ import (
 // test and restores the previous state after.
 func withTelemetry(t *testing.T) {
 	t.Helper()
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	t.Cleanup(func() { obs.SetEnabled(prev) })
+	setTelemetry(t, true)
 }
 
 func TestStatsWireAction(t *testing.T) {
@@ -229,8 +226,10 @@ func TestShardedStatsOverRemoteShards(t *testing.T) {
 // against dropping a field of the child's reply: every prep.ShardStats
 // field but the shard's identity (Index, URL) has a same-named
 // prep.StatsResponse field, and a RemoteShard over a live child reports
-// each one equal to the reply it polled. The fixture leaves none of them
-// zero, so a field added to both types later and not copied fails here.
+// each one equal to the reply it polled, except Slow, which is the
+// reply's own entries followed by each of its shards'. The fixture
+// leaves none of them zero, so a field added to both types later and not
+// copied fails here.
 func TestRemoteShardStatsCarryEveryField(t *testing.T) {
 	withTelemetry(t)
 	client, svc := startKVServer(t)
@@ -243,6 +242,9 @@ func TestRemoteShardStatsCarryEveryField(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, _, err := client.QueryPlanned(&prep.Query{SessionID: session}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Compact(); err != nil { // a store.compact entry in the shard's ring
 		t.Fatal(err)
 	}
 	if _, err := client.DeleteRecord(recs[0].StorageKey()); err != nil {
@@ -274,6 +276,16 @@ func TestRemoteShardStatsCarryEveryField(t *testing.T) {
 		}
 		if want.IsZero() {
 			t.Errorf("the child's %s is zero: the fixture must exercise every field", name)
+		}
+		if name == "Slow" {
+			ring := reply.Slow
+			for _, sh := range reply.Shards {
+				ring = append(ring, sh.Slow...)
+			}
+			if len(ring) == len(reply.Slow) {
+				t.Errorf("the child's shards hold no ring entry: the fixture must exercise them")
+			}
+			want = reflect.ValueOf(ring)
 		}
 		if !reflect.DeepEqual(gv.Field(i).Interface(), want.Interface()) {
 			t.Errorf("RemoteShard.ShardStats().%s = %+v, the child replied %+v", name, gv.Field(i).Interface(), want.Interface())

@@ -285,7 +285,7 @@ func (e *Engine) noteIndexPlan(plan *prep.QueryPlan) {
 }
 
 // annotatePlan copies the executed plan onto the query's span, so a
-// span that lands in the slow log carries the evidence needed to
+// span that lands in the ring carries the evidence needed to
 // explain it: which strategy ran, the measured dimension
 // cardinalities, and how far the cost estimate missed the actual
 // candidate count.

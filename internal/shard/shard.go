@@ -111,7 +111,7 @@ func HistogramStats(reg *obs.Registry) []prep.HistogramStat {
 	return out
 }
 
-// SlowSpans converts a tracer's slow log to wire form, oldest first.
+// SlowSpans converts a tracer's ring to wire form, oldest first.
 func SlowSpans(tr *obs.Tracer) []prep.SlowSpan {
 	spans := tr.Slow()
 	out := make([]prep.SlowSpan, 0, len(spans))
@@ -200,7 +200,7 @@ func (l *Local) Close() error { return l.s.Close() }
 
 // ShardStats implements ShardStatser: the shard's record count,
 // garbage state, engine counters, the store registry's histogram
-// summaries and the slow-operation log.
+// summaries and the store's history.
 func (l *Local) ShardStats() (prep.ShardStats, error) {
 	count, err := l.s.Count()
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/url"
@@ -208,7 +208,8 @@ func (s *Server) serveConn(c *serverConn) {
 	defer func() {
 		if p := recover(); p != nil {
 			buf := make([]byte, 64<<10)
-			log.Printf("soap: panic serving %v: %v\n%s", c.RemoteAddr(), p, buf[:runtime.Stack(buf, false)])
+			slog.Error("soap: handler panic", "remote", c.RemoteAddr(), "target", c.target,
+				"panic", p, "stack", string(buf[:runtime.Stack(buf, false)]))
 		}
 		if !handed {
 			s.forget(c)

@@ -682,16 +682,39 @@ var _ Backend = (*kvdb.DB)(nil)
 // the counterpart of PReServ's in-memory store: nothing outlives it.
 func NewMemoryBackend() *kvdb.DB { return kvdb.NewMemory() }
 
-// OpenBackend opens the backend a -backend flag names: memory, a fresh
-// in-memory log, or file or kvdb, which both open the log in dir.
-func OpenBackend(flavour, dir string) (*kvdb.DB, error) {
+// Open opens the store a -backend flag names, and its index, so that a
+// store in an older layout is refused here: memory is a fresh in-memory
+// log, file and kvdb both open the log in dir. The open is the first
+// event in the store's history: the log's replay time, its live keys and
+// bytes, and as the event's duration the time to build its key view and
+// open its index.
+func Open(flavour, dir string) (*Store, error) {
+	start := time.Now()
+	var b *kvdb.DB
+	var err error
 	switch flavour {
 	case "memory":
-		return NewMemoryBackend(), nil
+		b = NewMemoryBackend()
 	case "file", "kvdb":
-		return NewKVBackend(dir)
+		b, err = NewKVBackend(dir)
+	default:
+		err = fmt.Errorf("store: unknown backend %q", flavour)
 	}
-	return nil, fmt.Errorf("store: unknown backend %q", flavour)
+	if err != nil {
+		return nil, err
+	}
+	s := New(b)
+	ev := s.reg.Tracer().StartEvent("store.open").
+		SetAttr("replay", time.Since(start).String()).
+		SetAttr("live_keys", strconv.Itoa(b.Len())).
+		SetAttr("log_bytes", strconv.FormatInt(b.LogBytes(), 10))
+	_, err = s.Index()
+	ev.End(err)
+	if err != nil {
+		b.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // NewKVBackend opens (creating if necessary) the one persistent backend
@@ -752,13 +775,19 @@ type BloomStatser interface {
 
 // Compact reclaims dead bytes in the underlying backend. Compaction
 // changes no logical content — the generation does not advance, and
-// cached query results stay valid.
+// cached query results stay valid. Each compaction is an event in the
+// store's history, with the garbage ratio and tombstones before and
+// after.
 func (s *Store) Compact() error {
-	span := s.reg.Tracer().StartSpan("store.compact")
+	span := s.reg.Tracer().StartEvent("store.compact").
+		SetAttr("garbage_before", strconv.FormatFloat(s.GarbageRatio(), 'f', 4, 64)).
+		SetAttr("tombstones_before", strconv.FormatInt(s.Tombstones(), 10))
 	s.compacting.Add(1)
 	err := s.b.Compact()
 	s.compacting.Add(-1)
-	span.Observe(s.compactSec, err)
+	span.SetAttr("garbage_after", strconv.FormatFloat(s.GarbageRatio(), 'f', 4, 64)).
+		SetAttr("tombstones_after", strconv.FormatInt(s.Tombstones(), 10)).
+		Observe(s.compactSec, err)
 	return err
 }
 
