@@ -6,17 +6,20 @@
 //	provq -store URL count
 //	provq -shards URL1,URL2,... count
 //	provq -store URL stats
-//	provq -shards URL1,URL2,... stats -watch 2s
+//	provq -shards URL1,URL2,... -watch 2s stats
 //	provq -store URL sessions
 //	provq -store URL categorize
-//	provq -store URL compare -a SESSION -b SESSION
-//	provq -store URL -registry URL validate -session SESSION
-//	provq -store URL lineage -session SESSION -data DATAID
-//	provq -store URL consolidate -from URL1,URL2,...
-//	provq -store URL delete -session SESSION
-//	provq -store URL delete -key STORAGEKEY
+//	provq -store URL -a SESSION -b SESSION compare
+//	provq -store URL -registry URL -session SESSION validate
+//	provq -store URL -session SESSION -data DATAID lineage
+//	provq -store URL -from URL1,URL2,... consolidate
+//	provq -store URL -session SESSION delete
+//	provq -store URL -key STORAGEKEY delete
 //	provq -store URL compact
 //	provq -dir PATH compact
+//
+// Flags come before the subcommand: flag parsing stops at the first
+// argument that is not a flag.
 //
 // delete retracts provenance from a live store: one record by storage
 // key, or a whole session's records. The store removes the records and
@@ -115,7 +118,7 @@ func main() {
 		}
 
 	case "sessions":
-		sessions, err := preserv.Sessions(client)
+		sessions, err := client.Sessions()
 		if err != nil {
 			log.Fatalf("provq: %v", err)
 		}

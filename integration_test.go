@@ -106,7 +106,7 @@ func TestFullStackScenario(t *testing.T) {
 	}
 
 	// Both sessions are discoverable in the consolidated store.
-	sessions, err := preserv.Sessions(cclient)
+	sessions, err := cclient.Sessions()
 	if err != nil {
 		t.Fatal(err)
 	}

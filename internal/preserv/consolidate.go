@@ -4,59 +4,54 @@ import (
 	"fmt"
 
 	"preserv/internal/core"
-	"preserv/internal/ids"
 	"preserv/internal/prep"
 )
-
-// Sessions lists the distinct session identifiers recorded in a store,
-// sorted; sessions are the unit a scientist navigates by ("a workflow
-// run is usually referred to as a session"). It is answered from the
-// store's session index — the distinct index terms — without fetching a
-// single record. The index covers session references on every record
-// kind, so a session documented only by actor-state p-assertions is
-// listed too (earlier versions derived the list from interaction
-// records alone and would have missed it).
-func Sessions(c *Client) ([]ids.ID, error) {
-	return c.Sessions()
-}
 
 // Consolidate copies every record from the source stores into dst —
 // the facility the paper's future-work section calls for alongside
 // distributed PReServ ("a facility is also required to consolidate data
-// into a single provenance store"). Records are deduplicated by storage
-// key (the store layer is idempotent for identical records), and each
-// batch is submitted under its own asserter, preserving the
-// who-asserted-what integrity check.
+// into a single provenance store"). Each source is read page by page
+// (QueryStream), so no reply has to hold a whole store, and records
+// ship in batches of up to 200 as they fill, each under its own
+// asserter, preserving the who-asserted-what integrity check. Records
+// are deduplicated by storage key (the store layer is idempotent for
+// identical records).
 //
 // It returns the number of records accepted by dst.
 func Consolidate(dst *Client, sources ...*Client) (int, error) {
 	const batchSize = 200
 	total := 0
+	// ship records one batch; a RecordRequest carries one asserter.
+	ship := func(asserter core.ActorID, recs []core.Record) error {
+		resp, err := dst.Record(asserter, recs)
+		if err != nil {
+			return fmt.Errorf("preserv: consolidating into %s: %w", dst.URL(), err)
+		}
+		if len(resp.Rejects) > 0 {
+			return fmt.Errorf("preserv: consolidation rejected %d records, first: %s",
+				len(resp.Rejects), resp.Rejects[0].Reason)
+		}
+		total += resp.Accepted
+		return nil
+	}
 	for i, src := range sources {
-		records, _, err := src.Query(&prep.Query{})
+		pending := make(map[core.ActorID][]core.Record)
+		_, err := src.QueryStream(&prep.Query{}, 0, func(r *core.Record) error {
+			a := r.Asserter()
+			batch := append(pending[a], *r)
+			if len(batch) < batchSize {
+				pending[a] = batch
+				return nil
+			}
+			delete(pending, a)
+			return ship(a, batch)
+		})
 		if err != nil {
 			return total, fmt.Errorf("preserv: consolidating source %d: %w", i, err)
 		}
-		// Group by asserter: RecordRequests carry one asserter each.
-		byAsserter := make(map[core.ActorID][]core.Record)
-		for _, r := range records {
-			byAsserter[r.Asserter()] = append(byAsserter[r.Asserter()], r)
-		}
-		for asserter, recs := range byAsserter {
-			for off := 0; off < len(recs); off += batchSize {
-				end := off + batchSize
-				if end > len(recs) {
-					end = len(recs)
-				}
-				resp, err := dst.Record(asserter, recs[off:end])
-				if err != nil {
-					return total, fmt.Errorf("preserv: consolidating into %s: %w", dst.URL(), err)
-				}
-				if len(resp.Rejects) > 0 {
-					return total, fmt.Errorf("preserv: consolidation rejected %d records, first: %s",
-						len(resp.Rejects), resp.Rejects[0].Reason)
-				}
-				total += resp.Accepted
+		for a, batch := range pending {
+			if err := ship(a, batch); err != nil {
+				return total, err
 			}
 		}
 	}

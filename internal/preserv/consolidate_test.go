@@ -1,6 +1,7 @@
 package preserv
 
 import (
+	"bytes"
 	"testing"
 
 	"preserv/internal/core"
@@ -80,7 +81,7 @@ func TestSessionsDiscovery(t *testing.T) {
 	if _, err := c.Record("svc:enactor", []core.Record{mkRecord(s2, "svc:ppmz")}); err != nil {
 		t.Fatal(err)
 	}
-	sessions, err := Sessions(c)
+	sessions, err := c.Sessions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestSessionsDiscovery(t *testing.T) {
 
 func TestSessionsEmptyStore(t *testing.T) {
 	c, _ := startServer(t)
-	sessions, err := Sessions(c)
+	sessions, err := c.Sessions()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,4 +177,40 @@ func TestConsolidateDistributedRunRoundTrip(t *testing.T) {
 		t.Errorf("consolidated = %d interactions, want 30", cnt.Interactions)
 	}
 	var _ ids.ID = session
+}
+
+// TestConsolidateStreamsLargeSources: a source whose records together
+// encode to more than one reply may carry (soap.MaxMessageBytes) is
+// still consolidated whole, because it is read page by page. Each
+// record carries a 60 KB part, about 80 KB encoded, so a 256-record page
+// stays near 20 MB while the whole store exceeds the cap.
+func TestConsolidateStreamsLargeSources(t *testing.T) {
+	if testing.Short() {
+		t.Skip("moves about 70 MB over loopback")
+	}
+	src, _ := startServer(t)
+	const n, batch = 450, 50
+	session := seq.NewID()
+	content := core.Bytes(bytes.Repeat([]byte("MKVLAAGHWR"), 6000))
+	for off := 0; off < n; off += batch {
+		recs := make([]core.Record, batch)
+		for i := range recs {
+			recs[i] = mkRecord(session, "svc:gzip")
+			recs[i].Interaction.Request.Parts[0].Content = content
+		}
+		if _, err := src.Record("svc:enactor", recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst, _ := startServer(t)
+	accepted, err := Consolidate(dst, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if accepted != n {
+		t.Errorf("accepted = %d, want %d", accepted, n)
+	}
+	if cnt, err := dst.Count(); err != nil || cnt.Interactions != n {
+		t.Errorf("consolidated store holds %d interactions (err %v), want %d", cnt.Interactions, err, n)
+	}
 }

@@ -107,9 +107,4 @@ func TestSessionsOverHTTP(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sessions = %v, want %v", got, want)
 	}
-	// The package-level helper is the same call.
-	viaHelper, err := Sessions(client)
-	if err != nil || !reflect.DeepEqual(viaHelper, got) {
-		t.Fatalf("Sessions helper = %v err=%v", viaHelper, err)
-	}
 }

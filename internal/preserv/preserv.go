@@ -50,16 +50,12 @@ type Provenance interface {
 	// router, just the hot shards — scheduled reclamation must not
 	// rewrite every clean shard because one crossed the line.
 	CompactAbove(threshold float64) error
-	EngineStats() shard.EngineStats
 }
 
 // Service is a PReServ instance: a shard router (over one store, or
 // fronting several), the PReP actions over it, and the translator that
 // dispatches to them.
 type Service struct {
-	// Store is the embedded store of a single-store service; nil when
-	// the service was built over a router (use Provenance then).
-	Store   *store.Store
 	rt      *shard.Router
 	prov    Provenance
 	handler *soap.HTTPHandler
@@ -96,9 +92,7 @@ type Service struct {
 // router over one shard, so the router's result cache is the store's.
 func NewService(s *store.Store) *Service {
 	rt, _ := shard.NewRouter(shard.NewLocal(s)) // one shard: cannot fail
-	svc := newService(rt, oneStore{rt})
-	svc.Store = s
-	return svc
+	return newService(rt, oneStore{rt})
 }
 
 // oneStore is a single-store service's Provenance: its one-shard router
@@ -411,20 +405,17 @@ func (svc *Service) Handler() http.Handler { return svc.handler }
 func (svc *Service) SetCompactRatio(r float64) { svc.compactRatio.Store(math.Float64bits(r)) }
 
 // StatsResponse assembles the urn:prep:stats reply — the service's one
-// telemetry snapshot: the request counters, whole-store aggregates, the
-// per-shard breakdown (local shards report in full; remote shards are
-// polled over the wire), and the service's and the router's histograms
-// and histories. The request counters come from one registry snapshot, so
-// they are consistent with each other: a record request and the records
-// it accepted appear together or not at all.
+// telemetry snapshot: the request counters, the per-shard breakdown and
+// its whole-store aggregate from one router fan-out (local shards
+// report in full; remote shards are polled over the wire once each),
+// and the service's and the router's histograms and histories. The
+// request counters come from one registry snapshot, so they are
+// consistent with each other: a record request and the records it
+// accepted appear together or not at all.
 func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 	counters := svc.reg.CounterSnapshot()
 	rt := svc.rt
-	count, err := rt.Count()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := rt.ShardStats()
+	total, shards, err := rt.Stats()
 	if err != nil {
 		return nil, err
 	}
@@ -435,11 +426,12 @@ func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 		DeleteRequests:  counters["preserv_delete_requests_total"],
 		RecordsDeleted:  counters["preserv_records_deleted_total"],
 		Compactions:     counters["preserv_compactions_total"],
-		Records:         count.Records,
+		Records:         total.Records,
 		NumShards:       rt.NumShards(),
-		GarbageRatio:    rt.GarbageRatio(),
-		Tombstones:      rt.Tombstones(),
-		Engine:          rt.EngineStats(),
+		GarbageRatio:    total.GarbageRatio,
+		Tombstones:      total.Tombstones,
+		Engine:          total.Engine,
+		WritePath:       total.WritePath,
 		Shards:          shards,
 		// The router's own instruments (fan-out latency, merge width)
 		// belong to no single shard: report them at the top level next
@@ -447,12 +439,9 @@ func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 		Histograms: append(shard.HistogramStats(svc.reg), shard.HistogramStats(rt.Obs())...),
 		Slow:       append(shard.SlowSpans(svc.reg.Tracer()), shard.SlowSpans(rt.Obs().Tracer())...),
 	}
+	// After the fan-out: a remote shard's stamp then comes from the
+	// reply it just sent, not from a second poll.
 	resp.Generation, resp.GenerationValid = rt.Generation()
-	// The whole-store write-path aggregate sums the shard breakdowns
-	// (each shard's in-flight compactions and commit stalls).
-	for i := range resp.Shards {
-		resp.WritePath.Add(resp.Shards[i].WritePath)
-	}
 	return resp, nil
 }
 

@@ -234,8 +234,8 @@ func TestKVBackedServiceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(store.New(kb))
-	srv, err := Serve(svc, "127.0.0.1:0")
+	s := store.New(kb)
+	srv, err := Serve(NewService(s), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestKVBackedServiceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	svc.Store.Close()
+	s.Close()
 
 	// Reopen: the record must still be there (persistent provenance
 	// "beyond the life of a Grid application").
@@ -253,9 +253,9 @@ func TestKVBackedServiceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc2 := NewService(store.New(kb2))
-	defer svc2.Store.Close()
-	srv2, err := Serve(svc2, "127.0.0.1:0")
+	s2 := store.New(kb2)
+	defer s2.Close()
+	srv2, err := Serve(NewService(s2), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,19 +142,23 @@ func (r *RemoteShard) Compact() error {
 	return err
 }
 
+// snapshot is the cached stats reply, or an empty one when the endpoint
+// cannot answer: no garbage, tombstones or engine counters, and no
+// valid generation.
+func (r *RemoteShard) snapshot() *prep.StatsResponse {
+	if st, err := r.cachedStats(); err == nil {
+		return st
+	}
+	return &prep.StatsResponse{}
+}
+
 // GarbageRatio implements shard.Shard via the endpoint's stats action
 // (TTL-cached — the router probes this on every delete). An endpoint
 // that cannot answer contributes zero, the pre-stats behaviour: the
 // remote store schedules its own compactions then.
-func (r *RemoteShard) GarbageRatio() float64 {
-	st, err := r.cachedStats()
-	if err != nil {
-		return 0
-	}
-	return st.GarbageRatio
-}
+func (r *RemoteShard) GarbageRatio() float64 { return r.snapshot().GarbageRatio }
 
-// Generation implements shard.GenerationProber via the endpoint's
+// Generation implements shard.Shard via the endpoint's
 // stats action (TTL-cached). Mutations routed through this shard
 // invalidate the cache immediately, so their generation bumps surface
 // on the next probe; a writer shipping to the endpoint directly can be
@@ -165,35 +169,20 @@ func (r *RemoteShard) GarbageRatio() float64 {
 // bypass its result cache rather than trust a generation it cannot
 // watch.
 func (r *RemoteShard) Generation() (uint64, bool) {
-	st, err := r.cachedStats()
-	if err != nil || !st.GenerationValid {
-		return 0, false
-	}
-	return st.Generation, true
+	st := r.snapshot()
+	return st.Generation, st.GenerationValid
 }
 
 // Tombstones implements shard.Shard via the endpoint's stats action
 // (TTL-cached; zero when the endpoint cannot answer).
-func (r *RemoteShard) Tombstones() int64 {
-	st, err := r.cachedStats()
-	if err != nil {
-		return 0
-	}
-	return st.Tombstones
-}
+func (r *RemoteShard) Tombstones() int64 { return r.snapshot().Tombstones }
 
-// EngineStats implements shard.EngineStatser via the endpoint's stats
-// action, so a router's engine aggregate covers its remote children
-// (zero when the endpoint cannot answer).
-func (r *RemoteShard) EngineStats() shard.EngineStats {
-	st, err := r.cachedStats()
-	if err != nil {
-		return shard.EngineStats{}
-	}
-	return st.Engine
-}
+// EngineStats implements shard.Shard via the endpoint's stats action
+// (TTL-cached), so a router's engine aggregate covers its remote
+// children (zero when the endpoint cannot answer).
+func (r *RemoteShard) EngineStats() shard.EngineStats { return r.snapshot().Engine }
 
-// ShardStats implements shard.ShardStatser: the endpoint's own stats
+// ShardStats implements shard.Shard: the endpoint's own stats
 // reply collapses to one shard's view, whose ring is the endpoint's own
 // entries followed by each of its shards' (their store events and
 // spans). This read is a live poll, not the TTL cache — an operator
@@ -225,12 +214,7 @@ func (r *RemoteShard) ShardStats() (prep.ShardStats, error) {
 // teardown and the remote store's lifecycle is its own.
 func (r *RemoteShard) Close() error { return nil }
 
-var (
-	_ shard.Shard            = (*RemoteShard)(nil)
-	_ shard.ShardStatser     = (*RemoteShard)(nil)
-	_ shard.EngineStatser    = (*RemoteShard)(nil)
-	_ shard.GenerationProber = (*RemoteShard)(nil)
-)
+var _ shard.Shard = (*RemoteShard)(nil)
 
 // NewRemoteRouter builds a Router over the comma-separated remote store
 // URLs — the shared front half of `preserv -shard-endpoints` and

@@ -20,7 +20,7 @@ func TestSingleStorePagesUseStorageKeyCursors(t *testing.T) {
 	client, svc := startServer(t)
 	sessions := recordShardSessions(t, client, 3, 9)
 	q := &prep.Query{SessionID: sessions[1]}
-	want, _, err := svc.Store.Query(q)
+	want, _, err := svc.Provenance().Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,7 +272,7 @@ func checkCacheAgainstStore(t *testing.T, seed uint64, steps int) {
 	// The cache must have served: a property that held only because
 	// every lookup missed would show nothing.
 	for _, sys := range systems {
-		if hits := sys.p.(shard.EngineStatser).EngineStats().CacheHits; hits == 0 {
+		if hits := sys.p.EngineStats().CacheHits; hits == 0 {
 			t.Errorf("%s: no query was answered from the cache", sys.name)
 		}
 	}

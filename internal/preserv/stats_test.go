@@ -293,6 +293,100 @@ func TestRemoteShardStatsCarryEveryField(t *testing.T) {
 	}
 }
 
+// TestFrontStatsPollEachChildOnce: one StatsResponse of a front over
+// two served children is one stats fan-out. Each child answers its
+// stats action once and its count action never, so the children's
+// QueryRequests stay what their clients asked; and the front's
+// whole-store figures are the aggregate of its per-shard breakdown,
+// with the front router's own result cache as the cache counters.
+func TestFrontStatsPollEachChildOnce(t *testing.T) {
+	withTelemetry(t)
+	ca, a := startKVServer(t)
+	cb, b := startKVServer(t)
+	children := []*Service{a, b}
+	for _, c := range children {
+		c.SetCompactRatio(-1) // keep the garbage so the aggregate sees it
+	}
+	rt, err := NewRemoteRouter(ca.URL() + "," + cb.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := NewShardedService(rt)
+	// Sessions homed on each child, so that both hold records and
+	// tombstones.
+	var keys []string
+	for homed := [2]int{}; homed[0] < 2 || homed[1] < 2; {
+		sid := seq.NewID()
+		home := shard.AffinityIndex(sid.String(), 2)
+		if homed[home] == 2 {
+			continue
+		}
+		homed[home]++
+		recs := []core.Record{mkRecord(sid, "svc:gzip"), mkRecord(sid, "svc:ppmz")}
+		if _, _, err := rt.Record("svc:enactor", recs); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, recs[0].StorageKey())
+		for j := 0; j < 2; j++ { // the second is a result-cache hit
+			if _, _, _, err := rt.QueryPlanned(&prep.Query{SessionID: sid}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := rt.DeleteRecords(keys); err != nil {
+		t.Fatal(err)
+	}
+
+	actions := func(c *Service, action string) int64 {
+		return c.Obs().HistogramSnapshots()[fmt.Sprintf(`preserv_request_seconds{action=%q}`, action)].Count
+	}
+	var counts, stats, queries [2]int64
+	for i, c := range children {
+		counts[i], stats[i], queries[i] = actions(c, "count"), actions(c, "stats"), mustStats(t, c).QueryRequests
+	}
+	st := mustStats(t, front)
+	for i, c := range children {
+		if d := actions(c, "count") - counts[i]; d != 0 {
+			t.Errorf("child %d answered %d count actions, want none", i, d)
+		}
+		if d := actions(c, "stats") - stats[i]; d != 1 {
+			t.Errorf("child %d answered %d stats actions, want one", i, d)
+		}
+		if d := mustStats(t, c).QueryRequests - queries[i]; d != 0 {
+			t.Errorf("child %d QueryRequests moved by %d, want 0", i, d)
+		}
+	}
+
+	if len(st.Shards) != 2 {
+		t.Fatalf("%d shards in the breakdown, want 2", len(st.Shards))
+	}
+	var want prep.StatsResponse
+	for _, sh := range st.Shards {
+		if sh.Records == 0 || sh.Tombstones == 0 {
+			t.Fatalf("shard %d holds %d records and %d tombstones: the fixture must reach both children", sh.Index, sh.Records, sh.Tombstones)
+		}
+		want.Records += sh.Records
+		want.Tombstones += sh.Tombstones
+		want.GarbageRatio = max(want.GarbageRatio, sh.GarbageRatio)
+		want.Engine.Add(sh.Engine)
+		want.WritePath.Add(sh.WritePath)
+	}
+	want.Engine.CacheHits, want.Engine.CacheMisses = rt.ResultCacheStats()
+	if want.Engine.CacheHits == 0 || want.GarbageRatio == 0 || want.WritePath.StallCount == 0 {
+		t.Fatalf("aggregate %+v leaves a figure zero: the fixture must exercise it", want)
+	}
+	if st.Records != want.Records || st.Tombstones != want.Tombstones || st.GarbageRatio != want.GarbageRatio {
+		t.Errorf("front reports records=%d tombstones=%d garbage=%v, its shards sum to %d, %d and max %v",
+			st.Records, st.Tombstones, st.GarbageRatio, want.Records, want.Tombstones, want.GarbageRatio)
+	}
+	if st.Engine != want.Engine {
+		t.Errorf("front engine %+v, want its shards' sum with the router's cache %+v", st.Engine, want.Engine)
+	}
+	if st.WritePath != want.WritePath {
+		t.Errorf("front write path %+v, want its shards' sum %+v", st.WritePath, want.WritePath)
+	}
+}
+
 // promLine matches one Prometheus text-format sample.
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (NaN|[-+]?[0-9.eE+-]+)$`)
 

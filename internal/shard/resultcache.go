@@ -5,12 +5,12 @@ import (
 	"preserv/internal/prep"
 )
 
-// GenerationProber is an optional Shard extension: a shard that can
-// report its content generation cheaply (without a wire round trip on
-// the hot path) lets the router cache merged query results keyed on the
-// tuple of all shards' generations. A Local shard answers from its
-// store's stamps; a RemoteShard answers from its TTL-cached stats
-// snapshot. A generation is opaque: a hash of the store's epoch, drawn
+// GenerationProber is part of Shard: a shard reports its content
+// generation cheaply (without a wire round trip on the hot path), which
+// lets the router cache merged query results keyed on the tuple of all
+// shards' generations. A Local shard answers from its store's stamps;
+// a RemoteShard answers from its TTL-cached stats snapshot. A
+// generation is opaque: a hash of the store's epoch, drawn
 // at every open, and its change counter, so it is compared for equality
 // only, and a restarted store never repeats one. The bool is false when
 // the generation cannot be determined (an endpoint running an older
@@ -20,10 +20,11 @@ type GenerationProber interface {
 	Generation() (uint64, bool)
 }
 
-// QueryProber is the finer probe: the stamp of one query's answer,
-// which a shard may keep per session, so that a write to one session
-// leaves cached answers about the others valid. The router probes a
-// shard this way when it can, and by Generation otherwise.
+// QueryProber is the finer probe, and the one optional Shard extension:
+// the stamp of one query's answer, which a shard may keep per session,
+// so that a write to one session leaves cached answers about the others
+// valid. The router probes a shard this way when it can, and by
+// Generation otherwise.
 type QueryProber interface {
 	QueryGeneration(q *prep.Query) (uint64, bool)
 }

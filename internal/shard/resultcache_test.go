@@ -149,9 +149,11 @@ func TestRouterResultCacheDisabled(t *testing.T) {
 	}
 }
 
-// unprobeableShard wraps a Shard, hiding any GenerationProber the
-// wrapped value implements.
+// unprobeableShard wraps a Shard that cannot report a generation, and
+// hides any QueryProber the wrapped value implements.
 type unprobeableShard struct{ Shard }
+
+func (unprobeableShard) Generation() (uint64, bool) { return 0, false }
 
 // TestRouterResultCacheBypassWithoutProber: one shard that cannot
 // report a generation disables caching (no hits, no stale risk) while

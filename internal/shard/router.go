@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"hash/maphash"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,8 +53,7 @@ type Router struct {
 	rc *kv.LRU[string, routerAnswer]
 	// probes holds how each shard is probed for a query's stamp, worked
 	// out once by NewRouter (by QueryGeneration, or by Generation), so a
-	// query pays no interface assertion. It is nil when some shard
-	// offers neither: nothing is cached then.
+	// query pays no interface assertion.
 	probes []func(q *prep.Query) (uint64, bool)
 }
 
@@ -69,14 +69,9 @@ func NewRouter(shards ...Shard) (*Router, error) {
 		rc:     kv.NewLRU[string, routerAnswer](DefaultResultCacheSize),
 	}
 	rt.probes = make([]func(*prep.Query) (uint64, bool), len(shards))
-	for i, s := range shards {
-		if rt.probes[i] = prober(s); rt.probes[i] == nil {
-			rt.probes = nil
-			break
-		}
-	}
 	rt.fanoutSec = make([]*obs.Histogram, len(shards))
-	for i := range shards {
+	for i, s := range shards {
+		rt.probes[i] = prober(s)
 		rt.fanoutSec[i] = rt.reg.Histogram(fmt.Sprintf(`router_shard_fanout_seconds{shard="%d"}`, i), nil)
 	}
 	rt.mergeWidth = rt.reg.Histogram("router_merge_width", obs.SizeBuckets)
@@ -100,15 +95,12 @@ func (rt *Router) ResultCacheStats() (hits, misses int64) {
 }
 
 // prober is how a router probes s for a query's stamp: by
-// QueryGeneration, else by Generation, else (nil) not at all.
+// QueryGeneration where s offers it, else by Generation.
 func prober(s Shard) func(q *prep.Query) (uint64, bool) {
-	switch p := s.(type) {
-	case QueryProber:
+	if p, ok := s.(QueryProber); ok {
 		return p.QueryGeneration
-	case GenerationProber:
-		return func(*prep.Query) (uint64, bool) { return p.Generation() }
 	}
-	return nil
+	return func(*prep.Query) (uint64, bool) { return s.Generation() }
 }
 
 // probeGenerations collects every shard's stamp for q into the
@@ -118,9 +110,6 @@ func prober(s Shard) func(q *prep.Query) (uint64, bool) {
 // fan-out (no counters move: the cache was never consulted). Callers
 // probe before they fan out (see resultcache.go).
 func (rt *Router) probeGenerations(q *prep.Query) (string, bool) {
-	if rt.probes == nil {
-		return "", false
-	}
 	var buf [64]byte
 	b := buf[:0]
 	for _, probe := range rt.probes {
@@ -136,9 +125,9 @@ func (rt *Router) probeGenerations(q *prep.Query) (string, bool) {
 // foldSeed keys the hash a router folds its shards' stamps with.
 var foldSeed = maphash.MakeSeed()
 
-// Generation implements GenerationProber for the router itself (a
-// router can be a shard of a parent router): its stamp for a query not
-// scoped to one session, which moves with any shard's generation.
+// Generation implements Shard for the router itself (a router can be a
+// shard of a parent router): its stamp for a query not scoped to one
+// session, which moves with any shard's generation.
 func (rt *Router) Generation() (uint64, bool) { return rt.QueryGeneration(&prep.Query{}) }
 
 // QueryGeneration implements QueryProber for the router itself: a hash
@@ -180,71 +169,66 @@ func (rt *Router) NumShards() int { return len(rt.shards) }
 func (rt *Router) Shard(i int) Shard { return rt.shards[i] }
 
 // Record validates and stores a batch of p-assertions: each record
-// routes to its affinity shard (hash of its session group over the
-// shard count), the per-shard sub-batches dispatch concurrently, and
-// the responses recombine — accepted counts sum, reject indexes map
-// back to positions in the caller's slice. A failed shard surfaces as
-// the call's error; sub-batches on other shards may still have
-// committed (exactly the partial-failure surface one store's batched
-// Record already has), and a client retry is absorbed idempotently.
-//
-// The home shard is AffinityIndex over len(rt.shards) — the same
-// placement a session-affine AsyncRecorder computes over the same
-// endpoint list, and the one every existing sharded store was written
-// with, so reopening a store routes each session back to its records.
+// routes to its affinity shard (AffinityIndex over the shard count, the
+// placement every existing sharded store was written with), the
+// per-shard sub-batches dispatch as one fan-out (a shard with no record
+// in the batch is not called), and the responses recombine — accepted
+// counts sum, reject indexes map back to positions in the caller's
+// slice. A failed shard surfaces as the call's error; sub-batches on
+// other shards may still have committed (exactly the partial-failure
+// surface one store's batched Record already has), and a client retry
+// is absorbed idempotently.
 func (rt *Router) Record(asserter core.ActorID, records []core.Record) (int, []prep.Reject, error) {
 	n := len(rt.shards)
 	if n == 1 || len(records) == 0 {
 		return rt.shards[0].Record(asserter, records)
 	}
 
-	// Partition by home shard, remembering original positions so the
-	// shards' reject indexes can be mapped back.
-	byShard := make(map[int][]int) // shard index -> original record indexes
+	// Partition by home shard, a counting sort: sum each shard's count
+	// into its end, then fill back to front, moving each end to its
+	// shard's start. Shard si's sub-batch is sub[start[si]:start[si+1]],
+	// in the caller's order; pos maps it back to the caller's positions.
+	home := make([]int, len(records))
+	start := make([]int, n+1)
 	for i := range records {
-		si := AffinityIndex(AffinityTerm(&records[i]), n)
-		byShard[si] = append(byShard[si], i)
+		home[i] = AffinityIndex(AffinityTerm(&records[i]), n)
+		start[home[i]]++
+	}
+	for si := 1; si <= n; si++ {
+		start[si] += start[si-1]
+	}
+	sub := make([]core.Record, len(records))
+	pos := make([]int, len(records))
+	for i := len(records) - 1; i >= 0; i-- {
+		si := home[i]
+		start[si]--
+		sub[start[si]], pos[start[si]] = records[i], i
 	}
 
-	type result struct {
-		accepted int
-		rejects  []prep.Reject
-		err      error
-	}
-	results := make([]result, len(rt.shards))
-	var wg sync.WaitGroup
-	for si, idxs := range byShard {
-		sub := make([]core.Record, len(idxs))
-		for j, oi := range idxs {
-			sub[j] = records[oi]
+	accepted := make([]int, n)
+	rejected := make([][]prep.Reject, n)
+	err := firstErr(rt.each(func(si int, s Shard) (err error) {
+		lo, hi := start[si], start[si+1]
+		if lo == hi {
+			return errIdle
 		}
-		wg.Add(1)
-		go func(si int, idxs []int, sub []core.Record) {
-			defer wg.Done()
-			acc, rej, err := rt.shards[si].Record(asserter, sub)
-			// Remap reject indexes to the caller's positions.
-			for k := range rej {
-				if rej[k].Index >= 0 && rej[k].Index < len(idxs) {
-					rej[k].Index = idxs[rej[k].Index]
-				}
+		accepted[si], rejected[si], err = s.Record(asserter, sub[lo:hi:hi])
+		for k := range rejected[si] {
+			if r := &rejected[si][k]; r.Index >= 0 && r.Index < hi-lo {
+				r.Index = pos[lo+r.Index]
 			}
-			results[si] = result{accepted: acc, rejects: rej, err: err}
-		}(si, idxs, sub)
-	}
-	wg.Wait()
-
-	accepted := 0
-	var rejects []prep.Reject
-	var firstErr error
-	for _, r := range results {
-		accepted += r.accepted
-		rejects = append(rejects, r.rejects...)
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
 		}
+		return err
+	}))
+
+	total := 0
+	var rejects []prep.Reject
+	for si := range accepted {
+		total += accepted[si]
+		rejects = append(rejects, rejected[si]...)
 	}
-	sort.Slice(rejects, func(i, j int) bool { return rejects[i].Index < rejects[j].Index })
-	return accepted, rejects, firstErr
+	slices.SortFunc(rejects, func(a, b prep.Reject) int { return a.Index - b.Index })
+	return total, rejects, err
 }
 
 // shardResult is one shard's contribution to a fanned-out read.
@@ -262,14 +246,17 @@ type shardResult struct {
 // histogram, so a slow or skewed shard is visible per shard rather than
 // folded into the merged latency. Reads surface the first error
 // (firstErr); mutations join them all, each named by its shard
-// (joinErrs). A lone leg runs on the caller's goroutine: there is
-// nothing for it to overlap with.
+// (joinErrs). A leg that returns errIdle did not ask its shard: it is
+// not timed, and its error is nil. A lone leg runs on the caller's
+// goroutine: there is nothing for it to overlap with.
 func (rt *Router) each(fn func(i int, s Shard) error) []error {
 	errs := make([]error, len(rt.shards))
 	leg := func(i int) {
 		span := rt.reg.Tracer().StartSpan("router.fanout")
-		errs[i] = fn(i, rt.shards[i])
-		span.SetAttr("shard", strconv.Itoa(i)).Observe(rt.fanoutSec[i], errs[i])
+		if err := fn(i, rt.shards[i]); err != errIdle {
+			errs[i] = err
+			span.SetAttr("shard", strconv.Itoa(i)).Observe(rt.fanoutSec[i], err)
+		}
 	}
 	if len(rt.shards) == 1 {
 		leg(0)
@@ -286,6 +273,11 @@ func (rt *Router) each(fn func(i int, s Shard) error) []error {
 	wg.Wait()
 	return errs
 }
+
+// errIdle is what a leg of each returns when its shard has nothing to
+// do for the call, so that the shard's fan-out histogram counts only
+// the legs that asked it.
+var errIdle = errors.New("shard: idle leg")
 
 // firstErr returns the first shard's error, in shard order.
 func firstErr(errs []error) error {
@@ -662,7 +654,7 @@ func (rt *Router) QueryPage(q *prep.Query, after string, pageSize int) ([]core.R
 			// empty without being asked again.
 			if exhausted[i] {
 				results[i].done = true
-				return nil
+				return errIdle
 			}
 			r := &results[i]
 			r.records, r.next, r.done, r.plan, err = s.QueryPage(q, cursors[i], pageSize)
@@ -817,9 +809,10 @@ func (rt *Router) Compact() error {
 // CompactAbove compacts only the shards whose own garbage ratio has
 // reached threshold — the scheduled-reclamation form: one hot shard
 // crossing the threshold must not force every clean shard through a
-// full live-data rewrite. Shards that cannot report a ratio (remote
-// endpoints read as zero) are skipped; they schedule their own
-// compactions. A negative threshold disables.
+// full live-data rewrite. A remote shard reports the ratio of its
+// child's stats reply, and zero when the child cannot answer: it is
+// skipped then, and schedules its own compactions. A negative threshold
+// disables.
 func (rt *Router) CompactAbove(threshold float64) error {
 	if threshold < 0 {
 		return nil
@@ -854,56 +847,52 @@ func (rt *Router) Tombstones() int64 {
 	return sum
 }
 
-// ShardStats reports every shard's telemetry, indexed in topology
-// order. Shards implementing ShardStatser (local shards, and remote
-// shards on a stats-capable server) report in full; others fall back
-// to the base Shard surface. The per-shard calls fan out concurrently
-// — a remote shard's stats cost a wire round trip.
-func (rt *Router) ShardStats() ([]prep.ShardStats, error) {
-	out := make([]prep.ShardStats, len(rt.shards))
-	if err := firstErr(rt.each(func(i int, s Shard) error {
-		st, err := baseShardStats(s)
-		st.Index = i
+// Stats reports every shard's telemetry in topology order, from one
+// fan-out (a remote shard's stats cost one wire round trip), and their
+// aggregate: records and tombstones summed, the worst garbage ratio,
+// the engine and write-path counters summed, with this router's result
+// cache standing in for the shards' cache counters (a remote child's
+// own cache stays in its breakdown).
+func (rt *Router) Stats() (total prep.ShardStats, shards []prep.ShardStats, err error) {
+	shards = make([]prep.ShardStats, len(rt.shards))
+	err = firstErr(rt.each(func(i int, s Shard) (err error) {
+		shards[i], err = s.ShardStats()
+		shards[i].Index = i
 		if u, ok := s.(interface{ URL() string }); ok {
-			st.URL = u.URL()
+			shards[i].URL = u.URL()
 		}
-		out[i] = st
 		return err
-	})); err != nil {
-		return nil, err
+	}))
+	if err != nil {
+		return prep.ShardStats{}, nil, err
 	}
-	return out, nil
+	for _, st := range shards {
+		total.Records += st.Records
+		total.Tombstones += st.Tombstones
+		total.GarbageRatio = max(total.GarbageRatio, st.GarbageRatio)
+		total.Engine.Add(st.Engine)
+		total.WritePath.Add(st.WritePath)
+	}
+	total.Engine.CacheHits, total.Engine.CacheMisses = rt.ResultCacheStats()
+	return total, shards, nil
 }
 
-// baseShardStats is one shard's ShardStats, or — for a shard without
-// them — what the base Shard surface can report.
-func baseShardStats(s Shard) (prep.ShardStats, error) {
-	if ss, ok := s.(ShardStatser); ok {
-		return ss.ShardStats()
-	}
-	count, err := s.Count()
-	st := prep.ShardStats{
-		Records:      count.Records,
-		GarbageRatio: s.GarbageRatio(),
-		Tombstones:   s.Tombstones(),
-	}
-	if es, ok := s.(EngineStatser); ok {
-		st.Engine = es.EngineStats()
-	}
-	return st, err
+// ShardStats implements Shard for the router itself, as a parent router
+// sees it: the aggregate of Stats, with the router's own histograms and
+// history.
+func (rt *Router) ShardStats() (prep.ShardStats, error) {
+	total, _, err := rt.Stats()
+	total.Histograms = HistogramStats(rt.reg)
+	total.Slow = SlowSpans(rt.reg.Tracer())
+	return total, err
 }
 
-// EngineStats implements EngineStatser: the planner counters aggregate
-// over the shards that can report (local shards, and remote shards via
-// the stats wire action; shards that cannot report contribute zero),
-// and the cache counters are this router's result cache. A remote
-// child's own cache stays in that child's per-shard breakdown.
+// EngineStats implements Shard: the shards' planner counters summed,
+// with this router's result cache as the cache counters.
 func (rt *Router) EngineStats() EngineStats {
 	var sum EngineStats
 	for _, s := range rt.shards {
-		if es, ok := s.(EngineStatser); ok {
-			sum.Add(es.EngineStats())
-		}
+		sum.Add(s.EngineStats())
 	}
 	sum.CacheHits, sum.CacheMisses = rt.ResultCacheStats()
 	return sum

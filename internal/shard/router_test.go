@@ -138,6 +138,87 @@ func TestRecordRemapsRejectIndexes(t *testing.T) {
 	}
 }
 
+// recordCountingShard counts the Record calls its shard receives.
+type recordCountingShard struct {
+	Shard
+	calls int
+}
+
+func (r *recordCountingShard) Record(asserter core.ActorID, records []core.Record) (int, []prep.Reject, error) {
+	r.calls++
+	return r.Shard.Record(asserter, records)
+}
+
+// TestRecordLegsAreTimedPerShard: a batch spanning both shards of a
+// 2-shard router is one fan-out, each write leg timed into its shard's
+// fan-out histogram like a read's, with rejects at the caller's
+// positions, in order; a batch for one shard leaves the other uncalled
+// and untimed.
+func TestRecordLegsAreTimedPerShard(t *testing.T) {
+	kids := []*recordCountingShard{
+		{Shard: NewLocal(store.New(store.NewMemoryBackend()))},
+		{Shard: NewLocal(store.New(store.NewMemoryBackend()))},
+	}
+	rt, err := NewRouter(kids[0], kids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var homed [2]ids.ID // a session homed on each shard
+	for homed[0] == (ids.ID{}) || homed[1] == (ids.ID{}) {
+		sid := seq.NewID()
+		homed[AffinityIndex(sid.String(), 2)] = sid
+	}
+	legs := func() (n [2]int64) {
+		snaps := rt.Obs().HistogramSnapshots()
+		for i := range n {
+			n[i] = snaps[fmt.Sprintf(`router_shard_fanout_seconds{shard="%d"}`, i)].Count
+		}
+		return n
+	}
+	bad := func(r core.Record) core.Record { r.Interaction.LocalID = ""; return r }
+
+	before := legs()
+	batch := []core.Record{
+		mkRec(homed[0], "svc:gzip", 0),
+		bad(mkRec(homed[1], "svc:gzip", 1)),
+		mkRec(homed[1], "svc:gzip", 2),
+		bad(mkRec(homed[0], "svc:gzip", 3)),
+		mkRec(homed[0], "svc:gzip", 4),
+		bad(mkRec(homed[1], "svc:gzip", 5)),
+	}
+	acc, rejects, err := rt.Record("svc:enactor", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc != 3 {
+		t.Fatalf("accepted %d, want 3", acc)
+	}
+	var at []int
+	for _, r := range rejects {
+		at = append(at, r.Index)
+	}
+	if fmt.Sprint(at) != "[1 3 5]" {
+		t.Fatalf("rejects at %v, want the caller's positions [1 3 5]", at)
+	}
+	if after := legs(); after[0]-before[0] != 1 || after[1]-before[1] != 1 {
+		t.Fatalf("fan-out legs per shard moved %v -> %v, want one each", before, after)
+	}
+	if kids[0].calls != 1 || kids[1].calls != 1 {
+		t.Fatalf("shards called %d and %d times, want once each", kids[0].calls, kids[1].calls)
+	}
+
+	before = legs()
+	if _, _, err := rt.Record("svc:enactor", []core.Record{mkRec(homed[1], "svc:gzip", 6)}); err != nil {
+		t.Fatal(err)
+	}
+	if kids[0].calls != 1 || kids[1].calls != 2 {
+		t.Fatalf("a batch for shard 1 called the shards %d and %d times in all, want 1 and 2", kids[0].calls, kids[1].calls)
+	}
+	if after := legs(); after[0] != before[0] || after[1]-before[1] != 1 {
+		t.Fatalf("a batch for shard 1 moved the legs %v -> %v, want shard 1's only", before, after)
+	}
+}
+
 func TestQueryMergesAcrossShardsInKeyOrder(t *testing.T) {
 	rt := memRouter(t, 3)
 	sids := recordSessions(t, rt, 9, 4)
@@ -541,15 +622,15 @@ func TestMutatingFanOutAggregatesErrors(t *testing.T) {
 }
 
 // TestRouterStatsAggregateShards pins the router's telemetry surface:
-// per-shard stats in topology order (full stats from a local shard, the
-// base-surface fallback from shards without ShardStats), engine and
-// tombstone aggregates equal to the children's, and the router's own
-// histograms and slow log in wire form.
+// per-shard stats in topology order from one fan-out, an aggregate
+// whose records, tombstones, garbage ratio and engine counters come
+// from that breakdown (the cache counters the router's own), and the
+// router's own histograms and slow log in wire form.
 func TestRouterStatsAggregateShards(t *testing.T) {
 	full := NewLocal(store.New(store.NewMemoryBackend()))
 	remote := urlShard{Shard: NewLocal(store.New(store.NewMemoryBackend())), url: "http://b"}
-	bare := &gaugeShard{Shard: NewLocal(store.New(store.NewMemoryBackend())), ratio: 0.25}
-	rt, err := NewRouter(full, remote, bare)
+	third := NewLocal(store.New(store.NewMemoryBackend()))
+	rt, err := NewRouter(full, remote, third)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +645,7 @@ func TestRouterStatsAggregateShards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := rt.ShardStats()
+	total, stats, err := rt.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,33 +653,44 @@ func TestRouterStatsAggregateShards(t *testing.T) {
 		t.Fatalf("%d shard stats, want 3", len(stats))
 	}
 	records := 0
+	worst := 0.0
+	var tombs int64
 	for i, st := range stats {
 		if st.Index != i {
 			t.Fatalf("stats[%d].Index = %d", i, st.Index)
 		}
 		records += st.Records
+		tombs += st.Tombstones
+		worst = max(worst, st.GarbageRatio)
 	}
-	if cnt, err := rt.Count(); err != nil || records != cnt.Records || records != 5*4 {
-		t.Fatalf("per-shard records sum to %d, router counts %d (err %v), want 20", records, cnt.Records, err)
+	if cnt, err := rt.Count(); err != nil || records != cnt.Records || records != 5*4 || total.Records != records {
+		t.Fatalf("per-shard records sum to %d, aggregate %d, router counts %d (err %v), want 20", records, total.Records, cnt.Records, err)
 	}
-	if stats[0].URL != "" || stats[1].URL != "http://b" || stats[2].GarbageRatio != 0.25 {
-		t.Fatalf("shard identities/fallback wrong: %+v", stats)
+	if stats[0].URL != "" || stats[1].URL != "http://b" {
+		t.Fatalf("shard identities wrong: %+v", stats)
 	}
 	if stats[0].Engine != full.EngineStats() || len(stats[0].Histograms) == 0 {
 		t.Fatalf("local shard stats not in full: %+v", stats[0])
 	}
-
-	// Only the local shard reports engine counters, so it is the sum.
+	if total.Tombstones != tombs || rt.Tombstones() != tombs || tombs == 0 {
+		t.Fatalf("aggregate tombstones %d, router %d, want the shards' sum %d", total.Tombstones, rt.Tombstones(), tombs)
+	}
+	if total.GarbageRatio != worst || rt.GarbageRatio() != worst {
+		t.Fatalf("aggregate garbage %v, router %v, want the worst shard's %v", total.GarbageRatio, rt.GarbageRatio(), worst)
+	}
 	es := rt.EngineStats()
-	if es != full.EngineStats() || es.IndexPlans == 0 {
-		t.Fatalf("router engine stats %+v, want the local shard's %+v", es, full.EngineStats())
+	if total.Engine != es || es.IndexPlans == 0 {
+		t.Fatalf("aggregate engine stats %+v, router's %+v", total.Engine, es)
 	}
-	var tombs int64
-	for i := 0; i < rt.NumShards(); i++ {
-		tombs += rt.Shard(i).Tombstones()
+	if hits, misses := rt.ResultCacheStats(); es.CacheHits != hits || es.CacheMisses != misses {
+		t.Fatalf("engine cache counters %d/%d, want the router's %d/%d", es.CacheHits, es.CacheMisses, hits, misses)
 	}
-	if rt.Tombstones() != tombs {
-		t.Fatalf("router tombstones %d, want the shards' sum %d", rt.Tombstones(), tombs)
+	own, err := rt.ShardStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Records != total.Records || own.Engine != total.Engine || len(own.Histograms) == 0 || len(own.Slow) == 0 {
+		t.Fatalf("router's own ShardStats %+v is not the aggregate with its histograms and history", own)
 	}
 
 	hists := HistogramStats(rt.Obs())
@@ -660,7 +752,8 @@ func (p *pageCountingShard) QueryPage(q *prep.Query, after string, pageSize int)
 // TestQueryPageSkipsExhaustedShards pins the cursor's exhaustion
 // marker: once a shard proved done and fully consumed, later pages of
 // the walk must not re-query it (an empty re-plan per page, and on
-// remote topologies a wasted round trip per page).
+// remote topologies a wasted round trip per page), nor time a leg for
+// it.
 func TestQueryPageSkipsExhaustedShards(t *testing.T) {
 	small := &pageCountingShard{Shard: NewLocal(store.New(store.NewMemoryBackend()))}
 	big := NewLocal(store.New(store.NewMemoryBackend()))
@@ -702,5 +795,9 @@ func TestQueryPageSkipsExhaustedShards(t *testing.T) {
 	// remaining ~7 pages of the walk must leave it alone.
 	if small.pages > 3 {
 		t.Fatalf("exhausted shard queried on %d of %d pages", small.pages, pages)
+	}
+	// Its fan-out histogram counts only the legs that asked it.
+	if legs := rt.Obs().HistogramSnapshots()[`router_shard_fanout_seconds{shard="0"}`].Count; legs != int64(small.pages) {
+		t.Fatalf("exhausted shard timed on %d legs, queried on %d", legs, small.pages)
 	}
 }

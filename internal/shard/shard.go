@@ -32,9 +32,14 @@ import (
 // Shard is one partition of the provenance store, local or remote. The
 // surface mirrors what the preserv service layer serves: writes,
 // scanned and planned queries, paged reads, session listings, the
-// deletion lifecycle and compaction telemetry. Implementations must be
-// safe for concurrent use.
+// deletion lifecycle and compaction telemetry, plus the probes a router
+// reads of every shard: its content stamp and its stats. Local,
+// preserv.RemoteShard and Router itself implement all of it.
+// Implementations must be safe for concurrent use.
 type Shard interface {
+	GenerationProber
+	ShardStatser
+	EngineStatser
 	// Record validates and stores a batch of p-assertions, idempotently
 	// for identical re-records (the property client retries lean on).
 	Record(asserter core.ActorID, records []core.Record) (int, []prep.Reject, error)
@@ -71,18 +76,16 @@ type Shard interface {
 // the shard-side name that benchmark/ uses.
 type EngineStats = prep.EngineCounters
 
-// EngineStatser is implemented by shards that can report query-engine
-// telemetry (local shards, and remote shards via the stats wire
-// action; the Router aggregates over them).
+// EngineStatser is a shard's query-engine telemetry (a remote shard's
+// comes from its TTL-cached stats reply). It is part of Shard.
 type EngineStatser interface {
 	EngineStats() EngineStats
 }
 
-// ShardStatser is implemented by shards that can report full telemetry
-// (record counts, garbage state, engine counters, histogram summaries,
-// slow operations). It is an optional extension of Shard — remote
-// endpoints running an older server simply lack it and the router
-// falls back to the base surface.
+// ShardStatser is a shard's full telemetry: record count, garbage
+// state, engine and write-path counters, histogram summaries and its
+// history. It is part of Shard; the router's stats are one fan-out of
+// it.
 type ShardStatser interface {
 	ShardStats() (prep.ShardStats, error)
 }
@@ -145,9 +148,9 @@ func NewLocal(s *store.Store) *Local {
 // Store returns the underlying store.
 func (l *Local) Store() *store.Store { return l.s }
 
-// Generation implements GenerationProber: an embedded store's content
-// generation is one atomic load, cheap enough to probe before every
-// fanned-out read.
+// Generation implements Shard: an embedded store's content generation
+// is one atomic load, cheap enough to probe before every fanned-out
+// read.
 func (l *Local) Generation() (uint64, bool) { return l.s.Generation(), true }
 
 // QueryGeneration implements QueryProber with the store's stamp for q:
@@ -237,8 +240,7 @@ func AffinityTerm(r *core.Record) string {
 
 // AffinityIndex maps an affinity term onto one of n shards with a
 // stable, process-independent hash (FNV-1a), so a router restarted with
-// the same topology — or a client shipping session-affine to the same
-// endpoint list — routes every record to the same home shard.
+// the same topology routes every record to the same home shard.
 func AffinityIndex(term string, n int) int {
 	if n <= 1 {
 		return 0
