@@ -267,11 +267,11 @@ var (
 
 // ErrOldFormat refuses a store directory, an index or a client journal
 // in a layout an earlier version wrote. The refusal names the layout and
-// LastAdoptingCommit, and changes nothing on disk.
+// a commit whose binary reads it, and changes nothing on disk.
 var ErrOldFormat = errors.New("core: on-disk format of an earlier version")
 
 // LastAdoptingCommit is the last commit whose binary adopts every
-// layout that ErrOldFormat refuses.
+// layout ErrOldFormat refuses but a schema-2 index (see index.Open).
 const LastAdoptingCommit = "fcdde55"
 
 // MinYear and MaxYear bound an assertion timestamp's UTC year: the range

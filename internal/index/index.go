@@ -1,8 +1,8 @@
 // Package index maintains secondary indexes over the provenance store's
-// records so that queries scoped by session, actor, interaction, data
-// item, record kind or time range resolve without scanning the whole
-// store — the leverage that keeps the paper's use cases (run comparison
-// and semantic validation) fast as the store grows to many sessions.
+// records so that queries scoped by session, group, actor, service,
+// data item or time range resolve without scanning the whole store —
+// the leverage that keeps the paper's use cases (run comparison and
+// semantic validation) fast as the store grows to many sessions.
 //
 // The index is a set of posting entries persisted in the same backend as
 // the records themselves, under the reserved key prefixes "x/" (postings)
@@ -39,8 +39,6 @@ import (
 
 // Index dimensions. Each names one secondary index over the records.
 const (
-	// DimInteraction indexes by interaction identifier.
-	DimInteraction = "int"
 	// DimSession indexes by session group identifier.
 	DimSession = "sess"
 	// DimGroup indexes by group identifier, of any group type
@@ -55,8 +53,6 @@ const (
 	// DimData indexes interaction records by the data identifiers their
 	// message parts carry.
 	DimData = "data"
-	// DimKind indexes by record kind ("i" or "s").
-	DimKind = "kind"
 	// DimTime indexes by assertion timestamp, in a fixed-width sortable
 	// form so the backend's sorted scan doubles as a range scan.
 	DimTime = "time"
@@ -66,10 +62,12 @@ const (
 	postingPrefix = "x/"
 	metaPrefix    = "xm/"
 	schemaKey     = metaPrefix + "schema"
-	// schemaVersion "2" marks an index whose postings were always written
-	// in their record's batch. Under "1" a crash could leave a record
-	// without postings or postings without a record.
-	schemaVersion = "2"
+	// schemaVersion "3" marks an index without the interaction and kind
+	// postings of "2". Under "1" a crash could leave a record without
+	// postings or postings without a record.
+	schemaVersion = "3"
+	// schema2Commit is the last commit whose binary serves schema "2".
+	schema2Commit = "f59a0e5"
 
 	// timeLayout is fixed-width and zero-padded so lexicographic key
 	// order equals chronological order.
@@ -125,8 +123,14 @@ func Open(b KV) (*Index, error) {
 			return &Index{kv: b}, nil
 		}
 	}
-	return nil, fmt.Errorf("%w: %s; the binary of commit %s rebuilds its index to schema %s",
-		core.ErrOldFormat, layout, core.LastAdoptingCommit, schemaVersion)
+	move := "serve it with the binary of commit " + schema2Commit +
+		", and `provq -store NEW -from OLD consolidate` moves its records into a schema " + schemaVersion + " store"
+	if !ok || string(v) == "1" {
+		move = "the binary of commit " + core.LastAdoptingCommit + " rebuilds its index to schema 2; then " + move
+	} else if string(v) != "2" {
+		move = "this binary reads schema " + schemaVersion + " only"
+	}
+	return nil, fmt.Errorf("%w: %s; %s", core.ErrOldFormat, layout, move)
 }
 
 // AddBatch puts the postings of records in one backend batch; only the frozen benchmark's index probe calls it, until the benchmark-only PR (ROADMAP direction 2).
@@ -166,7 +170,6 @@ type KeyBuilder struct {
 func (b *KeyBuilder) PostingKeys(keys []string, r *core.Record) []string {
 	b.buf, b.ends = b.buf[:0], b.ends[:0]
 	b.skey = r.AppendStorageKey(b.skey[:0])
-	b.addID(DimInteraction, r.InteractionID())
 	b.addTerm(DimActor, string(r.Asserter()))
 	if recv := r.Receiver(); recv != "" {
 		b.addTerm(DimService, string(recv))
@@ -189,11 +192,6 @@ func (b *KeyBuilder) PostingKeys(keys []string, r *core.Record) []string {
 		b.buf = ts.UTC().AppendFormat(b.buf, timeLayout)
 		b.end()
 	}
-	kindTag := "s"
-	if r.Kind == core.KindInteraction {
-		kindTag = "i"
-	}
-	b.addTerm(DimKind, kindTag)
 	all := string(b.buf)
 	start := 0
 	for _, end := range b.ends {

@@ -90,14 +90,19 @@ func (c *writeCounter) PutBatch(kvs []kv.Pair) error {
 	return c.KV.PutBatch(kvs)
 }
 
-// requireRefused opens b and requires core.ErrOldFormat naming layout
-// and the commit that adopts it, with nothing written.
-func requireRefused(t *testing.T, b KV, layout string) {
+// requireRefused opens b and requires core.ErrOldFormat whose message
+// names the layout and says each of what, with nothing written.
+func requireRefused(t *testing.T, b KV, layout string, what ...string) {
 	t.Helper()
 	wc := &writeCounter{KV: b}
 	_, err := Open(wc)
-	if !errors.Is(err, core.ErrOldFormat) || !strings.Contains(err.Error(), layout) || !strings.Contains(err.Error(), core.LastAdoptingCommit) {
-		t.Fatalf("Open: %v, want core.ErrOldFormat naming %q and commit %s", err, layout, core.LastAdoptingCommit)
+	if !errors.Is(err, core.ErrOldFormat) || !strings.Contains(err.Error(), layout) {
+		t.Fatalf("Open: %v, want core.ErrOldFormat naming %q", err, layout)
+	}
+	for _, w := range what {
+		if !strings.Contains(err.Error(), w) {
+			t.Fatalf("Open: %v, want a refusal that says %q", err, w)
+		}
 	}
 	if wc.writes != 0 {
 		t.Fatalf("the refused Open wrote %d batches", wc.writes)
@@ -113,6 +118,9 @@ func TestOpenRefusesUnindexedStore(t *testing.T) {
 	if _, err := Open(wc); err != nil || wc.writes != 1 {
 		t.Fatalf("first Open of a fresh store: %d writes (%v), want the marker's one", wc.writes, err)
 	}
+	if v, _, err := b.Get("xm/schema"); err != nil || string(v) != "3" {
+		t.Fatalf("a fresh store's marker reads %q (%v), want \"3\"", v, err)
+	}
 	wc.writes = 0
 	if _, err := Open(wc); err != nil || wc.writes != 0 {
 		t.Fatalf("second Open wrote %d batches (%v), want none", wc.writes, err)
@@ -124,20 +132,22 @@ func TestOpenRefusesUnindexedStore(t *testing.T) {
 		func(b KV) { put(t, b, &inter); put(t, b, &state) },
 		func(b KV) { record(t, b, &inter); put(t, b, &state) },
 		func(b KV) {
-			if err := b.PutBatch([]kv.Pair{{Key: "x/kind/i/" + inter.StorageKey()}}); err != nil {
+			if err := b.PutBatch([]kv.Pair{{Key: "x/actor/svc:a/" + inter.StorageKey()}}); err != nil {
 				t.Fatal(err)
 			}
 		},
 	} {
 		b := store.NewMemoryBackend()
 		planted(b)
-		requireRefused(t, b, "unindexed store")
+		requireRefused(t, b, "unindexed store", "commit "+core.LastAdoptingCommit, "commit f59a0e5", "consolidate")
 	}
 }
 
 // A store from schema "1" may hold a record without its postings,
-// postings whose record is gone, and deficit markers. Open refuses it,
-// naming the schema, and writes nothing; so it does any marker but "2".
+// postings whose record is gone, and deficit markers; one from schema
+// "2" holds interaction and kind postings. Open refuses each, naming the
+// schema and the commit whose binary serves it, and writes nothing; so
+// it does a marker it does not know.
 func TestOpenRefusesOlderSchema(t *testing.T) {
 	b := store.NewMemoryBackend()
 	session := seq.NewID()
@@ -155,16 +165,31 @@ func TestOpenRefusesOlderSchema(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	requireRefused(t, b, "index schema 1")
-	if err := b.Put("xm/schema", []byte("3")); err != nil {
-		t.Fatal(err)
-	}
-	requireRefused(t, b, "index schema 3")
+	requireRefused(t, b, "index schema 1", "commit "+core.LastAdoptingCommit, "rebuilds its index to schema 2")
 	empty := store.NewMemoryBackend()
 	if err := empty.Put("xm/schema", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	requireRefused(t, empty, "index schema 1")
+	requireRefused(t, empty, "index schema 1", "commit "+core.LastAdoptingCommit)
+
+	// A schema-2 store: every record has its postings, two of them under
+	// dimensions schema 3 no longer writes.
+	two := store.NewMemoryBackend()
+	record(t, two, &kept)
+	for k, v := range map[string]string{
+		"xm/schema": "2",
+		"x/int/" + kept.InteractionID().String() + "/" + kept.StorageKey(): "",
+		"x/kind/i/" + kept.StorageKey():                                    "",
+	} {
+		if err := two.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireRefused(t, two, "index schema 2", "commit f59a0e5", "provq -store NEW -from OLD consolidate", "schema 3 store")
+	if err := two.Put("xm/schema", []byte("4")); err != nil {
+		t.Fatal(err)
+	}
+	requireRefused(t, two, "index schema 4", "reads schema 3 only")
 }
 
 func TestPostingsPerDimension(t *testing.T) {
@@ -183,9 +208,6 @@ func TestPostingsPerDimension(t *testing.T) {
 		dim, term string
 		want      int
 	}{
-		{DimKind, "i", 1},
-		{DimKind, "s", 1},
-		{DimInteraction, inter.InteractionID().String(), 2},
 		{DimSession, session.String(), 2},
 		{DimGroup, session.String(), 2},
 		{DimActor, "svc:a", 2},
@@ -202,6 +224,13 @@ func TestPostingsPerDimension(t *testing.T) {
 		}
 		if n != c.want {
 			t.Errorf("CountPostings(%s, %s) = %d, want %d", c.dim, c.term, n, c.want)
+		}
+	}
+	// Those are all: an interaction's records and a record's kind are
+	// told by the storage key, and have no postings.
+	for prefix, want := range map[string]int{"x/": 13, "x/int/": 0, "x/kind/": 0} {
+		if n, err := b.Count(prefix); err != nil || n != want {
+			t.Errorf("Count(%s) = %d (%v), want %d", prefix, n, err, want)
 		}
 	}
 }
@@ -522,9 +551,9 @@ func TestPostingIterSeek(t *testing.T) {
 // The posting keys of a batch are built one buffer per record: a
 // record's keys share one allocation, however many terms it has, and the
 // storage key, identifiers and time term are appended in place. 100
-// activities are 200 records with 8.5 postings each; building their keys
+// activities are 200 records with 6.5 postings each; building their keys
 // once cost 23.5 allocations per record when each key was a string of
-// its own.
+// its own (and there were 8.5 of them).
 func TestPostingKeysAllocations(t *testing.T) {
 	var records []*core.Record
 	session := seq.NewID()
@@ -542,20 +571,19 @@ func TestPostingKeysAllocations(t *testing.T) {
 		}
 		return keys
 	}
-	if n := len(build(records)); n != 1700 {
-		t.Fatalf("%d posting keys for 100 activities, want 1700", n)
+	if n := len(build(records)); n != 1300 {
+		t.Fatalf("%d posting keys for 100 activities, want 1300", n)
 	}
 	perRecord := testing.AllocsPerRun(20, func() { build(records) }) / float64(len(records))
 	if perRecord > 2 {
 		t.Fatalf("%.2f allocations per record building posting keys, want at most 2", perRecord)
 	}
 
-	// The keys are x/<dim>/<escaped term>/<storage key>, kind last.
+	// The keys are x/<dim>/<escaped term>/<storage key>, time last.
 	r := records[0]
 	r.Interaction.Asserter = "svc/a%b"
 	skey := r.StorageKey()
 	want := []string{
-		"x/int/" + r.InteractionID().String() + "/" + skey,
 		"x/actor/svc%2Fa%25b/" + skey,
 		"x/svc/svc:gzip/" + skey,
 		"x/grp/" + session.String() + "/" + skey,
@@ -564,7 +592,7 @@ func TestPostingKeysAllocations(t *testing.T) {
 	for _, d := range r.DataIDs() {
 		want = append(want, "x/data/"+d.String()+"/"+skey)
 	}
-	want = append(want, "x/time/"+TimeTerm(r.Timestamp())+"/"+skey, "x/kind/i/"+skey)
+	want = append(want, "x/time/"+TimeTerm(r.Timestamp())+"/"+skey)
 	if got := build(records[:1]); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("posting keys\n%q\nwant\n%q", got, want)
 	}

@@ -7,9 +7,9 @@
 // driving list is materialised and drives), point-fetches only the
 // candidate records in batched chunks, and applies the remaining
 // constraints residually.
-// Queries that constrain no indexed field fall back to the store's scan
-// path, so results are always identical to a full scan — only the
-// access pattern changes.
+// Queries that constrain an interaction or no indexed field take the
+// store's scan path, so results are always identical to a full scan —
+// only the access pattern changes.
 //
 // For large result sets QueryPage serves cursor-delimited pages with
 // early termination, so a consumer streaming a big session never makes
@@ -110,9 +110,6 @@ type dimRef struct {
 // deterministic tiebreak when measured cardinalities are equal.
 func candidateDims(q *prep.Query) []dimRef {
 	var out []dimRef
-	if q.InteractionID.Valid() {
-		out = append(out, dimRef{dim: index.DimInteraction, term: q.InteractionID.String(), exact: true})
-	}
 	if q.DataID.Valid() {
 		out = append(out, dimRef{dim: index.DimData, term: q.DataID.String(), exact: true})
 	}
@@ -208,8 +205,8 @@ func (e *Engine) query(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, erro
 		return nil, 0, nil, err
 	}
 	if plan.Strategy == prep.PlanScan {
-		// Nothing indexed is constrained: the scan path is optimal (and
-		// already kind-pruned by storage-key prefix).
+		// An interaction or nothing indexed is constrained: the scan path
+		// is optimal (pruned to the kind's and interaction's key prefixes).
 		recs, total, err := e.s.Query(q)
 		if err != nil {
 			return nil, 0, nil, err
@@ -347,16 +344,16 @@ type execResult struct {
 
 // execute runs the indexed read path: plan dimensions by measured cost,
 // stream the intersected candidates, fetch them in batched chunks,
-// filter residually. A query with no indexed equality constraint and no
-// time bound comes back with a PlanScan plan and no result — the caller
-// owns the scan fallback (full and paged evaluation differ).
+// filter residually. A query naming an interaction, or with no indexed
+// constraint and no time bound, comes back with a PlanScan plan and no
+// result — the caller owns the scan (full and paged evaluation differ).
 func (e *Engine) execute(q *prep.Query, opts execOpts) (execResult, *prep.QueryPlan, error) {
 	dims := candidateDims(q)
 	timed := !q.Since.IsZero() || !q.Until.IsZero()
-	if len(dims) == 0 && (!timed || opts.paged) {
-		// No indexed equality constraint: scan. A paged time-only query
-		// scans too — the cursor-resumable record sweep beats rebuilding
-		// the sorted candidate set from the time index on every page.
+	if q.InteractionID.Valid() || (len(dims) == 0 && (!timed || opts.paged)) {
+		// An interaction is two key prefix runs the scan reads alone; a paged
+		// time-only query scans too — resuming at the cursor beats re-sorting
+		// the time index's candidates on every page.
 		return execResult{}, &prep.QueryPlan{Strategy: prep.PlanScan}, nil
 	}
 

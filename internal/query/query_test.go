@@ -21,9 +21,10 @@ var t0 = time.Date(2026, 7, 1, 9, 0, 0, 0, time.UTC)
 
 // sessionData remembers what populateSessions wrote, for predicates.
 type sessionData struct {
-	id       ids.ID
-	dataOut  ids.ID // last produced datum
-	services []core.ActorID
+	id           ids.ID
+	dataOut      ids.ID // last produced datum
+	services     []core.ActorID
+	interactions []ids.ID // one per activity, in order
 }
 
 // populateSessions records n sessions of perSession activities each
@@ -40,6 +41,7 @@ func populateSessions(t testing.TB, s *store.Store, n, perSession int) []session
 			service := core.ActorID(fmt.Sprintf("svc:stage-%d", a%3))
 			sd.services = append(sd.services, service)
 			in := core.Interaction{ID: seq.NewID(), Sender: "svc:enactor", Receiver: service, Operation: "run"}
+			sd.interactions = append(sd.interactions, in.ID)
 			produced := seq.NewID()
 			groups := []core.GroupRef{{Type: core.GroupSession, ID: sd.id, Seq: uint64(a + 1)}}
 			ts := t0.Add(time.Duration(i*perSession+a) * time.Minute)
@@ -258,7 +260,134 @@ func TestPlannerMatchesScanAcrossBackends(t *testing.T) {
 					t.Errorf("%s %+v: records differ from scan path (%d vs %d)", name, q, len(got), len(want))
 				}
 			}
+
+			// Interaction-scoped queries read the interaction's storage-key
+			// prefixes, whole and one record a page, whatever else they
+			// constrain.
+			iid, at := target.interactions[1], t0.Add(9*time.Minute)
+			for _, q := range []*prep.Query{
+				{InteractionID: iid},
+				{InteractionID: seq.NewID()},
+				{InteractionID: iid, Kind: core.KindInteraction.String()},
+				{InteractionID: iid, Kind: core.KindActorState.String(), StateKind: core.StateScript},
+				{InteractionID: iid, Asserter: "svc:enactor"},
+				{InteractionID: iid, Asserter: "svc:other"},
+				{InteractionID: iid, Since: at, Until: at},
+				{InteractionID: iid, Since: at.Add(time.Nanosecond)},
+				{InteractionID: iid, Kind: core.KindActorState.String(), Asserter: "svc:enactor", Since: t0, Until: at},
+				{InteractionID: iid, SessionID: target.id, DataID: target.dataOut},
+				{InteractionID: iid, SessionID: target.id, Limit: 1},
+			} {
+				want, wantTotal, err := s.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, total, plan, err := e.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if plan.Strategy != prep.PlanScan || total != wantTotal || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %+v: %s plan, %d records (total %d), scan path %d (total %d)",
+						name, q, plan.Strategy, len(got), total, len(want), wantTotal)
+				}
+				whole := *q
+				whole.Limit = 0
+				want, _, err = s.Query(&whole)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var paged []core.Record
+				for after, pages := "", 0; ; pages++ {
+					recs, next, done, plan, err := e.QueryPage(q, after, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if plan.Strategy != prep.PlanScan || len(recs) > 1 || pages > len(want) {
+						t.Fatalf("%s %+v: page %d is a %s plan of %d records", name, q, pages, plan.Strategy, len(recs))
+					}
+					paged = append(paged, recs...)
+					if done || next == "" {
+						break
+					}
+					after = next
+				}
+				if !reflect.DeepEqual(paged, want) {
+					t.Errorf("%s %+v: 1-record pages gave %d records, scan path %d", name, q, len(paged), len(want))
+				}
+			}
 		})
+	}
+}
+
+// TestEveryPostingDimensionIsRead writes the posting dimensions of
+// sessions with every field the index covers, then runs the index's
+// readers — a query on each indexed field, a time window, Sessions and
+// DeleteSession — and requires each written dimension to be scanned by
+// one of them. An interaction-scoped query reads no posting at all: the
+// storage-key order serves it.
+func TestEveryPostingDimensionIsRead(t *testing.T) {
+	cb := newCountingBackend(store.NewMemoryBackend())
+	s := store.New(cb)
+	sessions := populateSessions(t, s, 2, 3)
+	e := New(s)
+	target := sessions[0]
+
+	all, _, err := s.Query(&prep.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := map[string]bool{}
+	var kb index.KeyBuilder
+	for i := range all {
+		for _, k := range kb.PostingKeys(nil, &all[i]) {
+			written[strings.SplitN(k, "/", 3)[1]] = true
+		}
+	}
+	readDims := func() map[string]bool {
+		cb.mu.Lock()
+		defer cb.mu.Unlock()
+		read := map[string]bool{}
+		for prefix := range cb.scans {
+			if dim, ok := strings.CutPrefix(prefix, "x/"); ok {
+				read[strings.SplitN(dim, "/", 2)[0]] = true
+			}
+		}
+		return read
+	}
+
+	cb.reset()
+	if _, _, _, err := e.Query(&prep.Query{InteractionID: target.interactions[0]}); err != nil {
+		t.Fatal(err)
+	}
+	for dim := range readDims() {
+		t.Errorf("an interaction-scoped query read the %q postings", dim)
+	}
+
+	cb.reset()
+	for _, q := range []*prep.Query{
+		{SessionID: target.id},
+		{GroupID: target.id},
+		{Asserter: "svc:enactor"},
+		{Service: target.services[0]},
+		{StateKind: core.StateScript},
+		{DataID: target.dataOut},
+		{Since: t0, Until: t0.Add(time.Minute)},
+	} {
+		if _, _, plan, err := e.Query(q); err != nil || plan.Strategy != prep.PlanIndex {
+			t.Fatalf("%+v: %v, %+v", q, err, plan)
+		}
+	}
+	if _, err := e.Sessions(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DeleteSession(target.id); err != nil {
+		t.Fatal(err)
+	}
+	read := readDims()
+	for dim := range written {
+		if !read[dim] {
+			t.Errorf("the %q postings are written and never read", dim)
+		}
 	}
 }
 
@@ -378,7 +507,7 @@ func TestIndexSelfHealsAfterFailedAdd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		postings, err := ix.CountPostings(index.DimInteraction, in.ID.String())
+		postings, err := postingsOf(ix, index.DimActor, "svc:enactor", rec.StorageKey())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,6 +595,19 @@ func TestQueryValidateRejected(t *testing.T) {
 	}
 }
 
+// postingsOf reports how many of the (dim, term) postings point at
+// skey: 1 when the record is indexed there, 0 when it is not.
+func postingsOf(ix *index.Index, dim, term, skey string) (int, error) {
+	n := 0
+	err := ix.ScanPostings(dim, term, func(k string) error {
+		if k == skey {
+			n++
+		}
+		return nil
+	})
+	return n, err
+}
+
 // recordStateKind records one actor-state record with the given state
 // kind into the session.
 func recordStateKind(t *testing.T, s *store.Store, session ids.ID, kind, localID string) {
@@ -534,19 +676,14 @@ func TestCostBasedPlannerPicksSmallerList(t *testing.T) {
 }
 
 func TestCostCutoffExcludesUnselectiveList(t *testing.T) {
-	// An interaction id pins ~2 records while the asserter covers the
-	// whole store: the actor list is beyond intersectCostRatio of the
-	// driving list, so it must be filtered residually, not intersected.
+	// A data id pins one record while the asserter covers the whole
+	// store: the actor list is beyond intersectCostRatio of the driving
+	// list, so it must be filtered residually, not intersected.
 	s := store.New(store.NewMemoryBackend())
 	sessions := populateSessions(t, s, 20, 8)
 	e := New(s)
 
-	// Find one interaction id via a session query.
-	recs, _, err := s.Query(&prep.Query{SessionID: sessions[3].id, Kind: core.KindInteraction.String()})
-	if err != nil || len(recs) == 0 {
-		t.Fatalf("seed query: %d records, err=%v", len(recs), err)
-	}
-	q := &prep.Query{InteractionID: recs[0].InteractionID(), Asserter: "svc:enactor"}
+	q := &prep.Query{DataID: sessions[3].dataOut, Asserter: "svc:enactor"}
 	want, wantTotal, err := s.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -558,8 +695,9 @@ func TestCostCutoffExcludesUnselectiveList(t *testing.T) {
 	if total != wantTotal || !reflect.DeepEqual(got, want) {
 		t.Fatalf("results differ from scan path")
 	}
-	if len(plan.Dims) != 1 || plan.Dims[0] != "int" {
-		t.Errorf("dims = %v, want the interaction list alone (actor list beyond the cost cutoff)", plan.Dims)
+	if total != 1 || len(plan.Dims) != 1 || plan.Dims[0] != index.DimData || plan.DimCounts[0] != 1 {
+		t.Errorf("total %d, dims %v %v: want the one-record data list alone (actor list beyond the cost cutoff)",
+			total, plan.Dims, plan.DimCounts)
 	}
 }
 

@@ -38,6 +38,10 @@ const (
 	// lingerTime bounds how long a connection ended with its request
 	// unread is read and dropped before it closes.
 	lingerTime = 500 * time.Millisecond
+	// transferUnit is how many bytes of a request body or a reply each
+	// header timeout past the first allows for: a floor rate of 256 KiB/s
+	// at the 10 s header timeout.
+	transferUnit = 2560 << 10
 )
 
 // A connection's state, as Close treats it.
@@ -217,7 +221,7 @@ func (s *Server) serveConn(c *serverConn) {
 		}
 	}()
 	for {
-		c.SetReadDeadline(time.Now().Add(s.timeout))
+		c.SetDeadline(time.Now().Add(s.timeout))
 		h, f, err := s.readHead(c)
 		if errors.Is(err, errBadRequest) {
 			io.WriteString(c.Conn, badRequestReply)
@@ -232,7 +236,13 @@ func (s *Server) serveConn(c *serverConn) {
 			return
 		}
 		c.state.Store(connActive)
-		c.SetReadDeadline(time.Time{})
+		// The body, and the 100 Continue before it, are bounded by the
+		// declared length; a chunked body, by the most it may be.
+		size := min(f.length, MaxMessageBytes)
+		if f.chunked {
+			size = MaxMessageBytes
+		}
+		c.SetDeadline(s.transferDeadline(size))
 		if f.expect && f.length <= MaxMessageBytes {
 			io.WriteString(c.Conn, continueReply)
 		}
@@ -244,6 +254,7 @@ func (s *Server) serveConn(c *serverConn) {
 		}
 		reply = h.answer(data, readErr, reply[:replyRoom])
 		closing := f.closing || readErr != nil || s.closing.Load()
+		c.SetWriteDeadline(s.transferDeadline(int64(len(reply))))
 		_, err = c.Write(reply[putHead(reply, closing):])
 		putBuffer(in, data)
 		putBuffer(out, reply)
@@ -258,10 +269,17 @@ func (s *Server) serveConn(c *serverConn) {
 		if c.state.Store(connIdle); s.closing.Load() {
 			return
 		}
+		c.SetReadDeadline(time.Time{}) // the wait for the next request is unbounded
 		if _, err := c.br.Peek(1); err != nil {
 			return
 		}
 	}
+}
+
+// transferDeadline is when n bytes of a body or a reply must be through:
+// one header timeout from now, and one more for every transferUnit bytes.
+func (s *Server) transferDeadline(n int64) time.Time {
+	return time.Now().Add(s.timeout + time.Duration(n)*(s.timeout/transferUnit))
 }
 
 // readHead reads a request's line and headers off c. A request for
@@ -333,7 +351,7 @@ func (s *Server) forget(c *serverConn) {
 // handOff hands c to net/http, or closes it once net/http has stopped.
 func (s *Server) handOff(c *serverConn) {
 	s.forget(c)
-	c.SetReadDeadline(time.Time{})
+	c.SetDeadline(time.Time{})
 	select {
 	case s.handoff.conns <- c:
 	case <-s.handoff.done:

@@ -18,11 +18,12 @@ import (
 	"time"
 )
 
-// loopServer serves echoActions and urn:test:block at "/" and a
-// stand-in for /metrics on one mux, on the loop, with the given header
-// timeout. urn:test:block holds its request until release is closed,
-// telling started once the first one arrives: the request in flight a
-// drain waits for.
+// loopServer serves echoActions, urn:test:block and urn:test:big at "/"
+// and a stand-in for /metrics on one mux, on the loop, with the given
+// header timeout. urn:test:block holds its request until release is
+// closed, telling started once the first one arrives: the request in
+// flight a drain waits for. urn:test:big answers with bigReply bytes of
+// text.
 type loopServer struct {
 	*Server
 	addr             string
@@ -44,6 +45,9 @@ func newLoopServer(t *testing.T, timeout time.Duration) *loopServer {
 		once.Do(func() { close(ls.started) })
 		<-ls.release
 		return &echoPayload{Text: "drained"}, nil
+	}
+	actions["urn:test:big"] = func(*Message) (any, error) {
+		return &echoPayload{Text: strings.Repeat("x", bigReply)}, nil
 	}
 	mux.Handle("/", NewHTTPHandler(actions))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -241,6 +245,54 @@ func TestServerHeaderDeadline(t *testing.T) {
 	}
 	if d := time.Since(start); d < timeout || d > 20*timeout {
 		t.Errorf("a stalled header was cut after %v, want about %v", d, timeout)
+	}
+}
+
+// bigReply is the size of urn:test:big's reply text: more than the
+// socket buffers of a loopback connection hold.
+const bigReply = 16 << 20
+
+// A client that stalls mid-body is cut at the body's deadline — the
+// header timeout and a little more for its 1,000 declared bytes — with
+// the bad-request fault.
+func TestServerBodyDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	ls := newLoopServer(t, timeout)
+	c, br := ls.dial(t)
+	c.SetReadDeadline(time.Now().Add(20 * timeout))
+	start := time.Now()
+	io.WriteString(c, "POST / HTTP/1.1\r\nHost: store\r\nContent-Length: 1000\r\n\r\n<Envelope>")
+	if resp := readFault(t, br, FaultBadRequest); !resp.Close {
+		t.Error("the fault does not say Connection: close")
+	}
+	if d := time.Since(start); d < timeout || d > 10*timeout {
+		t.Errorf("a stalled body was cut after %v, want about %v", d, timeout)
+	}
+	if !closed(br) {
+		t.Error("the connection stayed open after a stalled body")
+	}
+}
+
+// A client that stops reading a reply is cut at the reply's deadline —
+// the header timeout and one more for every transferUnit bytes — and
+// never gets the rest of it.
+func TestServerReplyDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	ls := newLoopServer(t, timeout)
+	c, br := ls.dial(t)
+	c.(*net.TCPConn).SetReadBuffer(32 << 10)
+	body, err := Marshal("urn:test:big", &echoPayload{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(c, "POST / HTTP/1.1\r\nHost: store\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	time.Sleep(2 * (timeout + bigReply*(timeout/transferUnit)))
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("reading the reply: %v", err)
+	}
+	if n, err := io.Copy(io.Discard, resp.Body); err == nil {
+		t.Fatalf("a reader that stalled past the reply's deadline got all %d bytes of it", n)
 	}
 }
 

@@ -409,9 +409,10 @@ func TestStoreCrashRecoveryPlannerEqualsScan(t *testing.T) {
 }
 
 // requireRefusedUnchanged requires Store.Record and a planned query on
-// the store in dir to fail with core.ErrOldFormat naming layout and the
-// commit that adopts it, writing nothing: the log keeps its bytes.
-func requireRefusedUnchanged(t *testing.T, open func(t *testing.T, dir string) store.Backend, dir, layout string, sessions []ids.ID) {
+// the store in dir to fail with core.ErrOldFormat naming layout and
+// commit, whose binary reads it, writing nothing: the log keeps its
+// bytes.
+func requireRefusedUnchanged(t *testing.T, open func(t *testing.T, dir string) store.Backend, dir, layout, commit string, sessions []ids.ID) {
 	t.Helper()
 	logPath, _ := findOne(t, dir, ".log", false)
 	before, err := os.ReadFile(logPath)
@@ -422,8 +423,8 @@ func requireRefusedUnchanged(t *testing.T, open func(t *testing.T, dir string) s
 	s := store.New(b)
 	check := func(what string, err error) {
 		t.Helper()
-		if !errors.Is(err, core.ErrOldFormat) || !strings.Contains(err.Error(), layout) || !strings.Contains(err.Error(), core.LastAdoptingCommit) {
-			t.Fatalf("%s: error %v, want core.ErrOldFormat naming %q and commit %s", what, err, layout, core.LastAdoptingCommit)
+		if !errors.Is(err, core.ErrOldFormat) || !strings.Contains(err.Error(), layout) || !strings.Contains(err.Error(), commit) {
+			t.Fatalf("%s: error %v, want core.ErrOldFormat naming %q and commit %s", what, err, layout, commit)
 		}
 	}
 	_, _, err = s.Record("svc:enactor", []core.Record{mkInteraction(sessions[0], "svc:late", 9)})
@@ -481,7 +482,37 @@ func TestSchemaOneStoreRefused(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			requireRefusedUnchanged(t, fl.open, dir, "index schema 1", sessions)
+			requireRefusedUnchanged(t, fl.open, dir, "index schema 1", core.LastAdoptingCommit, sessions)
+		})
+	}
+}
+
+// TestSchemaTwoStoreRefused turns a store into one schema "2" wrote —
+// its marker, and an interaction and a kind posting beside each
+// record's others. Recording and querying are refused, naming the
+// commit whose binary still serves it, and write nothing.
+func TestSchemaTwoStoreRefused(t *testing.T) {
+	for _, fl := range storeFlavours() {
+		t.Run(fl.name, func(t *testing.T) {
+			dir := t.TempDir()
+			b := fl.open(t, dir)
+			sid := seq.NewID()
+			recs := []core.Record{mkInteraction(sid, "svc:stage", 0), mkInteraction(sid, "svc:stage", 1)}
+			if _, _, err := store.New(b).Record("svc:enactor", recs); err != nil {
+				t.Fatal(err)
+			}
+			pairs := []kv.Pair{{Key: "xm/schema", Value: []byte("2")}}
+			for _, r := range recs {
+				pairs = append(pairs, kv.Pair{Key: "x/int/" + r.InteractionID().String() + "/" + r.StorageKey()},
+					kv.Pair{Key: "x/kind/i/" + r.StorageKey()})
+			}
+			if err := b.PutBatch(pairs); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			requireRefusedUnchanged(t, fl.open, dir, "index schema 2", "f59a0e5", []ids.ID{sid})
 		})
 	}
 }
@@ -514,7 +545,7 @@ func TestUnindexedStoreRefused(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			requireRefusedUnchanged(t, fl.open, dir, "unindexed store", sessions)
+			requireRefusedUnchanged(t, fl.open, dir, "unindexed store", core.LastAdoptingCommit, sessions)
 
 			b = fl.open(t, dir)
 			if err := b.DeleteBatch(keysOf(t, b.(*kvdb.DB), "x/")); err != nil {
@@ -523,7 +554,7 @@ func TestUnindexedStoreRefused(t *testing.T) {
 			if err := b.Close(); err != nil {
 				t.Fatal(err)
 			}
-			requireRefusedUnchanged(t, fl.open, dir, "unindexed store", sessions)
+			requireRefusedUnchanged(t, fl.open, dir, "unindexed store", core.LastAdoptingCommit, sessions)
 		})
 	}
 }

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
+	"preserv/internal/core"
 	"preserv/internal/kvdb"
 )
 
@@ -143,5 +145,59 @@ func TestFileKeyBatchesSplitPastMax(t *testing.T) {
 	if got := viewOf(re); got != live || live.Count != 2 {
 		t.Fatalf("reopened: %d keys, garbage %v, %d tombstones, same contents %v; live: %d keys, garbage %v, %d tombstones",
 			got.Count, got.Garbage, got.Tombs, got.Contents == live.Contents, live.Count, live.Garbage, live.Tombs)
+	}
+}
+
+// TestOpenNamesFlavourAndRefusesSchemaTwo opens each -backend flavour
+// through Open: the open is the store's first history event, a kvdb
+// directory keeps its records across a reopen, an unknown flavour is an
+// error, and a directory whose index is of schema "2" is refused by name
+// and left as it was.
+func TestOpenNamesFlavourAndRefusesSchemaTwo(t *testing.T) {
+	if _, err := Open("bdb", t.TempDir()); err == nil || !strings.Contains(err.Error(), `unknown backend "bdb"`) {
+		t.Fatalf("Open(bdb): %v, want an unknown-backend error", err)
+	}
+	dir := t.TempDir()
+	for _, flavour := range []string{"memory", "kvdb", "file"} {
+		s, err := Open(flavour, dir)
+		if err != nil {
+			t.Fatalf("Open(%s): %v", flavour, err)
+		}
+		events := s.Obs().Tracer().Slow()
+		if len(events) != 1 || events[0].Op() != "store.open" {
+			t.Fatalf("Open(%s): history %v, want one store.open event", flavour, events)
+		}
+		if flavour != "file" {
+			if _, _, err := s.Record("svc:enactor", []core.Record{mkInteraction(seq.NewID(), "svc:gzip", "compress")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// file opens the log kvdb recorded into.
+		if n, err := s.Count(); err != nil || n.Records != 1 {
+			t.Fatalf("Open(%s): %+v (%v), want 1 record", flavour, n, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	b, err := NewKVBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put("xm/schema", []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	want := contentsOf(t, b)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open("kvdb", dir); !errors.Is(err, core.ErrOldFormat) || !strings.Contains(err.Error(), "index schema 2") {
+		t.Fatalf("Open of a schema-2 directory: %v, want core.ErrOldFormat naming index schema 2", err)
+	}
+	b = openFile(t, dir)
+	defer b.Close()
+	if got := contentsOf(t, b); got != want {
+		t.Fatalf("the refused directory changed:\n%s\nwant\n%s", got, want)
 	}
 }

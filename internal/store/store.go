@@ -807,9 +807,9 @@ func sortRejects(rejects []prep.Reject) {
 }
 
 // Query evaluates q and returns matching records (up to q.Limit) plus
-// the total number of matches. Interaction-scoped queries use the key
-// structure to avoid full scans; everything else scans linearly, which
-// is the behaviour whose cost the paper's Figure 5 characterises.
+// the total number of matches. Interaction-scoped queries — the query
+// planner's too — read only their key prefixes; everything else scans
+// linearly, the behaviour whose cost the paper's Figure 5 characterises.
 func (s *Store) Query(q *prep.Query) ([]core.Record, int, error) {
 	if err := q.Validate(); err != nil {
 		return nil, 0, err
