@@ -38,18 +38,21 @@
 // (preserv -shard-endpoints) would give.
 //
 // stats prints the store's telemetry snapshot (urn:prep:stats): request
-// counters, garbage state, query-engine counters, per-shard breakdown,
-// latency-histogram quantiles and the history (each store's open and
-// compactions, failed requests, slow operations). With -watch D it
-// refreshes every D until interrupted.
+// counters, garbage state, query-engine counters, then the stats tree —
+// each shard under its path (1/0 is the first store of the second
+// shard), indented by depth, with its latency-histogram quantiles and
+// history (each store's open and compactions, failed requests, slow
+// operations). With -watch D it refreshes every D until interrupted.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -314,11 +317,10 @@ func printConsolidated(out io.Writer, dest string, accepted, sources int) {
 }
 
 // printStats renders one urn:prep:stats snapshot: the service counters
-// and whole-store aggregates, then the per-shard breakdown, then the
-// latency summaries and slow operations.
+// and the root's aggregates, then the stats tree (printNode).
 func printStats(out io.Writer, st *prep.StatsResponse) {
 	fmt.Fprintf(out, "records: %d  shards: %d  garbage: %.2f  tombstones: %d\n",
-		st.Records, st.NumShards, st.GarbageRatio, st.Tombstones)
+		st.Records, len(st.Shards), st.GarbageRatio, st.Tombstones)
 	fmt.Fprintf(out, "requests: record=%d (accepted %d)  query=%d  delete=%d (deleted %d)  compactions=%d\n",
 		st.RecordRequests, st.RecordsAccepted, st.QueryRequests,
 		st.DeleteRequests, st.RecordsDeleted, st.Compactions)
@@ -334,19 +336,23 @@ func printStats(out io.Writer, st *prep.StatsResponse) {
 		fmt.Fprintf(out, "write path: compacting=%d  stalls=%d (p99=%.2fms, total=%.1fs)\n",
 			wp.CompactionsInProgress, wp.StallCount, wp.StallP99*1000, wp.StallSeconds)
 	}
-	for _, sh := range st.Shards {
-		loc := sh.URL
-		if loc == "" {
-			loc = "embedded"
-		}
-		fmt.Fprintf(out, "shard %d (%s): records=%d garbage=%.2f tombstones=%d index=%d scan=%d\n",
-			sh.Index, loc, sh.Records, sh.GarbageRatio, sh.Tombstones,
+	printNode(out, "", "", st.ShardStats)
+}
+
+// printNode renders a node's latency summaries and history at indent,
+// then each child's line, labelled by its path from the root (1/0 is
+// the first shard of the second) and followed by its own subtree one
+// level deeper.
+func printNode(out io.Writer, path, indent string, n prep.ShardStats) {
+	printHistograms(out, indent, n.Histograms)
+	printSlow(out, indent, n.Slow)
+	for i, sh := range n.Shards {
+		label := path + strconv.Itoa(i)
+		fmt.Fprintf(out, "%sshard %s (%s): records=%d garbage=%.2f tombstones=%d index=%d scan=%d\n",
+			indent, label, cmp.Or(sh.URL, "embedded"), sh.Records, sh.GarbageRatio, sh.Tombstones,
 			sh.Engine.IndexPlans, sh.Engine.ScanPlans)
-		printHistograms(out, "  ", sh.Histograms)
-		printSlow(out, "  ", sh.Slow)
+		printNode(out, label+"/", indent+"  ", sh)
 	}
-	printHistograms(out, "", st.Histograms)
-	printSlow(out, "", st.Slow)
 }
 
 // printHistograms lists non-empty histogram summaries. Latency

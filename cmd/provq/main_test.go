@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"preserv/internal/prep"
 	"preserv/internal/preserv"
 	"preserv/internal/store"
 )
@@ -122,5 +123,62 @@ func TestRunCompactCompactsAnExistingStore(t *testing.T) {
 	}
 	if g := b.GarbageRatio(); g != 0 {
 		t.Errorf("garbage ratio %v after offline compaction", g)
+	}
+}
+
+// TestPrintStatsTree renders a fixed three-level stats reply: the root's
+// counters and its own histograms and history, then each node under its
+// path label (1/0 is the first shard of the second), indented by depth,
+// a remote node under its URL, and no line for a histogram that
+// observed nothing.
+func TestPrintStatsTree(t *testing.T) {
+	leaf := func(records int, garbage float64, tombstones int64) prep.ShardStats {
+		return prep.ShardStats{Records: records, GarbageRatio: garbage, Tombstones: tombstones}
+	}
+	embedded, first, second := leaf(2, 0, 1), leaf(1, 0, 0), leaf(2, 0.25, 1)
+	embedded.Engine.IndexPlans = 1
+	embedded.Histograms = []prep.HistogramStat{{Name: "store_record_seconds", Count: 1, P50: 0.0005, P95: 0.0005, P99: 0.0005}}
+	first.Slow = []prep.SlowSpan{{Op: "store.compact", Seconds: 0.004, Attrs: []prep.SpanAttr{{Key: "garbage_before", Value: "0.50"}}}}
+	second.Histograms = []prep.HistogramStat{{Name: "store_record_batch_size", Count: 2, P50: 2, P95: 2, P99: 2}}
+	remote := prep.ShardStats{URL: "http://child:8771", Records: 3, GarbageRatio: 0.25, Tombstones: 1,
+		Engine: prep.EngineCounters{IndexPlans: 1, ScanPlans: 1},
+		Histograms: []prep.HistogramStat{
+			{Name: `router_shard_fanout_seconds{shard="0"}`, Count: 2, P50: 0.004, P95: 0.008, P99: 0.008},
+			{Name: "store_delete_seconds"},
+		},
+		Shards: []prep.ShardStats{first, second}}
+	st := &prep.StatsResponse{
+		RecordRequests: 3, RecordsAccepted: 6, QueryRequests: 2, DeleteRequests: 1, RecordsDeleted: 1, Compactions: 1,
+		Generation: 0xabc, GenerationValid: true,
+		ShardStats: prep.ShardStats{Records: 5, GarbageRatio: 0.25, Tombstones: 2,
+			Engine:    prep.EngineCounters{IndexPlans: 2, ScanPlans: 1, CacheHits: 1, CacheMisses: 3},
+			WritePath: prep.WritePathCounters{StallCount: 3, StallSeconds: 0.5, StallP99: 0.002},
+			Histograms: []prep.HistogramStat{
+				{Name: `preserv_request_seconds{action="record"}`, Count: 3, P50: 0.001, P95: 0.002, P99: 0.003},
+				{Name: "router_merge_width"},
+			},
+			Slow:   []prep.SlowSpan{{Op: "router.fanout", Seconds: 0.0015, Attrs: []prep.SpanAttr{{Key: "shard", Value: "1"}}}},
+			Shards: []prep.ShardStats{embedded, remote}},
+	}
+	var out bytes.Buffer
+	printStats(&out, st)
+	want := `records: 5  shards: 2  garbage: 0.25  tombstones: 2
+requests: record=3 (accepted 6)  query=2  delete=1 (deleted 1)  compactions=1
+engine: index=2 scan=1 paged=0 probes=0 postings=0 candidates=0 cache=1/4
+generation: 0000000000000abc
+write path: compacting=0  stalls=3 (p99=2.00ms, total=0.5s)
+preserv_request_seconds{action="record"}     n=3       p50=1.000ms p95=2.000ms p99=3.000ms
+slow: router.fanout        1.5ms shard=1
+shard 0 (embedded): records=2 garbage=0.00 tombstones=1 index=1 scan=0
+  store_record_seconds                         n=1       p50=0.500ms p95=0.500ms p99=0.500ms
+shard 1 (http://child:8771): records=3 garbage=0.25 tombstones=1 index=1 scan=1
+  router_shard_fanout_seconds{shard="0"}       n=2       p50=4.000ms p95=8.000ms p99=8.000ms
+  shard 1/0 (embedded): records=1 garbage=0.00 tombstones=0 index=0 scan=0
+    slow: store.compact        4.0ms garbage_before=0.50
+  shard 1/1 (embedded): records=2 garbage=0.25 tombstones=1 index=0 scan=0
+    store_record_batch_size                      n=2       p50=2.0 p95=2.0 p99=2.0
+`
+	if got := out.String(); got != want {
+		t.Errorf("printStats rendered\n%s\nwant\n%s", got, want)
 	}
 }

@@ -466,11 +466,14 @@ type SlowSpan struct {
 	Attrs   []SpanAttr `xml:"attr,omitempty"`
 }
 
-// ShardStats is one shard's telemetry: record count, garbage state,
-// engine counters, histogram summaries and the shard's history.
-// URL is set for remote shards, empty for local ones.
+// ShardStats is one node of a store's stats tree: its record count,
+// garbage state, engine and write-path counters, histogram summaries,
+// history and children. A store is a leaf. A router is a node whose
+// figures are the Add of its direct children, with the router's result
+// cache as the cache counters, and whose histograms and history are its
+// own. A child's index is its position in Shards; URL is set by a
+// remote shard, empty for an embedded one.
 type ShardStats struct {
-	Index        int               `xml:"index"`
 	URL          string            `xml:"url,omitempty"`
 	Records      int               `xml:"records"`
 	GarbageRatio float64           `xml:"garbageRatio"`
@@ -479,12 +482,24 @@ type ShardStats struct {
 	WritePath    WritePathCounters `xml:"writePath"`
 	Histograms   []HistogramStat   `xml:"histogram,omitempty"`
 	Slow         []SlowSpan        `xml:"slow,omitempty"`
+	Shards       []ShardStats      `xml:"shard,omitempty"`
+}
+
+// Add accumulates a child's figures into s: records and tombstones
+// summed, the worst garbage ratio, engine and write-path counters
+// added.
+func (s *ShardStats) Add(o ShardStats) {
+	s.Records += o.Records
+	s.Tombstones += o.Tombstones
+	s.GarbageRatio = max(s.GarbageRatio, o.GarbageRatio)
+	s.Engine.Add(o.Engine)
+	s.WritePath.Add(o.WritePath)
 }
 
 // StatsResponse is the urn:prep:stats reply: the service's request
-// counters, whole-store aggregates (sums/weighted averages over the
-// shards, directly consumable by a parent router treating this store
-// as one shard), and the per-shard breakdown.
+// counters, the store's content stamp and the root of its stats tree,
+// whose elements the embedding keeps at the top level, so a parent
+// router reads the root's aggregates as one shard's.
 type StatsResponse struct {
 	XMLName xml.Name `xml:"StatsResponse"`
 
@@ -496,25 +511,18 @@ type StatsResponse struct {
 	RecordsDeleted  int64 `xml:"recordsDeleted"`
 	Compactions     int64 `xml:"compactions"`
 
-	// Whole-store aggregates. Generation is the store's content
-	// generation — it changes whenever any shard accepts or deletes a
-	// record, and whenever a shard's store is reopened, so equal
-	// generations imply equal query answers; a parent router probes it
-	// (cheaply, via its TTL-cached stats snapshot) to key its result
-	// cache. The value is opaque, a hash of each store's (epoch,
-	// counter): compare it for equality only. GenerationValid is false
-	// when some shard behind this service cannot report one.
-	Records         int               `xml:"records"`
-	NumShards       int               `xml:"numShards"`
-	Generation      uint64            `xml:"generation"`
-	GenerationValid bool              `xml:"generationValid"`
-	GarbageRatio    float64           `xml:"garbageRatio"`
-	Tombstones      int64             `xml:"tombstones"`
-	Engine          EngineCounters    `xml:"engine"`
-	WritePath       WritePathCounters `xml:"writePath"`
+	// Generation is the store's content generation — it changes
+	// whenever any shard accepts or deletes a record, and whenever a
+	// shard's store is reopened, so equal generations imply equal query
+	// answers; a parent router probes it (cheaply, via its TTL-cached
+	// stats snapshot) to key its result cache. The value is opaque, a
+	// hash of each store's (epoch, counter): compare it for equality
+	// only. GenerationValid is false when some shard behind this
+	// service cannot report one.
+	Generation      uint64 `xml:"generation"`
+	GenerationValid bool   `xml:"generationValid"`
 
-	// Per-shard breakdown plus the service's own request histograms.
-	Shards     []ShardStats    `xml:"shard,omitempty"`
-	Histograms []HistogramStat `xml:"histogram,omitempty"`
-	Slow       []SlowSpan      `xml:"slow,omitempty"`
+	// The root node: the service's and its router's histograms and
+	// history, and the router's aggregate over its shards.
+	ShardStats
 }

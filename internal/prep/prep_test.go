@@ -8,6 +8,7 @@ import (
 
 	"preserv/internal/core"
 	"preserv/internal/ids"
+	"preserv/internal/soap"
 )
 
 var seq = &ids.SeqSource{Prefix: 0xBB}
@@ -312,5 +313,133 @@ func TestCountersAddEveryField(t *testing.T) {
 	ws.Add(w)
 	if want := (WritePathCounters{2, 4, 5, 3.5}); ws != want {
 		t.Errorf("WritePathCounters.Add twice = %+v, want %+v", ws, want)
+	}
+}
+
+// TestShardStatsAdd checks a node's aggregate of two children: records
+// and tombstones summed, the worst garbage ratio, engine and write-path
+// counters added, and nothing else of the child carried.
+func TestShardStatsAdd(t *testing.T) {
+	a := ShardStats{URL: "http://a", Records: 3, GarbageRatio: 0.5, Tombstones: 2,
+		Engine: EngineCounters{IndexPlans: 1}, WritePath: WritePathCounters{StallCount: 4, StallP99: 0.2},
+		Histograms: []HistogramStat{{Name: "h", Count: 1}}, Slow: []SlowSpan{{Op: "op"}}, Shards: []ShardStats{{Records: 3}}}
+	b := ShardStats{Records: 4, GarbageRatio: 0.25, Tombstones: 1,
+		Engine: EngineCounters{IndexPlans: 2, ScanPlans: 1}, WritePath: WritePathCounters{StallCount: 1, StallP99: 0.3}}
+	var n ShardStats
+	n.Add(a)
+	n.Add(b)
+	want := ShardStats{Records: 7, GarbageRatio: 0.5, Tombstones: 3,
+		Engine: EngineCounters{IndexPlans: 3, ScanPlans: 1}, WritePath: WritePathCounters{StallCount: 5, StallP99: 0.3}}
+	if !reflect.DeepEqual(n, want) {
+		t.Errorf("Add of two children = %+v, want %+v", n, want)
+	}
+}
+
+// statsTree is a three-level StatsResponse with no field left zero: a
+// root over an embedded leaf and a remote router of two leaves.
+func statsTree() *StatsResponse {
+	at := time.Date(2026, 10, 19, 12, 0, 0, 123456789, time.UTC)
+	leaf := func(records int) ShardStats {
+		return ShardStats{Records: records, GarbageRatio: 0.125, Tombstones: int64(records),
+			Engine: EngineCounters{IndexPlans: 1, ScanPlans: 2, CostProbes: 3}, WritePath: WritePathCounters{StallCount: 4, StallSeconds: 0.5, StallP99: 0.25},
+			Histograms: []HistogramStat{{Name: "store_record_seconds", Count: 4, Sum: 0.01, P50: 0.001, P95: 0.002, P99: 0.004}},
+			Slow:       []SlowSpan{{Op: "store.compact", Start: at, Seconds: 0.5, Attrs: []SpanAttr{{Key: "garbage_before", Value: "0.50"}}}}}
+	}
+	remote := ShardStats{URL: "http://b", Shards: []ShardStats{leaf(2), leaf(3)},
+		Histograms: []HistogramStat{{Name: `router_shard_fanout_seconds{shard="0"}`, Count: 9, Sum: 0.02}},
+		Slow:       []SlowSpan{{Op: "preserv.query", Start: at, Seconds: 1.5, Err: "bogus"}}}
+	root := ShardStats{Shards: []ShardStats{leaf(1), remote},
+		Histograms: []HistogramStat{{Name: "preserv_request_seconds", Count: 12}}, Slow: []SlowSpan{{Op: "router.fanout", Start: at}}}
+	for _, c := range root.Shards {
+		root.Add(c)
+	}
+	return &StatsResponse{RecordRequests: 1, RecordsAccepted: 2, QueryRequests: 3, DeleteRequests: 4,
+		RecordsDeleted: 5, Compactions: 6, Generation: 7, GenerationValid: true, ShardStats: root}
+}
+
+// decodeStats reads a soap envelope carrying a stats reply the way a
+// client does.
+func decodeStats(t *testing.T, data []byte) *StatsResponse {
+	t.Helper()
+	m, err := soap.ReadEnvelope(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back StatsResponse
+	if err := m.Decode(&back); err != nil {
+		t.Fatal(err)
+	}
+	return &back
+}
+
+// TestStatsTreeWireRoundTrip sends a three-level stats tree through a
+// soap envelope and back unchanged.
+func TestStatsTreeWireRoundTrip(t *testing.T) {
+	st := statsTree()
+	data, err := soap.Marshal(ActionStats, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := decodeStats(t, data)
+	back.XMLName = xml.Name{}
+	if !reflect.DeepEqual(back, st) {
+		t.Errorf("round trip:\n got %+v\nwant %+v", back, st)
+	}
+}
+
+// TestStatsDecodesFlatReply decodes a stats reply of the flat shape a
+// two-level build sends (numShards, and an index in each shard row) into
+// the tree: a front reading an older child still finds its aggregates
+// and stamp at the top level, and each shard row as a leaf.
+func TestStatsDecodesFlatReply(t *testing.T) {
+	type flatShard struct {
+		Index        int               `xml:"index"`
+		URL          string            `xml:"url,omitempty"`
+		Records      int               `xml:"records"`
+		GarbageRatio float64           `xml:"garbageRatio"`
+		Tombstones   int64             `xml:"tombstones"`
+		Engine       EngineCounters    `xml:"engine"`
+		WritePath    WritePathCounters `xml:"writePath"`
+		Histograms   []HistogramStat   `xml:"histogram,omitempty"`
+	}
+	type flatStats struct {
+		XMLName         xml.Name          `xml:"StatsResponse"`
+		RecordRequests  int64             `xml:"recordRequests"`
+		Records         int               `xml:"records"`
+		NumShards       int               `xml:"numShards"`
+		Generation      uint64            `xml:"generation"`
+		GenerationValid bool              `xml:"generationValid"`
+		GarbageRatio    float64           `xml:"garbageRatio"`
+		Tombstones      int64             `xml:"tombstones"`
+		Engine          EngineCounters    `xml:"engine"`
+		WritePath       WritePathCounters `xml:"writePath"`
+		Shards          []flatShard       `xml:"shard,omitempty"`
+		Histograms      []HistogramStat   `xml:"histogram,omitempty"`
+	}
+	engine := EngineCounters{CacheHits: 1, IndexPlans: 5, ScanPlans: 2}
+	writePath := WritePathCounters{StallCount: 9, StallP99: 0.5}
+	data, err := soap.Marshal(ActionStats, &flatStats{
+		RecordRequests: 4, Records: 7, NumShards: 2, Generation: 0xfeedface, GenerationValid: true,
+		GarbageRatio: 0.25, Tombstones: 3, Engine: engine, WritePath: writePath,
+		Shards: []flatShard{
+			{Index: 0, Records: 3, Tombstones: 1, Engine: engine},
+			{Index: 1, URL: "http://b", Records: 4, Tombstones: 2, GarbageRatio: 0.25},
+		},
+		Histograms: []HistogramStat{{Name: "preserv_request_seconds", Count: 6}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decodeStats(t, data)
+	got.XMLName = xml.Name{}
+	want := &StatsResponse{RecordRequests: 4, Generation: 0xfeedface, GenerationValid: true,
+		ShardStats: ShardStats{Records: 7, GarbageRatio: 0.25, Tombstones: 3, Engine: engine, WritePath: writePath,
+			Histograms: []HistogramStat{{Name: "preserv_request_seconds", Count: 6}},
+			Shards: []ShardStats{
+				{Records: 3, Tombstones: 1, Engine: engine},
+				{URL: "http://b", Records: 4, Tombstones: 2, GarbageRatio: 0.25},
+			}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flat reply decoded as\n %+v\nwant %+v", got, want)
 	}
 }

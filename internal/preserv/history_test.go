@@ -123,7 +123,14 @@ func TestFrontHistoryCarriesChildStoreEvents(t *testing.T) {
 			if len(st.Shards) != 2 {
 				t.Fatalf("front reports %d shards, want 2", len(st.Shards))
 			}
-			ringA, ringB := st.Shards[0].Slow, st.Shards[1].Slow
+			// Each child's store events sit in its store's leaf, not in
+			// the child's own node.
+			for i, child := range st.Shards {
+				if len(child.Shards) != 1 || len(entries(child.Slow, "store.compact")) != 0 {
+					t.Fatalf("child %d's node = %+v, want its one store's leaf to hold the store's events", i, child)
+				}
+			}
+			ringA, ringB := st.Shards[0].Shards[0].Slow, st.Shards[1].Shards[0].Slow
 			if c := entries(ringA, "store.compact"); len(c) != 1 || c[0].Err != "" {
 				t.Errorf("A's breakdown holds store.compact entries %+v, want one without error", c)
 			} else if attr(c[0], "garbage_before") == "" || attr(c[0], "tombstones_after") == "" {

@@ -405,20 +405,21 @@ func (svc *Service) Handler() http.Handler { return svc.handler }
 func (svc *Service) SetCompactRatio(r float64) { svc.compactRatio.Store(math.Float64bits(r)) }
 
 // StatsResponse assembles the urn:prep:stats reply — the service's one
-// telemetry snapshot: the request counters, the per-shard breakdown and
-// its whole-store aggregate from one router fan-out (local shards
-// report in full; remote shards are polled over the wire once each),
-// and the service's and the router's histograms and histories. The
-// request counters come from one registry snapshot, so they are
-// consistent with each other: a record request and the records it
-// accepted appear together or not at all.
+// telemetry snapshot: the request counters and the router's stats tree
+// from one fan-out (local shards report in full; remote shards are
+// polled over the wire once each), whose root carries the service's
+// histograms and history ahead of the router's. The request counters
+// come from one registry snapshot, so they are consistent with each
+// other: a record request and the records it accepted appear together
+// or not at all.
 func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 	counters := svc.reg.CounterSnapshot()
-	rt := svc.rt
-	total, shards, err := rt.Stats()
+	root, err := svc.rt.ShardStats()
 	if err != nil {
 		return nil, err
 	}
+	root.Histograms = append(shard.HistogramStats(svc.reg), root.Histograms...)
+	root.Slow = append(shard.SlowSpans(svc.reg.Tracer()), root.Slow...)
 	resp := &prep.StatsResponse{
 		RecordRequests:  counters["preserv_record_requests_total"],
 		RecordsAccepted: counters["preserv_records_accepted_total"],
@@ -426,22 +427,11 @@ func (svc *Service) StatsResponse() (*prep.StatsResponse, error) {
 		DeleteRequests:  counters["preserv_delete_requests_total"],
 		RecordsDeleted:  counters["preserv_records_deleted_total"],
 		Compactions:     counters["preserv_compactions_total"],
-		Records:         total.Records,
-		NumShards:       rt.NumShards(),
-		GarbageRatio:    total.GarbageRatio,
-		Tombstones:      total.Tombstones,
-		Engine:          total.Engine,
-		WritePath:       total.WritePath,
-		Shards:          shards,
-		// The router's own instruments (fan-out latency, merge width)
-		// belong to no single shard: report them at the top level next
-		// to the service's request histograms.
-		Histograms: append(shard.HistogramStats(svc.reg), shard.HistogramStats(rt.Obs())...),
-		Slow:       append(shard.SlowSpans(svc.reg.Tracer()), shard.SlowSpans(rt.Obs().Tracer())...),
+		ShardStats:      root,
 	}
 	// After the fan-out: a remote shard's stamp then comes from the
 	// reply it just sent, not from a second poll.
-	resp.Generation, resp.GenerationValid = rt.Generation()
+	resp.Generation, resp.GenerationValid = svc.rt.Generation()
 	return resp, nil
 }
 
@@ -669,8 +659,9 @@ func (c *Client) Count() (prep.CountResponse, error) {
 }
 
 // StoreStats retrieves the endpoint's full telemetry snapshot via
-// urn:prep:stats: request counters, garbage state, engine counters,
-// per-shard breakdown, histogram summaries and the history.
+// urn:prep:stats: request counters, the content stamp and the stats
+// tree, each node with its garbage state, engine counters, histogram
+// summaries and history.
 func (c *Client) StoreStats() (*prep.StatsResponse, error) {
 	var resp prep.StatsResponse
 	if err := c.ep.Post(prep.ActionStats, &prep.StatsRequest{}, &resp); err != nil {

@@ -2,7 +2,6 @@ package preserv
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -182,32 +181,21 @@ func (r *RemoteShard) Tombstones() int64 { return r.snapshot().Tombstones }
 // children (zero when the endpoint cannot answer).
 func (r *RemoteShard) EngineStats() shard.EngineStats { return r.snapshot().Engine }
 
-// ShardStats implements shard.Shard: the endpoint's own stats
-// reply collapses to one shard's view, whose ring is the endpoint's own
-// entries followed by each of its shards' (their store events and
-// spans). This read is a live poll, not the TTL cache — an operator
-// asking for the per-shard breakdown wants current numbers — and it
-// refreshes the cache as a side effect.
+// ShardStats implements shard.Shard: the root node of the endpoint's
+// stats reply as it is, its own subtree included, with the endpoint's
+// URL. The node shares the cached reply's slices, so it is read-only.
+// This read is a live poll, not the TTL cache — an operator asking for
+// the stats tree wants current numbers — and it refreshes the cache as
+// a side effect.
 func (r *RemoteShard) ShardStats() (prep.ShardStats, error) {
 	r.invalidateStats()
 	st, err := r.cachedStats()
 	if err != nil {
 		return prep.ShardStats{}, err
 	}
-	slow := slices.Clone(st.Slow) // st is the cached reply: append to a copy
-	for _, sh := range st.Shards {
-		slow = append(slow, sh.Slow...)
-	}
-	return prep.ShardStats{
-		URL:          r.c.URL(),
-		Records:      st.Records,
-		GarbageRatio: st.GarbageRatio,
-		Tombstones:   st.Tombstones,
-		Engine:       st.Engine,
-		WritePath:    st.WritePath,
-		Histograms:   st.Histograms,
-		Slow:         slow,
-	}, nil
+	node := st.ShardStats
+	node.URL = r.c.URL()
+	return node, nil
 }
 
 // Close implements shard.Shard; the underlying HTTP client needs no

@@ -152,8 +152,8 @@ func TestShardedServiceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := mustStats(t, svc)
-	if stats.NumShards != 3 {
-		t.Fatalf("stats.NumShards = %d, want 3", stats.NumShards)
+	if len(stats.Shards) != 3 {
+		t.Fatalf("stats report %d shards, want 3", len(stats.Shards))
 	}
 	if stats.RecordsAccepted != 40 || stats.RecordsDeleted != 5 {
 		t.Fatalf("stats %+v", stats)

@@ -178,8 +178,8 @@ func TestShardedStatsOverRemoteShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.NumShards != 2 || len(st.Shards) != 2 {
-		t.Fatalf("NumShards=%d Shards=%d, want 2/2", st.NumShards, len(st.Shards))
+	if len(st.Shards) != 2 {
+		t.Fatalf("%d shards, want 2", len(st.Shards))
 	}
 	if st.Tombstones == 0 {
 		t.Error("aggregate Tombstones = 0 after deletes on both shards")
@@ -187,8 +187,12 @@ func TestShardedStatsOverRemoteShards(t *testing.T) {
 	var sumRecords int
 	var sumTombstones, sumStalls int64
 	for i, sh := range st.Shards {
-		if sh.Index != i || sh.URL != urls[i] {
-			t.Errorf("shard %d identity = {Index:%d URL:%q}, want {%d %q}", i, sh.Index, sh.URL, i, urls[i])
+		if sh.URL != urls[i] {
+			t.Errorf("shard %d URL = %q, want %q", i, sh.URL, urls[i])
+		}
+		// Each child is a single store: its node holds that store's leaf.
+		if len(sh.Shards) != 1 || sh.Shards[0].Records != sh.Records || sh.Shards[0].URL != "" {
+			t.Errorf("shard %d subtree = %+v, want the child's one embedded store with its %d records", i, sh.Shards, sh.Records)
 		}
 		if sh.Records == 0 || sh.Tombstones == 0 || sh.GarbageRatio <= 0 {
 			t.Errorf("shard %d telemetry still zero: %+v", i, sh)
@@ -223,13 +227,11 @@ func TestShardedStatsOverRemoteShards(t *testing.T) {
 }
 
 // TestRemoteShardStatsCarryEveryField guards RemoteShard.ShardStats
-// against dropping a field of the child's reply: every prep.ShardStats
-// field but the shard's identity (Index, URL) has a same-named
-// prep.StatsResponse field, and a RemoteShard over a live child reports
-// each one equal to the reply it polled, except Slow, which is the
-// reply's own entries followed by each of its shards'. The fixture
-// leaves none of them zero, so a field added to both types later and not
-// copied fails here.
+// against dropping any part of the child's reply: over a live child it
+// reports the polled reply's root node as it is, subtree included, with
+// the child's URL, and leaves the cached reply untouched. The fixture
+// leaves no field of that node zero, and a ring entry in the child's
+// store, so a field or a level that goes missing fails here.
 func TestRemoteShardStatsCarryEveryField(t *testing.T) {
 	withTelemetry(t)
 	client, svc := startKVServer(t)
@@ -256,40 +258,26 @@ func TestRemoteShardStatsCarryEveryField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.URL != client.URL() {
-		t.Errorf("URL = %q, want %q", got.URL, client.URL())
-	}
 	remote.statsMu.Lock()
 	reply := remote.stats // the reply ShardStats was built from
 	remote.statsMu.Unlock()
 
-	gv, rv := reflect.ValueOf(got), reflect.ValueOf(*reply)
-	for i := 0; i < gv.NumField(); i++ {
-		name := gv.Type().Field(i).Name
-		if name == "Index" || name == "URL" {
-			continue
+	if reply.URL != "" {
+		t.Errorf("the cached reply's URL = %q: ShardStats wrote into it", reply.URL)
+	}
+	want := reply.ShardStats
+	want.URL = client.URL()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("RemoteShard.ShardStats() = %+v, want the child's root node %+v", got, want)
+	}
+	wv := reflect.ValueOf(want)
+	for i := 0; i < wv.NumField(); i++ {
+		if wv.Field(i).IsZero() {
+			t.Errorf("the child's %s is zero: the fixture must exercise every field", wv.Type().Field(i).Name)
 		}
-		want := rv.FieldByName(name)
-		if !want.IsValid() {
-			t.Errorf("prep.ShardStats.%s has no prep.StatsResponse field of that name", name)
-			continue
-		}
-		if want.IsZero() {
-			t.Errorf("the child's %s is zero: the fixture must exercise every field", name)
-		}
-		if name == "Slow" {
-			ring := reply.Slow
-			for _, sh := range reply.Shards {
-				ring = append(ring, sh.Slow...)
-			}
-			if len(ring) == len(reply.Slow) {
-				t.Errorf("the child's shards hold no ring entry: the fixture must exercise them")
-			}
-			want = reflect.ValueOf(ring)
-		}
-		if !reflect.DeepEqual(gv.Field(i).Interface(), want.Interface()) {
-			t.Errorf("RemoteShard.ShardStats().%s = %+v, the child replied %+v", name, gv.Field(i).Interface(), want.Interface())
-		}
+	}
+	if len(want.Shards) != 1 || len(entries(want.Shards[0].Slow, "store.compact")) != 1 {
+		t.Errorf("the child's subtree %+v lacks its store's store.compact entry", want.Shards)
 	}
 }
 
@@ -360,30 +348,139 @@ func TestFrontStatsPollEachChildOnce(t *testing.T) {
 	if len(st.Shards) != 2 {
 		t.Fatalf("%d shards in the breakdown, want 2", len(st.Shards))
 	}
-	var want prep.StatsResponse
-	for _, sh := range st.Shards {
+	var want prep.ShardStats
+	for i, sh := range st.Shards {
 		if sh.Records == 0 || sh.Tombstones == 0 {
-			t.Fatalf("shard %d holds %d records and %d tombstones: the fixture must reach both children", sh.Index, sh.Records, sh.Tombstones)
+			t.Fatalf("shard %d holds %d records and %d tombstones: the fixture must reach both children", i, sh.Records, sh.Tombstones)
 		}
-		want.Records += sh.Records
-		want.Tombstones += sh.Tombstones
-		want.GarbageRatio = max(want.GarbageRatio, sh.GarbageRatio)
-		want.Engine.Add(sh.Engine)
-		want.WritePath.Add(sh.WritePath)
+		want.Add(sh)
 	}
 	want.Engine.CacheHits, want.Engine.CacheMisses = rt.ResultCacheStats()
 	if want.Engine.CacheHits == 0 || want.GarbageRatio == 0 || want.WritePath.StallCount == 0 {
 		t.Fatalf("aggregate %+v leaves a figure zero: the fixture must exercise it", want)
 	}
-	if st.Records != want.Records || st.Tombstones != want.Tombstones || st.GarbageRatio != want.GarbageRatio {
-		t.Errorf("front reports records=%d tombstones=%d garbage=%v, its shards sum to %d, %d and max %v",
-			st.Records, st.Tombstones, st.GarbageRatio, want.Records, want.Tombstones, want.GarbageRatio)
+	got := st.ShardStats
+	got.Histograms, got.Slow, got.Shards = nil, nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("front reports %+v, want the Add of its shards with the router's cache %+v", got, want)
 	}
-	if st.Engine != want.Engine {
-		t.Errorf("front engine %+v, want its shards' sum with the router's cache %+v", st.Engine, want.Engine)
+}
+
+// TestFrontStatsTree: a front over two served children, each a router
+// over two stores, reports one tree — a node per child holding a leaf
+// per store. Each leaf carries its own store's histograms and history,
+// each child's fan-out histograms sit in that child's node, and the
+// front's only at the root.
+func TestFrontStatsTree(t *testing.T) {
+	withTelemetry(t)
+	var urls []string
+	var routers [2]*shard.Router
+	var stores [2][2]*store.Store
+	for c := range routers {
+		var leaves []shard.Shard
+		for l := range stores[c] {
+			stores[c][l] = store.New(store.NewMemoryBackend())
+			leaves = append(leaves, shard.NewLocal(stores[c][l]))
+		}
+		rt, err := shard.NewRouter(leaves...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := Serve(NewShardedService(rt), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close(); rt.Close() })
+		routers[c], urls = rt, append(urls, srv.URL)
 	}
-	if st.WritePath != want.WritePath {
-		t.Errorf("front write path %+v, want its shards' sum %+v", st.WritePath, want.WritePath)
+	frontRt, err := NewRemoteRouter(strings.Join(urls, ","))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(NewShardedService(frontRt), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	front := NewClient(srv.URL, nil)
+
+	// Both levels home a session by the same hash mod 2, so through the
+	// front a child's records all land on its leaf of the same index:
+	// each child also takes sessions directly, to reach its other leaf.
+	for _, c := range []*Client{front, NewClient(urls[0], nil), NewClient(urls[1], nil)} {
+		for i := 0; i < 8; i++ {
+			session := seq.NewID()
+			if _, err := c.Record("svc:enactor", []core.Record{mkRecord(session, "svc:gzip"), mkRecord(session, "svc:ppmz")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, _, _, err := front.QueryPlanned(&prep.Query{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := front.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := front.StoreStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// routerHists reads a node's router histograms as name -> count.
+	routerHists := func(hs []prep.HistogramStat) map[string]int64 {
+		m := map[string]int64{}
+		for _, h := range hs {
+			if strings.HasPrefix(h.Name, "router_") {
+				m[h.Name] = h.Count
+			}
+		}
+		return m
+	}
+	const fanout0 = `router_shard_fanout_seconds{shard="0"}`
+	rootHists := routerHists(st.Histograms)
+	if want := routerHists(shard.HistogramStats(frontRt.Obs())); rootHists[fanout0] == 0 || !reflect.DeepEqual(rootHists, want) {
+		t.Errorf("root router histograms %v, want the front router's %v", rootHists, want)
+	}
+	if len(st.Shards) != 2 {
+		t.Fatalf("root has %d children, want 2", len(st.Shards))
+	}
+	for c, node := range st.Shards {
+		if node.URL != urls[c] || len(node.Shards) != 2 {
+			t.Fatalf("child %d = {URL:%q, %d shards}, want {%q, 2}", c, node.URL, len(node.Shards), urls[c])
+		}
+		got, want := routerHists(node.Histograms), routerHists(shard.HistogramStats(routers[c].Obs()))
+		if reflect.DeepEqual(want, rootHists) {
+			t.Fatalf("child %d's router histograms equal the front's %v: the fixture must tell them apart", c, want)
+		}
+		if got[fanout0] == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("child %d router histograms %v, want its own router's %v", c, got, want)
+		}
+		for _, h := range node.Histograms {
+			if strings.HasPrefix(h.Name, "store_") {
+				t.Errorf("child %d's node carries the store histogram %s", c, h.Name)
+			}
+		}
+		if e := entries(node.Slow, "store.compact"); len(e) != 0 {
+			t.Errorf("child %d's node carries store.compact entries %+v", c, e)
+		}
+		for l, leaf := range node.Shards {
+			own := stores[c][l].Obs().HistogramSnapshots()["store_record_seconds"].Count
+			var carried int64
+			for _, h := range leaf.Histograms {
+				if h.Name == "store_record_seconds" {
+					carried = h.Count
+				}
+			}
+			if leaf.Records == 0 || own == 0 || carried != own {
+				t.Errorf("leaf %d/%d: %d records, store_record_seconds n=%d, its store observed %d", c, l, leaf.Records, carried, own)
+			}
+			if h := routerHists(leaf.Histograms); len(h) != 0 || leaf.URL != "" || len(leaf.Shards) != 0 {
+				t.Errorf("leaf %d/%d = {URL:%q, router histograms %v, %d shards}, want an embedded store", c, l, leaf.URL, h, len(leaf.Shards))
+			}
+			if e := entries(leaf.Slow, "store.compact"); len(e) != 1 {
+				t.Errorf("leaf %d/%d holds store.compact entries %+v, want one", c, l, e)
+			}
+		}
 	}
 }
 

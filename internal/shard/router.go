@@ -847,44 +847,27 @@ func (rt *Router) Tombstones() int64 {
 	return sum
 }
 
-// Stats reports every shard's telemetry in topology order, from one
-// fan-out (a remote shard's stats cost one wire round trip), and their
-// aggregate: records and tombstones summed, the worst garbage ratio,
-// the engine and write-path counters summed, with this router's result
-// cache standing in for the shards' cache counters (a remote child's
-// own cache stays in its breakdown).
-func (rt *Router) Stats() (total prep.ShardStats, shards []prep.ShardStats, err error) {
-	shards = make([]prep.ShardStats, len(rt.shards))
-	err = firstErr(rt.each(func(i int, s Shard) (err error) {
-		shards[i], err = s.ShardStats()
-		shards[i].Index = i
-		if u, ok := s.(interface{ URL() string }); ok {
-			shards[i].URL = u.URL()
-		}
-		return err
-	}))
-	if err != nil {
-		return prep.ShardStats{}, nil, err
-	}
-	for _, st := range shards {
-		total.Records += st.Records
-		total.Tombstones += st.Tombstones
-		total.GarbageRatio = max(total.GarbageRatio, st.GarbageRatio)
-		total.Engine.Add(st.Engine)
-		total.WritePath.Add(st.WritePath)
-	}
-	total.Engine.CacheHits, total.Engine.CacheMisses = rt.ResultCacheStats()
-	return total, shards, nil
-}
-
-// ShardStats implements Shard for the router itself, as a parent router
-// sees it: the aggregate of Stats, with the router's own histograms and
-// history.
+// ShardStats implements Shard: the router's node of the stats tree,
+// from one fan-out (a remote shard's stats cost one wire round trip).
+// Each shard reports its own node, in topology order; the router's
+// figures are their Add, with its result cache standing in for their
+// cache counters (a child router's own stays in its node), and its
+// histograms and history are the router's own.
 func (rt *Router) ShardStats() (prep.ShardStats, error) {
-	total, _, err := rt.Stats()
-	total.Histograms = HistogramStats(rt.reg)
-	total.Slow = SlowSpans(rt.reg.Tracer())
-	return total, err
+	node := prep.ShardStats{Shards: make([]prep.ShardStats, len(rt.shards))}
+	if err := firstErr(rt.each(func(i int, s Shard) (err error) {
+		node.Shards[i], err = s.ShardStats()
+		return err
+	})); err != nil {
+		return prep.ShardStats{}, err
+	}
+	for _, c := range node.Shards {
+		node.Add(c)
+	}
+	node.Engine.CacheHits, node.Engine.CacheMisses = rt.ResultCacheStats()
+	node.Histograms = HistogramStats(rt.reg)
+	node.Slow = SlowSpans(rt.reg.Tracer())
+	return node, nil
 }
 
 // EngineStats implements Shard: the shards' planner counters summed,

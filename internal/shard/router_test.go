@@ -363,13 +363,21 @@ func TestCursorRejectedAcrossReorderedTopology(t *testing.T) {
 }
 
 // urlShard gives an embedded shard a remote-style identity for
-// fingerprint tests.
+// fingerprint and stats tests.
 type urlShard struct {
 	Shard
 	url string
 }
 
 func (u urlShard) URL() string { return u.url }
+
+// ShardStats reports the shard's node under its remote-style identity,
+// as preserv.RemoteShard does.
+func (u urlShard) ShardStats() (prep.ShardStats, error) {
+	st, err := u.Shard.ShardStats()
+	st.URL = u.url
+	return st, err
+}
 
 func TestQueryPageWalksWholeResultSet(t *testing.T) {
 	rt := memRouter(t, 3)
@@ -621,11 +629,11 @@ func TestMutatingFanOutAggregatesErrors(t *testing.T) {
 	}
 }
 
-// TestRouterStatsAggregateShards pins the router's telemetry surface:
-// per-shard stats in topology order from one fan-out, an aggregate
-// whose records, tombstones, garbage ratio and engine counters come
-// from that breakdown (the cache counters the router's own), and the
-// router's own histograms and slow log in wire form.
+// TestRouterStatsAggregateShards pins the router's node of the stats
+// tree: each shard's own node in topology order from one fan-out, an
+// aggregate whose records, tombstones, garbage ratio and engine
+// counters come from those nodes (the cache counters the router's own),
+// and the router's own histograms and slow log in wire form.
 func TestRouterStatsAggregateShards(t *testing.T) {
 	full := NewLocal(store.New(store.NewMemoryBackend()))
 	remote := urlShard{Shard: NewLocal(store.New(store.NewMemoryBackend())), url: "http://b"}
@@ -645,20 +653,18 @@ func TestRouterStatsAggregateShards(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	total, stats, err := rt.Stats()
+	total, err := rt.ShardStats()
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := total.Shards
 	if len(stats) != 3 {
 		t.Fatalf("%d shard stats, want 3", len(stats))
 	}
 	records := 0
 	worst := 0.0
 	var tombs int64
-	for i, st := range stats {
-		if st.Index != i {
-			t.Fatalf("stats[%d].Index = %d", i, st.Index)
-		}
+	for _, st := range stats {
 		records += st.Records
 		tombs += st.Tombstones
 		worst = max(worst, st.GarbageRatio)
@@ -685,12 +691,8 @@ func TestRouterStatsAggregateShards(t *testing.T) {
 	if hits, misses := rt.ResultCacheStats(); es.CacheHits != hits || es.CacheMisses != misses {
 		t.Fatalf("engine cache counters %d/%d, want the router's %d/%d", es.CacheHits, es.CacheMisses, hits, misses)
 	}
-	own, err := rt.ShardStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if own.Records != total.Records || own.Engine != total.Engine || len(own.Histograms) == 0 || len(own.Slow) == 0 {
-		t.Fatalf("router's own ShardStats %+v is not the aggregate with its histograms and history", own)
+	if len(total.Histograms) == 0 || len(total.Slow) == 0 {
+		t.Fatalf("router's own node %+v lacks its histograms or history", total)
 	}
 
 	hists := HistogramStats(rt.Obs())
