@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/base64"
+	"encoding/binary"
+	"math/bits"
 	"time"
 
 	"preserv/internal/xmlwire"
@@ -45,14 +47,18 @@ func (r *Record) AppendXML(dst []byte, tag string) ([]byte, error) {
 // RecordDecoder reads the records of one message into memory the
 // message shares: p-assertions, parts and groups from slabs, strings
 // and contents from the decoder's arena, where a short string that
-// recurs (an actor, an operation, a part name) is copied once. A
+// recurs (an actor, an operation, a part name) is copied once, found
+// by a hash of a few of its words (slot). Ids, views, kinds, sequence
+// numbers and timestamps are read as they are parsed, from the fixed
+// forms the encoder writes (ids.ID.DecodeXML, View.decodeXML,
+// Decoder.Uint64, Decoder.Time); any other form goes through Text. A
 // message's DecodeXML declares one as a local.
 type RecordDecoder struct {
 	interactions slab[InteractionPAssertion]
 	actorStates  slab[ActorStatePAssertion]
 	parts        slab[MessagePart]
 	groups       slab[GroupRef]
-	// seen holds short strings read so far, direct-mapped by hash.
+	// seen holds short strings read so far, direct-mapped by slot.
 	seen [64]string
 }
 
@@ -126,15 +132,57 @@ func (rd *RecordDecoder) short(d *xmlwire.Decoder, p *string) error {
 		*p = d.CopyString(text)
 		return nil
 	}
-	h := uint32(2166136261) // FNV-1a
-	for _, c := range text {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	slot := &rd.seen[h%uint32(len(rd.seen))]
+	slot := &rd.seen[slot(text)]
 	if *slot != string(text) {
 		*slot = d.CopyString(text)
 	}
 	*p = *slot
+	return nil
+}
+
+// slot returns the index in RecordDecoder.seen of a string of at most
+// 64 bytes: a multiplicative hash of its length and of its first and
+// last eight bytes (four, or three single bytes, when it is shorter),
+// read a word at a time. Strings that differ only in their middle
+// share a slot; the later one is then copied again.
+func slot(b []byte) uint64 {
+	n := len(b)
+	w := uint64(n)
+	switch {
+	case n >= 8:
+		w ^= binary.LittleEndian.Uint64(b) ^ bits.RotateLeft64(binary.LittleEndian.Uint64(b[n-8:]), 31)
+	case n >= 4:
+		w ^= uint64(binary.LittleEndian.Uint32(b))<<8 ^ uint64(binary.LittleEndian.Uint32(b[n-4:]))<<32
+	case n > 0:
+		w ^= uint64(b[0])<<8 | uint64(b[n/2])<<16 | uint64(b[n-1])<<24
+	}
+	return w * 0x9e3779b97f4a7c15 >> (64 - 6) // the top six bits: one of 64 slots
+}
+
+// decodeXML reads the element d is in as encoding/xml reads a View
+// field, the two names read as they are compared.
+func (v *View) decodeXML(d *xmlwire.Decoder) error {
+	switch {
+	case d.Word("sender"):
+		*v = SenderView
+	case d.Word("receiver"):
+		*v = ReceiverView
+	default:
+		return d.Unmarshal(v)
+	}
+	return nil
+}
+
+// decodeXML is View's for a Kind.
+func (k *Kind) decodeXML(d *xmlwire.Decoder) error {
+	switch {
+	case d.Word("interaction"):
+		*k = KindInteraction
+	case d.Word("actorState"):
+		*k = KindActorState
+	default:
+		return d.Unmarshal(k)
+	}
 	return nil
 }
 
@@ -154,7 +202,7 @@ func (rd *RecordDecoder) Decode(d *xmlwire.Decoder, r *Record) error {
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "kind":
-			return d.Unmarshal(&r.Kind)
+			return r.Kind.decodeXML(d)
 		case "interactionPAssertion":
 			if r.Interaction == nil {
 				r.Interaction = rd.interactions.one(d)
@@ -217,7 +265,7 @@ func (rd *RecordDecoder) interaction(d *xmlwire.Decoder, p *InteractionPAssertio
 		case "interaction":
 			return rd.exchange(d, &p.Interaction)
 		case "view":
-			return d.Unmarshal(&p.View)
+			return p.View.decodeXML(d)
 		case "request":
 			return rd.message(d, &p.Request)
 		case "response":
@@ -225,7 +273,7 @@ func (rd *RecordDecoder) interaction(d *xmlwire.Decoder, p *InteractionPAssertio
 		case "group":
 			return rd.group(d, rd.groups.add(d, &p.Groups))
 		case "timestamp":
-			return d.Unmarshal(&p.Timestamp)
+			return d.Time(&p.Timestamp)
 		}
 		return d.Skip()
 	})
@@ -258,7 +306,7 @@ func (rd *RecordDecoder) actorState(d *xmlwire.Decoder, p *ActorStatePAssertion)
 		case "interaction":
 			return rd.exchange(d, &p.Interaction)
 		case "view":
-			return d.Unmarshal(&p.View)
+			return p.View.decodeXML(d)
 		case "stateKind":
 			return rd.short(d, &p.StateKind)
 		case "content":
@@ -266,7 +314,7 @@ func (rd *RecordDecoder) actorState(d *xmlwire.Decoder, p *ActorStatePAssertion)
 		case "group":
 			return rd.group(d, rd.groups.add(d, &p.Groups))
 		case "timestamp":
-			return d.Unmarshal(&p.Timestamp)
+			return d.Time(&p.Timestamp)
 		}
 		return d.Skip()
 	})
@@ -289,7 +337,7 @@ func (rd *RecordDecoder) exchange(d *xmlwire.Decoder, in *Interaction) error {
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "id":
-			return d.Unmarshal(&in.ID)
+			return in.ID.DecodeXML(d)
 		case "sender":
 			return rd.short(d, (*string)(&in.Sender))
 		case "receiver":
@@ -317,7 +365,7 @@ func (rd *RecordDecoder) group(d *xmlwire.Decoder, g *GroupRef) error {
 		case "type":
 			return rd.short(d, &g.Type)
 		case "id":
-			return d.Unmarshal(&g.ID)
+			return g.ID.DecodeXML(d)
 		case "seq":
 			return d.Uint64(&g.Seq)
 		}
@@ -374,7 +422,7 @@ func (rd *RecordDecoder) part(d *xmlwire.Decoder, p *MessagePart) error {
 		case "name":
 			return rd.short(d, &p.Name)
 		case "dataId":
-			return d.Unmarshal(&p.DataID)
+			return p.DataID.DecodeXML(d)
 		case "contentType":
 			return rd.short(d, &p.ContentType)
 		case "style":

@@ -117,7 +117,7 @@ func (id ID) AppendString(dst []byte) []byte {
 		b[i+8] = byte(lo)
 		lo >>= 8
 	}
-	return hex.AppendEncode(append(dst, "urn:pasoa:"...), b[:])
+	return hex.AppendEncode(append(dst, urnPrefix...), b[:])
 }
 
 // Short returns an abbreviated 8-hex-digit form for logs and test output.
@@ -151,19 +151,47 @@ func Parse(s string) (ID, error) { return parse(s) }
 // parse is Parse, and UnmarshalText's parser too: it reads either form
 // of text without copying or allocating.
 func parse[T string | []byte](s T) (ID, error) {
-	const prefix = "urn:pasoa:"
-	if len(s) >= len(prefix) && string(s[:len(prefix)]) == prefix {
-		s = s[len(prefix):]
+	if len(s) >= len(urnPrefix) && string(s[:len(urnPrefix)]) == urnPrefix {
+		s = s[len(urnPrefix):]
 	}
 	if len(s) != 32 {
 		return Nil, fmt.Errorf("%w: %q has length %d, want 32 hex digits", ErrBadID, s, len(s))
 	}
-	var b [16]byte
-	if _, err := hex.Decode(b[:], []byte(s)); err != nil {
+	id, ok := parseHex(s)
+	if !ok {
+		_, err := hex.Decode(make([]byte, 16), []byte(s))
 		return Nil, fmt.Errorf("%w: %v", ErrBadID, err)
 	}
-	return fromBytes(b), nil
+	return id, nil
 }
+
+const urnPrefix = "urn:pasoa:"
+
+// parseHex reads the 32 hex digits s starts with, in either case.
+func parseHex[T string | []byte](s T) (id ID, ok bool) {
+	bad := byte(0)
+	for i := range 16 {
+		hi, lo := unhex[s[i]], unhex[s[i+16]]
+		id.hi = id.hi<<4 | uint64(hi)
+		id.lo = id.lo<<4 | uint64(lo)
+		bad |= hi | lo
+	}
+	return id, bad <= 0xf
+}
+
+// unhex maps a hex digit to its value and every other byte to 0xff.
+var unhex = func() (t [256]byte) {
+	for c := range t {
+		t[c] = 0xff
+	}
+	for c := byte(0); c < 10; c++ {
+		t['0'+c] = c
+	}
+	for c := byte(0); c < 6; c++ {
+		t['a'+c], t['A'+c] = 10+c, 10+c
+	}
+	return t
+}()
 
 // MustParse is like Parse but panics on malformed input. It is intended
 // for constants in tests and examples.
@@ -184,6 +212,19 @@ func (id ID) AppendXML(dst []byte, tag string) []byte {
 		dst = id.AppendString(dst)
 	}
 	return xmlwire.AppendClose(dst, tag)
+}
+
+// DecodeXML reads the element d is in as encoding/xml reads an ID
+// field, with UnmarshalText. The canonical form, which AppendXML
+// writes, is read as it is parsed.
+func (id *ID) DecodeXML(d *xmlwire.Decoder) error {
+	if b := d.Peek(); len(b) >= TextLen && string(b[:len(urnPrefix)]) == urnPrefix {
+		if v, ok := parseHex(b[len(urnPrefix):]); ok && d.Close(TextLen) {
+			*id = v
+			return nil
+		}
+	}
+	return d.Unmarshal(id)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler as the 16-byte

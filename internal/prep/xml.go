@@ -179,11 +179,11 @@ func (q *Query) DecodeXML(d *xmlwire.Decoder) error {
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "interactionId":
-			return d.Unmarshal(&q.InteractionID)
+			return q.InteractionID.DecodeXML(d)
 		case "sessionId":
-			return d.Unmarshal(&q.SessionID)
+			return q.SessionID.DecodeXML(d)
 		case "groupId":
-			return d.Unmarshal(&q.GroupID)
+			return q.GroupID.DecodeXML(d)
 		case "kind":
 			return d.String(&q.Kind)
 		case "asserter":
@@ -193,11 +193,11 @@ func (q *Query) DecodeXML(d *xmlwire.Decoder) error {
 		case "stateKind":
 			return d.String(&q.StateKind)
 		case "dataId":
-			return d.Unmarshal(&q.DataID)
+			return q.DataID.DecodeXML(d)
 		case "since":
-			return d.Unmarshal(&q.Since)
+			return d.Time(&q.Since)
 		case "until":
-			return d.Unmarshal(&q.Until)
+			return d.Time(&q.Until)
 		case "limit":
 			return d.Int(&q.Limit)
 		}

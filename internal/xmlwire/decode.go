@@ -3,10 +3,14 @@ package xmlwire
 import (
 	"bytes"
 	"encoding"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
+	"time"
 	"unicode/utf8"
 	"unsafe"
 )
@@ -56,6 +60,18 @@ const MaxDepth = 10000
 // a comment, processing instruction or child element inside the text
 // of a scalar element; nesting deeper than MaxDepth. Non-ASCII element
 // names are accepted without encoding/xml's letter-class check.
+//
+// It reads what the encoders write with each byte classified once. A
+// start tag <name> whose name is plain ASCII is read in one step
+// (plainStart); a text run is found and proved plain in one pass, a
+// word at a time (plainPrefix), and handed out in place; the usual end
+// tag is compared with its start tag's name a word at a time (closes);
+// and Peek and Close let a reader parse a scalar of a fixed form — an
+// id, a number, a timestamp — straight from the message. Any other byte
+// leaves the fast path where it is met: a prefix, an attribute or
+// white space in a tag goes to startTag or endTag, a reference, CR,
+// control or non-ASCII byte in text to text, which goes on from that
+// byte, and a scalar out of its fixed form to Text.
 type Decoder struct {
 	data []byte
 	pos  int
@@ -114,18 +130,12 @@ func (d *Decoder) eof() error { return d.syntax("unexpected EOF") }
 // returns io.EOF when the input holds no element.
 func (d *Decoder) Root() error {
 	for {
-		i := bytes.IndexByte(d.data[d.pos:], '<')
-		if i < 0 {
-			if _, err := d.text(d.data[d.pos:], false, false); err != nil {
-				return err
+		if more, err := d.skipText(); err != nil || !more {
+			if err == nil {
+				err = io.EOF
 			}
-			d.pos = len(d.data)
-			return io.EOF
-		}
-		if _, err := d.text(d.data[d.pos:d.pos+i], false, false); err != nil {
 			return err
 		}
-		d.pos += i
 		tok, err := d.markup()
 		if err != nil {
 			return err
@@ -166,6 +176,17 @@ func (d *Decoder) Next() (local []byte, ok bool, err error) {
 		d.selfClosed = false
 		d.pop()
 		return nil, false, nil
+	}
+	// What the encoders write is read in one step: the current
+	// element's end tag, or a child's plain start tag.
+	if i := d.pos; i+1 < len(d.data) && d.data[i] == '<' {
+		if d.data[i+1] == '/' {
+			if d.closes(i + 2) {
+				return nil, false, nil
+			}
+		} else if end := d.plainStart(i + 1); end > 0 {
+			return d.data[i+1 : end], true, nil
+		}
 	}
 	for {
 		if err := d.ignoredText(); err != nil {
@@ -235,27 +256,42 @@ func (d *Decoder) InnerXML() ([]byte, error) {
 }
 
 // Text reads the current element as a scalar: its character data,
-// unescaped, through its end tag.
+// unescaped, through its end tag. Text that holds no reference, CR,
+// control or non-ASCII byte — what the encoders write — is found and
+// checked in one pass, a word at a time, and returned in place; other
+// text is checked byte by byte from its first such byte on.
 func (d *Decoder) Text() ([]byte, error) {
 	if d.selfClosed {
 		d.selfClosed = false
 		d.pop()
 		return nil, nil
 	}
-	i := bytes.IndexByte(d.data[d.pos:], '<')
-	if i < 0 {
+	start := d.pos
+	i := start + plainPrefix(d.data[start:])
+	text := d.data[start:i]
+	if i == len(d.data) || d.data[i] != '<' {
+		n := bytes.IndexByte(d.data[i:], '<')
+		if n < 0 {
+			return nil, d.eof()
+		}
+		var err error
+		if text, err = d.text(d.data[start:i+n], i-start, false, true); err != nil {
+			return nil, err
+		}
+		i += n
+	}
+	d.pos = i
+	if i+1 == len(d.data) {
 		return nil, d.eof()
 	}
-	text, err := d.text(d.data[d.pos:d.pos+i], false, true)
-	if err != nil {
-		return nil, err
-	}
-	d.pos += i
-	if !bytes.HasPrefix(d.data[d.pos:], []byte("</")) {
+	if d.data[i+1] != '/' {
 		_, local := d.current()
 		return nil, d.errorf(true, "markup inside the text of <", string(local), ">")
 	}
-	d.pos += 2
+	if d.closes(i + 2) {
+		return text, nil
+	}
+	d.pos = i + 2
 	return text, d.endTag()
 }
 
@@ -306,9 +342,53 @@ func (d *Decoder) Expect(n int) int {
 	return int((int64(n)*int64(len(d.data)-d.pos) + read - 1) / read)
 }
 
+// Peek returns the unread input from the start of the current
+// element's text, nil when the element was written <a/>: for a reader
+// that parses a scalar of a fixed form straight from the message. Once
+// it has parsed n bytes, every one of them plain text — printable ASCII
+// other than '&', '<' and '>', tab or line feed — it calls Close(n). A
+// reader whose form is not there reads the element with Text instead.
+func (d *Decoder) Peek() []byte {
+	if d.selfClosed {
+		return nil
+	}
+	return d.data[d.pos:]
+}
+
+// Close reads past n bytes of the current element's text, which the
+// caller has found to be plain text (see Peek), and past the usual end
+// tag after them. It reports false, having read nothing, when anything
+// else follows them.
+func (d *Decoder) Close(n int) bool {
+	i := d.pos + n
+	return i+1 < len(d.data) && d.data[i] == '<' && d.data[i+1] == '/' && d.closes(i+2)
+}
+
+// Word reports whether the current element's text is word, which is
+// plain text, and if so reads through its end tag; otherwise it reads
+// nothing.
+func (d *Decoder) Word(word string) bool {
+	b := d.Peek()
+	return len(b) > len(word) && string(b[:len(word)]) == word && d.Close(len(word))
+}
+
+// number returns the value of the decimal digits that start b, at most
+// 19 of them, and how many there are.
+func number(b []byte) (v uint64, n int) {
+	for ; n < len(b) && n < 19 && '0' <= b[n] && b[n] <= '9'; n++ {
+		v = v*10 + uint64(b[n]-'0')
+	}
+	return v, n
+}
+
 // Int reads the current element's text into *p as encoding/xml reads
-// an int field: empty is zero, surrounding space is ignored.
+// an int field: empty is zero, surrounding space is ignored. Digits
+// alone are read as they are parsed.
 func (d *Decoder) Int(p *int) error {
+	if v, n := number(d.Peek()); n > 0 && v <= math.MaxInt && d.Close(n) {
+		*p = int(v)
+		return nil
+	}
 	text, err := d.Text()
 	if err != nil {
 		return err
@@ -325,6 +405,10 @@ func (d *Decoder) Int(p *int) error {
 
 // Uint64 is Int for a uint64 field.
 func (d *Decoder) Uint64(p *uint64) error {
+	if v, n := number(d.Peek()); n > 0 && d.Close(n) {
+		*p = v
+		return nil
+	}
 	text, err := d.Text()
 	if err != nil {
 		return err
@@ -353,6 +437,60 @@ func (d *Decoder) Bool(p *bool) error {
 	}
 	*p = v
 	return nil
+}
+
+// Time reads the current element's text into *p as encoding/xml reads
+// a time.Time field, with its UnmarshalText. The form the encoders
+// write, RFC 3339 in UTC, is read as it is parsed.
+func (d *Decoder) Time(p *time.Time) error {
+	if t, n := utcTime(d.Peek()); n > 0 && d.Close(n) {
+		*p = t
+		return nil
+	}
+	text, err := d.Text()
+	if err != nil {
+		return err
+	}
+	return p.UnmarshalText(text)
+}
+
+// utcTime reads a time of the form 2006-01-02T15:04:05Z, with a
+// fraction of one to nine digits or none, from the start of b, and
+// returns its length; n is 0 when b does not start with one, or when a
+// field is out of its range or the day past the 28th, which Text and
+// time.Time.UnmarshalText check instead.
+func utcTime(b []byte) (t time.Time, n int) {
+	if len(b) < 20 || b[4] != '-' || b[7] != '-' || b[10] != 'T' || b[13] != ':' || b[16] != ':' {
+		return t, 0
+	}
+	year, month, day := digits(b[0:4]), digits(b[5:7]), digits(b[8:10])
+	hour, minute, sec := digits(b[11:13]), digits(b[14:16]), digits(b[17:19])
+	n, nsec := 19, 0
+	if b[n] == '.' {
+		frac, k := number(b[20:min(len(b), 29)])
+		if k == 0 {
+			return t, 0
+		}
+		n, nsec = 20+k, int(frac)
+		for ; k < 9; k++ {
+			nsec *= 10
+		}
+	}
+	if n == len(b) || b[n] != 'Z' || year < 0 || month < 1 || month > 12 || day < 1 || day > 28 ||
+		hour < 0 || hour > 23 || minute < 0 || minute > 59 || sec < 0 || sec > 59 {
+		return t, 0
+	}
+	return time.Date(year, time.Month(month), day, hour, minute, sec, nsec, time.UTC), n + 1
+}
+
+// digits returns the value of the decimal digits b, or -1 if b holds
+// another byte.
+func digits(b []byte) int {
+	v, n := number(b)
+	if n < len(b) {
+		return -1
+	}
+	return int(v)
 }
 
 // Unmarshal hands the current element's text to u.
@@ -393,47 +531,94 @@ func (d *Decoder) markup() (token, error) {
 }
 
 // ignoredText checks the character data up to the next '<', which the
-// caller has no use for.
+// caller has no use for and which must be there.
 func (d *Decoder) ignoredText() error {
-	i := bytes.IndexByte(d.data[d.pos:], '<')
-	if i < 0 {
-		return d.eof()
+	if d.pos < len(d.data) && d.data[d.pos] == '<' {
+		return nil
 	}
-	if i > 0 {
-		if _, err := d.text(d.data[d.pos:d.pos+i], false, false); err != nil {
-			return err
-		}
-		d.pos += i
+	more, err := d.skipText()
+	if err == nil && !more {
+		err = d.eof()
 	}
-	return nil
+	return err
 }
 
-// nameBytes marks the bytes a name may hold — every byte of a
-// multi-byte character counts, checked as UTF-8 afterwards; nameStarts
-// marks the ASCII bytes it may begin with.
-var nameBytes, nameStarts = func() (b [256]bool, s [utf8.RuneSelf]bool) {
+// skipText checks the character data from d.pos to the next '<' and
+// moves there; more is false when the input ends first.
+func (d *Decoder) skipText() (more bool, err error) {
+	i := d.pos + plainPrefix(d.data[d.pos:])
+	if i < len(d.data) && d.data[i] != '<' {
+		end := len(d.data)
+		if n := bytes.IndexByte(d.data[i:], '<'); n >= 0 {
+			end = i + n
+		}
+		if _, err := d.text(d.data[d.pos:end], i-d.pos, false, false); err != nil {
+			return false, err
+		}
+		i = end
+	}
+	d.pos = i
+	return i < len(d.data), nil
+}
+
+// Name byte classes.
+const (
+	// nameByte: a name may hold it. Every byte of a multi-byte
+	// character counts, checked as UTF-8 afterwards.
+	nameByte = 1 << iota
+	// nameStart: an ASCII byte a name may begin with.
+	nameStart
+	// plainName: an ASCII name byte other than the colon. A name of
+	// these needs neither a UTF-8 check nor a split into prefix and
+	// local name.
+	plainName
+)
+
+// nameClass holds each byte's name classes.
+var nameClass = func() (t [256]uint8) {
 	for c := 'a'; c <= 'z'; c++ {
-		b[c], s[c] = true, true
-		b[c-'a'+'A'], s[c-'a'+'A'] = true, true
+		t[c] = nameByte | nameStart | plainName
+		t[c-'a'+'A'] = nameByte | nameStart | plainName
 	}
-	for c := '0'; c <= '9'; c++ {
-		b[c] = true
+	for _, c := range "0123456789.-" {
+		t[c] = nameByte | plainName
 	}
-	b['_'], s['_'] = true, true
-	b[':'], s[':'] = true, true
-	b['.'], b['-'] = true, true
-	for c := utf8.RuneSelf; c < len(b); c++ {
-		b[c] = true
+	t['_'] = nameByte | nameStart | plainName
+	t[':'] = nameByte | nameStart
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = nameByte
 	}
-	return b, s
+	return t
 }()
+
+// plainStart reads, in one step, a start tag of the form the encoders
+// write — <name>, the name plain (see plainName) — from its name at
+// start on, makes its element current and returns the name's end. It
+// returns 0, having read nothing, for any other start tag, which
+// startTag reads.
+func (d *Decoder) plainStart(start int) int {
+	data := d.data
+	if c := nameClass[data[start]]; c&nameStart == 0 || c&plainName == 0 {
+		return 0
+	}
+	i := start + 1
+	for i < len(data) && nameClass[data[i]]&plainName != 0 {
+		i++
+	}
+	if i == len(data) || data[i] != '>' || len(d.open) >= MaxDepth {
+		return 0
+	}
+	d.open = append(d.open, span{start, i})
+	d.pos = i + 1
+	return i
+}
 
 // readName reads a name at d.pos and returns its extent. missing is
 // the complaint when there is none; qualified names may hold at most
 // one colon.
 func (d *Decoder) readName(missing string, qualified bool) (span, error) {
 	i, colons, all := d.pos, 0, byte(0)
-	for ; i < len(d.data) && nameBytes[d.data[i]]; i++ {
+	for ; i < len(d.data) && nameClass[d.data[i]]&nameByte != 0; i++ {
 		c := d.data[i]
 		all |= c
 		if c == ':' {
@@ -447,7 +632,7 @@ func (d *Decoder) readName(missing string, qualified bool) (span, error) {
 	if len(name) == 0 {
 		return span{}, d.syntax(missing)
 	}
-	if c := name[0]; c < utf8.RuneSelf && !nameStarts[c] || all >= utf8.RuneSelf && !utf8.Valid(name) {
+	if c := name[0]; c < utf8.RuneSelf && nameClass[c]&nameStart == 0 || all >= utf8.RuneSelf && !utf8.Valid(name) {
 		return span{}, d.syntax("invalid XML name: ", string(name))
 	}
 	if qualified && colons > 1 {
@@ -577,7 +762,7 @@ func (d *Decoder) startTag() error {
 		}
 		prefix, local := splitName(d.data[attr.start:attr.end])
 		declares := string(prefix) == "xmlns" || len(prefix) == 0 && string(local) == "xmlns"
-		value, err := d.text(raw, true, declares)
+		value, err := d.text(raw, 0, true, declares)
 		if err != nil {
 			return err
 		}
@@ -595,15 +780,8 @@ func (d *Decoder) startTag() error {
 // endTag reads an end tag from its name on and closes the current
 // element with it.
 func (d *Decoder) endTag() error {
-	// The usual end tag repeats the start tag's name, already checked,
-	// and closes at once.
-	if n := len(d.open); n > 0 {
-		opened := d.data[d.open[n-1].start:d.open[n-1].end]
-		if rest := d.data[d.pos:]; len(rest) > len(opened) && rest[len(opened)] == '>' && bytes.HasPrefix(rest, opened) {
-			d.pos += len(opened) + 1
-			d.pop()
-			return nil
-		}
+	if d.closes(d.pos) {
+		return nil
 	}
 	name, err := d.readName("expected element name after </", true)
 	if err != nil {
@@ -627,6 +805,39 @@ func (d *Decoder) endTag() error {
 	}
 	d.pop()
 	return nil
+}
+
+// closes reads the usual end tag, which repeats the current element's
+// name (already checked) and closes at once, from i, just past its
+// "</", and closes the element. It reports false, having read nothing,
+// when anything else is there.
+func (d *Decoder) closes(i int) bool {
+	n := len(d.open)
+	if n == 0 {
+		return false
+	}
+	start := d.open[n-1].start
+	end := i + d.open[n-1].end - start
+	if end >= len(d.data) || d.data[end] != '>' || !d.same(start, i, end-i) {
+		return false
+	}
+	d.pos = end + 1
+	d.pop()
+	return true
+}
+
+// same reports whether the n bytes of the input at i and at j are
+// equal, comparing a name of up to 16 bytes a word or two at a time.
+func (d *Decoder) same(i, j, n int) bool {
+	data := d.data
+	if n <= 16 && max(i, j)+8 <= len(data) {
+		x := binary.LittleEndian.Uint64(data[i:]) ^ binary.LittleEndian.Uint64(data[j:])
+		if n <= 8 {
+			return x<<(64-8*n) == 0
+		}
+		return x == 0 && binary.LittleEndian.Uint64(data[i+n-8:]) == binary.LittleEndian.Uint64(data[j+n-8:])
+	}
+	return string(data[i:i+n]) == string(data[j:j+n])
 }
 
 // procInst reads a processing instruction from its target on. An
@@ -710,25 +921,65 @@ func (d *Decoder) comment() error {
 }
 
 // plainText marks the bytes character data may hold that need no
-// decoding, rewriting or further checking.
+// decoding, rewriting or further checking. '<' is among them only for
+// plainPrefix's sake: it ends a run of character data, which never
+// holds one.
 var plainText = func() (t [256]bool) {
 	for c := 0x20; c < utf8.RuneSelf; c++ {
 		t[c] = true
 	}
 	t['\t'], t['\n'] = true, true
-	t['&'], t['>'] = false, false
+	t['&'], t['<'], t['>'] = false, false, false
 	return t
 }()
+
+// lsb and msb are a word's bytes' lowest and highest bits.
+const lsb, msb = 0x0101010101010101, 0x8080808080808080
+
+// plainPrefix returns the length of the longest prefix of b that is
+// plain text. It reads b a word at a time: special finds the first
+// control, non-ASCII, '&', '<' or '>' byte of a word, and of those only
+// a tab or a line feed is plain.
+func plainPrefix(b []byte) int {
+	i := 0
+	for i+8 <= len(b) {
+		m := special(binary.LittleEndian.Uint64(b[i:]))
+		if m == 0 {
+			i += 8
+			continue
+		}
+		i += bits.TrailingZeros64(m) >> 3
+		if !plainText[b[i]] {
+			return i
+		}
+		i++
+	}
+	for i < len(b) && plainText[b[i]] {
+		i++
+	}
+	return i
+}
+
+// special returns w, eight bytes read little-endian, with the top bit
+// of its lowest byte that is below 0x20 or above 0x7f, or is '&', '<'
+// or '>', set, and no bit below it; bits above it are noise. Every
+// term is exact up to its first marked byte because no byte below that
+// one borrows.
+func special(w uint64) uint64 {
+	amp := w ^ 0x26*lsb                // '&' bytes become zero
+	angle := (w | 0x02*lsb) ^ 0x3e*lsb // '<' (0x3c) and '>' (0x3e) bytes become zero
+	return (w | (w - 0x20*lsb) | (amp-lsb)&^amp | (angle-lsb)&^angle) & msb
+}
 
 // text checks one run of character data — element text, or with quoted
 // set an attribute value — as encoding/xml does: references must be
 // the five predefined entities or character references, "]]>" may not
 // appear outside a quoted value, and every character, after
-// unescaping, must be valid UTF-8 inside XML's character range. With
-// keep set it returns the unescaped text, CR and CRLF rewritten to LF:
-// raw itself when nothing needed rewriting, d.scratch otherwise.
-func (d *Decoder) text(raw []byte, quoted, keep bool) ([]byte, error) {
-	i := 0
+// unescaping, must be valid UTF-8 inside XML's character range. The
+// caller has found raw[:i] plain. With keep set it returns the
+// unescaped text, CR and CRLF rewritten to LF: raw itself when nothing
+// needed rewriting, d.scratch otherwise.
+func (d *Decoder) text(raw []byte, i int, quoted, keep bool) ([]byte, error) {
 	for i < len(raw) && plainText[raw[i]] {
 		i++
 	}

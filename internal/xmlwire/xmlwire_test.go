@@ -50,7 +50,25 @@ type doc struct {
 	U       uint64    `xml:"u"`
 	B       bool      `xml:"b"`
 	T       time.Time `xml:"t"`
+	W       onOff     `xml:"w"`
+	Mid     string    `xml:"middling9"`
+	Long    string    `xml:"a-long.element_name"`
 	Items   []item    `xml:"item"`
+}
+
+// onOff is a two-word enumeration, read with Word.
+type onOff bool
+
+func (o *onOff) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "on":
+		*o = true
+	case "off":
+		*o = false
+	default:
+		return errors.New("neither on nor off")
+	}
+	return nil
 }
 
 type item struct {
@@ -74,7 +92,21 @@ func (v *doc) decode(d *Decoder) error {
 		case "b":
 			return d.Bool(&v.B)
 		case "t":
-			return d.Unmarshal(&v.T)
+			return d.Time(&v.T)
+		case "w":
+			switch {
+			case d.Word("on"):
+				v.W = true
+			case d.Word("off"):
+				v.W = false
+			default:
+				return d.Unmarshal(&v.W)
+			}
+			return nil
+		case "middling9":
+			return d.String(&v.Mid)
+		case "a-long.element_name":
+			return d.String(&v.Long)
 		case "item":
 			v.Items = append(v.Items, item{})
 			return v.Items[len(v.Items)-1].decode(d)
@@ -163,6 +195,7 @@ func TestDecoderMatchesEncodingXML(t *testing.T) {
 		{name: "unclosed scalar", in: `<doc><s>x`},
 		{name: "truncated tag", in: `<doc><s`},
 		{name: "lone lt", in: `<doc><`},
+		{name: "lone lt after text", in: `<doc><s>x<`},
 		{name: "bad self-close", in: `<doc><s/ ></doc>`},
 		{name: "entities", in: `<doc><s>&lt;&gt;&amp;&apos;&quot;&#65;&#x42;&#x63;</s></doc>`},
 		{name: "whitespace references", in: `<doc><s>&#x9;&#xA;&#xD;&#13;&#10;</s></doc>`},
@@ -210,6 +243,51 @@ func TestDecoderMatchesEncodingXML(t *testing.T) {
 		{name: "bool forms", in: `<doc><b>1</b></doc>`},
 		{name: "time garbage", in: `<doc><t>yesterday</t></doc>`},
 		{name: "time utc", in: `<doc><t>2005-07-24T10:00:00Z</t></doc>`},
+		// Scalars read as they are parsed, and the forms that leave that
+		// path for Text.
+		{name: "time fraction", in: `<doc><t>2005-07-24T10:00:00.000000001Z</t></doc>`},
+		{name: "time fraction ten digits", in: `<doc><t>2005-07-24T10:00:00.1234567891Z</t></doc>`},
+		{name: "time empty fraction", in: `<doc><t>2005-07-24T10:00:00.Z</t></doc>`},
+		{name: "time leap day", in: `<doc><t>2004-02-29T23:59:59.5Z</t></doc>`},
+		{name: "time no leap day", in: `<doc><t>1900-02-29T00:00:00Z</t></doc>`},
+		{name: "time day 31", in: `<doc><t>2005-07-31T00:00:00Z</t></doc>`},
+		{name: "time day 31 of 30", in: `<doc><t>2005-06-31T00:00:00Z</t></doc>`},
+		{name: "time day 0", in: `<doc><t>2005-06-00T00:00:00Z</t></doc>`},
+		{name: "time month 13", in: `<doc><t>2005-13-01T00:00:00Z</t></doc>`},
+		{name: "time hour 24", in: `<doc><t>2005-07-24T24:00:00Z</t></doc>`},
+		{name: "time second 60", in: `<doc><t>2005-07-24T10:00:60Z</t></doc>`},
+		{name: "time year 0", in: `<doc><t>0000-01-01T00:00:00Z</t></doc>`},
+		{name: "time lower-case t", in: `<doc><t>2005-07-24t10:00:00Z</t></doc>`},
+		{name: "time digit out of place", in: `<doc><t>2005-07-2xT10:00:00Z</t></doc>`},
+		{name: "time trailing space", in: `<doc><t>2005-07-24T10:00:00Z </t></doc>`},
+		{name: "time referenced", in: `<doc><t>2005-07-24T10:00:00&#x5A;</t></doc>`},
+		{name: "time end tag with space", in: `<doc><t>2005-07-24T10:00:00Z</t ></doc>`},
+		{name: "time unterminated", in: `<doc><t>2005-07-24T10:00:00Z`},
+		{name: "int digits", in: `<doc><n>007</n><u>18446744073709551615</u></doc>`},
+		{name: "int nineteen digits", in: `<doc><n>9223372036854775807</n><u>9999999999999999999</u></doc>`},
+		{name: "int beyond max", in: `<doc><n>9223372036854775808</n></doc>`},
+		{name: "uint overflow", in: `<doc><u>18446744073709551616</u></doc>`},
+		{name: "int negative", in: `<doc><n>-7</n></doc>`},
+		{name: "int then reference", in: `<doc><n>1&#x32;</n></doc>`},
+		{name: "int unterminated", in: `<doc><n>12`},
+		{name: "words", in: `<doc><w>on</w><w>off</w></doc>`},
+		{name: "word referenced", in: `<doc><w>&#x6F;n</w></doc>`},
+		{name: "word prefix", in: `<doc><w>o</w></doc>`},
+		{name: "word longer", in: `<doc><w>onward</w></doc>`},
+		{name: "word with space", in: `<doc><w>on </w></doc>`},
+		{name: "word self-closed", in: `<doc><w/></doc>`},
+		{name: "word end tag with space", in: `<doc><w>off</w ></doc>`},
+		{name: "word unterminated", in: `<doc><w>on`},
+		// Text runs that end on an eight-byte word boundary and a byte
+		// either side of it; end tags compared as one word, two words
+		// and more, matching and differing in their last byte.
+		{name: "runs at word boundaries", in: `<doc><s>abcdefg</s><middling9>abcdefgh</middling9><a-long.element_name>abcdefghi</a-long.element_name><item><name>abcdefghabcdefgh</name></item><item><name>abcdefghabcdefg&amp;</name></item></doc>`},
+		{name: "special byte after a word", in: "<doc><s>abcdefgh\r\n</s><middling9>abcdefghé</middling9><a-long.element_name>abcdefgh\tb\nc</a-long.element_name></doc>"},
+		{name: "control after a word", in: "<doc><s>abcdefgh\x01</s></doc>"},
+		{name: "gt after a word", in: "<doc><s>abcdefgh]]></s></doc>"},
+		{name: "two-word name differs", in: `<doc><middling9>x</middling8></doc>`},
+		{name: "long name differs", in: `<doc><a-long.element_name>x</a-long.element_namf></doc>`},
+		{name: "long name at the end", in: `<doc><a-long.element_name>x</a-long.element_name>`},
 		{name: "deep unknown nesting", in: `<doc>` + strings.Repeat(`<a>`, 500) + strings.Repeat(`</a>`, 500) + `<s>x</s></doc>`},
 
 		{name: "doctype", in: `<!DOCTYPE doc><doc><s>x</s></doc>`, unsupported: true},
