@@ -284,7 +284,11 @@ func checkShardEquivalence(rt *shard.Router, ref *store.Store, sessions []ids.ID
 		probe = 3
 	}
 	for _, sid := range sessions[:probe] {
-		queries = append(queries, &prep.Query{SessionID: sid})
+		queries = append(queries, &prep.Query{SessionID: sid},
+			// GroupID and Asserter are residual: checked on the service's
+			// or the session's postings, with a Limit below the matches.
+			&prep.Query{GroupID: sid, Service: experiment.SvcMeasure, Limit: 1},
+			&prep.Query{Asserter: experiment.SvcEnactor, SessionID: sid, Limit: 2})
 	}
 	for qi, q := range queries {
 		want, wantTotal, err := ref.Query(q)

@@ -1,8 +1,11 @@
 // Package index maintains secondary indexes over the provenance store's
-// records so that queries scoped by session, group, actor, service,
-// data item or time range resolve without scanning the whole store —
-// the leverage that keeps the paper's use cases (run comparison and
-// semantic validation) fast as the store grows to many sessions.
+// records so that queries scoped by session, service, state kind, data
+// item or time range resolve without scanning the whole store — the
+// leverage that keeps the paper's use cases (run comparison and semantic
+// validation) fast as the store grows to many sessions. Only what a
+// query reads is posted: a record's interaction and kind are told by its
+// storage key, and a group or asserter constraint is checked on the
+// records another constraint selects, so neither has postings.
 //
 // The index is a set of posting entries persisted in the same backend as
 // the records themselves, under the reserved key prefixes "x/" (postings)
@@ -39,13 +42,9 @@ import (
 
 // Index dimensions. Each names one secondary index over the records.
 const (
-	// DimSession indexes by session group identifier.
+	// DimSession indexes by session group identifier; a record in
+	// several sessions is posted under each.
 	DimSession = "sess"
-	// DimGroup indexes by group identifier, of any group type
-	// (sessions appear here too).
-	DimGroup = "grp"
-	// DimActor indexes by asserting actor.
-	DimActor = "actor"
 	// DimService indexes by the interaction's receiver (the service).
 	DimService = "svc"
 	// DimState indexes actor-state records by state kind.
@@ -62,12 +61,15 @@ const (
 	postingPrefix = "x/"
 	metaPrefix    = "xm/"
 	schemaKey     = metaPrefix + "schema"
-	// schemaVersion "3" marks an index without the interaction and kind
+	// schemaVersion "4" marks an index without the group and actor
+	// postings of "3", which had dropped the interaction and kind
 	// postings of "2". Under "1" a crash could leave a record without
 	// postings or postings without a record.
-	schemaVersion = "3"
-	// schema2Commit is the last commit whose binary serves schema "2".
+	schemaVersion = "4"
+	// schema2Commit and schema3Commit are the last commits whose
+	// binaries serve schemas "2" and "3".
 	schema2Commit = "f59a0e5"
+	schema3Commit = "c48f751"
 
 	// timeLayout is fixed-width and zero-padded so lexicographic key
 	// order equals chronological order.
@@ -123,12 +125,19 @@ func Open(b KV) (*Index, error) {
 			return &Index{kv: b}, nil
 		}
 	}
-	move := "serve it with the binary of commit " + schema2Commit +
-		", and `provq -store NEW -from OLD consolidate` moves its records into a schema " + schemaVersion + " store"
-	if !ok || string(v) == "1" {
-		move = "the binary of commit " + core.LastAdoptingCommit + " rebuilds its index to schema 2; then " + move
-	} else if string(v) != "2" {
-		move = "this binary reads schema " + schemaVersion + " only"
+	serve := func(server string) string {
+		return "serve it with " + server + ", and `provq -store NEW -from OLD consolidate` moves its records into a schema " + schemaVersion + " store"
+	}
+	var move string
+	switch {
+	case !ok || string(v) == "1":
+		move = "the binary of commit " + core.LastAdoptingCommit + " rebuilds its index to schema 2; then " + serve("the binary of commit "+schema2Commit)
+	case string(v) == "2":
+		move = serve("the binary of commit " + schema2Commit)
+	case string(v) == "3":
+		move = serve("the binary of commit " + schema3Commit)
+	default:
+		move = "this binary reads schema " + schemaVersion + " only; " + serve("a binary that reads it")
 	}
 	return nil, fmt.Errorf("%w: %s; %s", core.ErrOldFormat, layout, move)
 }
@@ -170,12 +179,10 @@ type KeyBuilder struct {
 func (b *KeyBuilder) PostingKeys(keys []string, r *core.Record) []string {
 	b.buf, b.ends = b.buf[:0], b.ends[:0]
 	b.skey = r.AppendStorageKey(b.skey[:0])
-	b.addTerm(DimActor, string(r.Asserter()))
 	if recv := r.Receiver(); recv != "" {
 		b.addTerm(DimService, string(recv))
 	}
 	for _, g := range r.Groups() {
-		b.addID(DimGroup, g.ID)
 		if g.Type == core.GroupSession {
 			b.addID(DimSession, g.ID)
 		}
@@ -241,8 +248,8 @@ func postingKeyPrefix(dim, term string) string {
 
 // escapeTerm makes a term safe to embed between '/' separators: '/' and
 // '%' are percent-encoded. Identifier terms (urn:pasoa:<hex>) pass
-// through untouched; only free-form actor names and state kinds can need
-// escaping.
+// through untouched; only free-form service names and state kinds can
+// need escaping.
 func escapeTerm(s string) string {
 	if !strings.ContainsAny(s, "/%") {
 		return s

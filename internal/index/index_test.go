@@ -118,8 +118,8 @@ func TestOpenRefusesUnindexedStore(t *testing.T) {
 	if _, err := Open(wc); err != nil || wc.writes != 1 {
 		t.Fatalf("first Open of a fresh store: %d writes (%v), want the marker's one", wc.writes, err)
 	}
-	if v, _, err := b.Get("xm/schema"); err != nil || string(v) != "3" {
-		t.Fatalf("a fresh store's marker reads %q (%v), want \"3\"", v, err)
+	if v, _, err := b.Get("xm/schema"); err != nil || string(v) != "4" {
+		t.Fatalf("a fresh store's marker reads %q (%v), want \"4\"", v, err)
 	}
 	wc.writes = 0
 	if _, err := Open(wc); err != nil || wc.writes != 0 {
@@ -132,7 +132,7 @@ func TestOpenRefusesUnindexedStore(t *testing.T) {
 		func(b KV) { put(t, b, &inter); put(t, b, &state) },
 		func(b KV) { record(t, b, &inter); put(t, b, &state) },
 		func(b KV) {
-			if err := b.PutBatch([]kv.Pair{{Key: "x/actor/svc:a/" + inter.StorageKey()}}); err != nil {
+			if err := b.PutBatch([]kv.Pair{{Key: "x/svc/svc:gzip/" + inter.StorageKey()}}); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -145,9 +145,10 @@ func TestOpenRefusesUnindexedStore(t *testing.T) {
 
 // A store from schema "1" may hold a record without its postings,
 // postings whose record is gone, and deficit markers; one from schema
-// "2" holds interaction and kind postings. Open refuses each, naming the
-// schema and the commit whose binary serves it, and writes nothing; so
-// it does a marker it does not know.
+// "2" holds interaction and kind postings, and one from schema "3" group
+// and actor postings. Open refuses each, naming the schema and the
+// commit whose binary serves it, and writes nothing; so it does a marker
+// it does not know.
 func TestOpenRefusesOlderSchema(t *testing.T) {
 	b := store.NewMemoryBackend()
 	session := seq.NewID()
@@ -185,11 +186,26 @@ func TestOpenRefusesOlderSchema(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	requireRefused(t, two, "index schema 2", "commit f59a0e5", "provq -store NEW -from OLD consolidate", "schema 3 store")
-	if err := two.Put("xm/schema", []byte("4")); err != nil {
+	requireRefused(t, two, "index schema 2", "commit f59a0e5", "provq -store NEW -from OLD consolidate", "schema 4 store")
+
+	// A schema-3 store: every record has its postings, two of them under
+	// dimensions schema 4 no longer writes.
+	three := store.NewMemoryBackend()
+	record(t, three, &kept)
+	for k, v := range map[string]string{
+		"xm/schema": "3",
+		"x/grp/" + session.String() + "/" + kept.StorageKey(): "",
+		"x/actor/svc:a/" + kept.StorageKey():                  "",
+	} {
+		if err := three.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireRefused(t, three, "index schema 3", "commit c48f751", "provq -store NEW -from OLD consolidate", "schema 4 store")
+	if err := three.Put("xm/schema", []byte("5")); err != nil {
 		t.Fatal(err)
 	}
-	requireRefused(t, two, "index schema 4", "reads schema 3 only")
+	requireRefused(t, three, "index schema 5", "reads schema 4 only", "consolidate")
 }
 
 func TestPostingsPerDimension(t *testing.T) {
@@ -209,8 +225,6 @@ func TestPostingsPerDimension(t *testing.T) {
 		want      int
 	}{
 		{DimSession, session.String(), 2},
-		{DimGroup, session.String(), 2},
-		{DimActor, "svc:a", 2},
 		{DimService, "svc:gzip", 2},
 		{DimState, core.StateScript, 1},
 		{DimData, dataOut.String(), 1},
@@ -227,8 +241,10 @@ func TestPostingsPerDimension(t *testing.T) {
 		}
 	}
 	// Those are all: an interaction's records and a record's kind are
-	// told by the storage key, and have no postings.
-	for prefix, want := range map[string]int{"x/": 13, "x/int/": 0, "x/kind/": 0} {
+	// told by the storage key, and a record's groups and asserter are
+	// checked on the records another constraint selects, so none of them
+	// has postings.
+	for prefix, want := range map[string]int{"x/": 9, "x/int/": 0, "x/kind/": 0, "x/grp/": 0, "x/actor/": 0} {
 		if n, err := b.Count(prefix); err != nil || n != want {
 			t.Errorf("Count(%s) = %d (%v), want %d", prefix, n, err, want)
 		}
@@ -236,29 +252,29 @@ func TestPostingsPerDimension(t *testing.T) {
 }
 
 func TestTermEscapingRoundTrips(t *testing.T) {
-	// Actor names may contain '/' and '%'; postings must neither collide
-	// nor corrupt the term enumeration.
+	// Service names may contain '/' and '%'; postings must neither
+	// collide nor corrupt the term enumeration.
 	b := store.NewMemoryBackend()
 	ix, err := Open(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	session := seq.NewID()
-	inter, _, _ := makeActivity(session, "org/unit%5/svc", "svc:gzip", 1, t0)
+	inter, _, _ := makeActivity(session, "svc:a", "org/unit%5/svc", 1, t0)
 	record(t, b, &inter)
-	n, err := ix.CountPostings(DimActor, "org/unit%5/svc")
+	n, err := ix.CountPostings(DimService, "org/unit%5/svc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Fatalf("escaped-term postings = %d, want 1", n)
 	}
-	terms, err := ix.Terms(DimActor)
+	terms, err := ix.Terms(DimService)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(terms) != 1 || terms[0] != "org/unit%5/svc" {
-		t.Fatalf("Terms = %v, want the unescaped actor name", terms)
+		t.Fatalf("Terms = %v, want the unescaped service name", terms)
 	}
 }
 
@@ -551,7 +567,7 @@ func TestPostingIterSeek(t *testing.T) {
 // The posting keys of a batch are built one buffer per record: a
 // record's keys share one allocation, however many terms it has, and the
 // storage key, identifiers and time term are appended in place. 100
-// activities are 200 records with 6.5 postings each; building their keys
+// activities are 200 records with 4.5 postings each; building their keys
 // once cost 23.5 allocations per record when each key was a string of
 // its own (and there were 8.5 of them).
 func TestPostingKeysAllocations(t *testing.T) {
@@ -571,8 +587,8 @@ func TestPostingKeysAllocations(t *testing.T) {
 		}
 		return keys
 	}
-	if n := len(build(records)); n != 1300 {
-		t.Fatalf("%d posting keys for 100 activities, want 1300", n)
+	if n := len(build(records)); n != 900 {
+		t.Fatalf("%d posting keys for 100 activities, want 900", n)
 	}
 	perRecord := testing.AllocsPerRun(20, func() { build(records) }) / float64(len(records))
 	if perRecord > 2 {
@@ -581,12 +597,10 @@ func TestPostingKeysAllocations(t *testing.T) {
 
 	// The keys are x/<dim>/<escaped term>/<storage key>, time last.
 	r := records[0]
-	r.Interaction.Asserter = "svc/a%b"
+	r.Interaction.Interaction.Receiver = "svc/a%b"
 	skey := r.StorageKey()
 	want := []string{
-		"x/actor/svc%2Fa%25b/" + skey,
-		"x/svc/svc:gzip/" + skey,
-		"x/grp/" + session.String() + "/" + skey,
+		"x/svc/svc%2Fa%25b/" + skey,
 		"x/sess/" + session.String() + "/" + skey,
 	}
 	for _, d := range r.DataIDs() {

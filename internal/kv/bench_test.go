@@ -23,11 +23,11 @@ func randID(n int) string {
 // benchmark's sync-small workload: 84 Record calls of 1,000 records (the
 // populate), then 16,000 calls of one record with a call of 100 (an
 // async ship) after every 166th, 109,600 records in all. A call logs its
-// records' ≈ 80-byte storage keys in call order, then their 6 or 7
-// (6.67 on average) ≈ 130-byte posting keys sorted, as one key batch:
-// ≈ 841k keys, laid out in memory in that order.
+// records' ≈ 80-byte storage keys in call order, then their 4 or 5
+// (4.67 on average) ≈ 130-byte posting keys sorted, as one key batch:
+// ≈ 621k keys, laid out in memory in that order.
 func storeLogKeys(id func(int) string) []string {
-	dims := []string{"sess", "grp", "actor", "svc", "data", "time", "state"}
+	dims := []string{"sess", "svc", "data", "time", "state"}
 	var keys, postings []string
 	r := 0
 	call := func(records int) {
@@ -35,7 +35,7 @@ func storeLogKeys(id func(int) string) []string {
 		for range records {
 			skey := fmt.Sprintf("i/%s/sender/urn:actor:collate-sample/%08d", id(r/2), r)
 			keys = append(keys, skey)
-			for d, dim := range dims[:6+(r%3+1)/2] {
+			for d, dim := range dims[:4+(r%3+1)/2] {
 				postings = append(postings, fmt.Sprintf("x/%s/%s/%s", dim, id(r/(d+1)), skey))
 			}
 			r++
@@ -66,7 +66,7 @@ func storeLogKeys(id func(int) string) []string {
 }
 
 // BenchmarkOrderedBuild is the sort an owner's open pays: one Fold that
-// builds the key set from scratch out of storeLogKeys' ≈ 841k writes,
+// builds the key set from scratch out of storeLogKeys' ≈ 621k writes,
 // in log order, with identifiers minted in sequence and at random.
 // ns/op is the Fold alone; the writes are appended off the clock.
 func BenchmarkOrderedBuild(b *testing.B) {

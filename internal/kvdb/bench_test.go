@@ -99,7 +99,7 @@ func storeShaped(b *testing.B, dir string, records int, id func(int) string) (ke
 
 // storeShapedBatches lists the PutBatch calls that record records the
 // way the provenance store does: per record one 243-byte value under an
-// ≈ 80-byte storage key and 6 or 7 (6.67 on average) empty-valued ≈
+// ≈ 80-byte storage key and 4 or 5 (4.67 on average) empty-valued ≈
 // 130-byte posting keys ending in that storage key, its identifiers
 // rendered by id. As Store.Record does, each batch of per records goes
 // in one PutBatch and then their postings in another.
@@ -110,7 +110,7 @@ func storeShapedBatches(records, per int, id func(int) string) [][]kv.Pair {
 	for r := 0; r < records; r++ {
 		skey := fmt.Sprintf("i/%s/sender/urn:actor:collate-sample/%08d", id(r/2), r)
 		recs = append(recs, kv.Pair{Key: skey, Value: val})
-		for d := 0; d < 6+(r%3+1)/2; d++ {
+		for d := 0; d < 4+(r%3+1)/2; d++ {
 			postings = append(postings, kv.Pair{Key: fmt.Sprintf("x/dim%d/%s/%s", d, id(r/(d+1)), skey)})
 		}
 		if r%per == per-1 || r == records-1 {
@@ -121,7 +121,7 @@ func storeShapedBatches(records, per int, id func(int) string) [][]kv.Pair {
 	return batches
 }
 
-// storeShapedRecords × 7.67 ≈ 159k keys, ≈ 13 MB of log with the
+// storeShapedRecords × 5.67 ≈ 117k keys, ≈ 12 MB of log with the
 // postings in key batches: several replay windows, and a key directory
 // that rehashes often if it grows from empty.
 const storeShapedRecords = 20_700
@@ -144,7 +144,7 @@ func BenchmarkOpenRecovery(b *testing.B) {
 	b.ReportMetric(float64(keys)*float64(b.N)/b.Elapsed().Seconds(), "keys/s")
 }
 
-// restartRecords × 7.67 ≈ 844k keys, as many as the repository
+// restartRecords × 5.67 ≈ 623k keys, as many as the repository
 // benchmark's sync-small store holds when it reopens: enough that the
 // keys' bytes are far from fitting in cache, which is what the order a
 // sort reaches them in decides.
@@ -202,16 +202,16 @@ func BenchmarkCompact(b *testing.B) {
 }
 
 // BenchmarkPutBatchPostings is the posting half of one 100-record Record
-// call: ≈ 667 empty-valued, index-shaped keys (6 or 7 postings for each
+// call: ≈ 467 empty-valued, index-shaped keys (4 or 5 postings for each
 // of 100 new storage keys, in the order the index emits them) in one
 // PutBatch, which sorts and front-codes them into one key-batch entry
 // before it takes the lock. ns/op and B/op are that cost per batch. The
 // store starts afresh every postingsPerDB calls, off the clock, so each
-// call meets a store of at most ≈ 67k keys and the benchmark's memory
+// call meets a store of at most ≈ 47k keys and the benchmark's memory
 // does not grow with -benchtime.
 func BenchmarkPutBatchPostings(b *testing.B) {
 	const postingsPerDB = 100
-	dims := []string{"actor", "svc", "grp", "sess", "data", "data", "time"}
+	dims := []string{"svc", "sess", "data", "data", "time"}
 	var db *DB
 	var dir string
 	b.Cleanup(func() {
@@ -240,7 +240,7 @@ func BenchmarkPutBatchPostings(b *testing.B) {
 		pairs = pairs[:0]
 		for r := 0; r < 100; r++ {
 			skey := fmt.Sprintf("i/urn:pasoa:%032x/sender/urn:actor:collate-sample/%08d", i, r)
-			for d, dim := range dims[:6+(r%3+1)/2] {
+			for d, dim := range dims[:4+(r%3+1)/2] {
 				pairs = append(pairs, kv.Pair{Key: fmt.Sprintf("x/%s/urn:pasoa:%032x/%s", dim, (i*100+r)/(d+1), skey)})
 			}
 		}

@@ -82,13 +82,17 @@ type Query struct {
 	XMLName xml.Name `xml:"Query"`
 	// InteractionID restricts to one interaction.
 	InteractionID ids.ID `xml:"interactionId,omitempty"`
-	// SessionID restricts to records grouped under the session.
+	// SessionID restricts to records grouped under the session: any of a
+	// record's session groups may name it.
 	SessionID ids.ID `xml:"sessionId,omitempty"`
-	// GroupID restricts to records in the given group of any type.
+	// GroupID restricts to records in the given group of any type. It
+	// has no index: it is checked on the records the other constraints
+	// select, or by a scan when no indexed field is constrained.
 	GroupID ids.ID `xml:"groupId,omitempty"`
 	// Kind restricts to "interaction" or "actorState" records.
 	Kind string `xml:"kind,omitempty"`
-	// Asserter restricts to one asserting actor.
+	// Asserter restricts to one asserting actor. Like GroupID it has no
+	// index and is checked residually.
 	Asserter core.ActorID `xml:"asserter,omitempty"`
 	// Service restricts to interactions whose receiver is this actor.
 	Service core.ActorID `xml:"service,omitempty"`
@@ -135,23 +139,11 @@ func (q *Query) Matches(r *core.Record) bool {
 	if q.InteractionID.Valid() && r.InteractionID() != q.InteractionID {
 		return false
 	}
-	if q.SessionID.Valid() {
-		sid, ok := r.GroupID(core.GroupSession)
-		if !ok || sid != q.SessionID {
-			return false
-		}
+	if q.SessionID.Valid() && !inGroup(r, q.SessionID, true) {
+		return false
 	}
-	if q.GroupID.Valid() {
-		found := false
-		for _, g := range r.Groups() {
-			if g.ID == q.GroupID {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
+	if q.GroupID.Valid() && !inGroup(r, q.GroupID, false) {
+		return false
 	}
 	if q.Kind != "" && r.Kind.String() != q.Kind {
 		return false
@@ -201,6 +193,17 @@ func (q *Query) Matches(r *core.Record) bool {
 		}
 	}
 	return true
+}
+
+// inGroup reports whether one of r's groups, of session type only when
+// sessionsOnly, is id.
+func inGroup(r *core.Record, id ids.ID, sessionsOnly bool) bool {
+	for _, g := range r.Groups() {
+		if g.ID == id && (!sessionsOnly || g.Type == core.GroupSession) {
+			return true
+		}
+	}
+	return false
 }
 
 // QueryResponse returns matching records. Total reports the number of

@@ -97,6 +97,16 @@ func TestMatchesSession(t *testing.T) {
 	if (&Query{SessionID: s2}).Matches(r) {
 		t.Error("wrong session matched")
 	}
+	// A record in two sessions matches either; a thread group that
+	// names s2 is not a session.
+	r.Interaction.Groups = append(r.Interaction.Groups, core.GroupRef{Type: core.GroupThread, ID: s2})
+	if (&Query{SessionID: s2}).Matches(r) {
+		t.Error("a thread group matched as a session")
+	}
+	r.Interaction.Groups = append(r.Interaction.Groups, core.GroupRef{Type: core.GroupSession, ID: s2})
+	if !(&Query{SessionID: s2}).Matches(r) || !(&Query{SessionID: s1}).Matches(r) {
+		t.Error("a record in two sessions did not match both")
+	}
 }
 
 func TestMatchesGroupID(t *testing.T) {

@@ -6,6 +6,7 @@ package preserv
 // scan read side end-to-end over HTTP.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -13,6 +14,9 @@ import (
 	"preserv/internal/core"
 	"preserv/internal/ids"
 	"preserv/internal/prep"
+	"preserv/internal/query"
+	"preserv/internal/shard"
+	"preserv/internal/store"
 )
 
 func TestPlannedQueryOverHTTP(t *testing.T) {
@@ -106,5 +110,84 @@ func TestSessionsOverHTTP(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sessions = %v, want %v", got, want)
+	}
+}
+
+// TestRecordInTwoSessionsMatchesEach records one record grouped under
+// two sessions, on one store and on four: every read path returns it
+// for either session, as Sessions lists both and DeleteSession of either
+// would delete it.
+func TestRecordInTwoSessionsMatchesEach(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			stores := make([]*store.Store, n)
+			children := make([]shard.Shard, n)
+			for i := range stores {
+				stores[i] = store.New(store.NewMemoryBackend())
+				children[i] = shard.NewLocal(stores[i])
+			}
+			rt, err := shard.NewRouter(children...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := Serve(NewShardedService(rt), "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			client := NewClient(srv.URL, nil)
+
+			s1, s2 := seq.NewID(), seq.NewID()
+			rec := mkRecord(s1, "svc:gzip")
+			rec.Interaction.Groups = append(rec.Interaction.Groups, core.GroupRef{Type: core.GroupSession, ID: s2, Seq: 1})
+			if resp, err := client.Record("svc:enactor", []core.Record{rec, mkRecord(s2, "svc:gzip")}); err != nil || resp.Accepted != 2 {
+				t.Fatalf("Record: %+v, %v", resp, err)
+			}
+			if sessions, err := client.Sessions(); err != nil || len(sessions) != 2 {
+				t.Fatalf("Sessions = %v (%v), want both", sessions, err)
+			}
+			home := stores[shard.Affinity(&rec, n)]
+			engine := query.New(home)
+			for _, sid := range []ids.ID{s1, s2} {
+				q := &prep.Query{SessionID: sid}
+				holds := func(path string, recs []core.Record) {
+					t.Helper()
+					for _, r := range recs {
+						if r.StorageKey() == rec.StorageKey() {
+							return
+						}
+					}
+					t.Errorf("session %v: %s returned %d records, none of them the one in both sessions", sid, path, len(recs))
+				}
+				got, _, err := home.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				holds("Store.Query", got)
+				got, _, _, err = engine.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				holds("Engine.Query", got)
+				got, _, _, _, err = engine.QueryPage(q, "", 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				holds("Engine.QueryPage", got)
+				got, _, _, err = rt.QueryPlanned(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				holds("Router.QueryPlanned", got)
+				got = got[:0]
+				if _, err := client.QueryStream(q, 1, func(r *core.Record) error {
+					got = append(got, *r)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				holds("Client.QueryStream", got)
+			}
+		})
 	}
 }

@@ -6,7 +6,9 @@
 // never materialises an equality list; a time window no longer than the
 // driving list is materialised and drives), point-fetches only the
 // candidate records in batched chunks, and applies the remaining
-// constraints residually.
+// constraints residually. GroupID and Asserter are always residual:
+// they have no posting list, and are checked on the records another
+// constraint selects.
 // Queries that constrain an interaction or no indexed field take the
 // store's scan path, so results are always identical to a full scan —
 // only the access pattern changes.
@@ -90,43 +92,34 @@ func (e *Engine) Stats() prep.EngineCounters {
 	}
 }
 
-// dimRef is one indexed equality constraint of a predicate.
+// dimRef is one indexed equality constraint of a predicate. Posting
+// presence under its dimension is exactly the predicate clause it
+// covers, so a candidate surviving the intersection needs no residual
+// re-check of that clause.
 type dimRef struct {
 	dim  string
 	term string
 	// count is the posting list's measured cardinality (CountPostings).
 	count int
-	// exact reports that posting presence under this dimension is
-	// exactly equivalent to the predicate clause it covers, so a
-	// candidate surviving the intersection needs no residual re-check of
-	// that clause. Session is the one inexact dimension: a record
-	// carrying several session groups is posted under each, while
-	// Query.Matches compares only the first.
-	exact bool
 }
 
 // candidateDims lists the indexed equality constraints of q. The order
 // is the legacy fixed-priority order — it survives only as the
-// deterministic tiebreak when measured cardinalities are equal.
+// deterministic tiebreak when measured cardinalities are equal. GroupID
+// and Asserter have no posting list: they are checked residually.
 func candidateDims(q *prep.Query) []dimRef {
 	var out []dimRef
 	if q.DataID.Valid() {
-		out = append(out, dimRef{dim: index.DimData, term: q.DataID.String(), exact: true})
+		out = append(out, dimRef{dim: index.DimData, term: q.DataID.String()})
 	}
 	if q.SessionID.Valid() {
-		out = append(out, dimRef{dim: index.DimSession, term: q.SessionID.String(), exact: false})
-	}
-	if q.GroupID.Valid() {
-		out = append(out, dimRef{dim: index.DimGroup, term: q.GroupID.String(), exact: true})
+		out = append(out, dimRef{dim: index.DimSession, term: q.SessionID.String()})
 	}
 	if q.StateKind != "" {
-		out = append(out, dimRef{dim: index.DimState, term: q.StateKind, exact: true})
+		out = append(out, dimRef{dim: index.DimState, term: q.StateKind})
 	}
 	if q.Service != "" {
-		out = append(out, dimRef{dim: index.DimService, term: string(q.Service), exact: true})
-	}
-	if q.Asserter != "" {
-		out = append(out, dimRef{dim: index.DimActor, term: string(q.Asserter), exact: true})
+		out = append(out, dimRef{dim: index.DimService, term: string(q.Service)})
 	}
 	return out
 }
@@ -409,9 +402,12 @@ func (e *Engine) execute(q *prep.Query, opts execOpts) (execResult, *prep.QueryP
 		lists = append(lists, it)
 	}
 	plan.EstCandidates = plan.DimCounts[0]
-	// With the window in the plan, time is covered exactly too (terms
-	// carry the full timestamp), so only the equality dims decide.
-	residualFree := (windowed || !timed) && coversAllConstraints(q, chosen)
+	// Residual-free: every constraint has a chosen list (each is exact,
+	// and the window's terms carry the full timestamp), so a candidate
+	// that survives the intersection and the kind prefix is a match
+	// without decoding, and Total past the Limit counts by presence.
+	// GroupID and Asserter have no list, so they are never covered.
+	residualFree := (windowed || !timed) && !q.GroupID.Valid() && q.Asserter == "" && len(chosen) == len(dims)
 
 	src := &leapfrogSource{lists: lists, kindPrefix: kindPrefix, after: opts.after}
 	res, err := e.collect(q, src, opts, residualFree, kindPrefix, plan)
@@ -449,26 +445,6 @@ func timeWindow(ix *index.Index, q *prep.Query, budget int) (*keyList, int, erro
 	// Time order is not storage-key order; restore scan-path order.
 	sort.Strings(keys)
 	return &keyList{keys: keys}, len(keys), nil
-}
-
-// coversAllConstraints reports whether the chosen dimensions cover every
-// equality constraint of q exactly — in which case a candidate
-// surviving the intersection (plus the kind prefix check) is a match
-// without decoding, and total counting past the Limit can go by
-// presence alone.
-func coversAllConstraints(q *prep.Query, chosen []dimRef) bool {
-	covered := make(map[string]bool, len(chosen))
-	for _, d := range chosen {
-		if d.exact {
-			covered[d.dim] = true
-		}
-	}
-	for _, d := range candidateDims(q) {
-		if !covered[d.dim] {
-			return false
-		}
-	}
-	return true
 }
 
 // fetchChunk is how many candidate records one GetBatch resolves; it

@@ -319,6 +319,94 @@ func TestPlannerMatchesScanAcrossBackends(t *testing.T) {
 	}
 }
 
+// TestResidualOnlyFieldsMatchScan: GroupID and Asserter have no posting
+// list, so the planner checks them on whichever list drives, or leaves
+// the query to the scan. Records and Total equal the scan's, under a
+// Limit below the match count too, and pages of two add up to the whole.
+func TestResidualOnlyFieldsMatchScan(t *testing.T) {
+	for name, s := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			sessions := populateSessions(t, s, 4, 6) // minutes 0-23, svc:enactor
+			// svc:worker asserts six records at minutes 30-35 in sessions
+			// 1 and 2, the first four also in one thread group.
+			thread := seq.NewID()
+			var worked []core.Record
+			for k := 0; k < 6; k++ {
+				groups := []core.GroupRef{{Type: core.GroupSession, ID: sessions[1+k%2].id, Seq: uint64(100 + k)}}
+				if k < 4 {
+					groups = append(groups, core.GroupRef{Type: core.GroupThread, ID: thread, Seq: uint64(k)})
+				}
+				worked = append(worked, *core.NewInteractionRecord(&core.InteractionPAssertion{
+					LocalID:     fmt.Sprintf("w%d", k),
+					Asserter:    "svc:worker",
+					Interaction: core.Interaction{ID: seq.NewID(), Sender: "svc:worker", Receiver: "svc:stage-0", Operation: "run"},
+					View:        core.SenderView,
+					Request:     core.Message{Name: "invoke"},
+					Response:    core.Message{Name: "result"},
+					Groups:      groups,
+					Timestamp:   t0.Add(time.Duration(30+k) * time.Minute),
+				}))
+			}
+			if _, rejects, err := s.Record("svc:worker", worked); err != nil || len(rejects) > 0 {
+				t.Fatalf("record: err=%v rejects=%v", err, rejects)
+			}
+			e := New(s)
+			cases := []struct {
+				q       prep.Query
+				matches int  // the scan's Total
+				drive   bool // the time window must drive
+			}{
+				{prep.Query{GroupID: sessions[1].id}, 15, false},
+				{prep.Query{GroupID: thread}, 4, false},
+				{prep.Query{Asserter: "svc:worker"}, 6, false},
+				{prep.Query{Asserter: "svc:worker", Since: t0.Add(31 * time.Minute), Until: t0.Add(33 * time.Minute)}, 3, true},
+				{prep.Query{GroupID: thread, Service: "svc:stage-0", Limit: 2}, 4, false},
+				{prep.Query{Asserter: "svc:worker", SessionID: sessions[1].id, Limit: 1}, 3, false},
+			}
+			for _, c := range cases {
+				q := c.q
+				want, wantTotal, err := s.Query(&q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantTotal != c.matches {
+					t.Fatalf("%+v: the scan counts %d matches, want %d", q, wantTotal, c.matches)
+				}
+				got, total, plan, err := e.Query(&q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if total != wantTotal || !reflect.DeepEqual(got, want) {
+					t.Errorf("%+v: planner %d records (total %d), scan %d (total %d)", q, len(got), total, len(want), wantTotal)
+				}
+				if c.drive && (len(plan.Dims) == 0 || plan.Dims[0] != index.DimTime) {
+					t.Errorf("%+v: dims %v, want the window driving", q, plan.Dims)
+				}
+				whole := q
+				whole.Limit = 0
+				if want, _, err = s.Query(&whole); err != nil {
+					t.Fatal(err)
+				}
+				var paged []core.Record
+				for after := ""; ; {
+					recs, next, done, _, err := e.QueryPage(&q, after, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					paged = append(paged, recs...)
+					if done || next == "" || len(paged) > len(want) {
+						break
+					}
+					after = next
+				}
+				if !reflect.DeepEqual(paged, want) {
+					t.Errorf("%+v: pages of two gave %d records, scan %d", q, len(paged), len(want))
+				}
+			}
+		})
+	}
+}
+
 // TestEveryPostingDimensionIsRead writes the posting dimensions of
 // sessions with every field the index covers, then runs the index's
 // readers — a query on each indexed field, a time window, Sessions and
@@ -355,19 +443,25 @@ func TestEveryPostingDimensionIsRead(t *testing.T) {
 		return read
 	}
 
-	cb.reset()
-	if _, _, _, err := e.Query(&prep.Query{InteractionID: target.interactions[0]}); err != nil {
-		t.Fatal(err)
-	}
-	for dim := range readDims() {
-		t.Errorf("an interaction-scoped query read the %q postings", dim)
+	// An interaction, a group and an asserter have no postings: a query
+	// constraining only them reads none.
+	for _, q := range []*prep.Query{
+		{InteractionID: target.interactions[0]},
+		{GroupID: target.id},
+		{Asserter: "svc:enactor"},
+	} {
+		cb.reset()
+		if _, _, _, err := e.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		for dim := range readDims() {
+			t.Errorf("%+v read the %q postings", q, dim)
+		}
 	}
 
 	cb.reset()
 	for _, q := range []*prep.Query{
 		{SessionID: target.id},
-		{GroupID: target.id},
-		{Asserter: "svc:enactor"},
 		{Service: target.services[0]},
 		{StateKind: core.StateScript},
 		{DataID: target.dataOut},
@@ -507,7 +601,7 @@ func TestIndexSelfHealsAfterFailedAdd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		postings, err := postingsOf(ix, index.DimActor, "svc:enactor", rec.StorageKey())
+		postings, err := postingsOf(ix, index.DimSession, target.String(), rec.StorageKey())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -676,14 +770,14 @@ func TestCostBasedPlannerPicksSmallerList(t *testing.T) {
 }
 
 func TestCostCutoffExcludesUnselectiveList(t *testing.T) {
-	// A data id pins one record while the asserter covers the whole
-	// store: the actor list is beyond intersectCostRatio of the driving
-	// list, so it must be filtered residually, not intersected.
+	// A data id pins one record while its service covers a third of the
+	// store: the service list is beyond intersectCostRatio of the
+	// driving list, so it must be filtered residually, not intersected.
 	s := store.New(store.NewMemoryBackend())
 	sessions := populateSessions(t, s, 20, 8)
 	e := New(s)
 
-	q := &prep.Query{DataID: sessions[3].dataOut, Asserter: "svc:enactor"}
+	q := &prep.Query{DataID: sessions[3].dataOut, Service: "svc:stage-1"}
 	want, wantTotal, err := s.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -696,7 +790,7 @@ func TestCostCutoffExcludesUnselectiveList(t *testing.T) {
 		t.Fatalf("results differ from scan path")
 	}
 	if total != 1 || len(plan.Dims) != 1 || plan.Dims[0] != index.DimData || plan.DimCounts[0] != 1 {
-		t.Errorf("total %d, dims %v %v: want the one-record data list alone (actor list beyond the cost cutoff)",
+		t.Errorf("total %d, dims %v %v: want the one-record data list alone (service list beyond the cost cutoff)",
 			total, plan.Dims, plan.DimCounts)
 	}
 }
@@ -708,12 +802,13 @@ func TestLimitTotalSemanticsAtPlannerBoundaries(t *testing.T) {
 			e := New(s)
 			target := sessions[2]
 			cases := []*prep.Query{
-				// Limit below, at, and above the match count; with an
-				// exact covered dim (actor), an inexact one (session),
-				// a residual (time) constraint, and the scan fallback.
+				// Limit below, at, and above the match count; with
+				// covered dims (session, service), residual fields
+				// (asserter, time), and the scan fallback.
 				{SessionID: target.id, Limit: 5},
 				{SessionID: target.id, Limit: 12},
 				{SessionID: target.id, Limit: 500},
+				{Service: "svc:stage-0", Limit: 7},
 				{Asserter: "svc:enactor", Limit: 7},
 				{Asserter: "svc:enactor", Kind: core.KindInteraction.String(), Limit: 4},
 				{SessionID: target.id, Since: t0, Limit: 3},
@@ -772,12 +867,12 @@ func TestDanglingPostingsSkippedOnIteratorPath(t *testing.T) {
 			target := sessions[1]
 
 			// Plant postings whose record never landed: in the session
-			// list (single-dim path) and the same ghost key in the actor
+			// list (single-dim path) and the same ghost key in a service
 			// list too (intersection path).
 			ghost := "i/" + seq.NewID().String() + "/sender/svc:enactor/ghost"
 			for _, dead := range []string{
 				"x/sess/" + target.id.String() + "/" + ghost,
-				"x/actor/svc:enactor/" + ghost,
+				"x/svc/svc:stage-0/" + ghost,
 			} {
 				if err := backend.Put(dead, nil); err != nil {
 					t.Fatal(err)
@@ -787,6 +882,7 @@ func TestDanglingPostingsSkippedOnIteratorPath(t *testing.T) {
 			for _, q := range []*prep.Query{
 				{SessionID: target.id},
 				{SessionID: target.id, Kind: core.KindInteraction.String()},
+				{SessionID: target.id, Service: "svc:stage-0"},
 				{SessionID: target.id, Asserter: "svc:enactor"},
 				{SessionID: target.id, Limit: 3},
 			} {

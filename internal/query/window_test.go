@@ -58,9 +58,9 @@ func TestTimedPlansMatchScanAcrossBackends(t *testing.T) {
 			// svc:stage-0 receives 64 records, stage-1 and stage-2 48 each.
 			sessions := populateSessions(t, s, 8, 10)
 			target := sessions[1] // minutes 10-19
-			// A record posted under two sessions, the target second: the
-			// session posting is inexact, so it must be decoded and refused.
-			recordAt(t, s, "svc:stage-0", minutes(12), ids.Nil, seq.NewID(), target.id)
+			// A record posted under two sessions, the target second: it is
+			// one of the target's records, by plan and by scan alike.
+			twoSessions := recordAt(t, s, "svc:stage-0", minutes(12), ids.Nil, seq.NewID(), target.id)
 			// A reference input read by six runs, one a minute from 100:
 			// its data list outgrows a one-minute window.
 			ref := seq.NewID()
@@ -118,6 +118,13 @@ func TestTimedPlansMatchScanAcrossBackends(t *testing.T) {
 				if !c.drive && slices.Contains(plan.Dims, index.DimTime) {
 					t.Errorf("%+v: dims %v %v, want the wide window left out", q, plan.Dims, plan.DimCounts)
 				}
+			}
+			got, _, _, err := e.Query(&prep.Query{SessionID: target.id, Since: minutes(12), Until: minutes(12)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.ContainsFunc(got, func(r core.Record) bool { return r.StorageKey() == twoSessions.StorageKey() }) {
+				t.Errorf("the target's minute 12 holds %d records, none of them the one in two sessions", len(got))
 			}
 		})
 	}

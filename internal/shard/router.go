@@ -566,10 +566,7 @@ var ErrInvalidSession = errors.New("shard: invalid session id")
 // as-is to every shard; a tagged cursor minted against a different
 // shard list — resized OR reordered — is rejected rather than silently
 // applying one shard's position to another (which would seek past
-// records with no error). Anything after a "." in the fingerprint field
-// is ignored: earlier builds stamped a rebalancing epoch there ("fp.0"
-// on every router that never rebalanced), and their cursors still
-// resume.
+// records with no error).
 func decodeCursor(after, fp string, n int) (perShard []string, exhausted []bool, err error) {
 	perShard = make([]string, n)
 	exhausted = make([]bool, n)
@@ -590,7 +587,7 @@ func decodeCursor(after, fp string, n int) (perShard []string, exhausted []bool,
 	if count != n {
 		return nil, nil, fmt.Errorf("%w: built for %d shards, used against %d", ErrBadCursor, count, n)
 	}
-	if fpField, _, _ := strings.Cut(fields[1], "."); fpField != fp {
+	if fields[1] != fp {
 		return nil, nil, fmt.Errorf("%w: built for a different shard topology", ErrBadCursor)
 	}
 	for i := 0; i < n; i++ {

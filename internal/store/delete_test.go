@@ -485,20 +485,20 @@ func TestDeleteRecordCrashBeforeDeindexRecovers(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The witness is the record's actor posting, a dimension
-				// every record has.
-				actorKeys, err := idx.Postings(index.DimActor, "svc:enactor")
+				// The witness is the record's session posting, a dimension
+				// every record here has.
+				sessKeys, err := idx.Postings(index.DimSession, session.String())
 				if err != nil {
 					t.Fatal(err)
 				}
 				postings := 0
-				for _, k := range actorKeys {
+				for _, k := range sessKeys {
 					if k == recs[0].StorageKey() {
 						postings++
 					}
 				}
 				if present != (want == 1) || postings != want {
-					t.Fatalf("cut %d: record present=%v with %d actor postings, want %d of each", cut, present, postings, want)
+					t.Fatalf("cut %d: record present=%v with %d session postings, want %d of each", cut, present, postings, want)
 				}
 				if recsOut, total := recordsByScan(t, rs, &prep.Query{SessionID: session}); len(recsOut) != 3+want || total != 3+want {
 					t.Fatalf("cut %d: %d records (total %d), want %d", cut, len(recsOut), total, 3+want)

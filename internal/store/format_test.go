@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"preserv/internal/core"
+	"preserv/internal/kv"
 	"preserv/internal/kvdb"
 )
 
@@ -194,6 +195,58 @@ func TestOpenNamesFlavourAndRefusesSchemaTwo(t *testing.T) {
 	}
 	if _, err := Open("kvdb", dir); !errors.Is(err, core.ErrOldFormat) || !strings.Contains(err.Error(), "index schema 2") {
 		t.Fatalf("Open of a schema-2 directory: %v, want core.ErrOldFormat naming index schema 2", err)
+	}
+	b = openFile(t, dir)
+	defer b.Close()
+	if got := contentsOf(t, b); got != want {
+		t.Fatalf("the refused directory changed:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestOpenRefusesSchemaThree turns a kvdb directory into one schema "3"
+// wrote — its marker, and a group and an actor posting beside the
+// record's others. Each flavour that reads a directory refuses it by
+// name, naming the commit whose binary serves it and how its records
+// move, and leaves it as it was.
+func TestOpenRefusesSchemaThree(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open("kvdb", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := seq.NewID()
+	rec := mkInteraction(session, "svc:gzip", "compress")
+	if _, _, err := s.Record("svc:enactor", []core.Record{rec}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewKVBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.PutBatch([]kv.Pair{
+		{Key: "xm/schema", Value: []byte("3")},
+		{Key: "x/grp/" + session.String() + "/" + rec.StorageKey()},
+		{Key: "x/actor/svc:enactor/" + rec.StorageKey()},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := contentsOf(t, b)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, flavour := range []string{"kvdb", "file"} {
+		_, err := Open(flavour, dir)
+		if !errors.Is(err, core.ErrOldFormat) {
+			t.Fatalf("Open(%s) of a schema-3 directory: %v, want core.ErrOldFormat", flavour, err)
+		}
+		for _, w := range []string{"index schema 3", "commit c48f751", "provq -store NEW -from OLD consolidate"} {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("Open(%s) of a schema-3 directory: %v, want a refusal that says %q", flavour, err, w)
+			}
+		}
 	}
 	b = openFile(t, dir)
 	defer b.Close()
