@@ -21,6 +21,10 @@
 // instances instead, which is the paper's distributed PReServ with
 // query routing in front.
 //
+// Each store reclaims its own garbage: a delete that leaves a store at
+// half its log dead (store.CompactRatio) compacts that store before the
+// reply. urn:prep:compact (`provq compact`) compacts every store now.
+//
 // Telemetry: the service answers urn:prep:stats on the wire (`provq
 // -watch D stats` follows it), whose history holds each store's open
 // and compactions, failed requests and slow operations, and serves
@@ -52,7 +56,6 @@ func main() {
 	dir := flag.String("dir", "./provenance-store", "data directory for persistent backends")
 	shards := flag.Int("shards", 0, "shard the store across N embedded child stores (0 or 1 = single store)")
 	shardEndpoints := flag.String("shard-endpoints", "", "comma-separated remote store URLs to front as shards (overrides -shards)")
-	compactRatio := flag.Float64("compact-ratio", 0, "garbage-ratio threshold for delete-triggered compaction (0 = default, negative disables)")
 	telemetry := flag.Bool("telemetry", true, "record latency histograms and operation spans (request counters and events are always on)")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof on the service listener")
 	flag.Parse()
@@ -97,10 +100,6 @@ func main() {
 		}
 	}
 	svc := preserv.NewShardedService(rt)
-
-	if *compactRatio != 0 {
-		svc.SetCompactRatio(*compactRatio)
-	}
 	if *pprofFlag {
 		svc.EnablePprof()
 	}

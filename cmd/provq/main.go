@@ -23,13 +23,14 @@
 //
 // delete retracts provenance from a live store: one record by storage
 // key, or a whole session's records. The store removes the records and
-// their index postings and reclaims the bytes by (possibly automatic)
-// compaction.
+// their index postings, and compacts itself when the delete leaves half
+// its log dead.
 //
 // compact with -dir is an offline maintenance command: it opens the
-// store directory directly (no server may have it open) and rewrites
-// the kvdb log without its dead space. Without -dir it asks the live
-// server at -store to compact itself online (urn:prep:compact).
+// store directory directly (no server may have it open), refusing one
+// in an earlier on-disk format as the server does, and rewrites the
+// kvdb log without its dead space. Without -dir it asks the live server
+// at -store to compact itself online (urn:prep:compact).
 //
 // -shards URL1,URL2,... targets a sharded deployment: provq starts an
 // ephemeral loopback router over the listed store endpoints and runs
@@ -249,14 +250,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("provq: %v", err)
 		}
-		fmt.Printf("deleted %d record(s); garbage ratio %.2f", resp.Deleted, resp.GarbageRatio)
-		if resp.Compacted {
-			fmt.Print(" (store compacted)")
-		}
-		fmt.Println()
-		if resp.CompactError != "" {
-			fmt.Fprintf(os.Stderr, "provq: warning: scheduled compaction failed: %s\n", resp.CompactError)
-		}
+		fmt.Printf("deleted %d record(s); garbage ratio %.2f\n", resp.Deleted, resp.GarbageRatio)
 
 	case "compact":
 		resp, err := client.Compact()
@@ -394,10 +388,11 @@ func printSlow(out io.Writer, indent string, slow []prep.SlowSpan) {
 
 // runCompact performs offline store maintenance on a local directory:
 // rewriting the kvdb log without its dead bytes (both persistent
-// -backend flavours of preserv open that one log). The backend
-// constructor creates whatever it does not find, so the directory is
-// checked first: a mistyped path must fail, not "compact" a store it
-// has just made.
+// -backend flavours of preserv open that one log). The store is opened
+// as the server opens it, so a directory in an earlier on-disk format is
+// refused and left as it was. Opening creates whatever it does not find,
+// so the directory is checked first: a mistyped path must fail, not
+// "compact" a store it has just made.
 func runCompact(dir string, out io.Writer) error {
 	if dir == "" {
 		return fmt.Errorf("compact needs -dir PATH")
@@ -405,14 +400,14 @@ func runCompact(dir string, out io.Writer) error {
 	if _, err := os.ReadDir(dir); err != nil {
 		return fmt.Errorf("compact: no store directory to open: %w", err)
 	}
-	kb, err := store.NewKVBackend(dir)
+	s, err := store.Open("kvdb", dir)
 	if err != nil {
 		return err
 	}
-	if err := kb.Compact(); err != nil {
-		kb.Close()
+	if err := s.Compact(); err != nil {
+		s.Close()
 		return err
 	}
 	fmt.Fprintf(out, "compacted kvdb log in %s\n", dir)
-	return kb.Close()
+	return s.Close()
 }

@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"preserv/internal/core"
+	"preserv/internal/ids"
 	"preserv/internal/prep"
 	"preserv/internal/preserv"
 	"preserv/internal/store"
@@ -67,23 +71,6 @@ func TestShardedResultLinesNameTheShards(t *testing.T) {
 	stop()
 }
 
-// populate writes three batches plus a deletion through b, and closes
-// it.
-func populate(t *testing.T, b store.Backend) {
-	t.Helper()
-	for _, k := range []string{"i/a", "i/b", "i/c"} {
-		if err := b.PutBatch([]store.KV{{Key: k, Value: []byte("v-" + k)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Delete("i/b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunCompactRefusesMissingDirectory(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "no-such-store")
 	var out bytes.Buffer
@@ -95,14 +82,50 @@ func TestRunCompactRefusesMissingDirectory(t *testing.T) {
 	}
 }
 
-func TestRunCompactCompactsAnExistingStore(t *testing.T) {
-	dir := t.TempDir()
-	b, err := store.NewKVBackend(dir)
+// mkRecord is one interaction record of session.
+func mkRecord(session ids.ID) core.Record {
+	in := core.Interaction{ID: ids.New(), Sender: "svc:enactor", Receiver: "svc:gzip", Operation: "run"}
+	return *core.NewInteractionRecord(&core.InteractionPAssertion{
+		LocalID:     "x",
+		Asserter:    in.Sender,
+		Interaction: in,
+		View:        core.SenderView,
+		Request:     core.Message{Name: "invoke"},
+		Response:    core.Message{Name: "result"},
+		Groups:      []core.GroupRef{{Type: core.GroupSession, ID: session, Seq: 1}},
+		Timestamp:   time.Unix(1117584000, 0),
+	})
+}
+
+// populate writes four records into a fresh store in dir, deletes the
+// first (too few to make the store compact itself), closes the store and
+// returns the records.
+func populate(t *testing.T, dir string) []core.Record {
+	t.Helper()
+	s, err := store.Open("kvdb", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	populate(t, b)
+	session := ids.New()
+	recs := []core.Record{mkRecord(session), mkRecord(session), mkRecord(session), mkRecord(session)}
+	if _, _, err := s.Record("svc:enactor", recs); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.DeleteRecords([]string{recs[0].StorageKey()}); err != nil || n != 1 {
+		t.Fatalf("DeleteRecords = %d, %v", n, err)
+	}
+	if g := s.GarbageRatio(); g <= 0 {
+		t.Fatalf("garbage ratio %v after the delete: nothing to compact", g)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
 
+func TestRunCompactCompactsAnExistingStore(t *testing.T) {
+	dir := t.TempDir()
+	recs := populate(t, dir)
 	var out bytes.Buffer
 	if err := runCompact(dir, &out); err != nil {
 		t.Fatal(err)
@@ -110,19 +133,49 @@ func TestRunCompactCompactsAnExistingStore(t *testing.T) {
 	if !strings.HasPrefix(out.String(), "compacted ") {
 		t.Errorf("output %q", out.String())
 	}
-	b, err = store.NewKVBackend(dir)
+	s, err := store.Open("kvdb", dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-	if n, _ := b.Count(""); n != 2 {
-		t.Errorf("%d keys after compaction, want 2", n)
+	defer s.Close()
+	if cnt, _ := s.Count(); cnt.Records != 3 {
+		t.Errorf("%d records after compaction, want 3", cnt.Records)
 	}
-	if _, ok, _ := b.Get("i/b"); ok {
-		t.Errorf("deleted key back after compaction")
+	if _, total, err := s.Query(&prep.Query{InteractionID: recs[0].Interaction.Interaction.ID}); err != nil || total != 0 {
+		t.Errorf("deleted record back after compaction (%d, %v)", total, err)
 	}
-	if g := b.GarbageRatio(); g != 0 {
+	if g := s.GarbageRatio(); g != 0 {
 		t.Errorf("garbage ratio %v after offline compaction", g)
+	}
+}
+
+// TestRunCompactRefusesSchemaThree: offline compaction opens the store as
+// the server does, so a store in an earlier on-disk format is refused by
+// name and its log left byte for byte as it was.
+func TestRunCompactRefusesSchemaThree(t *testing.T) {
+	dir := t.TempDir()
+	populate(t, dir)
+	b, err := store.NewKVBackend(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put("xm/schema", []byte("3")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log := filepath.Join(dir, "data.log")
+	before, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := runCompact(dir, &out); !errors.Is(err, core.ErrOldFormat) {
+		t.Fatalf("compacting a schema-3 store: %v (output %q), want core.ErrOldFormat", err, out.String())
+	}
+	if after, err := os.ReadFile(log); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused store's log changed: %d -> %d bytes (%v)", len(before), len(after), err)
 	}
 }
 

@@ -13,6 +13,14 @@
 // An AsyncRecorder may ship to several store endpoints round-robin,
 // which implements the paper's future-work "distributed PReServ" and is
 // measured by experiment E8.
+//
+// A record the store refuses (invalid, or a different record under a
+// stored key) is the store's verdict on that record, not a failure to
+// reach the store. The AsyncRecorder counts the records the store
+// accepted as shipped, reports the first refusal once (ErrRejected, in
+// the Flush or Close error and in that flush's failed client.flush
+// entry) and removes the journal file. Only a file that could not reach
+// the store is kept whole, to be shipped again by the next flush.
 package client
 
 import (
@@ -22,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -201,9 +210,9 @@ type AsyncRecorder struct {
 	retryAt     int64
 	flushing    bool
 	// autoFlushErr keeps the most recent background-flush failure for
-	// AutoFlushErr. The journal itself is kept whole on failure, so the
-	// error is informational: the next flush (background or explicit)
-	// re-ships everything.
+	// AutoFlushErr. A file that could not reach the store is kept whole,
+	// and the next flush (background or explicit) re-ships it; a refused
+	// record is reported here once and not re-shipped.
 	autoFlushErr error
 	// reg holds the recorder's telemetry: flush latency and the journal
 	// backlog gauge. The gauge mirrors pending so an operator scraping
@@ -221,20 +230,15 @@ type sealedJournal struct {
 	path string
 	// count is how many records the file holds, for pending accounting.
 	count int64
-	// attempts counts failed ship attempts. Once it reaches
-	// maxAutoShipAttempts the background shipper skips the file; an
-	// explicit Flush or Close still retries it. Mutated only under
-	// shipMu (and at construction, before any concurrency).
-	attempts int
+	// failed marks a file whose last ship could not reach the store, so
+	// its next ship is a retry (Stats.FlushRetries). Mutated only under
+	// shipMu.
+	failed bool
 	// recovered marks a file adopted from a crashed predecessor: its
 	// tail may be torn, so the shipper treats a decode error as the end
 	// of the clean prefix rather than corruption.
 	recovered bool
 }
-
-// maxAutoShipAttempts bounds how often the background shipper retries
-// one sealed journal before leaving it for an explicit Flush/Close.
-const maxAutoShipAttempts = 5
 
 // NewAsyncRecorder creates an asynchronous recorder journaling to
 // journalPath and shipping to the given endpoints (at least one).
@@ -351,10 +355,10 @@ func (r *AsyncRecorder) SetFlushConcurrency(n int) {
 // record-everything-then-ship-after-execution mode). Crossing the
 // threshold seals the active journal (an O(1) rename) and ships the
 // sealed file in the background, so Record calls keep flowing into a
-// fresh journal while the ship is on the wire. A failed background
-// ship keeps the sealed file whole (the next flush re-ships,
-// idempotent recording absorbs the overlap) and is reported by
-// AutoFlushErr.
+// fresh journal while the ship is on the wire. A background ship that
+// cannot reach the store keeps the sealed file whole (the next flush
+// re-ships, idempotent recording absorbs the overlap); its error, or a
+// refused record's, is reported by AutoFlushErr.
 func (r *AsyncRecorder) SetAutoFlushThreshold(n int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -390,7 +394,7 @@ func (r *AsyncRecorder) maybeAutoFlushLocked() {
 	r.flushing = true
 	go func() {
 		ev := r.reg.Tracer().StartEvent("client.flush")
-		err := r.shipSealed(false)
+		err := r.shipSealed()
 		if err != nil {
 			ev.End(err) // only a failed background flush enters the history
 		}
@@ -496,9 +500,8 @@ func (r *AsyncRecorder) sealActiveLocked() error {
 
 // Flush seals the active journal and ships every sealed file to the
 // configured endpoints in batches, striped round-robin when several
-// endpoints are configured. Shipped files are removed. Unlike the
-// background shipper, an explicit Flush retries even sealed files that
-// have exhausted their automatic attempt budget.
+// endpoints are configured. Shipped files are removed, and so are their
+// refused records: the error reports the first refusal, once.
 func (r *AsyncRecorder) Flush() error {
 	r.mu.Lock()
 	if err := r.sealActiveLocked(); err != nil {
@@ -512,7 +515,7 @@ func (r *AsyncRecorder) Flush() error {
 	}
 	span := r.reg.Tracer().StartSpan("client.flush").
 		SetAttr("pending", strconv.FormatInt(pending, 10))
-	err := r.shipSealed(true)
+	err := r.shipSealed()
 	span.Observe(r.flushSec, err)
 	if err == nil {
 		r.mu.Lock()
@@ -522,42 +525,40 @@ func (r *AsyncRecorder) Flush() error {
 	return err
 }
 
-// shipSealed ships sealed journals oldest-first until none remain (or
-// one fails). With all=false — the background shipper — files that have
-// exhausted maxAutoShipAttempts are skipped so a poisoned file cannot
-// wedge the pipeline; all=true retries everything. Each shipped file is
-// deducted from pending and removed. Callers must NOT hold r.mu.
-func (r *AsyncRecorder) shipSealed(all bool) error {
+// shipSealed ships sealed journals oldest-first until none remain, or
+// one could not reach the store, which stays whole for the next flush.
+// A refused record is the store's verdict on it, which a retry would
+// only repeat: its file counts as shipped, deducted from pending and
+// removed like any other, and the first refusal is returned, once.
+// Callers must NOT hold r.mu.
+func (r *AsyncRecorder) shipSealed() error {
 	r.shipMu.Lock()
 	defer r.shipMu.Unlock()
+	var refused error
 	for {
 		r.mu.Lock()
 		var sj *sealedJournal
-		for _, c := range r.sealed {
-			if all || c.attempts < maxAutoShipAttempts {
-				sj = c
-				break
-			}
+		if len(r.sealed) > 0 {
+			sj = r.sealed[0] // only this loop removes a file
 		}
 		workers := r.concurrency
 		r.mu.Unlock()
 		if sj == nil {
-			return nil
+			return refused
 		}
-		if sj.attempts > 0 {
+		if sj.failed {
 			r.flushRetries.Add(1)
 		}
-		if err := r.shipJournal(sj, workers); err != nil {
-			sj.attempts++
-			return err
+		rejected, err := r.shipJournal(sj, workers)
+		if err != nil {
+			sj.failed = true
+			return errors.Join(refused, err)
+		}
+		if refused == nil {
+			refused = rejected
 		}
 		r.mu.Lock()
-		for i, c := range r.sealed {
-			if c == sj {
-				r.sealed = append(r.sealed[:i], r.sealed[i+1:]...)
-				break
-			}
-		}
+		r.sealed = slices.Delete(r.sealed, 0, 1)
 		r.pending -= sj.count
 		r.journalPending.Set(r.pending)
 		r.mu.Unlock()
@@ -566,17 +567,19 @@ func (r *AsyncRecorder) shipSealed(all bool) error {
 }
 
 // shipJournal decodes one sealed journal and ships its batches through
-// the bounded worker pipeline. On failure the file is left whole and
-// the shipped counter rolls back to this ship's starting point.
-func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int) (err error) {
+// the bounded worker pipeline. It returns the first refusal of a record,
+// if any, or err when the file could not be read or a batch could not
+// reach the store: the file is then left whole and the shipped counter
+// rolls back to this ship's starting point.
+func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int) (refused, err error) {
 	f, err := os.Open(sj.path)
 	if err != nil {
-		return fmt.Errorf("client: opening sealed journal: %w", err)
+		return nil, fmt.Errorf("client: opening sealed journal: %w", err)
 	}
 	defer f.Close()
 	jr, err := newJournalReader(f, sj.path)
 	if err != nil {
-		return fmt.Errorf("client: reading journal: %w", err)
+		return nil, fmt.Errorf("client: reading journal: %w", err)
 	}
 
 	if workers <= 0 {
@@ -609,6 +612,13 @@ func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int) (err error) 
 		errOnce.Unlock()
 		failed.Store(true)
 	}
+	refuse := func(err error) {
+		errOnce.Lock()
+		if refused == nil {
+			refused = err
+		}
+		errOnce.Unlock()
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -627,7 +637,7 @@ func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int) (err error) 
 				}
 				r.shipped.Add(int64(resp.Accepted))
 				if len(resp.Rejects) > 0 {
-					fail(fmt.Errorf("%w: %d rejects, first: %s",
+					refuse(fmt.Errorf("%w: %d rejects, first: %s",
 						ErrRejected, len(resp.Rejects), resp.Rejects[0].Reason))
 				}
 			}
@@ -672,9 +682,9 @@ func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int) (err error) 
 		// the shipped counter must forget this attempt's partial
 		// progress, or the retry would count those batches twice.
 		r.shipped.Store(shippedBase)
-		return err
+		return nil, err
 	}
-	return nil
+	return refused, nil
 }
 
 // Pending reports how many records await shipping (active journal plus
@@ -701,7 +711,7 @@ func (r *AsyncRecorder) Close() error {
 
 	var shipErr error
 	if sealErr == nil {
-		shipErr = r.shipSealed(true)
+		shipErr = r.shipSealed()
 	}
 
 	r.shipMu.Lock()

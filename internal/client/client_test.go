@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -786,5 +787,60 @@ func TestAsyncRecorderCloseKeepsUnshipped(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(path + "*"); len(left) != 0 {
 		t.Errorf("journal files left after a Close that shipped everything: %q", left)
+	}
+}
+
+// TestAsyncRecorderRefusalShipsTheRest: a record the store refuses is
+// its verdict on that record, not a failure to reach the store. The
+// flush counts the records the store accepted as shipped, reports the
+// refusal once — in its error and in its failed client.flush entry — and
+// removes the journal, so neither a later Flush, nor Close, nor a
+// successor recorder on the same path meets the refusal again.
+func TestAsyncRecorderRefusalShipsTheRest(t *testing.T) {
+	pc, _ := startStore(t)
+	path := filepath.Join(t.TempDir(), "journal")
+	r, err := NewAsyncRecorder("svc:enactor", path, 0, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := seq.NewID()
+	bad := mkRecord(session)
+	bad.Interaction.LocalID = ""
+	if err := r.Record(mkRecord(session), bad, mkRecord(session)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(); !errors.Is(err, ErrRejected) {
+		t.Fatalf("Flush = %v, want ErrRejected", err)
+	}
+	if ring := r.Obs().Tracer().Slow(); len(ring) != 1 || ring[0].Op() != "client.flush" || !strings.Contains(ring[0].Err(), ErrRejected.Error()) {
+		t.Errorf("history after a refusal: %v, want one client.flush entry carrying it", ring)
+	}
+	if st, n := r.Stats(), r.Pending(); st.Shipped != 2 || st.FlushRetries != 0 || n != 0 {
+		t.Errorf("after the refusal: shipped %d, %d retries, %d pending; want 2, 0 and 0", st.Shipped, st.FlushRetries, n)
+	}
+	if err := r.Flush(); err != nil {
+		t.Errorf("second Flush = %v, want the refusal reported once", err)
+	}
+	if err := r.Close(); err != nil {
+		t.Errorf("Close = %v, want the refusal reported once", err)
+	}
+	if left, _ := filepath.Glob(path + "*"); len(left) != 0 {
+		t.Errorf("journal files left after the refused record was reported: %q", left)
+	}
+	next, err := NewAsyncRecorder("svc:enactor", path, 0, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := next.Pending(); n != 0 {
+		t.Errorf("successor adopted %d records, want none", n)
+	}
+	if err := next.Flush(); err != nil {
+		t.Errorf("successor's Flush = %v", err)
+	}
+	if err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cnt, err := pc.Count(); err != nil || cnt.Interactions != 2 {
+		t.Fatalf("store holds %d interactions (%v), want the 2 accepted", cnt.Interactions, err)
 	}
 }

@@ -161,7 +161,7 @@ func TestJournalBadFrames(t *testing.T) {
 			}
 			defer r.Close()
 			sj := &sealedJournal{path: path, count: 2}
-			if err := r.shipJournal(sj, 1); err == nil {
+			if _, err := r.shipJournal(sj, 1); err == nil {
 				t.Fatal("a sealed journal with a bad frame shipped")
 			}
 			if _, err := os.Stat(path); err != nil {

@@ -43,7 +43,10 @@ const (
 	dataFileName = "data.log"
 	tmpFileName  = "compact.tmp"
 
-	flagTombstone = 1
+	// Flag 1 marked a per-key tombstone in logs written before key
+	// batches; the stores that can hold one are refused by their index,
+	// so it is no longer read.
+	//
 	// flagKeyBatch marks a key-batch entry (kv.AppendKeyBatch): its
 	// keyLen is 0 and its valLen the length of the batch body that stands
 	// where a per-key entry has its key and value. The CRC covers it as it
@@ -409,9 +412,6 @@ func (s *logState) apply(rec []byte, body kv.KeyBatch, chunk *strings.Builder) i
 		for i, key := range body.All() {
 			s.setBatched(cut(chunk, key, len(rec)), newBatchLoc(s.offset, kv.KeyShare(int64(recLen), body.Len(), i)))
 		}
-	case rec[4]&flagTombstone != 0:
-		s.drop(cut(chunk, rec[headerSize:valOff], len(rec)))
-		s.garbage += int64(recLen)
 	default:
 		key := rec[headerSize:valOff]
 		loc := entryLoc{off: s.offset + int64(valOff), valLen: recLen - valOff}
@@ -1037,10 +1037,9 @@ func (db *DB) Compact() error {
 		out = out[:0]
 		return nil
 	}
-	// Each run of empty-valued keys, met in key order, goes into key-batch
+	// Each run of key-batch keys, met in key order, goes into key-batch
 	// entries of at most kv.KeyBatchMax key bytes, as kv.FitKeyBatch cuts
-	// them: an empty-valued key that an earlier version logged per key is
-	// rewritten into this form here.
+	// them.
 	var run []string
 	runBytes := 0
 	writeRun := func() error {
@@ -1078,7 +1077,7 @@ func (db *DB) Compact() error {
 		db.mu.RUnlock()
 		for _, it := range group {
 			switch {
-			case it.loc.batched() || it.live && it.at.valLen == 0:
+			case it.loc.batched():
 				if len(run) > 0 && runBytes+len(it.key) > kv.KeyBatchMax {
 					if err := writeRun(); err != nil {
 						return err

@@ -374,7 +374,6 @@ func TestOpenBuildsKeyViewFromReplay(t *testing.T) {
 			want []string
 		}{
 			{"overwrite", batch(put(put(put(nil, "b", "1"), "a", "1"), "b", "2"), false, "a", "x/1"), []string{"a", "b", "x/1"}},
-			{"per-key tombstone", encodeRecord(put(put(nil, "b", "1"), "a", "1"), flagTombstone, "b", nil), []string{"a"}},
 			{"key-batch delete", batch(batch(put(nil, "a", "1"), false, "x/1", "x/2", "x/3"), true, "a", "x/2", "x/9"), []string{"x/1", "x/3"}},
 			{"delete then re-put", reput, []string{"a", "x/1", "x/3", "x/4"}},
 			{"torn tail", put(reput, "z", "torn")[:len(reput)+headerSize+2], []string{"a", "x/1", "x/3", "x/4"}},

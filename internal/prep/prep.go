@@ -42,8 +42,8 @@ const (
 	ActionDelete = "urn:prep:delete"
 	// ActionCompact triggers online compaction of the store's backend,
 	// reclaiming the dead bytes deletions and overwrites leave behind.
-	// The server also schedules compaction itself when the backend's
-	// garbage ratio crosses its threshold after a delete.
+	// Each store also compacts itself when a delete leaves it at
+	// store.CompactRatio garbage.
 	ActionCompact = "urn:prep:compact"
 	// ActionStats returns the store's telemetry: service counters,
 	// per-shard engine statistics, garbage/tombstone state, latency
@@ -326,17 +326,16 @@ func (r *DeleteRequest) Validate() error {
 
 // DeleteResponse acknowledges a DeleteRequest. Deleted counts the
 // records actually removed (0 for an already-absent key — retraction is
-// idempotent). GarbageRatio is the backend's dead-byte fraction after
-// the deletion, and Compacted reports that the deletion pushed the
-// ratio over the server's threshold and an online compaction ran.
-// CompactError carries a scheduled compaction's failure without
-// masking the delete itself, which already succeeded.
+// idempotent). GarbageRatio is the store's dead-byte fraction after the
+// deletion (on a sharded store, the worst shard's): every store that the
+// deletion left at store.CompactRatio garbage compacted itself before
+// the reply, and recorded that in its own history. A reply from an
+// earlier server also carries compacted and compactError, which are
+// ignored.
 type DeleteResponse struct {
 	XMLName      xml.Name `xml:"DeleteResponse"`
 	Deleted      int      `xml:"deleted"`
 	GarbageRatio float64  `xml:"garbageRatio"`
-	Compacted    bool     `xml:"compacted"`
-	CompactError string   `xml:"compactError,omitempty"`
 }
 
 // CompactRequest asks the server to compact its backend now.
@@ -507,6 +506,9 @@ type StatsResponse struct {
 	XMLName xml.Name `xml:"StatsResponse"`
 
 	// Service-level request accounting (one consistent snapshot).
+	// Compactions counts the compact requests this service served; a
+	// store's own compactions after a delete are its node's
+	// store_compact_seconds count and store.compact events.
 	RecordRequests  int64 `xml:"recordRequests"`
 	RecordsAccepted int64 `xml:"recordsAccepted"`
 	QueryRequests   int64 `xml:"queryRequests"`

@@ -1,15 +1,17 @@
 package preserv
 
 // Tests for the deletion/compaction wire actions: urn:prep:delete (by
-// storage key and by session), urn:prep:compact, garbage-ratio-
-// scheduled compaction after deletes, and the lifecycle telemetry in
+// storage key and by session), urn:prep:compact, the compaction each
+// store schedules after its own deletes, and the lifecycle telemetry in
 // Stats.
 
 import (
 	"testing"
 
 	"preserv/internal/core"
+	"preserv/internal/ids"
 	"preserv/internal/prep"
+	"preserv/internal/shard"
 	"preserv/internal/store"
 )
 
@@ -107,6 +109,18 @@ func TestDeleteRequestValidation(t *testing.T) {
 	}
 }
 
+// storeCompactions returns the store.compact entries of a stats node's
+// history and the node's store_compact_seconds count.
+func storeCompactions(node prep.ShardStats) ([]prep.SlowSpan, int64) {
+	var n int64
+	for _, h := range node.Histograms {
+		if h.Name == "store_compact_seconds" {
+			n = h.Count
+		}
+	}
+	return entries(node.Slow, "store.compact"), n
+}
+
 func TestCompactActionReclaimsGarbage(t *testing.T) {
 	client, svc := startKVServer(t)
 	session := seq.NewID()
@@ -117,13 +131,13 @@ func TestCompactActionReclaimsGarbage(t *testing.T) {
 	if _, err := client.Record("svc:enactor", recs); err != nil {
 		t.Fatal(err)
 	}
-	// Disable auto compaction so the explicit action is what reclaims.
-	svc.SetCompactRatio(-1)
-	if _, err := client.DeleteSession(session); err != nil {
+	// One record of six leaves the store below store.CompactRatio: it
+	// keeps its garbage until the explicit action reclaims it.
+	if _, err := client.DeleteRecord(recs[0].StorageKey()); err != nil {
 		t.Fatal(err)
 	}
-	if mustStats(t, svc).GarbageRatio <= 0 {
-		t.Fatal("deletes left no measurable garbage")
+	if g := mustStats(t, svc).GarbageRatio; g <= 0 || g >= store.CompactRatio {
+		t.Fatalf("garbage ratio %v after one delete, want above 0 and below %v", g, store.CompactRatio)
 	}
 	resp, err := client.Compact()
 	if err != nil {
@@ -136,9 +150,18 @@ func TestCompactActionReclaimsGarbage(t *testing.T) {
 	if stats.Compactions != 1 || stats.GarbageRatio != 0 || stats.Tombstones != 0 {
 		t.Errorf("stats after compact: %+v", stats)
 	}
+	if c, _ := storeCompactions(stats.Shards[0]); len(c) != 1 || attr(c[0], "trigger") != "request" {
+		t.Errorf("the store's history holds store.compact entries %+v, want one with trigger=request", c)
+	}
 }
 
+// A delete that leaves the store at store.CompactRatio garbage comes
+// back compacted: the store compacted itself before the reply, and the
+// compaction is in the store's own history — its store_compact_seconds
+// count and a store.compact event with trigger=delete — while the
+// service's Compactions counts only requested ones.
 func TestScheduledCompactionTriggersOnGarbageRatio(t *testing.T) {
+	withTelemetry(t)
 	client, svc := startKVServer(t)
 	session := seq.NewID()
 	var recs []core.Record
@@ -148,57 +171,122 @@ func TestScheduledCompactionTriggersOnGarbageRatio(t *testing.T) {
 	if _, err := client.Record("svc:enactor", recs); err != nil {
 		t.Fatal(err)
 	}
-	// Any garbage at all crosses this threshold, so the session delete
-	// must come back already compacted.
-	svc.SetCompactRatio(0.01)
 	resp, err := client.DeleteSession(session)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Compacted {
-		t.Fatal("delete did not trigger scheduled compaction")
+	if resp.Deleted != 6 || resp.GarbageRatio != 0 {
+		t.Fatalf("delete reply %+v, want 6 deleted and the garbage reclaimed", resp)
 	}
-	if resp.GarbageRatio != 0 {
-		t.Fatalf("garbage ratio after scheduled compaction = %v", resp.GarbageRatio)
+	st := mustStats(t, svc)
+	if st.Compactions != 0 || st.GarbageRatio != 0 || st.Tombstones != 0 {
+		t.Errorf("stats after the delete: %d requested compactions, garbage %v, %d tombstones; want 0, 0, 0",
+			st.Compactions, st.GarbageRatio, st.Tombstones)
 	}
-	if mustStats(t, svc).Compactions != 1 {
-		t.Errorf("compactions = %d", mustStats(t, svc).Compactions)
+	c, n := storeCompactions(st.Shards[0])
+	if n != 1 || len(c) != 1 || attr(c[0], "trigger") != "delete" || c[0].Err != "" {
+		t.Errorf("the store's history: store_compact_seconds count %d, store.compact entries %+v; want one with trigger=delete", n, c)
 	}
 }
 
 // The memory flavour runs the kvdb engine as the persistent ones do: a
-// deleted session leaves garbage, and a delete that takes the ratio past
-// the threshold compacts it away.
+// deleted session leaves garbage, and the delete that takes the ratio to
+// store.CompactRatio compacts it away.
 func TestMemoryFlavourCompactsDeletedSessions(t *testing.T) {
 	client, svc := startServer(t)
 	first, second := seq.NewID(), seq.NewID()
 	var recs []core.Record
 	for i := 0; i < 6; i++ {
-		recs = append(recs, mkRecord(first, "svc:gzip"), mkRecord(second, "svc:ppmz"))
+		if i < 2 {
+			recs = append(recs, mkRecord(first, "svc:gzip"))
+		}
+		recs = append(recs, mkRecord(second, "svc:ppmz"))
 	}
 	if _, err := client.Record("svc:enactor", recs); err != nil {
 		t.Fatal(err)
 	}
-	svc.SetCompactRatio(-1)
 	if _, err := client.DeleteSession(first); err != nil {
 		t.Fatal(err)
 	}
 	stats := mustStats(t, svc)
-	if stats.GarbageRatio <= 0 || stats.Compactions != 0 {
-		t.Fatalf("after a delete with compaction off: garbage ratio %v, %d compactions; want above 0 and 0",
-			stats.GarbageRatio, stats.Compactions)
+	if c, _ := storeCompactions(stats.Shards[0]); stats.GarbageRatio <= 0 || stats.GarbageRatio >= store.CompactRatio || len(c) != 0 {
+		t.Fatalf("after deleting 2 records of 8: garbage ratio %v, store.compact entries %+v; want below %v and none",
+			stats.GarbageRatio, c, store.CompactRatio)
 	}
-	svc.SetCompactRatio(0.01)
 	resp, err := client.DeleteSession(second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Compacted {
-		t.Fatal("delete did not trigger scheduled compaction")
+	if resp.GarbageRatio != 0 {
+		t.Fatalf("garbage ratio %v after deleting the rest, want it reclaimed", resp.GarbageRatio)
 	}
 	stats = mustStats(t, svc)
-	if stats.Compactions != 1 || stats.GarbageRatio != 0 {
-		t.Fatalf("after the scheduled compaction: %d compactions, garbage ratio %v; want 1 and 0",
-			stats.Compactions, stats.GarbageRatio)
+	if c, _ := storeCompactions(stats.Shards[0]); len(c) != 1 || attr(c[0], "trigger") != "delete" || stats.Compactions != 0 {
+		t.Fatalf("after deleting the rest: store.compact entries %+v, %d requested compactions; want one with trigger=delete and 0",
+			c, stats.Compactions)
+	}
+}
+
+// TestFrontDeleteCompactsOnlyTheHomeChild: a session delete through a
+// front over two served children compacts the child that held the
+// session, and that child only — each store reclaims its own garbage.
+// The compaction is in that child's store leaf of the front's stats tree;
+// the other child and the front itself run none, and the reply's
+// garbage ratio is what the children hold after it: none.
+func TestFrontDeleteCompactsOnlyTheHomeChild(t *testing.T) {
+	withTelemetry(t)
+	ca, _ := startKVServer(t)
+	cb, _ := startKVServer(t)
+	rt, err := NewRemoteRouter(ca.URL() + "," + cb.URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := NewShardedService(rt)
+	srv, err := Serve(front, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	client := NewClient(srv.URL, nil)
+
+	// One session homed on each child; the first one's is deleted.
+	var sessions [2]ids.ID
+	for n := 0; n < 2; {
+		sid := seq.NewID()
+		if shard.AffinityIndex(sid.String(), 2) != n {
+			continue
+		}
+		sessions[n], n = sid, n+1
+		recs := []core.Record{mkRecord(sid, "svc:gzip"), mkRecord(sid, "svc:ppmz"), mkRecord(sid, "svc:bzip2")}
+		if _, err := client.Record("svc:enactor", recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := client.DeleteSession(sessions[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Deleted != 3 || resp.GarbageRatio != 0 {
+		t.Fatalf("delete reply %+v, want 3 deleted and garbage ratio 0", resp)
+	}
+
+	st := mustStats(t, front)
+	if st.Compactions != 0 || len(entries(st.Slow, "store.compact")) != 0 {
+		t.Errorf("the front ran a compaction of its own: %d compactions, root history %+v", st.Compactions, st.Slow)
+	}
+	if len(st.Shards) != 2 {
+		t.Fatalf("front reports %d children, want 2", len(st.Shards))
+	}
+	for i, child := range st.Shards {
+		if len(child.Shards) != 1 {
+			t.Fatalf("child %d's node %+v, want its one store's leaf", i, child)
+		}
+		c, n := storeCompactions(child.Shards[0])
+		switch {
+		case i == 0 && (n != 1 || len(c) != 1 || attr(c[0], "trigger") != "delete" || c[0].Err != ""):
+			t.Errorf("home child's store: store_compact_seconds count %d, store.compact entries %+v; want one with trigger=delete", n, c)
+		case i == 1 && (n != 0 || len(c) != 0):
+			t.Errorf("the other child's store compacted: store_compact_seconds count %d, entries %+v", n, c)
+		}
 	}
 }

@@ -11,12 +11,10 @@ package preserv
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,28 +27,12 @@ import (
 	"preserv/internal/store"
 )
 
-// compile-time check: the router satisfies the actions' surface.
-var _ Provenance = (*shard.Router)(nil)
-
-// DefaultCompactRatio is the garbage-ratio threshold above which a
-// deletion triggers an online compaction of the backend: once half the
-// stored bytes are dead, rewriting the live half costs less than
-// carrying the garbage.
-const DefaultCompactRatio = 0.5
-
 // Provenance is the store-shaped surface the actions serve: a
 // shard.Router, over the one embedded store of a single-store service
 // or over several shards. The service layer is identical either way,
 // which is what makes the sharded service mode a wiring change rather
 // than a reimplementation.
-type Provenance interface {
-	shard.Shard
-	// CompactAbove compacts only the parts whose garbage ratio reached
-	// threshold: for one store that is the store or nothing; for a
-	// router, just the hot shards — scheduled reclamation must not
-	// rewrite every clean shard because one crossed the line.
-	CompactAbove(threshold float64) error
-}
+type Provenance = shard.Shard
 
 // Service is a PReServ instance: a shard router (over one store, or
 // fronting several), the PReP actions over it, and the translator that
@@ -59,14 +41,6 @@ type Service struct {
 	rt      *shard.Router
 	prov    Provenance
 	handler *soap.HTTPHandler
-	// compactRatio holds the garbage-ratio threshold for delete-
-	// triggered compaction as float64 bits, so SetCompactRatio may be
-	// called while delete traffic is in flight: maybeCompact reads it
-	// on every delete, and a plain float64 field here was a data race
-	// (caught by -race under concurrent deletes). Zero (the natural
-	// zero value) means DefaultCompactRatio; negative disables
-	// automatic compaction (explicit ActionCompact still works).
-	compactRatio atomic.Uint64
 	// Request accounting lives in the service registry so one
 	// CounterSnapshot sees every counter at a single point in time, and
 	// related counters (a request plus the records it accepted) update
@@ -80,9 +54,6 @@ type Service struct {
 	recordsDeleted  *obs.Counter
 	compactions     *obs.Counter
 	queryRequests   *obs.Counter
-	// compactMu serialises compactions: concurrent deletes must not pile
-	// up rewrites of the same log.
-	compactMu sync.Mutex
 	// pprofOn gates the /debug/pprof handlers Serve wires up; set it
 	// via EnablePprof before Serve.
 	pprofOn atomic.Bool
@@ -179,8 +150,9 @@ func (svc *Service) record(body *soap.Message) (any, error) {
 }
 
 // delete handles prep.ActionDelete: the retraction of one record, a key
-// batch or a whole session, then a scheduled compaction if the garbage
-// crossed the threshold.
+// batch or a whole session. Each store compacts itself when the delete
+// leaves it at store.CompactRatio garbage; the reply reports the ratio
+// that remains.
 //
 // provlint:typed-faults
 func (svc *Service) delete(body *soap.Message) (any, error) {
@@ -210,18 +182,7 @@ func (svc *Service) delete(body *soap.Message) (any, error) {
 	if derr != nil {
 		return nil, derr
 	}
-	resp := &prep.DeleteResponse{Deleted: deleted}
-	if deleted > 0 {
-		// A failed scheduled compaction must not mask the delete,
-		// which already succeeded: report it in the response instead
-		// of turning the whole request into a fault.
-		var err error
-		if resp.Compacted, err = svc.maybeCompact(); err != nil {
-			resp.CompactError = err.Error()
-		}
-	}
-	resp.GarbageRatio = svc.prov.GarbageRatio()
-	return resp, nil
+	return &prep.DeleteResponse{Deleted: deleted, GarbageRatio: svc.prov.GarbageRatio()}, nil
 }
 
 // compact handles prep.ActionCompact: an online compaction of every
@@ -234,50 +195,11 @@ func (svc *Service) compact(body *soap.Message) (any, error) {
 		return nil, &soap.Fault{Code: soap.FaultBadRequest, Message: "bad compact request: " + err.Error()}
 	}
 	before := svc.prov.GarbageRatio()
-	svc.compactMu.Lock()
-	err := svc.prov.Compact()
-	svc.compactMu.Unlock()
-	if err != nil {
+	if err := svc.prov.Compact(); err != nil {
 		return nil, err
 	}
 	svc.compactions.Add(1)
 	return &prep.CompactResponse{GarbageBefore: before, GarbageAfter: svc.prov.GarbageRatio()}, nil
-}
-
-// maybeCompact runs an online compaction when the backend's garbage
-// ratio has crossed the service's threshold — the scheduled reclamation
-// that keeps deletions from growing the store without bound. It runs
-// inline with the triggering delete request: deletions are rare
-// administrative operations, and an inline compaction keeps the
-// observable state deterministic (the response reports whether it ran).
-func (svc *Service) maybeCompact() (bool, error) {
-	threshold := svc.compactThreshold()
-	if threshold < 0 || svc.prov.GarbageRatio() < threshold {
-		return false, nil
-	}
-	svc.compactMu.Lock()
-	defer svc.compactMu.Unlock()
-	// Re-check under the compaction lock: a concurrent delete may have
-	// just compacted the garbage away.
-	if svc.prov.GarbageRatio() < threshold {
-		return false, nil
-	}
-	// Selective: only the store/shards at or over the threshold are
-	// rewritten (explicit ActionCompact still compacts everything).
-	if err := svc.prov.CompactAbove(threshold); err != nil {
-		return false, fmt.Errorf("preserv: scheduled compaction: %w", err)
-	}
-	svc.compactions.Add(1)
-	return true, nil
-}
-
-// compactThreshold reads the effective threshold atomically.
-func (svc *Service) compactThreshold() float64 {
-	threshold := math.Float64frombits(svc.compactRatio.Load())
-	if threshold == 0 {
-		threshold = DefaultCompactRatio
-	}
-	return threshold
 }
 
 // query handles prep.ActionQuery through the store's scan path, the
@@ -397,12 +319,6 @@ func (svc *Service) Provenance() Provenance { return svc.prov }
 // *soap.HTTPHandler: soap.Server's loop serves POSTs to that type
 // itself.
 func (svc *Service) Handler() http.Handler { return svc.handler }
-
-// SetCompactRatio sets the garbage-ratio threshold for delete-triggered
-// online compaction (zero restores DefaultCompactRatio, negative
-// disables it). Safe to call while serving: the threshold is stored
-// atomically and picked up by the next delete.
-func (svc *Service) SetCompactRatio(r float64) { svc.compactRatio.Store(math.Float64bits(r)) }
 
 // StatsResponse assembles the urn:prep:stats reply — the service's one
 // telemetry snapshot: the request counters and the router's stats tree

@@ -22,8 +22,8 @@ type RemoteShard struct {
 
 	// statsMu guards the cached urn:prep:stats snapshot. GarbageRatio,
 	// Tombstones and EngineStats are polled on hot paths the base Shard
-	// surface never meant to cost a round trip (the router's
-	// GarbageRatio loops over every shard on every delete), so the
+	// surface never meant to cost a round trip (a delete reply reads the
+	// router's GarbageRatio, which loops over every shard), so the
 	// snapshot is cached for statsTTL and refreshed lazily. Mutations
 	// through this shard invalidate it immediately — a delete must see
 	// its own garbage.
@@ -152,9 +152,8 @@ func (r *RemoteShard) snapshot() *prep.StatsResponse {
 }
 
 // GarbageRatio implements shard.Shard via the endpoint's stats action
-// (TTL-cached — the router probes this on every delete). An endpoint
-// that cannot answer contributes zero, the pre-stats behaviour: the
-// remote store schedules its own compactions then.
+// (TTL-cached — every delete reply reads it). An endpoint that cannot
+// answer contributes zero, the pre-stats behaviour.
 func (r *RemoteShard) GarbageRatio() float64 { return r.snapshot().GarbageRatio }
 
 // Generation implements shard.Shard via the endpoint's

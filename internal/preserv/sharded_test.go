@@ -13,7 +13,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -221,55 +220,6 @@ func TestShardedServiceOverRemoteEndpoints(t *testing.T) {
 	}
 	if cnt, _ := client.Count(); cnt.Records != 23 {
 		t.Fatalf("count after delete %d, want 23", cnt.Records)
-	}
-}
-
-// TestSetCompactRatioRaceUnderConcurrentDeletes is the regression test
-// for the CompactRatio data race: the threshold is retuned while delete
-// requests (which read it in maybeCompact) are in flight. Run under
-// -race this flagged the old plain-float64 field.
-func TestSetCompactRatioRaceUnderConcurrentDeletes(t *testing.T) {
-	client, svc := startKVServer(t)
-
-	// A pile of single-record sessions to delete concurrently.
-	const n = 24
-	keys := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		r := mkRecord(seq.NewID(), "svc:gzip")
-		if _, err := client.Record("svc:enactor", []core.Record{r}); err != nil {
-			t.Fatal(err)
-		}
-		keys = append(keys, r.StorageKey())
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, n+1)
-	// One goroutine retunes the threshold continuously...
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			svc.SetCompactRatio(float64(i%10) / 10)
-		}
-		svc.SetCompactRatio(-1)
-	}()
-	// ...while deletes stream in and read it per request.
-	for _, k := range keys {
-		wg.Add(1)
-		go func(k string) {
-			defer wg.Done()
-			if _, err := client.DeleteRecord(k); err != nil {
-				errs <- err
-			}
-		}(k)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := mustStats(t, svc).RecordsDeleted; got != n {
-		t.Fatalf("deleted %d, want %d", got, n)
 	}
 }
 

@@ -33,8 +33,7 @@ func withTelemetry(t *testing.T) {
 
 func TestStatsWireAction(t *testing.T) {
 	withTelemetry(t)
-	client, svc := startKVServer(t)
-	svc.SetCompactRatio(-1) // keep the garbage so the stats can see it
+	client, _ := startKVServer(t)
 
 	session := seq.NewID()
 	var recs []core.Record
@@ -108,7 +107,6 @@ func TestShardedStatsOverRemoteShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		childSvc := NewService(store.New(b))
-		childSvc.SetCompactRatio(-1)
 		srv, err := Serve(childSvc, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +120,6 @@ func TestShardedStatsOverRemoteShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := NewShardedService(rt)
-	svc.SetCompactRatio(-1)
 	srv, err := Serve(svc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -131,16 +128,19 @@ func TestShardedStatsOverRemoteShards(t *testing.T) {
 	front := NewClient(srv.URL, nil)
 
 	// Enough distinct sessions that both shards receive records, then a
-	// deletion on each session to leave tombstones behind on both sides.
+	// deletion on each session to leave tombstones behind on both sides:
+	// one record of four, so that no child reaches store.CompactRatio and
+	// reclaims them.
 	perShard := make([]int, 2)
 	var doomed []string
 	for s := 0; s < 8; s++ {
 		session := seq.NewID()
-		recs := []core.Record{mkRecord(session, "svc:gzip"), mkRecord(session, "svc:ppmz")}
+		recs := []core.Record{mkRecord(session, "svc:gzip"), mkRecord(session, "svc:ppmz"),
+			mkRecord(session, "svc:bzip2"), mkRecord(session, "svc:gzip")}
 		if _, err := front.Record("svc:enactor", recs); err != nil {
 			t.Fatal(err)
 		}
-		perShard[shard.AffinityIndex(session.String(), 2)] += 2
+		perShard[shard.AffinityIndex(session.String(), 2)] += len(recs)
 		doomed = append(doomed, recs[0].StorageKey())
 	}
 	if perShard[0] == 0 || perShard[1] == 0 {
@@ -235,7 +235,6 @@ func TestShardedStatsOverRemoteShards(t *testing.T) {
 func TestRemoteShardStatsCarryEveryField(t *testing.T) {
 	withTelemetry(t)
 	client, svc := startKVServer(t)
-	svc.SetCompactRatio(-1)
 	svc.Obs().Tracer().SetSlowThreshold(time.Nanosecond)
 
 	session := seq.NewID()
@@ -292,16 +291,14 @@ func TestFrontStatsPollEachChildOnce(t *testing.T) {
 	ca, a := startKVServer(t)
 	cb, b := startKVServer(t)
 	children := []*Service{a, b}
-	for _, c := range children {
-		c.SetCompactRatio(-1) // keep the garbage so the aggregate sees it
-	}
 	rt, err := NewRemoteRouter(ca.URL() + "," + cb.URL())
 	if err != nil {
 		t.Fatal(err)
 	}
 	front := NewShardedService(rt)
 	// Sessions homed on each child, so that both hold records and
-	// tombstones.
+	// tombstones: one record of each session's four is deleted, which
+	// leaves each child below store.CompactRatio.
 	var keys []string
 	for homed := [2]int{}; homed[0] < 2 || homed[1] < 2; {
 		sid := seq.NewID()
@@ -310,7 +307,8 @@ func TestFrontStatsPollEachChildOnce(t *testing.T) {
 			continue
 		}
 		homed[home]++
-		recs := []core.Record{mkRecord(sid, "svc:gzip"), mkRecord(sid, "svc:ppmz")}
+		recs := []core.Record{mkRecord(sid, "svc:gzip"), mkRecord(sid, "svc:ppmz"),
+			mkRecord(sid, "svc:bzip2"), mkRecord(sid, "svc:gzip")}
 		if _, _, err := rt.Record("svc:enactor", recs); err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +549,6 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestEveryActionTimedAndCounted(t *testing.T) {
 	withTelemetry(t)
 	client, svc := startServer(t)
-	svc.SetCompactRatio(-1) // a delete must not compact on its own
 	session := seq.NewID()
 	q := &prep.Query{SessionID: session}
 	steps := []struct {

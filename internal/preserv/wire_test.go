@@ -4,6 +4,7 @@ import (
 	"encoding/xml"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -128,5 +129,25 @@ func TestUndecodableRequestsFaultAsBadRequest(t *testing.T) {
 	// The server is still answering.
 	if resp, err := client.Record("svc:enactor", []core.Record{mkRecord(ids.New(), "svc:gzip")}); err != nil || resp.Accepted != 1 {
 		t.Fatalf("record after the faults: %+v, err %v", resp, err)
+	}
+}
+
+// A delete reply from an earlier server also carries whether that server
+// compacted after the delete and why its compaction failed. The client
+// reads what this reply type keeps, the deleted count and the garbage
+// ratio, and passes over the rest.
+func TestDeleteReplyOfEarlierServerDecodes(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", soap.ContentType)
+		io.WriteString(w, envelope(prep.ActionDelete, `<DeleteResponse><deleted>3</deleted><garbageRatio>0.25</garbageRatio>`+
+			`<compacted>true</compacted><compactError>preserv: scheduled compaction: disk full</compactError></DeleteResponse>`))
+	}))
+	defer srv.Close()
+	resp, err := NewClient(srv.URL, nil).DeleteSession(ids.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Deleted != 3 || resp.GarbageRatio != 0.25 {
+		t.Fatalf("decoded %+v, want 3 deleted and garbage ratio 0.25", resp)
 	}
 }

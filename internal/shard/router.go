@@ -803,27 +803,7 @@ func (rt *Router) Compact() error {
 	}))
 }
 
-// CompactAbove compacts only the shards whose own garbage ratio has
-// reached threshold — the scheduled-reclamation form: one hot shard
-// crossing the threshold must not force every clean shard through a
-// full live-data rewrite. A remote shard reports the ratio of its
-// child's stats reply, and zero when the child cannot answer: it is
-// skipped then, and schedules its own compactions. A negative threshold
-// disables.
-func (rt *Router) CompactAbove(threshold float64) error {
-	if threshold < 0 {
-		return nil
-	}
-	return joinErrs(rt.each(func(_ int, s Shard) error {
-		if s.GarbageRatio() >= threshold {
-			return s.Compact()
-		}
-		return nil
-	}))
-}
-
-// GarbageRatio reports the worst shard's dead-byte fraction — the shard
-// a scheduled compaction most needs to visit drives the signal (Compact
+// GarbageRatio reports the worst shard's dead-byte fraction (Compact
 // fans out and relieves all of them at once).
 func (rt *Router) GarbageRatio() float64 {
 	max := 0.0

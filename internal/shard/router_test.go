@@ -536,10 +536,11 @@ type gaugeShard struct {
 func (g *gaugeShard) GarbageRatio() float64 { return g.ratio }
 func (g *gaugeShard) Compact() error        { g.compacts++; return g.Shard.Compact() }
 
-// TestCompactAboveSkipsCleanShards pins selective scheduled
-// compaction: one hot shard crossing the threshold must not force the
-// clean shards through a rewrite (explicit Compact still visits all).
-func TestCompactAboveSkipsCleanShards(t *testing.T) {
+// TestRouterCompactVisitsEveryShard: the router reports the worst
+// shard's garbage ratio, and a requested Compact visits every shard,
+// clean ones too. A store schedules its own compactions; the router
+// schedules none.
+func TestRouterCompactVisitsEveryShard(t *testing.T) {
 	hot := &gaugeShard{Shard: NewLocal(store.New(store.NewMemoryBackend())), ratio: 0.8}
 	cold := &gaugeShard{Shard: NewLocal(store.New(store.NewMemoryBackend())), ratio: 0.1}
 	rt, err := NewRouter(hot, cold)
@@ -549,23 +550,11 @@ func TestCompactAboveSkipsCleanShards(t *testing.T) {
 	if got := rt.GarbageRatio(); got != 0.8 {
 		t.Fatalf("router garbage ratio %v, want the worst shard's 0.8", got)
 	}
-	if err := rt.CompactAbove(0.5); err != nil {
-		t.Fatal(err)
-	}
-	if hot.compacts != 1 || cold.compacts != 0 {
-		t.Fatalf("CompactAbove compacted hot=%d cold=%d, want 1/0", hot.compacts, cold.compacts)
-	}
-	if err := rt.CompactAbove(-1); err != nil {
-		t.Fatal(err)
-	}
-	if hot.compacts != 1 {
-		t.Fatal("negative threshold still compacted")
-	}
 	if err := rt.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if hot.compacts != 2 || cold.compacts != 1 {
-		t.Fatalf("explicit Compact visited hot=%d cold=%d, want 2/1", hot.compacts, cold.compacts)
+	if hot.compacts != 1 || cold.compacts != 1 {
+		t.Fatalf("explicit Compact visited hot=%d cold=%d, want 1/1", hot.compacts, cold.compacts)
 	}
 }
 

@@ -3,9 +3,14 @@ package store
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"preserv/internal/core"
+	"preserv/internal/ids"
+	"preserv/internal/prep"
 )
 
 // TestCompactDuringConcurrentWrites hammers the incremental compactors
@@ -236,4 +241,100 @@ func probeLiveSeed(b Backend) error {
 		return fmt.Errorf("scanfrom live = %v, want %d seed keys", scanned, len(keys))
 	}
 	return nil
+}
+
+// TestConcurrentDeletesCompactOnce races deletes across CompactRatio
+// while readers scan. A delete that leaves the store at the ratio
+// compacts it, after checking the ratio again under the store's
+// compaction lock: every compaction a delete triggered found at least
+// CompactRatio garbage, so none rewrote a log that a concurrent delete's
+// compaction had just reclaimed. No reader ever misses a live record.
+func TestConcurrentDeletesCompactOnce(t *testing.T) {
+	for _, but := range allBackends() {
+		t.Run(but.name, func(t *testing.T) {
+			s := New(but.open(t))
+			keep := seq.NewID()
+			var kept []core.Record
+			for i := 0; i < 16; i++ {
+				kept = append(kept, mkInteraction(keep, "svc:gzip", "compress"))
+			}
+			if _, _, err := s.Record("svc:enactor", kept); err != nil {
+				t.Fatal(err)
+			}
+			const deleters, perDeleter, perSession, readers = 4, 6, 4, 2
+			var doomed [deleters][]ids.ID
+			for d := range doomed {
+				for i := 0; i < perDeleter; i++ {
+					session := seq.NewID()
+					var recs []core.Record
+					for j := 0; j < perSession; j++ {
+						recs = append(recs, mkInteraction(session, "svc:ppmz", "compress"))
+					}
+					if _, _, err := s.Record("svc:enactor", recs); err != nil {
+						t.Fatal(err)
+					}
+					doomed[d] = append(doomed[d], session)
+				}
+			}
+
+			errCh := make(chan error, deleters+readers)
+			done := make(chan struct{})
+			var rwg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				rwg.Add(1)
+				go func() {
+					defer rwg.Done()
+					for {
+						recs, total, err := s.Query(&prep.Query{SessionID: keep})
+						if err == nil && (total != len(kept) || len(recs) != len(kept)) {
+							err = fmt.Errorf("a scan found %d of the %d kept records (total %d)", len(recs), len(kept), total)
+						}
+						if err != nil {
+							errCh <- err
+							return
+						}
+						select {
+						case <-done:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			var dwg sync.WaitGroup
+			for d := range doomed {
+				dwg.Add(1)
+				go func(sessions []ids.ID) {
+					defer dwg.Done()
+					for _, session := range sessions {
+						if n, err := s.DeleteSession(session); err != nil || n != perSession {
+							errCh <- fmt.Errorf("DeleteSession = %d, %v, want %d", n, err, perSession)
+							return
+						}
+					}
+				}(doomed[d])
+			}
+			dwg.Wait()
+			close(done)
+			rwg.Wait()
+			close(errCh)
+			for err := range errCh {
+				t.Fatal(err)
+			}
+
+			c := compactions(s)
+			if len(c) == 0 {
+				t.Fatal("no delete compacted the store")
+			}
+			for _, sp := range c {
+				g, err := strconv.ParseFloat(spanAttr(sp, "garbage_before"), 64)
+				if spanAttr(sp, "trigger") != "delete" || sp.Err() != "" || err != nil || g < CompactRatio {
+					t.Errorf("compaction %v found garbage ratio %v: it rewrote a log below CompactRatio", sp.Attrs(), g)
+				}
+			}
+			if got, total := recordsByScan(t, s, &prep.Query{}); total != len(kept) || len(got) != len(kept) {
+				t.Fatalf("%d records after the deletes, want the %d kept", total, len(kept))
+			}
+		})
+	}
 }

@@ -8,13 +8,16 @@ package store
 // while keeping planner results byte-identical to a fresh scan.
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"preserv/internal/core"
 	"preserv/internal/index"
 	"preserv/internal/kvdb"
+	"preserv/internal/obs"
 	"preserv/internal/prep"
 )
 
@@ -323,10 +326,12 @@ func recordsByScan(t *testing.T, s *Store, q *prep.Query) ([]core.Record, int) {
 	return recs, total
 }
 
-// TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity is the PR's
-// acceptance property: after DeleteRecords/DeleteSession + Compact,
-// query results are byte-identical to a fresh scan on every backend,
-// and the persistent backends' on-disk size shrinks.
+// TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity: after
+// DeleteRecords/DeleteSession + Compact, query results are
+// byte-identical to a fresh scan on every backend, and the persistent
+// backends' on-disk size shrinks. A third of the records is deleted,
+// which leaves the store below CompactRatio: the explicit Compact is
+// what reclaims the garbage.
 func TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity(t *testing.T) {
 	type flavour struct {
 		name string
@@ -348,10 +353,10 @@ func TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity(t *testing.T) {
 			doomed := seq.NewID()
 			var keepRecs, doomedRecs []core.Record
 			for i := 0; i < 8; i++ {
-				keepRecs = append(keepRecs, mkInteraction(keep, "svc:gzip", "compress"))
+				keepRecs = append(keepRecs, mkInteraction(keep, "svc:gzip", "compress"), mkInteraction(keep, "svc:gzip", "compress"))
 				doomedRecs = append(doomedRecs, mkInteraction(doomed, "svc:ppmz", "compress"))
 			}
-			if acc, _, err := s.Record("svc:enactor", append(keepRecs, doomedRecs...)); err != nil || acc != 16 {
+			if acc, _, err := s.Record("svc:enactor", append(keepRecs, doomedRecs...)); err != nil || acc != 24 {
 				t.Fatalf("Record = %d, %v", acc, err)
 			}
 
@@ -381,8 +386,8 @@ func TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity(t *testing.T) {
 			if fl.dir != "" {
 				before = dirSize(t, fl.dir)
 			}
-			if g := s.GarbageRatio(); g <= 0 {
-				t.Errorf("GarbageRatio = %v after the deletes, want above 0", g)
+			if g := s.GarbageRatio(); g <= 0 || g >= CompactRatio {
+				t.Errorf("GarbageRatio = %v after the deletes, want above 0 and below %v", g, CompactRatio)
 			}
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
@@ -400,7 +405,7 @@ func TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity(t *testing.T) {
 			// Every read path agrees the session is gone and the kept
 			// session is intact.
 			all, total := recordsByScan(t, s, &prep.Query{})
-			if total != 8 || len(all) != 8 {
+			if total != 16 || len(all) != 16 {
 				t.Fatalf("scan after delete+compact: %d records (total %d)", len(all), total)
 			}
 			for _, r := range all {
@@ -425,7 +430,7 @@ func TestDeleteLifecycleShrinksDiskAndKeepsScanIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				all, total = recordsByScan(t, s, &prep.Query{})
-				if total != 8 || len(all) != 8 {
+				if total != 16 || len(all) != 16 {
 					t.Fatalf("after reopen: %d records (total %d)", len(all), total)
 				}
 			}
@@ -643,5 +648,166 @@ func TestStoreDeleteRecordsBatch(t *testing.T) {
 				t.Fatal("empty key in batch accepted")
 			}
 		})
+	}
+}
+
+// compactions returns the store.compact events of s's history.
+func compactions(s *Store) []*obs.Span {
+	var out []*obs.Span
+	for _, sp := range s.Obs().Tracer().Slow() {
+		if sp.Op() == "store.compact" {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// spanAttr returns the value of sp's attribute key, "" if it has none.
+func spanAttr(sp *obs.Span, key string) string {
+	for _, a := range sp.Attrs() {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// TestDeleteAtCompactRatioCompacts: a delete that leaves the store at
+// CompactRatio garbage or more compacts it before returning, on every
+// flavour and through both deletes. The garbage and the tombstones are
+// gone, the kept record reads as before, and the store's history holds
+// the compaction with trigger=delete and the garbage it found.
+func TestDeleteAtCompactRatioCompacts(t *testing.T) {
+	for _, but := range allBackends() {
+		for _, kind := range []string{"session", "records"} {
+			t.Run(but.name+"/"+kind, func(t *testing.T) {
+				s := New(but.open(t))
+				keep, doomed := seq.NewID(), seq.NewID()
+				recs := []core.Record{mkInteraction(keep, "svc:gzip", "compress")}
+				var keys []string
+				for i := 0; i < 3; i++ {
+					r := mkInteraction(doomed, "svc:ppmz", "compress")
+					recs, keys = append(recs, r), append(keys, r.StorageKey())
+				}
+				if _, _, err := s.Record("svc:enactor", recs); err != nil {
+					t.Fatal(err)
+				}
+				var n int
+				var err error
+				if kind == "session" {
+					n, err = s.DeleteSession(doomed)
+				} else {
+					n, err = s.DeleteRecords(keys)
+				}
+				if err != nil || n != 3 {
+					t.Fatalf("delete = %d, %v, want 3", n, err)
+				}
+				if g, tombs := s.GarbageRatio(), s.Tombstones(); g != 0 || tombs != 0 {
+					t.Errorf("garbage ratio %v, %d tombstones after the delete, want both reclaimed", g, tombs)
+				}
+				c := compactions(s)
+				if len(c) != 1 || spanAttr(c[0], "trigger") != "delete" || c[0].Err() != "" {
+					t.Fatalf("history holds store.compact events %v, want one with trigger=delete", c)
+				}
+				if g, err := strconv.ParseFloat(spanAttr(c[0], "garbage_before"), 64); err != nil || g < CompactRatio {
+					t.Errorf("the compaction found garbage ratio %q, want at least %v", spanAttr(c[0], "garbage_before"), CompactRatio)
+				}
+				if got, total := recordsByScan(t, s, &prep.Query{}); total != 1 || got[0].StorageKey() != recs[0].StorageKey() {
+					t.Errorf("after the delete the store holds %d records, want the kept one", total)
+				}
+			})
+		}
+	}
+}
+
+// TestDeleteBelowCompactRatioKeepsGarbage: a delete that leaves the store
+// below CompactRatio does not compact it.
+func TestDeleteBelowCompactRatioKeepsGarbage(t *testing.T) {
+	for _, but := range allBackends() {
+		t.Run(but.name, func(t *testing.T) {
+			s := New(but.open(t))
+			session := seq.NewID()
+			var recs []core.Record
+			for i := 0; i < 4; i++ {
+				recs = append(recs, mkInteraction(session, "svc:gzip", "compress"))
+			}
+			if _, _, err := s.Record("svc:enactor", recs); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := s.DeleteRecords([]string{recs[0].StorageKey()}); err != nil || n != 1 {
+				t.Fatalf("DeleteRecords = %d, %v, want 1", n, err)
+			}
+			if g := s.GarbageRatio(); g <= 0 || g >= CompactRatio {
+				t.Fatalf("garbage ratio %v after deleting one record of four, want above 0 and below %v", g, CompactRatio)
+			}
+			if c := compactions(s); len(c) != 0 || s.Tombstones() == 0 {
+				t.Errorf("a delete below the ratio compacted: events %v, %d tombstones", c, s.Tombstones())
+			}
+		})
+	}
+}
+
+// TestDeleteOfNothingDoesNotCompact: a delete that removed no record
+// does not compact, on any flavour, however much garbage the store holds.
+func TestDeleteOfNothingDoesNotCompact(t *testing.T) {
+	for _, but := range allBackends() {
+		t.Run(but.name, func(t *testing.T) {
+			b := but.open(t)
+			s := New(b)
+			session := seq.NewID()
+			rec := mkInteraction(session, "svc:gzip", "compress")
+			if _, _, err := s.Record("svc:enactor", []core.Record{rec}); err != nil {
+				t.Fatal(err)
+			}
+			// Garbage past the ratio that no store delete made.
+			if err := b.Put("i/garbage", make([]byte, 4096)); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Delete("i/garbage"); err != nil {
+				t.Fatal(err)
+			}
+			before := s.GarbageRatio()
+			if before < CompactRatio {
+				t.Fatalf("fixture garbage ratio %v, want at least %v", before, CompactRatio)
+			}
+			if n, err := s.DeleteRecords([]string{"i/absent/sender/x/y", "i/garbage"}); err != nil || n != 0 {
+				t.Fatalf("DeleteRecords of absent keys = %d, %v", n, err)
+			}
+			if n, err := s.DeleteSession(seq.NewID()); err != nil || n != 0 {
+				t.Fatalf("DeleteSession of an unknown session = %d, %v", n, err)
+			}
+			if g, c := s.GarbageRatio(), compactions(s); g != before || len(c) != 0 {
+				t.Errorf("deletes of nothing moved the garbage ratio %v -> %v, compaction events %v", before, g, c)
+			}
+		})
+	}
+}
+
+var errInjectedCompact = errors.New("injected compaction failure")
+
+// failingCompact is a backend whose Compact fails.
+type failingCompact struct{ Backend }
+
+func (failingCompact) Compact() error { return errInjectedCompact }
+
+// TestFailedDeleteCompactionKeepsTheDelete: a compaction a delete
+// triggers that fails does not fail the delete, which has succeeded; it
+// is the store's failed store.compact event.
+func TestFailedDeleteCompactionKeepsTheDelete(t *testing.T) {
+	s := New(failingCompact{NewMemoryBackend()})
+	session := seq.NewID()
+	recs := []core.Record{mkInteraction(session, "svc:gzip", "compress"), mkInteraction(session, "svc:gzip", "compress")}
+	if _, _, err := s.Record("svc:enactor", recs); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.DeleteSession(session); err != nil || n != 2 {
+		t.Fatalf("DeleteSession = %d, %v, want 2 and no error", n, err)
+	}
+	c := compactions(s)
+	if len(c) != 1 || spanAttr(c[0], "trigger") != "delete" || c[0].Err() != errInjectedCompact.Error() {
+		t.Fatalf("history holds store.compact events %v, want one failed with trigger=delete", c)
+	}
+	if _, total := recordsByScan(t, s, &prep.Query{}); total != 0 {
+		t.Errorf("%d records after the delete, want none", total)
 	}
 }

@@ -159,6 +159,10 @@ type Store struct {
 	// store_compaction_in_progress gauge).
 	writeStallSec *obs.Histogram
 	compacting    atomic.Int64
+	// compactMu serialises the store's compactions, requested and
+	// scheduled, so a delete re-checks the garbage under it and never
+	// rewrites a log another compaction has just reclaimed.
+	compactMu sync.Mutex // provlint:lock-order 5
 }
 
 // New wraps a backend in a Store.
@@ -506,16 +510,23 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 // the bound caps both lock hold time and peak decoded-record memory.
 const deleteChunkSize = 256
 
+// CompactRatio is the garbage ratio at or above which a delete compacts
+// the store before returning: once half the log's bytes are dead,
+// rewriting the live half costs less than carrying the garbage.
+const CompactRatio = 0.5
+
 // DeleteSession removes every record grouped under the given session —
 // the retraction primitive that keeps a long-lived store from growing
 // without bound. It returns how many records were deleted. Each chunk
 // of records is deleted in one backend batch, together with the
-// records' postings.
+// records' postings. A delete that leaves the store at CompactRatio
+// garbage or more compacts it before returning (reclaim).
 func (s *Store) DeleteSession(session ids.ID) (int, error) {
 	span := s.reg.Tracer().StartSpan("store.delete").SetAttr("kind", "session")
 	deleted, err := s.deleteSession(session)
 	s.deleteBatch.Observe(float64(deleted))
 	span.SetAttr("deleted", fmt.Sprint(deleted)).Observe(s.deleteSec, err)
+	s.reclaim(deleted)
 	return deleted, err
 }
 
@@ -544,14 +555,34 @@ func (s *Store) deleteSession(session ids.ID) (int, error) {
 // returns how many records were actually deleted. Each chunk advances
 // the stamps of what it deleted, so every cached query result computed
 // before the deletion that could include a deleted record is
-// invalidated — a cached page can never resurrect a deleted record.
+// invalidated — a cached page can never resurrect a deleted record. It
+// compacts as DeleteSession does.
 func (s *Store) DeleteRecords(keys []string) (int, error) {
 	span := s.reg.Tracer().StartSpan("store.delete").
 		SetAttr("kind", "records").SetAttr("batch", fmt.Sprint(len(keys)))
 	deleted, err := s.deleteRecords(keys)
 	s.deleteBatch.Observe(float64(len(keys)))
 	span.Observe(s.deleteSec, err)
+	s.reclaim(deleted)
 	return deleted, err
+}
+
+// reclaim is the store's compaction schedule: after a delete that
+// removed records, it compacts when the garbage reached CompactRatio.
+// Records are never overwritten, so a store's garbage comes from its own
+// deletes, and only a delete can push it over. The ratio is checked again
+// under compactMu: a concurrent delete's compaction may have reclaimed it
+// already. A failed compaction does not fail the delete, which has
+// succeeded; it is its failed store.compact event.
+func (s *Store) reclaim(deleted int) {
+	if deleted == 0 || s.GarbageRatio() < CompactRatio {
+		return
+	}
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	if s.GarbageRatio() >= CompactRatio {
+		_ = s.compact("delete")
+	}
 }
 
 func (s *Store) deleteRecords(keys []string) (int, error) {
@@ -773,13 +804,27 @@ type BloomStatser interface {
 	BloomStats() (skips, falsePositives, hits int64)
 }
 
-// Compact reclaims dead bytes in the underlying backend. Compaction
-// changes no logical content — the generation does not advance, and
-// cached query results stay valid. Each compaction is an event in the
-// store's history, with the garbage ratio and tombstones before and
-// after.
+// Compact reclaims dead bytes in the underlying backend on request. Like
+// every write, it opens the index first, so a store in an earlier format
+// is refused untouched. Compaction changes no logical content — the
+// generation does not advance, and cached query results stay valid.
 func (s *Store) Compact() error {
-	span := s.reg.Tracer().StartEvent("store.compact").
+	if _, err := s.Index(); err != nil {
+		return fmt.Errorf("store: opening index: %w", err)
+	}
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
+	return s.compact("request")
+}
+
+// compact rewrites the backend's log; the caller holds compactMu. Each
+// compaction is an event in the store's history, with what triggered it
+// (a delete or a request) and the garbage ratio and tombstones before
+// and after.
+//
+// provlint:requires compactMu
+func (s *Store) compact(trigger string) error {
+	span := s.reg.Tracer().StartEvent("store.compact").SetAttr("trigger", trigger).
 		SetAttr("garbage_before", strconv.FormatFloat(s.GarbageRatio(), 'f', 4, 64)).
 		SetAttr("tombstones_before", strconv.FormatInt(s.Tombstones(), 10))
 	s.compacting.Add(1)
@@ -792,7 +837,7 @@ func (s *Store) Compact() error {
 }
 
 // GarbageRatio reports the backend's dead-byte fraction — the signal
-// online compaction schedules on.
+// reclaim schedules compactions on.
 func (s *Store) GarbageRatio() float64 { return s.b.GarbageRatio() }
 
 // Tombstones reports the backend's count of unreclaimed deletion

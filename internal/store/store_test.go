@@ -394,21 +394,25 @@ func TestReadsDoNotWaitOnIndexOpen(t *testing.T) {
 }
 
 // The store reports its backend's garbage and tombstones, the log's own
-// counts on every flavour, until Compact reclaims them.
+// counts on every flavour, until Compact reclaims them. One record of
+// four leaves the store below CompactRatio, so the delete keeps them.
 func TestStoreReportsBackendGarbage(t *testing.T) {
 	for name, b := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			s := New(b)
 			session := seq.NewID()
-			recs := []core.Record{mkInteraction(session, "svc:gzip", "compress"), mkInteraction(session, "svc:gzip", "compress")}
+			var recs []core.Record
+			for i := 0; i < 4; i++ {
+				recs = append(recs, mkInteraction(session, "svc:gzip", "compress"))
+			}
 			if _, _, err := s.Record("svc:enactor", recs); err != nil {
 				t.Fatal(err)
 			}
 			if n, err := s.DeleteRecords([]string{recs[0].StorageKey()}); err != nil || n != 1 {
 				t.Fatalf("DeleteRecords = %d, %v", n, err)
 			}
-			if g, n := s.GarbageRatio(), s.Tombstones(); g <= 0 || n <= 0 {
-				t.Fatalf("garbage ratio %v, %d tombstones after a delete", g, n)
+			if g, n := s.GarbageRatio(), s.Tombstones(); g <= 0 || g >= CompactRatio || n <= 0 {
+				t.Fatalf("garbage ratio %v, %d tombstones after a delete, want a ratio above 0 and below %v, and tombstones", g, n, CompactRatio)
 			}
 			if err := s.Compact(); err != nil {
 				t.Fatal(err)
