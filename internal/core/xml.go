@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"time"
 
+	"preserv/internal/reuse"
 	"preserv/internal/xmlwire"
 )
 
@@ -52,29 +53,89 @@ func (r *Record) AppendXML(dst []byte, tag string) ([]byte, error) {
 // numbers and timestamps are read as they are parsed, from the fixed
 // forms the encoder writes (ids.ID.DecodeXML, View.decodeXML,
 // Decoder.Uint64, Decoder.Time); any other form goes through Text. A
-// message's DecodeXML declares one as a local.
+// message's DecodeXML takes one from RecordDecoderOf.
 type RecordDecoder struct {
 	interactions slab[InteractionPAssertion]
 	actorStates  slab[ActorStatePAssertion]
 	parts        slab[MessagePart]
 	groups       slab[GroupRef]
+	// list is the record list Append made last, and spare the one the
+	// next document's list starts in (Reset).
+	list, spare []Record
 	// seen holds short strings read so far, direct-mapped by slot.
 	seen [64]string
+}
+
+// RecordDecoderOf returns the RecordDecoder to read d's records with.
+// For a decoder xmlwire.Decoder.Reuse made it is the one kept with d,
+// whose slabs and record list the next document reuses, as it reuses
+// d's arena; for any other it is local, and what it hands out is the
+// message's own.
+func RecordDecoderOf(d *xmlwire.Decoder, local *RecordDecoder) *RecordDecoder {
+	if rd, ok := d.Memo(newRecordDecoder).(*RecordDecoder); ok {
+		return rd
+	}
+	return local
+}
+
+func newRecordDecoder() xmlwire.Memo { return new(RecordDecoder) }
+
+// Reset makes the memory handed out for the last document the next
+// one's: xmlwire.Decoder.Reuse resets the RecordDecoder kept with the
+// decoder.
+func (rd *RecordDecoder) Reset() {
+	rd.interactions.reset()
+	rd.actorStates.reset()
+	rd.parts.reset()
+	rd.groups.reset()
+	rd.spare, rd.list = reuse.Trim(rd.list), nil
+	clear(rd.seen[:])
+}
+
+// Append reads the <record> element d is in into a record appended to
+// *records. A full list is grown by as many records as the rest of the
+// message is expected to hold, as the slabs are sized, not by append's
+// doubling; an empty one starts in the spare list, if there is one.
+func (rd *RecordDecoder) Append(d *xmlwire.Decoder, records *[]Record) error {
+	if l := *records; len(l) == cap(l) {
+		grown := rd.spare
+		if l != nil || grown == nil {
+			grown = make([]Record, len(l), len(l)+max(1, d.Expect(len(l))))
+			copy(grown, l)
+		}
+		*records, rd.list, rd.spare = grown, grown, nil
+	}
+	*records = append(*records, Record{})
+	return rd.Decode(d, &(*records)[len(*records)-1])
 }
 
 // slab hands out T's, single or as lists whose elements sit side by
 // side, from chunks that grow 1, 2, 4, … but no larger than the rest of
 // the message is expected to need.
 type slab[T any] struct {
-	free   []T // the current chunk's unused tail
-	size   int // the current chunk's size
+	chunk  []T // the current chunk
+	free   []T // its unused tail
 	handed int // the T's handed out so far
 }
 
 // grow replaces the current chunk with one of at least n T's.
 func (s *slab[T]) grow(d *xmlwire.Decoder, n int) {
-	s.size = max(n, min(2*s.size, d.Expect(s.handed)))
-	s.free = make([]T, s.size)
+	s.chunk = make([]T, max(n, min(2*len(s.chunk), d.Expect(s.handed))))
+	s.free = s.chunk
+}
+
+// reset hands the current chunk out afresh, from its start: its T's
+// are zeroed as they are handed out. A slab that grew past one chunk
+// takes one that holds all the last document took, so that a next
+// document of its size takes none.
+func (s *slab[T]) reset() {
+	switch {
+	case !reuse.Fits[T](max(len(s.chunk), s.handed)):
+		s.chunk = nil
+	case s.handed > len(s.chunk):
+		s.chunk = make([]T, s.handed)
+	}
+	s.free, s.handed = s.chunk, 0
 }
 
 // one returns a new zero T.

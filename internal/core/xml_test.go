@@ -10,6 +10,7 @@ import (
 	"unicode/utf8"
 	"unsafe"
 
+	"preserv/internal/reuse"
 	"preserv/internal/xmlwire"
 )
 
@@ -279,5 +280,88 @@ func TestSlabListsStayApart(t *testing.T) {
 	}
 	if s.handed != 10 {
 		t.Errorf("handed = %d, want 10", s.handed)
+	}
+}
+
+// recordsDoc is a <records> document of n records, every third an
+// actor-state record.
+func recordsDoc(t *testing.T, n int) []byte {
+	t.Helper()
+	doc := []byte("<records>")
+	for i := range n {
+		r := NewInteractionRecord(sampleInteractionPA())
+		if i%3 == 2 {
+			r = NewActorStateRecord(sampleActorStatePA())
+		}
+		var err error
+		if doc, err = r.AppendXML(doc, "record"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return append(doc, "</records>"...)
+}
+
+// decodeReused reads doc's records as the server reads a request's:
+// through d, readied by Reuse, with the RecordDecoder kept with it.
+func decodeReused(d *xmlwire.Decoder, doc []byte, out *[]Record) error {
+	d.Reuse(doc)
+	if err := d.Root(); err != nil {
+		return err
+	}
+	var local RecordDecoder
+	rd := RecordDecoderOf(d, &local)
+	*out = nil
+	return d.Children(func([]byte) error { return rd.Append(d, out) })
+}
+
+// A decoder Reuse readied reads each document into the memory of the
+// one before: what it reads is what a fresh decoder reads, a document
+// no larger than the last takes no allocation, and a slab chunk over
+// reuse.MaxBytes is left to the collector. A decoder Reuse did not ready gets
+// a local RecordDecoder, so what it decodes is its own.
+func TestRecordDecoderReuse(t *testing.T) {
+	var local RecordDecoder
+	if RecordDecoderOf(xmlwire.NewDecoder(nil), &local) != &local {
+		t.Fatal("a fresh decoder shares its RecordDecoder")
+	}
+	d := new(xmlwire.Decoder)
+	var got, last []Record
+	read := func(n int) {
+		t.Helper()
+		doc := recordsDoc(t, n)
+		if err := decodeReused(d, doc, &got); err != nil {
+			t.Fatal(err)
+		}
+		if want := decodeRecords(t, doc); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d records read into reused memory differ from a fresh decoder's", n)
+		}
+	}
+	for _, n := range []int{3, 3, 1, 40, 40, 2} {
+		read(n)
+		if n <= len(last) && (&got[0] != &last[0] || got[0].Interaction != last[0].Interaction) {
+			t.Errorf("%d records after %d: the record list or the slab was not reused", n, len(last))
+		}
+		last = got
+	}
+	doc := recordsDoc(t, 40)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := decodeReused(d, doc, &got); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a 40-record document read again into reused memory made %.0f allocations, want 0", allocs)
+	}
+
+	// Two records in three are interactions: these take more than
+	// reuse.MaxBytes of them, and their record list less.
+	big := int(reuse.MaxBytes/unsafe.Sizeof(InteractionPAssertion{}))*3/2 + 300
+	read(big)
+	last = got
+	read(2)
+	if &got[0] != &last[0] {
+		t.Error("the record list of a large document was not reused")
+	}
+	if size := cap(RecordDecoderOf(d, nil).interactions.chunk); size > 2 {
+		t.Errorf("after %d records then 2, the interaction slab holds a chunk of %d", big, size)
 	}
 }

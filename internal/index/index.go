@@ -38,6 +38,7 @@ import (
 	"preserv/internal/core"
 	"preserv/internal/ids"
 	"preserv/internal/kv"
+	"preserv/internal/reuse"
 )
 
 // Index dimensions. Each names one secondary index over the records.
@@ -147,7 +148,7 @@ func (ix *Index) AddBatch(records []*core.Record) error {
 	var b KeyBuilder
 	var keys []string
 	for _, r := range records {
-		keys = b.PostingKeys(keys, r)
+		keys, _ = b.PostingKeys(keys, r)
 	}
 	if len(keys) == 0 {
 		return nil
@@ -163,10 +164,10 @@ func (ix *Index) AddBatch(records []*core.Record) error {
 }
 
 // KeyBuilder builds records' posting keys, each record's in one buffer
-// that it reuses from one record to the next: the keys of one record are
-// cut from one string, so they cost one allocation between them. The
-// zero value is ready to use; a KeyBuilder serves one goroutine at a
-// time.
+// that it reuses from one record to the next: the keys of one record,
+// and its storage key, are cut from one string, so they cost one
+// allocation between them. The zero value is ready to use; a KeyBuilder
+// serves one goroutine at a time.
 type KeyBuilder struct {
 	buf  []byte
 	ends []int // where each key ends in buf
@@ -174,11 +175,13 @@ type KeyBuilder struct {
 	data []ids.ID
 }
 
-// PostingKeys appends the full posting key set of a record to keys: the
-// keys the store writes and deletes together with the record.
-func (b *KeyBuilder) PostingKeys(keys []string, r *core.Record) []string {
-	b.buf, b.ends = b.buf[:0], b.ends[:0]
-	b.skey = r.AppendStorageKey(b.skey[:0])
+// PostingKeys appends the full posting key set of a record to keys — the
+// keys the store writes and deletes together with the record — and
+// returns the record's storage key too, cut from the same string: every
+// posting key ends with it.
+func (b *KeyBuilder) PostingKeys(keys []string, r *core.Record) ([]string, string) {
+	b.buf, b.ends = reuse.Trim(b.buf), reuse.Trim(b.ends)
+	b.skey = r.AppendStorageKey(reuse.Trim(b.skey))
 	if recv := r.Receiver(); recv != "" {
 		b.addTerm(DimService, string(recv))
 	}
@@ -190,14 +193,17 @@ func (b *KeyBuilder) PostingKeys(keys []string, r *core.Record) []string {
 	if r.Kind == core.KindActorState && r.ActorState != nil {
 		b.addTerm(DimState, r.ActorState.StateKind)
 	}
-	b.data = r.AppendDataIDs(b.data[:0])
+	b.data = r.AppendDataIDs(reuse.Trim(b.data))
 	for _, d := range b.data {
 		b.addID(DimData, d)
 	}
 	if ts := r.Timestamp(); !ts.IsZero() {
 		b.begin(DimTime)
-		b.buf = ts.UTC().AppendFormat(b.buf, timeLayout)
+		b.buf = appendTimeTerm(b.buf, ts)
 		b.end()
+	}
+	if len(b.ends) == 0 {
+		b.buf = append(b.buf, b.skey...)
 	}
 	all := string(b.buf)
 	start := 0
@@ -205,7 +211,7 @@ func (b *KeyBuilder) PostingKeys(keys []string, r *core.Record) []string {
 		keys = append(keys, all[start:end])
 		start = end
 	}
-	return keys
+	return keys, all[len(all)-len(b.skey):]
 }
 
 // begin starts a posting key: x/<dim>/.
@@ -239,7 +245,36 @@ func (b *KeyBuilder) addTerm(dim, term string) {
 
 // TimeTerm renders a timestamp as its index term: fixed-width UTC so
 // that key order is chronological order.
-func TimeTerm(t time.Time) string { return t.UTC().Format(timeLayout) }
+func TimeTerm(t time.Time) string { return string(appendTimeTerm(nil, t)) }
+
+// appendTimeTerm appends t's index term to dst: the bytes
+// t.UTC().AppendFormat(dst, timeLayout) appends, written digit by digit
+// rather than by interpreting the layout. A year outside 0–9999, which
+// the layout does not hold to four digits, is left to AppendFormat.
+func appendTimeTerm(dst []byte, t time.Time) []byte {
+	t = t.UTC()
+	year, month, day := t.Date()
+	if year < 0 || year > 9999 {
+		return t.AppendFormat(dst, timeLayout)
+	}
+	hour, min, sec := t.Clock()
+	dst = appendDigits(dst, year, 4)
+	dst = appendDigits(dst, int(month), 2)
+	dst = appendDigits(append(appendDigits(dst, day, 2), 'T'), hour, 2)
+	dst = appendDigits(appendDigits(dst, min, 2), sec, 2)
+	return appendDigits(append(dst, '.'), t.Nanosecond(), 9)
+}
+
+// appendDigits appends v, which is not negative, as width decimal
+// digits, zero-padded.
+func appendDigits(dst []byte, v, width int) []byte {
+	dst = append(dst, "000000000"[:width]...)
+	for i := len(dst) - 1; v > 0; i-- {
+		dst[i] = byte('0' + v%10)
+		v /= 10
+	}
+	return dst
+}
 
 // postingKeyPrefix is the scan prefix covering one term's posting list.
 func postingKeyPrefix(dim, term string) string {

@@ -70,7 +70,8 @@ func record(t *testing.T, b KV, r *core.Record) {
 	}
 	pairs := []kv.Pair{{Key: r.StorageKey(), Value: encoded}}
 	var kb KeyBuilder
-	for _, k := range kb.PostingKeys(nil, r) {
+	keys, _ := kb.PostingKeys(nil, r)
+	for _, k := range keys {
 		pairs = append(pairs, kv.Pair{Key: k})
 	}
 	if err := b.PutBatch(pairs); err != nil {
@@ -583,7 +584,7 @@ func TestPostingKeysAllocations(t *testing.T) {
 	build := func(records []*core.Record) []string {
 		keys = keys[:0]
 		for _, r := range records {
-			keys = kb.PostingKeys(keys, r)
+			keys, _ = kb.PostingKeys(keys, r)
 		}
 		return keys
 	}

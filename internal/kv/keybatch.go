@@ -8,6 +8,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+
+	"preserv/internal/reuse"
 )
 
 // A key batch is the key-only entry kind of the kvdb log: a set of keys
@@ -82,6 +84,7 @@ func sortByGroup(keys []string) bool {
 	}
 	copy(keys, out)
 	clear(out)
+	*buf = reuse.Trim(*buf)
 	dealBufs.Put(buf)
 	return true
 }

@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 
 	"preserv/internal/kv"
+	"preserv/internal/reuse"
 )
 
 const (
@@ -497,12 +498,33 @@ func moreUnless(last bool) byte {
 	return flagMore
 }
 
-// encodeBatch encodes pairs the way PutBatch logs them: a per-key entry
-// for each pair with a value, one key-batch entry for each run of
-// consecutive empty-valued pairs (split only past kv.KeyBatchMax), every
-// entry but the last marked flagMore. It returns the entries' bytes and
-// the key-batch runs among them, in order.
-func encodeBatch(pairs []kv.Pair) ([]byte, []keyRun) {
+// batchBuffer is what encodeBatch encodes a batch in: the entries'
+// bytes, the key-batch runs' keys and the runs. PutBatch takes one from
+// batchBuffers and puts it back once the batch is written and in the
+// directory.
+type batchBuffer struct {
+	buf  []byte
+	keys []string
+	runs []keyRun
+}
+
+var batchBuffers = sync.Pool{New: func() any { return new(batchBuffer) }}
+
+// release drops b's references to the batch's keys and puts it back,
+// keeping what reuse.Trim keeps.
+func (b *batchBuffer) release() {
+	clear(b.keys)
+	clear(b.runs)
+	b.buf, b.keys, b.runs = reuse.Trim(b.buf), reuse.Trim(b.keys), reuse.Trim(b.runs)
+	batchBuffers.Put(b)
+}
+
+// encodeBatch encodes pairs the way PutBatch logs them, in into's
+// memory: a per-key entry for each pair with a value, one key-batch
+// entry for each run of consecutive empty-valued pairs (split only past
+// kv.KeyBatchMax), every entry but the last marked flagMore. It returns
+// the entries' bytes and the key-batch runs among them, in order.
+func encodeBatch(pairs []kv.Pair, into *batchBuffer) ([]byte, []keyRun) {
 	// The entries' size, bounded from above: a run's entry costs at most
 	// a header, its flags and count, and per key two lengths of at most
 	// three bytes each (keys are at most MaxKeyLen) besides the key. Only
@@ -520,12 +542,9 @@ func encodeBatch(pairs []kv.Pair) ([]byte, []keyRun) {
 			empty++
 		}
 	}
-	buf := make([]byte, 0, size)
-	var keys []string
-	if empty > 0 {
-		keys = make([]string, 0, empty)
-	}
-	var runs []keyRun
+	buf := slices.Grow(into.buf[:0], size)
+	keys := slices.Grow(into.keys[:0], empty)
+	runs := into.runs[:0]
 	for i := 0; i < len(pairs); {
 		if len(pairs[i].Value) > 0 {
 			buf = encodeRecord(buf, moreUnless(i == len(pairs)-1), pairs[i].Key, pairs[i].Value)
@@ -545,6 +564,7 @@ func encodeBatch(pairs []kv.Pair) ([]byte, []keyRun) {
 			runs = append(runs, keyRun{pairs: n, keys: distinct, size: int64(len(buf) - at)})
 		}
 	}
+	into.buf, into.keys, into.runs = buf, keys, runs
 	return buf, runs
 }
 
@@ -569,7 +589,9 @@ func (db *DB) PutBatch(pairs []kv.Pair) error {
 			return fmt.Errorf("kvdb: value too large: %d", len(p.Value))
 		}
 	}
-	buf, runs := encodeBatch(pairs)
+	bb := batchBuffers.Get().(*batchBuffer)
+	defer bb.release()
+	buf, runs := encodeBatch(pairs, bb)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {

@@ -53,7 +53,7 @@ func FuzzRecover(f *testing.F) {
 	// One batch of three entries (a record, a posting run, a record):
 	// whole, torn inside its middle entry, and with its first entry
 	// damaged.
-	batch, _ := encodeBatch([]kv.Pair{{Key: "i/b/1", Value: []byte("one")}, {Key: "x/b/2"}, {Key: "x/b/1"}, {Key: "s/b/3", Value: []byte("three")}})
+	batch, _ := encodeBatch([]kv.Pair{{Key: "i/b/1", Value: []byte("one")}, {Key: "x/b/2"}, {Key: "x/b/1"}, {Key: "s/b/3", Value: []byte("three")}}, new(batchBuffer))
 	f.Add(batch)
 	second := headerSize + len("i/b/1") + len("one")
 	f.Add(batch[:second+headerSize+3])

@@ -289,3 +289,56 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Fatal("tracer identity not stable")
 	}
 }
+
+// Numeric attributes are held as set and rendered only when the ring
+// keeps the span, in the order they were set among the others.
+func TestLazyAttrsRenderWhenKept(t *testing.T) {
+	tr := NewTracer(4)
+	tr.SetSlowThreshold(time.Nanosecond)
+	tr.StartSpan("planned").SetAttr("strategy", "index").
+		SetStrings("dims", []string{"session", "service"}).SetInts("dim_counts", []int{3, -40}).
+		SetInts("none", nil).SetInt("postings", -7).End(nil)
+	want := []Attr{{"strategy", "index"}, {"dims", "session,service"}, {"dim_counts", "3,-40"}, {"none", ""}, {"postings", "-7"}}
+	if got := tr.Slow()[0].Attrs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("kept span attrs = %v, want %v", got, want)
+	}
+}
+
+// A span the ring does not keep goes back to the pool: timing an
+// operation, numeric attributes and all, allocates nothing.
+func TestSpanNotKeptAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops what it holds at random under the race detector")
+	}
+	tr := NewTracer(4)
+	h := NewRegistry().Histogram("h_seconds", nil)
+	dims, counts := []string{"session"}, []int{3}
+	if n := testing.AllocsPerRun(100, func() {
+		tr.StartSpan("op").SetInt("batch", 100).SetStrings("dims", dims).SetInts("dim_counts", counts).Observe(h, nil)
+	}); n != 0 {
+		t.Fatalf("a span the ring did not keep cost %.0f allocations, want 0", n)
+	}
+	if len(tr.Slow()) != 0 {
+		t.Fatal("the ring kept a fast span")
+	}
+}
+
+// A kept span's attributes are rendered before the ring publishes it:
+// readers may read them at once.
+func TestKeptSpanAttrsReadConcurrently(t *testing.T) {
+	tr := NewTracer(4)
+	tr.SetSlowThreshold(time.Nanosecond)
+	tr.StartSpan("op").SetInt("batch", 3).SetInts("counts", []int{1, 2}).End(nil)
+	s := tr.Slow()[0]
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := s.Attrs(); len(got) != 2 || got[0].Value != "3" || got[1].Value != "1,2" {
+				t.Errorf("attrs = %v", got)
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"preserv/internal/reuse"
 )
 
 // DefaultSpanRing is the default capacity of a tracer's ring, its
@@ -25,6 +28,11 @@ type Attr struct {
 // attributes, and linkage to a parent span. All methods are nil-safe —
 // a disabled tracer returns nil spans and the instrumented code runs
 // with zero timing overhead (no time.Now, no allocation).
+//
+// A span from StartSpan or StartChild comes from a pool, and End hands
+// it back unless the ring keeps it: once it has ended, its caller does
+// not touch it again. Its numeric attributes (SetInt, SetInts,
+// SetStrings) are rendered to strings only when the ring keeps it.
 type Span struct {
 	tracer   *Tracer
 	id       uint64
@@ -34,9 +42,23 @@ type Span struct {
 	duration time.Duration
 	errMsg   string
 	attrs    []Attr
+	lazy     []lazyAttr // attributes whose values render when the ring keeps the span
 	done     bool
 	event    bool // made by StartEvent: the ring keeps it whatever its duration
 }
+
+// lazyAttr is an attribute held as it was set, attrs[at]'s value once
+// rendered: n, or ints or strs joined by commas, as list says.
+type lazyAttr struct {
+	at   int
+	list byte // 0, 'i' or 's'
+	n    int64
+	ints []int
+	strs []string
+}
+
+// spans recycles the spans the ring does not keep.
+var spans = sync.Pool{New: func() any { return new(Span) }}
 
 // Op returns the operation name ("" on a nil span).
 func (s *Span) Op() string {
@@ -90,16 +112,19 @@ func (s *Span) Err() string {
 	return s.errMsg
 }
 
-// Attrs returns the span's attributes (nil on a nil span).
+// Attrs returns the span's attributes, rendered (nil on a nil span).
 func (s *Span) Attrs() []Attr {
 	if s == nil {
 		return nil
 	}
+	s.render()
 	return s.attrs
 }
 
 // SetAttr appends one attribute. Spans are operation-local (owned by
-// one goroutine until End), so this needs no locking.
+// one goroutine until End), so this needs no locking. The value is
+// kept as it is: one that aliases memory the operation reuses (a
+// request's decoded strings) is copied first.
 func (s *Span) SetAttr(key, value string) *Span {
 	if s == nil {
 		return nil
@@ -108,19 +133,86 @@ func (s *Span) SetAttr(key, value string) *Span {
 	return s
 }
 
-// End finishes the span, tagging it with err (may be nil), and
-// publishes it to the tracer's ring if it is an event, failed or is slow
-// enough.
-func (s *Span) End(err error) {
-	if s == nil || s.done {
+// SetInt appends an integer attribute, rendered only if the ring keeps
+// the span.
+func (s *Span) SetInt(key string, v int64) *Span {
+	return s.setLazy(key, lazyAttr{n: v})
+}
+
+// SetInts appends an attribute of integers, rendered joined by commas
+// only if the ring keeps the span; vs stays unchanged until End.
+func (s *Span) SetInts(key string, vs []int) *Span {
+	return s.setLazy(key, lazyAttr{list: 'i', ints: vs})
+}
+
+// SetStrings is SetInts for strings.
+func (s *Span) SetStrings(key string, vs []string) *Span {
+	return s.setLazy(key, lazyAttr{list: 's', strs: vs})
+}
+
+func (s *Span) setLazy(key string, u lazyAttr) *Span {
+	if s == nil {
+		return nil
+	}
+	u.at = len(s.attrs)
+	s.attrs = append(s.attrs, Attr{Key: key})
+	s.lazy = append(s.lazy, u)
+	return s
+}
+
+// render renders the attributes set unrendered. With none it writes
+// nothing, so readers of a span the ring keeps, rendered when it was
+// kept, may call it at once.
+func (s *Span) render() {
+	if len(s.lazy) == 0 {
 		return
 	}
+	for _, u := range s.lazy {
+		var v []byte
+		switch u.list {
+		case 'i':
+			for i, n := range u.ints {
+				if i > 0 {
+					v = append(v, ',')
+				}
+				v = strconv.AppendInt(v, int64(n), 10)
+			}
+		case 's':
+			for i, str := range u.strs {
+				if i > 0 {
+					v = append(v, ',')
+				}
+				v = append(v, str...)
+			}
+		default:
+			v = strconv.AppendInt(v, u.n, 10)
+		}
+		s.attrs[u.at].Value = string(v)
+	}
+	clear(s.lazy)
+	s.lazy = s.lazy[:0]
+}
+
+// End finishes the span, tagging it with err (may be nil), and
+// publishes it to the tracer's ring if it is an event, failed or is slow
+// enough; a span the ring does not keep goes back to the pool.
+func (s *Span) End(err error) {
+	s.end(err)
+}
+
+// end is End, returning the span's duration.
+func (s *Span) end(err error) time.Duration {
+	if s == nil || s.done {
+		return 0
+	}
 	s.done = true
-	s.duration = time.Since(s.start)
+	d := time.Since(s.start)
+	s.duration = d
 	if err != nil {
 		s.errMsg = err.Error()
 	}
 	s.tracer.record(s)
+	return d
 }
 
 // Observe is a convenience for the span-plus-histogram idiom: it Ends
@@ -128,9 +220,9 @@ func (s *Span) End(err error) {
 // and h may be nil.
 func (s *Span) Observe(h *Histogram, err error) {
 	if s != nil {
-		s.End(err)
+		d := s.end(err)
 		if h != nil {
-			h.Observe(s.duration.Seconds())
+			h.Observe(d.Seconds())
 		}
 		return
 	}
@@ -178,7 +270,8 @@ func (t *Tracer) StartChild(op string, parent *Span) *Span {
 	if t == nil || !enabled.Load() {
 		return nil
 	}
-	s := &Span{tracer: t, id: t.nextID.Add(1), op: op, start: time.Now()}
+	s := spans.Get().(*Span)
+	*s = Span{tracer: t, id: t.nextID.Add(1), op: op, start: time.Now(), attrs: s.attrs, lazy: s.lazy}
 	if parent != nil {
 		s.parentID = parent.id
 	}
@@ -195,8 +288,13 @@ func (t *Tracer) StartEvent(op string) *Span {
 
 func (t *Tracer) record(s *Span) {
 	if slowNS := t.slowNS.Load(); !s.event && s.errMsg == "" && (slowNS <= 0 || int64(s.duration) < slowNS) {
+		clear(s.attrs)
+		clear(s.lazy)
+		s.attrs, s.lazy = reuse.Trim(s.attrs), reuse.Trim(s.lazy)
+		spans.Put(s)
 		return
 	}
+	s.render()
 	t.mu.Lock()
 	t.slow[t.slowPos] = s
 	t.slowPos = (t.slowPos + 1) % len(t.slow)

@@ -371,12 +371,8 @@ func statsTree() *StatsResponse {
 // client does.
 func decodeStats(t *testing.T, data []byte) *StatsResponse {
 	t.Helper()
-	m, err := soap.ReadEnvelope(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var back StatsResponse
-	if err := m.Decode(&back); err != nil {
+	if err := soap.DecodeEnvelope(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	return &back

@@ -36,19 +36,6 @@ func appendRecords(dst []byte, records []core.Record) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRecord appends the <record> element d is in to records. A full
-// list is grown by as many records as the rest of the message is
-// expected to hold, as RecordDecoder's slabs are sized, not by append's
-// doubling.
-func decodeRecord(d *xmlwire.Decoder, rd *core.RecordDecoder, records *[]core.Record) error {
-	if l := *records; len(l) == cap(l) {
-		grown := make([]core.Record, len(l), len(l)+max(1, d.Expect(len(l))))
-		*records = grown[:copy(grown, l)]
-	}
-	*records = append(*records, core.Record{})
-	return rd.Decode(d, &(*records)[len(*records)-1])
-}
-
 // appendNonEmpty appends <tag>s</tag> as an omitempty string field is
 // written: not at all when s is empty.
 func appendNonEmpty(dst []byte, tag, s string) []byte {
@@ -84,13 +71,14 @@ func (r *RecordRequest) DecodeXML(d *xmlwire.Decoder) error {
 	if r.XMLName, err = startName(d, "RecordRequest"); err != nil {
 		return err
 	}
-	var rd core.RecordDecoder
+	var local core.RecordDecoder
+	rd := core.RecordDecoderOf(d, &local)
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "asserter":
 			return d.String((*string)(&r.Asserter))
 		case "record":
-			return decodeRecord(d, &rd, &r.Records)
+			return rd.Append(d, &r.Records)
 		}
 		return d.Skip()
 	})
@@ -224,13 +212,14 @@ func (r *QueryResponse) DecodeXML(d *xmlwire.Decoder) error {
 	if r.XMLName, err = startName(d, "QueryResponse"); err != nil {
 		return err
 	}
-	var rd core.RecordDecoder
+	var local core.RecordDecoder
+	rd := core.RecordDecoderOf(d, &local)
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "total":
 			return d.Int(&r.Total)
 		case "record":
-			return decodeRecord(d, &rd, &r.Records)
+			return rd.Append(d, &r.Records)
 		}
 		return d.Skip()
 	})
@@ -305,7 +294,8 @@ func (r *PlannedQueryResponse) DecodeXML(d *xmlwire.Decoder) error {
 	if r.XMLName, err = startName(d, "PlannedQueryResponse"); err != nil {
 		return err
 	}
-	var rd core.RecordDecoder
+	var local core.RecordDecoder
+	rd := core.RecordDecoderOf(d, &local)
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "total":
@@ -313,7 +303,7 @@ func (r *PlannedQueryResponse) DecodeXML(d *xmlwire.Decoder) error {
 		case "plan":
 			return r.Plan.decodeXML(d)
 		case "record":
-			return decodeRecord(d, &rd, &r.Records)
+			return rd.Append(d, &r.Records)
 		}
 		return d.Skip()
 	})
@@ -373,7 +363,8 @@ func (r *PageQueryResponse) DecodeXML(d *xmlwire.Decoder) error {
 	if r.XMLName, err = startName(d, "PageQueryResponse"); err != nil {
 		return err
 	}
-	var rd core.RecordDecoder
+	var local core.RecordDecoder
+	rd := core.RecordDecoderOf(d, &local)
 	return d.Children(func(name []byte) error {
 		switch string(name) {
 		case "plan":
@@ -383,7 +374,7 @@ func (r *PageQueryResponse) DecodeXML(d *xmlwire.Decoder) error {
 		case "done":
 			return d.Bool(&r.Done)
 		case "record":
-			return decodeRecord(d, &rd, &r.Records)
+			return rd.Append(d, &r.Records)
 		}
 		return d.Skip()
 	})

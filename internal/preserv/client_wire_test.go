@@ -293,11 +293,7 @@ func TestDecodedMessagesOwnTheirBytes(t *testing.T) {
 		}
 		decode := func(data []byte) interface{} { // as Post and ServeHTTP do
 			into := fresh()
-			msg, err := soap.ReadEnvelope(data)
-			if err == nil {
-				err = msg.Decode(into)
-			}
-			if err != nil {
+			if err := soap.DecodeEnvelope(data, into); err != nil {
 				t.Fatalf("%T: %v", msg, err)
 			}
 			return into

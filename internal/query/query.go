@@ -22,8 +22,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"preserv/internal/core"
 	"preserv/internal/ids"
@@ -177,16 +179,27 @@ func (e *Engine) Query(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, erro
 // are %q-quoted so embedded separators cannot make two different
 // predicates collide on one key.
 func CacheKey(q *prep.Query) string {
-	since, until := "-", "-"
-	if !q.Since.IsZero() {
-		since = fmt.Sprintf("%d", q.Since.UnixNano())
+	var buf [512]byte
+	b := q.InteractionID.AppendString(append(buf[:0], "i="...))
+	b = q.SessionID.AppendString(append(b, "|s="...))
+	b = q.GroupID.AppendString(append(b, "|g="...))
+	b = q.DataID.AppendString(append(b, "|d="...))
+	b = strconv.AppendQuote(append(b, "|k="...), q.Kind)
+	b = strconv.AppendQuote(append(b, "|a="...), string(q.Asserter))
+	b = strconv.AppendQuote(append(b, "|v="...), string(q.Service))
+	b = strconv.AppendQuote(append(b, "|t="...), q.StateKind)
+	b = appendUnixNano(append(b, "|since="...), q.Since)
+	b = appendUnixNano(append(b, "|until="...), q.Until)
+	return string(strconv.AppendInt(append(b, "|l="...), int64(q.Limit), 10))
+}
+
+// appendUnixNano appends t as CacheKey writes a bound: its Unix time in
+// nanoseconds, or "-" when it is zero.
+func appendUnixNano(b []byte, t time.Time) []byte {
+	if t.IsZero() {
+		return append(b, '-')
 	}
-	if !q.Until.IsZero() {
-		until = fmt.Sprintf("%d", q.Until.UnixNano())
-	}
-	return fmt.Sprintf("i=%s|s=%s|g=%s|d=%s|k=%q|a=%q|v=%q|t=%q|since=%s|until=%s|l=%d",
-		q.InteractionID, q.SessionID, q.GroupID, q.DataID,
-		q.Kind, q.Asserter, q.Service, q.StateKind, since, until, q.Limit)
+	return strconv.AppendInt(b, t.UnixNano(), 10)
 }
 
 func (e *Engine) query(q *prep.Query) ([]core.Record, int, *prep.QueryPlan, error) {
@@ -283,18 +296,13 @@ func annotatePlan(span *obs.Span, plan *prep.QueryPlan) {
 	if span == nil || plan == nil {
 		return
 	}
-	span.SetAttr("strategy", string(plan.Strategy))
+	span.SetAttr("strategy", plan.Strategy)
 	if len(plan.Dims) > 0 {
-		span.SetAttr("dims", strings.Join(plan.Dims, ","))
-		counts := make([]string, len(plan.DimCounts))
-		for i, c := range plan.DimCounts {
-			counts[i] = fmt.Sprint(c)
-		}
-		span.SetAttr("dim_counts", strings.Join(counts, ","))
+		span.SetStrings("dims", plan.Dims).SetInts("dim_counts", plan.DimCounts)
 	}
-	span.SetAttr("est_candidates", fmt.Sprint(plan.EstCandidates))
-	span.SetAttr("candidates", fmt.Sprint(plan.Candidates))
-	span.SetAttr("postings", fmt.Sprint(plan.Postings))
+	span.SetInt("est_candidates", int64(plan.EstCandidates)).
+		SetInt("candidates", int64(plan.Candidates)).
+		SetInt("postings", int64(plan.Postings))
 }
 
 // observePlan records the per-query postings volume distribution.

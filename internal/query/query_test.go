@@ -11,6 +11,7 @@ import (
 	"preserv/internal/core"
 	"preserv/internal/ids"
 	"preserv/internal/index"
+	"preserv/internal/obs"
 	"preserv/internal/prep"
 	"preserv/internal/store"
 )
@@ -427,7 +428,8 @@ func TestEveryPostingDimensionIsRead(t *testing.T) {
 	written := map[string]bool{}
 	var kb index.KeyBuilder
 	for i := range all {
-		for _, k := range kb.PostingKeys(nil, &all[i]) {
+		keys, _ := kb.PostingKeys(nil, &all[i])
+		for _, k := range keys {
 			written[strings.SplitN(k, "/", 3)[1]] = true
 		}
 	}
@@ -1030,5 +1032,50 @@ func TestPlannerStatsAccumulate(t *testing.T) {
 	}
 	if st.PostingsRead == 0 || st.CandidatesFetched == 0 {
 		t.Errorf("postings/candidates not accumulated: %+v", st)
+	}
+}
+
+// A planned query's span renders its plan only if the ring keeps it,
+// and then into the strings it always carried: the counts as fmt.Sprint
+// writes them and the lists joined by commas. Each form is pinned for a
+// planned query and for a page.
+func TestKeptPlanSpanAttrs(t *testing.T) {
+	s := store.New(store.NewMemoryBackend())
+	sessions := populateSessions(t, s, 4, 6)
+	e := New(s)
+	s.Obs().Tracer().SetSlowThreshold(time.Nanosecond) // the ring keeps every span
+	q := &prep.Query{SessionID: sessions[1].id, Service: sessions[1].services[0]}
+	_, _, planned, err := e.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, paged, err := e.QueryPage(q, "", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := s.Obs().Tracer().Slow()
+	for i, want := range []struct {
+		op   string
+		plan *prep.QueryPlan
+	}{{"query.planned", planned}, {"query.page", paged}} {
+		span := spans[len(spans)-2+i]
+		if span.Op() != want.op || len(want.plan.Dims) != 2 {
+			t.Fatalf("span %d is %s over a plan of dims %v, want %s over two", i, span.Op(), want.plan.Dims, want.op)
+		}
+		counts := make([]string, len(want.plan.DimCounts))
+		for j, c := range want.plan.DimCounts {
+			counts[j] = fmt.Sprint(c)
+		}
+		attrs := []obs.Attr{
+			{Key: "strategy", Value: string(want.plan.Strategy)},
+			{Key: "dims", Value: strings.Join(want.plan.Dims, ",")},
+			{Key: "dim_counts", Value: strings.Join(counts, ",")},
+			{Key: "est_candidates", Value: fmt.Sprint(want.plan.EstCandidates)},
+			{Key: "candidates", Value: fmt.Sprint(want.plan.Candidates)},
+			{Key: "postings", Value: fmt.Sprint(want.plan.Postings)},
+		}
+		if !reflect.DeepEqual(span.Attrs(), attrs) {
+			t.Errorf("%s span attrs = %v, want %v", want.op, span.Attrs(), attrs)
+		}
 	}
 }

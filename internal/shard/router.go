@@ -255,7 +255,7 @@ func (rt *Router) each(fn func(i int, s Shard) error) []error {
 		span := rt.reg.Tracer().StartSpan("router.fanout")
 		if err := fn(i, rt.shards[i]); err != errIdle {
 			errs[i] = err
-			span.SetAttr("shard", strconv.Itoa(i)).Observe(rt.fanoutSec[i], err)
+			span.SetInt("shard", int64(i)).Observe(rt.fanoutSec[i], err)
 		}
 	}
 	if len(rt.shards) == 1 {

@@ -138,11 +138,7 @@ func decodeReply(action string, status int, data []byte, err error, reply interf
 	if status != http.StatusOK {
 		return fmt.Errorf("soap: %s returned HTTP %d: %s", action, status, excerpt(data))
 	}
-	msg, err := ReadEnvelope(data)
-	if err != nil {
-		return err
-	}
-	return msg.Decode(reply)
+	return DecodeEnvelope(data, reply)
 }
 
 // conn is one HTTP/1.1 connection.

@@ -220,10 +220,15 @@ func (s *Server) serveConn(c *serverConn) {
 			c.Close()
 		}
 	}()
+	// A read or a write arms its own timer, and only its own, just
+	// before it: the header and the body the read deadline, each write
+	// the write deadline, so that no write runs under a deadline armed
+	// for an earlier one.
 	for {
-		c.SetDeadline(time.Now().Add(s.timeout))
+		c.SetReadDeadline(time.Now().Add(s.timeout))
 		h, f, err := s.readHead(c)
 		if errors.Is(err, errBadRequest) {
+			c.SetWriteDeadline(time.Now().Add(s.timeout))
 			io.WriteString(c.Conn, badRequestReply)
 			c.hangUp()
 		}
@@ -242,22 +247,24 @@ func (s *Server) serveConn(c *serverConn) {
 		if f.chunked {
 			size = MaxMessageBytes
 		}
-		c.SetDeadline(s.transferDeadline(size))
+		c.SetReadDeadline(s.transferDeadline(size))
 		if f.expect && f.length <= MaxMessageBytes {
+			c.SetWriteDeadline(s.transferDeadline(size))
 			io.WriteString(c.Conn, continueReply)
 		}
-		in, out := getBuffer(), getBuffer()
+		in, out, msg := getBuffer(), getBuffer(), getMessage(requests)
 		data, readErr := c.readBody(&f, (*in)[:0])
 		reply := *out
 		if cap(reply) < replyRoom {
 			reply = make([]byte, 0, 4096)
 		}
-		reply = h.answer(data, readErr, reply[:replyRoom])
+		reply = h.answer(msg, data, readErr, reply[:replyRoom])
 		closing := f.closing || readErr != nil || s.closing.Load()
 		c.SetWriteDeadline(s.transferDeadline(int64(len(reply))))
 		_, err = c.Write(reply[putHead(reply, closing):])
 		putBuffer(in, data)
 		putBuffer(out, reply)
+		putMessage(requests, msg)
 		if err == nil && readErr != nil {
 			c.hangUp()
 		}

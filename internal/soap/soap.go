@@ -17,6 +17,7 @@ import (
 	"unicode/utf8"
 
 	"preserv/internal/ids"
+	"preserv/internal/reuse"
 	"preserv/internal/xmlwire"
 )
 
@@ -160,18 +161,15 @@ func decodeDocument(data []byte, v wireDecoder) error {
 // same whatever state the heap is in.
 var buffers = sync.Pool{New: func() any { return new([]byte) }}
 
-// maxPooled bounds the buffers the pool keeps; a larger one is left to
-// the collector.
-const maxPooled = 1 << 20
-
 // getBuffer takes a buffer from the pool; the caller appends to (*p)[:0]
 // and hands the result back with putBuffer once nothing refers to it.
 func getBuffer() *[]byte { return buffers.Get().(*[]byte) }
 
 // putBuffer returns p to the pool, keeping data — what the caller's
-// appends grew (*p)[:0] into — as its buffer when that is the larger.
+// appends grew (*p)[:0] into — as its buffer when that is the larger
+// and reuse.Fits it.
 func putBuffer(p *[]byte, data []byte) {
-	if cap(data) > cap(*p) && cap(data) <= maxPooled {
+	if cap(data) > cap(*p) && reuse.Fits[byte](cap(data)) {
 		*p = data[:0]
 	}
 	buffers.Put(p)
@@ -206,23 +204,23 @@ func Marshal(action string, payload interface{}) ([]byte, error) {
 }
 
 // Unmarshal parses an envelope, returning its action and raw body. It
-// is ReadEnvelope's walk with every Body captured rather than decoded:
+// is a Message's walk with every Body captured rather than decoded:
 // the whole envelope is checked for well-formedness, and the body's
 // bytes — the last Body's, when there are several — are located, not
-// decoded. Endpoint.Post and the server read with ReadEnvelope; this
-// stays for callers that want the body's bytes.
+// decoded. Endpoint.Post and the server read envelopes into pooled
+// Messages; this stays for callers that want the body's bytes.
 //
 // provlint:typed-faults
 func Unmarshal(data []byte) (action string, body []byte, err error) {
-	m := &Message{data: data, capture: true}
+	m := &Message{data: data, d: xmlwire.NewDecoder(data), capture: true}
 	if err := m.open(); err != nil {
 		return "", nil, err
 	}
 	return m.action, m.body, nil
 }
 
-// Message is an envelope read in one pass. ReadEnvelope reads it up to
-// its payload — the header first, as every encoder writes it and SOAP
+// Message is an envelope read in one pass. read reads it up to its
+// payload — the header first, as every encoder writes it and SOAP
 // 1.1 §4.2 requires — and Decode reads the payload where it stands,
 // then the rest of the envelope, so no byte is tokenised twice. A Body
 // that comes before the action header is captured as it is passed and
@@ -244,21 +242,59 @@ type Message struct {
 	err error
 }
 
-// ReadEnvelope reads the envelope in data up to its payload and returns
-// the message, whose action is known. The message reads data, which
-// must stay unchanged until it has been decoded.
+// DecodeEnvelope decodes the payload of the envelope in data into v as
+// Endpoint.Post decodes a reply, in one pass through a pooled Message:
+// what it decodes is new memory, v's own, and outlives data.
 //
 // provlint:typed-faults
-func ReadEnvelope(data []byte) (*Message, error) {
-	m := &Message{data: data}
-	if err := m.open(); err != nil {
-		return nil, err
+func DecodeEnvelope(data []byte, v interface{}) error {
+	m := getMessage(replies)
+	defer putMessage(replies, m)
+	if err := m.read(data, false); err != nil {
+		return err
 	}
-	return m, nil
+	return m.Decode(v)
+}
+
+// requests and replies recycle the messages, decoders included, that the
+// server reads requests into and Endpoint.Post reads replies into. A
+// request's decoder reuses the memory its last request was decoded into
+// (xmlwire.Decoder.Reuse), its arena and its record slabs: a request's
+// decoded values live until its reply has been written, and no longer.
+// A reply's decoder decodes into new memory, which the caller owns.
+var requests, replies = messagePool(), messagePool()
+
+func messagePool() *sync.Pool {
+	return &sync.Pool{New: func() any { return &Message{d: new(xmlwire.Decoder)} }}
+}
+
+// getMessage takes a message from pool; the caller hands it back with
+// putMessage once nothing reads it: a request's, once its reply is
+// written.
+func getMessage(pool *sync.Pool) *Message { return pool.Get().(*Message) }
+
+func putMessage(pool *sync.Pool, m *Message) {
+	*m = Message{d: m.d}
+	pool.Put(m)
+}
+
+// read makes m the envelope in data, read up to its payload. With
+// reuse, what m decodes goes into the memory of the message m read
+// last; without, into new memory.
+//
+// provlint:typed-faults
+func (m *Message) read(data []byte, reuse bool) error {
+	d := m.d
+	if reuse {
+		d.Reuse(data)
+	} else {
+		d.Reset(data)
+	}
+	*m = Message{data: data, d: d}
+	return m.open()
 }
 
 func (m *Message) open() error {
-	m.d = xmlwire.NewDecoder(m.data)
 	err := m.d.Root()
 	if err == nil {
 		_, err = m.d.StartName("Envelope")
@@ -521,22 +557,24 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "envelope messages must be POSTed", http.StatusMethodNotAllowed)
 		return
 	}
-	in, out := getBuffer(), getBuffer()
+	in, out, msg := getBuffer(), getBuffer(), getMessage(requests)
 	data, err := readMessage(r.Body, r.ContentLength, (*in)[:0])
-	reply := h.answer(data, err, (*out)[:0])
+	reply := h.answer(msg, data, err, (*out)[:0])
 	w.Header()["Content-Type"] = contentType
 	w.Write(reply)
 	putBuffer(in, data)
 	putBuffer(out, reply)
+	putMessage(requests, msg)
 }
 
 // answer appends to out the reply to the request message data, or to
 // readErr, the error reading it, and returns it: the action's reply
 // envelope, or a fault's. Faults travel as 200-level envelope replies,
 // as in SOAP 1.1 over HTTP POST bindings; transport-level errors use
-// HTTP codes. The reply may hold bytes of data, which the caller keeps
-// until the reply is written.
-func (h *HTTPHandler) answer(data []byte, readErr error, out []byte) []byte {
+// HTTP codes. The request is read into msg, from the pool; the caller
+// keeps data and msg until the reply is written, and then puts them
+// back.
+func (h *HTTPHandler) answer(msg *Message, data []byte, readErr error, out []byte) []byte {
 	fault := func(code, msg string) []byte {
 		reply, _ := appendEnvelope(out, "fault", &Fault{Code: code, Message: msg}) // a Fault always encodes
 		return reply
@@ -547,8 +585,7 @@ func (h *HTTPHandler) answer(data []byte, readErr error, out []byte) []byte {
 	if readErr != nil {
 		return fault(FaultBadRequest, "reading request: "+readErr.Error())
 	}
-	msg, err := ReadEnvelope(data)
-	if err != nil {
+	if err := msg.read(data, true); err != nil {
 		return fault(FaultBadRequest, err.Error())
 	}
 	action := msg.action

@@ -313,20 +313,28 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 	}
 }
 
-// checkOnePass holds ReadEnvelope and Decode — the one pass Post and
+// checkOnePass holds a Message's read and Decode — the one pass Post and
 // ServeHTTP make over a message — to Unmarshal and DecodeBody on the
 // same bytes, decoding into every record-carrying type, into a payload
 // left to encoding/xml, and into nothing (Post discarding a reply): the
 // same action and the same value or *Fault, or a refusal as
 // ErrUnsupported; an error wherever the two passes return one.
+//
+// The server's pass, into a pooled message that read other requests
+// before, reads what a fresh one reads.
 func checkOnePass(t *testing.T, data []byte) {
 	t.Helper()
 	action, body, envErr := Unmarshal(data)
+	srv := primedRequest(t)
 	for _, target := range append(hotTargets(), &echoPayload{}, nil) {
-		var got, want interface{}
+		var got, want, gotSrv interface{}
 		if target != nil {
 			typ := reflect.TypeOf(target).Elem()
-			got, want = reflect.New(typ).Interface(), reflect.New(typ).Interface()
+			got, want, gotSrv = reflect.New(typ).Interface(), reflect.New(typ).Interface(), reflect.New(typ).Interface()
+		}
+		srvErr := srv.read(data, true)
+		if srvErr == nil {
+			srvErr = srv.Decode(gotSrv)
 		}
 		wantErr := envErr
 		if envErr == nil {
@@ -336,7 +344,8 @@ func checkOnePass(t *testing.T, data []byte) {
 				wantErr = DecodeBody(body, want)
 			}
 		}
-		msg, err := ReadEnvelope(data)
+		msg := &Message{d: new(xmlwire.Decoder)} // as DecodeEnvelope reads it
+		err := msg.read(data, false)
 		if err == nil {
 			err = msg.Decode(got)
 		}
@@ -359,7 +368,29 @@ func checkOnePass(t *testing.T, data []byte) {
 		if (err == nil || fault != nil) && msg.action != action {
 			t.Fatalf("%T: one pass reads action %q, two passes %q\n%q", target, msg.action, action, data)
 		}
+		if fmt.Sprint(srvErr) != fmt.Sprint(err) || !reflect.DeepEqual(gotSrv, got) {
+			t.Fatalf("%T: a reused message reads %+v (%v), a fresh one %+v (%v)\n%q", target, gotSrv, srvErr, got, err, data)
+		}
 	}
+}
+
+// primedRequest is a message from the server's pool that has read a
+// Record request already.
+func primedRequest(t *testing.T) *Message {
+	t.Helper()
+	data, err := Marshal(prep.ActionRecord, &prep.RecordRequest{Asserter: "svc:enactor", Records: sampleRecords(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Message{d: new(xmlwire.Decoder)}
+	var req prep.RecordRequest
+	if err := m.read(data, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Decode(&req); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func isASCII(b []byte) bool {
@@ -479,7 +510,7 @@ func TestDecodeAllocsPerRecord(t *testing.T) {
 	}
 	decode := func() {
 		var req prep.RecordRequest
-		if err := decodeEnvelope(data, &req); err != nil || len(req.Records) != n {
+		if err := DecodeEnvelope(data, &req); err != nil || len(req.Records) != n {
 			t.Fatalf("decoded %d records: %v", len(req.Records), err)
 		}
 	}
@@ -507,7 +538,9 @@ func bytesPerRun(runs int, f func()) uint64 {
 
 // A one-record Record request, what every call of a synchronous
 // recorder sends: its memory comes in a dozen allocations (34 when each
-// string, part and group took its own), in no more bytes than then.
+// string, part and group took its own), in no more bytes than then. The
+// pooled message and decoder make it 10 and 1,192 B. (The server's
+// decode of it, into reused memory, takes none.)
 func TestDecodeOneRecordRequestAllocs(t *testing.T) {
 	data, err := Marshal(prep.ActionRecord, &prep.RecordRequest{Asserter: "svc:enactor", Records: sampleRecords(1)})
 	if err != nil {
@@ -515,7 +548,7 @@ func TestDecodeOneRecordRequestAllocs(t *testing.T) {
 	}
 	decode := func() {
 		var req prep.RecordRequest
-		if err := decodeEnvelope(data, &req); err != nil || len(req.Records) != 1 {
+		if err := DecodeEnvelope(data, &req); err != nil || len(req.Records) != 1 {
 			t.Fatalf("decoded %d records: %v", len(req.Records), err)
 		}
 	}
@@ -538,14 +571,22 @@ func TestDecodedRecordsOwnTheirMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	var req prep.RecordRequest
-	if err := decodeEnvelope(data, &req); err != nil {
+	if err := DecodeEnvelope(data, &req); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
 		data[i] = 'x'
 	}
+	// The pooled message and decoder read another reply next.
+	other, err := Marshal(prep.ActionRecord, &prep.RecordRequest{Asserter: "svc:other", Records: sampleRecords(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeEnvelope(other, new(prep.RecordRequest)); err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(req.Records, records) {
-		t.Fatalf("records changed when the bytes they were decoded from were overwritten\n got %+v\nwant %+v", req.Records, records)
+		t.Fatalf("records changed when the bytes they were decoded from were overwritten, and their decoder read another message\n got %+v\nwant %+v", req.Records, records)
 	}
 	first := req.Records[0].Interaction
 	first.Request.Parts = append(first.Request.Parts, core.MessagePart{Name: "appended", Content: core.Bytes("appended")})
@@ -576,15 +617,16 @@ func pageReply(tb testing.TB, n int) []byte {
 
 func readPageReply(tb testing.TB, data []byte, n int) {
 	var resp prep.PageQueryResponse
-	if err := decodeEnvelope(data, &resp); err != nil || len(resp.Records) != n || resp.Next != "cursor" {
+	if err := DecodeEnvelope(data, &resp); err != nil || len(resp.Records) != n || resp.Next != "cursor" {
 		tb.Fatalf("decoded %d records, next %q: %v", len(resp.Records), resp.Next, err)
 	}
 }
 
 // The client's side of the same ceiling: a 200-record page decodes in
-// 44 allocations, 0.22 per record (50 before the record list was sized
-// from the rest of the message; 23.4 per record before records shared
-// their memory; encoding/xml took 338 per record).
+// 42 allocations, 0.21 per record (44 before the message and decoder
+// were pooled; 50 before the record list was sized from the rest of the
+// message; 23.4 per record before records shared their memory;
+// encoding/xml took 338 per record).
 func TestDecodePageReplyAllocs(t *testing.T) {
 	const n, ceiling = 200, 44
 	data := pageReply(t, n)
@@ -634,23 +676,15 @@ func recordReply(tb testing.TB) []byte {
 
 func readRecordReply(tb testing.TB, data []byte) {
 	var resp prep.RecordResponse
-	if err := decodeEnvelope(data, &resp); err != nil || resp.Accepted != 100 {
+	if err := DecodeEnvelope(data, &resp); err != nil || resp.Accepted != 100 {
 		tb.Fatalf("decoded %+v: %v", resp, err)
 	}
 }
 
-// decodeEnvelope decodes an envelope's body into v, as Post and ServeHTTP do.
-func decodeEnvelope(data []byte, v interface{}) error {
-	msg, err := ReadEnvelope(data)
-	if err != nil {
-		return err
-	}
-	return msg.Decode(v)
-}
-
 // What a client pays to read that answer is a handful of allocations
-// (the decoder, the message, the arena chunk the action is copied into,
-// the reply: 4 measured), where encoding/xml took 29.
+// (the arena chunk the action is copied into and the reply: 2 measured,
+// 4 before the message and its decoder came from a pool), where
+// encoding/xml took 29.
 func TestDecodeRecordResponseAllocs(t *testing.T) {
 	data := recordReply(t)
 	allocs := testing.AllocsPerRun(10, func() { readRecordReply(t, data) })
@@ -687,7 +721,7 @@ func BenchmarkDecodeRecordRequest(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		var req prep.RecordRequest
-		if err := decodeEnvelope(data, &req); err != nil || len(req.Records) != n {
+		if err := DecodeEnvelope(data, &req); err != nil || len(req.Records) != n {
 			b.Fatalf("decoded %d records: %v", len(req.Records), err)
 		}
 	}

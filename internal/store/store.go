@@ -13,6 +13,7 @@ import (
 	"hash/maphash"
 	"math/rand/v2"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,6 +28,7 @@ import (
 	"preserv/internal/kvdb"
 	"preserv/internal/obs"
 	"preserv/internal/prep"
+	"preserv/internal/reuse"
 )
 
 // ErrDuplicate is returned when a record's storage key already exists
@@ -50,7 +52,8 @@ type Backend interface {
 	// PutBatch stores several pairs in one backend operation, with the
 	// same per-key semantics as Put, applied whole or not at all.
 	// Implementations amortise the per-write cost (one lock acquisition,
-	// one log append); a duplicate key resolves to its last value.
+	// one log append); a duplicate key resolves to its last value. They
+	// keep no value's bytes past the call: Record reuses them.
 	PutBatch(kvs []KV) error
 	// Get returns the value under key, or (nil, false, nil) if absent.
 	Get(key string) (value []byte, ok bool, err error)
@@ -354,44 +357,59 @@ func (s *Store) GetBatch(keys []string) (values [][]byte, present []bool, err er
 // stripes, and the call's new records and their postings ship to the
 // backend as one batch.
 func (s *Store) Record(asserter core.ActorID, records []core.Record) (int, []prep.Reject, error) {
-	span := s.reg.Tracer().StartSpan("store.record").
-		SetAttr("batch", fmt.Sprint(len(records)))
+	span := s.reg.Tracer().StartSpan("store.record").SetInt("batch", int64(len(records)))
 	accepted, rejects, err := s.record(asserter, records)
 	s.recordBatch.Observe(float64(len(records)))
 	span.Observe(s.recordSec, err)
 	return accepted, rejects, err
 }
 
-// postingScratch is what a Record call builds its posting keys in, kept
-// between calls in postingScratches.
-type postingScratch struct {
-	b    index.KeyBuilder
-	keys []string
+// recordScratch is what a Record call builds its batch in, kept between
+// calls in recordScratches: the records' posting keys, their encodings
+// side by side in one slab, the staged records and the pairs the
+// backend is handed. Nothing in it outlives the call: the backend copies
+// what it keeps.
+type recordScratch struct {
+	b       index.KeyBuilder
+	keys    []string
+	encoded []byte
+	batch   []staged
+	puts    []KV
 }
 
-var postingScratches = sync.Pool{New: func() any { return new(postingScratch) }}
+// staged is one record of a Record call that passed validation. Its
+// encoding is cut from the call's slab, and its postings are
+// recordScratch.keys[lo:hi].
+type staged struct {
+	i       int
+	key     string
+	encoded []byte
+	lo, hi  int
+	fresh   bool // not stored yet: the commit puts it
+}
+
+var recordScratches = sync.Pool{New: func() any { return new(recordScratch) }}
+
+// release empties rs, dropping every reference into the call, and puts
+// it back, keeping what reuse.Trim keeps.
+func (rs *recordScratch) release() {
+	clear(rs.keys)
+	clear(rs.batch)
+	clear(rs.puts)
+	rs.keys, rs.batch, rs.puts = reuse.Trim(rs.keys), reuse.Trim(rs.batch), reuse.Trim(rs.puts)
+	rs.encoded = reuse.Trim(rs.encoded)
+	recordScratches.Put(rs)
+}
 
 func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []prep.Reject, error) {
 	if asserter == "" {
 		return 0, nil, fmt.Errorf("store: empty asserter")
 	}
 	// Phase 1 — validate, encode and build posting keys outside any lock.
-	// A staged record's postings are ps.keys[lo:hi].
-	type staged struct {
-		i       int
-		key     string
-		encoded []byte
-		lo, hi  int
-		fresh   bool // not stored yet: the commit puts it
-	}
-	ps := postingScratches.Get().(*postingScratch)
-	defer func() {
-		clear(ps.keys) // release the key strings, keep the slice
-		ps.keys = ps.keys[:0]
-		postingScratches.Put(ps)
-	}()
+	rs := recordScratches.Get().(*recordScratch)
+	defer rs.release()
 	var rejects []prep.Reject
-	batch := make([]staged, 0, len(records))
+	batch := rs.batch
 	for i := range records {
 		r := &records[i]
 		if err := r.Validate(); err != nil {
@@ -405,15 +423,21 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 			})
 			continue
 		}
-		encoded, err := core.EncodeRecord(r)
+		// An encoding written before the slab grows stays where it was,
+		// in the old array, unchanged.
+		start := len(rs.encoded)
+		encoded, err := core.AppendRecord(rs.encoded, r)
 		if err != nil {
 			rejects = append(rejects, prep.Reject{Index: i, Reason: err.Error()})
 			continue
 		}
-		lo := len(ps.keys)
-		ps.keys = ps.b.PostingKeys(ps.keys, r)
-		batch = append(batch, staged{i: i, key: r.StorageKey(), encoded: encoded, lo: lo, hi: len(ps.keys)})
+		rs.encoded = encoded
+		lo := len(rs.keys)
+		var key string
+		rs.keys, key = rs.b.PostingKeys(rs.keys, r)
+		batch = append(batch, staged{i: i, key: key, encoded: encoded[start:len(encoded):len(encoded)], lo: lo, hi: len(rs.keys)})
 	}
+	rs.batch = batch
 
 	// The index is opened (a store in an earlier format refused) before
 	// anything is written beside it.
@@ -475,7 +499,7 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 	}
 	var putErr error
 	if fresh > 0 {
-		puts := make([]KV, 0, size)
+		puts := slices.Grow(rs.puts, size)
 		for _, st := range batch {
 			if st.fresh {
 				puts = append(puts, KV{Key: st.key, Value: st.encoded})
@@ -483,11 +507,12 @@ func (s *Store) record(asserter core.ActorID, records []core.Record) (int, []pre
 		}
 		for _, st := range batch {
 			if st.fresh {
-				for _, k := range ps.keys[st.lo:st.hi] {
+				for _, k := range rs.keys[st.lo:st.hi] {
 					puts = append(puts, KV{Key: k})
 				}
 			}
 		}
+		rs.puts = puts
 		putErr = s.b.PutBatch(puts)
 		s.advance(len(batch), func(j int) *core.Record {
 			if !batch[j].fresh {
@@ -525,7 +550,7 @@ func (s *Store) DeleteSession(session ids.ID) (int, error) {
 	span := s.reg.Tracer().StartSpan("store.delete").SetAttr("kind", "session")
 	deleted, err := s.deleteSession(session)
 	s.deleteBatch.Observe(float64(deleted))
-	span.SetAttr("deleted", fmt.Sprint(deleted)).Observe(s.deleteSec, err)
+	span.SetInt("deleted", int64(deleted)).Observe(s.deleteSec, err)
 	s.reclaim(deleted)
 	return deleted, err
 }
@@ -559,7 +584,7 @@ func (s *Store) deleteSession(session ids.ID) (int, error) {
 // compacts as DeleteSession does.
 func (s *Store) DeleteRecords(keys []string) (int, error) {
 	span := s.reg.Tracer().StartSpan("store.delete").
-		SetAttr("kind", "records").SetAttr("batch", fmt.Sprint(len(keys)))
+		SetAttr("kind", "records").SetInt("batch", int64(len(keys)))
 	deleted, err := s.deleteRecords(keys)
 	s.deleteBatch.Observe(float64(len(keys)))
 	span.Observe(s.deleteSec, err)
@@ -673,7 +698,7 @@ func (s *Store) deleteChunk(chunk []string) (deleted int, err error) {
 			undecodable = true
 			continue
 		}
-		doomed = b.PostingKeys(doomed, r)
+		doomed, _ = b.PostingKeys(doomed, r)
 		decoded = append(decoded, r)
 	}
 	if deleted == 0 {

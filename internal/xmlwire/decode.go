@@ -13,6 +13,8 @@ import (
 	"time"
 	"unicode/utf8"
 	"unsafe"
+
+	"preserv/internal/reuse"
 )
 
 // SyntaxError reports input the decoder does not accept.
@@ -81,6 +83,8 @@ type Decoder struct {
 	// selfClosed is set when the innermost open element was written
 	// <a/>: it has no content and its end is pending.
 	selfClosed bool
+	// reuse is set on a decoder that Reuse made.
+	reuse bool
 	// ns holds the namespace declarations in scope, innermost last.
 	ns []binding
 	// nsFloor hides ns[:nsFloor] while more than fragment elements are
@@ -93,8 +97,10 @@ type Decoder struct {
 	// kept counts the bytes all chunks have given.
 	arena []byte
 	kept  int
+	// memo is the state a reader keeps with a decoder Reuse made.
+	memo Memo
 	// openBuf backs open: the messages written here nest 8 deep.
-	openBuf [12]span
+	openBuf [10]span
 }
 
 type span struct{ start, end int }
@@ -112,9 +118,57 @@ type binding struct {
 // memory of the decoder's own, which never aliases data and stays valid
 // for as long as it is referenced.
 func NewDecoder(data []byte) *Decoder {
-	d := &Decoder{data: data}
-	d.open = d.openBuf[:0]
+	d := new(Decoder)
+	d.Reset(data)
 	return d
+}
+
+// Reset makes d a decoder over data as NewDecoder makes one, keeping
+// only the buffers of its own that it never hands out: what it decodes
+// from data is new memory, and what it handed out before stays valid.
+// The zero Decoder is ready to be Reset or Reused.
+func (d *Decoder) Reset(data []byte) {
+	clear(d.ns)
+	*d = Decoder{data: data, ns: reuse.Trim(d.ns), scratch: reuse.Trim(d.scratch)}
+	d.open = d.openBuf[:0]
+}
+
+// Memo is state a reader keeps with a decoder Reuse made, for its next
+// document to reuse (core.RecordDecoder's slabs); Reuse resets it with
+// the decoder.
+type Memo interface{ Reset() }
+
+// Reuse makes d a decoder over data that reuses the memory it handed
+// out for its last document: the arena String and Alloc take from, and
+// its Memo; the chunks a huge document took are left to the collector
+// (reuse.Fits). Every value decoded from that document is overwritten,
+// so d is Reused only once nothing refers to them: the server's request
+// decoders are, once the reply is written.
+func (d *Decoder) Reuse(data []byte) {
+	arena, memo := d.arena[:0], d.memo
+	switch {
+	case !d.reuse:
+		arena = nil // handed out by a decoder that was not to reuse it
+	case !reuse.Fits[byte](max(cap(arena), d.kept)):
+		arena = nil
+	case d.kept > cap(arena): // the last document took several chunks: one holds it all
+		arena = make([]byte, 0, d.kept)
+	}
+	d.Reset(data)
+	d.arena, d.reuse, d.memo = arena, true, memo
+	if memo != nil {
+		memo.Reset()
+	}
+}
+
+// Memo returns the state kept with d, made by newMemo on first use,
+// or nil when Reuse did not make d: what it hands out must then
+// outlive d's next document, as a new reader's would.
+func (d *Decoder) Memo(newMemo func() Memo) Memo {
+	if d.reuse && d.memo == nil {
+		d.memo = newMemo()
+	}
+	return d.memo
 }
 
 func (d *Decoder) errorf(unsupported bool, parts ...string) error {
@@ -314,10 +368,13 @@ func (d *Decoder) CopyString(b []byte) string {
 	return unsafe.String(&s[0], len(s))
 }
 
-// Alloc returns n zeroed bytes of the arena, never nil, with its
-// capacity clipped to n. The arena is chunks each sized for the rest of
-// the message at the rate values have taken the input so far (Expect):
-// a message takes a chunk or two, and a value kept pins its chunk alone.
+// Alloc returns n bytes of the arena for the caller to fill, never
+// nil, with its capacity clipped to n: on a decoder Reuse made they
+// may hold an earlier document's bytes. The arena is chunks each sized
+// for the rest of the message at the rate values have taken the input
+// so far (Expect): a message takes a chunk or two, and a value kept
+// pins its chunk alone. A decoder Reuse made starts each document on
+// the chunk its last one ended in.
 func (d *Decoder) Alloc(n int) []byte {
 	if n == 0 {
 		return []byte{}
