@@ -645,28 +645,23 @@ func (r *AsyncRecorder) shipJournal(sj *sealedJournal, workers int) (refused, er
 	}
 
 	var decodeErr error
-	var rolling []core.Record
 	for !failed.Load() {
-		rec, err := jr.next()
-		if err != nil {
-			if err != io.EOF && !sj.recovered {
-				// A recovered file may end in a torn tail (the writer
-				// crashed mid-write): its clean prefix ships, the tail
-				// is gone either way. A file this process sealed was
-				// fully flushed before the rename, so any bad frame
-				// there is real corruption.
-				decodeErr = fmt.Errorf("client: reading journal: %w", err)
-			}
+		records, err := jr.batch(r.batchSize)
+		if err != nil && err != io.EOF && !sj.recovered {
+			// A recovered file may end in a torn tail (the writer
+			// crashed mid-write): its clean prefix ships, the tail
+			// is gone either way. A file this process sealed was
+			// fully flushed before the rename, so any bad frame
+			// there is real corruption.
+			decodeErr = fmt.Errorf("client: reading journal: %w", err)
 			break
 		}
-		rolling = append(rolling, *rec)
-		if len(rolling) >= r.batchSize {
-			batches <- rolling
-			rolling = nil
+		if len(records) > 0 {
+			batches <- records
 		}
-	}
-	if decodeErr == nil && !failed.Load() && len(rolling) > 0 {
-		batches <- rolling
+		if err != nil {
+			break
+		}
 	}
 	close(batches)
 	wg.Wait()

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"preserv/internal/core"
+	"preserv/internal/reuse"
 	"preserv/internal/soap"
 )
 
@@ -67,11 +68,40 @@ func newJournalReader(src io.Reader, path string) (*journalReader, error) {
 	return &journalReader{br: br}, nil
 }
 
-// next returns the next record, or io.EOF at a clean end. A frame the
-// writer could not have written is errBadFrame: torn, a length over
+// batch reads up to n records into a list whose records share one
+// core.RecordArena, sized as if each took the first one's bytes, up to
+// reuse.MaxBytes: past that its chunks grow with what was read, so a
+// large record costs about its own size, not n times it. The
+// error ends the list short of n: io.EOF at a clean end, errBadFrame
+// for a frame the writer could not have written — torn, a length over
 // soap.MaxMessageBytes or in more bytes than it needs, a CRC mismatch,
 // or a payload that does not decode and re-encode to itself.
-func (jr *journalReader) next() (*core.Record, error) {
+func (jr *journalReader) batch(n int) ([]core.Record, error) {
+	var records []core.Record
+	var arena *core.RecordArena
+	for len(records) < n {
+		payload, err := jr.frame()
+		if err != nil {
+			return records, err
+		}
+		if arena == nil {
+			records = make([]core.Record, 0, n)
+			arena = core.NewRecordArena(min(n*len(payload), reuse.MaxBytes))
+		}
+		var r core.Record
+		if err = arena.Decode(payload, &r); err == nil {
+			jr.canon, err = core.AppendRecord(jr.canon[:0], &r)
+		}
+		if err != nil || !bytes.Equal(jr.canon, payload) {
+			return records, errBadFrame
+		}
+		records = append(records, r)
+	}
+	return records, nil
+}
+
+// frame returns the next frame's payload, valid until the next call.
+func (jr *journalReader) frame() ([]byte, error) {
 	head, err := jr.br.Peek(binary.MaxVarintLen64 + 4)
 	if len(head) == 0 {
 		if err != io.EOF {
@@ -91,14 +121,7 @@ func (jr *journalReader) next() (*core.Record, error) {
 	if _, err := io.CopyN(&jr.payload, jr.br, int64(n)); err != nil || crc32.Checksum(jr.payload.Bytes(), castagnoli) != sum {
 		return nil, errBadFrame
 	}
-	r, err := core.DecodeRecord(jr.payload.Bytes())
-	if err == nil {
-		jr.canon, err = core.AppendRecord(jr.canon[:0], r)
-	}
-	if err != nil || !bytes.Equal(jr.canon, jr.payload.Bytes()) {
-		return nil, errBadFrame
-	}
-	return r, nil
+	return jr.payload.Bytes(), nil
 }
 
 // countJournalRecords reports how many records the clean prefix of the
@@ -113,8 +136,10 @@ func countJournalRecords(path string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for n := int64(0); ; n++ {
-		if _, err := jr.next(); err != nil {
+	for n := int64(0); ; {
+		records, err := jr.batch(DefaultBatchSize)
+		n += int64(len(records))
+		if err != nil {
 			return n, nil
 		}
 	}

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
+	"unsafe"
 
 	"preserv/internal/ids"
+	"preserv/internal/reuse"
 )
 
 // MarshalText implements encoding.TextMarshaler so views serialise by
@@ -103,25 +105,92 @@ func AppendRecord(buf []byte, r *Record) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeRecord reverses EncodeRecord.
+// DecodeRecord reverses EncodeRecord: the one-record case of a
+// RecordArena.
 func DecodeRecord(data []byte) (*Record, error) {
-	if len(data) < len(codecMagic)+1 || !bytes.Equal(data[:len(codecMagic)], codecMagic[:]) {
-		return nil, fmt.Errorf("core: decoding record: no codec magic")
+	r := new(Record)
+	if err := NewRecordArena(len(data)).Decode(data, r); err != nil {
+		return nil, err
 	}
-	d := &decoder{data: data, off: len(codecMagic)}
-	kind := Kind(d.byte())
-	r := &Record{Kind: kind}
-	switch kind {
+	return r, nil
+}
+
+// RecordArena decodes stored records into memory they share, as
+// RecordDecoder does a message's: each value's bytes are copied once
+// into a byte chunk that its strings and capacity-clipped contents
+// point into, and p-assertions, parts and groups come from slabs. One
+// arena serves one fetch and is never reused: a record kept pins the
+// chunks it points into.
+type RecordArena struct {
+	size int // the encoded bytes the fetch is expected to decode
+	arenaState
+	undo arenaState // as it was before the last Decode
+}
+
+// arenaState is what Decode takes from and Unread gives back.
+type arenaState struct {
+	chunk        []byte // the current byte chunk
+	bytes        []byte // its unused tail
+	read         int    // the encoded bytes decoded so far
+	interactions slab[InteractionPAssertion]
+	actorStates  slab[ActorStatePAssertion]
+	parts        slab[MessagePart]
+	groups       slab[GroupRef]
+}
+
+// maxDoubling caps the slab entries a chunk grows to by doubling alone,
+// so that a long scan's chunks each hold a bounded share of it.
+const maxDoubling = 1 << 10
+
+// NewRecordArena returns an arena for a fetch of about size encoded
+// bytes. Past size, its chunks grow by doubling.
+func NewRecordArena(size int) *RecordArena { return &RecordArena{size: size} }
+
+// chunkLen sizes a slab's next chunk: what the rest of the fetch is
+// expected to take at the rate the values so far took it, and at least
+// double the last chunk, up to maxDoubling.
+func (a *RecordArena) chunkLen(last, handed int) int {
+	grown := min(2*last, maxDoubling)
+	if a.read == 0 || a.size <= a.read {
+		return grown
+	}
+	return max(grown, int((int64(handed)*int64(a.size-a.read)+int64(a.read)-1)/int64(a.read)))
+}
+
+// alloc returns n bytes with their capacity clipped, from a chunk that
+// holds the rest of the fetch, or double what was read, up to 1 MiB.
+func (a *RecordArena) alloc(n int) []byte {
+	if n > len(a.bytes) {
+		a.chunk = make([]byte, max(n, a.size-a.read, min(2*a.read, reuse.MaxBytes)))
+		a.bytes = a.chunk
+	}
+	b := a.bytes[:n:n]
+	a.bytes, a.read = a.bytes[n:], a.read+n
+	return b
+}
+
+// Decode reads the stored value data into r. r owns what it holds:
+// data may be reused once Decode returns.
+func (a *RecordArena) Decode(data []byte, r *Record) error {
+	a.undo = a.arenaState
+	if len(data) < len(codecMagic)+1 || !bytes.Equal(data[:len(codecMagic)], codecMagic[:]) {
+		return fmt.Errorf("core: decoding record: no codec magic")
+	}
+	own := a.alloc(len(data))
+	copy(own, data)
+	d := &decoder{a: a, data: own, off: len(codecMagic)}
+	*r = Record{Kind: Kind(d.byte())}
+	switch r.Kind {
 	case KindInteraction:
-		p := &InteractionPAssertion{}
+		p := a.interactions.one(a)
 		p.LocalID, p.Asserter, p.Interaction, p.View = d.common()
-		p.Request = d.message()
-		p.Response = d.message()
+		d.message(&p.Request)
+		d.message(&p.Response)
 		p.Groups = d.groups()
 		p.Timestamp = d.time()
 		r.Interaction = p
 	case KindActorState:
-		p := &ActorStatePAssertion{}
+		p := a.actorStates.one(a)
 		p.LocalID, p.Asserter, p.Interaction, p.View = d.common()
 		p.StateKind = d.str()
 		p.Content = Bytes(d.bytes())
@@ -129,15 +198,28 @@ func DecodeRecord(data []byte) (*Record, error) {
 		p.Timestamp = d.time()
 		r.ActorState = p
 	default:
-		return nil, fmt.Errorf("core: decoding record: unknown kind %d", kind)
+		return fmt.Errorf("core: decoding record: unknown kind %d", r.Kind)
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("core: decoding record: %w", d.err)
+		return fmt.Errorf("core: decoding record: %w", d.err)
 	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("core: decoding record: %d trailing bytes", len(data)-d.off)
+	if d.off != len(own) {
+		return fmt.Errorf("core: decoding record: %d trailing bytes", len(own)-d.off)
 	}
-	return r, nil
+	return nil
+}
+
+// Unread gives the memory the last Decode took back to the next, for a
+// record the caller drops and nothing holds.
+func (a *RecordArena) Unread() {
+	if unsafe.SliceData(a.chunk) != unsafe.SliceData(a.undo.chunk) {
+		a.undo.chunk, a.undo.bytes = a.chunk, a.chunk
+	}
+	a.interactions.rewind(&a.undo.interactions)
+	a.actorStates.rewind(&a.undo.actorStates)
+	a.parts.rewind(&a.undo.parts)
+	a.groups.rewind(&a.undo.groups)
+	a.arenaState = a.undo
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -197,9 +279,10 @@ func appendTime(buf []byte, t time.Time) ([]byte, error) {
 	return appendBytes(buf, b), nil
 }
 
-// decoder walks an encoded record, latching the first error; callers
-// check err once at the end rather than after every field.
+// decoder walks an encoded record's arena copy, latching the first
+// error; callers check err once at the end rather than after every field.
 type decoder struct {
+	a    *RecordArena
 	data []byte
 	off  int
 	err  error
@@ -237,21 +320,23 @@ func (d *decoder) take(n uint64) []byte {
 		d.fail("truncated: need %d bytes at offset %d", n, d.off)
 		return nil
 	}
-	b := d.data[d.off : d.off+int(n)]
+	b := d.data[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
 	return b
 }
 
-func (d *decoder) str() string { return string(d.take(d.uvarint())) }
+// str and bytes return the arena copy's bytes; bytes is nil when empty.
+func (d *decoder) str() string {
+	b := d.take(d.uvarint())
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
 
-// bytes returns a copy (nil when empty) so the record does not alias
-// the backend's buffer.
 func (d *decoder) bytes() []byte {
 	b := d.take(d.uvarint())
 	if len(b) == 0 {
 		return nil
 	}
-	return append([]byte(nil), b...)
+	return b
 }
 
 func (d *decoder) id() ids.ID {
@@ -272,44 +357,38 @@ func (d *decoder) common() (string, ActorID, Interaction, View) {
 	return localID, asserter, in, View(d.byte())
 }
 
-func (d *decoder) message() Message {
-	m := Message{Name: d.str()}
+// count reads a list's length, which cannot exceed the bytes left.
+func (d *decoder) count(what string) uint64 {
 	n := d.uvarint()
-	if d.err != nil {
-		return m
-	}
 	if n > uint64(len(d.data)-d.off) {
-		d.fail("implausible part count %d", n)
-		return m
+		d.fail("implausible %s count %d", what, n)
+		return 0
 	}
-	if n > 0 {
-		m.Parts = make([]MessagePart, 0, n)
-	}
+	return n
+}
+
+func (d *decoder) message(m *Message) {
+	m.Name = d.str()
+	n := d.count("part")
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		m.Parts = append(m.Parts, MessagePart{
+		*d.a.parts.add(d.a, &m.Parts) = MessagePart{
 			Name:        d.str(),
 			DataID:      d.id(),
 			ContentType: d.str(),
 			Style:       ContentStyle(d.str()),
 			Content:     Bytes(d.bytes()),
-		})
+		}
 	}
-	return m
+	d.a.parts.close(&m.Parts)
 }
 
 func (d *decoder) groups() []GroupRef {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.data)-d.off) {
-		d.fail("implausible group count %d", n)
-		return nil
-	}
-	out := make([]GroupRef, 0, n)
+	var out []GroupRef
+	n := d.count("group")
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, GroupRef{Type: d.str(), ID: d.id(), Seq: d.uvarint()})
+		*d.a.groups.add(d.a, &out) = GroupRef{Type: d.str(), ID: d.id(), Seq: d.uvarint()}
 	}
+	d.a.groups.close(&out)
 	return out
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"time"
+	"unsafe"
 
 	"preserv/internal/reuse"
 	"preserv/internal/xmlwire"
@@ -110,17 +111,30 @@ func (rd *RecordDecoder) Append(d *xmlwire.Decoder, records *[]Record) error {
 }
 
 // slab hands out T's, single or as lists whose elements sit side by
-// side, from chunks that grow 1, 2, 4, … but no larger than the rest of
-// the message is expected to need.
+// side, from chunks a chunker sizes.
 type slab[T any] struct {
 	chunk  []T // the current chunk
 	free   []T // its unused tail
 	handed int // the T's handed out so far
 }
 
+// A chunker sizes a slab's next chunk from its last one's length and
+// the T's handed out: a RecordArena, or a RecordDecoder's wireChunks.
+type chunker interface {
+	chunkLen(last, handed int) int
+}
+
+// wireChunks sizes a RecordDecoder's chunks: 1, 2, 4, … but no larger
+// than the rest of the message is expected to need.
+type wireChunks xmlwire.Decoder
+
+func (w *wireChunks) chunkLen(last, handed int) int {
+	return min(2*last, (*xmlwire.Decoder)(w).Expect(handed))
+}
+
 // grow replaces the current chunk with one of at least n T's.
-func (s *slab[T]) grow(d *xmlwire.Decoder, n int) {
-	s.chunk = make([]T, max(n, min(2*len(s.chunk), d.Expect(s.handed))))
+func (s *slab[T]) grow(c chunker, n int) {
+	s.chunk = make([]T, max(n, c.chunkLen(len(s.chunk), s.handed)))
 	s.free = s.chunk
 }
 
@@ -138,10 +152,18 @@ func (s *slab[T]) reset() {
 	s.free, s.handed = s.chunk, 0
 }
 
+// rewind readies to, an earlier state of s, for s to return to: with
+// the chunk s opened since, if any, from its start.
+func (s *slab[T]) rewind(to *slab[T]) {
+	if unsafe.SliceData(s.chunk) != unsafe.SliceData(to.chunk) {
+		to.chunk, to.free = s.chunk, s.chunk
+	}
+}
+
 // one returns a new zero T.
-func (s *slab[T]) one(d *xmlwire.Decoder) *T {
+func (s *slab[T]) one(c chunker) *T {
 	var l []T
-	p := s.add(d, &l)
+	p := s.add(c, &l)
 	s.close(&l)
 	return p
 }
@@ -154,16 +176,16 @@ func (s *slab[T]) holds(l []T) bool {
 // add appends a zero T to *list and returns it. A nil list opens on the
 // free tail, until close, and moves to a new chunk if it outgrows it;
 // any other list grows as append grows it. One list is open at a time.
-func (s *slab[T]) add(d *xmlwire.Decoder, list *[]T) *T {
+func (s *slab[T]) add(c chunker, list *[]T) *T {
 	l := *list
 	switch {
 	case l == nil:
 		if len(s.free) == 0 {
-			s.grow(d, 1)
+			s.grow(c, 1)
 		}
 		l = s.free[:0]
 	case len(l) == cap(l) && s.holds(l):
-		s.grow(d, len(l)+1)
+		s.grow(c, len(l)+1)
 		l = append(s.free[:0], l...)
 	}
 	var zero T
@@ -266,12 +288,12 @@ func (rd *RecordDecoder) Decode(d *xmlwire.Decoder, r *Record) error {
 			return r.Kind.decodeXML(d)
 		case "interactionPAssertion":
 			if r.Interaction == nil {
-				r.Interaction = rd.interactions.one(d)
+				r.Interaction = rd.interactions.one((*wireChunks)(d))
 			}
 			return rd.interaction(d, r.Interaction)
 		case "actorStatePAssertion":
 			if r.ActorState == nil {
-				r.ActorState = rd.actorStates.one(d)
+				r.ActorState = rd.actorStates.one((*wireChunks)(d))
 			}
 			return rd.actorState(d, r.ActorState)
 		}
@@ -332,7 +354,7 @@ func (rd *RecordDecoder) interaction(d *xmlwire.Decoder, p *InteractionPAssertio
 		case "response":
 			return rd.message(d, &p.Response)
 		case "group":
-			return rd.group(d, rd.groups.add(d, &p.Groups))
+			return rd.group(d, rd.groups.add((*wireChunks)(d), &p.Groups))
 		case "timestamp":
 			return d.Time(&p.Timestamp)
 		}
@@ -373,7 +395,7 @@ func (rd *RecordDecoder) actorState(d *xmlwire.Decoder, p *ActorStatePAssertion)
 		case "content":
 			return content(d, &p.Content)
 		case "group":
-			return rd.group(d, rd.groups.add(d, &p.Groups))
+			return rd.group(d, rd.groups.add((*wireChunks)(d), &p.Groups))
 		case "timestamp":
 			return d.Time(&p.Timestamp)
 		}
@@ -451,7 +473,7 @@ func (rd *RecordDecoder) message(d *xmlwire.Decoder, m *Message) error {
 		case "name":
 			return rd.short(d, &m.Name)
 		case "part":
-			return rd.part(d, rd.parts.add(d, &m.Parts))
+			return rd.part(d, rd.parts.add((*wireChunks)(d), &m.Parts))
 		}
 		return d.Skip()
 	})

@@ -257,7 +257,7 @@ func FuzzRecordXML(f *testing.F) {
 // A slab's lists sit side by side without overlapping: a closed list
 // appended to reallocates, and a list that outgrows its chunk moves.
 func TestSlabListsStayApart(t *testing.T) {
-	d := xmlwire.NewDecoder(make([]byte, 1000))
+	d := (*wireChunks)(xmlwire.NewDecoder(make([]byte, 1000)))
 	var s slab[int]
 	var a, b, c []int
 	for i := range 5 {

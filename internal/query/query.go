@@ -478,6 +478,23 @@ func (e *Engine) collect(q *prep.Query, src *leapfrogSource, opts execOpts, resi
 		if err != nil {
 			return err
 		}
+		// One arena per fetch, sized to the records it can keep. Past the
+		// cap, a value is counted by presence, not read at all, or (a
+		// residual owing a Total) decoded into the room of one more and
+		// given back, so that a kept page pins no record it does not hold.
+		size, left := 0, len(chunk)
+		if opts.max > 0 {
+			left = opts.max - len(res.records)
+			if opts.countAll && !residualFree {
+				left++
+			}
+		}
+		for i, v := range values {
+			if present[i] && left > 0 {
+				size, left = size+len(v), left-1
+			}
+		}
+		arena := core.NewRecordArena(size)
 		for i, skey := range chunk {
 			if full() && !opts.countAll {
 				// The page is complete and no Total is owed: the rest of
@@ -500,19 +517,21 @@ func (e *Engine) collect(q *prep.Query, src *leapfrogSource, opts execOpts, resi
 				res.total++
 				continue
 			}
-			r, err := core.DecodeRecord(values[i])
-			if err != nil {
+			var r core.Record
+			if err := arena.Decode(values[i], &r); err != nil {
 				return fmt.Errorf("store: corrupt record at %s: %w", skey, err)
 			}
 			plan.Candidates++
-			if !q.Matches(r) {
+			if !q.Matches(&r) {
+				arena.Unread()
 				continue
 			}
 			res.total++
 			if !full() {
-				res.records = append(res.records, *r)
+				res.records = append(res.records, r)
 				res.lastKey = skey
 			} else {
+				arena.Unread()
 				beyondCap = true
 			}
 		}

@@ -286,6 +286,12 @@ func TestServerReplyDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(c, "POST / HTTP/1.1\r\nHost: store\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	// The stall starts at the reply's first byte: the deadline is armed
+	// once the reply is built, which may take most of one under the race
+	// detector.
+	if _, err := br.Peek(1); err != nil {
+		t.Fatalf("waiting for the reply: %v", err)
+	}
 	time.Sleep(2 * (timeout + bigReply*(timeout/transferUnit)))
 	resp, err := http.ReadResponse(br, nil)
 	if err != nil {

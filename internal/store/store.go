@@ -63,7 +63,7 @@ type Backend interface {
 	// amortise the per-read cost: one lock acquisition for the batch, and
 	// on kvdb one ReadAt per run of nearby values. Values may share a
 	// backing array: callers treat them as read-only and copy what they
-	// keep, as core.DecodeRecord does.
+	// keep, as core.RecordArena does.
 	GetBatch(keys []string) (values [][]byte, present []bool, err error)
 	// Delete removes key. Deleting an absent key is a no-op. The
 	// persistent backend deletes by tombstone, a kvdb log entry; the
@@ -687,14 +687,19 @@ func (s *Store) deleteChunk(chunk []string) (deleted int, err error) {
 	var doomed []string
 	var decoded []*core.Record
 	undecodable := false
+	size := 0
+	for _, v := range values {
+		size += len(v)
+	}
+	arena := core.NewRecordArena(size)
 	for i, k := range chunk {
 		if !present[i] {
 			continue // dangling posting: nothing to delete
 		}
 		doomed = append(doomed, k)
 		deleted++
-		r, err := core.DecodeRecord(values[i])
-		if err != nil {
+		r := new(core.Record)
+		if err := arena.Decode(values[i], r); err != nil {
 			undecodable = true
 			continue
 		}
@@ -907,6 +912,8 @@ var errStopScan = errors.New("store: stop scan")
 // beginning), calling fn with the storage key and decoded record. fn
 // returning stop=true ends the sweep early — the primitive cursor-paged
 // reads resume on. Limit is ignored here; callers own truncation.
+// The sweep's records share one core.RecordArena; fn copies *r, which
+// is reused, to keep a record.
 func (s *Store) ScanQuery(q *prep.Query, after string, fn func(key string, r *core.Record) (stop bool, err error)) error {
 	if err := q.Validate(); err != nil {
 		return err
@@ -930,16 +937,18 @@ func (s *Store) ScanQuery(q *prep.Query, after string, fn func(key string, r *co
 	if after != "" {
 		from = after + "\x00"
 	}
+	arena := core.NewRecordArena(0)
+	var r core.Record
 	for _, prefix := range prefixes {
 		err := s.b.ScanFrom(prefix, from, func(key string, value []byte) error {
-			r, err := core.DecodeRecord(value)
-			if err != nil {
+			if err := arena.Decode(value, &r); err != nil {
 				return fmt.Errorf("store: corrupt record at %s: %w", key, err)
 			}
-			if !q.Matches(r) {
+			if !q.Matches(&r) {
+				arena.Unread()
 				return nil
 			}
-			stop, err := fn(key, r)
+			stop, err := fn(key, &r)
 			if err != nil {
 				return err
 			}
